@@ -20,9 +20,9 @@ and CI can catch regressions. Three suites:
 ``live``
     Enforce-phase frame throughput over a real localhost TCP socket:
     per-stage ``rule`` frames down, ``rule_ack`` frames back. The
-    baseline leg runs the seed wire path (JSON codec, one drain per
+    baseline leg runs the seed wire path (JSON codec, one write per
     frame); the optimized leg runs the PR 5 path (binary fast-codec,
-    one coalesced drain per phase). Both legs run back to back in the
+    one coalesced write per phase). Both legs run back to back in the
     same process, so the ratio is load-independent even when absolute
     numbers are not.
 
@@ -205,16 +205,17 @@ def bench_sim_cycles(quick: bool = False) -> Dict[str, Dict[str, float]]:
 
 async def _ack_server(codec: str):
     """Echo a ``rule_ack`` per ``rule`` frame, like a stage's enforce leg."""
-    from repro.live.protocol import read_message, write_message
+    from repro.live.protocol import FrameLink, encode
 
-    async def handle(reader, writer):
-        try:
-            while True:
-                message = await read_message(reader)
-                if message["kind"] != "rule":
-                    break
-                await write_message(
-                    writer,
+    def accept() -> FrameLink:
+        link = FrameLink()
+
+        def on_rule(message: dict, nbytes: int) -> None:
+            if message["kind"] != "rule":
+                link.close()
+                return
+            link.write(
+                encode(
                     {
                         "kind": "rule_ack",
                         "epoch": message["epoch"],
@@ -222,12 +223,14 @@ async def _ack_server(codec: str):
                     },
                     codec,
                 )
-        except (asyncio.IncompleteReadError, ConnectionError, OSError):
-            pass
-        finally:
-            writer.close()
+            )
 
-    return await asyncio.start_server(handle, host="127.0.0.1", port=0)
+        link.on_frame = on_rule
+        return link
+
+    return await asyncio.get_running_loop().create_server(
+        accept, host="127.0.0.1", port=0
+    )
 
 
 async def _enforce_leg(
@@ -241,15 +244,37 @@ async def _enforce_leg(
     steady state, where an unchanged limit ships the pre-encoded frame
     from the (stage, rule-epoch) cache instead of re-encoding.
     """
-    from repro.live.protocol import encode
+    from repro.live.protocol import FrameLink, encode
     from repro.live.sessions import Session
 
     server = await _ack_server(codec)
     host, port = server.sockets[0].getsockname()[:2]
-    reader, writer = await asyncio.open_connection(host, port)
-    session = Session("bench", reader, writer)
+    loop = asyncio.get_running_loop()
+    link = FrameLink()
+    await loop.create_connection(lambda: link, host, port)
+    session = Session("bench", link)
     session.codec = codec
-    session.start()
+
+    # All ``n_stages`` acks of a cycle come back on this one socket, so
+    # they are counted off the link directly instead of through a phase
+    # barrier (which expects one reply per session).
+    outstanding = 0
+    cycle_done: asyncio.Future = loop.create_future()
+
+    def on_ack(message: dict, nbytes: int) -> None:
+        nonlocal outstanding
+        outstanding -= 1
+        if outstanding == 0:
+            cycle_done.set_result(None)
+
+    def on_lost(exc) -> None:
+        if not cycle_done.done():
+            cycle_done.set_exception(
+                exc or ConnectionResetError("ack server closed the connection")
+            )
+
+    link.on_frame = on_ack
+    link.on_lost = on_lost
 
     def rule(i: int) -> dict:
         return {
@@ -263,6 +288,8 @@ async def _enforce_leg(
     try:
         t0 = time.perf_counter()
         for _ in range(n_cycles):
+            outstanding = n_stages
+            cycle_done = loop.create_future()
             for i in range(n_stages):
                 if cached:
                     session.feed_frame(frames[i])
@@ -272,11 +299,10 @@ async def _enforce_leg(
                     await session.flush()
             if coalesce:
                 await session.flush()
-            for _ in range(n_stages):
-                await session.expect("rule_ack", 0)
+            await cycle_done
         dt = time.perf_counter() - t0
     finally:
-        await session.close()
+        session.close()
         server.close()
         await server.wait_closed()
     return (2 * n_stages * n_cycles) / dt
@@ -285,9 +311,9 @@ async def _enforce_leg(
 def bench_live(quick: bool = False) -> Dict[str, float]:
     """Enforce-phase frames/s: seed wire path vs the PR 5 wire path.
 
-    Baseline = the seed's behaviour (JSON codec, encode + write + drain
-    per frame). Optimized = binary fast-codec, steady-state frame cache,
-    one buffered write + one drain per cycle. Legs are interleaved and
+    Baseline = the seed's behaviour (JSON codec, encode + write per
+    frame). Optimized = binary fast-codec, steady-state frame cache,
+    one buffered write per cycle. Legs are interleaved and
     the best of ``trials`` is kept per side — the standard micro-bench
     defence against CPU-frequency and scheduler noise — with the GC
     paused so collection pauses land on neither side.

@@ -41,40 +41,17 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-from typing import Dict, List, Optional, Tuple
+from collections import deque
+from typing import Deque, Dict, List, Optional, Tuple
 
-from repro.live.protocol import (
-    ProtocolError,
-    choose_codec,
-    read_message,
-    write_message,
-)
-from repro.live.sessions import Session, SessionClosed, gather_phase
+from repro.live.protocol import FrameLink, accept_backlog, choose_codec, encode
+from repro.live.sessions import PhaseDriver, SessionClosed, StageSession
 from repro.obs.spans import NullSpanTracer
 
 __all__ = ["LiveAggregator"]
 
 
-class _StageSession(Session):
-    def __init__(self, stage_id: str, job_id: str, reader, writer, meter=None) -> None:
-        super().__init__(stage_id, reader, writer, meter=meter)
-        self.job_id = job_id
-        # Per-axis last-known demand: the upstream fallback for a dead
-        # socket must keep the data/metadata split, not a summed scalar.
-        self.latest_data_demand = 0.0
-        self.latest_metadata_demand = 0.0
-
-    @property
-    def latest_demand(self) -> float:
-        """Summed last-known demand (back-compat upstream vector)."""
-        return self.latest_data_demand + self.latest_metadata_demand
-
-    @property
-    def stage_id(self) -> str:
-        return self.peer_id
-
-
-class LiveAggregator:
+class LiveAggregator(PhaseDriver):
     """One aggregator: serves a stage partition, reports upstream."""
 
     def __init__(
@@ -112,7 +89,7 @@ class LiveAggregator:
         self.enforce_timeout_s = (
             enforce_timeout_s if enforce_timeout_s is not None else collect_timeout_s
         )
-        #: One drain per session per phase instead of one per frame.
+        #: One write per session per phase instead of one per frame.
         self.coalesce = coalesce
         #: Per-stage-session outbound bound (bytes); None = unbounded.
         #: Same contract as the controllers: enable with phase deadlines.
@@ -135,7 +112,7 @@ class LiveAggregator:
                 "sessions dropped after their socket died",
                 role="aggregator",
             )
-        self.sessions: Dict[str, _StageSession] = {}
+        self.sessions: Dict[str, StageSession] = {}
         self.cycles_served = 0
         self.evictions = 0
         self._outbox_shed_evicted = 0
@@ -155,18 +132,41 @@ class LiveAggregator:
         self._stop = asyncio.Event()
         self._paused = asyncio.Event()
         self._paused.set()
-        self._up_writer: Optional[asyncio.StreamWriter] = None
+        #: The upstream link while registered with the global controller.
+        self._up: Optional[FrameLink] = None
+        # Upstream frames parsed but not yet handled by :meth:`run`, and
+        # the future it sleeps on while that queue is empty.
+        self._up_frames: Deque[dict] = deque()
+        self._up_wake: Optional[asyncio.Future] = None
         self._killed = False
 
-    def _cpu(self):
-        """CPU-attribution context for synchronous critical sections."""
-        return self.meter.cpu() if self.meter is not None else contextlib.nullcontext()
-
-    async def _send_up(self, up_writer, message: dict) -> None:
+    def _send_up(self, message: dict) -> None:
         """Write an upstream frame, charging its bytes to this aggregator."""
-        nbytes = await write_message(up_writer, message, self.up_codec)
+        frame = encode(message, self.up_codec)
+        self._up.write(frame)
         if self.meter is not None:
-            self.meter.add_tx(nbytes)
+            self.meter.add_tx(len(frame))
+
+    def _on_up_frame(self, message: dict, nbytes: int) -> None:
+        if self.meter is not None:
+            self.meter.add_rx(nbytes)
+        self._up_frames.append(message)
+        self._wake_run()
+
+    def _wake_run(self, exc: Optional[Exception] = None) -> None:
+        """Resume :meth:`run` (also the upstream link's ``on_lost``)."""
+        wake = self._up_wake
+        if wake is not None and not wake.done():
+            wake.set_result(None)
+
+    async def _next_up(self) -> Optional[dict]:
+        """The next upstream frame, or ``None`` once the link is lost."""
+        while not self._up_frames:
+            if self._up.lost:
+                return None
+            self._up_wake = asyncio.get_running_loop().create_future()
+            await self._up_wake
+        return self._up_frames.popleft()
 
     # -- fault-injection hooks (see repro.live.faults) -----------------------
     def kill(self) -> None:
@@ -177,12 +177,10 @@ class LiveAggregator:
         the alternate aggregators they learnt from ``rehome`` frames.
         """
         self._killed = True
-        up = self._up_writer
-        if up is not None and up.transport is not None:
-            up.transport.abort()
+        if self._up is not None:
+            self._up.abort()
         for session in list(self.sessions.values()):
-            if session.writer.transport is not None:
-                session.writer.transport.abort()
+            session.abort()
         if self._server is not None:
             self._server.close()
 
@@ -203,7 +201,7 @@ class LiveAggregator:
         k = index % len(peers)
         return [[h, p] for h, p in peers[k:] + peers[:k]]
 
-    async def _apply_topology(self, aggregators: List[dict]) -> None:
+    def _apply_topology(self, aggregators: List[dict]) -> None:
         """Adopt a topology frame: remember peers, re-arm every stage."""
         self.peer_addresses = [
             (a["host"], int(a["port"]))
@@ -213,29 +211,27 @@ class LiveAggregator:
         for i, stage_id in enumerate(sorted(self.sessions)):
             session = self.sessions[stage_id]
             try:
-                await session.send(
+                session.post(
                     {"kind": "rehome", "alternates": self._alternates_for(i)}
                 )
                 self.rehomes_sent += 1
             except SessionClosed:
-                await self._evict(session)
+                self._evict(session)
 
     # -- lifecycle ----------------------------------------------------------
     async def start(self) -> None:
         """Listen for stage registrations; ``self.port`` gets the bound port."""
-        self._server = await asyncio.start_server(
-            self._on_stage_connection, self.host, self.port
+        self._server = await asyncio.get_running_loop().create_server(
+            FrameLink.accepting(self._on_hello),
+            self.host,
+            self.port,
+            backlog=accept_backlog(self.expected_stages),
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
-    async def _on_stage_connection(self, reader, writer) -> None:
-        try:
-            hello = await read_message(reader)
-        except (asyncio.IncompleteReadError, ProtocolError, ConnectionError, OSError):
-            writer.close()
-            return
+    def _on_hello(self, link: FrameLink, hello: dict) -> None:
         if hello.get("kind") != "register":
-            writer.close()
+            link.close()
             return
         stage_id = hello.get("stage_id")
         job_id = hello.get("job_id")
@@ -246,19 +242,10 @@ class LiveAggregator:
             error = f"stage_id already registered: {stage_id}"
         if error is not None:
             self.registrations_rejected += 1
-            try:
-                await write_message(
-                    writer, {"kind": "register_error", "reason": error}
-                )
-            except (ConnectionError, OSError):
-                pass
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            link.write(encode({"kind": "register_error", "reason": error}))
+            link.close()
             return
-        session = _StageSession(stage_id, job_id, reader, writer, meter=self.meter)
+        session = StageSession(stage_id, job_id, link, meter=self.meter)
         session.outbox.max_bytes = self.session_outbox_bytes
         # Grant the newest codec both sides speak (mixed-version safe):
         # the stage's offer intersected with what *we* were built with.
@@ -271,18 +258,16 @@ class LiveAggregator:
         ack: dict = {"kind": "registered", "codec": session.codec}
         if self.peer_addresses:
             ack["alternates"] = self._alternates_for(len(self.sessions) - 1)
-        await write_message(writer, ack)
-        session.start()
+        link.write(encode(ack))
         if len(self.sessions) >= self.expected_stages:
             self._all_registered.set()
         # A registration after the upstream link is up is an adoption
         # (an orphan re-homing here, or one of our own stages returning);
         # the global controller dedups re-registrations of owned stages.
-        if self._up_writer is not None:
+        if self._up is not None:
             self.adoptions += 1
             try:
-                await self._send_up(
-                    self._up_writer,
+                self._send_up(
                     {
                         "kind": "partition_update",
                         "aggregator_id": self.aggregator_id,
@@ -292,14 +277,14 @@ class LiveAggregator:
             except (ConnectionError, OSError):
                 pass  # upstream is dying; the next topology pass catches up
 
-    async def _evict(self, session: _StageSession) -> None:
+    def _evict(self, session: StageSession) -> None:
         if self.sessions.get(session.stage_id) is session:
             del self.sessions[session.stage_id]
             self.evictions += 1
             self._outbox_shed_evicted += session.outbox.frames_shed
             if self.metrics is not None:
                 self._m_evictions.inc()
-        await session.close()
+        session.close()
 
     @property
     def outbox_frames_shed(self) -> int:
@@ -310,14 +295,16 @@ class LiveAggregator:
 
     async def run(self, stage_timeout_s: float = 30.0) -> None:
         """Register upstream once the partition is complete, then serve."""
-        await asyncio.wait_for(self._all_registered.wait(), timeout=stage_timeout_s)
-        reader, writer = await asyncio.open_connection(
-            self.global_host, self.global_port
-        )
-        self._up_writer = writer
+        up = FrameLink(self._on_up_frame, self._wake_run)
         try:
-            await self._send_up(
-                writer,
+            await asyncio.wait_for(
+                self._all_registered.wait(), timeout=stage_timeout_s
+            )
+            await asyncio.get_running_loop().create_connection(
+                lambda: up, self.global_host, self.global_port
+            )
+            self._up = up
+            self._send_up(
                 {
                     "kind": "register_aggregator",
                     "aggregator_id": self.aggregator_id,
@@ -330,109 +317,79 @@ class LiveAggregator:
                     "codecs": list(self.offered_codecs),
                 },
             )
-            ack = await read_message(reader)
+            ack = await self._next_up()
+            if ack is None:
+                return
             if ack["kind"] != "registered":
                 raise RuntimeError(f"unexpected registration reply: {ack}")
             granted = ack.get("codec", "json")
             self.up_codec = (
                 granted if granted in self.offered_codecs else "json"
             )
-            from repro.live.protocol import read_frame
-
             while not self._stop.is_set():
-                try:
-                    message, nbytes = await read_frame(reader)
-                except (
-                    asyncio.IncompleteReadError,
-                    ProtocolError,
-                    ConnectionError,
-                    OSError,
-                ):
+                message = await self._next_up()
+                if message is None:
                     break
-                if self.meter is not None:
-                    self.meter.add_rx(nbytes)
                 await self._paused.wait()
-                await self._handle(message, writer)
+                await self._handle(message)
         finally:
-            self._up_writer = None
-            if self._stop.is_set():
-                # Deliberate shutdown: take the stages down with us.
-                await self._shutdown_stages()
-            else:
-                # Upstream lost (global death, our kill): *release* the
-                # stages — close their sockets without a shutdown frame so
-                # their reconnect loops re-home them to live aggregators.
-                await self._release_stages()
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover - teardown
-                pass
+            self._up = None
+            self._up_frames.clear()
+            # The listener goes first: should this task be cancelled
+            # further down, a socket still listening would keep the
+            # aggregator, its server and every session reachable from
+            # the event loop's selector for good.
             if self._server is not None:
                 self._server.close()
+            # Deliberate shutdown: take the stages down with us. Upstream
+            # lost (global death, our kill): *release* them — close their
+            # sockets without a shutdown frame so their reconnect loops
+            # re-home them to live aggregators.
+            self._close_sessions(
+                {"kind": "shutdown"} if self._stop.is_set() else None
+            )
+            up.close()
+            if self._server is not None:
                 # Wait for the listen socket to actually release: without
                 # this, a back-to-back restart on the same port races the
                 # in-flight close and flakes with EADDRINUSE on slow CI.
                 with contextlib.suppress(ConnectionError, OSError):
                     await self._server.wait_closed()
 
-    async def _handle(self, message, up_writer) -> None:
+    async def _handle(self, message) -> None:
         kind = message["kind"]
         if kind == "agg_collect_req":
-            await self._collect(message["epoch"], up_writer)
+            await self._collect(message["epoch"])
         elif kind == "rule_batch":
-            await self._distribute(message, up_writer)
+            await self._distribute(message)
         elif kind == "topology":
-            await self._apply_topology(message.get("aggregators", []))
+            self._apply_topology(message.get("aggregators", []))
         elif kind == "shutdown":
             self._stop.set()
 
     # -- cycle halves ---------------------------------------------------------
-    async def _collect(self, epoch: int, up_writer) -> None:
+    async def _collect(self, epoch: int) -> None:
         self.cycles_served += 1
         started = self.tracer.now()
         if self.metrics is not None:
             self._m_cycles.inc()
         sessions = [self.sessions[s] for s in sorted(self.sessions)]
-        polled: List[_StageSession] = []
-        missing_ids = set()
-        with self._cpu():
-            for s in sessions:
-                try:
-                    s.feed({"kind": "collect_req", "epoch": epoch})
-                    if not self.coalesce:
-                        await s.flush()
-                    polled.append(s)
-                except SessionClosed:
-                    await self._evict(s)
-                    missing_ids.add(s.stage_id)
-            if self.coalesce:
-                alive: List[_StageSession] = []
-                for s in polled:
-                    try:
-                        await s.flush()
-                        alive.append(s)
-                    except SessionClosed:
-                        await self._evict(s)
-                        missing_ids.add(s.stage_id)
-                polled = alive
 
-        async def read_reply(s: _StageSession) -> None:
-            m = await s.expect("metrics_reply", epoch)
+        def on_reply(s: StageSession, m: dict) -> None:
             s.latest_data_demand = float(m["data_iops"])
             s.latest_metadata_demand = float(m["metadata_iops"])
 
-        missing, _ = await gather_phase(polled, read_reply, self.collect_timeout_s)
-        for s in missing:
-            missing_ids.add(s.stage_id)
-            if not s.connected:
-                await self._evict(s)
+        absent, _ = await self._phase(
+            sessions,
+            lambda s: s.feed({"kind": "collect_req", "epoch": epoch}),
+            "metrics_reply", epoch, on_reply, self.collect_timeout_s,
+        )
+        missing_ids = {s.stage_id for s in absent}
         # Report the full partition upstream — absent stages ride at their
         # last-known demand and are flagged so the global controller's
         # degraded-cycle accounting sees through the aggregation.
         with self._cpu():
-            await self._send_up(
-                up_writer,
+            self._send_up(
                 {
                     "kind": "agg_metrics_reply",
                     "epoch": epoch,
@@ -455,55 +412,32 @@ class LiveAggregator:
                 parent="cycle", epoch=epoch, n_missing=len(missing_ids),
             )
 
-    async def _distribute(self, message, up_writer) -> None:
+    async def _distribute(self, message) -> None:
         epoch = message["epoch"]
         rules = message["rules"]
         started = self.tracer.now()
-        targets: List[_StageSession] = []
-        with self._cpu():
-            for rule in rules:
-                session = self.sessions.get(rule["stage_id"])
-                if session is None:
-                    continue
-                forwarded = {
-                    "kind": "rule",
-                    "epoch": epoch,
-                    "stage_id": rule["stage_id"],
-                    "data_iops_limit": rule["data_iops_limit"],
-                }
-                if "metadata_iops_limit" in rule:
-                    forwarded["metadata_iops_limit"] = rule[
-                        "metadata_iops_limit"
-                    ]
-                try:
-                    # Sheddable under outbox pressure: superseded by the
-                    # next epoch's rule; the missing ack resolves through
-                    # the enforce deadline.
-                    session.feed(forwarded, sheddable=True)
-                    if not self.coalesce:
-                        await session.flush()
-                    targets.append(session)
-                except SessionClosed:
-                    await self._evict(session)
-            if self.coalesce:
-                alive: List[_StageSession] = []
-                for session in targets:
-                    try:
-                        await session.flush()
-                        alive.append(session)
-                    except SessionClosed:
-                        await self._evict(session)
-                targets = alive
-
-        missing, _ = await gather_phase(
-            targets, lambda s: s.expect("rule_ack", epoch), self.enforce_timeout_s
+        forwarded: Dict[StageSession, dict] = {}
+        for rule in rules:
+            session = self.sessions.get(rule["stage_id"])
+            if session is None:
+                continue
+            forwarded[session] = message = {
+                "kind": "rule",
+                "epoch": epoch,
+                "stage_id": rule["stage_id"],
+                "data_iops_limit": rule["data_iops_limit"],
+            }
+            if "metadata_iops_limit" in rule:
+                message["metadata_iops_limit"] = rule["metadata_iops_limit"]
+        # Sheddable under outbox pressure: superseded by the next epoch's
+        # rule; the missing ack resolves through the enforce deadline.
+        await self._phase(
+            forwarded,
+            lambda s: s.feed(forwarded[s], sheddable=True),
+            "rule_ack", epoch, lambda s, m: None, self.enforce_timeout_s,
         )
-        for s in missing:
-            if not s.connected:
-                await self._evict(s)
         with self._cpu():
-            await self._send_up(
-                up_writer,
+            self._send_up(
                 {
                     "kind": "batch_ack",
                     "epoch": epoch,
@@ -515,18 +449,3 @@ class LiveAggregator:
                 "enforce", started, self.tracer.now() - started,
                 parent="cycle", epoch=epoch, n_rules=len(rules),
             )
-
-    async def _shutdown_stages(self) -> None:
-        for session in list(self.sessions.values()):
-            try:
-                await session.send({"kind": "shutdown"})
-            except SessionClosed:
-                pass
-            await session.close()
-        self.sessions.clear()
-
-    async def _release_stages(self) -> None:
-        """Drop stage sessions *without* telling the stages to stop."""
-        for session in list(self.sessions.values()):
-            await session.close()
-        self.sessions.clear()

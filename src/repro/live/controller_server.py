@@ -30,7 +30,6 @@ latency histograms.
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import copy
 import time
 from typing import Dict, List, Optional, Set
@@ -42,45 +41,14 @@ from repro.core.algorithms.psfa import PSFA
 from repro.core.columnar import StageColumns
 from repro.core.cycle import ControlCycle
 from repro.core.policies import QoSPolicy
-from repro.live.protocol import (
-    ProtocolError,
-    choose_codec,
-    encode,
-    read_message,
-    write_message,
-)
-from repro.live.sessions import Session, SessionClosed, gather_phase
+from repro.live.protocol import FrameLink, accept_backlog, choose_codec, encode
+from repro.live.sessions import PhaseDriver, Session, SessionClosed, StageSession
 from repro.obs.spans import NullSpanTracer
 
 __all__ = ["LiveGlobalController", "LiveHierGlobalController"]
 
 
-class _StageSession(Session):
-    """Server-side state for one connected stage."""
-
-    def __init__(self, stage_id: str, job_id: str, reader, writer, meter=None) -> None:
-        super().__init__(stage_id, reader, writer, meter=meter)
-        self.job_id = job_id
-        # Last-known demand is tracked per axis: collapsing data +
-        # metadata into one scalar loses the split a dead socket's
-        # fallback (and the metadata allocator) needs.
-        self.latest_data_demand = 0.0
-        self.latest_metadata_demand = 0.0
-        #: Row index in the controller's :class:`StageColumns` (columnar
-        #: mode only); refreshed by the controller after compaction.
-        self.column_row: Optional[int] = None
-
-    @property
-    def latest_demand(self) -> float:
-        """Summed last-known demand (the undifferentiated axis)."""
-        return self.latest_data_demand + self.latest_metadata_demand
-
-    @property
-    def stage_id(self) -> str:
-        return self.peer_id
-
-
-class _LiveControllerBase:
+class _LiveControllerBase(PhaseDriver):
     """Registration, eviction, and teardown shared by both designs."""
 
     #: ``kind`` a valid hello frame must carry (set by subclasses).
@@ -91,17 +59,63 @@ class _LiveControllerBase:
 
     def __init__(
         self,
+        policy: QoSPolicy,
+        algorithm: Optional[ControlAlgorithm],
         host: str,
         port: int,
+        collect_timeout_s: Optional[float],
+        enforce_timeout_s: Optional[float],
+        enforce_changed_only: bool,
+        rule_change_tolerance: float,
+        coalesce: bool,
+        initial_epoch: int,
         span_tracer=None,
         usage_meter=None,
         metrics=None,
         degradation=None,
         demand_clamp=None,
         session_outbox_bytes: Optional[int] = None,
+        columnar: bool = False,
     ) -> None:
+        if initial_epoch < 0:
+            raise ValueError(f"initial_epoch must be >= 0: {initial_epoch}")
+        if rule_change_tolerance < 0:
+            raise ValueError(
+                f"negative rule change tolerance: {rule_change_tolerance}"
+            )
+        for name, value in (
+            ("collect_timeout_s", collect_timeout_s),
+            ("enforce_timeout_s", enforce_timeout_s),
+        ):
+            if value is not None and value <= 0:
+                raise ValueError(f"{name} must be positive: {value}")
         self.host = host
         self.port = port
+        self.policy = policy
+        self.algorithm = algorithm or PSFA()
+        #: Separate algorithm instance for the metadata axis when the
+        #: policy differentiates: a stateful brain (PID) must not have
+        #: its loop state corrupted by alternating axes through one
+        #: instance. Stateless brains don't care; PADLL-style brains are
+        #: driven through ``allocate_axes`` instead.
+        self.metadata_algorithm = copy.deepcopy(self.algorithm)
+        self.collect_timeout_s = collect_timeout_s
+        self.enforce_timeout_s = (
+            enforce_timeout_s if enforce_timeout_s is not None else collect_timeout_s
+        )
+        #: Ship only rules whose limit moved by more than
+        #: ``rule_change_tolerance`` (relative) since the last one sent —
+        #: the live counterpart of the sim's changed-only enforce ablation.
+        #: Suppressed stages keep enforcing their cached rule-epoch (flat:
+        #: no frame at all; hier: the entry is left out of the
+        #: ``rule_batch``, which still goes out — its ack paces the phase).
+        self.enforce_changed_only = enforce_changed_only
+        self.rule_change_tolerance = rule_change_tolerance
+        self.rules_suppressed = 0
+        #: Columnar per-stage demand store (flat float64 columns, one row
+        #: per stage) — gathered with fancy indexing instead of per-stage
+        #: Python; allocation-identical to the scalar bookkeeping.
+        self.columns: Optional[StageColumns] = StageColumns() if columnar else None
         self.tracer = span_tracer if span_tracer is not None else NullSpanTracer()
         self.meter = usage_meter
         self.metrics = metrics
@@ -125,11 +139,14 @@ class _LiveControllerBase:
         self._outbox_shed_bytes_evicted = 0
         self.sessions: Dict[str, Session] = {}
         self.cycles: List[ControlCycle] = []
-        self.epoch = 0
-        #: Buffer a phase's frames per session and drain once (the
+        # Boot-from-store resume floor: a controller restored from a
+        # durable store starts above its last durable epoch so stage-side
+        # fencing accepts its rules and discards any pre-crash stragglers.
+        self.epoch = initial_epoch
+        #: Buffer a phase's frames per session and write once (the
         #: writev-style fast path); ``False`` restores the seed's
-        #: frame-per-drain writes, which the bench uses as its baseline.
-        self.coalesce = True
+        #: frame-per-write sends, which the bench uses as its baseline.
+        self.coalesce = coalesce
         #: Sessions evicted because their socket died mid-cycle.
         self.evictions = 0
         #: Registrations rejected (duplicate id, malformed hello).
@@ -201,10 +218,11 @@ class _LiveControllerBase:
                 "reported demand trimmed by the trust clamp (cumulative)",
                 role=role,
             )
-
-    def _cpu(self):
-        """CPU-attribution context for synchronous critical sections."""
-        return self.meter.cpu() if self.meter is not None else contextlib.nullcontext()
+            self._m_suppressed = metrics.counter(
+                "repro_rules_suppressed_total",
+                "unchanged rules withheld by changed-only enforcement",
+                role=role,
+            )
 
     def _record_cycle(self, cycle: ControlCycle, started: float) -> None:
         """Append the record and emit its spans/metrics (obs enabled)."""
@@ -272,23 +290,104 @@ class _LiveControllerBase:
             return True
         return self.enforce_changed_only
 
+    # -- control loop (shared halves) ---------------------------------------
+    async def run_cycles(self, n_cycles: int) -> List[ControlCycle]:
+        """Run ``n_cycles`` back-to-back cycles; returns their records."""
+        if n_cycles < 1:
+            raise ValueError(f"n_cycles must be >= 1: {n_cycles}")
+        for _ in range(n_cycles):
+            await self._cycle()
+        return self.cycles
+
+    def _believed(self, stage_id: str, data: float, meta: float):
+        """Per-axis demand after the trust clamp (identity without one).
+
+        A reported demand is only believed up to a multiple of what the
+        stage has been using. The clamp scores *total* demand, so a
+        trimmed report shrinks both axes by the same ratio (the liar's
+        split is preserved, its magnitude is not).
+        """
+        clamp = self.demand_clamp
+        if clamp is None:
+            return data, meta
+        total = data + meta
+        believed = clamp.clamp(stage_id, total)
+        if total > 0.0 and believed < total:
+            ratio = believed / total
+            return data * ratio, meta * ratio
+        return data, meta
+
+    def _allocate(self, data_demands, metadata_demands, weights):
+        """Run the brain(s): ``(data limits, metadata limits | None)``."""
+        policy = self.policy
+        if not policy.differentiated:
+            result = self.algorithm.allocate(
+                np.array(data_demands) + np.array(metadata_demands),
+                weights,
+                policy.allocatable_iops,
+            )
+            return result.allocations, None
+        data_arr = np.array(data_demands)
+        meta_arr = np.array(metadata_demands)
+        axes = getattr(self.algorithm, "allocate_axes", None)
+        if axes is not None:
+            data_result, meta_result = axes(
+                data_arr,
+                meta_arr,
+                weights,
+                policy.allocatable_iops,
+                policy.allocatable_metadata_iops,
+            )
+        else:
+            data_result = self.algorithm.allocate(
+                data_arr, weights, policy.allocatable_iops
+            )
+            meta_result = self.metadata_algorithm.allocate(
+                meta_arr, weights, policy.allocatable_metadata_iops
+            )
+        return data_result.allocations, meta_result.allocations
+
+    def _suppress(self, previous: Optional[tuple], limit, meta_limit) -> bool:
+        """Changed-only verdict for one rule against the last one shipped.
+
+        ``previous`` is ``(rule-epoch, data limit, metadata limit, ...)``.
+        Unchanged within tolerance on every axis: the stage keeps
+        enforcing its cached rule-epoch and the suppression is counted.
+        """
+        if previous is None:
+            return False
+        tolerance = self.rule_change_tolerance
+        prev_limit, prev_meta = previous[1], previous[2]
+        if abs(limit - prev_limit) > tolerance * max(abs(prev_limit), 1e-9):
+            return False
+        if meta_limit is None or prev_meta is None:
+            if meta_limit is not prev_meta:
+                return False
+        elif abs(meta_limit - prev_meta) > tolerance * max(abs(prev_meta), 1e-9):
+            return False
+        self.rules_suppressed += 1
+        if self.metrics is not None:
+            self._m_suppressed.inc()
+        return True
+
     # -- lifecycle ----------------------------------------------------------
     async def start(self) -> None:
         """Start listening; ``self.port`` holds the bound port."""
-        self._server = await asyncio.start_server(
-            self._on_connection, self.host, self.port
+        # Every expected child may connect in the same instant (a
+        # harness starting its fleet, a mass re-home): size the accept
+        # queue for that, not for asyncio's default of 100, or the
+        # overflow strands half-open registrations for a TCP RTO wave.
+        self._server = await asyncio.get_running_loop().create_server(
+            FrameLink.accepting(self._on_hello),
+            self.host,
+            self.port,
+            backlog=accept_backlog(self._expected),
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def shutdown(self) -> None:
         """Tell children to stop, flush the frames, and close the server."""
-        for session in list(self.sessions.values()):
-            try:
-                await session.send({"kind": "shutdown"})
-            except SessionClosed:
-                pass
-            await session.close()
-        self.sessions.clear()
+        self._close_sessions({"kind": "shutdown"})
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -301,89 +400,59 @@ class _LiveControllerBase:
         rotate to alternate addresses (e.g. the hot standby).
         """
         for session in list(self.sessions.values()):
-            if session.writer.transport is not None:
-                session.writer.transport.abort()
+            session.abort()
         if self._server is not None:
             self._server.close()
 
     @property
     def stale_messages(self) -> int:
-        """Frames drained as stale across all live sessions."""
+        """Frames dropped as stale across all live sessions."""
         return sum(s.stale_messages for s in self.sessions.values())
 
     # -- registration -------------------------------------------------------
-    async def _on_connection(self, reader, writer) -> None:
-        try:
-            hello = await read_message(reader)
-        except (asyncio.IncompleteReadError, ProtocolError, ConnectionError, OSError):
-            writer.close()
-            return
+    def _on_hello(self, link: FrameLink, hello: dict) -> None:
         if hello.get("kind") == "heartbeat":
-            await self._heartbeat_loop(hello, reader, writer)
+            link.on_frame = self._on_heartbeat
+            self._on_heartbeat(hello, 0)
             return
         if hello.get("kind") != self._register_kind:
-            writer.close()
+            link.close()
             return
         error = self._validate_hello(hello)
         if error is not None:
-            await self._reject(writer, error)
+            self._reject(link, error)
             return
-        session = self._make_session(hello, reader, writer)
+        # From here on the session owns the link: every later frame goes
+        # through its routing, in the same parse pass as this hello.
+        session = self._make_session(hello, link)
         # Codec negotiation: binary when the child advertises it, JSON for
         # older children. The ack itself is always JSON-decodable.
         session.codec = choose_codec(hello.get("codecs"))
         self.sessions[session.peer_id] = session
-        await write_message(
-            writer, {"kind": "registered", "codec": session.codec}
-        )
-        session.start()
+        link.write(encode({"kind": "registered", "codec": session.codec}))
         if len(self.sessions) >= self._expected:
             self._all_registered.set()
-        await self._after_register(session)
-        # The controller drives all further I/O through the session's
-        # frame pump; the handler returns and the streams stay owned by
-        # the session.
+        self._after_register(session)
 
-    async def _heartbeat_loop(self, first: dict, reader, writer) -> None:
-        """Consume a primary's heartbeat stream (this side is standby)."""
-        message = first
-        try:
-            while True:
-                if message.get("kind") == "heartbeat":
-                    self.last_heartbeat_at = time.monotonic()
-                    self.last_primary_epoch = max(
-                        self.last_primary_epoch, int(message.get("epoch", 0))
-                    )
-                    self.heartbeats_received += 1
-                message = await read_message(reader)
-        except (asyncio.IncompleteReadError, ProtocolError, ConnectionError, OSError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover - teardown
-                pass
+    def _on_heartbeat(self, message: dict, nbytes: int) -> None:
+        """One frame of a primary's heartbeat stream (this side is standby)."""
+        if message.get("kind") == "heartbeat":
+            self.last_heartbeat_at = time.monotonic()
+            self.last_primary_epoch = max(
+                self.last_primary_epoch, int(message.get("epoch", 0))
+            )
+            self.heartbeats_received += 1
 
-    async def _after_register(self, session: Session) -> None:
+    def _after_register(self, session: Session) -> None:
         """Hook run after a child registers (hier: topology broadcast)."""
 
-    async def _reject(self, writer, reason: str) -> None:
+    def _reject(self, link: FrameLink, reason: str) -> None:
         """Refuse a registration: error reply, then close the connection."""
         self.registrations_rejected += 1
-        try:
-            await write_message(
-                writer, {"kind": "register_error", "reason": reason}
-            )
-        except (ConnectionError, OSError):
-            pass
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+        link.write(encode({"kind": "register_error", "reason": reason}))
+        link.close()
 
-    async def _evict(self, session: Session) -> None:
+    def _evict(self, session: Session) -> None:
         """Drop a dead session so its id can register again."""
         if self.sessions.get(session.peer_id) is session:
             del self.sessions[session.peer_id]
@@ -393,7 +462,7 @@ class _LiveControllerBase:
             if self.metrics is not None:
                 self._m_evictions.inc()
             self._on_evicted(session)
-        await session.close()
+        session.close()
 
     # Subclass hooks ---------------------------------------------------------
     def _on_evicted(self, session: Session) -> None:
@@ -402,7 +471,7 @@ class _LiveControllerBase:
     def _validate_hello(self, hello: dict) -> Optional[str]:
         raise NotImplementedError
 
-    def _make_session(self, hello: dict, reader, writer) -> Session:
+    def _make_session(self, hello: dict, link: FrameLink) -> Session:
         raise NotImplementedError
 
     @property
@@ -459,52 +528,31 @@ class LiveGlobalController(_LiveControllerBase):
     ) -> None:
         if expected_stages < 1:
             raise ValueError(f"expected_stages must be >= 1: {expected_stages}")
-        if initial_epoch < 0:
-            raise ValueError(f"initial_epoch must be >= 0: {initial_epoch}")
         if evicted_grace_cycles < 0:
             raise ValueError(
                 f"evicted_grace_cycles must be >= 0: {evicted_grace_cycles}"
             )
-        if rule_change_tolerance < 0:
-            raise ValueError(
-                f"negative rule change tolerance: {rule_change_tolerance}"
-            )
-        for name, value in (
-            ("collect_timeout_s", collect_timeout_s),
-            ("enforce_timeout_s", enforce_timeout_s),
-        ):
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be positive: {value}")
         super().__init__(
+            policy,
+            algorithm,
             host,
             port,
+            collect_timeout_s,
+            enforce_timeout_s,
+            enforce_changed_only,
+            rule_change_tolerance,
+            coalesce,
+            initial_epoch,
             span_tracer=span_tracer,
             usage_meter=usage_meter,
             metrics=metrics,
             degradation=degradation,
             demand_clamp=demand_clamp,
             session_outbox_bytes=session_outbox_bytes,
+            columnar=columnar,
         )
-        # Boot-from-store resume floor: a controller restored from a
-        # durable store starts above its last durable epoch so stage-side
-        # fencing accepts its rules and discards any pre-crash stragglers.
-        self.epoch = initial_epoch
-        self.policy = policy
-        self.algorithm = algorithm or PSFA()
         self.expected_stages = expected_stages
-        self.collect_timeout_s = collect_timeout_s
-        self.enforce_timeout_s = (
-            enforce_timeout_s if enforce_timeout_s is not None else collect_timeout_s
-        )
         self.evicted_grace_cycles = evicted_grace_cycles
-        #: Ship only rules whose limit moved by more than
-        #: ``rule_change_tolerance`` (relative) since the last one sent —
-        #: the live counterpart of the sim's changed-only enforce ablation.
-        #: Suppressed stages keep enforcing their cached rule-epoch.
-        self.enforce_changed_only = enforce_changed_only
-        self.rule_change_tolerance = rule_change_tolerance
-        self.rules_suppressed = 0
-        self.coalesce = coalesce
         #: Encoded-rule cache: stage id -> (rule-epoch, data limit,
         #: metadata limit, wire frame). The rule-epoch is the epoch at
         #: which the stage's limits last changed; the cached frame is what
@@ -514,30 +562,13 @@ class LiveGlobalController(_LiveControllerBase):
         #: Evicted-but-graced stages:
         #: id -> (job_id, data_demand, metadata_demand, epoch).
         self.departed: Dict[str, tuple] = {}
-        #: Separate algorithm instance for the metadata axis when the
-        #: policy differentiates: a stateful brain (PID) must not have
-        #: its loop state corrupted by alternating axes through one
-        #: instance. Stateless brains don't care; PADLL-style brains are
-        #: driven through ``allocate_axes`` instead.
-        self.metadata_algorithm = copy.deepcopy(self.algorithm)
-        #: Columnar per-stage demand store (flat float64 columns, one row
-        #: per session). The compute phase gathers demand and weights
-        #: with fancy indexing instead of per-session list comps; replies
-        #: scatter into the columns through cached row handles. The
-        #: scalar session attributes stay authoritative for everything
-        #: else (grace fallback, clamp scoring, tests), so the two modes
-        #: are allocation-identical.
-        self.columns: Optional[StageColumns] = StageColumns() if columnar else None
+        # Columnar mode: replies scatter into the columns through cached
+        # row handles; the scalar session attributes stay authoritative
+        # for everything else (grace fallback, clamp scoring, tests).
         # (columns generation, ok): session order still mirrors row order.
         self._order_cache: Optional[tuple] = None
         # (columns generation, policy version) -> per-row weight vector.
         self._weights_cache: Optional[tuple] = None
-        if metrics is not None:
-            self._m_suppressed = metrics.counter(
-                "repro_rules_suppressed_total",
-                "unchanged rules withheld by changed-only enforcement",
-                role=self._role,
-            )
 
     async def wait_for_stages(self, timeout_s: float = 30.0) -> None:
         """Block until every expected stage has registered."""
@@ -554,7 +585,7 @@ class LiveGlobalController(_LiveControllerBase):
                 self.epoch,
             )
 
-    async def _after_register(self, session: Session) -> None:
+    def _after_register(self, session: Session) -> None:
         self.departed.pop(session.peer_id, None)
         # A (re)joining stage may be a fresh process with no applied rule;
         # forget its cached rule so the next enforce ships one for sure.
@@ -577,9 +608,9 @@ class LiveGlobalController(_LiveControllerBase):
             return f"stage_id already registered: {stage_id}"
         return None
 
-    def _make_session(self, hello: dict, reader, writer) -> _StageSession:
-        session = _StageSession(
-            hello["stage_id"], hello["job_id"], reader, writer, meter=self.meter
+    def _make_session(self, hello: dict, link: FrameLink) -> StageSession:
+        session = StageSession(
+            hello["stage_id"], hello["job_id"], link, meter=self.meter
         )
         session.outbox.max_bytes = self.session_outbox_bytes
         return session
@@ -589,15 +620,7 @@ class LiveGlobalController(_LiveControllerBase):
         return self.expected_stages
 
     # -- control loop -----------------------------------------------------------
-    async def run_cycles(self, n_cycles: int) -> List[ControlCycle]:
-        """Run ``n_cycles`` back-to-back cycles; returns their records."""
-        if n_cycles < 1:
-            raise ValueError(f"n_cycles must be >= 1: {n_cycles}")
-        for _ in range(n_cycles):
-            await self._cycle()
-        return self.cycles
-
-    def _columnar_snapshot(self, sessions: List["_StageSession"]):
+    def _columnar_snapshot(self, sessions: List["StageSession"]):
         """Cycle-start row/weight snapshot, or ``None`` to run scalar.
 
         Taken before any I/O: mid-cycle evictions only tombstone rows
@@ -630,43 +653,22 @@ class LiveGlobalController(_LiveControllerBase):
     async def _cycle(self) -> None:
         self.epoch += 1
         epoch = self.epoch
-        sessions: List[_StageSession] = list(self.sessions.values())
+        sessions: List[StageSession] = list(self.sessions.values())
         snapshot = self._columnar_snapshot(sessions)
         started = time.perf_counter()
         missing_ids: Set[str] = set()
-        timed_out = False
         tracer = self.tracer
         sent_at: Dict[str, float] = {}
 
         # ---- collect (partial on deadline, evict dead sockets) ----
-        polled: List[_StageSession] = []
-        with self._cpu():
-            for s in sessions:
-                try:
-                    s.feed({"kind": "collect_req", "epoch": epoch})
-                    if not self.coalesce:
-                        await s.flush()
-                    polled.append(s)
-                    if tracer.enabled:
-                        sent_at[s.stage_id] = tracer.now()
-                except SessionClosed:
-                    await self._evict(s)
-                    missing_ids.add(s.stage_id)
-            if self.coalesce:
-                alive: List[_StageSession] = []
-                for s in polled:
-                    try:
-                        await s.flush()
-                        alive.append(s)
-                    except SessionClosed:
-                        await self._evict(s)
-                        missing_ids.add(s.stage_id)
-                polled = alive
+        def feed_request(s: StageSession) -> None:
+            s.feed({"kind": "collect_req", "epoch": epoch})
+            if tracer.enabled:
+                sent_at[s.stage_id] = tracer.now()
 
         columns = self.columns
 
-        async def read_reply(s: _StageSession) -> None:
-            message = await s.expect("metrics_reply", epoch)
+        def on_reply(s: StageSession, message: dict) -> None:
             data = float(message["data_iops"])
             meta = float(message["metadata_iops"])
             s.latest_data_demand = data
@@ -681,36 +683,17 @@ class LiveGlobalController(_LiveControllerBase):
                     parent="collect", epoch=epoch,
                 )
 
-        missing, phase_timed_out = await gather_phase(
-            polled, read_reply, self._effective_collect_timeout()
+        absent, timed_out = await self._phase(
+            sessions, feed_request, "metrics_reply", epoch, on_reply,
+            self._effective_collect_timeout(),
         )
-        timed_out |= phase_timed_out
-        for s in missing:
-            missing_ids.add(s.stage_id)
-            if not s.connected:
-                await self._evict(s)
+        missing_ids.update(s.stage_id for s in absent)
         t_collect = time.perf_counter() - started
 
         # ---- compute (the real PSFA; absent stages at last-known demand) ----
         compute_started = time.perf_counter()
         with self._cpu():
             clamp = self.demand_clamp
-
-            def clamped_axes(stage_id: str, data: float, meta: float):
-                # Trust scoring: a reported demand is only believed up to
-                # a multiple of what the stage has been using. The clamp
-                # tracks *total* demand, so a trimmed report shrinks both
-                # axes by the same ratio (the liar's split is preserved,
-                # its magnitude is not).
-                if clamp is None:
-                    return data, meta
-                total = data + meta
-                believed = clamp.clamp(stage_id, total)
-                if total > 0.0 and believed < total:
-                    ratio = believed / total
-                    return data * ratio, meta * ratio
-                return data, meta
-
             if snapshot is not None and clamp is None and not self.departed:
                 # Columnar gather: demand and weights come straight out
                 # of the cycle-start row snapshot — no per-session Python.
@@ -724,7 +707,7 @@ class LiveGlobalController(_LiveControllerBase):
                 data_demands = []
                 metadata_demands = []
                 for s in sessions:
-                    data, meta = clamped_axes(
+                    data, meta = self._believed(
                         s.stage_id, s.latest_data_demand, s.latest_metadata_demand
                     )
                     data_demands.append(data)
@@ -742,39 +725,16 @@ class LiveGlobalController(_LiveControllerBase):
                         del self.departed[stage_id]
                         continue
                     job_ids.append(job_id)
-                    data, meta = clamped_axes(stage_id, data, meta)
+                    data, meta = self._believed(stage_id, data, meta)
                     data_demands.append(data)
                     metadata_demands.append(meta)
                 weights = self.policy.weights(job_ids)
-            if self.policy.differentiated:
-                data_arr = np.array(data_demands)
-                meta_arr = np.array(metadata_demands)
-                axes = getattr(self.algorithm, "allocate_axes", None)
-                if axes is not None:
-                    data_result, meta_result = axes(
-                        data_arr,
-                        meta_arr,
-                        weights,
-                        self.policy.allocatable_iops,
-                        self.policy.allocatable_metadata_iops,
-                    )
-                else:
-                    data_result = self.algorithm.allocate(
-                        data_arr, weights, self.policy.allocatable_iops
-                    )
-                    meta_result = self.metadata_algorithm.allocate(
-                        meta_arr, weights, self.policy.allocatable_metadata_iops
-                    )
-                limits = data_result.allocations[: len(sessions)]
-                meta_limits = meta_result.allocations[: len(sessions)]
-            else:
-                result = self.algorithm.allocate(
-                    np.array(data_demands) + np.array(metadata_demands),
-                    weights,
-                    self.policy.allocatable_iops,
-                )
-                limits = result.allocations[: len(sessions)]
-                meta_limits = None
+            limits, meta_limits = self._allocate(
+                data_demands, metadata_demands, weights
+            )
+            limits = limits[: len(sessions)]
+            if meta_limits is not None:
+                meta_limits = meta_limits[: len(sessions)]
             self.last_allocations = {
                 s.stage_id: float(limit) for s, limit in zip(sessions, limits)
             }
@@ -788,10 +748,10 @@ class LiveGlobalController(_LiveControllerBase):
 
         # ---- enforce ----
         enforce_started = time.perf_counter()
-        ruled: List[_StageSession] = []
+        #: session -> the rule record that goes out to it this epoch.
+        rules: Dict[StageSession, tuple] = {}
         with self._cpu():
             changed_only = self._effective_changed_only()
-            tolerance = self.rule_change_tolerance
             meta_iter = (
                 meta_limits if meta_limits is not None else [None] * len(sessions)
             )
@@ -801,28 +761,10 @@ class LiveGlobalController(_LiveControllerBase):
                 limit = float(limit)
                 if meta_limit is not None:
                     meta_limit = float(meta_limit)
-                cached = self._rule_frames.get(s.stage_id)
-                if changed_only and cached is not None:
-                    data_unchanged = abs(limit - cached[1]) <= (
-                        tolerance * max(abs(cached[1]), 1e-9)
-                    )
-                    prev_meta = cached[2]
-                    meta_unchanged = (
-                        meta_limit is None and prev_meta is None
-                    ) or (
-                        meta_limit is not None
-                        and prev_meta is not None
-                        and abs(meta_limit - prev_meta)
-                        <= tolerance * max(abs(prev_meta), 1e-9)
-                    )
-                    if data_unchanged and meta_unchanged:
-                        # Unchanged within tolerance on every axis: the
-                        # stage keeps enforcing the cached rule-epoch; no
-                        # frame on the wire, no ack expected.
-                        self.rules_suppressed += 1
-                        if self.metrics is not None:
-                            self._m_suppressed.inc()
-                        continue
+                if changed_only and self._suppress(
+                    self._rule_frames.get(s.stage_id), limit, meta_limit
+                ):
+                    continue  # no frame on the wire, no ack expected
                 message = {
                     "kind": "rule",
                     "epoch": epoch,
@@ -833,36 +775,18 @@ class LiveGlobalController(_LiveControllerBase):
                     # A plain-"binary" or old-JSON peer simply never sees
                     # this key and defaults the axis to unlimited.
                     message["metadata_iops_limit"] = meta_limit
-                frame = encode(message, s.codec)
-                try:
-                    # Rules are sheddable under outbox pressure: the next
-                    # epoch supersedes them, and a shed rule surfaces as a
-                    # missing ack the degraded path already absorbs.
-                    s.feed_frame(frame, sheddable=True)
-                    if not self.coalesce:
-                        await s.flush()
-                    self._rule_frames[s.stage_id] = (
-                        epoch, limit, meta_limit, frame
-                    )
-                    ruled.append(s)
-                    if tracer.enabled:
-                        sent_at[s.stage_id] = tracer.now()
-                except SessionClosed:
-                    await self._evict(s)
-                    missing_ids.add(s.stage_id)
-            if self.coalesce:
-                alive = []
-                for s in ruled:
-                    try:
-                        await s.flush()
-                        alive.append(s)
-                    except SessionClosed:
-                        await self._evict(s)
-                        missing_ids.add(s.stage_id)
-                ruled = alive
+                rules[s] = (epoch, limit, meta_limit, encode(message, s.codec))
 
-        async def read_ack(s: _StageSession) -> None:
-            await s.expect("rule_ack", epoch)
+        def feed_rule(s: StageSession) -> None:
+            # Rules are sheddable under outbox pressure: the next epoch
+            # supersedes them, and a shed rule surfaces as a missing ack
+            # the degraded path already absorbs.
+            s.feed_frame(rules[s][3], sheddable=True)
+            self._rule_frames[s.stage_id] = rules[s]
+            if tracer.enabled:
+                sent_at[s.stage_id] = tracer.now()
+
+        def on_ack(s: StageSession, message: dict) -> None:
             if tracer.enabled:
                 t0 = sent_at.get(s.stage_id, enforce_started)
                 tracer.for_track(s.stage_id).emit(
@@ -870,14 +794,10 @@ class LiveGlobalController(_LiveControllerBase):
                     parent="enforce", epoch=epoch,
                 )
 
-        missing, phase_timed_out = await gather_phase(
-            ruled, read_ack, self.enforce_timeout_s
+        absent, phase_timed_out = await self._phase(
+            rules, feed_rule, "rule_ack", epoch, on_ack, self.enforce_timeout_s
         )
-        timed_out |= phase_timed_out
-        for s in missing:
-            missing_ids.add(s.stage_id)
-            if not s.connected:
-                await self._evict(s)
+        missing_ids.update(s.stage_id for s in absent)
         t_enforce = time.perf_counter() - enforce_started
 
         self._record_cycle(
@@ -889,7 +809,7 @@ class LiveGlobalController(_LiveControllerBase):
                 enforce_s=t_enforce,
                 n_stages=len(sessions),
                 n_missing=len(missing_ids),
-                timed_out=timed_out,
+                timed_out=timed_out or phase_timed_out,
             ),
             started,
         )
@@ -898,10 +818,8 @@ class LiveGlobalController(_LiveControllerBase):
 class _AggregatorSession(Session):
     """Server-side state for one registered aggregator."""
 
-    def __init__(
-        self, aggregator_id, stage_ids, job_ids, reader, writer, meter=None
-    ) -> None:
-        super().__init__(aggregator_id, reader, writer, meter=meter)
+    def __init__(self, aggregator_id, stage_ids, job_ids, link, meter=None) -> None:
+        super().__init__(aggregator_id, link, meter=meter)
         self.stage_ids = list(stage_ids)
         self.job_ids = list(job_ids)
         #: Advertised stage-facing listen address (None = not advertised;
@@ -972,8 +890,6 @@ class LiveHierGlobalController(_LiveControllerBase):
         session_outbox_bytes: Optional[int] = None,
         columnar: bool = False,
     ) -> None:
-        if initial_epoch < 0:
-            raise ValueError(f"initial_epoch must be >= 0: {initial_epoch}")
         if expected_aggregators < 1:
             raise ValueError(
                 f"expected_aggregators must be >= 1: {expected_aggregators}"
@@ -982,43 +898,27 @@ class LiveHierGlobalController(_LiveControllerBase):
             raise ValueError(
                 f"dead_after_missed must be >= 1: {dead_after_missed}"
             )
-        if rule_change_tolerance < 0:
-            raise ValueError(
-                f"negative rule change tolerance: {rule_change_tolerance}"
-            )
-        for name, value in (
-            ("collect_timeout_s", collect_timeout_s),
-            ("enforce_timeout_s", enforce_timeout_s),
-        ):
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be positive: {value}")
         super().__init__(
+            policy,
+            algorithm,
             host,
             port,
+            collect_timeout_s,
+            enforce_timeout_s,
+            enforce_changed_only,
+            rule_change_tolerance,
+            coalesce,
+            initial_epoch,
             span_tracer=span_tracer,
             usage_meter=usage_meter,
             metrics=metrics,
             degradation=degradation,
             demand_clamp=demand_clamp,
             session_outbox_bytes=session_outbox_bytes,
+            columnar=columnar,
         )
-        # Boot-from-store resume floor (see LiveGlobalController).
-        self.epoch = initial_epoch
-        self.policy = policy
-        self.algorithm = algorithm or PSFA()
         self.expected_aggregators = expected_aggregators
-        self.collect_timeout_s = collect_timeout_s
-        self.enforce_timeout_s = (
-            enforce_timeout_s if enforce_timeout_s is not None else collect_timeout_s
-        )
         self.dead_after_missed = dead_after_missed
-        #: Batch-entry changed-only suppression: unchanged per-stage rules
-        #: are left out of the ``rule_batch`` (the batch itself still goes
-        #: out — its ack paces the enforce phase).
-        self.enforce_changed_only = enforce_changed_only
-        self.rule_change_tolerance = rule_change_tolerance
-        self.rules_suppressed = 0
-        self.coalesce = coalesce
         #: Last shipped limits per stage id:
         #: (rule-epoch, data limit, metadata limit | None).
         self._last_rule: Dict[str, tuple] = {}
@@ -1026,14 +926,10 @@ class LiveHierGlobalController(_LiveControllerBase):
         #: ``(data_iops, metadata_iops)`` tuple — survives its aggregator
         #: (a dead subtree's fallback must keep the axis split, not a
         #: summed scalar). In columnar mode the store is
-        #: :attr:`columns` instead: aggregator replies scatter into flat
-        #: float64 columns in one vectorized write per reply, and the
-        #: compute gather is a fancy-index over the concatenated
-        #: partition instead of a per-stage dict walk.
+        #: :attr:`columns` instead: aggregator replies scatter into it in
+        #: one vectorized write per reply, and the compute gather is a
+        #: fancy-index over the concatenated partition.
         self.latest_demand_of: Dict[str, tuple] = {}
-        self.columns: Optional[StageColumns] = StageColumns() if columnar else None
-        #: Metadata-axis twin of ``algorithm`` (see LiveGlobalController).
-        self.metadata_algorithm = copy.deepcopy(self.algorithm)
         #: Stages whose aggregator died: id -> job id. Cleared on re-home.
         self.orphans: Dict[str, str] = {}
         #: Epoch at which each current orphan lost its home.
@@ -1054,11 +950,6 @@ class LiveHierGlobalController(_LiveControllerBase):
                 "stages currently without a live aggregator",
                 role=self._role,
             )
-            self._m_suppressed = metrics.counter(
-                "repro_rules_suppressed_total",
-                "unchanged rules withheld by changed-only enforcement",
-                role=self._role,
-            )
 
     async def wait_for_aggregators(self, timeout_s: float = 30.0) -> None:
         """Block until every expected aggregator has registered."""
@@ -1076,13 +967,12 @@ class LiveHierGlobalController(_LiveControllerBase):
             return f"aggregator_id already registered: {aggregator_id}"
         return None
 
-    def _make_session(self, hello: dict, reader, writer) -> _AggregatorSession:
+    def _make_session(self, hello: dict, link: FrameLink) -> _AggregatorSession:
         session = _AggregatorSession(
             hello["aggregator_id"],
             hello["stage_ids"],
             hello["job_ids"],
-            reader,
-            writer,
+            link,
             meter=self.meter,
         )
         session.outbox.max_bytes = self.session_outbox_bytes
@@ -1090,7 +980,7 @@ class LiveHierGlobalController(_LiveControllerBase):
             session.listen_host = str(hello["host"])
             session.listen_port = int(hello["port"])
         # Adoption announcements arrive between cycles; keep them out of
-        # the phase inboxes so they are never drained as stale.
+        # the phase routing so they are never dropped as stale.
         session.oob_kinds = frozenset({"partition_update"})
         return session
 
@@ -1158,13 +1048,13 @@ class LiveHierGlobalController(_LiveControllerBase):
                     "rehome", now, 0.0, stage=stage_id, to=session.peer_id
                 )
 
-    async def _after_register(self, session: Session) -> None:
+    def _after_register(self, session: Session) -> None:
         """A (re)joining aggregator may be adopting orphans; re-arm all."""
         for stage_id, job_id in zip(
             list(session.stage_ids), list(session.job_ids)
         ):
             self._adopt(session, stage_id, job_id)
-        await self._broadcast_topology()
+        self._broadcast_topology()
 
     def _drain_partition_updates(self) -> None:
         """Apply adoption announcements queued since the last cycle."""
@@ -1174,7 +1064,7 @@ class LiveHierGlobalController(_LiveControllerBase):
                 for entry in message.get("added", []):
                     self._adopt(session, entry["stage_id"], entry["job_id"])
 
-    async def _broadcast_topology(self) -> None:
+    def _broadcast_topology(self) -> None:
         """Tell every aggregator who its live peers are (rehome targets)."""
         self._topology_dirty = False
         entries = [
@@ -1188,25 +1078,16 @@ class LiveHierGlobalController(_LiveControllerBase):
         ]
         for session in list(self.sessions.values()):
             try:
-                await session.send({"kind": "topology", "aggregators": entries})
+                session.post({"kind": "topology", "aggregators": entries})
             except SessionClosed:
                 # Its death is handled by the cycle path; don't recurse.
                 pass
 
-    async def _declare_dead(self, session: _AggregatorSession) -> None:
+    def _declare_dead(self, session: _AggregatorSession) -> None:
         """Health verdict: too many missed epochs — cut the socket loose."""
         self.aggregators_declared_dead += 1
-        if session.writer.transport is not None:
-            session.writer.transport.abort()
-        await self._evict(session)
-
-    async def run_cycles(self, n_cycles: int) -> List[ControlCycle]:
-        """Run ``n_cycles`` back-to-back cycles; returns their records."""
-        if n_cycles < 1:
-            raise ValueError(f"n_cycles must be >= 1: {n_cycles}")
-        for _ in range(n_cycles):
-            await self._cycle()
-        return self.cycles
+        session.abort()
+        self._evict(session)
 
     async def _cycle(self) -> None:
         # Membership first: adoptions announced since the last cycle move
@@ -1214,7 +1095,7 @@ class LiveHierGlobalController(_LiveControllerBase):
         # so every stage's alternate list stays current.
         self._drain_partition_updates()
         if self._topology_dirty:
-            await self._broadcast_topology()
+            self._broadcast_topology()
         self.epoch += 1
         epoch = self.epoch
         sessions: List[_AggregatorSession] = [
@@ -1222,72 +1103,39 @@ class LiveHierGlobalController(_LiveControllerBase):
         ]
         started = time.perf_counter()
         n_missing = 0
-        timed_out = False
         tracer = self.tracer
         sent_at: Dict[str, float] = {}
 
         # ---- collect (via aggregators) ----
-        polled: List[_AggregatorSession] = []
-        absent: List[_AggregatorSession] = []
-        with self._cpu():
-            for s in sessions:
-                try:
-                    s.feed({"kind": "agg_collect_req", "epoch": epoch})
-                    if not self.coalesce:
-                        await s.flush()
-                    polled.append(s)
-                    if tracer.enabled:
-                        sent_at[s.aggregator_id] = tracer.now()
-                except SessionClosed:
-                    await self._evict(s)
-                    absent.append(s)
-            if self.coalesce:
-                alive: List[_AggregatorSession] = []
-                for s in polled:
-                    try:
-                        await s.flush()
-                        alive.append(s)
-                    except SessionClosed:
-                        await self._evict(s)
-                        absent.append(s)
-                polled = alive
+        def feed_request(s: _AggregatorSession) -> None:
+            s.feed({"kind": "agg_collect_req", "epoch": epoch})
+            if tracer.enabled:
+                sent_at[s.aggregator_id] = tracer.now()
 
         columns = self.columns
 
-        async def read_agg_reply(s: _AggregatorSession) -> None:
-            m = await s.expect("agg_metrics_reply", epoch)
+        def on_agg_reply(s: _AggregatorSession, m: dict) -> None:
+            sids = m["stage_ids"]
             data = m.get("data_demands")
             meta = m.get("metadata_demands")
+            if data is None or meta is None:
+                # Pre-rev-2 aggregator: only the summed vector exists, so
+                # the split is unknowable — book it all as data.
+                data, meta = m["demands"], np.zeros(len(sids))
             if columns is not None:
                 # One vectorized scatter per reply: the partition's row
                 # map is cached inside the columns (same ids every
                 # cycle), so no per-stage dict writes happen here.
-                sids = m["stage_ids"]
-                if data is not None and meta is not None:
-                    columns.observe_many(sids, data, meta)
-                else:
-                    # Pre-rev-2 aggregator: only the summed vector
-                    # exists, so the split is unknowable — book it all
-                    # as data.
-                    columns.observe_many(
-                        sids, m["demands"], np.zeros(len(sids))
-                    )
-            elif data is not None and meta is not None:
+                columns.observe_many(sids, data, meta)
+            else:
                 self.latest_demand_of.update(
                     (sid, (float(d), float(md)))
-                    for sid, d, md in zip(m["stage_ids"], data, meta)
-                )
-            else:
-                # Pre-rev-2 aggregator: only the summed vector exists, so
-                # the split is unknowable — book it all as data.
-                self.latest_demand_of.update(
-                    (sid, (float(d), 0.0))
-                    for sid, d in zip(m["stage_ids"], m["demands"])
+                    for sid, d, md in zip(sids, data, meta)
                 )
             # Missing = stages the aggregator flagged as silent, plus any
             # registered stages it evicted and no longer reports at all.
             s.last_missing = int(m.get("n_missing", 0)) + max(
-                0, len(s.stage_ids) - len(m["stage_ids"])
+                0, len(s.stage_ids) - len(sids)
             )
             if tracer.enabled:
                 t0 = sent_at.get(s.aggregator_id, started)
@@ -1296,14 +1144,10 @@ class LiveHierGlobalController(_LiveControllerBase):
                     parent="collect", epoch=epoch,
                 )
 
-        missing, phase_timed_out = await gather_phase(
-            polled, read_agg_reply, self._effective_collect_timeout()
+        absent, timed_out = await self._phase(
+            sessions, feed_request, "agg_metrics_reply", epoch, on_agg_reply,
+            self._effective_collect_timeout(),
         )
-        timed_out |= phase_timed_out
-        for s in missing:
-            absent.append(s)
-            if not s.connected:
-                await self._evict(s)
         # Health: consecutive silent epochs mark a connected-but-dead
         # aggregator (stall, partition) for declaration.
         for s in sessions:
@@ -1317,7 +1161,7 @@ class LiveHierGlobalController(_LiveControllerBase):
                     s.missed_epochs >= self.dead_after_missed
                     and self.sessions.get(s.aggregator_id) is s
                 ):
-                    await self._declare_dead(s)
+                    self._declare_dead(s)
         # Stages without fresh metrics: the absent aggregators' partitions
         # (dedup'd against orphans below — an aggregator evicted this very
         # cycle already turned its stages into orphans) plus counts the
@@ -1345,19 +1189,6 @@ class LiveHierGlobalController(_LiveControllerBase):
                     return columns.axes(stage_id)
                 return self.latest_demand_of.get(stage_id, (0.0, 0.0))
 
-            def believed(stage_id: str):
-                data, meta = raw_axes(stage_id)
-                if clamp is None:
-                    return data, meta
-                # The clamp scores total demand; a trimmed report shrinks
-                # both axes by the same ratio (split preserved).
-                total = data + meta
-                trusted = clamp.clamp(stage_id, total)
-                if total > 0.0 and trusted < total:
-                    ratio = trusted / total
-                    return data * ratio, meta * ratio
-                return data, meta
-
             for s in sessions:
                 if self.sessions.get(s.aggregator_id) is not s:
                     continue  # declared dead above; its stages are orphans
@@ -1383,39 +1214,16 @@ class LiveHierGlobalController(_LiveControllerBase):
                 data_demands = []
                 metadata_demands = []
                 for stage_id in stage_ids:
-                    data, meta = believed(stage_id)
+                    data, meta = self._believed(stage_id, *raw_axes(stage_id))
                     data_demands.append(data)
                     metadata_demands.append(meta)
-            weights = self.policy.weights(job_ids)
-            if self.policy.differentiated:
-                data_arr = np.array(data_demands)
-                meta_arr = np.array(metadata_demands)
-                axes = getattr(self.algorithm, "allocate_axes", None)
-                if axes is not None:
-                    data_result, meta_result = axes(
-                        data_arr,
-                        meta_arr,
-                        weights,
-                        self.policy.allocatable_iops,
-                        self.policy.allocatable_metadata_iops,
-                    )
-                else:
-                    data_result = self.algorithm.allocate(
-                        data_arr, weights, self.policy.allocatable_iops
-                    )
-                    meta_result = self.metadata_algorithm.allocate(
-                        meta_arr, weights, self.policy.allocatable_metadata_iops
-                    )
-                limit_of = dict(zip(stage_ids, data_result.allocations))
-                meta_limit_of = dict(zip(stage_ids, meta_result.allocations))
-            else:
-                result = self.algorithm.allocate(
-                    np.array(data_demands) + np.array(metadata_demands),
-                    weights,
-                    self.policy.allocatable_iops,
-                )
-                limit_of = dict(zip(stage_ids, result.allocations))
-                meta_limit_of = None
+            limits, meta_limits = self._allocate(
+                data_demands, metadata_demands, self.policy.weights(job_ids)
+            )
+            limit_of = dict(zip(stage_ids, limits))
+            meta_limit_of = (
+                dict(zip(stage_ids, meta_limits)) if meta_limits is not None else None
+            )
             self.last_allocations = {
                 sid: float(limit) for sid, limit in limit_of.items()
             }
@@ -1431,87 +1239,49 @@ class LiveHierGlobalController(_LiveControllerBase):
 
         # ---- enforce (rule batches) ----
         enforce_started = time.perf_counter()
-        batched: List[_AggregatorSession] = []
-        with self._cpu():
-            changed_only = self._effective_changed_only()
-            tolerance = self.rule_change_tolerance
-            last_rule = self._last_rule
-            for s in sessions:
-                if not s.connected:
-                    continue
-                rules = []
-                # Adopted mid-cycle stages (not in limit_of yet) wait for
-                # the next cycle's rules.
-                for stage_id in s.stage_ids:
-                    if stage_id not in limit_of:
-                        continue
-                    limit = float(limit_of[stage_id])
-                    meta_limit = (
-                        float(meta_limit_of[stage_id])
-                        if meta_limit_of is not None
-                        else None
-                    )
-                    if changed_only:
-                        prev = last_rule.get(stage_id)
-                        if prev is not None:
-                            data_unchanged = abs(limit - prev[1]) <= (
-                                tolerance * max(abs(prev[1]), 1e-9)
-                            )
-                            prev_meta = prev[2]
-                            meta_unchanged = (
-                                meta_limit is None and prev_meta is None
-                            ) or (
-                                meta_limit is not None
-                                and prev_meta is not None
-                                and abs(meta_limit - prev_meta)
-                                <= tolerance * max(abs(prev_meta), 1e-9)
-                            )
-                            if data_unchanged and meta_unchanged:
-                                # Unchanged entry: left out of the batch;
-                                # the stage keeps its cached rule-epoch.
-                                self.rules_suppressed += 1
-                                if self.metrics is not None:
-                                    self._m_suppressed.inc()
-                                continue
-                    rule = {"stage_id": stage_id, "data_iops_limit": limit}
-                    if meta_limit is not None:
-                        rule["metadata_iops_limit"] = meta_limit
-                    rules.append(rule)
-                try:
-                    # Sheddable like flat-plane rules: the next epoch's
-                    # batch supersedes this one, and the missing batch_ack
-                    # resolves through the enforce deadline.
-                    s.feed(
-                        {"kind": "rule_batch", "epoch": epoch, "rules": rules},
-                        sheddable=True,
-                    )
-                    if not self.coalesce:
-                        await s.flush()
-                    # Commit the diff record only for rules that actually
-                    # went on the wire (an evicted batch must re-ship).
-                    for rule in rules:
-                        last_rule[rule["stage_id"]] = (
-                            epoch,
-                            rule["data_iops_limit"],
-                            rule.get("metadata_iops_limit"),
-                        )
-                    batched.append(s)
-                    if tracer.enabled:
-                        sent_at[s.aggregator_id] = tracer.now()
-                except SessionClosed:
-                    await self._evict(s)
-            if self.coalesce:
-                alive = []
-                for s in batched:
-                    try:
-                        await s.flush()
-                        alive.append(s)
-                    except SessionClosed:
-                        await self._evict(s)
-                batched = alive
+        changed_only = self._effective_changed_only()
+        last_rule = self._last_rule
 
-        async def read_batch_ack(s: _AggregatorSession) -> None:
-            await s.expect("batch_ack", epoch)
+        def feed_batch(s: _AggregatorSession) -> None:
+            rules = []
+            # Adopted mid-cycle stages (not in limit_of yet) wait for
+            # the next cycle's rules.
+            for stage_id in s.stage_ids:
+                if stage_id not in limit_of:
+                    continue
+                limit = float(limit_of[stage_id])
+                meta_limit = (
+                    float(meta_limit_of[stage_id])
+                    if meta_limit_of is not None
+                    else None
+                )
+                if changed_only and self._suppress(
+                    last_rule.get(stage_id), limit, meta_limit
+                ):
+                    continue  # left out of the batch
+                rule = {"stage_id": stage_id, "data_iops_limit": limit}
+                if meta_limit is not None:
+                    rule["metadata_iops_limit"] = meta_limit
+                rules.append(rule)
+            # Sheddable like flat-plane rules: the next epoch's batch
+            # supersedes this one, and the missing batch_ack resolves
+            # through the enforce deadline.
+            s.feed(
+                {"kind": "rule_batch", "epoch": epoch, "rules": rules},
+                sheddable=True,
+            )
+            # Commit the diff record only for rules that actually went
+            # on the wire (an evicted batch must re-ship).
+            for rule in rules:
+                last_rule[rule["stage_id"]] = (
+                    epoch,
+                    rule["data_iops_limit"],
+                    rule.get("metadata_iops_limit"),
+                )
+            if tracer.enabled:
+                sent_at[s.aggregator_id] = tracer.now()
+
+        def on_batch_ack(s: _AggregatorSession, message: dict) -> None:
             if tracer.enabled:
                 t0 = sent_at.get(s.aggregator_id, enforce_started)
                 tracer.for_track(s.aggregator_id).emit(
@@ -1519,13 +1289,10 @@ class LiveHierGlobalController(_LiveControllerBase):
                     parent="enforce", epoch=epoch,
                 )
 
-        missing, phase_timed_out = await gather_phase(
-            batched, read_batch_ack, self.enforce_timeout_s
+        _, phase_timed_out = await self._phase(
+            [s for s in sessions if s.connected], feed_batch,
+            "batch_ack", epoch, on_batch_ack, self.enforce_timeout_s,
         )
-        timed_out |= phase_timed_out
-        for s in missing:
-            if not s.connected:
-                await self._evict(s)
         t_enforce = time.perf_counter() - enforce_started
 
         self._record_cycle(
@@ -1537,7 +1304,7 @@ class LiveHierGlobalController(_LiveControllerBase):
                 enforce_s=t_enforce,
                 n_stages=len(stage_ids),
                 n_missing=n_missing,
-                timed_out=timed_out,
+                timed_out=timed_out or phase_timed_out,
             ),
             started,
         )

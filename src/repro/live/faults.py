@@ -165,34 +165,27 @@ async def stall_aggregator(
 
 
 class FlakySocket:
-    """StreamWriter proxy that aborts the connection after N writes.
+    """A link's ``write`` that aborts the connection after N more writes.
 
     Models a failing NIC/link: traffic flows, then the connection dies
     mid-phase. Reads pass through untouched; the failure surfaces as a
     ``ConnectionResetError`` on the writing side and an EOF on the peer.
     """
 
-    def __init__(self, writer, fail_after_writes: int) -> None:
+    def __init__(self, link, fail_after_writes: int) -> None:
         if fail_after_writes < 0:
             raise ValueError(f"negative fail_after_writes: {fail_after_writes}")
-        self._writer = writer
+        self._link = link
+        self._write = link.write
         self.fail_after_writes = fail_after_writes
         self.writes = 0
 
     def write(self, data: bytes) -> None:
         if self.writes >= self.fail_after_writes:
-            transport = self._writer.transport
-            if transport is not None:
-                transport.abort()
+            self._link.abort()
             raise ConnectionResetError("flaky socket: injected write failure")
         self.writes += 1
-        self._writer.write(data)
-
-    async def drain(self) -> None:
-        await self._writer.drain()
-
-    def __getattr__(self, name):
-        return getattr(self._writer, name)
+        self._write(data)
 
 
 def flaky_socket(
@@ -202,13 +195,14 @@ def flaky_socket(
 ) -> LiveFaultLog:
     """Make ``stage``'s *current* connection fail after N more replies.
 
-    The wrapper lasts until the connection dies; the reconnected session
-    (if the stage retries) uses a clean socket again.
+    Wraps the link's write seam; the wrapper lasts until the connection
+    dies, and the reconnected session (if the stage retries) uses a
+    clean link again.
     """
     log = log if log is not None else LiveFaultLog()
-    writer = stage._writer
-    if writer is None:
+    link = stage._link
+    if link is None:
         raise RuntimeError(f"stage {stage.stage_id} is not connected")
-    stage._writer = FlakySocket(writer, fail_after_writes)
+    link.write = FlakySocket(link, fail_after_writes).write
     log.record(stage.stage_id, "flaky")
     return log

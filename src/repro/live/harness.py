@@ -20,7 +20,7 @@ scrapeable over HTTP while the run cycles (``metrics_port``).
 Wire-path knobs (PR 5): ``codec`` picks what the endpoints *offer* at
 registration ("binary" offers the struct fast-codec with JSON fallback;
 "json" emulates a pre-binary deployment), ``coalesce`` batches each
-phase's frames into one drain per session, and
+phase's frames into one write per session, and
 ``enforce_changed_only``/``rule_change_tolerance`` suppress rule frames
 whose limit did not move. ``use_uvloop=True`` swaps in the uvloop event
 loop when that package is importable and silently falls back to the
@@ -500,35 +500,50 @@ class LiveHierPlane:
             a.evictions for a in self.aggregators
         )
 
-    async def _reap(self) -> None:
-        for task in self._agg_tasks:
-            task.cancel()
-        await asyncio.gather(*self._agg_tasks, return_exceptions=True)
+    async def _reap(self, grace_s: float = 2.0) -> None:
+        """Let aggregator tasks wind down on their own, then cancel stragglers.
+
+        Callers have already told the aggregators to go (shutdown frames
+        or aborted sockets), and an aggregator's teardown — listener, then
+        stage sessions — is part of its task: cancelling at once cut it
+        short and left listeners open. Only a task still blocked after
+        ``grace_s`` (an unfilled partition, an untimed phase) is cancelled.
+        """
+        if self._agg_tasks:
+            _, pending = await asyncio.wait(self._agg_tasks, timeout=grace_s)
+            for task in pending:
+                task.cancel()
+            await asyncio.gather(*self._agg_tasks, return_exceptions=True)
         self._agg_tasks = []
 
-    async def kill_plane(self) -> None:
+    async def kill_plane(self, hard: bool = True) -> None:
         """Abort the controller and every aggregator — ``kill -9`` style.
 
         No shutdown frames: stages see EOF exactly as they would if the
         plane's process died, and keep enforcing their last rules while
-        their reconnect loops probe the (dead) ports.
+        their reconnect loops probe the (dead) ports. ``hard=False``
+        flushes and closes the controller's child links instead of
+        aborting them; the aggregators are killed either way, so their
+        stages are released (never told to stop) and re-home against the
+        pinned ports.
         """
         if self.controller is None:
             return
         self._evictions_past += self.controller.evictions
-        self.controller.kill()
+        if hard:
+            self.controller.kill()
+        else:
+            self.controller._close_sessions()
+            self.controller._server.close()
         for agg in self.aggregators:
             agg.kill()
         await self._reap()
-        # kill() closes listen sockets without awaiting: drain them here
+        # Listen sockets were closed without awaiting: drain them here
         # so the restart's rebind loop starts from "almost free".
-        for agg in self.aggregators:
-            if agg._server is not None:
+        for server in [a._server for a in self.aggregators] + [self.controller._server]:
+            if server is not None:
                 with contextlib.suppress(ConnectionError, OSError):
-                    await agg._server.wait_closed()
-        if self.controller._server is not None:
-            with contextlib.suppress(ConnectionError, OSError):
-                await self.controller._server.wait_closed()
+                    await server.wait_closed()
         self.controller = None
 
     async def plane_restart(
@@ -544,43 +559,9 @@ class LiveHierPlane:
         sends ``shutdown`` frames, which would take the surviving stages
         down with the plane instead of releasing them to re-home.
         """
-        if self.controller is not None:
-            if hard:
-                await self.kill_plane()
-            else:
-                await self._release_plane()
+        await self.kill_plane(hard=hard)
         await self.start(initial_epoch=initial_epoch)
         self.restarts += 1
-
-    async def _release_plane(self) -> None:
-        """Graceful plane teardown that releases (not stops) the stages.
-
-        Controller→aggregator sessions are flushed and closed without
-        ``shutdown`` frames, then the aggregators' downstream links are
-        closed too — reaping cancels the aggregator tasks mid-teardown,
-        so leaving the release to their own upstream-loss handling can
-        strand a stage on a half-open socket that never sees EOF. The
-        stages' reconnect loops then re-home against the pinned ports.
-        """
-        if self.controller is None:
-            return
-        self._evictions_past += self.controller.evictions
-        for session in list(self.controller.sessions.values()):
-            with contextlib.suppress(ConnectionError, OSError):
-                await session.close()
-        self.controller.sessions.clear()
-        if self.controller._server is not None:
-            self.controller._server.close()
-            with contextlib.suppress(ConnectionError, OSError):
-                await self.controller._server.wait_closed()
-        for agg in self.aggregators:
-            agg.kill()
-        await self._reap()
-        for agg in self.aggregators:
-            if agg._server is not None:
-                with contextlib.suppress(ConnectionError, OSError):
-                    await agg._server.wait_closed()
-        self.controller = None
 
     async def stop(self, stop_stages: bool = True) -> None:
         """Graceful teardown; with ``stop_stages=False`` stages survive."""

@@ -21,29 +21,32 @@ packed schema — ``rule`` frames carry ``metadata_iops_limit`` — and is
 only granted when both sides advertise it, so a mixed-version fleet
 degrades per session to plain ``binary`` or JSON (where a missing
 metadata limit means unlimited).
+
+:class:`FrameLink` is the live plane's wire path: an ``asyncio.Protocol``
+whose ``data_received`` slices every complete frame out of a segment in
+one synchronous pass and hands it to a callback — no reader coroutine,
+queue or task per connection. The stream helpers (:func:`read_message` /
+:func:`write_message`) remain for tools, tests and heartbeats.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import socket
 import struct
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
-from repro.live.codec import (
-    BINARY_MAGIC,
-    decode_binary,
-    encode_binary,
-    encode_binary_into,
-)
+from repro.live.codec import BINARY_MAGIC, decode_binary, encode_binary_into
 
 __all__ = [
     "CODEC_PREFERENCE",
+    "FrameLink",
     "ProtocolError",
+    "accept_backlog",
     "choose_codec",
     "encode",
     "encode_into",
-    "read_frame",
     "read_message",
     "write_message",
 ]
@@ -55,6 +58,21 @@ MAX_FRAME = 16 * 1024 * 1024
 
 class ProtocolError(RuntimeError):
     """Malformed frame or unexpected message."""
+
+
+def accept_backlog(expected_children: int) -> int:
+    """Listen backlog that holds every expected child connecting at once.
+
+    Never below asyncio's own default of 100 (a hot spare expects nobody
+    yet may adopt a partition), never above the kernel's ``somaxconn``,
+    which would silently truncate it anyway.
+    """
+    try:
+        with open("/proc/sys/net/core/somaxconn") as f:
+            cap = int(f.read())
+    except (OSError, ValueError):
+        cap = socket.SOMAXCONN
+    return min(max(expected_children, 100), max(cap, 1))
 
 
 #: Codec preference order at negotiation (JSON is the implicit fallback).
@@ -126,8 +144,9 @@ def encode_into(
     return _HEADER.size + length
 
 
-def decode_body(body: bytes) -> Dict[str, Any]:
-    if body and body[0] == BINARY_MAGIC:
+def decode_body(body) -> Dict[str, Any]:
+    """Decode one frame body (any bytes-like; the codec is auto-detected)."""
+    if len(body) and body[0] == BINARY_MAGIC:
         try:
             # memoryview: string fields decode straight from the frame
             # buffer, with no intermediate slice copies.
@@ -135,7 +154,7 @@ def decode_body(body: bytes) -> Dict[str, Any]:
         except ValueError as exc:
             raise ProtocolError(f"undecodable binary frame: {exc}") from exc
     try:
-        message = json.loads(body.decode("utf-8"))
+        message = json.loads(str(body, "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(f"undecodable frame: {exc}") from exc
     if not isinstance(message, dict) or "kind" not in message:
@@ -143,27 +162,155 @@ def decode_body(body: bytes) -> Dict[str, Any]:
     return message
 
 
-async def read_frame(
-    reader: asyncio.StreamReader,
-) -> Tuple[Dict[str, Any], int]:
-    """Read one framed message plus its on-wire size in bytes.
+class FrameLink(asyncio.Protocol):
+    """One TCP connection speaking frames through callbacks.
 
-    The size includes the 4-byte length header — what NIC accounting
-    (:mod:`repro.obs.procfs`) charges per frame. Raises
-    ``IncompleteReadError`` on EOF.
+    ``on_frame(message, nbytes)`` runs synchronously inside
+    ``data_received``, once per complete frame (``nbytes`` is the on-wire
+    size, header included — what NIC accounting charges). ``on_lost(exc)``
+    runs once when the socket is gone: EOF, reset, a local
+    :meth:`close`/:meth:`abort`, or a malformed frame — an undecodable
+    body or a length above ``MAX_FRAME`` aborts the connection instead of
+    waiting for 4 GiB that will never come. Both are plain attributes,
+    so a connection can change hands (hello handler, then session).
+
+    :meth:`write` and :meth:`abort` are the only ways bytes leave or the
+    socket dies on purpose: the seams :mod:`repro.live.faults` wraps.
+    :meth:`write` never blocks (the transport buffers); while that buffer
+    is past its high-water mark :attr:`paused` is true, and a sender with
+    more to write awaits :meth:`drain` first — then, and only then.
     """
-    header = await reader.readexactly(_HEADER.size)
-    (length,) = _HEADER.unpack(header)
-    if length > MAX_FRAME:
-        raise ProtocolError(f"frame length {length} exceeds cap {MAX_FRAME}")
-    body = await reader.readexactly(length)
-    return decode_body(body), _HEADER.size + length
+
+    def __init__(
+        self,
+        on_frame: Optional[Callable[[Dict[str, Any], int], None]] = None,
+        on_lost: Optional[Callable[[Optional[Exception]], None]] = None,
+    ) -> None:
+        self.on_frame = on_frame
+        self.on_lost = on_lost
+        self.transport: Optional[asyncio.Transport] = None
+        #: The socket is gone (``on_lost`` has run or is about to).
+        self.lost = False
+        #: :meth:`close`/:meth:`abort` was called; the rest of the segment
+        #: being parsed is dropped.
+        self.closing = False
+        # Tail of a frame split across segments, and the size that frame
+        # must reach before another parse is worth attempting.
+        self._carry = bytearray()
+        self._need = _HEADER.size
+        self.paused = False
+        self._drain_waiters: List[asyncio.Future] = []
+
+    @classmethod
+    def accepting(cls, on_hello: Callable[["FrameLink", Dict[str, Any]], None]):
+        """Listener protocol factory: each new link hands its first frame
+        to ``on_hello(link, hello)``, which rebinds ``on_frame`` or closes."""
+
+        def factory() -> "FrameLink":
+            link = cls()
+            link.on_frame = lambda hello, nbytes: on_hello(link, hello)
+            return link
+
+        return factory
+
+    # -- asyncio.Protocol ----------------------------------------------------
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+
+    def data_received(self, data) -> None:
+        carry = self._carry
+        if carry:
+            carry += data
+            if len(carry) < self._need:
+                return
+            data = bytes(carry)
+            carry.clear()
+        view = memoryview(data)
+        end = len(data)
+        pos = 0
+        header = _HEADER.size
+        need = header
+        try:
+            while end - pos >= header:
+                (length,) = _HEADER.unpack_from(data, pos)
+                if length > MAX_FRAME:
+                    raise ProtocolError(
+                        f"frame length {length} exceeds cap {MAX_FRAME}"
+                    )
+                stop = pos + header + length
+                if stop > end:
+                    need = header + length
+                    break
+                message = decode_body(view[pos + header : stop])
+                pos = stop
+                self.on_frame(message, header + length)
+                if self.closing:
+                    return
+        except ProtocolError:
+            self.abort()
+            return
+        if pos < end:
+            carry += view[pos:]
+            self._need = need
+
+    def pause_writing(self) -> None:
+        self.paused = True
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        self._wake_drainers()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.lost = True
+        self.transport = None
+        self._wake_drainers()
+        # Untie link and owner: both are freed by refcount, not by GC.
+        on_lost, self.on_frame, self.on_lost = self.on_lost, None, None
+        if on_lost is not None:
+            on_lost(exc)
+
+    def _wake_drainers(self) -> None:
+        waiters, self._drain_waiters = self._drain_waiters, []
+        for waiter in waiters:
+            if not waiter.done():
+                waiter.set_result(None)
+
+    # -- owner API -----------------------------------------------------------
+    def write(self, data) -> None:
+        """Hand ``data`` to the socket; raises once the link is dead."""
+        if self.lost or self.closing:
+            raise ConnectionResetError("connection lost")
+        self.transport.write(data)
+
+    async def drain(self) -> None:
+        """Wait out ``pause_writing``; raises if the link dies first."""
+        if self.paused and not self.lost:
+            waiter = asyncio.get_running_loop().create_future()
+            self._drain_waiters.append(waiter)
+            await waiter
+        if self.lost:
+            raise ConnectionResetError("connection lost")
+
+    def close(self) -> None:
+        """Close after the transport has flushed what was written."""
+        self.closing = True
+        if self.transport is not None:
+            self.transport.close()
+
+    def abort(self) -> None:
+        """Drop the connection now, unflushed (process-kill semantics)."""
+        self.closing = True
+        if self.transport is not None:
+            self.transport.abort()
 
 
 async def read_message(reader: asyncio.StreamReader) -> Dict[str, Any]:
     """Read one framed message (raises ``IncompleteReadError`` on EOF)."""
-    message, _ = await read_frame(reader)
-    return message
+    header = await reader.readexactly(_HEADER.size)
+    (length,) = _HEADER.unpack(header)
+    if length > MAX_FRAME:
+        raise ProtocolError(f"frame length {length} exceeds cap {MAX_FRAME}")
+    return decode_body(await reader.readexactly(length))
 
 
 async def write_message(

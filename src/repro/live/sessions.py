@@ -1,46 +1,102 @@
 """Server-side session plumbing shared by the live controllers.
 
-A :class:`Session` owns one connected peer's streams and runs a *frame
-pump*: a background task that is the socket's only reader, feeding
-complete frames into an inbox queue. Phase waits consume from the inbox
-(:meth:`Session.expect`), so a deadline can cancel them at any instant
-without tearing a half-read frame — cancellation always lands on
-``Queue.get``, never mid-``readexactly``.
+A :class:`Session` owns one connected peer's
+:class:`~repro.live.protocol.FrameLink`. Inbound frames reach it as
+synchronous callbacks from the link's ``data_received`` — there is no
+reader task and no inbox queue — and are routed on the spot: a frame
+matching the phase the session is *armed* for goes straight to that
+phase's ``on_reply``; an out-of-band kind lands in :attr:`Session.oob`;
+anything else is stale.
 
-:func:`gather_phase` runs one reply-reader per session under a single
-optional deadline and reports which sessions produced nothing (dead
-socket or deadline), which is how the controllers implement partial
-collect/enforce (paper §VI dependability, live counterpart of the
-simulated ``collect_timeout_s``).
+:func:`gather_replies` is the phase wait: one counting barrier per
+phase instead of one task per session. It arms every session with the
+``(kind, epoch)`` it expects and resolves a single future on the last
+arrival, the deadline's one ``call_later``, or a dead socket — reporting
+which sessions produced nothing, which is how the controllers implement
+partial collect/enforce (paper §VI dependability, live counterpart of
+the simulated ``collect_timeout_s``).
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Awaitable, Callable, List, Optional, Sequence, Tuple
+import contextlib
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.guard.shed import BoundedOutbox
-from repro.live.protocol import ProtocolError, encode_into, read_frame
+from repro.live.protocol import FrameLink, encode_into
 
-__all__ = ["Session", "SessionClosed", "gather_phase"]
+__all__ = [
+    "PhaseDriver",
+    "Session",
+    "SessionClosed",
+    "StageSession",
+    "gather_replies",
+    "send_phase",
+]
 
 
 class SessionClosed(ConnectionError):
     """The peer's socket reached EOF or errored; the session is dead."""
 
 
+class _ReplyBarrier:
+    """Countdown over the sessions armed for one phase's replies."""
+
+    __slots__ = ("kind", "epoch", "on_reply", "pending", "done", "expired")
+
+    def __init__(self, kind: str, epoch: int, on_reply, pending: int, done) -> None:
+        self.kind = kind
+        self.epoch = epoch
+        self.on_reply = on_reply
+        #: Armed sessions that have neither replied nor died.
+        self.pending = pending
+        self.done: asyncio.Future = done
+        self.expired = False
+
+    def arrived(self, session: "Session", message: dict) -> None:
+        """``session``'s reply is here: run ``on_reply``, count it off."""
+        try:
+            self.on_reply(session, message)
+            session._armed = None
+        except SessionClosed:
+            pass  # stays armed, i.e. missing
+        except Exception as exc:
+            if not self.done.done():
+                self.done.set_exception(exc)
+            return
+        self.count_off()
+
+    def count_off(self) -> None:
+        self.pending -= 1
+        if self.pending == 0 and not self.done.done():
+            self.done.set_result(None)
+
+    def expire(self) -> None:
+        self.expired = True
+        if not self.done.done():
+            self.done.set_result(None)
+
+
 class Session:
-    """One connected peer: its streams plus the frame pump and inbox.
+    """One connected peer: its link, outbound buffer and frame routing.
 
     ``meter`` is an optional :class:`repro.obs.procfs.ComponentUsageMeter`;
-    when set, every framed byte written to or pumped from this peer is
+    when set, every framed byte written to or received from this peer is
     charged to the owning controller's NIC columns.
 
     ``oob_kinds`` names frame kinds that are *out-of-band*: not replies to
     any phase request (e.g. a ``partition_update`` announcing an adopted
-    stage). The pump diverts them into :attr:`oob` instead of the inbox,
-    so :meth:`expect` never drains them as stale; the session owner reads
-    and clears :attr:`oob` at a convenient boundary (e.g. cycle start).
+    stage). They are diverted into :attr:`oob`, never counted stale; the
+    session owner reads and clears :attr:`oob` at a convenient boundary
+    (e.g. cycle start).
+
+    A frame that is neither the armed phase's reply nor out-of-band — a
+    late reply after a deadline, a duplicate — is counted in
+    :attr:`stale_messages` exactly once and dropped. One that arrives
+    while *no* phase is armed (a reply that beat the barrier because a
+    flush waited out back-pressure) is held and judged when the next
+    phase arms: never lost if early, never matching a newer epoch if late.
 
     ``max_outbox_bytes`` bounds the coalescing buffer: frames fed as
     *sheddable* (rule/rule_batch — superseded by the next epoch) are
@@ -56,17 +112,14 @@ class Session:
     def __init__(
         self,
         peer_id: str,
-        reader,
-        writer,
+        link: FrameLink,
         meter=None,
         max_outbox_bytes: Optional[int] = None,
     ) -> None:
         self.peer_id = peer_id
-        self.reader = reader
-        self.writer = writer
+        self.link = link
         self.meter = meter
-        self.inbox: asyncio.Queue = asyncio.Queue()
-        self.connected = True
+        self.connected = not link.lost
         #: Wire codec for frames sent to this peer ("json" | "binary"),
         #: fixed at registration (see ``protocol.choose_codec``). Reads
         #: always auto-detect, so this only governs what *we* emit.
@@ -75,55 +128,73 @@ class Session:
         self.pending_frames = 0
         #: Bounded (or not) coalescing buffer; owns the shed counters.
         self.outbox = BoundedOutbox(max_outbox_bytes)
-        #: Frame kinds routed to :attr:`oob` instead of the inbox.
+        #: Frame kinds routed to :attr:`oob` instead of a phase.
         self.oob_kinds: frozenset = frozenset()
         #: Out-of-band frames, in arrival order (owner drains).
         self.oob: List[dict] = []
-        #: Frames drained because they were for a finished epoch or an
+        #: Frames dropped because they were for a finished epoch or an
         #: unexpected kind (late replies after a deadline, duplicates).
         self.stale_messages = 0
         #: On-wire bytes exchanged with this peer (frames incl. headers).
         self.tx_bytes = 0
         self.rx_bytes = 0
-        self._pump_task: Optional[asyncio.Task] = None
+        self._armed: Optional[_ReplyBarrier] = None
+        # Frames that arrived while no phase was armed (see class doc).
+        self._early: List[dict] = []
+        link.on_frame = self._on_frame
+        link.on_lost = self._mark_dead
 
-    def start(self) -> None:
-        """Begin pumping frames; call once after registration."""
-        self._pump_task = asyncio.create_task(self._pump())
+    # -- inbound -------------------------------------------------------------
+    def _on_frame(self, message: dict, nbytes: int) -> None:
+        self.rx_bytes += nbytes
+        if self.meter is not None:
+            self.meter.add_rx(nbytes)
+        self._route(message)
 
-    async def _pump(self) -> None:
-        try:
-            while True:
-                message, nbytes = await read_frame(self.reader)
-                self.rx_bytes += nbytes
-                if self.meter is not None:
-                    self.meter.add_rx(nbytes)
-                if message.get("kind") in self.oob_kinds:
-                    self.oob.append(message)
-                else:
-                    self.inbox.put_nowait(message)
-        except (
-            asyncio.IncompleteReadError,
-            ProtocolError,
-            ConnectionError,
-            OSError,
+    def _route(self, message: dict) -> None:
+        barrier = self._armed
+        kind = message.get("kind")
+        if (
+            barrier is not None
+            and kind == barrier.kind
+            and message.get("epoch") == barrier.epoch
         ):
-            pass
-        finally:
-            self.connected = False
-            self.inbox.put_nowait(None)  # EOF sentinel for waiting readers
+            barrier.arrived(self, message)
+        elif kind in self.oob_kinds:
+            self.oob.append(message)
+        elif barrier is None:
+            self._early.append(message)
+        else:
+            self.stale_messages += 1
 
+    def _mark_dead(self, exc: Optional[Exception] = None) -> None:
+        """The socket is gone (also the link's ``on_lost`` callback)."""
+        if self.connected:
+            self.connected = False
+            if self._armed is not None:
+                self._armed.count_off()  # stays armed, i.e. missing
+
+    def _arm(self, barrier: _ReplyBarrier) -> None:
+        self._armed = barrier
+        if self._early:
+            early, self._early = self._early, []
+            for message in early:
+                self._route(message)
+        if not self.connected and self._armed is barrier:
+            barrier.count_off()  # dead before the phase began
+
+    # -- outbound ------------------------------------------------------------
     def feed(self, message: dict, sheddable: bool = False) -> int:
         """Buffer one frame for the socket without writing; returns its size.
 
         The write side of frame coalescing: a phase feeds every frame for
-        this peer into an in-memory buffer, then awaits one :meth:`flush`
-        — a *single* ``writer.write`` (asyncio issues an eager ``send``
-        syscall per write call, so per-frame writes defeat batching) and
-        one ``drain`` per session per phase. Raises
-        :class:`SessionClosed` on a dead socket; write errors surface at
-        flush time. ``sheddable`` marks the frame droppable under outbox
-        pressure (rule frames only — see the class docstring).
+        this peer into an in-memory buffer, then :meth:`flush` hands the
+        whole burst to the socket in a *single* write (asyncio issues an
+        eager ``send`` syscall per write call, so per-frame writes defeat
+        batching). Raises :class:`SessionClosed` on a dead socket; write
+        errors surface at flush time. ``sheddable`` marks the frame
+        droppable under outbox pressure (rule frames only — see the class
+        docstring).
 
         Encodes straight into the outbox buffer (``encode_into`` via
         ``BoundedOutbox.push_with``): the frame never exists as its own
@@ -142,8 +213,8 @@ class Session:
         """Buffer an already-encoded frame (e.g. from a rule cache).
 
         tx accounting (:attr:`tx_bytes`, the NIC meter) is deferred to
-        :meth:`flush` success — bytes that never reach the socket must
-        not show up in REMORA traffic rows.
+        the write — bytes that never reach the socket must not show up
+        in REMORA traffic rows.
         """
         if not self.connected:
             raise SessionClosed(f"{self.peer_id}: session closed")
@@ -151,106 +222,205 @@ class Session:
         self.pending_frames = self.outbox.pending_frames
         return len(frame)
 
-    async def flush(self) -> None:
-        """Write frames buffered by :meth:`feed` in one burst and drain.
+    def _write_burst(self) -> None:
+        """Hand everything fed so far to the link in one write.
 
-        On success the flushed bytes are charged to :attr:`tx_bytes` and
-        the NIC meter and :attr:`pending_frames` resets. On failure the
-        session is dead: nothing is charged and :attr:`pending_frames`
-        keeps the count of frames that were dropped with it.
+        Once the link accepts the burst its bytes are charged to
+        :attr:`tx_bytes` and the NIC meter and :attr:`pending_frames`
+        resets. If it refuses, the session is dead: nothing is charged
+        and :attr:`pending_frames` keeps the count of frames that were
+        dropped with it.
         """
         burst = self.outbox.drain()
-        nbytes = len(burst)
-        try:
-            if burst:
-                self.writer.write(burst)
-            await self.writer.drain()
-        except (ConnectionError, OSError) as exc:
-            self.connected = False
-            raise SessionClosed(f"{self.peer_id}: {exc}") from exc
-        self.pending_frames = 0
-        if nbytes:
-            self.tx_bytes += nbytes
-            if self.meter is not None:
-                self.meter.add_tx(nbytes)
-
-    async def send(self, message: dict) -> None:
-        """Write one frame and drain; raises :class:`SessionClosed` on a dead socket."""
-        self.feed(message)
-        await self.flush()
-
-    async def expect(self, kind: str, epoch: int) -> dict:
-        """Next ``kind`` frame for ``epoch``; drains stale frames silently.
-
-        Raises :class:`SessionClosed` when the socket dies first.
-        """
-        while True:
-            message = await self.inbox.get()
-            if message is None:
+        if not burst:
+            if self.link.lost:
+                self._mark_dead()
                 raise SessionClosed(f"{self.peer_id}: connection lost")
-            if message.get("kind") == kind and message.get("epoch") == epoch:
-                return message
-            self.stale_messages += 1
-
-    async def close(self) -> None:
-        """Stop the pump and close the socket, flushing pending writes."""
-        if self._pump_task is not None:
-            self._pump_task.cancel()
-            try:
-                await self._pump_task
-            except asyncio.CancelledError:
-                pass
-            self._pump_task = None
-        self.connected = False
+            return
         try:
-            self.writer.close()
-            await self.writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+            self.link.write(burst)
+        except (ConnectionError, OSError) as exc:
+            self._mark_dead()
+            raise SessionClosed(f"{self.peer_id}: {exc}") from exc
+        nbytes = len(burst)
+        self.pending_frames = 0
+        self.tx_bytes += nbytes
+        if self.meter is not None:
+            self.meter.add_tx(nbytes)
+
+    async def flush(self) -> None:
+        """Write the frames buffered by :meth:`feed` as one burst.
+
+        A plain ``transport.write``; suspends only while the link's
+        ``pause_writing`` is in force (the peer is not reading and the
+        transport's buffer is past its high-water mark), so that a
+        controller writing to thousands of peers cannot outrun one of
+        them without bound. Raises :class:`SessionClosed` on a dead
+        socket.
+        """
+        self._write_burst()
+        if self.link.paused:
+            try:
+                await self.link.drain()
+            except (ConnectionError, OSError) as exc:
+                self._mark_dead()
+                raise SessionClosed(f"{self.peer_id}: {exc}") from exc
+
+    def post(self, message: dict) -> None:
+        """Write one out-of-phase control frame now (shutdown, topology).
+
+        Never waits for back-pressure: these frames are rare and small,
+        and their callers include synchronous link callbacks. Raises
+        :class:`SessionClosed` on a dead socket.
+        """
+        self.feed(message)
+        self._write_burst()
+
+    def abort(self) -> None:
+        """Cut the socket without flushing (declared dead, process kill)."""
+        self.link.abort()
+
+    def close(self) -> None:
+        """Close the socket once pending writes have been flushed."""
+        self._mark_dead()
+        self.link.close()
 
 
-async def gather_phase(
+class StageSession(Session):
+    """Server-side state for one connected stage (controller or aggregator)."""
+
+    def __init__(self, stage_id: str, job_id: str, link, meter=None) -> None:
+        super().__init__(stage_id, link, meter=meter)
+        self.job_id = job_id
+        # Last-known demand is tracked per axis: collapsing data +
+        # metadata into one scalar loses the split a dead socket's
+        # fallback (and the metadata allocator) needs.
+        self.latest_data_demand = 0.0
+        self.latest_metadata_demand = 0.0
+        #: Row index in the flat controller's :class:`StageColumns`
+        #: (columnar mode only); refreshed after compaction.
+        self.column_row: Optional[int] = None
+
+    @property
+    def latest_demand(self) -> float:
+        """Summed last-known demand (the undifferentiated axis)."""
+        return self.latest_data_demand + self.latest_metadata_demand
+
+    @property
+    def stage_id(self) -> str:
+        return self.peer_id
+
+
+async def send_phase(
+    sessions: Iterable[Session],
+    feed: Callable[[Session], object],
+    coalesce: bool = True,
+) -> Tuple[List[Session], List[Session]]:
+    """Send one phase's frames; returns ``(sent, dead)``.
+
+    ``feed(session)`` buffers that session's frames (plus bookkeeping
+    that must only happen once they were accepted). With ``coalesce``
+    every session is fed first and then gets one write; without, each is
+    flushed as it is fed — the seed's frame-per-write behaviour.
+    """
+    sent: List[Session] = []
+    dead: List[Session] = []
+    for session in sessions:
+        try:
+            feed(session)
+            if not coalesce:
+                await session.flush()
+            sent.append(session)
+        except SessionClosed:
+            dead.append(session)
+    if coalesce:
+        fed, sent = sent, []
+        for session in fed:
+            try:
+                await session.flush()
+                sent.append(session)
+            except SessionClosed:
+                dead.append(session)
+    return sent, dead
+
+
+async def gather_replies(
     sessions: Sequence[Session],
-    reply_fn: Callable[[Session], Awaitable],
+    kind: str,
+    epoch: int,
+    on_reply: Callable[[Session, dict], None],
     timeout_s: Optional[float],
 ) -> Tuple[List[Session], bool]:
-    """Run ``reply_fn(session)`` for every session under one deadline.
+    """Wait for one ``kind`` frame at ``epoch`` from every session.
 
-    Returns ``(missing, timed_out)``: the sessions that produced no reply
-    — their socket died (:class:`SessionClosed`) or the deadline fired
+    ``on_reply(session, message)`` runs synchronously as each reply is
+    parsed off the wire. Returns ``(missing, timed_out)``: the sessions
+    that produced no reply — their socket died, or the deadline fired
     before they answered — and whether the deadline fired at all. With
-    ``timeout_s=None`` a dead socket still resolves its reader (the pump
-    delivers the EOF sentinel), so a killed peer cannot hang the phase;
-    only a silent-but-connected peer blocks, as in the seed. Exceptions
-    other than :class:`SessionClosed` propagate.
+    ``timeout_s=None`` a dead socket still counts its session off, so a
+    killed peer cannot hang the phase; only a silent-but-connected peer
+    blocks, as in the seed. An ``on_reply`` that raises
+    :class:`SessionClosed` leaves its session missing; any other
+    exception propagates to the caller.
     """
     if not sessions:
         return [], False
-    tasks = {asyncio.ensure_future(reply_fn(s)): s for s in sessions}
-    done, pending = await asyncio.wait(tasks, timeout=timeout_s)
-    timed_out = bool(pending)
-    for task in pending:
-        task.cancel()
-    if pending:
-        await asyncio.wait(pending)
-        for task in pending:
-            if task.cancelled():
-                continue
-            # The task beat its own cancellation: it completed with a
-            # result or a real error just before the deadline landed.
-            # A real error must propagate exactly as it would from the
-            # done set — swallowing it here turned ProtocolErrors into
-            # silent "missing" entries.
-            exc = task.exception()
-            if exc is not None and not isinstance(exc, SessionClosed):
-                raise exc
-    missing = [tasks[t] for t in pending]
-    for task in done:
-        exc = task.exception()
-        if exc is None:
-            continue
-        if isinstance(exc, SessionClosed):
-            missing.append(tasks[task])
-        else:
-            raise exc
-    return missing, timed_out
+    loop = asyncio.get_running_loop()
+    barrier = _ReplyBarrier(
+        kind, epoch, on_reply, len(sessions), loop.create_future()
+    )
+    timer = None
+    try:
+        for session in sessions:
+            session._arm(barrier)
+        if timeout_s is not None and not barrier.done.done():
+            timer = loop.call_later(timeout_s, barrier.expire)
+        await barrier.done
+    finally:
+        if timer is not None:
+            timer.cancel()
+        missing = []
+        for session in sessions:
+            if session._armed is barrier:
+                session._armed = None
+                missing.append(session)
+    return missing, barrier.expired
+
+
+class PhaseDriver:
+    """What every owner of sessions does per phase: send, wait, evict.
+
+    Mixin for the controllers and the aggregator; expects ``sessions``
+    (id -> session), ``meter``, ``coalesce`` and ``_evict(session)``.
+    """
+
+    def _cpu(self):
+        """CPU-attribution context for synchronous critical sections."""
+        return self.meter.cpu() if self.meter is not None else contextlib.nullcontext()
+
+    def _close_sessions(self, farewell: Optional[dict] = None) -> None:
+        """Close every session, each after a last ``farewell`` frame if given."""
+        for session in list(self.sessions.values()):
+            if farewell is not None:
+                with contextlib.suppress(SessionClosed):
+                    session.post(farewell)
+            session.close()
+        self.sessions.clear()
+
+    async def _phase(self, sessions, feed, kind, epoch, on_reply, timeout_s):
+        """One request/reply phase: ``feed(session)`` buffers the request,
+        ``on_reply`` consumes the ``kind`` frame at ``epoch``. Returns
+        ``(absent, timed_out)`` — every session without a reply (refused
+        the request, died, or missed the deadline); dead ones are evicted.
+        """
+        with self._cpu():
+            sent, refused = await send_phase(sessions, feed, self.coalesce)
+        for session in refused:
+            self._evict(session)
+        missing, timed_out = await gather_replies(
+            sent, kind, epoch, on_reply, timeout_s
+        )
+        for session in missing:
+            if not session.connected:
+                self._evict(session)
+        return refused + missing, timed_out

@@ -32,17 +32,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.dataplane.token_bucket import TokenBucket
 from repro.guard.backoff import full_jitter
 from repro.guard.breaker import CircuitBreaker
-from repro.live.protocol import ProtocolError, read_message, write_message
+from repro.live.protocol import FrameLink, encode
 
 __all__ = ["LiveVirtualStage"]
-
-
-class _RegistrationRejected(RuntimeError):
-    """The controller answered the register frame with an error."""
-
-
-class _ControllerSilent(RuntimeError):
-    """No frame arrived within ``controller_timeout_s`` (stalled home)."""
 
 
 class LiveVirtualStage:
@@ -185,9 +177,17 @@ class LiveVirtualStage:
         self.silence_timeouts = 0
         self.gave_up = False
         self._stop = asyncio.Event()
-        self._paused = asyncio.Event()
-        self._paused.set()
-        self._writer: Optional[asyncio.StreamWriter] = None
+        self._paused = False
+        #: Frames that arrived while paused, served on :meth:`resume`.
+        self._backlog: List[dict] = []
+        #: The current connection; its ``write``/``abort`` are the seams
+        #: :mod:`repro.live.faults` wraps.
+        self._link: Optional[FrameLink] = None
+        self._registered = False
+        self._ended: Optional[asyncio.Future] = None
+        self._watchdog: Optional[asyncio.TimerHandle] = None
+        #: When the last frame arrived (``time.monotonic``; watchdog input).
+        self._heard_at = 0.0
         self._registered_addr: Optional[Tuple[str, int]] = None
         self._last_silent = False
         self.offered_codecs: Tuple[str, ...] = tuple(codecs)
@@ -207,11 +207,12 @@ class LiveVirtualStage:
     @property
     def connected(self) -> bool:
         """Whether a connection is currently open."""
-        return self._writer is not None
+        return self._link is not None
 
     def stop(self) -> None:
         """Ask the serve/reconnect loop to exit."""
         self._stop.set()
+        self._end_session()
 
     def _rotate_address(self) -> None:
         """Advance to the next known controller address (wraps around)."""
@@ -246,17 +247,20 @@ class LiveVirtualStage:
         With ``reconnect`` enabled the stage later comes back through the
         backoff loop, modelling a crashed-and-restarted stage process.
         """
-        writer = self._writer
-        if writer is not None and writer.transport is not None:
-            writer.transport.abort()
+        link = self._link
+        if link is not None:
+            link.abort()
 
     def pause(self) -> None:
         """Freeze request handling (stall): socket open, no replies."""
-        self._paused.clear()
+        self._paused = True
 
     def resume(self) -> None:
-        """Resume handling after :meth:`pause`; backlog is served."""
-        self._paused.set()
+        """Resume handling after :meth:`pause`; the backlog is served."""
+        self._paused = False
+        self._heard_at = time.monotonic()
+        while self._backlog and not self._paused and self._link is not None:
+            self._serve_frame(self._backlog.pop(0))
 
     # -- serve loop -----------------------------------------------------------
     async def run(self) -> None:
@@ -273,14 +277,7 @@ class LiveVirtualStage:
             else:
                 try:
                     registered = await self._serve_once()
-                except _RegistrationRejected:
-                    registered = False
-                except (
-                    ConnectionError,
-                    OSError,
-                    asyncio.IncompleteReadError,
-                    ProtocolError,
-                ):
+                except (ConnectionError, OSError):
                     registered = False
                 if breaker is not None:
                     if registered:
@@ -312,80 +309,72 @@ class LiveVirtualStage:
             except asyncio.TimeoutError:
                 pass
 
-    async def _read(self, reader) -> dict:
-        """One framed read, bounded by the silence watchdog if armed."""
-        if self.controller_timeout_s is None:
-            return await read_message(reader)
-        try:
-            return await asyncio.wait_for(
-                read_message(reader), timeout=self.controller_timeout_s
-            )
-        except asyncio.TimeoutError:
-            self.silence_timeouts += 1
-            self._last_silent = True
-            raise _ControllerSilent(
-                f"{self.host}:{self.port} silent for {self.controller_timeout_s}s"
-            ) from None
-
     async def _serve_once(self) -> bool:
         """One connect → register → serve pass.
 
+        Connects, sends the hello, then sleeps on one future: the
+        ``registered`` ack and every ``collect_req``/``rule`` are handled
+        in the link's frame callback, reply written in the same call.
         Returns True once registration succeeded, even if the connection
         later dropped (so a spell of healthy service resets the backoff);
-        raises on pre-registration connection errors and rejections.
+        raises on connection errors before the hello is out.
         """
-        reader, writer = await asyncio.open_connection(self.host, self.port)
-        self._writer = writer
-        try:
-            await write_message(
-                writer,
-                {
-                    "kind": "register",
-                    "stage_id": self.stage_id,
-                    "job_id": self.job_id,
-                    "codecs": list(self.offered_codecs),
-                },
+        loop = asyncio.get_running_loop()
+        link = FrameLink(self._on_frame, self._end_session)
+        await loop.create_connection(lambda: link, self.host, self.port)
+        self._link = link
+        self._registered = False
+        self._ended = loop.create_future()
+        self._heard_at = time.monotonic()
+        if self.controller_timeout_s is not None:
+            self._watchdog = loop.call_later(
+                self.controller_timeout_s, self._check_silence
             )
-            try:
-                ack = await self._read(reader)
-            except _ControllerSilent:
-                return False  # never registered; rotate via the failure path
-            if ack["kind"] != "registered":
-                self.registrations_rejected += 1
-                raise _RegistrationRejected(f"registration refused: {ack}")
-            granted = ack.get("codec", "json")
-            self.codec = granted if granted in self.offered_codecs else "json"
-            self.connects += 1
-            if self.connects > 1:
-                self.reconnects += 1
-            self.consecutive_failures = 0
-            addr = self.addresses[self._addr_index]
-            if self._registered_addr is not None and addr != self._registered_addr:
-                self.failovers += 1
-            self._registered_addr = addr
-            self._accept_rehome(ack)
-            try:
-                while not self._stop.is_set():
-                    message = await self._read(reader)
-                    await self._paused.wait()
-                    await self._handle(message)
-            except _ControllerSilent:
-                pass  # home stalled; run() rotates to an alternate
-            except (
-                ConnectionError,
-                OSError,
-                asyncio.IncompleteReadError,
-                ProtocolError,
-            ):
-                pass  # connection lost after a healthy registration
-            return True
+        try:
+            link.write(
+                encode(
+                    {
+                        "kind": "register",
+                        "stage_id": self.stage_id,
+                        "job_id": self.job_id,
+                        "codecs": list(self.offered_codecs),
+                    }
+                )
+            )
+            await self._ended
+            return self._registered
         finally:
-            self._writer = None
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover - teardown race
-                pass
+            self._link = None
+            self._backlog.clear()
+            if self._watchdog is not None:
+                self._watchdog.cancel()
+                self._watchdog = None
+            link.close()
+
+    def _end_session(self, exc: Optional[Exception] = None) -> None:
+        """Wake :meth:`_serve_once` (also the link's ``on_lost`` callback)."""
+        ended = self._ended
+        if ended is not None and not ended.done():
+            ended.set_result(None)
+
+    def _check_silence(self) -> None:
+        """Silence watchdog: one timer; frames only stamp ``_heard_at``.
+
+        Fires at most once per ``controller_timeout_s``, then sleeps out
+        the remainder or declares the home silent (a paused stage is not
+        listening, so it passes no verdict).
+        """
+        timeout = self.controller_timeout_s
+        idle = 0.0 if self._paused else time.monotonic() - self._heard_at
+        if idle < timeout:
+            self._watchdog = asyncio.get_running_loop().call_later(
+                timeout - idle, self._check_silence
+            )
+            return
+        self._watchdog = None
+        self.silence_timeouts += 1
+        self._last_silent = True
+        self._end_session()
 
     def _accept_rehome(self, message: dict) -> None:
         """Adopt an alternate-address list (rehome frame or registered ack).
@@ -404,13 +393,49 @@ class LiveVirtualStage:
         self._registered_addr = current
         self.rehomes_received += 1
 
-    async def _handle(self, message) -> None:
-        writer = self._writer
+    def _on_frame(self, message: dict, nbytes: int) -> None:
+        if self._watchdog is not None:
+            self._heard_at = time.monotonic()
+        if not self._registered:
+            self._on_ack(message)
+        elif self._paused:
+            self._backlog.append(message)
+        else:
+            self._serve_frame(message)
+
+    def _on_ack(self, ack: dict) -> None:
+        """First frame of a session: the registration verdict."""
+        if ack["kind"] != "registered":
+            self.registrations_rejected += 1
+            self._end_session()
+            return
+        granted = ack.get("codec", "json")
+        self.codec = granted if granted in self.offered_codecs else "json"
+        self.connects += 1
+        if self.connects > 1:
+            self.reconnects += 1
+        self.consecutive_failures = 0
+        addr = self.addresses[self._addr_index]
+        if self._registered_addr is not None and addr != self._registered_addr:
+            self.failovers += 1
+        self._registered_addr = addr
+        self._accept_rehome(ack)
+        self._registered = True
+
+    def _reply(self, message: dict) -> None:
+        link = self._link
+        if link is None:
+            return
+        try:
+            link.write(encode(message, self.codec))
+        except (ConnectionError, OSError):
+            self._end_session()  # connection lost after a healthy registration
+
+    def _serve_frame(self, message: dict) -> None:
         kind = message["kind"]
         if kind == "collect_req":
             self.requests_served += 1
-            await write_message(
-                writer,
+            self._reply(
                 {
                     "kind": "metrics_reply",
                     "epoch": message["epoch"],
@@ -418,8 +443,7 @@ class LiveVirtualStage:
                     "job_id": self.job_id,
                     "data_iops": self.demand[0],
                     "metadata_iops": self.demand[1],
-                },
-                self.codec,
+                }
             )
         elif kind == "rule":
             epoch = message["epoch"]
@@ -434,13 +458,11 @@ class LiveVirtualStage:
                 self.rules_applied += 1
             else:
                 self.rules_ignored_stale += 1
-            await write_message(
-                writer,
-                {"kind": "rule_ack", "epoch": epoch, "stage_id": self.stage_id},
-                self.codec,
+            self._reply(
+                {"kind": "rule_ack", "epoch": epoch, "stage_id": self.stage_id}
             )
         elif kind == "rehome":
             self._accept_rehome(message)
         elif kind == "shutdown":
-            self._stop.set()
+            self.stop()
         # Unknown kinds ignored (passive endpoint, like the simulated stage).
