@@ -205,25 +205,21 @@ def bench_sim_cycles(quick: bool = False) -> Dict[str, Dict[str, float]]:
 
 async def _ack_server(codec: str):
     """Echo a ``rule_ack`` per ``rule`` frame, like a stage's enforce leg."""
-    from repro.live.protocol import FrameLink, encode
+    from repro.live.protocol import FrameLink, frame_packer
+
+    # A rule arrives as the record (kind, epoch, limit, metadata limit);
+    # the id it names is not decoded, so every ack names one stage of
+    # the same width.
+    pack_ack = frame_packer("rule_ack", codec, "stage-00000")
 
     def accept() -> FrameLink:
         link = FrameLink()
 
-        def on_rule(message: dict, nbytes: int) -> None:
-            if message["kind"] != "rule":
+        def on_rule(message, nbytes: int) -> None:
+            if message[0] != "rule":
                 link.close()
                 return
-            link.write(
-                encode(
-                    {
-                        "kind": "rule_ack",
-                        "epoch": message["epoch"],
-                        "stage_id": message["stage_id"],
-                    },
-                    codec,
-                )
-            )
+            link.write(pack_ack(message[1]))
 
         link.on_frame = on_rule
         return link
@@ -261,7 +257,7 @@ async def _enforce_leg(
     outstanding = 0
     cycle_done: asyncio.Future = loop.create_future()
 
-    def on_ack(message: dict, nbytes: int) -> None:
+    def on_ack(message, nbytes: int) -> None:
         nonlocal outstanding
         outstanding -= 1
         if outstanding == 0:
@@ -384,14 +380,12 @@ def bench_shard(quick: bool = False) -> Dict:
             n_aggregators=workers,
             n_cycles=n_cycles,
             codec="binary",
-            coalesce=True,
         )
         sharded = run_live_sharded(
             n_stages=n_stages,
             n_workers=workers,
             n_cycles=n_cycles,
             codec="binary",
-            coalesce=True,
         )
         single_s = single.stats().mean_ms / 1e3
         sharded_s = sharded.stats().mean_ms / 1e3

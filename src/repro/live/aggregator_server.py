@@ -45,7 +45,12 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.live.protocol import FrameLink, accept_backlog, choose_codec, encode
-from repro.live.sessions import PhaseDriver, SessionClosed, StageSession
+from repro.live.sessions import (
+    PhaseDriver,
+    SessionClosed,
+    StageSession,
+    collect_request,
+)
 from repro.obs.spans import NullSpanTracer
 
 __all__ = ["LiveAggregator"]
@@ -64,7 +69,6 @@ class LiveAggregator(PhaseDriver):
         port: int = 0,
         collect_timeout_s: Optional[float] = None,
         enforce_timeout_s: Optional[float] = None,
-        coalesce: bool = True,
         codecs: Tuple[str, ...] = ("binary2", "binary", "json"),
         span_tracer=None,
         usage_meter=None,
@@ -89,8 +93,6 @@ class LiveAggregator(PhaseDriver):
         self.enforce_timeout_s = (
             enforce_timeout_s if enforce_timeout_s is not None else collect_timeout_s
         )
-        #: One write per session per phase instead of one per frame.
-        self.coalesce = coalesce
         #: Per-stage-session outbound bound (bytes); None = unbounded.
         #: Same contract as the controllers: enable with phase deadlines.
         self.session_outbox_bytes = session_outbox_bytes
@@ -147,9 +149,11 @@ class LiveAggregator(PhaseDriver):
         if self.meter is not None:
             self.meter.add_tx(len(frame))
 
-    def _on_up_frame(self, message: dict, nbytes: int) -> None:
+    def _on_up_frame(self, message, nbytes: int) -> None:
         if self.meter is not None:
             self.meter.add_rx(nbytes)
+        if message.__class__ is tuple:
+            return  # a per-stage frame on the trunk: nothing to serve
         self._up_frames.append(message)
         self._wake_run()
 
@@ -245,13 +249,13 @@ class LiveAggregator(PhaseDriver):
             link.write(encode({"kind": "register_error", "reason": error}))
             link.close()
             return
-        session = StageSession(stage_id, job_id, link, meter=self.meter)
-        session.outbox.max_bytes = self.session_outbox_bytes
         # Grant the newest codec both sides speak (mixed-version safe):
         # the stage's offer intersected with what *we* were built with.
-        session.codec = choose_codec(
-            hello.get("codecs"), supported=self.offered_codecs
+        session = StageSession(
+            stage_id, job_id, link, meter=self.meter,
+            codec=choose_codec(hello.get("codecs"), supported=self.offered_codecs),
         )
+        session.outbox.max_bytes = self.session_outbox_bytes
         self.sessions[session.stage_id] = session
         # Late joiners get the current alternate list with the ack, so a
         # re-homed orphan is immediately armed against *this* home dying.
@@ -375,13 +379,11 @@ class LiveAggregator(PhaseDriver):
             self._m_cycles.inc()
         sessions = [self.sessions[s] for s in sorted(self.sessions)]
 
-        def on_reply(s: StageSession, m: dict) -> None:
-            s.latest_data_demand = float(m["data_iops"])
-            s.latest_metadata_demand = float(m["metadata_iops"])
+        def on_reply(s: StageSession, reply: tuple) -> None:
+            _, _, s.latest_data_demand, s.latest_metadata_demand = reply
 
         absent, _ = await self._phase(
-            sessions,
-            lambda s: s.feed({"kind": "collect_req", "epoch": epoch}),
+            sessions, collect_request(epoch),
             "metrics_reply", epoch, on_reply, self.collect_timeout_s,
         )
         missing_ids = {s.stage_id for s in absent}
@@ -416,25 +418,21 @@ class LiveAggregator(PhaseDriver):
         epoch = message["epoch"]
         rules = message["rules"]
         started = self.tracer.now()
-        forwarded: Dict[StageSession, dict] = {}
+        #: Insertion-ordered set: a stage named twice still gets one rule.
+        forwarded: Dict[StageSession, None] = {}
         for rule in rules:
             session = self.sessions.get(rule["stage_id"])
             if session is None:
                 continue
-            forwarded[session] = message = {
-                "kind": "rule",
-                "epoch": epoch,
-                "stage_id": rule["stage_id"],
-                "data_iops_limit": rule["data_iops_limit"],
-            }
-            if "metadata_iops_limit" in rule:
-                message["metadata_iops_limit"] = rule["metadata_iops_limit"]
-        # Sheddable under outbox pressure: superseded by the next epoch's
-        # rule; the missing ack resolves through the enforce deadline.
+            session.rule = (
+                epoch, rule["data_iops_limit"], rule.get("metadata_iops_limit")
+            )
+            forwarded[session] = None
+        # Written through like the flat plane's rules: superseded by the
+        # next epoch's; a missing ack resolves through the enforce deadline.
         await self._phase(
-            forwarded,
-            lambda s: s.feed(forwarded[s], sheddable=True),
-            "rule_ack", epoch, lambda s, m: None, self.enforce_timeout_s,
+            forwarded, StageSession.send_rule,
+            "rule_ack", epoch, None, self.enforce_timeout_s,
         )
         with self._cpu():
             self._send_up(

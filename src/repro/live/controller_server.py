@@ -42,7 +42,13 @@ from repro.core.columnar import StageColumns
 from repro.core.cycle import ControlCycle
 from repro.core.policies import QoSPolicy
 from repro.live.protocol import FrameLink, accept_backlog, choose_codec, encode
-from repro.live.sessions import PhaseDriver, Session, SessionClosed, StageSession
+from repro.live.sessions import (
+    PhaseDriver,
+    Session,
+    SessionClosed,
+    StageSession,
+    collect_request,
+)
 from repro.obs.spans import NullSpanTracer
 
 __all__ = ["LiveGlobalController", "LiveHierGlobalController"]
@@ -67,7 +73,6 @@ class _LiveControllerBase(PhaseDriver):
         enforce_timeout_s: Optional[float],
         enforce_changed_only: bool,
         rule_change_tolerance: float,
-        coalesce: bool,
         initial_epoch: int,
         span_tracer=None,
         usage_meter=None,
@@ -143,16 +148,12 @@ class _LiveControllerBase(PhaseDriver):
         # durable store starts above its last durable epoch so stage-side
         # fencing accepts its rules and discards any pre-crash stragglers.
         self.epoch = initial_epoch
-        #: Buffer a phase's frames per session and write once (the
-        #: writev-style fast path); ``False`` restores the seed's
-        #: frame-per-write sends, which the bench uses as its baseline.
-        self.coalesce = coalesce
         #: Sessions evicted because their socket died mid-cycle.
         self.evictions = 0
         #: Registrations rejected (duplicate id, malformed hello).
         self.registrations_rejected = 0
-        #: Last computed allocation per stage id (chaos invariant probe).
-        self.last_allocations: Dict[str, float] = {}
+        # (stage ids, data limits) of the newest compute phase, in step.
+        self._last_grants: tuple = ((), ())
         #: Standby-side heartbeat intake (see repro.live.failover): a
         #: primary controller connects with a ``heartbeat`` hello and
         #: streams epochs; the watchdog reads these fields.
@@ -265,6 +266,12 @@ class _LiveControllerBase(PhaseDriver):
                 self._m_demand_clamped.set(self.demand_clamp.clamped_iops_total)
 
     @property
+    def last_allocations(self) -> Dict[str, float]:
+        """Last computed data allocation per stage id (chaos invariant
+        probe); built on demand so the cycle itself pays nothing for it."""
+        return dict(zip(*self._last_grants))
+
+    @property
     def outbox_frames_shed(self) -> int:
         """Frames shed across all sessions, living and evicted (monotone)."""
         return self._outbox_shed_evicted + sum(
@@ -350,7 +357,7 @@ class _LiveControllerBase(PhaseDriver):
     def _suppress(self, previous: Optional[tuple], limit, meta_limit) -> bool:
         """Changed-only verdict for one rule against the last one shipped.
 
-        ``previous`` is ``(rule-epoch, data limit, metadata limit, ...)``.
+        ``previous`` is ``(rule-epoch, data limit, metadata limit)``.
         Unchanged within tolerance on every axis: the stage keeps
         enforcing its cached rule-epoch and the suppression is counted.
         """
@@ -424,19 +431,20 @@ class _LiveControllerBase(PhaseDriver):
             return
         # From here on the session owns the link: every later frame goes
         # through its routing, in the same parse pass as this hello.
-        session = self._make_session(hello, link)
         # Codec negotiation: binary when the child advertises it, JSON for
         # older children. The ack itself is always JSON-decodable.
-        session.codec = choose_codec(hello.get("codecs"))
+        session = self._make_session(
+            hello, link, choose_codec(hello.get("codecs"))
+        )
         self.sessions[session.peer_id] = session
         link.write(encode({"kind": "registered", "codec": session.codec}))
         if len(self.sessions) >= self._expected:
             self._all_registered.set()
         self._after_register(session)
 
-    def _on_heartbeat(self, message: dict, nbytes: int) -> None:
+    def _on_heartbeat(self, message, nbytes: int) -> None:
         """One frame of a primary's heartbeat stream (this side is standby)."""
-        if message.get("kind") == "heartbeat":
+        if message.__class__ is dict and message["kind"] == "heartbeat":
             self.last_heartbeat_at = time.monotonic()
             self.last_primary_epoch = max(
                 self.last_primary_epoch, int(message.get("epoch", 0))
@@ -471,7 +479,7 @@ class _LiveControllerBase(PhaseDriver):
     def _validate_hello(self, hello: dict) -> Optional[str]:
         raise NotImplementedError
 
-    def _make_session(self, hello: dict, link: FrameLink) -> Session:
+    def _make_session(self, hello: dict, link: FrameLink, codec: str) -> Session:
         raise NotImplementedError
 
     @property
@@ -516,7 +524,6 @@ class LiveGlobalController(_LiveControllerBase):
         evicted_grace_cycles: int = 0,
         enforce_changed_only: bool = False,
         rule_change_tolerance: float = 0.0,
-        coalesce: bool = True,
         initial_epoch: int = 0,
         span_tracer=None,
         usage_meter=None,
@@ -541,7 +548,6 @@ class LiveGlobalController(_LiveControllerBase):
             enforce_timeout_s,
             enforce_changed_only,
             rule_change_tolerance,
-            coalesce,
             initial_epoch,
             span_tracer=span_tracer,
             usage_meter=usage_meter,
@@ -553,12 +559,6 @@ class LiveGlobalController(_LiveControllerBase):
         )
         self.expected_stages = expected_stages
         self.evicted_grace_cycles = evicted_grace_cycles
-        #: Encoded-rule cache: stage id -> (rule-epoch, data limit,
-        #: metadata limit, wire frame). The rule-epoch is the epoch at
-        #: which the stage's limits last changed; the cached frame is what
-        #: went on the wire then, so the changed-only diff is O(1) and
-        #: needs no re-encoding.
-        self._rule_frames: Dict[str, tuple] = {}
         #: Evicted-but-graced stages:
         #: id -> (job_id, data_demand, metadata_demand, epoch).
         self.departed: Dict[str, tuple] = {}
@@ -587,9 +587,6 @@ class LiveGlobalController(_LiveControllerBase):
 
     def _after_register(self, session: Session) -> None:
         self.departed.pop(session.peer_id, None)
-        # A (re)joining stage may be a fresh process with no applied rule;
-        # forget its cached rule so the next enforce ships one for sure.
-        self._rule_frames.pop(session.peer_id, None)
         if self.columns is not None:
             # A rejoining id gets a fresh row at the tail — same position
             # its session takes in the (insertion-ordered) session dict.
@@ -608,9 +605,11 @@ class LiveGlobalController(_LiveControllerBase):
             return f"stage_id already registered: {stage_id}"
         return None
 
-    def _make_session(self, hello: dict, link: FrameLink) -> StageSession:
+    def _make_session(
+        self, hello: dict, link: FrameLink, codec: str
+    ) -> StageSession:
         session = StageSession(
-            hello["stage_id"], hello["job_id"], link, meter=self.meter
+            hello["stage_id"], hello["job_id"], link, meter=self.meter, codec=codec
         )
         session.outbox.max_bytes = self.session_outbox_bytes
         return session
@@ -658,25 +657,26 @@ class LiveGlobalController(_LiveControllerBase):
         started = time.perf_counter()
         missing_ids: Set[str] = set()
         tracer = self.tracer
+        tracing = tracer.enabled
         sent_at: Dict[str, float] = {}
 
         # ---- collect (partial on deadline, evict dead sockets) ----
-        def feed_request(s: StageSession) -> None:
-            s.feed({"kind": "collect_req", "epoch": epoch})
-            if tracer.enabled:
-                sent_at[s.stage_id] = tracer.now()
+        send_request = collect_request(epoch)
+
+        def traced_request(s: StageSession) -> None:
+            send_request(s)
+            sent_at[s.stage_id] = tracer.now()
 
         columns = self.columns
 
-        def on_reply(s: StageSession, message: dict) -> None:
-            data = float(message["data_iops"])
-            meta = float(message["metadata_iops"])
+        def on_reply(s: StageSession, reply: tuple) -> None:
+            _, _, data, meta = reply
             s.latest_data_demand = data
             s.latest_metadata_demand = meta
             if columns is not None and s.column_row is not None:
                 columns.data[s.column_row] = data
                 columns.meta[s.column_row] = meta
-            if tracer.enabled:
+            if tracing:
                 t0 = sent_at.get(s.stage_id, started)
                 tracer.for_track(s.stage_id).emit(
                     "collect_rpc", t0, tracer.now() - t0,
@@ -684,8 +684,8 @@ class LiveGlobalController(_LiveControllerBase):
                 )
 
         absent, timed_out = await self._phase(
-            sessions, feed_request, "metrics_reply", epoch, on_reply,
-            self._effective_collect_timeout(),
+            sessions, traced_request if tracing else send_request,
+            "metrics_reply", epoch, on_reply, self._effective_collect_timeout(),
         )
         missing_ids.update(s.stage_id for s in absent)
         t_collect = time.perf_counter() - started
@@ -732,70 +732,54 @@ class LiveGlobalController(_LiveControllerBase):
             limits, meta_limits = self._allocate(
                 data_demands, metadata_demands, weights
             )
-            limits = limits[: len(sessions)]
-            if meta_limits is not None:
-                meta_limits = meta_limits[: len(sessions)]
-            self.last_allocations = {
-                s.stage_id: float(limit) for s, limit in zip(sessions, limits)
-            }
+            # One C pass to Python floats; graced departures sit past the
+            # sessions and get no rule.
+            limits = limits[: len(sessions)].tolist()
+            meta_limits = (
+                meta_limits[: len(sessions)].tolist()
+                if meta_limits is not None
+                else [None] * len(sessions)
+            )
+            self._last_grants = ([s.peer_id for s in sessions], limits)
             if clamp is not None:
-                for i, (s, limit) in enumerate(zip(sessions, limits)):
-                    granted = float(limit)
-                    if meta_limits is not None:
-                        granted += float(meta_limits[i])
+                for s, limit, meta_limit in zip(sessions, limits, meta_limits):
+                    granted = limit if meta_limit is None else limit + meta_limit
                     clamp.observe(s.stage_id, s.latest_demand, granted)
         t_compute = time.perf_counter() - compute_started
 
         # ---- enforce ----
         enforce_started = time.perf_counter()
-        #: session -> the rule record that goes out to it this epoch.
-        rules: Dict[StageSession, tuple] = {}
+        #: Sessions a rule goes out to this epoch, their ``rule`` set.
+        targets: List[StageSession] = []
         with self._cpu():
             changed_only = self._effective_changed_only()
-            meta_iter = (
-                meta_limits if meta_limits is not None else [None] * len(sessions)
-            )
-            for s, limit, meta_limit in zip(sessions, limits, meta_iter):
+            for s, limit, meta_limit in zip(sessions, limits, meta_limits):
                 if not s.connected:
                     continue
-                limit = float(limit)
-                if meta_limit is not None:
-                    meta_limit = float(meta_limit)
-                if changed_only and self._suppress(
-                    self._rule_frames.get(s.stage_id), limit, meta_limit
-                ):
+                if changed_only and self._suppress(s.rule, limit, meta_limit):
                     continue  # no frame on the wire, no ack expected
-                message = {
-                    "kind": "rule",
-                    "epoch": epoch,
-                    "stage_id": s.stage_id,
-                    "data_iops_limit": limit,
-                }
-                if meta_limit is not None:
-                    # A plain-"binary" or old-JSON peer simply never sees
-                    # this key and defaults the axis to unlimited.
-                    message["metadata_iops_limit"] = meta_limit
-                rules[s] = (epoch, limit, meta_limit, encode(message, s.codec))
+                s.rule = (epoch, limit, meta_limit)
+                targets.append(s)
 
-        def feed_rule(s: StageSession) -> None:
-            # Rules are sheddable under outbox pressure: the next epoch
-            # supersedes them, and a shed rule surfaces as a missing ack
-            # the degraded path already absorbs.
-            s.feed_frame(rules[s][3], sheddable=True)
-            self._rule_frames[s.stage_id] = rules[s]
-            if tracer.enabled:
-                sent_at[s.stage_id] = tracer.now()
+        # Rules are written through: the next epoch supersedes one a
+        # stalled peer never reads, and its missing ack is absorbed by
+        # the degraded path.
+        def traced_rule(s: StageSession) -> None:
+            s.send_rule()
+            sent_at[s.stage_id] = tracer.now()
 
-        def on_ack(s: StageSession, message: dict) -> None:
-            if tracer.enabled:
-                t0 = sent_at.get(s.stage_id, enforce_started)
-                tracer.for_track(s.stage_id).emit(
-                    "enforce_rpc", t0, tracer.now() - t0,
-                    parent="enforce", epoch=epoch,
-                )
+        def traced_ack(s: StageSession, ack: tuple) -> None:
+            t0 = sent_at.get(s.stage_id, enforce_started)
+            tracer.for_track(s.stage_id).emit(
+                "enforce_rpc", t0, tracer.now() - t0,
+                parent="enforce", epoch=epoch,
+            )
 
         absent, phase_timed_out = await self._phase(
-            rules, feed_rule, "rule_ack", epoch, on_ack, self.enforce_timeout_s
+            targets,
+            traced_rule if tracing else StageSession.send_rule,
+            "rule_ack", epoch, traced_ack if tracing else None,
+            self.enforce_timeout_s,
         )
         missing_ids.update(s.stage_id for s in absent)
         t_enforce = time.perf_counter() - enforce_started
@@ -880,7 +864,6 @@ class LiveHierGlobalController(_LiveControllerBase):
         dead_after_missed: Optional[int] = None,
         enforce_changed_only: bool = False,
         rule_change_tolerance: float = 0.0,
-        coalesce: bool = True,
         initial_epoch: int = 0,
         span_tracer=None,
         usage_meter=None,
@@ -907,7 +890,6 @@ class LiveHierGlobalController(_LiveControllerBase):
             enforce_timeout_s,
             enforce_changed_only,
             rule_change_tolerance,
-            coalesce,
             initial_epoch,
             span_tracer=span_tracer,
             usage_meter=usage_meter,
@@ -967,7 +949,9 @@ class LiveHierGlobalController(_LiveControllerBase):
             return f"aggregator_id already registered: {aggregator_id}"
         return None
 
-    def _make_session(self, hello: dict, link: FrameLink) -> _AggregatorSession:
+    def _make_session(
+        self, hello: dict, link: FrameLink, codec: str
+    ) -> _AggregatorSession:
         session = _AggregatorSession(
             hello["aggregator_id"],
             hello["stage_ids"],
@@ -975,6 +959,7 @@ class LiveHierGlobalController(_LiveControllerBase):
             link,
             meter=self.meter,
         )
+        session.codec = codec
         session.outbox.max_bytes = self.session_outbox_bytes
         if hello.get("host") is not None and hello.get("port") is not None:
             session.listen_host = str(hello["host"])
@@ -1224,9 +1209,7 @@ class LiveHierGlobalController(_LiveControllerBase):
             meta_limit_of = (
                 dict(zip(stage_ids, meta_limits)) if meta_limits is not None else None
             )
-            self.last_allocations = {
-                sid: float(limit) for sid, limit in limit_of.items()
-            }
+            self._last_grants = (stage_ids, limits.tolist())
             if clamp is not None:
                 for sid, limit in limit_of.items():
                     granted = float(limit)

@@ -19,8 +19,7 @@ scrapeable over HTTP while the run cycles (``metrics_port``).
 
 Wire-path knobs (PR 5): ``codec`` picks what the endpoints *offer* at
 registration ("binary" offers the struct fast-codec with JSON fallback;
-"json" emulates a pre-binary deployment), ``coalesce`` batches each
-phase's frames into one write per session, and
+"json" emulates a pre-binary deployment), and
 ``enforce_changed_only``/``rule_change_tolerance`` suppress rule frames
 whose limit did not move. ``use_uvloop=True`` swaps in the uvloop event
 loop when that package is importable and silently falls back to the
@@ -186,7 +185,6 @@ async def _run(
     metrics_port: Optional[int] = None,
     sample_interval_s: float = 0.05,
     codec: str = "binary",
-    coalesce: bool = True,
     enforce_changed_only: bool = False,
     rule_change_tolerance: float = 0.0,
     columnar: bool = False,
@@ -204,7 +202,6 @@ async def _run(
         metrics=obs.registry,
         enforce_changed_only=enforce_changed_only,
         rule_change_tolerance=rule_change_tolerance,
-        coalesce=coalesce,
         columnar=columnar,
     )
     await controller.start()
@@ -252,7 +249,6 @@ def run_live_flat(
     metrics_port: Optional[int] = None,
     sample_interval_s: float = 0.05,
     codec: str = "binary",
-    coalesce: bool = True,
     enforce_changed_only: bool = False,
     rule_change_tolerance: float = 0.0,
     use_uvloop: bool = False,
@@ -272,7 +268,6 @@ def run_live_flat(
             metrics_port=metrics_port,
             sample_interval_s=sample_interval_s,
             codec=codec,
-            coalesce=coalesce,
             enforce_changed_only=enforce_changed_only,
             rule_change_tolerance=rule_change_tolerance,
             columnar=columnar,
@@ -333,7 +328,6 @@ class LiveHierPlane:
         enforce_timeout_s: Optional[float] = None,
         dead_after_missed: Optional[int] = None,
         codec: str = "binary",
-        coalesce: bool = True,
         enforce_changed_only: bool = False,
         rule_change_tolerance: float = 0.0,
         initial_epoch: int = 0,
@@ -354,7 +348,6 @@ class LiveHierPlane:
         self.collect_timeout_s = collect_timeout_s
         self.enforce_timeout_s = enforce_timeout_s
         self.dead_after_missed = dead_after_missed
-        self.coalesce = coalesce
         self.enforce_changed_only = enforce_changed_only
         self.rule_change_tolerance = rule_change_tolerance
         self.initial_epoch = initial_epoch
@@ -402,7 +395,6 @@ class LiveHierPlane:
             dead_after_missed=self.dead_after_missed,
             enforce_changed_only=self.enforce_changed_only,
             rule_change_tolerance=self.rule_change_tolerance,
-            coalesce=self.coalesce,
             initial_epoch=self.initial_epoch,
             span_tracer=obs.tracer_for("global-ctrl"),
             usage_meter=obs.meter_for("global-ctrl"),
@@ -432,7 +424,6 @@ class LiveHierPlane:
                 span_tracer=obs.tracer_for(agg_id),
                 usage_meter=obs.meter_for(agg_id),
                 metrics=obs.registry,
-                coalesce=self.coalesce,
                 codecs=self._offered,
                 session_outbox_bytes=self.session_outbox_bytes,
             )
@@ -607,7 +598,6 @@ async def _run_hier(
     metrics_port: Optional[int] = None,
     sample_interval_s: float = 0.05,
     codec: str = "binary",
-    coalesce: bool = True,
     enforce_changed_only: bool = False,
     rule_change_tolerance: float = 0.0,
     columnar: bool = False,
@@ -620,7 +610,6 @@ async def _run_hier(
         collect_timeout_s=collect_timeout_s,
         enforce_timeout_s=enforce_timeout_s,
         codec=codec,
-        coalesce=coalesce,
         enforce_changed_only=enforce_changed_only,
         rule_change_tolerance=rule_change_tolerance,
         obs=obs,
@@ -657,7 +646,6 @@ def run_live_hierarchical(
     metrics_port: Optional[int] = None,
     sample_interval_s: float = 0.05,
     codec: str = "binary",
-    coalesce: bool = True,
     enforce_changed_only: bool = False,
     rule_change_tolerance: float = 0.0,
     use_uvloop: bool = False,
@@ -680,7 +668,6 @@ def run_live_hierarchical(
             metrics_port=metrics_port,
             sample_interval_s=sample_interval_s,
             codec=codec,
-            coalesce=coalesce,
             enforce_changed_only=enforce_changed_only,
             rule_change_tolerance=rule_change_tolerance,
             columnar=columnar,

@@ -22,11 +22,18 @@ only granted when both sides advertise it, so a mixed-version fleet
 degrades per session to plain ``binary`` or JSON (where a missing
 metadata limit means unlimited).
 
-:class:`FrameLink` is the live plane's wire path: an ``asyncio.Protocol``
-whose ``data_received`` slices every complete frame out of a segment in
-one synchronous pass and hands it to a callback — no reader coroutine,
-queue or task per connection. The stream helpers (:func:`read_message` /
-:func:`write_message`) remain for tools, tests and heartbeats.
+:class:`FrameLink` is the live plane's wire path: an
+``asyncio.BufferedProtocol`` that receives into one buffer shared by
+every link on the loop, parses every complete frame of a segment in place
+in one synchronous pass and hands it to a callback — no reader coroutine,
+queue or task per connection, no allocation per read. The four hot kinds
+reach the callback as *records* (``(kind, epoch, a, b)`` tuples, see
+:mod:`repro.live.codec`) whichever codec the peer used; every other kind
+as its message dict. :func:`frame_packer` is the matching send side: one
+peer's hot frame with its constant parts pre-bound. The generic
+:func:`encode` / :func:`decode_body` and the stream helpers
+(:func:`read_message` / :func:`write_message`) remain for cold kinds,
+tools, tests and heartbeats.
 """
 
 from __future__ import annotations
@@ -37,7 +44,16 @@ import socket
 import struct
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
-from repro.live.codec import BINARY_MAGIC, decode_binary, encode_binary_into
+from repro.live.codec import (
+    BINARY_KINDS,
+    BINARY_MAGIC,
+    binary_packer,
+    decode_at,
+    decode_binary,
+    encode_binary_into,
+    message_of,
+    record_of,
+)
 
 __all__ = [
     "CODEC_PREFERENCE",
@@ -47,6 +63,7 @@ __all__ = [
     "choose_codec",
     "encode",
     "encode_into",
+    "frame_packer",
     "read_message",
     "write_message",
 ]
@@ -155,24 +172,85 @@ def decode_body(body) -> Dict[str, Any]:
             raise ProtocolError(f"undecodable binary frame: {exc}") from exc
     try:
         message = json.loads(str(body, "utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # Bad UTF-8, bad JSON, an integer literal past the interpreter's
+        # digit limit, nesting past its recursion limit.
         raise ProtocolError(f"undecodable frame: {exc}") from exc
-    if not isinstance(message, dict) or "kind" not in message:
+    if not isinstance(message, dict) or not isinstance(message.get("kind"), str):
         raise ProtocolError(f"frame is not a message: {message!r}")
     return message
 
 
-class FrameLink(asyncio.Protocol):
+class _GenericPacker:
+    """``frame_packer``'s fallback: build the message, :func:`encode` it."""
+
+    __slots__ = ("_kind", "_codec", "_stage_id", "_job_id")
+
+    def __init__(self, kind: str, codec: str, stage_id: str, job_id: str) -> None:
+        self._kind = kind
+        self._codec = codec
+        self._stage_id = stage_id
+        self._job_id = job_id
+
+    def __call__(self, epoch, a=None, b=None) -> bytes:
+        return encode(
+            message_of(self._kind, epoch, a, b, self._stage_id, self._job_id),
+            self._codec,
+        )
+
+
+def frame_packer(kind: str, codec: str, stage_id: str = "", job_id: str = ""):
+    """``pack(epoch[, a, b]) -> bytes`` for one peer's hot ``kind`` frames.
+
+    ``pack`` returns exactly what ``encode(message_of(kind, epoch, a, b,
+    stage_id, job_id), codec)`` would. On a ``binary2`` session the
+    frame's constant parts are bound up front (see
+    :func:`repro.live.codec.binary_packer`); any other session, or ids
+    the packed form cannot carry, gets the generic encoder behind the
+    same signature, so callers never branch on the codec.
+    """
+    if kind not in BINARY_KINDS:
+        raise ValueError(f"not a hot frame kind: {kind!r}")
+    packer = binary_packer(kind, stage_id, job_id) if codec == "binary2" else None
+    if packer is None:
+        packer = _GenericPacker(kind, codec, stage_id, job_id)
+    return packer
+
+
+#: Size of the shared receive buffer — what asyncio's selector transport
+#: would otherwise allocate afresh for every ``recv``.
+RECV_BUFFER_SIZE = 256 * 1024
+
+# One receive buffer for every link in the process. A fresh 256 KiB
+# ``bytes`` per read is served by ``mmap``, shrunk and unmapped again —
+# a page fault or two per frame — because the chunk glibc gets back is
+# too small to ever raise its mmap threshold. Sharing is safe because a
+# segment is parsed to its end (its unfinished tail copied into the
+# link's own carry) inside ``buffer_updated``, before the loop can read
+# another socket; like the rest of the live plane it assumes one event
+# loop thread per process.
+_RECV = bytearray(RECV_BUFFER_SIZE)
+
+
+class FrameLink(asyncio.BufferedProtocol):
     """One TCP connection speaking frames through callbacks.
 
-    ``on_frame(message, nbytes)`` runs synchronously inside
-    ``data_received``, once per complete frame (``nbytes`` is the on-wire
-    size, header included — what NIC accounting charges). ``on_lost(exc)``
-    runs once when the socket is gone: EOF, reset, a local
-    :meth:`close`/:meth:`abort`, or a malformed frame — an undecodable
-    body or a length above ``MAX_FRAME`` aborts the connection instead of
-    waiting for 4 GiB that will never come. Both are plain attributes,
-    so a connection can change hands (hello handler, then session).
+    ``on_frame(message, nbytes)`` runs synchronously inside the read
+    callback, once per complete frame (``nbytes`` is the on-wire size,
+    header included — what NIC accounting charges). ``message`` is a
+    record tuple for the four hot kinds — packed or JSON-bodied alike —
+    and the message dict for every other kind. ``on_lost(exc)`` runs once
+    when the socket is gone: EOF, reset, a local :meth:`close` /
+    :meth:`abort`, or a malformed frame — an undecodable body, a packed
+    frame that does not end where its last field ends, or a length above
+    ``MAX_FRAME`` aborts the connection instead of waiting for 4 GiB that
+    will never come. Both are plain attributes, so a connection can
+    change hands (hello handler, then session).
+
+    The transport reads into the shared receive buffer
+    (:meth:`get_buffer` / :meth:`buffer_updated`);
+    :meth:`data_received` parses a caller's bytes the same way and is
+    the entry point for tests and fake transports.
 
     :meth:`write` and :meth:`abort` are the only ways bytes leave or the
     socket dies on purpose: the seams :mod:`repro.live.faults` wraps.
@@ -183,7 +261,7 @@ class FrameLink(asyncio.Protocol):
 
     def __init__(
         self,
-        on_frame: Optional[Callable[[Dict[str, Any], int], None]] = None,
+        on_frame: Optional[Callable[[Any, int], None]] = None,
         on_lost: Optional[Callable[[Optional[Exception]], None]] = None,
     ) -> None:
         self.on_frame = on_frame
@@ -204,29 +282,46 @@ class FrameLink(asyncio.Protocol):
     @classmethod
     def accepting(cls, on_hello: Callable[["FrameLink", Dict[str, Any]], None]):
         """Listener protocol factory: each new link hands its first frame
-        to ``on_hello(link, hello)``, which rebinds ``on_frame`` or closes."""
+        to ``on_hello(link, hello)``, which rebinds ``on_frame`` or closes.
+        A hot-path record is never a hello; it closes the link."""
 
         def factory() -> "FrameLink":
             link = cls()
-            link.on_frame = lambda hello, nbytes: on_hello(link, hello)
+
+            def first_frame(hello, nbytes: int) -> None:
+                if hello.__class__ is tuple:
+                    link.close()
+                else:
+                    on_hello(link, hello)
+
+            link.on_frame = first_frame
             return link
 
         return factory
 
-    # -- asyncio.Protocol ----------------------------------------------------
+    # -- asyncio.BufferedProtocol ----------------------------------------------
     def connection_made(self, transport) -> None:
         self.transport = transport
 
+    def get_buffer(self, sizehint: int) -> bytearray:
+        return _RECV
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self._parse(_RECV, nbytes)
+
     def data_received(self, data) -> None:
+        """Parse ``data`` as if the socket had just delivered it."""
+        self._parse(data, len(data))
+
+    def _parse(self, data, end: int) -> None:
+        """Hand every complete frame in ``data[:end]`` to ``on_frame``."""
         carry = self._carry
         if carry:
-            carry += data
+            carry += memoryview(data)[:end]
             if len(carry) < self._need:
                 return
-            data = bytes(carry)
-            carry.clear()
-        view = memoryview(data)
-        end = len(data)
+            data, end = carry, len(carry)
+            carry = self._carry = bytearray()
         pos = 0
         header = _HEADER.size
         need = header
@@ -237,11 +332,29 @@ class FrameLink(asyncio.Protocol):
                     raise ProtocolError(
                         f"frame length {length} exceeds cap {MAX_FRAME}"
                     )
-                stop = pos + header + length
+                start = pos + header
+                stop = start + length
                 if stop > end:
                     need = header + length
                     break
-                message = decode_body(view[pos + header : stop])
+                if length and data[start] == BINARY_MAGIC:
+                    try:
+                        message = decode_at(data, start, stop)
+                    except ValueError as exc:
+                        raise ProtocolError(
+                            f"undecodable binary frame: {exc}"
+                        ) from exc
+                else:
+                    message = decode_body(data[start:stop])
+                    if message["kind"] in BINARY_KINDS:
+                        # A JSON-bodied hot frame (old peer): the same
+                        # record a packed one would have produced.
+                        try:
+                            message = record_of(message)
+                        except (KeyError, TypeError, ValueError) as exc:
+                            raise ProtocolError(
+                                f"malformed {message['kind']} frame: {exc!r}"
+                            ) from exc
                 pos = stop
                 self.on_frame(message, header + length)
                 if self.closing:
@@ -250,7 +363,7 @@ class FrameLink(asyncio.Protocol):
             self.abort()
             return
         if pos < end:
-            carry += view[pos:]
+            carry += memoryview(data)[pos:end]
             self._need = need
 
     def pause_writing(self) -> None:

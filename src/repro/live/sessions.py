@@ -2,11 +2,18 @@
 
 A :class:`Session` owns one connected peer's
 :class:`~repro.live.protocol.FrameLink`. Inbound frames reach it as
-synchronous callbacks from the link's ``data_received`` — there is no
-reader task and no inbox queue — and are routed on the spot: a frame
-matching the phase the session is *armed* for goes straight to that
-phase's ``on_reply``; an out-of-band kind lands in :attr:`Session.oob`;
-anything else is stale.
+synchronous callbacks from the link's read path — there is no reader
+task and no inbox queue — and are routed on the spot: a frame matching
+the phase the session is *armed* for goes straight to that phase's
+``on_reply``; an out-of-band kind lands in :attr:`Session.oob`; anything
+else is stale. A hot-kind frame arrives as a record tuple ``(kind,
+epoch, a, b)``, any other as its message dict (see
+:class:`~repro.live.protocol.FrameLink`).
+
+Outbound, a phase's one frame per session is written through
+(:meth:`Session.send`: already encoded, straight to the link); the
+outbox (:meth:`Session.feed` / :meth:`Session.flush`) is for bursts of
+several frames, trunk batches and anything that may need shedding.
 
 :func:`gather_replies` is the phase wait: one counting barrier per
 phase instead of one task per session. It arms every session with the
@@ -21,16 +28,17 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.guard.shed import BoundedOutbox
-from repro.live.protocol import FrameLink, encode_into
+from repro.live.protocol import FrameLink, encode_into, frame_packer
 
 __all__ = [
     "PhaseDriver",
     "Session",
     "SessionClosed",
     "StageSession",
+    "collect_request",
     "gather_replies",
     "send_phase",
 ]
@@ -54,10 +62,11 @@ class _ReplyBarrier:
         self.done: asyncio.Future = done
         self.expired = False
 
-    def arrived(self, session: "Session", message: dict) -> None:
+    def arrived(self, session: "Session", message) -> None:
         """``session``'s reply is here: run ``on_reply``, count it off."""
         try:
-            self.on_reply(session, message)
+            if self.on_reply is not None:
+                self.on_reply(session, message)
             session._armed = None
         except SessionClosed:
             pass  # stays armed, i.e. missing
@@ -98,15 +107,16 @@ class Session:
     flush waited out back-pressure) is held and judged when the next
     phase arms: never lost if early, never matching a newer epoch if late.
 
-    ``max_outbox_bytes`` bounds the coalescing buffer: frames fed as
-    *sheddable* (rule/rule_batch — superseded by the next epoch) are
-    dropped oldest-first once the buffer exceeds the bound, so a peer
-    that stops reading cannot grow controller memory without limit.
-    Non-sheddable frames (collect requests, acks) are never dropped.
-    A shed rule simply surfaces as that stage's missing ack, which the
+    ``max_outbox_bytes`` bounds the outbox that :meth:`feed` fills:
+    frames fed as *sheddable* (rule batches — superseded by the next
+    epoch) are dropped oldest-first once the buffer exceeds the bound, so
+    a peer that stops reading cannot grow controller memory without
+    limit. Non-sheddable frames (collect requests, acks) are never
+    dropped. A shed batch simply surfaces as a missing ack, which the
     degraded-cycle machinery already handles — but only when the enforce
     phase has a deadline (``enforce_timeout_s``), so bounded outboxes
-    should be enabled together with phase deadlines.
+    should be enabled together with phase deadlines. Frames written
+    through with :meth:`send` never enter the outbox.
     """
 
     def __init__(
@@ -131,7 +141,7 @@ class Session:
         #: Frame kinds routed to :attr:`oob` instead of a phase.
         self.oob_kinds: frozenset = frozenset()
         #: Out-of-band frames, in arrival order (owner drains).
-        self.oob: List[dict] = []
+        self.oob: list = []
         #: Frames dropped because they were for a finished epoch or an
         #: unexpected kind (late replies after a deadline, duplicates).
         self.stale_messages = 0
@@ -140,25 +150,24 @@ class Session:
         self.rx_bytes = 0
         self._armed: Optional[_ReplyBarrier] = None
         # Frames that arrived while no phase was armed (see class doc).
-        self._early: List[dict] = []
+        self._early: list = []
         link.on_frame = self._on_frame
         link.on_lost = self._mark_dead
 
     # -- inbound -------------------------------------------------------------
-    def _on_frame(self, message: dict, nbytes: int) -> None:
+    def _on_frame(self, message, nbytes: int) -> None:
         self.rx_bytes += nbytes
         if self.meter is not None:
             self.meter.add_rx(nbytes)
         self._route(message)
 
-    def _route(self, message: dict) -> None:
+    def _route(self, message) -> None:
         barrier = self._armed
-        kind = message.get("kind")
-        if (
-            barrier is not None
-            and kind == barrier.kind
-            and message.get("epoch") == barrier.epoch
-        ):
+        if message.__class__ is tuple:  # hot-kind record
+            kind, epoch = message[0], message[1]
+        else:
+            kind, epoch = message["kind"], message.get("epoch")
+        if barrier is not None and kind == barrier.kind and epoch == barrier.epoch:
             barrier.arrived(self, message)
         elif kind in self.oob_kinds:
             self.oob.append(message)
@@ -187,13 +196,15 @@ class Session:
     def feed(self, message: dict, sheddable: bool = False) -> int:
         """Buffer one frame for the socket without writing; returns its size.
 
-        The write side of frame coalescing: a phase feeds every frame for
-        this peer into an in-memory buffer, then :meth:`flush` hands the
-        whole burst to the socket in a *single* write (asyncio issues an
-        eager ``send`` syscall per write call, so per-frame writes defeat
-        batching). Raises :class:`SessionClosed` on a dead socket; write
-        errors surface at flush time. ``sheddable`` marks the frame
-        droppable under outbox pressure (rule frames only — see the class
+        The write side of frame coalescing, for a peer that gets several
+        frames at once (or one that may need shedding): they gather in
+        an in-memory buffer, then :meth:`flush` hands the whole burst to
+        the socket in a *single* write (asyncio issues an eager ``send``
+        syscall per write call, so per-frame writes defeat batching). A
+        lone, already-encoded frame goes through :meth:`send` instead.
+        Raises :class:`SessionClosed` on a dead socket; write errors
+        surface at flush time. ``sheddable`` marks the frame droppable
+        under outbox pressure (rule batches only — see the class
         docstring).
 
         Encodes straight into the outbox buffer (``encode_into`` via
@@ -222,6 +233,33 @@ class Session:
         self.pending_frames = self.outbox.pending_frames
         return len(frame)
 
+    def send(self, frame: bytes) -> None:
+        """Write one already-encoded frame through to the link, now.
+
+        The per-phase path: no outbox hop, no copy, no coroutine.
+        Anything fed earlier goes out first, so per-socket order is feed
+        order. The frame's bytes are charged to :attr:`tx_bytes` and the
+        NIC meter only once the link accepted them; a link that refuses
+        marks the session dead and raises :class:`SessionClosed`. Never
+        waits: a caller writing to many peers checks ``link.paused``
+        (as :func:`send_phase` does) before writing more.
+        """
+        if self.pending_frames:
+            self._write_burst()
+        self._write(frame)
+
+    def _write(self, data: bytes) -> None:
+        try:
+            # Looked up per call: repro.live.faults replaces the attribute.
+            self.link.write(data)
+        except (ConnectionError, OSError) as exc:
+            self._mark_dead()
+            raise SessionClosed(f"{self.peer_id}: {exc}") from exc
+        nbytes = len(data)
+        self.tx_bytes += nbytes
+        if self.meter is not None:
+            self.meter.add_tx(nbytes)
+
     def _write_burst(self) -> None:
         """Hand everything fed so far to the link in one write.
 
@@ -237,16 +275,8 @@ class Session:
                 self._mark_dead()
                 raise SessionClosed(f"{self.peer_id}: connection lost")
             return
-        try:
-            self.link.write(burst)
-        except (ConnectionError, OSError) as exc:
-            self._mark_dead()
-            raise SessionClosed(f"{self.peer_id}: {exc}") from exc
-        nbytes = len(burst)
+        self._write(burst)
         self.pending_frames = 0
-        self.tx_bytes += nbytes
-        if self.meter is not None:
-            self.meter.add_tx(nbytes)
 
     async def flush(self) -> None:
         """Write the frames buffered by :meth:`feed` as one burst.
@@ -289,9 +319,20 @@ class Session:
 class StageSession(Session):
     """Server-side state for one connected stage (controller or aggregator)."""
 
-    def __init__(self, stage_id: str, job_id: str, link, meter=None) -> None:
+    def __init__(
+        self, stage_id: str, job_id: str, link, meter=None, codec: str = "json"
+    ) -> None:
         super().__init__(stage_id, link, meter=meter)
         self.job_id = job_id
+        self.codec = codec
+        #: ``pack_rule(epoch, limit, metadata_limit | None)`` -> this
+        #: stage's ``rule`` frame in the session codec.
+        self.pack_rule = frame_packer("rule", codec, stage_id)
+        #: ``(epoch, limit, metadata limit | None)`` of the newest rule
+        #: handed to :meth:`send_rule` — what changed-only enforcement
+        #: diffs against. A re-registering stage gets a fresh session, so
+        #: a restarted process is always shipped a rule.
+        self.rule: Optional[tuple] = None
         # Last-known demand is tracked per axis: collapsing data +
         # metadata into one scalar loses the split a dead socket's
         # fallback (and the metadata allocator) needs.
@@ -310,37 +351,51 @@ class StageSession(Session):
     def stage_id(self) -> str:
         return self.peer_id
 
+    def send_rule(self) -> None:
+        """Write :attr:`rule` through as this stage's ``rule`` frame."""
+        self.send(self.pack_rule(*self.rule))
+
+
+def collect_request(epoch: int) -> Callable[[Session], None]:
+    """``feed`` for a collect phase: ``collect_req`` at ``epoch`` to all.
+
+    The frame names nobody, so it is encoded once per codec in use and
+    the same ``bytes`` written through to every session.
+    """
+    frames: Dict[str, bytes] = {}
+
+    def feed(session: Session) -> None:
+        frame = frames.get(session.codec)
+        if frame is None:
+            frame = frames[session.codec] = frame_packer(
+                "collect_req", session.codec
+            )(epoch)
+        session.send(frame)
+
+    return feed
+
 
 async def send_phase(
-    sessions: Iterable[Session],
-    feed: Callable[[Session], object],
-    coalesce: bool = True,
+    sessions: Iterable[Session], feed: Callable[[Session], object]
 ) -> Tuple[List[Session], List[Session]]:
     """Send one phase's frames; returns ``(sent, dead)``.
 
-    ``feed(session)`` buffers that session's frames (plus bookkeeping
-    that must only happen once they were accepted). With ``coalesce``
-    every session is fed first and then gets one write; without, each is
-    flushed as it is fed — the seed's frame-per-write behaviour.
+    ``feed(session)`` writes that session's frame through
+    (:meth:`Session.send`) or buffers a burst (:meth:`Session.feed`),
+    plus any bookkeeping that must only happen once the frames were
+    accepted. A session is flushed — and back-pressure waited out —
+    only if ``feed`` left something queued or the link is paused.
     """
     sent: List[Session] = []
     dead: List[Session] = []
     for session in sessions:
         try:
             feed(session)
-            if not coalesce:
+            if session.pending_frames or session.link.paused:
                 await session.flush()
             sent.append(session)
         except SessionClosed:
             dead.append(session)
-    if coalesce:
-        fed, sent = sent, []
-        for session in fed:
-            try:
-                await session.flush()
-                sent.append(session)
-            except SessionClosed:
-                dead.append(session)
     return sent, dead
 
 
@@ -348,15 +403,16 @@ async def gather_replies(
     sessions: Sequence[Session],
     kind: str,
     epoch: int,
-    on_reply: Callable[[Session, dict], None],
+    on_reply: Optional[Callable[[Session, object], None]],
     timeout_s: Optional[float],
 ) -> Tuple[List[Session], bool]:
     """Wait for one ``kind`` frame at ``epoch`` from every session.
 
     ``on_reply(session, message)`` runs synchronously as each reply is
-    parsed off the wire. Returns ``(missing, timed_out)``: the sessions
-    that produced no reply — their socket died, or the deadline fired
-    before they answered — and whether the deadline fired at all. With
+    parsed off the wire (``None``: the arrival alone counts). Returns
+    ``(missing, timed_out)``: the sessions that produced no reply — their
+    socket died, or the deadline fired before they answered — and
+    whether the deadline fired at all. With
     ``timeout_s=None`` a dead socket still counts its session off, so a
     killed peer cannot hang the phase; only a silent-but-connected peer
     blocks, as in the seed. An ``on_reply`` that raises
@@ -391,7 +447,7 @@ class PhaseDriver:
     """What every owner of sessions does per phase: send, wait, evict.
 
     Mixin for the controllers and the aggregator; expects ``sessions``
-    (id -> session), ``meter``, ``coalesce`` and ``_evict(session)``.
+    (id -> session), ``meter`` and ``_evict(session)``.
     """
 
     def _cpu(self):
@@ -408,13 +464,13 @@ class PhaseDriver:
         self.sessions.clear()
 
     async def _phase(self, sessions, feed, kind, epoch, on_reply, timeout_s):
-        """One request/reply phase: ``feed(session)`` buffers the request,
+        """One request/reply phase: ``feed(session)`` sends the request,
         ``on_reply`` consumes the ``kind`` frame at ``epoch``. Returns
         ``(absent, timed_out)`` — every session without a reply (refused
         the request, died, or missed the deadline); dead ones are evicted.
         """
         with self._cpu():
-            sent, refused = await send_phase(sessions, feed, self.coalesce)
+            sent, refused = await send_phase(sessions, feed)
         for session in refused:
             self._evict(session)
         missing, timed_out = await gather_replies(

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.dataplane.token_bucket import TokenBucket
 from repro.guard.backoff import full_jitter
 from repro.guard.breaker import CircuitBreaker
-from repro.live.protocol import FrameLink, encode
+from repro.live.protocol import FrameLink, encode, frame_packer
 
 __all__ = ["LiveVirtualStage"]
 
@@ -129,10 +129,12 @@ class LiveVirtualStage:
         self.backoff_jitter = backoff_jitter
         # Private RNG so two stages with the same *policy* (seed) still
         # draw distinct retry instants — the salt is the stage id.
-        self._rng: random.Random = (
+        # Unseeded stages share the process-global RNG: a Mersenne state
+        # per stage is 2.5 KB nobody asked for.
+        self._rng: Optional[random.Random] = (
             random.Random(f"{backoff_seed}:{stage_id}")
             if backoff_seed is not None
-            else random.Random()
+            else None
         )
         if breaker_failures is not None and breaker_failures < 1:
             raise ValueError(f"breaker_failures must be >= 1: {breaker_failures}")
@@ -179,7 +181,7 @@ class LiveVirtualStage:
         self._stop = asyncio.Event()
         self._paused = False
         #: Frames that arrived while paused, served on :meth:`resume`.
-        self._backlog: List[dict] = []
+        self._backlog: list = []
         #: The current connection; its ``write``/``abort`` are the seams
         #: :mod:`repro.live.faults` wraps.
         self._link: Optional[FrameLink] = None
@@ -193,6 +195,11 @@ class LiveVirtualStage:
         self.offered_codecs: Tuple[str, ...] = tuple(codecs)
         #: Codec in force for the current session (reset per registration).
         self.codec = "json"
+        # This stage's two reply frames in that codec, ids pre-bound
+        # (``(epoch, data_iops, metadata_iops)`` / ``(epoch)`` -> bytes);
+        # built when the ``registered`` ack names the codec.
+        self._pack_metrics = None
+        self._pack_ack = None
 
     @property
     def host(self) -> str:
@@ -393,7 +400,7 @@ class LiveVirtualStage:
         self._registered_addr = current
         self.rehomes_received += 1
 
-    def _on_frame(self, message: dict, nbytes: int) -> None:
+    def _on_frame(self, message, nbytes: int) -> None:
         if self._watchdog is not None:
             self._heard_at = time.monotonic()
         if not self._registered:
@@ -403,14 +410,18 @@ class LiveVirtualStage:
         else:
             self._serve_frame(message)
 
-    def _on_ack(self, ack: dict) -> None:
+    def _on_ack(self, ack) -> None:
         """First frame of a session: the registration verdict."""
-        if ack["kind"] != "registered":
+        if ack.__class__ is tuple or ack["kind"] != "registered":
             self.registrations_rejected += 1
             self._end_session()
             return
         granted = ack.get("codec", "json")
-        self.codec = granted if granted in self.offered_codecs else "json"
+        self.codec = codec = granted if granted in self.offered_codecs else "json"
+        self._pack_metrics = frame_packer(
+            "metrics_reply", codec, self.stage_id, self.job_id
+        )
+        self._pack_ack = frame_packer("rule_ack", codec, self.stage_id)
         self.connects += 1
         if self.connects > 1:
             self.reconnects += 1
@@ -422,46 +433,36 @@ class LiveVirtualStage:
         self._accept_rehome(ack)
         self._registered = True
 
-    def _reply(self, message: dict) -> None:
+    def _reply(self, frame: bytes) -> None:
         link = self._link
         if link is None:
             return
         try:
-            link.write(encode(message, self.codec))
+            link.write(frame)
         except (ConnectionError, OSError):
             self._end_session()  # connection lost after a healthy registration
 
-    def _serve_frame(self, message: dict) -> None:
+    def _serve_frame(self, message) -> None:
+        if message.__class__ is tuple:  # hot-kind record
+            kind, epoch, limit, metadata_limit = message
+            if kind == "collect_req":
+                self.requests_served += 1
+                data_iops, metadata_iops = self.demand
+                self._reply(self._pack_metrics(epoch, data_iops, metadata_iops))
+            elif kind == "rule":
+                if epoch > self.applied_epoch:
+                    self.applied_epoch = epoch
+                    self.applied_limit = limit
+                    self.applied_metadata_limit = metadata_limit
+                    self.data_bucket.set_rate(limit)
+                    self.metadata_bucket.set_rate(metadata_limit)
+                    self.rules_applied += 1
+                else:
+                    self.rules_ignored_stale += 1
+                self._reply(self._pack_ack(epoch))
+            return  # a reply kind aimed at a stage: ignored
         kind = message["kind"]
-        if kind == "collect_req":
-            self.requests_served += 1
-            self._reply(
-                {
-                    "kind": "metrics_reply",
-                    "epoch": message["epoch"],
-                    "stage_id": self.stage_id,
-                    "job_id": self.job_id,
-                    "data_iops": self.demand[0],
-                    "metadata_iops": self.demand[1],
-                }
-            )
-        elif kind == "rule":
-            epoch = message["epoch"]
-            if epoch > self.applied_epoch:
-                self.applied_epoch = epoch
-                self.applied_limit = message["data_iops_limit"]
-                self.applied_metadata_limit = float(
-                    message.get("metadata_iops_limit", float("inf"))
-                )
-                self.data_bucket.set_rate(float(self.applied_limit))
-                self.metadata_bucket.set_rate(self.applied_metadata_limit)
-                self.rules_applied += 1
-            else:
-                self.rules_ignored_stale += 1
-            self._reply(
-                {"kind": "rule_ack", "epoch": epoch, "stage_id": self.stage_id}
-            )
-        elif kind == "rehome":
+        if kind == "rehome":
             self._accept_rehome(message)
         elif kind == "shutdown":
             self.stop()

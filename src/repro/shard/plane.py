@@ -87,7 +87,6 @@ class ShardedControlPlane:
         n_workers: int,
         policy: Optional[QoSPolicy] = None,
         codecs: Tuple[str, ...] = ("binary2", "binary", "json"),
-        coalesce: bool = True,
         collect_timeout_s: Optional[float] = None,
         enforce_timeout_s: Optional[float] = None,
         dead_after_missed: Optional[int] = None,
@@ -104,7 +103,6 @@ class ShardedControlPlane:
         self.n_workers = n_workers
         self.policy = policy or default_policy(n_stages)
         self.codecs = tuple(codecs)
-        self.coalesce = coalesce
         self.collect_timeout_s = collect_timeout_s
         self.enforce_timeout_s = enforce_timeout_s
         self.dead_after_missed = dead_after_missed
@@ -131,7 +129,6 @@ class ShardedControlPlane:
             stage_ids=owned,
             job_ids=tuple(s.replace("stage", "job") for s in owned),
             codecs=self.codecs,
-            coalesce=self.coalesce,
             collect_timeout_s=self.collect_timeout_s,
             enforce_timeout_s=self.enforce_timeout_s,
         )
@@ -293,7 +290,6 @@ def run_live_sharded(
     n_cycles: int = 10,
     policy: Optional[QoSPolicy] = None,
     codec: str = "binary",
-    coalesce: bool = True,
     collect_timeout_s: Optional[float] = None,
     enforce_timeout_s: Optional[float] = None,
 ) -> ShardRunResult:
@@ -312,7 +308,6 @@ def run_live_sharded(
             n_cycles,
             policy=policy,
             codecs=codecs,
-            coalesce=coalesce,
             collect_timeout_s=collect_timeout_s,
             enforce_timeout_s=enforce_timeout_s,
         )

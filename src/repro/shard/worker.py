@@ -56,7 +56,6 @@ class ShardWorkerConfig:
     stage_ids: Tuple[str, ...]
     job_ids: Tuple[str, ...]
     codecs: Tuple[str, ...] = ("binary2", "binary", "json")
-    coalesce: bool = True
     collect_timeout_s: Optional[float] = None
     enforce_timeout_s: Optional[float] = None
     demand: Tuple[float, float] = (1000.0, 200.0)
@@ -90,7 +89,6 @@ async def _worker_main(config: ShardWorkerConfig, conn) -> None:
         expected_stages=len(config.stage_ids),
         collect_timeout_s=config.collect_timeout_s,
         enforce_timeout_s=config.enforce_timeout_s,
-        coalesce=config.coalesce,
         codecs=config.codecs,
         usage_meter=meter,
     )

@@ -36,9 +36,9 @@ def _spy_on_waits(stage: LiveVirtualStage, samples: dict) -> None:
     """
     serve = stage._serve_frame
 
-    def spying(message):
-        samples.setdefault(message["kind"], []).append(len(asyncio.all_tasks()))
-        serve(message)
+    def spying(record):
+        samples.setdefault(record[0], []).append(len(asyncio.all_tasks()))
+        serve(record)
 
     stage._serve_frame = spying
 

@@ -1,7 +1,9 @@
 """Callback frame pump, flush accounting and the counting phase barrier.
 
 The wire path has no reader task: a ``FrameLink`` parses frames inside
-``data_received`` and a ``Session`` routes each one synchronously. These
+its read callback and a ``Session`` routes each one synchronously — the
+four hot kinds as ``(kind, epoch, a, b)`` records, anything else as its
+message dict. These
 tests drive that path with a fake transport (no sockets), and keep the
 regression coverage for two hazards that matter once shard leaders relay
 frames: tx bytes charged for writes that never reached the socket
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.live.codec import BINARY_KINDS, record_of
 from repro.live.protocol import (
     MAX_FRAME,
     FrameLink,
@@ -70,6 +73,13 @@ def _deliver(session, message, codec="binary"):
     session.link.data_received(encode(message, codec))
 
 
+def _delivered(frame):
+    """What a link hands ``on_frame`` for ``frame``: a hot kind's record,
+    any other kind's message dict."""
+    message = decode_body(frame[4:])
+    return record_of(message) if message["kind"] in BINARY_KINDS else message
+
+
 _MESSAGES = st.lists(
     st.one_of(
         st.builds(
@@ -97,13 +107,13 @@ class TestFramePump:
             link.data_received(frame[i : i + 1])
             assert got == []
         link.data_received(frame[-1:])
-        assert got == [(_reply(7), len(frame))]
+        assert got == [(("rule_ack", 7, None, None), len(frame))]
 
     def test_five_frames_in_one_segment(self):
         got = []
         link = _link(lambda m, n: got.append(m))
         link.data_received(b"".join(encode(_reply(e), "binary") for e in range(5)))
-        assert [m["epoch"] for m in got] == [0, 1, 2, 3, 4]
+        assert got == [("rule_ack", e, None, None) for e in range(5)]
 
     def test_segment_ending_mid_header_then_mid_body(self):
         got = []
@@ -111,12 +121,13 @@ class TestFramePump:
         stream = encode(_reply(1), "json") + encode(_reply(2), "json")
         cut_a = len(encode(_reply(1), "json")) + 2  # two header bytes of #2
         cut_b = cut_a + 9  # header complete, body partial
+        # JSON-bodied hot frames land as the same records packed ones do.
         link.data_received(stream[:cut_a])
-        assert [m["epoch"] for m in got] == [1]
+        assert [m[1] for m in got] == [1]
         link.data_received(stream[cut_a:cut_b])
-        assert [m["epoch"] for m in got] == [1]
+        assert [m[1] for m in got] == [1]
         link.data_received(stream[cut_b:])
-        assert [m["epoch"] for m in got] == [1, 2]
+        assert got == [("rule_ack", 1, None, None), ("rule_ack", 2, None, None)]
 
     def test_oversize_length_header_kills_the_session_not_the_phase(self):
         async def scenario():
@@ -149,7 +160,7 @@ class TestFramePump:
 
         link.on_frame = on_frame
         link.data_received(encode(_reply(1)) + encode(_reply(2)))
-        assert [m["epoch"] for m in got] == [1]
+        assert [m[1] for m in got] == [1]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -159,10 +170,10 @@ class TestFramePump:
     )
     def test_any_chunking_yields_the_same_messages(self, messages, codec, cuts):
         """Chunk boundaries are invisible: the pump yields exactly what
-        ``decode_body`` yields frame by frame, in order."""
+        decoding frame by frame yields, in order."""
         frames = [encode(m, codec) for m in messages]
         stream = b"".join(frames)
-        expected = [(decode_body(f[4:]), len(f)) for f in frames]
+        expected = [(_delivered(f), len(f)) for f in frames]
         got = []
         link = _link(lambda m, n: got.append((m, n)))
         edges = sorted({min(c, len(stream)) for c in cuts} | {0, len(stream)})
@@ -350,7 +361,7 @@ class TestGatherPhaseErrors:
         async def scenario():
             session = _session()
             answered = []
-            on_reply = lambda s, m: answered.append(m["epoch"])  # noqa: E731
+            on_reply = lambda s, m: answered.append(m[1])  # noqa: E731
             first = await gather_replies([session], "rule_ack", 1, on_reply, 0.02)
             # Epoch 1's reply lands after its deadline...
             _deliver(session, _reply(1))
@@ -430,7 +441,7 @@ class TestGatherPhaseErrors:
             result = await asyncio.wait_for(
                 gather_replies(
                     [session], "rule_ack", 1,
-                    lambda s, m: answered.append(m["epoch"]), None,
+                    lambda s, m: answered.append(m[1]), None,
                 ),
                 timeout=1.0,
             )
