@@ -1,13 +1,10 @@
-"""Columnar per-partition controller state.
+"""Columnar per-stage controller state — the one layout under every controller.
 
-The scalar control plane keeps per-stage state as dicts of Python floats
-(`MetricsWindow._ewma`, `latest_metrics`, `latest_demand_of`), so every
-compute phase pays a per-stage Python loop just to *gather* demand into
-the vectorized allocation brains. At 10k+ stages that gather — not the
-brain — dominates the compute phase (ROADMAP item 5's "remaining 10x").
-
-:class:`StageColumns` replaces those dicts with one ``float64`` ndarray
-per metric column plus a stage-id ↔ row-index registry:
+The sim :class:`~repro.core.controller.GlobalController` and both live
+controllers keep what they believe about each stage in a
+:class:`StageColumns`: one ``float64`` ndarray per metric plus a
+stage-id ↔ row registry. Replies are written once, into rows; every
+compute phase gathers with a fancy index over rows.
 
 ====================  =====================================================
 column                meaning
@@ -15,42 +12,52 @@ column                meaning
 ``data``              latest raw data-IOPS demand reported by the row
 ``meta``              latest raw metadata-IOPS demand
 ``ewma``              smoothed *total* demand (``MetricsWindow`` semantics)
-``usage``             last granted/used IOPS (written by enforce)
+``usage``             last granted IOPS (written by enforce)
+``trust``             asymmetric EWMA of granted-and-used IOPS, scored by
+                      :class:`repro.guard.trust.DemandClamp` (NaN = none yet)
 ``weight``            cached QoS weight of the row's job
 ``cap``               per-row metadata cap (``inf`` = uncapped)
 ====================  =====================================================
 
-Row-index stability rules (load-bearing — allocation determinism depends
-on them):
+A row is *live*, *reserved* or *dead*:
 
-* Rows are append-only: ``register`` always appends at the tail, so the
-  active-row order equals registration order — exactly the order of
-  ``StageRegistry.stage_ids`` and of a live controller's session dict.
-* ``evict`` tombstones the row (clears it from the id registry, flips
-  ``active`` off) but never moves other rows; values stay readable for
-  the rest of the cycle, matching the scalar path where an evicted
-  session object keeps its last attributes.
-* A re-registered id gets a **new** row at the tail (its old tombstone
-  stays dead), matching a fresh ``MetricsWindow`` entry after ``forget``.
-* ``maybe_compact`` reclaims tombstones while preserving the relative
-  order of live rows. It must only run at a safe point (start of a
-  control cycle, before any row snapshot is taken) because it renumbers
-  rows; ``generation`` changes so cached row maps invalidate.
+* ``register`` appends a live row at the tail, so live-row order equals
+  registration order — the order of ``StageRegistry.stage_ids`` and of a
+  live controller's session dict.
+* ``reserve`` takes a live row out of the live set but keeps it in the
+  gather (:meth:`gather_rows`: live rows, then reserved rows in
+  departure order) and keeps its id resolvable: a flat stage evicted
+  with a grace period and a hierarchical orphan are both a stage that is
+  gone from the tree yet still enforcing its last rule, so its share
+  stays allocated. Registering a reserved id again releases the
+  reservation: the stage gets a fresh tail row that carries the old
+  row's state over.
+* ``evict`` (and :meth:`release_expired`, for reservations whose epoch
+  has passed) tombstones the row: it leaves the registry at once, never
+  moves another row, and its values stay readable for the rest of the
+  cycle. A re-registered id gets a **new** fresh row at the tail.
+* ``maybe_compact`` reclaims tombstones while preserving row order. It
+  renumbers rows, so it only runs at a safe point (start of a control
+  cycle, before any row snapshot is taken); ``generation`` changes so
+  cached row maps invalidate.
 
-The EWMA fold uses the identical IEEE expression as
+**Job order** is first registration among jobs that still have a live
+row (a job whose last row leaves and later returns goes to the tail).
+It breaks water-fill ties, so it is decided here and nowhere else:
+:meth:`job_view` is what every job-level compute path reads.
+
+Reports are validated where they enter the columns (:meth:`observe`,
+:meth:`observe_rows`): a negative or non-finite axis is rejected and
+counted in :attr:`StageColumns.reports_rejected`, and the row keeps its
+last-known demand. The EWMA fold is the IEEE expression of
 :meth:`MetricsWindow.update` (``alpha*d + (1-alpha)*prev``, elementwise),
-so columnar and scalar controllers produce bit-identical demand vectors
-— which is what keeps golden traces unchanged under either path.
-
-The class is duck-compatible with :class:`MetricsWindow` (``update`` /
-``demand`` / ``demands`` / ``forget`` / ``snapshot`` / ``adopt`` /
-``__len__``), so failover snapshot transfer and the offload enforce path
-work unchanged when a controller swaps its window for columns.
+so the retained scalar reference in :mod:`repro.core.compute` and the
+columns produce bit-identical demand vectors.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,7 +66,13 @@ __all__ = ["StageColumns"]
 _MIN_CAPACITY = 64
 
 #: Serialized column names, in wire order (see :meth:`StageColumns.to_arrays`).
-_ARRAY_COLUMNS = ("data", "meta", "ewma", "usage", "weight", "cap")
+_ARRAY_COLUMNS = ("data", "meta", "ewma", "usage", "trust", "weight", "cap")
+
+#: What a fresh row holds in each column (0.0 where not listed).
+_FRESH = {"trust": np.nan, "weight": 1.0, "cap": np.inf}
+
+_DEAD, _LIVE, _RESERVED = 0, 1, 2
+_INF = float("inf")
 
 
 class StageColumns:
@@ -69,26 +82,25 @@ class StageColumns:
         "alpha",
         "_decay",
         "generation",
+        "reports_rejected",
         "_n",
         "data",
         "meta",
         "ewma",
         "usage",
+        "trust",
         "weight",
         "cap",
-        "_active",
+        "_state",
         "_seen",
         "_ids",
         "_jobs",
         "_row_of",
-        "_n_active",
-        "_extra",
-        "_rows_cache",
-        "_ids_cache",
-        "_gather_cache",
-        "_map_cache",
-        "_job_view_cache",
-        "_weights_cache",
+        "_n_live",
+        "_job_live",
+        "reserved",
+        "_views",
+        "_gathers",
     )
 
     def __init__(self, alpha: float = 1.0) -> None:
@@ -97,45 +109,44 @@ class StageColumns:
         self.alpha = float(alpha)
         self._decay = 1.0 - self.alpha
         #: Bumped whenever row numbering or membership changes; external
-        #: caches (job maps, session row handles) key on it.
+        #: caches key on it.
         self.generation = 0
-        self._n = 0  # rows in use, tombstones included
+        #: Reports refused at the door (negative or non-finite axis,
+        #: malformed batch); each left its row at last-known demand.
+        self.reports_rejected = 0
+        # Rows in use, tombstones included. Every row past it holds
+        # ``_FRESH`` values (``_grow`` and compaction see to that), so
+        # registering a stage writes no column but ``_state``.
+        self._n = 0
         cap = _MIN_CAPACITY
-        self.data = np.zeros(cap)
-        self.meta = np.zeros(cap)
-        self.ewma = np.zeros(cap)
-        self.usage = np.zeros(cap)
-        self.weight = np.ones(cap)
-        self.cap = np.full(cap, np.inf)
-        self._active = np.zeros(cap, dtype=bool)
+        for name in _ARRAY_COLUMNS:
+            setattr(self, name, np.full(cap, _FRESH.get(name, 0.0)))
+        self._state = np.zeros(cap, dtype=np.int8)
         self._seen = np.zeros(cap, dtype=bool)
         self._ids: List[Optional[str]] = [None] * cap
         self._jobs: List[Optional[str]] = [None] * cap
+        #: Live and reserved ids -> row.
         self._row_of: Dict[str, int] = {}
-        self._n_active = 0
-        # MetricsWindow-compat overflow for ids never registered as rows
-        # (hot-standby adoption of stages this partition doesn't own).
-        self._extra: Dict[str, float] = {}
-        self._rows_cache: Optional[np.ndarray] = None
-        self._ids_cache: Optional[Tuple[str, ...]] = None
-        self._gather_cache: Dict[str, np.ndarray] = {}
-        # ids-tuple -> row-index array, for vectorized scatter/gather of
-        # repeated update batches (one entry per distinct batch shape).
-        self._map_cache: Dict[Tuple[str, int], Tuple[Tuple[str, ...], np.ndarray]] = {}
-        self._job_view_cache: Optional[Tuple[int, Tuple[List[str], np.ndarray]]] = None
-        self._weights_cache: Optional[Tuple[Tuple[int, int, int], np.ndarray]] = None
+        self._n_live = 0
+        #: job -> live-row count, in job order (see module docstring).
+        self._job_live: Dict[Optional[str], int] = {}
+        #: Reserved ids -> last epoch the reservation holds for (None:
+        #: until the id registers again), in departure order. Read-only
+        #: outside this class.
+        self.reserved: Dict[str, Optional[int]] = {}
+        # Derived views, dropped on any membership change ...
+        self._views: Dict[object, object] = {}
+        # ... and value gathers, dropped on any observation as well.
+        self._gathers: Dict[str, np.ndarray] = {}
 
     # -- registry ---------------------------------------------------------------
-    def __len__(self) -> int:
-        return self._n_active + len(self._extra)
-
     @property
     def n_active(self) -> int:
-        return self._n_active
+        return self._n_live
 
     @property
     def n_tombstones(self) -> int:
-        return self._n - self._n_active
+        return self._n - len(self._row_of)
 
     def __contains__(self, stage_id: str) -> bool:
         return stage_id in self._row_of
@@ -143,66 +154,71 @@ class StageColumns:
     def _grow(self, need: int) -> None:
         cap = len(self._ids)
         new_cap = max(cap * 2, need, _MIN_CAPACITY)
-        for name in _ARRAY_COLUMNS + ("_active", "_seen"):
+        for name in _ARRAY_COLUMNS + ("_state", "_seen"):
             old = getattr(self, name)
             fresh = np.empty(new_cap, dtype=old.dtype)
             fresh[:cap] = old
-            if name == "cap":
-                fresh[cap:] = np.inf
-            elif name == "weight":
-                fresh[cap:] = 1.0
-            else:
-                fresh[cap:] = 0
+            fresh[cap:] = _FRESH.get(name, 0)
             setattr(self, name, fresh)
         self._ids.extend([None] * (new_cap - cap))
         self._jobs.extend([None] * (new_cap - cap))
 
     def _touch_membership(self) -> None:
         self.generation += 1
-        self._rows_cache = None
-        self._ids_cache = None
-        self._gather_cache.clear()
-        self._map_cache.clear()
-        self._job_view_cache = None
-        self._weights_cache = None
+        self._views.clear()
+        self._gathers.clear()
 
-    def register(
-        self,
-        stage_id: str,
-        job_id: Optional[str] = None,
-        weight: float = 1.0,
-        cap: float = np.inf,
-    ) -> int:
-        """Append a row for ``stage_id``; returns its row index."""
-        if stage_id in self._row_of:
+    def register(self, stage_id: str, job_id: Optional[str] = None) -> int:
+        """Append a live row for ``stage_id``; returns its row index.
+
+        A reserved id is released into the new row: demand, smoothing
+        and trust carry over, the old row is tombstoned.
+        """
+        prior = self._row_of.get(stage_id)
+        if prior is not None and stage_id not in self.reserved:
             raise ValueError(f"stage already registered: {stage_id}")
         row = self._n
         if row >= len(self._ids):
             self._grow(row + 1)
         self._n = row + 1
-        self.data[row] = 0.0
-        self.meta[row] = 0.0
-        self.ewma[row] = 0.0
-        self.usage[row] = 0.0
-        self.weight[row] = weight
-        self.cap[row] = cap
-        self._active[row] = True
-        self._seen[row] = False
+        if prior is not None:  # else: rows past ``_n`` are kept fresh
+            for name in _ARRAY_COLUMNS + ("_seen",):
+                column = getattr(self, name)
+                column[row] = column[prior]
+            del self.reserved[stage_id]
+            self._state[prior] = _DEAD
+        self._state[row] = _LIVE
         self._ids[row] = stage_id
         self._jobs[row] = job_id
         self._row_of[stage_id] = row
-        self._n_active += 1
-        # A re-registered id starts fresh, like MetricsWindow after forget.
-        self._extra.pop(stage_id, None)
+        self._n_live += 1
+        self._job_live[job_id] = self._job_live.get(job_id, 0) + 1
         self._touch_membership()
         return row
 
-    def ensure(self, stage_id: str, job_id: Optional[str] = None) -> int:
-        """Row index for ``stage_id``, registering it if unknown."""
-        row = self._row_of.get(stage_id)
-        if row is None:
-            return self.register(stage_id, job_id)
-        return row
+    def register_many(
+        self, stage_ids: Sequence[str], job_ids: Sequence[Optional[str]]
+    ) -> None:
+        """Append fresh live rows for a batch of unknown ids, in order."""
+        n = len(stage_ids)
+        if len(job_ids) != n:
+            raise ValueError("stage_ids and job_ids lengths differ")
+        first = self._n
+        fresh = dict(zip(stage_ids, range(first, first + n)))
+        if len(fresh) != n or not self._row_of.keys().isdisjoint(fresh):
+            raise ValueError("stage already registered in batch")
+        self._row_of.update(fresh)
+        if first + n > len(self._ids):
+            self._grow(first + n)
+        self._n = first + n
+        self._state[first : first + n] = _LIVE
+        self._ids[first : first + n] = stage_ids
+        self._jobs[first : first + n] = job_ids
+        self._n_live += n
+        job_live = self._job_live
+        for job_id in job_ids:
+            job_live[job_id] = job_live.get(job_id, 0) + 1
+        self._touch_membership()
 
     def row_of(self, stage_id: str) -> Optional[int]:
         return self._row_of.get(stage_id)
@@ -211,67 +227,121 @@ class StageColumns:
         row = self._row_of.get(stage_id)
         return None if row is None else self._jobs[row]
 
+    def _leave_live(self, row: int) -> None:
+        self._n_live -= 1
+        job = self._jobs[row]
+        left = self._job_live[job] - 1
+        if left:
+            self._job_live[job] = left
+        else:
+            del self._job_live[job]
+
+    def reserve(self, stage_id: str, until: Optional[int] = None) -> bool:
+        """Keep a departed stage's share: its live row becomes reserved.
+
+        The row stays in :meth:`gather_rows` through epoch ``until``
+        (``None``: until the id registers again).
+        """
+        row = self._row_of.get(stage_id)
+        if row is None or stage_id in self.reserved:
+            return False
+        self._leave_live(row)
+        self._state[row] = _RESERVED
+        self.reserved[stage_id] = until
+        self._touch_membership()
+        return True
+
     def evict(self, stage_id: str) -> bool:
         """Tombstone a row; values remain readable until compaction."""
         row = self._row_of.pop(stage_id, None)
         if row is None:
             return False
-        self._active[row] = False
-        self._n_active -= 1
+        if stage_id in self.reserved:
+            del self.reserved[stage_id]
+        else:
+            self._leave_live(row)
+        self._state[row] = _DEAD
         self._touch_membership()
         return True
 
+    def release_expired(self, epoch: int) -> None:
+        """Tombstone every reservation that does not hold for ``epoch``."""
+        expired = [
+            stage_id
+            for stage_id, until in self.reserved.items()
+            if until is not None and until < epoch
+        ]
+        for stage_id in expired:
+            self.evict(stage_id)
+
     def maybe_compact(self, min_tombstones: int = 32) -> bool:
-        """Reclaim tombstoned rows, preserving live-row relative order.
+        """Reclaim tombstoned rows, preserving the order of the others.
 
         Only call at a safe point (cycle start): row indices change, so
-        any externally cached row handles must be refreshed (the bumped
+        any externally held row snapshot must be retaken (the bumped
         ``generation`` signals that).
         """
-        dead = self._n - self._n_active
-        if dead < min_tombstones or dead < self._n_active:
+        kept = len(self._row_of)
+        dead = self._n - kept
+        if dead < min_tombstones or dead < kept:
             return False
-        rows = self.active_rows()
-        n = rows.size
-        for name in _ARRAY_COLUMNS + ("_active", "_seen"):
+        rows = np.flatnonzero(self._state[: self._n])
+        for name in _ARRAY_COLUMNS + ("_state", "_seen"):
             col = getattr(self, name)
-            col[:n] = col[rows]
-        live_ids = [self._ids[r] for r in rows]
-        live_jobs = [self._jobs[r] for r in rows]
-        for i in range(n):
-            self._ids[i] = live_ids[i]
-            self._jobs[i] = live_jobs[i]
-        for i in range(n, self._n):
-            self._ids[i] = None
-            self._jobs[i] = None
-        self._row_of = {sid: i for i, sid in enumerate(live_ids)}
-        self._n = n
+            col[:kept] = col[rows]
+            col[kept : self._n] = _FRESH.get(name, 0)
+        kept_ids = [self._ids[r] for r in rows]
+        kept_jobs = [self._jobs[r] for r in rows]
+        blank = [None] * dead
+        self._ids[: self._n] = kept_ids + blank
+        self._jobs[: self._n] = kept_jobs + blank
+        self._row_of = {sid: i for i, sid in enumerate(kept_ids)}
+        self._n = kept
         self._touch_membership()
         return True
 
     # -- row snapshots ----------------------------------------------------------
     def active_rows(self) -> np.ndarray:
         """Row indices of live rows, in registration order (cached)."""
-        if self._rows_cache is None:
-            self._rows_cache = np.flatnonzero(self._active[: self._n])
-        return self._rows_cache
+        rows = self._views.get("rows")
+        if rows is None:
+            rows = self._views["rows"] = np.flatnonzero(
+                self._state[: self._n] == _LIVE
+            )
+        return rows
+
+    def gather_rows(self) -> np.ndarray:
+        """Live rows, then reserved rows in departure order (cached)."""
+        if not self.reserved:
+            return self.active_rows()
+        rows = self._views.get("gather")
+        if rows is None:
+            row_of = self._row_of
+            held = [row_of[stage_id] for stage_id in self.reserved]
+            rows = self._views["gather"] = np.concatenate(
+                [self.active_rows(), np.array(held, dtype=np.intp)]
+            )
+        return rows
 
     def active_ids(self) -> Tuple[str, ...]:
         """Live stage ids in registration order (cached)."""
-        if self._ids_cache is None:
-            ids = self._ids
-            self._ids_cache = tuple(ids[r] for r in self.active_rows())
-        return self._ids_cache
+        ids = self._views.get("ids")
+        if ids is None:
+            all_ids = self._ids
+            ids = self._views["ids"] = tuple(
+                [all_ids[r] for r in self.active_rows().tolist()]
+            )
+        return ids
 
-    def active_jobs(self) -> List[str]:
+    def active_jobs(self) -> List[Optional[str]]:
+        """Job of every live row, in registration order."""
         jobs = self._jobs
-        return [jobs[r] for r in self.active_rows()]
+        return [jobs[r] for r in self.active_rows().tolist()]
 
     def _gather(self, name: str) -> np.ndarray:
-        arr = self._gather_cache.get(name)
+        arr = self._gathers.get(name)
         if arr is None:
-            arr = getattr(self, name)[self.active_rows()]
-            self._gather_cache[name] = arr
+            arr = self._gathers[name] = getattr(self, name)[self.active_rows()]
         return arr
 
     def data_active(self) -> np.ndarray:
@@ -287,30 +357,28 @@ class StageColumns:
         return self._gather("ewma")
 
     # -- observations -----------------------------------------------------------
-    def _invalidate_values(self) -> None:
-        self._gather_cache.clear()
-
-    def observe(self, stage_id: str, data_iops: float, metadata_iops: float) -> float:
-        """Fold one raw two-axis report in; returns the smoothed total."""
-        total = data_iops + metadata_iops
-        if total < 0:
-            raise ValueError(f"negative demand: {total}")
+    def observe(self, stage_id: str, data_iops: float, metadata_iops: float) -> bool:
+        """Fold one stage's raw two-axis report in; ``False`` = not taken
+        (rejected and counted, or no such row)."""
         row = self._row_of.get(stage_id)
         if row is None:
-            return self.update(stage_id, total)
+            return False
+        # Chained comparisons: NaN fails them too.
+        if not (0.0 <= data_iops < _INF and 0.0 <= metadata_iops < _INF):
+            self.reports_rejected += 1
+            return False
+        total = data_iops + metadata_iops
         self.data[row] = data_iops
         self.meta[row] = metadata_iops
-        if self._seen[row]:
-            value = self.alpha * total + self._decay * self.ewma[row]
-        else:
-            value = total
-            self._seen[row] = True
-        self.ewma[row] = value
-        self._invalidate_values()
-        return value
+        if self._decay and self._seen[row]:
+            total = self.alpha * total + self._decay * self.ewma[row]
+        self._seen[row] = True
+        self.ewma[row] = total
+        self._gathers.clear()
+        return True
 
     def rows_for(self, stage_ids: Sequence[str]) -> np.ndarray:
-        """Row-index vector for a batch of ids, registering unknown ones.
+        """Row-index vector for a batch of ids (-1 where unknown).
 
         The resolved map is cached keyed on the id sequence, so repeated
         batches with the same shape (an aggregator re-sending its
@@ -320,57 +388,63 @@ class StageColumns:
         if n == 0:
             return np.empty(0, dtype=np.intp)
         key = (stage_ids[0], n)
-        hit = self._map_cache.get(key)
-        if hit is not None:
-            cached_ids, rows = hit
-            if cached_ids == tuple(stage_ids):
-                return rows
+        ids = stage_ids if isinstance(stage_ids, tuple) else tuple(stage_ids)
+        hit = self._views.get(key)
+        if hit is not None and hit[0] == ids:
+            return hit[1]
         get = self._row_of.get
-        resolved = [get(s) for s in stage_ids]
-        if any(r is None for r in resolved):
-            resolved = [
-                self.ensure(s) if r is None else r
-                for s, r in zip(stage_ids, resolved)
-            ]
-        rows = np.array(resolved, dtype=np.intp)
-        self._map_cache[key] = (tuple(stage_ids), rows)
+        rows = np.array([get(s, -1) for s in ids], dtype=np.intp)
+        self._views[key] = (ids, rows)
         return rows
 
-    def observe_rows(
-        self, rows: np.ndarray, data_iops: np.ndarray, metadata_iops: np.ndarray
-    ) -> None:
-        """Vectorized :meth:`observe` over resolved rows (unique ids)."""
-        data_iops = np.asarray(data_iops, dtype=float)
-        metadata_iops = np.asarray(metadata_iops, dtype=float)
+    def observe_rows(self, rows: np.ndarray, data_iops, metadata_iops) -> int:
+        """Vectorized :meth:`observe` over resolved rows (unique ids).
+
+        Returns how many entries were rejected: a negative or
+        non-finite axis costs that entry, a batch whose vectors do not
+        line up with ``rows`` (or are not numbers) is refused whole.
+        Entries whose row is -1 (unknown id) are skipped, not counted.
+        """
+        try:
+            data_iops = np.asarray(data_iops, dtype=float)
+            metadata_iops = np.asarray(metadata_iops, dtype=float)
+        except (TypeError, ValueError):
+            data_iops = metadata_iops = np.empty(0)
+        if data_iops.shape != rows.shape or metadata_iops.shape != rows.shape:
+            self.reports_rejected += rows.size
+            return int(rows.size)
+        known = rows >= 0
+        # NaN fails the comparisons too.
+        keep = (
+            known
+            & (data_iops >= 0.0) & (data_iops < _INF)
+            & (metadata_iops >= 0.0) & (metadata_iops < _INF)
+        )
+        rejected = 0
+        if not keep.all():
+            rejected = int(np.count_nonzero(known & ~keep))
+            self.reports_rejected += rejected
+            rows, data_iops, metadata_iops = (
+                rows[keep], data_iops[keep], metadata_iops[keep]
+            )
         total = data_iops + metadata_iops
-        if total.size and float(total.min()) < 0:
-            raise ValueError("negative demand in batch")
         self.data[rows] = data_iops
         self.meta[rows] = metadata_iops
-        seen = self._seen[rows]
-        # Same IEEE expression, elementwise, as the scalar update.
-        folded = self.alpha * total + self._decay * self.ewma[rows]
-        self.ewma[rows] = np.where(seen, folded, total)
+        if self._decay:
+            # Same IEEE expression, elementwise, as the scalar update.
+            folded = self.alpha * total + self._decay * self.ewma[rows]
+            total = np.where(self._seen[rows], folded, total)
+        self.ewma[rows] = total
         self._seen[rows] = True
-        self._invalidate_values()
+        self._gathers.clear()
+        return rejected
 
     def observe_many(
-        self,
-        stage_ids: Sequence[str],
-        data_iops: Sequence[float],
-        metadata_iops: Sequence[float],
-    ) -> None:
-        """Batch observe by id (ids must be unique within the batch)."""
-        if not len(stage_ids):
-            return
-        self.observe_rows(
-            self.rows_for(stage_ids),
-            np.asarray(data_iops, dtype=float),
-            np.asarray(metadata_iops, dtype=float),
-        )
-
-    def set_usage_rows(self, rows: np.ndarray, granted: np.ndarray) -> None:
-        self.usage[rows] = granted
+        self, stage_ids: Sequence[str], data_iops, metadata_iops
+    ) -> int:
+        """Batch :meth:`observe` by id (ids must be unique within the
+        batch); returns the number of entries rejected."""
+        return self.observe_rows(self.rows_for(stage_ids), data_iops, metadata_iops)
 
     def axes(self, stage_id: str) -> Tuple[float, float]:
         """Last raw (data, metadata) demand; ``(0.0, 0.0)`` if unknown."""
@@ -379,134 +453,57 @@ class StageColumns:
             return (0.0, 0.0)
         return (float(self.data[row]), float(self.meta[row]))
 
-    # -- MetricsWindow compatibility -------------------------------------------
-    def update(self, stage_id: str, demand: float) -> float:
-        """Total-only observation (MetricsWindow surface)."""
-        if demand < 0:
-            raise ValueError(f"negative demand: {demand}")
-        row = self._row_of.get(stage_id)
-        if row is None:
-            prev = self._extra.get(stage_id)
-            value = (
-                demand if prev is None
-                else self.alpha * demand + self._decay * prev
-            )
-            self._extra[stage_id] = value
-            return value
-        if self._seen[row]:
-            value = self.alpha * demand + self._decay * self.ewma[row]
-        else:
-            value = demand
-            self._seen[row] = True
-        self.ewma[row] = value
-        self._invalidate_values()
-        return value
-
     def demand(self, stage_id: str) -> float:
+        """Smoothed total demand for a stage (0.0 if unknown)."""
         row = self._row_of.get(stage_id)
-        if row is None:
-            return self._extra.get(stage_id, 0.0)
-        return float(self.ewma[row])
-
-    def demands(self, stage_ids: Sequence[str]) -> np.ndarray:
-        """Smoothed-demand vector in ``stage_ids`` order.
-
-        Fast path: when the query order equals the live-row order (the
-        common controller case — both follow registration order), the
-        cached columnar gather is returned without touching the registry.
-        """
-        ids = stage_ids if isinstance(stage_ids, tuple) else tuple(stage_ids)
-        if ids == self.active_ids():
-            return self.ewma_active()
-        demand = self.demand
-        return np.fromiter(
-            (demand(s) for s in ids), dtype=float, count=len(ids)
-        )
-
-    def forget(self, stage_id: str) -> None:
-        self.evict(stage_id)
-        self._extra.pop(stage_id, None)
-
-    def snapshot(self) -> Dict[str, float]:
-        """Observed smoothed demands (hot-standby state transfer)."""
-        out = dict(self._extra)
-        ewma = self.ewma
-        seen = self._seen
-        ids = self._ids
-        for row in self.active_rows():
-            if seen[row]:
-                out[ids[row]] = float(ewma[row])
-        return out
-
-    def adopt(self, demands: Mapping[str, float]) -> None:
-        """Install demands for stages with no local observation."""
-        changed = False
-        for stage_id, value in demands.items():
-            row = self._row_of.get(stage_id)
-            if row is None:
-                self._extra.setdefault(stage_id, value)
-            elif not self._seen[row]:
-                self.ewma[row] = value
-                self._seen[row] = True
-                changed = True
-        if changed:
-            self._invalidate_values()
+        return 0.0 if row is None else float(self.ewma[row])
 
     # -- derived views ----------------------------------------------------------
     def job_view(self) -> Tuple[List[str], np.ndarray]:
-        """``(job_ids, row→job index)`` over live rows, cached per generation.
+        """``(job_ids, live row → job index)``, cached per generation.
 
-        Job order is first-registration order among live rows — the same
-        order :class:`StageRegistry.job_ids` yields, which keeps the
-        job-level demand vector (and therefore every tie-broken
-        allocation) identical to the scalar controller's.
+        Job order is the module docstring's rule; the index vector is in
+        live-row order.
         """
-        if (
-            self._job_view_cache is not None
-            and self._job_view_cache[0] == self.generation
-        ):
-            return self._job_view_cache[1]
-        job_pos: Dict[str, int] = {}
-        index = np.empty(self._n_active, dtype=np.intp)
-        jobs = self._jobs
-        for i, row in enumerate(self.active_rows()):
-            job = jobs[row]
-            pos = job_pos.get(job)
-            if pos is None:
-                pos = len(job_pos)
-                job_pos[job] = pos
-            index[i] = pos
-        value = (list(job_pos), index)
-        self._job_view_cache = (self.generation, value)
-        return value
+        view = self._views.get("job_view")
+        if view is None:
+            job_pos = {job: i for i, job in enumerate(self._job_live)}
+            index = np.array(
+                [job_pos[job] for job in self.active_jobs()], dtype=np.intp
+            )
+            view = self._views["job_view"] = (list(job_pos), index)
+        return view
 
-    def stage_weights(self, policy) -> np.ndarray:
-        """Per-live-row QoS weights, cached per (membership, policy) version."""
-        key = (self.generation, id(policy), getattr(policy, "version", -1))
-        if self._weights_cache is not None and self._weights_cache[0] == key:
-            return self._weights_cache[1]
-        weights = policy.weights(self.active_jobs())
-        rows = self.active_rows()
-        self.weight[rows] = weights
-        self._weights_cache = (key, weights)
-        return weights
+    def stage_weights(self, policy, rows: Optional[np.ndarray] = None) -> np.ndarray:
+        """QoS weights of ``rows`` (default: the live rows).
 
-    # -- flat-array serialization ----------------------------------------------
+        The ``weight`` column is refreshed from ``policy`` once per
+        (membership generation, policy version); the gather itself is a
+        fancy index.
+        """
+        key = (id(policy), getattr(policy, "version", -1))
+        if self._views.get("weights_of") != key:
+            n = self._n
+            self.weight[:n] = policy.weights(self._jobs[:n])
+            self._views["weights_of"] = key
+        return self.weight[self.active_rows() if rows is None else rows]
+
+    # -- flat-array transfer ----------------------------------------------------
     def to_arrays(self) -> Dict[str, object]:
-        """Flat-array snapshot of live rows (cross-process transfer).
+        """Flat-array snapshot of live rows (state transfer).
 
         Everything is a tuple of ids or a compact ndarray — no nested
-        dicts of Python floats to pickle element-by-element.
+        dicts of Python floats to copy element-by-element.
         """
         rows = self.active_rows()
         out: Dict[str, object] = {
             "alpha": self.alpha,
             "ids": self.active_ids(),
             "jobs": tuple(self.active_jobs()),
-            "seen": self._seen[rows].copy(),
+            "seen": self._seen[rows],
         }
         for name in _ARRAY_COLUMNS:
-            out[name] = getattr(self, name)[rows].copy()
+            out[name] = getattr(self, name)[rows]
         return out
 
     @classmethod
@@ -514,21 +511,27 @@ class StageColumns:
         """Rebuild from :meth:`to_arrays` output (order preserved)."""
         cols = cls(alpha=float(arrays.get("alpha", 1.0)))
         ids: Sequence[str] = arrays["ids"]  # type: ignore[assignment]
-        jobs: Sequence[str] = arrays["jobs"]  # type: ignore[assignment]
-        n = len(ids)
-        if n:
-            cols._grow(n)
-            for i, (sid, job) in enumerate(zip(ids, jobs)):
-                if sid in cols._row_of:
-                    raise ValueError(f"duplicate stage id: {sid}")
-                cols._ids[i] = sid
-                cols._jobs[i] = job
-                cols._row_of[sid] = i
-            cols._n = n
-            cols._n_active = n
-            cols._active[:n] = True
+        if ids:
+            cols.register_many(ids, arrays["jobs"])  # type: ignore[arg-type]
+            n = len(ids)
             cols._seen[:n] = np.asarray(arrays["seen"], dtype=bool)
             for name in _ARRAY_COLUMNS:
                 getattr(cols, name)[:n] = np.asarray(arrays[name], dtype=float)
-            cols._touch_membership()
         return cols
+
+    def adopt(self, arrays: Mapping[str, object]) -> None:
+        """Install another store's demand where this one has none.
+
+        ``arrays`` is a :meth:`to_arrays` snapshot (hot-standby state
+        transfer): rows this store has observed itself keep their own,
+        fresher, values; rows it never heard from inherit the snapshot's
+        demand on every axis. Ids without a row here are ignored.
+        """
+        rows = self.rows_for(arrays["ids"])  # type: ignore[arg-type]
+        take = np.asarray(arrays["seen"], dtype=bool) & (rows >= 0)
+        take[take] = ~self._seen[rows[take]]
+        rows = rows[take]
+        for name in ("data", "meta", "ewma"):
+            getattr(self, name)[rows] = np.asarray(arrays[name])[take]
+        self._seen[rows] = True
+        self._gathers.clear()

@@ -1,27 +1,21 @@
-"""The controller compute phase, columnar and scalar.
+"""The controller compute phase over :class:`StageColumns`, and its oracle.
 
-Every controller in this repo runs the same compute phase: gather
-per-stage demand into vectors, reduce to per-job demand, run an
-allocation brain over jobs, split the grants back to stages. Before this
-module the *gather* was scalar — a Python loop over dicts per stage —
-which dominates compute latency at 10k+ stages even though the brains
-themselves are vectorized.
+Every job-level compute phase in this repo is the same four steps:
+gather per-stage demand into vectors, reduce to per-job demand, run an
+allocation brain over jobs, split the grants back to stages.
 
-Two implementations, pinned equivalent (byte-identical — they call the
-identical vectorized brains on identical arrays) by
-``tests/properties/test_columnar_equivalence.py``:
-
-* :class:`ScalarComputeState` + :func:`scalar_allocations` — the
-  retained reference implementation. One ``MetricsWindow`` dict entry
-  and one ``latest`` tuple per stage, list-comprehension gathers, the
-  per-stage job-index rebuild every call. This is exactly the shape of
-  the pre-columnar hot path and is what the ``compute`` bench suite
-  measures the speedup against.
-* :class:`ColumnarCompute` over :class:`StageColumns` — demand lives in
-  flat ``float64`` columns, the gather is a cached fancy-index, the
-  job index and QoS weight vectors are cached per (membership
-  generation, policy version) and only rebuilt when membership or
-  policy actually changes.
+* :class:`ColumnarCompute` is the one production implementation: demand
+  lives in flat ``float64`` columns, the gather is a cached fancy-index,
+  the job index (in :meth:`StageColumns.job_view`'s order) and the QoS
+  weight / guarantee vectors are cached per (membership generation,
+  policy version) and rebuilt only when membership or policy changes.
+* :class:`ScalarComputeState` + :func:`scalar_allocations` are the
+  retained reference: one ``MetricsWindow`` dict entry and one
+  ``latest`` tuple per stage, list-comprehension gathers, the per-stage
+  job-index rebuild every call. Nothing in the control planes calls
+  them; ``tests/properties/test_columnar_equivalence.py`` pins the two
+  byte-identical (they call the identical vectorized brains on identical
+  arrays) and the ``repro bench`` compute suite races them.
 """
 
 from __future__ import annotations
@@ -49,8 +43,7 @@ def split_to_stages(
     n_jobs: int,
 ) -> np.ndarray:
     """Split each job's grant across its stages, demand-proportionally;
-    stages of an idle job share its (zero) grant equally. Identical to
-    ``GlobalController._split_to_stages``."""
+    stages of an idle job share its (zero) grant equally."""
     denom = np.where(job_demand > 0, job_demand, 1.0)
     share = np.where(
         job_demand[job_index] > 0,
@@ -114,20 +107,22 @@ def scalar_allocations(
     policy,
     algorithm,
     metadata_algorithm=None,
+    job_order: Sequence[str] = (),
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """The scalar compute phase, verbatim controller semantics.
 
-    ``stage_ids``/``job_ids`` are parallel (one job id per stage).
-    Returns ``(limits, metadata_limits)`` with ``metadata_limits`` None
-    under an undifferentiated policy — the exact contract of
-    ``GlobalController._compute_allocations``.
+    ``stage_ids``/``job_ids`` are parallel (one job id per stage);
+    ``job_order`` lists jobs whose place in the job vector is already
+    decided (a registry's order), any other job follows in order of
+    first occurrence. Returns ``(limits, metadata_limits)`` with
+    ``metadata_limits`` None under an undifferentiated policy — the
+    exact contract of ``GlobalController._compute_allocations``.
     """
     if not stage_ids:
         return np.zeros(0), None
     # Per-call job-index rebuild: this per-stage Python loop is part of
-    # the scalar cost being referenced (live controllers rebuild their
-    # job lists every cycle).
-    job_pos: Dict[str, int] = {}
+    # the scalar cost being referenced.
+    job_pos: Dict[str, int] = {j: i for i, j in enumerate(job_order)}
     for j in job_ids:
         if j not in job_pos:
             job_pos[j] = len(job_pos)

@@ -85,11 +85,6 @@ class ControlPlaneConfig:
     #: Record every control cycle as spans (sim-clock domain) exportable
     #: with :func:`repro.obs.chrome_trace.export_chrome_trace`.
     trace_spans: bool = False
-    #: Back the global controller's per-stage state with
-    #: :class:`repro.core.columnar.StageColumns` (flat float64 columns,
-    #: vectorized compute gather). Allocation-identical to the scalar
-    #: path — golden traces hold under either setting.
-    columnar: bool = False
     job_of: Callable[[int], str] = field(default=lambda i: f"job-{i:05d}")
     source_factory: Callable[[str], MetricSource] = field(
         default=lambda stage_id: ConstantSource()
@@ -243,7 +238,6 @@ class FlatControlPlane(_DeployedPlane):
             enforce_changed_only=config.enforce_changed_only,
             rule_change_tolerance=config.rule_change_tolerance,
             metrics_alpha=config.metrics_alpha,
-            columnar=config.columnar,
             span_tracer=plane._tracer_for("global-ctrl"),
         )
         # One connection per stage: this is where the 2,500-connection
@@ -309,7 +303,6 @@ class HierarchicalControlPlane(_DeployedPlane):
             enforce_changed_only=config.enforce_changed_only,
             rule_change_tolerance=config.rule_change_tolerance,
             metrics_alpha=config.metrics_alpha,
-            columnar=config.columnar,
             span_tracer=plane._tracer_for("global-ctrl"),
         )
 

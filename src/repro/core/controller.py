@@ -48,9 +48,8 @@ from repro.core.columnar import StageColumns
 from repro.core.compute import ColumnarCompute
 from repro.core.costs import CostModel, FRONTERA_COST_MODEL
 from repro.core.cycle import ControlCycle
-from repro.core.metrics import AggregatedMetrics, MetricsWindow, StageMetrics, aggregate
+from repro.core.metrics import AggregatedMetrics, StageMetrics, aggregate
 from repro.core.policies import QoSPolicy
-from repro.core.registry import StageRegistry, StageRecord
 from repro.core.rules import EnforcementRule, RuleBatch
 from repro.obs.spans import NullSpanTracer
 from repro.simnet.engine import Environment, Process
@@ -270,7 +269,6 @@ class GlobalController(_ControllerBase):
         enforce_changed_only: bool = False,
         rule_change_tolerance: float = 0.0,
         metrics_alpha: float = 1.0,
-        columnar: bool = False,
         name: str = "global",
         span_tracer=None,
     ) -> None:
@@ -296,27 +294,14 @@ class GlobalController(_ControllerBase):
             )
         self.rule_change_tolerance = rule_change_tolerance
         self.rules_suppressed = 0
-        self.registry = StageRegistry()
-        #: EWMA smoothing over reported demand. alpha=1 (paper) reacts to
-        #: each report instantly; lower values damp bursty demand before
-        #: it reaches the allocator, trading reactivity for rule churn.
-        #: With ``columnar`` the window is a :class:`StageColumns` — a
-        #: duck-compatible drop-in whose demand lives in flat float64
-        #: columns, so the compute phase gathers with a cached fancy
-        #: index instead of a per-stage Python loop.
-        self.columnar = columnar
-        if columnar:
-            self.window = StageColumns(alpha=metrics_alpha)
-            self._columnar_compute: Optional[ColumnarCompute] = ColumnarCompute(
-                self.window
-            )
-        else:
-            self.window = MetricsWindow(alpha=metrics_alpha)
-            self._columnar_compute = None
-        # (registry generation, columns generation) -> row/job order of
-        # the columns still mirrors the registry; falls back to the
-        # scalar gather when they diverge (partial-job evictions).
-        self._columnar_ok: Optional[Tuple[Tuple[int, int], bool]] = None
+        #: Membership and per-stage demand, one row per registered stage
+        #: (registration order is every component's stage ordering).
+        #: ``metrics_alpha`` is the EWMA smoothing over reported demand:
+        #: alpha=1 (paper) reacts to each report instantly; lower values
+        #: damp bursty demand before it reaches the allocator, trading
+        #: reactivity for rule churn.
+        self.columns = StageColumns(alpha=metrics_alpha)
+        self._compute = ColumnarCompute(self.columns)
         self.children: List[ChildChannel] = []
         self.cycles: List[ControlCycle] = []
         self.epoch = 0
@@ -324,17 +309,12 @@ class GlobalController(_ControllerBase):
         self.latest_rules: Dict[str, EnforcementRule] = {}
         self.collect_timeouts = 0
         self._proc: Optional[Process] = None
-        self._job_index_cache: Optional[Tuple[int, dict]] = None
         host.allocate(costs.global_fixed_mem)
 
     # -- membership -----------------------------------------------------------
     def add_stage(self, stage_id: str, job_id: str, channel: ChildChannel) -> None:
         """Register a directly managed stage (flat design)."""
-        self.registry.register(
-            StageRecord(stage_id, job_id, channel.endpoint.host.name, self.env.now)
-        )
-        if self._columnar_compute is not None:
-            self.window.register(stage_id, job_id)
+        self.columns.register(stage_id, job_id)
         self.children.append(channel)
         self.host.allocate(self.costs.flat_per_stage_mem)
 
@@ -344,13 +324,12 @@ class GlobalController(_ControllerBase):
         stage_jobs: Mapping[str, str],
     ) -> None:
         """Register an aggregator child and the stages behind it."""
-        for stage_id in channel.stage_ids:
-            self.registry.register(
-                StageRecord(stage_id, stage_jobs[stage_id], channel.child_id, self.env.now)
-            )
-            if self._columnar_compute is not None:
-                self.window.register(stage_id, stage_jobs[stage_id])
-            self.host.allocate(self.costs.hier_per_stage_mem)
+        self.columns.register_many(
+            channel.stage_ids, [stage_jobs[s] for s in channel.stage_ids]
+        )
+        self.host.allocate(
+            len(channel.stage_ids) * int(self.costs.hier_per_stage_mem)
+        )
         self.children.append(channel)
         self.host.allocate(self.costs.per_agg_mem_at_global)
 
@@ -362,20 +341,19 @@ class GlobalController(_ControllerBase):
         racing an in-flight cycle only wastes that cycle's rule for the
         departed stage.
         """
-        self.registry.deregister(stage_id)
+        if not self.columns.evict(stage_id):
+            raise KeyError(f"unknown stage id: {stage_id!r}")
         for ch in self.children:
             if ch.child_id == stage_id:
                 ch.connection.close()
         self.children = [c for c in self.children if c.child_id != stage_id]
-        self.window.forget(stage_id)
         self.latest_metrics.pop(stage_id, None)
         self.latest_rules.pop(stage_id, None)
         self.host.free(self.costs.flat_per_stage_mem)
-        self._job_index_cache = None
 
     @property
     def n_stages(self) -> int:
-        return len(self.registry)
+        return self.columns.n_active
 
     @property
     def is_hierarchical(self) -> bool:
@@ -424,10 +402,9 @@ class GlobalController(_ControllerBase):
         self.epoch += 1
         epoch = self.epoch
         cm = self.costs
-        if self._columnar_compute is not None:
-            # Cycle start is the one safe point to renumber rows: no row
-            # snapshot is live and the generation bump invalidates caches.
-            self.window.maybe_compact()
+        # Cycle start is the one safe point to renumber rows: no row
+        # snapshot is live and the generation bump invalidates caches.
+        self.columns.maybe_compact()
         started = self.env.now
         deadline = (
             started + self.collect_timeout_s if self.collect_timeout_s else None
@@ -455,37 +432,29 @@ class GlobalController(_ControllerBase):
             )
 
         reported_stages = 0
-        columnar = self._columnar_compute is not None
+        columns = self.columns
+        latest = self.latest_metrics
 
         def on_report(msg) -> None:
             nonlocal reported_stages
             _, data = msg.payload
             if isinstance(data, AggregatedMetrics):
-                reported_stages += len(data.stage_ids)
                 for i, stage_id in enumerate(data.stage_ids):
-                    report = StageMetrics(
+                    latest[stage_id] = StageMetrics(
                         stage_id=stage_id,
                         job_id=data.job_ids[i],
                         data_iops=data.data_iops[i],
                         metadata_iops=data.metadata_iops[i],
                         timestamp=data.timestamp,
                     )
-                    self.latest_metrics[stage_id] = report
-                    if columnar:
-                        self.window.observe(
-                            stage_id, report.data_iops, report.metadata_iops
-                        )
-                    else:
-                        self.window.update(stage_id, report.total_iops)
+                reported_stages += len(data.stage_ids) - columns.observe_many(
+                    data.stage_ids, data.data_iops, data.metadata_iops
+                )
             else:
-                reported_stages += 1
-                self.latest_metrics[data.stage_id] = data
-                if columnar:
-                    self.window.observe(
-                        data.stage_id, data.data_iops, data.metadata_iops
-                    )
-                else:
-                    self.window.update(data.stage_id, data.total_iops)
+                latest[data.stage_id] = data
+                reported_stages += columns.observe(
+                    data.stage_id, data.data_iops, data.metadata_iops
+                )
 
         # Per-aggregated-reply cost scales with the partition size; model
         # it with the mean partition size (partitions are near-uniform).
@@ -506,8 +475,7 @@ class GlobalController(_ControllerBase):
 
         # ---- compute ----
         compute_started = self.env.now
-        stage_ids = self.registry.stage_ids
-        n = len(stage_ids)
+        n = columns.n_active
         if self.decision_offload and agg_children:
             # Global only computes per-aggregator budgets; PSFA over the
             # stages runs at the aggregators (§VI decision offloading).
@@ -519,7 +487,7 @@ class GlobalController(_ControllerBase):
             per_stage_cost = (
                 cm.psfa_per_stage_hier_s if agg_children else cm.psfa_per_stage_s
             )
-            stage_limits, metadata_limits = self._compute_allocations(stage_ids)
+            stage_limits, metadata_limits = self._compute_allocations()
             if metadata_limits is not None:
                 # Differentiated QoS runs the algorithm once per class.
                 per_stage_cost *= 2
@@ -593,168 +561,19 @@ class GlobalController(_ControllerBase):
                 n_stages=n,
             )
 
-    # -- compute helpers -----------------------------------------------------
-    def _columnar_ready(self, stage_ids: List[str]) -> bool:
-        """Whether the columns still mirror the registry's orderings.
-
-        The columnar result vector is in live-row order and its job
-        reduction in first-occurrence-among-live-rows order; both must
-        equal the registry's (enforce zips limits against
-        ``registry.stage_ids``, and job order breaks water-fill ties).
-        They track each other by construction, but a partial-job evict
-        can reorder the registry's job view — fall back to the scalar
-        gather (over the same columns) whenever they diverge. Checked
-        once per (registry, columns) generation pair, not per cycle.
-        """
-        cols = self.window
-        key = (self.registry.generation, cols.generation)
-        cached = self._columnar_ok
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        ok = (
-            tuple(stage_ids) == cols.active_ids()
-            and self.registry.job_ids == cols.job_view()[0]
-        )
-        self._columnar_ok = (key, ok)
-        return ok
-
-    def _job_indices(self, stage_ids: List[str]) -> Tuple[List[str], np.ndarray]:
-        """(job_ids, stage→job index vector), cached per registry generation."""
-        gen = self.registry.generation
-        if self._job_index_cache is not None and self._job_index_cache[0] == gen:
-            return self._job_index_cache[1]
-        job_ids = self.registry.job_ids
-        job_pos = {j: i for i, j in enumerate(job_ids)}
-        index = np.array(
-            [job_pos[self.registry.job_of(s)] for s in stage_ids], dtype=np.intp
-        )
-        value = (job_ids, index)
-        self._job_index_cache = (gen, value)
-        return value
-
-    def _compute_allocations(self, stage_ids: List[str]):
+    # -- compute ---------------------------------------------------------------
+    def _compute_allocations(self):
         """Run the control algorithm; returns per-stage IOPS limits.
 
-        Returns ``(limits, metadata_limits)``: with an undifferentiated
-        policy the first vector bounds *total* IOPS and the second is
-        ``None``; with ``policy.metadata_capacity_iops`` set, the
-        algorithm runs once per operation class against its own budget
-        (the MDS and the OSS pool are separate bottlenecks).
+        Returns ``(limits, metadata_limits)`` in ``columns.active_ids()``
+        order: with an undifferentiated policy the first vector bounds
+        *total* IOPS and the second is ``None``; with
+        ``policy.metadata_capacity_iops`` set, the algorithm runs once
+        per operation class against its own budget (the MDS and the OSS
+        pool are separate bottlenecks).
         """
-        if not stage_ids:
-            return np.zeros(0), None
-        if self._columnar_compute is not None and self._columnar_ready(stage_ids):
-            return self._columnar_compute.allocations(
-                self.policy, self.algorithm, self.metadata_algorithm
-            )
-        if not self.policy.differentiated:
-            stage_demand = self.window.demands(stage_ids)
-            total = self._allocate_vector(
-                stage_ids, stage_demand, self.policy.allocatable_iops
-            )
-            return total, None
-        data_demand = np.array(
-            [
-                self.latest_metrics[s].data_iops if s in self.latest_metrics else 0.0
-                for s in stage_ids
-            ]
-        )
-        metadata_demand = np.array(
-            [
-                self.latest_metrics[s].metadata_iops
-                if s in self.latest_metrics
-                else 0.0
-                for s in stage_ids
-            ]
-        )
-        axes = getattr(self.algorithm, "allocate_axes", None)
-        if axes is not None:
-            return self._allocate_axes_vector(
-                stage_ids, data_demand, metadata_demand, axes
-            )
-        data = self._allocate_vector(
-            stage_ids, data_demand, self.policy.allocatable_iops
-        )
-        # Per-job minimum guarantees are defined on total IOPS; they are
-        # honoured on the data axis and not double-counted on metadata.
-        metadata = self._allocate_vector(
-            stage_ids,
-            metadata_demand,
-            self.policy.allocatable_metadata_iops,
-            use_guarantees=False,
-            algorithm=self.metadata_algorithm,
-        )
-        return data, metadata
-
-    def _allocate_axes_vector(
-        self,
-        stage_ids: List[str],
-        data_demand: np.ndarray,
-        metadata_demand: np.ndarray,
-        axes: Callable,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Both axes in one call, for brains with ``allocate_axes``
-        (the PADLL-style throttler couples them via per-tenant caps)."""
-        job_ids, job_index = self._job_indices(stage_ids)
-        n_jobs = len(job_ids)
-        job_data = np.zeros(n_jobs)
-        np.add.at(job_data, job_index, data_demand)
-        job_meta = np.zeros(n_jobs)
-        np.add.at(job_meta, job_index, metadata_demand)
-        weights = self.policy.weights(job_ids)
-        data_res, meta_res = axes(
-            job_data,
-            job_meta,
-            weights,
-            self.policy.allocatable_iops,
-            self.policy.allocatable_metadata_iops,
-            guarantees=self.policy.guarantees(job_ids),
-        )
-        data = self._split_to_stages(
-            data_demand, job_data, data_res.allocations, job_index, n_jobs
-        )
-        metadata = self._split_to_stages(
-            metadata_demand, job_meta, meta_res.allocations, job_index, n_jobs
-        )
-        return data, metadata
-
-    @staticmethod
-    def _split_to_stages(
-        stage_demand: np.ndarray,
-        job_demand: np.ndarray,
-        job_alloc: np.ndarray,
-        job_index: np.ndarray,
-        n_jobs: int,
-    ) -> np.ndarray:
-        """Split each job's grant across its stages, demand-proportionally;
-        stages of an idle job share its (zero) grant equally."""
-        denom = np.where(job_demand > 0, job_demand, 1.0)
-        share = np.where(
-            job_demand[job_index] > 0,
-            stage_demand / denom[job_index],
-            1.0
-            / np.maximum(np.bincount(job_index, minlength=n_jobs), 1)[job_index],
-        )
-        return job_alloc[job_index] * share
-
-    def _allocate_vector(
-        self,
-        stage_ids: List[str],
-        stage_demand: np.ndarray,
-        capacity: float,
-        use_guarantees: bool = True,
-        algorithm: Optional[ControlAlgorithm] = None,
-    ) -> np.ndarray:
-        """Job-level allocation of ``capacity``, split back to stages."""
-        job_ids, job_index = self._job_indices(stage_ids)
-        job_demand = np.zeros(len(job_ids))
-        np.add.at(job_demand, job_index, stage_demand)
-        weights = self.policy.weights(job_ids)
-        guarantees = self.policy.guarantees(job_ids) if use_guarantees else None
-        algo = algorithm if algorithm is not None else self.algorithm
-        result = algo.allocate(job_demand, weights, capacity, guarantees)
-        return self._split_to_stages(
-            stage_demand, job_demand, result.allocations, job_index, len(job_ids)
+        return self._compute.allocations(
+            self.policy, self.algorithm, self.metadata_algorithm
         )
 
     # -- enforce helpers --------------------------------------------------------
@@ -766,7 +585,7 @@ class GlobalController(_ControllerBase):
         deadline: Optional[float],
         metadata_limits: Optional[np.ndarray] = None,
     ) -> Generator:
-        stage_ids = self.registry.stage_ids
+        stage_ids = self.columns.active_ids()
         limit_of = dict(zip(stage_ids, stage_limits))
         meta_of = (
             dict(zip(stage_ids, metadata_limits))
@@ -834,7 +653,7 @@ class GlobalController(_ControllerBase):
         deadline: Optional[float],
         metadata_limits: Optional[np.ndarray] = None,
     ) -> Generator:
-        stage_ids = self.registry.stage_ids
+        stage_ids = self.columns.active_ids()
         limit_of = dict(zip(stage_ids, stage_limits))
         meta_of = (
             dict(zip(stage_ids, metadata_limits))
@@ -895,7 +714,7 @@ class GlobalController(_ControllerBase):
 
         part_demand = np.array(
             [
-                sum(self.window.demand(s) for s in ch.stage_ids)
+                sum(self.columns.demand(s) for s in ch.stage_ids)
                 for ch in agg_children
             ]
         )

@@ -164,7 +164,7 @@ class HotStandby:
                 self._state_snapshot = (
                     dict(self.primary.latest_metrics),
                     dict(self.primary.latest_rules),
-                    self.primary.window.snapshot(),
+                    self.primary.columns.to_arrays(),
                 )
                 self.heartbeats_sent += 1
                 self.primary.host.charge(1e-6)
@@ -199,7 +199,7 @@ class HotStandby:
                     self.standby.latest_metrics.setdefault(stage_id, report)
                 for stage_id, rule in rules.items():
                     self.standby.latest_rules.setdefault(stage_id, rule)
-                self.standby.window.adopt(demands)
+                self.standby.columns.adopt(demands)
             self.failover = FailoverEvent(
                 time=self.env.now,
                 last_primary_epoch=last_known,

@@ -20,7 +20,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["AggregatedMetrics", "MetricsWindow", "StageMetrics", "UsageWindow"]
+__all__ = ["AggregatedMetrics", "MetricsWindow", "StageMetrics"]
 
 
 @dataclass(frozen=True)
@@ -184,57 +184,6 @@ class MetricsWindow:
         for stage_id, value in demands.items():
             self._ewma.setdefault(stage_id, value)
         self._demands_cache = None
-
-    def __len__(self) -> int:
-        return len(self._ewma)
-
-
-class UsageWindow:
-    """Asymmetric EWMA of *observed* usage per key, for trust scoring.
-
-    Where :class:`MetricsWindow` smooths what stages *claim* to need,
-    this window tracks what they were actually *granted and plausibly
-    used* — the evidence base for demand clamping
-    (:class:`repro.guard.trust.DemandClamp`). The smoothing is
-    deliberately asymmetric: usage rises fast (``alpha_up``, so a
-    legitimately ramping tenant un-caps within a cycle or two) but
-    decays slowly (``alpha_down``, so one idle cycle doesn't collapse a
-    tenant's trust to the floor).
-    """
-
-    __slots__ = ("alpha_up", "alpha_down", "_ewma")
-
-    def __init__(self, alpha_up: float = 0.5, alpha_down: float = 0.1) -> None:
-        if not 0.0 < alpha_up <= 1.0:
-            raise ValueError(f"alpha_up must be in (0, 1]: {alpha_up}")
-        if not 0.0 < alpha_down <= 1.0:
-            raise ValueError(f"alpha_down must be in (0, 1]: {alpha_down}")
-        self.alpha_up = float(alpha_up)
-        self.alpha_down = float(alpha_down)
-        self._ewma: Dict[str, float] = {}
-
-    def observe(self, key: str, usage: float) -> float:
-        """Fold one observation in; returns the smoothed usage."""
-        if usage < 0:
-            raise ValueError(f"negative usage: {usage}")
-        prev = self._ewma.get(key)
-        if prev is None:
-            value = usage
-        else:
-            alpha = self.alpha_up if usage >= prev else self.alpha_down
-            value = alpha * usage + (1.0 - alpha) * prev
-        self._ewma[key] = value
-        return value
-
-    def value(self, key: str) -> float:
-        """Smoothed usage for a key (0.0 if never observed)."""
-        return self._ewma.get(key, 0.0)
-
-    def forget(self, key: str) -> None:
-        self._ewma.pop(key, None)
-
-    def snapshot(self) -> Dict[str, float]:
-        return dict(self._ewma)
 
     def __len__(self) -> int:
         return len(self._ewma)

@@ -2,11 +2,12 @@
 
 HPC environments are dynamic: jobs enter and leave continuously, each
 bringing data-plane stages with them (paper §I, "static and uncoordinated
-control" critique). The registry is the controller-side membership table:
+control" critique). The registry is a controller-side membership table:
 which stages exist, which job each belongs to, and which controller
-partition owns it. It supports the churn experiments (stages joining and
-departing mid-run) and provides the stable orderings the vectorized
-algorithms rely on.
+partition owns it, with the stable orderings the vectorized algorithms
+rely on. The coordinated-flat peers keep one; the global controllers'
+membership is their :class:`~repro.core.columnar.StageColumns`, which
+follows the same ordering rules.
 """
 
 from __future__ import annotations

@@ -80,7 +80,6 @@ class _LiveControllerBase(PhaseDriver):
         degradation=None,
         demand_clamp=None,
         session_outbox_bytes: Optional[int] = None,
-        columnar: bool = False,
     ) -> None:
         if initial_epoch < 0:
             raise ValueError(f"initial_epoch must be >= 0: {initial_epoch}")
@@ -117,10 +116,11 @@ class _LiveControllerBase(PhaseDriver):
         self.enforce_changed_only = enforce_changed_only
         self.rule_change_tolerance = rule_change_tolerance
         self.rules_suppressed = 0
-        #: Columnar per-stage demand store (flat float64 columns, one row
-        #: per stage) — gathered with fancy indexing instead of per-stage
-        #: Python; allocation-identical to the scalar bookkeeping.
-        self.columns: Optional[StageColumns] = StageColumns() if columnar else None
+        #: Per-stage demand store (flat float64 columns, one row per
+        #: stage): replies are written into rows, compute gathers with a
+        #: fancy index, and a stage that left the tree but still enforces
+        #: its last rule keeps a *reserved* row.
+        self.columns = StageColumns()
         self.tracer = span_tracer if span_tracer is not None else NullSpanTracer()
         self.meter = usage_meter
         self.metrics = metrics
@@ -135,6 +135,8 @@ class _LiveControllerBase(PhaseDriver):
         #: PSFA runs ("no false allocation" against demand liars). Also
         #: share one instance across generations.
         self.demand_clamp = demand_clamp
+        if demand_clamp is not None:
+            demand_clamp.attach(self.columns)
         #: Per-session outbound-buffer bound (bytes); None = unbounded.
         #: Only enable together with phase deadlines — a shed rule means
         #: a missing ack, which needs ``enforce_timeout_s`` to resolve.
@@ -306,53 +308,65 @@ class _LiveControllerBase(PhaseDriver):
             await self._cycle()
         return self.cycles
 
-    def _believed(self, stage_id: str, data: float, meta: float):
-        """Per-axis demand after the trust clamp (identity without one).
+    def _register_row(self, stage_id: str, job_id: str) -> None:
+        """Give a stage that joined the tree its (live) row."""
+        row = self.columns.register(stage_id, job_id)
+        if self.demand_clamp is not None:
+            self.demand_clamp.inherit(stage_id, row)
 
-        A reported demand is only believed up to a multiple of what the
-        stage has been using. The clamp scores *total* demand, so a
-        trimmed report shrinks both axes by the same ratio (the liar's
-        split is preserved, its magnitude is not).
+    def _allocate(self, rows: np.ndarray):
+        """Gather ``rows``' demand and weights and run the brain(s) over
+        them: ``(data limits, metadata limits | None)``, one entry per row.
+
+        With a trust clamp, a reported demand is only believed up to a
+        multiple of what the stage has been using. The clamp scores
+        *total* demand, so a trimmed report shrinks both axes by the
+        same ratio (the liar's split is preserved, its magnitude is
+        not), and the cycle's grants are folded back into the scores.
         """
-        clamp = self.demand_clamp
-        if clamp is None:
-            return data, meta
-        total = data + meta
-        believed = clamp.clamp(stage_id, total)
-        if total > 0.0 and believed < total:
-            ratio = believed / total
-            return data * ratio, meta * ratio
-        return data, meta
-
-    def _allocate(self, data_demands, metadata_demands, weights):
-        """Run the brain(s): ``(data limits, metadata limits | None)``."""
         policy = self.policy
+        clamp = self.demand_clamp
+        columns = self.columns
+        data = columns.data[rows]
+        meta = columns.meta[rows]
+        weights = columns.stage_weights(policy, rows)
+        if clamp is not None:
+            reported = data + meta
+            believed = clamp.clamp(rows, reported)
+            trimmed = believed < reported
+            if trimmed.any():
+                ratio = np.divide(
+                    believed, reported, out=np.ones_like(reported), where=trimmed
+                )
+                data, meta = data * ratio, meta * ratio
+        meta_limits = None
         if not policy.differentiated:
-            result = self.algorithm.allocate(
-                np.array(data_demands) + np.array(metadata_demands),
-                weights,
-                policy.allocatable_iops,
-            )
-            return result.allocations, None
-        data_arr = np.array(data_demands)
-        meta_arr = np.array(metadata_demands)
-        axes = getattr(self.algorithm, "allocate_axes", None)
-        if axes is not None:
-            data_result, meta_result = axes(
-                data_arr,
-                meta_arr,
-                weights,
-                policy.allocatable_iops,
-                policy.allocatable_metadata_iops,
-            )
+            limits = self.algorithm.allocate(
+                data + meta, weights, policy.allocatable_iops
+            ).allocations
         else:
-            data_result = self.algorithm.allocate(
-                data_arr, weights, policy.allocatable_iops
+            axes = getattr(self.algorithm, "allocate_axes", None)
+            if axes is not None:
+                data_result, meta_result = axes(
+                    data,
+                    meta,
+                    weights,
+                    policy.allocatable_iops,
+                    policy.allocatable_metadata_iops,
+                )
+            else:
+                data_result = self.algorithm.allocate(
+                    data, weights, policy.allocatable_iops
+                )
+                meta_result = self.metadata_algorithm.allocate(
+                    meta, weights, policy.allocatable_metadata_iops
+                )
+            limits, meta_limits = data_result.allocations, meta_result.allocations
+        if clamp is not None:
+            clamp.observe(
+                rows, reported, limits if meta_limits is None else limits + meta_limits
             )
-            meta_result = self.metadata_algorithm.allocate(
-                meta_arr, weights, policy.allocatable_metadata_iops
-            )
-        return data_result.allocations, meta_result.allocations
+        return limits, meta_limits
 
     def _suppress(self, previous: Optional[tuple], limit, meta_limit) -> bool:
         """Changed-only verdict for one rule against the last one shipped.
@@ -531,7 +545,6 @@ class LiveGlobalController(_LiveControllerBase):
         degradation=None,
         demand_clamp=None,
         session_outbox_bytes: Optional[int] = None,
-        columnar: bool = False,
     ) -> None:
         if expected_stages < 1:
             raise ValueError(f"expected_stages must be >= 1: {expected_stages}")
@@ -555,46 +568,26 @@ class LiveGlobalController(_LiveControllerBase):
             degradation=degradation,
             demand_clamp=demand_clamp,
             session_outbox_bytes=session_outbox_bytes,
-            columnar=columnar,
         )
         self.expected_stages = expected_stages
         self.evicted_grace_cycles = evicted_grace_cycles
-        #: Evicted-but-graced stages:
-        #: id -> (job_id, data_demand, metadata_demand, epoch).
-        self.departed: Dict[str, tuple] = {}
-        # Columnar mode: replies scatter into the columns through cached
-        # row handles; the scalar session attributes stay authoritative
-        # for everything else (grace fallback, clamp scoring, tests).
-        # (columns generation, ok): session order still mirrors row order.
-        self._order_cache: Optional[tuple] = None
-        # (columns generation, policy version) -> per-row weight vector.
-        self._weights_cache: Optional[tuple] = None
 
     async def wait_for_stages(self, timeout_s: float = 30.0) -> None:
         """Block until every expected stage has registered."""
         await asyncio.wait_for(self._all_registered.wait(), timeout=timeout_s)
 
     def _on_evicted(self, session: Session) -> None:
-        if self.columns is not None:
-            self.columns.evict(session.peer_id)
         if self.evicted_grace_cycles > 0:
-            self.departed[session.peer_id] = (
-                session.job_id,
-                session.latest_data_demand,
-                session.latest_metadata_demand,
-                self.epoch,
+            self.columns.reserve(
+                session.peer_id, self.epoch + self.evicted_grace_cycles
             )
+        else:
+            self.columns.evict(session.peer_id)
 
     def _after_register(self, session: Session) -> None:
-        self.departed.pop(session.peer_id, None)
-        if self.columns is not None:
-            # A rejoining id gets a fresh row at the tail — same position
-            # its session takes in the (insertion-ordered) session dict.
-            if session.peer_id in self.columns:
-                self.columns.evict(session.peer_id)
-            session.column_row = self.columns.register(
-                session.peer_id, session.job_id
-            )
+        # Always a new tail row — the position the session just took in
+        # the (insertion-ordered) session dict.
+        self._register_row(session.peer_id, session.job_id)
 
     def _validate_hello(self, hello: dict) -> Optional[str]:
         stage_id = hello.get("stage_id")
@@ -619,41 +612,20 @@ class LiveGlobalController(_LiveControllerBase):
         return self.expected_stages
 
     # -- control loop -----------------------------------------------------------
-    def _columnar_snapshot(self, sessions: List["StageSession"]):
-        """Cycle-start row/weight snapshot, or ``None`` to run scalar.
-
-        Taken before any I/O: mid-cycle evictions only tombstone rows
-        (values stay readable), so the snapshot keeps indexing the exact
-        stage set ``sessions`` froze — the same last-known-demand
-        semantics as the scalar gather. Compaction (the one thing that
-        renumbers rows) happens here and refreshes the session handles.
-        """
-        cols = self.columns
-        if cols is None:
-            return None
-        if cols.maybe_compact():
-            for s in self.sessions.values():
-                s.column_row = cols.row_of(s.stage_id)
-        gen = cols.generation
-        order = self._order_cache
-        if order is None or order[0] != gen:
-            ok = cols.active_ids() == tuple(s.stage_id for s in sessions)
-            self._order_cache = order = (gen, ok)
-        if not order[1]:
-            return None
-        wkey = (gen, self.policy.version)
-        weights = self._weights_cache
-        if weights is None or weights[0] != wkey:
-            self._weights_cache = weights = (
-                wkey, self.policy.weights(cols.active_jobs())
-            )
-        return cols.active_rows(), weights[1]
-
     async def _cycle(self) -> None:
         self.epoch += 1
         epoch = self.epoch
+        columns = self.columns
+        # Cycle start is the one safe point to drop and renumber rows.
+        # The gather is frozen here with the session list it mirrors
+        # (live rows are in session-dict order; reservations follow):
+        # mid-cycle evictions only tombstone or reserve rows, values stay
+        # readable, so compute sees exactly this stage set at last-known
+        # demand.
+        columns.release_expired(epoch)
+        columns.maybe_compact()
         sessions: List[StageSession] = list(self.sessions.values())
-        snapshot = self._columnar_snapshot(sessions)
+        rows = columns.gather_rows()
         started = time.perf_counter()
         missing_ids: Set[str] = set()
         tracer = self.tracer
@@ -667,15 +639,11 @@ class LiveGlobalController(_LiveControllerBase):
             send_request(s)
             sent_at[s.stage_id] = tracer.now()
 
-        columns = self.columns
+        observe = columns.observe
 
         def on_reply(s: StageSession, reply: tuple) -> None:
-            _, _, data, meta = reply
-            s.latest_data_demand = data
-            s.latest_metadata_demand = meta
-            if columns is not None and s.column_row is not None:
-                columns.data[s.column_row] = data
-                columns.meta[s.column_row] = meta
+            if not observe(s.peer_id, reply[2], reply[3]):
+                missing_ids.add(s.peer_id)  # rejected: rides at last-known
             if tracing:
                 t0 = sent_at.get(s.stage_id, started)
                 tracer.for_track(s.stage_id).emit(
@@ -690,49 +658,13 @@ class LiveGlobalController(_LiveControllerBase):
         missing_ids.update(s.stage_id for s in absent)
         t_collect = time.perf_counter() - started
 
-        # ---- compute (the real PSFA; absent stages at last-known demand) ----
+        # ---- compute (the real PSFA; absent stages at last-known demand;
+        # graced departures still hold their share — they are out there
+        # enforcing their last rule) ----
         compute_started = time.perf_counter()
         with self._cpu():
-            clamp = self.demand_clamp
-            if snapshot is not None and clamp is None and not self.departed:
-                # Columnar gather: demand and weights come straight out
-                # of the cycle-start row snapshot — no per-session Python.
-                # Identical inputs to the scalar path (replies wrote both
-                # the columns and the session attributes).
-                rows, weights = snapshot
-                data_demands = columns.data[rows]
-                metadata_demands = columns.meta[rows]
-            else:
-                job_ids = [s.job_id for s in sessions]
-                data_demands = []
-                metadata_demands = []
-                for s in sessions:
-                    data, meta = self._believed(
-                        s.stage_id, s.latest_data_demand, s.latest_metadata_demand
-                    )
-                    data_demands.append(data)
-                    metadata_demands.append(meta)
-                # Graced departures still hold their share (they are out
-                # there enforcing their last rule); expired entries are
-                # forgotten.
-                registered = set(self.sessions)
-                for stage_id in list(self.departed):
-                    job_id, data, meta, evicted_epoch = self.departed[stage_id]
-                    if (
-                        stage_id in registered
-                        or epoch - evicted_epoch > self.evicted_grace_cycles
-                    ):
-                        del self.departed[stage_id]
-                        continue
-                    job_ids.append(job_id)
-                    data, meta = self._believed(stage_id, data, meta)
-                    data_demands.append(data)
-                    metadata_demands.append(meta)
-                weights = self.policy.weights(job_ids)
-            limits, meta_limits = self._allocate(
-                data_demands, metadata_demands, weights
-            )
-            # One C pass to Python floats; graced departures sit past the
+            limits, meta_limits = self._allocate(rows)
+            # One C pass to Python floats; reservations sit past the
             # sessions and get no rule.
             limits = limits[: len(sessions)].tolist()
             meta_limits = (
@@ -741,10 +673,6 @@ class LiveGlobalController(_LiveControllerBase):
                 else [None] * len(sessions)
             )
             self._last_grants = ([s.peer_id for s in sessions], limits)
-            if clamp is not None:
-                for s, limit, meta_limit in zip(sessions, limits, meta_limits):
-                    granted = limit if meta_limit is None else limit + meta_limit
-                    clamp.observe(s.stage_id, s.latest_demand, granted)
         t_compute = time.perf_counter() - compute_started
 
         # ---- enforce ----
@@ -871,7 +799,6 @@ class LiveHierGlobalController(_LiveControllerBase):
         degradation=None,
         demand_clamp=None,
         session_outbox_bytes: Optional[int] = None,
-        columnar: bool = False,
     ) -> None:
         if expected_aggregators < 1:
             raise ValueError(
@@ -897,25 +824,12 @@ class LiveHierGlobalController(_LiveControllerBase):
             degradation=degradation,
             demand_clamp=demand_clamp,
             session_outbox_bytes=session_outbox_bytes,
-            columnar=columnar,
         )
         self.expected_aggregators = expected_aggregators
         self.dead_after_missed = dead_after_missed
         #: Last shipped limits per stage id:
         #: (rule-epoch, data limit, metadata limit | None).
         self._last_rule: Dict[str, tuple] = {}
-        #: Last-known per-axis demand per stage id, as a
-        #: ``(data_iops, metadata_iops)`` tuple — survives its aggregator
-        #: (a dead subtree's fallback must keep the axis split, not a
-        #: summed scalar). In columnar mode the store is
-        #: :attr:`columns` instead: aggregator replies scatter into it in
-        #: one vectorized write per reply, and the compute gather is a
-        #: fancy-index over the concatenated partition.
-        self.latest_demand_of: Dict[str, tuple] = {}
-        #: Stages whose aggregator died: id -> job id. Cleared on re-home.
-        self.orphans: Dict[str, str] = {}
-        #: Epoch at which each current orphan lost its home.
-        self.orphaned_at_epoch: Dict[str, int] = {}
         #: Orphans moved onto a live aggregator (completed re-homes).
         self.rehomes = 0
         #: Aggregators declared dead via the missed-epoch health check.
@@ -978,24 +892,32 @@ class LiveHierGlobalController(_LiveControllerBase):
         return sum(len(s.stage_ids) for s in self.sessions.values())
 
     # -- membership / re-homing ----------------------------------------------
+    @property
+    def orphans(self) -> Dict[str, str]:
+        """Stages whose aggregator died, id -> job id, until re-homed.
+
+        Each holds a *reserved* row: last-known demand (through the
+        clamp — an orphaned liar would otherwise hold its absurd last
+        report against the whole budget) stays in the PSFA input.
+        """
+        job_of = self.columns.job_of
+        return {stage_id: job_of(stage_id) for stage_id in self.columns.reserved}
+
     def _on_evicted(self, session: Session) -> None:
         """A dead aggregator orphans every stage no other session owns."""
         owned_elsewhere = set()
         for other in self.sessions.values():
             owned_elsewhere.update(other.stage_ids)
         n_orphaned = 0
-        for stage_id, job_id in zip(session.stage_ids, session.job_ids):
+        for stage_id in session.stage_ids:
             # An in-flight batch may have died with the socket; forget the
             # diff record so the next enforce re-ships these rules.
             self._last_rule.pop(stage_id, None)
-            if stage_id in owned_elsewhere:
-                continue
-            self.orphans[stage_id] = job_id
-            self.orphaned_at_epoch.setdefault(stage_id, self.epoch)
-            n_orphaned += 1
+            if stage_id not in owned_elsewhere:
+                n_orphaned += self.columns.reserve(stage_id)
         self._topology_dirty = True
         if self.metrics is not None:
-            self._m_orphans.set(len(self.orphans))
+            self._m_orphans.set(len(self.columns.reserved))
         if self.tracer.enabled:
             now = self.tracer.now()
             self.tracer.emit(
@@ -1013,9 +935,11 @@ class LiveHierGlobalController(_LiveControllerBase):
             other.stage_ids.pop(idx)
             other.job_ids.pop(idx)
             was_homed_elsewhere = True
-        was_orphan = stage_id in self.orphans
-        self.orphans.pop(stage_id, None)
-        self.orphaned_at_epoch.pop(stage_id, None)
+        was_orphan = stage_id in self.columns.reserved
+        if was_orphan or stage_id not in self.columns:
+            # First sight, or an orphan coming home (its reservation is
+            # released into the new row, demand and trust included).
+            self._register_row(stage_id, job_id)
         # A re-homed stage may be a restarted process with no applied
         # rule; make sure the next enforce ships one.
         self._last_rule.pop(stage_id, None)
@@ -1026,7 +950,7 @@ class LiveHierGlobalController(_LiveControllerBase):
             self.rehomes += 1
             if self.metrics is not None:
                 self._m_rehomes.inc()
-                self._m_orphans.set(len(self.orphans))
+                self._m_orphans.set(len(self.columns.reserved))
             if self.tracer.enabled:
                 now = self.tracer.now()
                 self.tracer.emit(
@@ -1083,6 +1007,9 @@ class LiveHierGlobalController(_LiveControllerBase):
             self._broadcast_topology()
         self.epoch += 1
         epoch = self.epoch
+        columns = self.columns
+        # Cycle start is the one safe point to renumber rows.
+        columns.maybe_compact()
         sessions: List[_AggregatorSession] = [
             self.sessions[a] for a in sorted(self.sessions)
         ]
@@ -1097,8 +1024,6 @@ class LiveHierGlobalController(_LiveControllerBase):
             if tracer.enabled:
                 sent_at[s.aggregator_id] = tracer.now()
 
-        columns = self.columns
-
         def on_agg_reply(s: _AggregatorSession, m: dict) -> None:
             sids = m["stage_ids"]
             data = m.get("data_demands")
@@ -1107,19 +1032,15 @@ class LiveHierGlobalController(_LiveControllerBase):
                 # Pre-rev-2 aggregator: only the summed vector exists, so
                 # the split is unknowable — book it all as data.
                 data, meta = m["demands"], np.zeros(len(sids))
-            if columns is not None:
-                # One vectorized scatter per reply: the partition's row
-                # map is cached inside the columns (same ids every
-                # cycle), so no per-stage dict writes happen here.
-                columns.observe_many(sids, data, meta)
-            else:
-                self.latest_demand_of.update(
-                    (sid, (float(d), float(md)))
-                    for sid, d, md in zip(sids, data, meta)
-                )
+            # One vectorized scatter per reply: the partition's row map
+            # is cached inside the columns (same ids every cycle). A
+            # stage adopted down there but not announced yet has no row
+            # and is skipped; a report the columns reject leaves its
+            # stage at last-known demand.
+            rejected = columns.observe_many(sids, data, meta)
             # Missing = stages the aggregator flagged as silent, plus any
             # registered stages it evicted and no longer reports at all.
-            s.last_missing = int(m.get("n_missing", 0)) + max(
+            s.last_missing = rejected + int(m.get("n_missing", 0)) + max(
                 0, len(s.stage_ids) - len(sids)
             )
             if tracer.enabled:
@@ -1165,59 +1086,28 @@ class LiveHierGlobalController(_LiveControllerBase):
         # their last rules) ----
         compute_started = time.perf_counter()
         with self._cpu():
-            clamp = self.demand_clamp
             stage_ids: List[str] = []
-            job_ids: List[str] = []
-
-            def raw_axes(stage_id: str):
-                if columns is not None:
-                    return columns.axes(stage_id)
-                return self.latest_demand_of.get(stage_id, (0.0, 0.0))
-
             for s in sessions:
-                if self.sessions.get(s.aggregator_id) is not s:
-                    continue  # declared dead above; its stages are orphans
-                stage_ids.extend(s.stage_ids)
-                job_ids.extend(s.job_ids)
-            homed = set(stage_ids)
-            orphan_ids = [o for o in sorted(self.orphans) if o not in homed]
-            # Orphan reservations run through the same clamp: an orphaned
-            # liar would otherwise hold its absurd last report against
-            # the whole budget until re-homed.
-            for stage_id in orphan_ids:
-                stage_ids.append(stage_id)
-                job_ids.append(self.orphans[stage_id])
-            if columns is not None and clamp is None:
-                # Columnar gather over the concatenated partitions: the
-                # row map is cached per id tuple, the demand pull is two
-                # fancy-indexes. Never-reported stages auto-register as
-                # zero rows — the dict path's (0.0, 0.0) default.
-                rows = columns.rows_for(tuple(stage_ids))
-                data_demands = columns.data[rows]
-                metadata_demands = columns.meta[rows]
-            else:
-                data_demands = []
-                metadata_demands = []
-                for stage_id in stage_ids:
-                    data, meta = self._believed(stage_id, *raw_axes(stage_id))
-                    data_demands.append(data)
-                    metadata_demands.append(meta)
+                if self.sessions.get(s.aggregator_id) is s:
+                    stage_ids.extend(s.stage_ids)
+                # else: declared dead above; its stages are orphans
+            n_homed = len(stage_ids)
+            stage_ids.extend(columns.reserved)
+            # Gather over the concatenated partitions, then the orphans:
+            # the row map is cached per id tuple, the demand and weight
+            # pulls are fancy indexes.
             limits, meta_limits = self._allocate(
-                data_demands, metadata_demands, self.policy.weights(job_ids)
+                columns.rows_for(tuple(stage_ids))
             )
             limit_of = dict(zip(stage_ids, limits))
             meta_limit_of = (
                 dict(zip(stage_ids, meta_limits)) if meta_limits is not None else None
             )
             self._last_grants = (stage_ids, limits.tolist())
-            if clamp is not None:
-                for sid, limit in limit_of.items():
-                    granted = float(limit)
-                    if meta_limit_of is not None:
-                        granted += float(meta_limit_of[sid])
-                    data, meta = raw_axes(sid)
-                    clamp.observe(sid, data + meta, granted)
-        n_missing += len((unreported - homed) | set(orphan_ids))
+        stale = set(columns.reserved)
+        if unreported:
+            stale.update(unreported.difference(stage_ids[:n_homed]))
+        n_missing += len(stale)
         t_compute = time.perf_counter() - compute_started
 
         # ---- enforce (rule batches) ----

@@ -187,7 +187,6 @@ async def _run(
     codec: str = "binary",
     enforce_changed_only: bool = False,
     rule_change_tolerance: float = 0.0,
-    columnar: bool = False,
 ) -> LiveRunResult:
     policy = policy or default_policy(n_stages)
     offered = _offered_codecs(codec)
@@ -202,7 +201,6 @@ async def _run(
         metrics=obs.registry,
         enforce_changed_only=enforce_changed_only,
         rule_change_tolerance=rule_change_tolerance,
-        columnar=columnar,
     )
     await controller.start()
     await obs.start()
@@ -252,7 +250,6 @@ def run_live_flat(
     enforce_changed_only: bool = False,
     rule_change_tolerance: float = 0.0,
     use_uvloop: bool = False,
-    columnar: bool = False,
 ) -> LiveRunResult:
     """Run a flat control plane over real localhost TCP sockets."""
     if n_stages < 1 or n_cycles < 1:
@@ -270,7 +267,6 @@ def run_live_flat(
             codec=codec,
             enforce_changed_only=enforce_changed_only,
             rule_change_tolerance=rule_change_tolerance,
-            columnar=columnar,
         ),
         use_uvloop,
     )
@@ -336,8 +332,7 @@ class LiveHierPlane:
         degradation=None,
         demand_clamp=None,
         session_outbox_bytes: Optional[int] = None,
-        columnar: bool = False,
-    ) -> None:
+        ) -> None:
         if n_stages < 1:
             raise ValueError(f"n_stages must be >= 1: {n_stages}")
         if not 1 <= n_aggregators <= n_stages:
@@ -361,7 +356,6 @@ class LiveHierPlane:
         self.degradation = degradation
         self.demand_clamp = demand_clamp
         self.session_outbox_bytes = session_outbox_bytes
-        self.columnar = columnar
         stage_ids = [f"stage-{i:05d}" for i in range(n_stages)]
         self._partitions = partition_stages(stage_ids, n_aggregators)
         self.controller: Optional[LiveHierGlobalController] = None
@@ -402,7 +396,6 @@ class LiveHierPlane:
             degradation=self.degradation,
             demand_clamp=self.demand_clamp,
             session_outbox_bytes=self.session_outbox_bytes,
-            columnar=self.columnar,
         )
         await _start_rebinding(self.controller)
         self._ctrl_port = self.controller.port
@@ -600,7 +593,6 @@ async def _run_hier(
     codec: str = "binary",
     enforce_changed_only: bool = False,
     rule_change_tolerance: float = 0.0,
-    columnar: bool = False,
 ) -> LiveRunResult:
     obs = _Obs(observe, metrics_port, sample_interval_s)
     plane = LiveHierPlane(
@@ -613,7 +605,6 @@ async def _run_hier(
         enforce_changed_only=enforce_changed_only,
         rule_change_tolerance=rule_change_tolerance,
         obs=obs,
-        columnar=columnar,
     )
     await plane.start()
     await obs.start()
@@ -649,7 +640,6 @@ def run_live_hierarchical(
     enforce_changed_only: bool = False,
     rule_change_tolerance: float = 0.0,
     use_uvloop: bool = False,
-    columnar: bool = False,
 ) -> LiveRunResult:
     """Run the hierarchical design over real localhost TCP sockets."""
     if n_stages < 1 or n_cycles < 1:
@@ -670,7 +660,6 @@ def run_live_hierarchical(
             codec=codec,
             enforce_changed_only=enforce_changed_only,
             rule_change_tolerance=rule_change_tolerance,
-            columnar=columnar,
         ),
         use_uvloop,
     )

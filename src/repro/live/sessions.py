@@ -333,14 +333,12 @@ class StageSession(Session):
         #: diffs against. A re-registering stage gets a fresh session, so
         #: a restarted process is always shipped a rule.
         self.rule: Optional[tuple] = None
-        # Last-known demand is tracked per axis: collapsing data +
-        # metadata into one scalar loses the split a dead socket's
+        # An aggregator's last-known demand for the stage, per axis (the
+        # controllers keep theirs in StageColumns rows): collapsing data
+        # + metadata into one scalar loses the split a dead socket's
         # fallback (and the metadata allocator) needs.
         self.latest_data_demand = 0.0
         self.latest_metadata_demand = 0.0
-        #: Row index in the flat controller's :class:`StageColumns`
-        #: (columnar mode only); refreshed after compaction.
-        self.column_row: Optional[int] = None
 
     @property
     def latest_demand(self) -> float:

@@ -371,8 +371,7 @@ def run_partitioned_hier(
                     if not sids:
                         continue
                     if sids[0] not in columns:
-                        for sid, jid in zip(sids, jids):
-                            columns.ensure(sid, jid)
+                        columns.register_many(sids, jids)
                     columns.observe_many(sids, data, meta)
             rx_s = n_aggregators * (
                 cm.rx_agg_reply_fixed_s + mean_part * cm.rx_agg_entry_s
@@ -387,7 +386,7 @@ def run_partitioned_hier(
                 columns.stage_weights(policy),
                 policy.allocatable_iops,
             )
-            columns.set_usage_rows(columns.active_rows(), result.allocations)
+            columns.usage[columns.active_rows()] = result.allocations
             compute_s = cm.compute_fixed_s + n_live * cm.psfa_per_stage_hier_s
             now += compute_s
 

@@ -25,8 +25,8 @@ class TestHierStandby:
             a.agg_id for a in plane.aggregators
         )
         # The standby tracks the same stages as the primary.
-        assert set(standby.registry.stage_ids) == set(
-            plane.global_controller.registry.stage_ids
+        assert set(standby.columns.active_ids()) == set(
+            plane.global_controller.columns.active_ids()
         )
 
     def test_takeover_while_degraded_by_dead_aggregator(self):

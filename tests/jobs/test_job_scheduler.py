@@ -117,7 +117,7 @@ class TestJobScheduler:
         arrivals = sum(1 for e in scheduler.events if e.action == "arrive")
         departures = sum(1 for e in scheduler.events if e.action == "depart")
         # initial 2 static stages + net churn
-        assert len(ctrl.registry) == 2 + arrivals - departures
+        assert ctrl.n_stages == 2 + arrivals - departures
 
     def test_max_stages_cap(self, env):
         plane, scheduler = self._build(env, arrival=500.0, lifetime=10.0, max_stages=20)

@@ -164,7 +164,7 @@ class TestStallAndStaleDrain:
                 await asyncio.wait_for(ctrl.run_cycles(2), timeout=10.0)
             finally:
                 stale = ctrl.stale_messages
-                demand = ctrl.sessions["s-002"].latest_demand
+                demand = sum(ctrl.columns.axes("s-002"))
                 await _teardown(ctrl, tasks)
             return ctrl, stalled_cycle, stale, demand
 

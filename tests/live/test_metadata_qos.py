@@ -192,11 +192,7 @@ class TestDegradedCyclePerAxisFallback:
                 stages[1].pause()
                 await asyncio.wait_for(ctrl.run_cycles(1), timeout=10.0)
                 degraded_cycle = ctrl.cycles[-1]
-                session = ctrl.sessions["s-1"]
-                per_axis = (
-                    session.latest_data_demand,
-                    session.latest_metadata_demand,
-                )
+                per_axis = ctrl.columns.axes("s-1")
                 stages[1].resume()
             finally:
                 await _teardown(ctrl, tasks)

@@ -43,6 +43,7 @@ from repro.core.compute import (
     scalar_allocations,
 )
 from repro.core.policies import QoSPolicy
+from repro.core.registry import StageRecord, StageRegistry
 
 N = st.integers(min_value=1, max_value=48)
 
@@ -174,46 +175,53 @@ def controller_history(draw):
 
 
 def _build_pair(history, alpha=1.0):
-    """Feed one history into both compute states; returns aligned views."""
+    """Feed one history into both compute states; returns aligned views.
+
+    A ``StageRegistry`` rides along as the membership table a controller
+    keeps: the oracle takes its stage and job order from it, the columns
+    must arrive at the same orders on their own.
+    """
     n, jobs, reports, evict, readd = history
     scalar = ScalarComputeState(alpha=alpha)
     cols = StageColumns(alpha=alpha)
+    registry = StageRegistry()
     ids = [f"stage-{i:03d}" for i in range(n)]
     for sid, jid in zip(ids, jobs):
         cols.register(sid, jid)
+        registry.register(StageRecord(sid, jid, "host"))
     for cycle in reports:
         for sid, (data, meta) in zip(ids, cycle):
             scalar.observe(sid, data, meta)
             cols.observe(sid, data, meta)
-    gone = set()
     for i in evict:
         scalar.forget(ids[i])
         cols.evict(ids[i])
-        gone.add(i)
+        registry.deregister(ids[i])
     for i in readd:
         # Re-registered ids get fresh tail rows, like a fresh session.
         cols.register(ids[i], jobs[i])
+        registry.register(StageRecord(ids[i], jobs[i], "host"))
         data, meta = reports[-1][i]
         scalar.observe(ids[i], data, meta)
         cols.observe(ids[i], data, meta)
-        gone.discard(i)
-    live = [i for i in range(n) if i not in gone]
-    # Scalar ids in the columnar active-row order (evictions tombstone
-    # in place; re-registrations append), so both sides hand the brains
-    # identically-ordered vectors.
-    ordered = list(cols.active_ids())
-    job_of = dict(zip(ids, jobs))
-    return scalar, cols, ordered, [job_of[s] for s in ordered], live
+    ordered = registry.stage_ids
+    assert tuple(ordered) == cols.active_ids()
+    return (
+        scalar, cols, ordered, [registry.job_of(s) for s in ordered],
+        registry.job_ids,
+    )
 
 
 class TestControllerEquivalence:
     @given(controller_history())
     @settings(max_examples=100, deadline=None)
     def test_undifferentiated_psfa_byte_identical(self, history):
-        scalar, cols, ids, jobs, _ = _build_pair(history)
+        scalar, cols, ids, jobs, order = _build_pair(history)
         policy = QoSPolicy(pfs_capacity_iops=250_000.0)
         algo = PSFA()
-        s_total, s_meta = scalar_allocations(scalar, ids, jobs, policy, algo)
+        s_total, s_meta = scalar_allocations(
+            scalar, ids, jobs, policy, algo, job_order=order
+        )
         c_total, c_meta = ColumnarCompute(cols).allocations(policy, algo)
         assert s_meta is None and c_meta is None
         assert np.array_equal(s_total, c_total)
@@ -221,14 +229,16 @@ class TestControllerEquivalence:
     @given(controller_history())
     @settings(max_examples=100, deadline=None)
     def test_differentiated_axes_byte_identical(self, history):
-        scalar, cols, ids, jobs, _ = _build_pair(history)
+        scalar, cols, ids, jobs, order = _build_pair(history)
         policy = QoSPolicy(
             pfs_capacity_iops=250_000.0, metadata_capacity_iops=40_000.0
         )
         for j in set(jobs):
             policy.assign_job(j, "batch")
         algo = PSFA()
-        s_data, s_meta = scalar_allocations(scalar, ids, jobs, policy, algo)
+        s_data, s_meta = scalar_allocations(
+            scalar, ids, jobs, policy, algo, job_order=order
+        )
         c_data, c_meta = ColumnarCompute(cols).allocations(policy, algo)
         assert np.array_equal(s_data, c_data)
         assert np.array_equal(s_meta, c_meta)
@@ -236,12 +246,14 @@ class TestControllerEquivalence:
     @given(controller_history())
     @settings(max_examples=100, deadline=None)
     def test_padll_coupled_axes_byte_identical(self, history):
-        scalar, cols, ids, jobs, _ = _build_pair(history)
+        scalar, cols, ids, jobs, order = _build_pair(history)
         policy = QoSPolicy(
             pfs_capacity_iops=250_000.0, metadata_capacity_iops=40_000.0
         )
         algo = PADLLThrottler()
-        s_data, s_meta = scalar_allocations(scalar, ids, jobs, policy, algo)
+        s_data, s_meta = scalar_allocations(
+            scalar, ids, jobs, policy, algo, job_order=order
+        )
         c_data, c_meta = ColumnarCompute(cols).allocations(policy, algo)
         assert np.array_equal(s_data, c_data)
         assert np.array_equal(s_meta, c_meta)
@@ -251,10 +263,12 @@ class TestControllerEquivalence:
     def test_smoothed_window_byte_identical(self, history, alpha):
         # alpha < 1 exercises the EWMA fold: the columnar elementwise
         # expression must match the scalar per-stage fold bit-for-bit.
-        scalar, cols, ids, jobs, _ = _build_pair(history, alpha=alpha)
+        scalar, cols, ids, jobs, order = _build_pair(history, alpha=alpha)
         policy = QoSPolicy(pfs_capacity_iops=250_000.0)
         algo = PSFA()
-        s_total, _ = scalar_allocations(scalar, ids, jobs, policy, algo)
+        s_total, _ = scalar_allocations(
+            scalar, ids, jobs, policy, algo, job_order=order
+        )
         c_total, _ = ColumnarCompute(cols).allocations(policy, algo)
         assert np.array_equal(s_total, c_total)
 
@@ -263,12 +277,14 @@ class TestControllerEquivalence:
     def test_policy_edit_invalidates_columnar_cache(self, history):
         # The per-(generation, policy.version) weight cache must never
         # serve stale vectors after an in-place policy edit.
-        scalar, cols, ids, jobs, _ = _build_pair(history)
+        scalar, cols, ids, jobs, order = _build_pair(history)
         policy = QoSPolicy(pfs_capacity_iops=250_000.0)
         algo = PSFA()
         compute = ColumnarCompute(cols)
         compute.allocations(policy, algo)  # warm the cache
         policy.assign_job(jobs[0], "interactive")
-        s_total, _ = scalar_allocations(scalar, ids, jobs, policy, algo)
+        s_total, _ = scalar_allocations(
+            scalar, ids, jobs, policy, algo, job_order=order
+        )
         c_total, _ = compute.allocations(policy, algo)
         assert np.array_equal(s_total, c_total)
