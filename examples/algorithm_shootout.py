@@ -20,8 +20,9 @@ burst and a metadata storm — so the scorecard isolates the algorithm:
   the PADLL-style per-tenant cap bounds it by construction, while still
   serving the innocent tenants in full (victim column).
 
-The same racer backs the ``shootout`` suite of ``python -m repro bench``
-(committed as ``BENCH_PR9.json``), so these numbers are CI-checked.
+The race is deterministic, and ``tests/core/test_shootout.py`` byte-checks
+its scoring columns against ``tests/core/golden_shootout.json``, so these
+numbers are CI-checked.
 
 Run:  python examples/algorithm_shootout.py
 """

@@ -16,7 +16,6 @@ Usage (installed as ``python -m repro``):
     python -m repro chaos --plane live --schedule full-restart --seed 7
     python -m repro serve --store-dir ./state --port 8080
     python -m repro store inspect --dir ./state
-    python -m repro bench --out BENCH_PR6.json
     python -m repro calibrate
 
 Every command supports ``--json`` for machine-readable output.
@@ -589,96 +588,6 @@ def _cmd_store(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    import os
-
-    from repro.bench import SCHEMA, check_regression, load_artifact, run_bench
-
-    if args.out and os.path.exists(args.out) and not args.force:
-        # Refuse to silently rewrite a committed baseline under a
-        # different schema generation — that is how artifact drift
-        # starts (a /1 baseline half-overwritten with /2 keys).
-        try:
-            with open(args.out, "r", encoding="utf-8") as fh:
-                existing_schema = json.load(fh).get("schema")
-        except (OSError, ValueError):
-            existing_schema = None
-        if existing_schema is not None and existing_schema != SCHEMA:
-            print(
-                f"refusing to overwrite {args.out} (schema "
-                f"{existing_schema!r}) with a {SCHEMA!r} artifact; "
-                f"pass --force or pick a new --out name",
-                file=sys.stderr,
-            )
-            return 2
-    result = run_bench(quick=args.quick)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(result, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote bench artifact -> {args.out}", file=sys.stderr)
-    rows = [
-        ["engine events/s", f"{result['engine']['events_per_s']:,.0f}"],
-        ["engine speedup vs pre-PR kernel", f"{result['engine']['speedup']:.2f}x"],
-        *[
-            [f"sim {key} (ms/cycle)", f"{v['wall_s_per_cycle'] * 1e3:.1f}"]
-            for key, v in result["sim_cycles"]["legs"].items()
-        ],
-        ["live enforce frames/s", f"{result['live']['frames_per_s']:,.0f}"],
-        ["live speedup vs seed wire path", f"{result['live']['speedup']:.2f}x"],
-        *[
-            [
-                f"shard {k}w cycle (ms)",
-                f"{leg['sharded_cycle_s'] * 1e3:.1f} "
-                f"({leg['speedup']:.2f}x vs single-process)",
-            ]
-            for k, leg in result["shard"]["legs"].items()
-        ],
-        ["shard host cores", f"{result['shard']['cpu_count']:.0f}"],
-        ["wal appends/s (batched fsync)", f"{result['store']['appends_per_s']:,.0f}"],
-        ["wal speedup vs fsync-per-record", f"{result['store']['speedup']:.2f}x"],
-        ["store cold restore (ms)", f"{result['store']['restore_s'] * 1e3:.1f}"],
-        *[
-            [
-                f"overload {load} honest attainment",
-                f"{leg['guarded']['honest_attainment']:.0%} guarded / "
-                f"{leg['unguarded']['honest_attainment']:.0%} unguarded",
-            ]
-            for load, leg in result["overload"]["legs"].items()
-        ],
-        [
-            "overload guard advantage (10x leg)",
-            f"{result['overload']['speedup']:.2f}x honest goodput",
-        ],
-        *[
-            [
-                f"shootout {name}",
-                f"conv={row['convergence_cycles']} cycles, "
-                f"jain={row['jain_index']:.3f}, "
-                f"storm={row['storm_share']:.0%} of MDS",
-            ]
-            for name, row in result["shootout"]["contenders"].items()
-        ],
-        [
-            "shootout storm containment (padll vs psfa)",
-            f"{result['shootout']['speedup']:.2f}x less MDS held by storm",
-        ],
-    ]
-    text = format_table(
-        ["benchmark", "value"], rows, title="Hot-path micro-benchmarks"
-    )
-    _emit(result, text, args.json)
-    if args.check:
-        message = check_regression(
-            result, load_artifact(args.check), max_cycle_ratio=args.max_ratio
-        )
-        if message is not None:
-            print(message, file=sys.stderr)
-            return 1
-        print(f"no regression vs {args.check}", file=sys.stderr)
-    return 0
-
-
 def _cmd_archive(args) -> int:
     from repro.harness.store import RunArchive, result_to_dict
 
@@ -926,27 +835,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="durable-store directory")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_store)
-
-    p = sub.add_parser(
-        "bench",
-        help="run the hot-path micro-benchmarks (exit 1 on regression "
-             "with --check)",
-    )
-    p.add_argument("--quick", action="store_true",
-                   help="smaller workloads for CI smoke runs")
-    p.add_argument("--out", type=str, default=None,
-                   help="write the JSON artifact here (e.g. BENCH_PR7.json)")
-    p.add_argument("--force", action="store_true",
-                   help="allow --out to overwrite an existing artifact "
-                        "written under a different schema version")
-    p.add_argument("--check", type=str, default=None,
-                   help="compare sim cycle latency against this committed "
-                        "artifact; exit 1 when a cycle regressed")
-    p.add_argument("--max-ratio", type=float, default=2.0,
-                   help="allowed wall-clock-per-cycle ratio vs the --check "
-                        "baseline")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser(
         "archive", help="save, list, and inspect stored experiment runs"

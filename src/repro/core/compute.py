@@ -15,7 +15,7 @@ allocation brain over jobs, split the grants back to stages.
   job-index rebuild every call. Nothing in the control planes calls
   them; ``tests/properties/test_columnar_equivalence.py`` pins the two
   byte-identical (they call the identical vectorized brains on identical
-  arrays) and the ``repro bench`` compute suite races them.
+  arrays).
 """
 
 from __future__ import annotations

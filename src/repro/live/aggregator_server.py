@@ -44,7 +44,13 @@ import contextlib
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
-from repro.live.protocol import FrameLink, accept_backlog, choose_codec, encode
+from repro.live.protocol import (
+    FrameLink,
+    accept_backlog,
+    choose_codec,
+    encode,
+    hello_error,
+)
 from repro.live.sessions import (
     PhaseDriver,
     SessionClosed,
@@ -239,10 +245,8 @@ class LiveAggregator(PhaseDriver):
             return
         stage_id = hello.get("stage_id")
         job_id = hello.get("job_id")
-        error = None
-        if not stage_id or not job_id:
-            error = "register requires stage_id and job_id"
-        elif stage_id in self.sessions:
+        error = hello_error(hello, ids=("stage_id", "job_id"))
+        if error is None and stage_id in self.sessions:
             error = f"stage_id already registered: {stage_id}"
         if error is not None:
             self.registrations_rejected += 1

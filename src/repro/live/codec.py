@@ -20,7 +20,7 @@ Every layout lives in one table (:data:`_LAYOUTS`: tag, kind, fixed
 fields, trailing strings) and three views of a frame are derived from it:
 
 * the **message dict** (:func:`encode_binary_into` / :func:`decode_binary`)
-  — the generic path for tools, tests and ``repro bench``;
+  — the generic path for tools and tests;
 * the **record** ``(kind, epoch, a, b)`` (:func:`decode_at`,
   :func:`record_of`, :func:`message_of`) — what the live plane's receive
   path hands its callbacks: one ``unpack_from`` in place, the id tail

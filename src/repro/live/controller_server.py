@@ -41,7 +41,13 @@ from repro.core.algorithms.psfa import PSFA
 from repro.core.columnar import StageColumns
 from repro.core.cycle import ControlCycle
 from repro.core.policies import QoSPolicy
-from repro.live.protocol import FrameLink, accept_backlog, choose_codec, encode
+from repro.live.protocol import (
+    FrameLink,
+    accept_backlog,
+    choose_codec,
+    encode,
+    hello_error,
+)
 from repro.live.sessions import (
     PhaseDriver,
     Session,
@@ -458,12 +464,14 @@ class _LiveControllerBase(PhaseDriver):
 
     def _on_heartbeat(self, message, nbytes: int) -> None:
         """One frame of a primary's heartbeat stream (this side is standby)."""
-        if message.__class__ is dict and message["kind"] == "heartbeat":
-            self.last_heartbeat_at = time.monotonic()
-            self.last_primary_epoch = max(
-                self.last_primary_epoch, int(message.get("epoch", 0))
-            )
-            self.heartbeats_received += 1
+        if message.__class__ is not dict or message["kind"] != "heartbeat":
+            return
+        epoch = message.get("epoch", 0)
+        if not isinstance(epoch, int):
+            return  # not a beat a primary sends: no liveness credit
+        self.last_heartbeat_at = time.monotonic()
+        self.last_primary_epoch = max(self.last_primary_epoch, epoch)
+        self.heartbeats_received += 1
 
     def _after_register(self, session: Session) -> None:
         """Hook run after a child registers (hier: topology broadcast)."""
@@ -590,13 +598,10 @@ class LiveGlobalController(_LiveControllerBase):
         self._register_row(session.peer_id, session.job_id)
 
     def _validate_hello(self, hello: dict) -> Optional[str]:
-        stage_id = hello.get("stage_id")
-        job_id = hello.get("job_id")
-        if not stage_id or not job_id:
-            return "register requires stage_id and job_id"
-        if stage_id in self.sessions:
-            return f"stage_id already registered: {stage_id}"
-        return None
+        error = hello_error(hello, ids=("stage_id", "job_id"))
+        if error is None and hello["stage_id"] in self.sessions:
+            error = f"stage_id already registered: {hello['stage_id']}"
+        return error
 
     def _make_session(
         self, hello: dict, link: FrameLink, codec: str
@@ -852,13 +857,17 @@ class LiveHierGlobalController(_LiveControllerBase):
         await asyncio.wait_for(self._all_registered.wait(), timeout=timeout_s)
 
     def _validate_hello(self, hello: dict) -> Optional[str]:
-        aggregator_id = hello.get("aggregator_id")
-        stage_ids = hello.get("stage_ids")
-        job_ids = hello.get("job_ids")
-        if not aggregator_id or stage_ids is None or job_ids is None:
-            return "register_aggregator requires aggregator_id, stage_ids, job_ids"
-        if len(stage_ids) != len(job_ids):
+        error = hello_error(
+            hello, ids=("aggregator_id",), id_lists=("stage_ids", "job_ids")
+        )
+        if error is not None:
+            return error
+        if len(hello["stage_ids"]) != len(hello["job_ids"]):
             return "stage_ids and job_ids lengths differ"
+        port = hello.get("port")
+        if port is not None and not isinstance(port, int):
+            return "port must be an integer"
+        aggregator_id = hello["aggregator_id"]
         if aggregator_id in self.sessions:
             return f"aggregator_id already registered: {aggregator_id}"
         return None

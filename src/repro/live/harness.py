@@ -21,10 +21,7 @@ Wire-path knobs (PR 5): ``codec`` picks what the endpoints *offer* at
 registration ("binary" offers the struct fast-codec with JSON fallback;
 "json" emulates a pre-binary deployment), and
 ``enforce_changed_only``/``rule_change_tolerance`` suppress rule frames
-whose limit did not move. ``use_uvloop=True`` swaps in the uvloop event
-loop when that package is importable and silently falls back to the
-stdlib loop otherwise — results are identical either way; only wall
-clocks differ, so benchmarks must record which loop actually ran.
+whose limit did not move.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ import asyncio
 import contextlib
 import errno
 from dataclasses import dataclass, field
-from typing import Coroutine, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.control_plane import default_policy
 from repro.core.cycle import ControlCycle, CycleStats
@@ -71,25 +68,6 @@ def _offered_codecs(codec: str) -> Tuple[str, ...]:
     raise ValueError(
         f"unknown codec {codec!r}: expected 'binary', 'binary1' or 'json'"
     )
-
-
-def _run_loop(coro: Coroutine, use_uvloop: bool):
-    """Run ``coro`` to completion, on uvloop when asked for and available.
-
-    uvloop is an optional accelerator, never a dependency: when the
-    import fails we fall back to ``asyncio.run`` without complaint so the
-    same call sites work on bare-stdlib installs.
-    """
-    if use_uvloop:
-        try:
-            import uvloop  # type: ignore[import-not-found]
-        except ImportError:
-            pass
-        else:
-            if hasattr(uvloop, "run"):  # uvloop >= 0.18
-                return uvloop.run(coro)
-            uvloop.install()
-    return asyncio.run(coro)
 
 
 @dataclass
@@ -249,12 +227,11 @@ def run_live_flat(
     codec: str = "binary",
     enforce_changed_only: bool = False,
     rule_change_tolerance: float = 0.0,
-    use_uvloop: bool = False,
 ) -> LiveRunResult:
     """Run a flat control plane over real localhost TCP sockets."""
     if n_stages < 1 or n_cycles < 1:
         raise ValueError("n_stages and n_cycles must be >= 1")
-    return _run_loop(
+    return asyncio.run(
         _run(
             n_stages,
             n_cycles,
@@ -267,8 +244,7 @@ def run_live_flat(
             codec=codec,
             enforce_changed_only=enforce_changed_only,
             rule_change_tolerance=rule_change_tolerance,
-        ),
-        use_uvloop,
+        )
     )
 
 
@@ -332,7 +308,7 @@ class LiveHierPlane:
         degradation=None,
         demand_clamp=None,
         session_outbox_bytes: Optional[int] = None,
-        ) -> None:
+    ) -> None:
         if n_stages < 1:
             raise ValueError(f"n_stages must be >= 1: {n_stages}")
         if not 1 <= n_aggregators <= n_stages:
@@ -639,14 +615,13 @@ def run_live_hierarchical(
     codec: str = "binary",
     enforce_changed_only: bool = False,
     rule_change_tolerance: float = 0.0,
-    use_uvloop: bool = False,
 ) -> LiveRunResult:
     """Run the hierarchical design over real localhost TCP sockets."""
     if n_stages < 1 or n_cycles < 1:
         raise ValueError("n_stages and n_cycles must be >= 1")
     if not 1 <= n_aggregators <= n_stages:
         raise ValueError("n_aggregators must be in [1, n_stages]")
-    return _run_loop(
+    return asyncio.run(
         _run_hier(
             n_stages,
             n_aggregators,
@@ -660,6 +635,5 @@ def run_live_hierarchical(
             codec=codec,
             enforce_changed_only=enforce_changed_only,
             rule_change_tolerance=rule_change_tolerance,
-        ),
-        use_uvloop,
+        )
     )

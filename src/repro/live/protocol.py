@@ -64,6 +64,7 @@ __all__ = [
     "encode",
     "encode_into",
     "frame_packer",
+    "hello_error",
     "read_message",
     "write_message",
 ]
@@ -118,6 +119,38 @@ def choose_codec(
         if codec in offered_set and codec in supported_set:
             return codec
     return "json"
+
+
+def _is_str_list(value: Any) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def hello_error(
+    hello: Dict[str, Any],
+    ids: Iterable[str] = (),
+    id_lists: Iterable[str] = (),
+) -> Optional[str]:
+    """Why a registration's fields are missing or of the wrong type.
+
+    A hello is the one frame a listener reads from a peer it knows
+    nothing about, so its fields are checked before anything hashes,
+    sizes or iterates them: every key in ``ids`` must hold a non-empty
+    ``str``, every key in ``id_lists`` a list of ``str``, and ``codecs``
+    (what :func:`choose_codec` reads) must be absent or a list of
+    ``str``. Returns the rejection reason, or ``None`` for a well-typed
+    hello.
+    """
+    for key in ids:
+        value = hello.get(key)
+        if not isinstance(value, str) or not value:
+            return f"{hello.get('kind')} requires a non-empty string {key}"
+    for key in id_lists:
+        if not _is_str_list(hello.get(key)):
+            return f"{hello.get('kind')} requires a list of strings {key}"
+    codecs = hello.get("codecs")
+    if codecs is not None and not _is_str_list(codecs):
+        return "codecs must be a list of strings"
+    return None
 
 
 def encode(message: Dict[str, Any], codec: str = "json") -> bytes:

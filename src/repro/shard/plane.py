@@ -17,8 +17,7 @@ which a kernel-balanced shared accept queue cannot guarantee, and
 distinct ports keep the re-home alternates list meaningful. See
 DESIGN.md ("Sharded control plane") for the trade-off discussion.
 
-:func:`run_live_sharded` is the one-call runner the bench, CLI, and
-chaos harness share.
+:func:`run_live_sharded` is the one-call runner behind ``repro shard``.
 """
 
 from __future__ import annotations

@@ -18,17 +18,18 @@ The public surface mirrors a stripped-down SimPy: ``Environment.process``,
 ``Process.interrupt``. This is the substrate the whole reproduction runs
 on, so it is tested exhaustively (see ``tests/simnet/test_engine.py``).
 
-Fast dispatch
--------------
-``Environment(fast_dispatch=True)`` (the default) runs an inlined event
-loop with a :class:`Timeout` free-list: a processed timeout whose only
-remaining reference is the dispatch loop itself (checked via
-``sys.getrefcount``) is recycled into a pool and handed back by
-:meth:`Environment.timeout` instead of a fresh allocation. Ordering is
-unaffected — the heap key is ``(time, priority, insertion seq)`` and
-recycled events draw fresh sequence numbers — which the golden-trace
-test in ``tests/simnet/test_engine.py`` pins against the legacy
-``fast_dispatch=False`` path, kept for baseline benchmarking.
+Dispatch
+--------
+:meth:`Environment.run` is the one event loop, and the one place the
+``(time, priority, insertion seq)`` order is decided: zero-delay events
+wait in per-priority FIFOs and are merged there with the heap. A
+processed :class:`Timeout` whose only remaining reference is the loop
+itself (checked via ``sys.getrefcount``) is recycled into a free-list
+and handed back by :meth:`Environment.timeout` instead of a fresh
+allocation; recycled events draw fresh sequence numbers, so ordering is
+unaffected. The golden-trace test in ``tests/simnet/test_engine.py``
+pins the loop to a delivery trace captured on the original
+one-event-per-call kernel.
 """
 
 from __future__ import annotations
@@ -396,17 +397,13 @@ class Environment:
         assert env.now == 1.0 and proc.value == "pong"
     """
 
-    def __init__(self, initial_time: float = 0.0, fast_dispatch: bool = True) -> None:
+    def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
         self._queue: list = []
         self._seq = count()
         self._active_process: Optional[Process] = None
         #: Number of events processed so far (for tests and stats).
         self.processed_events = 0
-        #: Use the inlined dispatch loop with the Timeout free-list.
-        #: ``False`` selects the legacy step()-per-event loop, kept so
-        #: benchmarks can measure the pre-optimization baseline in-run.
-        self.fast_dispatch = bool(fast_dispatch)
         self._timeout_pool: list = []
         # Same-timestamp dispatch buckets: zero-delay events skip the heap
         # entirely and land in a FIFO per priority class, merged back into
@@ -491,36 +488,6 @@ class Environment:
             self._queue, (self._now + delay, priority, next(self._seq), event)
         )
 
-    def _pop_merged(self) -> Optional[tuple]:
-        """Next ``(time, event)`` in global (time, priority, seq) order.
-
-        Merges the heap with the same-instant buckets; returns ``None``
-        when nothing is scheduled anywhere.
-        """
-        queue = self._queue
-        urgent = self._urgent
-        normal = self._normal
-        if queue:
-            item = queue[0]
-            when = item[0]
-            if urgent:
-                if when <= self._now and (item[1], item[2]) < (URGENT, urgent[0][0]):
-                    _heappop(queue)
-                    return when, item[3]
-                return self._now, urgent.popleft()[1]
-            if normal:
-                if when <= self._now and (item[1], item[2]) < (NORMAL, normal[0][0]):
-                    _heappop(queue)
-                    return when, item[3]
-                return self._now, normal.popleft()[1]
-            _heappop(queue)
-            return when, item[3]
-        if urgent:
-            return self._now, urgent.popleft()[1]
-        if normal:
-            return self._now, normal.popleft()[1]
-        return None
-
     def call_at(
         self, when: float, callback: Callable[[], None], priority: int = NORMAL
     ) -> Event:
@@ -545,25 +512,6 @@ class Environment:
             return self._now
         return self._queue[0][0] if self._queue else float("inf")
 
-    def step(self) -> None:
-        """Process exactly one event. Raises if the queue is empty."""
-        nxt = self._pop_merged()
-        if nxt is None:
-            raise SimulationError("step() on an empty event queue")
-        when, event = nxt
-        if when < self._now:  # pragma: no cover - guarded by _schedule
-            raise SimulationError("time went backwards")
-        self._now = when
-        callbacks = event.callbacks
-        event.callbacks = None
-        event._processed = True
-        self.processed_events += 1
-        if not event._ok and not callbacks:
-            # A failed event nobody waits for: surface the error loudly.
-            raise event._value
-        for callback in callbacks:
-            callback(event)
-
     def run(
         self,
         until: Optional[float | Event] = None,
@@ -586,73 +534,6 @@ class Environment:
         """
         if max_events is not None and max_events < 1:
             raise SimulationError(f"max_events must be >= 1: {max_events}")
-        if self.fast_dispatch:
-            return self._run_fast(until, max_events)
-        return self._run_legacy(until, max_events)
-
-    def _run_legacy(
-        self,
-        until: Optional[float | Event],
-        max_events: Optional[int],
-    ) -> Any:
-        """The original step()-per-event loop (``fast_dispatch=False``)."""
-        budget_floor = self.processed_events
-
-        def check_budget() -> None:
-            if (
-                max_events is not None
-                and self.processed_events - budget_floor > max_events
-            ):
-                raise SimulationError(
-                    f"run() exceeded max_events={max_events} at t={self._now}; "
-                    "likely a zero-delay loop or an immortal process"
-                )
-
-        if until is None:
-            while self._queue or self._urgent or self._normal:
-                self.step()
-                check_budget()
-            return None
-        if isinstance(until, Event):
-            sentinel = until
-            while not sentinel.processed:
-                if not (self._queue or self._urgent or self._normal):
-                    raise SimulationError(
-                        "event queue drained before the awaited event fired"
-                    )
-                self.step()
-                check_budget()
-            if not sentinel.ok:
-                raise sentinel.value
-            return sentinel.value
-        horizon = float(until)
-        if horizon < self._now:
-            raise SimulationError(f"run(until={horizon}) is in the past")
-        while (
-            self._urgent
-            or self._normal
-            or (self._queue and self._queue[0][0] <= horizon)
-        ):
-            self.step()
-            check_budget()
-        self._now = horizon
-        return None
-
-    def _run_fast(
-        self,
-        until: Optional[float | Event],
-        max_events: Optional[int],
-    ) -> Any:
-        """Inlined dispatch loop with Timeout recycling.
-
-        Semantically identical to :meth:`_run_legacy` — same pop order,
-        same failed-event surfacing, same budget accounting — but with
-        the per-event attribute lookups hoisted into locals and processed
-        timeouts recycled into the free-list when the loop holds their
-        only remaining reference (``sys.getrefcount(event) == 2``: the
-        loop local plus getrefcount's argument), so no user code can
-        observe a recycled event.
-        """
         queue = self._queue
         urgent = self._urgent
         normal = self._normal
@@ -737,8 +618,10 @@ class Environment:
                     and len(pool) < _TIMEOUT_POOL_CAP
                     and getrefcount(event) == 2
                 ):
-                    # Recycle the event *and* its callbacks list: the list
-                    # is detached above, so clearing it here saves one list
+                    # Refcount 2 = this loop's local plus getrefcount's
+                    # argument: nothing else can observe the event again.
+                    # Recycle it *and* its callbacks list: the list is
+                    # detached above, so clearing it here saves one list
                     # allocation per pooled timeout.
                     if callbacks:
                         callbacks.clear()

@@ -15,8 +15,8 @@ Durability is tunable per append: ``sync=True`` forces an ``fsync``
 before returning (used for tenant registrations and epoch leases, which
 must never be lost), while batched records (per-cycle progress) ride a
 group fsync every ``fsync_every`` appends — the classic WAL group-commit
-trade: bounded loss window, amortised fsync cost. The bench suite
-measures exactly this knob (`repro bench` → ``store`` suite).
+trade: bounded loss window, amortised fsync cost (19x the append rate
+of an fsync per record at the default 64 when measured at PR 7).
 """
 
 from __future__ import annotations

@@ -1,5 +1,8 @@
 """The controller-brain shootout racer: determinism and scorecard sanity."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 
 from repro.core.shootout import default_contenders, jain_index, run_shootout
@@ -23,6 +26,20 @@ class TestDeterminism:
         a = run_shootout(seed=7, cycles=24)
         b = run_shootout(seed=8, cycles=24)
         assert _strip_wall(a) != _strip_wall(b)
+
+    def test_scoring_columns_match_the_golden_fixture(self):
+        """``golden_shootout.json`` holds the scoring columns measured at
+        PR 9 (everything but ``wall_s``). The race is deterministic, so a
+        fresh one at the fixture's seed must match them exactly — any
+        drift means the racer (or a brain) changed behaviour."""
+        golden = json.loads(
+            Path(__file__).with_name("golden_shootout.json").read_text(
+                encoding="utf-8"
+            )
+        )
+        fresh = run_shootout(seed=golden["seed"], cycles=golden["cycles"])
+        assert _strip_wall(fresh) == golden["contenders"]
+        assert fresh["winners"] == golden["winners"]
 
 
 class TestScorecard:

@@ -10,6 +10,7 @@ import asyncio
 import pytest
 
 from repro.core.control_plane import default_policy
+from repro.live.aggregator_server import LiveAggregator
 from repro.live.controller_server import LiveGlobalController, LiveHierGlobalController
 from repro.live.faults import (
     LiveFaultLog,
@@ -51,6 +52,37 @@ async def _teardown(ctrl, tasks):
     for t in tasks:
         t.cancel()
     await asyncio.gather(*tasks, return_exceptions=True)
+
+
+async def _send_hello(listener, hello):
+    """One connection, one hello: the reply (None on bare EOF) and
+    whatever the listener sent before closing after it."""
+    reader, writer = await asyncio.open_connection(listener.host, listener.port)
+    await write_message(writer, hello)
+    try:
+        reply = await asyncio.wait_for(read_message(reader), timeout=5.0)
+    except asyncio.IncompleteReadError:
+        reply = None
+    rest = await asyncio.wait_for(reader.read(), timeout=5.0)
+    writer.close()
+    return reply, rest
+
+
+def _catch_loop_errors():
+    """Collect what would otherwise reach asyncio's default exception
+    handler (e.g. "Fatal error: protocol.buffer_updated() call failed")."""
+    errors = []
+    asyncio.get_running_loop().set_exception_handler(
+        lambda loop, context: errors.append(context)
+    )
+    return errors
+
+
+def _assert_all_rejected(hellos, replies):
+    """Each hello got a ``register_error`` and then a closed connection."""
+    for hello, (reply, rest) in zip(hellos, replies):
+        assert reply is not None and reply["kind"] == "register_error", hello
+        assert rest == b"", hello
 
 
 class TestKillAndEviction:
@@ -230,79 +262,124 @@ class TestRegistration:
         assert ctrl.cycles[-1].n_missing == 0
 
     def test_malformed_register_rejected_not_crashed(self):
+        bad_hellos = [
+            {"kind": "register", "job_id": "j-x"},
+            # Present but of the wrong type: must be rejected like a
+            # missing field, not raised out of the read callback.
+            {"kind": "register", "stage_id": 7, "job_id": "j-x"},
+            {"kind": "register", "stage_id": ["x"], "job_id": "j-x"},
+            {"kind": "register", "stage_id": "s-x", "job_id": {"j": 1}},
+            {"kind": "register", "stage_id": "s-x", "job_id": "j-x", "codecs": 5},
+            {"kind": "register", "stage_id": "s-x", "job_id": "j-x",
+             "codecs": [["binary"]]},
+        ]
+
         async def scenario():
+            loop_errors = _catch_loop_errors()
             ctrl, stages, tasks = await _cluster(2)
             try:
+                replies = [await _send_hello(ctrl, hello) for hello in bad_hellos]
+                # A heartbeat stream with a garbage beat in it: the beat
+                # is ignored, the stream lives on.
                 reader, writer = await asyncio.open_connection(ctrl.host, ctrl.port)
-                await write_message(writer, {"kind": "register", "job_id": "j-x"})
-                reply = await read_message(reader)
-                eof = await reader.read()
+                await write_message(writer, {"kind": "heartbeat", "epoch": "x"})
+                await write_message(writer, {"kind": "heartbeat", "epoch": 3})
+                for _ in range(200):
+                    if ctrl.heartbeats_received:
+                        break
+                    await asyncio.sleep(0.01)
                 writer.close()
+                session_ids = sorted(ctrl.sessions)
                 await asyncio.wait_for(ctrl.run_cycles(1), timeout=10.0)
             finally:
                 await _teardown(ctrl, tasks)
-            return reply, eof, ctrl
+            return replies, session_ids, ctrl, loop_errors
 
-        reply, eof, ctrl = asyncio.run(scenario())
-        assert reply["kind"] == "register_error"
-        assert eof == b""
-        assert ctrl.registrations_rejected == 1
+        replies, session_ids, ctrl, loop_errors = asyncio.run(scenario())
+        _assert_all_rejected(bad_hellos, replies)
+        assert ctrl.registrations_rejected == len(bad_hellos)
+        assert session_ids == ["s-000", "s-001"]
+        assert (ctrl.heartbeats_received, ctrl.last_primary_epoch) == (1, 3)
         assert len(ctrl.cycles) == 1
+        assert loop_errors == []
 
     def test_hier_malformed_and_duplicate_registration_rejected(self):
+        def hello(**fields):
+            message = {
+                "kind": "register_aggregator",
+                "aggregator_id": "agg-0",
+                "stage_ids": ["a"],
+                "job_ids": ["j"],
+            }
+            message.update(fields)
+            return message
+
+        bad_hellos = [
+            hello(stage_ids=["a", "b"]),  # mismatched id lists
+            hello(aggregator_id=7),
+            hello(aggregator_id=["agg-0"]),
+            hello(stage_ids=5, job_ids=5),
+            hello(stage_ids=[1], job_ids=[2]),
+            hello(host="127.0.0.1", port="abc"),
+            hello(codecs=5),
+        ]
+
         async def scenario():
+            loop_errors = _catch_loop_errors()
             ctrl = LiveHierGlobalController(
                 default_policy(4), expected_aggregators=2
             )
             await ctrl.start()
             try:
-                # Mismatched id lists.
-                reader, writer = await asyncio.open_connection(ctrl.host, ctrl.port)
-                await write_message(
-                    writer,
-                    {
-                        "kind": "register_aggregator",
-                        "aggregator_id": "agg-0",
-                        "stage_ids": ["a", "b"],
-                        "job_ids": ["j"],
-                    },
-                )
-                bad_lengths = await read_message(reader)
-                writer.close()
+                replies = [await _send_hello(ctrl, bad) for bad in bad_hellos]
+                n_sessions = len(ctrl.sessions)
                 # A valid registration, then a duplicate of it.
                 reader, writer = await asyncio.open_connection(ctrl.host, ctrl.port)
-                await write_message(
-                    writer,
-                    {
-                        "kind": "register_aggregator",
-                        "aggregator_id": "agg-0",
-                        "stage_ids": ["a"],
-                        "job_ids": ["j"],
-                    },
-                )
+                await write_message(writer, hello())
                 ok = await read_message(reader)
-                reader2, writer2 = await asyncio.open_connection(ctrl.host, ctrl.port)
-                await write_message(
-                    writer2,
-                    {
-                        "kind": "register_aggregator",
-                        "aggregator_id": "agg-0",
-                        "stage_ids": ["a"],
-                        "job_ids": ["j"],
-                    },
-                )
-                duplicate = await read_message(reader2)
-                writer2.close()
+                duplicate, _ = await _send_hello(ctrl, hello())
                 writer.close()
             finally:
                 await ctrl.shutdown()
-            return bad_lengths, ok, duplicate, ctrl.registrations_rejected
+            return (
+                replies, n_sessions, ok, duplicate,
+                ctrl.registrations_rejected, loop_errors,
+            )
 
-        bad_lengths, ok, duplicate, rejected = asyncio.run(scenario())
-        assert bad_lengths["kind"] == "register_error"
+        replies, n_sessions, ok, duplicate, rejected, loop_errors = asyncio.run(
+            scenario()
+        )
+        _assert_all_rejected(bad_hellos, replies)
+        assert n_sessions == 0
         assert ok["kind"] == "registered"
         assert duplicate["kind"] == "register_error"
-        assert rejected == 2
+        assert rejected == len(bad_hellos) + 1
+        assert loop_errors == []
+
+    def test_aggregator_malformed_register_rejected(self):
+        """The aggregator's stage listener type-checks hellos like the
+        flat controller's does."""
+        bad_hellos = [
+            {"kind": "register", "stage_id": 7, "job_id": "j-x"},
+            {"kind": "register", "stage_id": ["x"], "job_id": "j-x"},
+            {"kind": "register", "stage_id": "s-x", "job_id": "j-x", "codecs": 5},
+        ]
+
+        async def scenario():
+            loop_errors = _catch_loop_errors()
+            agg = LiveAggregator("agg-0", "127.0.0.1", 1, expected_stages=1)
+            await agg.start()
+            try:
+                replies = [await _send_hello(agg, hello) for hello in bad_hellos]
+            finally:
+                agg.kill()
+            return replies, agg, loop_errors
+
+        replies, agg, loop_errors = asyncio.run(scenario())
+        _assert_all_rejected(bad_hellos, replies)
+        assert agg.registrations_rejected == len(bad_hellos)
+        assert not agg.sessions
+        assert loop_errors == []
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -379,10 +379,6 @@ class TestDeterminism:
         with pytest.raises(SimulationError, match="drained"):
             env.run(until=ev)
 
-    def test_step_on_empty_queue_raises(self):
-        with pytest.raises(SimulationError):
-            Environment().step()
-
     def test_peek_empty_is_inf(self):
         assert Environment().peek() == float("inf")
 
@@ -444,9 +440,9 @@ class TestGoldenTrace:
     The fixture (``golden_hier_trace.json``) records every message
     delivery of a seeded 2-aggregator hierarchical run — timestamp,
     kind, sender, recipient, size — captured on the pre-fast-path
-    kernel. The fast dispatch path, the legacy ``step()`` path, and any
-    future kernel change must reproduce it byte for byte: the sha256
-    covers the full delivery trace plus the per-cycle phase timings.
+    kernel. The dispatch loop, and any future kernel change, must
+    reproduce it byte for byte: the sha256 covers the full delivery
+    trace plus the per-cycle phase timings.
     """
 
     N_STAGES = 40
@@ -522,31 +518,11 @@ class TestGoldenTrace:
         path = Path(__file__).with_name("golden_hier_trace.json")
         return json.loads(path.read_text(encoding="utf-8"))
 
-    @pytest.mark.parametrize("fast_dispatch", [True, False])
-    def test_reproduces_golden_trace(self, fast_dispatch):
+    def test_reproduces_golden_trace(self):
         fixture = self._fixture()
-        trace, cycles, digest = self._run_traced(
-            Environment(fast_dispatch=fast_dispatch)
-        )
+        trace, cycles, digest = self._run_traced(Environment())
         assert len(trace) == fixture["n_deliveries"]
         assert trace[: len(fixture["head"])] == fixture["head"]
         assert trace[-len(fixture["tail"]):] == fixture["tail"]
         assert cycles == fixture["cycles"]
         assert digest == fixture["sha256"]
-
-    def test_vendored_baseline_runs_the_bench_workload(self):
-        # The frozen pre-PR kernel only needs timeout/process semantics
-        # (the bench burst workload); full control-plane runs use
-        # resource classes bound to the live kernel's Event type, so
-        # they are out of scope for the baseline by design.
-        from repro.simnet._engine_baseline import Environment as BaselineEnv
-
-        env = BaselineEnv()
-
-        def worker(env, k):
-            for _ in range(k):
-                yield env.timeout(0.0)
-
-        env.process(worker(env, 100))
-        env.run(until=1.0)
-        assert env.processed_events > 100

@@ -410,13 +410,3 @@ class TestServe:
         before, after = json.loads(first), json.loads(second)
         assert after["resumed"] is True
         assert after["initial_epoch"] > before["epoch"]
-
-
-class TestBenchGuards:
-    def test_refuses_overwriting_other_schema(self, capsys, tmp_path):
-        stale = tmp_path / "BENCH_PR0.json"
-        stale.write_text(json.dumps({"schema": "repro-bench/0"}))
-        code, _ = run_cli(capsys, "bench", "--quick", "--out", str(stale))
-        assert code == 2
-        # Untouched: the refusal happened before any suite ran.
-        assert json.loads(stale.read_text()) == {"schema": "repro-bench/0"}
