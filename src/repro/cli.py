@@ -179,7 +179,6 @@ def _cmd_shard(args) -> int:
         n_stages=args.stages,
         n_workers=args.workers,
         n_cycles=args.cycles,
-        codec=args.codec,
         collect_timeout_s=args.collect_timeout,
         enforce_timeout_s=args.enforce_timeout,
     )
@@ -214,7 +213,6 @@ def _cmd_shard(args) -> int:
             r["aggregator_id"],
             r["n_stages"],
             r["cycles_served"],
-            r["up_codec"],
             f"{r['cpu_seconds']:.2f}",
             r["tx_bytes"],
             r["rx_bytes"],
@@ -224,8 +222,7 @@ def _cmd_shard(args) -> int:
     ]
     if shard_rows:
         text += "\n\n" + format_table(
-            ["shard", "stages", "cycles", "codec", "cpu s", "tx B", "rx B",
-             "rss MiB"],
+            ["shard", "stages", "cycles", "cpu s", "tx B", "rx B", "rss MiB"],
             shard_rows,
             title="Per-shard worker usage (harvested over control pipes)",
         )
@@ -755,7 +752,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=2,
                    help="shard worker processes (one aggregator subtree each)")
     p.add_argument("--cycles", type=int, default=10)
-    p.add_argument("--codec", choices=("binary", "json"), default="binary")
     p.add_argument("--collect-timeout", type=float, default=None,
                    help="collect-phase deadline in seconds (partial collect)")
     p.add_argument("--enforce-timeout", type=float, default=None,

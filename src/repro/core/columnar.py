@@ -408,7 +408,7 @@ class StageColumns:
         try:
             data_iops = np.asarray(data_iops, dtype=float)
             metadata_iops = np.asarray(metadata_iops, dtype=float)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             data_iops = metadata_iops = np.empty(0)
         if data_iops.shape != rows.shape or metadata_iops.shape != rows.shape:
             self.reports_rejected += rows.size

@@ -1,10 +1,12 @@
 """Admission control: token buckets, concurrency caps, prioritized shed.
 
 :class:`RateLimiter` is a lazy token bucket (tokens accrue on demand
-from a monotonic clock — no refill task), :class:`ConcurrencyLimiter`
-a plain in-flight counter with a ceiling, and :class:`AdmissionGate`
-the composition the service tier actually mounts: per-tenant and global
-buckets plus a concurrency cap, with *prioritized* shedding —
+from a monotonic clock — no refill task; the stage-side
+:class:`~repro.dataplane.token_bucket.TokenBucket` behind a lock),
+:class:`ConcurrencyLimiter` a plain in-flight counter with a ceiling,
+and :class:`AdmissionGate` the composition the service tier actually
+mounts: per-tenant and global buckets plus a concurrency cap, with
+*prioritized* shedding —
 
 ==========  ==============================================================
 Priority    Shed policy
@@ -32,6 +34,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
+from repro.dataplane.token_bucket import TokenBucket
+
 __all__ = [
     "Admission",
     "AdmissionGate",
@@ -40,27 +44,21 @@ __all__ = [
     "RateLimiter",
 ]
 
-#: Tolerance for float token arithmetic (a bucket refilled at exactly
-#: one request per period must admit that request, not starve on 1e-17).
-_TOKEN_EPS = 1e-9
-
-
 class RateLimiter:
-    """Token bucket with lazy refill off an injectable monotonic clock.
+    """Thread-safe admission face of a lazily refilled token bucket.
 
     ``rate`` tokens accrue per second up to ``burst`` (default: one
     second's worth, floored at 1 so a sub-1/s limiter can still admit a
     whole request). :meth:`try_acquire` never blocks — callers shed or
     retry after :meth:`retry_after` seconds.
 
-    Unlike :class:`repro.dataplane.token_bucket.TokenBucket` (which paces
-    a simulated workload on the sim clock), this bucket is an *admission*
-    primitive: wall-clock by default, never sleeps, and keeps
-    grant/reject counters for the metrics registry.
+    The arithmetic is :class:`repro.dataplane.token_bucket.TokenBucket`'s
+    (the stage-side enforcement primitive); this class makes it an
+    *admission* primitive: wall-clock by default, a positive rate only,
+    and a lock around every read-modify-write.
     """
 
-    __slots__ = ("rate", "burst", "_clock", "_tokens", "_stamp",
-                 "_lock", "granted", "rejected")
+    __slots__ = ("_bucket", "_lock")
 
     def __init__(
         self,
@@ -70,47 +68,32 @@ class RateLimiter:
     ) -> None:
         if rate <= 0:
             raise ValueError(f"rate must be positive: {rate}")
-        self.rate = float(rate)
-        self.burst = float(burst) if burst is not None else max(self.rate, 1.0)
-        if self.burst <= 0:
-            raise ValueError(f"burst must be positive: {self.burst}")
-        self._clock = clock
-        self._tokens = self.burst
-        self._stamp = clock()
+        self._bucket = TokenBucket(rate, clock, burst)
         # The service tier is single-threaded asyncio, but acquire is a
         # read-modify-write — the lock keeps the bucket sound for
         # threaded callers (shard workers, the property suite) too.
         self._lock = threading.Lock()
-        #: Monotone grant/reject counters (metrics + property tests).
-        self.granted = 0
-        self.rejected = 0
 
-    def _refill(self) -> None:
-        now = self._clock()
-        elapsed = now - self._stamp
-        if elapsed > 0:
-            self._tokens = min(self.burst, self._tokens + elapsed * self.rate)
-            self._stamp = now
+    @property
+    def granted(self) -> int:
+        """Acquisitions granted so far (monotone)."""
+        return self._bucket.granted
+
+    @property
+    def rejected(self) -> int:
+        """Acquisitions refused so far (monotone)."""
+        return self._bucket.delayed
 
     @property
     def tokens(self) -> float:
         """Tokens available right now (refills as a side effect)."""
         with self._lock:
-            self._refill()
-            return self._tokens
+            return self._bucket.tokens
 
     def try_acquire(self, n: float = 1.0) -> bool:
         """Take ``n`` tokens if available; never blocks."""
-        if n <= 0:
-            raise ValueError(f"n must be positive: {n}")
         with self._lock:
-            self._refill()
-            if self._tokens + _TOKEN_EPS >= n:
-                self._tokens -= n
-                self.granted += 1
-                return True
-            self.rejected += 1
-            return False
+            return self._bucket.try_acquire(n)
 
     def retry_after(self, n: float = 1.0) -> float:
         """Seconds until ``n`` tokens will have accrued (0 = now).
@@ -119,11 +102,7 @@ class RateLimiter:
         failed :meth:`try_acquire` to fill a ``Retry-After`` header.
         """
         with self._lock:
-            self._refill()
-            deficit = n - self._tokens
-            if deficit <= _TOKEN_EPS:
-                return 0.0
-            return deficit / self.rate
+            return self._bucket.delay_for(n)
 
 
 class ConcurrencyLimiter:

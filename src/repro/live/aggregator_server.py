@@ -41,13 +41,13 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import sys
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.live.protocol import (
     FrameLink,
     accept_backlog,
-    choose_codec,
     encode,
     hello_error,
 )
@@ -60,6 +60,30 @@ from repro.live.sessions import (
 from repro.obs.spans import NullSpanTracer
 
 __all__ = ["LiveAggregator"]
+
+
+def _packs(value) -> bool:
+    """Whether a JSON value fits a packed frame's ``>d`` field."""
+    return value.__class__ is float or (
+        value.__class__ is int and abs(value) <= sys.float_info.max
+    )
+
+
+def _rule_fields(rule) -> Optional[Tuple[str, float, Optional[float]]]:
+    """``(stage id, data limit, metadata limit | None)`` of one entry of
+    a ``rule_batch`` (an outside frame), or ``None`` if it is malformed."""
+    if not isinstance(rule, dict):
+        return None
+    stage_id = rule.get("stage_id")
+    limit = rule.get("data_iops_limit")
+    meta = rule.get("metadata_iops_limit")
+    if (
+        isinstance(stage_id, str)
+        and _packs(limit)
+        and (meta is None or _packs(meta))
+    ):
+        return stage_id, limit, meta
+    return None
 
 
 class LiveAggregator(PhaseDriver):
@@ -75,7 +99,6 @@ class LiveAggregator(PhaseDriver):
         port: int = 0,
         collect_timeout_s: Optional[float] = None,
         enforce_timeout_s: Optional[float] = None,
-        codecs: Tuple[str, ...] = ("binary2", "binary", "json"),
         span_tracer=None,
         usage_meter=None,
         metrics=None,
@@ -102,11 +125,6 @@ class LiveAggregator(PhaseDriver):
         #: Per-stage-session outbound bound (bytes); None = unbounded.
         #: Same contract as the controllers: enable with phase deadlines.
         self.session_outbox_bytes = session_outbox_bytes
-        #: Codecs advertised upstream (and granted to stages that offer
-        #: them); ``("json",)`` emulates a pre-binary aggregator.
-        self.offered_codecs = tuple(codecs)
-        #: Codec negotiated with the global controller for this session.
-        self.up_codec = "json"
         self.tracer = span_tracer if span_tracer is not None else NullSpanTracer()
         self.meter = usage_meter
         self.metrics = metrics
@@ -150,7 +168,7 @@ class LiveAggregator(PhaseDriver):
 
     def _send_up(self, message: dict) -> None:
         """Write an upstream frame, charging its bytes to this aggregator."""
-        frame = encode(message, self.up_codec)
+        frame = encode(message)
         self._up.write(frame)
         if self.meter is not None:
             self.meter.add_tx(len(frame))
@@ -214,9 +232,13 @@ class LiveAggregator(PhaseDriver):
     def _apply_topology(self, aggregators: List[dict]) -> None:
         """Adopt a topology frame: remember peers, re-arm every stage."""
         self.peer_addresses = [
-            (a["host"], int(a["port"]))
+            (a["host"], a["port"])
             for a in aggregators
-            if a.get("aggregator_id") != self.aggregator_id
+            # An outside frame: an entry that is not an address is skipped.
+            if isinstance(a, dict)
+            and isinstance(a.get("host"), str)
+            and a.get("port").__class__ is int
+            and a.get("aggregator_id") != self.aggregator_id
         ]
         for i, stage_id in enumerate(sorted(self.sessions)):
             session = self.sessions[stage_id]
@@ -253,17 +275,12 @@ class LiveAggregator(PhaseDriver):
             link.write(encode({"kind": "register_error", "reason": error}))
             link.close()
             return
-        # Grant the newest codec both sides speak (mixed-version safe):
-        # the stage's offer intersected with what *we* were built with.
-        session = StageSession(
-            stage_id, job_id, link, meter=self.meter,
-            codec=choose_codec(hello.get("codecs"), supported=self.offered_codecs),
-        )
+        session = StageSession(stage_id, job_id, link, meter=self.meter)
         session.outbox.max_bytes = self.session_outbox_bytes
         self.sessions[session.stage_id] = session
         # Late joiners get the current alternate list with the ack, so a
         # re-homed orphan is immediately armed against *this* home dying.
-        ack: dict = {"kind": "registered", "codec": session.codec}
+        ack: dict = {"kind": "registered"}
         if self.peer_addresses:
             ack["alternates"] = self._alternates_for(len(self.sessions) - 1)
         link.write(encode(ack))
@@ -322,7 +339,6 @@ class LiveAggregator(PhaseDriver):
                     ],
                     "host": self.host,
                     "port": self.port,
-                    "codecs": list(self.offered_codecs),
                 },
             )
             ack = await self._next_up()
@@ -330,10 +346,6 @@ class LiveAggregator(PhaseDriver):
                 return
             if ack["kind"] != "registered":
                 raise RuntimeError(f"unexpected registration reply: {ack}")
-            granted = ack.get("codec", "json")
-            self.up_codec = (
-                granted if granted in self.offered_codecs else "json"
-            )
             while not self._stop.is_set():
                 message = await self._next_up()
                 if message is None:
@@ -366,12 +378,17 @@ class LiveAggregator(PhaseDriver):
 
     async def _handle(self, message) -> None:
         kind = message["kind"]
-        if kind == "agg_collect_req":
-            await self._collect(message["epoch"])
-        elif kind == "rule_batch":
-            await self._distribute(message)
+        if kind in ("agg_collect_req", "rule_batch"):
+            epoch = message.get("epoch")
+            if epoch.__class__ is not int:
+                return  # not a frame a controller sends
+            if kind == "agg_collect_req":
+                await self._collect(epoch)
+            else:
+                await self._distribute(message)
         elif kind == "topology":
-            self._apply_topology(message.get("aggregators", []))
+            aggregators = message.get("aggregators")
+            self._apply_topology(aggregators if isinstance(aggregators, list) else [])
         elif kind == "shutdown":
             self._stop.set()
 
@@ -401,10 +418,6 @@ class LiveAggregator(PhaseDriver):
                     "epoch": epoch,
                     "aggregator_id": self.aggregator_id,
                     "stage_ids": [s.stage_id for s in sessions],
-                    "job_ids": [s.job_id for s in sessions],
-                    # ``demands`` stays the summed vector for pre-rev-2
-                    # global controllers; new ones read the per-axis pair.
-                    "demands": [s.latest_demand for s in sessions],
                     "data_demands": [s.latest_data_demand for s in sessions],
                     "metadata_demands": [
                         s.latest_metadata_demand for s in sessions
@@ -420,17 +433,20 @@ class LiveAggregator(PhaseDriver):
 
     async def _distribute(self, message) -> None:
         epoch = message["epoch"]
-        rules = message["rules"]
+        rules = message.get("rules")
+        if not isinstance(rules, list):
+            rules = []  # an outside frame: nothing to forward, still acked
         started = self.tracer.now()
         #: Insertion-ordered set: a stage named twice still gets one rule.
         forwarded: Dict[StageSession, None] = {}
         for rule in rules:
-            session = self.sessions.get(rule["stage_id"])
+            fields = _rule_fields(rule)
+            if fields is None:
+                continue  # malformed entry
+            session = self.sessions.get(fields[0])
             if session is None:
                 continue
-            session.rule = (
-                epoch, rule["data_iops_limit"], rule.get("metadata_iops_limit")
-            )
+            session.rule = (epoch,) + fields[1:]
             forwarded[session] = None
         # Written through like the flat plane's rules: superseded by the
         # next epoch's; a missing ack resolves through the enforce deadline.

@@ -44,9 +44,9 @@ from repro.core.policies import QoSPolicy
 from repro.live.protocol import (
     FrameLink,
     accept_backlog,
-    choose_codec,
     encode,
     hello_error,
+    is_str_list,
 )
 from repro.live.sessions import (
     PhaseDriver,
@@ -451,13 +451,9 @@ class _LiveControllerBase(PhaseDriver):
             return
         # From here on the session owns the link: every later frame goes
         # through its routing, in the same parse pass as this hello.
-        # Codec negotiation: binary when the child advertises it, JSON for
-        # older children. The ack itself is always JSON-decodable.
-        session = self._make_session(
-            hello, link, choose_codec(hello.get("codecs"))
-        )
+        session = self._make_session(hello, link)
         self.sessions[session.peer_id] = session
-        link.write(encode({"kind": "registered", "codec": session.codec}))
+        link.write(encode({"kind": "registered"}))
         if len(self.sessions) >= self._expected:
             self._all_registered.set()
         self._after_register(session)
@@ -501,7 +497,7 @@ class _LiveControllerBase(PhaseDriver):
     def _validate_hello(self, hello: dict) -> Optional[str]:
         raise NotImplementedError
 
-    def _make_session(self, hello: dict, link: FrameLink, codec: str) -> Session:
+    def _make_session(self, hello: dict, link: FrameLink) -> Session:
         raise NotImplementedError
 
     @property
@@ -603,11 +599,9 @@ class LiveGlobalController(_LiveControllerBase):
             error = f"stage_id already registered: {hello['stage_id']}"
         return error
 
-    def _make_session(
-        self, hello: dict, link: FrameLink, codec: str
-    ) -> StageSession:
+    def _make_session(self, hello: dict, link: FrameLink) -> StageSession:
         session = StageSession(
-            hello["stage_id"], hello["job_id"], link, meter=self.meter, codec=codec
+            hello["stage_id"], hello["job_id"], link, meter=self.meter
         )
         session.outbox.max_bytes = self.session_outbox_bytes
         return session
@@ -872,9 +866,7 @@ class LiveHierGlobalController(_LiveControllerBase):
             return f"aggregator_id already registered: {aggregator_id}"
         return None
 
-    def _make_session(
-        self, hello: dict, link: FrameLink, codec: str
-    ) -> _AggregatorSession:
+    def _make_session(self, hello: dict, link: FrameLink) -> _AggregatorSession:
         session = _AggregatorSession(
             hello["aggregator_id"],
             hello["stage_ids"],
@@ -882,7 +874,6 @@ class LiveHierGlobalController(_LiveControllerBase):
             link,
             meter=self.meter,
         )
-        session.codec = codec
         session.outbox.max_bytes = self.session_outbox_bytes
         if hello.get("host") is not None and hello.get("port") is not None:
             session.listen_host = str(hello["host"])
@@ -979,8 +970,15 @@ class LiveHierGlobalController(_LiveControllerBase):
         for session in list(self.sessions.values()):
             pending, session.oob = session.oob, []
             for message in pending:
-                for entry in message.get("added", []):
-                    self._adopt(session, entry["stage_id"], entry["job_id"])
+                added = message.get("added")
+                for entry in added if isinstance(added, list) else ():
+                    # An outside frame: an entry that does not name a
+                    # stage and its job is skipped.
+                    if isinstance(entry, dict) and all(
+                        isinstance(entry.get(key), str)
+                        for key in ("stage_id", "job_id")
+                    ):
+                        self._adopt(session, entry["stage_id"], entry["job_id"])
 
     def _broadcast_topology(self) -> None:
         """Tell every aggregator who its live peers are (rehome targets)."""
@@ -1034,24 +1032,31 @@ class LiveHierGlobalController(_LiveControllerBase):
                 sent_at[s.aggregator_id] = tracer.now()
 
         def on_agg_reply(s: _AggregatorSession, m: dict) -> None:
-            sids = m["stage_ids"]
-            data = m.get("data_demands")
-            meta = m.get("metadata_demands")
-            if data is None or meta is None:
-                # Pre-rev-2 aggregator: only the summed vector exists, so
-                # the split is unknowable — book it all as data.
-                data, meta = m["demands"], np.zeros(len(sids))
-            # One vectorized scatter per reply: the partition's row map
-            # is cached inside the columns (same ids every cycle). A
-            # stage adopted down there but not announced yet has no row
-            # and is skipped; a report the columns reject leaves its
-            # stage at last-known demand.
-            rejected = columns.observe_many(sids, data, meta)
-            # Missing = stages the aggregator flagged as silent, plus any
-            # registered stages it evicted and no longer reports at all.
-            s.last_missing = rejected + int(m.get("n_missing", 0)) + max(
-                0, len(s.stage_ids) - len(sids)
-            )
+            sids = m.get("stage_ids")
+            flagged = m.get("n_missing", 0)
+            if (
+                not is_str_list(sids)
+                or flagged.__class__ is not int
+                or flagged < 0
+            ):
+                # Not a reply an aggregator sends: the whole partition
+                # rides at last-known demand.
+                s.last_missing = len(s.stage_ids)
+            else:
+                # One vectorized scatter per reply: the partition's row
+                # map is cached inside the columns (same ids every
+                # cycle). A stage adopted down there but not announced
+                # yet has no row and is skipped; a report the columns
+                # reject (all of them, if the vectors do not line up
+                # with the ids) leaves its stage at last-known demand.
+                rejected = columns.observe_many(
+                    sids, m.get("data_demands"), m.get("metadata_demands")
+                )
+                # Missing = stages the aggregator flagged as silent, plus
+                # any registered stages it evicted and no longer reports.
+                s.last_missing = (
+                    rejected + flagged + max(0, len(s.stage_ids) - len(sids))
+                )
             if tracer.enabled:
                 t0 = sent_at.get(s.aggregator_id, started)
                 tracer.for_track(s.aggregator_id).emit(

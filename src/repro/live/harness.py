@@ -17,9 +17,6 @@ is sampled REMORA-style from ``/proc`` with per-controller attribution
 accumulate in a :class:`~repro.obs.metrics.MetricsRegistry` — optionally
 scrapeable over HTTP while the run cycles (``metrics_port``).
 
-Wire-path knobs (PR 5): ``codec`` picks what the endpoints *offer* at
-registration ("binary" offers the struct fast-codec with JSON fallback;
-"json" emulates a pre-binary deployment), and
 ``enforce_changed_only``/``rule_change_tolerance`` suppress rule frames
 whose limit did not move.
 """
@@ -30,7 +27,7 @@ import asyncio
 import contextlib
 import errno
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.core.control_plane import default_policy
 from repro.core.cycle import ControlCycle, CycleStats
@@ -50,24 +47,6 @@ __all__ = [
     "run_live_flat",
     "run_live_hierarchical",
 ]
-
-
-def _offered_codecs(codec: str) -> Tuple[str, ...]:
-    """Map the harness-level ``codec`` knob to an offer list.
-
-    ``"binary"`` offers every binary revision (negotiation settles on the
-    newest both sides speak); ``"binary1"`` pins the legacy packed schema
-    for mixed-version tests; ``"json"`` emulates a pre-binary fleet.
-    """
-    if codec == "binary":
-        return ("binary2", "binary", "json")
-    if codec == "binary1":
-        return ("binary", "json")
-    if codec == "json":
-        return ("json",)
-    raise ValueError(
-        f"unknown codec {codec!r}: expected 'binary', 'binary1' or 'json'"
-    )
 
 
 @dataclass
@@ -162,12 +141,10 @@ async def _run(
     observe: bool = False,
     metrics_port: Optional[int] = None,
     sample_interval_s: float = 0.05,
-    codec: str = "binary",
     enforce_changed_only: bool = False,
     rule_change_tolerance: float = 0.0,
 ) -> LiveRunResult:
     policy = policy or default_policy(n_stages)
-    offered = _offered_codecs(codec)
     obs = _Obs(observe, metrics_port, sample_interval_s)
     controller = LiveGlobalController(
         policy,
@@ -189,7 +166,6 @@ async def _run(
             controller.port,
             stage_id=f"stage-{i:05d}",
             job_id=f"job-{i:05d}",
-            codecs=offered,
         )
         for i in range(n_stages)
     ]
@@ -224,7 +200,6 @@ def run_live_flat(
     observe: bool = False,
     metrics_port: Optional[int] = None,
     sample_interval_s: float = 0.05,
-    codec: str = "binary",
     enforce_changed_only: bool = False,
     rule_change_tolerance: float = 0.0,
 ) -> LiveRunResult:
@@ -241,7 +216,6 @@ def run_live_flat(
             observe=observe,
             metrics_port=metrics_port,
             sample_interval_s=sample_interval_s,
-            codec=codec,
             enforce_changed_only=enforce_changed_only,
             rule_change_tolerance=rule_change_tolerance,
         )
@@ -299,7 +273,6 @@ class LiveHierPlane:
         collect_timeout_s: Optional[float] = None,
         enforce_timeout_s: Optional[float] = None,
         dead_after_missed: Optional[int] = None,
-        codec: str = "binary",
         enforce_changed_only: bool = False,
         rule_change_tolerance: float = 0.0,
         initial_epoch: int = 0,
@@ -322,7 +295,6 @@ class LiveHierPlane:
         self.enforce_changed_only = enforce_changed_only
         self.rule_change_tolerance = rule_change_tolerance
         self.initial_epoch = initial_epoch
-        self._offered = _offered_codecs(codec)
         self._obs = obs if obs is not None else _Obs(False, None, 0.05)
         #: Stage reconnect-backoff overrides (tests shrink the delays).
         self._stage_backoff = dict(stage_backoff or {})
@@ -393,7 +365,6 @@ class LiveHierPlane:
                 span_tracer=obs.tracer_for(agg_id),
                 usage_meter=obs.meter_for(agg_id),
                 metrics=obs.registry,
-                codecs=self._offered,
                 session_outbox_bytes=self.session_outbox_bytes,
             )
             await _start_rebinding(agg)
@@ -408,7 +379,6 @@ class LiveHierPlane:
                         agg.port,
                         stage_id=stage_id,
                         job_id=stage_id.replace("stage", "job"),
-                        codecs=self._offered,
                         **self._stage_backoff,
                     )
                     self.stages.append(stage)
@@ -566,7 +536,6 @@ async def _run_hier(
     observe: bool = False,
     metrics_port: Optional[int] = None,
     sample_interval_s: float = 0.05,
-    codec: str = "binary",
     enforce_changed_only: bool = False,
     rule_change_tolerance: float = 0.0,
 ) -> LiveRunResult:
@@ -577,7 +546,6 @@ async def _run_hier(
         policy,
         collect_timeout_s=collect_timeout_s,
         enforce_timeout_s=enforce_timeout_s,
-        codec=codec,
         enforce_changed_only=enforce_changed_only,
         rule_change_tolerance=rule_change_tolerance,
         obs=obs,
@@ -612,7 +580,6 @@ def run_live_hierarchical(
     observe: bool = False,
     metrics_port: Optional[int] = None,
     sample_interval_s: float = 0.05,
-    codec: str = "binary",
     enforce_changed_only: bool = False,
     rule_change_tolerance: float = 0.0,
 ) -> LiveRunResult:
@@ -632,7 +599,6 @@ def run_live_hierarchical(
             observe=observe,
             metrics_port=metrics_port,
             sample_interval_s=sample_interval_s,
-            codec=codec,
             enforce_changed_only=enforce_changed_only,
             rule_change_tolerance=rule_change_tolerance,
         )

@@ -1,26 +1,19 @@
-"""Wire protocol for the live control plane: length-prefixed JSON.
+"""Wire protocol for the live control plane: length-prefixed frames.
 
-Frames are ``[4-byte big-endian length][body]``. Bodies are dicts with a
-mandatory ``kind`` field; the kinds mirror the simulated protocol exactly
-(``collect_req``, ``metrics_reply``, ``rule``, ``rule_ack``, plus
-``register``/``registered`` for session setup).
+Frames are ``[4-byte big-endian length][body]``, and every frame kind has
+exactly one body encoding. The four per-cycle kinds (``collect_req``,
+``metrics_reply``, ``rule``, ``rule_ack`` — the same names as the
+simulated protocol) are packed (:mod:`repro.live.codec`: first body byte
+``0xB1``); every other kind — ``register``/``registered`` for session
+setup, the aggregator trunk's batches, topology, rehome, shutdown,
+heartbeats — is a JSON object with a mandatory ``kind`` field (first
+byte ``{``), which keeps the rare, varied frames inspectable. There is
+nothing to negotiate: a hot kind in a JSON body, like any other
+malformed frame, is refused.
 
-JSON keeps the protocol inspectable; the framing keeps reads exact. A
-16 MiB frame cap (``MAX_FRAME``) guards against corrupt length headers —
-orders of magnitude above any control message, far below the 4 GiB the
-4-byte length field could express.
-
-Hot-path frames may instead ride the binary fast-codec
-(:mod:`repro.live.codec`): the first body byte discriminates (``0xB1``
-binary vs ``{`` JSON), so :func:`decode_body` accepts both regardless of
-what a session negotiated. Senders pick a codec per session at
-registration (the ``codecs`` hello field / ``codec`` ack field, see
-:func:`choose_codec`); kinds without a packed schema always fall back to
-JSON even on a binary session. Codec ``binary2`` is revision 2 of the
-packed schema — ``rule`` frames carry ``metadata_iops_limit`` — and is
-only granted when both sides advertise it, so a mixed-version fleet
-degrades per session to plain ``binary`` or JSON (where a missing
-metadata limit means unlimited).
+The framing keeps reads exact. A 16 MiB frame cap (``MAX_FRAME``) guards
+against corrupt length headers — orders of magnitude above any control
+message, far below the 4 GiB the 4-byte length field could express.
 
 :class:`FrameLink` is the live plane's wire path: an
 ``asyncio.BufferedProtocol`` that receives into one buffer shared by
@@ -28,12 +21,11 @@ every link on the loop, parses every complete frame of a segment in place
 in one synchronous pass and hands it to a callback — no reader coroutine,
 queue or task per connection, no allocation per read. The four hot kinds
 reach the callback as *records* (``(kind, epoch, a, b)`` tuples, see
-:mod:`repro.live.codec`) whichever codec the peer used; every other kind
-as its message dict. :func:`frame_packer` is the matching send side: one
-peer's hot frame with its constant parts pre-bound. The generic
-:func:`encode` / :func:`decode_body` and the stream helpers
-(:func:`read_message` / :func:`write_message`) remain for cold kinds,
-tools, tests and heartbeats.
+:mod:`repro.live.codec`), every other kind as its message dict;
+:func:`repro.live.codec.frame_packer` is the matching send side for hot
+frames. :func:`encode` / :func:`encode_into` frame the JSON kinds;
+:func:`decode_body` and the stream helpers (:func:`read_message` /
+:func:`write_message`) serve tools, tests and heartbeats.
 """
 
 from __future__ import annotations
@@ -47,24 +39,19 @@ from typing import Any, Callable, Dict, Iterable, List, Optional
 from repro.live.codec import (
     BINARY_KINDS,
     BINARY_MAGIC,
-    binary_packer,
+    MAX_ID_BYTES,
     decode_at,
     decode_binary,
-    encode_binary_into,
-    message_of,
-    record_of,
 )
 
 __all__ = [
-    "CODEC_PREFERENCE",
     "FrameLink",
     "ProtocolError",
     "accept_backlog",
-    "choose_codec",
     "encode",
     "encode_into",
-    "frame_packer",
     "hello_error",
+    "is_str_list",
     "read_message",
     "write_message",
 ]
@@ -93,35 +80,8 @@ def accept_backlog(expected_children: int) -> int:
     return min(max(expected_children, 100), max(cap, 1))
 
 
-#: Codec preference order at negotiation (JSON is the implicit fallback).
-CODEC_PREFERENCE = ("binary2", "binary")
-
-
-def choose_codec(
-    offered: Optional[Iterable[str]],
-    supported: Optional[Iterable[str]] = None,
-) -> str:
-    """Pick the session codec from a peer's advertised ``codecs`` list.
-
-    The newest binary revision both sides speak wins (``binary2`` over
-    ``binary``); a peer that advertises nothing (an older client) gets
-    JSON — the negotiation fallback that keeps mixed-version sessions
-    working. ``supported`` restricts the grant to what the *local* side
-    speaks (default: every binary revision).
-    """
-    if offered is None:
-        return "json"
-    offered_set = set(offered)
-    supported_set = (
-        set(CODEC_PREFERENCE) if supported is None else set(supported)
-    )
-    for codec in CODEC_PREFERENCE:
-        if codec in offered_set and codec in supported_set:
-            return codec
-    return "json"
-
-
-def _is_str_list(value: Any) -> bool:
+def is_str_list(value: Any) -> bool:
+    """Whether ``value`` (a field of an outside frame) is a list of ``str``."""
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
@@ -135,57 +95,52 @@ def hello_error(
     A hello is the one frame a listener reads from a peer it knows
     nothing about, so its fields are checked before anything hashes,
     sizes or iterates them: every key in ``ids`` must hold a non-empty
-    ``str``, every key in ``id_lists`` a list of ``str``, and ``codecs``
-    (what :func:`choose_codec` reads) must be absent or a list of
-    ``str``. Returns the rejection reason, or ``None`` for a well-typed
-    hello.
+    ``str`` short enough for a packed frame's id tail
+    (:data:`~repro.live.codec.MAX_ID_BYTES`), every key in ``id_lists``
+    a list of ``str``. Returns the rejection reason, or ``None`` for a
+    well-typed hello.
     """
     for key in ids:
         value = hello.get(key)
         if not isinstance(value, str) or not value:
             return f"{hello.get('kind')} requires a non-empty string {key}"
+        try:
+            fits = len(value.encode("utf-8")) <= MAX_ID_BYTES
+        except UnicodeEncodeError:  # a lone surrogate out of a JSON escape
+            fits = False
+        if not fits:
+            return f"{key} does not encode to at most {MAX_ID_BYTES} UTF-8 bytes"
     for key in id_lists:
-        if not _is_str_list(hello.get(key)):
+        if not is_str_list(hello.get(key)):
             return f"{hello.get('kind')} requires a list of strings {key}"
-    codecs = hello.get("codecs")
-    if codecs is not None and not _is_str_list(codecs):
-        return "codecs must be a list of strings"
     return None
 
 
-def encode(message: Dict[str, Any], codec: str = "json") -> bytes:
-    """Encode a message dict into one wire frame.
-
-    ``codec="binary"`` packs hot kinds via :mod:`repro.live.codec` and
-    falls back to JSON for everything else; ``codec="binary2"`` packs the
-    revision-2 schema (``rule`` frames carry the metadata limit).
-    """
+def encode(message: Dict[str, Any]) -> bytes:
+    """Encode a JSON-kind message dict into one wire frame."""
     buf = bytearray()
-    encode_into(buf, message, codec)
+    encode_into(buf, message)
     return bytes(buf)
 
 
-def encode_into(
-    buf: bytearray, message: Dict[str, Any], codec: str = "json"
-) -> int:
+def encode_into(buf: bytearray, message: Dict[str, Any]) -> int:
     """Append one wire frame (header + body) to ``buf``; returns its size.
 
-    The zero-copy send path: a sender appends every frame of a phase
+    The zero-copy send path: a sender appends every frame of a burst
     into one shared buffer (the session outbox) and writes it once —
     no per-frame ``bytes`` objects, no join. The 4-byte length header
     is reserved up front and back-filled once the body size is known.
+    The four hot kinds have no JSON form (a receiver refuses one):
+    they are built by :func:`repro.live.codec.frame_packer`.
     """
-    if "kind" not in message:
+    kind = message.get("kind")
+    if kind is None:
         raise ProtocolError("message missing 'kind'")
+    if kind in BINARY_KINDS:
+        raise ProtocolError(f"{kind} frames are packed, not JSON")
     start = len(buf)
     buf += b"\x00\x00\x00\x00"  # header placeholder, back-filled below
-    packed: Optional[int] = None
-    if codec == "binary2":
-        packed = encode_binary_into(message, buf, rev=2)
-    elif codec == "binary":
-        packed = encode_binary_into(message, buf)
-    if packed is None:
-        buf += json.dumps(message, separators=(",", ":")).encode("utf-8")
+    buf += json.dumps(message, separators=(",", ":")).encode("utf-8")
     length = len(buf) - start - _HEADER.size
     if length > MAX_FRAME:
         del buf[start:]
@@ -195,7 +150,12 @@ def encode_into(
 
 
 def decode_body(body) -> Dict[str, Any]:
-    """Decode one frame body (any bytes-like; the codec is auto-detected)."""
+    """Decode one frame body (any bytes-like) into its message dict.
+
+    Raises :class:`ProtocolError` on anything that is not one kind in
+    its one encoding: an undecodable packed or JSON body, a JSON value
+    that is not a message, a JSON body naming a hot kind.
+    """
     if len(body) and body[0] == BINARY_MAGIC:
         try:
             # memoryview: string fields decode straight from the frame
@@ -211,43 +171,9 @@ def decode_body(body) -> Dict[str, Any]:
         raise ProtocolError(f"undecodable frame: {exc}") from exc
     if not isinstance(message, dict) or not isinstance(message.get("kind"), str):
         raise ProtocolError(f"frame is not a message: {message!r}")
+    if message["kind"] in BINARY_KINDS:
+        raise ProtocolError(f"{message['kind']} frame in a JSON body")
     return message
-
-
-class _GenericPacker:
-    """``frame_packer``'s fallback: build the message, :func:`encode` it."""
-
-    __slots__ = ("_kind", "_codec", "_stage_id", "_job_id")
-
-    def __init__(self, kind: str, codec: str, stage_id: str, job_id: str) -> None:
-        self._kind = kind
-        self._codec = codec
-        self._stage_id = stage_id
-        self._job_id = job_id
-
-    def __call__(self, epoch, a=None, b=None) -> bytes:
-        return encode(
-            message_of(self._kind, epoch, a, b, self._stage_id, self._job_id),
-            self._codec,
-        )
-
-
-def frame_packer(kind: str, codec: str, stage_id: str = "", job_id: str = ""):
-    """``pack(epoch[, a, b]) -> bytes`` for one peer's hot ``kind`` frames.
-
-    ``pack`` returns exactly what ``encode(message_of(kind, epoch, a, b,
-    stage_id, job_id), codec)`` would. On a ``binary2`` session the
-    frame's constant parts are bound up front (see
-    :func:`repro.live.codec.binary_packer`); any other session, or ids
-    the packed form cannot carry, gets the generic encoder behind the
-    same signature, so callers never branch on the codec.
-    """
-    if kind not in BINARY_KINDS:
-        raise ValueError(f"not a hot frame kind: {kind!r}")
-    packer = binary_packer(kind, stage_id, job_id) if codec == "binary2" else None
-    if packer is None:
-        packer = _GenericPacker(kind, codec, stage_id, job_id)
-    return packer
 
 
 #: Size of the shared receive buffer — what asyncio's selector transport
@@ -271,11 +197,11 @@ class FrameLink(asyncio.BufferedProtocol):
     ``on_frame(message, nbytes)`` runs synchronously inside the read
     callback, once per complete frame (``nbytes`` is the on-wire size,
     header included — what NIC accounting charges). ``message`` is a
-    record tuple for the four hot kinds — packed or JSON-bodied alike —
-    and the message dict for every other kind. ``on_lost(exc)`` runs once
-    when the socket is gone: EOF, reset, a local :meth:`close` /
-    :meth:`abort`, or a malformed frame — an undecodable body, a packed
-    frame that does not end where its last field ends, or a length above
+    record tuple for the four hot kinds and the message dict for every
+    other kind. ``on_lost(exc)`` runs once when the socket is gone: EOF,
+    reset, a local :meth:`close` / :meth:`abort`, or a malformed frame —
+    an undecodable body, a packed frame that does not end where its last
+    field ends, a hot kind in a JSON body, or a length above
     ``MAX_FRAME`` aborts the connection instead of waiting for 4 GiB that
     will never come. Both are plain attributes, so a connection can
     change hands (hello handler, then session).
@@ -379,15 +305,6 @@ class FrameLink(asyncio.BufferedProtocol):
                         ) from exc
                 else:
                     message = decode_body(data[start:stop])
-                    if message["kind"] in BINARY_KINDS:
-                        # A JSON-bodied hot frame (old peer): the same
-                        # record a packed one would have produced.
-                        try:
-                            message = record_of(message)
-                        except (KeyError, TypeError, ValueError) as exc:
-                            raise ProtocolError(
-                                f"malformed {message['kind']} frame: {exc!r}"
-                            ) from exc
                 pos = stop
                 self.on_frame(message, header + length)
                 if self.closing:
@@ -428,12 +345,21 @@ class FrameLink(asyncio.BufferedProtocol):
             raise ConnectionResetError("connection lost")
         self.transport.write(data)
 
-    async def drain(self) -> None:
-        """Wait out ``pause_writing``; raises if the link dies first."""
+    async def drain(self, timeout_s: Optional[float] = None) -> None:
+        """Wait out ``pause_writing``, for at most ``timeout_s`` (the
+        caller re-checks :attr:`paused`); raises if the link dies first."""
         if self.paused and not self.lost:
-            waiter = asyncio.get_running_loop().create_future()
+            loop = asyncio.get_running_loop()
+            waiter = loop.create_future()
             self._drain_waiters.append(waiter)
-            await waiter
+            if timeout_s is None:
+                await waiter
+            else:
+                timer = loop.call_later(timeout_s, self._wake_drainers)
+                try:
+                    await waiter
+                finally:
+                    timer.cancel()
         if self.lost:
             raise ConnectionResetError("connection lost")
 
@@ -459,11 +385,9 @@ async def read_message(reader: asyncio.StreamReader) -> Dict[str, Any]:
     return decode_body(await reader.readexactly(length))
 
 
-async def write_message(
-    writer: asyncio.StreamWriter, message: Dict[str, Any], codec: str = "json"
-) -> int:
-    """Write one framed message and drain; returns the frame's size."""
-    frame = encode(message, codec)
+async def write_message(writer: asyncio.StreamWriter, message: Dict[str, Any]) -> int:
+    """Write one framed JSON-kind message and drain; returns the frame's size."""
+    frame = encode(message)
     writer.write(frame)
     await writer.drain()
     return len(frame)

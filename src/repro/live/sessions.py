@@ -28,10 +28,11 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.guard.shed import BoundedOutbox
-from repro.live.protocol import FrameLink, encode_into, frame_packer
+from repro.live.codec import frame_packer
+from repro.live.protocol import FrameLink, encode_into
 
 __all__ = [
     "PhaseDriver",
@@ -130,10 +131,6 @@ class Session:
         self.link = link
         self.meter = meter
         self.connected = not link.lost
-        #: Wire codec for frames sent to this peer ("json" | "binary"),
-        #: fixed at registration (see ``protocol.choose_codec``). Reads
-        #: always auto-detect, so this only governs what *we* emit.
-        self.codec = "json"
         #: Frames buffered by :meth:`feed` since the last :meth:`flush`.
         self.pending_frames = 0
         #: Bounded (or not) coalescing buffer; owns the shed counters.
@@ -215,7 +212,7 @@ class Session:
         if not self.connected:
             raise SessionClosed(f"{self.peer_id}: session closed")
         size = self.outbox.push_with(
-            lambda buf: encode_into(buf, message, self.codec), sheddable
+            lambda buf: encode_into(buf, message), sheddable
         )
         self.pending_frames = self.outbox.pending_frames
         return size
@@ -278,20 +275,21 @@ class Session:
         self._write(burst)
         self.pending_frames = 0
 
-    async def flush(self) -> None:
+    async def flush(self, timeout_s: Optional[float] = None) -> None:
         """Write the frames buffered by :meth:`feed` as one burst.
 
         A plain ``transport.write``; suspends only while the link's
         ``pause_writing`` is in force (the peer is not reading and the
         transport's buffer is past its high-water mark), so that a
         controller writing to thousands of peers cannot outrun one of
-        them without bound. Raises :class:`SessionClosed` on a dead
-        socket.
+        them without bound — and then for at most ``timeout_s``, after
+        which the link may still be paused (the caller checks). Raises
+        :class:`SessionClosed` on a dead socket.
         """
         self._write_burst()
         if self.link.paused:
             try:
-                await self.link.drain()
+                await self.link.drain(timeout_s)
             except (ConnectionError, OSError) as exc:
                 self._mark_dead()
                 raise SessionClosed(f"{self.peer_id}: {exc}") from exc
@@ -319,15 +317,12 @@ class Session:
 class StageSession(Session):
     """Server-side state for one connected stage (controller or aggregator)."""
 
-    def __init__(
-        self, stage_id: str, job_id: str, link, meter=None, codec: str = "json"
-    ) -> None:
+    def __init__(self, stage_id: str, job_id: str, link, meter=None) -> None:
         super().__init__(stage_id, link, meter=meter)
         self.job_id = job_id
-        self.codec = codec
         #: ``pack_rule(epoch, limit, metadata_limit | None)`` -> this
-        #: stage's ``rule`` frame in the session codec.
-        self.pack_rule = frame_packer("rule", codec, stage_id)
+        #: stage's ``rule`` frame.
+        self.pack_rule = frame_packer("rule", stage_id)
         #: ``(epoch, limit, metadata limit | None)`` of the newest rule
         #: handed to :meth:`send_rule` — what changed-only enforcement
         #: diffs against. A re-registering stage gets a fresh session, so
@@ -341,11 +336,6 @@ class StageSession(Session):
         self.latest_metadata_demand = 0.0
 
     @property
-    def latest_demand(self) -> float:
-        """Summed last-known demand (the undifferentiated axis)."""
-        return self.latest_data_demand + self.latest_metadata_demand
-
-    @property
     def stage_id(self) -> str:
         return self.peer_id
 
@@ -354,47 +344,62 @@ class StageSession(Session):
         self.send(self.pack_rule(*self.rule))
 
 
+_pack_collect_req = frame_packer("collect_req")
+
+
 def collect_request(epoch: int) -> Callable[[Session], None]:
     """``feed`` for a collect phase: ``collect_req`` at ``epoch`` to all.
 
-    The frame names nobody, so it is encoded once per codec in use and
-    the same ``bytes`` written through to every session.
+    The frame names nobody, so it is packed once and the same ``bytes``
+    written through to every session.
     """
-    frames: Dict[str, bytes] = {}
+    frame = _pack_collect_req(epoch)
 
     def feed(session: Session) -> None:
-        frame = frames.get(session.codec)
-        if frame is None:
-            frame = frames[session.codec] = frame_packer(
-                "collect_req", session.codec
-            )(epoch)
         session.send(frame)
 
     return feed
 
 
 async def send_phase(
-    sessions: Iterable[Session], feed: Callable[[Session], object]
-) -> Tuple[List[Session], List[Session]]:
-    """Send one phase's frames; returns ``(sent, dead)``.
+    sessions: Iterable[Session],
+    feed: Callable[[Session], object],
+    timeout_s: Optional[float],
+) -> Tuple[List[Session], List[Session], List[Session]]:
+    """Send one phase's frames; returns ``(sent, dead, stalled)``.
 
     ``feed(session)`` writes that session's frame through
     (:meth:`Session.send`) or buffers a burst (:meth:`Session.feed`),
     plus any bookkeeping that must only happen once the frames were
     accepted. A session is flushed — and back-pressure waited out —
     only if ``feed`` left something queued or the link is paused.
+
+    With ``timeout_s`` set, those waits share one deadline, ``timeout_s``
+    after the phase began: a session whose link is still paused past it
+    is ``stalled`` — connected, its frames handed to the transport, but
+    no longer waited for — and every later session still gets its own.
     """
     sent: List[Session] = []
     dead: List[Session] = []
+    stalled: List[Session] = []
+    if timeout_s is not None:
+        loop_time = asyncio.get_running_loop().time
+        deadline = loop_time() + timeout_s
     for session in sessions:
         try:
             feed(session)
             if session.pending_frames or session.link.paused:
-                await session.flush()
+                if timeout_s is None:
+                    await session.flush()
+                else:
+                    await session.flush(max(deadline - loop_time(), 0.0))
+                    if session.link.paused:
+                        stalled.append(session)
+                        continue
             sent.append(session)
         except SessionClosed:
             dead.append(session)
-    return sent, dead
+    return sent, dead, stalled
 
 
 async def gather_replies(
@@ -465,10 +470,12 @@ class PhaseDriver:
         """One request/reply phase: ``feed(session)`` sends the request,
         ``on_reply`` consumes the ``kind`` frame at ``epoch``. Returns
         ``(absent, timed_out)`` — every session without a reply (refused
-        the request, died, or missed the deadline); dead ones are evicted.
+        the request, died, stopped reading past the deadline, or missed
+        it replying); dead ones are evicted. ``timeout_s`` bounds the
+        send half's waits on paused links and, separately, the reply wait.
         """
         with self._cpu():
-            sent, refused = await send_phase(sessions, feed)
+            sent, refused, stalled = await send_phase(sessions, feed, timeout_s)
         for session in refused:
             self._evict(session)
         missing, timed_out = await gather_replies(
@@ -477,4 +484,4 @@ class PhaseDriver:
         for session in missing:
             if not session.connected:
                 self._evict(session)
-        return refused + missing, timed_out
+        return refused + stalled + missing, timed_out or bool(stalled)

@@ -32,7 +32,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.dataplane.token_bucket import TokenBucket
 from repro.guard.backoff import full_jitter
 from repro.guard.breaker import CircuitBreaker
-from repro.live.protocol import FrameLink, encode, frame_packer
+from repro.live.codec import frame_packer
+from repro.live.protocol import FrameLink, encode
 
 __all__ = ["LiveVirtualStage"]
 
@@ -72,11 +73,6 @@ class LiveVirtualStage:
         Extra ``(host, port)`` controller addresses to rotate through
         when the current home fails (dead aggregator, dead primary). A
         ``rehome`` frame from the controller replaces this list.
-    codecs:
-        Wire codecs to advertise at registration, in preference order.
-        The controller's ``registered`` ack names the one to use; absent
-        an ack field (an older controller) the stage stays on JSON. Pass
-        ``("json",)`` to emulate a pre-binary client.
     controller_timeout_s:
         Declare the current home silent (and rotate) when no frame
         arrives for this long while the socket stays open — the stalled
@@ -102,7 +98,6 @@ class LiveVirtualStage:
         max_retries: Optional[int] = None,
         alternates: Optional[Sequence[Tuple[str, int]]] = None,
         controller_timeout_s: Optional[float] = None,
-        codecs: Sequence[str] = ("binary2", "binary", "json"),
     ) -> None:
         if backoff_base_s <= 0 or backoff_max_s <= 0:
             raise ValueError("backoff delays must be positive")
@@ -150,9 +145,8 @@ class LiveVirtualStage:
         self.applied_epoch = -1
         self.applied_limit: Optional[float] = None
         #: Metadata-axis limit from the newest applied rule; ``inf``
-        #: (unlimited) until a rule carries one — which is also what a
-        #: rule from a pre-rev-2 controller, with no metadata field,
-        #: resets it to.
+        #: (unlimited) until one arrives, and whenever the policy does
+        #: not differentiate the axes.
         self.applied_metadata_limit: float = float("inf")
         #: Local enforcement: one token bucket per axis, retuned on every
         #: applied rule. ``inf`` rate = unthrottled (the bucket no-ops).
@@ -192,14 +186,10 @@ class LiveVirtualStage:
         self._heard_at = 0.0
         self._registered_addr: Optional[Tuple[str, int]] = None
         self._last_silent = False
-        self.offered_codecs: Tuple[str, ...] = tuple(codecs)
-        #: Codec in force for the current session (reset per registration).
-        self.codec = "json"
-        # This stage's two reply frames in that codec, ids pre-bound
-        # (``(epoch, data_iops, metadata_iops)`` / ``(epoch)`` -> bytes);
-        # built when the ``registered`` ack names the codec.
-        self._pack_metrics = None
-        self._pack_ack = None
+        # This stage's two reply frames, ids pre-bound (``(epoch,
+        # data_iops, metadata_iops)`` / ``(epoch)`` -> bytes).
+        self._pack_metrics = frame_packer("metrics_reply", stage_id, job_id)
+        self._pack_ack = frame_packer("rule_ack", stage_id)
 
     @property
     def host(self) -> str:
@@ -344,7 +334,6 @@ class LiveVirtualStage:
                         "kind": "register",
                         "stage_id": self.stage_id,
                         "job_id": self.job_id,
-                        "codecs": list(self.offered_codecs),
                     }
                 )
             )
@@ -416,12 +405,6 @@ class LiveVirtualStage:
             self.registrations_rejected += 1
             self._end_session()
             return
-        granted = ack.get("codec", "json")
-        self.codec = codec = granted if granted in self.offered_codecs else "json"
-        self._pack_metrics = frame_packer(
-            "metrics_reply", codec, self.stage_id, self.job_id
-        )
-        self._pack_ack = frame_packer("rule_ack", codec, self.stage_id)
         self.connects += 1
         if self.connects > 1:
             self.reconnects += 1

@@ -26,7 +26,7 @@ import asyncio
 import multiprocessing
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.core.control_plane import default_policy
 from repro.core.cycle import ControlCycle, CycleStats
@@ -85,7 +85,6 @@ class ShardedControlPlane:
         n_stages: int,
         n_workers: int,
         policy: Optional[QoSPolicy] = None,
-        codecs: Tuple[str, ...] = ("binary2", "binary", "json"),
         collect_timeout_s: Optional[float] = None,
         enforce_timeout_s: Optional[float] = None,
         dead_after_missed: Optional[int] = None,
@@ -101,7 +100,6 @@ class ShardedControlPlane:
         self.n_stages = n_stages
         self.n_workers = n_workers
         self.policy = policy or default_policy(n_stages)
-        self.codecs = tuple(codecs)
         self.collect_timeout_s = collect_timeout_s
         self.enforce_timeout_s = enforce_timeout_s
         self.dead_after_missed = dead_after_missed
@@ -127,7 +125,6 @@ class ShardedControlPlane:
             global_port=self.controller.port,
             stage_ids=owned,
             job_ids=tuple(s.replace("stage", "job") for s in owned),
-            codecs=self.codecs,
             collect_timeout_s=self.collect_timeout_s,
             enforce_timeout_s=self.enforce_timeout_s,
         )
@@ -288,7 +285,6 @@ def run_live_sharded(
     n_workers: int = 2,
     n_cycles: int = 10,
     policy: Optional[QoSPolicy] = None,
-    codec: str = "binary",
     collect_timeout_s: Optional[float] = None,
     enforce_timeout_s: Optional[float] = None,
 ) -> ShardRunResult:
@@ -297,16 +293,12 @@ def run_live_sharded(
         raise ValueError("n_stages and n_cycles must be >= 1")
     if not 1 <= n_workers <= n_stages:
         raise ValueError("n_workers must be in [1, n_stages]")
-    codecs = (
-        ("binary2", "binary", "json") if codec == "binary" else ("json",)
-    )
     return asyncio.run(
         _run_sharded(
             n_stages,
             n_workers,
             n_cycles,
             policy=policy,
-            codecs=codecs,
             collect_timeout_s=collect_timeout_s,
             enforce_timeout_s=enforce_timeout_s,
         )

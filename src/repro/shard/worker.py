@@ -6,9 +6,9 @@ live shard. Inside the worker a private asyncio loop hosts a
 leader*, listening on its own per-shard ephemeral port — plus every
 :class:`~repro.live.stage_client.LiveVirtualStage` pinned to the shard
 by the consistent-hash ring. The leader registers upstream with the
-parent process's global controller over the normal wire protocol
-(binary codec negotiated per trunk link), so the global controller
-cannot tell a shard worker from an in-process aggregator.
+parent process's global controller over the normal wire protocol, so
+the global controller cannot tell a shard worker from an in-process
+aggregator.
 
 The parent talks to the worker over a ``multiprocessing`` pipe:
 
@@ -55,7 +55,6 @@ class ShardWorkerConfig:
     global_port: int
     stage_ids: Tuple[str, ...]
     job_ids: Tuple[str, ...]
-    codecs: Tuple[str, ...] = ("binary2", "binary", "json")
     collect_timeout_s: Optional[float] = None
     enforce_timeout_s: Optional[float] = None
     demand: Tuple[float, float] = (1000.0, 200.0)
@@ -89,7 +88,6 @@ async def _worker_main(config: ShardWorkerConfig, conn) -> None:
         expected_stages=len(config.stage_ids),
         collect_timeout_s=config.collect_timeout_s,
         enforce_timeout_s=config.enforce_timeout_s,
-        codecs=config.codecs,
         usage_meter=meter,
     )
     await leader.start()
@@ -100,7 +98,6 @@ async def _worker_main(config: ShardWorkerConfig, conn) -> None:
             stage_id=stage_id,
             job_id=job_id,
             demand=config.demand,
-            codecs=config.codecs,
         )
         for stage_id, job_id in zip(config.stage_ids, config.job_ids)
     ]
@@ -155,7 +152,6 @@ def _stats_row(config, leader, stages, meter, elapsed_s, rss_bytes) -> dict:
         "adoptions": leader.adoptions,
         "rules_applied": sum(s.rules_applied for s in stages),
         "rules_stale": sum(s.rules_ignored_stale for s in stages),
-        "up_codec": leader.up_codec,
         "cpu_seconds": meter.cpu_seconds,
         "tx_bytes": meter.tx_bytes,
         "rx_bytes": meter.rx_bytes,

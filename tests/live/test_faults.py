@@ -269,9 +269,10 @@ class TestRegistration:
             {"kind": "register", "stage_id": 7, "job_id": "j-x"},
             {"kind": "register", "stage_id": ["x"], "job_id": "j-x"},
             {"kind": "register", "stage_id": "s-x", "job_id": {"j": 1}},
-            {"kind": "register", "stage_id": "s-x", "job_id": "j-x", "codecs": 5},
-            {"kind": "register", "stage_id": "s-x", "job_id": "j-x",
-             "codecs": [["binary"]]},
+            # Ids a packed frame's 64 KiB string prefix cannot carry.
+            {"kind": "register", "stage_id": "s" * 0x10000, "job_id": "j-x"},
+            {"kind": "register", "stage_id": "s-x", "job_id": "☃" * 21846},
+            {"kind": "register", "stage_id": "s-\ud800", "job_id": "j-x"},
         ]
 
         async def scenario():
@@ -321,7 +322,6 @@ class TestRegistration:
             hello(stage_ids=5, job_ids=5),
             hello(stage_ids=[1], job_ids=[2]),
             hello(host="127.0.0.1", port="abc"),
-            hello(codecs=5),
         ]
 
         async def scenario():
@@ -362,7 +362,8 @@ class TestRegistration:
         bad_hellos = [
             {"kind": "register", "stage_id": 7, "job_id": "j-x"},
             {"kind": "register", "stage_id": ["x"], "job_id": "j-x"},
-            {"kind": "register", "stage_id": "s-x", "job_id": "j-x", "codecs": 5},
+            {"kind": "register", "stage_id": "s" * 0x10000, "job_id": "j-x"},
+            {"kind": "register", "stage_id": "s-x", "job_id": "☃" * 21846},
         ]
 
         async def scenario():
@@ -392,6 +393,87 @@ class TestRegistration:
             LiveVirtualStage("h", 1, "s", "j", backoff_factor=0.5)
         with pytest.raises(ValueError):
             LiveVirtualStage("h", 1, "s", "j", backoff_jitter=-0.1)
+
+
+class TestMalformedTrunkFrames:
+    def test_malformed_aggregator_replies_degrade_the_cycle_not_kill_it(self):
+        """A registered aggregator is still an outside peer: a reply
+        without ``stage_ids``, with vectors that do not line up, or a
+        ``partition_update`` naming no stage costs that partition its
+        fresh metrics for the cycle — never the cycle itself."""
+        good = {
+            "stage_ids": ["a", "b"],
+            "data_demands": [100.0, 300.0],
+            "metadata_demands": [20.0, 40.0],
+        }
+        bad_replies = [
+            {},
+            {"stage_ids": 5},
+            {"stage_ids": [1, 2]},
+            {**good, "data_demands": [1.0]},
+            {**good, "data_demands": "xx", "metadata_demands": None},
+            {**good, "data_demands": [10**400, 1]},
+            {**good, "n_missing": "x"},
+            {**good, "n_missing": -1},
+        ]
+        bad_updates = [
+            {"kind": "partition_update", "added": 5},
+            {"kind": "partition_update",
+             "added": [{"stage_id": 7, "job_id": "j"}, "x", {"stage_id": "c"}]},
+        ]
+
+        async def raw_aggregator(ctrl, script):
+            """Own stages a and b; answer each ``agg_collect_req`` with
+            the script's next frames, ack every batch."""
+            reader, writer = await asyncio.open_connection(ctrl.host, ctrl.port)
+            await write_message(writer, {
+                "kind": "register_aggregator", "aggregator_id": "agg-0",
+                "stage_ids": ["a", "b"], "job_ids": ["j", "j"],
+            })
+            while True:
+                message = await read_message(reader)
+                if message["kind"] == "agg_collect_req":
+                    for frame in script.pop(0):
+                        await write_message(
+                            writer, {"kind": "agg_metrics_reply",
+                                     "epoch": message["epoch"], **frame}
+                        )
+                elif message["kind"] == "rule_batch":
+                    await write_message(
+                        writer, {"kind": "batch_ack", "epoch": message["epoch"]}
+                    )
+                elif message["kind"] == "shutdown":
+                    writer.close()
+                    return
+
+        async def scenario():
+            loop_errors = _catch_loop_errors()
+            ctrl = LiveHierGlobalController(default_policy(2), expected_aggregators=1)
+            await ctrl.start()
+            script = [[good]] + [[bad] for bad in bad_replies]
+            script.append(bad_updates + [good])  # out-of-band, then a reply
+            script.append([good])
+            peer = asyncio.create_task(raw_aggregator(ctrl, script))
+            try:
+                await ctrl.wait_for_aggregators(timeout_s=10.0)
+                cycles = await asyncio.wait_for(
+                    ctrl.run_cycles(len(script)), timeout=20.0
+                )
+            finally:
+                await ctrl.shutdown()
+                await asyncio.wait_for(peer, timeout=5.0)
+            return list(cycles), ctrl, loop_errors
+
+        cycles, ctrl, loop_errors = asyncio.run(scenario())
+        assert [c.n_missing for c in cycles[1:-2]] == [2] * len(bad_replies)
+        # The cycle before, and the well-formed ones after, are clean.
+        assert [c.n_missing for c in cycles[:1] + cycles[-2:]] == [0, 0, 0]
+        assert not any(c.timed_out for c in cycles)
+        # Last-known demand rode through; the garbage named no new stage.
+        assert ctrl.columns.axes("a") == (100.0, 20.0)
+        assert ctrl.columns.axes("b") == (300.0, 40.0)
+        assert "c" not in ctrl.columns
+        assert loop_errors == []
 
 
 class TestShutdownPath:

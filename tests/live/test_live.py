@@ -5,15 +5,16 @@ import asyncio
 import pytest
 
 from repro.core.policies import QoSPolicy
+from repro.live.codec import frame_packer
 from repro.live.harness import run_live_flat
 from repro.live.protocol import MAX_FRAME, ProtocolError, decode_body, encode
 
 
 class TestProtocol:
     def test_roundtrip(self):
-        frame = encode({"kind": "collect_req", "epoch": 3})
+        frame = encode({"kind": "agg_collect_req", "epoch": 3})
         body = frame[4:]
-        assert decode_body(body) == {"kind": "collect_req", "epoch": 3}
+        assert decode_body(body) == {"kind": "agg_collect_req", "epoch": 3}
 
     def test_length_prefix_big_endian(self):
         frame = encode({"kind": "x"})
@@ -36,9 +37,9 @@ class TestProtocol:
 
         async def scenario():
             reader = asyncio.StreamReader()
-            frame = encode({"kind": "rule", "epoch": 2}) + encode(
-                {"kind": "rule_ack", "epoch": 2}
-            )
+            frame = frame_packer("rule", "s")(2, 10.0, None) + frame_packer(
+                "rule_ack", "s"
+            )(2)
             # Feed byte by byte to stress the framing.
             for i in range(0, len(frame), 3):
                 reader.feed_data(frame[i : i + 3])

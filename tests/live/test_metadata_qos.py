@@ -1,10 +1,9 @@
 """Metadata QoS on the live plane: limits over the wire, per-axis state.
 
 The PR 9 acceptance scenarios: a differentiated policy's metadata limit
-must reach the stage and retune its local token bucket over BOTH codecs
-(JSON and the rev-2 binary schema); a pre-rev-2 stage must keep working
-with metadata defaulting to unlimited; and a degraded cycle must fall
-back to per-axis last-known demand, not a summed scalar.
+must reach the stage and retune its local token bucket; an
+undifferentiated one must leave the axis unlimited; and a degraded cycle
+must fall back to per-axis last-known demand, not a summed scalar.
 """
 
 import asyncio
@@ -32,7 +31,7 @@ async def _teardown(ctrl, tasks):
     await asyncio.gather(*tasks, return_exceptions=True)
 
 
-async def _differentiated_cluster(codecs, n=2, **ctrl_kwargs):
+async def _differentiated_cluster(n=2, **ctrl_kwargs):
     ctrl = LiveGlobalController(
         _policy(n), expected_stages=n, **ctrl_kwargs
     )
@@ -44,7 +43,6 @@ async def _differentiated_cluster(codecs, n=2, **ctrl_kwargs):
             stage_id=f"s-{i}",
             job_id=f"j-{i}",
             demand=(1000.0, 200.0),
-            codecs=codecs,
         )
         for i in range(n)
     ]
@@ -56,16 +54,9 @@ async def _differentiated_cluster(codecs, n=2, **ctrl_kwargs):
 class TestMetadataLimitOverTheWire:
     """A stage must receive AND enforce a finite metadata limit."""
 
-    @pytest.mark.parametrize(
-        "codecs,expected_codec",
-        [
-            (("json",), "json"),
-            (("binary2", "binary", "json"), "binary2"),
-        ],
-    )
-    def test_finite_metadata_limit_applied(self, codecs, expected_codec):
+    def test_finite_metadata_limit_applied(self):
         async def scenario():
-            ctrl, stages, tasks = await _differentiated_cluster(codecs)
+            ctrl, stages, tasks = await _differentiated_cluster()
             try:
                 await ctrl.run_cycles(3)
             finally:
@@ -74,7 +65,6 @@ class TestMetadataLimitOverTheWire:
 
         stages = asyncio.run(scenario())
         for stage in stages:
-            assert stage.codec == expected_codec
             assert stage.rules_applied == 3
             # Two stages contend for 300 metadata IOPS: 150 each —
             # finite, differentiated, and below the 200 demanded.
@@ -111,28 +101,6 @@ class TestMetadataLimitOverTheWire:
             assert stage.rules_applied == 2
             assert stage.applied_metadata_limit == float("inf")
             assert stage.metadata_bucket.rate == float("inf")
-
-    def test_rev1_stage_defaults_to_unlimited_metadata(self):
-        """Mixed-version fleet: a stage that only speaks the rev-1
-        binary schema still gets its data limit; the metadata field is
-        dropped by the downgrade, so it stays unthrottled rather than
-        mis-throttled."""
-
-        async def scenario():
-            ctrl, stages, tasks = await _differentiated_cluster(
-                ("binary", "json")
-            )
-            try:
-                await ctrl.run_cycles(3)
-            finally:
-                await _teardown(ctrl, tasks)
-            return stages
-
-        for stage in asyncio.run(scenario()):
-            assert stage.codec == "binary"
-            assert stage.rules_applied == 3
-            assert stage.applied_limit is not None
-            assert stage.applied_metadata_limit == float("inf")
 
     def test_padll_brain_caps_a_metadata_storm_end_to_end(self):
         """The tentpole, end to end: a PADLL-style brain in the live
@@ -180,7 +148,6 @@ class TestDegradedCyclePerAxisFallback:
 
         async def scenario():
             ctrl, stages, tasks = await _differentiated_cluster(
-                ("binary2", "binary", "json"),
                 collect_timeout_s=0.2,
             )
             try:

@@ -13,6 +13,7 @@ import asyncio
 from repro.core.control_plane import default_policy
 from repro.core.registry import partition_stages
 from repro.live.aggregator_server import LiveAggregator
+from repro.live.codec import frame_packer
 from repro.live.controller_server import LiveHierGlobalController
 from repro.live.faults import (
     LiveFaultLog,
@@ -222,16 +223,11 @@ class TestReconnectRegressions:
             task = asyncio.create_task(stage.run())
             reader, writer = await asyncio.wait_for(inbox_a.get(), timeout=5.0)
 
+            pack_rule = frame_packer("rule", "s-0")
+
             async def rule(w, r, epoch, limit):
-                await write_message(
-                    w,
-                    {
-                        "kind": "rule",
-                        "epoch": epoch,
-                        "stage_id": "s-0",
-                        "data_iops_limit": limit,
-                    },
-                )
+                w.write(pack_rule(epoch, limit, None))
+                await w.drain()
                 return await asyncio.wait_for(read_message(r), timeout=5.0)
 
             ack = await rule(writer, reader, 5, 800.0)
@@ -265,3 +261,96 @@ class TestReconnectRegressions:
         assert stage.applied_epoch == 6
         assert stage.applied_limit == 700.0
         assert stage.failovers == 1
+
+
+class TestMalformedControllerFrames:
+    def test_malformed_trunk_frames_do_not_end_the_aggregator(self):
+        """The trunk's other end is an outside peer too: a ``rule_batch``
+        or ``topology`` entry that is not what a controller sends is
+        skipped, a frame without an integer epoch ignored — none of it
+        raises out of ``LiveAggregator.run``."""
+        batch = [
+            5,
+            {"stage_id": 7, "data_iops_limit": 1.0},
+            {"stage_id": "s-0"},
+            {"stage_id": "s-0", "data_iops_limit": "x"},
+            {"stage_id": "s-0", "data_iops_limit": 1.0, "metadata_iops_limit": "y"},
+            {"stage_id": "s-0", "data_iops_limit": 10**400},
+            {"stage_id": "s-1", "data_iops_limit": 55.0},
+        ]
+        topology = [
+            {"aggregator_id": "x"},
+            {"aggregator_id": "y", "host": "h", "port": "abc"},
+            5,
+            {"aggregator_id": "peer", "host": "127.0.0.1", "port": 9},
+        ]
+
+        async def scenario():
+            errors = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: errors.append(context)
+            )
+            trunk = asyncio.get_running_loop().create_future()
+
+            async def on_conn(reader, writer):
+                assert (await read_message(reader))["kind"] == "register_aggregator"
+                await write_message(writer, {"kind": "registered"})
+                trunk.set_result((reader, writer))
+
+            server = await asyncio.start_server(on_conn, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            agg = LiveAggregator(
+                "agg-0", "127.0.0.1", port, expected_stages=2, enforce_timeout_s=2.0
+            )
+            await agg.start()
+            stages = [
+                LiveVirtualStage(agg.host, agg.port, f"s-{i}", "j", reconnect=False)
+                for i in range(2)
+            ]
+            tasks = [asyncio.create_task(s.run()) for s in stages]
+            run = asyncio.create_task(agg.run())
+            reader, writer = await asyncio.wait_for(trunk, timeout=5.0)
+
+            async def exchange(*frames):
+                """Send ``frames``; the aggregator's answer to the last."""
+                for frame in frames:
+                    await write_message(writer, frame)
+                return await asyncio.wait_for(read_message(reader), timeout=5.0)
+
+            acks = [
+                await exchange(
+                    {"kind": "topology", "aggregators": 7},
+                    {"kind": "topology", "aggregators": topology},
+                    {"kind": "rule_batch", "epoch": 1, "rules": 5},
+                ),
+                await exchange(
+                    {"kind": "rule_batch", "rules": []},
+                    {"kind": "agg_collect_req", "epoch": "x"},
+                    {"kind": "rule_batch", "epoch": 2, "rules": batch},
+                ),
+            ]
+            reply = await exchange({"kind": "agg_collect_req", "epoch": 3})
+            await write_message(writer, {"kind": "shutdown"})
+            await asyncio.wait_for(run, timeout=5.0)  # raises what run raised
+            await asyncio.gather(*tasks)
+            writer.close()
+            server.close()
+            return agg, stages, acks, reply, errors
+
+        agg, stages, acks, reply, errors = asyncio.run(scenario())
+        assert [(a["kind"], a["epoch"]) for a in acks] == [
+            ("batch_ack", 1), ("batch_ack", 2)
+        ]
+        assert agg.peer_addresses == [("127.0.0.1", 9)]
+        assert stages[0].rules_applied == 0
+        assert (stages[1].applied_epoch, stages[1].applied_limit) == (2, 55.0)
+        # The well-formed request after the garbage is served in full —
+        # ids and the two per-axis vectors, nothing else per stage.
+        assert reply == {
+            "kind": "agg_metrics_reply", "epoch": 3, "aggregator_id": "agg-0",
+            "stage_ids": ["s-0", "s-1"],
+            "data_demands": [1000.0, 1000.0],
+            "metadata_demands": [200.0, 200.0],
+            "n_missing": 0,
+        }
+        assert errors == []

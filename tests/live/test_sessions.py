@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.live.codec import BINARY_KINDS, record_of
+from repro.live.codec import decode_at, frame_packer
 from repro.live.protocol import (
     MAX_FRAME,
     FrameLink,
@@ -26,7 +26,13 @@ from repro.live.protocol import (
     decode_body,
     encode,
 )
-from repro.live.sessions import Session, SessionClosed, gather_replies
+from repro.live.sessions import (
+    PhaseDriver,
+    Session,
+    SessionClosed,
+    collect_request,
+    gather_replies,
+)
 from repro.obs.procfs import ComponentUsageMeter
 
 
@@ -66,30 +72,33 @@ def _session(meter=None, fail_write=False, peer_id="peer-under-test"):
 
 
 def _reply(epoch, stage_id="s"):
-    return {"kind": "rule_ack", "epoch": epoch, "stage_id": stage_id}
+    """A ``rule_ack`` frame."""
+    return frame_packer("rule_ack", stage_id)(epoch)
 
 
-def _deliver(session, message, codec="binary"):
-    session.link.data_received(encode(message, codec))
+def _metrics(epoch, stage_id="s"):
+    """A ``metrics_reply`` frame."""
+    return frame_packer("metrics_reply", stage_id, "j")(epoch, 1.0, 0.0)
+
+
+def _deliver(session, frame):
+    session.link.data_received(frame)
 
 
 def _delivered(frame):
     """What a link hands ``on_frame`` for ``frame``: a hot kind's record,
     any other kind's message dict."""
-    message = decode_body(frame[4:])
-    return record_of(message) if message["kind"] in BINARY_KINDS else message
+    if frame[4] == 0xB1:
+        return decode_at(frame, 4, len(frame))
+    return decode_body(frame[4:])
 
 
-_MESSAGES = st.lists(
+_FRAMES = st.lists(
     st.one_of(
+        st.builds(_reply, st.integers(0, 2**40), st.text(max_size=12)),
+        st.builds(frame_packer("collect_req"), st.integers(0, 9)),
         st.builds(
-            lambda e, s: {"kind": "rule_ack", "epoch": e, "stage_id": s},
-            st.integers(0, 2**40),
-            st.text(max_size=12),
-        ),
-        st.builds(lambda e: {"kind": "collect_req", "epoch": e}, st.integers(0, 9)),
-        st.builds(
-            lambda n: {"kind": "topology", "aggregators": list(range(n))},
+            lambda n: encode({"kind": "topology", "aggregators": list(range(n))}),
             st.integers(0, 40),
         ),
     ),
@@ -102,7 +111,7 @@ class TestFramePump:
     def test_frame_delivered_one_byte_at_a_time(self):
         got = []
         link = _link(lambda m, n: got.append((m, n)))
-        frame = encode(_reply(7), "binary")
+        frame = _reply(7)
         for i in range(len(frame) - 1):
             link.data_received(frame[i : i + 1])
             assert got == []
@@ -112,16 +121,15 @@ class TestFramePump:
     def test_five_frames_in_one_segment(self):
         got = []
         link = _link(lambda m, n: got.append(m))
-        link.data_received(b"".join(encode(_reply(e), "binary") for e in range(5)))
+        link.data_received(b"".join(_reply(e) for e in range(5)))
         assert got == [("rule_ack", e, None, None) for e in range(5)]
 
     def test_segment_ending_mid_header_then_mid_body(self):
         got = []
         link = _link(lambda m, n: got.append(m))
-        stream = encode(_reply(1), "json") + encode(_reply(2), "json")
-        cut_a = len(encode(_reply(1), "json")) + 2  # two header bytes of #2
+        stream = _reply(1) + _reply(2)
+        cut_a = len(_reply(1)) + 2  # two header bytes of #2
         cut_b = cut_a + 9  # header complete, body partial
-        # JSON-bodied hot frames land as the same records packed ones do.
         link.data_received(stream[:cut_a])
         assert [m[1] for m in got] == [1]
         link.data_received(stream[cut_a:cut_b])
@@ -159,19 +167,17 @@ class TestFramePump:
             link.close()
 
         link.on_frame = on_frame
-        link.data_received(encode(_reply(1)) + encode(_reply(2)))
+        link.data_received(_reply(1) + _reply(2))
         assert [m[1] for m in got] == [1]
 
     @settings(max_examples=60, deadline=None)
     @given(
-        messages=_MESSAGES,
-        codec=st.sampled_from(["json", "binary", "binary2"]),
+        frames=_FRAMES,
         cuts=st.lists(st.integers(min_value=0, max_value=4096), max_size=12),
     )
-    def test_any_chunking_yields_the_same_messages(self, messages, codec, cuts):
+    def test_any_chunking_yields_the_same_messages(self, frames, cuts):
         """Chunk boundaries are invisible: the pump yields exactly what
         decoding frame by frame yields, in order."""
-        frames = [encode(m, codec) for m in messages]
         stream = b"".join(frames)
         expected = [(_delivered(f), len(f)) for f in frames]
         got = []
@@ -187,10 +193,8 @@ class TestFlushAccounting:
         async def scenario():
             meter = ComponentUsageMeter("test")
             session = _session(meter)
-            session.feed({"kind": "rule", "epoch": 1, "stage_id": "s",
-                          "data_iops_limit": 1.0})
-            session.feed({"kind": "rule", "epoch": 1, "stage_id": "t",
-                          "data_iops_limit": 2.0})
+            session.feed({"kind": "rule_batch", "epoch": 1, "rules": []})
+            session.feed({"kind": "rule_batch", "epoch": 2, "rules": []})
             # Buffered, not written: nothing charged yet.
             assert session.tx_bytes == 0
             assert meter.tx_bytes == 0
@@ -208,8 +212,7 @@ class TestFlushAccounting:
             meter = ComponentUsageMeter("test")
             session = _session(meter, fail_write=True)
             for i in range(3):
-                session.feed({"kind": "rule_ack", "epoch": 1,
-                              "stage_id": f"s{i}"})
+                session.feed({"kind": "batch_ack", "epoch": i})
             with pytest.raises(SessionClosed):
                 await session.flush()
             return session, meter
@@ -225,18 +228,18 @@ class TestFlushAccounting:
     def test_feed_after_failed_flush_raises(self):
         async def scenario():
             session = _session(fail_write=True)
-            session.feed({"kind": "collect_req", "epoch": 1})
+            session.feed({"kind": "agg_collect_req", "epoch": 1})
             with pytest.raises(SessionClosed):
                 await session.flush()
             with pytest.raises(SessionClosed):
-                session.feed({"kind": "collect_req", "epoch": 2})
+                session.feed({"kind": "agg_collect_req", "epoch": 2})
 
         asyncio.run(scenario())
 
     def test_flush_on_a_lost_link_charges_nothing(self):
         async def scenario():
             session = _session()
-            session.feed({"kind": "collect_req", "epoch": 1})
+            session.feed({"kind": "agg_collect_req", "epoch": 1})
             session.link.connection_lost(ConnectionResetError())
             with pytest.raises(SessionClosed):
                 await session.flush()
@@ -249,10 +252,10 @@ class TestFlushAccounting:
     def test_flush_suspends_only_while_writing_is_paused(self):
         async def scenario():
             session = _session()
-            session.feed({"kind": "collect_req", "epoch": 1})
+            session.feed({"kind": "agg_collect_req", "epoch": 1})
             await asyncio.wait_for(session.flush(), timeout=1.0)  # never waits
             session.link.pause_writing()
-            session.feed({"kind": "collect_req", "epoch": 2})
+            session.feed({"kind": "agg_collect_req", "epoch": 2})
             flush = asyncio.ensure_future(session.flush())
             await asyncio.sleep(0.01)
             written_while_paused = bytes(session.link.transport.written)
@@ -267,11 +270,51 @@ class TestFlushAccounting:
         assert written_while_paused == bytes(session.link.transport.written)
         assert session.tx_bytes == len(written_while_paused)
 
+    def test_phase_deadline_covers_the_send_half(self):
+        """A peer that stopped reading (its transport past the high-water
+        mark) is waited for until the phase deadline, not for ever: it
+        ends up absent but connected, everyone else is served."""
+
+        class Owner(PhaseDriver):
+            meter = None
+
+            def __init__(self):
+                self.evicted = []
+
+            def _evict(self, session):
+                self.evicted.append(session)
+
+        async def scenario():
+            sessions = [_session(peer_id=f"p{i}") for i in range(3)]
+            first, middle, last = sessions
+            middle.link.pause_writing()
+            for session in (first, last):  # answers that beat the barrier
+                _deliver(session, _metrics(1, session.peer_id))
+            owner = Owner()
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            absent, timed_out = await asyncio.wait_for(
+                owner._phase(
+                    sessions, collect_request(1), "metrics_reply", 1, None, 0.05
+                ),
+                timeout=1.0,
+            )
+            return sessions, owner, absent, timed_out, loop.time() - started
+
+        sessions, owner, absent, timed_out, elapsed = asyncio.run(scenario())
+        first, middle, last = sessions
+        assert absent == [middle] and timed_out
+        assert 0.04 <= elapsed < 0.5
+        assert owner.evicted == [] and middle.connected
+        # Everyone's request reached its transport, the stalled peer's too.
+        for session in sessions:
+            assert bytes(session.link.transport.written) == frame_packer("collect_req")(1)
+
     def test_paused_flush_raises_if_the_link_dies(self):
         async def scenario():
             session = _session()
             session.link.pause_writing()
-            session.feed({"kind": "collect_req", "epoch": 1})
+            session.feed({"kind": "agg_collect_req", "epoch": 1})
             flush = asyncio.ensure_future(session.flush())
             await asyncio.sleep(0)
             session.link.connection_lost(None)
@@ -390,8 +433,7 @@ class TestGatherPhaseErrors:
                 gather_replies([a, b], "rule_ack", 3, lambda s, m: None, None)
             )
             await asyncio.sleep(0)
-            _deliver(b, {"kind": "metrics_reply", "epoch": 3, "stage_id": "b",
-                         "job_id": "j", "data_iops": 1.0, "metadata_iops": 0.0})
+            _deliver(b, _metrics(3, "b"))
             _deliver(b, _reply(2))
             _deliver(a, _reply(3))
             _deliver(b, _reply(3))
@@ -457,12 +499,12 @@ class TestGatherPhaseErrors:
             session = _session()
             session.oob_kinds = frozenset({"partition_update"})
             update = {"kind": "partition_update", "added": []}
-            _deliver(session, update)
+            _deliver(session, encode(update))
             waiter = asyncio.ensure_future(
                 gather_replies([session], "rule_ack", 1, lambda s, m: None, None)
             )
             await asyncio.sleep(0)
-            _deliver(session, update)
+            _deliver(session, encode(update))
             _deliver(session, _reply(1))
             await asyncio.wait_for(waiter, timeout=1.0)
             return session, update
@@ -488,6 +530,6 @@ class TestGatherPhaseErrors:
     def test_rx_bytes_and_meter_charged_per_frame(self):
         meter = ComponentUsageMeter("test")
         session = _session(meter)
-        frame = encode(_reply(1), "binary")
+        frame = _reply(1)
         session.link.data_received(frame + frame)
         assert session.rx_bytes == 2 * len(frame) == meter.rx_bytes

@@ -2,10 +2,9 @@
 
 The live plane's per-frame path is one ``Struct.pack`` and a ``write``
 out, one ``unpack_from`` in. These tests hold that path to the generic
-codec it replaced (byte-identical frames, identical decoded values),
-feed the parser garbage at the byte level, run a fleet that negotiated
-three different codecs, and pin the mechanism so a later change cannot
-quietly route hot frames back through dicts and the outbox.
+dict decoder (identical decoded values), feed the parser garbage at the
+byte level, and pin the mechanism so a later change cannot quietly route
+hot frames back through dicts, JSON and the outbox.
 
 CI runs this file once more under the derandomized ``ci`` hypothesis
 profile (``tests/conftest.py``).
@@ -26,33 +25,27 @@ from hypothesis import strategies as st
 
 from repro.core.policies import QoSPolicy
 from repro.live import protocol, sessions
-from repro.live.aggregator_server import LiveAggregator
-from repro.live.codec import BINARY_KINDS, decode_at, message_of, record_of
-from repro.live.controller_server import (
-    LiveGlobalController,
-    LiveHierGlobalController,
-)
+from repro.live.codec import BINARY_KINDS, decode_at, frame_packer
+from repro.live.controller_server import LiveGlobalController
 from repro.live.protocol import (
     MAX_FRAME,
     RECV_BUFFER_SIZE,
     FrameLink,
     decode_body,
     encode,
-    frame_packer,
 )
 from repro.live.sessions import Session
 from repro.live.stage_client import LiveVirtualStage
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
-CODECS = ("json", "binary", "binary2")
 _OVERSIZE = 0xFFFF + 1
 
 epochs = st.integers(min_value=-(2**63), max_value=2**63 - 1)
 floats = st.floats(allow_nan=False)  # finite and +-inf
 ids = st.one_of(
     st.text(max_size=24),  # incl. empty and non-ASCII
-    st.sampled_from(["", "stage-00042", "é" * 40, "☃" * 21846, "s" * _OVERSIZE]),
+    st.sampled_from(["", "stage-00042", "é" * 40, "☃" * 21845, "s" * 0xFFFF]),
 )
 
 
@@ -99,60 +92,64 @@ def _link():
 
 
 def _delivered(frame):
-    message = decode_body(frame[4:])
-    return record_of(message) if message["kind"] in BINARY_KINDS else message
+    """What a link hands its owner for ``frame``."""
+    if frame[4] == 0xB1:
+        return decode_at(frame, 4, len(frame))
+    return decode_body(frame[4:])
 
 
 class TestPackersMatchTheGenericCodec:
     @settings(deadline=None)
-    @given(frame=hot_frames(), codec=st.sampled_from(CODECS))
-    def test_packer_bytes_equal_encode_and_decode_to_the_same_record(
-        self, frame, codec
-    ):
+    @given(frame=hot_frames())
+    def test_packed_frames_carry_their_values(self, frame):
         kind, epoch, a, b, stage_id, job_id = frame
-        message = message_of(kind, epoch, a, b, stage_id, job_id)
-        packed = frame_packer(kind, codec, stage_id, job_id)(epoch, *_args(a, b))
-        assert packed == encode(message, codec)
-        # What a link hands its owner equals the projection of the
-        # generic decode, whichever body the codec chose.
-        expected = record_of(decode_body(packed[4:]))
+        packed = frame_packer(kind, stage_id, job_id)(epoch, *_args(a, b))
+        if kind == "rule" and b is None:
+            b = float("inf")  # no metadata limit: unlimited
+        expected = (kind, epoch, a, b)
+        # The record a link hands its owner, the in-place decode and the
+        # generic dict decode all carry the values that went in.
         link, got = _link()
         link.data_received(packed)
         assert got == [(expected, len(packed))]
-        if packed[4] != ord("{"):
-            assert decode_at(packed, 4, len(packed)) == expected
-        if codec != "binary" or kind != "rule":
-            # (rev 1 drops the metadata limit on purpose)
-            assert expected == record_of(message)
+        assert decode_at(packed, 4, len(packed)) == expected
+        message = decode_body(packed[4:])
+        names = {"metrics_reply": ("data_iops", "metadata_iops"),
+                 "rule": ("data_iops_limit", "metadata_iops_limit")}.get(kind, ())
+        assert (kind, epoch) == (message["kind"], message["epoch"])
+        assert tuple(message[name] for name in names) == _args(a, b)
+        if kind != "collect_req":
+            assert message["stage_id"] == stage_id
+        if kind == "metrics_reply":
+            assert message["job_id"] == job_id
 
-    def test_oversize_ids_ride_json_on_a_binary_session(self):
+    def test_oversize_ids_are_refused(self):
         for kind in ("metrics_reply", "rule", "rule_ack"):
-            frame = frame_packer(kind, "binary2", "s" * _OVERSIZE, "j")(1, 2.0, 3.0)
-            assert frame[4] == ord("{")
+            with pytest.raises(ValueError, match="too long"):
+                frame_packer(kind, "s" * _OVERSIZE, "j")
+        with pytest.raises(ValueError, match="too long"):
+            frame_packer("metrics_reply", "s", "☃" * 21846)
 
     def test_packers_are_lean(self):
-        packer = frame_packer("rule", "binary2", "stage-00001")
+        packer = frame_packer("rule", "stage-00001")
         assert not hasattr(packer, "__dict__")
         assert type(packer._tail) is bytes
 
     def test_cold_kinds_have_no_packer(self):
         with pytest.raises(ValueError):
-            frame_packer("register", "binary2")
+            frame_packer("register")
 
 
 def _frame(body: bytes) -> bytes:
     return struct.pack(">I", len(body)) + body
 
 
-_ACK = encode({"kind": "rule_ack", "epoch": 5, "stage_id": "stage-7"}, "binary2")
+_ACK = frame_packer("rule_ack", "stage-7")(5)
+_RULE = frame_packer("rule", "stage-7")(5, 10.0, 20.0)
 
 _GOOD = st.one_of(
-    hot_frames().flatmap(
-        lambda f: st.sampled_from(CODECS).map(
-            lambda codec: frame_packer(f[0], codec, f[4][:64], f[5][:64])(
-                f[1], *_args(f[2], f[3])
-            )
-        )
+    hot_frames().map(
+        lambda f: frame_packer(f[0], f[4][:64], f[5][:64])(f[1], *_args(f[2], f[3]))
     ),
     st.integers(0, 30).map(
         lambda n: encode({"kind": "topology", "aggregators": list(range(n))})
@@ -247,6 +244,13 @@ class TestFrameLinkFuzz:
             pytest.param(_frame(b""), id="empty-body"),
             pytest.param(struct.pack(">I", MAX_FRAME + 1) + b"x" * 16, id="oversize"),
             pytest.param(_frame(b'{"kind":["rule"]}'), id="unhashable-kind"),
+            # A hot kind in a JSON body, however well-formed, and the
+            # retired single-limit rule tag: what an old peer would send.
+            pytest.param(
+                _frame(b'{"kind":"rule_ack","epoch":5,"stage_id":"stage-7"}'),
+                id="json-rule-ack",
+            ),
+            pytest.param(_RULE[:5] + b"\x03" + _RULE[6:], id="tag-3-rule"),
             pytest.param(_frame(b'{"kind":"rule","epoch":1}'), id="json-rule-no-limit"),
             pytest.param(
                 _frame(b'{"kind":"metrics_reply","epoch":1,"data_iops":"x",'
@@ -276,81 +280,10 @@ def _differentiated(n):
     return QoSPolicy(pfs_capacity_iops=n * 750.0, metadata_capacity_iops=n * 150.0)
 
 
-_FLEETS = {
-    "mixed": (("json",), ("binary", "json"), ("binary2", "binary", "json")),
-    "binary2": (("binary2", "binary", "json"),) * 3,
-}
-
-
-async def _run_fleet(offers, behind_aggregator):
-    n = len(offers)
-    tasks = []
-    if behind_aggregator:
-        ctrl = LiveHierGlobalController(_differentiated(n), expected_aggregators=1)
-        await ctrl.start()
-        home = LiveAggregator("agg-0", ctrl.host, ctrl.port, expected_stages=n)
-        await home.start()
-        tasks.append(asyncio.create_task(home.run()))
-    else:
-        ctrl = home = LiveGlobalController(_differentiated(n), expected_stages=n)
-        await ctrl.start()
-    stages = [
-        LiveVirtualStage(
-            home.host, home.port, f"stage-{i}", f"job-{i}",
-            demand=(900.0 + 100.0 * i, 200.0), codecs=codecs,
-        )
-        for i, codecs in enumerate(offers)
-    ]
-    tasks += [asyncio.create_task(s.run()) for s in stages]
-    try:
-        if behind_aggregator:
-            await ctrl.wait_for_aggregators(timeout_s=10.0)
-        else:
-            await ctrl.wait_for_stages(timeout_s=10.0)
-        cycles = await ctrl.run_cycles(3)
-        stale = ctrl.stale_messages
-        if behind_aggregator:
-            stale += sum(s.stale_messages for s in home.sessions.values())
-        return stages, list(cycles), ctrl.epoch, stale
-    finally:
-        await ctrl.shutdown()
-        await asyncio.sleep(0.05)
-        for t in tasks:
-            t.cancel()
-        await asyncio.gather(*tasks, return_exceptions=True)
-
-
-class TestMixedVersionPlane:
-    @pytest.mark.parametrize("behind_aggregator", [False, True], ids=["flat", "hier"])
-    def test_three_codecs_cycle_to_the_same_limits_as_all_binary2(
-        self, behind_aggregator
-    ):
-        mixed, cycles, epoch, stale = asyncio.run(
-            _run_fleet(_FLEETS["mixed"], behind_aggregator)
-        )
-        reference, _, _, _ = asyncio.run(
-            _run_fleet(_FLEETS["binary2"], behind_aggregator)
-        )
-        assert [s.codec for s in mixed] == ["json", "binary", "binary2"]
-        assert [s.codec for s in reference] == ["binary2"] * 3
-        assert all(c.n_missing == 0 and not c.timed_out for c in cycles)
-        assert stale == 0
-        for got, want in zip(mixed, reference):
-            assert got.applied_epoch == epoch == 3
-            assert got.rules_applied == 3 and got.requests_served == 3
-            assert got.applied_limit == want.applied_limit
-            assert got.data_bucket.rate == want.data_bucket.rate
-        # JSON and rev 2 carry the metadata axis; rev 1 drops it.
-        assert mixed[0].applied_metadata_limit == reference[0].applied_metadata_limit
-        assert mixed[2].applied_metadata_limit == reference[2].applied_metadata_limit
-        assert mixed[2].applied_metadata_limit < float("inf")
-        assert mixed[1].applied_metadata_limit == float("inf")
-
-
 class TestMechanism:
-    def test_steady_state_binary2_cycle_stays_off_the_generic_path(self, monkeypatch):
-        """Hot frames enter neither the dict codec nor the outbox, and
-        ``collect_req`` is packed once for the whole fleet."""
+    def test_steady_state_cycle_stays_off_the_json_path(self, monkeypatch):
+        """Hot frames enter neither JSON, the dict decoder nor the
+        outbox, and ``collect_req`` is packed once for the whole fleet."""
         n = 200
         calls = {}
 
@@ -360,10 +293,6 @@ class TestMechanism:
                 return fn(*args, **kwargs)
 
             return wrapper
-
-        def counting_packer(kind, *args, **kwargs):
-            calls[f"pack:{kind}"] = calls.get(f"pack:{kind}", 0) + 1
-            return frame_packer(kind, *args, **kwargs)
 
         async def scenario():
             ctrl = LiveGlobalController(_differentiated(n), expected_stages=n)
@@ -385,12 +314,19 @@ class TestMechanism:
                 monkeypatch.setattr(Session, "feed", counting("feed", Session.feed))
                 flush = Session.flush
 
-                async def counted_flush(self):
+                async def counted_flush(self, timeout_s=None):
                     calls["flush"] = calls.get("flush", 0) + 1
-                    await flush(self)
+                    await flush(self, timeout_s)
 
                 monkeypatch.setattr(Session, "flush", counted_flush)
-                monkeypatch.setattr(sessions, "frame_packer", counting_packer)
+                monkeypatch.setattr(
+                    sessions, "_pack_collect_req",
+                    counting("pack:collect_req", sessions._pack_collect_req),
+                )
+                for name in ("dumps", "loads"):
+                    monkeypatch.setattr(
+                        json, name, counting(f"json.{name}", getattr(json, name))
+                    )
                 before = sum(s.tx_bytes + s.rx_bytes for s in ctrl.sessions.values())
                 await ctrl.run_cycles(1)
                 after = sum(s.tx_bytes + s.rx_bytes for s in ctrl.sessions.values())
@@ -406,10 +342,13 @@ class TestMechanism:
         assert cycle.n_missing == 0
         assert all(s.applied_epoch == cycle.epoch for s in stages)
         assert calls == {"pack:collect_req": 1}
-        # The frames are the generic codec's, byte for byte.
+        # Nothing else rode the wire: four packed frames per stage.
         per_stage = sum(
-            len(encode(message_of(kind, cycle.epoch, 1.0, 2.0, "s-000", "j-000"), "binary2"))
-            for kind in sorted(BINARY_KINDS)
+            len(frame_packer(kind, "s-000", "j-000")(cycle.epoch, *args))
+            for kind, args in (
+                ("collect_req", ()), ("metrics_reply", (1.0, 2.0)),
+                ("rule", (1.0, 2.0)), ("rule_ack", ()),
+            )
         )
         assert wire_bytes == n * per_stage
 
@@ -479,15 +418,3 @@ class TestFreshProcessReadPath:
         assert missing == 0
         # Four reads per stage per cycle: at least 4 before the fix.
         assert faults_per_stage_cycle < 1.0, faults_per_stage_cycle
-
-
-def test_json_record_projection_matches_a_json_peer():
-    """An old JSON peer's hot frames carry ints where floats go."""
-    body = json.dumps(
-        {"kind": "metrics_reply", "epoch": 4, "stage_id": "s", "job_id": "j",
-         "data_iops": 7, "metadata_iops": 0}
-    ).encode()
-    link, got = _link()
-    link.data_received(_frame(body))
-    assert got == [(("metrics_reply", 4, 7.0, 0.0), 4 + len(body))]
-    assert all(type(x) is float for x in got[0][0][2:])

@@ -26,6 +26,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["flat"])
 
+    def test_shard_has_no_codec_flag(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["shard", "--codec", "json"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --codec json" in capsys.readouterr().err
+
 
 class TestFlat:
     def test_table_output(self, capsys):
@@ -287,7 +293,6 @@ class TestShard:
         assert payload["rules_applied"] == 6 * 3
         assert payload["degraded_cycles"] == 0
         assert len(payload["shards"]) == 2
-        assert all(s["up_codec"] == "binary2" for s in payload["shards"])
 
     def test_table_output_has_per_shard_usage(self, capsys):
         code, out = run_cli(
