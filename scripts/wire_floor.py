@@ -1,10 +1,21 @@
-"""The syscall floor under ``flat-2500``: the same traffic, none of our code.
+"""The floors under ``flat-2500``: the same traffic, none of our frame code.
 
-A bare asyncio server writes one 14 B frame to each of N loopback
-connections and waits for N 54 B echoes, then one 43 B frame and N 27 B
-echoes — the sizes of ``collect_req`` / ``metrics_reply`` / ``rule`` /
-``rule_ack`` (138 B per stage-cycle). What ``bench_e2e``'s
-``cycle_p50_ms`` reads above this number is the repository's own Python.
+One end writes a 14 B frame to each of N loopback connections and waits
+for N 54 B echoes, then a 43 B frame and N 27 B echoes — the sizes of
+``collect_req`` / ``metrics_reply`` / ``rule`` / ``rule_ack`` (138 B per
+stage-cycle). The same two bare protocols run twice, in one process:
+
+* on asyncio's selector transports (``loop.create_server`` /
+  ``loop.create_connection``) — where the live plane's sockets used to
+  sit: one loop ``Handle`` per readable socket;
+* on ``repro.live.pump``'s ``listen`` / ``connect`` — where they sit
+  now: one loop ``Handle`` per burst. None of ``FrameLink``,
+  ``sessions`` or the controllers is involved.
+
+The second line is the floor under ``bench_e2e``'s ``cycle_p50_ms`` on
+``flat-2500`` (what reads above it is the repository's own per-frame
+Python); the difference between the lines is asyncio's per-event
+transport path, which the pump removed.
 
 Both ends are ``BufferedProtocol``s reading into one shared buffer, like
 ``repro.live.protocol.FrameLink``: a plain ``Protocol`` makes the
@@ -18,10 +29,17 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import os
 import resource
 import statistics
+import sys
 import time
 
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+
+from repro.live import pump  # noqa: E402
+
+HOST = "127.0.0.1"
 PHASES = ((b"q" * 14, b"r" * 54), (b"q" * 43, b"r" * 27))
 REPLY = {len(request): reply for request, reply in PHASES}
 BUFFER = bytearray(256 * 1024)
@@ -56,12 +74,29 @@ class Counter(asyncio.BufferedProtocol):
             Counter.done.set_result(None)
 
 
-async def main(stages: int, cycles: int) -> None:
+async def on_asyncio(stages: int):
+    """N echo connections on asyncio's transports; returns the server."""
     loop = asyncio.get_running_loop()
-    server = await loop.create_server(Counter, "127.0.0.1", 0, backlog=4096)
+    server = await loop.create_server(Counter, HOST, 0, backlog=4096)
     port = server.sockets[0].getsockname()[1]
     for _ in range(stages):
-        await loop.create_connection(Echo, "127.0.0.1", port)
+        await loop.create_connection(Echo, HOST, port)
+    return server
+
+
+async def on_pump(stages: int):
+    """The same connections on the pump; returns the listener."""
+    listener = pump.listen(Counter, HOST, 0, 4096)
+    port = listener.sockets[0].getsockname()[1]
+    for _ in range(stages):
+        await pump.connect(Echo(), HOST, port)
+    return listener
+
+
+async def floor(connect, stages: int, cycles: int) -> float:
+    """p50 seconds per two-phase cycle over ``connect``'s connections."""
+    loop = asyncio.get_running_loop()
+    server = await connect(stages)
     while len(clients) < stages:
         await asyncio.sleep(0.01)
     samples = []
@@ -73,13 +108,18 @@ async def main(stages: int, cycles: int) -> None:
                 client.transport.write(request)
             await Counter.done
         samples.append(time.perf_counter() - t0)
-    warm = samples[len(samples) // 4 :]
-    print(f"{stages} connections, {len(warm)} cycles: "
-          f"p50 {statistics.median(warm) * 1e3:.1f} ms per two-phase cycle")
+    server.close()
+    for client in clients:  # the echo ends see EOF and close themselves
+        client.transport.abort()
+    clients.clear()
+    await asyncio.sleep(0.1)
+    return statistics.median(samples[len(samples) // 4 :])
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     parser.add_argument("--stages", type=int, default=2500)
     parser.add_argument("--cycles", type=int, default=60)
     args = parser.parse_args()
@@ -90,4 +130,9 @@ if __name__ == "__main__":
         resource.setrlimit(
             resource.RLIMIT_NOFILE, (need if unlimited else min(need, hard), hard)
         )
-    asyncio.run(main(args.stages, args.cycles))
+    warm = args.cycles - args.cycles // 4
+    print(f"{args.stages} connections, {warm} cycles, nproc {os.cpu_count()}; "
+          "p50 per two-phase cycle")
+    for name, connect in (("asyncio transports", on_asyncio), ("repro.live.pump", on_pump)):
+        p50 = asyncio.run(floor(connect, args.stages, args.cycles))
+        print(f"  {name:<20}{p50 * 1e3:6.1f} ms")

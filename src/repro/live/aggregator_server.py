@@ -40,11 +40,11 @@ telling them to stop) so they re-home through their reconnect loops.
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import sys
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
+from repro.live import pump
 from repro.live.protocol import (
     FrameLink,
     accept_backlog,
@@ -151,7 +151,8 @@ class LiveAggregator(PhaseDriver):
         #: Stages adopted after upstream registration (orphans re-homed
         #: here), announced upstream via ``partition_update``.
         self.adoptions = 0
-        self._server: Optional[asyncio.AbstractServer] = None
+        #: The :func:`repro.live.pump.listen` listener while started.
+        self._server = None
         self._all_registered = asyncio.Event()
         if expected_stages == 0:  # hot spare: nothing to wait for
             self._all_registered.set()
@@ -253,11 +254,11 @@ class LiveAggregator(PhaseDriver):
     # -- lifecycle ----------------------------------------------------------
     async def start(self) -> None:
         """Listen for stage registrations; ``self.port`` gets the bound port."""
-        self._server = await asyncio.get_running_loop().create_server(
+        self._server = pump.listen(
             FrameLink.accepting(self._on_hello),
             self.host,
             self.port,
-            backlog=accept_backlog(self.expected_stages),
+            accept_backlog(self.expected_stages),
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -325,9 +326,7 @@ class LiveAggregator(PhaseDriver):
             await asyncio.wait_for(
                 self._all_registered.wait(), timeout=stage_timeout_s
             )
-            await asyncio.get_running_loop().create_connection(
-                lambda: up, self.global_host, self.global_port
-            )
+            await pump.connect(up, self.global_host, self.global_port)
             self._up = up
             self._send_up(
                 {
@@ -355,10 +354,6 @@ class LiveAggregator(PhaseDriver):
         finally:
             self._up = None
             self._up_frames.clear()
-            # The listener goes first: should this task be cancelled
-            # further down, a socket still listening would keep the
-            # aggregator, its server and every session reachable from
-            # the event loop's selector for good.
             if self._server is not None:
                 self._server.close()
             # Deliberate shutdown: take the stages down with us. Upstream
@@ -369,12 +364,6 @@ class LiveAggregator(PhaseDriver):
                 {"kind": "shutdown"} if self._stop.is_set() else None
             )
             up.close()
-            if self._server is not None:
-                # Wait for the listen socket to actually release: without
-                # this, a back-to-back restart on the same port races the
-                # in-flight close and flakes with EADDRINUSE on slow CI.
-                with contextlib.suppress(ConnectionError, OSError):
-                    await self._server.wait_closed()
 
     async def _handle(self, message) -> None:
         kind = message["kind"]

@@ -41,6 +41,7 @@ from repro.core.algorithms.psfa import PSFA
 from repro.core.columnar import StageColumns
 from repro.core.cycle import ControlCycle
 from repro.core.policies import QoSPolicy
+from repro.live import pump
 from repro.live.protocol import (
     FrameLink,
     accept_backlog,
@@ -168,7 +169,8 @@ class _LiveControllerBase(PhaseDriver):
         self.last_heartbeat_at: Optional[float] = None
         self.last_primary_epoch = 0
         self.heartbeats_received = 0
-        self._server: Optional[asyncio.AbstractServer] = None
+        #: The :func:`repro.live.pump.listen` listener while started.
+        self._server = None
         self._all_registered = asyncio.Event()
         # Instruments resolved once — registry lookups (label-key sort +
         # dict walk) are too slow for a per-cycle hot path.
@@ -404,11 +406,11 @@ class _LiveControllerBase(PhaseDriver):
         # harness starting its fleet, a mass re-home): size the accept
         # queue for that, not for asyncio's default of 100, or the
         # overflow strands half-open registrations for a TCP RTO wave.
-        self._server = await asyncio.get_running_loop().create_server(
+        self._server = pump.listen(
             FrameLink.accepting(self._on_hello),
             self.host,
             self.port,
-            backlog=accept_backlog(self._expected),
+            accept_backlog(self._expected),
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -417,7 +419,6 @@ class _LiveControllerBase(PhaseDriver):
         self._close_sessions({"kind": "shutdown"})
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
 
     def kill(self) -> None:
         """Die abruptly: abort every child socket, stop listening.

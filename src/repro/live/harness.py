@@ -24,8 +24,6 @@ whose limit did not move.
 from __future__ import annotations
 
 import asyncio
-import contextlib
-import errno
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -222,22 +220,6 @@ def run_live_flat(
     )
 
 
-async def _start_rebinding(component, attempts: int = 60, delay_s: float = 0.05):
-    """``await component.start()``, retrying while the port drains.
-
-    A restarted plane rebinds the *same* ports so surviving stage
-    reconnect loops find it again; on slow CI the previous listen socket
-    can still be mid-close, so EADDRINUSE here means "wait", not "fail".
-    """
-    for attempt in range(attempts):
-        try:
-            return await component.start()
-        except OSError as exc:
-            if exc.errno != errno.EADDRINUSE or attempt == attempts - 1:
-                raise
-            await asyncio.sleep(delay_s)
-
-
 class LiveHierPlane:
     """A restartable hierarchical live plane (controller + aggs + stages).
 
@@ -251,8 +233,8 @@ class LiveHierPlane:
       without a goodbye — the in-process analogue of ``kill -9`` on the
       whole control plane. Stage clients stay alive, keep enforcing
       their last rules, and keep their ``applied_epoch`` fencing state.
-    * :meth:`plane_restart` rebinds the *same* ports (retrying while the
-      old sockets drain — the back-to-back-start CI flake fix) with a
+    * :meth:`plane_restart` rebinds the *same* ports (free the moment
+      the old listeners' synchronous ``close()`` returned) with a
       caller-supplied ``initial_epoch``, typically a durable store's
       :meth:`~repro.store.DurableStore.resume_epoch`. Surviving stages
       re-home through their reconnect loops; restarted aggregators boot
@@ -345,7 +327,7 @@ class LiveHierPlane:
             demand_clamp=self.demand_clamp,
             session_outbox_bytes=self.session_outbox_bytes,
         )
-        await _start_rebinding(self.controller)
+        await self.controller.start()
         self._ctrl_port = self.controller.port
         self.aggregators = []
         for a, owned in enumerate(self._partitions):
@@ -367,7 +349,7 @@ class LiveHierPlane:
                 metrics=obs.registry,
                 session_outbox_bytes=self.session_outbox_bytes,
             )
-            await _start_rebinding(agg)
+            await agg.start()
             self._agg_ports[a] = agg.port
             self.aggregators.append(agg)
         if not restarting:
@@ -468,12 +450,6 @@ class LiveHierPlane:
         for agg in self.aggregators:
             agg.kill()
         await self._reap()
-        # Listen sockets were closed without awaiting: drain them here
-        # so the restart's rebind loop starts from "almost free".
-        for server in [a._server for a in self.aggregators] + [self.controller._server]:
-            if server is not None:
-                with contextlib.suppress(ConnectionError, OSError):
-                    await server.wait_closed()
         self.controller = None
 
     async def plane_restart(

@@ -185,9 +185,9 @@ RECV_BUFFER_SIZE = 256 * 1024
 # a page fault or two per frame — because the chunk glibc gets back is
 # too small to ever raise its mmap threshold. Sharing is safe because a
 # segment is parsed to its end (its unfinished tail copied into the
-# link's own carry) inside ``buffer_updated``, before the loop can read
-# another socket; like the rest of the live plane it assumes one event
-# loop thread per process.
+# link's own carry) inside ``buffer_updated``, before the pump
+# (:mod:`repro.live.pump`) reads another socket; like the rest of the
+# live plane it assumes one event loop thread per process.
 _RECV = bytearray(RECV_BUFFER_SIZE)
 
 
@@ -206,8 +206,8 @@ class FrameLink(asyncio.BufferedProtocol):
     will never come. Both are plain attributes, so a connection can
     change hands (hello handler, then session).
 
-    The transport reads into the shared receive buffer
-    (:meth:`get_buffer` / :meth:`buffer_updated`);
+    The transport (:mod:`repro.live.pump`'s, in ``src/``) reads into the
+    shared receive buffer (:meth:`get_buffer` / :meth:`buffer_updated`);
     :meth:`data_received` parses a caller's bytes the same way and is
     the entry point for tests and fake transports.
 
@@ -225,7 +225,9 @@ class FrameLink(asyncio.BufferedProtocol):
     ) -> None:
         self.on_frame = on_frame
         self.on_lost = on_lost
-        self.transport: Optional[asyncio.Transport] = None
+        #: Whatever ``connection_made`` was handed: ``write`` / ``close`` /
+        #: ``abort`` are all that is called on it.
+        self.transport = None
         #: The socket is gone (``on_lost`` has run or is about to).
         self.lost = False
         #: :meth:`close`/:meth:`abort` was called; the rest of the segment

@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.dataplane.token_bucket import TokenBucket
 from repro.guard.backoff import full_jitter
 from repro.guard.breaker import CircuitBreaker
+from repro.live import pump
 from repro.live.codec import frame_packer
 from repro.live.protocol import FrameLink, encode
 
@@ -318,7 +319,7 @@ class LiveVirtualStage:
         """
         loop = asyncio.get_running_loop()
         link = FrameLink(self._on_frame, self._end_session)
-        await loop.create_connection(lambda: link, self.host, self.port)
+        await pump.connect(link, self.host, self.port)
         self._link = link
         self._registered = False
         self._ended = loop.create_future()
@@ -376,14 +377,23 @@ class LiveVirtualStage:
         """Adopt an alternate-address list (rehome frame or registered ack).
 
         The current home stays first so rotation only leaves it on
-        failure; duplicates of the current address are dropped.
+        failure; duplicates of the current address are dropped. An
+        outside frame: a list that is not ``[str host, int port]`` pairs
+        throughout is ignored whole.
         """
         alternates = message.get("alternates")
-        if alternates is None:
+        if not isinstance(alternates, list) or not all(
+            isinstance(a, list)
+            and len(a) == 2
+            and isinstance(a[0], str)
+            and a[1].__class__ is int
+            and 0 <= a[1] <= 65535
+            for a in alternates
+        ):
             return
         current = self.addresses[self._addr_index]
         self.addresses = [current] + [
-            (h, int(p)) for h, p in alternates if (h, int(p)) != current
+            (h, p) for h, p in alternates if (h, p) != current
         ]
         self._addr_index = 0
         self._registered_addr = current

@@ -153,7 +153,7 @@ class TestTeardownLeavesNothingBehind:
             await asyncio.sleep(0.01)
             task.cancel()
             await asyncio.gather(task, return_exceptions=True)
-            return agg._server.is_serving()
+            return bool(agg._server.sockets)
 
         assert asyncio.run(scenario()) is False
 

@@ -10,6 +10,8 @@ after moving to a new aggregator.
 
 import asyncio
 
+import pytest
+
 from repro.core.control_plane import default_policy
 from repro.core.registry import partition_stages
 from repro.live.aggregator_server import LiveAggregator
@@ -353,4 +355,56 @@ class TestMalformedControllerFrames:
             "metadata_demands": [200.0, 200.0],
             "n_missing": 0,
         }
+        assert errors == []
+
+    @pytest.mark.parametrize(
+        "alternates", [5, [["h"]], [["h", "x"]], [[1, 2]]], ids=repr
+    )
+    def test_malformed_alternates_are_ignored_by_the_stage(self, alternates):
+        """A ``registered`` ack or ``rehome`` frame whose ``alternates`` is
+        not a list of ``[str host, int port]`` pairs used to raise out of
+        the stage's read callback — before ``_registered`` was set, so the
+        stage reconnected at the base backoff for good — or, for
+        ``[[1, 2]]``, be stored as an address. The list is ignored whole."""
+
+        async def scenario():
+            errors = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: errors.append(context)
+            )
+            conns = asyncio.Queue()
+
+            async def on_conn(reader, writer):
+                assert (await read_message(reader))["kind"] == "register"
+                await write_message(
+                    writer, {"kind": "registered", "alternates": alternates}
+                )
+                await conns.put((reader, writer))
+
+            server = await asyncio.start_server(on_conn, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            stage = LiveVirtualStage(
+                "127.0.0.1", port, "s-0", "j-0", backoff_base_s=0.01
+            )
+            task = asyncio.create_task(stage.run())
+            reader, writer = await asyncio.wait_for(conns.get(), timeout=5.0)
+            # Mid-session the same list arrives as a rehome; the stage
+            # must still be there to answer the request behind it.
+            await write_message(writer, {"kind": "rehome", "alternates": alternates})
+            writer.write(frame_packer("collect_req")(1))
+            await writer.drain()
+            reply = await asyncio.wait_for(read_message(reader), timeout=5.0)
+            await asyncio.sleep(0.1)  # a hot reconnect loop would show by now
+            reconnected = conns.qsize()
+            task.cancel()
+            await asyncio.gather(task, return_exceptions=True)
+            writer.close()
+            server.close()
+            return stage, port, reply, reconnected, errors
+
+        stage, port, reply, reconnected, errors = asyncio.run(scenario())
+        assert (reply["kind"], reply["epoch"]) == ("metrics_reply", 1)
+        assert (stage.connects, reconnected) == (1, 0)
+        assert stage.addresses == [("127.0.0.1", port)]
+        assert stage.rehomes_received == 0
         assert errors == []
