@@ -92,12 +92,18 @@ class TokenBucket:
         clamped to the new burst size."""
         if rate < 0:
             raise ValueError(f"negative rate: {rate}")
+        new_burst = float(burst) if burst is not None else max(rate, 1.0)
+        if rate == self.rate and new_burst == self.burst:
+            # Nothing to apply, and nothing to settle first: the lazy
+            # refill composes — refilling now and again later lands on
+            # the same count as refilling once, later.
+            return
+        if new_burst <= 0:
+            raise ValueError(f"burst must be positive: {new_burst}")
         self._refill(float(self._clock()))
         self.rate = float(rate)
-        self.burst = float(burst) if burst is not None else max(rate, 1.0)
-        if self.burst <= 0:
-            raise ValueError(f"burst must be positive: {self.burst}")
-        self._tokens = min(self._tokens, self.burst)
+        self.burst = new_burst
+        self._tokens = min(self._tokens, new_burst)
 
     #: Tolerance against float round-off: a bucket refilled for exactly the
     #: computed :meth:`delay_for` may land epsilon short of ``n``.

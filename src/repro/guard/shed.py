@@ -7,9 +7,10 @@ previously grew without bound. :class:`BoundedOutbox` is the fix: a
 byte-budgeted frame queue that sheds the *oldest sheddable* frames when
 the budget is exceeded.
 
-Which frames are sheddable is the caller's contract: rule / rule_batch
-frames are (a newer rule epoch supersedes an older one, and the missing
-ack is already handled by the degraded-cycle machinery), collect
+Which frames are sheddable is the caller's contract: rule frames and
+the trunk's packed ``rule_batch`` vectors are (a newer rule epoch
+supersedes an older one, and the missing ack is already handled by the
+degraded-cycle machinery), collect
 requests and registration acks are not — those pace phases, and dropping
 one would stall the protocol rather than merely delay an enforcement.
 Non-sheddable frames are therefore *never* dropped, even over budget:

@@ -14,8 +14,11 @@ eviction, stage reconnect with backoff, and a fault injector
 (:mod:`repro.live.faults`) for kill/stall/flaky-socket scenarios — for
 stages and aggregators alike. On top of that ride the control-tree
 fault-tolerance mechanisms: aggregator failover with stage re-homing
-(topology/``rehome``/``partition_update`` frames, alternate-address
-rotation in the stage client) and a hot standby for the global
+(topology/``rehome`` frames, alternate-address rotation in the stage
+client, and the adopting aggregator's next ``partition`` frame — the
+trunk's per-cycle frames are packed vectors that name no stage, so an
+aggregator announces its partition's order once per membership change)
+and a hot standby for the global
 controller (:mod:`repro.live.failover`) with the same heartbeat /
 epoch-slack semantics as the simulated :mod:`repro.core.failover`.
 

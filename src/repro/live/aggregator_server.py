@@ -7,13 +7,23 @@ complete). Per control cycle it
 
 1. receives ``agg_collect_req`` from the global controller,
 2. fans ``collect_req`` out to its stages and gathers replies,
-3. replies upstream with one compact ``agg_metrics_reply`` carrying the
-   whole partition's demand vectors,
-4. receives a ``rule_batch``, forwards per-stage ``rule`` messages,
-   gathers acks, and acknowledges the batch.
+3. replies upstream with one packed ``agg_metrics_reply`` carrying the
+   whole partition's two demand vectors,
+4. receives a ``rule_batch`` (two limit vectors), forwards per-stage
+   ``rule`` messages, gathers acks, and acknowledges the batch.
 
 This is the same state machine as the simulated
 :class:`~repro.core.controller.AggregatorController`, over sockets.
+
+The trunk's vectors name no stage. The aggregator owns its partition's
+*order* — which stage each vector slot is — and ships it upstream only
+when it changes: the hello carries generation 0, and a membership change
+(a stage evicted, adopted, or back on a fresh socket) is announced by one
+``partition`` frame (``generation``, ``stage_ids``, ``job_ids``) written
+ahead of the next ``agg_metrics_reply``, however many stages came and
+went since the last one. Every vector frame carries the generation it is
+laid out for; a ``rule_batch`` for an order this aggregator does not
+hold forwards nothing and is still acked.
 
 Failure semantics mirror the live global controller: a stage whose
 socket dies is evicted (and may re-register); with ``collect_timeout_s``
@@ -28,8 +38,8 @@ aggregators, which this aggregator fans out to its stages as ``rehome``
 frames (peer addresses rotated per stage, so a dead aggregator's
 partition spreads across the survivors instead of dog-piling one). A
 stage that registers *after* the upstream link is up is an adoption —
-an orphan fleeing a dead peer — and is announced upstream with a
-``partition_update`` so the global controller re-homes its bookkeeping.
+an orphan fleeing a dead peer — and is announced upstream in the next
+``partition`` frame so the global controller re-homes its bookkeeping.
 With ``expected_stages=0`` the aggregator starts as a hot spare: it
 registers upstream immediately with an empty partition and exists only
 to adopt orphans. On upstream loss without an explicit ``shutdown``
@@ -40,11 +50,13 @@ telling them to stop) so they re-home through their reconnect loops.
 from __future__ import annotations
 
 import asyncio
-import sys
+from array import array
 from collections import deque
+from itertools import repeat
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.live import pump
+from repro.live.codec import pack_rows
 from repro.live.protocol import (
     FrameLink,
     accept_backlog,
@@ -62,28 +74,7 @@ from repro.obs.spans import NullSpanTracer
 __all__ = ["LiveAggregator"]
 
 
-def _packs(value) -> bool:
-    """Whether a JSON value fits a packed frame's ``>d`` field."""
-    return value.__class__ is float or (
-        value.__class__ is int and abs(value) <= sys.float_info.max
-    )
-
-
-def _rule_fields(rule) -> Optional[Tuple[str, float, Optional[float]]]:
-    """``(stage id, data limit, metadata limit | None)`` of one entry of
-    a ``rule_batch`` (an outside frame), or ``None`` if it is malformed."""
-    if not isinstance(rule, dict):
-        return None
-    stage_id = rule.get("stage_id")
-    limit = rule.get("data_iops_limit")
-    meta = rule.get("metadata_iops_limit")
-    if (
-        isinstance(stage_id, str)
-        and _packs(limit)
-        and (meta is None or _packs(meta))
-    ):
-        return stage_id, limit, meta
-    return None
+_INF = float("inf")
 
 
 class LiveAggregator(PhaseDriver):
@@ -149,8 +140,20 @@ class LiveAggregator(PhaseDriver):
         #: ``rehome`` frames pushed to stages.
         self.rehomes_sent = 0
         #: Stages adopted after upstream registration (orphans re-homed
-        #: here), announced upstream via ``partition_update``.
+        #: here), announced upstream in the next ``partition`` frame.
         self.adoptions = 0
+        #: The partition's order — the session behind each slot of a
+        #: trunk vector — as last shipped upstream under
+        #: :attr:`_generation`. A session evicted since keeps its slot
+        #: (dead, at last-known demand) until the next :meth:`_reorder`.
+        self._order: List[StageSession] = []
+        self._generation = 0
+        #: Membership changed since the order was shipped.
+        self._order_stale = False
+        #: Last-known demand per slot, per axis: replies land here, and
+        #: the two arrays are the ``agg_metrics_reply``'s vectors as is.
+        self._data = array("d")
+        self._meta = array("d")
         #: The :func:`repro.live.pump.listen` listener while started.
         self._server = None
         self._all_registered = asyncio.Event()
@@ -167,18 +170,20 @@ class LiveAggregator(PhaseDriver):
         self._up_wake: Optional[asyncio.Future] = None
         self._killed = False
 
-    def _send_up(self, message: dict) -> None:
+    def _write_up(self, frame: bytes) -> None:
         """Write an upstream frame, charging its bytes to this aggregator."""
-        frame = encode(message)
         self._up.write(frame)
         if self.meter is not None:
             self.meter.add_tx(len(frame))
 
+    def _send_up(self, message: dict) -> None:
+        self._write_up(encode(message))
+
     def _on_up_frame(self, message, nbytes: int) -> None:
         if self.meter is not None:
             self.meter.add_rx(nbytes)
-        if message.__class__ is tuple:
-            return  # a per-stage frame on the trunk: nothing to serve
+        if message.__class__ is tuple and message[0] != "rule_batch":
+            return  # not a packed kind a controller sends: nothing to serve
         self._up_frames.append(message)
         self._wake_run()
 
@@ -188,7 +193,7 @@ class LiveAggregator(PhaseDriver):
         if wake is not None and not wake.done():
             wake.set_result(None)
 
-    async def _next_up(self) -> Optional[dict]:
+    async def _next_up(self):
         """The next upstream frame, or ``None`` once the link is lost."""
         while not self._up_frames:
             if self._up.lost:
@@ -263,6 +268,11 @@ class LiveAggregator(PhaseDriver):
         self.port = self._server.sockets[0].getsockname()[1]
 
     def _on_hello(self, link: FrameLink, hello: dict) -> None:
+        if not self._server.sockets:
+            # Accepted before kill() / the end of run(), greeted after:
+            # nobody is home to serve the stage.
+            link.abort()
+            return
         if hello.get("kind") != "register":
             link.close()
             return
@@ -288,24 +298,16 @@ class LiveAggregator(PhaseDriver):
         if len(self.sessions) >= self.expected_stages:
             self._all_registered.set()
         # A registration after the upstream link is up is an adoption
-        # (an orphan re-homing here, or one of our own stages returning);
-        # the global controller dedups re-registrations of owned stages.
+        # (an orphan re-homing here, or one of our own stages returning
+        # on a fresh socket): the next collect ships the new order.
+        self._order_stale = True
         if self._up is not None:
             self.adoptions += 1
-            try:
-                self._send_up(
-                    {
-                        "kind": "partition_update",
-                        "aggregator_id": self.aggregator_id,
-                        "added": [{"stage_id": stage_id, "job_id": job_id}],
-                    },
-                )
-            except (ConnectionError, OSError):
-                pass  # upstream is dying; the next topology pass catches up
 
     def _evict(self, session: StageSession) -> None:
         if self.sessions.get(session.stage_id) is session:
             del self.sessions[session.stage_id]
+            self._order_stale = True
             self.evictions += 1
             self._outbox_shed_evicted += session.outbox.frames_shed
             if self.metrics is not None:
@@ -318,6 +320,25 @@ class LiveAggregator(PhaseDriver):
         return self._outbox_shed_evicted + sum(
             s.outbox.frames_shed for s in self.sessions.values()
         )
+
+    def _reorder(self) -> Dict[str, List[str]]:
+        """Lay the live sessions out in id order, carrying each one's
+        last-known demand to its new slot; returns the order's ids, the
+        way a hello or ``partition`` frame spells them."""
+        order = [self.sessions[s] for s in sorted(self.sessions)]
+        data = array("d", bytes(8 * len(order)))
+        meta = array("d", bytes(8 * len(order)))
+        for row, session in enumerate(order):
+            if session.row >= 0:
+                data[row] = self._data[session.row]
+                meta[row] = self._meta[session.row]
+            session.row = row
+        self._order, self._data, self._meta = order, data, meta
+        self._order_stale = False
+        return {
+            "stage_ids": [s.stage_id for s in order],
+            "job_ids": [s.job_id for s in order],
+        }
 
     async def run(self, stage_timeout_s: float = 30.0) -> None:
         """Register upstream once the partition is complete, then serve."""
@@ -332,10 +353,7 @@ class LiveAggregator(PhaseDriver):
                 {
                     "kind": "register_aggregator",
                     "aggregator_id": self.aggregator_id,
-                    "stage_ids": sorted(self.sessions),
-                    "job_ids": [
-                        self.sessions[s].job_id for s in sorted(self.sessions)
-                    ],
+                    **self._reorder(),  # generation 0
                     "host": self.host,
                     "port": self.port,
                 },
@@ -363,18 +381,18 @@ class LiveAggregator(PhaseDriver):
             self._close_sessions(
                 {"kind": "shutdown"} if self._stop.is_set() else None
             )
+            self._order = []  # closed with the rest: nothing to keep alive
             up.close()
 
     async def _handle(self, message) -> None:
+        if message.__class__ is tuple:
+            await self._distribute(message)
+            return
         kind = message["kind"]
-        if kind in ("agg_collect_req", "rule_batch"):
+        if kind == "agg_collect_req":
             epoch = message.get("epoch")
-            if epoch.__class__ is not int:
-                return  # not a frame a controller sends
-            if kind == "agg_collect_req":
+            if epoch.__class__ is int:  # else: not a frame a controller sends
                 await self._collect(epoch)
-            else:
-                await self._distribute(message)
         elif kind == "topology":
             aggregators = message.get("aggregators")
             self._apply_topology(aggregators if isinstance(aggregators, list) else [])
@@ -387,56 +405,68 @@ class LiveAggregator(PhaseDriver):
         started = self.tracer.now()
         if self.metrics is not None:
             self._m_cycles.inc()
-        sessions = [self.sessions[s] for s in sorted(self.sessions)]
-
-        def on_reply(s: StageSession, reply: tuple) -> None:
-            _, _, s.latest_data_demand, s.latest_metadata_demand = reply
-
-        absent, _ = await self._phase(
-            sessions, collect_request(epoch),
-            "metrics_reply", epoch, on_reply, self.collect_timeout_s,
-        )
-        missing_ids = {s.stage_id for s in absent}
-        # Report the full partition upstream — absent stages ride at their
-        # last-known demand and are flagged so the global controller's
-        # degraded-cycle accounting sees through the aggregation.
-        with self._cpu():
+        # The one point the order moves: whatever came and went since the
+        # last collect costs one ``partition`` frame, written ahead of the
+        # reply laid out for it (TCP keeps them in that order).
+        if self._order_stale:
+            ids = self._reorder()
+            self._generation = (self._generation + 1) & 0xFFFFFFFF
             self._send_up(
                 {
-                    "kind": "agg_metrics_reply",
-                    "epoch": epoch,
+                    "kind": "partition",
                     "aggregator_id": self.aggregator_id,
-                    "stage_ids": [s.stage_id for s in sessions],
-                    "data_demands": [s.latest_data_demand for s in sessions],
-                    "metadata_demands": [
-                        s.latest_metadata_demand for s in sessions
-                    ],
-                    "n_missing": len(missing_ids),
-                },
+                    "generation": self._generation,
+                    **ids,
+                }
+            )
+        data, meta = self._data, self._meta
+
+        def on_reply(s: StageSession, reply: tuple) -> None:
+            row = s.row
+            data[row] = reply[2]
+            meta[row] = reply[3]
+
+        absent, _ = await self._phase(
+            self._order, collect_request(epoch),
+            "metrics_reply", epoch, on_reply, self.collect_timeout_s,
+        )
+        # Report the full partition upstream — absent stages ride at their
+        # last-known demand and are counted so the global controller's
+        # degraded-cycle accounting sees through the aggregation.
+        with self._cpu():
+            self._write_up(
+                pack_rows(
+                    "agg_metrics_reply", epoch, self._generation,
+                    data, meta, n_missing=len(absent),
+                )
             )
         if self.tracer.enabled:
             self.tracer.emit(
                 "collect", started, self.tracer.now() - started,
-                parent="cycle", epoch=epoch, n_missing=len(missing_ids),
+                parent="cycle", epoch=epoch, n_missing=len(absent),
             )
 
-    async def _distribute(self, message) -> None:
-        epoch = message["epoch"]
-        rules = message.get("rules")
-        if not isinstance(rules, list):
-            rules = []  # an outside frame: nothing to forward, still acked
+    async def _distribute(self, batch: tuple) -> None:
+        _, epoch, generation, _, limits, meta_limits = batch
         started = self.tracer.now()
-        #: Insertion-ordered set: a stage named twice still gets one rule.
-        forwarded: Dict[StageSession, None] = {}
-        for rule in rules:
-            fields = _rule_fields(rule)
-            if fields is None:
-                continue  # malformed entry
-            session = self.sessions.get(fields[0])
-            if session is None:
-                continue
-            session.rule = (epoch,) + fields[1:]
-            forwarded[session] = None
+        forwarded: List[StageSession] = []
+        # An outside frame: vectors laid out for an order this aggregator
+        # does not hold name nobody — nothing to forward, still acked. A
+        # slot that is not a finite, non-negative limit on every axis it
+        # carries (``NaN`` = no rule for this row) is left out.
+        if generation == self._generation and len(limits) == len(self._order):
+            for session, limit, meta in zip(
+                self._order,
+                limits.tolist(),
+                repeat(None) if meta_limits is None else meta_limits.tolist(),
+            ):
+                if (
+                    0.0 <= limit < _INF
+                    and (meta is None or 0.0 <= meta < _INF)
+                    and session.connected
+                ):
+                    session.rule = (epoch, limit, meta)
+                    forwarded.append(session)
         # Written through like the flat plane's rules: superseded by the
         # next epoch's; a missing ack resolves through the enforce deadline.
         await self._phase(
@@ -454,5 +484,5 @@ class LiveAggregator(PhaseDriver):
         if self.tracer.enabled:
             self.tracer.emit(
                 "enforce", started, self.tracer.now() - started,
-                parent="cycle", epoch=epoch, n_rules=len(rules),
+                parent="cycle", epoch=epoch, n_rules=len(forwarded),
             )

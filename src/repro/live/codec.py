@@ -1,15 +1,18 @@
-"""The packed encoding of the live control plane's four hot frame kinds.
+"""The packed encoding of the live control plane's per-cycle frame kinds.
 
-Every frame kind has exactly one encoding. The four per-cycle kinds —
-``collect_req``, ``metrics_reply``, ``rule``, ``rule_ack`` — are packed
-with :mod:`struct`; every other kind (registration, topology, rehome,
-trunk batches, shutdown, ...) is a JSON object
-(:mod:`repro.live.protocol`): rare, structurally varied, not worth a
-schema.
+Every frame kind has exactly one encoding. The per-cycle kinds are
+packed with :mod:`struct`: the four per-stage ones — ``collect_req``,
+``metrics_reply``, ``rule``, ``rule_ack`` — and the aggregator trunk's
+two per-partition ones, ``agg_metrics_reply`` and ``rule_batch``. Every
+other kind (registration, topology, rehome, the trunk's ``partition``
+and acks, shutdown, ...) is a JSON object (:mod:`repro.live.protocol`):
+rare, structurally varied, not worth a schema.
 
 Wire form (the frame *body*, behind the 4-byte length header)::
 
-    [0xB1][kind tag, 1 byte][epoch >q][0 or 2 floats >d][0-2 strings]
+    per stage:      [0xB1][tag][epoch >q][0 or 2 floats >d][0-2 strings]
+    per partition:  [0xB1][tag][epoch >q][generation >I][a >I][count >I]
+                    [count data values >d][count metadata values >d]
 
 Strings ride as ``>H``-length-prefixed UTF-8, so an id longer than
 64 KiB has no packed form (:data:`MAX_ID_BYTES`; listeners refuse it at
@@ -17,28 +20,43 @@ registration). The magic byte ``0xB1`` can never begin a JSON body (JSON
 text starts with ``{`` = 0x7B here), so a receiver tells the two body
 shapes apart from the first byte alone.
 
-Every layout lives in one table (:data:`_LAYOUTS`: tag, kind, fixed
-fields, trailing strings), one row per kind, and three views of a frame
-are derived from it:
+A per-partition frame names no stage: its vectors are in the order of
+the sender's partition at ``generation``, which travelled once, in the
+``partition`` frame (or the hello, generation 0) that announced it, and a
+receiver that does not hold that generation at that ``count`` drops the
+frame's content. ``a`` is ``n_missing`` on an ``agg_metrics_reply``; on a
+``rule_batch`` it is a flag word whose bit 0 says the metadata vector is
+there at all (an undifferentiated policy ships none), and ``NaN`` in a
+limit slot means "no rule for this row".
 
-* the **packer** (:func:`frame_packer`) — one peer's frame with every
-  constant part pre-bound, so sending costs one ``Struct.pack`` and one
-  concatenation;
-* the **record** ``(kind, epoch, a, b)`` (:func:`decode_at`) — what the
-  live plane's receive path hands its callbacks: one ``unpack_from`` in
-  place, the id tail validated but never decoded, because the connection
-  a frame arrives on already says who sent it. ``a``/``b`` are the two
-  demand floats of a ``metrics_reply``, the data and metadata limits of a
-  ``rule`` (``inf`` = that axis is unlimited), and ``None`` for the
-  float-less kinds;
-* the **message dict** (:func:`decode_binary`) — ids decoded too, for
-  tools and tests that read frames off a plain stream.
+Every layout lives in one table (:data:`_LAYOUTS`: tag, kind, fixed
+fields, trailing strings or vectors), one row per kind, and three views
+of a frame are derived from it:
+
+* the **packer** (:func:`frame_packer`, :func:`pack_rows`) — a per-stage
+  frame with every constant part of its peer pre-bound, so sending costs
+  one ``Struct.pack`` and one concatenation; a per-partition frame as
+  one header ``pack`` plus its vectors' bytes;
+* the **record** (:func:`decode_at`) — what the live plane's receive
+  path hands its callbacks. Per stage it is ``(kind, epoch, a, b)``: one
+  ``unpack_from`` in place, the id tail validated but never decoded,
+  because the connection a frame arrives on already says who sent it.
+  ``a``/``b`` are the two demand floats of a ``metrics_reply``, the data
+  and metadata limits of a ``rule`` (``inf`` = that axis is unlimited),
+  and ``None`` for the float-less kinds. Per partition it is ``(kind,
+  epoch, generation, a, data, metadata)``, the vectors read-only
+  ``numpy.frombuffer`` views (``>f8``; ``metadata`` is ``None`` on a
+  ``rule_batch`` without one) — no per-value work;
+* the **message dict** (:func:`decode_binary`) — ids decoded and vectors
+  listed too, for tools and tests that read frames off a plain stream.
 """
 
 from __future__ import annotations
 
 import struct
 from typing import Any, Dict, Optional, Tuple, Union
+
+import numpy as np
 
 __all__ = [
     "BINARY_KINDS",
@@ -47,11 +65,13 @@ __all__ = [
     "decode_at",
     "decode_binary",
     "frame_packer",
+    "pack_rows",
 ]
 
 Buffer = Union[bytes, bytearray, memoryview]
-#: ``(kind, epoch, a, b)`` — see the module docstring.
-Record = Tuple[str, int, Optional[float], Optional[float]]
+#: ``(kind, epoch, a, b)`` or ``(kind, epoch, generation, a, data,
+#: metadata)`` — see the module docstring.
+Record = tuple
 
 #: First body byte of every packed frame (never valid leading JSON).
 BINARY_MAGIC = 0xB1
@@ -60,27 +80,34 @@ MAX_ID_BYTES = 0xFFFF
 
 _INF = float("inf")
 _H = struct.Struct(">H")  # string length prefix
+_F8 = np.dtype(">f8")  # one vector value
 
 
 class _Layout:
     """One packed frame kind: its tag and where every field sits."""
 
     __slots__ = (
-        "tag", "kind", "floats", "strings",
+        "tag", "kind", "floats", "strings", "vectors", "word",
         "fixed", "pack_frame", "unpack_fields", "head", "pad",
     )
 
-    def __init__(self, tag, kind, floats, strings) -> None:
+    def __init__(self, tag, kind, floats=(), strings=(), vectors=(), word=None) -> None:
         self.tag = tag
         self.kind = kind
         #: Message keys of the floats after the epoch / of the id tail.
         self.floats: Tuple[str, ...] = floats
         self.strings: Tuple[str, ...] = strings
-        fields = "q" + "d" * len(floats)
-        #: Size of magic, tag, epoch, floats — the body up to the id tail.
+        #: Per-partition kinds: message keys of the data and metadata
+        #: vectors, and of the ``a`` word when it is a plain count (both
+        #: vectors always ride) rather than the flag word.
+        self.vectors: Tuple[str, ...] = vectors
+        self.word: Optional[str] = word
+        # Behind the epoch: the floats, or generation / a / count.
+        fields = "q" + ("III" if vectors else "d" * len(floats))
+        #: Size of magic, tag and fixed fields — the body up to its tail.
         self.fixed = struct.calcsize(">BB" + fields)
         #: The same behind the 4-byte length header: a whole frame but
-        #: for its id tail, in one ``pack``.
+        #: for its tail, in one ``pack``.
         self.pack_frame = struct.Struct(">IBB" + fields).pack
         self.unpack_fields = struct.Struct(">xx" + fields).unpack_from
         # record = head + unpacked fields + pad
@@ -89,16 +116,31 @@ class _Layout:
 
 
 _LAYOUTS = (
-    _Layout(1, "collect_req", (), ()),
+    _Layout(1, "collect_req"),
     _Layout(2, "metrics_reply", ("data_iops", "metadata_iops"), ("stage_id", "job_id")),
-    _Layout(4, "rule_ack", (), ("stage_id",)),
+    _Layout(4, "rule_ack", strings=("stage_id",)),
     # Per-class limits (PADLL): an undifferentiated policy packs ``inf``
     # as the metadata limit. Tag 3 is unassigned.
     _Layout(5, "rule", ("data_iops_limit", "metadata_iops_limit"), ("stage_id",)),
+    # The trunk's per-partition kinds: the same two axes, one value per
+    # stage of the partition, in the partition's order.
+    _Layout(
+        6, "agg_metrics_reply",
+        vectors=("data_demands", "metadata_demands"), word="n_missing",
+    ),
+    _Layout(7, "rule_batch", vectors=("data_iops_limits", "metadata_iops_limits")),
 )
 
-_BY_TAG: Dict[int, _Layout] = {layout.tag: layout for layout in _LAYOUTS}
 _BY_KIND: Dict[str, _Layout] = {layout.kind: layout for layout in _LAYOUTS}
+# Two tag maps, so that the per-stage receive path (thousands of frames a
+# cycle) pays nothing for the per-partition kinds (a handful): those are
+# looked up where an unknown tag would have been refused anyway.
+_BY_TAG: Dict[int, _Layout] = {
+    layout.tag: layout for layout in _LAYOUTS if not layout.vectors
+}
+_ROWS_BY_TAG: Dict[int, _Layout] = {
+    layout.tag: layout for layout in _LAYOUTS if layout.vectors
+}
 
 #: The frame kinds that are packed (the per-cycle hot path).
 BINARY_KINDS = frozenset(_BY_KIND)
@@ -143,15 +185,15 @@ class _Packer2(_Packer):
 
 
 def frame_packer(kind: str, stage_id: str = "", job_id: str = ""):
-    """``pack(epoch[, a, b]) -> bytes`` for one peer's hot ``kind`` frames.
+    """``pack(epoch[, a, b]) -> bytes`` for one peer's per-stage ``kind``.
 
     ``pack`` returns the whole wire frame, length header included. Raises
-    ``ValueError`` for a kind that is not packed, or an id past
+    ``ValueError`` for a kind that is not packed per stage, or an id past
     :data:`MAX_ID_BYTES`.
     """
     layout = _BY_KIND.get(kind)
-    if layout is None:
-        raise ValueError(f"not a hot frame kind: {kind!r}")
+    if layout is None or layout.vectors:
+        raise ValueError(f"not a per-stage frame kind: {kind!r}")
     ids = {"stage_id": stage_id, "job_id": job_id}
     tail = b""
     for name in layout.strings:
@@ -160,6 +202,43 @@ def frame_packer(kind: str, stage_id: str = "", job_id: str = ""):
             raise ValueError(f"{name} too long for a packed frame: {len(raw)}")
         tail += _H.pack(len(raw)) + raw
     return (_Packer2 if layout.floats else _Packer)(layout, tail)
+
+
+def pack_rows(
+    kind: str, epoch: int, generation: int, data, metadata=None, n_missing: int = 0
+) -> bytes:
+    """One per-partition frame (length header included) from its vectors.
+
+    ``data`` / ``metadata`` are float sequences (arrays, ``array('d')``,
+    lists) in the partition's order at ``generation``. An
+    ``agg_metrics_reply`` always carries both and ``n_missing``; a
+    ``rule_batch`` carries ``metadata`` only when given. Raises
+    ``ValueError`` for any other kind or vectors that do not line up.
+    """
+    layout = _BY_KIND.get(kind)
+    if layout is None or not layout.vectors:
+        raise ValueError(f"not a per-partition frame kind: {kind!r}")
+    if layout.word is None:
+        word = 0 if metadata is None else 1
+    elif metadata is None:
+        raise ValueError(f"{kind} carries both vectors")
+    else:
+        word = n_missing
+    blocks = [
+        np.asarray(vector, dtype=_F8)
+        for vector in ((data,) if metadata is None else (data, metadata))
+    ]
+    count = blocks[0].size
+    if any(block.shape != (count,) for block in blocks):
+        raise ValueError("vectors must be flat and of one length")
+    tail = b"".join([block.tobytes() for block in blocks])
+    return (
+        layout.pack_frame(
+            layout.fixed + len(tail), BINARY_MAGIC, layout.tag,
+            epoch, generation, word, count,
+        )
+        + tail
+    )
 
 
 # -- records (the live receive path) -----------------------------------------
@@ -180,7 +259,7 @@ def decode_at(data: Buffer, start: int, stop: int) -> Record:
         raise ValueError(f"bad binary magic: {data[start]:#x}")
     layout = _BY_TAG.get(data[start + 1])
     if layout is None:
-        raise ValueError(f"unknown binary frame tag: {data[start + 1]}")
+        return _decode_rows(data, start, stop)
     pos = start + layout.fixed
     if pos > stop:
         raise ValueError("truncated binary frame: fixed fields")
@@ -194,6 +273,34 @@ def decode_at(data: Buffer, start: int, stop: int) -> Record:
     return record
 
 
+def _decode_rows(data: Buffer, start: int, stop: int) -> Record:
+    """:func:`decode_at` for a per-partition kind (or an unknown tag).
+
+    The vectors must fill the body exactly — ``count`` is checked against
+    the bytes that are there before anything is sized by it. They are
+    views of one private copy of the vector bytes: a record may be held
+    past the callback it was parsed for (an early reply, an aggregator's
+    request queue), the shared receive buffer may not.
+    """
+    layout = _ROWS_BY_TAG.get(data[start + 1])
+    if layout is None:
+        raise ValueError(f"unknown binary frame tag: {data[start + 1]}")
+    pos = start + layout.fixed
+    if pos > stop:
+        raise ValueError("truncated binary frame: fixed fields")
+    epoch, generation, word, count = layout.unpack_fields(data, start)
+    if layout.word is None and word > 1:
+        raise ValueError(f"unknown {layout.kind} flags: {word:#x}")
+    n_vectors = 2 if layout.word is not None or word else 1
+    if stop - pos != _F8.itemsize * count * n_vectors:
+        raise ValueError("vector bytes do not match count")
+    values = np.frombuffer(bytes(memoryview(data)[pos:stop]), dtype=_F8)
+    return (
+        layout.kind, epoch, generation, word,
+        values[:count], values[count:] if n_vectors == 2 else None,
+    )
+
+
 # -- message dicts (tools and tests) -----------------------------------------
 
 
@@ -202,15 +309,25 @@ def decode_binary(body: Buffer) -> Dict[str, Any]:
 
     Accepts any bytes-like input; pass a ``memoryview`` to decode
     without copying (string fields are decoded straight from the
-    underlying buffer).
+    underlying buffer). A per-partition kind's vectors come as lists,
+    ``n_missing`` under its name; a ``rule_batch`` without a metadata
+    vector has no such key.
 
     Raises ``ValueError`` on malformed input (wrong magic, unknown tag,
     truncation, bytes after the last field) — the caller maps it to its
     protocol error type.
     """
     record = decode_at(body, 0, len(body))
-    layout = _BY_TAG[body[1]]
     message: Dict[str, Any] = {"kind": record[0], "epoch": record[1]}
+    layout = _BY_KIND[record[0]]
+    if layout.vectors:
+        message["generation"] = record[2]
+        if layout.word is not None:
+            message[layout.word] = record[3]
+        for name, vector in zip(layout.vectors, record[4:]):
+            if vector is not None:
+                message[name] = vector.tolist()
+        return message
     message.update(zip(layout.floats, record[2:]))
     # decode_at proved every length prefix in bounds.
     pos = layout.fixed

@@ -42,12 +42,12 @@ from repro.core.columnar import StageColumns
 from repro.core.cycle import ControlCycle
 from repro.core.policies import QoSPolicy
 from repro.live import pump
+from repro.live.codec import pack_rows
 from repro.live.protocol import (
     FrameLink,
     accept_backlog,
     encode,
     hello_error,
-    is_str_list,
 )
 from repro.live.sessions import (
     PhaseDriver,
@@ -399,6 +399,29 @@ class _LiveControllerBase(PhaseDriver):
             self._m_suppressed.inc()
         return True
 
+    def _suppress_rows(self, shipped: np.ndarray, limits: np.ndarray) -> np.ndarray:
+        """:meth:`_suppress` over a whole partition: the mask of rows
+        whose rule is withheld, counted the same.
+
+        Both arguments are ``(2, n)``: data limits over metadata limits,
+        ``NaN`` where there is none (``shipped``: nothing shipped yet, or
+        shipped without a metadata limit; ``limits``: no rule for this
+        row, or an undifferentiated policy). A ``NaN`` never compares
+        within tolerance, so a first rule always ships and a row without
+        a rule is never counted.
+        """
+        with np.errstate(invalid="ignore"):  # inf - inf
+            same = np.abs(limits - shipped) <= self.rule_change_tolerance * (
+                np.maximum(np.abs(shipped), 1e-9)
+            )
+        withheld = same[0] & (same[1] | (np.isnan(limits[1]) & np.isnan(shipped[1])))
+        n = int(np.count_nonzero(withheld))
+        if n:
+            self.rules_suppressed += n
+            if self.metrics is not None:
+                self._m_suppressed.inc(n)
+        return withheld
+
     # -- lifecycle ----------------------------------------------------------
     async def start(self) -> None:
         """Start listening; ``self.port`` holds the bound port."""
@@ -439,6 +462,11 @@ class _LiveControllerBase(PhaseDriver):
 
     # -- registration -------------------------------------------------------
     def _on_hello(self, link: FrameLink, hello: dict) -> None:
+        if not self._server.sockets:
+            # Accepted before kill() / shutdown(), greeted after: nobody
+            # is home, and a registration now would be served by the dead.
+            link.abort()
+            return
         if hello.get("kind") == "heartbeat":
             link.on_frame = self._on_heartbeat
             self._on_heartbeat(hello, 0)
@@ -727,13 +755,39 @@ class LiveGlobalController(_LiveControllerBase):
         )
 
 
+def _order_error(message: dict) -> Optional[str]:
+    """Why an outside frame's ``stage_ids`` / ``job_ids`` (a hello's, a
+    ``partition`` frame's) do not spell a partition order, or ``None``."""
+    error = hello_error(message, id_lists=("stage_ids", "job_ids"))
+    if error is not None:
+        return error
+    stage_ids = message["stage_ids"]
+    if len(stage_ids) != len(message["job_ids"]):
+        return "stage_ids and job_ids lengths differ"
+    if len(set(stage_ids)) != len(stage_ids):
+        return "stage_ids repeat"
+    return None
+
+
 class _AggregatorSession(Session):
     """Server-side state for one registered aggregator."""
 
     def __init__(self, aggregator_id, stage_ids, job_ids, link, meter=None) -> None:
         super().__init__(aggregator_id, link, meter=meter)
-        self.stage_ids = list(stage_ids)
-        self.job_ids = list(job_ids)
+        #: The aggregator's partition in the order its trunk vectors are
+        #: laid out as of :attr:`generation` (the hello is generation 0;
+        #: every ``partition`` frame replaces all three). A stage listed
+        #: here may since have been homed on another aggregator: who owns
+        #: a stage is the controller's ``_home``, not this list.
+        self.stage_ids: List[str] = list(stage_ids)
+        self.job_ids: List[str] = list(job_ids)
+        self.generation = 0
+        #: ``(2, n)`` data over metadata limits last put on the wire per
+        #: slot (``NaN``: none) — what changed-only enforcement diffs
+        #: against. Reset with the order, gone with the session.
+        self.shipped = np.empty((2, 0))
+        #: The controller's cached row view of the partition.
+        self.view: Optional[tuple] = None
         #: Advertised stage-facing listen address (None = not advertised;
         #: the aggregator is then invisible to topology broadcasts).
         self.listen_host: Optional[str] = None
@@ -755,9 +809,18 @@ class LiveHierGlobalController(_LiveControllerBase):
     instances; runs the same PSFA computation over the union of their
     partitions and ships per-aggregator rule batches — the live
     counterpart of the paper's Fig. 3 deployment. ``n_missing`` on a
-    degraded cycle counts *stages* without fresh metrics: every stage
-    behind an absent aggregator, orphaned stages awaiting re-home, plus
-    stages the aggregators themselves reported missing.
+    degraded cycle counts *stages* without fresh metrics: orphaned stages
+    awaiting re-home, every stage of a partition whose reply could not be
+    read, plus stages the aggregators themselves reported missing.
+
+    The trunk's per-cycle frames are vectors that name no stage
+    (:mod:`repro.live.codec`): each aggregator owns its partition's order
+    and announces it once per change, under a generation number, in its
+    hello (generation 0) and then in ``partition`` frames. A reply whose
+    generation or length is not the one this controller holds for its
+    sender is not read at all — the whole partition rides at last-known
+    demand and is counted missing — and no batch is ever laid out for an
+    order other than the one last announced.
 
     Aggregator fault tolerance (paper §VI): the controller tracks every
     aggregator's health over two signals — a dead socket (EOF/reset) and
@@ -769,11 +832,13 @@ class LiveHierGlobalController(_LiveControllerBase):
     rules from the dead aggregator). Aggregators advertise their listen
     address at registration; on every membership change the controller
     broadcasts a ``topology`` frame so each aggregator re-arms its stages
-    with ``rehome`` alternates, and adoption announcements
-    (``partition_update``, an out-of-band frame) move orphans onto their
-    new home — observable as ``stage_rehomes_total`` /
-    ``orphaned_stages`` metrics and ``aggregator_dead``/``rehome`` span
-    events on the controller track.
+    with ``rehome`` alternates, and the adopting aggregator's next
+    ``partition`` frame (out-of-band: applied at cycle start or just
+    ahead of the reply behind it) moves orphans onto their new home —
+    observable as ``stage_rehomes_total`` / ``orphaned_stages`` metrics
+    and ``aggregator_dead``/``rehome`` span events on the controller
+    track. A stage an aggregator stops listing (evicted down there) is
+    held as an orphan too, until some partition lists it again.
     """
 
     _register_kind = "register_aggregator"
@@ -827,9 +892,9 @@ class LiveHierGlobalController(_LiveControllerBase):
         )
         self.expected_aggregators = expected_aggregators
         self.dead_after_missed = dead_after_missed
-        #: Last shipped limits per stage id:
-        #: (rule-epoch, data limit, metadata limit | None).
-        self._last_rule: Dict[str, tuple] = {}
+        #: Which aggregator each homed stage sits behind. A stage has one
+        #: home (the partition that listed it last) or, orphaned, none.
+        self._home: Dict[str, _AggregatorSession] = {}
         #: Orphans moved onto a live aggregator (completed re-homes).
         self.rehomes = 0
         #: Aggregators declared dead via the missed-epoch health check.
@@ -852,13 +917,9 @@ class LiveHierGlobalController(_LiveControllerBase):
         await asyncio.wait_for(self._all_registered.wait(), timeout=timeout_s)
 
     def _validate_hello(self, hello: dict) -> Optional[str]:
-        error = hello_error(
-            hello, ids=("aggregator_id",), id_lists=("stage_ids", "job_ids")
-        )
+        error = hello_error(hello, ids=("aggregator_id",)) or _order_error(hello)
         if error is not None:
             return error
-        if len(hello["stage_ids"]) != len(hello["job_ids"]):
-            return "stage_ids and job_ids lengths differ"
         port = hello.get("port")
         if port is not None and not isinstance(port, int):
             return "port must be an integer"
@@ -879,9 +940,10 @@ class LiveHierGlobalController(_LiveControllerBase):
         if hello.get("host") is not None and hello.get("port") is not None:
             session.listen_host = str(hello["host"])
             session.listen_port = int(hello["port"])
-        # Adoption announcements arrive between cycles; keep them out of
-        # the phase routing so they are never dropped as stale.
-        session.oob_kinds = frozenset({"partition_update"})
+        # A new order arrives between cycles or just ahead of the reply
+        # laid out for it; keep it out of the phase routing so it is
+        # never dropped as stale.
+        session.oob_kinds = frozenset({"partition"})
         return session
 
     @property
@@ -890,7 +952,7 @@ class LiveHierGlobalController(_LiveControllerBase):
 
     @property
     def n_stages(self) -> int:
-        return sum(len(s.stage_ids) for s in self.sessions.values())
+        return len(self._home)
 
     # -- membership / re-homing ----------------------------------------------
     @property
@@ -905,16 +967,13 @@ class LiveHierGlobalController(_LiveControllerBase):
         return {stage_id: job_of(stage_id) for stage_id in self.columns.reserved}
 
     def _on_evicted(self, session: Session) -> None:
-        """A dead aggregator orphans every stage no other session owns."""
-        owned_elsewhere = set()
-        for other in self.sessions.values():
-            owned_elsewhere.update(other.stage_ids)
+        """A dead aggregator orphans every stage homed on it. (Its diff
+        record dies with the session: an in-flight batch may have died
+        with the socket, and whoever adopts the stages re-ships.)"""
         n_orphaned = 0
         for stage_id in session.stage_ids:
-            # An in-flight batch may have died with the socket; forget the
-            # diff record so the next enforce re-ships these rules.
-            self._last_rule.pop(stage_id, None)
-            if stage_id not in owned_elsewhere:
+            if self._home.get(stage_id) is session:
+                del self._home[stage_id]
                 n_orphaned += self.columns.reserve(stage_id)
         self._topology_dirty = True
         if self.metrics is not None:
@@ -928,26 +987,16 @@ class LiveHierGlobalController(_LiveControllerBase):
 
     def _adopt(self, session: _AggregatorSession, stage_id: str, job_id: str) -> None:
         """Home ``stage_id`` on ``session``, releasing any prior owner."""
-        was_homed_elsewhere = False
-        for other in self.sessions.values():
-            if other is session or stage_id not in other.stage_ids:
-                continue
-            idx = other.stage_ids.index(stage_id)
-            other.stage_ids.pop(idx)
-            other.job_ids.pop(idx)
-            was_homed_elsewhere = True
+        prior = self._home.get(stage_id)
+        if prior is not None:
+            prior.view = None  # its slot for the stage goes blank
         was_orphan = stage_id in self.columns.reserved
         if was_orphan or stage_id not in self.columns:
             # First sight, or an orphan coming home (its reservation is
             # released into the new row, demand and trust included).
             self._register_row(stage_id, job_id)
-        # A re-homed stage may be a restarted process with no applied
-        # rule; make sure the next enforce ships one.
-        self._last_rule.pop(stage_id, None)
-        if stage_id not in session.stage_ids:
-            session.stage_ids.append(stage_id)
-            session.job_ids.append(job_id)
-        if was_orphan or was_homed_elsewhere:
+        self._home[stage_id] = session
+        if was_orphan or prior is not None:
             self.rehomes += 1
             if self.metrics is not None:
                 self._m_rehomes.inc()
@@ -958,28 +1007,90 @@ class LiveHierGlobalController(_LiveControllerBase):
                     "rehome", now, 0.0, stage=stage_id, to=session.peer_id
                 )
 
+    def _set_partition(
+        self,
+        session: _AggregatorSession,
+        generation: int,
+        stage_ids: List[str],
+        job_ids: List[str],
+    ) -> None:
+        """Take ``session``'s newly announced order.
+
+        Every stage it lists is homed on it; one it used to list and no
+        longer does (evicted down there, still enforcing its last rule)
+        is held as an orphan until some partition lists it again. The
+        diff record starts over: a stage behind a new order may be a
+        restarted process with no applied rule, so the next enforce
+        ships the whole partition.
+        """
+        home = self._home
+        listed = set(stage_ids)
+        for stage_id in session.stage_ids:
+            if stage_id not in listed and home.get(stage_id) is session:
+                del home[stage_id]
+                self.columns.reserve(stage_id)
+        session.stage_ids, session.job_ids = stage_ids, job_ids
+        session.generation = generation
+        session.view = None
+        session.shipped = np.full((2, len(stage_ids)), np.nan)
+        for stage_id, job_id in zip(stage_ids, job_ids):
+            if home.get(stage_id) is not session:
+                self._adopt(session, stage_id, job_id)
+        if self.metrics is not None:
+            self._m_orphans.set(len(self.columns.reserved))
+
     def _after_register(self, session: Session) -> None:
         """A (re)joining aggregator may be adopting orphans; re-arm all."""
-        for stage_id, job_id in zip(
-            list(session.stage_ids), list(session.job_ids)
-        ):
-            self._adopt(session, stage_id, job_id)
+        self._set_partition(session, 0, session.stage_ids, session.job_ids)
         self._broadcast_topology()
 
-    def _drain_partition_updates(self) -> None:
-        """Apply adoption announcements queued since the last cycle."""
-        for session in list(self.sessions.values()):
-            pending, session.oob = session.oob, []
-            for message in pending:
-                added = message.get("added")
-                for entry in added if isinstance(added, list) else ():
-                    # An outside frame: an entry that does not name a
-                    # stage and its job is skipped.
-                    if isinstance(entry, dict) and all(
-                        isinstance(entry.get(key), str)
-                        for key in ("stage_id", "job_id")
-                    ):
-                        self._adopt(session, entry["stage_id"], entry["job_id"])
+    def _apply_partitions(self, session: _AggregatorSession) -> None:
+        """Apply the ``partition`` frames ``session`` queued out-of-band."""
+        pending, session.oob = session.oob, []
+        for message in pending:
+            generation = message.get("generation")
+            # An outside frame: one that does not spell an order is
+            # skipped whole. The session keeps the generation it holds,
+            # so the vectors behind the bad frame are refused too.
+            if (
+                generation.__class__ is int
+                and 0 <= generation <= 0xFFFFFFFF
+                and _order_error(message) is None
+            ):
+                self._set_partition(
+                    session, generation, message["stage_ids"], message["job_ids"]
+                )
+
+    def _partition_view(self, session: _AggregatorSession) -> tuple:
+        """``(aligned rows, owned ids, owned rows)`` of one partition.
+
+        ``aligned`` has the column row of every slot of the aggregator's
+        order, -1 where the stage is not (or no longer) homed on it —
+        what a reply is scattered through and a batch gathered through.
+        The other two are the same without those blanks, for compute.
+        Cached until rows are renumbered or homes change.
+        """
+        view = session.view
+        generation = self.columns.generation
+        if view is None or view[0] != generation:
+            home, row_of = self._home, self.columns.row_of
+            stage_ids = session.stage_ids
+            aligned = np.array(
+                [row_of(i) if home.get(i) is session else -1 for i in stage_ids],
+                dtype=np.intp,
+            )
+            owned = aligned >= 0
+            if owned.all():
+                view = (generation, aligned, stage_ids, aligned)
+            else:
+                view = (
+                    generation,
+                    aligned,
+                    [i for i, ours in zip(stage_ids, owned.tolist()) if ours],
+                    aligned[owned],
+                )
+            session.view = view
+        return view[1:]
 
     def _broadcast_topology(self) -> None:
         """Tell every aggregator who its live peers are (rehome targets)."""
@@ -1007,10 +1118,12 @@ class LiveHierGlobalController(_LiveControllerBase):
         self._evict(session)
 
     async def _cycle(self) -> None:
-        # Membership first: adoptions announced since the last cycle move
+        # Membership first: orders announced since the last cycle move
         # orphans onto their new homes, and a changed tree is re-broadcast
         # so every stage's alternate list stays current.
-        self._drain_partition_updates()
+        for session in list(self.sessions.values()):
+            if session.oob:
+                self._apply_partitions(session)
         if self._topology_dirty:
             self._broadcast_topology()
         self.epoch += 1
@@ -1032,31 +1145,23 @@ class LiveHierGlobalController(_LiveControllerBase):
             if tracer.enabled:
                 sent_at[s.aggregator_id] = tracer.now()
 
-        def on_agg_reply(s: _AggregatorSession, m: dict) -> None:
-            sids = m.get("stage_ids")
-            flagged = m.get("n_missing", 0)
-            if (
-                not is_str_list(sids)
-                or flagged.__class__ is not int
-                or flagged < 0
-            ):
-                # Not a reply an aggregator sends: the whole partition
-                # rides at last-known demand.
-                s.last_missing = len(s.stage_ids)
+        def on_agg_reply(s: _AggregatorSession, reply: tuple) -> None:
+            _, _, generation, flagged, data, metadata = reply
+            if s.oob:  # the order this reply is laid out for, just ahead of it
+                self._apply_partitions(s)
+            aligned, owned_ids, _ = self._partition_view(s)
+            if generation != s.generation or len(data) != len(aligned):
+                # Not laid out for the order this controller holds: the
+                # whole partition rides at last-known demand.
+                s.last_missing = len(owned_ids)
             else:
-                # One vectorized scatter per reply: the partition's row
-                # map is cached inside the columns (same ids every
-                # cycle). A stage adopted down there but not announced
-                # yet has no row and is skipped; a report the columns
-                # reject (all of them, if the vectors do not line up
-                # with the ids) leaves its stage at last-known demand.
-                rejected = columns.observe_many(
-                    sids, m.get("data_demands"), m.get("metadata_demands")
-                )
-                # Missing = stages the aggregator flagged as silent, plus
-                # any registered stages it evicted and no longer reports.
-                s.last_missing = (
-                    rejected + flagged + max(0, len(s.stage_ids) - len(sids))
+                # One vectorized scatter per reply. A slot that is not
+                # this aggregator's to report is skipped; a value the
+                # columns reject leaves its stage at last-known demand.
+                # Missing = those plus the stages the aggregator flagged
+                # as silent.
+                s.last_missing = flagged + columns.observe_rows(
+                    aligned, data, metadata
                 )
             if tracer.enabled:
                 t0 = sent_at.get(s.aggregator_id, started)
@@ -1076,6 +1181,7 @@ class LiveHierGlobalController(_LiveControllerBase):
                 s.missed_epochs += 1
             else:
                 s.missed_epochs = 0
+                n_missing += s.last_missing
         if self.dead_after_missed is not None:
             for s in sessions:
                 if (
@@ -1083,16 +1189,6 @@ class LiveHierGlobalController(_LiveControllerBase):
                     and self.sessions.get(s.aggregator_id) is s
                 ):
                     self._declare_dead(s)
-        # Stages without fresh metrics: the absent aggregators' partitions
-        # (dedup'd against orphans below — an aggregator evicted this very
-        # cycle already turned its stages into orphans) plus counts the
-        # live aggregators reported themselves.
-        unreported: Set[str] = set()
-        for s in sessions:
-            if s in absent:
-                unreported.update(s.stage_ids)
-            else:
-                n_missing += s.last_missing
         t_collect = time.perf_counter() - started
 
         # ---- compute (PSFA over all partitions, last-known for absent;
@@ -1102,70 +1198,58 @@ class LiveHierGlobalController(_LiveControllerBase):
         compute_started = time.perf_counter()
         with self._cpu():
             stage_ids: List[str] = []
+            parts: List[np.ndarray] = []
             for s in sessions:
                 if self.sessions.get(s.aggregator_id) is s:
-                    stage_ids.extend(s.stage_ids)
-                # else: declared dead above; its stages are orphans
-            n_homed = len(stage_ids)
+                    _, owned_ids, owned_rows = self._partition_view(s)
+                    stage_ids.extend(owned_ids)
+                    parts.append(owned_rows)
+                # else: evicted above; its stages are orphans
             stage_ids.extend(columns.reserved)
-            # Gather over the concatenated partitions, then the orphans:
-            # the row map is cached per id tuple, the demand and weight
-            # pulls are fancy indexes.
-            limits, meta_limits = self._allocate(
-                columns.rows_for(tuple(stage_ids))
-            )
-            limit_of = dict(zip(stage_ids, limits))
-            meta_limit_of = (
-                dict(zip(stage_ids, meta_limits)) if meta_limits is not None else None
-            )
+            parts.append(columns.rows_for(tuple(columns.reserved)))
+            rows = np.concatenate(parts)
+            limits, meta_limits = self._allocate(rows)
             self._last_grants = (stage_ids, limits.tolist())
-        stale = set(columns.reserved)
-        if unreported:
-            stale.update(unreported.difference(stage_ids[:n_homed]))
-        n_missing += len(stale)
+            # Limits by column row, data over metadata, ``NaN`` where
+            # there is none — and one spare ``NaN`` column at the end, so
+            # that row -1 (a slot that is not ours) reads "no rule".
+            n_rows = int(rows.max()) + 1 if rows.size else 0
+            grant = np.full((2, n_rows + 1), np.nan)
+            grant[0, rows] = limits
+            if meta_limits is not None:
+                grant[1, rows] = meta_limits
+        # Orphans are out there without fresh metrics (an aggregator
+        # evicted this very cycle just turned its stages into orphans).
+        n_missing += len(columns.reserved)
         t_compute = time.perf_counter() - compute_started
 
         # ---- enforce (rule batches) ----
         enforce_started = time.perf_counter()
         changed_only = self._effective_changed_only()
-        last_rule = self._last_rule
 
         def feed_batch(s: _AggregatorSession) -> None:
-            rules = []
-            # Adopted mid-cycle stages (not in limit_of yet) wait for
-            # the next cycle's rules.
-            for stage_id in s.stage_ids:
-                if stage_id not in limit_of:
-                    continue
-                limit = float(limit_of[stage_id])
-                meta_limit = (
-                    float(meta_limit_of[stage_id])
-                    if meta_limit_of is not None
-                    else None
-                )
-                if changed_only and self._suppress(
-                    last_rule.get(stage_id), limit, meta_limit
-                ):
-                    continue  # left out of the batch
-                rule = {"stage_id": stage_id, "data_iops_limit": limit}
-                if meta_limit is not None:
-                    rule["metadata_iops_limit"] = meta_limit
-                rules.append(rule)
+            aligned = self._partition_view(s)[0]
+            # One gather through the partition's rows. A stage adopted
+            # since compute has a row but no limit yet: like a slot that
+            # is not ours, it waits for the next cycle's rules.
+            batch = grant[:, np.where(aligned < n_rows, aligned, -1)]
+            ship = ~np.isnan(batch[0])
+            if changed_only:
+                ship &= ~self._suppress_rows(s.shipped, batch)
+                batch = np.where(ship, batch, np.nan)  # left out of the batch
             # Sheddable like flat-plane rules: the next epoch's batch
             # supersedes this one, and the missing batch_ack resolves
             # through the enforce deadline.
-            s.feed(
-                {"kind": "rule_batch", "epoch": epoch, "rules": rules},
+            s.feed_frame(
+                pack_rows(
+                    "rule_batch", epoch, s.generation,
+                    batch[0], None if meta_limits is None else batch[1],
+                ),
                 sheddable=True,
             )
             # Commit the diff record only for rules that actually went
             # on the wire (an evicted batch must re-ship).
-            for rule in rules:
-                last_rule[rule["stage_id"]] = (
-                    epoch,
-                    rule["data_iops_limit"],
-                    rule.get("metadata_iops_limit"),
-                )
+            s.shipped = np.where(ship, batch, s.shipped)
             if tracer.enabled:
                 sent_at[s.aggregator_id] = tracer.now()
 

@@ -1,15 +1,17 @@
 """Wire protocol for the live control plane: length-prefixed frames.
 
 Frames are ``[4-byte big-endian length][body]``, and every frame kind has
-exactly one body encoding. The four per-cycle kinds (``collect_req``,
-``metrics_reply``, ``rule``, ``rule_ack`` — the same names as the
-simulated protocol) are packed (:mod:`repro.live.codec`: first body byte
-``0xB1``); every other kind — ``register``/``registered`` for session
-setup, the aggregator trunk's batches, topology, rehome, shutdown,
-heartbeats — is a JSON object with a mandatory ``kind`` field (first
-byte ``{``), which keeps the rare, varied frames inspectable. There is
-nothing to negotiate: a hot kind in a JSON body, like any other
-malformed frame, is refused.
+exactly one body encoding. The per-cycle kinds — the four per-stage ones
+(``collect_req``, ``metrics_reply``, ``rule``, ``rule_ack``, the same
+names as the simulated protocol) and the aggregator trunk's two
+per-partition vectors (``agg_metrics_reply``, ``rule_batch``) — are
+packed (:mod:`repro.live.codec`: first body byte ``0xB1``); every other
+kind — ``register``/``registered`` for session setup, the trunk's
+``partition`` and acks, topology, rehome, shutdown, heartbeats — is a
+JSON object with a mandatory ``kind`` field (first byte ``{``), which
+keeps the rare, varied frames inspectable. There is nothing to
+negotiate: a packed kind in a JSON body, like any other malformed frame,
+is refused.
 
 The framing keeps reads exact. A 16 MiB frame cap (``MAX_FRAME``) guards
 against corrupt length headers — orders of magnitude above any control
@@ -19,11 +21,12 @@ message, far below the 4 GiB the 4-byte length field could express.
 ``asyncio.BufferedProtocol`` that receives into one buffer shared by
 every link on the loop, parses every complete frame of a segment in place
 in one synchronous pass and hands it to a callback — no reader coroutine,
-queue or task per connection, no allocation per read. The four hot kinds
-reach the callback as *records* (``(kind, epoch, a, b)`` tuples, see
+queue or task per connection, no allocation per read. The packed kinds
+reach the callback as *records* (tuples led by ``kind, epoch``, see
 :mod:`repro.live.codec`), every other kind as its message dict;
-:func:`repro.live.codec.frame_packer` is the matching send side for hot
-frames. :func:`encode` / :func:`encode_into` frame the JSON kinds;
+:func:`repro.live.codec.frame_packer` and
+:func:`repro.live.codec.pack_rows` are the matching send side.
+:func:`encode` / :func:`encode_into` frame the JSON kinds;
 :func:`decode_body` and the stream helpers (:func:`read_message` /
 :func:`write_message`) serve tools, tests and heartbeats.
 """
@@ -130,8 +133,8 @@ def encode_into(buf: bytearray, message: Dict[str, Any]) -> int:
     into one shared buffer (the session outbox) and writes it once —
     no per-frame ``bytes`` objects, no join. The 4-byte length header
     is reserved up front and back-filled once the body size is known.
-    The four hot kinds have no JSON form (a receiver refuses one):
-    they are built by :func:`repro.live.codec.frame_packer`.
+    The packed kinds have no JSON form (a receiver refuses one): they
+    are built by :func:`repro.live.codec.frame_packer` / ``pack_rows``.
     """
     kind = message.get("kind")
     if kind is None:
@@ -154,7 +157,7 @@ def decode_body(body) -> Dict[str, Any]:
 
     Raises :class:`ProtocolError` on anything that is not one kind in
     its one encoding: an undecodable packed or JSON body, a JSON value
-    that is not a message, a JSON body naming a hot kind.
+    that is not a message, a JSON body naming a packed kind.
     """
     if len(body) and body[0] == BINARY_MAGIC:
         try:
@@ -197,11 +200,11 @@ class FrameLink(asyncio.BufferedProtocol):
     ``on_frame(message, nbytes)`` runs synchronously inside the read
     callback, once per complete frame (``nbytes`` is the on-wire size,
     header included — what NIC accounting charges). ``message`` is a
-    record tuple for the four hot kinds and the message dict for every
+    record tuple for the packed kinds and the message dict for every
     other kind. ``on_lost(exc)`` runs once when the socket is gone: EOF,
     reset, a local :meth:`close` / :meth:`abort`, or a malformed frame —
     an undecodable body, a packed frame that does not end where its last
-    field ends, a hot kind in a JSON body, or a length above
+    field ends, a packed kind in a JSON body, or a length above
     ``MAX_FRAME`` aborts the connection instead of waiting for 4 GiB that
     will never come. Both are plain attributes, so a connection can
     change hands (hello handler, then session).

@@ -6,8 +6,8 @@ synchronous callbacks from the link's read path — there is no reader
 task and no inbox queue — and are routed on the spot: a frame matching
 the phase the session is *armed* for goes straight to that phase's
 ``on_reply``; an out-of-band kind lands in :attr:`Session.oob`; anything
-else is stale. A hot-kind frame arrives as a record tuple ``(kind,
-epoch, a, b)``, any other as its message dict (see
+else is stale. A packed-kind frame arrives as a record tuple led by
+``kind, epoch``, any other as its message dict (see
 :class:`~repro.live.protocol.FrameLink`).
 
 Outbound, a phase's one frame per session is written through
@@ -96,8 +96,8 @@ class Session:
     charged to the owning controller's NIC columns.
 
     ``oob_kinds`` names frame kinds that are *out-of-band*: not replies to
-    any phase request (e.g. a ``partition_update`` announcing an adopted
-    stage). They are diverted into :attr:`oob`, never counted stale; the
+    any phase request (e.g. a ``partition`` frame announcing an
+    aggregator's new stage order). They are diverted into :attr:`oob`, never counted stale; the
     session owner reads and clears :attr:`oob` at a convenient boundary
     (e.g. cycle start).
 
@@ -160,7 +160,7 @@ class Session:
 
     def _route(self, message) -> None:
         barrier = self._armed
-        if message.__class__ is tuple:  # hot-kind record
+        if message.__class__ is tuple:  # packed-kind record
             kind, epoch = message[0], message[1]
         else:
             kind, epoch = message["kind"], message.get("epoch")
@@ -328,12 +328,10 @@ class StageSession(Session):
         #: diffs against. A re-registering stage gets a fresh session, so
         #: a restarted process is always shipped a rule.
         self.rule: Optional[tuple] = None
-        # An aggregator's last-known demand for the stage, per axis (the
-        # controllers keep theirs in StageColumns rows): collapsing data
-        # + metadata into one scalar loses the split a dead socket's
-        # fallback (and the metadata allocator) needs.
-        self.latest_data_demand = 0.0
-        self.latest_metadata_demand = 0.0
+        #: An aggregator's slot for this stage in its partition order —
+        #: where the stage's reply lands in the demand vectors and its
+        #: limit sits in a ``rule_batch``; -1 until the order includes it.
+        self.row = -1
 
     @property
     def stage_id(self) -> str:

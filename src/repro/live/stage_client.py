@@ -436,8 +436,11 @@ class LiveVirtualStage:
             self._end_session()  # connection lost after a healthy registration
 
     def _serve_frame(self, message) -> None:
-        if message.__class__ is tuple:  # hot-kind record
-            kind, epoch, limit, metadata_limit = message
+        if message.__class__ is tuple:  # packed-kind record
+            try:
+                kind, epoch, limit, metadata_limit = message
+            except ValueError:
+                return  # a trunk vector aimed at a stage: ignored
             if kind == "collect_req":
                 self.requests_served += 1
                 data_iops, metadata_iops = self.demand

@@ -84,6 +84,39 @@ class TestTokenBucket:
         b.set_rate(100.0)
         assert b.tokens == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("rate", [10.0, 0.0, float("inf")])
+    def test_same_rate_set_rate_is_a_no_op(self, rate):
+        """Re-applying the rate (and burst) a bucket already has — what
+        every stage does to its unlimited metadata bucket every cycle —
+        returns before the clock is read, and changes nothing: under a
+        stepped clock, token count and ``delay_for`` track a twin that
+        never saw the calls, step for step."""
+        reads = []
+        plain_clock, clock = FakeClock(), FakeClock()
+
+        def counted():
+            reads.append(clock.t)
+            return clock.t
+
+        plain = TokenBucket(rate=rate, clock=plain_clock, burst=8.0)
+        nudged = TokenBucket(rate=rate, clock=counted, burst=8.0)
+        for step, dt in enumerate([0.0, 0.013, 0.2, 0.0, 0.37, 1.9, 0.001, 5.0]):
+            for c in (plain_clock, clock):
+                c.advance(dt)
+            n_reads = len(reads)
+            nudged.set_rate(rate, burst=8.0)
+            nudged.set_rate(rate, burst=8.0)
+            assert len(reads) == n_reads  # no clock read, so no refill
+            if step % 2:
+                assert plain.try_acquire(3.0) == nudged.try_acquire(3.0)
+            assert nudged.delay_for(5.0) == plain.delay_for(5.0)
+            assert nudged.tokens == plain.tokens
+        # A different burst, or rate, still goes through.
+        nudged.set_rate(rate, burst=2.0)
+        assert (nudged.burst, nudged.tokens) == (2.0, min(plain.tokens, 2.0))
+        nudged.set_rate(4.0)
+        assert (nudged.rate, nudged.burst) == (4.0, 4.0)
+
     def test_clock_backwards_rejected(self, clock):
         b = TokenBucket(rate=10.0, clock=clock)
         clock.t = -1.0

@@ -1,5 +1,13 @@
-"""The packed encoding of the four hot kinds: golden bytes and round trips."""
+"""The packed encoding of the per-cycle kinds: golden bytes and round trips.
 
+CI runs this file once more under the derandomized ``ci`` hypothesis
+profile (``tests/conftest.py``).
+"""
+
+import math
+import struct
+
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -11,8 +19,15 @@ from repro.live.codec import (
     decode_at,
     decode_binary,
     frame_packer,
+    pack_rows,
 )
-from repro.live.protocol import ProtocolError, decode_body, encode
+from repro.live.protocol import (
+    MAX_FRAME,
+    FrameLink,
+    ProtocolError,
+    decode_body,
+    encode,
+)
 
 epochs = st.integers(min_value=-(2**63), max_value=2**63 - 1)
 iops = st.floats(allow_nan=False, allow_infinity=False)
@@ -102,6 +117,35 @@ _GOLDEN = [
 ]
 
 
+#: The trunk's two per-partition kinds, captured when they replaced
+#: their JSON bodies: ``(kind, pack_rows arguments, frame, record)``, the
+#: record's vectors as lists.
+_NAN = float("nan")
+_GOLDEN_ROWS = [
+    (
+        "agg_metrics_reply", (7, 3, [1234.5, 0.0], [67.25, 2.0], 1),
+        "00000036b10600000000000000070000000300000001000000024093"
+        "4a000000000000000000000000004050d000000000004000000000000000",
+        ("agg_metrics_reply", 7, 3, 1, [1234.5, 0.0], [67.25, 2.0]),
+    ),
+    (
+        # A differentiated policy, second row left out (changed-only).
+        "rule_batch", (7, 3, [812.5, _NAN], [150.0, _NAN]),
+        "00000036b10700000000000000070000000300000001000000024089"
+        "6400000000007ff80000000000004062c000000000007ff8000000000000",
+        ("rule_batch", 7, 3, 1, [812.5, _NAN], [150.0, _NAN]),
+    ),
+]
+
+
+def _plain(record):
+    """A record with its vectors as lists of ``repr`` (``nan == nan``)."""
+    return tuple(
+        [repr(v) for v in field.tolist()] if isinstance(field, np.ndarray) else field
+        for field in record
+    )
+
+
 class TestGoldenFrames:
     @pytest.mark.parametrize(
         "kind,ids,args,frame_hex,record",
@@ -115,9 +159,24 @@ class TestGoldenFrames:
         assert frame_packer(kind, *ids)(*args) == frame
         assert decode_at(frame, 4, len(frame)) == record
 
+    @pytest.mark.parametrize(
+        "kind,args,frame_hex,record",
+        _GOLDEN_ROWS,
+        ids=["agg_metrics_reply", "rule_batch"],
+    )
+    def test_pack_rows_reproduces_the_golden_bytes(
+        self, kind, args, frame_hex, record
+    ):
+        frame = bytes.fromhex(frame_hex)
+        assert pack_rows(kind, *args) == frame
+        assert _plain(decode_at(frame, 4, len(frame))) == _plain(
+            tuple(np.array(f) if isinstance(f, list) else f for f in record)
+        )
+
     def test_one_layout_per_hot_kind(self):
-        assert len(_LAYOUTS) == 4
+        assert len(_LAYOUTS) == 6
         assert {layout.kind for layout in _LAYOUTS} == BINARY_KINDS
+        assert len({layout.tag for layout in _LAYOUTS}) == 6
 
 
 class TestBinaryRoundTrip:
@@ -190,8 +249,12 @@ class TestBinaryRoundTrip:
     def test_magic_byte_never_starts_json(self):
         assert BINARY_MAGIC != ord("{")
         for kind in sorted(BINARY_KINDS):
-            args = (1, 1.0, 1.0) if kind in ("metrics_reply", "rule") else (1,)
-            assert frame_packer(kind, "s", "j")(*args)[4] == BINARY_MAGIC
+            if kind in ("agg_metrics_reply", "rule_batch"):
+                frame = pack_rows(kind, 1, 0, [1.0], [1.0])
+            else:
+                args = (1, 1.0, 1.0) if kind in ("metrics_reply", "rule") else (1,)
+                frame = frame_packer(kind, "s", "j")(*args)
+            assert frame[4] == BINARY_MAGIC
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError, match="unknown binary frame tag"):
@@ -210,6 +273,171 @@ class TestBinaryRoundTrip:
     def test_decode_body_wraps_binary_errors(self):
         with pytest.raises(ProtocolError, match="undecodable binary frame"):
             decode_body(bytes([BINARY_MAGIC, 250]))
+
+
+u32 = st.integers(min_value=0, max_value=2**32 - 1)
+values = st.floats(allow_nan=True, allow_infinity=True)  # any bit pattern's value
+
+
+@st.composite
+def row_frames(draw):
+    """``(kind, epoch, generation, word, data, metadata | None)``."""
+    kind = draw(st.sampled_from(["agg_metrics_reply", "rule_batch"]))
+    n = draw(st.integers(min_value=0, max_value=40))
+    data = draw(st.lists(values, min_size=n, max_size=n))
+    metadata = draw(st.lists(values, min_size=n, max_size=n))
+    if kind == "rule_batch":
+        if draw(st.booleans()):
+            metadata = None
+        word = 0 if metadata is None else 1
+    else:
+        word = draw(u32)
+    return kind, draw(epochs), draw(u32), word, data, metadata
+
+
+def pack_row_frame(frame):
+    kind, epoch, generation, word, data, metadata = frame
+    return pack_rows(kind, epoch, generation, data, metadata, n_missing=word)
+
+
+def _expected(frame):
+    return _plain(
+        tuple(np.array(f, dtype=float) if isinstance(f, list) else f for f in frame)
+    )
+
+
+class TestRowFrames:
+    """``agg_metrics_reply`` / ``rule_batch``: header + ``>f8`` vectors."""
+
+    @given(row_frames())
+    @settings(max_examples=200, deadline=None)
+    def test_roundtrip_is_identity(self, frame):
+        wire = pack_row_frame(frame)
+        kind, epoch, generation, word, data, metadata = frame
+        assert wire[4] == BINARY_MAGIC
+        assert int.from_bytes(wire[:4], "big") == len(wire) - 4
+        record = decode_at(wire, 4, len(wire))
+        assert _plain(record) == _expected(frame)
+        # The dict view lists what the record views.
+        message = decode_body(wire[4:])
+        assert (message["kind"], message["epoch"], message["generation"]) == (
+            kind, epoch, generation,
+        )
+        names = (
+            ("data_demands", "metadata_demands")
+            if kind == "agg_metrics_reply"
+            else ("data_iops_limits", "metadata_iops_limits")
+        )
+        assert [repr(v) for v in message[names[0]]] == [repr(v) for v in data]
+        if metadata is None:
+            assert names[1] not in message
+        else:
+            assert [repr(v) for v in message[names[1]]] == [repr(v) for v in metadata]
+        if kind == "agg_metrics_reply":
+            assert message["n_missing"] == word
+
+    @given(row_frames())
+    @settings(max_examples=50, deadline=None)
+    def test_vectors_are_views_that_outlive_the_receive_buffer(self, frame):
+        """Read-only views of one private copy: the buffer a record was
+        parsed from may be overwritten (the shared receive buffer is, by
+        the next read) while the record is still held."""
+        buffer = bytearray(pack_row_frame(frame))
+        record = decode_at(buffer, 4, len(buffer))
+        buffer[:] = b"\xff" * len(buffer)
+        assert _plain(record) == _expected(frame)
+        for vector in record[4:]:
+            if vector is not None:
+                assert not vector.flags.writeable
+                assert vector.base is not None  # a view, not a conversion
+
+    @given(row_frames(), st.integers(min_value=1, max_value=400))
+    @settings(max_examples=200, deadline=None)
+    def test_truncation_never_misdecodes(self, frame, cut):
+        """Any proper prefix of the body is refused: ``count`` is checked
+        against the bytes that are there."""
+        body = pack_row_frame(frame)[4:]
+        cut = min(cut, len(body) - 1)
+        with pytest.raises(ValueError):
+            decode_at(body, 0, len(body) - cut)
+        with pytest.raises(ProtocolError):
+            decode_body(body[: len(body) - cut])
+
+    @given(row_frames(), st.binary(min_size=1, max_size=24))
+    @settings(max_examples=100, deadline=None)
+    def test_trailing_bytes_are_refused(self, frame, extra):
+        body = pack_row_frame(frame)[4:] + extra
+        with pytest.raises(ValueError, match="do not match count"):
+            decode_at(body, 0, len(body))
+
+    @given(row_frames(), st.integers(min_value=-3, max_value=3).filter(bool))
+    @settings(max_examples=100, deadline=None)
+    def test_count_must_match_the_vectors(self, frame, off):
+        """A ``count`` field that disagrees with the vector bytes behind
+        it — short by one, long by one — is refused, never clipped."""
+        body = bytearray(pack_row_frame(frame)[4:])
+        (count,) = struct.unpack_from(">I", body, 18)
+        if count + off < 0:
+            return
+        struct.pack_into(">I", body, 18, count + off)
+        with pytest.raises(ValueError, match="do not match count"):
+            decode_at(body, 0, len(body))
+
+    @pytest.mark.parametrize("count", [MAX_FRAME // 8 + 1, 2**32 - 1])
+    def test_count_past_max_frame_is_refused_before_it_sizes_anything(self, count):
+        """A header claiming more values than any frame can hold, with
+        no (or some) bytes behind it: refused from the arithmetic alone,
+        and a link that reads it is aborted."""
+        body = struct.pack(">BBqIII", BINARY_MAGIC, 6, 1, 0, 0, count)
+        for tail in (b"", b"\x00" * 64):
+            with pytest.raises(ValueError, match="do not match count"):
+                decode_at(body + tail, 0, len(body) + len(tail))
+        link = FrameLink(lambda message, nbytes: pytest.fail("delivered"))
+        lost = []
+        link.on_lost = lost.append
+
+        class _Transport:
+            def abort(self):
+                link.connection_lost(None)
+
+        link.connection_made(_Transport())
+        link.data_received(struct.pack(">I", len(body)) + body)
+        assert lost == [None]
+
+    def test_unknown_flag_bits_are_refused(self):
+        body = bytearray(pack_rows("rule_batch", 1, 0, [1.0], [2.0])[4:])
+        struct.pack_into(">I", body, 14, 3)
+        with pytest.raises(ValueError, match="unknown rule_batch flags"):
+            decode_at(body, 0, len(body))
+
+    def test_header_alone_is_an_empty_partition(self):
+        record = decode_at(pack_rows("agg_metrics_reply", 5, 2, [], [])[4:], 0, 22)
+        assert record[:4] == ("agg_metrics_reply", 5, 2, 0)
+        assert len(record[4]) == len(record[5]) == 0
+
+    def test_pack_rows_refuses_what_has_no_layout(self):
+        with pytest.raises(ValueError, match="not a per-partition"):
+            pack_rows("rule", 1, 0, [1.0])
+        with pytest.raises(ValueError, match="not a per-stage"):
+            frame_packer("rule_batch")
+        with pytest.raises(ValueError, match="both vectors"):
+            pack_rows("agg_metrics_reply", 1, 0, [1.0])
+        with pytest.raises(ValueError, match="one length"):
+            pack_rows("rule_batch", 1, 0, [1.0, 2.0], [1.0])
+        with pytest.raises(ValueError, match="one length"):
+            pack_rows("rule_batch", 1, 0, [[1.0, 2.0]])
+
+    def test_row_kinds_have_no_json_form(self):
+        for kind in ("agg_metrics_reply", "rule_batch"):
+            with pytest.raises(ProtocolError, match="packed"):
+                encode({"kind": kind, "epoch": 1})
+            with pytest.raises(ProtocolError, match="JSON body"):
+                decode_body(b'{"kind":"%s","epoch":1}' % kind.encode())
+
+    def test_nan_survives_as_nan(self):
+        record = decode_at(pack_rows("rule_batch", 1, 0, [_NAN, 2.0])[4:], 0, 38)
+        assert math.isnan(record[4][0]) and record[4][1] == 2.0
+        assert record[5] is None
 
 
 class TestZeroCopyDecode:

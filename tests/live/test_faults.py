@@ -6,11 +6,14 @@ cycling (degraded, not stalled) while stages die, stall, and come back.
 """
 
 import asyncio
+import json
+import struct
 
 import pytest
 
 from repro.core.control_plane import default_policy
 from repro.live.aggregator_server import LiveAggregator
+from repro.live.codec import pack_rows
 from repro.live.controller_server import LiveGlobalController, LiveHierGlobalController
 from repro.live.faults import (
     LiveFaultLog,
@@ -397,82 +400,133 @@ class TestRegistration:
 
 class TestMalformedTrunkFrames:
     def test_malformed_aggregator_replies_degrade_the_cycle_not_kill_it(self):
-        """A registered aggregator is still an outside peer: a reply
-        without ``stage_ids``, with vectors that do not line up, or a
-        ``partition_update`` naming no stage costs that partition its
-        fresh metrics for the cycle — never the cycle itself."""
-        good = {
-            "stage_ids": ["a", "b"],
-            "data_demands": [100.0, 300.0],
-            "metadata_demands": [20.0, 40.0],
-        }
+        """A registered aggregator is still an outside peer: a reply laid
+        out for a generation the controller does not hold, vectors that
+        are not the partition's length, values no demand can be, or a
+        ``partition`` frame that spells no order cost that partition (or
+        that stage) its fresh metrics for the cycle — never the cycle
+        itself. A JSON body naming a packed kind costs the connection."""
+        nan, inf = float("nan"), float("inf")
+
+        def reply(epoch, data=(100.0, 300.0), meta=(20.0, 40.0), generation=0, flagged=0):
+            return pack_rows(
+                "agg_metrics_reply", epoch, generation, data, meta, n_missing=flagged
+            )
+
+        good = reply
+        #: (what answers the collect request, stages missing that cycle)
         bad_replies = [
-            {},
-            {"stage_ids": 5},
-            {"stage_ids": [1, 2]},
-            {**good, "data_demands": [1.0]},
-            {**good, "data_demands": "xx", "metadata_demands": None},
-            {**good, "data_demands": [10**400, 1]},
-            {**good, "n_missing": "x"},
-            {**good, "n_missing": -1},
+            (lambda e: reply(e, generation=1), 2),  # a generation never announced
+            (lambda e: reply(e, data=(1.0,), meta=(1.0,)), 2),  # short vectors
+            (lambda e: reply(e, data=(1.0, 2.0, 3.0), meta=(1.0, 2.0, 3.0)), 2),
+            (lambda e: reply(e, data=(), meta=()), 2),
+            (lambda e: reply(e, data=(nan, 300.0)), 1),  # one bad entry: that stage
+            (lambda e: reply(e, data=(100.0, -1.0)), 1),
+            (lambda e: reply(e, meta=(inf, nan)), 2),
+            (lambda e: reply(e, flagged=2), 2),  # the aggregator's own count
         ]
-        bad_updates = [
-            {"kind": "partition_update", "added": 5},
-            {"kind": "partition_update",
-             "added": [{"stage_id": 7, "job_id": "j"}, "x", {"stage_id": "c"}]},
+        bad_partitions = [
+            {"kind": "partition", "generation": "x", "stage_ids": ["c"], "job_ids": ["j"]},
+            {"kind": "partition", "generation": 1, "stage_ids": 5, "job_ids": ["j"]},
+            {"kind": "partition", "generation": 1, "stage_ids": [7], "job_ids": ["j"]},
+            {"kind": "partition", "generation": 1, "stage_ids": ["c"], "job_ids": []},
+            {"kind": "partition", "generation": 1,
+             "stage_ids": ["c", "c"], "job_ids": ["j", "j"]},
+            {"kind": "partition", "generation": -1, "stage_ids": ["c"], "job_ids": ["j"]},
+            {"kind": "partition", "generation": 2**32, "stage_ids": ["c"], "job_ids": ["j"]},
+            {"kind": "partition"},
         ]
+        json_reply = {
+            "kind": "agg_metrics_reply", "stage_ids": ["a", "b"],
+            "data_demands": [1.0, 1.0], "metadata_demands": [1.0, 1.0],
+        }
 
         async def raw_aggregator(ctrl, script):
             """Own stages a and b; answer each ``agg_collect_req`` with
-            the script's next frames, ack every batch."""
-            reader, writer = await asyncio.open_connection(ctrl.host, ctrl.port)
-            await write_message(writer, {
-                "kind": "register_aggregator", "aggregator_id": "agg-0",
-                "stage_ids": ["a", "b"], "job_ids": ["j", "j"],
-            })
-            while True:
-                message = await read_message(reader)
-                if message["kind"] == "agg_collect_req":
-                    for frame in script.pop(0):
-                        await write_message(
-                            writer, {"kind": "agg_metrics_reply",
-                                     "epoch": message["epoch"], **frame}
-                        )
-                elif message["kind"] == "rule_batch":
-                    await write_message(
-                        writer, {"kind": "batch_ack", "epoch": message["epoch"]}
-                    )
-                elif message["kind"] == "shutdown":
+            the script's next frames, ack every batch. A frame that costs
+            the connection is followed by a fresh registration."""
+            batches = []
+            while script:
+                reader, writer = await asyncio.open_connection(ctrl.host, ctrl.port)
+                await write_message(writer, {
+                    "kind": "register_aggregator", "aggregator_id": "agg-0",
+                    "stage_ids": ["a", "b"], "job_ids": ["j", "j"],
+                })
+                try:
+                    while True:
+                        message = await read_message(reader)
+                        if message["kind"] == "agg_collect_req":
+                            for frame in script.pop(0):
+                                if callable(frame):
+                                    writer.write(frame(message["epoch"]))
+                                else:
+                                    # By hand: ``encode`` would refuse
+                                    # to put a packed kind in JSON.
+                                    body = json.dumps(
+                                        {"epoch": message["epoch"], **frame}
+                                    ).encode()
+                                    writer.write(struct.pack(">I", len(body)) + body)
+                            await writer.drain()
+                        elif message["kind"] == "rule_batch":
+                            batches.append(message)
+                            await write_message(
+                                writer, {"kind": "batch_ack", "epoch": message["epoch"]}
+                            )
+                        elif message["kind"] == "shutdown":
+                            return batches
+                except (asyncio.IncompleteReadError, ConnectionError):
+                    pass  # cut off for the JSON-bodied reply: come back
+                finally:
                     writer.close()
-                    return
+            return batches
 
         async def scenario():
             loop_errors = _catch_loop_errors()
-            ctrl = LiveHierGlobalController(default_policy(2), expected_aggregators=1)
+            ctrl = LiveHierGlobalController(
+                default_policy(2), expected_aggregators=1, collect_timeout_s=2.0
+            )
             await ctrl.start()
-            script = [[good]] + [[bad] for bad in bad_replies]
-            script.append(bad_updates + [good])  # out-of-band, then a reply
+            script = [[good]] + [[bad] for bad, _ in bad_replies]
+            script.append(bad_partitions + [good])  # out-of-band, then a reply
+            script.append([good])
+            script.append([json_reply])
             script.append([good])
             peer = asyncio.create_task(raw_aggregator(ctrl, script))
             try:
                 await ctrl.wait_for_aggregators(timeout_s=10.0)
-                cycles = await asyncio.wait_for(
-                    ctrl.run_cycles(len(script)), timeout=20.0
-                )
+                cycles = list(await asyncio.wait_for(
+                    ctrl.run_cycles(len(script) - 1), timeout=20.0
+                ))
+                # The JSON-bodied reply cost the connection; the peer
+                # re-registers and the next cycle is whole again.
+                for _ in range(100):
+                    if ctrl.sessions and not ctrl.orphans:
+                        break
+                    await asyncio.sleep(0.02)
+                cycles = list(await asyncio.wait_for(ctrl.run_cycles(1), timeout=20.0))
             finally:
                 await ctrl.shutdown()
-                await asyncio.wait_for(peer, timeout=5.0)
-            return list(cycles), ctrl, loop_errors
+                batches = await asyncio.wait_for(peer, timeout=5.0)
+            return cycles, ctrl, batches, loop_errors
 
-        cycles, ctrl, loop_errors = asyncio.run(scenario())
-        assert [c.n_missing for c in cycles[1:-2]] == [2] * len(bad_replies)
+        cycles, ctrl, batches, loop_errors = asyncio.run(scenario())
+        n_bad = len(bad_replies)
+        assert [c.n_missing for c in cycles[1 : 1 + n_bad]] == [n for _, n in bad_replies]
         # The cycle before, and the well-formed ones after, are clean.
-        assert [c.n_missing for c in cycles[:1] + cycles[-2:]] == [0, 0, 0]
+        assert [c.n_missing for c in cycles[:1] + cycles[1 + n_bad : 3 + n_bad]] == [0, 0, 0]
+        # A JSON body naming a packed kind is refused like any hot kind
+        # in JSON: the link is cut, the partition orphaned for the cycle.
+        assert cycles[-2].n_missing == 2 and ctrl.evictions == 1
+        assert cycles[-1].n_missing == 0
         assert not any(c.timed_out for c in cycles)
         # Last-known demand rode through; the garbage named no new stage.
         assert ctrl.columns.axes("a") == (100.0, 20.0)
         assert ctrl.columns.axes("b") == (300.0, 40.0)
         assert "c" not in ctrl.columns
+        # Every batch (none in the cycle that lost the link) was laid
+        # out for the one order ever announced.
+        assert len(batches) == len(cycles) - 1
+        assert {(b["generation"], len(b["data_iops_limits"])) for b in batches} == {(0, 2)}
         assert loop_errors == []
 
 

@@ -15,7 +15,7 @@ import pytest
 from repro.core.control_plane import default_policy
 from repro.core.registry import partition_stages
 from repro.live.aggregator_server import LiveAggregator
-from repro.live.codec import frame_packer
+from repro.live.codec import frame_packer, pack_rows
 from repro.live.controller_server import LiveHierGlobalController
 from repro.live.faults import (
     LiveFaultLog,
@@ -136,6 +136,42 @@ class TestAggregatorKill:
         # n_missing counts stages, never more than the dead partition.
         assert all(c.n_missing <= 3 for c in ctrl.cycles)
         assert ctrl.cycles[-1].n_missing == 0
+
+
+    @pytest.mark.parametrize("node", ["aggregator", "controller"])
+    def test_link_accepted_before_kill_is_not_served_after(self, node):
+        """A connection accepted but not yet greeted when ``kill()``
+        lands is no session, so ``kill()`` cannot abort it — and its
+        hello used to be registered and acked by the dead node, which
+        then sat on a stage nobody would ever serve. The hello of a link
+        whose listener is closed gets the link aborted instead."""
+
+        async def scenario():
+            if node == "aggregator":
+                victim = LiveAggregator("agg-0", "127.0.0.1", 1, expected_stages=1)
+            else:
+                victim = LiveHierGlobalController(default_policy(1), 1)
+            await victim.start()
+            reader, writer = await asyncio.open_connection(victim.host, victim.port)
+            await asyncio.sleep(0.05)  # accepted, silent
+            victim.kill()
+            hello = (
+                {"kind": "register", "stage_id": "s-0", "job_id": "j-0"}
+                if node == "aggregator"
+                else {"kind": "register_aggregator", "aggregator_id": "a",
+                      "stage_ids": [], "job_ids": []}
+            )
+            try:
+                await write_message(writer, hello)
+                answer = await asyncio.wait_for(reader.read(), timeout=5.0)
+            except ConnectionError:
+                answer = b""
+            writer.close()
+            return victim, answer
+
+        victim, answer = asyncio.run(scenario())
+        assert answer == b""  # cut off, not ``registered``
+        assert not victim.sessions
 
 
 class TestAggregatorStall:
@@ -268,24 +304,22 @@ class TestReconnectRegressions:
 class TestMalformedControllerFrames:
     def test_malformed_trunk_frames_do_not_end_the_aggregator(self):
         """The trunk's other end is an outside peer too: a ``rule_batch``
-        or ``topology`` entry that is not what a controller sends is
-        skipped, a frame without an integer epoch ignored — none of it
-        raises out of ``LiveAggregator.run``."""
-        batch = [
-            5,
-            {"stage_id": 7, "data_iops_limit": 1.0},
-            {"stage_id": "s-0"},
-            {"stage_id": "s-0", "data_iops_limit": "x"},
-            {"stage_id": "s-0", "data_iops_limit": 1.0, "metadata_iops_limit": "y"},
-            {"stage_id": "s-0", "data_iops_limit": 10**400},
-            {"stage_id": "s-1", "data_iops_limit": 55.0},
-        ]
+        laid out for an order the aggregator does not hold forwards
+        nothing, a slot that is no limit is left out, a ``topology``
+        entry that is not an address is skipped, a request without an
+        integer epoch ignored — every batch is still acked and none of it
+        raises out of ``LiveAggregator.run``. A JSON body naming a packed
+        kind costs the trunk, as it costs any link."""
+        nan, inf = float("nan"), float("inf")
         topology = [
             {"aggregator_id": "x"},
             {"aggregator_id": "y", "host": "h", "port": "abc"},
             5,
             {"aggregator_id": "peer", "host": "127.0.0.1", "port": 9},
         ]
+
+        def batch(epoch, limits, meta=None, generation=0):
+            return pack_rows("rule_batch", epoch, generation, limits, meta)
 
         async def scenario():
             errors = []
@@ -295,19 +329,21 @@ class TestMalformedControllerFrames:
             trunk = asyncio.get_running_loop().create_future()
 
             async def on_conn(reader, writer):
-                assert (await read_message(reader))["kind"] == "register_aggregator"
+                hello = await read_message(reader)
+                assert hello["kind"] == "register_aggregator"
+                assert hello["stage_ids"] == ["s-0", "s-1", "s-2"]
                 await write_message(writer, {"kind": "registered"})
                 trunk.set_result((reader, writer))
 
             server = await asyncio.start_server(on_conn, "127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]
             agg = LiveAggregator(
-                "agg-0", "127.0.0.1", port, expected_stages=2, enforce_timeout_s=2.0
+                "agg-0", "127.0.0.1", port, expected_stages=3, enforce_timeout_s=2.0
             )
             await agg.start()
             stages = [
                 LiveVirtualStage(agg.host, agg.port, f"s-{i}", "j", reconnect=False)
-                for i in range(2)
+                for i in range(3)
             ]
             tasks = [asyncio.create_task(s.run()) for s in stages]
             run = asyncio.create_task(agg.run())
@@ -316,45 +352,64 @@ class TestMalformedControllerFrames:
             async def exchange(*frames):
                 """Send ``frames``; the aggregator's answer to the last."""
                 for frame in frames:
-                    await write_message(writer, frame)
+                    if isinstance(frame, bytes):
+                        writer.write(frame)
+                        await writer.drain()
+                    else:
+                        await write_message(writer, frame)
                 return await asyncio.wait_for(read_message(reader), timeout=5.0)
 
             acks = [
                 await exchange(
                     {"kind": "topology", "aggregators": 7},
                     {"kind": "topology", "aggregators": topology},
-                    {"kind": "rule_batch", "epoch": 1, "rules": 5},
+                    batch(1, [10.0, 20.0, 30.0], generation=4),  # never announced
                 ),
+                await exchange(batch(2, [10.0, 20.0])),  # short for the order
+                await exchange(batch(3, [10.0, 20.0, 30.0, 40.0])),
+                await exchange(batch(4, [])),
                 await exchange(
-                    {"kind": "rule_batch", "rules": []},
                     {"kind": "agg_collect_req", "epoch": "x"},
-                    {"kind": "rule_batch", "epoch": 2, "rules": batch},
+                    # NaN = no rule for the row; the others are no limits.
+                    batch(5, [nan, -5.0, 55.0]),
                 ),
+                await exchange(batch(6, [inf, 66.0, 77.0], [1.0, nan, -inf])),
             ]
-            reply = await exchange({"kind": "agg_collect_req", "epoch": 3})
-            await write_message(writer, {"kind": "shutdown"})
+            applied = [(s.applied_epoch, s.applied_limit) for s in stages]
+            reply = await exchange({"kind": "agg_collect_req", "epoch": 7})
+            acks.append(await exchange(batch(8, [81.0, 82.0, 83.0], [8.0, 8.0, 8.0])))
+            # By hand: ``encode`` would refuse to put a packed kind in JSON.
+            body = b'{"kind":"rule_batch","epoch":9,"rules":[]}'
+            writer.write(len(body).to_bytes(4, "big") + body)
             await asyncio.wait_for(run, timeout=5.0)  # raises what run raised
             await asyncio.gather(*tasks)
+            eof = await asyncio.wait_for(reader.read(), timeout=5.0)
             writer.close()
             server.close()
-            return agg, stages, acks, reply, errors
+            return agg, stages, acks, applied, reply, eof, errors
 
-        agg, stages, acks, reply, errors = asyncio.run(scenario())
+        agg, stages, acks, applied, reply, eof, errors = asyncio.run(scenario())
         assert [(a["kind"], a["epoch"]) for a in acks] == [
-            ("batch_ack", 1), ("batch_ack", 2)
+            ("batch_ack", e) for e in (1, 2, 3, 4, 5, 6, 8)
         ]
         assert agg.peer_addresses == [("127.0.0.1", 9)]
-        assert stages[0].rules_applied == 0
-        assert (stages[1].applied_epoch, stages[1].applied_limit) == (2, 55.0)
+        # Of six garbage batches exactly one slot was a rule: 55.0, row 2.
+        assert applied == [(-1, None), (-1, None), (5, 55.0)]
         # The well-formed request after the garbage is served in full —
-        # ids and the two per-axis vectors, nothing else per stage.
+        # the two per-axis vectors in the hello's order, nothing per stage.
         assert reply == {
-            "kind": "agg_metrics_reply", "epoch": 3, "aggregator_id": "agg-0",
-            "stage_ids": ["s-0", "s-1"],
-            "data_demands": [1000.0, 1000.0],
-            "metadata_demands": [200.0, 200.0],
+            "kind": "agg_metrics_reply", "epoch": 7, "generation": 0,
             "n_missing": 0,
+            "data_demands": [1000.0, 1000.0, 1000.0],
+            "metadata_demands": [200.0, 200.0, 200.0],
         }
+        assert [
+            (s.applied_epoch, s.applied_limit, s.applied_metadata_limit)
+            for s in stages
+        ] == [(8, 81.0, 8.0), (8, 82.0, 8.0), (8, 83.0, 8.0)]
+        # The JSON-bodied batch cut the trunk without an ack; the
+        # aggregator released its stages (reconnect=False: they ended).
+        assert eof == b""
         assert errors == []
 
     @pytest.mark.parametrize(

@@ -193,8 +193,8 @@ class TestFlushAccounting:
         async def scenario():
             meter = ComponentUsageMeter("test")
             session = _session(meter)
-            session.feed({"kind": "rule_batch", "epoch": 1, "rules": []})
-            session.feed({"kind": "rule_batch", "epoch": 2, "rules": []})
+            session.feed({"kind": "agg_collect_req", "epoch": 1})
+            session.feed({"kind": "agg_collect_req", "epoch": 2})
             # Buffered, not written: nothing charged yet.
             assert session.tx_bytes == 0
             assert meter.tx_bytes == 0
@@ -497,8 +497,8 @@ class TestGatherPhaseErrors:
     def test_out_of_band_kinds_bypass_the_phase_and_are_never_stale(self):
         async def scenario():
             session = _session()
-            session.oob_kinds = frozenset({"partition_update"})
-            update = {"kind": "partition_update", "added": []}
+            session.oob_kinds = frozenset({"partition"})
+            update = {"kind": "partition", "generation": 1, "stage_ids": []}
             _deliver(session, encode(update))
             waiter = asyncio.ensure_future(
                 gather_replies([session], "rule_ack", 1, lambda s, m: None, None)
