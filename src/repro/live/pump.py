@@ -28,6 +28,21 @@ Rules the drain keeps (asyncio's transports gave them for free):
   synchronous), so its fd number cannot come back as a new connection
   while stale events for it are still in the batch.
 
+**ACKs ride on frames.** A link's traffic is request and reply, and the
+accepting end (a controller's or aggregator's side of a session) is the
+one that hears a reply and then has nothing to say for half a cycle. Left
+alone, Linux acknowledges each such reply with a bare ACK from inside the
+``recv`` that drained it — 5,000 extra segments a cycle at 2,500 stages,
+about a quarter of the cycle — *unless* it has guessed the connection is
+interactive, which it re-guesses from whether the last send came within
+~40 ms of the last receive. A plane whose phases last about that long
+flips between the two regimes by the second (cycle medians 90 ms or
+130 ms, same work). So the accepting end says it outright: after every
+eager send it clears ``TCP_QUICKACK``, the kernel holds the next ACK for
+the frame that follows (or sends it from its 40 ms timer, off the read
+path), and a cycle is 4 segments a stage whatever its pace. The
+connecting end answers at once, so its ACKs always had a frame to ride.
+
 Errors on ``recv_into`` / ``send`` (``ECONNRESET`` and friends) lose the
 link with that exception, exactly once; EOF closes it after flushing.
 ``EPOLLHUP`` / ``EPOLLERR`` are read like ``EPOLLIN`` — ``recv_into``
@@ -100,10 +115,10 @@ class _Pump:
         self._listeners: dict = {}  # fd -> _Listener
         loop.add_reader(self._ep.fileno(), self._drain)
 
-    def attach(self, sock: socket.socket, link) -> None:
+    def attach(self, sock: socket.socket, link, delay_acks: bool = False) -> None:
         """Put ``link`` on the connected, non-blocking ``sock``."""
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        transport = _Transport(self, sock, link)
+        transport = _Transport(self, sock, link, delay_acks)
         self._links[transport._fd] = transport
         self._ep.register(transport._fd, _IN)
         try:
@@ -164,6 +179,7 @@ class _Transport:
         "_sock",
         "_fd",
         "_link",
+        "_delay_acks",
         "_buffer",
         "_pending",
         "_paused",
@@ -171,11 +187,15 @@ class _Transport:
         "_lost",
     )
 
-    def __init__(self, pump: _Pump, sock: socket.socket, link) -> None:
+    def __init__(
+        self, pump: _Pump, sock: socket.socket, link, delay_acks: bool
+    ) -> None:
         self._pump = pump
         self._sock = sock
         self._fd = sock.fileno()
         self._link = link
+        #: The accepting end (see the module docstring, "ACKs ride").
+        self._delay_acks = delay_acks
         self._buffer = link.get_buffer(-1)
         self._pending = bytearray()
         self._paused = False
@@ -192,6 +212,10 @@ class _Transport:
         if not pending:
             try:
                 sent = self._sock.send(data)
+                if self._delay_acks:
+                    # Not sticky: the kernel leaves the mode whenever a
+                    # delayed ACK times out, i.e. every phase.
+                    self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_QUICKACK, 0)
             except (BlockingIOError, InterruptedError):
                 sent = 0
             except OSError as exc:
@@ -329,7 +353,7 @@ class _Listener:
             except BaseException:  # the loop's handler logs it, like the raise above
                 conn.close()
                 raise
-            pump.attach(conn, link)
+            pump.attach(conn, link, delay_acks=True)
 
     def _resume(self) -> None:
         if self.sockets:

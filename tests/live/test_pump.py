@@ -386,6 +386,39 @@ class TestMechanism:
         # ran 802 Handles for them, the pump runs about 6.
         assert runs[0] / cycles <= 40
 
+    def test_the_accepting_end_holds_its_acks_for_the_next_frame(self):
+        """Not left to the kernel's guess (which flips with the plane's
+        pace): after a send, the accepted socket is out of quick-ACK
+        mode; the dialling end, which answers at once, is left alone."""
+
+        def quickack(link):
+            return link.transport._sock.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_QUICKACK
+            )
+
+        async def scenario():
+            rig = _Rig()
+            dialled = [FrameLink(on_frame=lambda message, nbytes: None) for _ in "ab"]
+            try:
+                for link in dialled:
+                    await pump.connect(link, *rig.address)
+                while len(rig.links) < 2:
+                    await asyncio.sleep(0)
+                # Each writes on a connection that has carried nothing yet,
+                # so the kernel has no guess of its own to make.
+                before = quickack(rig.links[0]), quickack(dialled[1])
+                rig.links[0].write(b"ping")
+                dialled[1].write(b"ping")
+                return before, (quickack(rig.links[0]), quickack(dialled[1]))
+            finally:
+                for link in dialled:
+                    link.abort()
+                rig.close()
+
+        before, after = asyncio.run(scenario())
+        assert before == (1, 1)
+        assert after == (0, 1)
+
 
 def _pumps_alive():
     gc.collect()
