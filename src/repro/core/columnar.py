@@ -15,9 +15,11 @@ column                meaning
 ``usage``             last granted IOPS (written by enforce)
 ``trust``             asymmetric EWMA of granted-and-used IOPS, scored by
                       :class:`repro.guard.trust.DemandClamp` (NaN = none yet)
-``weight``            cached QoS weight of the row's job
-``cap``               per-row metadata cap (``inf`` = uncapped)
 ====================  =====================================================
+
+QoS weights, floors and metadata caps are per *job* and live in the
+policy, not here: :class:`~repro.core.compute.ColumnarCompute` — the one
+compute path over these columns — reads them per job vector.
 
 A row is *live*, *reserved* or *dead*:
 
@@ -42,9 +44,10 @@ A row is *live*, *reserved* or *dead*:
   cached row maps invalidate.
 
 **Job order** is first registration among jobs that still have a live
-row (a job whose last row leaves and later returns goes to the tail).
-It breaks water-fill ties, so it is decided here and nowhere else:
-:meth:`job_view` is what every job-level compute path reads.
+row (a job whose last row leaves and later returns goes to the tail);
+a job held only by reserved rows follows those, in departure order. It
+breaks water-fill ties, so it is decided here and nowhere else:
+:meth:`job_view` is what every compute path reads.
 
 Reports are validated where they enter the columns (:meth:`observe`,
 :meth:`observe_rows`): a negative or non-finite axis is rejected and
@@ -66,10 +69,10 @@ __all__ = ["StageColumns"]
 _MIN_CAPACITY = 64
 
 #: Serialized column names, in wire order (see :meth:`StageColumns.to_arrays`).
-_ARRAY_COLUMNS = ("data", "meta", "ewma", "usage", "trust", "weight", "cap")
+_ARRAY_COLUMNS = ("data", "meta", "ewma", "usage", "trust")
 
 #: What a fresh row holds in each column (0.0 where not listed).
-_FRESH = {"trust": np.nan, "weight": 1.0, "cap": np.inf}
+_FRESH = {"trust": np.nan}
 
 _DEAD, _LIVE, _RESERVED = 0, 1, 2
 _INF = float("inf")
@@ -89,8 +92,6 @@ class StageColumns:
         "ewma",
         "usage",
         "trust",
-        "weight",
-        "cap",
         "_state",
         "_seen",
         "_ids",
@@ -333,11 +334,6 @@ class StageColumns:
             )
         return ids
 
-    def active_jobs(self) -> List[Optional[str]]:
-        """Job of every live row, in registration order."""
-        jobs = self._jobs
-        return [jobs[r] for r in self.active_rows().tolist()]
-
     def _gather(self, name: str) -> np.ndarray:
         arr = self._gathers.get(name)
         if arr is None:
@@ -397,6 +393,15 @@ class StageColumns:
         self._views[key] = (ids, rows)
         return rows
 
+    @staticmethod
+    def valid_reports(data_iops: np.ndarray, metadata_iops: np.ndarray) -> np.ndarray:
+        """Mask of the two-axis reports the columns take: finite and
+        non-negative on both axes (NaN fails the comparisons too)."""
+        return (
+            (data_iops >= 0.0) & (data_iops < _INF)
+            & (metadata_iops >= 0.0) & (metadata_iops < _INF)
+        )
+
     def observe_rows(self, rows: np.ndarray, data_iops, metadata_iops) -> int:
         """Vectorized :meth:`observe` over resolved rows (unique ids).
 
@@ -414,12 +419,7 @@ class StageColumns:
             self.reports_rejected += rows.size
             return int(rows.size)
         known = rows >= 0
-        # NaN fails the comparisons too.
-        keep = (
-            known
-            & (data_iops >= 0.0) & (data_iops < _INF)
-            & (metadata_iops >= 0.0) & (metadata_iops < _INF)
-        )
+        keep = known & self.valid_reports(data_iops, metadata_iops)
         rejected = 0
         if not keep.all():
             rejected = int(np.count_nonzero(known & ~keep))
@@ -459,34 +459,31 @@ class StageColumns:
         return 0.0 if row is None else float(self.ewma[row])
 
     # -- derived views ----------------------------------------------------------
-    def job_view(self) -> Tuple[List[str], np.ndarray]:
-        """``(job_ids, live row → job index)``, cached per generation.
+    def job_view(
+        self, rows: Optional[np.ndarray] = None
+    ) -> Tuple[List[str], np.ndarray]:
+        """``(job_ids, row → job index)`` over the live rows (default) or
+        over ``rows``, cached until membership — or ``rows`` — changes.
 
-        Job order is the module docstring's rule; the index vector is in
-        live-row order.
+        Job order is the module docstring's rule: the live jobs in
+        theirs, then any job ``rows`` reaches only through a reserved
+        (or just-tombstoned) row, in order of first occurrence. The
+        index vector is in row order.
         """
-        view = self._views.get("job_view")
-        if view is None:
+        key = "job_view" if rows is None else "job_view_of"
+        view = self._views.get(key)
+        if view is None or view[0] is not rows:
             job_pos = {job: i for i, job in enumerate(self._job_live)}
+            jobs = self._jobs
             index = np.array(
-                [job_pos[job] for job in self.active_jobs()], dtype=np.intp
+                [
+                    job_pos.setdefault(jobs[r], len(job_pos))
+                    for r in (self.active_rows() if rows is None else rows).tolist()
+                ],
+                dtype=np.intp,
             )
-            view = self._views["job_view"] = (list(job_pos), index)
-        return view
-
-    def stage_weights(self, policy, rows: Optional[np.ndarray] = None) -> np.ndarray:
-        """QoS weights of ``rows`` (default: the live rows).
-
-        The ``weight`` column is refreshed from ``policy`` once per
-        (membership generation, policy version); the gather itself is a
-        fancy index.
-        """
-        key = (id(policy), getattr(policy, "version", -1))
-        if self._views.get("weights_of") != key:
-            n = self._n
-            self.weight[:n] = policy.weights(self._jobs[:n])
-            self._views["weights_of"] = key
-        return self.weight[self.active_rows() if rows is None else rows]
+            view = self._views[key] = (rows, list(job_pos), index)
+        return view[1], view[2]
 
     # -- flat-array transfer ----------------------------------------------------
     def to_arrays(self) -> Dict[str, object]:
@@ -499,7 +496,7 @@ class StageColumns:
         out: Dict[str, object] = {
             "alpha": self.alpha,
             "ids": self.active_ids(),
-            "jobs": tuple(self.active_jobs()),
+            "jobs": tuple([self._jobs[r] for r in rows.tolist()]),
             "seen": self._seen[rows],
         }
         for name in _ARRAY_COLUMNS:

@@ -1,21 +1,29 @@
 """The controller compute phase over :class:`StageColumns`, and its oracle.
 
-Every job-level compute phase in this repo is the same four steps:
+Every compute phase in this repo — the simulated controllers', both live
+controllers', the partition-parallel engine's — is the same four steps:
 gather per-stage demand into vectors, reduce to per-job demand, run an
-allocation brain over jobs, split the grants back to stages.
+allocation brain over jobs (weights and floors are per job), split the
+grants back to stages. This module is the one place a brain is called
+for a control cycle.
 
 * :class:`ColumnarCompute` is the one production implementation: demand
-  lives in flat ``float64`` columns, the gather is a cached fancy-index,
-  the job index (in :meth:`StageColumns.job_view`'s order) and the QoS
-  weight / guarantee vectors are cached per (membership generation,
-  policy version) and rebuilt only when membership or policy changes.
+  lives in flat ``float64`` columns, the gather is a fancy index over the
+  live rows (the DES) or over the rows the caller names (the live planes:
+  live rows plus the *reserved* ones — evicted stages inside their grace,
+  orphans — whose share must stay allocated), the job index (in
+  :meth:`StageColumns.job_view`'s order) and the QoS weight / guarantee
+  vectors are cached and rebuilt only when membership or policy changes.
+  An optional :class:`~repro.guard.trust.DemandClamp` trims each row's
+  report to what the stage is believed to use *before* the job reduce and
+  is shown the grants after it.
 * :class:`ScalarComputeState` + :func:`scalar_allocations` are the
   retained reference: one ``MetricsWindow`` dict entry and one
   ``latest`` tuple per stage, list-comprehension gathers, the per-stage
   job-index rebuild every call. Nothing in the control planes calls
   them; ``tests/properties/test_columnar_equivalence.py`` pins the two
-  byte-identical (they call the identical vectorized brains on identical
-  arrays).
+  byte-identical (from the job reduce on they are the same code on
+  identical arrays).
 """
 
 from __future__ import annotations
@@ -57,26 +65,78 @@ def split_to_stages(
 def _allocate_jobs(
     stage_demand: np.ndarray,
     job_index: np.ndarray,
-    job_ids: Sequence[str],
-    policy,
+    n_jobs: int,
     capacity: float,
     algorithm,
-    weights: Optional[np.ndarray] = None,
-    guarantees: Optional[np.ndarray] = None,
-    use_guarantees: bool = True,
+    weights: np.ndarray,
+    guarantees: Optional[np.ndarray],
 ) -> np.ndarray:
-    n_jobs = len(job_ids)
+    """One axis: reduce to jobs, run the brain, split back to stages."""
     job_demand = np.zeros(n_jobs)
     np.add.at(job_demand, job_index, stage_demand)
-    if weights is None:
-        weights = policy.weights(job_ids)
-    if use_guarantees and guarantees is None:
-        guarantees = policy.guarantees(job_ids)
-    result = algorithm.allocate(
-        job_demand, weights, capacity, guarantees if use_guarantees else None
-    )
+    result = algorithm.allocate(job_demand, weights, capacity, guarantees)
     return split_to_stages(
         stage_demand, job_demand, result.allocations, job_index, n_jobs
+    )
+
+
+def _allocate_axes(
+    policy,
+    algorithm,
+    metadata_algorithm,
+    total: Optional[np.ndarray],
+    data: Optional[np.ndarray],
+    meta: Optional[np.ndarray],
+    job_index: np.ndarray,
+    weights: np.ndarray,
+    guarantees: np.ndarray,
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Steps two to four over per-stage demand vectors (``total`` is read
+    under an undifferentiated policy, ``data`` / ``meta`` otherwise).
+
+    Returns ``(limits, metadata_limits)``: with an undifferentiated
+    policy the first vector bounds *total* IOPS and the second is
+    ``None``; otherwise the brain runs per operation class against its
+    own budget — through ``allocate_axes`` if it has one, else twice,
+    the metadata axis on ``metadata_algorithm`` (a stateful brain must
+    not alternate axes through one instance) and without floors, which
+    are defined on the data axis.
+    """
+    n_jobs = weights.size
+    if not policy.differentiated:
+        limits = _allocate_jobs(
+            total, job_index, n_jobs, policy.allocatable_iops,
+            algorithm, weights, guarantees,
+        )
+        return limits, None
+    axes = getattr(algorithm, "allocate_axes", None)
+    if axes is None:
+        return (
+            _allocate_jobs(
+                data, job_index, n_jobs, policy.allocatable_iops,
+                algorithm, weights, guarantees,
+            ),
+            _allocate_jobs(
+                meta, job_index, n_jobs, policy.allocatable_metadata_iops,
+                metadata_algorithm if metadata_algorithm is not None else algorithm,
+                weights, None,
+            ),
+        )
+    job_data = np.zeros(n_jobs)
+    np.add.at(job_data, job_index, data)
+    job_meta = np.zeros(n_jobs)
+    np.add.at(job_meta, job_index, meta)
+    data_res, meta_res = axes(
+        job_data,
+        job_meta,
+        weights,
+        policy.allocatable_iops,
+        policy.allocatable_metadata_iops,
+        guarantees=guarantees,
+    )
+    return (
+        split_to_stages(data, job_data, data_res.allocations, job_index, n_jobs),
+        split_to_stages(meta, job_meta, meta_res.allocations, job_index, n_jobs),
     )
 
 
@@ -129,156 +189,97 @@ def scalar_allocations(
     job_order = list(job_pos)
     job_index = np.array([job_pos[j] for j in job_ids], dtype=np.intp)
 
+    total = data = meta = None
     if not policy.differentiated:
-        stage_demand = state.window.demands(stage_ids)
-        total = _allocate_jobs(
-            stage_demand, job_index, job_order, policy,
-            policy.allocatable_iops, algorithm,
-        )
-        return total, None
-
-    latest = state.latest
-    data_demand = np.array(
-        [latest[s][0] if s in latest else 0.0 for s in stage_ids]
+        total = state.window.demands(stage_ids)
+    else:
+        latest = state.latest
+        data = np.array([latest[s][0] if s in latest else 0.0 for s in stage_ids])
+        meta = np.array([latest[s][1] if s in latest else 0.0 for s in stage_ids])
+    return _allocate_axes(
+        policy, algorithm, metadata_algorithm, total, data, meta, job_index,
+        policy.weights(job_order), policy.guarantees(job_order),
     )
-    metadata_demand = np.array(
-        [latest[s][1] if s in latest else 0.0 for s in stage_ids]
-    )
-    axes = getattr(algorithm, "allocate_axes", None)
-    if axes is not None:
-        n_jobs = len(job_order)
-        job_data = np.zeros(n_jobs)
-        np.add.at(job_data, job_index, data_demand)
-        job_meta = np.zeros(n_jobs)
-        np.add.at(job_meta, job_index, metadata_demand)
-        weights = policy.weights(job_order)
-        data_res, meta_res = axes(
-            job_data,
-            job_meta,
-            weights,
-            policy.allocatable_iops,
-            policy.allocatable_metadata_iops,
-            guarantees=policy.guarantees(job_order),
-        )
-        data = split_to_stages(
-            data_demand, job_data, data_res.allocations, job_index, n_jobs
-        )
-        metadata = split_to_stages(
-            metadata_demand, job_meta, meta_res.allocations, job_index, n_jobs
-        )
-        return data, metadata
-    data = _allocate_jobs(
-        data_demand, job_index, job_order, policy,
-        policy.allocatable_iops, algorithm,
-    )
-    metadata = _allocate_jobs(
-        metadata_demand, job_index, job_order, policy,
-        policy.allocatable_metadata_iops,
-        metadata_algorithm if metadata_algorithm is not None else algorithm,
-        use_guarantees=False,
-    )
-    return data, metadata
 
 
 class ColumnarCompute:
     """Compute phase over :class:`StageColumns`.
 
     Byte-identical to :func:`scalar_allocations` on the same
-    observations: both reduce with ``np.add.at`` in row order, hand the
-    same job-ordered vectors to the same brains, and split with the same
-    expression. The columnar side just skips the per-stage Python.
+    observations: both reduce with ``np.add.at`` in row order and hand
+    the same job-ordered vectors to the same brains. The columnar side
+    just skips the per-stage Python.
     """
 
     __slots__ = ("columns", "_policy_cache")
 
     def __init__(self, columns: StageColumns) -> None:
         self.columns = columns
-        # (generation, id(policy), policy.version) -> (weights, guarantees)
-        self._policy_cache: Optional[Tuple[tuple, np.ndarray, np.ndarray]] = None
+        # (job_ids, (id(policy), policy.version), weights, guarantees)
+        self._policy_cache: Optional[tuple] = None
 
     def _job_vectors(self, policy, job_ids: List[str]):
-        key = (
-            self.columns.generation,
-            id(policy),
-            getattr(policy, "version", -1),
-        )
+        # ``job_ids`` is the columns' cached list: a new one means
+        # membership (or the rows asked about) changed.
+        key = (id(policy), getattr(policy, "version", -1))
         cached = self._policy_cache
-        if cached is not None and cached[0] == key:
-            return cached[1], cached[2]
+        if cached is not None and cached[0] is job_ids and cached[1] == key:
+            return cached[2], cached[3]
         weights = policy.weights(job_ids)
         guarantees = policy.guarantees(job_ids)
-        self._policy_cache = (key, weights, guarantees)
+        self._policy_cache = (job_ids, key, weights, guarantees)
         return weights, guarantees
 
     def allocations(
-        self, policy, algorithm, metadata_algorithm=None
+        self,
+        policy,
+        algorithm,
+        metadata_algorithm=None,
+        rows: Optional[np.ndarray] = None,
+        clamp=None,
     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        cols = self.columns
-        if cols.n_active == 0:
-            return np.zeros(0), None
-        job_ids, job_index = cols.job_view()
-        weights, guarantees = self._job_vectors(policy, job_ids)
+        """``(limits, metadata_limits | None)``, one entry per live row
+        in registration order, or per entry of ``rows``.
 
-        if not policy.differentiated:
-            total = _allocate_jobs(
-                cols.ewma_active(), job_index, job_ids, policy,
-                policy.allocatable_iops, algorithm,
-                weights=weights, guarantees=guarantees,
-            )
-            return total, None
-
-        data_demand = cols.data_active()
-        metadata_demand = cols.meta_active()
-        axes = getattr(algorithm, "allocate_axes", None)
-        if axes is not None:
-            n_jobs = len(job_ids)
-            job_data = np.zeros(n_jobs)
-            np.add.at(job_data, job_index, data_demand)
-            job_meta = np.zeros(n_jobs)
-            np.add.at(job_meta, job_index, metadata_demand)
-            data_res, meta_res = axes(
-                job_data,
-                job_meta,
-                weights,
-                policy.allocatable_iops,
-                policy.allocatable_metadata_iops,
-                metadata_caps=self._job_caps(job_index, n_jobs),
-                guarantees=guarantees,
-            )
-            data = split_to_stages(
-                data_demand, job_data, data_res.allocations, job_index, n_jobs
-            )
-            metadata = split_to_stages(
-                metadata_demand, job_meta, meta_res.allocations,
-                job_index, n_jobs,
-            )
-            return data, metadata
-        data = _allocate_jobs(
-            data_demand, job_index, job_ids, policy,
-            policy.allocatable_iops, algorithm,
-            weights=weights, guarantees=guarantees,
-        )
-        metadata = _allocate_jobs(
-            metadata_demand, job_index, job_ids, policy,
-            policy.allocatable_metadata_iops,
-            metadata_algorithm if metadata_algorithm is not None else algorithm,
-            weights=weights, use_guarantees=False,
-        )
-        return data, metadata
-
-    def _job_caps(
-        self, job_index: np.ndarray, n_jobs: int
-    ) -> Optional[np.ndarray]:
-        """Per-job metadata caps from the ``cap`` column (min over rows).
-
-        Returns ``None`` when every row is uncapped — the default — so
-        brains fall back to their built-in cap fraction exactly as the
-        scalar controller path does.
+        ``clamp`` (a :class:`~repro.guard.trust.DemandClamp` scoring
+        these columns) believes a row's report only up to a multiple of
+        what the stage has been using. It scores *total* demand, so a
+        trimmed report shrinks both axes by the same ratio — the liar's
+        split is preserved, its magnitude is not — and the cycle's
+        grants are folded back into the scores.
         """
         cols = self.columns
-        row_caps = cols.cap[cols.active_rows()]
-        if not np.any(np.isfinite(row_caps)):
-            return None
-        job_caps = np.full(n_jobs, np.inf)
-        np.minimum.at(job_caps, job_index, row_caps)
-        return job_caps
+        if (cols.n_active if rows is None else rows.size) == 0:
+            return np.zeros(0), None
+        live = rows is None
+        job_ids, job_index = cols.job_view(rows)
+        if live:
+            rows = cols.active_rows()
+        # Only the vectors this policy (and the clamp) will read.
+        total = data = meta = None
+        if not policy.differentiated:
+            total = cols.ewma_active() if live else cols.ewma[rows]
+        if policy.differentiated or clamp is not None:
+            data = cols.data_active() if live else cols.data[rows]
+            meta = cols.meta_active() if live else cols.meta[rows]
+        if clamp is not None:
+            reported = data + meta
+            believed = clamp.clamp(rows, reported)
+            trimmed = believed < reported
+            if trimmed.any():
+                ratio = np.divide(
+                    believed, reported, out=np.ones_like(reported), where=trimmed
+                )
+                data, meta = data * ratio, meta * ratio
+                if total is not None:
+                    total = np.where(trimmed, data + meta, total)
+        weights, guarantees = self._job_vectors(policy, job_ids)
+        limits, meta_limits = _allocate_axes(
+            policy, algorithm, metadata_algorithm, total, data, meta,
+            job_index, weights, guarantees,
+        )
+        if clamp is not None:
+            clamp.observe(
+                rows, reported, limits if meta_limits is None else limits + meta_limits
+            )
+        return limits, meta_limits

@@ -1,6 +1,8 @@
 """A real (non-simulated) deployment of the control plane.
 
-Everything in :mod:`repro.core` above the transport is reused — PSFA, the
+Everything in :mod:`repro.core` above the transport is reused — the
+compute phase (:class:`~repro.core.compute.ColumnarCompute`: per-job
+demand, weights and floors, the brain, the split back to stages), the
 policy model, rule/metric semantics — but here the controller and the
 virtual stages are genuine asyncio TCP services exchanging length-prefixed
 messages over localhost. This validates that the control plane is real

@@ -1,9 +1,12 @@
 """Live aggregator controller: the hierarchical design over real TCP.
 
-A :class:`LiveAggregator` is simultaneously a server (stages connect to it
-and register, exactly as they would to a flat controller) and a client (it
-registers upstream with the global controller once its partition is
-complete). Per control cycle it
+A :class:`LiveAggregator` is a :class:`~repro.live.fan.StageFan` plus an
+uplink: simultaneously a server (stages connect to it and register,
+exactly as they would to a flat controller) and a client (it registers
+upstream with the global controller once its partition is complete).
+Everything stage-facing — registration, eviction, the slot order, the
+two fan-out / fan-in phases — is the fan's; what is written here is the
+trunk. Per control cycle it
 
 1. receives ``agg_collect_req`` from the global controller,
 2. fans ``collect_req`` out to its stages and gathers replies,
@@ -50,34 +53,19 @@ telling them to stop) so they re-home through their reconnect loops.
 from __future__ import annotations
 
 import asyncio
-from array import array
 from collections import deque
-from itertools import repeat
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.live import pump
 from repro.live.codec import pack_rows
-from repro.live.protocol import (
-    FrameLink,
-    accept_backlog,
-    encode,
-    hello_error,
-)
-from repro.live.sessions import (
-    PhaseDriver,
-    SessionClosed,
-    StageSession,
-    collect_request,
-)
-from repro.obs.spans import NullSpanTracer
+from repro.live.fan import StageFan
+from repro.live.protocol import FrameLink, encode
+from repro.live.sessions import SessionClosed, StageSession
 
 __all__ = ["LiveAggregator"]
 
 
-_INF = float("inf")
-
-
-class LiveAggregator(PhaseDriver):
+class LiveAggregator(StageFan):
     """One aggregator: serves a stage partition, reports upstream."""
 
     def __init__(
@@ -97,43 +85,26 @@ class LiveAggregator(PhaseDriver):
     ) -> None:
         if expected_stages < 0:
             raise ValueError(f"expected_stages must be >= 0: {expected_stages}")
-        for name, value in (
-            ("collect_timeout_s", collect_timeout_s),
-            ("enforce_timeout_s", enforce_timeout_s),
-        ):
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be positive: {value}")
+        # The fan's order — the session behind each slot of a trunk
+        # vector — goes upstream under its generation whenever it moves;
+        # its two demand arrays are the ``agg_metrics_reply``'s vectors.
+        super().__init__(
+            expected_stages,
+            host,
+            port,
+            collect_timeout_s,
+            enforce_timeout_s,
+            span_tracer,
+            usage_meter,
+            metrics,
+            session_outbox_bytes,
+            "aggregator",
+        )
         self.aggregator_id = aggregator_id
         self.global_host = global_host
         self.global_port = global_port
         self.expected_stages = expected_stages
-        self.host = host
-        self.port = port
-        self.collect_timeout_s = collect_timeout_s
-        self.enforce_timeout_s = (
-            enforce_timeout_s if enforce_timeout_s is not None else collect_timeout_s
-        )
-        #: Per-stage-session outbound bound (bytes); None = unbounded.
-        #: Same contract as the controllers: enable with phase deadlines.
-        self.session_outbox_bytes = session_outbox_bytes
-        self.tracer = span_tracer if span_tracer is not None else NullSpanTracer()
-        self.meter = usage_meter
-        self.metrics = metrics
-        # Resolved once; registry lookups are too slow per cycle.
-        if metrics is not None:
-            self._m_cycles = metrics.counter(
-                "repro_cycles_total", "control cycles completed", role="aggregator"
-            )
-            self._m_evictions = metrics.counter(
-                "repro_evictions_total",
-                "sessions dropped after their socket died",
-                role="aggregator",
-            )
-        self.sessions: Dict[str, StageSession] = {}
         self.cycles_served = 0
-        self.evictions = 0
-        self._outbox_shed_evicted = 0
-        self.registrations_rejected = 0
         #: Live peer aggregators ``(host, port)`` from the last topology
         #: frame, excluding this aggregator — the stages' rehome targets.
         self.peer_addresses: List[Tuple[str, int]] = []
@@ -142,23 +113,6 @@ class LiveAggregator(PhaseDriver):
         #: Stages adopted after upstream registration (orphans re-homed
         #: here), announced upstream in the next ``partition`` frame.
         self.adoptions = 0
-        #: The partition's order — the session behind each slot of a
-        #: trunk vector — as last shipped upstream under
-        #: :attr:`_generation`. A session evicted since keeps its slot
-        #: (dead, at last-known demand) until the next :meth:`_reorder`.
-        self._order: List[StageSession] = []
-        self._generation = 0
-        #: Membership changed since the order was shipped.
-        self._order_stale = False
-        #: Last-known demand per slot, per axis: replies land here, and
-        #: the two arrays are the ``agg_metrics_reply``'s vectors as is.
-        self._data = array("d")
-        self._meta = array("d")
-        #: The :func:`repro.live.pump.listen` listener while started.
-        self._server = None
-        self._all_registered = asyncio.Event()
-        if expected_stages == 0:  # hot spare: nothing to wait for
-            self._all_registered.set()
         self._stop = asyncio.Event()
         self._paused = asyncio.Event()
         self._paused.set()
@@ -213,10 +167,7 @@ class LiveAggregator(PhaseDriver):
         self._killed = True
         if self._up is not None:
             self._up.abort()
-        for session in list(self.sessions.values()):
-            session.abort()
-        if self._server is not None:
-            self._server.close()
+        super().kill()
 
     def pause(self) -> None:
         """Stall: stop handling upstream frames; sockets stay open."""
@@ -257,88 +208,18 @@ class LiveAggregator(PhaseDriver):
                 self._evict(session)
 
     # -- lifecycle ----------------------------------------------------------
-    async def start(self) -> None:
-        """Listen for stage registrations; ``self.port`` gets the bound port."""
-        self._server = pump.listen(
-            FrameLink.accepting(self._on_hello),
-            self.host,
-            self.port,
-            accept_backlog(self.expected_stages),
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-
-    def _on_hello(self, link: FrameLink, hello: dict) -> None:
-        if not self._server.sockets:
-            # Accepted before kill() / the end of run(), greeted after:
-            # nobody is home to serve the stage.
-            link.abort()
-            return
-        if hello.get("kind") != "register":
-            link.close()
-            return
-        stage_id = hello.get("stage_id")
-        job_id = hello.get("job_id")
-        error = hello_error(hello, ids=("stage_id", "job_id"))
-        if error is None and stage_id in self.sessions:
-            error = f"stage_id already registered: {stage_id}"
-        if error is not None:
-            self.registrations_rejected += 1
-            link.write(encode({"kind": "register_error", "reason": error}))
-            link.close()
-            return
-        session = StageSession(stage_id, job_id, link, meter=self.meter)
-        session.outbox.max_bytes = self.session_outbox_bytes
-        self.sessions[session.stage_id] = session
-        # Late joiners get the current alternate list with the ack, so a
-        # re-homed orphan is immediately armed against *this* home dying.
-        ack: dict = {"kind": "registered"}
-        if self.peer_addresses:
-            ack["alternates"] = self._alternates_for(len(self.sessions) - 1)
-        link.write(encode(ack))
-        if len(self.sessions) >= self.expected_stages:
-            self._all_registered.set()
-        # A registration after the upstream link is up is an adoption
-        # (an orphan re-homing here, or one of our own stages returning
-        # on a fresh socket): the next collect ships the new order.
-        self._order_stale = True
+    def _welcome(self, session: StageSession) -> None:
+        # A registration after the upstream link is up is an adoption (an
+        # orphan re-homing here, or one of our own stages returning on a
+        # fresh socket): the next collect ships the new order.
         if self._up is not None:
             self.adoptions += 1
-
-    def _evict(self, session: StageSession) -> None:
-        if self.sessions.get(session.stage_id) is session:
-            del self.sessions[session.stage_id]
-            self._order_stale = True
-            self.evictions += 1
-            self._outbox_shed_evicted += session.outbox.frames_shed
-            if self.metrics is not None:
-                self._m_evictions.inc()
-        session.close()
-
-    @property
-    def outbox_frames_shed(self) -> int:
-        """Frames shed across stage sessions, living and evicted."""
-        return self._outbox_shed_evicted + sum(
-            s.outbox.frames_shed for s in self.sessions.values()
-        )
-
-    def _reorder(self) -> Dict[str, List[str]]:
-        """Lay the live sessions out in id order, carrying each one's
-        last-known demand to its new slot; returns the order's ids, the
-        way a hello or ``partition`` frame spells them."""
-        order = [self.sessions[s] for s in sorted(self.sessions)]
-        data = array("d", bytes(8 * len(order)))
-        meta = array("d", bytes(8 * len(order)))
-        for row, session in enumerate(order):
-            if session.row >= 0:
-                data[row] = self._data[session.row]
-                meta[row] = self._meta[session.row]
-            session.row = row
-        self._order, self._data, self._meta = order, data, meta
-        self._order_stale = False
-        return {
-            "stage_ids": [s.stage_id for s in order],
-            "job_ids": [s.job_id for s in order],
-        }
+        # Late joiners get the current alternate list with the ack, so a
+        # re-homed orphan is immediately armed against *this* home dying.
+        fields = {}
+        if self.peer_addresses:
+            fields["alternates"] = self._alternates_for(len(self.sessions) - 1)
+        super()._welcome(session, **fields)
 
     async def run(self, stage_timeout_s: float = 30.0) -> None:
         """Register upstream once the partition is complete, then serve."""
@@ -349,11 +230,12 @@ class LiveAggregator(PhaseDriver):
             )
             await pump.connect(up, self.global_host, self.global_port)
             self._up = up
+            self.reorder()  # generation 0
             self._send_up(
                 {
                     "kind": "register_aggregator",
                     "aggregator_id": self.aggregator_id,
-                    **self._reorder(),  # generation 0
+                    **self.order_ids(),
                     "host": self.host,
                     "port": self.port,
                 },
@@ -372,16 +254,16 @@ class LiveAggregator(PhaseDriver):
         finally:
             self._up = None
             self._up_frames.clear()
-            if self._server is not None:
-                self._server.close()
             # Deliberate shutdown: take the stages down with us. Upstream
             # lost (global death, our kill): *release* them — close their
             # sockets without a shutdown frame so their reconnect loops
             # re-home them to live aggregators.
+            if self._server is not None:
+                self._server.close()
             self._close_sessions(
                 {"kind": "shutdown"} if self._stop.is_set() else None
             )
-            self._order = []  # closed with the rest: nothing to keep alive
+            self.order = []  # closed with the rest: nothing to keep alive
             up.close()
 
     async def _handle(self, message) -> None:
@@ -408,36 +290,25 @@ class LiveAggregator(PhaseDriver):
         # The one point the order moves: whatever came and went since the
         # last collect costs one ``partition`` frame, written ahead of the
         # reply laid out for it (TCP keeps them in that order).
-        if self._order_stale:
-            ids = self._reorder()
-            self._generation = (self._generation + 1) & 0xFFFFFFFF
+        if self.order_stale:
+            self.reorder()
             self._send_up(
                 {
                     "kind": "partition",
                     "aggregator_id": self.aggregator_id,
-                    "generation": self._generation,
-                    **ids,
+                    "generation": self.order_generation,
+                    **self.order_ids(),
                 }
             )
-        data, meta = self._data, self._meta
-
-        def on_reply(s: StageSession, reply: tuple) -> None:
-            row = s.row
-            data[row] = reply[2]
-            meta[row] = reply[3]
-
-        absent, _ = await self._phase(
-            self._order, collect_request(epoch),
-            "metrics_reply", epoch, on_reply, self.collect_timeout_s,
-        )
+        absent, _ = await self.collect(epoch, self.collect_timeout_s)
         # Report the full partition upstream — absent stages ride at their
         # last-known demand and are counted so the global controller's
         # degraded-cycle accounting sees through the aggregation.
         with self._cpu():
             self._write_up(
                 pack_rows(
-                    "agg_metrics_reply", epoch, self._generation,
-                    data, meta, n_missing=len(absent),
+                    "agg_metrics_reply", epoch, self.order_generation,
+                    self.slot_data, self.slot_meta, n_missing=len(absent),
                 )
             )
         if self.tracer.enabled:
@@ -449,30 +320,13 @@ class LiveAggregator(PhaseDriver):
     async def _distribute(self, batch: tuple) -> None:
         _, epoch, generation, _, limits, meta_limits = batch
         started = self.tracer.now()
-        forwarded: List[StageSession] = []
+        n_rules = 0
         # An outside frame: vectors laid out for an order this aggregator
-        # does not hold name nobody — nothing to forward, still acked. A
-        # slot that is not a finite, non-negative limit on every axis it
-        # carries (``NaN`` = no rule for this row) is left out.
-        if generation == self._generation and len(limits) == len(self._order):
-            for session, limit, meta in zip(
-                self._order,
-                limits.tolist(),
-                repeat(None) if meta_limits is None else meta_limits.tolist(),
-            ):
-                if (
-                    0.0 <= limit < _INF
-                    and (meta is None or 0.0 <= meta < _INF)
-                    and session.connected
-                ):
-                    session.rule = (epoch, limit, meta)
-                    forwarded.append(session)
-        # Written through like the flat plane's rules: superseded by the
-        # next epoch's; a missing ack resolves through the enforce deadline.
-        await self._phase(
-            forwarded, StageSession.send_rule,
-            "rule_ack", epoch, None, self.enforce_timeout_s,
-        )
+        # does not hold name nobody — nothing to forward, still acked.
+        if generation == self.order_generation and len(limits) == len(self.order):
+            _, _, n_rules = await self.distribute(
+                epoch, limits, meta_limits, self.enforce_timeout_s
+            )
         with self._cpu():
             self._send_up(
                 {
@@ -484,5 +338,5 @@ class LiveAggregator(PhaseDriver):
         if self.tracer.enabled:
             self.tracer.emit(
                 "enforce", started, self.tracer.now() - started,
-                parent="cycle", epoch=epoch, n_rules=len(forwarded),
+                parent="cycle", epoch=epoch, n_rules=n_rules,
             )

@@ -1,9 +1,20 @@
 """Live global controller: an asyncio TCP server running control cycles.
 
 The same collect → compute → enforce loop as the simulated
-:class:`~repro.core.controller.GlobalController`, timed with the
-wall clock and executing the *same* PSFA implementation
-(:class:`repro.core.algorithms.psfa.PSFA`) over the collected demand.
+:class:`~repro.core.controller.GlobalController`, timed with the wall
+clock and computing through the *same*
+:class:`~repro.core.compute.ColumnarCompute` — per-job demand, weights
+and floors, the brain over jobs, grants split back to stages — over the
+collected demand. The two designs differ only in who talks to the
+stages. The flat controller does: it is a
+:class:`~repro.live.fan.StageFan`, its one local partition. The
+hierarchical one talks to aggregators, each a fan of its own behind a
+trunk. Either way a cycle scatters every partition's demand vectors into
+the columns through its aligned rows (one ``observe_rows`` per
+partition), computes once over the live and reserved rows
+(``_compute_grant``) and gathers every partition's limits back out
+through the same rows (``_grant_batch``, which is also where changed-only
+enforcement withholds what did not move).
 
 Failure semantics match the simulated plane (paper §VI dependability):
 
@@ -32,46 +43,40 @@ from __future__ import annotations
 import asyncio
 import copy
 import time
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.algorithms.base import ControlAlgorithm
 from repro.core.algorithms.psfa import PSFA
 from repro.core.columnar import StageColumns
+from repro.core.compute import ColumnarCompute
 from repro.core.cycle import ControlCycle
 from repro.core.policies import QoSPolicy
-from repro.live import pump
 from repro.live.codec import pack_rows
-from repro.live.protocol import (
-    FrameLink,
-    accept_backlog,
-    encode,
-    hello_error,
-)
+from repro.live.fan import StageFan
+from repro.live.protocol import FrameLink, hello_error
 from repro.live.sessions import (
-    PhaseDriver,
     Session,
     SessionClosed,
+    SessionHost,
     StageSession,
-    collect_request,
 )
-from repro.obs.spans import NullSpanTracer
 
 __all__ = ["LiveGlobalController", "LiveHierGlobalController"]
 
 
-class _LiveControllerBase(PhaseDriver):
-    """Registration, eviction, and teardown shared by both designs."""
-
-    #: ``kind`` a valid hello frame must carry (set by subclasses).
-    _register_kind = "register"
+class _LiveControllerBase(SessionHost):
+    """What both designs share on top of hosting sessions: the columns,
+    the one compute, the grant helper, cycle records and the standby's
+    heartbeat intake."""
 
     #: Role label used on metric series ("global" | "hier-global").
     _role = "global"
 
     def __init__(
         self,
+        expected: int,
         policy: QoSPolicy,
         algorithm: Optional[ControlAlgorithm],
         host: str,
@@ -94,14 +99,18 @@ class _LiveControllerBase(PhaseDriver):
             raise ValueError(
                 f"negative rule change tolerance: {rule_change_tolerance}"
             )
-        for name, value in (
-            ("collect_timeout_s", collect_timeout_s),
-            ("enforce_timeout_s", enforce_timeout_s),
-        ):
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be positive: {value}")
-        self.host = host
-        self.port = port
+        super().__init__(
+            expected,
+            host,
+            port,
+            collect_timeout_s,
+            enforce_timeout_s,
+            span_tracer,
+            usage_meter,
+            metrics,
+            session_outbox_bytes,
+            self._role,
+        )
         self.policy = policy
         self.algorithm = algorithm or PSFA()
         #: Separate algorithm instance for the metadata axis when the
@@ -110,10 +119,6 @@ class _LiveControllerBase(PhaseDriver):
         #: instance. Stateless brains don't care; PADLL-style brains are
         #: driven through ``allocate_axes`` instead.
         self.metadata_algorithm = copy.deepcopy(self.algorithm)
-        self.collect_timeout_s = collect_timeout_s
-        self.enforce_timeout_s = (
-            enforce_timeout_s if enforce_timeout_s is not None else collect_timeout_s
-        )
         #: Ship only rules whose limit moved by more than
         #: ``rule_change_tolerance`` (relative) since the last one sent —
         #: the live counterpart of the sim's changed-only enforce ablation.
@@ -128,9 +133,7 @@ class _LiveControllerBase(PhaseDriver):
         #: fancy index, and a stage that left the tree but still enforces
         #: its last rule keeps a *reserved* row.
         self.columns = StageColumns()
-        self.tracer = span_tracer if span_tracer is not None else NullSpanTracer()
-        self.meter = usage_meter
-        self.metrics = metrics
+        self._compute = ColumnarCompute(self.columns)
         #: Optional :class:`repro.guard.DegradationLadder` — fed each
         #: cycle's degraded flag; its multipliers tighten the collect
         #: deadline and (at the top rung) force changed-only enforcement.
@@ -139,28 +142,16 @@ class _LiveControllerBase(PhaseDriver):
         self.degradation = degradation
         #: Optional :class:`repro.guard.DemandClamp` — caps each reported
         #: demand at a multiple of that stage's observed usage before
-        #: PSFA runs ("no false allocation" against demand liars). Also
-        #: share one instance across generations.
+        #: the brain runs ("no false allocation" against demand liars).
+        #: Also share one instance across generations.
         self.demand_clamp = demand_clamp
         if demand_clamp is not None:
             demand_clamp.attach(self.columns)
-        #: Per-session outbound-buffer bound (bytes); None = unbounded.
-        #: Only enable together with phase deadlines — a shed rule means
-        #: a missing ack, which needs ``enforce_timeout_s`` to resolve.
-        self.session_outbox_bytes = session_outbox_bytes
-        #: Shed counts carried over from evicted sessions (monotone).
-        self._outbox_shed_evicted = 0
-        self._outbox_shed_bytes_evicted = 0
-        self.sessions: Dict[str, Session] = {}
         self.cycles: List[ControlCycle] = []
         # Boot-from-store resume floor: a controller restored from a
         # durable store starts above its last durable epoch so stage-side
         # fencing accepts its rules and discards any pre-crash stragglers.
         self.epoch = initial_epoch
-        #: Sessions evicted because their socket died mid-cycle.
-        self.evictions = 0
-        #: Registrations rejected (duplicate id, malformed hello).
-        self.registrations_rejected = 0
         # (stage ids, data limits) of the newest compute phase, in step.
         self._last_grants: tuple = ((), ())
         #: Standby-side heartbeat intake (see repro.live.failover): a
@@ -169,16 +160,8 @@ class _LiveControllerBase(PhaseDriver):
         self.last_heartbeat_at: Optional[float] = None
         self.last_primary_epoch = 0
         self.heartbeats_received = 0
-        #: The :func:`repro.live.pump.listen` listener while started.
-        self._server = None
-        self._all_registered = asyncio.Event()
-        # Instruments resolved once — registry lookups (label-key sort +
-        # dict walk) are too slow for a per-cycle hot path.
         if metrics is not None:
             role = self._role
-            self._m_cycles = metrics.counter(
-                "repro_cycles_total", "control cycles completed", role=role
-            )
             self._m_degraded = metrics.counter(
                 "repro_degraded_cycles_total",
                 "cycles run on partial metrics or past a deadline",
@@ -204,11 +187,6 @@ class _LiveControllerBase(PhaseDriver):
                 )
                 for phase in ("collect", "compute", "enforce")
             }
-            self._m_evictions = metrics.counter(
-                "repro_evictions_total",
-                "sessions dropped after their socket died",
-                role=role,
-            )
             self._m_outbox_shed = metrics.gauge(
                 "repro_outbox_frames_shed",
                 "frames shed from bounded session outboxes (cumulative)",
@@ -235,19 +213,19 @@ class _LiveControllerBase(PhaseDriver):
                 role=role,
             )
 
-    def _record_cycle(self, cycle: ControlCycle, started: float) -> None:
+    def _record_cycle(self, cycle: ControlCycle) -> None:
         """Append the record and emit its spans/metrics (obs enabled)."""
         self.cycles.append(cycle)
         tracer = self.tracer
         if tracer.enabled:
-            t = started
+            t = cycle.started_at
             for phase in ("collect", "compute", "enforce"):
                 dur = cycle.phase(phase)
                 tracer.emit(phase, t, dur, parent="cycle", epoch=cycle.epoch)
                 t += dur
             tracer.emit(
                 "cycle",
-                started,
+                cycle.started_at,
                 cycle.total_s,
                 epoch=cycle.epoch,
                 n_stages=cycle.n_stages,
@@ -281,19 +259,6 @@ class _LiveControllerBase(PhaseDriver):
         probe); built on demand so the cycle itself pays nothing for it."""
         return dict(zip(*self._last_grants))
 
-    @property
-    def outbox_frames_shed(self) -> int:
-        """Frames shed across all sessions, living and evicted (monotone)."""
-        return self._outbox_shed_evicted + sum(
-            s.outbox.frames_shed for s in self.sessions.values()
-        )
-
-    @property
-    def outbox_bytes_shed(self) -> int:
-        return self._outbox_shed_bytes_evicted + sum(
-            s.outbox.bytes_shed for s in self.sessions.values()
-        )
-
     def _effective_collect_timeout(self) -> Optional[float]:
         """Collect deadline after the degradation ladder's tightening."""
         timeout = self.collect_timeout_s
@@ -322,86 +287,58 @@ class _LiveControllerBase(PhaseDriver):
         if self.demand_clamp is not None:
             self.demand_clamp.inherit(stage_id, row)
 
-    def _allocate(self, rows: np.ndarray):
-        """Gather ``rows``' demand and weights and run the brain(s) over
-        them: ``(data limits, metadata limits | None)``, one entry per row.
+    def _compute_grant(self, rows: np.ndarray) -> Tuple[np.ndarray, bool, np.ndarray]:
+        """The compute phase over ``rows`` (the live rows and the
+        reserved ones — departed stages still out there enforcing their
+        last rule hold their share, at last-known demand).
 
-        With a trust clamp, a reported demand is only believed up to a
-        multiple of what the stage has been using. The clamp scores
-        *total* demand, so a trimmed report shrinks both axes by the
-        same ratio (the liar's split is preserved, its magnitude is
-        not), and the cycle's grants are folded back into the scores.
+        Returns ``(data limits per entry of rows, whether there are
+        metadata limits, grant)``. ``grant`` is the limits by column
+        row, ``(2, n)``: data over metadata, ``NaN`` where there is none
+        — and one spare ``NaN`` column at the end, so that row -1 (a slot
+        that is not ours) reads "no rule".
         """
-        policy = self.policy
-        clamp = self.demand_clamp
-        columns = self.columns
-        data = columns.data[rows]
-        meta = columns.meta[rows]
-        weights = columns.stage_weights(policy, rows)
-        if clamp is not None:
-            reported = data + meta
-            believed = clamp.clamp(rows, reported)
-            trimmed = believed < reported
-            if trimmed.any():
-                ratio = np.divide(
-                    believed, reported, out=np.ones_like(reported), where=trimmed
-                )
-                data, meta = data * ratio, meta * ratio
-        meta_limits = None
-        if not policy.differentiated:
-            limits = self.algorithm.allocate(
-                data + meta, weights, policy.allocatable_iops
-            ).allocations
-        else:
-            axes = getattr(self.algorithm, "allocate_axes", None)
-            if axes is not None:
-                data_result, meta_result = axes(
-                    data,
-                    meta,
-                    weights,
-                    policy.allocatable_iops,
-                    policy.allocatable_metadata_iops,
-                )
-            else:
-                data_result = self.algorithm.allocate(
-                    data, weights, policy.allocatable_iops
-                )
-                meta_result = self.metadata_algorithm.allocate(
-                    meta, weights, policy.allocatable_metadata_iops
-                )
-            limits, meta_limits = data_result.allocations, meta_result.allocations
-        if clamp is not None:
-            clamp.observe(
-                rows, reported, limits if meta_limits is None else limits + meta_limits
-            )
-        return limits, meta_limits
+        limits, meta_limits = self._compute.allocations(
+            self.policy, self.algorithm, self.metadata_algorithm,
+            rows=rows, clamp=self.demand_clamp,
+        )
+        n_rows = int(rows.max()) + 1 if rows.size else 0
+        grant = np.full((2, n_rows + 1), np.nan)
+        grant[0, rows] = limits
+        if meta_limits is not None:
+            grant[1, rows] = meta_limits
+        return limits, meta_limits is not None, grant
 
-    def _suppress(self, previous: Optional[tuple], limit, meta_limit) -> bool:
-        """Changed-only verdict for one rule against the last one shipped.
+    def _grant_batch(
+        self, grant: np.ndarray, aligned: np.ndarray, shipped: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """One partition's rules out of ``grant``: ``(batch, shipped')``.
 
-        ``previous`` is ``(rule-epoch, data limit, metadata limit)``.
-        Unchanged within tolerance on every axis: the stage keeps
-        enforcing its cached rule-epoch and the suppression is counted.
+        ``aligned`` is the column row behind each slot of the partition's
+        order (-1: not ours), ``shipped`` what was last put on the wire
+        per slot; both it and ``batch`` are ``(2, n slots)``, data over
+        metadata limits, ``NaN`` for none. One gather through the rows; a
+        stage that got its row since compute has no limit yet and, like a
+        slot that is not ours, waits for the next cycle's rules. Under
+        changed-only enforcement a limit that did not move is withheld —
+        ``NaN`` in the batch, its stage keeps enforcing its cached rule.
+        ``shipped'`` is the diff record *if the batch goes out*: the
+        caller commits it only then (a batch that died with its socket
+        must re-ship).
         """
-        if previous is None:
-            return False
-        tolerance = self.rule_change_tolerance
-        prev_limit, prev_meta = previous[1], previous[2]
-        if abs(limit - prev_limit) > tolerance * max(abs(prev_limit), 1e-9):
-            return False
-        if meta_limit is None or prev_meta is None:
-            if meta_limit is not prev_meta:
-                return False
-        elif abs(meta_limit - prev_meta) > tolerance * max(abs(prev_meta), 1e-9):
-            return False
-        self.rules_suppressed += 1
-        if self.metrics is not None:
-            self._m_suppressed.inc()
-        return True
+        n_rows = grant.shape[1] - 1
+        batch = grant[:, np.where(aligned < n_rows, aligned, -1)]
+        ship = ~np.isnan(batch[0])
+        if self._effective_changed_only():
+            ship &= ~self._suppress_rows(shipped, batch)
+            batch = np.where(ship, batch, np.nan)
+        return batch, np.where(ship, batch, shipped)
 
     def _suppress_rows(self, shipped: np.ndarray, limits: np.ndarray) -> np.ndarray:
-        """:meth:`_suppress` over a whole partition: the mask of rows
-        whose rule is withheld, counted the same.
+        """Changed-only verdict over a whole partition: the mask of
+        slots whose rule is withheld — unchanged within
+        ``rule_change_tolerance`` (relative) on every axis since the last
+        one shipped — counted into ``rules_suppressed`` and the metric.
 
         Both arguments are ``(2, n)``: data limits over metadata limits,
         ``NaN`` where there is none (``shipped``: nothing shipped yet, or
@@ -422,70 +359,20 @@ class _LiveControllerBase(PhaseDriver):
                 self._m_suppressed.inc(n)
         return withheld
 
-    # -- lifecycle ----------------------------------------------------------
-    async def start(self) -> None:
-        """Start listening; ``self.port`` holds the bound port."""
-        # Every expected child may connect in the same instant (a
-        # harness starting its fleet, a mass re-home): size the accept
-        # queue for that, not for asyncio's default of 100, or the
-        # overflow strands half-open registrations for a TCP RTO wave.
-        self._server = pump.listen(
-            FrameLink.accepting(self._on_hello),
-            self.host,
-            self.port,
-            accept_backlog(self._expected),
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-
-    async def shutdown(self) -> None:
-        """Tell children to stop, flush the frames, and close the server."""
-        self._close_sessions({"kind": "shutdown"})
-        if self._server is not None:
-            self._server.close()
-
-    def kill(self) -> None:
-        """Die abruptly: abort every child socket, stop listening.
-
-        The live counterpart of killing the controller process — children
-        see EOF (not a ``shutdown`` frame) and their reconnect loops
-        rotate to alternate addresses (e.g. the hot standby).
-        """
-        for session in list(self.sessions.values()):
-            session.abort()
-        if self._server is not None:
-            self._server.close()
-
     @property
     def stale_messages(self) -> int:
         """Frames dropped as stale across all live sessions."""
         return sum(s.stale_messages for s in self.sessions.values())
 
-    # -- registration -------------------------------------------------------
-    def _on_hello(self, link: FrameLink, hello: dict) -> None:
-        if not self._server.sockets:
-            # Accepted before kill() / shutdown(), greeted after: nobody
-            # is home, and a registration now would be served by the dead.
-            link.abort()
-            return
+    # -- standby-side heartbeat intake --------------------------------------
+    def _on_other_hello(self, link: FrameLink, hello: dict) -> None:
+        """A hello that registers nobody: a primary's heartbeat stream
+        (this side is its standby), or a stranger, who is shown out."""
         if hello.get("kind") == "heartbeat":
             link.on_frame = self._on_heartbeat
             self._on_heartbeat(hello, 0)
-            return
-        if hello.get("kind") != self._register_kind:
+        else:
             link.close()
-            return
-        error = self._validate_hello(hello)
-        if error is not None:
-            self._reject(link, error)
-            return
-        # From here on the session owns the link: every later frame goes
-        # through its routing, in the same parse pass as this hello.
-        session = self._make_session(hello, link)
-        self.sessions[session.peer_id] = session
-        link.write(encode({"kind": "registered"}))
-        if len(self.sessions) >= self._expected:
-            self._all_registered.set()
-        self._after_register(session)
 
     def _on_heartbeat(self, message, nbytes: int) -> None:
         """One frame of a primary's heartbeat stream (this side is standby)."""
@@ -498,44 +385,11 @@ class _LiveControllerBase(PhaseDriver):
         self.last_primary_epoch = max(self.last_primary_epoch, epoch)
         self.heartbeats_received += 1
 
-    def _after_register(self, session: Session) -> None:
-        """Hook run after a child registers (hier: topology broadcast)."""
 
-    def _reject(self, link: FrameLink, reason: str) -> None:
-        """Refuse a registration: error reply, then close the connection."""
-        self.registrations_rejected += 1
-        link.write(encode({"kind": "register_error", "reason": reason}))
-        link.close()
-
-    def _evict(self, session: Session) -> None:
-        """Drop a dead session so its id can register again."""
-        if self.sessions.get(session.peer_id) is session:
-            del self.sessions[session.peer_id]
-            self.evictions += 1
-            self._outbox_shed_evicted += session.outbox.frames_shed
-            self._outbox_shed_bytes_evicted += session.outbox.bytes_shed
-            if self.metrics is not None:
-                self._m_evictions.inc()
-            self._on_evicted(session)
-        session.close()
-
-    # Subclass hooks ---------------------------------------------------------
-    def _on_evicted(self, session: Session) -> None:
-        """Bookkeeping hook after a session is dropped (subclasses)."""
-
-    def _validate_hello(self, hello: dict) -> Optional[str]:
-        raise NotImplementedError
-
-    def _make_session(self, hello: dict, link: FrameLink) -> Session:
-        raise NotImplementedError
-
-    @property
-    def _expected(self) -> int:
-        raise NotImplementedError
-
-
-class LiveGlobalController(_LiveControllerBase):
-    """Flat-design controller over real TCP connections.
+class LiveGlobalController(_LiveControllerBase, StageFan):
+    """Flat-design controller over real TCP connections: a
+    :class:`~repro.live.fan.StageFan` (its one, local partition) plus the
+    compute phase.
 
     Usage::
 
@@ -555,9 +409,10 @@ class LiveGlobalController(_LiveControllerBase):
     last rule, so redistributing its share immediately would oversubscribe
     the PFS until it re-registers. 0 (default) redistributes immediately,
     the seed behaviour.
-    """
 
-    _register_kind = "register"
+    ``n_missing`` counts *stages*: those absent in collect, those whose
+    report the columns refused, and those absent in enforce, each once.
+    """
 
     def __init__(
         self,
@@ -586,6 +441,7 @@ class LiveGlobalController(_LiveControllerBase):
                 f"evicted_grace_cycles must be >= 0: {evicted_grace_cycles}"
             )
         super().__init__(
+            expected_stages,
             policy,
             algorithm,
             host,
@@ -604,140 +460,111 @@ class LiveGlobalController(_LiveControllerBase):
         )
         self.expected_stages = expected_stages
         self.evicted_grace_cycles = evicted_grace_cycles
+        #: ``(2, n slots)`` data over metadata limits last shipped per
+        #: slot of the order (``NaN``: none) — what changed-only
+        #: enforcement diffs against. A surviving session's record moves
+        #: with it across a reorder; a fresh session has none, so a
+        #: restarted stage is always shipped a rule.
+        self._shipped = np.empty((2, 0))
+        # (order generation, columns generation) -> column row per slot.
+        self._aligned: tuple = (None, np.empty(0, dtype=np.intp))
 
     async def wait_for_stages(self, timeout_s: float = 30.0) -> None:
         """Block until every expected stage has registered."""
         await asyncio.wait_for(self._all_registered.wait(), timeout=timeout_s)
 
-    def _on_evicted(self, session: Session) -> None:
-        if self.evicted_grace_cycles > 0:
-            self.columns.reserve(
-                session.peer_id, self.epoch + self.evicted_grace_cycles
-            )
-        else:
-            self.columns.evict(session.peer_id)
-
-    def _after_register(self, session: Session) -> None:
+    def _welcome(self, session: StageSession) -> None:
+        super()._welcome(session)
         # Always a new tail row — the position the session just took in
         # the (insertion-ordered) session dict.
-        self._register_row(session.peer_id, session.job_id)
+        self._register_row(session.stage_id, session.job_id)
 
-    def _validate_hello(self, hello: dict) -> Optional[str]:
-        error = hello_error(hello, ids=("stage_id", "job_id"))
-        if error is None and hello["stage_id"] in self.sessions:
-            error = f"stage_id already registered: {hello['stage_id']}"
-        return error
+    def _on_evicted(self, session: StageSession) -> None:
+        if self.evicted_grace_cycles > 0:
+            self.columns.reserve(
+                session.stage_id, self.epoch + self.evicted_grace_cycles
+            )
+        else:
+            self.columns.evict(session.stage_id)
 
-    def _make_session(self, hello: dict, link: FrameLink) -> StageSession:
-        session = StageSession(
-            hello["stage_id"], hello["job_id"], link, meter=self.meter
-        )
-        session.outbox.max_bytes = self.session_outbox_bytes
-        return session
-
-    @property
-    def _expected(self) -> int:
-        return self.expected_stages
+    def _aligned_rows(self) -> np.ndarray:
+        """The column row behind each slot of the order; -1 where
+        the slot's session has been evicted since (its report is not
+        read, no rule is gathered for it). Cached until the order moves
+        or rows are renumbered."""
+        key = (self.order_generation, self.columns.generation)
+        if self._aligned[0] != key:
+            sessions, row_of = self.sessions, self.columns.row_of
+            self._aligned = (
+                key,
+                np.array(
+                    [
+                        row_of(s.stage_id) if sessions.get(s.stage_id) is s else -1
+                        for s in self.order
+                    ],
+                    dtype=np.intp,
+                ),
+            )
+        return self._aligned[1]
 
     # -- control loop -----------------------------------------------------------
     async def _cycle(self) -> None:
         self.epoch += 1
         epoch = self.epoch
         columns = self.columns
-        # Cycle start is the one safe point to drop and renumber rows.
-        # The gather is frozen here with the session list it mirrors
-        # (live rows are in session-dict order; reservations follow):
-        # mid-cycle evictions only tombstone or reserve rows, values stay
-        # readable, so compute sees exactly this stage set at last-known
-        # demand.
+        # Cycle start is the one safe point to drop and renumber rows, and
+        # to move the order. The gather is frozen here (live rows in
+        # registration order, reservations after them): mid-cycle
+        # evictions only tombstone or reserve rows, values stay readable,
+        # so compute sees exactly this stage set at last-known demand.
         columns.release_expired(epoch)
         columns.maybe_compact()
-        sessions: List[StageSession] = list(self.sessions.values())
         rows = columns.gather_rows()
+        stage_ids = columns.active_ids()
+        if self.order_stale:
+            came_from = np.array(self.reorder(), dtype=np.intp)
+            shipped = np.full((2, came_from.size), np.nan)
+            kept = came_from >= 0
+            shipped[:, kept] = self._shipped[:, came_from[kept]]
+            self._shipped = shipped
         started = time.perf_counter()
-        missing_ids: Set[str] = set()
-        tracer = self.tracer
-        tracing = tracer.enabled
-        sent_at: Dict[str, float] = {}
 
-        # ---- collect (partial on deadline, evict dead sockets) ----
-        send_request = collect_request(epoch)
-
-        def traced_request(s: StageSession) -> None:
-            send_request(s)
-            sent_at[s.stage_id] = tracer.now()
-
-        observe = columns.observe
-
-        def on_reply(s: StageSession, reply: tuple) -> None:
-            if not observe(s.peer_id, reply[2], reply[3]):
-                missing_ids.add(s.peer_id)  # rejected: rides at last-known
-            if tracing:
-                t0 = sent_at.get(s.stage_id, started)
-                tracer.for_track(s.stage_id).emit(
-                    "collect_rpc", t0, tracer.now() - t0,
-                    parent="collect", epoch=epoch,
-                )
-
-        absent, timed_out = await self._phase(
-            sessions, traced_request if tracing else send_request,
-            "metrics_reply", epoch, on_reply, self._effective_collect_timeout(),
+        # ---- collect (partial on deadline, dead sockets evicted): one
+        # scatter of the slots' demand arrays through the aligned rows ----
+        absent, timed_out = await self.collect(
+            epoch, self._effective_collect_timeout()
         )
-        missing_ids.update(s.stage_id for s in absent)
+        #: Slots without fresh metrics or without an ack, this cycle.
+        missing = {s.row for s in absent}
+        with self._cpu():
+            aligned = self._aligned_rows()
+            data, meta = np.asarray(self.slot_data), np.asarray(self.slot_meta)
+            if columns.observe_rows(aligned, data, meta):
+                # Refused reports: their stages ride at last-known demand.
+                refused = (aligned >= 0) & ~columns.valid_reports(data, meta)
+                missing.update(np.flatnonzero(refused).tolist())
         t_collect = time.perf_counter() - started
 
-        # ---- compute (the real PSFA; absent stages at last-known demand;
-        # graced departures still hold their share — they are out there
-        # enforcing their last rule) ----
+        # ---- compute ----
         compute_started = time.perf_counter()
         with self._cpu():
-            limits, meta_limits = self._allocate(rows)
-            # One C pass to Python floats; reservations sit past the
-            # sessions and get no rule.
-            limits = limits[: len(sessions)].tolist()
-            meta_limits = (
-                meta_limits[: len(sessions)].tolist()
-                if meta_limits is not None
-                else [None] * len(sessions)
-            )
-            self._last_grants = ([s.peer_id for s in sessions], limits)
+            limits, differentiated, grant = self._compute_grant(rows)
+            # Reservations sit past the live rows and get no rule.
+            self._last_grants = (stage_ids, limits[: len(stage_ids)].tolist())
         t_compute = time.perf_counter() - compute_started
 
         # ---- enforce ----
         enforce_started = time.perf_counter()
-        #: Sessions a rule goes out to this epoch, their ``rule`` set.
-        targets: List[StageSession] = []
         with self._cpu():
-            changed_only = self._effective_changed_only()
-            for s, limit, meta_limit in zip(sessions, limits, meta_limits):
-                if not s.connected:
-                    continue
-                if changed_only and self._suppress(s.rule, limit, meta_limit):
-                    continue  # no frame on the wire, no ack expected
-                s.rule = (epoch, limit, meta_limit)
-                targets.append(s)
-
-        # Rules are written through: the next epoch supersedes one a
-        # stalled peer never reads, and its missing ack is absorbed by
-        # the degraded path.
-        def traced_rule(s: StageSession) -> None:
-            s.send_rule()
-            sent_at[s.stage_id] = tracer.now()
-
-        def traced_ack(s: StageSession, ack: tuple) -> None:
-            t0 = sent_at.get(s.stage_id, enforce_started)
-            tracer.for_track(s.stage_id).emit(
-                "enforce_rpc", t0, tracer.now() - t0,
-                parent="enforce", epoch=epoch,
+            batch, shipped = self._grant_batch(
+                grant, self._aligned_rows(), self._shipped
             )
-
-        absent, phase_timed_out = await self._phase(
-            targets,
-            traced_rule if tracing else StageSession.send_rule,
-            "rule_ack", epoch, traced_ack if tracing else None,
+        absent, phase_timed_out, _ = await self.distribute(
+            epoch, batch[0], batch[1] if differentiated else None,
             self.enforce_timeout_s,
         )
-        missing_ids.update(s.stage_id for s in absent)
+        self._shipped = shipped
+        missing.update(s.row for s in absent)
         t_enforce = time.perf_counter() - enforce_started
 
         self._record_cycle(
@@ -747,11 +574,10 @@ class LiveGlobalController(_LiveControllerBase):
                 collect_s=t_collect,
                 compute_s=t_compute,
                 enforce_s=t_enforce,
-                n_stages=len(sessions),
-                n_missing=len(missing_ids),
+                n_stages=len(stage_ids),
+                n_missing=len(missing),
                 timed_out=timed_out or phase_timed_out,
-            ),
-            started,
+            )
         )
 
 
@@ -786,7 +612,8 @@ class _AggregatorSession(Session):
         #: slot (``NaN``: none) — what changed-only enforcement diffs
         #: against. Reset with the order, gone with the session.
         self.shipped = np.empty((2, 0))
-        #: The controller's cached row view of the partition.
+        #: The controller's cached ``(columns generation, aligned rows)``
+        #: of the partition (see ``_aligned_rows``).
         self.view: Optional[tuple] = None
         #: Advertised stage-facing listen address (None = not advertised;
         #: the aggregator is then invisible to topology broadcasts).
@@ -874,6 +701,7 @@ class LiveHierGlobalController(_LiveControllerBase):
                 f"dead_after_missed must be >= 1: {dead_after_missed}"
             )
         super().__init__(
+            expected_aggregators,
             policy,
             algorithm,
             host,
@@ -916,7 +744,7 @@ class LiveHierGlobalController(_LiveControllerBase):
         """Block until every expected aggregator has registered."""
         await asyncio.wait_for(self._all_registered.wait(), timeout=timeout_s)
 
-    def _validate_hello(self, hello: dict) -> Optional[str]:
+    def _hello_error(self, hello: dict) -> Optional[str]:
         error = hello_error(hello, ids=("aggregator_id",)) or _order_error(hello)
         if error is not None:
             return error
@@ -936,7 +764,6 @@ class LiveHierGlobalController(_LiveControllerBase):
             link,
             meter=self.meter,
         )
-        session.outbox.max_bytes = self.session_outbox_bytes
         if hello.get("host") is not None and hello.get("port") is not None:
             session.listen_host = str(hello["host"])
             session.listen_port = int(hello["port"])
@@ -946,9 +773,11 @@ class LiveHierGlobalController(_LiveControllerBase):
         session.oob_kinds = frozenset({"partition"})
         return session
 
-    @property
-    def _expected(self) -> int:
-        return self.expected_aggregators
+    def _welcome(self, session: _AggregatorSession) -> None:
+        """A (re)joining aggregator may be adopting orphans; re-arm all."""
+        super()._welcome(session)
+        self._set_partition(session, 0, session.stage_ids, session.job_ids)
+        self._broadcast_topology()
 
     @property
     def n_stages(self) -> int:
@@ -966,7 +795,7 @@ class LiveHierGlobalController(_LiveControllerBase):
         job_of = self.columns.job_of
         return {stage_id: job_of(stage_id) for stage_id in self.columns.reserved}
 
-    def _on_evicted(self, session: Session) -> None:
+    def _on_evicted(self, session: _AggregatorSession) -> None:
         """A dead aggregator orphans every stage homed on it. (Its diff
         record dies with the session: an in-flight batch may have died
         with the socket, and whoever adopts the stages re-ships.)"""
@@ -1039,11 +868,6 @@ class LiveHierGlobalController(_LiveControllerBase):
         if self.metrics is not None:
             self._m_orphans.set(len(self.columns.reserved))
 
-    def _after_register(self, session: Session) -> None:
-        """A (re)joining aggregator may be adopting orphans; re-arm all."""
-        self._set_partition(session, 0, session.stage_ids, session.job_ids)
-        self._broadcast_topology()
-
     def _apply_partitions(self, session: _AggregatorSession) -> None:
         """Apply the ``partition`` frames ``session`` queued out-of-band."""
         pending, session.oob = session.oob, []
@@ -1061,36 +885,26 @@ class LiveHierGlobalController(_LiveControllerBase):
                     session, generation, message["stage_ids"], message["job_ids"]
                 )
 
-    def _partition_view(self, session: _AggregatorSession) -> tuple:
-        """``(aligned rows, owned ids, owned rows)`` of one partition.
-
-        ``aligned`` has the column row of every slot of the aggregator's
-        order, -1 where the stage is not (or no longer) homed on it —
-        what a reply is scattered through and a batch gathered through.
-        The other two are the same without those blanks, for compute.
-        Cached until rows are renumbered or homes change.
-        """
+    def _aligned_rows(self, session: _AggregatorSession) -> np.ndarray:
+        """The column row behind each slot of ``session``'s order; -1
+        where the stage is not (or no longer) homed on it — what a reply
+        is scattered through and a batch gathered through. Cached until
+        rows are renumbered or homes change."""
         view = session.view
         generation = self.columns.generation
         if view is None or view[0] != generation:
             home, row_of = self._home, self.columns.row_of
-            stage_ids = session.stage_ids
-            aligned = np.array(
-                [row_of(i) if home.get(i) is session else -1 for i in stage_ids],
-                dtype=np.intp,
+            view = session.view = (
+                generation,
+                np.array(
+                    [
+                        row_of(i) if home.get(i) is session else -1
+                        for i in session.stage_ids
+                    ],
+                    dtype=np.intp,
+                ),
             )
-            owned = aligned >= 0
-            if owned.all():
-                view = (generation, aligned, stage_ids, aligned)
-            else:
-                view = (
-                    generation,
-                    aligned,
-                    [i for i, ours in zip(stage_ids, owned.tolist()) if ours],
-                    aligned[owned],
-                )
-            session.view = view
-        return view[1:]
+        return view[1]
 
     def _broadcast_topology(self) -> None:
         """Tell every aggregator who its live peers are (rehome targets)."""
@@ -1134,26 +948,24 @@ class LiveHierGlobalController(_LiveControllerBase):
         sessions: List[_AggregatorSession] = [
             self.sessions[a] for a in sorted(self.sessions)
         ]
+        for slot, session in enumerate(sessions):
+            session.row = slot
         started = time.perf_counter()
         n_missing = 0
-        tracer = self.tracer
-        sent_at: Dict[str, float] = {}
 
         # ---- collect (via aggregators) ----
         def feed_request(s: _AggregatorSession) -> None:
             s.feed({"kind": "agg_collect_req", "epoch": epoch})
-            if tracer.enabled:
-                sent_at[s.aggregator_id] = tracer.now()
 
         def on_agg_reply(s: _AggregatorSession, reply: tuple) -> None:
             _, _, generation, flagged, data, metadata = reply
             if s.oob:  # the order this reply is laid out for, just ahead of it
                 self._apply_partitions(s)
-            aligned, owned_ids, _ = self._partition_view(s)
+            aligned = self._aligned_rows(s)
             if generation != s.generation or len(data) != len(aligned):
                 # Not laid out for the order this controller holds: the
                 # whole partition rides at last-known demand.
-                s.last_missing = len(owned_ids)
+                s.last_missing = int(np.count_nonzero(aligned >= 0))
             else:
                 # One vectorized scatter per reply. A slot that is not
                 # this aggregator's to report is skipped; a value the
@@ -1163,16 +975,10 @@ class LiveHierGlobalController(_LiveControllerBase):
                 s.last_missing = flagged + columns.observe_rows(
                     aligned, data, metadata
                 )
-            if tracer.enabled:
-                t0 = sent_at.get(s.aggregator_id, started)
-                tracer.for_track(s.aggregator_id).emit(
-                    "collect_rpc", t0, tracer.now() - t0,
-                    parent="collect", epoch=epoch,
-                )
 
         absent, timed_out = await self._phase(
             sessions, feed_request, "agg_metrics_reply", epoch, on_agg_reply,
-            self._effective_collect_timeout(),
+            self._effective_collect_timeout(), span="collect",
         )
         # Health: consecutive silent epochs mark a connected-but-dead
         # aggregator (stall, partition) for declaration.
@@ -1191,33 +997,18 @@ class LiveHierGlobalController(_LiveControllerBase):
                     self._declare_dead(s)
         t_collect = time.perf_counter() - started
 
-        # ---- compute (PSFA over all partitions, last-known for absent;
+        # ---- compute (over every homed stage, last-known for absent;
         # orphans keep their reserved share so survivors are never
         # over-allocated while a dead aggregator's stages still enforce
         # their last rules) ----
         compute_started = time.perf_counter()
         with self._cpu():
-            stage_ids: List[str] = []
-            parts: List[np.ndarray] = []
-            for s in sessions:
-                if self.sessions.get(s.aggregator_id) is s:
-                    _, owned_ids, owned_rows = self._partition_view(s)
-                    stage_ids.extend(owned_ids)
-                    parts.append(owned_rows)
-                # else: evicted above; its stages are orphans
-            stage_ids.extend(columns.reserved)
-            parts.append(columns.rows_for(tuple(columns.reserved)))
-            rows = np.concatenate(parts)
-            limits, meta_limits = self._allocate(rows)
+            # A homed stage is a live row, an orphan a reserved one.
+            stage_ids = columns.active_ids() + tuple(columns.reserved)
+            limits, differentiated, grant = self._compute_grant(
+                columns.gather_rows()
+            )
             self._last_grants = (stage_ids, limits.tolist())
-            # Limits by column row, data over metadata, ``NaN`` where
-            # there is none — and one spare ``NaN`` column at the end, so
-            # that row -1 (a slot that is not ours) reads "no rule".
-            n_rows = int(rows.max()) + 1 if rows.size else 0
-            grant = np.full((2, n_rows + 1), np.nan)
-            grant[0, rows] = limits
-            if meta_limits is not None:
-                grant[1, rows] = meta_limits
         # Orphans are out there without fresh metrics (an aggregator
         # evicted this very cycle just turned its stages into orphans).
         n_missing += len(columns.reserved)
@@ -1225,45 +1016,26 @@ class LiveHierGlobalController(_LiveControllerBase):
 
         # ---- enforce (rule batches) ----
         enforce_started = time.perf_counter()
-        changed_only = self._effective_changed_only()
 
         def feed_batch(s: _AggregatorSession) -> None:
-            aligned = self._partition_view(s)[0]
-            # One gather through the partition's rows. A stage adopted
-            # since compute has a row but no limit yet: like a slot that
-            # is not ours, it waits for the next cycle's rules.
-            batch = grant[:, np.where(aligned < n_rows, aligned, -1)]
-            ship = ~np.isnan(batch[0])
-            if changed_only:
-                ship &= ~self._suppress_rows(s.shipped, batch)
-                batch = np.where(ship, batch, np.nan)  # left out of the batch
+            batch, shipped = self._grant_batch(
+                grant, self._aligned_rows(s), s.shipped
+            )
             # Sheddable like flat-plane rules: the next epoch's batch
             # supersedes this one, and the missing batch_ack resolves
             # through the enforce deadline.
             s.feed_frame(
                 pack_rows(
                     "rule_batch", epoch, s.generation,
-                    batch[0], None if meta_limits is None else batch[1],
+                    batch[0], batch[1] if differentiated else None,
                 ),
                 sheddable=True,
             )
-            # Commit the diff record only for rules that actually went
-            # on the wire (an evicted batch must re-ship).
-            s.shipped = np.where(ship, batch, s.shipped)
-            if tracer.enabled:
-                sent_at[s.aggregator_id] = tracer.now()
-
-        def on_batch_ack(s: _AggregatorSession, message: dict) -> None:
-            if tracer.enabled:
-                t0 = sent_at.get(s.aggregator_id, enforce_started)
-                tracer.for_track(s.aggregator_id).emit(
-                    "enforce_rpc", t0, tracer.now() - t0,
-                    parent="enforce", epoch=epoch,
-                )
+            s.shipped = shipped
 
         _, phase_timed_out = await self._phase(
             [s for s in sessions if s.connected], feed_batch,
-            "batch_ack", epoch, on_batch_ack, self.enforce_timeout_s,
+            "batch_ack", epoch, None, self.enforce_timeout_s, span="enforce",
         )
         t_enforce = time.perf_counter() - enforce_started
 
@@ -1277,6 +1049,5 @@ class LiveHierGlobalController(_LiveControllerBase):
                 n_stages=len(stage_ids),
                 n_missing=n_missing,
                 timed_out=timed_out or phase_timed_out,
-            ),
-            started,
+            )
         )

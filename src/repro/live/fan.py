@@ -1,0 +1,156 @@
+"""The stage-facing half of a live control cycle.
+
+Whoever talks to stages — the flat controller directly, an aggregator on
+behalf of the hierarchical one (the aggregator layer of the paper's
+Fig. 6) — is a :class:`StageFan`: the flat
+:class:`~repro.live.controller_server.LiveGlobalController` is a fan plus
+the compute phase, a :class:`~repro.live.aggregator_server.LiveAggregator`
+a fan plus an uplink. It is the only class in :mod:`repro.live` that
+accepts a ``register`` hello.
+
+On top of :class:`~repro.live.sessions.SessionHost` (listener,
+registration, eviction) the fan keeps the *order* — which session sits
+in which slot of the per-slot demand arrays. The order is id-sorted and
+moves only in :meth:`StageFan.reorder`, which the owner calls at the one
+point of its cycle where it may (just ahead of a collect, when
+``order_stale``); a session evicted since keeps its slot, dead and at
+last-known demand, until then. Per cycle, :meth:`StageFan.collect` fans
+``collect_req`` out and lands every reply in its slot, and
+:meth:`StageFan.distribute` turns one limit per slot into ``rule``
+frames and gathers the acks. Both report which sessions produced
+nothing — partial collect / enforce, paper §VI dependability — and never
+raise for a dead or silent stage.
+"""
+
+from __future__ import annotations
+
+from array import array
+from itertools import repeat
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
+
+from repro.live.protocol import FrameLink, hello_error
+from repro.live.sessions import SessionHost, StageSession, collect_request
+
+__all__ = ["StageFan"]
+
+_INF = float("inf")
+
+
+class StageFan(SessionHost):
+    """Stage sessions, their slot order and the two per-cycle phases."""
+
+    _register_kind = "register"
+
+    def __init__(self, expected_stages: int, *host_config) -> None:
+        super().__init__(expected_stages, *host_config)
+        #: The session behind each slot, as of :attr:`order_generation`
+        #: (-1: nothing laid out yet; the first :meth:`reorder` is 0).
+        self.order: List[StageSession] = []
+        self.order_generation = -1
+        self._ordered_at = self.membership
+        #: Last-known demand per slot, per axis: replies land here.
+        self.slot_data = array("d")
+        self.slot_meta = array("d")
+
+    # -- registration ---------------------------------------------------------
+    def _hello_error(self, hello: dict) -> Optional[str]:
+        error = hello_error(hello, ids=("stage_id", "job_id"))
+        if error is None and hello["stage_id"] in self.sessions:
+            error = f"stage_id already registered: {hello['stage_id']}"
+        return error
+
+    def _make_session(self, hello: dict, link: FrameLink) -> StageSession:
+        # A re-registering stage gets a fresh session — and, at the next
+        # reorder, a slot nothing was ever shipped to.
+        return StageSession(hello["stage_id"], hello["job_id"], link, meter=self.meter)
+
+    @property
+    def order_stale(self) -> bool:
+        """Membership changed since the order was laid out."""
+        return self._ordered_at != self.membership
+
+    # -- the order ------------------------------------------------------------
+    def reorder(self) -> List[int]:
+        """Lay the live sessions out in id order under the next
+        generation, carrying each one's last-known demand to its new
+        slot. Returns, per new slot, the slot its session held before
+        (-1: a session the previous order did not have)."""
+        order = [self.sessions[s] for s in sorted(self.sessions)]
+        data = array("d", bytes(8 * len(order)))
+        meta = array("d", bytes(8 * len(order)))
+        came_from = []
+        for slot, session in enumerate(order):
+            prior = session.row
+            if prior >= 0:
+                data[slot] = self.slot_data[prior]
+                meta[slot] = self.slot_meta[prior]
+            came_from.append(prior)
+            session.row = slot
+        self.order, self.slot_data, self.slot_meta = order, data, meta
+        self.order_generation = (self.order_generation + 1) & 0xFFFFFFFF
+        self._ordered_at = self.membership
+        return came_from
+
+    def order_ids(self) -> Dict[str, List[str]]:
+        """The order's ids, the way a hello or ``partition`` frame spells them."""
+        return {
+            "stage_ids": [s.stage_id for s in self.order],
+            "job_ids": [s.job_id for s in self.order],
+        }
+
+    # -- cycle halves ---------------------------------------------------------
+    async def collect(
+        self, epoch: int, timeout_s: Optional[float]
+    ) -> Tuple[List[StageSession], bool]:
+        """Ask every slot's stage for its demand; replies land in
+        :attr:`slot_data` / :attr:`slot_meta`. Returns ``(absent,
+        timed_out)`` — an absent stage's slot keeps its last-known demand."""
+        data, meta = self.slot_data, self.slot_meta
+
+        def on_reply(s: StageSession, reply: tuple) -> None:
+            row = s.row
+            data[row] = reply[2]
+            meta[row] = reply[3]
+
+        return await self._phase(
+            self.order, collect_request(epoch),
+            "metrics_reply", epoch, on_reply, timeout_s, span="collect",
+        )
+
+    async def distribute(
+        self,
+        epoch: int,
+        limits: np.ndarray,
+        meta_limits: Optional[np.ndarray],
+        timeout_s: Optional[float],
+    ) -> Tuple[List[StageSession], bool, int]:
+        """Ship slot ``i``'s stage the rule ``limits[i]`` (and
+        ``meta_limits[i]``); returns ``(absent, timed_out, rules sent)``.
+
+        A slot that is not a finite, non-negative limit on every axis it
+        carries — ``NaN`` is how a caller says "no rule for this slot" —
+        or whose session is gone gets no frame and is not waited for.
+        Rules are written through: the next epoch supersedes one a
+        stalled stage never reads, and its missing ack resolves through
+        the deadline.
+        """
+        targets: List[StageSession] = []
+        for session, limit, meta in zip(
+            self.order,
+            limits.tolist(),
+            repeat(None) if meta_limits is None else meta_limits.tolist(),
+        ):
+            if (
+                0.0 <= limit < _INF
+                and (meta is None or 0.0 <= meta < _INF)
+                and session.connected
+            ):
+                session.rule = (epoch, limit, meta)
+                targets.append(session)
+        absent, timed_out = await self._phase(
+            targets, StageSession.send_rule,
+            "rule_ack", epoch, None, timeout_s, span="enforce",
+        )
+        return absent, timed_out, len(targets)

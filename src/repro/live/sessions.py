@@ -22,22 +22,30 @@ arrival, the deadline's one ``call_later``, or a dead socket — reporting
 which sessions produced nothing, which is how the controllers implement
 partial collect/enforce (paper §VI dependability, live counterpart of
 the simulated ``collect_timeout_s``).
+
+:class:`SessionHost` is the listener side: what the stage fan and the
+hierarchical controller both do to turn a connection into a registered
+session, and to drop it when its socket dies.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from array import array
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.guard.shed import BoundedOutbox
+from repro.live import pump
 from repro.live.codec import frame_packer
-from repro.live.protocol import FrameLink, encode_into
+from repro.live.protocol import FrameLink, accept_backlog, encode, encode_into
+from repro.obs.spans import NullSpanTracer
 
 __all__ = [
     "PhaseDriver",
     "Session",
     "SessionClosed",
+    "SessionHost",
     "StageSession",
     "collect_request",
     "gather_replies",
@@ -145,6 +153,10 @@ class Session:
         #: On-wire bytes exchanged with this peer (frames incl. headers).
         self.tx_bytes = 0
         self.rx_bytes = 0
+        #: The slot its owner keeps this session in (-1: none yet) — a
+        #: stage's place in its fan's order, i.e. where its reply lands
+        #: in the demand arrays and its limit sits in a batch.
+        self.row = -1
         self._armed: Optional[_ReplyBarrier] = None
         # Frames that arrived while no phase was armed (see class doc).
         self._early: list = []
@@ -324,14 +336,8 @@ class StageSession(Session):
         #: stage's ``rule`` frame.
         self.pack_rule = frame_packer("rule", stage_id)
         #: ``(epoch, limit, metadata limit | None)`` of the newest rule
-        #: handed to :meth:`send_rule` — what changed-only enforcement
-        #: diffs against. A re-registering stage gets a fresh session, so
-        #: a restarted process is always shipped a rule.
+        #: handed to :meth:`send_rule`.
         self.rule: Optional[tuple] = None
-        #: An aggregator's slot for this stage in its partition order —
-        #: where the stage's reply lands in the demand vectors and its
-        #: limit sits in a ``rule_batch``; -1 until the order includes it.
-        self.row = -1
 
     @property
     def stage_id(self) -> str:
@@ -447,8 +453,8 @@ async def gather_replies(
 class PhaseDriver:
     """What every owner of sessions does per phase: send, wait, evict.
 
-    Mixin for the controllers and the aggregator; expects ``sessions``
-    (id -> session), ``meter`` and ``_evict(session)``.
+    Mixin for the controllers and the stage fan; expects ``sessions``
+    (id -> session), ``meter``, ``tracer`` and ``_evict(session)``.
     """
 
     def _cpu(self):
@@ -464,14 +470,26 @@ class PhaseDriver:
             session.close()
         self.sessions.clear()
 
-    async def _phase(self, sessions, feed, kind, epoch, on_reply, timeout_s):
+    async def _phase(
+        self, sessions, feed, kind, epoch, on_reply, timeout_s, span=None
+    ):
         """One request/reply phase: ``feed(session)`` sends the request,
         ``on_reply`` consumes the ``kind`` frame at ``epoch``. Returns
         ``(absent, timed_out)`` — every session without a reply (refused
         the request, died, stopped reading past the deadline, or missed
         it replying); dead ones are evicted. ``timeout_s`` bounds the
         send half's waits on paused links and, separately, the reply wait.
+
+        ``span`` names the phase (``"collect"``, ``"enforce"``): while
+        the tracer is enabled every answered session gets one
+        ``<span>_rpc`` span on its own track, send to reply, under it.
+        Sends and replies only stamp two arrays by the session's slot;
+        the spans are emitted once, after the phase — and with the
+        tracer off the whole of it costs this one branch.
         """
+        emit = None
+        if span is not None and self.tracer.enabled:
+            feed, on_reply, emit = self._stamped(sessions, feed, on_reply)
         with self._cpu():
             sent, refused, stalled = await send_phase(sessions, feed, timeout_s)
         for session in refused:
@@ -482,4 +500,205 @@ class PhaseDriver:
         for session in missing:
             if not session.connected:
                 self._evict(session)
+        if emit is not None:
+            emit(span, epoch)
         return refused + stalled + missing, timed_out or bool(stalled)
+
+    def _stamped(self, sessions, feed, on_reply):
+        """``(feed, on_reply, emit)`` for a traced phase (see :meth:`_phase`)."""
+        tracer = self.tracer
+        now = tracer.now
+        n_slots = 1 + max((s.row for s in sessions), default=-1)
+        t_sent = array("d", bytes(8 * n_slots))
+        t_back = array("d", bytes(8 * n_slots))
+
+        def stamped_feed(session: Session) -> None:
+            feed(session)
+            t_sent[session.row] = now()
+
+        def stamped_reply(session: Session, reply) -> None:
+            if on_reply is not None:
+                on_reply(session, reply)
+            t_back[session.row] = now()
+
+        def emit(span: str, epoch: int) -> None:
+            for session in sessions:
+                back = t_back[session.row]
+                if back:
+                    sent = t_sent[session.row]
+                    tracer.for_track(session.peer_id).emit(
+                        span + "_rpc", sent, back - sent, parent=span, epoch=epoch
+                    )
+
+        return stamped_feed, stamped_reply, emit
+
+
+class SessionHost(PhaseDriver):
+    """A listener and the sessions registered through it: hello
+    validation and rejection, eviction (with the shed counts of the
+    evicted carried over) and teardown, for whoever accepts children —
+    the stage fan, the hierarchical controller.
+
+    Holds what every such owner is configured with — address, phase
+    deadlines, the observability handles, the per-session outbox bound —
+    and expects the registration hooks below from the subclass.
+    """
+
+    #: ``kind`` a registering hello carries (set by subclasses).
+    _register_kind: str
+
+    def __init__(
+        self,
+        expected: int,
+        host: str,
+        port: int,
+        collect_timeout_s: Optional[float],
+        enforce_timeout_s: Optional[float],
+        span_tracer,
+        usage_meter,
+        metrics,
+        session_outbox_bytes: Optional[int],
+        role: str,
+    ) -> None:
+        for name, value in (
+            ("collect_timeout_s", collect_timeout_s),
+            ("enforce_timeout_s", enforce_timeout_s),
+        ):
+            if value is not None and value <= 0:
+                raise ValueError(f"{name} must be positive: {value}")
+        self._expected = expected
+        self.host = host
+        self.port = port
+        self.collect_timeout_s = collect_timeout_s
+        self.enforce_timeout_s = (
+            enforce_timeout_s if enforce_timeout_s is not None else collect_timeout_s
+        )
+        self.tracer = span_tracer if span_tracer is not None else NullSpanTracer()
+        self.meter = usage_meter
+        self.metrics = metrics
+        #: Per-session outbound-buffer bound (bytes); None = unbounded.
+        #: Only enable together with phase deadlines — a shed rule means
+        #: a missing ack, which needs ``enforce_timeout_s`` to resolve.
+        self.session_outbox_bytes = session_outbox_bytes
+        # Instruments resolved once — registry lookups (label-key sort +
+        # dict walk) are too slow for a per-cycle hot path.
+        if metrics is not None:
+            self._m_cycles = metrics.counter(
+                "repro_cycles_total", "control cycles completed", role=role
+            )
+            self._m_evictions = metrics.counter(
+                "repro_evictions_total",
+                "sessions dropped after their socket died",
+                role=role,
+            )
+        self.sessions: Dict[str, Session] = {}
+        #: Bumped by every registration and eviction.
+        self.membership = 0
+        #: Sessions evicted because their socket died mid-cycle.
+        self.evictions = 0
+        #: Registrations rejected (duplicate id, malformed hello).
+        self.registrations_rejected = 0
+        # Frames shed by sessions evicted since (monotone).
+        self._outbox_shed_evicted = 0
+        #: The :func:`repro.live.pump.listen` listener while started.
+        self._server = None
+        self._all_registered = asyncio.Event()
+        if expected == 0:  # a hot spare: nothing to wait for
+            self._all_registered.set()
+
+    # -- lifecycle ----------------------------------------------------------
+    async def start(self) -> None:
+        """Start listening; ``self.port`` holds the bound port."""
+        # Every expected child may connect in the same instant (a
+        # harness starting its fleet, a mass re-home): size the accept
+        # queue for that, not for asyncio's default of 100, or the
+        # overflow strands half-open registrations for a TCP RTO wave.
+        self._server = pump.listen(
+            FrameLink.accepting(self._on_hello),
+            self.host,
+            self.port,
+            accept_backlog(self._expected),
+        )
+        self.port = self._server.sockets[0].getsockname()[1]
+
+    async def shutdown(self) -> None:
+        """Tell children to stop, flush the frames, and close the server."""
+        self._close_sessions({"kind": "shutdown"})
+        if self._server is not None:
+            self._server.close()
+
+    def kill(self) -> None:
+        """Die abruptly: abort every child socket, stop listening.
+
+        The live counterpart of killing the process — children see EOF
+        (not a ``shutdown`` frame) and their reconnect loops rotate to
+        alternate addresses (the hot standby, a peer aggregator).
+        """
+        for session in list(self.sessions.values()):
+            session.abort()
+        if self._server is not None:
+            self._server.close()
+
+    @property
+    def outbox_frames_shed(self) -> int:
+        """Frames shed across all sessions, living and evicted (monotone)."""
+        return self._outbox_shed_evicted + sum(
+            s.outbox.frames_shed for s in self.sessions.values()
+        )
+
+    # -- registration -------------------------------------------------------
+    def _on_hello(self, link: FrameLink, hello: dict) -> None:
+        if not self._server.sockets:
+            # Accepted before kill() / shutdown(), greeted after: nobody
+            # is home, and a registration now would be served by the dead.
+            link.abort()
+            return
+        if hello.get("kind") != self._register_kind:
+            self._on_other_hello(link, hello)
+            return
+        error = self._hello_error(hello)
+        if error is not None:
+            self.registrations_rejected += 1
+            link.write(encode({"kind": "register_error", "reason": error}))
+            link.close()
+            return
+        # From here on the session owns the link: every later frame goes
+        # through its routing, in the same parse pass as this hello.
+        session = self._make_session(hello, link)
+        session.outbox.max_bytes = self.session_outbox_bytes
+        self.sessions[session.peer_id] = session
+        self.membership += 1
+        self._welcome(session)
+        if len(self.sessions) >= self._expected:
+            self._all_registered.set()
+
+    def _evict(self, session: Session) -> None:
+        """Drop a dead session so its id can register again."""
+        if self.sessions.get(session.peer_id) is session:
+            del self.sessions[session.peer_id]
+            self.membership += 1
+            self.evictions += 1
+            self._outbox_shed_evicted += session.outbox.frames_shed
+            if self.metrics is not None:
+                self._m_evictions.inc()
+            self._on_evicted(session)
+        session.close()
+
+    # Subclass hooks ---------------------------------------------------------
+    def _hello_error(self, hello: dict) -> Optional[str]:
+        """Why a registering hello is refused, or ``None``."""
+        raise NotImplementedError
+
+    def _make_session(self, hello: dict, link: FrameLink) -> Session:
+        raise NotImplementedError
+
+    def _welcome(self, session: Session, **ack_fields) -> None:
+        """Answer an accepted hello (subclasses add fields, bookkeeping)."""
+        session.link.write(encode({"kind": "registered", **ack_fields}))
+
+    def _on_evicted(self, session: Session) -> None:
+        """Bookkeeping hook after a session is dropped."""
+
+    def _on_other_hello(self, link: FrameLink, hello: dict) -> None:
+        """A hello of another kind: shown out unless a subclass knows it."""
+        link.close()

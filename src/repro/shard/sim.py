@@ -48,6 +48,7 @@ import numpy as np
 
 from repro.core.algorithms.psfa import PSFA
 from repro.core.columnar import StageColumns
+from repro.core.compute import ColumnarCompute
 from repro.core.control_plane import (
     ControlPlaneConfig,
     HierarchicalControlPlane,
@@ -351,6 +352,7 @@ def run_partitioned_hier(
         #: scatter into it by id (vectorized, cached row maps); enforce
         #: gathers per-worker limit vectors back out of it.
         columns = StageColumns()
+        compute = ColumnarCompute(columns)
         worker_canon = [
             tuple(s for a in agg_ids for s in by_id[a]) for agg_ids in groups
         ]
@@ -381,12 +383,8 @@ def run_partitioned_hier(
 
             # ---- compute: PSFA over the union, charged at hier rates ----
             n_live = columns.n_active
-            result = algorithm.allocate(
-                columns.ewma_active(),
-                columns.stage_weights(policy),
-                policy.allocatable_iops,
-            )
-            columns.usage[columns.active_rows()] = result.allocations
+            limits, _ = compute.allocations(policy, algorithm)
+            columns.usage[columns.active_rows()] = limits
             compute_s = cm.compute_fixed_s + n_live * cm.psfa_per_stage_hier_s
             now += compute_s
 

@@ -323,7 +323,7 @@ class TestFlatArrayTransfer:
         assert isinstance(arrays["ids"], tuple)
         assert all(
             isinstance(arrays[k], np.ndarray)
-            for k in ("data", "meta", "ewma", "usage", "weight", "cap")
+            for k in ("data", "meta", "ewma", "usage", "trust")
         )
         clone = StageColumns.from_arrays(arrays)
         assert clone.active_ids() == cols.active_ids()
@@ -337,7 +337,7 @@ class TestFlatArrayTransfer:
         arrays = cols.to_arrays()
         arrays["ids"] = ("s0", "s0")
         arrays["jobs"] = ("j", "j")
-        for k in ("data", "meta", "ewma", "usage", "weight", "cap", "seen"):
+        for k in ("data", "meta", "ewma", "usage", "trust", "seen"):
             arrays[k] = np.concatenate([arrays[k], arrays[k]])
         with pytest.raises(ValueError):
             StageColumns.from_arrays(arrays)
