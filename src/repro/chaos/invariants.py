@@ -15,6 +15,10 @@ faults the schedule injected (tentpole invariants, paper §VI):
   ``rehome_bound_cycles`` cycles after its aggregator was declared dead.
 * **adaptation gap** — after a primary kill, the standby's measured gap
   is ≤ ``heartbeat_interval_s × missed_heartbeats`` + one control cycle.
+* **catch-up** (simulated hierarchy) — a stage whose own fault and
+  whose aggregator's fault have both cleared holds the current epoch's
+  rule within ``CATCH_UP_CYCLES`` cycles: a fault may degrade the cycles
+  it spans, not wedge its partition after it is gone.
 * **resume floor** (full-restart schedules, PR 7) — a controller
   rebooted from the durable store never issues a rule epoch at or below
   the store's last durable epoch; otherwise stage-side fencing would
@@ -46,6 +50,9 @@ __all__ = ["Violation", "ChaosReport", "InvariantChecker"]
 
 #: Relative slack for float comparisons against capacity.
 CAPACITY_EPS = 1e-6
+#: Clean cycles a stage gets to reach the current epoch once its faults
+#: have cleared.
+CATCH_UP_CYCLES = 2
 
 
 @dataclass(frozen=True)
@@ -53,8 +60,8 @@ class Violation:
     """One invariant breach, anchored to the cycle that exposed it."""
 
     cycle: int
-    #: One of "capacity" | "epoch" | "rehome" | "gap" | "resume"
-    #: | "share" | "queue" | "healthz" | "shed".
+    #: One of "capacity" | "epoch" | "catch-up" | "rehome" | "gap"
+    #: | "resume" | "share" | "queue" | "healthz" | "shed".
     invariant: str
     detail: str
 
@@ -129,6 +136,7 @@ class InvariantChecker:
         self.checks = 0
         self._last_epoch: Dict[str, int] = {}
         self._orphan_age: Dict[str, int] = {}
+        self._clean_for: Dict[str, int] = {}
 
     # -- per-cycle checks ----------------------------------------------------
     def check_capacity(self, cycle: int, limits: Mapping[str, float]) -> None:
@@ -160,6 +168,39 @@ class InvariantChecker:
                     )
                 )
             self._last_epoch[stage_id] = max(epoch, prev or 0)
+
+    def check_caught_up(
+        self,
+        cycle: int,
+        epochs: Mapping[str, int],
+        current_epoch: int,
+        faulted: Iterable[str],
+    ) -> None:
+        """A stage clear of faults reaches the current epoch in time.
+
+        ``epochs`` holds every stage's applied epoch (0: no rule yet),
+        ``faulted`` the stages whose own fault or whose aggregator's
+        fault was active this cycle. Once a stage has been clear for
+        ``CATCH_UP_CYCLES`` cycles it must hold ``current_epoch``.
+        """
+        self.checks += 1
+        down = set(faulted)
+        for stage_id, epoch in epochs.items():
+            if stage_id in down:
+                self._clean_for[stage_id] = 0
+                continue
+            clean = self._clean_for.get(stage_id, 0) + 1
+            self._clean_for[stage_id] = clean
+            if clean >= CATCH_UP_CYCLES and epoch != current_epoch:
+                self.violations.append(
+                    Violation(
+                        cycle,
+                        "catch-up",
+                        f"{stage_id} at epoch {epoch} (current "
+                        f"{current_epoch}), {clean} cycles after its "
+                        "faults cleared",
+                    )
+                )
 
     def check_orphans(self, cycle: int, orphans: Iterable[str]) -> None:
         """No stage stays orphaned past the configured re-home bound."""

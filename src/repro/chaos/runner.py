@@ -143,39 +143,54 @@ def _sim_hier(
     checker = InvariantChecker(
         config.policy.allocatable_iops, rehome_bound_cycles
     )
-    # Pending recoveries, keyed by the cycle index that restores them.
+    # Pending recoveries, keyed by the cycle index that restores them,
+    # and per stage the first cycle its faults (its own, its
+    # aggregator's) no longer cover.
     restore_at: Dict[int, List] = {}
+    clear_at: Dict[str, int] = {}
+
+    def fault(stage_ids, undo, cycles: int) -> None:
+        restore_at.setdefault(cycle + cycles, []).append(undo)
+        for stage_id in stage_ids:
+            clear_at[stage_id] = max(clear_at.get(stage_id, 0), cycle + cycles)
+
     for cycle in range(schedule.n_cycles):
         for undo in restore_at.pop(cycle, []):
             undo()
         for action in schedule.at_cycle(cycle):
-            if action.kind == "kill_aggregator":
+            if action.kind in ("kill_aggregator", "stall_aggregator"):
                 agg = plane.aggregators[action.target]
                 agg.stop()
-                restore_at.setdefault(cycle + SIM_AGG_KILL_CYCLES, []).append(
-                    agg.start
+                fault(
+                    agg.stage_ids,
+                    agg.start,
+                    SIM_AGG_KILL_CYCLES
+                    if action.kind == "kill_aggregator"
+                    else SIM_AGG_STALL_CYCLES,
                 )
-            elif action.kind == "stall_aggregator":
-                agg = plane.aggregators[action.target]
-                agg.stop()
-                restore_at.setdefault(cycle + SIM_AGG_STALL_CYCLES, []).append(
-                    agg.start
+            elif action.kind in ("kill_stage", "stall_stage"):
+                stage = plane.stages[action.target]
+                fault(
+                    (stage.stage_id,),
+                    _blackhole_stage(stage),
+                    SIM_STAGE_KILL_CYCLES
+                    if action.kind == "kill_stage"
+                    else SIM_STAGE_STALL_CYCLES,
                 )
-            elif action.kind == "kill_stage":
-                undo = _blackhole_stage(plane.stages[action.target])
-                restore_at.setdefault(
-                    cycle + SIM_STAGE_KILL_CYCLES, []
-                ).append(undo)
-            elif action.kind == "stall_stage":
-                undo = _blackhole_stage(plane.stages[action.target])
-                restore_at.setdefault(
-                    cycle + SIM_STAGE_STALL_CYCLES, []
-                ).append(undo)
         env.run(controller.run_cycles(1))
         report.cycles_completed += 1
         if controller.cycles[-1].degraded:
             report.cycles_degraded += 1
         _sim_checks(checker, cycle, plane.stages)
+        checker.check_caught_up(
+            cycle,
+            {
+                s.stage_id: s.applied_rule.epoch if s.applied_rule else 0
+                for s in plane.stages
+            },
+            controller.epoch,
+            [s for s, until in clear_at.items() if until > cycle],
+        )
     report.violations = checker.violations
     report.checks = checker.checks
 

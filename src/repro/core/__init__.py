@@ -39,7 +39,7 @@ from repro.core.policies import (
     PriorityClass,
     QoSPolicy,
 )
-from repro.core.rules import EnforcementRule, RuleBatch
+from repro.core.rules import EnforcementRule
 
 __all__ = [
     "AdaptivePeriodController",
@@ -57,7 +57,6 @@ __all__ = [
     "PolicyError",
     "PriorityClass",
     "QoSPolicy",
-    "RuleBatch",
     "StageMetrics",
     "attach_flat_standby",
 ]

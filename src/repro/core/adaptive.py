@@ -20,7 +20,7 @@ so this composes with any design and with changed-only enforcement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional
+from typing import Generator, List, Optional
 
 import numpy as np
 
@@ -80,7 +80,7 @@ class AdaptivePeriodController:
         self.target_volatility = float(target_volatility)
         self.smoothing = float(smoothing)
         self.samples: List[PeriodSample] = []
-        self._previous_demand: Optional[Dict[str, float]] = None
+        self._previous_demand: Optional[tuple] = None
         self._volatility_ewma: Optional[float] = None
 
     # -- public API --------------------------------------------------------
@@ -104,20 +104,24 @@ class AdaptivePeriodController:
 
     # -- internals -----------------------------------------------------------
     def _measure_volatility(self) -> float:
-        current = {
-            stage_id: report.total_iops
-            for stage_id, report in self.controller.latest_metrics.items()
-        }
+        arrays = self.controller.columns.to_arrays()
+        seen = arrays["seen"]
+        current = (arrays["ids"], arrays["data"] + arrays["meta"], seen)
         previous = self._previous_demand
         self._previous_demand = current
-        if previous is None or not current:
+        if previous is None or not seen.any():
             return self.target_volatility  # no evidence yet: stay neutral
-        changes = [
-            abs(current[s] - previous[s]) / max(previous[s], 1.0)
-            for s in current
-            if s in previous
-        ]
-        raw = float(np.mean(changes)) if changes else 0.0
+        ids, now, _ = current
+        old_ids, before, old_seen = previous
+        if old_ids != ids:  # membership moved: line the old rows up by id
+            slot = {stage_id: i for i, stage_id in enumerate(old_ids)}
+            came_from = np.array([slot.get(s, -1) for s in ids], dtype=np.intp)
+            known = came_from >= 0
+            before = np.where(known, before[came_from], 0.0)
+            old_seen = known & old_seen[came_from]
+        both = seen & old_seen
+        changes = np.abs(now[both] - before[both]) / np.maximum(before[both], 1.0)
+        raw = float(np.mean(changes)) if changes.size else 0.0
         if self._volatility_ewma is None:
             self._volatility_ewma = raw
         else:

@@ -322,6 +322,7 @@ class HierarchicalControlPlane(_DeployedPlane):
                 policy=config.policy if decision_offload else None,
                 algorithm=PSFA() if decision_offload else None,
                 span_tracer=plane._tracer_for(agg_id),
+                collect_timeout_s=config.collect_timeout_s,
             )
             if level >= 3 and len(owned) >= fanout:
                 sub_parts = partition_stages(list(owned), fanout)

@@ -7,14 +7,32 @@ These are the actors of the paper's two control-plane designs:
   data-plane stages (Fig. 2); in the **hierarchical** design they are
   :class:`AggregatorController` instances (Fig. 3).
 * :class:`AggregatorController` — the extra control level: fans collect
-  requests out to its stage partition, merges the replies into one
-  aggregated report, and unpacks rule batches into per-stage rule
-  messages. With ``decision_offload`` (paper §VI) it instead receives a
-  capacity *budget* and runs PSFA locally over its partition.
+  requests out to its stage partition, lands the replies in its
+  per-slot demand arrays and ships them upstream as one row-form report,
+  and turns a rule batch's limit vectors into per-stage rule messages.
+  With ``decision_offload`` (paper §VI) it instead receives a capacity
+  *budget* and runs PSFA locally over its partition.
 
 Both controllers charge every protocol step to their host through the
 :class:`~repro.core.costs.CostModel`, so cycle latency, phase breakdown,
 CPU %, memory, and NIC throughput all emerge from the simulation.
+
+Rows, not records, on the trunk
+-------------------------------
+Both controllers lay their children out in *slots* (:class:`_Fan`): a
+stage child holds one, an aggregator child the span of its partition —
+its channel's ``stage_ids``, which is the aggregator's own order. A
+reply lands in its sender's slots, so the trunk carries no stage ids: an
+:class:`~repro.core.metrics.AggregatedMetrics` is the partition's data
+and metadata vectors plus which slots answered, a rule batch one limit
+vector per axis. The global controller scatters the collected slots into
+its :class:`~repro.core.columnar.StageColumns` with one ``observe_rows``
+through cached aligned rows (a silent slot is not observed and counts in
+``n_missing``) and gathers the compute's limits back into slots; an
+aggregator builds each stage's :class:`~repro.core.rules.EnforcementRule`
+as it sends it. ``latest_metrics``, ``latest_rules`` and
+``latest_reports`` are views built on demand from the columns, the slots
+and a per-slot record of what was last shipped.
 
 Message protocol (kind, payload):
 
@@ -27,17 +45,21 @@ rule               (epoch, EnforcementRule)                    ctrl → stage
 rule_ack           epoch                                       stage → ctrl
 agg_collect_req    epoch                                       global → agg
 agg_metrics_reply  (epoch, AggregatedMetrics)                  agg → global
-rule_batch         (epoch, RuleBatch)                          global → agg
+rule_batch         (epoch, data limits, metadata limits)       global → agg
 batch_ack          epoch                                       agg → global
 budget_grant       (epoch, budget_iops)                        global → agg
 budget_ack         epoch                                       agg → global
 =================  ==========================================  ===========
+
+A rule batch's vectors are read-only ``float64`` arrays, one entry per
+slot of the aggregator's order (metadata ``inf``: unlimited).
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from typing import Callable, Dict, Generator, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -48,15 +70,17 @@ from repro.core.columnar import StageColumns
 from repro.core.compute import ColumnarCompute
 from repro.core.costs import CostModel, FRONTERA_COST_MODEL
 from repro.core.cycle import ControlCycle
-from repro.core.metrics import AggregatedMetrics, StageMetrics, aggregate
+from repro.core.metrics import AggregatedMetrics, StageMetrics
 from repro.core.policies import QoSPolicy
-from repro.core.rules import EnforcementRule, RuleBatch
+from repro.core.rules import EnforcementRule, changed_limits
 from repro.obs.spans import NullSpanTracer
 from repro.simnet.engine import Environment, Process
 from repro.simnet.node import SimHost
 from repro.simnet.transport import Connection, Endpoint
 
 __all__ = ["AggregatorController", "ChildChannel", "GlobalController"]
+
+_INF = float("inf")
 
 
 def _chunks(seq: List, size: int) -> Iterable[List]:
@@ -234,7 +258,112 @@ class _ControllerBase:
         return received
 
 
-class GlobalController(_ControllerBase):
+class _Order:
+    """The slot layout of a fan's children (see the module docstring).
+
+    ``span_of`` maps a child's endpoint name — what a reply's ``sender``
+    says — to its ``[first, stop)`` slots; ``start`` maps a child id to
+    its first slot.
+    """
+
+    __slots__ = ("ids", "start", "span_of", "stages", "aggregators")
+
+    def __init__(self, children: Iterable[ChildChannel]) -> None:
+        ids: List[str] = []
+        self.start: Dict[str, int] = {}
+        self.span_of: Dict[str, Tuple[int, int]] = {}
+        self.stages: List[ChildChannel] = []
+        self.aggregators: List[ChildChannel] = []
+        for ch in children:
+            first = len(ids)
+            if ch.kind == "stage":
+                ids.append(ch.child_id)
+                self.stages.append(ch)
+            else:
+                ids.extend(ch.stage_ids)
+                self.aggregators.append(ch)
+            self.start[ch.child_id] = first
+            peer = ch.connection.peer_of(ch.endpoint)
+            self.span_of[peer.name] = (first, len(ids))
+        self.ids: Tuple[str, ...] = tuple(ids)
+
+
+def _came_from(ids: Iterable[str], old_ids: Iterable[str]) -> np.ndarray:
+    """Per entry of ``ids``, its slot in ``old_ids`` (-1: absent)."""
+    held = {stage_id: slot for slot, stage_id in enumerate(old_ids)}
+    return np.array([held.get(s, -1) for s in ids], dtype=np.intp)
+
+
+def _moved(values: np.ndarray, came_from: np.ndarray, fill: float) -> np.ndarray:
+    """``values`` re-laid out along ``came_from`` (``fill`` for new slots);
+    the last axis is the slot axis."""
+    out = np.full(values.shape[:-1] + came_from.shape, fill, dtype=values.dtype)
+    kept = came_from >= 0
+    out[..., kept] = values[..., came_from[kept]]
+    return out
+
+
+class _Fan(_ControllerBase):
+    """A controller over children laid out in slots: the order, the
+    per-slot demand arrays replies land in, and the cycle-start point
+    where membership changes take effect."""
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.children: List[ChildChannel] = []
+        #: The layout the current cycle runs on; children added or
+        #: removed since are laid out at the next cycle start.
+        self._order = _Order(())
+        self._order_stale = False
+        #: Last-known demand per slot, per axis, and which slots answered
+        #: the current collect.
+        self.slot_data = array("d")
+        self.slot_meta = array("d")
+        self._answered = bytearray()
+
+    def _add_child(self, channel: ChildChannel) -> None:
+        self.children.append(channel)
+        self._order_stale = True
+
+    def _relayout(self) -> _Order:
+        """Lay the children out again if they changed (call only at the
+        start of a phase); per-slot state follows its stage id."""
+        if self._order_stale:
+            order = _Order(self.children)
+            self._carry(_came_from(order.ids, self._order.ids))
+            self._order, self._order_stale = order, False
+        return self._order
+
+    def _carry(self, came_from: np.ndarray) -> None:
+        for name in ("slot_data", "slot_meta"):
+            old = np.frombuffer(getattr(self, name))
+            setattr(self, name, array("d", _moved(old, came_from, 0.0).tobytes()))
+
+    def _begin_collect(self) -> None:
+        self._answered = bytearray(len(self._order.ids))
+
+    def _land(self, msg) -> None:
+        """A reply writes its sender's slots: a stage's report one slot,
+        an aggregator's report its whole span (and which of it answered)."""
+        span = self._order.span_of.get(msg.sender)
+        if span is None:
+            return
+        first, stop = span
+        report = msg.payload[1]
+        if msg.kind == "metrics_reply":
+            self.slot_data[first] = report.data_iops
+            self.slot_meta[first] = report.metadata_iops
+            self._answered[first] = 1
+        elif report.n_stages == stop - first:
+            np.frombuffer(self.slot_data)[first:stop] = report.data_iops
+            np.frombuffer(self.slot_meta)[first:stop] = report.metadata_iops
+            np.frombuffer(self._answered, dtype=bool)[first:stop] = report.answered
+
+    def _answered_mask(self) -> np.ndarray:
+        return np.frombuffer(self._answered, dtype=bool)
+
+
+class GlobalController(_Fan):
     """The top-level controller executing the control algorithm.
 
     Children are registered with :meth:`add_stage` (flat design) or
@@ -302,12 +431,15 @@ class GlobalController(_ControllerBase):
         #: reactivity for rule churn.
         self.columns = StageColumns(alpha=metrics_alpha)
         self._compute = ColumnarCompute(self.columns)
-        self.children: List[ChildChannel] = []
         self.cycles: List[ControlCycle] = []
         self.epoch = 0
-        self.latest_metrics: Dict[str, StageMetrics] = {}
-        self.latest_rules: Dict[str, EnforcementRule] = {}
         self.collect_timeouts = 0
+        #: What was last put on the wire per slot: data over metadata
+        #: limit (NaN: nothing yet) and its epoch (0: none).
+        self._shipped = np.full((2, 0), np.nan)
+        self._shipped_epoch = np.zeros(0, dtype=np.int64)
+        #: ``((order, columns generation), aligned rows)``.
+        self._aligned: tuple = (None, None)
         self._proc: Optional[Process] = None
         host.allocate(costs.global_fixed_mem)
 
@@ -315,7 +447,7 @@ class GlobalController(_ControllerBase):
     def add_stage(self, stage_id: str, job_id: str, channel: ChildChannel) -> None:
         """Register a directly managed stage (flat design)."""
         self.columns.register(stage_id, job_id)
-        self.children.append(channel)
+        self._add_child(channel)
         self.host.allocate(self.costs.flat_per_stage_mem)
 
     def add_aggregator(
@@ -323,14 +455,18 @@ class GlobalController(_ControllerBase):
         channel: ChildChannel,
         stage_jobs: Mapping[str, str],
     ) -> None:
-        """Register an aggregator child and the stages behind it."""
+        """Register an aggregator child and the stages behind it.
+
+        ``channel.stage_ids`` is the aggregator's order: its trunk
+        vectors are laid out in it.
+        """
         self.columns.register_many(
             channel.stage_ids, [stage_jobs[s] for s in channel.stage_ids]
         )
         self.host.allocate(
             len(channel.stage_ids) * int(self.costs.hier_per_stage_mem)
         )
-        self.children.append(channel)
+        self._add_child(channel)
         self.host.allocate(self.costs.per_agg_mem_at_global)
 
     def remove_stage(self, stage_id: str) -> None:
@@ -347,9 +483,13 @@ class GlobalController(_ControllerBase):
             if ch.child_id == stage_id:
                 ch.connection.close()
         self.children = [c for c in self.children if c.child_id != stage_id]
-        self.latest_metrics.pop(stage_id, None)
-        self.latest_rules.pop(stage_id, None)
+        self._order_stale = True
         self.host.free(self.costs.flat_per_stage_mem)
+
+    def _carry(self, came_from: np.ndarray) -> None:
+        super()._carry(came_from)
+        self._shipped = _moved(self._shipped, came_from, np.nan)
+        self._shipped_epoch = _moved(self._shipped_epoch, came_from, 0)
 
     @property
     def n_stages(self) -> int:
@@ -358,6 +498,34 @@ class GlobalController(_ControllerBase):
     @property
     def is_hierarchical(self) -> bool:
         return any(c.kind == "aggregator" for c in self.children)
+
+    # -- views ----------------------------------------------------------------
+    @property
+    def latest_metrics(self) -> Dict[str, StageMetrics]:
+        """Last accepted report per live stage, built from the columns."""
+        cols = self.columns.to_arrays()
+        return {
+            stage_id: StageMetrics(stage_id, job_id, data, meta)
+            for stage_id, job_id, data, meta, seen in zip(
+                cols["ids"],
+                cols["jobs"],
+                cols["data"].tolist(),
+                cols["meta"].tolist(),
+                cols["seen"].tolist(),
+            )
+            if seen
+        }
+
+    @property
+    def latest_rules(self) -> Dict[str, EnforcementRule]:
+        """Last rule put on the wire per stage of the current order."""
+        ids = self._order.ids
+        data, meta = self._shipped.tolist()
+        epochs = self._shipped_epoch.tolist()
+        return {
+            ids[i]: EnforcementRule(ids[i], epochs[i], data[i], meta[i])
+            for i in np.flatnonzero(self._shipped_epoch).tolist()
+        }
 
     # -- main loop -----------------------------------------------------------
     def run_cycles(self, n_cycles: int) -> Process:
@@ -402,17 +570,20 @@ class GlobalController(_ControllerBase):
         self.epoch += 1
         epoch = self.epoch
         cm = self.costs
-        # Cycle start is the one safe point to renumber rows: no row
-        # snapshot is live and the generation bump invalidates caches.
+        # Cycle start is the one safe point to renumber rows and to move
+        # the order: no row or slot snapshot is live, and the generation
+        # bump invalidates caches.
         self.columns.maybe_compact()
+        order = self._relayout()
         started = self.env.now
         deadline = (
             started + self.collect_timeout_s if self.collect_timeout_s else None
         )
 
         # ---- collect ----
-        stage_children = [c for c in self.children if c.kind == "stage"]
-        agg_children = [c for c in self.children if c.kind == "aggregator"]
+        stage_children = order.stages
+        agg_children = order.aggregators
+        self._begin_collect()
         expected = 0
         if stage_children:
             expected += yield from self._send_all(
@@ -431,31 +602,6 @@ class GlobalController(_ControllerBase):
                 cm.tx_request_s,
             )
 
-        reported_stages = 0
-        columns = self.columns
-        latest = self.latest_metrics
-
-        def on_report(msg) -> None:
-            nonlocal reported_stages
-            _, data = msg.payload
-            if isinstance(data, AggregatedMetrics):
-                for i, stage_id in enumerate(data.stage_ids):
-                    latest[stage_id] = StageMetrics(
-                        stage_id=stage_id,
-                        job_id=data.job_ids[i],
-                        data_iops=data.data_iops[i],
-                        metadata_iops=data.metadata_iops[i],
-                        timestamp=data.timestamp,
-                    )
-                reported_stages += len(data.stage_ids) - columns.observe_many(
-                    data.stage_ids, data.data_iops, data.metadata_iops
-                )
-            else:
-                latest[data.stage_id] = data
-                reported_stages += columns.observe(
-                    data.stage_id, data.data_iops, data.metadata_iops
-                )
-
         # Per-aggregated-reply cost scales with the partition size; model
         # it with the mean partition size (partitions are near-uniform).
         agg_entry_cost = cm.rx_agg_reply_fixed_s
@@ -466,20 +612,20 @@ class GlobalController(_ControllerBase):
             expected,
             epoch,
             {"metrics_reply": cm.rx_reply_s, "agg_metrics_reply": agg_entry_cost},
-            on_report,
+            self._land,
             deadline,
         )
         if got < expected:
             self.collect_timeouts += 1
+        reported_stages = self._observe()
         t_collect = self.env.now - started
 
         # ---- compute ----
         compute_started = self.env.now
-        n = columns.n_active
+        n = self.columns.n_active
         if self.decision_offload and agg_children:
             # Global only computes per-aggregator budgets; PSFA over the
             # stages runs at the aggregators (§VI decision offloading).
-            stage_limits, metadata_limits = np.zeros(0), None
             yield self._execute(
                 cm.compute_fixed_s + len(agg_children) * cm.psfa_per_stage_s
             )
@@ -491,6 +637,8 @@ class GlobalController(_ControllerBase):
             if metadata_limits is not None:
                 # Differentiated QoS runs the algorithm once per class.
                 per_stage_cost *= 2
+            # Into slots now, while the live rows are the ones computed on.
+            limits = self._slot_limits(stage_limits, metadata_limits)
             yield self._execute(cm.compute_fixed_s + n * per_stage_cost)
         t_compute = self.env.now - compute_started
 
@@ -506,19 +654,11 @@ class GlobalController(_ControllerBase):
         else:
             if stage_children:
                 yield from self._enforce_stages(
-                    stage_children,
-                    stage_limits,
-                    epoch,
-                    enforce_deadline,
-                    metadata_limits,
+                    stage_children, limits, epoch, enforce_deadline
                 )
             if agg_children:
                 yield from self._enforce_batches(
-                    agg_children,
-                    stage_limits,
-                    epoch,
-                    enforce_deadline,
-                    metadata_limits,
+                    agg_children, limits, epoch, enforce_deadline
                 )
         t_enforce = self.env.now - enforce_started
 
@@ -561,6 +701,47 @@ class GlobalController(_ControllerBase):
                 n_stages=n,
             )
 
+    # -- rows -------------------------------------------------------------------
+    def _aligned_rows(self) -> np.ndarray:
+        """The column row behind each slot of the order (-1: none),
+        cached until the order moves or rows are renumbered."""
+        key = (self._order, self.columns.generation)
+        if self._aligned[0] != key:
+            self._aligned = (key, self.columns.rows_for(self._order.ids))
+        return self._aligned[1]
+
+    def _observe(self) -> int:
+        """Scatter the answered slots into the columns through the
+        aligned rows; returns how many stages reported (a refused report
+        leaves its stage at last-known demand, as a silent one)."""
+        rows = self._aligned_rows()
+        answered = self._answered_mask()
+        data = np.frombuffer(self.slot_data)
+        meta = np.frombuffer(self.slot_meta)
+        n_answered = int(np.count_nonzero(answered))
+        if n_answered < answered.size:
+            rows, data, meta = rows[answered], data[answered], meta[answered]
+        return n_answered - self.columns.observe_rows(rows, data, meta)
+
+    def _slot_limits(
+        self, limits: np.ndarray, metadata_limits: Optional[np.ndarray]
+    ) -> np.ndarray:
+        """The compute's limits (one per live row) gathered into the
+        order's slots: ``(2, n)`` read-only, data over metadata (``inf``:
+        unlimited). A slot without a live row gets 0.0 on every axis it
+        has a limit on."""
+        live, rows = self.columns.active_rows(), self._aligned_rows()
+        # By row, plus one spare column last: what row -1 reads.
+        grant = np.zeros((2, 2 + max(live.max(initial=-1), rows.max(initial=-1))))
+        grant[0, live] = limits
+        if metadata_limits is None:
+            grant[1] = _INF
+        else:
+            grant[1, live] = metadata_limits
+        out = grant[:, rows]
+        out.flags.writeable = False
+        return out
+
     # -- compute ---------------------------------------------------------------
     def _compute_allocations(self):
         """Run the control algorithm; returns per-stage IOPS limits.
@@ -580,63 +761,44 @@ class GlobalController(_ControllerBase):
     def _enforce_stages(
         self,
         stage_children: List[ChildChannel],
-        stage_limits: np.ndarray,
+        limits: np.ndarray,
         epoch: int,
         deadline: Optional[float],
-        metadata_limits: Optional[np.ndarray] = None,
     ) -> Generator:
-        stage_ids = self.columns.active_ids()
-        limit_of = dict(zip(stage_ids, stage_limits))
-        meta_of = (
-            dict(zip(stage_ids, metadata_limits))
-            if metadata_limits is not None
-            else None
-        )
         cm = self.costs
-
-        def build_rule(stage_id: str) -> EnforcementRule:
-            return EnforcementRule(
-                stage_id=stage_id,
-                epoch=epoch,
-                data_iops_limit=float(limit_of.get(stage_id, 0.0)),
-                metadata_iops_limit=(
-                    float(meta_of.get(stage_id, 0.0))
-                    if meta_of is not None
-                    else float("inf")
-                ),
-            )
-
+        start = self._order.start
         targets = stage_children
         if self.enforce_changed_only:
-            from repro.core.rules import diff_rules
-
-            candidates = [build_rule(ch.child_id) for ch in stage_children]
-            changed_ids = {
-                r.stage_id
-                for r in diff_rules(
-                    self.latest_rules, candidates, self.rule_change_tolerance
-                )
-            }
-            targets = [ch for ch in stage_children if ch.child_id in changed_ids]
-            self.rules_suppressed += len(stage_children) - len(targets)
+            slots = [start[ch.child_id] for ch in stage_children]
+            ship = changed_limits(
+                self._shipped[:, slots], limits[:, slots], self.rule_change_tolerance
+            ).tolist()
+            targets = [ch for ch, changed in zip(stage_children, ship) if changed]
+            skipped = len(stage_children) - len(targets)
+            self.rules_suppressed += skipped
             # Rule-building effort for suppressed rules is still paid (the
             # diff needs the candidate values), without the wire costs.
-            skipped = len(stage_children) - len(targets)
             if skipped:
                 yield self._execute(skipped * cm.rule_build_s)
 
-        def payload(ch: ChildChannel):
-            rule = build_rule(ch.child_id)
-            self.latest_rules[ch.child_id] = rule
-            return (epoch, rule)
+        data, meta = limits.tolist()
+        shipped: List[int] = []
 
-        sent = yield from self._send_all(
-            targets,
-            "rule",
-            payload,
-            lambda ch: cm.rule_bytes,
-            cm.rule_build_s + cm.tx_rule_s,
-        )
+        def payload(ch: ChildChannel):
+            slot = start[ch.child_id]
+            shipped.append(slot)
+            return (epoch, EnforcementRule(ch.child_id, epoch, data[slot], meta[slot]))
+
+        try:
+            sent = yield from self._send_all(
+                targets,
+                "rule",
+                payload,
+                lambda ch: cm.rule_bytes,
+                cm.rule_build_s + cm.tx_rule_s,
+            )
+        finally:
+            self._record_shipped(np.array(shipped, dtype=np.intp), limits, epoch)
         yield from self._await_replies(
             sent,
             epoch,
@@ -648,19 +810,12 @@ class GlobalController(_ControllerBase):
     def _enforce_batches(
         self,
         agg_children: List[ChildChannel],
-        stage_limits: np.ndarray,
+        limits: np.ndarray,
         epoch: int,
         deadline: Optional[float],
-        metadata_limits: Optional[np.ndarray] = None,
     ) -> Generator:
-        stage_ids = self.columns.active_ids()
-        limit_of = dict(zip(stage_ids, stage_limits))
-        meta_of = (
-            dict(zip(stage_ids, metadata_limits))
-            if metadata_limits is not None
-            else None
-        )
         cm = self.costs
+        start = self._order.start
         # Building every per-stage rule happens at the global controller
         # even in the hierarchical design (paper §IV-B: the global
         # controller "must calculate rules for all data plane stages").
@@ -668,22 +823,10 @@ class GlobalController(_ControllerBase):
         yield self._execute(total_stages * cm.rule_build_hier_s)
 
         def payload(ch: ChildChannel):
-            rules = tuple(
-                EnforcementRule(
-                    stage_id=s,
-                    epoch=epoch,
-                    data_iops_limit=float(limit_of.get(s, 0.0)),
-                    metadata_iops_limit=(
-                        float(meta_of.get(s, 0.0))
-                        if meta_of is not None
-                        else float("inf")
-                    ),
-                )
-                for s in ch.stage_ids
-            )
-            for rule in rules:
-                self.latest_rules[rule.stage_id] = rule
-            return (epoch, RuleBatch(ch.child_id, epoch, rules))
+            first = start[ch.child_id]
+            stop = first + ch.n_stages
+            self._record_shipped(slice(first, stop), limits, epoch)
+            return (epoch, limits[0, first:stop], limits[1, first:stop])
 
         sent = yield from self._send_all(
             agg_children,
@@ -701,6 +844,10 @@ class GlobalController(_ControllerBase):
             deadline,
         )
 
+    def _record_shipped(self, slots, limits: np.ndarray, epoch: int) -> None:
+        self._shipped[:, slots] = limits[:, slots]
+        self._shipped_epoch[slots] = epoch
+
     def _enforce_offload(
         self,
         agg_children: List[ChildChannel],
@@ -712,9 +859,12 @@ class GlobalController(_ControllerBase):
         # Budget split: water-fill capacity over per-partition total demand.
         from repro.core.algorithms.psfa import weighted_waterfill
 
+        rows = self._aligned_rows()
+        demand = np.where(rows >= 0, self.columns.ewma[rows], 0.0).tolist()
+        start = self._order.start
         part_demand = np.array(
             [
-                sum(self.columns.demand(s) for s in ch.stage_ids)
+                sum(demand[start[ch.child_id] : start[ch.child_id] + ch.n_stages])
                 for ch in agg_children
             ]
         )
@@ -751,12 +901,20 @@ class GlobalController(_ControllerBase):
         return CycleStats(self.cycles, warmup=min(warmup, max(len(self.cycles) - 1, 0)))
 
 
-class AggregatorController(_ControllerBase):
+class AggregatorController(_Fan):
     """The intermediate control level of the hierarchical design.
 
-    Reacts to the global controller's requests; owns a partition of stages
-    (or, in deeper hierarchies, a set of child aggregators).
+    Reacts to the requests of the level above (served in arrival order;
+    one that lands while a phase waits on children is parked, not
+    dropped); owns a partition of stages (or, in deeper hierarchies, a
+    set of child aggregators). ``collect_timeout_s`` bounds every wait
+    on children: a phase past it replies upstream with what arrived, so
+    one silent stage costs its partition at most that much per phase
+    instead of wedging it.
     """
+
+    #: Requests from the level above.
+    _UPLINK_KINDS = frozenset({"agg_collect_req", "rule_batch", "budget_grant"})
 
     def __init__(
         self,
@@ -768,45 +926,60 @@ class AggregatorController(_ControllerBase):
         policy: Optional[QoSPolicy] = None,
         algorithm: Optional[ControlAlgorithm] = None,
         span_tracer=None,
+        collect_timeout_s: Optional[float] = None,
     ) -> None:
         super().__init__(env, host, endpoint, costs, agg_id)
         self.tracer = span_tracer if span_tracer is not None else NullSpanTracer()
         self.agg_id = agg_id
         self.policy = policy
         self.algorithm = algorithm or PSFA()
-        self.children: List[ChildChannel] = []
+        self.collect_timeout_s = collect_timeout_s
+        self.defer_kinds = set(self._UPLINK_KINDS)
         self.stage_jobs: Dict[str, str] = {}
-        self.latest_reports: Dict[str, StageMetrics] = {}
+        #: Slots that have ever answered (their demand is known).
+        self._seen = bytearray()
         self.cycles_served = 0
         self._proc: Optional[Process] = None
         host.allocate(costs.agg_fixed_mem)
 
     # -- membership ---------------------------------------------------------
     def add_stage(self, stage_id: str, job_id: str, channel: ChildChannel) -> None:
-        self.children.append(channel)
+        self._add_child(channel)
         self.stage_jobs[stage_id] = job_id
         self.host.allocate(self.costs.agg_per_stage_mem)
 
     def add_child_aggregator(self, channel: ChildChannel, stage_jobs: Mapping[str, str]) -> None:
         """Attach a lower-level aggregator (three-level hierarchies)."""
-        self.children.append(channel)
+        self._add_child(channel)
         for stage_id in channel.stage_ids:
             self.stage_jobs[stage_id] = stage_jobs[stage_id]
             self.host.allocate(self.costs.agg_per_stage_mem)
 
+    def _carry(self, came_from: np.ndarray) -> None:
+        super()._carry(came_from)
+        seen = np.frombuffer(self._seen, dtype=bool)
+        self._seen = bytearray(_moved(seen, came_from, False).tobytes())
+
     @property
     def stage_ids(self) -> Tuple[str, ...]:
-        out: List[str] = []
-        for ch in self.children:
-            if ch.kind == "stage":
-                out.append(ch.child_id)
-            else:
-                out.extend(ch.stage_ids)
-        return tuple(out)
+        """The partition order (what the trunk vectors are laid out in)."""
+        return (
+            _Order(self.children).ids if self._order_stale else self._order.ids
+        )
 
     @property
     def n_stages(self) -> int:
         return sum(ch.n_stages for ch in self.children)
+
+    @property
+    def latest_reports(self) -> Dict[str, StageMetrics]:
+        """Last-known report per slot that has ever answered."""
+        ids, jobs = self._order.ids, self.stage_jobs
+        data, meta = self.slot_data, self.slot_meta
+        return {
+            ids[i]: StageMetrics(ids[i], jobs[ids[i]], data[i], meta[i])
+            for i in np.flatnonzero(np.frombuffer(self._seen, dtype=bool)).tolist()
+        }
 
     # -- main loop -----------------------------------------------------------
     def start(self) -> Process:
@@ -827,7 +1000,10 @@ class AggregatorController(_ControllerBase):
 
         try:
             while True:
-                msg = yield self.endpoint.recv()
+                if self._deferred:
+                    msg = self._deferred.pop(0)
+                else:
+                    msg = yield self.endpoint.recv()
                 conn = self.endpoint.connections.get(msg.sender)
                 if conn is None:
                     self.stale_messages += 1
@@ -843,13 +1019,20 @@ class AggregatorController(_ControllerBase):
         except Interrupt:
             return
 
+    def _deadline(self) -> Optional[float]:
+        timeout = self.collect_timeout_s
+        return self.env.now + timeout if timeout else None
+
     # -- collect ---------------------------------------------------------------
     def _collect(self, epoch: int, uplink: Connection) -> Generator:
         cm = self.costs
         self.cycles_served += 1
         started = self.env.now
-        stage_children = [c for c in self.children if c.kind == "stage"]
-        agg_children = [c for c in self.children if c.kind == "aggregator"]
+        deadline = self._deadline()
+        order = self._relayout()
+        stage_children = order.stages
+        agg_children = order.aggregators
+        self._begin_collect()
         expected = 0
         if stage_children:
             expected += yield from self._send_all(
@@ -868,24 +1051,6 @@ class AggregatorController(_ControllerBase):
                 cm.tx_request_s,
             )
 
-        reports: List[StageMetrics] = []
-
-        def on_report(msg) -> None:
-            _, data = msg.payload
-            if isinstance(data, AggregatedMetrics):
-                for i, stage_id in enumerate(data.stage_ids):
-                    reports.append(
-                        StageMetrics(
-                            stage_id=stage_id,
-                            job_id=data.job_ids[i],
-                            data_iops=data.data_iops[i],
-                            metadata_iops=data.metadata_iops[i],
-                            timestamp=data.timestamp,
-                        )
-                    )
-            else:
-                reports.append(data)
-
         agg_entry_cost = cm.rx_agg_reply_fixed_s
         if agg_children:
             mean_part = sum(c.n_stages for c in agg_children) / len(agg_children)
@@ -897,16 +1062,24 @@ class AggregatorController(_ControllerBase):
                 "metrics_reply": cm.rx_reply_s + cm.agg_merge_s,
                 "agg_metrics_reply": agg_entry_cost,
             },
-            on_report,
+            self._land,
+            deadline,
         )
-        for r in reports:
-            self.latest_reports[r.stage_id] = r
+        answered = self._answered_mask()
+        seen = np.frombuffer(self._seen, dtype=bool)
+        np.logical_or(seen, answered, out=seen)
 
-        # Summarize and reply upstream with the pre-merged report.
+        # Summarize and reply upstream with the partition's rows.
         yield self._execute(cm.agg_summarize_fixed_s)
-        merged = aggregate(self.agg_id, reports, timestamp=self.env.now)
+        merged = AggregatedMetrics(
+            self.agg_id,
+            np.frombuffer(self.slot_data),
+            np.frombuffer(self.slot_meta),
+            answered,
+            timestamp=self.env.now,
+        )
         size = (
-            cm.agg_reply_header_bytes + merged.n_stages * cm.agg_reply_entry_bytes
+            cm.agg_reply_header_bytes + merged.n_answered * cm.agg_reply_entry_bytes
         )
         uplink.send(self.endpoint, "agg_metrics_reply", (epoch, merged), size)
         # Background work for owning this partition's connections.
@@ -924,42 +1097,53 @@ class AggregatorController(_ControllerBase):
 
     # -- enforce (rule distribution) ---------------------------------------------
     def _distribute(self, payload, uplink: Connection) -> Generator:
-        epoch, batch = payload
+        epoch, data, meta = payload
         cm = self.costs
         started = self.env.now
-        yield self._execute(len(batch) * cm.batch_unpack_s)
-        rule_of = {rule.stage_id: rule for rule in batch}
-        stage_children = [c for c in self.children if c.kind == "stage"]
-        agg_children = [c for c in self.children if c.kind == "aggregator"]
-        targets = [c for c in stage_children if c.child_id in rule_of]
-        sent_rules = 0
-        if targets:
-            sent_rules = yield from self._send_all(
-                targets,
-                "rule",
-                lambda ch: (epoch, rule_of[ch.child_id]),
-                lambda ch: cm.rule_bytes,
-                cm.tx_rule_s,
-            )
-        sub_targets = []
-        for ch in agg_children:
-            sub_rules = tuple(rule_of[s] for s in ch.stage_ids if s in rule_of)
-            if sub_rules:
-                sub_targets.append((ch, RuleBatch(ch.child_id, epoch, sub_rules)))
-        for ch, sub_batch in sub_targets:
-            yield self._execute(cm.tx_batch_s)
-            ch.connection.send(
-                ch.endpoint,
-                "rule_batch",
-                (epoch, sub_batch),
-                cm.rule_batch_header_bytes
-                + len(sub_batch) * cm.rule_batch_entry_bytes,
-            )
+        deadline = self._deadline()
+        order = self._relayout()
+        yield self._execute(len(data) * cm.batch_unpack_s)
+        sent = 0
+        start = order.start
+        if len(data) == len(order.ids) == len(meta):
+            if order.stages:
+                data_l, meta_l = data.tolist(), meta.tolist()
+                sent = yield from self._send_all(
+                    order.stages,
+                    "rule",
+                    lambda ch: (
+                        epoch,
+                        EnforcementRule(
+                            ch.child_id,
+                            epoch,
+                            data_l[start[ch.child_id]],
+                            meta_l[start[ch.child_id]],
+                        ),
+                    ),
+                    lambda ch: cm.rule_bytes,
+                    cm.tx_rule_s,
+                )
+            for ch in order.aggregators:
+                first = start[ch.child_id]
+                stop = first + ch.n_stages
+                yield self._execute(cm.tx_batch_s)
+                ch.connection.send(
+                    ch.endpoint,
+                    "rule_batch",
+                    (epoch, data[first:stop], meta[first:stop]),
+                    cm.rule_batch_header_bytes
+                    + ch.n_stages * cm.rule_batch_entry_bytes,
+                )
+                sent += 1
+        else:
+            # Not laid out in this partition's order: nothing to unpack.
+            self.stale_messages += 1
         yield from self._await_replies(
-            sent_rules + len(sub_targets),
+            sent,
             epoch,
             {"rule_ack": cm.rx_ack_s, "batch_ack": cm.rx_agg_ack_s},
             lambda msg: None,
+            deadline,
         )
         uplink.send(self.endpoint, "batch_ack", epoch, cm.agg_ack_bytes)
         if self.tracer.enabled:
@@ -980,32 +1164,32 @@ class AggregatorController(_ControllerBase):
             raise RuntimeError(
                 f"{self.agg_id}: decision offload requires a local policy copy"
             )
-        reports = [
-            self.latest_reports.get(s)
-            for s in self.stage_ids
-        ]
-        known = [r for r in reports if r is not None]
-        stage_ids = [r.stage_id for r in known]
-        demands = np.array([r.total_iops for r in known])
-        weights = self.policy.weights([r.job_id for r in known])
-        yield self._execute(
-            cm.compute_fixed_s + len(known) * cm.psfa_per_stage_s
+        deadline = self._deadline()
+        order = self._relayout()
+        # Stages that never answered have no known demand and get no rule.
+        known = np.frombuffer(self._seen, dtype=bool)
+        slots = np.flatnonzero(known)
+        demands = (np.frombuffer(self.slot_data) + np.frombuffer(self.slot_meta))[slots]
+        weights = self.policy.weights(
+            [self.stage_jobs[order.ids[i]] for i in slots.tolist()]
         )
-        if known and budget > 0:
-            result = self.algorithm.allocate(demands, weights, budget)
-            limits = result.allocations
-        else:
-            limits = np.zeros(len(known))
-        rule_of = {
-            s: EnforcementRule(stage_id=s, epoch=epoch, data_iops_limit=float(v))
-            for s, v in zip(stage_ids, limits)
-        }
-        targets = [c for c in self.children if c.kind == "stage" and c.child_id in rule_of]
+        yield self._execute(
+            cm.compute_fixed_s + slots.size * cm.psfa_per_stage_s
+        )
+        limit = np.zeros(len(order.ids))
+        if slots.size and budget > 0:
+            limit[slots] = self.algorithm.allocate(demands, weights, budget).allocations
+        start = order.start
+        limit_l = limit.tolist()
+        targets = [ch for ch in order.stages if known[start[ch.child_id]]]
         if targets:
             sent = yield from self._send_all(
                 targets,
                 "rule",
-                lambda ch: (epoch, rule_of[ch.child_id]),
+                lambda ch: (
+                    epoch,
+                    EnforcementRule(ch.child_id, epoch, limit_l[start[ch.child_id]]),
+                ),
                 lambda ch: cm.rule_bytes,
                 cm.rule_build_s + cm.tx_rule_s,
             )
@@ -1014,5 +1198,6 @@ class AggregatorController(_ControllerBase):
                 epoch,
                 {"rule_ack": cm.rx_ack_s},
                 lambda msg: None,
+                deadline,
             )
         uplink.send(self.endpoint, "budget_ack", epoch, cm.agg_ack_bytes)

@@ -98,7 +98,7 @@ class HotStandby:
         self.missed_heartbeats = int(missed_heartbeats)
         self.last_heartbeat_at: Optional[float] = None
         self.last_primary_epoch = 0
-        self._state_snapshot: Optional[tuple] = None
+        self._state_snapshot: Optional[dict] = None
         self.failover: Optional[FailoverEvent] = None
         self.heartbeats_sent = 0
         self._hb_proc: Optional[Process] = None
@@ -156,16 +156,13 @@ class HotStandby:
                 # negligible next to cycle traffic.
                 self.last_heartbeat_at = self.env.now
                 self.last_primary_epoch = self.primary.epoch
-                # The heartbeat carries a state snapshot (latest demand and
-                # rules), so a takeover preserves the primary's reservations
-                # for partitions that are currently dark — without it the
-                # standby would re-allocate a dead partition's share to the
-                # survivors while its zombie stages still enforce old rules.
-                self._state_snapshot = (
-                    dict(self.primary.latest_metrics),
-                    dict(self.primary.latest_rules),
-                    self.primary.columns.to_arrays(),
-                )
+                # The heartbeat carries a state snapshot (the latest demand
+                # columns, as flat arrays), so a takeover preserves the
+                # primary's reservations for partitions that are currently
+                # dark — without it the standby would re-allocate a dead
+                # partition's share to the survivors while its zombie
+                # stages still enforce old rules.
+                self._state_snapshot = self.primary.columns.to_arrays()
                 self.heartbeats_sent += 1
                 self.primary.host.charge(1e-6)
         except Interrupt:
@@ -194,12 +191,7 @@ class HotStandby:
             last_known = max(self.last_primary_epoch, self.primary.epoch)
             resume_epoch = last_known + EPOCH_SLACK
             if self._state_snapshot is not None:
-                metrics, rules, demands = self._state_snapshot
-                for stage_id, report in metrics.items():
-                    self.standby.latest_metrics.setdefault(stage_id, report)
-                for stage_id, rule in rules.items():
-                    self.standby.latest_rules.setdefault(stage_id, rule)
-                self.standby.columns.adopt(demands)
+                self.standby.columns.adopt(self._state_snapshot)
             self.failover = FailoverEvent(
                 time=self.env.now,
                 last_primary_epoch=last_known,

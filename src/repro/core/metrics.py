@@ -3,10 +3,10 @@
 The study's control loop collects two counters from every stage each cycle
 (paper §III-C): the rate of **data** operations (read/write IOPS) and the
 rate of **metadata** operations (open/stat/close per second) the stage is
-currently submitting towards the PFS. Aggregator controllers merge many
-stage records into one :class:`AggregatedMetrics` before forwarding, which
-is what shrinks the global controller's receive path in the hierarchical
-design.
+currently submitting towards the PFS. Aggregator controllers land many
+stage records in their partition's rows and forward one
+:class:`AggregatedMetrics` of vectors, which is what shrinks the global
+controller's receive path in the hierarchical design.
 
 Wire sizes are modelled separately in the cost model
 (:mod:`repro.harness.calibration`); these classes carry the semantic
@@ -23,7 +23,7 @@ import numpy as np
 __all__ = ["AggregatedMetrics", "MetricsWindow", "StageMetrics"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StageMetrics:
     """One stage's report for one control cycle."""
 
@@ -45,61 +45,57 @@ class StageMetrics:
         return self.data_iops + self.metadata_iops
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AggregatedMetrics:
-    """Pre-merged metrics for one aggregator's stage partition.
+    """One aggregator's partition report, in rows (paper Obs. #7).
 
-    Carries per-stage demand vectors in compact (array) form plus the
-    per-job totals the aggregator already computed, so the global
-    controller does per-entry work that is cheaper than parsing full
-    :class:`StageMetrics` records (paper Obs. #7).
+    No stage ids: the receiver holds the partition's order (the ids it
+    registered the aggregator with) and every vector is laid out in it —
+    per slot the last-known data and metadata demand, and whether the
+    stage answered this collect (a silent slot carries its last-known
+    value, which the receiver does not read). The global controller
+    still needs per-stage vectors to compute per-stage rules, which is
+    why hierarchical memory usage scales with N. The vectors are copied
+    on construction and read-only.
     """
 
     aggregator_id: str
-    stage_ids: Tuple[str, ...]
-    job_ids: Tuple[str, ...]
-    data_iops: Tuple[float, ...]
-    metadata_iops: Tuple[float, ...]
-    job_totals: Dict[str, float]
+    data_iops: np.ndarray
+    metadata_iops: np.ndarray
+    answered: np.ndarray
     timestamp: float = 0.0
 
     def __post_init__(self) -> None:
-        n = len(self.stage_ids)
-        if not (len(self.job_ids) == len(self.data_iops) == len(self.metadata_iops) == n):
+        for name, dtype in (
+            ("data_iops", float), ("metadata_iops", float), ("answered", bool)
+        ):
+            values = np.array(getattr(self, name), dtype=dtype)
+            if values.ndim != 1:
+                raise ValueError(f"{name} must be a vector")
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+        if not (
+            self.data_iops.size == self.metadata_iops.size == self.answered.size
+        ):
             raise ValueError("aggregated metric vectors must have equal length")
 
     @property
     def n_stages(self) -> int:
-        return len(self.stage_ids)
+        """Slots in the partition's order."""
+        return self.data_iops.size
+
+    @property
+    def n_answered(self) -> int:
+        """Slots whose stage answered this collect."""
+        return int(np.count_nonzero(self.answered))
 
     @property
     def total_iops(self) -> float:
-        return float(sum(self.data_iops) + sum(self.metadata_iops))
-
-
-def aggregate(
-    aggregator_id: str,
-    reports: Sequence[StageMetrics],
-    timestamp: float = 0.0,
-) -> AggregatedMetrics:
-    """Merge stage reports into one :class:`AggregatedMetrics`.
-
-    Per-job totals are summed across the partition; per-stage vectors are
-    preserved (the global controller needs them to compute per-stage rules,
-    which is why hierarchical memory usage still scales with N).
-    """
-    job_totals: Dict[str, float] = {}
-    for r in reports:
-        job_totals[r.job_id] = job_totals.get(r.job_id, 0.0) + r.total_iops
-    return AggregatedMetrics(
-        aggregator_id=aggregator_id,
-        stage_ids=tuple(r.stage_id for r in reports),
-        job_ids=tuple(r.job_id for r in reports),
-        data_iops=tuple(r.data_iops for r in reports),
-        metadata_iops=tuple(r.metadata_iops for r in reports),
-        job_totals=job_totals,
-        timestamp=timestamp,
-    )
+        """Demand reported this collect (answered slots only)."""
+        answered = self.answered
+        return float(
+            self.data_iops[answered].sum() + self.metadata_iops[answered].sum()
+        )
 
 
 class MetricsWindow:

@@ -8,16 +8,18 @@ controller failover — are discarded by stages rather than re-applied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
-__all__ = ["EnforcementRule", "RuleBatch", "diff_rules"]
+import numpy as np
+
+__all__ = ["EnforcementRule", "changed_limits", "diff_rules"]
 
 #: Rate value meaning "unlimited" (no throttling).
 UNLIMITED = float("inf")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EnforcementRule:
     """A per-stage rate assignment for one control epoch."""
 
@@ -43,49 +45,6 @@ class EnforcementRule:
         return other is None or self.epoch > other.epoch
 
 
-@dataclass(frozen=True)
-class RuleBatch:
-    """Rules for one aggregator's partition, sent as a single message.
-
-    Batching is why the hierarchical global controller transmits ~45 B per
-    stage where the flat controller pays a full per-stage message (~117 B
-    plus a connection round trip) — see Table II vs Table III.
-    """
-
-    aggregator_id: str
-    epoch: int
-    rules: Tuple[EnforcementRule, ...]
-
-    def __post_init__(self) -> None:
-        for rule in self.rules:
-            if rule.epoch != self.epoch:
-                raise ValueError(
-                    f"rule epoch {rule.epoch} != batch epoch {self.epoch}"
-                )
-
-    def __len__(self) -> int:
-        return len(self.rules)
-
-    def __iter__(self) -> Iterator[EnforcementRule]:
-        return iter(self.rules)
-
-    def split(self, n_parts: int) -> List["RuleBatch"]:
-        """Partition into up to ``n_parts`` contiguous sub-batches."""
-        if n_parts < 1:
-            raise ValueError(f"n_parts must be >= 1: {n_parts}")
-        chunks: List[RuleBatch] = []
-        size = max(1, (len(self.rules) + n_parts - 1) // n_parts)
-        for i in range(0, len(self.rules), size):
-            chunks.append(
-                RuleBatch(
-                    aggregator_id=self.aggregator_id,
-                    epoch=self.epoch,
-                    rules=self.rules[i : i + size],
-                )
-            )
-        return chunks
-
-
 def diff_rules(
     previous: Dict[str, EnforcementRule],
     current: Sequence[EnforcementRule],
@@ -96,7 +55,9 @@ def diff_rules(
     An optional optimisation (not used in the paper's stress workload,
     which always pushes every rule): only ship rules whose limits moved by
     more than ``tolerance`` relative change, cutting enforce-phase traffic
-    for steady workloads. Exercised by the ablation benches.
+    for steady workloads. This is the per-rule reference: the simulated
+    controller ships by :func:`changed_limits`, which the tests hold to
+    this verdict.
     """
     if tolerance < 0:
         raise ValueError(f"negative tolerance: {tolerance}")
@@ -122,3 +83,24 @@ def diff_rules(
                 changed.append(rule)
                 break
     return changed
+
+
+def changed_limits(
+    previous: np.ndarray, current: np.ndarray, tolerance: float = 0.0
+) -> np.ndarray:
+    """:func:`diff_rules`' verdict over vectors: which rules must ship.
+
+    ``previous`` and ``current`` are ``(2, n)`` — data over metadata
+    limits per stage; a ``NaN`` data limit in ``previous`` means nothing
+    was shipped yet. Same comparisons, entry by entry: an axis moved if
+    it is not equal and its base (``max(|old|, 1e-12)``) is infinite or
+    the relative change exceeds ``tolerance``.
+    """
+    if tolerance < 0:
+        raise ValueError(f"negative tolerance: {tolerance}")
+    with np.errstate(invalid="ignore"):  # inf - inf on equal axes
+        base = np.maximum(np.abs(previous), 1e-12)
+        moved = (current != previous) & (
+            (base == UNLIMITED) | (np.abs(current - previous) / base > tolerance)
+        )
+    return np.isnan(previous[0]) | moved[0] | moved[1]

@@ -25,13 +25,15 @@ the global controller's own serial costs, charged from the same
   charged at the hier per-stage rate),
 * enforce = rule build + batch tx + slowest subtree's distribute + acks.
 
-Cross-process state travels as **flat arrays**, never dicts of Python
-floats: workers reply with ``(stage_ids tuple, job_ids tuple, data
-ndarray, meta ndarray)`` per subtree, the parent folds them into one
-:class:`~repro.core.columnar.StageColumns` union store, and enforce
-ships each worker a single ``float64`` limit vector aligned to its
-canonical stage order instead of pickling a stage→limit dict to every
-worker.
+Cross-process state travels as **rows**, the DES trunk's own form:
+stage ids cross the pipe once, in each worker's ``ready`` message (every
+subtree's partition order and job ids), and the parent registers them in
+one :class:`~repro.core.columnar.StageColumns` union store; per cycle a
+worker replies with ``(data, meta, answered)`` vectors per subtree, which
+the parent scatters with one ``observe_rows`` through that subtree's
+rows, and enforce ships each worker a single ``float64`` limit vector
+aligned to its canonical stage order instead of pickling a stage→limit
+dict to every worker.
 
 Taking the *maximum* subtree time at each barrier is the conservative
 synchronisation rule: the composed clock never runs ahead of any
@@ -111,7 +113,6 @@ class _SubtreeSim:
         self.cluster.network.reserve_system_slots(driver_host, 8)
         self.driver = self.cluster.network.attach(driver_host, "driver")
         self.links: List[Tuple[str, object, object]] = []  # (agg_id, conn, agg)
-        self.n_stages = 0
         for agg_id, stage_ids in spec.subtrees:
             agg_host = self.cluster.add_host(name=agg_id)
             self.cluster.network.reserve_system_slots(agg_host, 8)
@@ -141,7 +142,6 @@ class _SubtreeSim:
                     stage.job_id,
                     ChildChannel(stage_id, "stage", conn, agg_endpoint),
                 )
-                self.n_stages += 1
             agg.start()
             trunk = self.cluster.network.connect(self.driver, agg_endpoint)
             self.links.append((agg_id, trunk, agg))
@@ -153,12 +153,25 @@ class _SubtreeSim:
                 yield self.env.timeout(t - self.env.now)
             self.env.run(self.env.process(wait(), name="barrier"))
 
+    def orders(self) -> List[Tuple[str, Tuple[str, ...], Tuple[str, ...]]]:
+        """``(agg_id, stage_ids, job_ids)`` per subtree: the order every
+        per-cycle vector of that subtree is laid out in."""
+        return [
+            (agg_id, agg.stage_ids, tuple(agg.stage_jobs[s] for s in agg.stage_ids))
+            for agg_id, _trunk, agg in self.links
+        ]
+
     def collect(self, epoch: int, barrier_t: float):
-        """Fan ``agg_collect_req`` out, gather merged replies; time it."""
+        """Fan ``agg_collect_req`` out, gather the subtrees' rows; time it.
+
+        Returns ``(elapsed, [(data, meta, answered) per subtree])`` in
+        spec order — contiguous vectors pickle as single buffers.
+        """
         cm = self.spec.costs
         self._advance_to(barrier_t)
         started = self.env.now
-        replies: List[tuple] = []
+        index = {agg.endpoint.name: i for i, (_, _, agg) in enumerate(self.links)}
+        replies: List[Optional[tuple]] = [None] * len(self.links)
 
         def drive():
             for _, trunk, _agg in self.links:
@@ -170,16 +183,8 @@ class _SubtreeSim:
                 if msg.kind != "agg_metrics_reply":
                     continue
                 _, merged = msg.payload
-                # Flat-array reply: tuples of ids plus contiguous
-                # float64 columns pickle as single buffers, not
-                # element-by-element Python floats.
-                replies.append(
-                    (
-                        tuple(merged.stage_ids),
-                        tuple(merged.job_ids),
-                        np.ascontiguousarray(merged.data_iops, dtype=float),
-                        np.ascontiguousarray(merged.metadata_iops, dtype=float),
-                    )
+                replies[index[msg.sender]] = (
+                    merged.data_iops, merged.metadata_iops, merged.answered
                 )
                 got += 1
 
@@ -194,34 +199,25 @@ class _SubtreeSim:
         stage order — the concatenation of its subtrees' partitions in
         spec order, which is exactly the order ``agg.stage_ids`` yields.
         """
-        from repro.core.rules import EnforcementRule, RuleBatch
-
         cm = self.spec.costs
         self._advance_to(barrier_t)
         started = self.env.now
+        limits.flags.writeable = False
+        unlimited = np.full(limits.size, np.inf)
+        unlimited.flags.writeable = False
 
         def drive():
             sent = 0
             offset = 0
-            for agg_id, trunk, agg in self.links:
-                ids = agg.stage_ids
-                part = limits[offset:offset + len(ids)]
-                offset += len(ids)
-                rules = tuple(
-                    EnforcementRule(
-                        stage_id=s,
-                        epoch=epoch,
-                        data_iops_limit=float(lim),
-                        metadata_iops_limit=float("inf"),
-                    )
-                    for s, lim in zip(ids, part)
-                )
+            for _agg_id, trunk, agg in self.links:
+                n = agg.n_stages
+                part = slice(offset, offset + n)
+                offset += n
                 trunk.send(
                     self.driver,
                     "rule_batch",
-                    (epoch, RuleBatch(agg_id, epoch, rules)),
-                    cm.rule_batch_header_bytes
-                    + len(rules) * cm.rule_batch_entry_bytes,
+                    (epoch, limits[part], unlimited[part]),
+                    cm.rule_batch_header_bytes + n * cm.rule_batch_entry_bytes,
                 )
                 sent += 1
             got = 0
@@ -237,7 +233,7 @@ class _SubtreeSim:
 def _run_sim_worker(spec: _SubtreeSpec, conn) -> None:
     """Spawn-target: serve collect/enforce barriers for one partition."""
     sim = _SubtreeSim(spec)
-    conn.send(("ready", spec.worker_index, sim.n_stages))
+    conn.send(("ready", spec.worker_index, sim.orders()))
     while True:
         cmd = conn.recv()
         if cmd[0] == "collect":
@@ -340,22 +336,27 @@ def run_partitioned_hier(
             child_conn.close()
             pipes.append(parent_conn)
             procs.append(proc)
+        #: Union of every partition's believed state, columnar, laid out
+        #: in the workers' canonical order (their ``ready`` messages);
+        #: replies scatter into it through each subtree's rows, enforce
+        #: gathers per-worker limit vectors back out of it.
+        columns = StageColumns()
+        subtree_rows: List[List[np.ndarray]] = []
         for conn in pipes:
             ready = conn.recv()
             if ready[0] != "ready":
                 raise RuntimeError(f"sim worker failed to start: {ready!r}")
+            rows = []
+            for _agg_id, sids, jids in ready[2]:
+                columns.register_many(sids, jids)
+                rows.append(columns.rows_for(sids))
+            subtree_rows.append(rows)
 
         algorithm = PSFA()
         cm = costs
         mean_part = n_stages / n_aggregators
-        #: Union of every partition's believed state, columnar. Replies
-        #: scatter into it by id (vectorized, cached row maps); enforce
-        #: gathers per-worker limit vectors back out of it.
-        columns = StageColumns()
         compute = ColumnarCompute(columns)
-        worker_canon = [
-            tuple(s for a in agg_ids for s in by_id[a]) for agg_ids in groups
-        ]
+        worker_rows = [np.concatenate(rows) for rows in subtree_rows]
         cycles: List[ControlCycle] = []
         now = 0.0
         for epoch in range(1, n_cycles + 1):
@@ -365,16 +366,14 @@ def run_partitioned_hier(
             for conn in pipes:
                 conn.send(("collect", epoch, started + tx_s))
             slowest = 0.0
-            for conn in pipes:
+            for conn, rows in zip(pipes, subtree_rows):
                 kind, elapsed, replies = conn.recv()
                 assert kind == "collected"
                 slowest = max(slowest, elapsed)
-                for sids, jids, data, meta in replies:
-                    if not sids:
-                        continue
-                    if sids[0] not in columns:
-                        columns.register_many(sids, jids)
-                    columns.observe_many(sids, data, meta)
+                for part_rows, (data, meta, answered) in zip(rows, replies):
+                    columns.observe_rows(
+                        part_rows[answered], data[answered], meta[answered]
+                    )
             rx_s = n_aggregators * (
                 cm.rx_agg_reply_fixed_s + mean_part * cm.rx_agg_entry_s
             )
@@ -393,9 +392,8 @@ def run_partitioned_hier(
                 n_stages * cm.rule_build_hier_s
                 + n_aggregators * cm.tx_batch_s
             )
-            for w, conn in enumerate(pipes):
-                limits = columns.usage[columns.rows_for(worker_canon[w])]
-                conn.send(("enforce", epoch, limits, now + build_tx_s))
+            for conn, rows in zip(pipes, worker_rows):
+                conn.send(("enforce", epoch, columns.usage[rows], now + build_tx_s))
             slowest = 0.0
             for conn in pipes:
                 kind, elapsed = conn.recv()

@@ -30,6 +30,16 @@ allocation; recycled events draw fresh sequence numbers, so ordering is
 unaffected. The golden-trace test in ``tests/simnet/test_engine.py``
 pins the loop to a delivery trace captured on the original
 one-event-per-call kernel.
+
+A message in flight is not an :class:`Event`: the transport schedules
+one :class:`Delivery` per simulated message (:meth:`Environment.deliver`)
+— three slots, no callback list, no closure, no value — and the loop
+calls ``target._deliver(message, via)`` when it comes up. It takes its
+place in the ``(time, priority, seq)`` order like an event scheduled
+with the same delay and counts as one processed event. Messages are
+nearly every event of a control cycle, so one object per delivery is
+what keeps the cyclic collector from running every few hundred
+messages.
 """
 
 from __future__ import annotations
@@ -43,6 +53,7 @@ from typing import Any, Callable, Generator, Iterable, Optional
 __all__ = [
     "AllOf",
     "AnyOf",
+    "Delivery",
     "Environment",
     "Event",
     "Interrupt",
@@ -258,6 +269,21 @@ class AnyOf(_ConditionBase):
             self.fail(event._value)
             return
         self.succeed(self._collect())
+
+
+class Delivery:
+    """One simulated message in flight (see the module docstring).
+
+    Dispatch calls ``target._deliver(message, via)``; nothing can wait
+    on a delivery, so it carries no callbacks, value or state flags.
+    """
+
+    __slots__ = ("target", "message", "via")
+
+    def __init__(self, target: Any, message: Any, via: Any) -> None:
+        self.target = target
+        self.message = message
+        self.via = via
 
 
 class Process(Event):
@@ -488,6 +514,20 @@ class Environment:
             self._queue, (self._now + delay, priority, next(self._seq), event)
         )
 
+    def deliver(self, delay: float, target: Any, message: Any, via: Any) -> None:
+        """Call ``target._deliver(message, via)`` ``delay`` seconds from
+        now, at NORMAL priority, as one :class:`Delivery`.
+
+        Ordered exactly like an event scheduled with the same delay.
+        """
+        item = Delivery(target, message, via)
+        if delay == 0.0:
+            self._normal.append((next(self._seq), item))
+        else:
+            _heappush(
+                self._queue, (self._now + delay, NORMAL, next(self._seq), item)
+            )
+
     def call_at(
         self, when: float, callback: Callable[[], None], priority: int = NORMAL
     ) -> Event:
@@ -540,6 +580,7 @@ class Environment:
         pop = _heappop
         getrefcount = sys.getrefcount
         pool = self._timeout_pool
+        delivery = Delivery
         urgent_prio = URGENT
         normal_prio = NORMAL
         processed = self.processed_events
@@ -600,33 +641,36 @@ class Environment:
                 else:
                     break
                 # -- dispatch --
-                callbacks = event.callbacks
-                event.callbacks = None
-                event._processed = True
                 processed += 1
-                if callbacks:
-                    if len(callbacks) == 1:
-                        callbacks[0](event)
-                    else:
-                        for callback in callbacks:
-                            callback(event)
-                elif not event._ok:
-                    # A failed event nobody waits for: surface it loudly.
-                    raise event._value
-                if (
-                    type(event) is Timeout
-                    and len(pool) < _TIMEOUT_POOL_CAP
-                    and getrefcount(event) == 2
-                ):
-                    # Refcount 2 = this loop's local plus getrefcount's
-                    # argument: nothing else can observe the event again.
-                    # Recycle it *and* its callbacks list: the list is
-                    # detached above, so clearing it here saves one list
-                    # allocation per pooled timeout.
+                if event.__class__ is delivery:
+                    event.target._deliver(event.message, event.via)
+                else:
+                    callbacks = event.callbacks
+                    event.callbacks = None
+                    event._processed = True
                     if callbacks:
-                        callbacks.clear()
-                    event.callbacks = callbacks
-                    pool.append(event)
+                        if len(callbacks) == 1:
+                            callbacks[0](event)
+                        else:
+                            for callback in callbacks:
+                                callback(event)
+                    elif not event._ok:
+                        # A failed event nobody waits for: surface it loudly.
+                        raise event._value
+                    if (
+                        type(event) is Timeout
+                        and len(pool) < _TIMEOUT_POOL_CAP
+                        and getrefcount(event) == 2
+                    ):
+                        # Refcount 2 = this loop's local plus getrefcount's
+                        # argument: nothing else can observe the event
+                        # again. Recycle it *and* its callbacks list: the
+                        # list is detached above, so clearing it here saves
+                        # one list allocation per pooled timeout.
+                        if callbacks:
+                            callbacks.clear()
+                        event.callbacks = callbacks
+                        pool.append(event)
                 if processed > limit:
                     raise SimulationError(
                         f"run() exceeded max_events={max_events} at "

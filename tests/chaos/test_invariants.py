@@ -75,6 +75,30 @@ class TestRehomeBound:
         assert c.violations == []
 
 
+class TestCatchUp:
+    def test_stage_at_current_epoch_is_clean(self):
+        c = _checker()
+        for cycle in range(4):
+            c.check_caught_up(cycle, {"s-0": cycle + 1}, cycle + 1, [])
+        assert c.violations == []
+
+    def test_lagging_two_cycles_after_clearing_violates(self):
+        c = _checker()
+        c.check_caught_up(0, {"s-0": 0}, 1, ["s-0"])  # faulted: not judged
+        c.check_caught_up(1, {"s-0": 0}, 2, [])  # first clean cycle
+        assert c.violations == []
+        c.check_caught_up(2, {"s-0": 1}, 3, [])
+        assert [v.invariant for v in c.violations] == ["catch-up"]
+        assert c.violations[0].cycle == 2
+
+    def test_a_new_fault_restarts_the_count(self):
+        c = _checker()
+        c.check_caught_up(0, {"s-0": 1}, 1, [])
+        c.check_caught_up(1, {"s-0": 1}, 2, ["s-0"])
+        c.check_caught_up(2, {"s-0": 1}, 3, [])
+        assert c.violations == []
+
+
 class TestGap:
     def test_gap_within_bound_is_clean(self):
         c = _checker()

@@ -18,6 +18,20 @@ class TestSimHier:
         if agg_faults:
             assert report.cycles_degraded > 0
 
+    def test_stage_faults_clear_within_two_cycles(self):
+        """With the CLI's defaults, seed 5 stalls one stage at cycle 8
+        and seed 23 kills one at cycle 5; a blacked-out stage used to
+        leave its aggregator waiting for good (every later cycle
+        degraded, the partition dark). The catch-up invariant holds and
+        only the cycles the fault spans degrade."""
+        for seed, kind in ((5, "stall_stage"), (23, "kill_stage")):
+            report = run_chaos_sim(
+                seed, "hier", n_stages=9, n_aggregators=3, n_cycles=12
+            )
+            assert [a["kind"] for a in report.actions] == [kind]
+            assert report.ok, report.to_json()
+            assert report.cycles_degraded <= 2
+
     def test_deterministic_report_shape(self):
         a = run_chaos_sim(11, "hier")
         b = run_chaos_sim(11, "hier")

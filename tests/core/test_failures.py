@@ -105,6 +105,40 @@ class TestCrashStage:
         assert stage.applied_rule is not None
         assert stage.applied_rule.epoch > 5
 
+    def test_hier_stage_blackout_does_not_wedge_its_aggregator(self):
+        """A silent stage used to park its aggregator in a wait with no
+        deadline, dropping every later request from the global as stale:
+        the partition stayed at the crash epoch and every later cycle
+        timed out with it missing. The aggregator's waits now end at the
+        plane's collect timeout, and requests landing meanwhile are
+        served after it, not dropped."""
+        plane = HierarchicalControlPlane.build(
+            ControlPlaneConfig(n_stages=20, collect_timeout_s=0.02),
+            n_aggregators=2,
+        )
+        crash_stage(plane.env, plane.stages[0], at=0.002, downtime=0.01)
+        plane.run_stress(n_cycles=30)
+        cycles = plane.global_controller.cycles
+        assert sum(c.timed_out for c in cycles) <= 1
+        assert all(c.n_missing == 0 for c in cycles[5:])
+        assert {s.applied_rule.epoch for s in plane.stages} == {30}
+        assert [a.stale_messages for a in plane.aggregators] == [0, 0]
+
+    def test_long_hier_stage_blackout_costs_only_its_cycles(self):
+        plane = HierarchicalControlPlane.build(
+            ControlPlaneConfig(n_stages=20, collect_timeout_s=0.02),
+            n_aggregators=2,
+        )
+        crash_stage(plane.env, plane.stages[0], at=0.002, downtime=0.1)
+        plane.run_stress(n_cycles=30)
+        cycles = plane.global_controller.cycles
+        assert any(c.degraded for c in cycles)
+        # Every cycle that starts after the stage is back is clean.
+        after = [c for c in cycles if c.started_at >= 0.102]
+        assert len(after) > 20
+        assert not any(c.n_missing or c.timed_out for c in after)
+        assert {s.applied_rule.epoch for s in plane.stages} == {30}
+
     def test_unbound_stage_rejected(self):
         from repro.dataplane.virtual_stage import VirtualStage
         from repro.simnet.engine import Environment

@@ -1,19 +1,21 @@
-"""Unit tests for metric records, aggregation, and enforcement rules."""
+"""Unit tests for metric records, the trunk's row forms, and enforcement rules."""
 
 import numpy as np
 import pytest
 
-from repro.core.metrics import (
-    AggregatedMetrics,
-    MetricsWindow,
-    StageMetrics,
-    aggregate,
-)
-from repro.core.rules import UNLIMITED, EnforcementRule, RuleBatch, diff_rules
+from repro.core.control_plane import ControlPlaneConfig, HierarchicalControlPlane
+from repro.core.metrics import AggregatedMetrics, MetricsWindow, StageMetrics
+from repro.core.rules import UNLIMITED, EnforcementRule, diff_rules
 
 
 def sm(stage, job="j", data=100.0, meta=10.0):
     return StageMetrics(stage_id=stage, job_id=job, data_iops=data, metadata_iops=meta)
+
+
+def rows(data, meta, answered=None, agg="agg-0"):
+    if answered is None:
+        answered = [True] * len(data)
+    return AggregatedMetrics(agg, data, meta, answered)
 
 
 class TestStageMetrics:
@@ -28,35 +30,55 @@ class TestStageMetrics:
 
 
 class TestAggregate:
+    """An aggregator's reply: its partition's vectors, in its order."""
+
     def test_preserves_per_stage_vectors(self):
-        merged = aggregate("agg-0", [sm("s1", "a"), sm("s2", "b", data=200.0)])
-        assert merged.stage_ids == ("s1", "s2")
-        assert merged.data_iops == (100.0, 200.0)
-        assert merged.n_stages == 2
+        merged = rows([100.0, 200.0], [10.0, 10.0])
+        assert merged.data_iops.tolist() == [100.0, 200.0]
+        assert merged.metadata_iops.tolist() == [10.0, 10.0]
+        assert merged.n_stages == merged.n_answered == 2
 
     def test_job_totals_summed(self):
-        merged = aggregate("agg-0", [sm("s1", "a"), sm("s2", "a"), sm("s3", "b")])
-        assert merged.job_totals["a"] == pytest.approx(220.0)
-        assert merged.job_totals["b"] == pytest.approx(110.0)
+        """Job totals are not shipped: the global sums the scattered rows
+        by job itself, from the partition order it registered."""
+        plane = HierarchicalControlPlane.build(
+            ControlPlaneConfig(n_stages=3, job_of=lambda i: "ab"[i // 2]),
+            n_aggregators=1,
+        )
+        plane.run_stress(n_cycles=1)
+        totals = {}
+        for report in plane.global_controller.latest_metrics.values():
+            totals[report.job_id] = totals.get(report.job_id, 0.0) + report.total_iops
+        assert totals == {"a": 2400.0, "b": 1200.0}
+        assert not hasattr(AggregatedMetrics, "job_totals")
 
     def test_total_iops(self):
-        merged = aggregate("agg-0", [sm("s1"), sm("s2")])
-        assert merged.total_iops == pytest.approx(220.0)
+        assert rows([100.0, 100.0], [10.0, 10.0]).total_iops == pytest.approx(220.0)
+        # A silent slot carries its last-known value, which is not counted.
+        merged = rows([100.0, 900.0], [10.0, 90.0], [True, False])
+        assert merged.n_answered == 1
+        assert merged.total_iops == pytest.approx(110.0)
 
     def test_empty_partition(self):
-        merged = aggregate("agg-0", [])
-        assert merged.n_stages == 0 and merged.job_totals == {}
+        merged = rows([], [])
+        assert merged.n_stages == 0 and merged.n_answered == 0
+        assert merged.total_iops == 0.0
 
     def test_vector_length_validation(self):
         with pytest.raises(ValueError):
-            AggregatedMetrics(
-                aggregator_id="a",
-                stage_ids=("s1",),
-                job_ids=(),
-                data_iops=(1.0,),
-                metadata_iops=(1.0,),
-                job_totals={},
-            )
+            rows([1.0], [1.0, 2.0])
+        with pytest.raises(ValueError):
+            rows([1.0], [1.0], [True, True])
+        with pytest.raises(ValueError):
+            rows([[1.0]], [[1.0]], [[True]])
+
+    def test_vectors_are_frozen_copies(self):
+        data = np.array([1.0, 2.0])
+        merged = rows(data, [0.0, 0.0])
+        data[0] = 99.0
+        assert merged.data_iops.tolist() == [1.0, 2.0]
+        with pytest.raises(ValueError):
+            merged.data_iops[0] = 5.0
 
 
 class TestMetricsWindow:
@@ -118,33 +140,55 @@ class TestEnforcementRule:
             EnforcementRule("s", epoch=0, data_iops_limit=-1.0)
 
 
+def _ship_batch(plane, epoch, data, meta, child=0):
+    """Put one ``rule_batch`` on the global's trunk to an aggregator and
+    let the plane settle; returns the global's queued messages."""
+    uplink = plane.global_controller.children[child]
+    uplink.connection.send(uplink.endpoint, "rule_batch", (epoch, data, meta), 64)
+    plane.env.run()
+    return plane.global_controller.endpoint.inbox.drain()
+
+
 class TestRuleBatch:
-    def _rules(self, n, epoch=1):
-        return tuple(
-            EnforcementRule(f"s{i}", epoch=epoch, data_iops_limit=float(i))
-            for i in range(n)
+    """A rule batch is one limit per slot of the aggregator's order; the
+    aggregator builds each stage's rule as it ships it."""
+
+    def _plane(self, n=4, **kwargs):
+        return HierarchicalControlPlane.build(
+            ControlPlaneConfig(n_stages=n), n_aggregators=1, **kwargs
         )
 
     def test_epoch_consistency_enforced(self):
-        rules = self._rules(2, epoch=1)
-        with pytest.raises(ValueError):
-            RuleBatch("agg", epoch=2, rules=rules)
+        plane = self._plane()
+        acks = _ship_batch(plane, 7, np.full(4, 50.0), np.full(4, UNLIMITED))
+        assert {s.applied_rule.epoch for s in plane.stages} == {7}
+        assert [(m.kind, m.payload) for m in acks] == [("batch_ack", 7)]
 
     def test_len_and_iter(self):
-        batch = RuleBatch("agg", 1, self._rules(3))
-        assert len(batch) == 3
-        assert [r.stage_id for r in batch] == ["s0", "s1", "s2"]
+        plane = self._plane()
+        order = plane.aggregators[0].stage_ids
+        _ship_batch(plane, 3, np.arange(4.0) * 10, np.arange(4.0) + 1)
+        by_id = {s.stage_id: s.applied_rule for s in plane.stages}
+        assert [by_id[s].data_iops_limit for s in order] == [0.0, 10.0, 20.0, 30.0]
+        assert [by_id[s].metadata_iops_limit for s in order] == [1.0, 2.0, 3.0, 4.0]
 
     def test_split_covers_all(self):
-        batch = RuleBatch("agg", 1, self._rules(10))
-        parts = batch.split(3)
-        assert sum(len(p) for p in parts) == 10
-        seen = [r.stage_id for p in parts for r in p]
-        assert seen == [f"s{i}" for i in range(10)]
+        plane = self._plane(n=10, levels=3, fanout=2)
+        top = plane.aggregators[-1]
+        assert "." not in top.agg_id
+        _ship_batch(plane, 2, np.arange(10.0), np.full(10, UNLIMITED))
+        by_id = {s.stage_id: s.applied_rule.data_iops_limit for s in plane.stages}
+        assert [by_id[s] for s in top.stage_ids] == list(np.arange(10.0))
+        leaves = [a for a in plane.aggregators if "." in a.agg_id]
+        assert [len(a.stage_ids) for a in leaves] == [5, 5]
 
     def test_split_validation(self):
-        with pytest.raises(ValueError):
-            RuleBatch("agg", 1, self._rules(2)).split(0)
+        """A batch not laid out in the partition's order ships nothing."""
+        plane = self._plane()
+        acks = _ship_batch(plane, 5, np.full(3, 50.0), np.full(3, UNLIMITED))
+        assert all(s.applied_rule is None for s in plane.stages)
+        assert plane.aggregators[0].stale_messages == 1
+        assert [m.kind for m in acks] == ["batch_ack"]
 
 
 class TestDiffRules:

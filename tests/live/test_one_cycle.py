@@ -7,10 +7,11 @@ what that buys and what it must not move:
 
 * the bug the private per-stage compute hid: multi-stage jobs and
   ``min_guarantee_iops`` now get the DES's answer on both live planes;
-* cross-plane differential replay (first leg): one seeded demand trace
-  through live flat, live hier and ``ColumnarCompute`` fed the same
-  reports directly gives the same allocation per stage id, exactly,
-  through an eviction inside its grace and an aggregator's death;
+* cross-plane differential replay: one seeded demand trace through live
+  flat, live hier, the DES hierarchy and ``ColumnarCompute`` fed the
+  same reports directly gives the same allocation per stage id, exactly,
+  through an eviction inside its grace and an aggregator's death (the
+  live legs);
 * host-independent mechanism counts: bytes per stage-cycle, calls into
   the columns per cycle, and changed-only suppression counts over a
   scripted sequence, equal to the values recorded at the parent commit;
@@ -149,7 +150,7 @@ class TestFloorsAndJobsReachTheLivePlanes:
 
 
 # ---------------------------------------------------------------------------
-# Cross-plane differential replay, first leg (ROADMAP 7a)
+# Cross-plane differential replay (ROADMAP 7a)
 # ---------------------------------------------------------------------------
 
 _JOBS = ["j-a", "j-b", "j-c", "j-a", "j-b", "j-c", "j-a", "j-b"]
@@ -279,6 +280,49 @@ class TestDifferentialReplay:
         for epoch, ((grants, _), (limits, _)) in enumerate(zip(seen, want), 1):
             assert grants == limits, epoch  # orphans included: share held
         assert seen[-1][1] == {} and ctrl.cycles[-1].n_missing == 0
+
+    @pytest.mark.parametrize("differentiated", [False, True])
+    def test_des_hier_one_cycle_per_epoch(self, differentiated):
+        """The DES leg: the simulated two-aggregator hierarchy, trunk
+        rows and all, one ``run_cycles(1)`` per epoch. Faults stay on the
+        live legs."""
+        from repro.core.control_plane import (
+            ControlPlaneConfig,
+            HierarchicalControlPlane,
+        )
+
+        class Source:
+            demand = (0.0, 0.0)
+
+            def sample(self, stage_id, now):
+                return self.demand
+
+        trace = _trace(11)
+        sources = [Source() for _ in _IDS]
+        plane = HierarchicalControlPlane.build(
+            ControlPlaneConfig(
+                n_stages=len(_IDS),
+                policy=_policy(differentiated),
+                job_of=lambda i: _JOBS[i],
+                source_factory=lambda stage_id: sources[int(stage_id[-5:])],
+            ),
+            n_aggregators=2,
+        )
+        ctrl = plane.global_controller
+        ids = [stage.stage_id for stage in plane.stages]
+        for epoch, (row, (limits, has_meta)) in enumerate(
+            zip(trace, _direct(trace, differentiated)), start=1
+        ):
+            for source, demand in zip(sources, row):
+                source.demand = demand
+            plane.env.run(ctrl.run_cycles(1))
+            rules = ctrl.latest_rules
+            assert {s: rules[s].epoch for s in ids} == dict.fromkeys(ids, epoch)
+            grants = {i: rules[s].data_iops_limit for i, s in zip(_IDS, ids)}
+            assert grants == limits, epoch
+            applied = {i: s.applied_rule.data_iops_limit for i, s in zip(_IDS, plane.stages)}
+            assert applied == limits, epoch
+            assert has_meta == differentiated
 
 
 # ---------------------------------------------------------------------------
