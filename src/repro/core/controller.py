@@ -129,6 +129,14 @@ class _ControllerBase:
         #: a later :meth:`_await_replies` asks for them.
         self.defer_kinds: set = set()
         self._deferred: List = []
+        #: Connections that owe the running phase a reply, where a child
+        #: can leave mid-phase (``None``: nobody can; see :meth:`_forget`).
+        self._owed: Optional[set] = None
+        #: Replies the running phase stopped waiting for, and the total.
+        self._lost = 0
+        self.lost_replies = 0
+        #: The inbox get :meth:`_await_replies` is blocked on, if any.
+        self._recv_ev = None
 
     def _execute(self, seconds: float):
         """Charge critical-path CPU (serialized on this controller's loop)."""
@@ -148,17 +156,22 @@ class _ControllerBase:
         burst for a chunk completes before its messages hit the wire, so
         early recipients respond while later sends are still serializing.
         Channels whose connection closed mid-cycle (membership churn) are
-        skipped; returns the number of messages actually sent.
+        skipped, also when it closed during the chunk's burst; returns the
+        number of messages actually sent.
         """
         sent = 0
+        owed = self._owed
         for chunk in _chunks(channels, self.costs.send_chunk):
             live = [ch for ch in chunk if not ch.connection.closed]
             if not live:
                 continue
             yield self._execute(len(live) * per_item_cost)
+            live = [ch for ch in live if not ch.connection.closed]
             for ch in live:
                 ch.connection.send(ch.endpoint, kind, payload_fn(ch), size_fn(ch))
-                sent += 1
+            sent += len(live)
+            if owed is not None:
+                owed.update([ch.connection for ch in live])
         return sent
 
     def _await_replies(
@@ -176,12 +189,35 @@ class _ControllerBase:
         barrier is ``received``, not one wake-up event per child. A batch
         whose messages are already queued is consumed inline, without a
         recv event round-trip, and the phase deadline is one reusable
-        Timeout rather than one per wake-up. Returns the number actually
-        received (short on timeout).
+        Timeout rather than one per wake-up. A child removed mid-phase
+        (:meth:`_forget`) is counted off instead of waited for. Returns
+        the number received or counted off (short on timeout).
         """
+        try:
+            received = yield from self._receive(
+                expected, epoch, kind_costs, on_message, deadline
+            )
+        finally:
+            lost, self._lost, self._recv_ev = self._lost, 0, None
+            self.lost_replies += lost
+            if self._owed:
+                self._owed.clear()
+        return received + lost
+
+    def _receive(
+        self,
+        expected: int,
+        epoch: int,
+        kind_costs: Mapping[str, float],
+        on_message: Callable[[object], None],
+        deadline: Optional[float],
+    ) -> Generator:
+        """The receive loop of :meth:`_await_replies`; returns the number
+        received."""
         received = 0
         env = self.env
         inbox = self.endpoint.inbox
+        owed = self._owed
 
         # Consume matching messages parked by earlier phases first.
         if self._deferred:
@@ -197,6 +233,8 @@ class _ControllerBase:
                 self._deferred = [
                     m for m in self._deferred if id(m) not in ready_set
                 ]
+                if owed:
+                    owed.difference_update([m.via for m in ready])
                 yield self._execute(sum(kind_costs[m.kind] for m in ready))
                 for msg in ready:
                     on_message(msg)
@@ -207,7 +245,7 @@ class _ControllerBase:
         get_cost = kind_costs.get
         deadline_ev = None
 
-        while received < expected:
+        while received + self._lost < expected:
             if inbox.items:
                 # Ready work: drain without a recv event round-trip. The
                 # deadline check mirrors the blocking path (a phase past
@@ -217,7 +255,7 @@ class _ControllerBase:
                     break
                 batch = inbox.drain()
             else:
-                recv_ev = self.endpoint.recv()
+                recv_ev = self._recv_ev = self.endpoint.recv()
                 if deadline is None:
                     first = yield recv_ev
                 else:
@@ -232,7 +270,9 @@ class _ControllerBase:
                         recv_ev.cancel()
                         break
                     first = recv_ev.value
-                batch = [first]
+                self._recv_ev = None
+                # None: woken by a removal, not by a message.
+                batch = [] if first is None else [first]
                 batch.extend(inbox.drain())
             charge = 0.0
             relevant = []
@@ -250,12 +290,33 @@ class _ControllerBase:
                     stale += 1
             if stale:
                 self.stale_messages += stale
+            if owed:
+                owed.difference_update([m.via for m in relevant])
             if charge:
                 yield self._execute(charge)
             for msg in relevant:
                 on_message(msg)
             received += len(relevant)
         return received
+
+    def _forget(self, connection: Connection) -> None:
+        """Close a departing child's connection; if it owes the running
+        phase a reply, the phase counts it off instead of waiting (what
+        it sent but was not read yet is discarded, like what is still in
+        flight)."""
+        connection.close()
+        owed = self._owed
+        if owed is None or connection not in owed:
+            return
+        owed.discard(connection)
+        self._lost += 1
+        inbox = self.endpoint.inbox
+        inbox.items = [m for m in inbox.items if m.via is not connection]
+        self._deferred = [m for m in self._deferred if m.via is not connection]
+        wake = self._recv_ev
+        if wake is not None and not wake.triggered:
+            wake.cancel()
+            wake.succeed(None)
 
 
 class _Order:
@@ -441,6 +502,7 @@ class GlobalController(_Fan):
         #: ``((order, columns generation), aligned rows)``.
         self._aligned: tuple = (None, None)
         self._proc: Optional[Process] = None
+        self._owed = set()
         host.allocate(costs.global_fixed_mem)
 
     # -- membership -----------------------------------------------------------
@@ -475,13 +537,15 @@ class GlobalController(_Fan):
         The stage's connection is closed, releasing its slot in both
         hosts' connection pools. Safe to call between cycles; a removal
         racing an in-flight cycle only wastes that cycle's rule for the
-        departed stage.
+        departed stage: messages still in flight on the connection are
+        dropped, and a phase waiting on its reply counts it missing
+        instead.
         """
         if not self.columns.evict(stage_id):
             raise KeyError(f"unknown stage id: {stage_id!r}")
         for ch in self.children:
             if ch.child_id == stage_id:
-                ch.connection.close()
+                self._forget(ch.connection)
         self.children = [c for c in self.children if c.child_id != stage_id]
         self._order_stale = True
         self.host.free(self.costs.flat_per_stage_mem)
@@ -575,6 +639,7 @@ class GlobalController(_Fan):
         # bump invalidates caches.
         self.columns.maybe_compact()
         order = self._relayout()
+        lost_before = self.lost_replies
         started = self.env.now
         deadline = (
             started + self.collect_timeout_s if self.collect_timeout_s else None
@@ -677,9 +742,12 @@ class GlobalController(_Fan):
                 enforce_s=t_enforce,
                 n_stages=n,
                 # Registered stages without a fresh report this epoch —
-                # they rode at last-known demand (same semantics as the
+                # they rode at last-known demand — plus children removed
+                # while a phase waited on them (same semantics as the
                 # live controllers' degraded-cycle accounting).
-                n_missing=max(0, n - reported_stages),
+                n_missing=max(0, n - reported_stages)
+                + self.lost_replies
+                - lost_before,
                 timed_out=got < expected,
             )
         )
@@ -715,7 +783,8 @@ class GlobalController(_Fan):
         aligned rows; returns how many stages reported (a refused report
         leaves its stage at last-known demand, as a silent one)."""
         rows = self._aligned_rows()
-        answered = self._answered_mask()
+        # A stage removed since it answered has no row (-1): not counted.
+        answered = self._answered_mask() & (rows >= 0)
         data = np.frombuffer(self.slot_data)
         meta = np.frombuffer(self.slot_meta)
         n_answered = int(np.count_nonzero(answered))

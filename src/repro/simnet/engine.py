@@ -31,15 +31,14 @@ unaffected. The golden-trace test in ``tests/simnet/test_engine.py``
 pins the loop to a delivery trace captured on the original
 one-event-per-call kernel.
 
-A message in flight is not an :class:`Event`: the transport schedules
-one :class:`Delivery` per simulated message (:meth:`Environment.deliver`)
-— three slots, no callback list, no closure, no value — and the loop
-calls ``target._deliver(message, via)`` when it comes up. It takes its
-place in the ``(time, priority, seq)`` order like an event scheduled
-with the same delay and counts as one processed event. Messages are
-nearly every event of a control cycle, so one object per delivery is
-what keeps the cyclic collector from running every few hundred
-messages.
+A simulated message is not an :class:`Event`: a :class:`Message` is its
+own queue entry. :meth:`repro.simnet.transport.Connection.send` pushes it
+under the key an event scheduled with the same delay would get, and the
+loop calls ``message.target._deliver(message, message.via)`` when it comes
+up — no callback list, no closure, no second object. It counts as one
+processed event. Messages are nearly every event of a control cycle, so
+one object per send is what keeps the cyclic collector from running
+every few hundred messages.
 """
 
 from __future__ import annotations
@@ -53,10 +52,10 @@ from typing import Any, Callable, Generator, Iterable, Optional
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Delivery",
     "Environment",
     "Event",
     "Interrupt",
+    "Message",
     "Process",
     "SimulationError",
     "Timeout",
@@ -271,19 +270,57 @@ class AnyOf(_ConditionBase):
         self.succeed(self._collect())
 
 
-class Delivery:
-    """One simulated message in flight (see the module docstring).
+class Message:
+    """One simulated message, and its own entry on the event queue.
 
-    Dispatch calls ``target._deliver(message, via)``; nothing can wait
-    on a delivery, so it carries no callbacks, value or state flags.
+    Re-exported as ``repro.simnet.transport.Message``;
+    :meth:`~repro.simnet.transport.Connection.send` fills the slots in
+    directly instead of calling the constructor. Treat it as immutable.
+    Dispatch calls ``target._deliver(message, via)``: ``target`` is the
+    receiving endpoint, ``via`` the connection. Nothing can wait on a
+    message, so it carries no callbacks, value or state flags.
     """
 
-    __slots__ = ("target", "message", "via")
+    __slots__ = (
+        "kind",
+        "payload",
+        "size_bytes",
+        "sender",
+        "recipient",
+        "sent_at",
+        "seq",
+        "target",
+        "via",
+    )
 
-    def __init__(self, target: Any, message: Any, via: Any) -> None:
+    def __init__(
+        self,
+        kind: str,
+        payload: Any,
+        size_bytes: int,
+        sender: str,
+        recipient: str,
+        sent_at: float,
+        seq: int,
+        target: Any = None,
+        via: Any = None,
+    ) -> None:
+        self.kind = kind
+        self.payload = payload
+        self.size_bytes = size_bytes
+        self.sender = sender
+        self.recipient = recipient
+        self.sent_at = sent_at
+        self.seq = seq
         self.target = target
-        self.message = message
         self.via = via
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"Message(kind={self.kind!r}, size_bytes={self.size_bytes}, "
+            f"sender={self.sender!r}, recipient={self.recipient!r}, "
+            f"sent_at={self.sent_at!r}, seq={self.seq})"
+        )
 
 
 class Process(Event):
@@ -514,20 +551,6 @@ class Environment:
             self._queue, (self._now + delay, priority, next(self._seq), event)
         )
 
-    def deliver(self, delay: float, target: Any, message: Any, via: Any) -> None:
-        """Call ``target._deliver(message, via)`` ``delay`` seconds from
-        now, at NORMAL priority, as one :class:`Delivery`.
-
-        Ordered exactly like an event scheduled with the same delay.
-        """
-        item = Delivery(target, message, via)
-        if delay == 0.0:
-            self._normal.append((next(self._seq), item))
-        else:
-            _heappush(
-                self._queue, (self._now + delay, NORMAL, next(self._seq), item)
-            )
-
     def call_at(
         self, when: float, callback: Callable[[], None], priority: int = NORMAL
     ) -> Event:
@@ -580,7 +603,7 @@ class Environment:
         pop = _heappop
         getrefcount = sys.getrefcount
         pool = self._timeout_pool
-        delivery = Delivery
+        message = Message
         urgent_prio = URGENT
         normal_prio = NORMAL
         processed = self.processed_events
@@ -642,8 +665,8 @@ class Environment:
                     break
                 # -- dispatch --
                 processed += 1
-                if event.__class__ is delivery:
-                    event.target._deliver(event.message, event.via)
+                if event.__class__ is message:
+                    event.target._deliver(event, event.via)
                 else:
                     callbacks = event.callbacks
                     event.callbacks = None

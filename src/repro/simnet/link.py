@@ -14,6 +14,7 @@ per-stage processing), so a calibrated linear model suffices.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -38,8 +39,8 @@ class FixedDelay(DelayModel):
     """Deterministic extra delay (useful for tests and calibration)."""
 
     def __init__(self, delay: float = 0.0) -> None:
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay}")
+        if not 0 <= delay < math.inf:
+            raise ValueError(f"delay must be finite and >= 0: {delay}")
         self.delay = float(delay)
 
     def sample(self) -> float:
@@ -55,8 +56,10 @@ class NormalJitterDelay(DelayModel):
         mean: float = 0.0,
         std: float = 0.5e-6,
     ) -> None:
-        if std < 0:
-            raise ValueError(f"negative std: {std}")
+        if not math.isfinite(mean):
+            raise ValueError(f"mean must be finite: {mean}")
+        if not 0 <= std < math.inf:
+            raise ValueError(f"std must be finite and >= 0: {std}")
         self._rng = rng
         self.mean = float(mean)
         self.std = float(std)
@@ -78,10 +81,10 @@ class Link:
         bandwidth: float = HDR100_BANDWIDTH,
         jitter: Optional[DelayModel] = None,
     ) -> None:
-        if hop_latency < 0:
-            raise ValueError(f"negative hop latency: {hop_latency}")
-        if bandwidth <= 0:
-            raise ValueError(f"bandwidth must be positive: {bandwidth}")
+        if not 0 <= hop_latency < math.inf:
+            raise ValueError(f"hop latency must be finite and >= 0: {hop_latency}")
+        if not 0 < bandwidth < math.inf:
+            raise ValueError(f"bandwidth must be positive and finite: {bandwidth}")
         self.hop_latency = float(hop_latency)
         self.bandwidth = float(bandwidth)
         self.jitter = jitter or DelayModel()

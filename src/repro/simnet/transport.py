@@ -17,7 +17,8 @@ Model
 * :meth:`Connection.send` delivers a :class:`Message` after the link's
   transfer time; delivery invokes the destination endpoint's handler (for
   reactive actors such as virtual stages) or enqueues into its inbox (for
-  process-style actors such as controllers).
+  process-style actors such as controllers). A message whose connection
+  closes while it is in flight is dropped at delivery.
 
 Every byte is counted on both NICs, which is where the MB/s columns of
 Tables II–IV come from.
@@ -25,10 +26,11 @@ Tables II–IV come from.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Any, Callable, Dict, Optional
 
-from repro.simnet.engine import Environment, Event, SimulationError
-from repro.simnet.link import Link
+from repro.simnet.engine import NORMAL, Environment, Event, Message, SimulationError
+from repro.simnet.link import DelayModel, Link
 from repro.simnet.node import SimHost
 from repro.simnet.resources import Store
 
@@ -45,55 +47,12 @@ __all__ = [
 FRONTERA_CONNECTION_LIMIT = 2500
 
 
+_INF = float("inf")
+_new = object.__new__
+
+
 class ConnectionLimitExceeded(RuntimeError):
     """A host ran out of connection slots (paper: 2,500 per node)."""
-
-
-class Message:
-    """A unit of communication between two endpoints.
-
-    A plain ``__slots__`` class rather than a dataclass: one instance is
-    built per simulated message, which makes construction cost part of
-    the kernel's events/sec budget. Treat instances as immutable.
-    """
-
-    __slots__ = (
-        "kind",
-        "payload",
-        "size_bytes",
-        "sender",
-        "recipient",
-        "sent_at",
-        "seq",
-    )
-
-    def __init__(
-        self,
-        kind: str,
-        payload: Any,
-        size_bytes: int,
-        sender: str,
-        recipient: str,
-        sent_at: float,
-        seq: int,
-    ) -> None:
-        size_bytes = int(size_bytes)
-        if size_bytes < 0:
-            raise ValueError(f"negative message size: {size_bytes}")
-        self.kind = kind
-        self.payload = payload
-        self.size_bytes = size_bytes
-        self.sender = sender
-        self.recipient = recipient
-        self.sent_at = sent_at
-        self.seq = seq
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Message(kind={self.kind!r}, size_bytes={self.size_bytes}, "
-            f"sender={self.sender!r}, recipient={self.recipient!r}, "
-            f"sent_at={self.sent_at!r}, seq={self.seq})"
-        )
 
 
 class ConnectionPool:
@@ -150,13 +109,23 @@ class Endpoint:
         return self.inbox.get()
 
     def _deliver(self, message: Message, connection: "Connection") -> None:
+        if connection.closed:
+            return  # closed while in flight: lost with the connection
         nic = self.host.nic
         nic.rx_bytes += message.size_bytes
         nic.rx_messages += 1
         if self.handler is not None:
             self.handler(message, connection)
+            return
+        # Store.put without its dispatch call: a waiting getter means an
+        # empty inbox, so the message goes straight to the oldest getter.
+        inbox = self.inbox
+        if len(inbox.items) >= inbox.capacity:
+            raise SimulationError(f"Store overflow (capacity={inbox.capacity})")
+        if inbox._getters:
+            inbox._getters.pop(0).succeed(message)
         else:
-            self.inbox.put(message)
+            inbox.items.append(message)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Endpoint {self.name} on {self.host.name}>"
@@ -165,7 +134,7 @@ class Endpoint:
 class Connection:
     """A persistent bidirectional channel between two endpoints."""
 
-    __slots__ = ("network", "a", "b", "closed", "_seq", "_earliest_delivery", "_hops")
+    __slots__ = ("network", "a", "b", "closed", "_seq", "_floor", "_hops")
 
     def __init__(self, network: "Network", a: Endpoint, b: Endpoint) -> None:
         self.network = network
@@ -173,8 +142,9 @@ class Connection:
         self.b = b
         self.closed = False
         self._seq = 0
-        # Per-direction FIFO guard: jitter may not reorder a flow.
-        self._earliest_delivery = {a.name: 0.0, b.name: 0.0}
+        # Per-direction FIFO guard (to a, to b): jitter may not reorder a
+        # flow.
+        self._floor = [0.0, 0.0]
         # Topologies are static for a connection's lifetime, so the hop
         # count is resolved once here instead of per message.
         self._hops = network.hop_resolver(a.host, b.host)
@@ -201,29 +171,72 @@ class Connection:
         its reply) plus the link transfer time. Messages on one connection
         are delivered in FIFO order (the fabric does not reorder within a
         flow).
+
+        The per-message hot path, in one frame: NIC counters, the link
+        formula, the optional NIC serialisation, the FIFO floor, and the
+        message pushed as its own queue entry. The key's time is
+        ``now + (when - now)``, as ``call_at`` computes it, so event
+        timestamps stay bit-identical.
         """
-        if extra_delay < 0:
-            raise ValueError(f"negative extra_delay: {extra_delay}")
+        if not 0.0 <= extra_delay < _INF:
+            raise ValueError(f"extra_delay must be finite and >= 0: {extra_delay!r}")
         if self.closed:
             raise SimulationError("send() on a closed connection")
         if sender is self.a:
-            recipient = self.b
+            recipient, to = self.b, 1
         elif sender is self.b:
-            recipient = self.a
+            recipient, to = self.a, 0
         else:
             raise SimulationError(f"{sender!r} is not part of {self!r}")
-        self._seq = seq = self._seq + 1
+        if size_bytes.__class__ is not int:
+            size_bytes = int(size_bytes)
+        if size_bytes < 0:
+            raise ValueError(f"negative message size: {size_bytes}")
         network = self.network
-        message = Message(
-            kind,
-            payload,
-            size_bytes,
-            sender.name,
-            recipient.name,
-            network.env._now,
-            seq,
-        )
-        network._transmit(sender, recipient, message, self, extra_delay)
+        env = network.env
+        now = env._now
+        nic = sender.host.nic
+        nic.tx_bytes += size_bytes
+        nic.tx_messages += 1
+        network.messages_sent += 1
+        network.bytes_sent += size_bytes
+        link = network.link
+        delay = link.hop_latency * self._hops + size_bytes / link.bandwidth
+        jitter = link.jitter
+        if jitter.__class__ is not DelayModel:  # the base model adds 0.0
+            delay += jitter.sample()
+        departure = now + extra_delay
+        nic_bandwidth = network.nic_bandwidth_Bps
+        if nic_bandwidth is None:
+            when = departure + delay
+        else:
+            wire_time = size_bytes / nic_bandwidth
+            # Sender-side serialization: one shared transmit pipe per host.
+            tx_free = network._nic_tx_free
+            departure = max(departure, tx_free.get(sender.host.name, 0.0)) + wire_time
+            tx_free[sender.host.name] = departure
+            # Receiver-side incast: replies queue at the destination NIC.
+            rx_free = network._nic_rx_free
+            when = max(
+                departure + delay, rx_free.get(recipient.host.name, 0.0) + wire_time
+            )
+            rx_free[recipient.host.name] = when
+        floor = self._floor
+        if when < floor[to]:
+            when = floor[to]
+        floor[to] = when
+        self._seq = seq = self._seq + 1
+        message = _new(Message)
+        message.kind = kind
+        message.payload = payload
+        message.size_bytes = size_bytes
+        message.sender = sender.name
+        message.recipient = recipient.name
+        message.sent_at = now
+        message.seq = seq
+        message.target = recipient
+        message.via = self
+        heappush(env._queue, (now + (when - now), NORMAL, next(env._seq), message))
         return message
 
     def close(self) -> None:
@@ -253,9 +266,9 @@ class Network:
         hop_resolver: Optional[Callable[[SimHost, SimHost], int]] = None,
         nic_bandwidth_Bps: Optional[float] = None,
     ) -> None:
-        if nic_bandwidth_Bps is not None and nic_bandwidth_Bps <= 0:
+        if nic_bandwidth_Bps is not None and not 0 < nic_bandwidth_Bps < _INF:
             raise ValueError(
-                f"nic_bandwidth_Bps must be positive: {nic_bandwidth_Bps}"
+                f"nic_bandwidth_Bps must be positive and finite: {nic_bandwidth_Bps}"
             )
         self.env = env
         self.link = link or Link()
@@ -341,53 +354,3 @@ class Network:
             self.pool_of(connection.b.host).release()
         connection.a.connections.pop(connection.b.name, None)
         connection.b.connections.pop(connection.a.name, None)
-
-    # -- delivery -------------------------------------------------------------
-    def _transmit(
-        self,
-        sender: Endpoint,
-        recipient: Endpoint,
-        message: Message,
-        connection: Connection,
-        extra_delay: float = 0.0,
-    ) -> None:
-        # Per-message hot path: NIC counters and the link formula are
-        # inlined and the delivery is one slotted ``Delivery`` — this
-        # function dominates flat-sweep profiles. The time arithmetic
-        # (``now + (when - now)``) matches ``call_at`` exactly so event
-        # timestamps stay bit-identical.
-        size = message.size_bytes
-        nic = sender.host.nic
-        nic.tx_bytes += size
-        nic.tx_messages += 1
-        self.messages_sent += 1
-        self.bytes_sent += size
-        link = self.link
-        delay = (
-            link.hop_latency * connection._hops
-            + size / link.bandwidth
-            + link.jitter.sample()
-        )
-        env = self.env
-        now = env._now
-        departure = now + extra_delay
-        if self.nic_bandwidth_Bps is not None:
-            wire_time = size / self.nic_bandwidth_Bps
-            # Sender-side serialization: one shared transmit pipe per host.
-            tx_free = self._nic_tx_free.get(sender.host.name, 0.0)
-            departure = max(departure, tx_free) + wire_time
-            self._nic_tx_free[sender.host.name] = departure
-            when = departure + delay
-            # Receiver-side incast: replies queue at the destination NIC.
-            rx_free = self._nic_rx_free.get(recipient.host.name, 0.0)
-            when = max(when, rx_free + wire_time)
-            self._nic_rx_free[recipient.host.name] = when
-        else:
-            when = departure + delay
-        # Enforce per-direction FIFO: a later message on the same flow never
-        # overtakes an earlier one even under jitter.
-        floor = connection._earliest_delivery[recipient.name]
-        if when < floor:
-            when = floor
-        connection._earliest_delivery[recipient.name] = when
-        env.deliver(when - now, recipient, message, connection)

@@ -34,7 +34,7 @@ from repro.core.control_plane import (
 from repro.core.metrics import StageMetrics
 from repro.core.policies import QoSPolicy
 from repro.core.rules import UNLIMITED, EnforcementRule, changed_limits, diff_rules
-from repro.simnet.engine import Delivery, Environment
+from repro.simnet.engine import Environment, Message
 from repro.simnet.node import SimHost
 from repro.simnet.transport import Connection, Network
 
@@ -65,8 +65,9 @@ class TestEventCounts:
         conn = net.connect(a, b)
         message = conn.send(a, "ping", 7, size_bytes=100)
         ((when, _, _, item),) = env._queue
-        assert item.__class__ is Delivery and not hasattr(item, "__dict__")
-        assert (item.target, item.message, item.via) == (b, message, conn)
+        assert item is message and item.__class__ is Message
+        assert not hasattr(item, "__dict__")
+        assert (item.target, item.via) == (b, conn)
         env.run()
         assert got == [(when, message, conn)]
         assert env.processed_events == 1

@@ -10,6 +10,7 @@ from repro.jobs.scheduler import JobScheduler
 from repro.jobs.workloads import source_factory
 from repro.simnet.engine import Environment
 from repro.simnet.rng import RandomStreams
+from repro.simnet.transport import Connection
 
 
 @pytest.fixture
@@ -152,3 +153,86 @@ class TestJobScheduler:
                 source_factory("stress"),
                 arrival_rate_per_s=0.0,
             )
+
+
+class TestRemovalMidCycle:
+    """A stage removed while a flat cycle is in flight costs that cycle
+    its message, never the run: what is in flight on the closed
+    connection is dropped at delivery, and a phase waiting on the
+    departed stage counts it missing instead of waiting for it."""
+
+    def _plane(self, env, n_stages=3):
+        plane = FlatControlPlane.build(ControlPlaneConfig(n_stages=n_stages), env=env)
+        return plane, plane.global_controller
+
+    def _remove_when_sent(self, ctrl, stage_id, kind, monkeypatch):
+        """Remove ``stage_id`` at the instant ``kind`` leaves for it."""
+        real = Connection.send
+
+        def send(self, sender, sent_kind, *args, **kwargs):
+            message = real(self, sender, sent_kind, *args, **kwargs)
+            if sent_kind == kind and message.recipient.endswith(f"/{stage_id}"):
+                ctrl.env.call_at(ctrl.env.now, lambda: ctrl.remove_stage(stage_id))
+            return message
+
+        monkeypatch.setattr(Connection, "send", send)
+
+    def test_removal_during_the_send_burst(self, env):
+        plane, ctrl = self._plane(env)
+        gone = plane.stages[1]
+        # The collect burst starts at t=0 and charges every live channel.
+        burst = 3 * ctrl.costs.tx_request_s
+        env.call_at(burst / 2, lambda: ctrl.remove_stage(gone.stage_id))
+        env.run(ctrl.run_cycles(1))
+        assert gone.requests_served == 0
+        (cycle,) = ctrl.cycles
+        assert (cycle.n_stages, cycle.n_missing) == (2, 0)
+
+    @pytest.mark.parametrize("kind", ["collect_req", "rule"])
+    def test_removal_with_a_request_in_flight(self, env, kind, monkeypatch):
+        plane, ctrl = self._plane(env)
+        gone = plane.stages[1]
+        self._remove_when_sent(ctrl, gone.stage_id, kind, monkeypatch)
+        env.run(ctrl.run_cycles(2))
+        # Dropped at delivery: the stage never saw it, so never replied.
+        assert gone.requests_served == (0 if kind == "collect_req" else 1)
+        assert gone.rules_applied == 0
+        first, second = ctrl.cycles
+        assert first.n_missing == 1 and not first.timed_out
+        assert (second.n_stages, second.n_missing) == (2, 0)
+        assert ctrl.lost_replies == 1
+
+    def test_removal_wakes_a_phase_blocked_on_the_stage(self, env):
+        plane, ctrl = self._plane(env)
+        silent = plane.stages[2]
+        silent.endpoint.set_handler(lambda message, connection: None)
+        env.call_at(0.05, lambda: ctrl.remove_stage(silent.stage_id))
+        env.run(ctrl.run_cycles(1))
+        (cycle,) = ctrl.cycles
+        assert env.now >= 0.05
+        assert (cycle.n_stages, cycle.n_missing) == (2, 1)
+
+    def test_scheduler_churn_under_back_to_back_cycles(self):
+        for seed in range(20):
+            env = Environment()
+            plane = FlatControlPlane.build(ControlPlaneConfig(n_stages=2), env=env)
+            ctrl = plane.global_controller
+            scheduler = JobScheduler(
+                env,
+                plane.cluster,
+                ctrl,
+                ctrl.endpoint,
+                plane.stage_hosts[0],
+                RandomStreams(seed),
+                source_factory("stress", seed=seed),
+                arrival_rate_per_s=200.0,
+                mean_lifetime_s=0.05,
+            )
+            scheduler.start(duration_s=1.0)
+            env.run(ctrl.run_cycles(200))
+            assert len(ctrl.cycles) == 200, seed
+            departed = sum(e.action == "depart" for e in scheduler.events)
+            assert departed > 0, seed
+            # Every departure released its connection slot.
+            pool = plane.cluster.network.pool_of(ctrl.host)
+            assert pool.open_connections == 2 + len(scheduler.active), seed

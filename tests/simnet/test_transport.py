@@ -1,9 +1,15 @@
 """Unit tests for the connection-oriented transport."""
 
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.simnet.engine import Environment, SimulationError
-from repro.simnet.link import FixedDelay, Link
+from repro.simnet.link import FixedDelay, Link, NormalJitterDelay
+from repro.simnet.node import SimHost
 from repro.simnet.topology import build_cluster
 from repro.simnet.transport import ConnectionLimitExceeded, Network
 
@@ -110,6 +116,95 @@ class TestDelivery:
         net, a, b, conn = _pair(cluster)
         with pytest.raises(ValueError):
             conn.send(a, "bad", size_bytes=-1)
+
+    def test_closed_in_flight_is_dropped_at_delivery(self, env, cluster):
+        net, a, b, conn = _pair(cluster)
+        got = []
+        b.set_handler(lambda m, c: got.append(m))
+        conn.send(a, "late", size_bytes=100)
+        conn.close()
+        env.run()
+        assert got == [] and b.host.nic.rx_messages == 0
+        assert env.processed_events == 1
+
+
+class TestNonFinite:
+    """NaN passes every ``< 0`` check; infinity is no delay either."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda v: Link(hop_latency=v),
+            lambda v: Link(bandwidth=v),
+            lambda v: FixedDelay(v),
+            lambda v: NormalJitterDelay(np.random.default_rng(0), mean=v),
+            lambda v: NormalJitterDelay(np.random.default_rng(0), std=v),
+            lambda v: Network(Environment(), nic_bandwidth_Bps=v),
+        ],
+        ids=["hop_latency", "bandwidth", "fixed", "mean", "std", "nic"],
+    )
+    def test_rejected(self, build, bad):
+        with pytest.raises(ValueError):
+            build(bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_extra_delay_rejected(self, env, cluster, bad):
+        net, a, b, conn = _pair(cluster)
+        with pytest.raises(ValueError):
+            conn.send(a, "x", extra_delay=bad)
+        assert env._queue == [] and a.host.nic.tx_messages == 0
+
+
+_SEND = st.tuples(
+    st.sampled_from([0.0, 0.0, 1e-7, 2.5e-6, 1e-3]),  # gap before the send
+    st.integers(0, 1 << 20),  # size
+    st.sampled_from([0.0, 0.0, 3e-7, 1e-5, 0.1]),  # extra delay
+)
+
+
+class TestFusedSendArithmetic:
+    """``Connection.send`` computes delivery time inline; it must equal
+    ``Link.transfer_time`` plus the NIC and FIFO-floor steps, bit for
+    bit, for the heap key and for the clock at delivery."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        sends=st.lists(_SEND, min_size=1, max_size=12),
+        nic=st.sampled_from([None, 1e9, 3e7]),
+        jitter=st.sampled_from([None, 0.0, 1.5e-6]),
+    )
+    def test_matches_the_reference(self, sends, nic, jitter):
+        env = Environment()
+        link = Link(jitter=None if jitter is None else FixedDelay(jitter))
+        net = Network(env, link=link, nic_bandwidth_Bps=nic)
+        a = net.attach(SimHost(env, "h0"), "a")
+        b = net.attach(SimHost(env, "h1"), "b")
+        conn = net.connect(a, b)
+        delivered = {}
+        b.set_handler(lambda m, c: delivered.setdefault(m.seq, env.now))
+        tx_free = rx_free = floor = 0.0
+        expected = {}
+        for gap, size, extra in sends:
+            env.run(until=env.now + gap)
+            now = env.now
+            message = conn.send(a, "m", size_bytes=size, extra_delay=extra)
+            delay = link.transfer_time(size, 3)
+            departure = now + extra
+            if nic is None:
+                when = departure + delay
+            else:
+                departure = max(departure, tx_free) + size / nic
+                tx_free = departure
+                when = max(departure + delay, rx_free + size / nic)
+                rx_free = when
+            when = max(when, floor)
+            floor = when
+            (key,) = [k for k in env._queue if k[3] is message]
+            assert key[:2] == (now + (when - now), 1)
+            expected[message.seq] = key[0]
+        env.run()
+        assert delivered == expected
 
 
 class TestConnectionManagement:
