@@ -40,7 +40,7 @@ Message protocol (kind, payload):
 kind               payload                                     direction
 =================  ==========================================  ===========
 collect_req        epoch                                       ctrl → stage
-metrics_reply      (epoch, StageMetrics)                       stage → ctrl
+metrics_reply      (epoch, data_iops, metadata_iops)           stage → ctrl
 rule               (epoch, EnforcementRule)                    ctrl → stage
 rule_ack           epoch                                       stage → ctrl
 agg_collect_req    epoch                                       global → agg
@@ -410,12 +410,15 @@ class _Fan(_ControllerBase):
         if span is None:
             return
         first, stop = span
-        report = msg.payload[1]
+        payload = msg.payload
         if msg.kind == "metrics_reply":
-            self.slot_data[first] = report.data_iops
-            self.slot_meta[first] = report.metadata_iops
+            # Taken as sent: whoever observes the slot judges the sample.
+            self.slot_data[first] = payload[1]
+            self.slot_meta[first] = payload[2]
             self._answered[first] = 1
-        elif report.n_stages == stop - first:
+            return
+        report = payload[1]
+        if report.n_stages == stop - first:
             np.frombuffer(self.slot_data)[first:stop] = report.data_iops
             np.frombuffer(self.slot_meta)[first:stop] = report.metadata_iops
             np.frombuffer(self._answered, dtype=bool)[first:stop] = report.answered
@@ -1040,14 +1043,21 @@ class AggregatorController(_Fan):
     def n_stages(self) -> int:
         return sum(ch.n_stages for ch in self.children)
 
+    def _known(self) -> np.ndarray:
+        """Slots with a known demand: the stage has answered, and its
+        last sample is one the columns take (finite, non-negative)."""
+        return np.frombuffer(self._seen, dtype=bool) & StageColumns.valid_reports(
+            np.frombuffer(self.slot_data), np.frombuffer(self.slot_meta)
+        )
+
     @property
     def latest_reports(self) -> Dict[str, StageMetrics]:
-        """Last-known report per slot that has ever answered."""
+        """Last-known report per slot with a known demand."""
         ids, jobs = self._order.ids, self.stage_jobs
         data, meta = self.slot_data, self.slot_meta
         return {
             ids[i]: StageMetrics(ids[i], jobs[ids[i]], data[i], meta[i])
-            for i in np.flatnonzero(np.frombuffer(self._seen, dtype=bool)).tolist()
+            for i in np.flatnonzero(self._known()).tolist()
         }
 
     # -- main loop -----------------------------------------------------------
@@ -1235,8 +1245,8 @@ class AggregatorController(_Fan):
             )
         deadline = self._deadline()
         order = self._relayout()
-        # Stages that never answered have no known demand and get no rule.
-        known = np.frombuffer(self._seen, dtype=bool)
+        # Stages without a known demand get no rule.
+        known = self._known()
         slots = np.flatnonzero(known)
         demands = (np.frombuffer(self.slot_data) + np.frombuffer(self.slot_meta))[slots]
         weights = self.policy.weights(

@@ -29,10 +29,10 @@ import numpy as np
 
 from repro.core.algorithms.base import ControlAlgorithm
 from repro.core.algorithms.psfa import PSFA
+from repro.core.columnar import StageColumns
 from repro.core.controller import ChildChannel, _ControllerBase
 from repro.core.costs import CostModel, FRONTERA_COST_MODEL
 from repro.core.cycle import ControlCycle
-from repro.core.metrics import StageMetrics
 from repro.core.policies import QoSPolicy
 from repro.core.registry import StageRegistry, StageRecord
 from repro.core.rules import EnforcementRule
@@ -67,7 +67,10 @@ class PeerController(_ControllerBase):
         self.children: List[ChildChannel] = []
         self.peer_connections: Dict[str, Connection] = {}
         self.cycles: List[ControlCycle] = []
-        self.latest_metrics: Dict[str, StageMetrics] = {}
+        #: Last accepted total demand (data + metadata) per own stage.
+        self.latest_demand: Dict[str, float] = {}
+        #: A reply's sender (the stage's endpoint name) → its stage id.
+        self._stage_of: Dict[str, str] = {}
         self.remote_job_demand: Dict[str, float] = {}
         self.epoch = 0
         # Summaries from faster peers can land while this peer is still
@@ -81,6 +84,7 @@ class PeerController(_ControllerBase):
             StageRecord(stage_id, job_id, channel.endpoint.host.name, self.env.now)
         )
         self.children.append(channel)
+        self._stage_of[channel.connection.peer_of(channel.endpoint).name] = stage_id
         self.host.allocate(self.costs.flat_per_stage_mem)
 
     def add_peer(self, peer_id: str, connection: Connection) -> None:
@@ -115,8 +119,12 @@ class PeerController(_ControllerBase):
         )
 
         def on_report(msg) -> None:
-            _, report = msg.payload
-            self.latest_metrics[report.stage_id] = report
+            _, data, meta = msg.payload
+            stage_id = self._stage_of.get(msg.sender)
+            # A sample the columns would refuse leaves the stage at
+            # last-known demand.
+            if stage_id is not None and StageColumns.valid_reports(data, meta):
+                self.latest_demand[stage_id] = data + meta
 
         yield from self._await_replies(
             sent,
@@ -128,10 +136,11 @@ class PeerController(_ControllerBase):
         # ---- exchange (summary broadcast + barrier) ----
         own_jobs: Dict[str, float] = {}
         for stage_id in self.registry.stage_ids:
-            report = self.latest_metrics.get(stage_id)
-            if report is None:
+            demand = self.latest_demand.get(stage_id)
+            if demand is None:
                 continue
-            own_jobs[report.job_id] = own_jobs.get(report.job_id, 0.0) + report.total_iops
+            job_id = self.registry.job_of(stage_id)
+            own_jobs[job_id] = own_jobs.get(job_id, 0.0) + demand
         summary_size = (
             cm.agg_reply_header_bytes + len(own_jobs) * cm.agg_reply_entry_bytes
         )
@@ -185,14 +194,7 @@ class PeerController(_ControllerBase):
         limits: Dict[str, float] = {}
         for job_id in own_job_ids:
             stage_ids = self.registry.stages_of(job_id)
-            demands = np.array(
-                [
-                    self.latest_metrics[s].total_iops
-                    if s in self.latest_metrics
-                    else 0.0
-                    for s in stage_ids
-                ]
-            )
+            demands = np.array([self.latest_demand.get(s, 0.0) for s in stage_ids])
             total = demands.sum()
             grant = alloc_of.get(job_id, 0.0)
             if total > 0:

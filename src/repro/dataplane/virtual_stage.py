@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Callable, Optional, Protocol, Tuple
 
 from repro.core.costs import CostModel, FRONTERA_COST_MODEL
-from repro.core.metrics import StageMetrics
 from repro.core.rules import EnforcementRule
 from repro.simnet.engine import Environment
 from repro.simnet.node import SimHost
@@ -88,20 +87,15 @@ class VirtualStage:
         host = self.endpoint.host
         host.charge(cm.stage_cpu_per_msg_s)
         if message.kind == "collect_req":
-            epoch = message.payload
+            # The live wire's record shape: the receiver knows the sender,
+            # and judges the sample (a negative or non-finite one is
+            # refused there and counted, not raised here).
             data_iops, metadata_iops = self.source.sample(self.stage_id, self.env.now)
-            report = StageMetrics(
-                stage_id=self.stage_id,
-                job_id=self.job_id,
-                data_iops=data_iops,
-                metadata_iops=metadata_iops,
-                timestamp=self.env.now,
-            )
             self.requests_served += 1
             connection.send(
                 self.endpoint,
                 "metrics_reply",
-                (epoch, report),
+                (message.payload, data_iops, metadata_iops),
                 cm.metrics_reply_bytes,
                 extra_delay=cm.stage_service_s,
             )

@@ -20,16 +20,23 @@ on, so it is tested exhaustively (see ``tests/simnet/test_engine.py``).
 
 Dispatch
 --------
-:meth:`Environment.run` is the one event loop, and the one place the
-``(time, priority, insertion seq)`` order is decided: zero-delay events
-wait in per-priority FIFOs and are merged there with the heap. A
-processed :class:`Timeout` whose only remaining reference is the loop
-itself (checked via ``sys.getrefcount``) is recycled into a free-list
-and handed back by :meth:`Environment.timeout` instead of a fresh
-allocation; recycled events draw fresh sequence numbers, so ordering is
-unaffected. The golden-trace test in ``tests/simnet/test_engine.py``
-pins the loop to a delivery trace captured on the original
-one-event-per-call kernel.
+Events are dispatched in ``(time, priority, insertion seq)`` order. The
+queue holds one *bucket* per ``(time, priority)`` key — a FIFO of the
+events due then, in insertion order — and the heap holds one entry per
+bucket, not per event. A control cycle's fan-out bursts put thousands of
+messages on a few hundred instants, so most pushes are one dict lookup
+and one append. Every scheduled event, a zero-delay one included, goes
+through :meth:`Environment._push`; there is no separate zero-delay path.
+:meth:`Environment.run` takes events from the head bucket and drops its
+heap entry and key when it empties, before dispatching the last event,
+so an event scheduled at the same instant by that dispatch opens a fresh
+bucket behind it. A processed :class:`Timeout` whose only remaining
+reference is the loop itself (checked via ``sys.getrefcount``) is
+recycled into a free-list and handed back by :meth:`Environment.timeout`
+instead of a fresh allocation; recycled events draw fresh sequence
+numbers, so ordering is unaffected. The golden-trace test in
+``tests/simnet/test_engine.py`` pins the loop to a delivery trace
+captured on the original one-event-per-call kernel.
 
 A simulated message is not an :class:`Event`: a :class:`Message` is its
 own queue entry. :meth:`repro.simnet.transport.Connection.send` pushes it
@@ -462,21 +469,17 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
+        #: Heap of ``(when, priority, seq, bucket)``, one per live bucket;
+        #: ``(when, priority)`` is unique among them, so ``seq`` and the
+        #: bucket are never compared.
         self._queue: list = []
+        #: ``(when, priority)`` → deque of ``(seq, event)``, oldest first.
+        self._buckets: dict = {}
         self._seq = count()
         self._active_process: Optional[Process] = None
         #: Number of events processed so far (for tests and stats).
         self.processed_events = 0
         self._timeout_pool: list = []
-        # Same-timestamp dispatch buckets: zero-delay events skip the heap
-        # entirely and land in a FIFO per priority class, merged back into
-        # the global (time, priority, seq) order by the dispatch loop. The
-        # invariant that makes this exact: every entry in a bucket is for
-        # the *current* clock instant, and any heap entry at that same
-        # instant was inserted earlier (it needed a positive delay from an
-        # earlier now), so it carries a smaller sequence number.
-        self._urgent: deque = deque()
-        self._normal: deque = deque()
 
     # -- clock ------------------------------------------------------------
     @property
@@ -509,12 +512,7 @@ class Environment:
             if delay.__class__ is not float:
                 delay = float(delay)
             ev.delay = delay
-            if delay == 0.0:
-                self._normal.append((next(self._seq), ev))
-            else:
-                _heappush(
-                    self._queue, (self._now + delay, NORMAL, next(self._seq), ev)
-                )
+            self._push(self._now + delay, NORMAL, ev)
             return ev
         return Timeout(self, delay, value)
 
@@ -540,16 +538,18 @@ class Environment:
         if event._scheduled:
             raise SimulationError(f"{event!r} scheduled twice")
         event._scheduled = True
-        if delay == 0.0:
-            if priority == NORMAL:
-                self._normal.append((next(self._seq), event))
-                return
-            if priority == URGENT:
-                self._urgent.append((next(self._seq), event))
-                return
-        _heappush(
-            self._queue, (self._now + delay, priority, next(self._seq), event)
-        )
+        self._push(self._now + delay, priority, event)
+
+    def _push(self, when: float, priority: int, event: Any) -> None:
+        """Queue ``event`` (or a :class:`Message`) at ``when``: behind
+        everything already due at ``(when, priority)``."""
+        key = (when, priority)
+        seq = next(self._seq)
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            bucket = self._buckets[key] = deque()
+            _heappush(self._queue, (when, priority, seq, bucket))
+        bucket.append((seq, event))
 
     def call_at(
         self, when: float, callback: Callable[[], None], priority: int = NORMAL
@@ -571,8 +571,6 @@ class Environment:
     # -- main loop ----------------------------------------------------------
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if the queue is empty."""
-        if self._urgent or self._normal:
-            return self._now
         return self._queue[0][0] if self._queue else float("inf")
 
     def run(
@@ -598,14 +596,11 @@ class Environment:
         if max_events is not None and max_events < 1:
             raise SimulationError(f"max_events must be >= 1: {max_events}")
         queue = self._queue
-        urgent = self._urgent
-        normal = self._normal
+        buckets = self._buckets
         pop = _heappop
         getrefcount = sys.getrefcount
         pool = self._timeout_pool
         message = Message
-        urgent_prio = URGENT
-        normal_prio = NORMAL
         processed = self.processed_events
         limit = (
             float("inf") if max_events is None else processed + max_events
@@ -622,47 +617,21 @@ class Environment:
         now = self._now
         try:
             while True:
-                if sentinel is not None and sentinel._processed:
+                if not queue or (sentinel is not None and sentinel._processed):
                     break
-                # -- select the next event in (time, priority, seq) order --
-                # The heap tuple is unpacked (never bound whole) on the
-                # pop paths so the dispatch loop holds the only reference
-                # to the event by recycle time.
-                if queue:
-                    if urgent:
-                        item = queue[0]
-                        if item[0] <= now and (item[1], item[2]) < (
-                            urgent_prio,
-                            urgent[0][0],
-                        ):
-                            pop(queue)
-                            event = item[3]
-                            item = None
-                        else:
-                            event = urgent.popleft()[1]
-                    elif normal:
-                        item = queue[0]
-                        if item[0] <= now and (item[1], item[2]) < (
-                            normal_prio,
-                            normal[0][0],
-                        ):
-                            pop(queue)
-                            event = item[3]
-                            item = None
-                        else:
-                            event = normal.popleft()[1]
-                    else:
-                        if horizon is not None and queue[0][0] > horizon:
-                            break
-                        when, _prio, _seq, event = pop(queue)
-                        if when != now:
-                            now = self._now = when
-                elif urgent:
-                    event = urgent.popleft()[1]
-                elif normal:
-                    event = normal.popleft()[1]
-                else:
-                    break
+                # -- the oldest event of the head bucket --
+                when, prio, _seq, bucket = queue[0]
+                if when != now:
+                    if horizon is not None and when > horizon:
+                        break
+                    now = self._now = when
+                # The (seq, event) pair is indexed, never bound, so the
+                # loop holds the only reference to the event by recycle
+                # time.
+                event = bucket.popleft()[1]
+                if not bucket:
+                    pop(queue)
+                    del buckets[when, prio]
                 # -- dispatch --
                 processed += 1
                 if event.__class__ is message:

@@ -26,7 +26,6 @@ Tables II–IV come from.
 
 from __future__ import annotations
 
-from heapq import heappush
 from typing import Any, Callable, Dict, Optional
 
 from repro.simnet.engine import NORMAL, Environment, Event, Message, SimulationError
@@ -236,7 +235,7 @@ class Connection:
         message.seq = seq
         message.target = recipient
         message.via = self
-        heappush(env._queue, (now + (when - now), NORMAL, next(env._seq), message))
+        env._push(now + (when - now), NORMAL, message)
         return message
 
     def close(self) -> None:

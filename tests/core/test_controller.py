@@ -6,6 +6,7 @@ import pytest
 from repro.core.algorithms.psfa import PSFA
 from repro.core.control_plane import (
     ControlPlaneConfig,
+    CoordinatedFlatControlPlane,
     FlatControlPlane,
     HierarchicalControlPlane,
 )
@@ -214,3 +215,86 @@ class TestChurn:
         before = net.pool_of(ctrl_host).open_connections
         plane.global_controller.remove_stage("stage-00000")
         assert net.pool_of(ctrl_host).open_connections == before - 1
+
+
+class _Switch:
+    """Constant demand until ``state["bad"]`` is set, then ``bad``."""
+
+    def __init__(self, state, bad):
+        self.state, self.bad = state, bad
+
+    def sample(self, stage_id, now):
+        return self.bad if self.state["bad"] else (1000.0, 200.0)
+
+
+class TestRefusedSample:
+    """One stage's negative or NaN demand sample is refused where the
+    columns observe it: counted in ``reports_rejected`` and ``n_missing``,
+    the stage rides at last-known demand and still gets its rule. The run
+    goes on (a negative sample used to raise out of ``env.run``)."""
+
+    BAD = "stage-00007"
+
+    @pytest.mark.parametrize("design", ["flat", "hier"])
+    @pytest.mark.parametrize(
+        "bad", [(-5.0, 1.0), (1.0, -0.5), (float("nan"), 1.0)],
+        ids=["negative-data", "negative-metadata", "nan"],
+    )
+    def test_rides_at_last_known_demand(self, design, bad):
+        state = {"bad": False}
+        config = ControlPlaneConfig(
+            n_stages=40,
+            source_factory=lambda sid: (
+                _Switch(state, bad) if sid == self.BAD else ConstantSource()
+            ),
+        )
+        if design == "flat":
+            plane = FlatControlPlane.build(config)
+        else:
+            plane = HierarchicalControlPlane.build(config, n_aggregators=4)
+        ctrl = plane.global_controller
+        plane.env.run(ctrl.run_cycles(2))
+        state["bad"] = True
+        plane.env.run(ctrl.run_cycles(3))
+        assert [c.n_missing for c in ctrl.cycles] == [0, 0, 1, 1, 1]
+        assert ctrl.columns.reports_rejected == 3
+        assert ctrl.columns.axes(self.BAD) == (1000.0, 200.0)
+        assert ctrl.latest_metrics[self.BAD].total_iops == 1200.0
+        assert all(stage.applied_rule.epoch == 5 for stage in plane.stages)
+        for agg in getattr(plane, "aggregators", []):
+            reports = agg.latest_reports
+            assert self.BAD not in reports
+            assert len(reports) == len(agg.stage_ids) - (self.BAD in agg.stage_ids)
+
+    def test_refused_from_the_first_cycle(self):
+        config = ControlPlaneConfig(
+            n_stages=40,
+            source_factory=lambda sid: (
+                _Switch({"bad": True}, (-5.0, 1.0))
+                if sid == self.BAD
+                else ConstantSource()
+            ),
+        )
+        plane = HierarchicalControlPlane.build(config, n_aggregators=4)
+        ctrl = plane.global_controller
+        plane.env.run(ctrl.run_cycles(2))
+        assert [c.n_missing for c in ctrl.cycles] == [1, 1]
+        assert self.BAD not in ctrl.latest_metrics
+
+    def test_coordinated_peer_keys_replies_by_sender(self):
+        state = {"bad": False}
+        config = ControlPlaneConfig(
+            n_stages=12,
+            source_factory=lambda sid: (
+                _Switch(state, (-5.0, 1.0)) if sid == "stage-00003" else ConstantSource()
+            ),
+        )
+        plane = CoordinatedFlatControlPlane.build(config, n_controllers=3)
+        plane.run_stress(n_cycles=2)
+        state["bad"] = True
+        plane.run_stress(n_cycles=1)
+        for peer in plane.peers:
+            own = peer.registry.stage_ids
+            assert peer.latest_demand == {sid: 1200.0 for sid in own}
+        assert all(stage.applied_rule.epoch == 3 for stage in plane.stages)
+

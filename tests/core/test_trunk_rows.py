@@ -7,7 +7,8 @@ independently:
 
 * event counts per cycle, equal to the value recorded at the parent
   commit (a delivery is one event, as the event-plus-closure it
-  replaced was);
+  replaced was), and heap entries per cycle (one per simulated instant
+  with anything due, not one per event);
 * what a hierarchical cycle constructs: no per-stage record at the
   global controller, one rule per stage an aggregator ships to;
 * changed-only enforcement over vectors gives ``diff_rules``' verdict,
@@ -26,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import controller as controller_mod
+from repro.simnet import engine as engine_mod
 from repro.core.control_plane import (
     ControlPlaneConfig,
     FlatControlPlane,
@@ -40,20 +42,30 @@ from repro.simnet.transport import Connection, Network
 
 
 class TestEventCounts:
-    def test_events_per_cycle_match_the_parent(self):
+    def test_events_per_cycle_match_the_parent(self, monkeypatch):
         plane = HierarchicalControlPlane.build(
             ControlPlaneConfig(n_stages=1000), n_aggregators=4
         )
         env, ctrl = plane.env, plane.global_controller
         env.run(ctrl.run_cycles(1))
+        pushes = []
+        real_push = engine_mod._heappush
+
+        def counting_push(heap, entry):
+            pushes.append(entry[:2])
+            real_push(heap, entry)
+
+        monkeypatch.setattr(engine_mod, "_heappush", counting_push)
         counts = []
         for _ in range(3):
-            before = env.processed_events
+            before, pushes[:] = env.processed_events, []
             env.run(ctrl.run_cycles(1))
-            counts.append(env.processed_events - before)
-        # Recorded at the parent commit, whose deliveries were an Event
-        # with a closure callback each.
-        assert counts == [4276] * 3
+            counts.append((env.processed_events - before, len(pushes)))
+        # Events: recorded at the parent commit, whose deliveries were an
+        # Event with a closure callback each. Heap entries: one per
+        # simulated instant (and priority) that has anything due; the
+        # parent pushed one per event.
+        assert counts == [(4276, 172)] * 3
 
     def test_a_message_in_flight_is_one_delivery(self):
         env = Environment()
@@ -64,7 +76,9 @@ class TestEventCounts:
         b.set_handler(lambda message, via: got.append((env.now, message, via)))
         conn = net.connect(a, b)
         message = conn.send(a, "ping", 7, size_bytes=100)
-        ((when, _, _, item),) = env._queue
+        ((when, priority, _, bucket),) = env._queue
+        ((_, item),) = bucket
+        assert env._buckets == {(when, priority): bucket}
         assert item is message and item.__class__ is Message
         assert not hasattr(item, "__dict__")
         assert (item.target, item.via) == (b, conn)
@@ -128,8 +142,8 @@ class TestWhatACycleBuilds:
         finally:
             patch.undo()
         assert counts == {
-            # One report per stage per cycle, built by the stage.
-            ("StageMetrics", None): 2000,
+            # No report record: a stage replies (epoch, data, metadata)
+            # and its aggregator lands the two floats in the stage's slot.
             # One rule per stage an aggregator ships to, at send time.
             ("EnforcementRule", "AggregatorController"): 2000,
         }

@@ -35,9 +35,8 @@ class TestVirtualStage:
         conn.send(ctrl_ep, "collect_req", 1, 40)
         env.run()
         assert got[0].kind == "metrics_reply"
-        epoch, report = got[0].payload
-        assert epoch == 1
-        assert report.data_iops == 500.0 and report.metadata_iops == 50.0
+        # The live wire's record shape: no per-reply object.
+        assert got[0].payload == (1, 500.0, 50.0)
         assert stage.requests_served == 1
 
     def test_applies_and_acks_rule(self, env):

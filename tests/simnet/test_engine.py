@@ -1,8 +1,19 @@
-"""Unit tests for the DES kernel."""
+"""Unit tests for the DES kernel.
+
+CI runs this file once more under the derandomized ``ci`` hypothesis
+profile.
+"""
+
+import heapq
+from itertools import count
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.simnet.engine import (
+    NORMAL,
+    URGENT,
     AllOf,
     AnyOf,
     Environment,
@@ -10,6 +21,8 @@ from repro.simnet.engine import (
     Interrupt,
     SimulationError,
 )
+from repro.simnet.node import SimHost
+from repro.simnet.transport import Network
 
 
 class TestClock:
@@ -432,6 +445,167 @@ class TestRunawayGuard:
     def test_invalid_budget_rejected(self):
         with pytest.raises(SimulationError):
             Environment().run(max_events=0)
+
+
+# ---------------------------------------------------------------------------
+# Dispatch order against a reference heap
+# ---------------------------------------------------------------------------
+
+#: Zero, equal, tiny (``now + delay == now`` once ``now`` is about 1e-6)
+#: and ordinary delays.
+_DELAY = st.sampled_from([0.0, 0.0, 1e-30, 5e-324, 1e-6, 1e-6, 2.5e-6, 0.5])
+_KIND = st.sampled_from(["timeout", "event", "call_at", "interrupt", "message"])
+
+
+@st.composite
+def _schedules(draw):
+    """Nodes ``(kind, delay, priority, parent)`` — a node with a parent is
+    scheduled when its parent is dispatched — and run segments
+    ``(roots, horizon offset)``: the roots are scheduled at the current
+    time, then ``run(until=now + offset)`` (``None``: run to the end)."""
+    nodes = []
+    for i in range(draw(st.integers(1, 30))):
+        kind = draw(_KIND)
+        delay = 0.0 if kind in ("event", "interrupt") else draw(_DELAY)
+        priority = draw(st.sampled_from([URGENT, NORMAL]))
+        if kind in ("timeout", "message"):
+            priority = NORMAL
+        elif kind == "interrupt":
+            priority = URGENT
+        parent = draw(st.one_of(st.none(), st.integers(0, i - 1))) if i else None
+        nodes.append((kind, delay, priority, parent))
+    roots = [i for i, node in enumerate(nodes) if node[3] is None]
+    n_segments = draw(st.integers(1, 4))
+    cuts = sorted(
+        draw(
+            st.lists(
+                st.integers(0, len(roots)),
+                min_size=n_segments - 1,
+                max_size=n_segments - 1,
+            )
+        )
+    )
+    bounds = [0, *cuts, len(roots)]
+    segments = [
+        (roots[a:b], draw(st.sampled_from([0.0, 1e-6, 3e-6, 0.25])))
+        for a, b in zip(bounds, bounds[1:])
+    ]
+    segments[-1] = (segments[-1][0], None)
+    return nodes, segments
+
+
+def _children(nodes):
+    """Per node, the nodes its dispatch schedules, in order."""
+    children = {i: [] for i in range(len(nodes))}
+    for i, node in enumerate(nodes):
+        if node[3] is not None:
+            children[node[3]].append(i)
+    return children
+
+
+def _reference_order(nodes, segments):
+    """Dispatch order and times from a plain heap of ``(time, priority,
+    seq, node)`` 4-tuples, one per scheduled node."""
+    children = _children(nodes)
+    heap, seq, floor, now, log = [], count(), [0.0], 0.0, []
+
+    def schedule(i):
+        kind, delay, priority, _ = nodes[i]
+        if kind == "call_at":
+            when = now + ((now + delay) - now)
+        elif kind == "message":
+            floor[0] = max(now + delay, floor[0])
+            when = now + (floor[0] - now)
+        else:
+            when = now + delay
+        heapq.heappush(heap, (when, priority, next(seq), i))
+
+    for roots, offset in segments:
+        for i in roots:
+            schedule(i)
+        horizon = None if offset is None else now + offset
+        while heap and (horizon is None or heap[0][0] <= horizon):
+            now, _, _, i = heapq.heappop(heap)
+            log.append((i, now))
+            for child in children[i]:
+                schedule(child)
+        if horizon is not None:
+            now = horizon
+    return log
+
+
+def _engine_order(nodes, segments):
+    """The same schedule on an :class:`Environment`: every kind through
+    its own public entry point."""
+    env = Environment()
+    net = Network(env, hop_resolver=lambda a, b: 0)
+    a = net.attach(SimHost(env, "a"), "a")
+    b = net.attach(SimHost(env, "b"), "b")
+    conn = net.connect(a, b)
+    children = _children(nodes)
+    log = []
+
+    def dispatched(i):
+        log.append((i, env.now))
+        for child in children[i]:
+            schedule(child)
+
+    def sleeper():
+        while True:
+            try:
+                yield env.event()
+            except Interrupt as interrupt:
+                dispatched(interrupt.cause)
+
+    proc = env.process(sleeper())
+    b.set_handler(lambda message, via: dispatched(message.payload))
+
+    def schedule(i):
+        kind, delay, priority, _ = nodes[i]
+        if kind == "timeout":
+            env.timeout(delay).callbacks.append(lambda _ev: dispatched(i))
+        elif kind == "event":
+            ev = env.event()
+            ev.callbacks.append(lambda _ev: dispatched(i))
+            ev.succeed(priority=priority)
+        elif kind == "call_at":
+            env.call_at(env.now + delay, lambda: dispatched(i), priority=priority)
+        elif kind == "interrupt":
+            proc.interrupt(i)
+        else:
+            conn.send(a, "m", i, extra_delay=delay)
+
+    # The sleeper's start is the one event not in the reference.
+    env.run(until=0.0)
+    for roots, offset in segments:
+        for i in roots:
+            schedule(i)
+        env.run(until=None if offset is None else env.now + offset)
+    assert env._queue == [] and env._buckets == {}
+    return log
+
+
+class TestQueueOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(_schedules())
+    def test_dispatch_is_reference_heap_order(self, schedule):
+        nodes, segments = schedule
+        assert _engine_order(nodes, segments) == _reference_order(nodes, segments)
+
+    def test_one_heap_entry_per_instant(self):
+        env = Environment()
+        fired = []
+        for _ in range(5):
+            env.timeout(1.0).callbacks.append(lambda ev: fired.append(env.now))
+        env.call_at(1.0, lambda: fired.append("urgent"), priority=URGENT)
+        assert sorted(entry[:2] for entry in env._queue) == [
+            (1.0, URGENT),
+            (1.0, NORMAL),
+        ]
+        assert len(env._buckets[1.0, NORMAL]) == 5
+        env.run()
+        assert fired == ["urgent"] + [1.0] * 5
+        assert env._queue == [] and env._buckets == {}
 
 
 class TestGoldenTrace:

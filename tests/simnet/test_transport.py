@@ -200,8 +200,13 @@ class TestFusedSendArithmetic:
                 rx_free = when
             when = max(when, floor)
             floor = when
-            (key,) = [k for k in env._queue if k[3] is message]
-            assert key[:2] == (now + (when - now), 1)
+            (key,) = [
+                key
+                for key, bucket in env._buckets.items()
+                if any(item is message for _, item in bucket)
+            ]
+            assert key == (now + (when - now), 1)
+            assert key[0].hex() == (now + (when - now)).hex()
             expected[message.seq] = key[0]
         env.run()
         assert delivered == expected
