@@ -19,20 +19,25 @@ CPU %, memory, and NIC throughput all emerge from the simulation.
 
 Rows, not records, on the trunk
 -------------------------------
-Both controllers lay their children out in *slots* (:class:`_Fan`): a
-stage child holds one, an aggregator child the span of its partition —
-its channel's ``stage_ids``, which is the aggregator's own order. A
-reply lands in its sender's slots, so the trunk carries no stage ids: an
+Both controllers lay their children out in *slots* in a
+:class:`~repro.core.slots.SlotLedger` — the one the live fans keep
+too: a stage child holds one slot, an aggregator child the span of its
+partition — its channel's ``stage_ids``, which is the aggregator's own
+order. Per-slot state follows its channel across a relayout, so a stage
+re-added under a departed one's id starts with nothing shipped to it.
+What the controllers' base, :class:`_Fan`, keeps beside it is the DES
+routing and plumbing: a reply lands in the slots
+of its sender's endpoint name, so the trunk carries no stage ids — an
 :class:`~repro.core.metrics.AggregatedMetrics` is the partition's data
 and metadata vectors plus which slots answered, a rule batch one limit
-vector per axis. The global controller scatters the collected slots into
-its :class:`~repro.core.columnar.StageColumns` with one ``observe_rows``
-through cached aligned rows (a silent slot is not observed and counts in
-``n_missing``) and gathers the compute's limits back into slots; an
-aggregator builds each stage's :class:`~repro.core.rules.EnforcementRule`
-as it sends it. ``latest_metrics``, ``latest_rules`` and
-``latest_reports`` are views built on demand from the columns, the slots
-and a per-slot record of what was last shipped.
+vector per axis. The global controller scatters the answered slots into
+its :class:`~repro.core.columnar.StageColumns` with the ledger's one
+``observe_rows`` (a silent slot is not observed and counts in
+``n_missing``), gathers the compute's limits back into slots and ships
+by the ledger's changed-only verdict; an aggregator builds each stage's
+:class:`~repro.core.rules.EnforcementRule` as it sends it.
+``latest_metrics``, ``latest_rules`` and ``latest_reports`` are views
+built on demand from the columns and the ledger.
 
 Message protocol (kind, payload):
 
@@ -58,8 +63,8 @@ slot of the aggregator's order (metadata ``inf``: unlimited).
 from __future__ import annotations
 
 import copy
-from array import array
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Dict, Generator, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -72,7 +77,8 @@ from repro.core.costs import CostModel, FRONTERA_COST_MODEL
 from repro.core.cycle import ControlCycle
 from repro.core.metrics import AggregatedMetrics, StageMetrics
 from repro.core.policies import QoSPolicy
-from repro.core.rules import EnforcementRule, changed_limits
+from repro.core.rules import EnforcementRule
+from repro.core.slots import SlotLedger, grant_by_row
 from repro.obs.spans import NullSpanTracer
 from repro.simnet.engine import Environment, Process
 from repro.simnet.node import SimHost
@@ -88,9 +94,10 @@ def _chunks(seq: List, size: int) -> Iterable[List]:
         yield seq[i : i + size]
 
 
-@dataclass
+@dataclass(eq=False)
 class ChildChannel:
-    """A controller's link to one child (stage or sub-controller)."""
+    """A controller's link to one child (stage or sub-controller); one
+    object per link, so it is its own identity (a slot ledger's key)."""
 
     child_id: str
     kind: str  # "stage" | "aggregator"
@@ -99,12 +106,20 @@ class ChildChannel:
     stage_ids: Tuple[str, ...] = ()
 
     @property
+    def slot_ids(self) -> Tuple[str, ...]:
+        """The stage ids this child's slots stand for, in order."""
+        return self.stage_ids if self.kind == "aggregator" else (self.child_id,)
+
+    @property
     def n_stages(self) -> int:
         return len(self.stage_ids) if self.kind == "aggregator" else 1
 
 
-class _ControllerBase:
-    """Shared plumbing: chunked charging, sending, and reply collection."""
+class _Fan:
+    """A controller over children laid out in slots: the slot ledger, the
+    endpoint-name spans replies are routed by, the phase-start point where
+    membership changes take effect, and the plumbing — chunked charging,
+    sending and reply collection."""
 
     def __init__(
         self,
@@ -137,10 +152,25 @@ class _ControllerBase:
         self.lost_replies = 0
         #: The inbox get :meth:`_await_replies` is blocked on, if any.
         self._recv_ev = None
+        self.children: List[ChildChannel] = []
+        #: The layout the current cycle runs on; children added or
+        #: removed since are laid out at the next phase start.
+        self.ledger = SlotLedger()
+        self._order_stale = False
+        #: A child's endpoint name — what a reply's ``sender`` says — to
+        #: its ``[first, stop)`` slots, and the children by kind.
+        self._span_of: Dict[str, Tuple[int, int]] = {}
+        self._stages: List[ChildChannel] = []
+        self._aggregators: List[ChildChannel] = []
 
     def _execute(self, seconds: float):
         """Charge critical-path CPU (serialized on this controller's loop)."""
         return self.host.execute(seconds)
+
+    def _deadline(self) -> Optional[float]:
+        """A phase starting now ends by this (``None``: no timeout)."""
+        timeout = self.collect_timeout_s
+        return self.env.now + timeout if timeout else None
 
     def _send_all(
         self,
@@ -179,7 +209,7 @@ class _ControllerBase:
         expected: int,
         epoch: int,
         kind_costs: Mapping[str, float],
-        on_message: Callable[[object], None],
+        on_message: Optional[Callable[[object], None]] = None,
         deadline: Optional[float] = None,
     ) -> Generator:
         """Receive ``expected`` messages of the given kinds for ``epoch``.
@@ -192,6 +222,8 @@ class _ControllerBase:
         Timeout rather than one per wake-up. A child removed mid-phase
         (:meth:`_forget`) is counted off instead of waited for. Returns
         the number received or counted off (short on timeout).
+        ``on_message`` sees each message received (``None``: arrival
+        alone counts).
         """
         try:
             received = yield from self._receive(
@@ -209,7 +241,7 @@ class _ControllerBase:
         expected: int,
         epoch: int,
         kind_costs: Mapping[str, float],
-        on_message: Callable[[object], None],
+        on_message: Optional[Callable[[object], None]],
         deadline: Optional[float],
     ) -> Generator:
         """The receive loop of :meth:`_await_replies`; returns the number
@@ -236,8 +268,9 @@ class _ControllerBase:
                 if owed:
                     owed.difference_update([m.via for m in ready])
                 yield self._execute(sum(kind_costs[m.kind] for m in ready))
-                for msg in ready:
-                    on_message(msg)
+                if on_message is not None:
+                    for msg in ready:
+                        on_message(msg)
                 received += len(ready)
 
         defer_kinds = self.defer_kinds
@@ -294,8 +327,9 @@ class _ControllerBase:
                 owed.difference_update([m.via for m in relevant])
             if charge:
                 yield self._execute(charge)
-            for msg in relevant:
-                on_message(msg)
+            if on_message is not None:
+                for msg in relevant:
+                    on_message(msg)
             received += len(relevant)
         return received
 
@@ -318,113 +352,113 @@ class _ControllerBase:
             wake.cancel()
             wake.succeed(None)
 
-
-class _Order:
-    """The slot layout of a fan's children (see the module docstring).
-
-    ``span_of`` maps a child's endpoint name — what a reply's ``sender``
-    says — to its ``[first, stop)`` slots; ``start`` maps a child id to
-    its first slot.
-    """
-
-    __slots__ = ("ids", "start", "span_of", "stages", "aggregators")
-
-    def __init__(self, children: Iterable[ChildChannel]) -> None:
-        ids: List[str] = []
-        self.start: Dict[str, int] = {}
-        self.span_of: Dict[str, Tuple[int, int]] = {}
-        self.stages: List[ChildChannel] = []
-        self.aggregators: List[ChildChannel] = []
-        for ch in children:
-            first = len(ids)
-            if ch.kind == "stage":
-                ids.append(ch.child_id)
-                self.stages.append(ch)
-            else:
-                ids.extend(ch.stage_ids)
-                self.aggregators.append(ch)
-            self.start[ch.child_id] = first
-            peer = ch.connection.peer_of(ch.endpoint)
-            self.span_of[peer.name] = (first, len(ids))
-        self.ids: Tuple[str, ...] = tuple(ids)
-
-
-def _came_from(ids: Iterable[str], old_ids: Iterable[str]) -> np.ndarray:
-    """Per entry of ``ids``, its slot in ``old_ids`` (-1: absent)."""
-    held = {stage_id: slot for slot, stage_id in enumerate(old_ids)}
-    return np.array([held.get(s, -1) for s in ids], dtype=np.intp)
-
-
-def _moved(values: np.ndarray, came_from: np.ndarray, fill: float) -> np.ndarray:
-    """``values`` re-laid out along ``came_from`` (``fill`` for new slots);
-    the last axis is the slot axis."""
-    out = np.full(values.shape[:-1] + came_from.shape, fill, dtype=values.dtype)
-    kept = came_from >= 0
-    out[..., kept] = values[..., came_from[kept]]
-    return out
-
-
-class _Fan(_ControllerBase):
-    """A controller over children laid out in slots: the order, the
-    per-slot demand arrays replies land in, and the cycle-start point
-    where membership changes take effect."""
-
-    def __init__(self, *args) -> None:
-        super().__init__(*args)
-        self.children: List[ChildChannel] = []
-        #: The layout the current cycle runs on; children added or
-        #: removed since are laid out at the next cycle start.
-        self._order = _Order(())
-        self._order_stale = False
-        #: Last-known demand per slot, per axis, and which slots answered
-        #: the current collect.
-        self.slot_data = array("d")
-        self.slot_meta = array("d")
-        self._answered = bytearray()
-
     def _add_child(self, channel: ChildChannel) -> None:
         self.children.append(channel)
         self._order_stale = True
 
-    def _relayout(self) -> _Order:
+    def _relayout(self) -> SlotLedger:
         """Lay the children out again if they changed (call only at the
-        start of a phase); per-slot state follows its stage id."""
+        start of a phase); per-slot state follows its channel."""
+        ledger = self.ledger
         if self._order_stale:
-            order = _Order(self.children)
-            self._carry(_came_from(order.ids, self._order.ids))
-            self._order, self._order_stale = order, False
-        return self._order
-
-    def _carry(self, came_from: np.ndarray) -> None:
-        for name in ("slot_data", "slot_meta"):
-            old = np.frombuffer(getattr(self, name))
-            setattr(self, name, array("d", _moved(old, came_from, 0.0).tobytes()))
-
-    def _begin_collect(self) -> None:
-        self._answered = bytearray(len(self._order.ids))
+            ledger.relayout([(ch, ch.slot_ids) for ch in self.children])
+            self._span_of = {
+                ch.connection.peer_of(ch.endpoint).name: ledger.span_of[ch]
+                for ch in self.children
+            }
+            self._stages = [ch for ch in self.children if ch.kind == "stage"]
+            self._aggregators = [ch for ch in self.children if ch.kind != "stage"]
+            self._order_stale = False
+        return ledger
 
     def _land(self, msg) -> None:
         """A reply writes its sender's slots: a stage's report one slot,
         an aggregator's report its whole span (and which of it answered)."""
-        span = self._order.span_of.get(msg.sender)
+        span = self._span_of.get(msg.sender)
         if span is None:
             return
         first, stop = span
+        ledger = self.ledger
         payload = msg.payload
         if msg.kind == "metrics_reply":
             # Taken as sent: whoever observes the slot judges the sample.
-            self.slot_data[first] = payload[1]
-            self.slot_meta[first] = payload[2]
-            self._answered[first] = 1
+            ledger.data[first] = payload[1]
+            ledger.meta[first] = payload[2]
+            ledger.answered[first] = 1
             return
         report = payload[1]
         if report.n_stages == stop - first:
-            np.frombuffer(self.slot_data)[first:stop] = report.data_iops
-            np.frombuffer(self.slot_meta)[first:stop] = report.metadata_iops
-            np.frombuffer(self._answered, dtype=bool)[first:stop] = report.answered
+            np.frombuffer(ledger.data)[first:stop] = report.data_iops
+            np.frombuffer(ledger.meta)[first:stop] = report.metadata_iops
+            np.frombuffer(ledger.answered, dtype=bool)[first:stop] = report.answered
 
-    def _answered_mask(self) -> np.ndarray:
-        return np.frombuffer(self._answered, dtype=bool)
+    def _fan_collect(
+        self, epoch: int, deadline: Optional[float], merge_s: float = 0.0
+    ) -> Generator:
+        """The collect fan-out over the current layout, every reply
+        landed in its slots; returns ``(received, expected)``. Each stage
+        reply costs ``merge_s`` on top of its receive."""
+        cm = self.costs
+        self.ledger.begin_collect()
+        expected = 0
+        if self._stages:
+            expected += yield from self._send_all(
+                self._stages,
+                "collect_req",
+                lambda ch: epoch,
+                lambda ch: cm.request_bytes,
+                cm.tx_request_s,
+            )
+        aggregators = self._aggregators
+        # Per-aggregated-reply cost scales with the partition size; model
+        # it with the mean partition size (partitions are near-uniform).
+        agg_entry_cost = cm.rx_agg_reply_fixed_s
+        if aggregators:
+            expected += yield from self._send_all(
+                aggregators,
+                "agg_collect_req",
+                lambda ch: epoch,
+                lambda ch: cm.agg_request_bytes,
+                cm.tx_request_s,
+            )
+            mean_part = sum(c.n_stages for c in aggregators) / len(aggregators)
+            agg_entry_cost += mean_part * cm.rx_agg_entry_s
+        got = yield from self._await_replies(
+            expected,
+            epoch,
+            {"metrics_reply": cm.rx_reply_s + merge_s, "agg_metrics_reply": agg_entry_cost},
+            self._land,
+            deadline,
+        )
+        return got, expected
+
+    def _send_rules(
+        self,
+        targets: List[ChildChannel],
+        epoch: int,
+        data: List[float],
+        meta: Optional[List[float]],
+        per_item_cost: float,
+        sent_slots: Optional[List[int]] = None,
+    ) -> Generator:
+        """One ``rule`` per stage child in ``targets``, built as it is
+        sent from its slot's entry of ``data`` / ``meta`` (``None``:
+        unlimited), each slot appended to ``sent_slots``; returns how
+        many were sent."""
+        span_of = self.ledger.span_of
+
+        def payload(ch: ChildChannel):
+            slot = span_of[ch][0]
+            if sent_slots is not None:
+                sent_slots.append(slot)
+            limit = _INF if meta is None else meta[slot]
+            return (epoch, EnforcementRule(ch.child_id, epoch, data[slot], limit))
+
+        return (
+            yield from self._send_all(
+                targets, "rule", payload, lambda ch: self.costs.rule_bytes, per_item_cost
+            )
+        )
 
 
 class GlobalController(_Fan):
@@ -498,12 +532,6 @@ class GlobalController(_Fan):
         self.cycles: List[ControlCycle] = []
         self.epoch = 0
         self.collect_timeouts = 0
-        #: What was last put on the wire per slot: data over metadata
-        #: limit (NaN: nothing yet) and its epoch (0: none).
-        self._shipped = np.full((2, 0), np.nan)
-        self._shipped_epoch = np.zeros(0, dtype=np.int64)
-        #: ``((order, columns generation), aligned rows)``.
-        self._aligned: tuple = (None, None)
         self._proc: Optional[Process] = None
         self._owed = set()
         host.allocate(costs.global_fixed_mem)
@@ -553,11 +581,6 @@ class GlobalController(_Fan):
         self._order_stale = True
         self.host.free(self.costs.flat_per_stage_mem)
 
-    def _carry(self, came_from: np.ndarray) -> None:
-        super()._carry(came_from)
-        self._shipped = _moved(self._shipped, came_from, np.nan)
-        self._shipped_epoch = _moved(self._shipped_epoch, came_from, 0)
-
     @property
     def n_stages(self) -> int:
         return self.columns.n_active
@@ -586,12 +609,13 @@ class GlobalController(_Fan):
     @property
     def latest_rules(self) -> Dict[str, EnforcementRule]:
         """Last rule put on the wire per stage of the current order."""
-        ids = self._order.ids
-        data, meta = self._shipped.tolist()
-        epochs = self._shipped_epoch.tolist()
+        ledger = self.ledger
+        ids = ledger.ids
+        data, meta = ledger.shipped.tolist()
+        epochs = ledger.shipped_epoch.tolist()
         return {
             ids[i]: EnforcementRule(ids[i], epochs[i], data[i], meta[i])
-            for i in np.flatnonzero(self._shipped_epoch).tolist()
+            for i in np.flatnonzero(ledger.shipped_epoch).tolist()
         }
 
     # -- main loop -----------------------------------------------------------
@@ -641,51 +665,22 @@ class GlobalController(_Fan):
         # the order: no row or slot snapshot is live, and the generation
         # bump invalidates caches.
         self.columns.maybe_compact()
-        order = self._relayout()
+        ledger = self._relayout()
         lost_before = self.lost_replies
         started = self.env.now
-        deadline = (
-            started + self.collect_timeout_s if self.collect_timeout_s else None
-        )
 
         # ---- collect ----
-        stage_children = order.stages
-        agg_children = order.aggregators
-        self._begin_collect()
-        expected = 0
-        if stage_children:
-            expected += yield from self._send_all(
-                stage_children,
-                "collect_req",
-                lambda ch: epoch,
-                lambda ch: cm.request_bytes,
-                cm.tx_request_s,
-            )
-        if agg_children:
-            expected += yield from self._send_all(
-                agg_children,
-                "agg_collect_req",
-                lambda ch: epoch,
-                lambda ch: cm.agg_request_bytes,
-                cm.tx_request_s,
-            )
-
-        # Per-aggregated-reply cost scales with the partition size; model
-        # it with the mean partition size (partitions are near-uniform).
-        agg_entry_cost = cm.rx_agg_reply_fixed_s
-        if agg_children:
-            mean_part = sum(c.n_stages for c in agg_children) / len(agg_children)
-            agg_entry_cost += mean_part * cm.rx_agg_entry_s
-        got = yield from self._await_replies(
-            expected,
-            epoch,
-            {"metrics_reply": cm.rx_reply_s, "agg_metrics_reply": agg_entry_cost},
-            self._land,
-            deadline,
-        )
+        stage_children = self._stages
+        agg_children = self._aggregators
+        got, expected = yield from self._fan_collect(epoch, self._deadline())
         if got < expected:
             self.collect_timeouts += 1
-        reported_stages = self._observe()
+        # One scatter of the answered slots into the columns; a refused
+        # report leaves its stage at last-known demand, as a silent one.
+        offered, refused = ledger.observe(
+            self.columns, ledger.aligned_rows(self.columns), answered_only=True
+        )
+        reported_stages = offered - refused.size
         t_collect = self.env.now - started
 
         # ---- compute ----
@@ -705,18 +700,21 @@ class GlobalController(_Fan):
             if metadata_limits is not None:
                 # Differentiated QoS runs the algorithm once per class.
                 per_stage_cost *= 2
-            # Into slots now, while the live rows are the ones computed on.
-            limits = self._slot_limits(stage_limits, metadata_limits)
+            # Into slots now, while the live rows are the ones computed on
+            # (a slot without a live row gets no rule).
+            limits = ledger.gather(
+                grant_by_row(self.columns.active_rows(), stage_limits, metadata_limits),
+                ledger.aligned_rows(self.columns),
+            )
+            if metadata_limits is None:
+                limits[1] = _INF
+            limits.flags.writeable = False
             yield self._execute(cm.compute_fixed_s + n * per_stage_cost)
         t_compute = self.env.now - compute_started
 
         # ---- enforce ----
         enforce_started = self.env.now
-        enforce_deadline = (
-            enforce_started + self.collect_timeout_s
-            if self.collect_timeout_s
-            else None
-        )
+        enforce_deadline = self._deadline()
         if self.decision_offload and agg_children:
             yield from self._enforce_offload(agg_children, epoch, enforce_deadline)
         else:
@@ -755,64 +753,7 @@ class GlobalController(_Fan):
             )
         )
         if self.tracer.enabled:
-            self.tracer.emit(
-                "collect", started, t_collect, parent="cycle", epoch=epoch
-            )
-            self.tracer.emit(
-                "compute", compute_started, t_compute, parent="cycle", epoch=epoch
-            )
-            self.tracer.emit(
-                "enforce", enforce_started, t_enforce, parent="cycle", epoch=epoch
-            )
-            self.tracer.emit(
-                "cycle",
-                started,
-                self.env.now - started,
-                epoch=epoch,
-                n_stages=n,
-            )
-
-    # -- rows -------------------------------------------------------------------
-    def _aligned_rows(self) -> np.ndarray:
-        """The column row behind each slot of the order (-1: none),
-        cached until the order moves or rows are renumbered."""
-        key = (self._order, self.columns.generation)
-        if self._aligned[0] != key:
-            self._aligned = (key, self.columns.rows_for(self._order.ids))
-        return self._aligned[1]
-
-    def _observe(self) -> int:
-        """Scatter the answered slots into the columns through the
-        aligned rows; returns how many stages reported (a refused report
-        leaves its stage at last-known demand, as a silent one)."""
-        rows = self._aligned_rows()
-        # A stage removed since it answered has no row (-1): not counted.
-        answered = self._answered_mask() & (rows >= 0)
-        data = np.frombuffer(self.slot_data)
-        meta = np.frombuffer(self.slot_meta)
-        n_answered = int(np.count_nonzero(answered))
-        if n_answered < answered.size:
-            rows, data, meta = rows[answered], data[answered], meta[answered]
-        return n_answered - self.columns.observe_rows(rows, data, meta)
-
-    def _slot_limits(
-        self, limits: np.ndarray, metadata_limits: Optional[np.ndarray]
-    ) -> np.ndarray:
-        """The compute's limits (one per live row) gathered into the
-        order's slots: ``(2, n)`` read-only, data over metadata (``inf``:
-        unlimited). A slot without a live row gets 0.0 on every axis it
-        has a limit on."""
-        live, rows = self.columns.active_rows(), self._aligned_rows()
-        # By row, plus one spare column last: what row -1 reads.
-        grant = np.zeros((2, 2 + max(live.max(initial=-1), rows.max(initial=-1))))
-        grant[0, live] = limits
-        if metadata_limits is None:
-            grant[1] = _INF
-        else:
-            grant[1, live] = metadata_limits
-        out = grant[:, rows]
-        out.flags.writeable = False
-        return out
+            self.cycles[-1].emit_spans(self.tracer)
 
     # -- compute ---------------------------------------------------------------
     def _compute_allocations(self):
@@ -838,45 +779,34 @@ class GlobalController(_Fan):
         deadline: Optional[float],
     ) -> Generator:
         cm = self.costs
-        start = self._order.start
+        ledger = self.ledger
+        span_of = ledger.span_of
         targets = stage_children
         if self.enforce_changed_only:
-            slots = [start[ch.child_id] for ch in stage_children]
-            ship = changed_limits(
-                self._shipped[:, slots], limits[:, slots], self.rule_change_tolerance
-            ).tolist()
-            targets = [ch for ch, changed in zip(stage_children, ship) if changed]
-            skipped = len(stage_children) - len(targets)
-            self.rules_suppressed += skipped
+            slots = [span_of[ch][0] for ch in stage_children]
+            ship, withheld = ledger.ship(
+                limits[:, slots], self.rule_change_tolerance, slots
+            )
+            targets = [ch for ch, go in zip(stage_children, ship.tolist()) if go]
+            self.rules_suppressed += withheld
             # Rule-building effort for suppressed rules is still paid (the
             # diff needs the candidate values), without the wire costs.
-            if skipped:
-                yield self._execute(skipped * cm.rule_build_s)
+            if withheld:
+                yield self._execute(withheld * cm.rule_build_s)
 
         data, meta = limits.tolist()
         shipped: List[int] = []
-
-        def payload(ch: ChildChannel):
-            slot = start[ch.child_id]
-            shipped.append(slot)
-            return (epoch, EnforcementRule(ch.child_id, epoch, data[slot], meta[slot]))
-
         try:
-            sent = yield from self._send_all(
-                targets,
-                "rule",
-                payload,
-                lambda ch: cm.rule_bytes,
-                cm.rule_build_s + cm.tx_rule_s,
+            sent = yield from self._send_rules(
+                targets, epoch, data, meta, cm.rule_build_s + cm.tx_rule_s, shipped
             )
         finally:
-            self._record_shipped(np.array(shipped, dtype=np.intp), limits, epoch)
+            ledger.record(np.array(shipped, dtype=np.intp), limits, epoch)
         yield from self._await_replies(
             sent,
             epoch,
             {"rule_ack": cm.rx_ack_s},
-            lambda msg: None,
-            deadline,
+            deadline=deadline,
         )
 
     def _enforce_batches(
@@ -887,7 +817,7 @@ class GlobalController(_Fan):
         deadline: Optional[float],
     ) -> Generator:
         cm = self.costs
-        start = self._order.start
+        ledger = self.ledger
         # Building every per-stage rule happens at the global controller
         # even in the hierarchical design (paper §IV-B: the global
         # controller "must calculate rules for all data plane stages").
@@ -895,10 +825,9 @@ class GlobalController(_Fan):
         yield self._execute(total_stages * cm.rule_build_hier_s)
 
         def payload(ch: ChildChannel):
-            first = start[ch.child_id]
-            stop = first + ch.n_stages
-            self._record_shipped(slice(first, stop), limits, epoch)
-            return (epoch, limits[0, first:stop], limits[1, first:stop])
+            span = slice(*ledger.span_of[ch])
+            ledger.record(span, limits, epoch)
+            return (epoch, limits[0, span], limits[1, span])
 
         sent = yield from self._send_all(
             agg_children,
@@ -912,13 +841,8 @@ class GlobalController(_Fan):
             sent,
             epoch,
             {"batch_ack": cm.rx_agg_ack_s},
-            lambda msg: None,
-            deadline,
+            deadline=deadline,
         )
-
-    def _record_shipped(self, slots, limits: np.ndarray, epoch: int) -> None:
-        self._shipped[:, slots] = limits[:, slots]
-        self._shipped_epoch[slots] = epoch
 
     def _enforce_offload(
         self,
@@ -931,14 +855,11 @@ class GlobalController(_Fan):
         # Budget split: water-fill capacity over per-partition total demand.
         from repro.core.algorithms.psfa import weighted_waterfill
 
-        rows = self._aligned_rows()
+        rows = self.ledger.aligned_rows(self.columns)
         demand = np.where(rows >= 0, self.columns.ewma[rows], 0.0).tolist()
-        start = self._order.start
+        span_of = self.ledger.span_of
         part_demand = np.array(
-            [
-                sum(demand[start[ch.child_id] : start[ch.child_id] + ch.n_stages])
-                for ch in agg_children
-            ]
+            [sum(demand[slice(*span_of[ch])]) for ch in agg_children]
         )
         weights = np.ones(len(agg_children))
         budgets = weighted_waterfill(
@@ -961,8 +882,7 @@ class GlobalController(_Fan):
             sent,
             epoch,
             {"budget_ack": cm.rx_agg_ack_s},
-            lambda msg: None,
-            deadline,
+            deadline=deadline,
         )
 
     # -- reporting ----------------------------------------------------------------
@@ -1008,8 +928,6 @@ class AggregatorController(_Fan):
         self.collect_timeout_s = collect_timeout_s
         self.defer_kinds = set(self._UPLINK_KINDS)
         self.stage_jobs: Dict[str, str] = {}
-        #: Slots that have ever answered (their demand is known).
-        self._seen = bytearray()
         self.cycles_served = 0
         self._proc: Optional[Process] = None
         host.allocate(costs.agg_fixed_mem)
@@ -1027,37 +945,25 @@ class AggregatorController(_Fan):
             self.stage_jobs[stage_id] = stage_jobs[stage_id]
             self.host.allocate(self.costs.agg_per_stage_mem)
 
-    def _carry(self, came_from: np.ndarray) -> None:
-        super()._carry(came_from)
-        seen = np.frombuffer(self._seen, dtype=bool)
-        self._seen = bytearray(_moved(seen, came_from, False).tobytes())
-
     @property
     def stage_ids(self) -> Tuple[str, ...]:
         """The partition order (what the trunk vectors are laid out in)."""
-        return (
-            _Order(self.children).ids if self._order_stale else self._order.ids
-        )
+        if self._order_stale:
+            return tuple(chain.from_iterable(ch.slot_ids for ch in self.children))
+        return self.ledger.ids
 
     @property
     def n_stages(self) -> int:
         return sum(ch.n_stages for ch in self.children)
 
-    def _known(self) -> np.ndarray:
-        """Slots with a known demand: the stage has answered, and its
-        last sample is one the columns take (finite, non-negative)."""
-        return np.frombuffer(self._seen, dtype=bool) & StageColumns.valid_reports(
-            np.frombuffer(self.slot_data), np.frombuffer(self.slot_meta)
-        )
-
     @property
     def latest_reports(self) -> Dict[str, StageMetrics]:
         """Last-known report per slot with a known demand."""
-        ids, jobs = self._order.ids, self.stage_jobs
-        data, meta = self.slot_data, self.slot_meta
+        ledger, jobs = self.ledger, self.stage_jobs
+        ids, data, meta = ledger.ids, ledger.data, ledger.meta
         return {
             ids[i]: StageMetrics(ids[i], jobs[ids[i]], data[i], meta[i])
-            for i in np.flatnonzero(self._known()).tolist()
+            for i in np.flatnonzero(ledger.known()).tolist()
         }
 
     # -- main loop -----------------------------------------------------------
@@ -1098,62 +1004,22 @@ class AggregatorController(_Fan):
         except Interrupt:
             return
 
-    def _deadline(self) -> Optional[float]:
-        timeout = self.collect_timeout_s
-        return self.env.now + timeout if timeout else None
-
     # -- collect ---------------------------------------------------------------
     def _collect(self, epoch: int, uplink: Connection) -> Generator:
         cm = self.costs
         self.cycles_served += 1
         started = self.env.now
         deadline = self._deadline()
-        order = self._relayout()
-        stage_children = order.stages
-        agg_children = order.aggregators
-        self._begin_collect()
-        expected = 0
-        if stage_children:
-            expected += yield from self._send_all(
-                stage_children,
-                "collect_req",
-                lambda ch: epoch,
-                lambda ch: cm.request_bytes,
-                cm.tx_request_s,
-            )
-        if agg_children:
-            expected += yield from self._send_all(
-                agg_children,
-                "agg_collect_req",
-                lambda ch: epoch,
-                lambda ch: cm.agg_request_bytes,
-                cm.tx_request_s,
-            )
-
-        agg_entry_cost = cm.rx_agg_reply_fixed_s
-        if agg_children:
-            mean_part = sum(c.n_stages for c in agg_children) / len(agg_children)
-            agg_entry_cost += mean_part * cm.rx_agg_entry_s
-        yield from self._await_replies(
-            expected,
-            epoch,
-            {
-                "metrics_reply": cm.rx_reply_s + cm.agg_merge_s,
-                "agg_metrics_reply": agg_entry_cost,
-            },
-            self._land,
-            deadline,
-        )
-        answered = self._answered_mask()
-        seen = np.frombuffer(self._seen, dtype=bool)
-        np.logical_or(seen, answered, out=seen)
+        ledger = self._relayout()
+        yield from self._fan_collect(epoch, deadline, merge_s=cm.agg_merge_s)
+        answered = ledger.end_collect()
 
         # Summarize and reply upstream with the partition's rows.
         yield self._execute(cm.agg_summarize_fixed_s)
         merged = AggregatedMetrics(
             self.agg_id,
-            np.frombuffer(self.slot_data),
-            np.frombuffer(self.slot_meta),
+            np.frombuffer(ledger.data),
+            np.frombuffer(ledger.meta),
             answered,
             timestamp=self.env.now,
         )
@@ -1180,36 +1046,22 @@ class AggregatorController(_Fan):
         cm = self.costs
         started = self.env.now
         deadline = self._deadline()
-        order = self._relayout()
+        ledger = self._relayout()
         yield self._execute(len(data) * cm.batch_unpack_s)
         sent = 0
-        start = order.start
-        if len(data) == len(order.ids) == len(meta):
-            if order.stages:
-                data_l, meta_l = data.tolist(), meta.tolist()
-                sent = yield from self._send_all(
-                    order.stages,
-                    "rule",
-                    lambda ch: (
-                        epoch,
-                        EnforcementRule(
-                            ch.child_id,
-                            epoch,
-                            data_l[start[ch.child_id]],
-                            meta_l[start[ch.child_id]],
-                        ),
-                    ),
-                    lambda ch: cm.rule_bytes,
-                    cm.tx_rule_s,
+        span_of = ledger.span_of
+        if len(data) == len(ledger) == len(meta):
+            if self._stages:
+                sent = yield from self._send_rules(
+                    self._stages, epoch, data.tolist(), meta.tolist(), cm.tx_rule_s
                 )
-            for ch in order.aggregators:
-                first = start[ch.child_id]
-                stop = first + ch.n_stages
+            for ch in self._aggregators:
+                span = slice(*span_of[ch])
                 yield self._execute(cm.tx_batch_s)
                 ch.connection.send(
                     ch.endpoint,
                     "rule_batch",
-                    (epoch, data[first:stop], meta[first:stop]),
+                    (epoch, data[span], meta[span]),
                     cm.rule_batch_header_bytes
                     + ch.n_stages * cm.rule_batch_entry_bytes,
                 )
@@ -1221,8 +1073,7 @@ class AggregatorController(_Fan):
             sent,
             epoch,
             {"rule_ack": cm.rx_ack_s, "batch_ack": cm.rx_agg_ack_s},
-            lambda msg: None,
-            deadline,
+            deadline=deadline,
         )
         uplink.send(self.endpoint, "batch_ack", epoch, cm.agg_ack_bytes)
         if self.tracer.enabled:
@@ -1244,39 +1095,30 @@ class AggregatorController(_Fan):
                 f"{self.agg_id}: decision offload requires a local policy copy"
             )
         deadline = self._deadline()
-        order = self._relayout()
+        ledger = self._relayout()
         # Stages without a known demand get no rule.
-        known = self._known()
+        known = ledger.known()
         slots = np.flatnonzero(known)
-        demands = (np.frombuffer(self.slot_data) + np.frombuffer(self.slot_meta))[slots]
+        demands = (np.frombuffer(ledger.data) + np.frombuffer(ledger.meta))[slots]
         weights = self.policy.weights(
-            [self.stage_jobs[order.ids[i]] for i in slots.tolist()]
+            [self.stage_jobs[ledger.ids[i]] for i in slots.tolist()]
         )
         yield self._execute(
             cm.compute_fixed_s + slots.size * cm.psfa_per_stage_s
         )
-        limit = np.zeros(len(order.ids))
+        limit = np.zeros(len(ledger))
         if slots.size and budget > 0:
             limit[slots] = self.algorithm.allocate(demands, weights, budget).allocations
-        start = order.start
-        limit_l = limit.tolist()
-        targets = [ch for ch in order.stages if known[start[ch.child_id]]]
+        span_of = ledger.span_of
+        targets = [ch for ch in self._stages if known[span_of[ch][0]]]
         if targets:
-            sent = yield from self._send_all(
-                targets,
-                "rule",
-                lambda ch: (
-                    epoch,
-                    EnforcementRule(ch.child_id, epoch, limit_l[start[ch.child_id]]),
-                ),
-                lambda ch: cm.rule_bytes,
-                cm.rule_build_s + cm.tx_rule_s,
+            sent = yield from self._send_rules(
+                targets, epoch, limit.tolist(), None, cm.rule_build_s + cm.tx_rule_s
             )
             yield from self._await_replies(
                 sent,
                 epoch,
                 {"rule_ack": cm.rx_ack_s},
-                lambda msg: None,
-                deadline,
+                deadline=deadline,
             )
         uplink.send(self.endpoint, "budget_ack", epoch, cm.agg_ack_bytes)

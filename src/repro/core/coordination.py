@@ -30,12 +30,11 @@ import numpy as np
 from repro.core.algorithms.base import ControlAlgorithm
 from repro.core.algorithms.psfa import PSFA
 from repro.core.columnar import StageColumns
-from repro.core.controller import ChildChannel, _ControllerBase
+from repro.core.controller import ChildChannel, _Fan
 from repro.core.costs import CostModel, FRONTERA_COST_MODEL
 from repro.core.cycle import ControlCycle
 from repro.core.policies import QoSPolicy
 from repro.core.registry import StageRegistry, StageRecord
-from repro.core.rules import EnforcementRule
 from repro.obs.spans import NullSpanTracer
 from repro.simnet.engine import Environment, Process
 from repro.simnet.node import SimHost
@@ -44,8 +43,9 @@ from repro.simnet.transport import Connection, Endpoint
 __all__ = ["PeerController", "merge_peer_cycles"]
 
 
-class PeerController(_ControllerBase):
-    """One member of a coordinated flat control plane."""
+class PeerController(_Fan):
+    """One member of a coordinated flat control plane: a fan over its own
+    stage partition (one slot each) plus the peer exchange."""
 
     def __init__(
         self,
@@ -64,13 +64,10 @@ class PeerController(_ControllerBase):
         self.policy = policy
         self.algorithm = algorithm or PSFA()
         self.registry = StageRegistry()
-        self.children: List[ChildChannel] = []
         self.peer_connections: Dict[str, Connection] = {}
         self.cycles: List[ControlCycle] = []
         #: Last accepted total demand (data + metadata) per own stage.
         self.latest_demand: Dict[str, float] = {}
-        #: A reply's sender (the stage's endpoint name) → its stage id.
-        self._stage_of: Dict[str, str] = {}
         self.remote_job_demand: Dict[str, float] = {}
         self.epoch = 0
         # Summaries from faster peers can land while this peer is still
@@ -83,8 +80,7 @@ class PeerController(_ControllerBase):
         self.registry.register(
             StageRecord(stage_id, job_id, channel.endpoint.host.name, self.env.now)
         )
-        self.children.append(channel)
-        self._stage_of[channel.connection.peer_of(channel.endpoint).name] = stage_id
+        self._add_child(channel)
         self.host.allocate(self.costs.flat_per_stage_mem)
 
     def add_peer(self, peer_id: str, connection: Connection) -> None:
@@ -110,28 +106,14 @@ class PeerController(_ControllerBase):
         started = self.env.now
 
         # ---- collect (own partition) ----
-        sent = yield from self._send_all(
-            self.children,
-            "collect_req",
-            lambda ch: epoch,
-            lambda ch: cm.request_bytes,
-            cm.tx_request_s,
-        )
-
-        def on_report(msg) -> None:
-            _, data, meta = msg.payload
-            stage_id = self._stage_of.get(msg.sender)
-            # A sample the columns would refuse leaves the stage at
-            # last-known demand.
-            if stage_id is not None and StageColumns.valid_reports(data, meta):
-                self.latest_demand[stage_id] = data + meta
-
-        yield from self._await_replies(
-            sent,
-            epoch,
-            {"metrics_reply": cm.rx_reply_s},
-            on_report,
-        )
+        ledger = self._relayout()
+        yield from self._fan_collect(epoch, None)
+        data, meta = np.frombuffer(ledger.data), np.frombuffer(ledger.meta)
+        # A sample the columns would refuse leaves the stage at
+        # last-known demand.
+        taken = ledger.end_collect() & StageColumns.valid_reports(data, meta)
+        for slot in np.flatnonzero(taken).tolist():
+            self.latest_demand[ledger.ids[slot]] = ledger.data[slot] + ledger.meta[slot]
 
         # ---- exchange (summary broadcast + barrier) ----
         own_jobs: Dict[str, float] = {}
@@ -203,28 +185,17 @@ class PeerController(_ControllerBase):
                 shares = np.full(len(stage_ids), grant / max(len(stage_ids), 1))
             limits.update(zip(stage_ids, shares))
 
-        def rule_payload(ch: ChildChannel):
-            return (
-                epoch,
-                EnforcementRule(
-                    stage_id=ch.child_id,
-                    epoch=epoch,
-                    data_iops_limit=float(limits.get(ch.child_id, 0.0)),
-                ),
-            )
-
-        sent = yield from self._send_all(
-            self.children,
-            "rule",
-            rule_payload,
-            lambda ch: cm.rule_bytes,
+        sent = yield from self._send_rules(
+            self._stages,
+            epoch,
+            [float(limits.get(stage_id, 0.0)) for stage_id in ledger.ids],
+            None,
             cm.rule_build_s + cm.tx_rule_s,
         )
         yield from self._await_replies(
             sent,
             epoch,
             {"rule_ack": cm.rx_ack_s},
-            lambda msg: None,
         )
         t_enforce = self.env.now - enforce_started
 
@@ -242,22 +213,7 @@ class PeerController(_ControllerBase):
             )
         )
         if self.tracer.enabled:
-            self.tracer.emit(
-                "collect", started, t_collect, parent="cycle", epoch=epoch
-            )
-            self.tracer.emit(
-                "compute", compute_started, t_compute, parent="cycle", epoch=epoch
-            )
-            self.tracer.emit(
-                "enforce", enforce_started, t_enforce, parent="cycle", epoch=epoch
-            )
-            self.tracer.emit(
-                "cycle",
-                started,
-                self.env.now - started,
-                epoch=epoch,
-                n_stages=len(self.children),
-            )
+            self.cycles[-1].emit_spans(self.tracer)
 
 
 def merge_peer_cycles(

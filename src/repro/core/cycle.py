@@ -62,6 +62,19 @@ class ControlCycle:
             "enforce": self.enforce_s,
         }[name]
 
+    def emit_spans(self, tracer, **fields) -> None:
+        """Record the cycle on ``tracer``: one span per phase, back to
+        back from ``started_at``, under a ``cycle`` span with ``fields``."""
+        t = self.started_at
+        for name in PHASES:
+            duration = self.phase(name)
+            tracer.emit(name, t, duration, parent="cycle", epoch=self.epoch)
+            t += duration
+        tracer.emit(
+            "cycle", self.started_at, self.total_s,
+            epoch=self.epoch, n_stages=self.n_stages, **fields,
+        )
+
 
 @dataclass(frozen=True)
 class PhaseBreakdown:

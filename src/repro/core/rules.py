@@ -11,9 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
-__all__ = ["EnforcementRule", "changed_limits", "diff_rules"]
+__all__ = ["EnforcementRule", "diff_rules"]
 
 #: Rate value meaning "unlimited" (no throttling).
 UNLIMITED = float("inf")
@@ -55,9 +53,9 @@ def diff_rules(
     An optional optimisation (not used in the paper's stress workload,
     which always pushes every rule): only ship rules whose limits moved by
     more than ``tolerance`` relative change, cutting enforce-phase traffic
-    for steady workloads. This is the per-rule reference: the simulated
-    controller ships by :func:`changed_limits`, which the tests hold to
-    this verdict.
+    for steady workloads. This is the per-rule reference: every
+    controller ships by :func:`repro.core.slots.changed_limits`, which
+    the tests hold to this verdict.
     """
     if tolerance < 0:
         raise ValueError(f"negative tolerance: {tolerance}")
@@ -84,23 +82,3 @@ def diff_rules(
                 break
     return changed
 
-
-def changed_limits(
-    previous: np.ndarray, current: np.ndarray, tolerance: float = 0.0
-) -> np.ndarray:
-    """:func:`diff_rules`' verdict over vectors: which rules must ship.
-
-    ``previous`` and ``current`` are ``(2, n)`` — data over metadata
-    limits per stage; a ``NaN`` data limit in ``previous`` means nothing
-    was shipped yet. Same comparisons, entry by entry: an axis moved if
-    it is not equal and its base (``max(|old|, 1e-12)``) is infinite or
-    the relative change exceeds ``tolerance``.
-    """
-    if tolerance < 0:
-        raise ValueError(f"negative tolerance: {tolerance}")
-    with np.errstate(invalid="ignore"):  # inf - inf on equal axes
-        base = np.maximum(np.abs(previous), 1e-12)
-        moved = (current != previous) & (
-            (base == UNLIMITED) | (np.abs(current - previous) / base > tolerance)
-        )
-    return np.isnan(previous[0]) | moved[0] | moved[1]

@@ -85,9 +85,10 @@ class LiveAggregator(StageFan):
     ) -> None:
         if expected_stages < 0:
             raise ValueError(f"expected_stages must be >= 0: {expected_stages}")
-        # The fan's order — the session behind each slot of a trunk
+        # The fan's slot order — the session behind each slot of a trunk
         # vector — goes upstream under its generation whenever it moves;
-        # its two demand arrays are the ``agg_metrics_reply``'s vectors.
+        # its ledger's two demand arrays are the ``agg_metrics_reply``'s
+        # vectors.
         super().__init__(
             expected_stages,
             host,
@@ -263,7 +264,7 @@ class LiveAggregator(StageFan):
             self._close_sessions(
                 {"kind": "shutdown"} if self._stop.is_set() else None
             )
-            self.order = []  # closed with the rest: nothing to keep alive
+            self.ledger.relayout(())  # closed with the rest: nothing to keep alive
             up.close()
 
     async def _handle(self, message) -> None:
@@ -296,7 +297,7 @@ class LiveAggregator(StageFan):
                 {
                     "kind": "partition",
                     "aggregator_id": self.aggregator_id,
-                    "generation": self.order_generation,
+                    "generation": self.ledger.generation,
                     **self.order_ids(),
                 }
             )
@@ -307,8 +308,8 @@ class LiveAggregator(StageFan):
         with self._cpu():
             self._write_up(
                 pack_rows(
-                    "agg_metrics_reply", epoch, self.order_generation,
-                    self.slot_data, self.slot_meta, n_missing=len(absent),
+                    "agg_metrics_reply", epoch, self.ledger.generation,
+                    self.ledger.data, self.ledger.meta, n_missing=len(absent),
                 )
             )
         if self.tracer.enabled:
@@ -323,7 +324,7 @@ class LiveAggregator(StageFan):
         n_rules = 0
         # An outside frame: vectors laid out for an order this aggregator
         # does not hold name nobody — nothing to forward, still acked.
-        if generation == self.order_generation and len(limits) == len(self.order):
+        if generation == self.ledger.generation and len(limits) == len(self.ledger):
             _, _, n_rules = await self.distribute(
                 epoch, limits, meta_limits, self.enforce_timeout_s
             )

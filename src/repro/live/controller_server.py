@@ -53,6 +53,7 @@ from repro.core.columnar import StageColumns
 from repro.core.compute import ColumnarCompute
 from repro.core.cycle import ControlCycle
 from repro.core.policies import QoSPolicy
+from repro.core.slots import SlotLedger, grant_by_row
 from repro.live.codec import pack_rows
 from repro.live.fan import StageFan
 from repro.live.protocol import FrameLink, hello_error
@@ -216,21 +217,9 @@ class _LiveControllerBase(SessionHost):
     def _record_cycle(self, cycle: ControlCycle) -> None:
         """Append the record and emit its spans/metrics (obs enabled)."""
         self.cycles.append(cycle)
-        tracer = self.tracer
-        if tracer.enabled:
-            t = cycle.started_at
-            for phase in ("collect", "compute", "enforce"):
-                dur = cycle.phase(phase)
-                tracer.emit(phase, t, dur, parent="cycle", epoch=cycle.epoch)
-                t += dur
-            tracer.emit(
-                "cycle",
-                cycle.started_at,
-                cycle.total_s,
-                epoch=cycle.epoch,
-                n_stages=cycle.n_stages,
-                n_missing=cycle.n_missing,
-                timed_out=cycle.timed_out,
+        if self.tracer.enabled:
+            cycle.emit_spans(
+                self.tracer, n_missing=cycle.n_missing, timed_out=cycle.timed_out
             )
         if self.degradation is not None:
             self.degradation.observe(cycle.degraded)
@@ -302,62 +291,34 @@ class _LiveControllerBase(SessionHost):
             self.policy, self.algorithm, self.metadata_algorithm,
             rows=rows, clamp=self.demand_clamp,
         )
-        n_rows = int(rows.max()) + 1 if rows.size else 0
-        grant = np.full((2, n_rows + 1), np.nan)
-        grant[0, rows] = limits
-        if meta_limits is not None:
-            grant[1, rows] = meta_limits
-        return limits, meta_limits is not None, grant
+        return limits, meta_limits is not None, grant_by_row(rows, limits, meta_limits)
 
     def _grant_batch(
-        self, grant: np.ndarray, aligned: np.ndarray, shipped: np.ndarray
+        self, grant: np.ndarray, ledger: SlotLedger, rows: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """One partition's rules out of ``grant``: ``(batch, shipped')``.
+        """One partition's rules out of ``grant``: ``(batch, ship)``.
 
-        ``aligned`` is the column row behind each slot of the partition's
-        order (-1: not ours), ``shipped`` what was last put on the wire
-        per slot; both it and ``batch`` are ``(2, n slots)``, data over
+        ``rows`` is the column row behind each slot of ``ledger``'s
+        order (-1: not ours); ``batch`` is ``(2, n slots)``, data over
         metadata limits, ``NaN`` for none. One gather through the rows; a
         stage that got its row since compute has no limit yet and, like a
         slot that is not ours, waits for the next cycle's rules. Under
-        changed-only enforcement a limit that did not move is withheld —
-        ``NaN`` in the batch, its stage keeps enforcing its cached rule.
-        ``shipped'`` is the diff record *if the batch goes out*: the
-        caller commits it only then (a batch that died with its socket
-        must re-ship).
+        changed-only enforcement the ledger's verdict withholds a limit
+        that did not move — ``NaN`` in the batch, its stage keeps
+        enforcing its cached rule — and the count goes into
+        ``rules_suppressed`` and the metric. ``ship`` is what the caller
+        records in the ledger *if the batch goes out* (a batch that died
+        with its socket must re-ship).
         """
-        n_rows = grant.shape[1] - 1
-        batch = grant[:, np.where(aligned < n_rows, aligned, -1)]
-        ship = ~np.isnan(batch[0])
-        if self._effective_changed_only():
-            ship &= ~self._suppress_rows(shipped, batch)
-            batch = np.where(ship, batch, np.nan)
-        return batch, np.where(ship, batch, shipped)
-
-    def _suppress_rows(self, shipped: np.ndarray, limits: np.ndarray) -> np.ndarray:
-        """Changed-only verdict over a whole partition: the mask of
-        slots whose rule is withheld — unchanged within
-        ``rule_change_tolerance`` (relative) on every axis since the last
-        one shipped — counted into ``rules_suppressed`` and the metric.
-
-        Both arguments are ``(2, n)``: data limits over metadata limits,
-        ``NaN`` where there is none (``shipped``: nothing shipped yet, or
-        shipped without a metadata limit; ``limits``: no rule for this
-        row, or an undifferentiated policy). A ``NaN`` never compares
-        within tolerance, so a first rule always ships and a row without
-        a rule is never counted.
-        """
-        with np.errstate(invalid="ignore"):  # inf - inf
-            same = np.abs(limits - shipped) <= self.rule_change_tolerance * (
-                np.maximum(np.abs(shipped), 1e-9)
-            )
-        withheld = same[0] & (same[1] | (np.isnan(limits[1]) & np.isnan(shipped[1])))
-        n = int(np.count_nonzero(withheld))
-        if n:
-            self.rules_suppressed += n
+        batch = ledger.gather(grant, rows)
+        if not self._effective_changed_only():
+            return batch, ~np.isnan(batch[0])
+        ship, withheld = ledger.ship(batch, self.rule_change_tolerance)
+        if withheld:
+            self.rules_suppressed += withheld
             if self.metrics is not None:
-                self._m_suppressed.inc(n)
-        return withheld
+                self._m_suppressed.inc(withheld)
+        return np.where(ship, batch, np.nan), ship
 
     @property
     def stale_messages(self) -> int:
@@ -460,14 +421,6 @@ class LiveGlobalController(_LiveControllerBase, StageFan):
         )
         self.expected_stages = expected_stages
         self.evicted_grace_cycles = evicted_grace_cycles
-        #: ``(2, n slots)`` data over metadata limits last shipped per
-        #: slot of the order (``NaN``: none) — what changed-only
-        #: enforcement diffs against. A surviving session's record moves
-        #: with it across a reorder; a fresh session has none, so a
-        #: restarted stage is always shipped a rule.
-        self._shipped = np.empty((2, 0))
-        # (order generation, columns generation) -> column row per slot.
-        self._aligned: tuple = (None, np.empty(0, dtype=np.intp))
 
     async def wait_for_stages(self, timeout_s: float = 30.0) -> None:
         """Block until every expected stage has registered."""
@@ -487,26 +440,6 @@ class LiveGlobalController(_LiveControllerBase, StageFan):
         else:
             self.columns.evict(session.stage_id)
 
-    def _aligned_rows(self) -> np.ndarray:
-        """The column row behind each slot of the order; -1 where
-        the slot's session has been evicted since (its report is not
-        read, no rule is gathered for it). Cached until the order moves
-        or rows are renumbered."""
-        key = (self.order_generation, self.columns.generation)
-        if self._aligned[0] != key:
-            sessions, row_of = self.sessions, self.columns.row_of
-            self._aligned = (
-                key,
-                np.array(
-                    [
-                        row_of(s.stage_id) if sessions.get(s.stage_id) is s else -1
-                        for s in self.order
-                    ],
-                    dtype=np.intp,
-                ),
-            )
-        return self._aligned[1]
-
     # -- control loop -----------------------------------------------------------
     async def _cycle(self) -> None:
         self.epoch += 1
@@ -522,11 +455,8 @@ class LiveGlobalController(_LiveControllerBase, StageFan):
         rows = columns.gather_rows()
         stage_ids = columns.active_ids()
         if self.order_stale:
-            came_from = np.array(self.reorder(), dtype=np.intp)
-            shipped = np.full((2, came_from.size), np.nan)
-            kept = came_from >= 0
-            shipped[:, kept] = self._shipped[:, came_from[kept]]
-            self._shipped = shipped
+            self.reorder()
+        ledger = self.ledger
         started = time.perf_counter()
 
         # ---- collect (partial on deadline, dead sockets evicted): one
@@ -537,12 +467,11 @@ class LiveGlobalController(_LiveControllerBase, StageFan):
         #: Slots without fresh metrics or without an ack, this cycle.
         missing = {s.row for s in absent}
         with self._cpu():
-            aligned = self._aligned_rows()
-            data, meta = np.asarray(self.slot_data), np.asarray(self.slot_meta)
-            if columns.observe_rows(aligned, data, meta):
-                # Refused reports: their stages ride at last-known demand.
-                refused = (aligned >= 0) & ~columns.valid_reports(data, meta)
-                missing.update(np.flatnonzero(refused).tolist())
+            # Refused reports: their stages ride at last-known demand.
+            _, refused = ledger.observe(
+                columns, ledger.aligned_rows(columns, self._seated)
+            )
+            missing.update(refused.tolist())
         t_collect = time.perf_counter() - started
 
         # ---- compute ----
@@ -556,14 +485,14 @@ class LiveGlobalController(_LiveControllerBase, StageFan):
         # ---- enforce ----
         enforce_started = time.perf_counter()
         with self._cpu():
-            batch, shipped = self._grant_batch(
-                grant, self._aligned_rows(), self._shipped
+            batch, ship = self._grant_batch(
+                grant, ledger, ledger.aligned_rows(columns, self._seated)
             )
         absent, phase_timed_out, _ = await self.distribute(
             epoch, batch[0], batch[1] if differentiated else None,
             self.enforce_timeout_s,
         )
-        self._shipped = shipped
+        ledger.record(ship, batch, epoch)
         missing.update(s.row for s in absent)
         t_enforce = time.perf_counter() - enforce_started
 
@@ -598,23 +527,17 @@ def _order_error(message: dict) -> Optional[str]:
 class _AggregatorSession(Session):
     """Server-side state for one registered aggregator."""
 
-    def __init__(self, aggregator_id, stage_ids, job_ids, link, meter=None) -> None:
+    def __init__(self, aggregator_id, link, meter=None) -> None:
         super().__init__(aggregator_id, link, meter=meter)
-        #: The aggregator's partition in the order its trunk vectors are
-        #: laid out as of :attr:`generation` (the hello is generation 0;
-        #: every ``partition`` frame replaces all three). A stage listed
-        #: here may since have been homed on another aggregator: who owns
-        #: a stage is the controller's ``_home``, not this list.
-        self.stage_ids: List[str] = list(stage_ids)
-        self.job_ids: List[str] = list(job_ids)
+        #: The aggregator's partition, one slot per stage id in the order
+        #: its trunk vectors are laid out as of :attr:`generation` (the
+        #: hello is generation 0; every ``partition`` frame replaces
+        #: both), with the shipped record changed-only enforcement diffs
+        #: against. A stage listed here may since have been homed on
+        #: another aggregator: who owns a stage is the controller's
+        #: ``_home``, not this order.
+        self.ledger = SlotLedger()
         self.generation = 0
-        #: ``(2, n)`` data over metadata limits last put on the wire per
-        #: slot (``NaN``: none) — what changed-only enforcement diffs
-        #: against. Reset with the order, gone with the session.
-        self.shipped = np.empty((2, 0))
-        #: The controller's cached ``(columns generation, aligned rows)``
-        #: of the partition (see ``_aligned_rows``).
-        self.view: Optional[tuple] = None
         #: Advertised stage-facing listen address (None = not advertised;
         #: the aggregator is then invisible to topology broadcasts).
         self.listen_host: Optional[str] = None
@@ -757,13 +680,9 @@ class LiveHierGlobalController(_LiveControllerBase):
         return None
 
     def _make_session(self, hello: dict, link: FrameLink) -> _AggregatorSession:
-        session = _AggregatorSession(
-            hello["aggregator_id"],
-            hello["stage_ids"],
-            hello["job_ids"],
-            link,
-            meter=self.meter,
-        )
+        session = _AggregatorSession(hello["aggregator_id"], link, meter=self.meter)
+        # Its hello's order is generation 0 (it may be adopting orphans).
+        self._set_partition(session, 0, hello["stage_ids"], hello["job_ids"])
         if hello.get("host") is not None and hello.get("port") is not None:
             session.listen_host = str(hello["host"])
             session.listen_port = int(hello["port"])
@@ -774,9 +693,8 @@ class LiveHierGlobalController(_LiveControllerBase):
         return session
 
     def _welcome(self, session: _AggregatorSession) -> None:
-        """A (re)joining aggregator may be adopting orphans; re-arm all."""
+        """A (re)joining aggregator may have adopted orphans; re-arm all."""
         super()._welcome(session)
-        self._set_partition(session, 0, session.stage_ids, session.job_ids)
         self._broadcast_topology()
 
     @property
@@ -800,7 +718,7 @@ class LiveHierGlobalController(_LiveControllerBase):
         record dies with the session: an in-flight batch may have died
         with the socket, and whoever adopts the stages re-ships.)"""
         n_orphaned = 0
-        for stage_id in session.stage_ids:
+        for stage_id in session.ledger.ids:
             if self._home.get(stage_id) is session:
                 del self._home[stage_id]
                 n_orphaned += self.columns.reserve(stage_id)
@@ -818,7 +736,7 @@ class LiveHierGlobalController(_LiveControllerBase):
         """Home ``stage_id`` on ``session``, releasing any prior owner."""
         prior = self._home.get(stage_id)
         if prior is not None:
-            prior.view = None  # its slot for the stage goes blank
+            prior.ledger.invalidate()  # its slot for the stage goes blank
         was_orphan = stage_id in self.columns.reserved
         if was_orphan or stage_id not in self.columns:
             # First sight, or an orphan coming home (its reservation is
@@ -854,14 +772,13 @@ class LiveHierGlobalController(_LiveControllerBase):
         """
         home = self._home
         listed = set(stage_ids)
-        for stage_id in session.stage_ids:
+        for stage_id in session.ledger.ids:
             if stage_id not in listed and home.get(stage_id) is session:
                 del home[stage_id]
                 self.columns.reserve(stage_id)
-        session.stage_ids, session.job_ids = stage_ids, job_ids
         session.generation = generation
-        session.view = None
-        session.shipped = np.full((2, len(stage_ids)), np.nan)
+        session.ledger = SlotLedger()
+        session.ledger.relayout([(stage_id, (stage_id,)) for stage_id in stage_ids])
         for stage_id, job_id in zip(stage_ids, job_ids):
             if home.get(stage_id) is not session:
                 self._adopt(session, stage_id, job_id)
@@ -885,26 +802,14 @@ class LiveHierGlobalController(_LiveControllerBase):
                     session, generation, message["stage_ids"], message["job_ids"]
                 )
 
-    def _aligned_rows(self, session: _AggregatorSession) -> np.ndarray:
+    def _partition_rows(self, session: _AggregatorSession) -> np.ndarray:
         """The column row behind each slot of ``session``'s order; -1
         where the stage is not (or no longer) homed on it — what a reply
-        is scattered through and a batch gathered through. Cached until
-        rows are renumbered or homes change."""
-        view = session.view
-        generation = self.columns.generation
-        if view is None or view[0] != generation:
-            home, row_of = self._home, self.columns.row_of
-            view = session.view = (
-                generation,
-                np.array(
-                    [
-                        row_of(i) if home.get(i) is session else -1
-                        for i in session.stage_ids
-                    ],
-                    dtype=np.intp,
-                ),
-            )
-        return view[1]
+        is scattered through and a batch gathered through."""
+        home = self._home
+        return session.ledger.aligned_rows(
+            self.columns, lambda stage_id: home.get(stage_id) is session
+        )
 
     def _broadcast_topology(self) -> None:
         """Tell every aggregator who its live peers are (rehome targets)."""
@@ -961,7 +866,7 @@ class LiveHierGlobalController(_LiveControllerBase):
             _, _, generation, flagged, data, metadata = reply
             if s.oob:  # the order this reply is laid out for, just ahead of it
                 self._apply_partitions(s)
-            aligned = self._aligned_rows(s)
+            aligned = self._partition_rows(s)
             if generation != s.generation or len(data) != len(aligned):
                 # Not laid out for the order this controller holds: the
                 # whole partition rides at last-known demand.
@@ -1018,9 +923,7 @@ class LiveHierGlobalController(_LiveControllerBase):
         enforce_started = time.perf_counter()
 
         def feed_batch(s: _AggregatorSession) -> None:
-            batch, shipped = self._grant_batch(
-                grant, self._aligned_rows(s), s.shipped
-            )
+            batch, ship = self._grant_batch(grant, s.ledger, self._partition_rows(s))
             # Sheddable like flat-plane rules: the next epoch's batch
             # supersedes this one, and the missing batch_ack resolves
             # through the enforce deadline.
@@ -1031,7 +934,7 @@ class LiveHierGlobalController(_LiveControllerBase):
                 ),
                 sheddable=True,
             )
-            s.shipped = shipped
+            s.ledger.record(ship, batch, epoch)
 
         _, phase_timed_out = await self._phase(
             [s for s in sessions if s.connected], feed_batch,

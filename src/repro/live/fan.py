@@ -9,27 +9,30 @@ a fan plus an uplink. It is the only class in :mod:`repro.live` that
 accepts a ``register`` hello.
 
 On top of :class:`~repro.live.sessions.SessionHost` (listener,
-registration, eviction) the fan keeps the *order* — which session sits
-in which slot of the per-slot demand arrays. The order is id-sorted and
-moves only in :meth:`StageFan.reorder`, which the owner calls at the one
-point of its cycle where it may (just ahead of a collect, when
-``order_stale``); a session evicted since keeps its slot, dead and at
-last-known demand, until then. Per cycle, :meth:`StageFan.collect` fans
-``collect_req`` out and lands every reply in its slot, and
-:meth:`StageFan.distribute` turns one limit per slot into ``rule``
-frames and gathers the acks. Both report which sessions produced
-nothing — partial collect / enforce, paper §VI dependability — and never
-raise for a dead or silent stage.
+registration, eviction) the fan keeps a
+:class:`~repro.core.slots.SlotLedger` — the DES controllers keep the
+same one — whose children are its sessions: which session sits in which
+slot of the per-slot demand arrays, and what was last shipped to each.
+The order is id-sorted and moves only in :meth:`StageFan.reorder`, which
+the owner calls at the one point of its cycle where it may (just ahead
+of a collect, when ``order_stale``); a session evicted since keeps its
+slot, dead and at last-known demand, until then, and a session that
+registers under a departed one's id is a new child with nothing shipped
+to it. Per cycle, :meth:`StageFan.collect` fans ``collect_req`` out and
+lands every reply in its slot, and :meth:`StageFan.distribute` turns
+one limit per slot into ``rule`` frames and gathers the acks. Both
+report which sessions produced nothing — partial collect / enforce,
+paper §VI dependability — and never raise for a dead or silent stage.
 """
 
 from __future__ import annotations
 
-from array import array
 from itertools import repeat
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.slots import SlotLedger
 from repro.live.protocol import FrameLink, hello_error
 from repro.live.sessions import SessionHost, StageSession, collect_request
 
@@ -45,14 +48,10 @@ class StageFan(SessionHost):
 
     def __init__(self, expected_stages: int, *host_config) -> None:
         super().__init__(expected_stages, *host_config)
-        #: The session behind each slot, as of :attr:`order_generation`
-        #: (-1: nothing laid out yet; the first :meth:`reorder` is 0).
-        self.order: List[StageSession] = []
-        self.order_generation = -1
+        #: The slots: one session each, their last-known demand (replies
+        #: land in ``ledger.data`` / ``ledger.meta``) and shipped record.
+        self.ledger = SlotLedger()
         self._ordered_at = self.membership
-        #: Last-known demand per slot, per axis: replies land here.
-        self.slot_data = array("d")
-        self.slot_meta = array("d")
 
     # -- registration ---------------------------------------------------------
     def _hello_error(self, hello: dict) -> Optional[str]:
@@ -72,42 +71,35 @@ class StageFan(SessionHost):
         return self._ordered_at != self.membership
 
     # -- the order ------------------------------------------------------------
-    def reorder(self) -> List[int]:
-        """Lay the live sessions out in id order under the next
-        generation, carrying each one's last-known demand to its new
-        slot. Returns, per new slot, the slot its session held before
-        (-1: a session the previous order did not have)."""
+    def reorder(self) -> None:
+        """Lay the live sessions out in id order under the ledger's next
+        generation (the first is 0); each one's slot state moves with it."""
         order = [self.sessions[s] for s in sorted(self.sessions)]
-        data = array("d", bytes(8 * len(order)))
-        meta = array("d", bytes(8 * len(order)))
-        came_from = []
+        self.ledger.relayout([(s, (s.stage_id,)) for s in order])
         for slot, session in enumerate(order):
-            prior = session.row
-            if prior >= 0:
-                data[slot] = self.slot_data[prior]
-                meta[slot] = self.slot_meta[prior]
-            came_from.append(prior)
             session.row = slot
-        self.order, self.slot_data, self.slot_meta = order, data, meta
-        self.order_generation = (self.order_generation + 1) & 0xFFFFFFFF
         self._ordered_at = self.membership
-        return came_from
 
     def order_ids(self) -> Dict[str, List[str]]:
         """The order's ids, the way a hello or ``partition`` frame spells them."""
         return {
-            "stage_ids": [s.stage_id for s in self.order],
-            "job_ids": [s.job_id for s in self.order],
+            "stage_ids": list(self.ledger.ids),
+            "job_ids": [s.job_id for s in self.ledger.children],
         }
+
+    def _seated(self, session: StageSession) -> bool:
+        """Whether ``session`` is still the one registered under its id
+        (an evicted one keeps its slot until the next reorder)."""
+        return self.sessions.get(session.stage_id) is session
 
     # -- cycle halves ---------------------------------------------------------
     async def collect(
         self, epoch: int, timeout_s: Optional[float]
     ) -> Tuple[List[StageSession], bool]:
         """Ask every slot's stage for its demand; replies land in
-        :attr:`slot_data` / :attr:`slot_meta`. Returns ``(absent,
-        timed_out)`` — an absent stage's slot keeps its last-known demand."""
-        data, meta = self.slot_data, self.slot_meta
+        the ledger's ``data`` / ``meta``. Returns ``(absent, timed_out)``
+        — an absent stage's slot keeps its last-known demand."""
+        data, meta = self.ledger.data, self.ledger.meta
 
         def on_reply(s: StageSession, reply: tuple) -> None:
             row = s.row
@@ -115,7 +107,7 @@ class StageFan(SessionHost):
             meta[row] = reply[3]
 
         return await self._phase(
-            self.order, collect_request(epoch),
+            self.ledger.children, collect_request(epoch),
             "metrics_reply", epoch, on_reply, timeout_s, span="collect",
         )
 
@@ -138,7 +130,7 @@ class StageFan(SessionHost):
         """
         targets: List[StageSession] = []
         for session, limit, meta in zip(
-            self.order,
+            self.ledger.children,
             limits.tolist(),
             repeat(None) if meta_limits is None else meta_limits.tolist(),
         ):

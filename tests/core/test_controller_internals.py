@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.controller import ChildChannel, _ControllerBase
+from repro.core.controller import ChildChannel, _Fan
 from repro.core.costs import CostModel
 from repro.core.policies import QoSPolicy
 from repro.simnet.engine import Environment
@@ -14,7 +14,7 @@ def make_base(env, costs=None, name="ctrl"):
     host = SimHost(env, f"{name}-host")
     net = Network(env)
     endpoint = net.attach(host, name)
-    base = _ControllerBase(env, host, endpoint, costs or CostModel(), name)
+    base = _Fan(env, host, endpoint, costs or CostModel(), name)
     return base, net
 
 

@@ -191,3 +191,50 @@ class TestEnforceChangedOnly:
                 QoSPolicy(pfs_capacity_iops=10),
                 rule_change_tolerance=-0.1,
             )
+
+
+class TestReAddedStage:
+    """A stage re-added under a departed stage's id is a new child: it
+    inherits nothing the departed one was shipped."""
+
+    @staticmethod
+    def _readd(enforce_changed_only):
+        from repro.core.controller import ChildChannel
+        from repro.dataplane.virtual_stage import VirtualStage
+
+        plane = FlatControlPlane.build(
+            ControlPlaneConfig(n_stages=4, enforce_changed_only=enforce_changed_only)
+        )
+        ctrl, net = plane.global_controller, plane.cluster.network
+        plane.env.run(ctrl.run_cycles(2))
+        departed = plane.stages[1]
+        ctrl.remove_stage(departed.stage_id)
+        stage = VirtualStage(
+            plane.env,
+            departed.stage_id,
+            departed.job_id,
+            source=plane.config.source_factory(departed.stage_id),
+            costs=ctrl.costs,
+        )
+        endpoint = net.attach(plane.stage_hosts[0], departed.stage_id + "-again")
+        stage.bind(endpoint)
+        conn = net.connect(ctrl.endpoint, endpoint)
+        ctrl.add_stage(
+            stage.stage_id,
+            stage.job_id,
+            ChildChannel(stage.stage_id, "stage", conn, ctrl.endpoint),
+        )
+        plane.env.run(ctrl.run_cycles(3))
+        return ctrl, stage
+
+    def test_changed_only_ships_the_newcomer_its_first_rule(self):
+        ctrl, stage = self._readd(enforce_changed_only=True)
+        assert stage.rules_applied == 1
+        assert stage.applied_rule.epoch == 3
+        # The view reports the newcomer's rule, not the departed one's.
+        assert ctrl.latest_rules[stage.stage_id].epoch == 3
+
+    def test_without_changed_only_the_newcomer_gets_every_rule(self):
+        ctrl, stage = self._readd(enforce_changed_only=False)
+        assert stage.rules_applied == 3
+        assert ctrl.latest_rules[stage.stage_id].epoch == 5

@@ -11,9 +11,10 @@ independently:
   with anything due, not one per event);
 * what a hierarchical cycle constructs: no per-stage record at the
   global controller, one rule per stage an aggregator ships to;
-* changed-only enforcement over vectors gives ``diff_rules``' verdict,
-  entry by entry, and the same suppression counts over a scripted run
-  as the parent commit.
+* the slot ledger's changed-only verdict (``slots.changed_limits``, the
+  one every controller ships by) gives ``diff_rules``' verdict, entry by
+  entry, and the same suppression counts over a scripted run as the
+  parent commit.
 
 CI runs this file once more under the derandomized ``ci`` hypothesis
 profile.
@@ -35,7 +36,8 @@ from repro.core.control_plane import (
 )
 from repro.core.metrics import StageMetrics
 from repro.core.policies import QoSPolicy
-from repro.core.rules import UNLIMITED, EnforcementRule, changed_limits, diff_rules
+from repro.core.rules import UNLIMITED, EnforcementRule, diff_rules
+from repro.core.slots import changed_limits
 from repro.simnet.engine import Environment, Message
 from repro.simnet.node import SimHost
 from repro.simnet.transport import Connection, Network
@@ -101,7 +103,7 @@ def _constructions(plane, n_cycles=2):
             maker = None
             while frame is not None:
                 owner = frame.f_locals.get("self")
-                if isinstance(owner, controller_mod._ControllerBase):
+                if isinstance(owner, controller_mod._Fan):
                     maker = type(owner).__name__
                     break
                 frame = frame.f_back
@@ -231,6 +233,32 @@ class TestChangedOnlyVerdict:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             mask = changed_limits(old, new, tolerance)
         assert {f"s{i}" for i in np.flatnonzero(mask)} == want
+
+    @pytest.mark.parametrize(
+        "shipped, now, tolerance, ships",
+        [
+            # Off zero: measured from the 1e-12 floor, a 400x move.
+            ((0.0, UNLIMITED), (4e-10, UNLIMITED), 0.5, True),
+            # Unlimited stays unlimited: equal values never move.
+            ((100.0, UNLIMITED), (100.0, UNLIMITED), 0.0, False),
+        ],
+    )
+    def test_the_verdicts_the_planes_used_to_disagree_on(
+        self, shipped, now, tolerance, ships
+    ):
+        old = EnforcementRule("s", 1, *shipped)
+        new = EnforcementRule("s", 2, *now)
+        assert bool(diff_rules({"s": old}, [new], tolerance)) == ships
+        mask = changed_limits(
+            np.array(shipped).reshape(2, 1), np.array(now).reshape(2, 1), tolerance
+        )
+        assert mask.tolist() == [ships]
+
+    def test_no_data_limit_is_no_rule(self):
+        nan = float("nan")
+        shipped = np.array([[nan, 5.0], [nan, UNLIMITED]])
+        now = np.array([[nan, nan], [UNLIMITED, UNLIMITED]])
+        assert changed_limits(shipped, now).tolist() == [False, False]
 
     def test_negative_tolerance_rejected(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,8 @@ what that buys and what it must not move:
   flat, live hier, the DES hierarchy and ``ColumnarCompute`` fed the
   same reports directly gives the same allocation per stage id, exactly,
   through an eviction inside its grace and an aggregator's death (the
-  live legs);
+  live legs), and DES flat and live flat withhold the same rules under
+  changed-only enforcement (the one verdict);
 * host-independent mechanism counts: bytes per stage-cycle, calls into
   the columns per cycle, and changed-only suppression counts over a
   scripted sequence, equal to the values recorded at the parent commit;
@@ -324,6 +325,70 @@ class TestDifferentialReplay:
             assert applied == limits, epoch
             assert has_meta == differentiated
 
+    @pytest.mark.parametrize("tolerance", [0.0, 0.01])
+    def test_changed_only_withholds_the_same_rules_on_des_and_live_flat(
+        self, tolerance
+    ):
+        """The changed-only leg: DES flat and live flat replay one trace
+        and withhold the same number of rules after every cycle — both
+        ship by the slot ledger's one verdict."""
+        from repro.core.control_plane import ControlPlaneConfig, FlatControlPlane
+
+        class Source:
+            demand = (0.0, 0.0)
+
+            def sample(self, stage_id, now):
+                return self.demand
+
+        # Whole epochs held still (every rule unmoved), and nudged by
+        # under 1 % (withheld only at tolerance 0.01).
+        trace = _trace(11)
+        for epoch in (3, 4, 7):
+            trace[epoch] = list(trace[epoch - 1])
+        for epoch in (5, 8):
+            trace[epoch] = [(d * 1.004 + 1, m) for d, m in trace[epoch - 1]]
+        sources = [Source() for _ in _IDS]
+        plane = FlatControlPlane.build(
+            ControlPlaneConfig(
+                n_stages=len(_IDS),
+                policy=_policy(False),
+                job_of=lambda i: _JOBS[i],
+                source_factory=lambda stage_id: sources[int(stage_id[-5:])],
+                enforce_changed_only=True,
+                rule_change_tolerance=tolerance,
+            )
+        )
+        des = []
+        for row in trace:
+            for source, demand in zip(sources, row):
+                source.demand = demand
+            plane.env.run(plane.global_controller.run_cycles(1))
+            des.append(plane.global_controller.rules_suppressed)
+
+        async def scenario():
+            spec = [(s, j, trace[0][i]) for i, (s, j) in enumerate(zip(_IDS, _JOBS))]
+            ctrl, stages, tasks = await _flat(
+                _policy(False), spec,
+                enforce_changed_only=True, rule_change_tolerance=tolerance,
+            )
+            seen = []
+            try:
+                for row in trace:
+                    for stage_id, demand in zip(_IDS, row):
+                        stages[stage_id].demand = demand
+                    await asyncio.wait_for(ctrl.run_cycles(1), timeout=10.0)
+                    seen.append(ctrl.rules_suppressed)
+            finally:
+                await _teardown(ctrl, tasks)
+            return seen
+
+        live = asyncio.run(scenario())
+        assert live == des
+        assert des == {
+            0.0: [0, 0, 0, 8, 16, 16, 16, 24, 24, 24],
+            0.01: [0, 0, 0, 8, 16, 24, 25, 33, 41, 41],
+        }[tolerance]
+
 
 # ---------------------------------------------------------------------------
 # Host-independent mechanism counts
@@ -531,10 +596,10 @@ class TestFailureSemantics:
                 )
                 tasks.append(asyncio.create_task(stages["s-15"].run()))
                 await _until(lambda: "s-15" in ctrl.sessions)
-                generation = ctrl.order_generation
+                generation = ctrl.ledger.generation
                 before = {sid: s.rules_applied for sid, s in stages.items()}
                 await ctrl.run_cycles(1)
-                moved = ctrl.order_generation - generation
+                moved = ctrl.ledger.generation - generation
                 after = {sid: s.rules_applied for sid, s in stages.items()}
             finally:
                 await _teardown(ctrl, tasks)

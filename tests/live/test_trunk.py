@@ -4,9 +4,9 @@
 owns its partition's order and announces it under a generation number
 only when membership changes. These tests move membership under a
 running plane and check that no value ever lands in another stage's row,
-pin the vector form of changed-only enforcement to the per-rule loop it
-replaced, and count — host-independently — what the trunk puts on the
-wire per cycle.
+pin the slot ledger's changed-only verdict under the grant helper to
+``diff_rules``, the per-rule reference, and count — host-independently
+— what the trunk puts on the wire per cycle.
 
 CI runs this file once more under the derandomized ``ci`` hypothesis
 profile (``tests/conftest.py``).
@@ -15,10 +15,13 @@ profile (``tests/conftest.py``).
 import asyncio
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.control_plane import default_policy
+from repro.core.rules import UNLIMITED, EnforcementRule, diff_rules
+from repro.core.slots import SlotLedger
 from repro.live.aggregator_server import LiveAggregator
 from repro.live.codec import BINARY_MAGIC
 from repro.live.controller_server import LiveHierGlobalController
@@ -83,7 +86,7 @@ class TestMembership:
             aggs[0]._send_up = lambda m: (sent_up.append(m), send_up(m))[1]
             try:
                 await ctrl.run_cycles(2)
-                before = (aggs[0].order_generation, aggs[1].order_generation)
+                before = (aggs[0].ledger.generation, aggs[1].ledger.generation)
                 # One cycle's worth of churn on aggregator 0. (A dead
                 # socket is evicted by the phase that trips over it, so
                 # the two kills surface inside the next collect — still
@@ -98,24 +101,25 @@ class TestMembership:
                     lambda: aggs[0].evictions == 2
                     and sorted(aggs[0].sessions) == ["s-10", "s-15", "s-20"]
                 )
-                assert (aggs[0].order_generation, tripped.n_missing) == (0, 2)
+                assert (aggs[0].ledger.generation, tripped.n_missing) == (0, 2)
                 await ctrl.run_cycles(1)
                 churned = ctrl.cycles[-1]
                 grants = dict(ctrl.last_allocations)
                 applied = {sid: s.applied_limit for sid, s in stages.items()}
                 await ctrl.run_cycles(1)
+                after = (aggs[0].ledger.generation, aggs[1].ledger.generation)
             finally:
                 await ctrl.shutdown()
                 for t in tasks:
                     t.cancel()
                 await asyncio.gather(*tasks, return_exceptions=True)
-            return ctrl, aggs, stages, sent_up, before, churned, grants, applied
+            return ctrl, stages, sent_up, before, after, churned, grants, applied
 
-        ctrl, aggs, stages, sent_up, before, churned, grants, applied = asyncio.run(
+        ctrl, stages, sent_up, before, after, churned, grants, applied = asyncio.run(
             scenario()
         )
         assert before == (0, 0)
-        assert (aggs[0].order_generation, aggs[1].order_generation) == (1, 0)
+        assert after == (1, 0)
         partitions = [m for m in sent_up if m["kind"] == "partition"]
         assert len(partitions) == 1
         assert partitions[0]["generation"] == 1
@@ -194,32 +198,34 @@ class TestMembership:
 
 def _controller(tolerance, metrics=None):
     return LiveHierGlobalController(
-        default_policy(4), 1, rule_change_tolerance=tolerance, metrics=metrics
+        default_policy(4), 1, enforce_changed_only=True,
+        rule_change_tolerance=tolerance, metrics=metrics,
     )
 
 
+def _partition_rules(ctrl, shipped, limits):
+    """One partition through the controller's grant helper: a ledger
+    whose slot ``i`` reads column row ``i`` and last shipped
+    ``shipped[:, i]``; ``limits`` is the compute's grant by row.
+    Returns ``(batch, ship)``."""
+    n = limits.shape[1]
+    ledger = SlotLedger()
+    ledger.relayout([(f"s{i}", (f"s{i}",)) for i in range(n)])
+    ledger.shipped = shipped
+    grant = np.concatenate([limits, np.full((2, 1), np.nan)], axis=1)
+    return ctrl._grant_batch(grant, ledger, np.arange(n))
+
+
 _limit = st.one_of(
-    st.sampled_from([0.0, 1e-12, 1.0, 100.0, 100.0 * (1 + 1e-3), 101.0, 1e9]),
+    st.sampled_from([0.0, 1e-12, 4e-10, 1.0, 100.0, 100.0 * (1 + 1e-3), 101.0, 1e9]),
     st.floats(min_value=0.0, max_value=1e12, allow_nan=False),
 )
-#: One row: (what was shipped | None, what is computed now).
+#: One row: (what was shipped | None, data limit now | None, metadata
+#: limit now). A row without a data limit has no rule this cycle.
 _previous = st.one_of(st.none(), st.tuples(_limit, st.one_of(st.none(), _limit)))
-_rows = st.lists(st.tuples(_previous, _limit, _limit), min_size=0, max_size=12)
-
-
-def _suppress_one(tolerance, previous, limit, meta_limit) -> bool:
-    """The per-rule changed-only verdict the mask replaced, kept as the
-    oracle: ``previous`` is ``(data limit, metadata limit | None)`` of the
-    last rule shipped, or ``None``. Unchanged within tolerance on every
-    axis: withheld."""
-    if previous is None:
-        return False
-    prev_limit, prev_meta = previous
-    if abs(limit - prev_limit) > tolerance * max(abs(prev_limit), 1e-9):
-        return False
-    if meta_limit is None or prev_meta is None:
-        return meta_limit is prev_meta
-    return abs(meta_limit - prev_meta) <= tolerance * max(abs(prev_meta), 1e-9)
+_rows = st.lists(
+    st.tuples(_previous, st.one_of(st.none(), _limit), _limit), min_size=0, max_size=12
+)
 
 
 class TestChangedOnlyIsOneMask:
@@ -232,18 +238,14 @@ class TestChangedOnlyIsOneMask:
     def test_vector_verdicts_and_counts_match_the_per_rule_loop(
         self, rows, differentiated, tolerance
     ):
-        """``_suppress_rows`` over a partition withholds exactly the
-        rules the per-rule loop withheld one by one — tolerance 0 and
-        > 0, a first ship, a metadata limit appearing and disappearing —
-        and counts each into ``rules_suppressed`` and the metric."""
-        vector = _controller(tolerance, MetricsRegistry())
+        """The grant helper ships exactly the rules ``diff_rules`` — the
+        per-rule reference — ships, under tolerance 0 and > 0, a first
+        ship, a metadata limit appearing and disappearing, and a row
+        without a rule; it withholds the rest (``NaN`` in the batch) and
+        counts each into ``rules_suppressed`` and the metric."""
+        ctrl = _controller(tolerance, MetricsRegistry())
         nan = float("nan")
-        expected = [
-            _suppress_one(
-                tolerance, previous, limit, meta if differentiated else None
-            )
-            for previous, limit, meta in rows
-        ]
+        ids = [f"s{i}" for i in range(len(rows))]
         shipped = np.array(
             [
                 [nan if p is None else p[0] for p, _, _ in rows],
@@ -252,22 +254,60 @@ class TestChangedOnlyIsOneMask:
         ).reshape(2, len(rows))
         limits = np.array(
             [
-                [limit for _, limit, _ in rows],
+                [nan if limit is None else limit for _, limit, _ in rows],
                 [meta if differentiated else nan for _, _, meta in rows],
             ]
         ).reshape(2, len(rows))
-        withheld = vector._suppress_rows(shipped, limits)
-        assert withheld.tolist() == expected
-        assert vector.rules_suppressed == sum(expected)
-        assert vector._m_suppressed.value == sum(expected)
+        batch, ship = _partition_rules(ctrl, shipped, limits)
+
+        previous = {
+            stage_id: EnforcementRule(
+                stage_id, 1, p[0], UNLIMITED if p[1] is None else p[1]
+            )
+            for stage_id, (p, _, _) in zip(ids, rows)
+            if p is not None
+        }
+        current = [
+            EnforcementRule(stage_id, 2, limit, meta if differentiated else UNLIMITED)
+            for stage_id, (_, limit, meta) in zip(ids, rows)
+            if limit is not None
+        ]
+        want = {r.stage_id for r in diff_rules(previous, current, tolerance)}
+        assert {ids[i] for i in np.flatnonzero(ship)} == want
+        assert np.isnan(batch[0, ~ship]).all()
+        assert np.array_equal(batch[:, ship], limits[:, ship], equal_nan=True)
+        withheld = len(current) - len(want)
+        assert ctrl.rules_suppressed == withheld
+        assert ctrl._m_suppressed.value == withheld
 
     def test_a_row_without_a_rule_is_neither_shipped_nor_counted(self):
         ctrl = _controller(0.5)
         nan = float("nan")
         shipped = np.array([[100.0, nan, 100.0], [nan, nan, nan]])
         limits = np.array([[nan, nan, 100.0], [nan, nan, nan]])
-        assert ctrl._suppress_rows(shipped, limits).tolist() == [False, False, True]
+        batch, ship = _partition_rules(ctrl, shipped, limits)
+        assert ship.tolist() == [False, False, False]
+        assert np.isnan(batch).all()
         assert ctrl.rules_suppressed == 1
+
+    @pytest.mark.parametrize(
+        "shipped, now, tolerance, ships",
+        [
+            # Off zero: measured from the 1e-12 floor, a 400x move.
+            ((0.0, float("nan")), (4e-10, float("nan")), 0.5, True),
+            # Unlimited stays unlimited: equal values never move.
+            ((100.0, UNLIMITED), (100.0, UNLIMITED), 0.0, False),
+        ],
+    )
+    def test_the_verdicts_the_planes_used_to_disagree_on(
+        self, shipped, now, tolerance, ships
+    ):
+        ctrl = _controller(tolerance)
+        _, ship = _partition_rules(
+            ctrl, np.array(shipped).reshape(2, 1), np.array(now).reshape(2, 1)
+        )
+        assert ship.tolist() == [ships]
+        assert ctrl.rules_suppressed == (not ships)
 
     def test_steady_demand_ships_once_then_only_what_moved(self):
         """End to end on the live hier plane: the first cycle ships every
