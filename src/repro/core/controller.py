@@ -34,8 +34,10 @@ vector per axis. The global controller scatters the answered slots into
 its :class:`~repro.core.columnar.StageColumns` with the ledger's one
 ``observe_rows`` (a silent slot is not observed and counts in
 ``n_missing``), gathers the compute's limits back into slots and ships
-by the ledger's changed-only verdict; an aggregator builds each stage's
-:class:`~repro.core.rules.EnforcementRule` as it sends it.
+by the ledger's changed-only verdict; an aggregator sends each stage its
+rule as ``(epoch, data_limit, metadata_limit)``, checked as an
+:class:`~repro.core.rules.EnforcementRule` would check it, and no
+controller builds a rule record in a cycle.
 ``latest_metrics``, ``latest_rules`` and ``latest_reports`` are views
 built on demand from the columns and the ledger.
 
@@ -46,7 +48,7 @@ kind               payload                                     direction
 =================  ==========================================  ===========
 collect_req        epoch                                       ctrl → stage
 metrics_reply      (epoch, data_iops, metadata_iops)           stage → ctrl
-rule               (epoch, EnforcementRule)                    ctrl → stage
+rule               (epoch, data_limit, metadata_limit)         ctrl → stage
 rule_ack           epoch                                       stage → ctrl
 agg_collect_req    epoch                                       global → agg
 agg_metrics_reply  (epoch, AggregatedMetrics)                  agg → global
@@ -65,7 +67,18 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Dict, Generator, Iterable, List, Mapping, Optional, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Generator,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -176,8 +189,8 @@ class _Fan:
         self,
         channels: List[ChildChannel],
         kind: str,
-        payload_fn: Callable[[ChildChannel], object],
-        size_fn: Callable[[ChildChannel], int],
+        payloads: Callable[[List[ChildChannel]], Sequence],
+        size_bytes: Union[int, Callable[[List[ChildChannel]], Sequence[int]]],
         per_item_cost: float,
     ) -> Generator:
         """Serialize and transmit one message per channel, in chunks.
@@ -187,7 +200,11 @@ class _Fan:
         early recipients respond while later sends are still serializing.
         Channels whose connection closed mid-cycle (membership churn) are
         skipped, also when it closed during the chunk's burst; returns the
-        number of messages actually sent.
+        number of messages actually sent. Each chunk is one
+        :meth:`~repro.simnet.transport.Network.send_many` burst:
+        ``payloads(live)`` gives its live channels' payloads, in order,
+        and ``size_bytes`` is every message's size or, callable, gives
+        one per live channel.
         """
         sent = 0
         owed = self._owed
@@ -197,8 +214,14 @@ class _Fan:
                 continue
             yield self._execute(len(live) * per_item_cost)
             live = [ch for ch in live if not ch.connection.closed]
-            for ch in live:
-                ch.connection.send(ch.endpoint, kind, payload_fn(ch), size_fn(ch))
+            if not live:
+                continue
+            live[0].connection.network.send_many(
+                [(ch.connection, ch.endpoint) for ch in live],
+                kind,
+                payloads(live),
+                size_bytes(live) if callable(size_bytes) else size_bytes,
+            )
             sent += len(live)
             if owed is not None:
                 owed.update([ch.connection for ch in live])
@@ -405,8 +428,8 @@ class _Fan:
             expected += yield from self._send_all(
                 self._stages,
                 "collect_req",
-                lambda ch: epoch,
-                lambda ch: cm.request_bytes,
+                lambda live: [epoch] * len(live),
+                cm.request_bytes,
                 cm.tx_request_s,
             )
         aggregators = self._aggregators
@@ -417,8 +440,8 @@ class _Fan:
             expected += yield from self._send_all(
                 aggregators,
                 "agg_collect_req",
-                lambda ch: epoch,
-                lambda ch: cm.agg_request_bytes,
+                lambda live: [epoch] * len(live),
+                cm.agg_request_bytes,
                 cm.tx_request_s,
             )
             mean_part = sum(c.n_stages for c in aggregators) / len(aggregators)
@@ -441,22 +464,34 @@ class _Fan:
         per_item_cost: float,
         sent_slots: Optional[List[int]] = None,
     ) -> Generator:
-        """One ``rule`` per stage child in ``targets``, built as it is
-        sent from its slot's entry of ``data`` / ``meta`` (``None``:
-        unlimited), each slot appended to ``sent_slots``; returns how
-        many were sent."""
+        """One ``rule`` per stage child in ``targets``, its payload
+        ``(epoch, data_limit, metadata_limit)`` taken from its slot's entry
+        of ``data`` / ``meta`` (``None``: unlimited) as it is sent, each
+        slot appended to ``sent_slots``; returns how many were sent. A
+        negative epoch or limit raises before its chunk is sent, with
+        :class:`~repro.core.rules.EnforcementRule`'s messages."""
+        if epoch < 0:
+            raise ValueError(f"negative epoch: {epoch}")
         span_of = self.ledger.span_of
 
-        def payload(ch: ChildChannel):
-            slot = span_of[ch][0]
+        def payloads(live: List[ChildChannel]) -> List[Tuple[int, float, float]]:
+            slots = [span_of[ch][0] for ch in live]
+            out = []
+            for slot in slots:
+                limit = data[slot]
+                if limit < 0:
+                    raise ValueError(f"negative data limit: {limit}")
+                meta_limit = _INF if meta is None else meta[slot]
+                if meta_limit < 0:
+                    raise ValueError(f"negative metadata limit: {meta_limit}")
+                out.append((epoch, limit, meta_limit))
             if sent_slots is not None:
-                sent_slots.append(slot)
-            limit = _INF if meta is None else meta[slot]
-            return (epoch, EnforcementRule(ch.child_id, epoch, data[slot], limit))
+                sent_slots.extend(slots)
+            return out
 
         return (
             yield from self._send_all(
-                targets, "rule", payload, lambda ch: self.costs.rule_bytes, per_item_cost
+                targets, "rule", payloads, self.costs.rule_bytes, per_item_cost
             )
         )
 
@@ -824,17 +859,22 @@ class GlobalController(_Fan):
         total_stages = sum(ch.n_stages for ch in agg_children)
         yield self._execute(total_stages * cm.rule_build_hier_s)
 
-        def payload(ch: ChildChannel):
-            span = slice(*ledger.span_of[ch])
-            ledger.record(span, limits, epoch)
-            return (epoch, limits[0, span], limits[1, span])
+        def payloads(live: List[ChildChannel]) -> List[Tuple]:
+            out = []
+            for ch in live:
+                span = slice(*ledger.span_of[ch])
+                ledger.record(span, limits, epoch)
+                out.append((epoch, limits[0, span], limits[1, span]))
+            return out
 
         sent = yield from self._send_all(
             agg_children,
             "rule_batch",
-            payload,
-            lambda ch: cm.rule_batch_header_bytes
-            + ch.n_stages * cm.rule_batch_entry_bytes,
+            payloads,
+            lambda live: [
+                cm.rule_batch_header_bytes + ch.n_stages * cm.rule_batch_entry_bytes
+                for ch in live
+            ],
             cm.tx_batch_s,
         )
         yield from self._await_replies(
@@ -874,8 +914,8 @@ class GlobalController(_Fan):
         sent = yield from self._send_all(
             agg_children,
             "budget_grant",
-            lambda ch: (epoch, budget_of[ch.child_id]),
-            lambda ch: cm.agg_request_bytes,
+            lambda live: [(epoch, budget_of[ch.child_id]) for ch in live],
+            cm.agg_request_bytes,
             cm.tx_request_s,
         )
         yield from self._await_replies(

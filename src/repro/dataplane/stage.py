@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Generator, Optional, Tuple
 
 from repro.core.costs import CostModel, FRONTERA_COST_MODEL
-from repro.core.rules import EnforcementRule
 from repro.dataplane.token_bucket import TokenBucket
 from repro.dataplane.virtual_stage import MetricSource, VirtualStage
 from repro.simnet.engine import Environment
@@ -85,13 +84,9 @@ class DataPlaneStage(VirtualStage):
         return max(rate * self.burst_seconds, 1.0)
 
     # -- enforcement -------------------------------------------------------------
-    def _apply(self, rule: EnforcementRule) -> None:
-        self.buckets[DATA].set_rate(
-            rule.data_iops_limit, self._burst(rule.data_iops_limit)
-        )
-        self.buckets[METADATA].set_rate(
-            rule.metadata_iops_limit, self._burst(rule.metadata_iops_limit)
-        )
+    def _apply(self, data_limit: float, metadata_limit: float) -> None:
+        self.buckets[DATA].set_rate(data_limit, self._burst(data_limit))
+        self.buckets[METADATA].set_rate(metadata_limit, self._burst(metadata_limit))
 
     # -- data path ------------------------------------------------------------------
     def admit(self, op_class: str = DATA) -> Generator:

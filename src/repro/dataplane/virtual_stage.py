@@ -52,9 +52,12 @@ class VirtualStage:
     """A lightweight stage: replies to metric requests, acks rules.
 
     Attach to an endpoint with :meth:`bind`; the stage then serves all
-    controllers connected to that endpoint. Stale rules (an epoch not
-    newer than the applied one) are ignored but still acknowledged, so a
-    recovering controller cannot roll a stage's limit backwards.
+    controllers connected to that endpoint. A ``rule`` carries ``(epoch,
+    data_limit, metadata_limit)``; stale rules (an epoch not newer than
+    the applied one) are ignored but still acknowledged, so a recovering
+    controller cannot roll a stage's limit backwards. The applied rule is
+    kept as those three scalars (``applied_epoch`` is ``-1`` before the
+    first rule), not as a record that would live for a whole cycle.
     """
 
     def __init__(
@@ -71,7 +74,9 @@ class VirtualStage:
         self.source = source or ConstantSource()
         self.costs = costs
         self.endpoint: Optional[Endpoint] = None
-        self.applied_rule: Optional[EnforcementRule] = None
+        self.applied_epoch = -1
+        self.applied_data_limit = float("inf")
+        self.applied_metadata_limit = float("inf")
         self.requests_served = 0
         self.rules_applied = 0
         self.rules_ignored_stale = 0
@@ -100,11 +105,13 @@ class VirtualStage:
                 extra_delay=cm.stage_service_s,
             )
         elif message.kind == "rule":
-            epoch, rule = message.payload
-            if rule.supersedes(self.applied_rule):
-                self.applied_rule = rule
+            epoch, data_limit, metadata_limit = message.payload
+            if epoch > self.applied_epoch:
+                self.applied_epoch = epoch
+                self.applied_data_limit = data_limit
+                self.applied_metadata_limit = metadata_limit
                 self.rules_applied += 1
-                self._apply(rule)
+                self._apply(data_limit, metadata_limit)
             else:
                 self.rules_ignored_stale += 1
             connection.send(
@@ -116,12 +123,23 @@ class VirtualStage:
             )
         # Unknown kinds are silently dropped (virtual stages are passive).
 
-    def _apply(self, rule: EnforcementRule) -> None:
+    def _apply(self, data_limit: float, metadata_limit: float) -> None:
         """Hook for subclasses (the full stage wires its token buckets)."""
 
     @property
+    def applied_rule(self) -> Optional[EnforcementRule]:
+        """The rule in force, built on each read (``None`` before the
+        first)."""
+        if self.applied_epoch < 0:
+            return None
+        return EnforcementRule(
+            self.stage_id,
+            self.applied_epoch,
+            self.applied_data_limit,
+            self.applied_metadata_limit,
+        )
+
+    @property
     def current_limit(self) -> float:
-        """The enforced total IOPS limit (inf before any rule arrives)."""
-        if self.applied_rule is None:
-            return float("inf")
-        return self.applied_rule.data_iops_limit
+        """The enforced data IOPS limit (inf before any rule arrives)."""
+        return self.applied_data_limit

@@ -20,10 +20,11 @@ on, so it is tested exhaustively (see ``tests/simnet/test_engine.py``).
 
 Dispatch
 --------
-Events are dispatched in ``(time, priority, insertion seq)`` order. The
-queue holds one *bucket* per ``(time, priority)`` key — a FIFO of the
-events due then, in insertion order — and the heap holds one entry per
-bucket, not per event. A control cycle's fan-out bursts put thousands of
+Events are dispatched in ``(time, priority, insertion order)`` order.
+The queue holds one *bucket* per ``(time, priority)`` key — a deque of
+the events due then, the events themselves, oldest first — and the heap
+holds one entry per bucket, not per event; only a heap entry draws a
+sequence number. A control cycle's fan-out bursts put thousands of
 messages on a few hundred instants, so most pushes are one dict lookup
 and one append. Every scheduled event, a zero-delay one included, goes
 through :meth:`Environment._push`; there is no separate zero-delay path.
@@ -33,14 +34,15 @@ so an event scheduled at the same instant by that dispatch opens a fresh
 bucket behind it. A processed :class:`Timeout` whose only remaining
 reference is the loop itself (checked via ``sys.getrefcount``) is
 recycled into a free-list and handed back by :meth:`Environment.timeout`
-instead of a fresh allocation; recycled events draw fresh sequence
-numbers, so ordering is unaffected. The golden-trace test in
-``tests/simnet/test_engine.py`` pins the loop to a delivery trace
+instead of a fresh allocation; a recycled event joins the back of its
+bucket like a new one, so ordering is unaffected. The golden-trace test
+in ``tests/simnet/test_engine.py`` pins the loop to a delivery trace
 captured on the original one-event-per-call kernel.
 
 A simulated message is not an :class:`Event`: a :class:`Message` is its
-own queue entry. :meth:`repro.simnet.transport.Connection.send` pushes it
-under the key an event scheduled with the same delay would get, and the
+own queue entry. :meth:`repro.simnet.transport.Connection.send` (and
+``Network.send_many``, per message of a burst) pushes it under the key an
+event scheduled with the same delay would get, and the
 loop calls ``message.target._deliver(message, message.via)`` when it comes
 up — no callback list, no closure, no second object. It counts as one
 processed event. Messages are nearly every event of a control cycle, so
@@ -196,8 +198,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay!r}")
+        if not delay >= 0:  # NaN too
+            raise ValueError(f"timeout delay must be >= 0: {delay!r}")
         super().__init__(env)
         self.delay = float(delay)
         self._ok = True
@@ -473,7 +475,8 @@ class Environment:
         #: ``(when, priority)`` is unique among them, so ``seq`` and the
         #: bucket are never compared.
         self._queue: list = []
-        #: ``(when, priority)`` → deque of ``(seq, event)``, oldest first.
+        #: ``(when, priority)`` → deque of the events due then, oldest
+        #: first.
         self._buckets: dict = {}
         self._seq = count()
         self._active_process: Optional[Process] = None
@@ -501,8 +504,8 @@ class Environment:
         """An event firing ``delay`` simulated seconds from now."""
         pool = self._timeout_pool
         if pool:
-            if delay < 0:
-                raise ValueError(f"negative timeout delay: {delay!r}")
+            if not delay >= 0:  # NaN too
+                raise ValueError(f"timeout delay must be >= 0: {delay!r}")
             # Pool invariants: callbacks is an already-cleared list,
             # _ok and _scheduled are True (a Timeout is born triggered
             # and can never fail), so only the varying fields reset.
@@ -542,14 +545,15 @@ class Environment:
 
     def _push(self, when: float, priority: int, event: Any) -> None:
         """Queue ``event`` (or a :class:`Message`) at ``when``: behind
-        everything already due at ``(when, priority)``."""
+        everything already due at ``(when, priority)``. Until :meth:`run`
+        next dispatches, appending to ``_buckets[when, priority]`` after
+        a push there is another push (a send burst relies on it)."""
         key = (when, priority)
-        seq = next(self._seq)
         bucket = self._buckets.get(key)
         if bucket is None:
             bucket = self._buckets[key] = deque()
-            _heappush(self._queue, (when, priority, seq, bucket))
-        bucket.append((seq, event))
+            _heappush(self._queue, (when, priority, next(self._seq), bucket))
+        bucket.append(event)
 
     def call_at(
         self, when: float, callback: Callable[[], None], priority: int = NORMAL
@@ -557,10 +561,12 @@ class Environment:
         """Run ``callback()`` at absolute simulated time ``when``.
 
         Returns the underlying event (useful for tests). ``when`` must not be
-        in the past.
+        in the past, nor NaN.
         """
-        if when < self._now:
-            raise SimulationError(f"call_at into the past: {when} < {self._now}")
+        if not when >= self._now:  # NaN too
+            raise SimulationError(
+                f"call_at({when}) is not at or after now ({self._now})"
+            )
         ev = Event(self)
         ev.callbacks.append(lambda _ev: callback())
         ev._ok = True
@@ -612,8 +618,10 @@ class Environment:
                 sentinel = until
             else:
                 horizon = float(until)
-                if horizon < self._now:
-                    raise SimulationError(f"run(until={horizon}) is in the past")
+                if not horizon >= self._now:  # NaN too
+                    raise SimulationError(
+                        f"run(until={horizon}) is not at or after now ({self._now})"
+                    )
         now = self._now
         try:
             while True:
@@ -625,10 +633,8 @@ class Environment:
                     if horizon is not None and when > horizon:
                         break
                     now = self._now = when
-                # The (seq, event) pair is indexed, never bound, so the
-                # loop holds the only reference to the event by recycle
-                # time.
-                event = bucket.popleft()[1]
+                # ``event`` is the loop's only reference by recycle time.
+                event = bucket.popleft()
                 if not bucket:
                     pop(queue)
                     del buckets[when, prio]

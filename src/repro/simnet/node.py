@@ -86,8 +86,8 @@ class SimHost:
         Returns a process event that fires when the work completes. Busy
         time is charged on completion.
         """
-        if seconds < 0:
-            raise ValueError(f"negative work: {seconds}")
+        if not seconds >= 0:  # NaN too
+            raise ValueError(f"work must be >= 0: {seconds}")
         return self.env.process(self._execute(seconds, cores), name=f"{self.name}.exec")
 
     def _execute(self, seconds: float, cores: int) -> Generator:
@@ -103,8 +103,8 @@ class SimHost:
 
     def charge(self, seconds: float, cores: int = 1) -> None:
         """Account CPU busy time without simulating a delay."""
-        if seconds < 0:
-            raise ValueError(f"negative work: {seconds}")
+        if not seconds >= 0:  # NaN too
+            raise ValueError(f"work must be >= 0: {seconds}")
         self.busy_seconds += seconds * cores
 
     # -- memory --------------------------------------------------------------

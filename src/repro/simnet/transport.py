@@ -15,9 +15,10 @@ Model
   :class:`Connection` between two endpoints, consuming one slot in each
   host's :class:`ConnectionPool` (like a TCP/RDMA QP pair).
 * :meth:`Connection.send` delivers a :class:`Message` after the link's
-  transfer time; delivery invokes the destination endpoint's handler (for
-  reactive actors such as virtual stages) or enqueues into its inbox (for
-  process-style actors such as controllers). A message whose connection
+  transfer time (:meth:`Network.send_many` sends a fan-out burst the same
+  way, in one call); delivery invokes the destination endpoint's handler
+  (for reactive actors such as virtual stages) or enqueues into its inbox
+  (for process-style actors such as controllers). A message whose connection
   closes while it is in flight is dropped at delivery.
 
 Every byte is counted on both NICs, which is where the MB/s columns of
@@ -26,7 +27,7 @@ Tables II–IV come from.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Union
 
 from repro.simnet.engine import NORMAL, Environment, Event, Message, SimulationError
 from repro.simnet.link import DelayModel, Link
@@ -289,6 +290,103 @@ class Network:
         self._endpoints: Dict[str, Endpoint] = {}
         self.messages_sent = 0
         self.bytes_sent = 0
+
+    # -- transmit -----------------------------------------------------------
+    def send_many(
+        self,
+        links: Sequence[Tuple[Connection, Endpoint]],
+        kind: str,
+        payloads: Sequence[Any],
+        size_bytes: Union[int, Sequence[int]],
+    ) -> None:
+        """Transmit a burst: one ``kind`` message per ``(connection,
+        sender)`` link, with the link's entry of ``payloads``.
+
+        ``size_bytes`` is every message's size, or one size per link. The
+        burst is the same sends, in order, as :meth:`Connection.send` with
+        no ``extra_delay`` — the same NIC counters, jitter draws, NIC
+        serialisation, FIFO floors, sequence numbers and heap keys, bit
+        for bit — with the sizes, every link and the link constants
+        checked and read once: a burst that raises has sent nothing. The
+        network's counters move once per burst.
+        """
+        n = len(links)
+        if len(payloads) != n:
+            raise ValueError(f"{len(payloads)} payloads for {n} links")
+        if hasattr(size_bytes, "__len__"):
+            sizes = [s if s.__class__ is int else int(s) for s in size_bytes]
+            if len(sizes) != n:
+                raise ValueError(f"{len(sizes)} sizes for {n} links")
+        else:
+            size = size_bytes if size_bytes.__class__ is int else int(size_bytes)
+            sizes = [size] * n
+        if sizes and min(sizes) < 0:
+            raise ValueError(f"negative message size: {min(sizes)}")
+        for connection, sender in links:
+            if connection.closed:
+                raise SimulationError("send() on a closed connection")
+            if sender is not connection.a and sender is not connection.b:
+                raise SimulationError(f"{sender!r} is not part of {connection!r}")
+        env = self.env
+        push = env._push
+        buckets = env._buckets
+        last = None
+        now = env._now
+        link = self.link
+        hop_latency = link.hop_latency
+        bandwidth = link.bandwidth
+        jitter = link.jitter
+        sample = None if jitter.__class__ is DelayModel else jitter.sample
+        nic_bandwidth = self.nic_bandwidth_Bps
+        tx_free = self._nic_tx_free
+        rx_free = self._nic_rx_free
+        for (connection, sender), payload, size in zip(links, payloads, sizes):
+            if sender is connection.a:
+                recipient, to = connection.b, 1
+            else:
+                recipient, to = connection.a, 0
+            nic = sender.host.nic
+            nic.tx_bytes += size
+            nic.tx_messages += 1
+            delay = hop_latency * connection._hops + size / bandwidth
+            if sample is not None:
+                delay += sample()
+            if nic_bandwidth is None:
+                when = now + delay
+            else:
+                wire_time = size / nic_bandwidth
+                departure = max(now, tx_free.get(sender.host.name, 0.0)) + wire_time
+                tx_free[sender.host.name] = departure
+                when = max(
+                    departure + delay, rx_free.get(recipient.host.name, 0.0) + wire_time
+                )
+                rx_free[recipient.host.name] = when
+            floor = connection._floor
+            if when < floor[to]:
+                when = floor[to]
+            floor[to] = when
+            connection._seq = seq = connection._seq + 1
+            message = _new(Message)
+            message.kind = kind
+            message.payload = payload
+            message.size_bytes = size
+            message.sender = sender.name
+            message.recipient = recipient.name
+            message.sent_at = now
+            message.seq = seq
+            message.target = recipient
+            message.via = connection
+            # A burst's messages mostly share a key: append to the bucket
+            # the last push opened or found (see Environment._push).
+            key_time = now + (when - now)
+            if key_time == last:
+                bucket.append(message)
+            else:
+                push(key_time, NORMAL, message)
+                bucket = buckets[key_time, NORMAL]
+                last = key_time
+        self.messages_sent += n
+        self.bytes_sent += sum(sizes)
 
     # -- wiring -------------------------------------------------------------
     def pool_of(self, host: SimHost) -> ConnectionPool:

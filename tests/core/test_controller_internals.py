@@ -42,7 +42,7 @@ class TestSendAll:
 
         def driver():
             sent = yield from base._send_all(
-                channels, "ping", lambda ch: 1, lambda ch: 16, 1e-6
+                channels, "ping", lambda live: [1] * len(live), 16, 1e-6
             )
             return sent
 
@@ -63,7 +63,7 @@ class TestSendAll:
 
         def driver():
             yield from base._send_all(
-                channels, "ping", lambda ch: 1, lambda ch: 16, 1e-3
+                channels, "ping", lambda live: [1] * len(live), 16, 1e-3
             )
 
         env.run(env.process(driver()))
@@ -79,7 +79,7 @@ class TestSendAll:
 
         def driver():
             sent = yield from base._send_all(
-                channels, "ping", lambda ch: 1, lambda ch: 16, 1e-6
+                channels, "ping", lambda live: [1] * len(live), 16, 1e-6
             )
             return sent
 

@@ -120,14 +120,11 @@ class TestDifferentiatedEnforcement:
 
     def test_full_stage_applies_both_buckets(self):
         """DataPlaneStage wires both limits into its token buckets."""
-        from repro.core.rules import EnforcementRule
         from repro.dataplane.stage import DataPlaneStage
         from repro.simnet.engine import Environment
 
         env = Environment()
         stage = DataPlaneStage(env, "s", "j")
-        stage._apply(
-            EnforcementRule("s", 1, data_iops_limit=500.0, metadata_iops_limit=50.0)
-        )
+        stage._apply(500.0, 50.0)
         assert stage.enforced_data_rate == 500.0
         assert stage.enforced_metadata_rate == 50.0

@@ -9,8 +9,9 @@ independently:
   commit (a delivery is one event, as the event-plus-closure it
   replaced was), and heap entries per cycle (one per simulated instant
   with anything due, not one per event);
-* what a hierarchical cycle constructs: no per-stage record at the
-  global controller, one rule per stage an aggregator ships to;
+* what a hierarchical cycle constructs: no per-stage record at either
+  level — a rule is ``(epoch, data_limit, metadata_limit)``, one per
+  stage an aggregator ships to;
 * the slot ledger's changed-only verdict (``slots.changed_limits``, the
   one every controller ships by) gives ``diff_rules``' verdict, entry by
   entry, and the same suppression counts over a scripted run as the
@@ -40,7 +41,7 @@ from repro.core.rules import UNLIMITED, EnforcementRule, diff_rules
 from repro.core.slots import changed_limits
 from repro.simnet.engine import Environment, Message
 from repro.simnet.node import SimHost
-from repro.simnet.transport import Connection, Network
+from repro.simnet.transport import Network
 
 
 class TestEventCounts:
@@ -79,7 +80,7 @@ class TestEventCounts:
         conn = net.connect(a, b)
         message = conn.send(a, "ping", 7, size_bytes=100)
         ((when, priority, _, bucket),) = env._queue
-        ((_, item),) = bucket
+        (item,) = bucket
         assert env._buckets == {(when, priority): bucket}
         assert item is message and item.__class__ is Message
         assert not hasattr(item, "__dict__")
@@ -130,25 +131,23 @@ class TestWhatACycleBuilds:
         )
         plane.env.run(plane.global_controller.run_cycles(1))
         batches = []
-        real = Connection.send
+        real = Network.send_many
 
-        def spy(self, sender, kind, payload=None, *args, **kwargs):
+        def spy(self, links, kind, payloads, size_bytes):
             if kind == "rule_batch":
-                batches.append(payload)
-            return real(self, sender, kind, payload, *args, **kwargs)
+                batches.extend(payloads)
+            return real(self, links, kind, payloads, size_bytes)
 
         patch = pytest.MonkeyPatch()
-        patch.setattr(Connection, "send", spy)
+        patch.setattr(Network, "send_many", spy)
         try:
             counts = _constructions(plane)
         finally:
             patch.undo()
-        assert counts == {
-            # No report record: a stage replies (epoch, data, metadata)
-            # and its aggregator lands the two floats in the stage's slot.
-            # One rule per stage an aggregator ships to, at send time.
-            ("EnforcementRule", "AggregatorController"): 2000,
-        }
+        # No report record: a stage replies (epoch, data, metadata) and
+        # its aggregator lands the two floats in the stage's slot. No
+        # rule record: a rule is (epoch, data limit, metadata limit).
+        assert counts == {}
         # A batch is two read-only limit vectors in the partition order.
         assert len(batches) == 8
         for epoch, data, meta in batches:
@@ -162,10 +161,33 @@ class TestWhatACycleBuilds:
             ControlPlaneConfig(n_stages=40), n_aggregators=4
         )
         plane.env.run(plane.global_controller.run_cycles(1))
-        counts = _constructions(plane, n_cycles=1)
-        assert counts[("EnforcementRule", "AggregatorController")] == 40
-        assert ("EnforcementRule", "GlobalController") not in counts
-        assert ("StageMetrics", "GlobalController") not in counts
+        rules = []
+        real = Network.send_many
+
+        def spy(self, links, kind, payloads, size_bytes):
+            if kind == "rule":
+                rules.extend(
+                    (sender.name, epoch, data, meta)
+                    for (_, sender), (epoch, data, meta) in zip(links, payloads)
+                )
+            return real(self, links, kind, payloads, size_bytes)
+
+        patch = pytest.MonkeyPatch()
+        patch.setattr(Network, "send_many", spy)
+        try:
+            counts = _constructions(plane, n_cycles=1)
+        finally:
+            patch.undo()
+        assert counts == {}
+        # One (epoch, data, metadata) triple per stage, from its own
+        # aggregator, as the aggregator sends it.
+        assert len(rules) == 40
+        senders = [agg.endpoint.name for agg in plane.aggregators]
+        assert sorted({r[0] for r in rules}) == sorted(senders)
+        assert all(
+            epoch == 2 and data >= 0 and meta == UNLIMITED
+            for _, epoch, data, meta in rules
+        )
 
     def test_views_are_built_on_demand(self):
         plane = HierarchicalControlPlane.build(

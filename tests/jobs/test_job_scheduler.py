@@ -10,7 +10,7 @@ from repro.jobs.scheduler import JobScheduler
 from repro.jobs.workloads import source_factory
 from repro.simnet.engine import Environment
 from repro.simnet.rng import RandomStreams
-from repro.simnet.transport import Connection
+from repro.simnet.transport import Network
 
 
 @pytest.fixture
@@ -166,16 +166,19 @@ class TestRemovalMidCycle:
         return plane, plane.global_controller
 
     def _remove_when_sent(self, ctrl, stage_id, kind, monkeypatch):
-        """Remove ``stage_id`` at the instant ``kind`` leaves for it."""
-        real = Connection.send
+        """Remove ``stage_id`` at the instant ``kind`` leaves for it (a
+        controller's fan-out is one ``Network.send_many`` per chunk)."""
+        real = Network.send_many
 
-        def send(self, sender, sent_kind, *args, **kwargs):
-            message = real(self, sender, sent_kind, *args, **kwargs)
-            if sent_kind == kind and message.recipient.endswith(f"/{stage_id}"):
+        def send_many(self, links, sent_kind, *args, **kwargs):
+            real(self, links, sent_kind, *args, **kwargs)
+            if sent_kind == kind and any(
+                conn.peer_of(sender).name.endswith(f"/{stage_id}")
+                for conn, sender in links
+            ):
                 ctrl.env.call_at(ctrl.env.now, lambda: ctrl.remove_stage(stage_id))
-            return message
 
-        monkeypatch.setattr(Connection, "send", send)
+        monkeypatch.setattr(Network, "send_many", send_many)
 
     def test_removal_during_the_send_burst(self, env):
         plane, ctrl = self._plane(env)

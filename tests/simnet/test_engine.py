@@ -5,6 +5,7 @@ profile.
 """
 
 import heapq
+import math
 from itertools import count
 
 import pytest
@@ -20,6 +21,7 @@ from repro.simnet.engine import (
     Event,
     Interrupt,
     SimulationError,
+    Timeout,
 )
 from repro.simnet.node import SimHost
 from repro.simnet.transport import Network
@@ -95,6 +97,75 @@ class TestTimeout:
         p = env.process(proc(env))
         env.run()
         assert p.value == 0.0
+
+
+class TestNaNTime:
+    """NaN passes every ``< 0`` / ``< now`` check; it must be refused
+    wherever a time or an amount of work enters the kernel, or it is
+    dispatched out of order and leaves the clock (or a host's busy time)
+    NaN. ``+inf`` keeps its meaning: due never."""
+
+    @staticmethod
+    def _env_with_pending():
+        env = Environment()
+        fired = []
+        env.timeout(0.5).callbacks.append(lambda ev: fired.append(env.now))
+        return env, fired
+
+    @staticmethod
+    def _assert_untouched(env, fired):
+        assert env.now == 0.0 and len(env._queue) == 1
+        env.run()
+        assert fired == [0.5] and env.now == 0.5
+
+    def test_timeout(self):
+        env, fired = self._env_with_pending()
+        with pytest.raises(ValueError):
+            env.timeout(math.nan)
+        with pytest.raises(ValueError):
+            Timeout(env, math.nan)
+        self._assert_untouched(env, fired)
+
+    def test_pooled_timeout(self):
+        env = Environment()
+        env.timeout(0.1)
+        env.run()
+        assert env._timeout_pool
+        fired = []
+        env.timeout(0.4).callbacks.append(lambda ev: fired.append(env.now))
+        with pytest.raises(ValueError):
+            env.timeout(math.nan)
+        assert len(env._queue) == 1
+        env.run()
+        assert fired == [0.5] and env.now == 0.5
+
+    def test_call_at(self):
+        env, fired = self._env_with_pending()
+        with pytest.raises(SimulationError):
+            env.call_at(math.nan, lambda: fired.append("nan"))
+        self._assert_untouched(env, fired)
+
+    def test_run_until(self):
+        env, fired = self._env_with_pending()
+        with pytest.raises(SimulationError):
+            env.run(until=math.nan)
+        self._assert_untouched(env, fired)
+
+    @pytest.mark.parametrize("work", ["charge", "execute"])
+    def test_host_work(self, work):
+        env = Environment()
+        host = SimHost(env, "h")
+        with pytest.raises(ValueError):
+            getattr(host, work)(math.nan)
+        env.run()
+        assert host.busy_seconds == 0.0
+
+    def test_infinity_still_means_never(self):
+        env, fired = self._env_with_pending()
+        env.timeout(math.inf).callbacks.append(lambda ev: fired.append("timeout"))
+        env.call_at(math.inf, lambda: fired.append("call_at"))
+        env.run(until=10.0)
+        assert fired == [0.5] and env.now == 10.0 and env.peek() == math.inf
 
 
 class TestEvent:

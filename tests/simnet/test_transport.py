@@ -166,7 +166,9 @@ _SEND = st.tuples(
 class TestFusedSendArithmetic:
     """``Connection.send`` computes delivery time inline; it must equal
     ``Link.transfer_time`` plus the NIC and FIFO-floor steps, bit for
-    bit, for the heap key and for the clock at delivery."""
+    bit, for the heap key and for the clock at delivery. A
+    ``Network.send_many`` burst must equal the same messages sent one by
+    one, bit for bit, and raise as ``send`` would before sending any."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -203,13 +205,171 @@ class TestFusedSendArithmetic:
             (key,) = [
                 key
                 for key, bucket in env._buckets.items()
-                if any(item is message for _, item in bucket)
+                if any(item is message for item in bucket)
             ]
             assert key == (now + (when - now), 1)
             assert key[0].hex() == (now + (when - now)).hex()
             expected[message.seq] = key[0]
         env.run()
         assert delivered == expected
+
+
+    # -- send_many: one burst is the same sends, bit for bit -------------
+
+    @staticmethod
+    def _twin(nic, jitter):
+        """A network of four hosts at mixed hop counts, three endpoints
+        on h0 and one on each other host, connected as in a fan-out plus
+        a peer link; returns ``(env, net, endpoints, connections)``."""
+        env = Environment()
+        if jitter == "normal":
+            model = NormalJitterDelay(np.random.default_rng(7), std=2e-6)
+        else:
+            model = None if jitter is None else FixedDelay(jitter)
+        net = Network(
+            env,
+            link=Link(jitter=model),
+            nic_bandwidth_Bps=nic,
+            hop_resolver=lambda x, y: (int(x.name[1:]) + int(y.name[1:])) % 4,
+        )
+        hosts = [SimHost(env, f"h{i}") for i in range(4)]
+        eps = [net.attach(hosts[0], f"c{i}") for i in range(3)]
+        eps += [net.attach(hosts[i], f"s{i}") for i in range(1, 4)]
+        conns = [net.connect(eps[0], eps[i]) for i in (3, 4, 5)]
+        conns += [net.connect(eps[1], eps[2]), net.connect(eps[2], eps[4])]
+        for ep in eps:
+            ep.set_handler(lambda m, c: None)
+        return env, net, eps, conns
+
+    @staticmethod
+    def _state(env, net, eps, conns):
+        index = {id(c): i for i, c in enumerate(conns)}
+        queued = {
+            (index[id(m.via)], m.seq): (
+                key,
+                key[0].hex(),
+                m.kind,
+                m.payload,
+                m.size_bytes,
+                m.sender,
+                m.recipient,
+                m.sent_at,
+            )
+            for key, bucket in env._buckets.items()
+            for m in bucket
+        }
+        nics = [
+            (n.tx_bytes, n.tx_messages, n.rx_bytes, n.rx_messages)
+            for n in (ep.host.nic for ep in eps)
+        ]
+        return (
+            queued,
+            [(c._seq, [f.hex() for f in c._floor]) for c in conns],
+            nics,
+            (net.messages_sent, net.bytes_sent),
+            dict(net._nic_tx_free),
+            dict(net._nic_rx_free),
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        bursts=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.0, 1e-7, 2.5e-6, 1e-3]),  # gap before
+                st.lists(
+                    st.tuples(
+                        st.integers(0, 4),  # connection
+                        st.booleans(),  # from its b side
+                        st.integers(0, 1 << 20),  # size
+                    ),
+                    min_size=1,
+                    max_size=10,
+                ),
+                st.booleans(),  # one size for the burst
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        nic=st.sampled_from([None, 1e9, 3e7]),
+        jitter=st.sampled_from([None, 1.5e-6, "normal"]),
+    )
+    def test_send_many_is_send_bit_for_bit(self, bursts, nic, jitter):
+        burst_env, burst_net, burst_eps, burst_conns = self._twin(nic, jitter)
+        env, net, eps, conns = self._twin(nic, jitter)
+        for gap, items, one_size in bursts:
+            for e in (burst_env, env):
+                e.run(until=e.now + gap)
+            sizes = [items[0][2]] * len(items) if one_size else [i[2] for i in items]
+            links, payloads = [], []
+            for k, ((c, from_b, _), size) in enumerate(zip(items, sizes)):
+                conn = conns[c]
+                conn.send(conn.b if from_b else conn.a, "m", (k, size), size)
+                twin = burst_conns[c]
+                links.append((twin, twin.b if from_b else twin.a))
+                payloads.append((k, size))
+            burst_net.send_many(links, "m", payloads, sizes[0] if one_size else sizes)
+            assert self._state(burst_env, burst_net, burst_eps, burst_conns) == (
+                self._state(env, net, eps, conns)
+            )
+        delivered, burst_delivered = [], []
+        for e, ep_list, log in (
+            (env, eps, delivered),
+            (burst_env, burst_eps, burst_delivered),
+        ):
+            for ep in ep_list:
+                ep.set_handler(
+                    lambda m, c, e=e, log=log: log.append(
+                        (e.now.hex(), m.recipient, m.seq)
+                    )
+                )
+            e.run()
+        assert burst_delivered == delivered
+        assert self._state(burst_env, burst_net, burst_eps, burst_conns) == (
+            self._state(env, net, eps, conns)
+        )
+
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            lambda eps, conns, links: conns[4].close(),
+            lambda eps, conns, links: links.append((conns[0], eps[1])),
+            lambda eps, conns, links: links.append((conns[0], eps[5])),
+        ],
+        ids=["closed-link", "foreign-sender", "sender-on-another-link"],
+    )
+    def test_send_many_raises_as_send_and_sends_nothing(self, spoil):
+        env, net, eps, conns = self._twin(1e9, "normal")
+        links = [(c, c.a) for c in conns]
+        spoil(eps, conns, links)
+        bad_conn, bad_sender = next(
+            (c, s) for c, s in links if c.closed or s not in (c.a, c.b)
+        )
+        with pytest.raises(SimulationError) as expected:
+            bad_conn.send(bad_sender, "m", None, 10)
+        before = self._state(env, net, eps, conns)
+        with pytest.raises(SimulationError) as raised:
+            net.send_many(links, "m", [None] * len(links), 10)
+        assert str(raised.value) == str(expected.value)
+        assert self._state(env, net, eps, conns) == before
+        assert env._queue == [] and net.messages_sent == 0
+
+    @pytest.mark.parametrize(
+        "payloads, sizes",
+        [
+            ([None] * 5, [10, 10, -1, 10, 10]),
+            ([None] * 5, -1),
+            ([None] * 5, [10] * 4),
+            ([None] * 4, 10),
+        ],
+        ids=["negative-size", "negative-burst-size", "short-sizes", "short-payloads"],
+    )
+    def test_send_many_bad_burst_sends_nothing(self, payloads, sizes):
+        env, net, eps, conns = self._twin(None, None)
+        with pytest.raises(ValueError):
+            net.send_many([(c, c.a) for c in conns], "m", payloads, sizes)
+        assert env._queue == [] and net.messages_sent == 0
+        assert [c._seq for c in conns] == [0] * 5
+        assert all(ep.host.nic.tx_messages == 0 for ep in eps)
 
 
 class TestConnectionManagement:
