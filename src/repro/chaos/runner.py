@@ -933,9 +933,7 @@ async def _live_overload(
             }
             for agg in plane.aggregators:
                 for peer, s in agg.sessions.items():
-                    pending[f"{agg.aggregator_id}:{peer}"] = (
-                        s.outbox.pending_bytes
-                    )
+                    pending[f"{agg.aggregator_id}:{peer}"] = s.pending_bytes
             checker.check_queue_bounds(
                 cycle, pending, session_outbox_bytes
             )

@@ -25,6 +25,12 @@ simulated actors:
   the stages' ``controller_timeout_s`` silence watchdogs rotate away.
 * :class:`LiveFaultLog` — wall-clock record of injected events, for
   assertions, mirroring :class:`repro.core.failures.FailureLog`.
+
+The two aggregator faults take a :class:`~repro.live.aggregator_server.
+LiveAggregator` or a :class:`~repro.live.tier.AggregatorHandle` — a
+``LiveHierPlane``'s aggregators run in its tier process, and the handle's
+``kill`` / ``pause`` / ``resume`` have taken effect there when they
+return.
 """
 
 from __future__ import annotations
@@ -32,10 +38,14 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Union
 
 from repro.live.aggregator_server import LiveAggregator
 from repro.live.stage_client import LiveVirtualStage
+from repro.live.tier import AggregatorHandle
+
+#: What the aggregator faults act on: the server, or its tier handle.
+Aggregator = Union[LiveAggregator, AggregatorHandle]
 
 __all__ = [
     "FlakySocket",
@@ -120,7 +130,7 @@ async def stall_stage(
 
 
 def kill_aggregator(
-    aggregator: LiveAggregator,
+    aggregator: Aggregator,
     log: Optional[LiveFaultLog] = None,
 ) -> LiveFaultLog:
     """Kill ``aggregator`` right now (simulated controller-node loss).
@@ -138,7 +148,7 @@ def kill_aggregator(
 
 
 async def stall_aggregator(
-    aggregator: LiveAggregator,
+    aggregator: Aggregator,
     duration_s: float,
     log: Optional[LiveFaultLog] = None,
 ) -> LiveFaultLog:

@@ -31,9 +31,9 @@ from repro.core.control_plane import default_policy
 from repro.core.cycle import ControlCycle, CycleStats
 from repro.core.policies import QoSPolicy
 from repro.core.registry import partition_stages
-from repro.live.aggregator_server import LiveAggregator
 from repro.live.controller_server import LiveGlobalController, LiveHierGlobalController
 from repro.live.stage_client import LiveVirtualStage
+from repro.live.tier import AggregatorHandle, AggregatorTier
 from repro.monitoring.remora import RemoraReport
 from repro.obs.metrics import MetricsRegistry, MetricsServer
 from repro.obs.procfs import LiveUsageSession
@@ -224,17 +224,23 @@ class LiveHierPlane:
     """A restartable hierarchical live plane (controller + aggs + stages).
 
     Owns the whole process tree the hierarchical harness used to build
-    inline: one :class:`LiveHierGlobalController`, ``n_aggregators``
-    :class:`LiveAggregator` servers, and ``n_stages`` stage clients.
-    Unlike the one-shot ``run_live_hierarchical`` wrapper, the plane
-    persists across control runs and supports **full-plane restart**:
+    inline: one :class:`LiveHierGlobalController` and ``n_stages`` stage
+    clients in this process, and ``n_aggregators``
+    :class:`~repro.live.aggregator_server.LiveAggregator` servers in one
+    forked child, the aggregator tier (:mod:`repro.live.tier`) — the
+    offload of the paper's Table IV, on the host's second core.
+    :attr:`aggregators` holds one
+    :class:`~repro.live.tier.AggregatorHandle` per aggregator. Unlike the
+    one-shot ``run_live_hierarchical`` wrapper, the plane persists across
+    control runs and supports **full-plane restart**:
 
-    * :meth:`kill_plane` aborts every controller/aggregator socket
-      without a goodbye — the in-process analogue of ``kill -9`` on the
-      whole control plane. Stage clients stay alive, keep enforcing
-      their last rules, and keep their ``applied_epoch`` fencing state.
+    * :meth:`kill_plane` aborts every controller socket without a
+      goodbye and SIGKILLs the tier — ``kill -9`` on the whole control
+      plane. Stage clients stay alive, keep enforcing their last rules,
+      and keep their ``applied_epoch`` fencing state.
     * :meth:`plane_restart` rebinds the *same* ports (free the moment
-      the old listeners' synchronous ``close()`` returned) with a
+      the controller listener's synchronous ``close()`` returned and the
+      old tier was reaped) with a
       caller-supplied ``initial_epoch``, typically a durable store's
       :meth:`~repro.store.DurableStore.resume_epoch`. Surviving stages
       re-home through their reconnect loops; restarted aggregators boot
@@ -289,16 +295,16 @@ class LiveHierPlane:
         stage_ids = [f"stage-{i:05d}" for i in range(n_stages)]
         self._partitions = partition_stages(stage_ids, n_aggregators)
         self.controller: Optional[LiveHierGlobalController] = None
-        self.aggregators: List[LiveAggregator] = []
+        self.aggregators: List[AggregatorHandle] = []
         self.stages: List[LiveVirtualStage] = []
         self._stage_tasks: List[asyncio.Task] = []
-        self._agg_tasks: List[asyncio.Task] = []
+        self._tier: Optional[AggregatorTier] = None
         #: Ports pinned at first start and reused by every restart.
         self._ctrl_port = 0
         self._agg_ports = [0] * n_aggregators
         #: Completed full-plane restarts.
         self.restarts = 0
-        #: Evictions accumulated across dead controller generations.
+        #: Evictions accumulated across dead controller and tier generations.
         self._evictions_past = 0
 
     # -- lifecycle -----------------------------------------------------------
@@ -329,32 +335,27 @@ class LiveHierPlane:
         )
         await self.controller.start()
         self._ctrl_port = self.controller.port
-        self.aggregators = []
-        for a, owned in enumerate(self._partitions):
-            agg_id = f"aggregator-{a:02d}"
-            agg = LiveAggregator(
-                agg_id,
-                self.controller.host,
-                self._ctrl_port,
-                # Restarted aggregators boot as hot spares: surviving
-                # stages rotate through alternates, so any stage may
-                # re-home to any aggregator — expecting the original
-                # partition back would deadlock registration.
-                expected_stages=0 if restarting else len(owned),
-                port=self._agg_ports[a],
-                collect_timeout_s=self.collect_timeout_s,
-                enforce_timeout_s=self.enforce_timeout_s,
-                span_tracer=obs.tracer_for(agg_id),
-                usage_meter=obs.meter_for(agg_id),
-                metrics=obs.registry,
-                session_outbox_bytes=self.session_outbox_bytes,
-            )
-            await agg.start()
-            self._agg_ports[a] = agg.port
-            self.aggregators.append(agg)
+        # Restarted aggregators boot as hot spares: surviving stages
+        # rotate through alternates, so any stage may re-home to any
+        # aggregator — expecting the original partition back would
+        # deadlock registration.
+        specs = [
+            (f"aggregator-{a:02d}", 0 if restarting else len(owned), self._agg_ports[a])
+            for a, owned in enumerate(self._partitions)
+        ]
+        self._tier = AggregatorTier(obs)
+        await self._tier.start(
+            specs,
+            self.controller.host,
+            self._ctrl_port,
+            self.collect_timeout_s,
+            self.enforce_timeout_s,
+            self.session_outbox_bytes,
+        )
+        self.aggregators = self._tier.handles
+        self._agg_ports = [agg.port for agg in self.aggregators]
         if not restarting:
-            for a, owned in enumerate(self._partitions):
-                agg = self.aggregators[a]
+            for agg, owned in zip(self.aggregators, self._partitions):
                 for stage_id in owned:
                     stage = LiveVirtualStage(
                         agg.host,
@@ -365,7 +366,6 @@ class LiveHierPlane:
                     )
                     self.stages.append(stage)
                     self._stage_tasks.append(asyncio.create_task(stage.run()))
-        self._agg_tasks = [asyncio.create_task(a.run()) for a in self.aggregators]
         await self.controller.wait_for_aggregators()
 
     async def wait_for_stages(self, timeout_s: float = 30.0) -> None:
@@ -379,8 +379,9 @@ class LiveHierPlane:
 
     @property
     def registered_stages(self) -> int:
-        """Stages currently homed on a live aggregator, tree-wide."""
-        return sum(len(a.sessions) for a in self.aggregators)
+        """Stages currently homed on a live aggregator, tree-wide (the
+        count the tier pushes whenever it moves: no call per read)."""
+        return self._tier.registered if self._tier is not None else 0
 
     @property
     def interval_multiplier(self) -> float:
@@ -412,27 +413,32 @@ class LiveHierPlane:
             a.evictions for a in self.aggregators
         )
 
-    async def _reap(self, grace_s: float = 2.0) -> None:
-        """Let aggregator tasks wind down on their own, then cancel stragglers.
+    async def _retire_tier(self, grace_s: Optional[float] = None) -> None:
+        """Take the tier down and bank its evictions before its handles go.
 
-        Callers have already told the aggregators to go (shutdown frames
-        or aborted sockets), and an aggregator's teardown — listener, then
-        stage sessions — is part of its task: cancelling at once cut it
-        short and left listeners open. Only a task still blocked after
-        ``grace_s`` (an unfilled partition, an untimed phase) is cancelled.
+        With ``grace_s`` the tier is waited for: its aggregators were told
+        to go (shutdown frames, or a lost trunk), and an aggregator's
+        teardown — listener, then stage sessions, flushed — is its own to
+        finish; it is SIGKILLed only if still running after ``grace_s``.
+        Without, it is killed outright, once it has handed over its
+        counters and what it observed.
         """
-        if self._agg_tasks:
-            _, pending = await asyncio.wait(self._agg_tasks, timeout=grace_s)
-            for task in pending:
-                task.cancel()
-            await asyncio.gather(*self._agg_tasks, return_exceptions=True)
-        self._agg_tasks = []
+        tier, self._tier = self._tier, None
+        if tier is None:
+            return
+        if grace_s is None:
+            tier.kill()
+        else:
+            await tier.stop(grace_s)
+        # The handles keep the counters the tier sent on its way out.
+        self._evictions_past += sum(a.evictions for a in self.aggregators)
+        self.aggregators = []
 
     async def kill_plane(self, hard: bool = True) -> None:
-        """Abort the controller and every aggregator — ``kill -9`` style.
+        """Abort the controller and SIGKILL the aggregator tier.
 
         No shutdown frames: stages see EOF exactly as they would if the
-        plane's process died, and keep enforcing their last rules while
+        plane's processes died, and keep enforcing their last rules while
         their reconnect loops probe the (dead) ports. ``hard=False``
         flushes and closes the controller's child links instead of
         aborting them; the aggregators are killed either way, so their
@@ -447,9 +453,7 @@ class LiveHierPlane:
         else:
             self.controller._close_sessions()
             self.controller._server.close()
-        for agg in self.aggregators:
-            agg.kill()
-        await self._reap()
+        await self._retire_tier()
         self.controller = None
 
     async def plane_restart(
@@ -478,7 +482,7 @@ class LiveHierPlane:
             self._evictions_past += self.controller.evictions
             await self.controller.shutdown()
             self.controller = None
-        await self._reap()
+        await self._retire_tier(grace_s=2.0)
         if stop_stages:
             for task in self._stage_tasks:
                 task.cancel()

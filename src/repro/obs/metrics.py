@@ -126,6 +126,16 @@ class MetricsRegistry:
             series[key] = HistogramMetric(histogram)
         return series[key]  # type: ignore[return-value]
 
+    def counters(self) -> List[Tuple[str, str, Dict[str, str], Counter]]:
+        """Every counter as ``(name, help, labels, counter)`` — what one
+        process ships to merge into another's registry."""
+        return [
+            (name, help_text, dict(key), metric)
+            for name, (kind, help_text, series) in self._families.items()
+            if kind == "counter"
+            for key, metric in series.items()
+        ]
+
     def render(self) -> str:
         """Prometheus text exposition of every registered metric."""
         lines: List[str] = []

@@ -10,14 +10,17 @@ produces the same rows from a *live* run by sampling the real kernel:
 * ``/proc/net/dev`` — per-interface byte counters (loopback carries the
   localhost TCP control traffic).
 
-The live harness runs every controller in one process, so ``/proc``
-gives whole-process truth while per-controller attribution comes from
+Controllers that share a process get per-controller attribution from
 :class:`ComponentUsageMeter`: exact per-session byte counters for the
 NIC columns, and CPU seconds accumulated around each controller's
 synchronous critical sections (serialisation, PSFA compute) for the CPU
 column. Memory is reported as process RSS on every row — co-located
 controllers share one heap, which the docs call out next to Tables
-II–IV.
+II–IV. Controllers hosted by another process (the live hierarchy's
+aggregator tier) are read the way REMORA reads a node:
+:meth:`LiveUsageSession.attach` names the process, and its CPU and RSS
+come from that process's own ``/proc/<pid>``, one reading per process,
+split across the controllers it hosts by their meters.
 
 On platforms without ``/proc`` the sampler degrades gracefully
 (``resource``/``time`` fallbacks, zero NIC rates); see
@@ -30,8 +33,8 @@ import asyncio
 import contextlib
 import os
 import time
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from dataclasses import dataclass, replace
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.monitoring.remora import ControllerUsage, RemoraReport
 
@@ -44,6 +47,7 @@ __all__ = [
     "read_cpu_seconds",
     "read_net_bytes",
     "read_rss_bytes",
+    "read_task_cpu_seconds",
 ]
 
 _GB = 1024.0**3
@@ -76,19 +80,40 @@ def read_cpu_seconds() -> float:
     return (utime_ticks + stime_ticks) / os.sysconf("SC_CLK_TCK")
 
 
-def read_rss_bytes() -> int:
-    """Resident set size from ``/proc/self/status`` (``VmRSS``).
+def read_task_cpu_seconds(pid: int) -> float:
+    """CPU seconds of process ``pid``'s main thread, in nanoseconds'
+    resolution, from ``/proc/<pid>/schedstat`` (still readable while the
+    process is a zombie); ``/proc/<pid>/stat`` clock ticks where the
+    kernel keeps no schedstat. The reading for a single-threaded child."""
+    try:
+        with open(f"/proc/{pid}/schedstat", "r", encoding="ascii") as fh:
+            return int(fh.read().split()[0]) / 1e9
+    except (OSError, ValueError, IndexError):
+        pass
+    try:
+        with open(f"/proc/{pid}/stat", "r", encoding="ascii") as fh:
+            fields = fh.read().rsplit(")", 1)[-1].split()
+    except OSError:
+        return 0.0
+    return (float(fields[11]) + float(fields[12])) / os.sysconf("SC_CLK_TCK")
 
-    Falls back to ``resource.getrusage`` peak RSS where ``/proc`` is
-    missing; returns 0 if neither source exists.
+
+def read_rss_bytes(pid="self") -> int:
+    """Resident set size from ``/proc/<pid>/status`` (``VmRSS``).
+
+    For this process, falls back to ``resource.getrusage`` peak RSS
+    where ``/proc`` is missing; returns 0 if neither source exists (and
+    for a process that has exited).
     """
     try:
-        with open("/proc/self/status", "r", encoding="ascii") as fh:
+        with open(f"/proc/{pid}/status", "r", encoding="ascii") as fh:
             for line in fh:
                 if line.startswith("VmRSS:"):
                     return int(line.split()[1]) * 1024
     except OSError:
         pass
+    if pid != "self":
+        return 0
     try:
         import resource
 
@@ -246,6 +271,24 @@ class ComponentUsageMeter:
         )
 
 
+class _Hosted:
+    """A process hosting named meters, and its readings in the window."""
+
+    __slots__ = ("names", "first_cpu_s", "rss_bytes")
+
+    def __init__(self, names: Tuple[str, ...]) -> None:
+        self.names = names
+        #: CPU seconds read when the window opened (or the process joined).
+        self.first_cpu_s: Optional[float] = None
+        self.rss_bytes = 0
+
+    def read(self, pid: int) -> float:
+        rss = read_rss_bytes(pid)
+        if rss:  # an exited process keeps its last resident reading
+            self.rss_bytes = rss
+        return read_task_cpu_seconds(pid)
+
+
 class LiveUsageSession:
     """Bundles the process sampler with per-controller meters.
 
@@ -253,12 +296,21 @@ class LiveUsageSession:
     from :meth:`meter`, and :meth:`report` reduces everything to a
     :class:`~repro.monitoring.remora.RemoraReport` whose rows line up
     with the simulated plane's Tables II–IV (``RemoraReport.table_row``
-    renders either source).
+    renders either source). Meters of controllers that run in another
+    process are filled in by that process's owner; :meth:`attach` /
+    :meth:`detach` bracket the process so their CPU and memory columns
+    come from its own ``/proc/<pid>``.
     """
 
     def __init__(self, interval_s: float = 0.05) -> None:
         self.sampler = ProcessSampler(interval_s=interval_s)
         self.meters: Dict[str, ComponentUsageMeter] = {}
+        self._hosted: Dict[int, _Hosted] = {}
+        self._open = False
+        # Per group of hosted meter names: CPU seconds its processes
+        # spent inside the window, and their last resident set.
+        self._hosted_cpu_s: Dict[Tuple[str, ...], float] = {}
+        self._hosted_rss: Dict[Tuple[str, ...], int] = {}
 
     def meter(self, name: str) -> ComponentUsageMeter:
         """The (singleton) meter for a named controller."""
@@ -266,11 +318,39 @@ class LiveUsageSession:
             self.meters[name] = ComponentUsageMeter(name)
         return self.meters[name]
 
+    def attach(self, pid: int, names: Sequence[str]) -> None:
+        """Charge process ``pid`` (a child hosting the controllers
+        ``names``) to those controllers' rows from now on."""
+        for name in names:
+            self.meter(name)
+        hosted = self._hosted[pid] = _Hosted(tuple(names))
+        if self._open:
+            hosted.first_cpu_s = hosted.read(pid)
+
+    def detach(self, pid: int) -> None:
+        """Take ``pid``'s last reading (call before it is reaped)."""
+        hosted = self._hosted.pop(pid, None)
+        if hosted is not None and self._open:
+            self._fold(hosted, hosted.read(pid))
+
+    def _fold(self, hosted: _Hosted, cpu_s: float) -> None:
+        key = hosted.names
+        spent = cpu_s - hosted.first_cpu_s
+        self._hosted_cpu_s[key] = self._hosted_cpu_s.get(key, 0.0) + spent
+        self._hosted_rss[key] = hosted.rss_bytes
+
     def start(self) -> None:
         self.sampler.start()
+        self._open = True
+        for pid, hosted in self._hosted.items():
+            hosted.first_cpu_s = hosted.read(pid)
 
     async def stop(self) -> None:
         await self.sampler.stop()
+        for pid, hosted in self._hosted.items():
+            self._fold(hosted, hosted.read(pid))
+        self._hosted.clear()
+        self._open = False
 
     def report(self) -> RemoraReport:
         """Per-controller usage rows over the sampled window."""
@@ -282,4 +362,16 @@ class LiveUsageSession:
             name: meter.usage(elapsed, rss)
             for name, meter in self.meters.items()
         }
+        # One reading per hosting process, split across the controllers
+        # it hosts by their metered CPU (evenly if none was metered).
+        for names, cpu_s in self._hosted_cpu_s.items():
+            weights = [self.meters[name].cpu_seconds for name in names]
+            total = sum(weights)
+            for name, weight in zip(names, weights):
+                share = weight / total if total > 0 else 1.0 / len(names)
+                per_host[name] = replace(
+                    per_host[name],
+                    cpu_percent=100.0 * cpu_s * share / elapsed,
+                    memory_gb=self._hosted_rss[names] / _GB,
+                )
         return RemoraReport(per_host)

@@ -409,3 +409,11 @@ class TestMechanismCounts:
         assert small_json == large_json > 0
         assert large_per_stage <= 170.0
         assert small_per_stage <= 170.0 + small_json / 16
+
+    def test_stage_legs_are_counted_across_the_tier_boundary(self):
+        """The aggregators run in the plane's tier process, and their
+        stage legs are read from there: every wire, trunk and stage legs
+        alike, comes to the bytes per stage-cycle the one-process plane
+        counted — not the trunk's share alone."""
+        per_stage, _ = _wire_counts(128, 2)
+        assert per_stage == 164.46875
