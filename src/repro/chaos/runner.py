@@ -22,9 +22,9 @@ live plane uses the schedule's ``duration_s`` directly.
 
 :func:`run_chaos_shard` extends the menagerie to the multi-process plane
 (:mod:`repro.shard`): aggregator faults become real ``SIGKILL``s of
-shard worker processes, with the pinned partition re-spawned a fixed
-number of cycles later, and the invariants are checked through the
-workers' control-pipe probes instead of in-process stage objects.
+forked shard processes, with the pinned partition re-spawned a fixed
+number of cycles later, and the invariants are checked through each
+shard's ``probe`` call instead of in-process stage objects.
 """
 
 from __future__ import annotations
@@ -1004,11 +1004,11 @@ def run_chaos_shard(
     become real ``SIGKILL``s of the worker process (a stall with no
     process to pause is a kill), and the shard is re-spawned with the
     same pinned partition ``SHARD_RESPAWN_CYCLES`` cycles later. Stage
-    faults are skipped — stages live inside the worker, so the worker
+    faults are skipped — stages live inside the shard process, so its
     kill already takes its whole partition down at once. Invariants are
-    probed over the control pipes: enforced limits stay within capacity
-    (orphan reservation) and applied epochs never regress across the
-    kill/re-spawn (epoch fencing).
+    probed over each shard's control channel: enforced limits stay
+    within capacity (orphan reservation) and applied epochs never
+    regress across the kill/re-spawn (epoch fencing).
     """
     if schedule is None:
         schedule = generate_schedule(

@@ -224,7 +224,7 @@ def _cmd_shard(args) -> int:
         text += "\n\n" + format_table(
             ["shard", "stages", "cycles", "cpu s", "tx B", "rx B", "rss MiB"],
             shard_rows,
-            title="Per-shard worker usage (harvested over control pipes)",
+            title="Per-shard worker usage (last words over each tier's channel)",
         )
     _emit(payload, text, args.json)
     return 0

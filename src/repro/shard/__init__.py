@@ -6,11 +6,10 @@ breaks the plane across processes in both worlds:
 
 * :mod:`repro.shard.plane` — the live plane: the global controller stays
   in the parent process while each aggregator subtree (leader + pinned
-  stages) runs in its own spawned worker, talking upstream over the
-  ordinary wire protocol on a per-shard port.
-* :mod:`repro.shard.worker` — the spawn target and its picklable config.
+  stages) runs in its own forked :class:`~repro.live.tier.AggregatorTier`,
+  talking upstream over the ordinary wire protocol on a per-shard port.
 * :mod:`repro.shard.hashing` — deterministic consistent-hash ring that
-  pins stages to shards identically in every process.
+  pins stages to shards by a digest, not by the per-process ``hash()``.
 * :mod:`repro.shard.sim` — partition-parallel DES: one worker process
   per aggregator-subtree group with conservative time-sync at the
   collect/compute/enforce barrier; ``workers=1`` runs today's engine
@@ -20,16 +19,13 @@ breaks the plane across processes in both worlds:
 from repro.shard.hashing import ShardRing, pin_stages
 from repro.shard.plane import ShardRunResult, ShardedControlPlane, run_live_sharded
 from repro.shard.sim import PartitionedSimResult, run_partitioned_hier
-from repro.shard.worker import ShardWorkerConfig, run_shard_worker
 
 __all__ = [
     "PartitionedSimResult",
     "ShardRing",
     "ShardRunResult",
-    "ShardWorkerConfig",
     "ShardedControlPlane",
     "pin_stages",
     "run_live_sharded",
     "run_partitioned_hier",
-    "run_shard_worker",
 ]

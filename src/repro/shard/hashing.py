@@ -1,12 +1,14 @@
 """Deterministic consistent hashing for stage→shard pinning.
 
-Stage ids are pinned to shard workers by position on a consistent-hash
-ring with virtual nodes. Two properties matter here:
+Stage ids are pinned to shards by position on a consistent-hash ring
+with virtual nodes. Two properties matter here:
 
 * **Determinism across processes.** The digest is :func:`zlib.crc32`
   over UTF-8 bytes, never Python's built-in ``hash`` — per-process
-  ``PYTHONHASHSEED`` randomisation would make the parent and its
-  spawned workers disagree about which shard owns a stage.
+  ``PYTHONHASHSEED`` randomisation would give every run (and any
+  process that re-derives the ring) its own partition. The live shard
+  plane computes it once in the parent, and each forked shard inherits
+  its slice in memory.
 * **Stability under resizing.** With ``vnodes`` virtual points per
   shard, growing the worker pool from N to N+1 moves only ~1/(N+1) of
   the stages, so a re-sharded deployment re-homes a bounded slice of

@@ -3,13 +3,14 @@
 :class:`ShardedControlPlane` breaks the live control plane out of the
 single-asyncio-loop wall: the global controller stays in the parent
 process, while each aggregator subtree — a shard leader plus the stages
-the consistent-hash ring pins to it — runs in its own spawned worker
-process (:mod:`repro.shard.worker`). The trunk between parent and each
-shard leader is the ordinary wire protocol over a per-shard-port TCP
-listener, so everything built for the live hierarchy (epoch fencing,
-orphan reservation, topology/rehome, degraded-cycle accounting) applies
-unchanged; the only new machinery is process lifecycle and a control
-pipe per worker for probes and usage rows.
+the consistent-hash ring pins to it — runs in its own forked
+:class:`~repro.live.tier.AggregatorTier`, the same child process host
+the live hierarchy uses, with the subtree's stages on its stage list.
+The trunk between parent and each shard leader is the ordinary wire
+protocol over a per-shard-port TCP listener, so everything built for the
+live hierarchy (epoch fencing, orphan reservation, topology/rehome,
+degraded-cycle accounting) applies unchanged; probes and usage rows
+cross the tier's control channel.
 
 Per-shard-port listeners were chosen over an ``SO_REUSEPORT`` shared
 port: the global controller addresses one *specific* leader per trunk,
@@ -23,8 +24,8 @@ DESIGN.md ("Sharded control plane") for the trade-off discussion.
 from __future__ import annotations
 
 import asyncio
-import multiprocessing
 import os
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -32,12 +33,10 @@ from repro.core.control_plane import default_policy
 from repro.core.cycle import ControlCycle, CycleStats
 from repro.core.policies import QoSPolicy
 from repro.live.controller_server import LiveHierGlobalController
+from repro.live.tier import AggregatorTier
 from repro.shard.hashing import pin_stages
-from repro.shard.worker import ShardWorkerConfig, run_shard_worker
 
 __all__ = ["ShardRunResult", "ShardedControlPlane", "run_live_sharded"]
-
-_READY_TIMEOUT_S = 30.0
 
 
 @dataclass
@@ -47,9 +46,10 @@ class ShardRunResult:
     n_stages: int
     n_workers: int
     cycles: List[ControlCycle]
-    #: One usage dict per worker (see ``worker._stats_row``): cycles
-    #: served, rules applied, NIC bytes, CPU seconds, RSS — the
-    #: per-process counterpart of the REMORA tables.
+    #: One usage dict per shard process (see
+    #: ``ShardedControlPlane._keep_row``): cycles served, rules applied,
+    #: NIC bytes, CPU seconds, RSS — the per-process counterpart of the
+    #: REMORA tables.
     shard_rows: List[dict] = field(default_factory=list)
     evictions: int = 0
     #: ``os.cpu_count()`` of the host the run executed on — scaling
@@ -71,13 +71,13 @@ class ShardRunResult:
 
 
 class ShardedControlPlane:
-    """Global controller in-process, one worker process per shard.
+    """Global controller in-process, one forked tier per shard.
 
-    Lifecycle: :meth:`start` (spawn + wait for registration),
+    Lifecycle: :meth:`start` (fork + wait for registration),
     :meth:`run_cycles`, :meth:`shutdown`. :meth:`kill_shard` /
     :meth:`respawn_shard` are the chaos-harness fault hooks, and
-    :meth:`probe` asks every live worker for its stages' applied
-    epoch/limit over the control pipes (invariant checks).
+    :meth:`probe` asks every live tier for its stages' applied
+    epoch/limit (invariant checks).
     """
 
     def __init__(
@@ -88,92 +88,54 @@ class ShardedControlPlane:
         collect_timeout_s: Optional[float] = None,
         enforce_timeout_s: Optional[float] = None,
         dead_after_missed: Optional[int] = None,
-        vnodes: int = 64,
-        initial_epoch: int = 0,
     ) -> None:
         if n_stages < 1:
             raise ValueError(f"n_stages must be >= 1: {n_stages}")
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1: {n_workers}")
-        if initial_epoch < 0:
-            raise ValueError(f"initial_epoch must be >= 0: {initial_epoch}")
         self.n_stages = n_stages
         self.n_workers = n_workers
         self.policy = policy or default_policy(n_stages)
         self.collect_timeout_s = collect_timeout_s
         self.enforce_timeout_s = enforce_timeout_s
         self.dead_after_missed = dead_after_missed
-        #: Epoch resume floor for planes restored from a durable store:
-        #: workers re-register against a controller already above the
-        #: last durable epoch, so replayed rules stay fenced out.
-        self.initial_epoch = initial_epoch
         stage_ids = [f"stage-{i:05d}" for i in range(n_stages)]
-        self.partitions = pin_stages(stage_ids, n_workers, vnodes=vnodes)
+        self.partitions = pin_stages(stage_ids, n_workers)
         self.controller: Optional[LiveHierGlobalController] = None
-        self._ctx = multiprocessing.get_context("spawn")
-        self._procs: Dict[int, multiprocessing.process.BaseProcess] = {}
-        self._pipes: Dict[int, object] = {}
+        #: The running tier of each shard, and when it was forked.
+        self._tiers: Dict[int, AggregatorTier] = {}
+        self._started: Dict[int, float] = {}
+        #: One usage row per retired shard process.
         self.shard_rows: List[dict] = []
 
     # -- lifecycle -----------------------------------------------------------
-    def _config_for(self, shard: int) -> ShardWorkerConfig:
-        owned = tuple(self.partitions[shard])
-        return ShardWorkerConfig(
-            shard_id=shard,
-            aggregator_id=f"shard-{shard:02d}",
-            global_host=self.controller.host,
-            global_port=self.controller.port,
-            stage_ids=owned,
-            job_ids=tuple(s.replace("stage", "job") for s in owned),
-            collect_timeout_s=self.collect_timeout_s,
-            enforce_timeout_s=self.enforce_timeout_s,
+    async def _fork(self, shard: int) -> None:
+        owned = self.partitions[shard]
+        tier = AggregatorTier()
+        self._started[shard] = time.perf_counter()
+        await tier.start(
+            [(f"shard-{shard:02d}", len(owned), 0)],
+            self.controller.host,
+            self.controller.port,
+            self.collect_timeout_s,
+            self.enforce_timeout_s,
+            None,
+            stages=[(s, s.replace("stage", "job"), 0) for s in owned],
         )
-
-    async def _spawn(self, shard: int) -> None:
-        parent_conn, child_conn = self._ctx.Pipe()
-        proc = self._ctx.Process(
-            target=run_shard_worker,
-            args=(self._config_for(shard), child_conn),
-            name=f"shard-{shard:02d}",
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()
-        self._procs[shard] = proc
-        self._pipes[shard] = parent_conn
-        reply = await self._recv(shard, timeout_s=_READY_TIMEOUT_S)
-        if reply is None or reply[0] != "ready":
-            raise RuntimeError(f"shard {shard} failed to start: {reply!r}")
-
-    async def _recv(self, shard: int, timeout_s: float):
-        """Await one pipe message from a worker without blocking the loop."""
-        conn = self._pipes.get(shard)
-        if conn is None:
-            return None
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + timeout_s
-        while loop.time() < deadline:
-            if conn.poll():
-                try:
-                    return conn.recv()
-                except (EOFError, OSError):
-                    return None
-            await asyncio.sleep(0.01)
-        return None
+        self._tiers[shard] = tier
 
     async def start(self) -> None:
-        """Start the global controller, spawn every shard, await the tree."""
+        """Start the global controller, fork every shard, await the tree."""
         self.controller = LiveHierGlobalController(
             self.policy,
             expected_aggregators=self.n_workers,
             collect_timeout_s=self.collect_timeout_s,
             enforce_timeout_s=self.enforce_timeout_s,
             dead_after_missed=self.dead_after_missed,
-            initial_epoch=self.initial_epoch,
         )
         await self.controller.start()
         for shard in range(self.n_workers):
-            await self._spawn(shard)
+            await self._fork(shard)
         await self.controller.wait_for_aggregators()
 
     async def run_cycles(self, n_cycles: int) -> List[ControlCycle]:
@@ -183,49 +145,54 @@ class ShardedControlPlane:
         return await self.controller.run_cycles(n_cycles)
 
     async def shutdown(self) -> None:
-        """Tear the tree down and harvest every worker's usage row."""
+        """Tear the tree down and keep every shard's usage row."""
         if self.controller is not None:
             await self.controller.shutdown()
-        for shard in list(self._procs):
-            await self._reap(shard, timeout_s=5.0)
+        for shard in list(self._tiers):
+            tier = self._tiers.pop(shard)
+            await tier.stop()
+            self._keep_row(shard, tier)
 
-    async def _reap(self, shard: int, timeout_s: float) -> None:
-        """Collect the final stats row, then join (or kill) the process."""
-        conn = self._pipes.get(shard)
-        if conn is not None:
-            try:
-                conn.send(("stop",))
-            except (BrokenPipeError, OSError):
-                pass
-            reply = await self._recv(shard, timeout_s=timeout_s)
-            while reply is not None and reply[0] != "stats":
-                reply = await self._recv(shard, timeout_s=timeout_s)
-            if reply is not None:
-                self.shard_rows.append(reply[1])
-            del self._pipes[shard]
-            conn.close()
-        proc = self._procs.pop(shard, None)
-        if proc is not None:
-            proc.join(timeout=timeout_s)
-            if proc.is_alive():
-                proc.kill()
-                proc.join(timeout=timeout_s)
+    def _keep_row(self, shard: int, tier: AggregatorTier) -> None:
+        """Book a retired tier's usage row — the per-process REMORA
+        Tables II–IV entry — if it had last words."""
+        words = tier.last_words
+        if words is None:
+            return
+        agg_id = f"shard-{shard:02d}"
+        leader = words["stats"][0]
+        stages = words["stages"].values()
+        tx_bytes, rx_bytes, _ = words["obs"]["meters"][agg_id]
+        self.shard_rows.append(
+            {
+                "shard_id": shard,
+                "aggregator_id": agg_id,
+                "n_stages": len(self.partitions[shard]),
+                "cycles_served": leader["cycles_served"],
+                "evictions": leader["evictions"],
+                "adoptions": leader["adoptions"],
+                "rules_applied": sum(s["rules_applied"] for s in stages),
+                "rules_stale": sum(s["rules_stale"] for s in stages),
+                "cpu_seconds": words["cpu_s"],
+                "tx_bytes": tx_bytes,
+                "rx_bytes": rx_bytes,
+                "elapsed_s": time.perf_counter() - self._started[shard],
+                "rss_bytes": words["rss_bytes"],
+            }
+        )
 
     # -- chaos hooks ---------------------------------------------------------
     def kill_shard(self, shard: int) -> None:
-        """SIGKILL a worker mid-cycle: its subtree vanishes at once.
+        """SIGKILL a shard mid-cycle: its subtree vanishes at once.
 
         The controller sees trunk EOF, evicts the leader, and reserves
         the orphaned stages' shares — exactly the aggregator-failover
         path, now with a real process death behind it.
         """
-        proc = self._procs.pop(shard, None)
-        conn = self._pipes.pop(shard, None)
-        if proc is not None and proc.is_alive():
-            proc.kill()
-            proc.join(timeout=5.0)
-        if conn is not None:
-            conn.close()
+        tier = self._tiers.pop(shard, None)
+        if tier is not None:
+            tier.kill()
+            self._keep_row(shard, tier)
 
     async def respawn_shard(self, shard: int, timeout_s: float = 10.0) -> None:
         """Bring a killed shard back with the same pinned partition.
@@ -241,43 +208,12 @@ class ShardedControlPlane:
             if loop.time() > deadline:
                 raise TimeoutError(f"{agg_id} still registered; cannot respawn")
             await asyncio.sleep(0.02)
-        await self._spawn(shard)
+        await self._fork(shard)
 
-    async def probe(self, timeout_s: float = 5.0) -> Dict[int, dict]:
-        """Per-stage applied epoch/limit from every live worker."""
-        out: Dict[int, dict] = {}
-        for shard in list(self._pipes):
-            conn = self._pipes[shard]
-            try:
-                conn.send(("probe",))
-            except (BrokenPipeError, OSError):
-                continue
-            reply = await self._recv(shard, timeout_s=timeout_s)
-            if reply is not None and reply[0] == "probe_reply":
-                out[shard] = reply[1]
-        return out
-
-
-async def _run_sharded(
-    n_stages: int,
-    n_workers: int,
-    n_cycles: int,
-    **kwargs,
-) -> ShardRunResult:
-    plane = ShardedControlPlane(n_stages, n_workers, **kwargs)
-    await plane.start()
-    try:
-        cycles = await plane.run_cycles(n_cycles)
-    finally:
-        await plane.shutdown()
-    return ShardRunResult(
-        n_stages=n_stages,
-        n_workers=n_workers,
-        cycles=list(cycles),
-        shard_rows=list(plane.shard_rows),
-        evictions=plane.controller.evictions,
-        cpu_count=os.cpu_count() or 1,
-    )
+    async def probe(self) -> Dict[int, dict]:
+        """Per-stage applied epoch/limit from every live shard."""
+        replies = {shard: tier.call("probe") for shard, tier in self._tiers.items()}
+        return {shard: r["stages"] for shard, r in replies.items() if r is not None}
 
 
 def run_live_sharded(
@@ -293,13 +229,27 @@ def run_live_sharded(
         raise ValueError("n_stages and n_cycles must be >= 1")
     if not 1 <= n_workers <= n_stages:
         raise ValueError("n_workers must be in [1, n_stages]")
-    return asyncio.run(
-        _run_sharded(
-            n_stages,
-            n_workers,
-            n_cycles,
-            policy=policy,
-            collect_timeout_s=collect_timeout_s,
-            enforce_timeout_s=enforce_timeout_s,
-        )
+    plane = ShardedControlPlane(
+        n_stages,
+        n_workers,
+        policy=policy,
+        collect_timeout_s=collect_timeout_s,
+        enforce_timeout_s=enforce_timeout_s,
+    )
+
+    async def run() -> List[ControlCycle]:
+        await plane.start()
+        try:
+            return await plane.run_cycles(n_cycles)
+        finally:
+            await plane.shutdown()
+
+    cycles = asyncio.run(run())
+    return ShardRunResult(
+        n_stages=n_stages,
+        n_workers=n_workers,
+        cycles=list(cycles),
+        shard_rows=list(plane.shard_rows),
+        evictions=plane.controller.evictions,
+        cpu_count=os.cpu_count() or 1,
     )

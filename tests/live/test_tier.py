@@ -1,10 +1,14 @@
 """The aggregator tier's process boundary (:mod:`repro.live.tier`).
 
-A ``LiveHierPlane`` forks one child for its aggregators. What the fork
-must not do: leave a process or a descriptor behind, keep a socket the
-parent closed alive, outlive the parent, or take a Ctrl-C meant for the
-parent's shutdown. What it must keep: the counters and fault hooks the
-plane's callers read and pull through ``plane.aggregators``.
+A ``LiveHierPlane`` forks one child for its aggregators; a
+``ShardedControlPlane`` forks one per shard, each hosting the shard's
+aggregator and its stages. What a fork must not do: leave a process or
+a descriptor behind, keep a socket the parent closed alive, outlive the
+parent, or take a Ctrl-C meant for the parent's shutdown. The process
+boundary cases run against both planes, each driven through a small
+adapter. What the hierarchy's tier must also keep: the counters and
+fault hooks the plane's callers read and pull through
+``plane.aggregators``.
 """
 
 import asyncio
@@ -21,9 +25,11 @@ from pathlib import Path
 import repro
 from repro.live.faults import kill_aggregator, kill_stage
 from repro.live.harness import LiveHierPlane
+from repro.shard import ShardedControlPlane
 
 _BACKOFF = dict(backoff_base_s=0.02, backoff_factor=1.5, backoff_max_s=0.1)
 _SRC = str(Path(repro.__file__).resolve().parents[1])
+_ROOT = str(Path(_SRC).parent)
 
 
 def _children():
@@ -56,8 +62,9 @@ def _fds():
 
 
 def _in_subprocess(body, **popen):
-    """Run ``body`` (a script) in a fresh interpreter with ``repro``."""
-    env = dict(os.environ, PYTHONPATH=_SRC)
+    """Run ``body`` (a script) in a fresh interpreter with ``repro`` and
+    this module importable."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([_SRC, _ROOT]))
     return subprocess.Popen(
         [sys.executable, "-c", textwrap.dedent(body)],
         stdout=subprocess.PIPE,
@@ -68,7 +75,89 @@ def _in_subprocess(body, **popen):
     )
 
 
-class TestNothingLeftBehind:
+class HierPlane:
+    """``LiveHierPlane`` as the process-boundary cases drive it: one tier
+    for every aggregator, the stages in this process."""
+
+    def __init__(self, n_stages, n_aggregators, **kwargs):
+        self.plane = LiveHierPlane(n_stages, n_aggregators, **kwargs)
+
+    async def start(self):
+        await self.plane.start()
+        await self.ready()
+
+    async def ready(self):
+        await self.plane.wait_for_stages()
+
+    def tiers(self):
+        tier = self.plane._tier
+        return [tier] if tier is not None else []
+
+    async def run_cycles(self, n):
+        return await self.plane.run_cycles(n)
+
+    async def kill(self):
+        """``kill -9`` on the plane; returns the tiers it killed."""
+        tier = self.plane._tier
+        await self.plane.kill_plane()
+        return [tier]
+
+    async def restart(self):
+        await self.plane.plane_restart()
+
+    async def stop(self):
+        await self.plane.stop()
+
+
+class ShardPlane:
+    """``ShardedControlPlane`` likewise: one tier per shard, each with
+    the shard's stages; kills and restarts take the shards in turn."""
+
+    def __init__(self, n_stages, n_shards, stage_backoff=None):
+        # ``stage_backoff`` is the hierarchy's: these stages run in the
+        # tiers with the stage defaults.
+        self.plane = ShardedControlPlane(n_stages, n_shards)
+        self._turn = 0
+
+    async def start(self):
+        await self.plane.start()
+
+    async def ready(self):
+        while len(self.plane.controller.sessions) < self.plane.n_workers:
+            await asyncio.sleep(0.01)
+
+    def tiers(self):
+        return list(self.plane._tiers.values())
+
+    async def run_cycles(self, n):
+        return await self.plane.run_cycles(n)
+
+    def _next_shard(self):
+        shard = self._turn % self.plane.n_workers
+        self._turn += 1
+        return shard
+
+    async def kill(self):
+        shard = self._next_shard()
+        tier = self.plane._tiers[shard]
+        self.plane.kill_shard(shard)
+        return [tier]
+
+    async def restart(self):
+        shard = self._next_shard()
+        self.plane.kill_shard(shard)
+        await self.plane.run_cycles(1)  # the cycle that evicts its leader
+        await self.plane.respawn_shard(shard)
+
+    async def stop(self):
+        await self.plane.shutdown()
+
+
+class _NothingLeftBehind:
+    """``plane`` is the adapter class the cases build their plane with."""
+
+    plane = HierPlane
+
     def _check(self, scenario):
         children, fds = _children(), _fds()
         loop = asyncio.new_event_loop()
@@ -83,55 +172,70 @@ class TestNothingLeftBehind:
 
     def test_stop(self):
         async def scenario():
-            plane = LiveHierPlane(40, 4)
+            plane = self.plane(40, 4)
             await plane.start()
-            await plane.wait_for_stages()
             await plane.run_cycles(2)
-            tier = plane._tier.pid
+            pids = [tier.pid for tier in plane.tiers()]
             await plane.stop()
-            return tier
+            return pids
 
-        tier = self._check(scenario)
-        assert not _running(tier)
+        pids = self._check(scenario)
+        assert not any(_running(pid) for pid in pids)
 
     def test_kill_plane(self):
         async def scenario():
-            plane = LiveHierPlane(40, 4, stage_backoff=_BACKOFF)
+            plane = self.plane(40, 4, stage_backoff=_BACKOFF)
             await plane.start()
-            await plane.wait_for_stages()
             await plane.run_cycles(1)
-            tier = plane._tier
-            pid = tier.pid
-            await plane.kill_plane()
-            gone = not _running(pid) and tier.returncode == -signal.SIGKILL
+            pids = {tier: tier.pid for tier in plane.tiers()}
+            killed = await plane.kill()
+            gone = all(
+                not _running(pids[tier]) and tier.returncode == -signal.SIGKILL
+                for tier in killed
+            )
             await plane.stop()
             return gone
 
         assert self._check(scenario)
 
-    def test_fifty_restarts(self):
+    def _restarts(self, rounds):
         async def scenario():
-            plane = LiveHierPlane(40, 4, stage_backoff=_BACKOFF)
+            plane = self.plane(40, 4, stage_backoff=_BACKOFF)
             await plane.start()
-            await plane.wait_for_stages()
             most = 0
             try:
-                for _ in range(50):
-                    await plane.plane_restart()
+                for _ in range(rounds):
+                    await plane.restart()
                     most = max(most, len(_children()))
-                await plane.wait_for_stages()
-                await plane.run_cycles(1)
-                missing = plane.controller.cycles[-1].n_missing
+                await plane.ready()
+                cycle = (await plane.run_cycles(1))[-1]
+                tiers = len(plane.tiers())
             finally:
                 await plane.stop()
-            return most, missing
+            return most, tiers, cycle.n_missing
 
-        most, missing = self._check(scenario)
-        assert most == len(_children()) + 1  # one tier at a time
+        most, tiers, missing = self._check(scenario)
+        assert most == len(_children()) + tiers  # no tier outlives its restart
         assert missing == 0
 
 
+class TestNothingLeftBehind(_NothingLeftBehind):
+    def test_fifty_restarts(self):
+        self._restarts(50)
+
+
+class TestShardNothingLeftBehind(_NothingLeftBehind):
+    plane = ShardPlane
+
+    def test_twenty_kill_respawn_rounds(self):
+        self._restarts(20)
+
+
 class TestForkHygiene:
+    """``plane`` is the adapter class the cases build their plane with."""
+
+    plane = HierPlane
+
     def test_sockets_the_parent_closes_are_closed(self):
         """After the fork, a listener the parent closes frees its port
         and a connection it closes reaches its peer as EOF — while the
@@ -144,11 +248,10 @@ class TestForkHygiene:
             client = socket.create_connection(acceptor.getsockname())
             server, _ = acceptor.accept()
             acceptor.close()
-            plane = LiveHierPlane(4, 2)
+            plane = self.plane(4, 2)
             await plane.start()
             try:
-                await plane.wait_for_stages()
-                tier = plane._tier.pid
+                pids = [tier.pid for tier in plane.tiers()]
                 listener.close()
                 rebound = socket.socket()
                 rebound.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -159,7 +262,7 @@ class TestForkHygiene:
                 client.settimeout(2.0)
                 eof = client.recv(1) == b""
                 client.close()
-                return eof, _running(tier)
+                return eof, all(_running(pid) for pid in pids)
             finally:
                 await plane.stop()
 
@@ -169,30 +272,29 @@ class TestForkHygiene:
         """``kill -9`` on the parent closes its end of the control
         channel; the tier exits on that EOF instead of serving nobody."""
         proc = _in_subprocess(
-            """
+            f"""
             import asyncio
-            from repro.live.harness import LiveHierPlane
+            from tests.live.test_tier import {self.plane.__name__} as Plane
 
             async def main():
-                plane = LiveHierPlane(8, 2)
+                plane = Plane(8, 2)
                 await plane.start()
-                await plane.wait_for_stages()
                 await plane.run_cycles(1)
-                print(plane._tier.pid, flush=True)
+                print(*(tier.pid for tier in plane.tiers()), flush=True)
                 await asyncio.sleep(60)
 
             asyncio.run(main())
             """
         )
         try:
-            tier = int(proc.stdout.readline())
-            assert _running(tier)
+            pids = [int(pid) for pid in proc.stdout.readline().split()]
+            assert pids and all(_running(pid) for pid in pids)
             proc.kill()
             proc.wait()
             deadline = time.monotonic() + 2.0
-            while _running(tier) and time.monotonic() < deadline:
+            while any(_running(pid) for pid in pids) and time.monotonic() < deadline:
                 time.sleep(0.02)
-            assert not _running(tier)
+            assert not any(_running(pid) for pid in pids)
         finally:
             proc.kill()
             proc.communicate()
@@ -203,16 +305,17 @@ class TestForkHygiene:
         death does) ends the tier within 2 s."""
 
         async def scenario():
-            plane = LiveHierPlane(8, 2)
+            plane = self.plane(8, 2)
             await plane.start()
             try:
-                await plane.wait_for_stages()
-                pid = plane._tier.pid
-                plane._tier._close()  # let go of the parent's end
+                pids = []
+                for tier in plane.tiers():
+                    pids.append(tier.pid)
+                    tier._close()  # let go of the parent's end
                 deadline = time.monotonic() + 2.0
-                while _running(pid) and time.monotonic() < deadline:
+                while any(_running(pid) for pid in pids) and time.monotonic() < deadline:
                     await asyncio.sleep(0.02)
-                return _running(pid)
+                return any(_running(pid) for pid in pids)
             finally:
                 await plane.stop()
 
@@ -223,32 +326,31 @@ class TestForkHygiene:
         it: the parent still runs a cycle through it, then stops it, and
         it exits cleanly on the shutdown frames."""
         proc = _in_subprocess(
-            """
+            f"""
             import asyncio, json, signal
-            from repro.live.harness import LiveHierPlane
+            from tests.live.test_tier import {self.plane.__name__} as Plane
 
             async def main():
-                plane = LiveHierPlane(8, 2)
+                plane = Plane(8, 2)
                 await plane.start()
-                await plane.wait_for_stages()
                 stop = asyncio.Event()
                 asyncio.get_running_loop().add_signal_handler(signal.SIGINT, stop.set)
-                tier = plane._tier
-                print(tier.pid, flush=True)
+                tiers = plane.tiers()
+                print(*(tier.pid for tier in tiers), flush=True)
                 while not stop.is_set():
                     await plane.run_cycles(1)
                     await asyncio.sleep(0.01)
                 after = (await plane.run_cycles(1))[-1]
                 await plane.stop()
-                print(json.dumps({"returncode": tier.returncode,
-                                  "missing": after.n_missing}), flush=True)
+                print(json.dumps({{"returncodes": [t.returncode for t in tiers],
+                                  "missing": after.n_missing}}), flush=True)
 
             asyncio.run(main())
             """,
             start_new_session=True,
         )
         try:
-            int(proc.stdout.readline())
+            tiers = len(proc.stdout.readline().split())
             time.sleep(0.2)
             os.killpg(proc.pid, signal.SIGINT)
             out, err = proc.communicate(timeout=30)
@@ -256,7 +358,14 @@ class TestForkHygiene:
             proc.kill()
         assert proc.returncode == 0, err
         assert "Traceback" not in err, err
-        assert json.loads(out.splitlines()[-1]) == {"returncode": 0, "missing": 0}
+        assert json.loads(out.splitlines()[-1]) == {
+            "returncodes": [0] * tiers,
+            "missing": 0,
+        }
+
+
+class TestShardForkHygiene(TestForkHygiene):
+    plane = ShardPlane
 
 
 class TestCountersAcrossTheBoundary:
