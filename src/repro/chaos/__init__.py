@@ -3,9 +3,12 @@
 The dependability counterpart of the scaling benchmarks (paper §VI): a
 control plane that only survives the happy path has not been tested at
 all. This package draws a reproducible fault schedule from a seed
-(:mod:`repro.chaos.schedule`), runs it against either the simulated or
-the live plane (:mod:`repro.chaos.runner`), and asserts the tentpole
-invariants after every control cycle (:mod:`repro.chaos.invariants`):
+(:mod:`repro.chaos.schedule`), runs it against the simulated plane or
+the live planes the package ships (:mod:`repro.chaos.runner`: one
+per-cycle driver over ``LiveHierPlane``, ``ControlService`` and
+``ShardedControlPlane``, so aggregator faults cross their forked
+tiers), and asserts the tentpole invariants after every control cycle
+(:mod:`repro.chaos.invariants`):
 enforced allocations never exceed capacity, applied epochs never move
 backwards, orphaned stages re-home within the configured bound, and a
 standby takeover stays inside the heartbeat-budget gap.

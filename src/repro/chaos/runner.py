@@ -1,46 +1,48 @@
 """Chaos runners: execute a seeded fault schedule against a real plane.
 
-Two entry points, one per plane:
+* :func:`run_chaos_sim` steps a simulated plane (:mod:`repro.core.control_plane`)
+  cycle by cycle: aggregator stop/start, stage black-holes, a primary kill
+  against the :class:`~repro.core.failover.HotStandby`.
+* :func:`run_chaos_live` with ``design="hier"`` runs the shipped
+  :class:`~repro.live.harness.LiveHierPlane`, aggregators in its forked tier;
+  ``design="flat"`` builds a primary and a standby under
+  :class:`~repro.live.failover.LiveHotStandby`, a pair nothing else composes.
+* :func:`run_chaos_restart` kills the whole ``LiveHierPlane`` and restarts it
+  from a durable store; :func:`run_chaos_overload` turns tenants adversarial
+  and floods a :class:`~repro.service.server.ControlService`;
+  :func:`run_chaos_shard` SIGKILLs (and re-spawns) or pauses the shards of a
+  :class:`~repro.shard.plane.ShardedControlPlane`.
 
-* :func:`run_chaos_sim` — steps a simulated control plane
-  (:mod:`repro.core.control_plane`) cycle by cycle, injecting the
-  schedule's faults in cycle coordinates (aggregator stop/start, stage
-  black-holes, primary kill against the :class:`~repro.core.failover.HotStandby`).
-* :func:`run_chaos_live` — stands up a real asyncio TCP cluster
-  (:mod:`repro.live`), paces cycles on the wall clock, and injects the
-  live fault menagerie (:mod:`repro.live.faults`), including
-  ``kill_primary`` against :class:`~repro.live.failover.LiveHotStandby`.
-
-Both check the tentpole invariants after every cycle via
-:class:`~repro.chaos.invariants.InvariantChecker` and return a
-:class:`~repro.chaos.invariants.ChaosReport` — they never raise on a
-violation, so CI can upload the full report before failing the step.
-
-Fault durations are translated per plane: the simulator has no wall
-clock, so stalls/kills last a fixed number of *cycles* there, while the
-live plane uses the schedule's ``duration_s`` directly.
-
-:func:`run_chaos_shard` extends the menagerie to the multi-process plane
-(:mod:`repro.shard`): aggregator faults become real ``SIGKILL``s of
-forked shard processes, with the pinned partition re-spawned a fixed
-number of cycles later, and the invariants are checked through each
-shard's ``probe`` call instead of in-process stage objects.
+Every live leg but flat runs through one per-cycle driver (:func:`_drive`):
+inject the cycle's actions, run one cycle, pause, read what every stage
+enforces (the plane's ``probe()``), check. Every live fault goes through one
+dispatch (:class:`_Faults`, over :mod:`repro.live.faults`): stage faults on
+in-process stages, aggregator faults through the planes'
+:class:`~repro.live.tier.AggregatorHandle`\\ s. No leg raises on a violation:
+each returns a :class:`~repro.chaos.invariants.ChaosReport`, so CI can upload
+it before failing the step. Sim faults last a fixed number of *cycles*, live
+ones the schedule's ``duration_s``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
-from dataclasses import asdict
-from typing import Dict, List, Optional
+from dataclasses import replace
+from typing import (
+    Awaitable, Callable, Coroutine, Dict, Iterable, List, Optional, Sequence, Tuple
+)
 
 from repro.chaos.invariants import ChaosReport, InvariantChecker, Violation
 from repro.chaos.schedule import (
     ChaosSchedule,
+    FaultAction,
     generate_overload_schedule,
     generate_restart_schedule,
     generate_schedule,
 )
+from repro.live.faults import kill_aggregator, kill_stage, stall_aggregator, stall_stage
+from repro.live.tier import _probe
 
 __all__ = [
     "run_chaos_sim",
@@ -51,22 +53,34 @@ __all__ = [
 ]
 
 #: Sim-plane fault durations, in cycles (the sim has no useful wall clock).
-SIM_AGG_KILL_CYCLES = 3
-SIM_AGG_STALL_CYCLES = 1
-SIM_STAGE_KILL_CYCLES = 2
-SIM_STAGE_STALL_CYCLES = 1
+SIM_FAULT_CYCLES = {
+    "kill_aggregator": 3, "stall_aggregator": 1, "kill_stage": 2, "stall_stage": 1,
+}
+
+#: What a stage enforces: ``(stage_id, limit, epoch)``, epoch -1 before a rule.
+Row = Tuple[str, Optional[float], int]
 
 
 def _new_report(schedule: ChaosSchedule, plane: str) -> ChaosReport:
-    return ChaosReport(
-        seed=schedule.seed,
-        plane=plane,
-        design=schedule.design,
-        n_cycles=schedule.n_cycles,
-        n_stages=schedule.n_stages,
-        n_aggregators=schedule.n_aggregators,
-        actions=[asdict(a) for a in schedule.actions],
-    )
+    return ChaosReport(plane=plane, **schedule.to_dict())
+
+
+def _verdict(report: ChaosReport, checker: InvariantChecker) -> None:
+    report.violations = checker.violations
+    report.checks = checker.checks
+
+
+def _check_applied(checker: InvariantChecker, cycle: int, rows: Iterable[Row]) -> None:
+    """Capacity and epoch checks over what the stages enforce; a stage
+    with no rule yet enforces nothing."""
+    applied = [(stage_id, limit, epoch) for stage_id, limit, epoch in rows if epoch >= 0]
+    checker.check_capacity(cycle, {stage_id: limit for stage_id, limit, _ in applied})
+    checker.check_epochs(cycle, {stage_id: epoch for stage_id, _, epoch in applied})
+
+
+def _probed_rows(probed: Dict[str, dict]) -> List[Row]:
+    """Rows from a probe (:func:`repro.live.tier._probe`'s shape)."""
+    return [(sid, r["applied_limit"], r["applied_epoch"]) for sid, r in probed.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -92,8 +106,7 @@ def run_chaos_sim(
     """
     if schedule is None:
         schedule = generate_schedule(
-            seed, design, n_cycles, n_stages,
-            n_aggregators if design == "hier" else 0,
+            seed, design, n_cycles, n_stages, n_aggregators if design == "hier" else 0
         )
     report = _new_report(schedule, "sim")
     if design == "hier":
@@ -103,46 +116,27 @@ def run_chaos_sim(
     return report
 
 
-def _sim_checks(checker: InvariantChecker, cycle: int, stages) -> None:
-    limits: Dict[str, float] = {}
-    epochs: Dict[str, int] = {}
-    for stage in stages:
-        rule = stage.applied_rule
-        if rule is not None:
-            limits[stage.stage_id] = stage.current_limit
-            epochs[stage.stage_id] = rule.epoch
-    checker.check_capacity(cycle, limits)
-    checker.check_epochs(cycle, epochs)
+def _sim_rows(stages) -> List[Row]:
+    return [(s.stage_id, s.current_limit, s.applied_epoch) for s in stages]
 
 
 def _blackhole_stage(stage):
     """Drop a sim stage's traffic; returns the undo callable."""
     original = stage.endpoint.handler
-
-    def black_hole(message, connection) -> None:
-        pass
-
-    stage.endpoint.set_handler(black_hole)
+    stage.endpoint.set_handler(lambda message, connection: None)
     return lambda: stage.endpoint.set_handler(original)
 
 
 def _sim_hier(
     schedule: ChaosSchedule, report: ChaosReport, rehome_bound_cycles: int
 ) -> None:
-    from repro.core.control_plane import (
-        ControlPlaneConfig,
-        HierarchicalControlPlane,
-    )
+    from repro.core.control_plane import ControlPlaneConfig, HierarchicalControlPlane
 
-    config = ControlPlaneConfig(
-        n_stages=schedule.n_stages, collect_timeout_s=0.5
-    )
+    config = ControlPlaneConfig(n_stages=schedule.n_stages, collect_timeout_s=0.5)
     plane = HierarchicalControlPlane.build(config, schedule.n_aggregators)
     env = plane.env
     controller = plane.global_controller
-    checker = InvariantChecker(
-        config.policy.allocatable_iops, rehome_bound_cycles
-    )
+    checker = InvariantChecker(config.policy.allocatable_iops, rehome_bound_cycles)
     # Pending recoveries, keyed by the cycle index that restores them,
     # and per stage the first cycle its faults (its own, its
     # aggregator's) no longer cover.
@@ -158,41 +152,27 @@ def _sim_hier(
         for undo in restore_at.pop(cycle, []):
             undo()
         for action in schedule.at_cycle(cycle):
+            cycles = SIM_FAULT_CYCLES[action.kind]
             if action.kind in ("kill_aggregator", "stall_aggregator"):
                 agg = plane.aggregators[action.target]
                 agg.stop()
-                fault(
-                    agg.stage_ids,
-                    agg.start,
-                    SIM_AGG_KILL_CYCLES
-                    if action.kind == "kill_aggregator"
-                    else SIM_AGG_STALL_CYCLES,
-                )
-            elif action.kind in ("kill_stage", "stall_stage"):
+                fault(agg.stage_ids, agg.start, cycles)
+            else:
                 stage = plane.stages[action.target]
-                fault(
-                    (stage.stage_id,),
-                    _blackhole_stage(stage),
-                    SIM_STAGE_KILL_CYCLES
-                    if action.kind == "kill_stage"
-                    else SIM_STAGE_STALL_CYCLES,
-                )
+                fault((stage.stage_id,), _blackhole_stage(stage), cycles)
         env.run(controller.run_cycles(1))
         report.cycles_completed += 1
         if controller.cycles[-1].degraded:
             report.cycles_degraded += 1
-        _sim_checks(checker, cycle, plane.stages)
+        rows = _sim_rows(plane.stages)
+        _check_applied(checker, cycle, rows)
         checker.check_caught_up(
             cycle,
-            {
-                s.stage_id: s.applied_rule.epoch if s.applied_rule else 0
-                for s in plane.stages
-            },
+            {stage_id: max(epoch, 0) for stage_id, _, epoch in rows},
             controller.epoch,
             [s for s, until in clear_at.items() if until > cycle],
         )
-    report.violations = checker.violations
-    report.checks = checker.checks
+    _verdict(report, checker)
 
 
 def _sim_flat_standby(schedule: ChaosSchedule, report: ChaosReport) -> None:
@@ -217,8 +197,7 @@ def _sim_flat_standby(schedule: ChaosSchedule, report: ChaosReport) -> None:
     primary = plane.global_controller
     standby = attach_flat_standby(plane)
     hot = HotStandby(
-        env, primary, standby,
-        heartbeat_interval_s=hb_s, missed_heartbeats=missed,
+        env, primary, standby, heartbeat_interval_s=hb_s, missed_heartbeats=missed
     )
     checker = InvariantChecker(config.policy.allocatable_iops)
     kill_time: Dict[str, float] = {}
@@ -235,13 +214,9 @@ def _sim_flat_standby(schedule: ChaosSchedule, report: ChaosReport) -> None:
             env.call_at(when, kill)
         elif action.kind in ("kill_stage", "stall_stage"):
             stage = plane.stages[action.target]
-            down_cycles = (
-                SIM_STAGE_KILL_CYCLES
-                if action.kind == "kill_stage"
-                else SIM_STAGE_STALL_CYCLES
-            )
+            until = when + SIM_FAULT_CYCLES[action.kind] * cycle_s
 
-            def down(stage=stage, until=when + down_cycles * cycle_s) -> None:
+            def down(stage=stage, until=until) -> None:
                 undo = _blackhole_stage(stage)
                 env.call_at(until, undo)
 
@@ -250,16 +225,14 @@ def _sim_flat_standby(schedule: ChaosSchedule, report: ChaosReport) -> None:
     def sample_invariants():
         while True:
             yield env.timeout(cycle_s)
-            _sim_checks(checker, hot.total_cycles(), plane.stages)
+            _check_applied(checker, hot.total_cycles(), _sim_rows(plane.stages))
 
     env.process(sample_invariants(), name="chaos-checker")
     watch = hot.start(schedule.n_cycles)
     env.run(watch)
 
     report.cycles_completed = hot.total_cycles()
-    report.cycles_degraded = sum(
-        1 for c in (*primary.cycles, *standby.cycles) if c.degraded
-    )
+    report.cycles_degraded = sum(c.degraded for c in (*primary.cycles, *standby.cycles))
     if hot.failover is not None:
         report.takeovers = 1
         origin = kill_time.get("at", hot.last_heartbeat_at or 0.0)
@@ -267,24 +240,106 @@ def _sim_flat_standby(schedule: ChaosSchedule, report: ChaosReport) -> None:
         report.gap_s = gap_s
         # Bound: heartbeat silence budget + watchdog poll granularity
         # + one (degraded, timeout-extended) control cycle.
-        checker.check_gap(
-            hot.total_cycles(),
-            gap_s,
-            hb_s * missed + hb_s + 2.0 * cycle_s,
-        )
+        checker.check_gap(hot.total_cycles(), gap_s, hb_s * missed + hb_s + 2.0 * cycle_s)
     elif schedule.kills_of("kill_primary"):
         checker.violations.append(
-            Violation(
-                schedule.n_cycles, "gap", "primary killed but no takeover"
-            )
+            Violation(schedule.n_cycles, "gap", "primary killed but no takeover")
         )
-    report.violations = checker.violations
-    report.checks = checker.checks
+    _verdict(report, checker)
 
 
 # ---------------------------------------------------------------------------
-# Live plane
+# Live planes: one fault dispatch, one per-cycle driver
 # ---------------------------------------------------------------------------
+
+_LIVE_BACKOFF = dict(backoff_base_s=0.02, backoff_factor=1.5, backoff_max_s=0.1)
+
+
+class _Faults:
+    """The live legs' one fault dispatch, through :mod:`repro.live.faults`.
+
+    Stage faults act on in-process stages; aggregator faults on a plane's
+    :class:`~repro.live.tier.AggregatorHandle`\\ s, so a stall is a real
+    pause of the aggregator in its tier process. A killed aggregator
+    takes no more faults until its leg brings it back and drops it from
+    :attr:`down`. Stalls run as tasks until :meth:`stop`.
+    """
+
+    def __init__(self) -> None:
+        #: Indexes of the aggregators killed.
+        self.down: set = set()
+        self._stalls: List[asyncio.Task] = []
+
+    def inject(
+        self,
+        action: FaultAction,
+        stages: Sequence = (),
+        aggregators=(),
+        kill: Optional[Callable[[int], None]] = None,
+    ) -> bool:
+        """Inject ``action`` on its stage or aggregator; whether it killed
+        an aggregator. ``kill(index)``, when given, kills in the handle's
+        stead (a shard dies as a whole process)."""
+        kind, target = action.kind, action.target
+        if kind == "kill_stage":
+            kill_stage(stages[target])
+        elif kind == "stall_stage":
+            self._stall(stall_stage(stages[target], action.duration_s))
+        elif target in self.down:
+            pass
+        elif kind == "stall_aggregator":
+            self._stall(stall_aggregator(aggregators[target], action.duration_s))
+        elif kind == "kill_aggregator":
+            self.down.add(target)
+            if kill is None:
+                kill_aggregator(aggregators[target])
+            else:
+                kill(target)
+            return True
+        return False
+
+    def _stall(self, stall: Coroutine) -> None:
+        self._stalls.append(asyncio.create_task(stall))
+
+    async def stop(self) -> None:
+        for task in self._stalls:
+            task.cancel()
+        await asyncio.gather(*self._stalls, return_exceptions=True)
+
+
+async def _drive(
+    schedule: ChaosSchedule,
+    report: ChaosReport,
+    checker: InvariantChecker,
+    plane,
+    inject: Callable[[int, List[FaultAction]], Awaitable[None]],
+    cycle_period_s: float,
+    step: Optional[Callable[[], Awaitable]] = None,
+    check: Optional[Callable[[int], None]] = None,
+    stretch: Callable[[], float] = lambda: 1.0,
+) -> None:
+    """The live legs' one per-cycle loop, over a plane the package ships.
+
+    Per cycle: ``inject`` the cycle's actions, run one cycle (``step``,
+    by default ``plane.run_cycles(1)``), pause ``cycle_period_s`` times
+    ``stretch()``, then check what every stage enforces
+    (``plane.probe()``), who is orphaned, and whatever else the leg
+    checks (``check(cycle)``). ``plane.controller`` is read afresh each
+    time: a full-plane restart replaces it.
+    """
+    for cycle in range(schedule.n_cycles):
+        await inject(cycle, schedule.at_cycle(cycle))
+        await (step() if step is not None else plane.run_cycles(1))
+        await asyncio.sleep(cycle_period_s * stretch())
+        report.cycles_completed += 1
+        if plane.controller.cycles[-1].degraded:
+            report.cycles_degraded += 1
+        _check_applied(checker, cycle, _probed_rows(plane.probe()))
+        checker.check_orphans(cycle, plane.controller.orphans)
+        if check is not None:
+            check(cycle)
+    report.rehomes = plane.controller.rehomes
+
 
 def run_chaos_live(
     seed: int,
@@ -299,152 +354,46 @@ def run_chaos_live(
     """Run a seeded chaos schedule against the live asyncio plane.
 
     ``design="hier"`` exercises aggregator kill/stall with stage
-    re-homing; ``design="flat"`` exercises a primary + hot-standby pair
-    (``kill_primary`` actions) alongside stage faults.
+    re-homing on a :class:`~repro.live.harness.LiveHierPlane`: the
+    aggregator faults cross into its forked tier. ``design="flat"``
+    exercises a primary + hot-standby pair (``kill_primary`` actions)
+    alongside stage faults.
     """
     if schedule is None:
         schedule = generate_schedule(
-            seed, design, n_cycles, n_stages,
-            n_aggregators if design == "hier" else 0,
+            seed, design, n_cycles, n_stages, n_aggregators if design == "hier" else 0
         )
     report = _new_report(schedule, "live")
-    if design == "hier":
-        asyncio.run(
-            _live_hier(schedule, report, cycle_period_s, rehome_bound_cycles)
-        )
-    else:
+    if design != "hier":
         asyncio.run(_live_flat(schedule, report, cycle_period_s))
-    return report
+        return report
+    from repro.live.harness import LiveHierPlane
 
-
-_LIVE_BACKOFF = dict(backoff_base_s=0.02, backoff_factor=1.5, backoff_max_s=0.1)
-
-
-def _live_checks(checker: InvariantChecker, cycle: int, stages) -> None:
-    limits = {
-        s.stage_id: s.applied_limit
-        for s in stages
-        if s.applied_limit is not None
-    }
-    epochs = {
-        s.stage_id: s.applied_epoch
-        for s in stages
-        if s.applied_epoch is not None
-    }
-    checker.check_capacity(cycle, limits)
-    checker.check_epochs(cycle, epochs)
-
-
-async def _live_hier(
-    schedule: ChaosSchedule,
-    report: ChaosReport,
-    cycle_period_s: float,
-    rehome_bound_cycles: int,
-) -> None:
-    from repro.core.control_plane import default_policy
-    from repro.core.registry import partition_stages
-    from repro.live.aggregator_server import LiveAggregator
-    from repro.live.controller_server import LiveHierGlobalController
-    from repro.live.faults import (
-        LiveFaultLog,
-        kill_aggregator,
-        kill_stage,
-        stall_aggregator,
-        stall_stage,
-    )
-    from repro.live.stage_client import LiveVirtualStage
-
-    policy = default_policy(schedule.n_stages)
-    controller = LiveHierGlobalController(
-        policy,
-        expected_aggregators=schedule.n_aggregators,
+    plane = LiveHierPlane(
+        schedule.n_stages,
+        schedule.n_aggregators,
         collect_timeout_s=0.5,
         dead_after_missed=2,
+        stage_backoff=_LIVE_BACKOFF,
     )
-    await controller.start()
-    stage_ids = [f"stage-{i:05d}" for i in range(schedule.n_stages)]
-    partitions = partition_stages(stage_ids, schedule.n_aggregators)
-    aggregators: List[LiveAggregator] = []
-    stages: List[LiveVirtualStage] = []
-    tasks: List[asyncio.Task] = []
-    for a, owned in enumerate(partitions):
-        agg = LiveAggregator(
-            f"aggregator-{a:02d}",
-            controller.host,
-            controller.port,
-            expected_stages=len(owned),
-            collect_timeout_s=0.3,
-        )
-        await agg.start()
-        aggregators.append(agg)
-        for stage_id in owned:
-            stage = LiveVirtualStage(
-                agg.host,
-                agg.port,
-                stage_id=stage_id,
-                job_id=stage_id.replace("stage", "job"),
-                controller_timeout_s=1.0,
-                **_LIVE_BACKOFF,
-            )
-            stages.append(stage)
-            tasks.append(asyncio.create_task(stage.run()))
-        tasks.append(asyncio.create_task(agg.run()))
+    checker = InvariantChecker(plane.policy.allocatable_iops, rehome_bound_cycles)
+    faults = _Faults()
 
-    checker = InvariantChecker(policy.allocatable_iops, rehome_bound_cycles)
-    fault_log = LiveFaultLog()
-    stall_tasks: List[asyncio.Task] = []
-    killed: set = set()
-    try:
-        await controller.wait_for_aggregators()
-        for cycle in range(schedule.n_cycles):
-            for action in schedule.at_cycle(cycle):
-                if action.kind == "kill_aggregator":
-                    if action.target not in killed:
-                        killed.add(action.target)
-                        kill_aggregator(
-                            aggregators[action.target], log=fault_log
-                        )
-                elif action.kind == "stall_aggregator":
-                    if action.target not in killed:
-                        stall_tasks.append(
-                            asyncio.create_task(
-                                stall_aggregator(
-                                    aggregators[action.target],
-                                    action.duration_s,
-                                    log=fault_log,
-                                )
-                            )
-                        )
-                elif action.kind == "kill_stage":
-                    kill_stage(stages[action.target], log=fault_log)
-                elif action.kind == "stall_stage":
-                    stall_tasks.append(
-                        asyncio.create_task(
-                            stall_stage(
-                                stages[action.target],
-                                action.duration_s,
-                                log=fault_log,
-                            )
-                        )
-                    )
-            await controller.run_cycles(1)
-            await asyncio.sleep(cycle_period_s)
-            report.cycles_completed += 1
-            if controller.cycles[-1].degraded:
-                report.cycles_degraded += 1
-            _live_checks(checker, cycle, stages)
-            checker.check_orphans(cycle, controller.orphans)
-        report.rehomes = controller.rehomes
-    finally:
-        for task in stall_tasks:
-            task.cancel()
-        await asyncio.gather(*stall_tasks, return_exceptions=True)
-        await controller.shutdown()
-        for task in tasks:
-            task.cancel()
-        await asyncio.gather(*tasks, return_exceptions=True)
-    report.violations = checker.violations
-    report.checks = checker.checks
+    async def inject(cycle: int, actions: List[FaultAction]) -> None:
+        for action in actions:
+            faults.inject(action, plane.stages, plane.aggregators)
+
+    async def run() -> None:
+        try:
+            await plane.start()
+            await _drive(schedule, report, checker, plane, inject, cycle_period_s)
+        finally:
+            await faults.stop()
+            await plane.stop()
+
+    asyncio.run(run())
+    _verdict(report, checker)
+    return report
 
 
 async def _live_flat(
@@ -453,29 +402,23 @@ async def _live_flat(
     from repro.core.control_plane import default_policy
     from repro.live.controller_server import LiveGlobalController
     from repro.live.failover import LiveHotStandby
-    from repro.live.faults import LiveFaultLog, kill_stage, stall_stage
     from repro.live.stage_client import LiveVirtualStage
 
     hb_s, missed = 0.1, 3
     policy = default_policy(schedule.n_stages)
-    primary = LiveGlobalController(
-        policy,
-        expected_stages=schedule.n_stages,
-        collect_timeout_s=0.5,
-        evicted_grace_cycles=5,
-    )
-    standby = LiveGlobalController(
-        policy,
-        expected_stages=schedule.n_stages,
-        collect_timeout_s=0.5,
-        evicted_grace_cycles=5,
+    primary, standby = (
+        LiveGlobalController(
+            policy,
+            expected_stages=schedule.n_stages,
+            collect_timeout_s=0.5,
+            evicted_grace_cycles=5,
+        )
+        for _ in range(2)
     )
     await primary.start()
     await standby.start()
-    stages: List[LiveVirtualStage] = []
-    tasks: List[asyncio.Task] = []
-    for i in range(schedule.n_stages):
-        stage = LiveVirtualStage(
+    stages = [
+        LiveVirtualStage(
             primary.host,
             primary.port,
             stage_id=f"stage-{i:05d}",
@@ -483,15 +426,14 @@ async def _live_flat(
             alternates=[(standby.host, standby.port)],
             **_LIVE_BACKOFF,
         )
-        stages.append(stage)
-        tasks.append(asyncio.create_task(stage.run()))
-
+        for i in range(schedule.n_stages)
+    ]
+    tasks = [asyncio.create_task(stage.run()) for stage in stages]
     checker = InvariantChecker(policy.allocatable_iops)
-    fault_log = LiveFaultLog()
+    faults = _Faults()
     hot = LiveHotStandby(
         primary, standby, heartbeat_interval_s=hb_s, missed_heartbeats=missed
     )
-    stall_tasks: List[asyncio.Task] = []
 
     async def inject_and_observe() -> None:
         # Wall-clock injector + sampler: fire each action at its cycle's
@@ -500,27 +442,15 @@ async def _live_flat(
             for action in schedule.at_cycle(cycle):
                 if action.kind == "kill_primary":
                     hot.kill_primary()
-                elif action.kind == "kill_stage":
-                    kill_stage(stages[action.target], log=fault_log)
-                elif action.kind == "stall_stage":
-                    stall_tasks.append(
-                        asyncio.create_task(
-                            stall_stage(
-                                stages[action.target],
-                                action.duration_s,
-                                log=fault_log,
-                            )
-                        )
-                    )
+                else:
+                    faults.inject(action, stages)
             await asyncio.sleep(cycle_period_s)
-            _live_checks(checker, cycle, stages)
+            _check_applied(checker, cycle, _probed_rows(_probe(stages)))
 
     try:
         await primary.wait_for_stages()
         injector = asyncio.create_task(inject_and_observe())
-        cycles = await hot.run_protected(
-            schedule.n_cycles, cycle_period_s=cycle_period_s
-        )
+        cycles = await hot.run_protected(schedule.n_cycles, cycle_period_s=cycle_period_s)
         injector.cancel()
         await asyncio.gather(injector, return_exceptions=True)
         report.cycles_completed = len(cycles)
@@ -530,30 +460,20 @@ async def _live_flat(
             report.gap_s = hot.failover.gap_s
             # One cycle's allowance on the live plane = the pacing period
             # plus the cycle itself (generously bounded by one period).
-            checker.check_gap(
-                schedule.n_cycles,
-                hot.failover.gap_s,
-                hb_s * missed + 2 * cycle_period_s + 0.2,
-            )
+            bound_s = hb_s * missed + 2 * cycle_period_s + 0.2
+            checker.check_gap(schedule.n_cycles, hot.failover.gap_s, bound_s)
         elif schedule.kills_of("kill_primary"):
-            from repro.chaos.invariants import Violation
-
             checker.violations.append(
-                Violation(
-                    schedule.n_cycles, "gap", "primary killed but no takeover"
-                )
+                Violation(schedule.n_cycles, "gap", "primary killed but no takeover")
             )
     finally:
-        for task in stall_tasks:
-            task.cancel()
-        await asyncio.gather(*stall_tasks, return_exceptions=True)
+        await faults.stop()
         active = standby if hot.failover is not None else primary
         await active.shutdown()
         for task in tasks:
             task.cancel()
         await asyncio.gather(*tasks, return_exceptions=True)
-    report.violations = checker.violations
-    report.checks = checker.checks
+    _verdict(report, checker)
 
 
 # ---------------------------------------------------------------------------
@@ -573,107 +493,84 @@ def run_chaos_restart(
 ) -> ChaosReport:
     """Kill the *whole* live plane mid-schedule and restart from store.
 
-    The PR 7 tentpole invariant run: controller and every aggregator die
-    at once (socket aborts — the in-process ``kill -9``), surviving
-    stages keep enforcing their last rules, and the plane restarts from
-    a fresh :class:`~repro.store.DurableStore` recovery at
-    ``resume_epoch()``. On top of the standing capacity/epoch/orphan
-    checks, every post-restart cycle asserts the **resume floor**: the
-    issued epoch stays strictly above the durable epoch at kill time.
+    The controller and every aggregator die at once (socket aborts, and
+    a SIGKILL of the aggregator tier), surviving stages keep enforcing
+    their last rules, and the plane restarts from a fresh
+    :class:`~repro.store.DurableStore` recovery at ``resume_epoch()``. On
+    top of the standing capacity/epoch/orphan checks, every
+    post-restart cycle asserts the **resume floor**: the issued epoch
+    stays strictly above the durable epoch at kill time.
     ``store_dir=None`` uses a run-scoped temporary directory.
     """
-    if schedule is None:
-        schedule = generate_restart_schedule(
-            seed, n_cycles, n_stages, n_aggregators
-        )
-    report = _new_report(schedule, "live")
-    asyncio.run(
-        _live_restart(
-            schedule,
-            report,
-            cycle_period_s,
-            rehome_bound_cycles,
-            store_dir,
-            recover_timeout_s,
-        )
-    )
-    return report
-
-
-async def _live_restart(
-    schedule: ChaosSchedule,
-    report: ChaosReport,
-    cycle_period_s: float,
-    rehome_bound_cycles: int,
-    store_dir: Optional[str],
-    recover_timeout_s: float,
-) -> None:
     import tempfile
 
-    from repro.core.control_plane import default_policy
     from repro.live.harness import LiveHierPlane
     from repro.store.durable import DurableStore
 
+    if schedule is None:
+        schedule = generate_restart_schedule(seed, n_cycles, n_stages, n_aggregators)
+    report = _new_report(schedule, "live")
     if store_dir is None:
         store_dir = tempfile.mkdtemp(prefix="repro-chaos-store-")
     store = DurableStore(store_dir, lease_batch=8)
-    policy = default_policy(schedule.n_stages)
     plane = LiveHierPlane(
         schedule.n_stages,
         schedule.n_aggregators,
-        policy,
         collect_timeout_s=0.5,
         enforce_timeout_s=0.5,
         initial_epoch=store.resume_epoch(),
         stage_backoff=_LIVE_BACKOFF,
     )
-    checker = InvariantChecker(policy.allocatable_iops, rehome_bound_cycles)
-    rehomes = 0
+    checker = InvariantChecker(plane.policy.allocatable_iops, rehome_bound_cycles)
     resume_floor = 0
-    try:
-        await plane.start()
-        for cycle in range(schedule.n_cycles):
-            for action in schedule.at_cycle(cycle):
-                if action.kind != "kill_plane":
-                    continue
-                resume_floor = store.last_durable_epoch
-                await plane.kill_plane()
-                store.close()
-                # A fresh store handle runs the full recovery path, as a
-                # restarted process would: snapshot + WAL fold + compact.
-                store = DurableStore(store_dir, lease_batch=8)
-                await plane.plane_restart(initial_epoch=store.resume_epoch())
-                report.restarts += 1
-                try:
-                    await plane.wait_for_stages(timeout_s=recover_timeout_s)
-                except asyncio.TimeoutError:
-                    checker.violations.append(
-                        Violation(
-                            cycle,
-                            "rehome",
-                            f"only {plane.registered_stages}/"
-                            f"{schedule.n_stages} stages re-homed within "
-                            f"{recover_timeout_s}s of restart",
-                        )
+
+    async def inject(cycle: int, actions: List[FaultAction]) -> None:
+        nonlocal store, resume_floor
+        for action in actions:
+            if action.kind != "kill_plane":
+                continue
+            resume_floor = store.last_durable_epoch
+            await plane.kill_plane()
+            store.close()
+            # A fresh store handle runs the full recovery path, as a
+            # restarted process would: snapshot + WAL fold + compact.
+            store = DurableStore(store_dir, lease_batch=8)
+            await plane.plane_restart(initial_epoch=store.resume_epoch())
+            report.restarts += 1
+            try:
+                await plane.wait_for_stages(timeout_s=recover_timeout_s)
+            except asyncio.TimeoutError:
+                checker.violations.append(
+                    Violation(
+                        cycle,
+                        "rehome",
+                        f"only {plane.registered_stages}/{schedule.n_stages} stages "
+                        f"re-homed within {recover_timeout_s}s of restart",
                     )
-            if plane.epoch + 1 > store.state.leased_epoch:
-                store.lease_epochs()
-            await plane.run_cycles(1)
-            store.record_cycle(plane.epoch, n_stages=schedule.n_stages)
-            await asyncio.sleep(cycle_period_s)
-            report.cycles_completed += 1
-            if plane.controller.cycles[-1].degraded:
-                report.cycles_degraded += 1
-            _live_checks(checker, cycle, plane.stages)
-            checker.check_orphans(cycle, plane.controller.orphans)
-            checker.check_resume(cycle, plane.epoch, resume_floor)
-        rehomes = plane.controller.rehomes
-    finally:
-        await plane.stop()
-        store.close()
-    report.rehomes = rehomes
-    report.violations = checker.violations
-    report.checks = checker.checks
+                )
+
+    async def step() -> None:
+        if plane.epoch + 1 > store.state.leased_epoch:
+            store.lease_epochs()
+        await plane.run_cycles(1)
+        store.record_cycle(plane.epoch, n_stages=schedule.n_stages)
+
+    def check(cycle: int) -> None:
+        checker.check_resume(cycle, plane.epoch, resume_floor)
+
+    async def run() -> None:
+        try:
+            await plane.start()
+            await _drive(
+                schedule, report, checker, plane, inject, cycle_period_s, step, check
+            )
+        finally:
+            await plane.stop()
+            store.close()
+
+    asyncio.run(run())
+    _verdict(report, checker)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -695,23 +592,17 @@ async def _overload_request(
     except OSError:
         return -1
     try:
-        head = (
-            f"{method} {path} HTTP/1.1\r\nHost: {host}\r\n"
-            f"Content-Length: {len(body)}\r\n\r\n"
-        )
-        writer.write(head.encode() + body)
+        head = f"{method} {path} HTTP/1.1\r\nHost: {host}\r\n"
+        writer.write(f"{head}Content-Length: {len(body)}\r\n\r\n".encode() + body)
         await writer.drain()
-        raw = await asyncio.wait_for(reader.read(), timeout=5.0)
-        parts = raw.split(None, 2)
+        parts = (await asyncio.wait_for(reader.read(), timeout=5.0)).split(None, 2)
         return int(parts[1]) if len(parts) >= 2 else -1
-    except (asyncio.TimeoutError, ValueError, ConnectionError, OSError):
+    except (asyncio.TimeoutError, ValueError, OSError):
         return -1
     finally:
         writer.close()
-        try:
+        with contextlib.suppress(OSError):
             await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
 
 
 def _p99(samples: List[float]) -> Optional[float]:
@@ -738,61 +629,30 @@ def run_chaos_overload(
 ) -> ChaosReport:
     """Overload the full service stack and check it degrades, not dies.
 
-    The PR 8 tentpole run: a real ``ControlService`` (durable store +
-    live hier plane + REST front door) with every guard armed — an
-    admission gate at ``admission_rate`` req/s, bounded per-session
-    outboxes, the demand clamp, and the degradation ladder. While the
-    schedule's adversarial tenants lie about demand (and the liar's
-    aggregator is killed so the lie flows through orphan reservation), a
-    client floods the HTTP API at ``flood_factor ×`` the admission rate.
-
-    Per cycle: capacity, epoch-monotonicity, orphan re-home, honest
-    fair-share and outbox queue-bound invariants. At the end: the
-    ``/healthz`` probe must have answered throughout the flood within a
-    bounded p99, and the gate must show the flood was actually shed.
+    A real ``ControlService`` (durable store + live hier plane + REST
+    front door) with every guard armed: an admission gate at
+    ``admission_rate`` req/s, bounded per-session outboxes, the demand
+    clamp and the degradation ladder. While the schedule's adversarial
+    tenants lie about demand (the liar's aggregator killed, so the lie
+    flows through orphan reservation), a client floods the HTTP API at
+    ``flood_factor ×`` the admission rate. Per cycle: capacity, epoch,
+    orphan, honest-share and queue-bound invariants; at the end,
+    ``/healthz`` answered throughout within a bounded p99, and the gate
+    shed the flood.
     """
-    if schedule is None:
-        schedule = generate_overload_schedule(
-            seed, n_cycles, n_stages, n_aggregators
-        )
-    report = _new_report(schedule, "live")
-    asyncio.run(
-        _live_overload(
-            schedule,
-            report,
-            cycle_period_s,
-            flood_factor,
-            admission_rate,
-            session_outbox_bytes,
-            healthz_p99_bound_s,
-            share_fraction,
-            store_dir,
-        )
-    )
-    return report
-
-
-async def _live_overload(
-    schedule: ChaosSchedule,
-    report: ChaosReport,
-    cycle_period_s: float,
-    flood_factor: float,
-    admission_rate: float,
-    session_outbox_bytes: int,
-    healthz_p99_bound_s: float,
-    share_fraction: float,
-    store_dir: Optional[str],
-) -> None:
     import tempfile
+    import time
 
     from repro.core.registry import partition_stages
     from repro.guard import AdmissionGate, DegradationLadder, DemandClamp
-    from repro.live.faults import LiveFaultLog, kill_aggregator
     from repro.obs.metrics import MetricsRegistry
     from repro.service.api import ServiceApi
     from repro.service.http import HttpServer
     from repro.service.server import ControlService
 
+    if schedule is None:
+        schedule = generate_overload_schedule(seed, n_cycles, n_stages, n_aggregators)
+    report = _new_report(schedule, "live")
     if store_dir is None:
         store_dir = tempfile.mkdtemp(prefix="repro-chaos-overload-")
     metrics = MetricsRegistry()
@@ -814,52 +674,43 @@ async def _live_overload(
     http = HttpServer(api.handle, metrics=metrics, max_connections=256)
     plane = service.plane
     checker = InvariantChecker(service.policy.allocatable_iops)
-    fault_log = LiveFaultLog()
+    faults = _Faults()
     stop = asyncio.Event()
     flood_statuses: Dict[int, int] = {}
+    flood_tasks: List[asyncio.Task] = []
+    flood_sem = asyncio.Semaphore(192)
     healthz_latencies: List[float] = []
     healthz_failures = 0
 
-    flood_tasks: List[asyncio.Task] = []
-    flood_sem = asyncio.Semaphore(192)
-
-    async def _flood_one(method: str, path: str, body: bytes) -> None:
+    async def flood_one(method: str, path: str, body: bytes) -> None:
         async with flood_sem:
-            status = await _overload_request(
-                http.host, http.port, method, path, body
-            )
+            status = await _overload_request(http.host, http.port, method, path, body)
         flood_statuses[status] = flood_statuses.get(status, 0) + 1
 
     async def flood() -> None:
-        # Offered load: flood_factor × the admission rate. Requests are
-        # fired without waiting for each other (a real flood does not
-        # pace itself on the server's fsync latency), bounded only by a
-        # client-side socket cap. A noisy tenant dominates (mutations
-        # shed first) with some reads mixed in; statuses are tallied,
-        # never asserted — shedding is the expected outcome.
+        # flood_factor × the admission rate, fired without waiting (a real
+        # flood does not pace itself on the server's fsync latency) up to a
+        # client-side socket cap: mostly a noisy tenant's mutations, some
+        # reads. Statuses are tallied, never asserted: shedding is expected.
         batch = max(1, int(flood_factor * admission_rate * cycle_period_s))
         body = b'{"tenant_id": "noisy", "weight": 1}'
         while not stop.is_set():
             flood_tasks[:] = [t for t in flood_tasks if not t.done()]
             for i in range(batch):
                 if i % 4 == 0:
-                    call = _flood_one("GET", "/rules", b"")
+                    call = flood_one("GET", "/rules", b"")
                 else:
-                    call = _flood_one("POST", "/tenants", body)
+                    call = flood_one("POST", "/tenants", body)
                 flood_tasks.append(asyncio.create_task(call))
             with contextlib.suppress(asyncio.TimeoutError):
                 await asyncio.wait_for(stop.wait(), timeout=cycle_period_s)
 
     async def probe_healthz() -> None:
         nonlocal healthz_failures
-        import time as _time
-
         while not stop.is_set():
-            started = _time.perf_counter()
-            status = await _overload_request(
-                http.host, http.port, "GET", "/healthz"
-            )
-            healthz_latencies.append(_time.perf_counter() - started)
+            started = time.perf_counter()
+            status = await _overload_request(http.host, http.port, "GET", "/healthz")
+            healthz_latencies.append(time.perf_counter() - started)
             if status != 200:
                 healthz_failures += 1
             with contextlib.suppress(asyncio.TimeoutError):
@@ -867,94 +718,86 @@ async def _live_overload(
 
     original_demand: Dict[int, tuple] = {}
     adversary_ids: set = set()
-    agg_killed: set = set()
-    background: List[asyncio.Task] = []
-    try:
-        await service.start(run_cycles=False)
-        await http.start()
-        await plane.wait_for_stages(timeout_s=15.0)
-        stage_ids = [s.stage_id for s in plane.stages]
-        partitions = partition_stages(stage_ids, schedule.n_aggregators)
-        weights = {sid: 1.0 for sid in stage_ids}
-        background = [
-            asyncio.create_task(flood()),
-            asyncio.create_task(probe_healthz()),
-        ]
-        for cycle in range(schedule.n_cycles):
-            for action in schedule.at_cycle(cycle):
-                stage = plane.stages[action.target]
-                if action.kind in ("demand_liar", "noisy_neighbor",
-                                   "metadata_storm"):
-                    original_demand.setdefault(action.target, stage.demand)
-                    adversary_ids.add(stage.stage_id)
-                if action.kind == "demand_liar":
-                    stage.demand = (LIAR_DEMAND_IOPS, stage.demand[1])
-                elif action.kind == "noisy_neighbor":
-                    stage.demand = (NOISY_DEMAND_IOPS, stage.demand[1])
-                elif action.kind == "metadata_storm":
-                    stage.demand = (stage.demand[0], STORM_METADATA_IOPS)
-                elif action.kind == "orphan_liar":
-                    home = next(
-                        a for a, owned in enumerate(partitions)
-                        if stage.stage_id in owned
-                    )
-                    if home not in agg_killed:
-                        agg_killed.add(home)
-                        kill_aggregator(plane.aggregators[home], log=fault_log)
-                elif action.kind == "restore":
-                    if action.target in original_demand:
-                        stage.demand = original_demand[action.target]
-            await service.cycle_once()
-            pause = cycle_period_s * plane.interval_multiplier
-            with contextlib.suppress(asyncio.TimeoutError):
-                await asyncio.wait_for(stop.wait(), timeout=pause)
-            report.cycles_completed += 1
-            if plane.controller.cycles[-1].degraded:
-                report.cycles_degraded += 1
-            _live_checks(checker, cycle, plane.stages)
-            checker.check_orphans(cycle, plane.controller.orphans)
-            allocations = dict(plane.controller.last_allocations)
-            if allocations:
-                demands = {
-                    s.stage_id: s.demand[0] + s.demand[1]
-                    for s in plane.stages
-                }
-                checker.check_honest_share(
-                    cycle,
-                    allocations,
-                    demands,
-                    weights,
-                    adversary_ids,
-                    fraction=share_fraction,
-                )
-            pending = {
-                f"controller:{peer}": s.outbox.pending_bytes
-                for peer, s in plane.controller.sessions.items()
-            }
-            for agg in plane.aggregators:
-                for peer, s in agg.sessions.items():
-                    pending[f"{agg.aggregator_id}:{peer}"] = s.pending_bytes
-            checker.check_queue_bounds(
-                cycle, pending, session_outbox_bytes
+    partitions = partition_stages(range(schedule.n_stages), schedule.n_aggregators)
+    homes = {stage: a for a, owned in enumerate(partitions) for stage in owned}
+
+    async def inject(cycle: int, actions: List[FaultAction]) -> None:
+        for action in actions:
+            stage = plane.stages[action.target]
+            if action.kind in ("demand_liar", "noisy_neighbor", "metadata_storm"):
+                original_demand.setdefault(action.target, stage.demand)
+                adversary_ids.add(stage.stage_id)
+            if action.kind == "demand_liar":
+                stage.demand = (LIAR_DEMAND_IOPS, stage.demand[1])
+            elif action.kind == "noisy_neighbor":
+                stage.demand = (NOISY_DEMAND_IOPS, stage.demand[1])
+            elif action.kind == "metadata_storm":
+                stage.demand = (stage.demand[0], STORM_METADATA_IOPS)
+            elif action.kind == "orphan_liar":
+                # The lie reaches the orphan reservation: kill its home.
+                home = homes[action.target]
+                kill = replace(action, kind="kill_aggregator", target=home)
+                faults.inject(kill, aggregators=plane.aggregators)
+            elif action.kind == "restore" and action.target in original_demand:
+                stage.demand = original_demand[action.target]
+
+    def check(cycle: int) -> None:
+        allocations = dict(plane.controller.last_allocations)
+        if allocations:
+            demands = {s.stage_id: s.demand[0] + s.demand[1] for s in plane.stages}
+            weights = dict.fromkeys(demands, 1.0)
+            checker.check_honest_share(
+                cycle, allocations, demands, weights, adversary_ids, share_fraction
             )
-        report.rehomes = plane.controller.rehomes
-    finally:
-        stop.set()
-        for task in background:
-            task.cancel()
-        await asyncio.gather(*background, return_exceptions=True)
-        # Let in-flight flood requests finish (briefly), then cut them.
-        if flood_tasks:
-            with contextlib.suppress(asyncio.TimeoutError):
-                await asyncio.wait_for(
-                    asyncio.gather(*flood_tasks, return_exceptions=True),
-                    timeout=2.0,
-                )
-            for task in flood_tasks:
+        pending = {
+            f"controller:{peer}": s.outbox.pending_bytes
+            for peer, s in plane.controller.sessions.items()
+        }
+        for agg in plane.aggregators:
+            for peer, s in agg.sessions.items():
+                pending[f"{agg.aggregator_id}:{peer}"] = s.pending_bytes
+        checker.check_queue_bounds(cycle, pending, session_outbox_bytes)
+
+    async def run() -> None:
+        background: List[asyncio.Task] = []
+        try:
+            await service.start(run_cycles=False)
+            await http.start()
+            await plane.wait_for_stages(timeout_s=15.0)
+            background = [
+                asyncio.create_task(flood()),
+                asyncio.create_task(probe_healthz()),
+            ]
+            await _drive(
+                schedule,
+                report,
+                checker,
+                plane,
+                inject,
+                cycle_period_s,
+                service.cycle_once,
+                check,
+                stretch=lambda: plane.interval_multiplier,
+            )
+        finally:
+            stop.set()
+            for task in background:
                 task.cancel()
-            await asyncio.gather(*flood_tasks, return_exceptions=True)
-        await http.stop()
-        await service.stop()
+            await asyncio.gather(*background, return_exceptions=True)
+            # Let in-flight flood requests finish (briefly), then cut them.
+            if flood_tasks:
+                with contextlib.suppress(asyncio.TimeoutError):
+                    await asyncio.wait_for(
+                        asyncio.gather(*flood_tasks, return_exceptions=True),
+                        timeout=2.0,
+                    )
+                for task in flood_tasks:
+                    task.cancel()
+                await asyncio.gather(*flood_tasks, return_exceptions=True)
+            await http.stop()
+            await service.stop()
+
+    asyncio.run(run())
     report.requests_flooded = sum(flood_statuses.values())
     report.requests_admitted = gate.admitted_total
     report.requests_shed = gate.shed_total + http.connections_shed
@@ -976,15 +819,15 @@ async def _live_overload(
                 "requests recorded zero sheds — the gate is not engaged",
             )
         )
-    report.violations = checker.violations
-    report.checks = checker.checks
+    _verdict(report, checker)
+    return report
 
 
 # ---------------------------------------------------------------------------
 # Sharded (multi-process) plane
 # ---------------------------------------------------------------------------
 
-#: Cycles a killed shard worker stays down before its re-spawn.
+#: Cycles a killed shard stays down before its re-spawn.
 SHARD_RESPAWN_CYCLES = 2
 
 
@@ -997,38 +840,20 @@ def run_chaos_shard(
     rehome_bound_cycles: int = 6,
     schedule: Optional[ChaosSchedule] = None,
 ) -> ChaosReport:
-    """Run a seeded chaos schedule against the sharded live plane.
+    """Run a seeded ``hier`` chaos schedule against the sharded live plane.
 
-    Reuses the ``hier`` schedule generator with one shard worker per
-    aggregator slot: ``kill_aggregator``/``stall_aggregator`` actions
-    become real ``SIGKILL``s of the worker process (a stall with no
-    process to pause is a kill), and the shard is re-spawned with the
-    same pinned partition ``SHARD_RESPAWN_CYCLES`` cycles later. Stage
-    faults are skipped — stages live inside the shard process, so its
-    kill already takes its whole partition down at once. Invariants are
-    probed over each shard's control channel: enforced limits stay
-    within capacity (orphan reservation) and applied epochs never
-    regress across the kill/re-spawn (epoch fencing).
+    One shard per aggregator slot. A ``kill_aggregator`` SIGKILLs the
+    shard's forked tier, re-spawned with the same pinned partition
+    ``SHARD_RESPAWN_CYCLES`` cycles later; a ``stall_aggregator`` pauses
+    the shard's aggregator in its tier. Stage faults are skipped: a
+    shard's stages live in its process. The stages' applied state is
+    probed over each tier's control channel.
     """
-    if schedule is None:
-        schedule = generate_schedule(
-            seed, "hier", n_cycles, n_stages, n_workers
-        )
-    report = _new_report(schedule, "shard")
-    asyncio.run(
-        _shard_chaos(schedule, report, cycle_period_s, rehome_bound_cycles)
-    )
-    return report
-
-
-async def _shard_chaos(
-    schedule: ChaosSchedule,
-    report: ChaosReport,
-    cycle_period_s: float,
-    rehome_bound_cycles: int,
-) -> None:
     from repro.shard.plane import ShardedControlPlane
 
+    if schedule is None:
+        schedule = generate_schedule(seed, "hier", n_cycles, n_stages, n_workers)
+    report = _new_report(schedule, "shard")
     plane = ShardedControlPlane(
         schedule.n_stages,
         schedule.n_aggregators,
@@ -1036,51 +861,35 @@ async def _shard_chaos(
         enforce_timeout_s=0.5,
         dead_after_missed=2,
     )
-    checker: Optional[InvariantChecker] = None
-    down: set = set()
+    checker = InvariantChecker(plane.policy.allocatable_iops, rehome_bound_cycles)
+    faults = _Faults()
     respawn_at: Dict[int, List[int]] = {}
-    try:
-        await plane.start()
-        controller = plane.controller
-        checker = InvariantChecker(
-            plane.policy.allocatable_iops, rehome_bound_cycles
-        )
-        for cycle in range(schedule.n_cycles):
-            for shard in respawn_at.pop(cycle, []):
-                try:
-                    await plane.respawn_shard(shard)
-                    down.discard(shard)
-                except TimeoutError:
-                    # Eviction still pending: retry at the next cycle.
-                    respawn_at.setdefault(cycle + 1, []).append(shard)
-            for action in schedule.at_cycle(cycle):
-                if action.kind in ("kill_aggregator", "stall_aggregator"):
-                    if action.target not in down:
-                        down.add(action.target)
-                        plane.kill_shard(action.target)
-                        respawn_at.setdefault(
-                            cycle + SHARD_RESPAWN_CYCLES, []
-                        ).append(action.target)
-            await plane.run_cycles(1)
-            await asyncio.sleep(cycle_period_s)
-            report.cycles_completed += 1
-            if controller.cycles[-1].degraded:
-                report.cycles_degraded += 1
-            probes = await plane.probe()
-            limits: Dict[str, float] = {}
-            epochs: Dict[str, int] = {}
-            for rows in probes.values():
-                for stage_id, row in rows.items():
-                    if row["applied_limit"] is not None:
-                        limits[stage_id] = row["applied_limit"]
-                    if row["applied_epoch"] >= 0:
-                        epochs[stage_id] = row["applied_epoch"]
-            checker.check_capacity(cycle, limits)
-            checker.check_epochs(cycle, epochs)
-            checker.check_orphans(cycle, controller.orphans)
-        report.rehomes = controller.rehomes
-    finally:
-        await plane.shutdown()
-    if checker is not None:
-        report.violations = checker.violations
-        report.checks = checker.checks
+
+    async def inject(cycle: int, actions: List[FaultAction]) -> None:
+        for shard in respawn_at.pop(cycle, []):
+            try:
+                await plane.respawn_shard(shard)
+                faults.down.discard(shard)
+            except TimeoutError:
+                # Eviction still pending: retry at the next cycle.
+                respawn_at.setdefault(cycle + 1, []).append(shard)
+        for action in actions:
+            if action.kind in ("kill_stage", "stall_stage"):
+                continue
+            if faults.inject(
+                action, aggregators=plane.aggregators, kill=plane.kill_shard
+            ):
+                back = cycle + SHARD_RESPAWN_CYCLES
+                respawn_at.setdefault(back, []).append(action.target)
+
+    async def run() -> None:
+        try:
+            await plane.start()
+            await _drive(schedule, report, checker, plane, inject, cycle_period_s)
+        finally:
+            await faults.stop()
+            await plane.shutdown()
+
+    asyncio.run(run())
+    _verdict(report, checker)
+    return report

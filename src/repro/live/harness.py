@@ -33,7 +33,7 @@ from repro.core.policies import QoSPolicy
 from repro.core.registry import partition_stages
 from repro.live.controller_server import LiveGlobalController, LiveHierGlobalController
 from repro.live.stage_client import LiveVirtualStage
-from repro.live.tier import AggregatorHandle, AggregatorTier
+from repro.live.tier import AggregatorHandle, AggregatorTier, _probe
 from repro.monitoring.remora import RemoraReport
 from repro.obs.metrics import MetricsRegistry, MetricsServer
 from repro.obs.procfs import LiveUsageSession
@@ -488,6 +488,11 @@ class LiveHierPlane:
                 task.cancel()
             await asyncio.gather(*self._stage_tasks, return_exceptions=True)
             self._stage_tasks = []
+
+    def probe(self) -> Dict[str, dict]:
+        """Each stage's applied epoch/limit, by stage id (the stages run
+        in this process)."""
+        return _probe(self.stages)
 
     # -- result plumbing -----------------------------------------------------
     @property

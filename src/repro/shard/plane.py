@@ -33,7 +33,7 @@ from repro.core.control_plane import default_policy
 from repro.core.cycle import ControlCycle, CycleStats
 from repro.core.policies import QoSPolicy
 from repro.live.controller_server import LiveHierGlobalController
-from repro.live.tier import AggregatorTier
+from repro.live.tier import AggregatorHandle, AggregatorTier
 from repro.shard.hashing import pin_stages
 
 __all__ = ["ShardRunResult", "ShardedControlPlane", "run_live_sharded"]
@@ -75,8 +75,9 @@ class ShardedControlPlane:
 
     Lifecycle: :meth:`start` (fork + wait for registration),
     :meth:`run_cycles`, :meth:`shutdown`. :meth:`kill_shard` /
-    :meth:`respawn_shard` are the chaos-harness fault hooks, and
-    :meth:`probe` asks every live tier for its stages' applied
+    :meth:`respawn_shard` are the chaos-harness fault hooks,
+    :attr:`aggregators` holds each live shard's leader handle (its
+    ``pause`` / ``resume``), and :meth:`probe` asks every live tier for its stages' applied
     epoch/limit (invariant checks).
     """
 
@@ -210,10 +211,20 @@ class ShardedControlPlane:
             await asyncio.sleep(0.02)
         await self._fork(shard)
 
-    async def probe(self) -> Dict[int, dict]:
-        """Per-stage applied epoch/limit from every live shard."""
-        replies = {shard: tier.call("probe") for shard, tier in self._tiers.items()}
-        return {shard: r["stages"] for shard, r in replies.items() if r is not None}
+    @property
+    def aggregators(self) -> Dict[int, AggregatorHandle]:
+        """Each live shard's leader, by shard (its fault hooks)."""
+        return {shard: tier.handles[0] for shard, tier in self._tiers.items()}
+
+    def probe(self) -> Dict[str, dict]:
+        """Per-stage applied epoch/limit, by stage id, from every live
+        shard."""
+        stages: Dict[str, dict] = {}
+        for tier in self._tiers.values():
+            reply = tier.call("probe")
+            if reply is not None:
+                stages.update(reply["stages"])
+        return stages
 
 
 def run_live_sharded(

@@ -231,7 +231,7 @@ class _SubtreeSim:
 
 
 def _run_sim_worker(spec: _SubtreeSpec, conn) -> None:
-    """Spawn-target: serve collect/enforce barriers for one partition."""
+    """Worker body: serve collect/enforce barriers for one partition."""
     sim = _SubtreeSim(spec)
     conn.send(("ready", spec.worker_index, sim.orders()))
     while True:
@@ -314,7 +314,9 @@ def run_partitioned_hier(
     groups = partition_stages([t[0] for t in subtrees], workers)
     by_id = dict(subtrees)
 
-    ctx = multiprocessing.get_context("spawn")
+    # Fork, not spawn: a spawned worker re-imports the caller's
+    # ``__main__``, which a script without a main guard cannot survive.
+    ctx = multiprocessing.get_context("fork")
     pipes, procs = [], []
     try:
         for w, agg_ids in enumerate(groups):

@@ -4,14 +4,33 @@ These are the acceptance runs: a real asyncio cluster, wall-clock paced
 cycles, faults injected from the deterministic seed-7 schedule — which
 contains aggregator kills on the hier design and a primary kill on the
 flat design — and the tentpole invariants checked after every cycle.
+The hier design runs the shipped ``LiveHierPlane``, so its aggregator
+faults cross into the plane's forked aggregator tier.
 """
 
-from repro.chaos import run_chaos_live
+import asyncio
+import os
+import signal
+
+from repro.chaos import ChaosSchedule, InvariantChecker, run_chaos_live
+from repro.chaos.runner import _LIVE_BACKOFF, _drive, _new_report
+from repro.live.harness import LiveHierPlane
+from repro.live.tier import AggregatorTier
 
 
 class TestLiveHier:
-    def test_seed7_zero_violations(self):
+    def test_seed7_zero_violations(self, monkeypatch):
+        starts = []
+        start = AggregatorTier.start
+
+        async def counted_start(tier, *args, **kwargs):
+            starts.append(tier)
+            await start(tier, *args, **kwargs)
+
+        monkeypatch.setattr(AggregatorTier, "start", counted_start)
         report = run_chaos_live(7, "hier")
+        # The aggregators ran in a forked tier, not on this loop.
+        assert starts
         assert report.actions, "seed 7 must actually inject faults"
         assert report.ok, report.to_json()
         assert report.cycles_completed == report.n_cycles
@@ -33,3 +52,45 @@ class TestLiveFlat:
         # The measured adaptation gap is present; its bound is enforced
         # inside the run as the "gap" invariant (ok above covers it).
         assert report.gap_s is not None and report.gap_s > 0.0
+
+
+class TestTierStop:
+    def test_a_one_cycle_stop_of_the_tier_recovers(self):
+        """SIGSTOP the whole aggregator tier before cycle 3 and SIGCONT
+        it before cycle 4: the stopped cycle degrades, nothing is
+        evicted, and every stage holds the current epoch again within
+        two cycles."""
+        schedule = ChaosSchedule(
+            seed=0, design="hier", n_cycles=10, n_stages=9, n_aggregators=3
+        )
+        report = _new_report(schedule, "live")
+        plane = LiveHierPlane(
+            9, 3, collect_timeout_s=0.5, dead_after_missed=2, stage_backoff=_LIVE_BACKOFF
+        )
+        checker = InvariantChecker(plane.policy.allocatable_iops)
+
+        async def inject(cycle, actions):
+            if cycle == 3:
+                os.kill(plane._tier.pid, signal.SIGSTOP)
+            elif cycle == 4:
+                os.kill(plane._tier.pid, signal.SIGCONT)
+
+        def check(cycle):
+            epochs = {sid: row["applied_epoch"] for sid, row in plane.probe().items()}
+            stopped = epochs.keys() if cycle == 3 else ()
+            checker.check_caught_up(cycle, epochs, plane.epoch, stopped)
+
+        async def run():
+            try:
+                await plane.start()
+                await _drive(schedule, report, checker, plane, inject, 0.1, check=check)
+            finally:
+                if plane._tier is not None:
+                    os.kill(plane._tier.pid, signal.SIGCONT)
+                await plane.stop()
+
+        asyncio.run(run())
+        assert not checker.violations, checker.violations
+        assert report.cycles_completed == 10
+        assert 1 <= report.cycles_degraded <= 2
+        assert plane.evictions == 0

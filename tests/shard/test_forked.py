@@ -1,8 +1,9 @@
-"""The live shard plane on forked tiers: what forking buys over spawning.
+"""The shard planes on forked children: what forking buys over spawning.
 
 Each shard is an :class:`~repro.live.tier.AggregatorTier` forked from the
-caller, so nothing re-imports the caller's ``__main__``, a start costs a
-fork rather than a fresh interpreter, and a shard's usage row is its
+caller, and so is each worker of the partitioned DES, so nothing
+re-imports the caller's ``__main__``; a start costs a fork rather than a
+fresh interpreter, and a shard's usage row is its
 whole process (the process-boundary cases live in
 ``tests/live/test_tier.py``).
 """
@@ -13,6 +14,8 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+import pytest
 
 import repro
 from repro.shard import ShardedControlPlane, run_live_sharded
@@ -25,13 +28,22 @@ def _children_cpu_s():
     return times.children_user + times.children_system
 
 
-def test_runs_from_a_script_without_a_main_guard(tmp_path):
+@pytest.mark.parametrize(
+    "call, printed",
+    [
+        ("run_live_sharded(8, 2, 2).rules_applied_total", "16"),
+        ("len(run_partitioned_hier(8, 2, 2, workers=2).cycles)", "2"),
+    ],
+    ids=["live", "sim"],
+)
+def test_runs_from_a_script_without_a_main_guard(tmp_path, call, printed):
     """A spawned worker re-imported the caller's ``__main__``: a script
-    with no ``if __name__ == "__main__"`` guard failed to start."""
+    with no ``if __name__ == "__main__"`` guard failed to start — the
+    live shard's workers and the partitioned DES's alike."""
     script = tmp_path / "unguarded.py"
     script.write_text(
-        "from repro.shard import run_live_sharded\n"
-        "print(run_live_sharded(8, 2, 2).rules_applied_total)\n"
+        "from repro.shard import run_live_sharded, run_partitioned_hier\n"
+        f"print({call})\n"
     )
     proc = subprocess.run(
         [sys.executable, str(script)],
@@ -41,7 +53,7 @@ def test_runs_from_a_script_without_a_main_guard(tmp_path):
         env=dict(os.environ, PYTHONPATH=_SRC),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["16"]
+    assert proc.stdout.split() == [printed]
 
 
 def test_usage_rows_hold_the_whole_process_cpu():
