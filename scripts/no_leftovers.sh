@@ -1,6 +1,6 @@
 #!/bin/sh
 # Run a command as the leader of a session of its own, then fail if any
-# process of that session outlives it: a forked aggregator tier, shard or
+# process of that session outlives it: a forked aggregator tier or
 # simulation worker that a stop, kill or failed start did not reap.
 # Otherwise exit with the command's own status.
 #

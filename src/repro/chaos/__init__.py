@@ -5,10 +5,9 @@ control plane that only survives the happy path has not been tested at
 all. This package draws a reproducible fault schedule from a seed
 (:mod:`repro.chaos.schedule`), runs it against the simulated plane or
 the live planes the package ships (:mod:`repro.chaos.runner`: one
-per-cycle driver over ``LiveHierPlane``, ``ControlService`` and
-``ShardedControlPlane``, so aggregator faults cross their forked
-tiers), and asserts the tentpole invariants after every control cycle
-(:mod:`repro.chaos.invariants`):
+per-cycle driver over ``LiveHierPlane`` and ``ControlService``, so
+aggregator faults cross their forked tier), and asserts the tentpole
+invariants after every control cycle (:mod:`repro.chaos.invariants`):
 enforced allocations never exceed capacity, applied epochs never move
 backwards, orphaned stages re-home within the configured bound, and a
 standby takeover stays inside the heartbeat-budget gap.
@@ -34,7 +33,6 @@ from repro.chaos.runner import (
     run_chaos_live,
     run_chaos_overload,
     run_chaos_restart,
-    run_chaos_shard,
     run_chaos_sim,
 )
 from repro.chaos.schedule import (
@@ -57,6 +55,5 @@ __all__ = [
     "run_chaos_live",
     "run_chaos_overload",
     "run_chaos_restart",
-    "run_chaos_shard",
     "run_chaos_sim",
 ]

@@ -9,15 +9,13 @@
   :class:`~repro.live.failover.LiveHotStandby`, a pair nothing else composes.
 * :func:`run_chaos_restart` kills the whole ``LiveHierPlane`` and restarts it
   from a durable store; :func:`run_chaos_overload` turns tenants adversarial
-  and floods a :class:`~repro.service.server.ControlService`;
-  :func:`run_chaos_shard` SIGKILLs (and re-spawns) or pauses the shards of a
-  :class:`~repro.shard.plane.ShardedControlPlane`.
+  and floods a :class:`~repro.service.server.ControlService`.
 
 Every live leg but flat runs through one per-cycle driver (:func:`_drive`):
 inject the cycle's actions, run one cycle, pause, read what every stage
 enforces (the plane's ``probe()``), check. Every live fault goes through one
 dispatch (:class:`_Faults`, over :mod:`repro.live.faults`): stage faults on
-in-process stages, aggregator faults through the planes'
+in-process stages, aggregator faults through the plane's
 :class:`~repro.live.tier.AggregatorHandle`\\ s. No leg raises on a violation:
 each returns a :class:`~repro.chaos.invariants.ChaosReport`, so CI can upload
 it before failing the step. Sim faults last a fixed number of *cycles*, live
@@ -48,7 +46,6 @@ __all__ = [
     "run_chaos_sim",
     "run_chaos_live",
     "run_chaos_restart",
-    "run_chaos_shard",
     "run_chaos_overload",
 ]
 
@@ -261,8 +258,7 @@ class _Faults:
     Stage faults act on in-process stages; aggregator faults on a plane's
     :class:`~repro.live.tier.AggregatorHandle`\\ s, so a stall is a real
     pause of the aggregator in its tier process. A killed aggregator
-    takes no more faults until its leg brings it back and drops it from
-    :attr:`down`. Stalls run as tasks until :meth:`stop`.
+    takes no more faults. Stalls run as tasks until :meth:`stop`.
     """
 
     def __init__(self) -> None:
@@ -270,16 +266,8 @@ class _Faults:
         self.down: set = set()
         self._stalls: List[asyncio.Task] = []
 
-    def inject(
-        self,
-        action: FaultAction,
-        stages: Sequence = (),
-        aggregators=(),
-        kill: Optional[Callable[[int], None]] = None,
-    ) -> bool:
-        """Inject ``action`` on its stage or aggregator; whether it killed
-        an aggregator. ``kill(index)``, when given, kills in the handle's
-        stead (a shard dies as a whole process)."""
+    def inject(self, action: FaultAction, stages: Sequence = (), aggregators=()) -> None:
+        """Inject ``action`` on its stage or aggregator."""
         kind, target = action.kind, action.target
         if kind == "kill_stage":
             kill_stage(stages[target])
@@ -291,12 +279,7 @@ class _Faults:
             self._stall(stall_aggregator(aggregators[target], action.duration_s))
         elif kind == "kill_aggregator":
             self.down.add(target)
-            if kill is None:
-                kill_aggregator(aggregators[target])
-            else:
-                kill(target)
-            return True
-        return False
+            kill_aggregator(aggregators[target])
 
     def _stall(self, stall: Coroutine) -> None:
         self._stalls.append(asyncio.create_task(stall))
@@ -819,77 +802,5 @@ def run_chaos_overload(
                 "requests recorded zero sheds — the gate is not engaged",
             )
         )
-    _verdict(report, checker)
-    return report
-
-
-# ---------------------------------------------------------------------------
-# Sharded (multi-process) plane
-# ---------------------------------------------------------------------------
-
-#: Cycles a killed shard stays down before its re-spawn.
-SHARD_RESPAWN_CYCLES = 2
-
-
-def run_chaos_shard(
-    seed: int,
-    n_stages: int = 8,
-    n_workers: int = 2,
-    n_cycles: int = 10,
-    cycle_period_s: float = 0.05,
-    rehome_bound_cycles: int = 6,
-    schedule: Optional[ChaosSchedule] = None,
-) -> ChaosReport:
-    """Run a seeded ``hier`` chaos schedule against the sharded live plane.
-
-    One shard per aggregator slot. A ``kill_aggregator`` SIGKILLs the
-    shard's forked tier, re-spawned with the same pinned partition
-    ``SHARD_RESPAWN_CYCLES`` cycles later; a ``stall_aggregator`` pauses
-    the shard's aggregator in its tier. Stage faults are skipped: a
-    shard's stages live in its process. The stages' applied state is
-    probed over each tier's control channel.
-    """
-    from repro.shard.plane import ShardedControlPlane
-
-    if schedule is None:
-        schedule = generate_schedule(seed, "hier", n_cycles, n_stages, n_workers)
-    report = _new_report(schedule, "shard")
-    plane = ShardedControlPlane(
-        schedule.n_stages,
-        schedule.n_aggregators,
-        collect_timeout_s=0.5,
-        enforce_timeout_s=0.5,
-        dead_after_missed=2,
-    )
-    checker = InvariantChecker(plane.policy.allocatable_iops, rehome_bound_cycles)
-    faults = _Faults()
-    respawn_at: Dict[int, List[int]] = {}
-
-    async def inject(cycle: int, actions: List[FaultAction]) -> None:
-        for shard in respawn_at.pop(cycle, []):
-            try:
-                await plane.respawn_shard(shard)
-                faults.down.discard(shard)
-            except TimeoutError:
-                # Eviction still pending: retry at the next cycle.
-                respawn_at.setdefault(cycle + 1, []).append(shard)
-        for action in actions:
-            if action.kind in ("kill_stage", "stall_stage"):
-                continue
-            if faults.inject(
-                action, aggregators=plane.aggregators, kill=plane.kill_shard
-            ):
-                back = cycle + SHARD_RESPAWN_CYCLES
-                respawn_at.setdefault(back, []).append(action.target)
-
-    async def run() -> None:
-        try:
-            await plane.start()
-            await _drive(schedule, report, checker, plane, inject, cycle_period_s)
-        finally:
-            await faults.stop()
-            await plane.shutdown()
-
-    asyncio.run(run())
     _verdict(report, checker)
     return report

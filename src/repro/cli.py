@@ -11,8 +11,7 @@ Usage (installed as ``python -m repro``):
     python -m repro reproduce fig4            # paper-vs-measured tables
     python -m repro plan --nodes 9408 --target-ms 100
     python -m repro live --stages 50 --cycles 20
-    python -m repro shard --stages 48 --workers 4
-    python -m repro chaos --plane shard --seed 7
+    python -m repro chaos --plane live --design hier --seed 7
     python -m repro chaos --plane live --schedule full-restart --seed 7
     python -m repro serve --store-dir ./state --port 8080
     python -m repro store inspect --dir ./state
@@ -105,6 +104,10 @@ def _cmd_flat(args) -> int:
 def _cmd_hier(args) -> int:
     from repro.harness.experiment import run_hierarchical_experiment
 
+    problem = _workers_problem(args)
+    if problem is not None:
+        print(problem, file=sys.stderr)
+        return 2
     if args.workers > 1:
         return _cmd_hier_partitioned(args)
     result = run_hierarchical_experiment(
@@ -138,6 +141,29 @@ def _cmd_coordinated(args) -> int:
     return 0
 
 
+def _workers_problem(args) -> Optional[str]:
+    """Why ``hier --workers`` cannot run as asked, or ``None``."""
+    if args.workers < 1:
+        return "--workers must be at least 1"
+    if args.workers == 1:
+        return None
+    if args.workers > args.aggregators:
+        return "--workers cannot exceed --aggregators"
+    unsupported = [
+        flag
+        for flag, given in (
+            ("--levels 3", args.levels == 3),
+            ("--offload", args.offload),
+            ("--repeats", args.repeats != 1),
+            ("--trace-out", args.trace_out is not None),
+        )
+        if given
+    ]
+    if unsupported:
+        return f"--workers > 1 does not support {', '.join(unsupported)}"
+    return None
+
+
 def _cmd_hier_partitioned(args) -> int:
     """``hier --workers N>1``: the partition-parallel DES path."""
     from repro.shard import run_partitioned_hier
@@ -167,65 +193,6 @@ def _cmd_hier_partitioned(args) -> int:
             f"{result.workers} worker processes"
         ),
     )
-    _emit(payload, text, args.json)
-    return 0
-
-
-def _cmd_shard(args) -> int:
-    """``repro shard``: the live multi-process sharded control plane."""
-    from repro.shard import run_live_sharded
-
-    result = run_live_sharded(
-        n_stages=args.stages,
-        n_workers=args.workers,
-        n_cycles=args.cycles,
-        collect_timeout_s=args.collect_timeout,
-        enforce_timeout_s=args.enforce_timeout,
-    )
-    stats = result.stats()
-    payload = {
-        "stages": result.n_stages,
-        "workers": result.n_workers,
-        "cycles": stats.n_cycles,
-        "cpu_count": result.cpu_count,
-        "mean_ms": stats.mean_ms,
-        "degraded_cycles": result.degraded_cycles,
-        "rules_applied": result.rules_applied_total,
-        "evictions": result.evictions,
-        "shards": result.shard_rows,
-    }
-    rows = [
-        ["stages", result.n_stages],
-        ["worker processes", result.n_workers],
-        ["host cores", result.cpu_count],
-        ["mean cycle (ms)", f"{stats.mean_ms:.2f}"],
-        ["degraded cycles", result.degraded_cycles],
-        ["rules applied", result.rules_applied_total],
-        ["evictions", result.evictions],
-    ]
-    text = format_table(
-        ["metric", "value"],
-        rows,
-        title=f"Sharded live control plane, {result.n_workers} workers",
-    )
-    shard_rows = [
-        [
-            r["aggregator_id"],
-            r["n_stages"],
-            r["cycles_served"],
-            f"{r['cpu_seconds']:.2f}",
-            r["tx_bytes"],
-            r["rx_bytes"],
-            f"{r['rss_bytes'] / 2**20:.1f}",
-        ]
-        for r in result.shard_rows
-    ]
-    if shard_rows:
-        text += "\n\n" + format_table(
-            ["shard", "stages", "cycles", "cpu s", "tx B", "rx B", "rss MiB"],
-            shard_rows,
-            title="Per-shard worker usage (last words over each tier's channel)",
-        )
     _emit(payload, text, args.json)
     return 0
 
@@ -455,7 +422,6 @@ def _cmd_chaos(args) -> int:
         run_chaos_live,
         run_chaos_overload,
         run_chaos_restart,
-        run_chaos_shard,
         run_chaos_sim,
     )
 
@@ -492,14 +458,6 @@ def _cmd_chaos(args) -> int:
             n_stages=args.stages,
             n_aggregators=args.aggregators,
             n_cycles=args.cycles,
-        )
-    elif args.plane == "shard":
-        report = run_chaos_shard(
-            args.seed,
-            n_stages=args.stages,
-            n_workers=args.aggregators,
-            n_cycles=args.cycles,
-            cycle_period_s=args.cycle_period,
         )
     else:
         report = run_chaos_live(
@@ -745,36 +703,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_live)
 
     p = sub.add_parser(
-        "shard",
-        help="run the live control plane sharded across worker processes",
-    )
-    p.add_argument("--stages", type=int, default=40)
-    p.add_argument("--workers", type=int, default=2,
-                   help="shard worker processes (one aggregator subtree each)")
-    p.add_argument("--cycles", type=int, default=10)
-    p.add_argument("--collect-timeout", type=float, default=None,
-                   help="collect-phase deadline in seconds (partial collect)")
-    p.add_argument("--enforce-timeout", type=float, default=None,
-                   help="enforce-phase deadline (defaults to collect timeout)")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_shard)
-
-    p = sub.add_parser(
         "chaos",
         help="run a seeded fault schedule and check invariants "
              "(exit 1 on violation)",
     )
-    p.add_argument("--plane", choices=("sim", "live", "shard"), default="live")
+    p.add_argument("--plane", choices=("sim", "live"), default="live")
     p.add_argument("--design", choices=("hier", "flat"), default="hier",
                    help="hier = aggregator tree (kill/stall aggregators); "
-                        "flat = primary + hot standby (kill the primary); "
-                        "shard plane always runs hier (--aggregators = "
-                        "worker count)")
+                        "flat = primary + hot standby (kill the primary)")
     p.add_argument("--seed", type=int, default=0,
                    help="schedule seed; the same seed reproduces the "
                         "same fault sequence")
     p.add_argument("--stages", type=int, default=9)
-    p.add_argument("--aggregators", type=int, default=3)
+    p.add_argument("--aggregators", type=int, default=3,
+                   help="aggregators of the hier tree (unused by --design "
+                        "flat)")
     p.add_argument("--cycles", type=int, default=12)
     p.add_argument("--cycle-period", type=float, default=0.1,
                    help="live-plane cycle pacing in seconds")

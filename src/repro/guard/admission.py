@@ -71,7 +71,7 @@ class RateLimiter:
         self._bucket = TokenBucket(rate, clock, burst)
         # The service tier is single-threaded asyncio, but acquire is a
         # read-modify-write — the lock keeps the bucket sound for
-        # threaded callers (shard workers, the property suite) too.
+        # threaded callers (the concurrency test in the guard suite) too.
         self._lock = threading.Lock()
 
     @property

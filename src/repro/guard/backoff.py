@@ -2,11 +2,11 @@
 
 The live plane's original retry schedule was deterministic-exponential
 with a small multiplicative jitter: ``base * factor**attempt`` scaled by
-``uniform(1.0, 1.25)``. After a mass eviction (controller restart, shard
-respawn) every stage computes the same schedule from the same attempt
-counter, so the whole fleet knocks on the new controller within the same
-few-millisecond windows — a thundering herd that repeats at every rung
-of the exponential.
+``uniform(1.0, 1.25)``. After a mass eviction (controller restart,
+aggregator-tier restart) every stage computes the same schedule from the
+same attempt counter, so the whole fleet knocks on the new controller
+within the same few-millisecond windows — a thundering herd that
+repeats at every rung of the exponential.
 
 Full jitter (the AWS Architecture Blog recipe) decorrelates the fleet:
 the attempt only sets the *ceiling*, and each client draws uniformly

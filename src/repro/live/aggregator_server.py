@@ -105,15 +105,11 @@ class LiveAggregator(StageFan):
         self.global_host = global_host
         self.global_port = global_port
         self.expected_stages = expected_stages
-        self.cycles_served = 0
         #: Live peer aggregators ``(host, port)`` from the last topology
         #: frame, excluding this aggregator — the stages' rehome targets.
         self.peer_addresses: List[Tuple[str, int]] = []
         #: ``rehome`` frames pushed to stages.
         self.rehomes_sent = 0
-        #: Stages adopted after upstream registration (orphans re-homed
-        #: here), announced upstream in the next ``partition`` frame.
-        self.adoptions = 0
         self._stop = asyncio.Event()
         self._paused = asyncio.Event()
         self._paused.set()
@@ -210,11 +206,6 @@ class LiveAggregator(StageFan):
 
     # -- lifecycle ----------------------------------------------------------
     def _welcome(self, session: StageSession) -> None:
-        # A registration after the upstream link is up is an adoption (an
-        # orphan re-homing here, or one of our own stages returning on a
-        # fresh socket): the next collect ships the new order.
-        if self._up is not None:
-            self.adoptions += 1
         # Late joiners get the current alternate list with the ack, so a
         # re-homed orphan is immediately armed against *this* home dying.
         fields = {}
@@ -284,7 +275,6 @@ class LiveAggregator(StageFan):
 
     # -- cycle halves ---------------------------------------------------------
     async def _collect(self, epoch: int) -> None:
-        self.cycles_served += 1
         started = self.tracer.now()
         if self.metrics is not None:
             self._m_cycles.inc()

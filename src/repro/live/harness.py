@@ -1,9 +1,12 @@
 """One-call live cluster runner.
 
 Spins up a :class:`~repro.live.controller_server.LiveGlobalController` and
-``n_stages`` :class:`~repro.live.stage_client.LiveVirtualStage` clients in
-a single asyncio loop over localhost TCP, runs the stress workload, and
-returns wall-clock cycle statistics.
+``n_stages`` :class:`~repro.live.stage_client.LiveVirtualStage` clients
+over localhost TCP, runs the stress workload, and returns wall-clock
+cycle statistics. The flat plane runs in one asyncio loop;
+:class:`LiveHierPlane` keeps the global controller and the stages on this
+process's loop and forks its aggregators into one child with a loop of
+its own (:mod:`repro.live.tier`).
 
 ``collect_timeout_s`` / ``enforce_timeout_s`` arm the controllers' phase
 deadlines (degraded cycles instead of stalls when stages die or stall);

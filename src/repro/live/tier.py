@@ -10,13 +10,6 @@ controller and the stage fleet stay in the parent. Stages reach their
 aggregator, and aggregators the global controller, over the same TCP
 sockets as before; nothing on the trunk or the stage legs changes.
 
-A tier may also host stages: its plan lists them beside the
-aggregators, each naming the tier aggregator it registers with. The
-child starts them once its aggregators listen and stops them before its
-last words. :class:`~repro.shard.plane.ShardedControlPlane` runs one
-such tier per shard — one aggregator and the stages the ring pins to it
-— while ``LiveHierPlane``'s list is empty.
-
 The parent holds the tier through one **control channel**, a socketpair
 carrying JSON frames on a :class:`~repro.live.protocol.FrameLink` at both
 ends, and through one :class:`AggregatorHandle` per aggregator (id,
@@ -27,13 +20,11 @@ address, the ``kill`` / ``pause`` / ``resume`` fault hooks, counters):
   it — what the parent's ``registered_stages`` reads) and, on its way
   out, ``tier_bye`` (final counters and observability);
 * the parent *calls* (``tier_call`` → ``tier_reply``, matched by
-  ``seq``): a fault hook, a counter read, ``probe`` (each hosted
-  stage's ``applied_epoch`` / ``applied_limit`` / ``rules_applied``),
-  or ``bye`` — the same last words, asked for just before a SIGKILL. A
-  call
-  blocks the parent until the tier answers — the tier never waits on
-  the parent, so it always can — which makes a hook take effect before
-  the parent's next trunk frame, as it did in one process.
+  ``seq``): a fault hook, a counter read, or ``bye`` — the same last
+  words, asked for just before a SIGKILL. A call blocks the parent until
+  the tier answers — the tier never waits on the parent, so it always
+  can — which makes a hook take effect before the parent's next trunk
+  frame, as it did in one process.
 
 **Fork, not spawn.** A fresh interpreter spends about a quarter of a
 second importing the live plane on every start, and a plane restart
@@ -51,14 +42,9 @@ parent's stack, ``atexit`` hooks or buffered output.
 
 Observability crosses the channel as data: with the parent observing,
 the tier keeps its own span list, counters and usage meters and ships
-them in its last words, where they merge
-into the parent's tracer, registry and usage session; the tier's CPU
-and memory come from its own ``/proc/<pid>``
-(:meth:`repro.obs.procfs.LiveUsageSession.attach`). The last words also
-carry the child's whole-process CPU seconds (a forked child's counters
-start at zero) and RSS, and its stages' final state, kept on
-:attr:`AggregatorTier.last_words`; a tier that hosts stages meters its
-aggregators' NIC bytes too, so the three make a per-process usage row.
+them in its last words, where they merge into the parent's tracer,
+registry and usage session; the tier's CPU and memory come from its own
+``/proc/<pid>`` (:meth:`repro.obs.procfs.LiveUsageSession.attach`).
 """
 
 from __future__ import annotations
@@ -72,15 +58,17 @@ import socket
 import sys
 import traceback
 from types import SimpleNamespace
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.live import pump
 from repro.live.aggregator_server import LiveAggregator
 from repro.live.protocol import FrameLink, encode
-from repro.live.stage_client import LiveVirtualStage
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.procfs import ComponentUsageMeter, read_rss_bytes
+from repro.obs.procfs import ComponentUsageMeter
 from repro.obs.spans import SpanRecord, SpanTracer
+
+if TYPE_CHECKING:
+    from repro.live.stage_client import LiveVirtualStage
 
 __all__ = ["AggregatorHandle", "AggregatorTier", "SessionCounters"]
 
@@ -173,9 +161,6 @@ class AggregatorTier:
         #: Stages registered on any tier aggregator, as last pushed.
         self.registered = 0
         self.handles: List[AggregatorHandle] = []
-        #: The tier's last words (``tier_bye`` or the reply to ``bye``),
-        #: once it has said them.
-        self.last_words: Optional[dict] = None
         self._sock: Optional[socket.socket] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._link = FrameLink(self._on_frame)
@@ -193,16 +178,14 @@ class AggregatorTier:
         collect_timeout_s: Optional[float],
         enforce_timeout_s: Optional[float],
         session_outbox_bytes: Optional[int],
-        stages: Sequence[Tuple[str, str, int]] = (),
     ) -> None:
         """Fork the tier with one aggregator per ``(id, expected_stages,
-        port)`` and one stage per ``(stage_id, job_id, aggregator index)``
-        and return once every aggregator is listening (``handles``)."""
+        port)`` and return once every aggregator is listening
+        (``handles``)."""
         loop = asyncio.get_running_loop()
         obs = self._obs
         plan = _Plan(
             specs,
-            stages,
             global_host,
             global_port,
             collect_timeout_s,
@@ -210,8 +193,7 @@ class AggregatorTier:
             session_outbox_bytes,
             trace=obs.tracer is not None,
             metrics=obs.registry is not None,
-            # A subtree's usage row counts its NIC bytes.
-            usage=obs.usage is not None or bool(stages),
+            usage=obs.usage is not None,
         )
         parent_end, child_end = socket.socketpair()
         pid = os.fork()
@@ -343,7 +325,6 @@ class AggregatorTier:
     def _take_leave(self, message: dict) -> None:
         """Keep the tier's final counters on the handles; merge what it
         observed into the parent's bundle."""
-        self.last_words = message
         for handle, stats in zip(self.handles, message["stats"]):
             handle._last = stats
         self._merge_obs(message["obs"])
@@ -372,7 +353,6 @@ class _Plan(NamedTuple):
     """Everything the child needs, handed over in the forked memory."""
 
     specs: Sequence[Tuple[str, int, int]]
-    stages: Sequence[Tuple[str, str, int]]
     global_host: str
     global_port: int
     collect_timeout_s: Optional[float]
@@ -437,8 +417,7 @@ class _TierAggregator(LiveAggregator):
 
 
 class _Tier:
-    """The child's side: its aggregators, its stages and its end of the
-    channel."""
+    """The child's side: its aggregators and its end of the channel."""
 
     def __init__(self, sock: socket.socket, plan: _Plan) -> None:
         self._sock = sock
@@ -450,7 +429,6 @@ class _Tier:
         self._registry = MetricsRegistry() if plan.metrics else None
         self._meters: Dict[str, ComponentUsageMeter] = {}
         self.aggregators: List[_TierAggregator] = []
-        self.stages: List[LiveVirtualStage] = []
         self._members_pushed = 0
         self._members_due = False
 
@@ -479,12 +457,6 @@ class _Tier:
             )
             await agg.start()
             self.aggregators.append(agg)
-        for stage_id, job_id, index in plan.stages:
-            home = self.aggregators[index]
-            self.stages.append(
-                LiveVirtualStage(home.host, home.port, stage_id=stage_id, job_id=job_id)
-            )
-        stage_tasks = [loop.create_task(s.run()) for s in self.stages]
         self._send(
             {
                 "kind": "tier_ready",
@@ -495,9 +467,6 @@ class _Tier:
             *(loop.create_task(a.run()) for a in self.aggregators),
             return_exceptions=True,
         )
-        for task in stage_tasks:
-            task.cancel()
-        await asyncio.gather(*stage_tasks, return_exceptions=True)
         # Released or shut-down stage sockets finish flushing; the pump
         # goes away with the last of them.
         deadline = loop.time() + _FLUSH_S
@@ -534,8 +503,6 @@ class _Tier:
         reply: Dict[str, Any] = {"kind": "tier_reply", "seq": message.get("seq")}
         if op == "bye":
             reply.update(self._last_words())
-        elif op == "probe":
-            reply["stages"] = _probe(self.stages)
         else:
             agg = self.aggregators[message["index"]]
             if op == "stats":
@@ -549,12 +516,8 @@ class _Tier:
         self._send(reply)
 
     def _last_words(self) -> dict:
-        times = os.times()
         return {
             "stats": [_stats(a) for a in self.aggregators],
-            "stages": _probe(self.stages),
-            "cpu_s": times.user + times.system,
-            "rss_bytes": read_rss_bytes(),
             "obs": self._drain_obs(),
         }
 
@@ -593,13 +556,11 @@ def _stats(agg: LiveAggregator) -> Dict[str, Any]:
         },
         "evictions": agg.evictions,
         "shed": agg.outbox_frames_shed,
-        "cycles_served": agg.cycles_served,
-        "adoptions": agg.adoptions,
     }
 
 
 def _probe(stages: Sequence[LiveVirtualStage]) -> Dict[str, Dict[str, Any]]:
-    """Each hosted stage's enforcement state, by stage id."""
+    """Each stage's enforcement state, by stage id."""
     return {
         s.stage_id: {
             "applied_epoch": s.applied_epoch,

@@ -5,7 +5,7 @@ its read callback and a ``Session`` routes each one synchronously — the
 four hot kinds as ``(kind, epoch, a, b)`` records, anything else as its
 message dict. These
 tests drive that path with a fake transport (no sockets), and keep the
-regression coverage for two hazards that matter once shard leaders relay
+regression coverage for two hazards that matter once aggregators relay
 frames: tx bytes charged for writes that never reached the socket
 (phantom REMORA rows), and real errors from a phase's reply handler
 silently downgraded to "missing".

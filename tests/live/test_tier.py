@@ -1,14 +1,12 @@
 """The aggregator tier's process boundary (:mod:`repro.live.tier`).
 
-A ``LiveHierPlane`` forks one child for its aggregators; a
-``ShardedControlPlane`` forks one per shard, each hosting the shard's
-aggregator and its stages. What a fork must not do: leave a process or
-a descriptor behind, keep a socket the parent closed alive, outlive the
-parent, or take a Ctrl-C meant for the parent's shutdown. The process
-boundary cases run against both planes, each driven through a small
-adapter. What the hierarchy's tier must also keep: the counters and
-fault hooks the plane's callers read and pull through
-``plane.aggregators``.
+A ``LiveHierPlane`` forks one child for its aggregators. What a fork
+must not do: leave a process or a descriptor behind, keep a socket the
+parent closed alive, outlive the parent, or take a Ctrl-C meant for the
+parent's shutdown. The process-boundary cases drive the plane through a
+small adapter, which the subprocess cases import. What the tier must
+also keep: the counters and fault hooks the plane's callers read and
+pull through ``plane.aggregators``.
 """
 
 import asyncio
@@ -25,7 +23,6 @@ from pathlib import Path
 import repro
 from repro.live.faults import kill_aggregator, kill_stage
 from repro.live.harness import LiveHierPlane
-from repro.shard import ShardedControlPlane
 
 _BACKOFF = dict(backoff_base_s=0.02, backoff_factor=1.5, backoff_max_s=0.1)
 _SRC = str(Path(repro.__file__).resolve().parents[1])
@@ -109,55 +106,7 @@ class HierPlane:
         await self.plane.stop()
 
 
-class ShardPlane:
-    """``ShardedControlPlane`` likewise: one tier per shard, each with
-    the shard's stages; kills and restarts take the shards in turn."""
-
-    def __init__(self, n_stages, n_shards, stage_backoff=None):
-        # ``stage_backoff`` is the hierarchy's: these stages run in the
-        # tiers with the stage defaults.
-        self.plane = ShardedControlPlane(n_stages, n_shards)
-        self._turn = 0
-
-    async def start(self):
-        await self.plane.start()
-
-    async def ready(self):
-        while len(self.plane.controller.sessions) < self.plane.n_workers:
-            await asyncio.sleep(0.01)
-
-    def tiers(self):
-        return list(self.plane._tiers.values())
-
-    async def run_cycles(self, n):
-        return await self.plane.run_cycles(n)
-
-    def _next_shard(self):
-        shard = self._turn % self.plane.n_workers
-        self._turn += 1
-        return shard
-
-    async def kill(self):
-        shard = self._next_shard()
-        tier = self.plane._tiers[shard]
-        self.plane.kill_shard(shard)
-        return [tier]
-
-    async def restart(self):
-        shard = self._next_shard()
-        self.plane.kill_shard(shard)
-        await self.plane.run_cycles(1)  # the cycle that evicts its leader
-        await self.plane.respawn_shard(shard)
-
-    async def stop(self):
-        await self.plane.shutdown()
-
-
-class _NothingLeftBehind:
-    """``plane`` is the adapter class the cases build their plane with."""
-
-    plane = HierPlane
-
+class TestNothingLeftBehind:
     def _check(self, scenario):
         children, fds = _children(), _fds()
         loop = asyncio.new_event_loop()
@@ -172,7 +121,7 @@ class _NothingLeftBehind:
 
     def test_stop(self):
         async def scenario():
-            plane = self.plane(40, 4)
+            plane = HierPlane(40, 4)
             await plane.start()
             await plane.run_cycles(2)
             pids = [tier.pid for tier in plane.tiers()]
@@ -184,7 +133,7 @@ class _NothingLeftBehind:
 
     def test_kill_plane(self):
         async def scenario():
-            plane = self.plane(40, 4, stage_backoff=_BACKOFF)
+            plane = HierPlane(40, 4, stage_backoff=_BACKOFF)
             await plane.start()
             await plane.run_cycles(1)
             pids = {tier: tier.pid for tier in plane.tiers()}
@@ -198,13 +147,13 @@ class _NothingLeftBehind:
 
         assert self._check(scenario)
 
-    def _restarts(self, rounds):
+    def test_fifty_restarts(self):
         async def scenario():
-            plane = self.plane(40, 4, stage_backoff=_BACKOFF)
+            plane = HierPlane(40, 4, stage_backoff=_BACKOFF)
             await plane.start()
             most = 0
             try:
-                for _ in range(rounds):
+                for _ in range(50):
                     await plane.restart()
                     most = max(most, len(_children()))
                 await plane.ready()
@@ -219,23 +168,7 @@ class _NothingLeftBehind:
         assert missing == 0
 
 
-class TestNothingLeftBehind(_NothingLeftBehind):
-    def test_fifty_restarts(self):
-        self._restarts(50)
-
-
-class TestShardNothingLeftBehind(_NothingLeftBehind):
-    plane = ShardPlane
-
-    def test_twenty_kill_respawn_rounds(self):
-        self._restarts(20)
-
-
 class TestForkHygiene:
-    """``plane`` is the adapter class the cases build their plane with."""
-
-    plane = HierPlane
-
     def test_sockets_the_parent_closes_are_closed(self):
         """After the fork, a listener the parent closes frees its port
         and a connection it closes reaches its peer as EOF — while the
@@ -248,7 +181,7 @@ class TestForkHygiene:
             client = socket.create_connection(acceptor.getsockname())
             server, _ = acceptor.accept()
             acceptor.close()
-            plane = self.plane(4, 2)
+            plane = HierPlane(4, 2)
             await plane.start()
             try:
                 pids = [tier.pid for tier in plane.tiers()]
@@ -272,9 +205,9 @@ class TestForkHygiene:
         """``kill -9`` on the parent closes its end of the control
         channel; the tier exits on that EOF instead of serving nobody."""
         proc = _in_subprocess(
-            f"""
+            """
             import asyncio
-            from tests.live.test_tier import {self.plane.__name__} as Plane
+            from tests.live.test_tier import HierPlane as Plane
 
             async def main():
                 plane = Plane(8, 2)
@@ -305,7 +238,7 @@ class TestForkHygiene:
         death does) ends the tier within 2 s."""
 
         async def scenario():
-            plane = self.plane(8, 2)
+            plane = HierPlane(8, 2)
             await plane.start()
             try:
                 pids = []
@@ -326,9 +259,9 @@ class TestForkHygiene:
         it: the parent still runs a cycle through it, then stops it, and
         it exits cleanly on the shutdown frames."""
         proc = _in_subprocess(
-            f"""
+            """
             import asyncio, json, signal
-            from tests.live.test_tier import {self.plane.__name__} as Plane
+            from tests.live.test_tier import HierPlane as Plane
 
             async def main():
                 plane = Plane(8, 2)
@@ -342,8 +275,8 @@ class TestForkHygiene:
                     await asyncio.sleep(0.01)
                 after = (await plane.run_cycles(1))[-1]
                 await plane.stop()
-                print(json.dumps({{"returncodes": [t.returncode for t in tiers],
-                                  "missing": after.n_missing}}), flush=True)
+                print(json.dumps({"returncodes": [t.returncode for t in tiers],
+                                  "missing": after.n_missing}), flush=True)
 
             asyncio.run(main())
             """,
@@ -362,10 +295,6 @@ class TestForkHygiene:
             "returncodes": [0] * tiers,
             "missing": 0,
         }
-
-
-class TestShardForkHygiene(TestForkHygiene):
-    plane = ShardPlane
 
 
 class TestCountersAcrossTheBoundary:

@@ -1,1 +1,1 @@
-"""Tests for the multi-process sharded control plane (repro.shard)."""
+"""Tests for the partition-parallel DES (repro.shard) and forked starts."""

@@ -26,9 +26,9 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["flat"])
 
-    def test_shard_has_no_codec_flag(self, capsys):
+    def test_live_has_no_codec_flag(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
-            main(["shard", "--codec", "json"])
+            main(["live", "--codec", "json"])
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --codec json" in capsys.readouterr().err
 
@@ -69,6 +69,44 @@ class TestHier:
             "--offload", "--json",
         )
         assert json.loads(out)["design"] == "hierarchical-offload"
+
+    def test_hier_workers_flag_runs_partitioned_sim(self, capsys):
+        code, out = run_cli(
+            capsys,
+            "hier", "--nodes", "20", "--aggregators", "2", "--cycles", "3",
+            "--workers", "2", "--json",
+        )
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["design"] == "hier-partitioned"
+        assert payload["workers"] == 2
+        assert payload["mean_ms"] > 0
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--workers", "2", "--levels", "3"],
+            ["--workers", "2", "--offload"],
+            ["--workers", "2", "--repeats", "2"],
+            ["--workers", "2", "--trace-out", "t.json"],
+            ["--workers", "0"],
+            ["--workers", "-1"],
+            ["--workers", "3"],
+        ],
+        ids=["levels", "offload", "repeats", "trace-out", "zero", "negative",
+             "above-aggregators"],
+    )
+    def test_workers_rejects_what_it_cannot_run(
+        self, capsys, tmp_path, monkeypatch, flags
+    ):
+        monkeypatch.chdir(tmp_path)
+        code = main(["hier", "--nodes", "20", "--aggregators", "2",
+                     "--cycles", "2", *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert not (tmp_path / "t.json").exists()
 
 
 class TestCoordinated:
@@ -280,55 +318,7 @@ class TestArchive:
         assert code == 0 and "(empty)" in out
 
 
-class TestShard:
-    def test_runs_worker_processes(self, capsys):
-        code, out = run_cli(
-            capsys,
-            "shard", "--stages", "6", "--workers", "2", "--cycles", "3",
-            "--json",
-        )
-        payload = json.loads(out)
-        assert code == 0
-        assert payload["workers"] == 2
-        assert payload["rules_applied"] == 6 * 3
-        assert payload["degraded_cycles"] == 0
-        assert len(payload["shards"]) == 2
-
-    def test_table_output_has_per_shard_usage(self, capsys):
-        code, out = run_cli(
-            capsys, "shard", "--stages", "4", "--workers", "2", "--cycles", "2"
-        )
-        assert code == 0
-        assert "Per-shard worker usage" in out
-        assert "shard-00" in out and "shard-01" in out
-
-    def test_hier_workers_flag_runs_partitioned_sim(self, capsys):
-        code, out = run_cli(
-            capsys,
-            "hier", "--nodes", "20", "--aggregators", "2", "--cycles", "3",
-            "--workers", "2", "--json",
-        )
-        payload = json.loads(out)
-        assert code == 0
-        assert payload["design"] == "hier-partitioned"
-        assert payload["workers"] == 2
-        assert payload["mean_ms"] > 0
-
-
 class TestChaos:
-    def test_shard_plane_zero_violations(self, capsys):
-        code, out = run_cli(
-            capsys,
-            "chaos", "--plane", "shard", "--seed", "7", "--stages", "6",
-            "--aggregators", "2", "--cycles", "6", "--cycle-period", "0.05",
-            "--json",
-        )
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["plane"] == "shard"
-        assert payload["ok"] is True
-
-
     def test_sim_hier_with_report(self, capsys, tmp_path):
         out_path = tmp_path / "chaos.json"
         code, out = run_cli(
