@@ -18,19 +18,20 @@ the bound is a shed trigger, not a hard write barrier, so
 ``pending_bytes`` can transiently exceed ``max_bytes`` by the
 non-sheddable residue (observable via ``high_water_bytes``).
 
-Storage is one shared ``bytearray`` per outbox plus a deque of
+Storage is one shared ``bytearray`` per outbox plus a list of
 ``(start, end, sheddable)`` spans — the zero-copy send path. Senders
 append frames in place (:meth:`push_with` hands the buffer to an
 encoder, so a frame never exists as its own ``bytes`` object) and
 :meth:`drain` materializes exactly one write burst per phase. Shedding
 compacts the buffer so the *real* memory footprint honours the budget,
-not just the accounting.
+not just the accounting. Every stage session holds an outbox and most
+never queue a frame (their per-stage frames are written through), so an
+idle one costs two empty containers: a list, not a deque's 64-slot block.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Deque, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 __all__ = ["BoundedOutbox"]
 
@@ -48,7 +49,7 @@ class BoundedOutbox:
             raise ValueError(f"max_bytes must be >= 1: {max_bytes}")
         self.max_bytes = max_bytes
         self._buf = bytearray()
-        self._spans: Deque[Tuple[int, int, bool]] = deque()
+        self._spans: List[Tuple[int, int, bool]] = []
         self.pending_bytes = 0
         #: Monotone shed counters.
         self.frames_shed = 0
@@ -102,9 +103,12 @@ class BoundedOutbox:
         # Walk oldest-first, dropping sheddable spans until under
         # budget; non-sheddable spans are kept in order.
         shed = 0
-        keep: Deque[Tuple[int, int, bool]] = deque()
-        while self._spans and self.pending_bytes > self.max_bytes:
-            span = self._spans.popleft()
+        keep: List[Tuple[int, int, bool]] = []
+        spans = self._spans
+        for i, span in enumerate(spans):
+            if self.pending_bytes <= self.max_bytes:
+                keep += spans[i:]
+                break
             start, end, sheddable = span
             if sheddable:
                 size = end - start
@@ -114,14 +118,13 @@ class BoundedOutbox:
                 shed += 1
             else:
                 keep.append(span)
-        keep.extend(self._spans)
         # Compact: rebuild the buffer from surviving spans so shed bytes
         # are freed immediately (the budget bounds real memory, not just
         # span accounting). Shedding is the rare path; the copy is the
         # price of a truly bounded buffer.
         old = memoryview(self._buf)
         fresh = bytearray()
-        spans: Deque[Tuple[int, int, bool]] = deque()
+        spans = []
         for start, end, sheddable in keep:
             new_start = len(fresh)
             fresh += old[start:end]

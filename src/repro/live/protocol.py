@@ -119,6 +119,11 @@ def hello_error(
     return None
 
 
+# ``json.dumps`` with any non-default option builds a ``JSONEncoder`` per
+# call; the compact one is built once.
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def encode(message: Dict[str, Any]) -> bytes:
     """Encode a JSON-kind message dict into one wire frame."""
     buf = bytearray()
@@ -143,7 +148,7 @@ def encode_into(buf: bytearray, message: Dict[str, Any]) -> int:
         raise ProtocolError(f"{kind} frames are packed, not JSON")
     start = len(buf)
     buf += b"\x00\x00\x00\x00"  # header placeholder, back-filled below
-    buf += json.dumps(message, separators=(",", ":")).encode("utf-8")
+    buf += _dumps(message).encode("utf-8")
     length = len(buf) - start - _HEADER.size
     if length > MAX_FRAME:
         del buf[start:]

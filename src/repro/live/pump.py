@@ -12,6 +12,13 @@ one ``poll(0)`` and walks the whole batch — ``recv_into`` the link's
 buffer, ``buffer_updated(n)``, flush on ``EPOLLOUT`` — then returns, so a
 burst costs the loop one callback however many sockets it spans.
 
+Connecting stays off the loop's selector too: :func:`connect` dials with
+``connect_ex`` and parks the socket on the same epoll for ``EPOLLOUT``;
+the drain resolves the dial's future, ``SO_ERROR`` gives the verdict, and
+the socket's interest turns to ``EPOLLIN`` as it becomes a link. A
+registration burst of N stages costs the selector no ``register`` /
+``unregister`` call and the loop no writer ``Handle``.
+
 Rules the drain keeps (asyncio's transports gave them for free):
 
 * **One poll per callback.** The drain never loops until the sockets run
@@ -65,6 +72,7 @@ from __future__ import annotations
 
 import asyncio
 import errno
+import functools
 import select
 import socket
 import weakref
@@ -87,6 +95,8 @@ ACCEPT_RETRY_S = 1.0
 _IN = select.EPOLLIN
 _OUT = select.EPOLLOUT
 _EXHAUSTED = (errno.EMFILE, errno.ENFILE, errno.ENOBUFS, errno.ENOMEM)
+#: ``connect_ex`` results that leave the verdict to ``EPOLLOUT``.
+_DIALLING = (0, errno.EINPROGRESS, errno.EINTR)
 
 # Running loop -> its pump. Weak values: a running loop keeps its pump
 # alive through the reader registered for it, and a pump whose loop was
@@ -104,33 +114,60 @@ def _pump_for(loop: asyncio.AbstractEventLoop) -> "_Pump":
 
 
 class _Pump:
-    """One loop's epoll, the links and listeners registered with it."""
+    """One loop's epoll, the links, listeners and dials registered with it."""
 
-    __slots__ = ("loop", "_ep", "_links", "_listeners", "__weakref__")
+    __slots__ = ("loop", "_ep", "_links", "_listeners", "_connecting", "__weakref__")
 
     def __init__(self, loop: asyncio.AbstractEventLoop) -> None:
         self.loop = loop
         self._ep = select.epoll()
         self._links: dict = {}  # fd -> _Transport
         self._listeners: dict = {}  # fd -> _Listener
+        self._connecting: dict = {}  # fd -> future, resolved on EPOLLOUT
         loop.add_reader(self._ep.fileno(), self._drain)
 
-    def attach(self, sock: socket.socket, link, delay_acks: bool = False) -> None:
-        """Put ``link`` on the connected, non-blocking ``sock``."""
+    def attach(
+        self, sock: socket.socket, link, delay_acks: bool = False, dialled: bool = False
+    ) -> None:
+        """Put ``link`` on the connected, non-blocking ``sock`` — already
+        on the epoll if ``dialled`` (:meth:`_connected` left it there)."""
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         transport = _Transport(self, sock, link, delay_acks)
         self._links[transport._fd] = transport
-        self._ep.register(transport._fd, _IN)
+        if dialled:
+            self._ep.modify(transport._fd, _IN)
+        else:
+            self._ep.register(transport._fd, _IN)
         try:
             link.connection_made(transport)
         except Exception as exc:
             transport._callback_failed(exc, "connection_made")
 
+    async def _connected(self, sock: socket.socket) -> int:
+        """Wait for the dialling ``sock`` to turn writable; its ``SO_ERROR``.
+
+        On 0 the fd stays on the epoll (interest ``EPOLLOUT``) for
+        :meth:`attach`; on an error, or cancelled, it leaves the epoll
+        here, before the caller closes the socket.
+        """
+        fd = sock.fileno()
+        waiter = self._connecting[fd] = self.loop.create_future()
+        self._ep.register(fd, _OUT)
+        err = errno.ECANCELED
+        try:
+            await waiter
+            err = sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
+        finally:
+            del self._connecting[fd]
+            if err:
+                self._forget(fd)
+        return err
+
     def _forget(self, fd: int) -> None:
-        """``fd`` left ``_links`` / ``_listeners``; the last one out
-        closes the epoll and takes its reader off the loop."""
+        """``fd`` left ``_links`` / ``_listeners`` / ``_connecting``; the
+        last one out closes the epoll and takes its reader off the loop."""
         self._ep.unregister(fd)
-        if not self._links and not self._listeners:
+        if not self._links and not self._listeners and not self._connecting:
             self.loop.remove_reader(self._ep.fileno())
             self._ep.close()
             if _pumps.get(self.loop) is self:
@@ -139,13 +176,19 @@ class _Pump:
     def _drain(self) -> None:
         """The loop's one callback per burst: poll once, serve the batch."""
         links = self._links
-        for fd, mask in self._ep.poll(0, len(links) + len(self._listeners)):
+        registered = len(links) + len(self._listeners) + len(self._connecting)
+        for fd, mask in self._ep.poll(0, registered):
             transport = links.get(fd)
             if transport is None:
-                # A listener — or a link lost earlier in this batch.
+                # A listener, a dial with its verdict in — or a link lost
+                # earlier in this batch.
                 listener = self._listeners.get(fd)
                 if listener is not None:
                     listener._accept()
+                    continue
+                waiter = self._connecting.get(fd)
+                if waiter is not None and not waiter.done():
+                    waiter.set_result(None)
                 continue
             if transport._closing:  # done reading: only the flush is left
                 transport._flush()
@@ -384,21 +427,35 @@ def listen(factory: Callable[[], object], host: str, port: int, backlog: int) ->
     return _Listener(_pump_for(loop), sock, factory)
 
 
-async def connect(link, host: str, port: int) -> None:
-    """Connect to ``host:port`` and put ``link`` on the connection.
-
-    Tries every address ``host`` resolves to; raises the last
-    ``OSError`` if none accepts.
-    """
-    loop = asyncio.get_running_loop()
-    try:
-        # An address needs no resolver thread.
-        infos = socket.getaddrinfo(
+@functools.lru_cache(maxsize=256)
+def _numeric_infos(host: str, port: int) -> tuple:
+    """``getaddrinfo`` for an address: no resolver thread, and — being a
+    pure function of its arguments — asked once per address, not once
+    per dial of a registration burst. Raises ``gaierror`` for a name."""
+    return tuple(
+        socket.getaddrinfo(
             host,
             port,
             type=socket.SOCK_STREAM,
             flags=socket.AI_NUMERICHOST | socket.AI_NUMERICSERV,
         )
+    )
+
+
+async def connect(link, host: str, port: int) -> None:
+    """Connect to ``host:port`` and put ``link`` on the connection.
+
+    The dial is a non-blocking ``connect`` on the pump's own epoll, like
+    the link it becomes: the socket waits for ``EPOLLOUT`` there, its
+    verdict is read from ``SO_ERROR``, and on success its interest turns
+    to ``EPOLLIN`` — the loop's selector never sees it. Tries every
+    address ``host`` resolves to; raises the last ``OSError`` if none
+    accepts. Cancelled mid-dial, it takes the socket off the epoll
+    before closing it.
+    """
+    loop = asyncio.get_running_loop()
+    try:
+        infos = _numeric_infos(host, port)
     except socket.gaierror:
         infos = await loop.getaddrinfo(host, port, type=socket.SOCK_STREAM)
     error: Optional[OSError] = None
@@ -406,13 +463,18 @@ async def connect(link, host: str, port: int) -> None:
         sock = socket.socket(family, kind, proto)
         try:
             sock.setblocking(False)
-            await loop.sock_connect(sock, address)
+            err = sock.connect_ex(address)
+            if err in _DIALLING:
+                pump = _pump_for(loop)
+                err = await pump._connected(sock)
+            if err:
+                raise OSError(err, f"Connect call failed {address}")
         except BaseException as exc:
             sock.close()
             if not isinstance(exc, OSError):
                 raise
             error = exc
         else:
-            _pump_for(loop).attach(sock, link)
+            pump.attach(sock, link, dialled=True)
             return
     raise error

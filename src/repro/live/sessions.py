@@ -533,6 +533,10 @@ class PhaseDriver:
         return stamped_feed, stamped_reply, emit
 
 
+#: The ack of a registration that carries no fields (every flat one).
+_REGISTERED = encode({"kind": "registered"})
+
+
 class SessionHost(PhaseDriver):
     """A listener and the sessions registered through it: hello
     validation and rejection, eviction (with the shed counts of the
@@ -694,7 +698,9 @@ class SessionHost(PhaseDriver):
 
     def _welcome(self, session: Session, **ack_fields) -> None:
         """Answer an accepted hello (subclasses add fields, bookkeeping)."""
-        session.link.write(encode({"kind": "registered", **ack_fields}))
+        session.link.write(
+            encode({"kind": "registered", **ack_fields}) if ack_fields else _REGISTERED
+        )
 
     def _on_evicted(self, session: Session) -> None:
         """Bookkeeping hook after a session is dropped."""

@@ -81,6 +81,22 @@ class LiveVirtualStage:
         ``None`` waits forever (the seed behaviour).
     """
 
+    # A plane holds thousands: past 29 attributes CPython stops sharing
+    # the instance dict's keys, and 45 cost 1.6 KB a stage. ``__dict__``
+    # stays for whatever a test or a fault patches onto one instance.
+    __slots__ = (
+        "addresses", "_addr_index", "controller_timeout_s", "stage_id", "job_id",
+        "demand", "reconnect", "backoff_base_s", "backoff_factor", "backoff_max_s",
+        "backoff_jitter", "_rng", "breaker_failures", "breaker_reset_s", "breakers",
+        "breaker_skips", "max_retries", "applied_epoch", "applied_limit",
+        "applied_metadata_limit", "data_bucket", "metadata_bucket", "requests_served",
+        "rules_applied", "rules_ignored_stale", "connects", "reconnects",
+        "registrations_rejected", "consecutive_failures", "failovers",
+        "rehomes_received", "silence_timeouts", "gave_up", "_stop", "_paused",
+        "_backlog", "_link", "_registered", "_ended", "_watchdog", "_heard_at",
+        "_registered_addr", "_last_silent", "_pack_metrics", "_pack_ack", "__dict__",
+    )
+
     def __init__(
         self,
         host: str,
@@ -315,11 +331,16 @@ class LiveVirtualStage:
         in the link's frame callback, reply written in the same call.
         Returns True once registration succeeded, even if the connection
         later dropped (so a spell of healthy service resets the backoff);
-        raises on connection errors before the hello is out.
+        raises on connection errors before the hello is out. A
+        :meth:`stop` that came while the connect was in flight had no
+        session to end: the new connection is closed unannounced.
         """
         loop = asyncio.get_running_loop()
         link = FrameLink(self._on_frame, self._end_session)
         await pump.connect(link, self.host, self.port)
+        if self._stop.is_set():
+            link.close()
+            return False
         self._link = link
         self._registered = False
         self._ended = loop.create_future()

@@ -360,6 +360,39 @@ class TestMechanism:
 
         assert asyncio.run(scenario(200)) == asyncio.run(scenario(400))
 
+    def test_stages_registering_make_no_selector_calls(self, monkeypatch):
+        """Dials sit on the pump's epoll too: registering 200 stages
+        neither registers nor unregisters anything with the loop's
+        selector (a dial through ``loop.sock_connect`` costs one each)."""
+        n = 200
+
+        async def scenario():
+            ctrl = LiveGlobalController(default_policy(n), expected_stages=n)
+            await ctrl.start()
+            selector = asyncio.get_running_loop()._selector
+            calls = {"register": 0, "unregister": 0}
+            for name in calls:
+
+                def counting(*args, _name=name, _method=getattr(selector, name)):
+                    calls[_name] += 1
+                    return _method(*args)
+
+                monkeypatch.setattr(selector, name, counting)
+            tasks = [
+                asyncio.create_task(
+                    LiveVirtualStage(ctrl.host, ctrl.port, f"s-{i:03d}", "j").run()
+                )
+                for i in range(n)
+            ]
+            try:
+                await ctrl.wait_for_stages()
+                return dict(calls), len(ctrl.sessions)
+            finally:
+                monkeypatch.undo()
+                await self._stop(ctrl, tasks)
+
+        assert asyncio.run(scenario()) == ({"register": 0, "unregister": 0}, n)
+
     def test_steady_flat_cycle_costs_the_loop_a_handful_of_handles(self, monkeypatch):
         n, cycles = 200, 5
         runs = [0]
@@ -425,6 +458,17 @@ def _pumps_alive():
     return [obj for obj in gc.get_objects() if isinstance(obj, pump._Pump)]
 
 
+def _epoll_targets(the_pump):
+    """The descriptors registered with ``the_pump``'s epoll, as the
+    kernel lists them."""
+    with open(f"/proc/self/fdinfo/{the_pump._ep.fileno()}") as f:
+        return {int(line.split()[1]) for line in f if line.startswith("tfd:")}
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
 class TestTeardown:
     def test_start_stop_rounds_leave_no_descriptor_and_no_pump(self):
         async def one_round():
@@ -440,13 +484,87 @@ class TestTeardown:
             await asyncio.sleep(0.05)  # deferred connection_lost steps
 
         assert _pumps_alive() == []
-        before = len(os.listdir("/proc/self/fd"))
+        before = _open_fds()
         loop = asyncio.new_event_loop()
         try:
             loop.run_until_complete(rounds())
         finally:
             loop.close()
-        assert len(os.listdir("/proc/self/fd")) == before
+        assert _open_fds() == before
+        assert _pumps_alive() == []
+        assert len(pump._pumps) == 0
+
+    @pytest.mark.parametrize("listening", [False, True], ids=["alone", "beside-a-listener"])
+    def test_a_refused_connect_raises_and_leaves_no_descriptor(self, listening):
+        """``ConnectionRefusedError`` is what the reconnect loop and the
+        breakers count; the dial's socket and registration go with it,
+        and a pump it created for itself goes too."""
+
+        async def scenario():
+            rig = _Rig() if listening else None
+            closed = socket.socket()  # bound, never listening: refused
+            closed.bind(("127.0.0.1", 0))
+            try:
+                link = FrameLink(on_frame=lambda message, nbytes: None)
+                with pytest.raises(ConnectionRefusedError):
+                    await pump.connect(link, *closed.getsockname())
+                the_pump = pump._pumps.get(asyncio.get_running_loop())
+                census = None
+                if the_pump is not None:
+                    census = the_pump._connecting, _epoll_targets(the_pump)
+                return census, link.transport
+            finally:
+                closed.close()
+                if rig is not None:
+                    rig.close()
+
+        assert _pumps_alive() == []
+        before = _open_fds()
+        census, transport = asyncio.run(scenario())
+        assert transport is None
+        if listening:
+            connecting, targets = census
+            assert connecting == {} and len(targets) == 1  # the listener alone
+        else:
+            assert census is None
+        assert _open_fds() == before
+        assert _pumps_alive() == []
+
+    def test_connects_cancelled_mid_dial_leave_no_descriptor_or_registration(self):
+        n = 16
+
+        async def scenario():
+            rig = _Rig()
+            the_pump = pump._pumps[asyncio.get_running_loop()]
+            links = [FrameLink(on_frame=lambda message, nbytes: None) for _ in range(n)]
+            tasks = [
+                asyncio.create_task(pump.connect(link, *rig.address)) for link in links
+            ]
+            await asyncio.sleep(0)  # each has dialled and waits on the epoll
+            dialling = len(the_pump._connecting)
+            for task in tasks:
+                task.cancel()
+            results = await asyncio.gather(*tasks, return_exceptions=True)
+            await _settle()
+            # Whatever the listener accepted meanwhile is a link of its
+            # own; nothing else may still be registered.
+            census = (
+                dict(the_pump._connecting),
+                _epoll_targets(the_pump) == set(the_pump._links) | set(the_pump._listeners),
+                [link.transport for link in links],
+            )
+            rig.close()
+            await _settle()
+            return dialling, results, census, the_pump._ep.closed
+
+        assert _pumps_alive() == []
+        before = _open_fds()
+        dialling, results, census, closed = asyncio.run(scenario())
+        assert dialling == n
+        assert all(isinstance(r, asyncio.CancelledError) for r in results)
+        assert census == ({}, True, [None] * n)
+        assert closed  # the listener was the last one out
+        assert _open_fds() == before
         assert _pumps_alive() == []
         assert len(pump._pumps) == 0
 

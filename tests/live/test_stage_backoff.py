@@ -9,7 +9,9 @@ two clients under the SAME seed policy disjoint retry instants.
 
 import asyncio
 
+from repro.core.control_plane import default_policy
 from repro.guard import CircuitBreaker
+from repro.live.controller_server import LiveGlobalController
 from repro.live.stage_client import LiveVirtualStage
 
 
@@ -89,3 +91,28 @@ class TestClientBreaker:
             assert s.breaker_skips >= 4
 
         asyncio.run(scenario())
+
+
+class TestStopDuringConnect:
+    def test_stop_while_the_connect_is_in_flight_ends_the_run(self):
+        """A ``stop()`` that comes while the dial is still out has no
+        session to end; the stage must not go on to register and serve
+        until the controller shuts down."""
+
+        async def scenario():
+            ctrl = LiveGlobalController(default_policy(1), expected_stages=1)
+            await ctrl.start()
+            stage = LiveVirtualStage(ctrl.host, ctrl.port, stage_id="s", job_id="j")
+            task = asyncio.create_task(stage.run())
+            try:
+                await asyncio.sleep(0)  # run() is inside its connect
+                stage.stop()
+                done, _ = await asyncio.wait([task], timeout=1.0)
+                await asyncio.sleep(0.05)  # a hello would have landed by now
+                return bool(done), len(ctrl.sessions), stage.connects
+            finally:
+                task.cancel()
+                await asyncio.gather(task, return_exceptions=True)
+                await ctrl.shutdown()
+
+        assert asyncio.run(scenario()) == (True, 0, 0)
