@@ -9,8 +9,8 @@ The package implements, from scratch:
   hierarchical designs around the PSFA control algorithm;
 * :mod:`repro.dataplane` — data-plane stages (full and "virtual" stress
   variants) with token-bucket rate limiting;
-* :mod:`repro.pfs` / :mod:`repro.jobs` — a Lustre-like parallel file
-  system model and synthetic HPC job workloads;
+* :mod:`repro.jobs` — synthetic HPC job workloads and facility demand
+  traces;
 * :mod:`repro.monitoring` — a REMORA-like resource usage monitor;
 * :mod:`repro.harness` — calibration, experiment running, and reporting
   that regenerate every figure and table in the paper;

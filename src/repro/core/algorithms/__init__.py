@@ -9,7 +9,7 @@ from repro.core.algorithms.baselines import (
 )
 from repro.core.algorithms.padll import PADLLThrottler
 from repro.core.algorithms.pid import PIDController
-from repro.core.algorithms.psfa import PSFA, split_job_allocation, weighted_waterfill
+from repro.core.algorithms.psfa import PSFA, weighted_waterfill
 
 __all__ = [
     "AllocationResult",
@@ -21,6 +21,5 @@ __all__ = [
     "PSFA",
     "StaticPartition",
     "UniformShare",
-    "split_job_allocation",
     "weighted_waterfill",
 ]

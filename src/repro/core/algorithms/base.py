@@ -102,5 +102,3 @@ class ControlAlgorithm(ABC):
             jobs; an idle job's floor is not falsely allocated).
         """
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{type(self).__name__} {self.name!r}>"

@@ -34,7 +34,7 @@ from repro.core.algorithms.base import (
     validate_inputs,
 )
 
-__all__ = ["PSFA", "split_job_allocation", "weighted_waterfill"]
+__all__ = ["PSFA", "weighted_waterfill"]
 
 _EPS = 1e-12
 
@@ -98,40 +98,6 @@ def weighted_waterfill(
     alloc = np.empty(n)
     alloc[order] = alloc_sorted
     return alloc
-
-
-def split_job_allocation(
-    job_allocation: float,
-    stage_demands: np.ndarray,
-) -> np.ndarray:
-    """Split one job's grant across its stages, proportional to demand.
-
-    Active stages split ``min(job_allocation, total_demand)`` in
-    proportion to their demand. When the grant exceeds total demand and
-    some stages are idle, the surplus is split equally among the idle
-    stages (the same idle-stage equal-split convention as
-    ``Controller._allocate_vector``); with no idle stages the surplus is
-    folded into the proportional split, so every stage scales up
-    uniformly. All stages idle → the whole grant splits equally.
-    """
-    if job_allocation < 0:
-        raise ValueError(f"negative job allocation: {job_allocation}")
-    stage_demands = np.asarray(stage_demands, dtype=float)
-    if np.any(stage_demands < 0):
-        raise ValueError("negative stage demand")
-    n = stage_demands.size
-    if n == 0:
-        return np.zeros(0)
-    total = float(stage_demands.sum())
-    if total <= _EPS:
-        return np.full(n, job_allocation / n)
-    idle = stage_demands <= _EPS
-    surplus = job_allocation - total
-    if surplus > _EPS and np.any(idle):
-        alloc = stage_demands.copy()
-        alloc[idle] = surplus / int(idle.sum())
-        return alloc
-    return job_allocation * stage_demands / total
 
 
 class PSFA(ControlAlgorithm):

@@ -1,7 +1,7 @@
 """Pure-Python reference implementations of the allocation brains.
 
-The production brains (:mod:`psfa`, :mod:`padll`, :mod:`baselines`) are
-fully vectorized; these loop-based twins restate their semantics in
+The production brains (:mod:`psfa`, :mod:`padll`) are fully
+vectorized; these loop-based twins restate their semantics in
 plain Python, one stage at a time, as an executable specification. The
 hypothesis equivalence suite races the two families over random demand /
 weight / capacity inputs (including the zero-weight and idle-stage
@@ -20,15 +20,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-__all__ = [
-    "max_min_fair_reference",
-    "naive_proportional_reference",
-    "padll_axes_reference",
-    "psfa_reference",
-    "static_partition_reference",
-    "uniform_share_reference",
-    "waterfill_reference",
-]
+__all__ = ["padll_axes_reference", "psfa_reference", "waterfill_reference"]
 
 _EPS = 1e-12
 
@@ -170,76 +162,3 @@ def padll_axes_reference(
         activity_threshold_iops=activity_threshold_iops,
     )
     return data, meta
-
-
-def static_partition_reference(
-    demands: Sequence[float], weights: Sequence[float], capacity: float
-) -> List[float]:
-    """Loop-based twin of the ``static-partition`` baseline.
-
-    Demand-blind: every stage gets its weight share of capacity whether
-    it asked for anything or not.
-    """
-    total_w = sum(float(w) for w in weights)
-    return [capacity * float(w) / total_w for w in weights]
-
-
-def uniform_share_reference(
-    demands: Sequence[float],
-    weights: Sequence[float],
-    capacity: float,
-    activity_threshold_iops: float = 0.0,
-) -> List[float]:
-    """Loop-based twin of the ``uniform-share`` baseline.
-
-    Capacity split equally across the active stages; weights ignored.
-    """
-    active = [i for i, d in enumerate(demands) if d > activity_threshold_iops]
-    alloc = [0.0] * len(demands)
-    if active:
-        share = capacity / len(active)
-        for i in active:
-            alloc[i] = share
-    return alloc
-
-
-def naive_proportional_reference(
-    demands: Sequence[float],
-    weights: Sequence[float],
-    capacity: float,
-    activity_threshold_iops: float = 0.0,
-) -> List[float]:
-    """Loop-based twin of the ``naive-proportional`` baseline.
-
-    Weight-proportional split of capacity over the active stages, with
-    no demand clamp — a stage can be granted more than it asked for.
-    """
-    active = [i for i, d in enumerate(demands) if d > activity_threshold_iops]
-    alloc = [0.0] * len(demands)
-    if active:
-        total_w = sum(float(weights[i]) for i in active)
-        for i in active:
-            alloc[i] = capacity * float(weights[i]) / total_w
-    return alloc
-
-
-def max_min_fair_reference(
-    demands: Sequence[float],
-    weights: Sequence[float],
-    capacity: float,
-    activity_threshold_iops: float = 0.0,
-) -> List[float]:
-    """Loop-based twin of the ``max-min-fair`` baseline.
-
-    Unweighted water-fill over the active stages — classic max-min
-    fairness, demand-clamped.
-    """
-    active = [i for i, d in enumerate(demands) if d > activity_threshold_iops]
-    alloc = [0.0] * len(demands)
-    if active:
-        filled = waterfill_reference(
-            [float(demands[i]) for i in active], [1.0] * len(active), capacity
-        )
-        for i, f in zip(active, filled):
-            alloc[i] = f
-    return alloc

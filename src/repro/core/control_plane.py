@@ -368,9 +368,6 @@ class HierarchicalControlPlane(_DeployedPlane):
         plane.global_controller = controller
         return plane
 
-    def aggregator_hosts(self) -> List[SimHost]:
-        return [a.host for a in self.aggregators]
-
 
 class CoordinatedFlatControlPlane(_DeployedPlane):
     """K coordinating peer controllers, each owning a stage partition (§VI).

@@ -620,10 +620,6 @@ class GlobalController(_Fan):
     def n_stages(self) -> int:
         return self.columns.n_active
 
-    @property
-    def is_hierarchical(self) -> bool:
-        return any(c.kind == "aggregator" for c in self.children)
-
     # -- views ----------------------------------------------------------------
     @property
     def latest_metrics(self) -> Dict[str, StageMetrics]:

@@ -136,38 +136,6 @@ class CostModel:
     def as_dict(self) -> Dict[str, float]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    # -- derived aggregates (used by the analytic calibration predictors) ----
-    @property
-    def flat_per_stage_critical_s(self) -> float:
-        """Critical-path seconds a flat global controller spends per stage."""
-        return (
-            self.tx_request_s
-            + self.rx_reply_s
-            + self.psfa_per_stage_s
-            + self.rule_build_s
-            + self.tx_rule_s
-            + self.rx_ack_s
-        )
-
-    @property
-    def agg_per_stage_critical_s(self) -> float:
-        """Critical-path seconds an aggregator spends per owned stage."""
-        return (
-            self.tx_request_s
-            + self.rx_reply_s
-            + self.agg_merge_s
-            + self.batch_unpack_s
-            + self.tx_rule_s
-            + self.rx_ack_s
-        )
-
-    @property
-    def hier_global_per_stage_critical_s(self) -> float:
-        """Critical-path seconds the hierarchical global spends per stage."""
-        return (
-            self.rx_agg_entry_s + self.psfa_per_stage_hier_s + self.rule_build_hier_s
-        )
-
 
 #: Default model, calibrated to the paper's Frontera measurements.
 FRONTERA_COST_MODEL = CostModel()

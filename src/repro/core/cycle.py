@@ -185,9 +185,6 @@ class CycleStats:
         enforce = float(np.mean([c.enforce_s for c in self.cycles])) * 1e3
         return PhaseBreakdown(collect, compute, enforce)
 
-    def phase_mean_ms(self, phase: str) -> float:
-        return self.breakdown().as_dict()[phase]
-
     def summary(self) -> Dict[str, float]:
         """Flat dict of every reported statistic (for tables/JSON)."""
         bd = self.breakdown()

@@ -10,8 +10,6 @@ simulation:
   downtime window, then restarts it. With a ``collect_timeout_s`` set on
   the global controller, cycles continue with partial metrics; without
   one, the control plane stalls (both behaviours are tested).
-* :func:`crash_stage` — makes a stage drop all traffic for a window
-  (node failure / network partition). Messages sent to it are lost.
 * :class:`FailureLog` — records injected events for assertions.
 
 Stage-side guarantees under failure are provided by the epoch check in
@@ -25,10 +23,9 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.core.controller import AggregatorController
-from repro.dataplane.virtual_stage import VirtualStage
 from repro.simnet.engine import Environment
 
-__all__ = ["FailureEvent", "FailureLog", "crash_aggregator", "crash_stage"]
+__all__ = ["FailureEvent", "FailureLog", "crash_aggregator"]
 
 
 @dataclass(frozen=True)
@@ -82,44 +79,6 @@ def crash_aggregator(
     def up() -> None:
         aggregator.start()
         log.record(env.now, aggregator.agg_id, "recover")
-
-    env.call_at(at, down)
-    env.call_at(at + downtime, up)
-    return log
-
-
-def crash_stage(
-    env: Environment,
-    stage: VirtualStage,
-    at: float,
-    downtime: float,
-    log: Optional[FailureLog] = None,
-) -> FailureLog:
-    """Make ``stage`` unreachable during ``[at, at + downtime)``.
-
-    Incoming messages are counted as dropped; the controller sees missing
-    replies (and needs a collect timeout to make progress).
-    """
-    if at < env.now:
-        raise ValueError(f"crash time {at} in the simulated past")
-    if downtime <= 0:
-        raise ValueError(f"downtime must be positive: {downtime}")
-    log = log if log is not None else FailureLog()
-    if stage.endpoint is None:
-        raise RuntimeError(f"stage {stage.stage_id} is not bound to an endpoint")
-    original_handler = stage.endpoint.handler
-    dropped = {"count": 0}
-
-    def black_hole(message, connection) -> None:
-        dropped["count"] += 1
-
-    def down() -> None:
-        stage.endpoint.set_handler(black_hole)
-        log.record(env.now, stage.stage_id, "crash")
-
-    def up() -> None:
-        stage.endpoint.set_handler(original_handler)
-        log.record(env.now, stage.stage_id, "recover")
 
     env.call_at(at, down)
     env.call_at(at + downtime, up)

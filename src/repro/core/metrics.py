@@ -16,7 +16,7 @@ content only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -136,10 +136,6 @@ class MetricsWindow:
         self._demands_cache = None
         return value
 
-    def update_many(self, reports: Iterable[StageMetrics]) -> None:
-        for r in reports:
-            self.update(r.stage_id, r.total_iops)
-
     def demand(self, stage_id: str) -> float:
         """Smoothed demand for a stage (0.0 if never reported)."""
         return self._ewma.get(stage_id, 0.0)
@@ -165,10 +161,6 @@ class MetricsWindow:
         """Drop state for a departed stage."""
         self._ewma.pop(stage_id, None)
         self._demands_cache = None
-
-    def snapshot(self) -> Dict[str, float]:
-        """Copy of the smoothed demands (hot-standby state transfer)."""
-        return dict(self._ewma)
 
     def adopt(self, demands: Dict[str, float]) -> None:
         """Install demands for stages with no local observation.

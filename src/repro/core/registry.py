@@ -99,9 +99,6 @@ class StageRegistry:
     def job_of(self, stage_id: str) -> str:
         return self.get(stage_id).job_id
 
-    def records(self) -> List[StageRecord]:
-        return list(self._stages.values())
-
 
 def partition_stages(
     stage_ids: Sequence[str],

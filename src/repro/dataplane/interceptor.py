@@ -6,11 +6,9 @@ client). This module is the simulation equivalent: job processes issue
 ``open``/``read``/``write``/``stat``/``close`` calls against an
 :class:`IOInterceptor`, which
 
-1. classifies each call as a *data* or *metadata* operation,
+1. classifies each call as a *data* or *metadata* operation, and
 2. admits it through the job's :class:`~repro.dataplane.stage.DataPlaneStage`
-   (where the controller's rate limits bite), and
-3. submits it to the PFS model, experiencing its service time and
-   contention.
+   (where the controller's rate limits bite).
 
 Every call is a generator to be driven with ``yield from`` inside a
 simulation process.
@@ -19,7 +17,7 @@ simulation process.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Generator
 
 from repro.dataplane.stage import DATA, METADATA, DataPlaneStage
 from repro.simnet.engine import Environment
@@ -49,7 +47,6 @@ class IOOp:
     issued_at: float
     completed_at: float
     throttle_wait_s: float
-    pfs_wait_s: float
 
     @property
     def latency_s(self) -> float:
@@ -57,23 +54,16 @@ class IOOp:
 
 
 class IOInterceptor:
-    """Routes a job's I/O calls through its stage and into the PFS."""
+    """Routes a job's I/O calls through its stage."""
 
-    def __init__(
-        self,
-        env: Environment,
-        stage: DataPlaneStage,
-        pfs_client=None,
-    ) -> None:
+    def __init__(self, env: Environment, stage: DataPlaneStage) -> None:
         from repro.monitoring.histogram import LatencyHistogram
 
         self.env = env
         self.stage = stage
-        self.pfs_client = pfs_client
         self.completed: int = 0
         self.total_throttle_wait_s = 0.0
-        self.total_pfs_wait_s = 0.0
-        #: End-to-end (throttle + PFS) latency distribution per op.
+        #: End-to-end latency distribution per op.
         self.latency = LatencyHistogram()
 
     def call(self, name: str, size_bytes: int = 0) -> Generator:
@@ -85,10 +75,6 @@ class IOInterceptor:
             raise ValueError(f"negative size: {size_bytes}")
         issued = self.env.now
         throttle_wait = yield from self.stage.admit(op_class)
-        pfs_started = self.env.now
-        if self.pfs_client is not None:
-            yield from self.pfs_client.submit(op_class, size_bytes)
-        pfs_wait = self.env.now - pfs_started
         op = IOOp(
             call=name,
             op_class=op_class,
@@ -96,20 +82,15 @@ class IOInterceptor:
             issued_at=issued,
             completed_at=self.env.now,
             throttle_wait_s=throttle_wait,
-            pfs_wait_s=pfs_wait,
         )
         self.completed += 1
         self.total_throttle_wait_s += throttle_wait
-        self.total_pfs_wait_s += pfs_wait
         self.latency.record(op.latency_s)
         return op
 
     # Convenience wrappers -----------------------------------------------------
     def open(self) -> Generator:
         return self.call("open")
-
-    def close(self) -> Generator:
-        return self.call("close")
 
     def stat(self) -> Generator:
         return self.call("stat")

@@ -141,5 +141,3 @@ class TokenBucket:
             return _INF
         return (n - self._tokens) / self.rate
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"TokenBucket(rate={self.rate}, burst={self.burst})"

@@ -108,10 +108,6 @@ class DegradationLadder:
         return self.level
 
     @property
-    def name(self) -> str:
-        return self.NAMES[self.level]
-
-    @property
     def use_cached_demand(self) -> bool:
         return self.level >= self.CACHED_DEMAND
 

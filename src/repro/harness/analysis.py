@@ -1,78 +1,24 @@
-"""Analysis utilities: latency-model fitting and capacity planning.
+"""Capacity planning: which design, and how many aggregators?
 
 The paper's Discussion (§V) leaves the operator with a judgement call:
 *how many aggregators does my machine need for my reaction-time target?*
-This module turns the study's data into that answer:
-
-* :func:`fit_linear_latency` — recover per-stage cost and fixed overhead
-  from measured (N, latency) points, the empirical counterpart of the
-  analytic predictors in :mod:`repro.harness.calibration`;
-* :class:`CapacityPlanner` — given a node count, a control-cycle latency
-  target, and the per-node connection ceiling, recommend a design (flat
-  vs hierarchical) and the minimum aggregator count that meets the
-  target, with the predicted latency and controller-node cost;
-* :func:`find_crossover` — locate where one design overtakes another
-  along a swept parameter (used for the hierarchy-depth ablation).
+:class:`CapacityPlanner` turns the study's data into that answer: given a
+node count, a control-cycle latency target, and the per-node connection
+ceiling, it recommends a design (flat vs hierarchical) and the minimum
+aggregator count that meets the target, with the predicted latency and
+controller-node cost (``repro plan``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Optional, Tuple
 
 from repro.core.costs import CostModel, FRONTERA_COST_MODEL
 from repro.harness.calibration import predict_flat_ms, predict_hier_ms
 
-__all__ = [
-    "CapacityPlanner",
-    "DesignRecommendation",
-    "LinearLatencyFit",
-    "find_crossover",
-    "fit_linear_latency",
-]
-
-
-@dataclass(frozen=True)
-class LinearLatencyFit:
-    """Least-squares fit of ``latency_ms = fixed_ms + per_stage_ms * N``."""
-
-    fixed_ms: float
-    per_stage_us: float
-    r_squared: float
-
-    def predict_ms(self, n_stages: int) -> float:
-        if n_stages < 0:
-            raise ValueError(f"negative n_stages: {n_stages}")
-        return self.fixed_ms + self.per_stage_us * n_stages / 1e3
-
-
-def fit_linear_latency(
-    node_counts: Sequence[int],
-    latencies_ms: Sequence[float],
-) -> LinearLatencyFit:
-    """Fit the flat design's near-linear latency curve (Fig. 4's trend).
-
-    Returns the fixed overhead (round trips, compute setup) and the
-    marginal cost of one more managed stage — the number that determines
-    where a single controller stops being viable.
-    """
-    x = np.asarray(node_counts, dtype=float)
-    y = np.asarray(latencies_ms, dtype=float)
-    if x.size != y.size or x.size < 2:
-        raise ValueError("need at least two (N, latency) points")
-    slope, intercept = np.polyfit(x, y, 1)
-    predicted = intercept + slope * x
-    ss_res = float(((y - predicted) ** 2).sum())
-    ss_tot = float(((y - y.mean()) ** 2).sum())
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return LinearLatencyFit(
-        fixed_ms=float(intercept),
-        per_stage_us=float(slope) * 1e3,
-        r_squared=r2,
-    )
+__all__ = ["CapacityPlanner", "DesignRecommendation"]
 
 
 @dataclass(frozen=True)
@@ -204,38 +150,3 @@ class CapacityPlanner:
                 "controller substrate (see the CPU-scaling ablation)."
             ),
         )
-
-    def sweep(
-        self, n_nodes: int, aggregator_counts: Sequence[int]
-    ) -> Dict[int, float]:
-        """Predicted latency per aggregator count (Fig. 5's x-axis)."""
-        floor = self.min_aggregators(n_nodes)
-        out: Dict[int, float] = {}
-        for a in aggregator_counts:
-            if a < floor:
-                continue
-            out[a] = self.predicted_hier_ms(n_nodes, a)
-        return out
-
-
-def find_crossover(
-    f: Callable[[int], float],
-    g: Callable[[int], float],
-    lo: int,
-    hi: int,
-) -> Optional[int]:
-    """Smallest x in [lo, hi] where ``f(x) >= g(x)`` flips to ``f < g``.
-
-    Scans integer points (the functions here are cheap analytic models);
-    returns None if the ordering never flips. Used to locate e.g. where a
-    three-level tree starts beating a two-level one.
-    """
-    if lo > hi:
-        raise ValueError(f"empty range: [{lo}, {hi}]")
-    previous = f(lo) >= g(lo)
-    for x in range(lo + 1, hi + 1):
-        current = f(x) >= g(x)
-        if previous and not current:
-            return x
-        previous = current
-    return None

@@ -6,15 +6,18 @@ Supplies both sides of the study's workload story:
   report each cycle: the paper's constant *stress* source plus the
   dynamic patterns its Discussion reasons about (bursty on/off, DL
   training epochs, checkpoint storms);
+* **Traces** (:mod:`repro.jobs.traces`) — step-series replay and a
+  synthetic facility-scale trace (the trace-replay example);
 * **Job processes** (:mod:`repro.jobs.job`) — generator-based jobs that
-  issue real (simulated) I/O through a data-plane stage and the PFS, used
-  by the QoS enforcement examples;
+  issue real (simulated) I/O through a data-plane stage, whose token
+  buckets enforce the controller's limits (the QoS enforcement example);
 * **Churn** (:mod:`repro.jobs.scheduler`) — Poisson job arrivals and
   departures that register/deregister stages on a running control plane.
 """
 
 from repro.jobs.job import Job, JobPhase, run_job
 from repro.jobs.scheduler import ChurnEvent, JobScheduler
+from repro.jobs.traces import TracePoint, TraceSource, generate_facility_trace
 from repro.jobs.workloads import (
     BurstySource,
     CheckpointSource,
@@ -34,6 +37,9 @@ __all__ = [
     "JobScheduler",
     "PoissonSource",
     "StressSource",
+    "TracePoint",
+    "TraceSource",
+    "generate_facility_trace",
     "run_job",
     "source_factory",
 ]

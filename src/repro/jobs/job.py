@@ -67,14 +67,7 @@ class JobResult:
     data_ops: int = 0
     metadata_ops: int = 0
     total_throttle_wait_s: float = 0.0
-    total_pfs_wait_s: float = 0.0
     finished_at: float = 0.0
-
-    @property
-    def achieved_iops(self) -> float:
-        if self.finished_at <= 0:
-            return 0.0
-        return self.ops_completed / self.finished_at
 
 
 def run_job(
@@ -87,7 +80,7 @@ def run_job(
 
     Each phase issues operations at its offered rate (fixed inter-arrival
     times; the data/metadata mix interleaves proportionally). Throttling
-    by the stage or PFS queueing pushes completions later — offered load
+    by the stage pushes completions later — offered load
     stays the job's intent, which is exactly the demand signal PSFA uses.
     """
     result = result if result is not None else JobResult(job.job_id)
@@ -113,7 +106,6 @@ def run_job(
                 result.data_ops += 1
             result.ops_completed += 1
             result.total_throttle_wait_s += op.throttle_wait_s
-            result.total_pfs_wait_s += op.pfs_wait_s
             issued += 1
             # Pace to the offered rate; if throttled behind schedule, issue
             # the next op immediately (closed-loop backlog draining).

@@ -11,14 +11,11 @@ so this module provides the standard substitute:
   built from a mix of the workload archetypes in
   :mod:`repro.jobs.workloads` plus a diurnal load envelope, matching the
   qualitative statistics published for production PFS traffic (bursty,
-  heavy-tailed, metadata-spiky — e.g. Patel et al., SC'19);
-* CSV import/export helpers for interchange.
+  heavy-tailed, metadata-spiky — e.g. Patel et al., SC'19).
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
@@ -31,8 +28,6 @@ __all__ = [
     "TracePoint",
     "TraceSource",
     "generate_facility_trace",
-    "read_trace_csv",
-    "write_trace_csv",
 ]
 
 
@@ -127,35 +122,4 @@ def generate_facility_trace(
             data *= burst_multiplier
             metadata *= burst_multiplier * 1.5
         points.append(TracePoint(t, float(data), float(metadata)))
-    return points
-
-
-_CSV_HEADER = ("time_s", "data_iops", "metadata_iops")
-
-
-def write_trace_csv(points: Sequence[TracePoint]) -> str:
-    """Render a trace as CSV text (header + one row per point)."""
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(_CSV_HEADER)
-    for p in points:
-        writer.writerow([p.time_s, p.data_iops, p.metadata_iops])
-    return out.getvalue()
-
-
-def read_trace_csv(text: str) -> List[TracePoint]:
-    """Parse CSV text produced by :func:`write_trace_csv` (or compatible)."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None or tuple(h.strip() for h in header) != _CSV_HEADER:
-        raise ValueError(f"expected header {_CSV_HEADER}, got {header}")
-    points = []
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != 3:
-            raise ValueError(f"malformed trace row: {row}")
-        points.append(
-            TracePoint(float(row[0]), float(row[1]), float(row[2]))
-        )
     return points

@@ -142,10 +142,6 @@ class LiveHotStandby:
         """Whoever is currently (or was last) driving control cycles."""
         return self.standby if self.failover is not None else self.primary
 
-    def total_cycles(self) -> int:
-        """Cycles completed across primary + standby."""
-        return len(self.primary.cycles) + len(self.standby.cycles)
-
     # -- main loop -----------------------------------------------------------
     async def run_protected(
         self,

@@ -7,7 +7,7 @@ simulated actors:
 * :func:`kill_stage` — abort the stage's socket mid-flight (SIGKILL /
   node loss). The controller sees EOF and evicts the session; with the
   stage's reconnect loop enabled the "restarted" process re-registers
-  after backoff, like the simulated ``crash_stage`` recovery.
+  after backoff.
 * :func:`stall_stage` — freeze the stage's reply loop for a window
   without closing the socket (GC pause, overloaded node, network
   partition with a live TCP session). Only a ``collect_timeout_s``

@@ -689,13 +689,6 @@ class SessionHost(PhaseDriver):
         session.close()
 
     # Subclass hooks ---------------------------------------------------------
-    def _hello_error(self, hello: dict) -> Optional[str]:
-        """Why a registering hello is refused, or ``None``."""
-        raise NotImplementedError
-
-    def _make_session(self, hello: dict, link: FrameLink) -> Session:
-        raise NotImplementedError
-
     def _welcome(self, session: Session, **ack_fields) -> None:
         """Answer an accepted hello (subclasses add fields, bookkeeping)."""
         session.link.write(

@@ -218,11 +218,6 @@ class LiveVirtualStage:
         """Port of the controller currently targeted."""
         return self.addresses[self._addr_index][1]
 
-    @property
-    def connected(self) -> bool:
-        """Whether a connection is currently open."""
-        return self._link is not None
-
     def stop(self) -> None:
         """Ask the serve/reconnect loop to exit."""
         self._stop.set()

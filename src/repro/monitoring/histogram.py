@@ -2,14 +2,14 @@
 
 QoS work lives and dies by tail latency, and means hide tails. This is a
 fixed-memory, log-spaced histogram (HdrHistogram-style, much simplified)
-used by the data-plane interceptor to record per-operation latencies so
-examples and tests can assert on p99s, not just averages.
+used by the data-plane interceptor to record per-operation latencies and
+by :mod:`repro.obs.metrics` to expose them as Prometheus buckets.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 __all__ = ["LatencyHistogram"]
 
@@ -46,7 +46,6 @@ class LatencyHistogram:
         self.underflow = 0
         self.overflow = 0
         self._sum = 0.0
-        self._max_seen = 0.0
 
     # -- recording ----------------------------------------------------------
     def _bucket_of(self, value_s: float) -> int:
@@ -60,7 +59,6 @@ class LatencyHistogram:
             raise ValueError(f"negative latency: {value_s}")
         self.total += 1
         self._sum += value_s
-        self._max_seen = max(self._max_seen, value_s)
         if value_s < self.min_value_s:
             self.underflow += 1
             self._counts[0] += 1
@@ -75,27 +73,6 @@ class LatencyHistogram:
     def _bucket_upper(self, idx: int) -> float:
         return self.min_value_s * 10 ** ((idx + 1) / self.buckets_per_decade)
 
-    def percentile(self, q: float) -> float:
-        """Approximate latency at percentile ``q`` (0–100).
-
-        Returns the upper edge of the bucket containing the rank, so the
-        estimate is conservative (never under-reports the tail). Exact
-        max is returned for q=100.
-        """
-        if not 0 <= q <= 100:
-            raise ValueError(f"percentile out of range: {q}")
-        if self.total == 0:
-            return 0.0
-        if q == 100:
-            return self._max_seen
-        rank = q / 100.0 * self.total
-        seen = 0
-        for idx, count in enumerate(self._counts):
-            seen += count
-            if seen >= rank and count:
-                return min(self._bucket_upper(idx), self._max_seen)
-        return self._max_seen
-
     @property
     def mean(self) -> float:
         return self._sum / self.total if self.total else 0.0
@@ -107,29 +84,3 @@ class LatencyHistogram:
             for i, c in enumerate(self._counts)
             if c
         ]
-
-    def merge(self, other: "LatencyHistogram") -> None:
-        """Fold another histogram (same configuration) into this one."""
-        if (
-            other.min_value_s != self.min_value_s
-            or other.max_value_s != self.max_value_s
-            or other.buckets_per_decade != self.buckets_per_decade
-        ):
-            raise ValueError("cannot merge differently configured histograms")
-        for i, c in enumerate(other._counts):
-            self._counts[i] += c
-        self.total += other.total
-        self.underflow += other.underflow
-        self.overflow += other.overflow
-        self._sum += other._sum
-        self._max_seen = max(self._max_seen, other._max_seen)
-
-    def summary(self) -> Dict[str, float]:
-        return {
-            "count": float(self.total),
-            "mean_s": self.mean,
-            "p50_s": self.percentile(50),
-            "p95_s": self.percentile(95),
-            "p99_s": self.percentile(99),
-            "max_s": self._max_seen,
-        }

@@ -59,9 +59,6 @@ class RemoraReport:
 
     per_host: Dict[str, ControllerUsage]
 
-    def usage(self, host_name: str) -> ControllerUsage:
-        return self.per_host[host_name]
-
     def average(self, host_names: List[str], label: str) -> ControllerUsage:
         """Mean usage across a set of hosts (Table III's per-aggregator
         averages)."""

@@ -1,4 +1,4 @@
-"""Unified observability for both control planes (spans, traces, usage).
+"""Unified observability for both control planes (spans, usage, metrics).
 
 The paper's evidence is (a) per-phase control-cycle latency (Figs. 4–6)
 and (b) per-controller CPU/memory/NIC usage collected with REMORA
@@ -14,7 +14,8 @@ and (b) per-controller CPU/memory/NIC usage collected with REMORA
   ``/proc`` plus per-controller byte/CPU meters, producing
   :class:`~repro.monitoring.remora.RemoraReport` rows from real runs;
 * :mod:`repro.obs.metrics` — a counter/gauge/histogram registry with
-  Prometheus text exposition and an optional ``GET /metrics`` endpoint.
+  Prometheus text exposition and an optional ``GET /metrics`` endpoint,
+  a one-route handler on :class:`repro.service.http.HttpServer`.
 
 Entry points: ``repro live --obs-out trace.json --metrics-port 0`` and
 ``repro flat/hier/coordinated --trace-out trace.json``.
@@ -37,7 +38,6 @@ from repro.obs.spans import (
     SpanRecord,
     SpanTracer,
     sim_clock,
-    spans_from_trace_records,
     wall_clock,
 )
 
@@ -53,7 +53,6 @@ __all__ = [
     "export_chrome_trace",
     "procfs_available",
     "sim_clock",
-    "spans_from_trace_records",
     "validate_chrome_trace",
     "wall_clock",
     "write_chrome_trace",

@@ -3,8 +3,9 @@
 Counters, gauges, and latency histograms (reusing the fixed-memory
 log-bucketed :class:`~repro.monitoring.histogram.LatencyHistogram`)
 registered by name+labels, rendered in the Prometheus text format, and
-optionally served by a tiny asyncio HTTP endpoint (``GET /metrics``) so
-a live controller run can be scraped while it cycles.
+optionally served at ``GET /metrics`` by :class:`MetricsServer`, a
+one-route handler on the service tier's HTTP server, so a live
+controller run can be scraped while it cycles.
 
 The registry is process-local and lock-free (asyncio is single-threaded
 here); metric families are created on first use::
@@ -17,7 +18,6 @@ here); metric families are created on first use::
 
 from __future__ import annotations
 
-import asyncio
 from typing import Dict, List, Optional, Tuple
 
 from repro.monitoring.histogram import LatencyHistogram
@@ -167,12 +167,12 @@ class MetricsRegistry:
 
 
 class MetricsServer:
-    """Minimal asyncio HTTP endpoint serving ``GET /metrics``.
+    """``GET /metrics`` for scraping a live run; 404 elsewhere.
 
-    Binds ``host:port`` (port 0 picks an ephemeral port, exposed via
-    :attr:`port` after :meth:`start`) and answers every request with the
-    registry's current text exposition; anything but ``GET /metrics``
-    gets a 404. Intended for scraping a live run, not for the internet.
+    A one-route handler on :class:`repro.service.http.HttpServer`, so the
+    parse caps are that server's. Binds ``host:port`` (port 0 picks an
+    ephemeral port, exposed via :attr:`port` after :meth:`start`).
+    Intended for scraping a live run, not for the internet.
     """
 
     def __init__(
@@ -184,50 +184,26 @@ class MetricsServer:
         self.registry = registry
         self.host = host
         self.port = port
-        self._server: Optional[asyncio.AbstractServer] = None
+        self._http = None
 
     async def start(self) -> None:
         """Begin serving; ``self.port`` holds the bound port."""
-        self._server = await asyncio.start_server(
-            self._on_connection, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+        # Imported here: ``repro.service`` imports the live plane, which
+        # imports this module.
+        from repro.service.http import HttpServer
+
+        self._http = HttpServer(self._handle, self.host, self.port)
+        await self._http.start()
+        self.port = self._http.port
 
     async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        if self._http is not None:
+            await self._http.stop()
+            self._http = None
 
-    async def _on_connection(self, reader, writer) -> None:
-        try:
-            request = await asyncio.wait_for(reader.readline(), timeout=5.0)
-            # Drain remaining headers until the blank line.
-            while True:
-                line = await asyncio.wait_for(reader.readline(), timeout=5.0)
-                if line in (b"\r\n", b"\n", b""):
-                    break
-            parts = request.decode("latin-1").split()
-            if len(parts) >= 2 and parts[0] == "GET" and parts[1] in ("/metrics", "/"):
-                body = self.registry.render().encode("utf-8")
-                status = b"200 OK"
-                content_type = b"text/plain; version=0.0.4; charset=utf-8"
-            else:
-                body = b"not found\n"
-                status = b"404 Not Found"
-                content_type = b"text/plain; charset=utf-8"
-            writer.write(
-                b"HTTP/1.1 " + status + b"\r\n"
-                b"Content-Type: " + content_type + b"\r\n"
-                b"Content-Length: " + str(len(body)).encode("ascii") + b"\r\n"
-                b"Connection: close\r\n\r\n" + body
-            )
-            await writer.drain()
-        except (asyncio.TimeoutError, ConnectionError, OSError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover - teardown
-                pass
+    async def _handle(self, request):
+        from repro.service.http import HttpResponse
+
+        if request.method == "GET" and request.path in ("/metrics", "/"):
+            return HttpResponse(200, text=self.registry.render())
+        return HttpResponse(404, text="not found\n")

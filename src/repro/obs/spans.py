@@ -11,11 +11,6 @@ Clocks are pluggable: the simulated plane traces with ``env.now``
 (virtual seconds — latencies are modelled, not measured), while the
 live plane traces with ``time.perf_counter`` (wall seconds). The two
 must never be mixed on one timeline; exporters label the clock domain.
-
-A :class:`SpanTracer` may mirror finished spans into an existing
-:class:`repro.simnet.trace.Tracer` (category ``"span"``) so simulation
-tests keep filtering one record stream;
-:func:`spans_from_trace_records` converts such records back.
 """
 
 from __future__ import annotations
@@ -23,14 +18,13 @@ from __future__ import annotations
 import contextlib
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 __all__ = [
     "NullSpanTracer",
     "SpanRecord",
     "SpanTracer",
     "sim_clock",
-    "spans_from_trace_records",
     "wall_clock",
 ]
 
@@ -83,9 +77,6 @@ class SpanTracer:
     spans:
         Optional shared destination list, so several components of one
         deployment collect into a single trace.
-    mirror:
-        Optional :class:`repro.simnet.trace.Tracer`; every finished span
-        is also emitted there as a ``"span"`` category record.
     clock_domain:
         ``"wall"`` or ``"sim"``, recorded in exports.
     """
@@ -95,7 +86,6 @@ class SpanTracer:
         clock=wall_clock,
         track: str = "main",
         spans: Optional[List[SpanRecord]] = None,
-        mirror=None,
         clock_domain: str = "wall",
     ) -> None:
         if clock_domain not in ("wall", "sim"):
@@ -106,7 +96,6 @@ class SpanTracer:
         self.now = time.perf_counter if clock is wall_clock else clock
         self.track = track
         self.spans: List[SpanRecord] = spans if spans is not None else []
-        self.mirror = mirror
         self.clock_domain = clock_domain
         self._children: Dict[str, "SpanTracer"] = {}
 
@@ -126,7 +115,6 @@ class SpanTracer:
                 clock=self._clock,
                 track=track,
                 spans=self.spans,
-                mirror=self.mirror,
                 clock_domain=self.clock_domain,
             )
             self._children[track] = child
@@ -150,16 +138,6 @@ class SpanTracer:
             args=args,
         )
         self.spans.append(record)
-        if self.mirror is not None:
-            self.mirror.record(
-                "span",
-                track=record.track,
-                name=record.name,
-                start_s=record.start_s,
-                dur_s=record.dur_s,
-                parent=record.parent,
-                **args,
-            )
         return record
 
     @contextlib.contextmanager
@@ -206,23 +184,3 @@ class NullSpanTracer:
     def span(self, name, parent=None, **args) -> Iterator[Dict[str, Any]]:
         yield args
 
-
-def spans_from_trace_records(records: Iterable) -> List[SpanRecord]:
-    """Convert mirrored ``"span"`` :class:`~repro.simnet.trace.TraceRecord`
-    objects back into :class:`SpanRecord` form (for export)."""
-    out: List[SpanRecord] = []
-    for r in records:
-        if r.category != "span":
-            continue
-        fields = dict(r.fields)
-        out.append(
-            SpanRecord(
-                track=fields.pop("track", "main"),
-                name=fields.pop("name", "span"),
-                start_s=fields.pop("start_s", r.time),
-                dur_s=fields.pop("dur_s", 0.0),
-                parent=fields.pop("parent", None),
-                args=fields,
-            )
-        )
-    return out

@@ -1,15 +1,17 @@
 """Tiny stdlib asyncio HTTP/1.1 server for the service tier.
 
-Deliberately minimal, in the mold of :class:`repro.obs.metrics.MetricsServer`:
+Deliberately minimal, and the repo's one HTTP parser (the obs
+``GET /metrics`` endpoint is a one-route handler on it):
 one connection per request (``Connection: close``), a readline header
 parse with per-read timeouts, JSON in / JSON out. Enough HTTP for a
 control-plane front door — tenant registrations and state queries from
 ``curl`` or the CI smoke — without pulling a web framework into a
 repo whose rule is "stdlib only".
 
-Abuse guards at the parse layer: a body-size cap (``413``), a header
-count/byte cap so a slowloris-style header stream cannot grow memory
-unboundedly (``431``), and a malformed ``Content-Length`` is a client
+Abuse guards at the parse layer: a body-size cap (``413``), a request
+line over the stream's 64 KiB line limit (``414``), a header line cap
+(the same limit), a header line count and byte cap so a slowloris-style
+header stream cannot grow memory unboundedly (``431``), and a malformed ``Content-Length`` is a client
 error (``400``), not a size error. Above the parser, ``max_connections``
 bounds concurrently open sockets; excess connections get an immediate
 ``503`` with ``Retry-After`` instead of queueing without bound.
@@ -53,6 +55,7 @@ _REASONS = {
     405: "Method Not Allowed",
     409: "Conflict",
     413: "Payload Too Large",
+    414: "URI Too Long",
     429: "Too Many Requests",
     431: "Request Header Fields Too Large",
     500: "Internal Server Error",
@@ -67,6 +70,14 @@ class _RequestError(Exception):
         super().__init__(message)
         self.status = status
         self.message = message
+
+
+async def _readline(reader, status: int, message: str) -> bytes:
+    """One line, or ``status`` if it overruns the stream's buffer limit."""
+    try:
+        return await asyncio.wait_for(reader.readline(), timeout=READ_TIMEOUT_S)
+    except ValueError:  # asyncio.LimitOverrunError, re-raised by readline
+        raise _RequestError(status, message) from None
 
 
 @dataclass
@@ -179,21 +190,20 @@ class HttpServer:
             ).inc()
 
     async def _read_request(self, reader) -> Optional[HttpRequest]:
-        request_line = await asyncio.wait_for(
-            reader.readline(), timeout=READ_TIMEOUT_S
-        )
+        request_line = await _readline(reader, 414, "request line too long")
         parts = request_line.decode("latin-1").split()
         if len(parts) < 2:
             return None
         method, target = parts[0].upper(), parts[1]
         headers: Dict[str, str] = {}
-        header_bytes = 0
+        header_lines = header_bytes = 0
         while True:
-            line = await asyncio.wait_for(reader.readline(), timeout=READ_TIMEOUT_S)
+            line = await _readline(reader, 431, "request header line too long")
             if line in (b"\r\n", b"\n", b""):
                 break
+            header_lines += 1
             header_bytes += len(line)
-            if len(headers) >= MAX_HEADERS or header_bytes > MAX_HEADER_BYTES:
+            if header_lines > MAX_HEADERS or header_bytes > MAX_HEADER_BYTES:
                 raise _RequestError(431, "too many request headers")
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()

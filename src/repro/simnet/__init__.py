@@ -36,7 +36,7 @@ from repro.simnet.engine import (
 )
 from repro.simnet.link import DelayModel, FixedDelay, Link, NormalJitterDelay
 from repro.simnet.node import SimHost
-from repro.simnet.resources import Container, PriorityResource, Resource, Store
+from repro.simnet.resources import PriorityResource, Resource, Store
 from repro.simnet.rng import RandomStreams
 from repro.simnet.topology import Cluster, DragonflyTopology, build_cluster
 from repro.simnet.transport import (
@@ -54,7 +54,6 @@ __all__ = [
     "Connection",
     "ConnectionLimitExceeded",
     "ConnectionPool",
-    "Container",
     "DelayModel",
     "DragonflyTopology",
     "Environment",

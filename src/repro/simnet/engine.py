@@ -176,21 +176,6 @@ class Event:
         self.env._schedule(self, delay=0.0, priority=priority)
         return self
 
-    def _mark_scheduled(self) -> None:
-        if self._scheduled:
-            raise SimulationError(f"{self!r} scheduled twice")
-        self._scheduled = True
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = (
-            "processed"
-            if self._processed
-            else "triggered"
-            if self.triggered
-            else "pending"
-        )
-        return f"<{type(self).__name__} {state} at {id(self):#x}>"
-
 
 class Timeout(Event):
     """An event that fires after a fixed simulated delay."""
@@ -240,9 +225,6 @@ class _ConditionBase(Event):
             for i, ev in enumerate(self.events)
             if ev._processed and ev._ok
         }
-
-    def _on_member(self, event: Event) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
 
 
 class AllOf(_ConditionBase):
@@ -324,13 +306,6 @@ class Message:
         self.target = target
         self.via = via
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Message(kind={self.kind!r}, size_bytes={self.size_bytes}, "
-            f"sender={self.sender!r}, recipient={self.recipient!r}, "
-            f"sent_at={self.sent_at!r}, seq={self.seq})"
-        )
-
 
 class Process(Event):
     """A generator-driven simulation actor.
@@ -405,22 +380,17 @@ class Process(Event):
         # This is the generator-dispatch hot path: one call per process
         # wakeup, invoked directly as the waited-on event's callback.
         self._waiting_on = None
-        env = self.env
-        env._active_process = self
         try:
             if event._ok:
                 target = self._generator.send(event._value)
             else:
                 target = self._generator.throw(event._value)
         except StopIteration as stop:
-            env._active_process = None
             self.succeed(stop.value, priority=URGENT)
             return
         except BaseException as exc:
-            env._active_process = None
             self.fail(exc, priority=URGENT)
             return
-        env._active_process = None
 
         if type(target) is not Timeout and not isinstance(target, Event):
             message = (
@@ -434,6 +404,7 @@ class Process(Event):
             except BaseException as exc:
                 self.fail(exc, priority=URGENT)
             return
+        env = self.env
         if target.env is not env:
             raise SimulationError("yielded event belongs to another environment")
 
@@ -447,10 +418,6 @@ class Process(Event):
         else:
             self._waiting_on = target
             target.callbacks.append(self._resume)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "alive" if self.is_alive else "finished"
-        return f"<Process {self.name!r} {state}>"
 
 
 class Environment:
@@ -479,7 +446,6 @@ class Environment:
         #: first.
         self._buckets: dict = {}
         self._seq = count()
-        self._active_process: Optional[Process] = None
         #: Number of events processed so far (for tests and stats).
         self.processed_events = 0
         self._timeout_pool: list = []
@@ -489,11 +455,6 @@ class Environment:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently executing, if any."""
-        return self._active_process
 
     # -- event construction ------------------------------------------------
     def event(self) -> Event:
@@ -537,7 +498,6 @@ class Environment:
 
     # -- scheduling ---------------------------------------------------------
     def _schedule(self, event: Event, delay: float, priority: int = NORMAL) -> None:
-        # _mark_scheduled inlined: this is the single hottest call site.
         if event._scheduled:
             raise SimulationError(f"{event!r} scheduled twice")
         event._scheduled = True

@@ -101,8 +101,3 @@ class Link:
             + self.jitter.sample()
         )
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Link(hop_latency={self.hop_latency!r}, "
-            f"bandwidth={self.bandwidth!r})"
-        )

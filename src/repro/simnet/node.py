@@ -45,14 +45,6 @@ class NICCounters:
         self.rx_bytes += size
         self.rx_messages += 1
 
-    def snapshot(self) -> dict:
-        return {
-            "tx_bytes": self.tx_bytes,
-            "rx_bytes": self.rx_bytes,
-            "tx_messages": self.tx_messages,
-            "rx_messages": self.rx_messages,
-        }
-
 
 class SimHost:
     """A compute node: named, with cores, a NIC, and a memory gauge.
@@ -143,5 +135,3 @@ class SimHost:
         window_busy = self.busy_seconds - since_busy
         return 100.0 * window_busy / (elapsed * self.cores)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<SimHost {self.name} cores={self.cores}>"

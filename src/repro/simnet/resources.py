@@ -7,8 +7,6 @@ These mirror the SimPy resource family:
 * :class:`PriorityResource` — like :class:`Resource` but the queue orders by
   (priority, fifo). Used by the PFS admission model so high-QoS jobs can
   jump the line.
-* :class:`Container` — a continuous quantity (tokens, bytes) with blocking
-  ``get``/``put``. Backs the token-bucket rate limiters.
 * :class:`Store` — a FIFO object queue with blocking ``get``. Backs
   per-connection message inboxes in :mod:`repro.simnet.transport`.
 
@@ -25,7 +23,7 @@ from typing import Any, Callable, List, Optional, Tuple
 
 from repro.simnet.engine import Environment, Event, SimulationError
 
-__all__ = ["Container", "PriorityResource", "Request", "Resource", "Store"]
+__all__ = ["PriorityResource", "Request", "Resource", "Store"]
 
 
 class Request(Event):
@@ -126,85 +124,6 @@ class PriorityResource(Resource):
 
     def _key_for(self, request: Request) -> Tuple[int, int]:
         return (request.priority, next(self._seq))
-
-
-class _Get(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, env: Environment, amount: float) -> None:
-        super().__init__(env)
-        self.amount = amount
-
-
-class _Put(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, env: Environment, amount: float) -> None:
-        super().__init__(env)
-        self.amount = amount
-
-
-class Container:
-    """A continuous quantity with blocking ``get``/``put``.
-
-    ``level`` is clamped to ``[0, capacity]``; ``get`` blocks until enough
-    quantity is available, ``put`` blocks until enough headroom exists.
-    FIFO across getters and across putters.
-    """
-
-    def __init__(
-        self,
-        env: Environment,
-        capacity: float = float("inf"),
-        init: float = 0.0,
-    ) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        if not 0 <= init <= capacity:
-            raise ValueError(f"init {init} outside [0, {capacity}]")
-        self.env = env
-        self.capacity = capacity
-        self._level = float(init)
-        self._getters: List[_Get] = []
-        self._putters: List[_Put] = []
-
-    @property
-    def level(self) -> float:
-        """Current stored quantity."""
-        return self._level
-
-    def get(self, amount: float) -> _Get:
-        """Remove ``amount``; fires when satisfied."""
-        if amount <= 0:
-            raise ValueError(f"get amount must be positive, got {amount}")
-        ev = _Get(self.env, amount)
-        self._getters.append(ev)
-        self._settle()
-        return ev
-
-    def put(self, amount: float) -> _Put:
-        """Add ``amount``; fires when it fits under ``capacity``."""
-        if amount <= 0:
-            raise ValueError(f"put amount must be positive, got {amount}")
-        ev = _Put(self.env, amount)
-        self._putters.append(ev)
-        self._settle()
-        return ev
-
-    def _settle(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._putters and self._putters[0].amount <= self.capacity - self._level:
-                put = self._putters.pop(0)
-                self._level += put.amount
-                put.succeed()
-                progressed = True
-            if self._getters and self._getters[0].amount <= self._level:
-                get = self._getters.pop(0)
-                self._level -= get.amount
-                get.succeed(get.amount)
-                progressed = True
 
 
 class _StoreGet(Event):

@@ -45,5 +45,3 @@ class RandomStreams:
         tag = zlib.crc32(name.encode("utf-8"))
         return RandomStreams(seed=(self.seed * 1_000_003 + tag) % (2**63))
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RandomStreams(seed={self.seed}, streams={sorted(self._streams)})"

@@ -60,9 +60,6 @@ class FatTreeTopology:
         """Record the rack of ``host`` given its cluster index."""
         self._rack_of[host.name] = index // self.rack_size
 
-    def rack(self, host: SimHost) -> int:
-        return self._rack_of[host.name]
-
     def hops(self, a: SimHost, b: SimHost) -> int:
         """Hop count between two placed hosts."""
         if a is b:
@@ -192,19 +189,9 @@ class DragonflyTopology:
         self.routers_per_group = int(routers_per_group)
         self._router_of: Dict[str, int] = {}
 
-    @property
-    def hosts_per_group(self) -> int:
-        return self.hosts_per_router * self.routers_per_group
-
     def place(self, host: SimHost, index: int) -> None:
         """Record the router of ``host`` given its cluster index."""
         self._router_of[host.name] = index // self.hosts_per_router
-
-    def router(self, host: SimHost) -> int:
-        return self._router_of[host.name]
-
-    def group(self, host: SimHost) -> int:
-        return self._router_of[host.name] // self.routers_per_group
 
     def hops(self, a: SimHost, b: SimHost) -> int:
         """Minimal-route hop count between two placed hosts."""

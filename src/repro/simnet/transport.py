@@ -65,10 +65,6 @@ class ConnectionPool:
         self.max_connections = int(max_connections)
         self.open_connections = 0
 
-    @property
-    def available(self) -> int:
-        return self.max_connections - self.open_connections
-
     def acquire(self) -> None:
         if self.open_connections >= self.max_connections:
             raise ConnectionLimitExceeded(
@@ -126,9 +122,6 @@ class Endpoint:
             inbox._getters.pop(0).succeed(message)
         else:
             inbox.items.append(message)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Endpoint {self.name} on {self.host.name}>"
 
 
 class Connection:
@@ -245,9 +238,6 @@ class Connection:
             return
         self.closed = True
         self.network._release(self)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Connection {self.a.name} <-> {self.b.name}>"
 
 
 class Network:
@@ -419,9 +409,6 @@ class Network:
         endpoint = Endpoint(self.env, host, name)
         self._endpoints[name] = endpoint
         return endpoint
-
-    def endpoint(self, name: str) -> Endpoint:
-        return self._endpoints[name]
 
     def connect(self, a: Endpoint, b: Endpoint) -> Connection:
         """Open a connection, consuming one slot on each host.

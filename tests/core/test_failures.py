@@ -7,7 +7,15 @@ from repro.core.control_plane import (
     FlatControlPlane,
     HierarchicalControlPlane,
 )
-from repro.core.failures import FailureLog, crash_aggregator, crash_stage
+from repro.chaos.runner import _blackhole_stage
+from repro.core.failures import FailureLog, crash_aggregator
+
+
+def _blackout(env, stage, at, downtime):
+    """Drop ``stage``'s traffic during ``[at, at + downtime)``, as chaos does."""
+    undo = []
+    env.call_at(at, lambda: undo.append(_blackhole_stage(stage)))
+    env.call_at(at + downtime, lambda: undo.pop()())
 
 
 class TestCrashAggregator:
@@ -88,19 +96,18 @@ class TestCrashStage:
         plane = FlatControlPlane.build(
             ControlPlaneConfig(n_stages=10, collect_timeout_s=0.02)
         )
-        log = crash_stage(plane.env, plane.stages[0], at=0.002, downtime=0.08)
+        _blackout(plane.env, plane.stages[0], at=0.002, downtime=0.08)
         plane.run_stress(n_cycles=40)
         ctrl = plane.global_controller
         assert len(ctrl.cycles) == 40
         assert ctrl.collect_timeouts > 0
-        assert log.crashes() and log.recoveries()
 
     def test_recovered_stage_gets_rules_again(self):
         plane = FlatControlPlane.build(
             ControlPlaneConfig(n_stages=6, collect_timeout_s=0.02)
         )
         stage = plane.stages[2]
-        crash_stage(plane.env, stage, at=0.002, downtime=0.01)
+        _blackout(plane.env, stage, at=0.002, downtime=0.01)
         plane.run_stress(n_cycles=15)
         assert stage.applied_rule is not None
         assert stage.applied_rule.epoch > 5
@@ -116,7 +123,7 @@ class TestCrashStage:
             ControlPlaneConfig(n_stages=20, collect_timeout_s=0.02),
             n_aggregators=2,
         )
-        crash_stage(plane.env, plane.stages[0], at=0.002, downtime=0.01)
+        _blackout(plane.env, plane.stages[0], at=0.002, downtime=0.01)
         plane.run_stress(n_cycles=30)
         cycles = plane.global_controller.cycles
         assert sum(c.timed_out for c in cycles) <= 1
@@ -129,7 +136,7 @@ class TestCrashStage:
             ControlPlaneConfig(n_stages=20, collect_timeout_s=0.02),
             n_aggregators=2,
         )
-        crash_stage(plane.env, plane.stages[0], at=0.002, downtime=0.1)
+        _blackout(plane.env, plane.stages[0], at=0.002, downtime=0.1)
         plane.run_stress(n_cycles=30)
         cycles = plane.global_controller.cycles
         assert any(c.degraded for c in cycles)
@@ -138,15 +145,6 @@ class TestCrashStage:
         assert len(after) > 20
         assert not any(c.n_missing or c.timed_out for c in after)
         assert {s.applied_rule.epoch for s in plane.stages} == {30}
-
-    def test_unbound_stage_rejected(self):
-        from repro.dataplane.virtual_stage import VirtualStage
-        from repro.simnet.engine import Environment
-
-        env = Environment()
-        stage = VirtualStage(env, "s", "j")
-        with pytest.raises(RuntimeError):
-            crash_stage(env, stage, at=1.0, downtime=1.0)
 
 
 class TestFailureLog:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.algorithms.psfa import PSFA, split_job_allocation, weighted_waterfill
+from repro.core.algorithms.psfa import PSFA, weighted_waterfill
 
 
 class TestWeightedWaterfill:
@@ -207,46 +207,3 @@ class TestPSFA:
         elapsed = time.perf_counter() - t0
         assert elapsed < 0.05
         assert res.total_allocated <= 1e6 + 1e-3
-
-
-class TestSplitJobAllocation:
-    def test_proportional_to_stage_demand(self):
-        shares = split_job_allocation(100.0, np.array([30.0, 10.0]))
-        assert np.allclose(shares, [75.0, 25.0])
-
-    def test_zero_demand_splits_equally(self):
-        shares = split_job_allocation(90.0, np.zeros(3))
-        assert np.allclose(shares, [30.0, 30.0, 30.0])
-
-    def test_empty_stages(self):
-        assert split_job_allocation(10.0, np.zeros(0)).size == 0
-
-    def test_negative_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            split_job_allocation(-1.0, np.array([1.0]))
-        with pytest.raises(ValueError):
-            split_job_allocation(1.0, np.array([-1.0]))
-
-    def test_shares_sum_to_grant(self):
-        shares = split_job_allocation(123.4, np.array([1.0, 2.0, 3.0]))
-        assert shares.sum() == pytest.approx(123.4)
-
-    def test_idle_stage_receives_the_surplus(self):
-        """Regression: the docstring always promised idle stages an
-        equal share of the leftover, but the old code scaled active
-        stages up instead (``[10, 0]`` for a grant of 10).  Matches the
-        controller's ``_split_to_stages`` convention now."""
-        shares = split_job_allocation(10.0, np.array([5.0, 0.0]))
-        assert np.allclose(shares, [5.0, 5.0])
-
-    def test_surplus_split_equally_across_idle_stages(self):
-        shares = split_job_allocation(12.0, np.array([6.0, 0.0, 0.0]))
-        assert np.allclose(shares, [6.0, 3.0, 3.0])
-
-    def test_no_idle_stage_scales_actives_proportionally(self):
-        shares = split_job_allocation(100.0, np.array([30.0, 10.0]))
-        assert np.allclose(shares, [75.0, 25.0])
-
-    def test_grant_below_total_demand_stays_proportional(self):
-        shares = split_job_allocation(20.0, np.array([30.0, 10.0]))
-        assert np.allclose(shares, [15.0, 5.0])

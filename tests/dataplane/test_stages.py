@@ -375,21 +375,6 @@ class TestInterceptor:
         assert p.value == pytest.approx(1.0)
         assert io.total_throttle_wait_s == pytest.approx(1.0)
 
-    def test_pfs_wait_included(self, env):
-        from repro.pfs.filesystem import ParallelFileSystem
-
-        pfs = ParallelFileSystem(env, n_oss=2)
-        stage = DataPlaneStage(env, "s1", "j1")
-        io = IOInterceptor(env, stage, pfs_client=pfs.client())
-
-        def proc(env, io):
-            op = yield from io.write(1 << 20)
-            return op.pfs_wait_s
-
-        p = env.process(proc(env, io))
-        env.run()
-        assert p.value > 0
-
     def test_unknown_call_rejected(self, env):
         io = IOInterceptor(env, DataPlaneStage(env, "s1", "j1"))
         with pytest.raises(ValueError):
@@ -406,4 +391,4 @@ class TestInterceptor:
         p = env.process(proc(env, io))
         env.run()
         op = p.value
-        assert op.latency_s == pytest.approx(op.throttle_wait_s + op.pfs_wait_s)
+        assert op.latency_s == pytest.approx(op.throttle_wait_s)

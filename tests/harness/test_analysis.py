@@ -1,46 +1,8 @@
-"""Tests for latency fitting, capacity planning, and crossover search."""
+"""Tests for capacity planning."""
 
 import pytest
 
-from repro.core.costs import FRONTERA_COST_MODEL
-from repro.harness.analysis import (
-    CapacityPlanner,
-    fit_linear_latency,
-    find_crossover,
-)
-from repro.harness.calibration import predict_flat_ms
-
-
-class TestLinearFit:
-    def test_recovers_known_line(self):
-        xs = [50, 500, 1250, 2500]
-        ys = [0.5 + 0.016 * x for x in xs]
-        fit = fit_linear_latency(xs, ys)
-        assert fit.fixed_ms == pytest.approx(0.5, abs=1e-9)
-        assert fit.per_stage_us == pytest.approx(16.0, abs=1e-6)
-        assert fit.r_squared == pytest.approx(1.0)
-
-    def test_fits_paper_flat_curve(self):
-        """The paper's Fig. 4 data is ~16 us/stage with small fixed cost."""
-        from repro.harness.paper import PAPER
-
-        xs = sorted(PAPER.flat_latency_ms)
-        ys = [PAPER.flat_latency_ms[x] for x in xs]
-        fit = fit_linear_latency(xs, ys)
-        assert 14.0 < fit.per_stage_us < 18.0
-        assert fit.r_squared > 0.999
-
-    def test_predict(self):
-        fit = fit_linear_latency([0, 100], [1.0, 2.0])
-        assert fit.predict_ms(200) == pytest.approx(3.0)
-        with pytest.raises(ValueError):
-            fit.predict_ms(-1)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            fit_linear_latency([1], [1.0])
-        with pytest.raises(ValueError):
-            fit_linear_latency([1, 2], [1.0])
+from repro.harness.analysis import CapacityPlanner
 
 
 class TestCapacityPlanner:
@@ -81,11 +43,6 @@ class TestCapacityPlanner:
     def test_min_aggregators_matches_paper(self, planner):
         assert planner.min_aggregators(10_000) == 4
 
-    def test_sweep_respects_connection_floor(self, planner):
-        out = planner.sweep(10_000, [1, 2, 4, 10])
-        assert set(out) == {4, 10}
-        assert out[10] < out[4]
-
     def test_custom_connection_limit(self):
         roomy = CapacityPlanner(connection_limit=20_000)
         rec = roomy.recommend(10_000, target_latency_ms=500.0)
@@ -102,40 +59,3 @@ class TestCapacityPlanner:
     def test_summary_mentions_verdict(self, planner):
         rec = planner.recommend(100, 50.0)
         assert "meets target" in rec.summary()
-
-
-class TestCrossover:
-    def test_finds_flip_point(self):
-        f = lambda x: 10.0 - x  # noqa: E731
-        g = lambda x: 0.0 + x  # noqa: E731
-        # f >= g until x >= 5; first x where f < g is 6
-        assert find_crossover(f, g, 0, 10) == 6
-
-    def test_no_flip_returns_none(self):
-        assert find_crossover(lambda x: 2.0, lambda x: 1.0, 0, 10) is None
-
-    def test_empty_range_rejected(self):
-        with pytest.raises(ValueError):
-            find_crossover(lambda x: x, lambda x: x, 5, 4)
-
-    def test_depth_crossover_on_analytic_model(self):
-        """The 3-level-vs-2-level flip exists in the calibrated model."""
-        from repro.harness.calibration import predict_hier_ms
-
-        cm = FRONTERA_COST_MODEL
-
-        def two(n):
-            return predict_hier_ms(cm, n, 2)["total"]
-
-        def three(n):
-            # Approximate 3-level: leaves of n/4 stages dominate, plus a
-            # mid-level pass modelled as an extra aggregated hop.
-            leaf = predict_hier_ms(cm, n, 4)["total"]
-            return leaf + 2 * (
-                cm.rx_agg_reply_fixed_s + cm.tx_batch_s + cm.rx_agg_ack_s
-            ) * 1e3 + (n // 2) * (cm.rx_agg_entry_s + cm.batch_unpack_s) * 1e3
-
-        flip = find_crossover(
-            lambda n: three(n * 10), lambda n: two(n * 10), 1, 200
-        )
-        assert flip is not None  # depth eventually pays off

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.costs import FRONTERA_COST_MODEL
 from repro.harness.experiment import (
     run_coordinated_experiment,
     run_flat_experiment,
@@ -14,7 +15,6 @@ from repro.harness.report import (
     format_table,
     relative_error,
 )
-from repro.harness.sweep import sweep_aggregators, sweep_cost_scaling, sweep_flat_nodes
 from repro.top500 import SUPERCOMPUTERS, min_aggregators, table_rows
 
 
@@ -63,19 +63,21 @@ class TestRunners:
 
 class TestSweeps:
     def test_flat_sweep_monotone(self):
-        results = sweep_flat_nodes([20, 80], cycles=5)
-        assert results[80].mean_ms > results[20].mean_ms
+        small, big = (run_flat_experiment(n, cycles=5) for n in (20, 80))
+        assert big.mean_ms > small.mean_ms
 
     def test_aggregator_sweep_latency_decreases(self):
-        results = sweep_aggregators(80, [2, 8], cycles=5)
-        assert results[8].mean_ms < results[2].mean_ms
+        few, many = (run_hierarchical_experiment(80, a, cycles=5) for a in (2, 8))
+        assert many.mean_ms < few.mean_ms
 
     def test_cost_scaling_sweep(self):
-        results = sweep_cost_scaling(
-            lambda cm: run_flat_experiment(n_stages=20, cycles=4, costs=cm),
-            cpu_factors=[1.0, 2.0],
+        base, slow = (
+            run_flat_experiment(
+                n_stages=20, cycles=4, costs=FRONTERA_COST_MODEL.scaled(cpu_factor=f)
+            )
+            for f in (1.0, 2.0)
         )
-        assert results[2.0].mean_ms > results[1.0].mean_ms
+        assert slow.mean_ms > base.mean_ms
 
 
 class TestReport:

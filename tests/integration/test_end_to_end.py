@@ -110,15 +110,14 @@ class TestQoSEnforcement:
         assert limits_late[0] > limits_early[0] * 1.5
 
     def test_pfs_protected_from_overload(self):
-        """With control, PFS utilisation stays near the enforced budget."""
-        from repro.pfs.filesystem import ParallelFileSystem
-
+        """With control, the storage behind the stages sees about the budget."""
         plane = build_qos_plane(n_stages=4, capacity=400.0)
         env = plane.env
-        pfs = ParallelFileSystem(env, n_oss=2, oss_capacity_ops=500.0)
         procs = []
+        ios = []
         for stage in plane.stages:
-            io = IOInterceptor(env, stage, pfs_client=pfs.client())
+            io = IOInterceptor(env, stage)
+            ios.append(io)
             job = Job(
                 stage.job_id,
                 "normal",
@@ -127,7 +126,7 @@ class TestQoSEnforcement:
             procs.append(env.process(run_job(env, job, io)))
         plane.global_controller.run_for(duration_s=4.0, period_s=0.25)
         env.run()
-        total_rate = pfs.total_ops() / env.now
+        total_rate = sum(io.completed for io in ios) / env.now
         assert total_rate <= 400.0 * 1.2
 
 

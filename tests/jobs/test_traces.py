@@ -6,8 +6,6 @@ from repro.jobs.traces import (
     TracePoint,
     TraceSource,
     generate_facility_trace,
-    read_trace_csv,
-    write_trace_csv,
 )
 
 
@@ -96,22 +94,3 @@ class TestGenerateFacilityTrace:
             generate_facility_trace(duration_s=0)
         with pytest.raises(ValueError):
             generate_facility_trace(burst_probability=1.5)
-
-
-class TestCsvRoundTrip:
-    def test_roundtrip(self):
-        original = simple_trace()
-        text = write_trace_csv(original)
-        assert read_trace_csv(text) == original
-
-    def test_header_required(self):
-        with pytest.raises(ValueError):
-            read_trace_csv("1,2,3\n")
-
-    def test_malformed_row_rejected(self):
-        with pytest.raises(ValueError):
-            read_trace_csv("time_s,data_iops,metadata_iops\n1,2\n")
-
-    def test_generated_trace_roundtrips(self):
-        points = generate_facility_trace(duration_s=20.0, seed=4)
-        assert read_trace_csv(write_trace_csv(points)) == points

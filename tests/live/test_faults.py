@@ -264,6 +264,29 @@ class TestRegistration:
         assert rejected == 1
         assert ctrl.cycles[-1].n_missing == 0
 
+    def test_hello_of_another_kind_is_shown_out(self):
+        """An aggregator's hello at a stage-facing listener: no session,
+        no reply, the connection closed, the stages still served."""
+
+        async def scenario():
+            ctrl, stages, tasks = await _cluster(2)
+            errors = _catch_loop_errors()
+            try:
+                reply, rest = await _send_hello(
+                    ctrl, {"kind": "register_aggregator", "aggregator_id": "a-0"}
+                )
+                n_sessions = len(ctrl.sessions)
+                await asyncio.wait_for(ctrl.run_cycles(1), timeout=10.0)
+            finally:
+                await _teardown(ctrl, tasks)
+            return reply, rest, n_sessions, errors, ctrl
+
+        reply, rest, n_sessions, errors, ctrl = asyncio.run(scenario())
+        assert (reply, rest) == (None, b"")
+        assert n_sessions == 2
+        assert errors == []
+        assert ctrl.cycles[-1].n_missing == 0
+
     def test_malformed_register_rejected_not_crashed(self):
         bad_hellos = [
             {"kind": "register", "job_id": "j-x"},

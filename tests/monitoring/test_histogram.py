@@ -33,60 +33,7 @@ class TestRecording:
             LatencyHistogram(buckets_per_decade=0)
 
 
-class TestPercentiles:
-    def test_empty_is_zero(self):
-        assert LatencyHistogram().percentile(99) == 0.0
-
-    def test_p100_is_exact_max(self):
-        h = LatencyHistogram()
-        for v in (0.001, 0.5, 0.02):
-            h.record(v)
-        assert h.percentile(100) == 0.5
-
-    def test_percentile_conservative_but_close(self):
-        """Estimates land within one bucket (~26%) above the true value."""
-        h = LatencyHistogram(buckets_per_decade=10)
-        values = [i / 1000.0 for i in range(1, 1001)]  # 1 ms .. 1 s uniform
-        for v in values:
-            h.record(v)
-        p50 = h.percentile(50)
-        assert 0.5 <= p50 <= 0.5 * 1.3
-        p99 = h.percentile(99)
-        assert 0.99 <= p99 <= 1.0
-
-    def test_monotone_in_q(self):
-        h = LatencyHistogram()
-        for i in range(1, 200):
-            h.record(i * 1e-4)
-        qs = [h.percentile(q) for q in (10, 50, 90, 99, 100)]
-        assert qs == sorted(qs)
-
-    def test_out_of_range_q(self):
-        with pytest.raises(ValueError):
-            LatencyHistogram().percentile(101)
-
-
-class TestMergeAndSummary:
-    def test_merge_combines(self):
-        a, b = LatencyHistogram(), LatencyHistogram()
-        a.record(0.001)
-        b.record(0.1)
-        a.merge(b)
-        assert a.total == 2
-        assert a.percentile(100) == 0.1
-
-    def test_merge_requires_same_config(self):
-        a = LatencyHistogram(buckets_per_decade=10)
-        b = LatencyHistogram(buckets_per_decade=5)
-        with pytest.raises(ValueError):
-            a.merge(b)
-
-    def test_summary_keys(self):
-        h = LatencyHistogram()
-        h.record(0.01)
-        s = h.summary()
-        assert set(s) == {"count", "mean_s", "p50_s", "p95_s", "p99_s", "max_s"}
-
+class TestBuckets:
     def test_nonzero_buckets(self):
         h = LatencyHistogram()
         h.record(0.001)
@@ -112,5 +59,6 @@ class TestInterceptorIntegration:
         env.process(proc(env, io))
         env.run()
         assert io.latency.total == 20
-        # Throttled at 10/s: p99 close to the 0.1 s inter-token wait.
-        assert io.latency.percentile(99) >= 0.05
+        # Throttled at 10/s: the slowest ops waited about the 0.1 s
+        # inter-token gap.
+        assert io.latency.nonzero_buckets()[-1][0] >= 0.05

@@ -1,4 +1,4 @@
-"""Tests for the span tracer (clock domains, nesting, mirroring)."""
+"""Tests for the span tracer (clock domains, nesting)."""
 
 import pytest
 
@@ -7,11 +7,9 @@ from repro.obs.spans import (
     SpanRecord,
     SpanTracer,
     sim_clock,
-    spans_from_trace_records,
     wall_clock,
 )
 from repro.simnet.engine import Environment
-from repro.simnet.trace import Tracer
 
 
 class TestSpanRecord:
@@ -76,35 +74,6 @@ class TestSpanTracer:
         env = Environment()
         clock = sim_clock(env)
         assert clock() == env.now
-
-
-class TestMirroring:
-    def test_spans_mirror_into_simnet_tracer(self):
-        mirror = Tracer(clock=lambda: 0.0)
-        tracer = SpanTracer(
-            clock=lambda: 0.0, track="global", mirror=mirror, clock_domain="sim"
-        )
-        tracer.emit("cycle", 2.0, 1.0, epoch=1)
-        records = [r for r in mirror.records if r.category == "span"]
-        assert len(records) == 1
-        assert records[0].fields["name"] == "cycle"
-
-    def test_round_trip_through_trace_records(self):
-        mirror = Tracer(clock=lambda: 0.0)
-        tracer = SpanTracer(clock=lambda: 0.0, track="agg-0", mirror=mirror)
-        tracer.emit("collect", 1.0, 0.5, parent="cycle", epoch=3)
-        (back,) = spans_from_trace_records(mirror.records)
-        assert back.track == "agg-0"
-        assert back.name == "collect"
-        assert back.start_s == pytest.approx(1.0)
-        assert back.dur_s == pytest.approx(0.5)
-        assert back.parent == "cycle"
-        assert back.args["epoch"] == 3
-
-    def test_non_span_records_ignored(self):
-        mirror = Tracer(clock=lambda: 0.0)
-        mirror.record("send", kind="rule")
-        assert spans_from_trace_records(mirror.records) == []
 
 
 class TestNullSpanTracer:

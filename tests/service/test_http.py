@@ -3,6 +3,8 @@
 import asyncio
 import json
 
+import pytest
+
 from repro.service.http import MAX_BODY, HttpRequest, HttpResponse, HttpServer
 
 
@@ -205,6 +207,35 @@ class TestAbuseGuards:
         raw = _run_with_server(handler, scenario)
         assert raw.startswith(b"HTTP/1.1 200 ")
         assert seen["x-ok-0"] == "v"
+
+    @pytest.mark.parametrize(
+        "head, status",
+        [
+            # Longer than asyncio's 64 KiB line limit: readline raises
+            # ValueError, which must become a reply, not a loop error.
+            (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", b"414"),
+            (b"GET /healthz HTTP/1.1\r\nX-Big: " + b"y" * 70_000 + b"\r\n\r\n", b"431"),
+            # The cap counts header lines, not distinct names.
+            (b"GET /healthz HTTP/1.1\r\n" + b"X: y\r\n" * 100 + b"\r\n", b"431"),
+        ],
+        ids=["request-line-over-stream-limit", "header-line-over-stream-limit",
+             "repeated-header-name"],
+    )
+    def test_over_cap_lines_answered_not_raised(self, head, status):
+        leaked = []
+
+        async def handler(request):
+            return HttpResponse(200, {})
+
+        async def scenario(server):
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: leaked.append(context)
+            )
+            return await _raw_request(server.port, head)
+
+        raw = _run_with_server(handler, scenario)
+        assert raw.startswith(b"HTTP/1.1 " + status + b" ")
+        assert leaked == []
 
 
 class TestResponseExtensions:

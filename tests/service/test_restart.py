@@ -92,6 +92,25 @@ class TestServiceRestart:
         assert floors[0] < floors[1] < floors[2]
 
 
+class TestBackgroundCycles:
+    def test_default_start_cycles_until_stop(self, tmp_path):
+        async def scenario():
+            service = _open(tmp_path)
+            service.cycle_period_s = 0.01
+            await service.start()
+            await service.plane.wait_for_stages(timeout_s=15)
+            for _ in range(1500):
+                if service.cycles_run >= 3:
+                    break
+                await asyncio.sleep(0.01)
+            await service.stop()
+            return service.cycles_run, service.store.last_durable_epoch
+
+        cycles, durable = asyncio.run(scenario())
+        assert cycles >= 3
+        assert durable >= cycles
+
+
 class TestRunServe:
     def test_run_serve_ready_file_and_summary(self, tmp_path):
         ready = tmp_path / "ready.json"

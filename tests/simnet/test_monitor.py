@@ -1,11 +1,10 @@
-"""Unit tests for host sampling (monitor) and tracing."""
+"""Unit tests for host sampling (monitor)."""
 
 import pytest
 
 from repro.simnet.engine import Environment
 from repro.simnet.monitor import HostSampler
 from repro.simnet.node import SimHost
-from repro.simnet.trace import NullTracer, Tracer
 
 
 @pytest.fixture
@@ -76,41 +75,3 @@ class TestHostSampler:
         series = sampler.series[host.name]
         assert series.mean("cpu_percent") == 0.0
         assert series.maximum("cpu_percent") == 0.0
-
-
-class TestTracer:
-    def test_records_with_time(self, env):
-        tracer = Tracer(clock=lambda: env.now)
-        tracer.record("cycle", epoch=1)
-        env.run(until=2.0)
-        tracer.record("cycle", epoch=2)
-        records = tracer.filter("cycle")
-        assert [r["epoch"] for r in records] == [1, 2]
-        assert records[1].time == 2.0
-
-    def test_category_filtering(self, env):
-        tracer = Tracer(clock=lambda: env.now, categories={"rule"})
-        tracer.record("cycle", epoch=1)
-        tracer.record("rule", stage="s1")
-        assert len(tracer.records) == 1
-        assert not tracer.wants("cycle")
-
-    def test_max_records_drops(self, env):
-        tracer = Tracer(clock=lambda: env.now, max_records=2)
-        for i in range(5):
-            tracer.record("x", i=i)
-        assert len(tracer.records) == 2
-        assert tracer.dropped == 3
-
-    def test_clear(self, env):
-        tracer = Tracer(clock=lambda: env.now)
-        tracer.record("x")
-        tracer.clear()
-        assert tracer.records == [] and tracer.dropped == 0
-
-    def test_null_tracer_is_inert(self):
-        t = NullTracer()
-        t.record("anything", a=1)
-        assert t.records == []
-        assert not t.enabled
-        assert t.filter("anything") == []

@@ -1,9 +1,9 @@
-"""Unit tests for Resource / PriorityResource / Container / Store."""
+"""Unit tests for Resource / PriorityResource / Store."""
 
 import pytest
 
 from repro.simnet.engine import Environment, SimulationError
-from repro.simnet.resources import Container, PriorityResource, Resource, Store
+from repro.simnet.resources import PriorityResource, Resource, Store
 
 
 @pytest.fixture
@@ -99,54 +99,6 @@ class TestPriorityResource:
         b = res.request(priority=3)
         res.release(held)
         assert a.triggered and not b.triggered
-
-
-class TestContainer:
-    def test_validation(self, env):
-        with pytest.raises(ValueError):
-            Container(env, capacity=0)
-        with pytest.raises(ValueError):
-            Container(env, capacity=10, init=11)
-
-    def test_get_blocks_until_put(self, env):
-        c = Container(env, capacity=100, init=0)
-        got = c.get(5)
-        assert not got.triggered
-        c.put(5)
-        assert got.triggered
-        assert c.level == 0
-
-    def test_put_blocks_at_capacity(self, env):
-        c = Container(env, capacity=10, init=10)
-        put = c.put(5)
-        assert not put.triggered
-        c.get(5)
-        assert put.triggered
-        assert c.level == 10
-
-    def test_fifo_across_getters(self, env):
-        c = Container(env, capacity=100, init=0)
-        g1 = c.get(5)
-        g2 = c.get(1)
-        c.put(3)
-        # g1 is first in line and unsatisfied, so g2 must wait too.
-        assert not g1.triggered and not g2.triggered
-        c.put(3)
-        assert g1.triggered and g2.triggered
-
-    def test_invalid_amounts(self, env):
-        c = Container(env, capacity=10, init=5)
-        with pytest.raises(ValueError):
-            c.get(0)
-        with pytest.raises(ValueError):
-            c.put(-1)
-
-    def test_level_conservation(self, env):
-        c = Container(env, capacity=1000, init=100)
-        for _ in range(10):
-            c.get(5)
-            c.put(5)
-        assert c.level == 100
 
 
 class TestStore:

@@ -95,7 +95,7 @@ class TestReadmeClaims:
 
     def test_design_doc_mentions_every_package(self):
         design = (REPO_ROOT / "DESIGN.md").read_text()
-        for pkg in ("simnet", "core", "dataplane", "pfs", "jobs", "monitoring",
+        for pkg in ("simnet", "core", "dataplane", "jobs", "monitoring",
                     "obs", "harness", "live", "chaos", "shard", "service",
                     "store", "guard"):
             assert pkg in design, pkg
