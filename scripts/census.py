@@ -95,6 +95,8 @@ FAMILIES: Dict[str, List[List[str]]] = {
          "--seed", "5", "--report-out", "{tmp}/chaos-sim-hier.json"],
         [PY, "-m", "repro", "chaos", "--plane", "sim", "--design", "flat",
          "--seed", "5", "--json"],
+        [PY, "-m", "repro", "chaos", "--plane", "sim", "--design", "flat",
+         "--seed", "7", "--report-out", "{tmp}/chaos-sim-flat.json"],
         [PY, "-m", "repro", "chaos", "--plane", "live", "--schedule",
          "full-restart", "--seed", "7", "--stages", "9", "--aggregators",
          "3", "--cycles", "14", "--cycle-period", "0.05", "--store-dir",

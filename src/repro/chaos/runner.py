@@ -5,13 +5,13 @@
   against the :class:`~repro.core.failover.HotStandby`.
 * :func:`run_chaos_live` with ``design="hier"`` runs the shipped
   :class:`~repro.live.harness.LiveHierPlane`, aggregators in its forked tier;
-  ``design="flat"`` builds a primary and a standby under
-  :class:`~repro.live.failover.LiveHotStandby`, a pair nothing else composes.
+  ``design="flat"`` runs :class:`~repro.live.harness.LiveFlatPair`, a primary
+  and a standby under :class:`~repro.live.failover.LiveHotStandby`.
 * :func:`run_chaos_restart` kills the whole ``LiveHierPlane`` and restarts it
   from a durable store; :func:`run_chaos_overload` turns tenants adversarial
   and floods a :class:`~repro.service.server.ControlService`.
 
-Every live leg but flat runs through one per-cycle driver (:func:`_drive`):
+Every live leg runs through one per-cycle driver (:func:`_drive`):
 inject the cycle's actions, run one cycle, pause, read what every stage
 enforces (the plane's ``probe()``), check. Every live fault goes through one
 dispatch (:class:`_Faults`, over :mod:`repro.live.faults`): stage faults on
@@ -28,7 +28,7 @@ import asyncio
 import contextlib
 from dataclasses import replace
 from typing import (
-    Awaitable, Callable, Coroutine, Dict, Iterable, List, Optional, Sequence, Tuple
+    Awaitable, Callable, Coroutine, Dict, Iterable, List, Optional, Tuple
 )
 
 from repro.chaos.invariants import ChaosReport, InvariantChecker, Violation
@@ -40,7 +40,6 @@ from repro.chaos.schedule import (
     generate_schedule,
 )
 from repro.live.faults import kill_aggregator, kill_stage, stall_aggregator, stall_stage
-from repro.live.tier import _probe
 
 __all__ = [
     "run_chaos_sim",
@@ -98,7 +97,7 @@ def run_chaos_sim(
     ``design="hier"`` steps a :class:`HierarchicalControlPlane` cycle by
     cycle under aggregator/stage faults. ``design="flat"`` runs a
     :class:`FlatControlPlane` guarded by a :class:`HotStandby` (built via
-    :func:`~repro.core.failover.attach_flat_standby`) and may kill the
+    :func:`~repro.core.failover.attach_standby`) and may kill the
     primary mid-run.
     """
     if schedule is None:
@@ -174,7 +173,7 @@ def _sim_hier(
 
 def _sim_flat_standby(schedule: ChaosSchedule, report: ChaosReport) -> None:
     from repro.core.control_plane import ControlPlaneConfig, FlatControlPlane
-    from repro.core.failover import HotStandby, attach_flat_standby
+    from repro.core.failover import HotStandby, attach_standby
 
     # Probe an identical fault-free plane for the cycle period, so the
     # schedule's cycle coordinates translate to deterministic sim times.
@@ -192,23 +191,18 @@ def _sim_flat_standby(schedule: ChaosSchedule, report: ChaosReport) -> None:
     plane = FlatControlPlane.build(config)
     env = plane.env
     primary = plane.global_controller
-    standby = attach_flat_standby(plane)
+    standby = attach_standby(plane)
     hot = HotStandby(
         env, primary, standby, heartbeat_interval_s=hb_s, missed_heartbeats=missed
     )
     checker = InvariantChecker(config.policy.allocatable_iops)
-    kill_time: Dict[str, float] = {}
 
     for action in schedule.actions:
         # Fault-free cycle duration is a lower bound on progress, so a
         # kill mapped this way always lands while the run is in flight.
         when = max(action.cycle, 1) * cycle_s
         if action.kind == "kill_primary":
-            def kill() -> None:
-                kill_time["at"] = env.now
-                hot.kill_primary()
-
-            env.call_at(when, kill)
+            env.call_at(when, hot.kill_primary)
         elif action.kind in ("kill_stage", "stall_stage"):
             stage = plane.stages[action.target]
             until = when + SIM_FAULT_CYCLES[action.kind] * cycle_s
@@ -231,18 +225,25 @@ def _sim_flat_standby(schedule: ChaosSchedule, report: ChaosReport) -> None:
     report.cycles_completed = hot.total_cycles()
     report.cycles_degraded = sum(c.degraded for c in (*primary.cycles, *standby.cycles))
     if hot.failover is not None:
-        report.takeovers = 1
-        origin = kill_time.get("at", hot.last_heartbeat_at or 0.0)
-        gap_s = hot.failover.time - origin
-        report.gap_s = gap_s
         # Bound: heartbeat silence budget + watchdog poll granularity
         # + one (degraded, timeout-extended) control cycle.
-        checker.check_gap(hot.total_cycles(), gap_s, hb_s * missed + hb_s + 2.0 * cycle_s)
-    elif schedule.kills_of("kill_primary"):
+        bound_s = hb_s * missed + hb_s + 2.0 * cycle_s
+        _record_takeover(checker, report, hot.total_cycles(), hot.failover, bound_s)
+    _missed_takeover(checker, report, schedule)
+    _verdict(report, checker)
+
+
+def _record_takeover(checker, report, cycle: int, failover, bound_s: float) -> None:
+    report.takeovers = 1
+    report.gap_s = failover.gap_s
+    checker.check_gap(cycle, failover.gap_s, bound_s)
+
+
+def _missed_takeover(checker, report, schedule: ChaosSchedule) -> None:
+    if not report.takeovers and schedule.kills_of("kill_primary"):
         checker.violations.append(
             Violation(schedule.n_cycles, "gap", "primary killed but no takeover")
         )
-    _verdict(report, checker)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +256,8 @@ _LIVE_BACKOFF = dict(backoff_base_s=0.02, backoff_factor=1.5, backoff_max_s=0.1)
 class _Faults:
     """The live legs' one fault dispatch, through :mod:`repro.live.faults`.
 
-    Stage faults act on in-process stages; aggregator faults on a plane's
+    Stage faults act on in-process stages, a primary kill on a plane's
+    hot-standby pair; aggregator faults on a plane's
     :class:`~repro.live.tier.AggregatorHandle`\\ s, so a stall is a real
     pause of the aggregator in its tier process. A killed aggregator
     takes no more faults. Stalls run as tasks until :meth:`stop`.
@@ -266,20 +268,22 @@ class _Faults:
         self.down: set = set()
         self._stalls: List[asyncio.Task] = []
 
-    def inject(self, action: FaultAction, stages: Sequence = (), aggregators=()) -> None:
-        """Inject ``action`` on its stage or aggregator."""
+    def inject(self, action: FaultAction, plane) -> None:
+        """Inject ``action`` on its stage or aggregator of ``plane``."""
         kind, target = action.kind, action.target
         if kind == "kill_stage":
-            kill_stage(stages[target])
+            kill_stage(plane.stages[target])
         elif kind == "stall_stage":
-            self._stall(stall_stage(stages[target], action.duration_s))
+            self._stall(stall_stage(plane.stages[target], action.duration_s))
+        elif kind == "kill_primary":
+            plane.kill_primary()
         elif target in self.down:
             pass
         elif kind == "stall_aggregator":
-            self._stall(stall_aggregator(aggregators[target], action.duration_s))
+            self._stall(stall_aggregator(plane.aggregators[target], action.duration_s))
         elif kind == "kill_aggregator":
             self.down.add(target)
-            kill_aggregator(aggregators[target])
+            kill_aggregator(plane.aggregators[target])
 
     def _stall(self, stall: Coroutine) -> None:
         self._stalls.append(asyncio.create_task(stall))
@@ -321,7 +325,8 @@ async def _drive(
         checker.check_orphans(cycle, plane.controller.orphans)
         if check is not None:
             check(cycle)
-    report.rehomes = plane.controller.rehomes
+    # A flat controller re-homes nobody.
+    report.rehomes = getattr(plane.controller, "rehomes", 0)
 
 
 def run_chaos_live(
@@ -339,124 +344,63 @@ def run_chaos_live(
     ``design="hier"`` exercises aggregator kill/stall with stage
     re-homing on a :class:`~repro.live.harness.LiveHierPlane`: the
     aggregator faults cross into its forked tier. ``design="flat"``
-    exercises a primary + hot-standby pair (``kill_primary`` actions)
-    alongside stage faults.
+    exercises a :class:`~repro.live.harness.LiveFlatPair` (``kill_primary``
+    actions) alongside stage faults; the takeover's gap is checked in the
+    cycle the standby's first cycle ran.
     """
     if schedule is None:
         schedule = generate_schedule(
             seed, design, n_cycles, n_stages, n_aggregators if design == "hier" else 0
         )
     report = _new_report(schedule, "live")
-    if design != "hier":
-        asyncio.run(_live_flat(schedule, report, cycle_period_s))
-        return report
-    from repro.live.harness import LiveHierPlane
+    from repro.live.harness import LiveFlatPair, LiveHierPlane
 
-    plane = LiveHierPlane(
-        schedule.n_stages,
-        schedule.n_aggregators,
-        collect_timeout_s=0.5,
-        dead_after_missed=2,
-        stage_backoff=_LIVE_BACKOFF,
-    )
+    check = None
+    if design == "hier":
+        plane = LiveHierPlane(
+            schedule.n_stages,
+            schedule.n_aggregators,
+            collect_timeout_s=0.5,
+            dead_after_missed=2,
+            stage_backoff=_LIVE_BACKOFF,
+        )
+    else:
+        hb_s, missed = 0.1, 3
+        plane = LiveFlatPair(
+            schedule.n_stages,
+            collect_timeout_s=0.5,
+            evicted_grace_cycles=5,
+            stage_backoff=_LIVE_BACKOFF,
+            heartbeat_interval_s=hb_s,
+            missed_heartbeats=missed,
+        )
+        # One cycle's allowance on the live plane = the pacing period
+        # plus the cycle itself (generously bounded by one period).
+        bound_s = hb_s * missed + 2 * cycle_period_s + 0.2
+
+        def check(cycle: int) -> None:
+            if plane.failover is not None and not report.takeovers:
+                _record_takeover(checker, report, cycle, plane.failover, bound_s)
+
     checker = InvariantChecker(plane.policy.allocatable_iops, rehome_bound_cycles)
     faults = _Faults()
 
     async def inject(cycle: int, actions: List[FaultAction]) -> None:
         for action in actions:
-            faults.inject(action, plane.stages, plane.aggregators)
+            faults.inject(action, plane)
 
     async def run() -> None:
         try:
             await plane.start()
-            await _drive(schedule, report, checker, plane, inject, cycle_period_s)
+            await _drive(schedule, report, checker, plane, inject, cycle_period_s, check=check)
         finally:
             await faults.stop()
             await plane.stop()
 
     asyncio.run(run())
+    _missed_takeover(checker, report, schedule)
     _verdict(report, checker)
     return report
-
-
-async def _live_flat(
-    schedule: ChaosSchedule, report: ChaosReport, cycle_period_s: float
-) -> None:
-    from repro.core.control_plane import default_policy
-    from repro.live.controller_server import LiveGlobalController
-    from repro.live.failover import LiveHotStandby
-    from repro.live.stage_client import LiveVirtualStage
-
-    hb_s, missed = 0.1, 3
-    policy = default_policy(schedule.n_stages)
-    primary, standby = (
-        LiveGlobalController(
-            policy,
-            expected_stages=schedule.n_stages,
-            collect_timeout_s=0.5,
-            evicted_grace_cycles=5,
-        )
-        for _ in range(2)
-    )
-    await primary.start()
-    await standby.start()
-    stages = [
-        LiveVirtualStage(
-            primary.host,
-            primary.port,
-            stage_id=f"stage-{i:05d}",
-            job_id=f"job-{i:05d}",
-            alternates=[(standby.host, standby.port)],
-            **_LIVE_BACKOFF,
-        )
-        for i in range(schedule.n_stages)
-    ]
-    tasks = [asyncio.create_task(stage.run()) for stage in stages]
-    checker = InvariantChecker(policy.allocatable_iops)
-    faults = _Faults()
-    hot = LiveHotStandby(
-        primary, standby, heartbeat_interval_s=hb_s, missed_heartbeats=missed
-    )
-
-    async def inject_and_observe() -> None:
-        # Wall-clock injector + sampler: fire each action at its cycle's
-        # deadline, then sample the invariants once per period.
-        for cycle in range(schedule.n_cycles):
-            for action in schedule.at_cycle(cycle):
-                if action.kind == "kill_primary":
-                    hot.kill_primary()
-                else:
-                    faults.inject(action, stages)
-            await asyncio.sleep(cycle_period_s)
-            _check_applied(checker, cycle, _probed_rows(_probe(stages)))
-
-    try:
-        await primary.wait_for_stages()
-        injector = asyncio.create_task(inject_and_observe())
-        cycles = await hot.run_protected(schedule.n_cycles, cycle_period_s=cycle_period_s)
-        injector.cancel()
-        await asyncio.gather(injector, return_exceptions=True)
-        report.cycles_completed = len(cycles)
-        report.cycles_degraded = sum(1 for c in cycles if c.degraded)
-        if hot.failover is not None:
-            report.takeovers = 1
-            report.gap_s = hot.failover.gap_s
-            # One cycle's allowance on the live plane = the pacing period
-            # plus the cycle itself (generously bounded by one period).
-            bound_s = hb_s * missed + 2 * cycle_period_s + 0.2
-            checker.check_gap(schedule.n_cycles, hot.failover.gap_s, bound_s)
-        elif schedule.kills_of("kill_primary"):
-            checker.violations.append(
-                Violation(schedule.n_cycles, "gap", "primary killed but no takeover")
-            )
-    finally:
-        await faults.stop()
-        active = standby if hot.failover is not None else primary
-        await active.shutdown()
-        for task in tasks:
-            task.cancel()
-        await asyncio.gather(*tasks, return_exceptions=True)
-    _verdict(report, checker)
 
 
 # ---------------------------------------------------------------------------
@@ -720,7 +664,7 @@ def run_chaos_overload(
                 # The lie reaches the orphan reservation: kill its home.
                 home = homes[action.target]
                 kill = replace(action, kind="kill_aggregator", target=home)
-                faults.inject(kill, aggregators=plane.aggregators)
+                faults.inject(kill, plane)
             elif action.kind == "restore" and action.target in original_demand:
                 stage.demand = original_demand[action.target]
 

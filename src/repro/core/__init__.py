@@ -15,7 +15,11 @@ plus the *future-work* designs §VI sketches:
   controllers that partition the stages and exchange summaries to keep
   global visibility;
 * decision offloading — aggregators running PSFA locally over a capacity
-  budget granted by the global controller.
+  budget granted by the global controller;
+* a hot-standby global controller (:mod:`repro.core.failover`): one
+  takeover rule, :class:`~repro.core.failover.StandbyRule`, whose DES
+  shell is :class:`~repro.core.failover.HotStandby` (the live plane's,
+  :class:`repro.live.failover.LiveHotStandby`).
 
 The control algorithm is **PSFA** (proportional sharing without false
 allocation, :mod:`repro.core.algorithms.psfa`), executed every control
@@ -30,7 +34,7 @@ from repro.core.control_plane import (
     FlatControlPlane,
     HierarchicalControlPlane,
 )
-from repro.core.failover import HotStandby, attach_flat_standby
+from repro.core.failover import FailoverEvent, HotStandby, StandbyRule, attach_standby
 from repro.core.cycle import ControlCycle, CycleStats, PhaseBreakdown
 from repro.core.metrics import AggregatedMetrics, StageMetrics
 from repro.core.policies import (
@@ -50,6 +54,7 @@ __all__ = [
     "CycleStats",
     "DemandBoundPolicy",
     "EnforcementRule",
+    "FailoverEvent",
     "FlatControlPlane",
     "HierarchicalControlPlane",
     "HotStandby",
@@ -58,5 +63,6 @@ __all__ = [
     "PriorityClass",
     "QoSPolicy",
     "StageMetrics",
-    "attach_flat_standby",
+    "StandbyRule",
+    "attach_standby",
 ]

@@ -164,6 +164,24 @@ class _DeployedPlane:
             endpoints.append(endpoint)
         return endpoints
 
+    def _global_controller(
+        self, host_name: str, service: str, system_slots: int = 8, **kwargs
+    ) -> GlobalController:
+        """A global controller on a node of its own, configured from
+        :attr:`config` (``kwargs`` add to that)."""
+        config = self.config
+        host = self._controller_host(host_name, system_slots)
+        return GlobalController(
+            self.env,
+            host,
+            self.cluster.network.attach(host, service),
+            policy=config.policy,
+            algorithm=config.algorithm,
+            costs=config.costs,
+            collect_timeout_s=config.collect_timeout_s,
+            **kwargs,
+        )
+
     def _controller_host(self, name: str, system_slots: int = 8) -> SimHost:
         """A dedicated node for a controller.
 
@@ -225,21 +243,16 @@ class FlatControlPlane(_DeployedPlane):
 
         # No control-channel links in the flat design: the stage-facing
         # connection limit applies in full (this is Observation #2).
-        ctrl_host = plane._controller_host("global-ctrl", system_slots=0)
-        ctrl_endpoint = cluster.network.attach(ctrl_host, "controller")
-        controller = GlobalController(
-            env,
-            ctrl_host,
-            ctrl_endpoint,
-            policy=config.policy,
-            algorithm=config.algorithm,
-            costs=config.costs,
-            collect_timeout_s=config.collect_timeout_s,
+        controller = plane._global_controller(
+            "global-ctrl",
+            "controller",
+            system_slots=0,
             enforce_changed_only=config.enforce_changed_only,
             rule_change_tolerance=config.rule_change_tolerance,
             metrics_alpha=config.metrics_alpha,
             span_tracer=plane._tracer_for("global-ctrl"),
         )
+        ctrl_endpoint = controller.endpoint
         # One connection per stage: this is where the 2,500-connection
         # NIC limit bites (ConnectionLimitExceeded beyond it).
         for i, (stage, ep) in enumerate(zip(plane.stages, stage_endpoints)):
@@ -289,22 +302,16 @@ class HierarchicalControlPlane(_DeployedPlane):
         stage_ids = [s.stage_id for s in plane.stages]
         stage_jobs = {s.stage_id: s.job_id for s in plane.stages}
 
-        ctrl_host = plane._controller_host("global-ctrl")
-        ctrl_endpoint = cluster.network.attach(ctrl_host, "controller")
-        controller = GlobalController(
-            env,
-            ctrl_host,
-            ctrl_endpoint,
-            policy=config.policy,
-            algorithm=config.algorithm,
-            costs=config.costs,
-            collect_timeout_s=config.collect_timeout_s,
+        controller = plane._global_controller(
+            "global-ctrl",
+            "controller",
             decision_offload=decision_offload,
             enforce_changed_only=config.enforce_changed_only,
             rule_change_tolerance=config.rule_change_tolerance,
             metrics_alpha=config.metrics_alpha,
             span_tracer=plane._tracer_for("global-ctrl"),
         )
+        ctrl_endpoint = controller.endpoint
 
         partitions = partition_stages(stage_ids, n_aggregators)
 

@@ -21,14 +21,15 @@ client, and the adopting aggregator's next ``partition`` frame — the
 trunk's per-cycle frames are packed vectors that name no stage, so an
 aggregator announces its partition's order once per membership change)
 and a hot standby for the global
-controller (:mod:`repro.live.failover`) with the same heartbeat /
-epoch-slack semantics as the simulated :mod:`repro.core.failover`.
+controller (:mod:`repro.live.failover`; composed with its stages as
+:class:`~repro.live.harness.LiveFlatPair`) driven by the simulated
+plane's own takeover rule, :class:`~repro.core.failover.StandbyRule`.
 
 Entry point: :func:`~repro.live.harness.run_live_flat` (or the
 ``examples/live_cluster.py`` script).
 """
 
-from repro.live.failover import LiveFailoverEvent, LiveHotStandby
+from repro.live.failover import LiveHotStandby
 from repro.live.faults import (
     LiveFaultLog,
     flaky_socket,
@@ -38,14 +39,15 @@ from repro.live.faults import (
     stall_stage,
 )
 from repro.live.harness import (
+    LiveFlatPair,
     LiveRunResult,
     run_live_flat,
     run_live_hierarchical,
 )
 
 __all__ = [
-    "LiveFailoverEvent",
     "LiveFaultLog",
+    "LiveFlatPair",
     "LiveHotStandby",
     "LiveRunResult",
     "flaky_socket",

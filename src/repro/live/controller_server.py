@@ -52,6 +52,7 @@ from repro.core.algorithms.psfa import PSFA
 from repro.core.columnar import StageColumns
 from repro.core.compute import ColumnarCompute
 from repro.core.cycle import ControlCycle
+from repro.core.failover import StandbyRule
 from repro.core.policies import QoSPolicy
 from repro.core.slots import SlotLedger, grant_by_row
 from repro.live.codec import pack_rows
@@ -155,12 +156,9 @@ class _LiveControllerBase(SessionHost):
         self.epoch = initial_epoch
         # (stage ids, data limits) of the newest compute phase, in step.
         self._last_grants: tuple = ((), ())
-        #: Standby-side heartbeat intake (see repro.live.failover): a
-        #: primary controller connects with a ``heartbeat`` hello and
-        #: streams epochs; the watchdog reads these fields.
-        self.last_heartbeat_at: Optional[float] = None
-        self.last_primary_epoch = 0
-        self.heartbeats_received = 0
+        #: Standby side (see repro.live.failover): the takeover rule a
+        #: primary's heartbeat stream feeds; ``None`` shows beats out.
+        self.watch: Optional[StandbyRule] = None
         if metrics is not None:
             role = self._role
             self._m_degraded = metrics.counter(
@@ -327,24 +325,31 @@ class _LiveControllerBase(SessionHost):
 
     # -- standby-side heartbeat intake --------------------------------------
     def _on_other_hello(self, link: FrameLink, hello: dict) -> None:
-        """A hello that registers nobody: a primary's heartbeat stream
-        (this side is its standby), or a stranger, who is shown out."""
-        if hello.get("kind") == "heartbeat":
-            link.on_frame = self._on_heartbeat
-            self._on_heartbeat(hello, 0)
-        else:
+        """A hello that registers nobody: a primary's heartbeat stream,
+        fed to this standby's rule, or a stranger, who is shown out."""
+        watch = self.watch
+        if hello.get("kind") != "heartbeat" or watch is None:
             link.close()
+            return
+        link.on_frame = self._on_heartbeat
+        link.on_lost = lambda exc: watch.lost(time.perf_counter())
+        self._on_heartbeat(hello, 0)
 
     def _on_heartbeat(self, message, nbytes: int) -> None:
         """One frame of a primary's heartbeat stream (this side is standby)."""
         if message.__class__ is not dict or message["kind"] != "heartbeat":
             return
         epoch = message.get("epoch", 0)
-        if not isinstance(epoch, int):
-            return  # not a beat a primary sends: no liveness credit
-        self.last_heartbeat_at = time.monotonic()
-        self.last_primary_epoch = max(self.last_primary_epoch, epoch)
-        self.heartbeats_received += 1
+        if isinstance(epoch, int):  # else not a beat a primary sends: no credit
+            self.watch.beat(time.perf_counter(), epoch)
+
+    @property
+    def orphans(self) -> Dict[str, str]:
+        """Stages out of the tree holding a reserved row (at last-known
+        demand, through the clamp), id -> job id: a dead aggregator's
+        partition until re-homed, an evicted flat stage in its grace."""
+        job_of = self.columns.job_of
+        return {stage_id: job_of(stage_id) for stage_id in self.columns.reserved}
 
 
 class LiveGlobalController(_LiveControllerBase, StageFan):
@@ -702,17 +707,6 @@ class LiveHierGlobalController(_LiveControllerBase):
         return len(self._home)
 
     # -- membership / re-homing ----------------------------------------------
-    @property
-    def orphans(self) -> Dict[str, str]:
-        """Stages whose aggregator died, id -> job id, until re-homed.
-
-        Each holds a *reserved* row: last-known demand (through the
-        clamp — an orphaned liar would otherwise hold its absurd last
-        report against the whole budget) stays in the PSFA input.
-        """
-        job_of = self.columns.job_of
-        return {stage_id: job_of(stage_id) for stage_id in self.columns.reserved}
-
     def _on_evicted(self, session: _AggregatorSession) -> None:
         """A dead aggregator orphans every stage homed on it. (Its diff
         record dies with the session: an in-flight batch may have died

@@ -26,9 +26,8 @@ reach the callback as *records* (tuples led by ``kind, epoch``, see
 :mod:`repro.live.codec`), every other kind as its message dict;
 :func:`repro.live.codec.frame_packer` and
 :func:`repro.live.codec.pack_rows` are the matching send side.
-:func:`encode` / :func:`encode_into` frame the JSON kinds;
-:func:`decode_body` and the stream helpers (:func:`read_message` /
-:func:`write_message`) serve tools, tests and heartbeats.
+:func:`encode` / :func:`encode_into` frame the JSON kinds, and
+:func:`decode_body` decodes one frame's body.
 """
 
 from __future__ import annotations
@@ -55,8 +54,6 @@ __all__ = [
     "encode_into",
     "hello_error",
     "is_str_list",
-    "read_message",
-    "write_message",
 ]
 
 _HEADER = struct.Struct(">I")
@@ -384,20 +381,3 @@ class FrameLink(asyncio.BufferedProtocol):
         self.closing = True
         if self.transport is not None:
             self.transport.abort()
-
-
-async def read_message(reader: asyncio.StreamReader) -> Dict[str, Any]:
-    """Read one framed message (raises ``IncompleteReadError`` on EOF)."""
-    header = await reader.readexactly(_HEADER.size)
-    (length,) = _HEADER.unpack(header)
-    if length > MAX_FRAME:
-        raise ProtocolError(f"frame length {length} exceeds cap {MAX_FRAME}")
-    return decode_body(await reader.readexactly(length))
-
-
-async def write_message(writer: asyncio.StreamWriter, message: Dict[str, Any]) -> int:
-    """Write one framed JSON-kind message and drain; returns the frame's size."""
-    frame = encode(message)
-    writer.write(frame)
-    await writer.drain()
-    return len(frame)

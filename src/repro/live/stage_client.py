@@ -29,7 +29,6 @@ import random
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.dataplane.token_bucket import TokenBucket
 from repro.guard.backoff import full_jitter
 from repro.guard.breaker import CircuitBreaker
 from repro.live import pump
@@ -89,7 +88,7 @@ class LiveVirtualStage:
         "demand", "reconnect", "backoff_base_s", "backoff_factor", "backoff_max_s",
         "backoff_jitter", "_rng", "breaker_failures", "breaker_reset_s", "breakers",
         "breaker_skips", "max_retries", "applied_epoch", "applied_limit",
-        "applied_metadata_limit", "data_bucket", "metadata_bucket", "requests_served",
+        "applied_metadata_limit", "requests_served",
         "rules_applied", "rules_ignored_stale", "connects", "reconnects",
         "registrations_rejected", "consecutive_failures", "failovers",
         "rehomes_received", "silence_timeouts", "gave_up", "_stop", "_paused",
@@ -165,10 +164,6 @@ class LiveVirtualStage:
         #: (unlimited) until one arrives, and whenever the policy does
         #: not differentiate the axes.
         self.applied_metadata_limit: float = float("inf")
-        #: Local enforcement: one token bucket per axis, retuned on every
-        #: applied rule. ``inf`` rate = unthrottled (the bucket no-ops).
-        self.data_bucket = TokenBucket(float("inf"), time.monotonic)
-        self.metadata_bucket = TokenBucket(float("inf"), time.monotonic)
         self.requests_served = 0
         self.rules_applied = 0
         self.rules_ignored_stale = 0
@@ -466,8 +461,6 @@ class LiveVirtualStage:
                     self.applied_epoch = epoch
                     self.applied_limit = limit
                     self.applied_metadata_limit = metadata_limit
-                    self.data_bucket.set_rate(limit)
-                    self.metadata_bucket.set_rate(metadata_limit)
                     self.rules_applied += 1
                 else:
                     self.rules_ignored_stale += 1

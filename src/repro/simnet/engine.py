@@ -137,13 +137,6 @@ class Event:
         return self._processed
 
     @property
-    def ok(self) -> bool:
-        """True if the event succeeded. Only valid once triggered."""
-        if not self.triggered:
-            raise SimulationError("event value not yet available")
-        return bool(self._ok)
-
-    @property
     def value(self) -> Any:
         """The event's value (or the exception, if it failed)."""
         if not self.triggered:

@@ -3,12 +3,12 @@
 import pytest
 
 from repro.core.control_plane import ControlPlaneConfig, FlatControlPlane
-from repro.core.failover import HotStandby, attach_flat_standby
+from repro.core.failover import EPOCH_SLACK, HotStandby, StandbyRule, attach_standby
 
 
 def build_protected_plane(n_stages=30, hb=0.01, missed=3):
     plane = FlatControlPlane.build(ControlPlaneConfig(n_stages=n_stages))
-    standby = attach_flat_standby(plane)
+    standby = attach_standby(plane)
     hs = HotStandby(
         plane.env,
         plane.global_controller,
@@ -58,6 +58,37 @@ class TestHotStandby:
         # Detection within heartbeat_interval * missed + one interval slack.
         assert gap <= 0.02 * (3 + 1) + 1e-9
 
+    def test_silent_but_running_primary_is_fenced(self):
+        """Heartbeats stop while the primary's process runs on: the
+        standby fences it, so the run has exactly n cycles and one
+        controller per epoch, and every stage ends on the standby's."""
+        plane, standby, hs = build_protected_plane()
+        primary = plane.global_controller
+        watch = hs.start(n_cycles=200)
+        heartbeat = hs._procs[1]
+        plane.env.call_at(0.015, lambda: heartbeat.interrupt("hung"))
+        plane.env.run(watch)
+        assert hs.failover is not None
+        assert hs.total_cycles() == 200
+        assert len(primary.cycles) >= 1 and len(standby.cycles) >= 1
+        issued = [c.epoch for c in (*primary.cycles, *standby.cycles)]
+        assert len(set(issued)) == len(issued)
+        assert max(c.epoch for c in primary.cycles) < standby.cycles[0].epoch
+        assert all(s.rules_ignored_stale == 0 for s in plane.stages)
+        assert all(s.applied_rule.epoch == standby.epoch for s in plane.stages)
+
+    def test_gap_runs_from_the_kill_to_the_first_standby_cycle(self):
+        plane, standby, hs = build_protected_plane(hb=0.02, missed=3)
+        watch = hs.start(n_cycles=200)
+        kill_at = 0.015
+        plane.env.call_at(kill_at, hs.kill_primary)
+        plane.env.run(watch)
+        first = standby.cycles[0]
+        assert hs.failover.gap_s == pytest.approx(
+            first.started_at + first.total_s - kill_at
+        )
+        assert hs.failover.time - kill_at < hs.failover.gap_s
+
     def test_standby_rules_reach_all_stages(self):
         plane, standby, hs = build_protected_plane()
         watch = hs.start(n_cycles=30)
@@ -88,10 +119,43 @@ class TestHotStandby:
         net = plane.cluster.network
         stage_host = plane.stage_hosts[0]
         before = net.pool_of(stage_host).open_connections
-        standby = attach_flat_standby(plane)
+        standby = attach_standby(plane)
         # One extra connection per stage (the §VI dependability price).
         assert net.pool_of(stage_host).open_connections == before + 10
         assert standby.host.resident_bytes > 0
+
+
+class TestStandbyRule:
+    """The takeover rule both shells drive, stepped by hand."""
+
+    def test_silence_past_the_budget_is_due(self):
+        rule = StandbyRule(0.01, 3)
+        rule.watch(0.0)
+        rule.beat(0.01, epoch=4)
+        assert not rule.due(0.0399)
+        assert rule.due(0.04)
+        assert rule.take_over(0.04, fenced_epoch=6) == 6 + EPOCH_SLACK
+        assert not rule.due(1.0)  # one takeover
+        event = rule.event(first_cycle_end=0.05)
+        assert (event.last_primary_epoch, event.resumed_epoch) == (6, 8)
+        assert event.gap_s == pytest.approx(0.05 - 0.01)  # from the last beat
+
+    def test_a_closed_stream_is_due_at_once(self):
+        rule = StandbyRule(0.01, 3)
+        rule.watch(0.0)
+        assert not rule.due(0.001)
+        rule.lost(0.002)
+        assert rule.due(0.002)
+        rule.take_over(0.002, fenced_epoch=0)
+        assert rule.event(first_cycle_end=0.012).gap_s == pytest.approx(0.01)
+
+    def test_nothing_is_due_before_the_run_starts(self):
+        assert not StandbyRule(0.01, 3).due(100.0)
+
+    @pytest.mark.parametrize("interval, missed", [(0, 3), (-1.0, 3), (0.01, 0)])
+    def test_validation(self, interval, missed):
+        with pytest.raises(ValueError):
+            StandbyRule(interval, missed)
 
 
 class TestEnforceChangedOnly:

@@ -6,7 +6,7 @@ cycle is already degraded* by a dead aggregator was never exercised.
 """
 
 from repro.core.control_plane import ControlPlaneConfig, HierarchicalControlPlane
-from repro.core.failover import EPOCH_SLACK, HotStandby, attach_hier_standby
+from repro.core.failover import EPOCH_SLACK, HotStandby, attach_standby
 from repro.core.failures import FailureLog, crash_aggregator
 
 
@@ -18,7 +18,7 @@ def _plane(n_stages=12, n_aggregators=3):
 class TestHierStandby:
     def test_attach_builds_parallel_tree(self):
         plane = _plane()
-        standby = attach_hier_standby(plane)
+        standby = attach_standby(plane)
         agg_children = [c for c in standby.children if c.kind == "aggregator"]
         assert len(agg_children) == 3
         assert sorted(c.child_id for c in agg_children) == sorted(
@@ -36,7 +36,7 @@ class TestHierStandby:
         plane = _plane()
         env = plane.env
         primary = plane.global_controller
-        standby = attach_hier_standby(plane)
+        standby = attach_standby(plane)
         hot = HotStandby(
             env, primary, standby,
             heartbeat_interval_s=0.05, missed_heartbeats=3,
@@ -84,7 +84,7 @@ class TestHierStandby:
         plane = _plane()
         env = plane.env
         primary = plane.global_controller
-        standby = attach_hier_standby(plane)
+        standby = attach_standby(plane)
         hot = HotStandby(
             env, primary, standby,
             heartbeat_interval_s=0.05, missed_heartbeats=3,
@@ -95,7 +95,25 @@ class TestHierStandby:
         env.run(watch)
         assert hot.failover is None
         assert len(standby.cycles) == 0
-        assert len(primary.cycles) == 1 + 8
+        # n_cycles counts the warm-up cycle too, as a takeover does.
+        assert len(primary.cycles) == 8
         # Degraded while down, clean after recovery.
         assert any(c.n_missing > 0 for c in primary.cycles)
         assert primary.cycles[-1].n_missing == 0
+
+    def test_clean_run_after_warm_up_counts_all_cycles(self):
+        """Warm-up cycles count toward n_cycles on the clean path too:
+        the run converges on exactly n_cycles, killed or not."""
+        plane = _plane()
+        env = plane.env
+        primary = plane.global_controller
+        standby = attach_standby(plane)
+        hot = HotStandby(
+            env, primary, standby,
+            heartbeat_interval_s=0.05, missed_heartbeats=3,
+        )
+        env.run(primary.run_cycles(2))
+        env.run(hot.start(6))
+        assert hot.failover is None
+        assert hot.total_cycles() == 6
+        assert len(standby.cycles) == 0

@@ -12,6 +12,7 @@ import struct
 import pytest
 
 from repro.core.control_plane import default_policy
+from repro.core.failover import StandbyRule
 from repro.live.aggregator_server import LiveAggregator
 from repro.live.codec import pack_rows
 from repro.live.controller_server import LiveGlobalController, LiveHierGlobalController
@@ -22,7 +23,7 @@ from repro.live.faults import (
     stall_stage,
 )
 from repro.live.harness import run_live_flat, run_live_hierarchical
-from repro.live.protocol import read_message, write_message
+from tests.live.raw_peer import read_message, write_message
 from repro.live.stage_client import LiveVirtualStage
 
 #: Fast backoff so reconnect tests finish quickly.
@@ -306,13 +307,15 @@ class TestRegistration:
             ctrl, stages, tasks = await _cluster(2)
             try:
                 replies = [await _send_hello(ctrl, hello) for hello in bad_hellos]
-                # A heartbeat stream with a garbage beat in it: the beat
-                # is ignored, the stream lives on.
+                # A heartbeat stream with a garbage beat in it, to a
+                # controller standing by: the beat is ignored, the
+                # stream lives on.
+                ctrl.watch = StandbyRule(0.05, 3)
                 reader, writer = await asyncio.open_connection(ctrl.host, ctrl.port)
                 await write_message(writer, {"kind": "heartbeat", "epoch": "x"})
                 await write_message(writer, {"kind": "heartbeat", "epoch": 3})
                 for _ in range(200):
-                    if ctrl.heartbeats_received:
+                    if ctrl.watch.beats:
                         break
                     await asyncio.sleep(0.01)
                 writer.close()
@@ -326,7 +329,7 @@ class TestRegistration:
         _assert_all_rejected(bad_hellos, replies)
         assert ctrl.registrations_rejected == len(bad_hellos)
         assert session_ids == ["s-000", "s-001"]
-        assert (ctrl.heartbeats_received, ctrl.last_primary_epoch) == (1, 3)
+        assert (ctrl.watch.beats, ctrl.watch.last_epoch) == (1, 3)
         assert len(ctrl.cycles) == 1
         assert loop_errors == []
 

@@ -44,7 +44,7 @@ class TestProtocol:
             for i in range(0, len(frame), 3):
                 reader.feed_data(frame[i : i + 3])
             reader.feed_eof()
-            from repro.live.protocol import read_message
+            from tests.live.raw_peer import read_message
 
             m1 = await read_message(reader)
             m2 = await read_message(reader)

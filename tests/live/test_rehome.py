@@ -23,7 +23,7 @@ from repro.live.faults import (
     kill_stage,
     stall_aggregator,
 )
-from repro.live.protocol import read_message, write_message
+from tests.live.raw_peer import read_message, write_message
 from repro.live.stage_client import LiveVirtualStage
 
 _BACKOFF = dict(backoff_base_s=0.02, backoff_factor=1.5, backoff_max_s=0.1)

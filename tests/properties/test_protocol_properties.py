@@ -56,7 +56,7 @@ class TestProtocolProperties:
         """A concatenated stream decodes identically under any chunking."""
 
         async def scenario():
-            from repro.live.protocol import read_message
+            from tests.live.raw_peer import read_message
 
             reader = asyncio.StreamReader()
             blob = b"".join(encode(m) for m in msgs)
