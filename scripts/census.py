@@ -29,6 +29,10 @@ reason (and the test that drives it); everything else was deleted.
     python scripts/census.py --write    # run, rewrite CENSUS.md (verdicts kept)
     python scripts/census.py --check    # run, exit 1 on an unlisted function
 
+The Modules table also counts each module's *options*: the defaulted
+parameters of its public functions and methods and the defaulted fields
+of its public dataclasses, every value a caller may set or leave alone.
+
 ``--check`` also fails when a row names a function that no longer
 exists. A row whose function some run executes stays (a fault path that
 only a slow run takes), so the gate does not flake.
@@ -215,6 +219,17 @@ def module_name(src: str, path: str) -> str:
     return ".".join(rel)
 
 
+def modules(src: str, package: str):
+    """Yield ``(module, ast tree)`` for every source file of ``package``."""
+    for dirpath, dirnames, filenames in os.walk(os.path.join(src, package)):
+        dirnames.sort()
+        for name in sorted(filenames):
+            if name.endswith(".py"):
+                path = os.path.join(dirpath, name)
+                with open(path, encoding="utf-8") as fh:
+                    yield module_name(src, path), ast.parse(fh.read(), path)
+
+
 def functions(src: str, package: str) -> Dict[Key, int]:
     """Every module- and class-level function of ``package``, with its lines."""
     found: Dict[Key, int] = {}
@@ -229,14 +244,62 @@ def functions(src: str, package: str) -> Dict[Key, int]:
                 # A property's setter shares its getter's name.
                 found[key] = found.get(key, 0) + node.end_lineno - first + 1
 
-    for dirpath, dirnames, filenames in os.walk(os.path.join(src, package)):
-        dirnames.sort()
-        for name in sorted(filenames):
-            if name.endswith(".py"):
-                path = os.path.join(dirpath, name)
-                with open(path, encoding="utf-8") as fh:
-                    tree = ast.parse(fh.read(), path)
-                visit(tree.body, "", module_name(src, path))
+    for module, tree in modules(src, package):
+        visit(tree.body, "", module)
+    return found
+
+
+def _public(name: str) -> bool:
+    return not name.startswith("_") or name == "__init__"
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _field_option(node: ast.AnnAssign) -> bool:
+    """A dataclass field a caller may set: it has a default, is not a
+    ``ClassVar`` and is not ``field(init=False)``."""
+    if node.value is None or "ClassVar" in ast.unparse(node.annotation):
+        return False
+    value = node.value
+    if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+        return not any(
+            k.arg == "init" and isinstance(k.value, ast.Constant) and k.value.value is False
+            for k in value.keywords
+        )
+    return True
+
+
+def options(src: str, package: str) -> Dict[str, int]:
+    """Options per module: every defaulted parameter of a public function
+    or method (``__init__`` included) and every defaulted field of a
+    public dataclass. Public means no ``_`` name on the way down."""
+    found: Dict[str, int] = {}
+
+    def count(body) -> int:
+        n = 0
+        for node in body:
+            if isinstance(node, ast.ClassDef) and _public(node.name):
+                if _is_dataclass(node):
+                    n += sum(
+                        1 for f in node.body
+                        if isinstance(f, ast.AnnAssign) and _field_option(f)
+                    )
+                n += count(node.body)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _public(
+                node.name
+            ):
+                args = node.args
+                n += len(args.defaults) + sum(d is not None for d in args.kw_defaults)
+        return n
+
+    for module, tree in modules(src, package):
+        found[module] = count(tree.body)
     return found
 
 
@@ -347,6 +410,7 @@ def render(
     funcs: Mapping[Key, int],
     runs: Mapping[str, Set[Key]],
     verdicts: Mapping[Key, str],
+    opts: Mapping[str, int],
 ) -> str:
     """The census table: modules, then every function no family runs."""
     dead = set(never_executed(funcs, runs))
@@ -368,16 +432,20 @@ def render(
         "",
         "## Modules",
         "",
-        "| module | functions | lines | run by | never executed |",
-        "|---|---:|---:|---|---:|",
+        f"{sum(opts.values())} options: defaulted parameters of public "
+        "functions and methods (`__init__` included) and defaulted fields "
+        "of public dataclasses.",
+        "",
+        "| module | functions | lines | run by | never executed | options |",
+        "|---|---:|---:|---|---:|---:|",
     ]
-    for module in sorted(by_module):
+    for module in sorted(set(by_module) | {m for m, n in opts.items() if n}):
         keys = by_module[module]
         fams = [f for f, ran in runs.items() if any(k in ran for k in keys)]
         n_dead = sum(1 for k in keys if k in dead)
         out.append(
             f"| `{module}` | {len(keys)} | {sum(funcs[k] for k in keys)} | "
-            f"{', '.join(fams) or '—'} | {n_dead} |"
+            f"{', '.join(fams) or '—'} | {n_dead} | {opts.get(module, 0)} |"
         )
     out += [
         "",
@@ -438,7 +506,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     verdicts = read_verdicts()
     if args.write:
         with open(TABLE, "w", encoding="utf-8") as fh:
-            fh.write(render(funcs, runs, verdicts))
+            fh.write(render(funcs, runs, verdicts, options(SRC, "repro")))
     dead = never_executed(funcs, runs)
     print(f"{len(funcs)} functions, {len(dead)} never executed "
           f"({sum(funcs[k] for k in dead)} lines)")

@@ -112,15 +112,6 @@ class PSFA(ControlAlgorithm):
     activity_threshold_iops:
         Demand at or below this value marks a job *idle* (receives zero —
         the "without false allocation" property).
-    max_demand_factor:
-        Optional input sanitizer: each reported demand is capped at
-        ``max_demand_factor × capacity`` before allocation. The
-        water-fill itself already bounds what an inflated demand can
-        *win*, but an absurd report (1e9 IOPS from a lying tenant) still
-        poisons demand-limited bookkeeping, leftover accounting, and any
-        downstream consumer of the demand vector (orphan reservations,
-        stats) — clamping at a small multiple of capacity bounds that
-        damage with no effect on honest inputs.
     """
 
     name = "psfa"
@@ -129,21 +120,13 @@ class PSFA(ControlAlgorithm):
         self,
         redistribute_leftover: bool = True,
         activity_threshold_iops: float = 0.0,
-        max_demand_factor: Optional[float] = None,
     ) -> None:
         if activity_threshold_iops < 0:
             raise ValueError(
                 f"negative activity threshold: {activity_threshold_iops}"
             )
-        if max_demand_factor is not None and max_demand_factor <= 0:
-            raise ValueError(
-                f"max_demand_factor must be positive: {max_demand_factor}"
-            )
         self.redistribute_leftover = bool(redistribute_leftover)
         self.activity_threshold_iops = float(activity_threshold_iops)
-        self.max_demand_factor = (
-            float(max_demand_factor) if max_demand_factor is not None else None
-        )
 
     def allocate(
         self,
@@ -155,8 +138,6 @@ class PSFA(ControlAlgorithm):
         validate_inputs(demands, weights, capacity, guarantees)
         demands = np.asarray(demands, dtype=float)
         weights = np.asarray(weights, dtype=float)
-        if self.max_demand_factor is not None:
-            demands = np.minimum(demands, self.max_demand_factor * capacity)
         n = demands.size
         alloc = np.zeros(n)
         demand_limited = np.zeros(n, dtype=bool)

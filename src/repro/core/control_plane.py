@@ -79,9 +79,6 @@ class ControlPlaneConfig:
     enforce_changed_only: bool = False
     rule_change_tolerance: float = 0.0
     metrics_alpha: float = 1.0
-    #: Cap reported demand at this multiple of capacity before PSFA runs
-    #: (input sanitizer against demand-lying stages; None = trust inputs).
-    demand_cap_factor: Optional[float] = None
     #: Record every control cycle as spans (sim-clock domain) exportable
     #: with :func:`repro.obs.chrome_trace.export_chrome_trace`.
     trace_spans: bool = False
@@ -101,7 +98,7 @@ class ControlPlaneConfig:
         if self.policy is None:
             self.policy = default_policy(self.n_stages)
         if self.algorithm is None:
-            self.algorithm = PSFA(max_demand_factor=self.demand_cap_factor)
+            self.algorithm = PSFA()
 
 
 class _DeployedPlane:
@@ -195,15 +192,12 @@ class _DeployedPlane:
         return host
 
     # -- running ------------------------------------------------------------------
-    def run_stress(self, n_cycles: int, sample_interval_s: float = 0.25) -> None:
-        """Run ``n_cycles`` back-to-back control cycles, sampling resources."""
+    def run_stress(self, n_cycles: int) -> None:
+        """Run ``n_cycles`` back-to-back control cycles, metering the
+        controller hosts."""
         if self.global_controller is None:
             raise RuntimeError("plane not built")
-        self.remora = RemoraSession(
-            self.env,
-            {name: host for name, host in self.controller_hosts.items()},
-            interval_s=sample_interval_s,
-        )
+        self.remora = RemoraSession(self.env, dict(self.controller_hosts))
         self.remora.start()
         proc = self.global_controller.run_cycles(n_cycles)
         self.env.run(proc)
@@ -448,12 +442,8 @@ class CoordinatedFlatControlPlane(_DeployedPlane):
                 b.add_peer(a.peer_id, conn)
         return plane
 
-    def run_stress(self, n_cycles: int, sample_interval_s: float = 0.25) -> None:
-        self.remora = RemoraSession(
-            self.env,
-            dict(self.controller_hosts),
-            interval_s=sample_interval_s,
-        )
+    def run_stress(self, n_cycles: int) -> None:
+        self.remora = RemoraSession(self.env, dict(self.controller_hosts))
         self.remora.start()
         procs = [p.run_cycles(n_cycles) for p in self.peers]
         for proc in procs:

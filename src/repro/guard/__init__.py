@@ -1,4 +1,4 @@
-"""Overload protection: admission, breakers, shedding, degradation.
+"""Overload protection: admission, backoff, shedding, degradation.
 
 The defense layer between the control plane and a hostile load profile
 (noisy neighbors, metadata storms, demand liars — the PADLL motivation
@@ -9,9 +9,8 @@ layer of the plane:
   concurrency cap, composed into the service tier's
   :class:`~repro.guard.admission.AdmissionGate` (prioritized shedding:
   health checks never shed, reads shed late, mutations shed first).
-* :mod:`repro.guard.breaker` — the circuit-breaker state machine
-  (closed → open → half-open with a single probe) that keeps reconnect
-  loops from hammering dead peers.
+* :mod:`repro.guard.backoff` — the full-jitter reconnect delay that
+  keeps a mass-evicted fleet of stages from retrying in lockstep.
 * :mod:`repro.guard.shed` — :class:`~repro.guard.shed.BoundedOutbox`,
   the per-session outbound queue with a byte high-water mark and a
   shed-oldest-sheddable policy (rule frames are safe to shed because
@@ -34,7 +33,6 @@ from repro.guard.admission import (
     RateLimiter,
 )
 from repro.guard.backoff import full_jitter
-from repro.guard.breaker import CircuitBreaker
 from repro.guard.degradation import DegradationLadder
 from repro.guard.shed import BoundedOutbox
 from repro.guard.trust import DemandClamp
@@ -43,7 +41,6 @@ __all__ = [
     "Admission",
     "AdmissionGate",
     "BoundedOutbox",
-    "CircuitBreaker",
     "ConcurrencyLimiter",
     "DegradationLadder",
     "DemandClamp",

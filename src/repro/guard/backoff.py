@@ -32,25 +32,21 @@ def full_jitter(
     base_s: float,
     factor: float,
     max_s: float,
-    jitter: float = 1.0,
     rng: Optional[random.Random] = None,
 ) -> float:
     """Delay before retry ``attempt`` (1-based), fully jittered.
 
     The exponential cap is ``min(max_s, base_s * factor**(attempt-1))``;
-    the returned delay is uniform in ``[cap*(1-jitter), cap]`` (clamped
-    to the floor), so ``jitter=1.0`` is full jitter and ``jitter=0.0``
-    degrades to the deterministic schedule. Pass a per-client ``rng``
-    (e.g. seeded from the stage id) for reproducible, *distinct* fleets.
+    the returned delay is uniform in ``[0, cap]``, clamped to the floor.
+    ``rng`` defaults to the module RNG (a test passes a seeded one).
     """
     if attempt < 1:
         raise ValueError(f"attempt must be >= 1: {attempt}")
     if base_s <= 0 or max_s <= 0:
         raise ValueError(f"base_s/max_s must be positive: {base_s}, {max_s}")
-    spread = min(max(jitter, 0.0), 1.0)
     try:
         cap = min(max_s, base_s * factor ** (attempt - 1))
     except OverflowError:
         cap = max_s
-    draw = (rng or random).uniform(cap * (1.0 - spread), cap)
+    draw = (rng or random).uniform(0.0, cap)
     return max(draw, cap * _FLOOR_FRACTION)

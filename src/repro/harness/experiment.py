@@ -23,8 +23,8 @@ from repro.core.control_plane import (
     HierarchicalControlPlane,
 )
 from repro.core.costs import CostModel, FRONTERA_COST_MODEL
-from repro.core.cycle import ControlCycle, CycleStats, PhaseBreakdown
-from repro.monitoring.remora import ControllerUsage, RemoraReport
+from repro.core.cycle import ControlCycle, CycleStats
+from repro.monitoring.remora import ControllerUsage
 
 __all__ = [
     "ExperimentResult",
@@ -89,16 +89,6 @@ class ExperimentResult:
         return out
 
 
-def _average_usage(rows: List[ControllerUsage], name: str) -> ControllerUsage:
-    return ControllerUsage(
-        name=name,
-        cpu_percent=float(np.mean([r.cpu_percent for r in rows])),
-        memory_gb=float(np.mean([r.memory_gb for r in rows])),
-        transmitted_mb_s=float(np.mean([r.transmitted_mb_s for r in rows])),
-        received_mb_s=float(np.mean([r.received_mb_s for r in rows])),
-    )
-
-
 def _pool(
     design: str,
     n_stages: int,
@@ -129,9 +119,9 @@ def _pool(
         n_aggregators=n_aggregators,
         repetitions=repeats,
         latency=CycleStats(pooled, warmup=0),
-        global_usage=_average_usage(global_rows, "global"),
+        global_usage=ControllerUsage.mean(global_rows, "global"),
         aggregator_usage=(
-            _average_usage(agg_rows, "aggregator (mean)") if agg_rows else None
+            ControllerUsage.mean(agg_rows, "aggregator (mean)") if agg_rows else None
         ),
         per_repeat_mean_ms=per_repeat,
         spans=spans,

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import asdict
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.cycle import ControlCycle, CycleStats
 from repro.harness.experiment import ExperimentResult
@@ -25,24 +26,6 @@ _FORMAT_VERSION = 1
 _NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 
 
-def _usage_to_dict(usage: Optional[ControllerUsage]) -> Optional[Dict]:
-    if usage is None:
-        return None
-    return {"name": usage.name, **usage.as_dict()}
-
-
-def _usage_from_dict(data: Optional[Dict]) -> Optional[ControllerUsage]:
-    if data is None:
-        return None
-    return ControllerUsage(
-        name=data["name"],
-        cpu_percent=data["cpu_percent"],
-        memory_gb=data["memory_gb"],
-        transmitted_mb_s=data["transmitted_mb_s"],
-        received_mb_s=data["received_mb_s"],
-    )
-
-
 def result_to_dict(result: ExperimentResult) -> Dict:
     """Serialise a result (cycles included) to JSON-compatible data."""
     return {
@@ -52,8 +35,10 @@ def result_to_dict(result: ExperimentResult) -> Dict:
         "n_aggregators": result.n_aggregators,
         "repetitions": result.repetitions,
         "per_repeat_mean_ms": list(result.per_repeat_mean_ms),
-        "global_usage": _usage_to_dict(result.global_usage),
-        "aggregator_usage": _usage_to_dict(result.aggregator_usage),
+        "global_usage": asdict(result.global_usage),
+        "aggregator_usage": (
+            None if result.aggregator_usage is None else asdict(result.aggregator_usage)
+        ),
         "cycles": [
             {
                 "epoch": c.epoch,
@@ -95,8 +80,11 @@ def result_from_dict(data: Dict) -> ExperimentResult:
         n_aggregators=data["n_aggregators"],
         repetitions=data["repetitions"],
         latency=CycleStats(cycles, warmup=0),
-        global_usage=_usage_from_dict(data["global_usage"]),
-        aggregator_usage=_usage_from_dict(data["aggregator_usage"]),
+        global_usage=ControllerUsage(**data["global_usage"]),
+        aggregator_usage=(
+            None if data["aggregator_usage"] is None
+            else ControllerUsage(**data["aggregator_usage"])
+        ),
         per_repeat_mean_ms=list(data["per_repeat_mean_ms"]),
     )
 

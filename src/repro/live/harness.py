@@ -20,9 +20,6 @@ is sampled REMORA-style from ``/proc`` with per-controller attribution
 (:class:`~repro.obs.procfs.LiveUsageSession`), and control-plane metrics
 accumulate in a :class:`~repro.obs.metrics.MetricsRegistry` — optionally
 scrapeable over HTTP while the run cycles (``metrics_port``).
-
-``enforce_changed_only``/``rule_change_tolerance`` suppress rule frames
-whose limit did not move.
 """
 
 from __future__ import annotations
@@ -91,9 +88,7 @@ class LiveRunResult:
 class _Obs:
     """Per-run observability bundle (tracer + usage session + metrics)."""
 
-    def __init__(
-        self, observe: bool, metrics_port: Optional[int], sample_interval_s: float
-    ) -> None:
+    def __init__(self, observe: bool, metrics_port: Optional[int]) -> None:
         self.tracer: Optional[SpanTracer] = None
         self.usage: Optional[LiveUsageSession] = None
         self.registry: Optional[MetricsRegistry] = None
@@ -101,7 +96,7 @@ class _Obs:
         self._metrics_port = metrics_port
         if observe:
             self.tracer = SpanTracer(track="global-ctrl", clock_domain="wall")
-            self.usage = LiveUsageSession(interval_s=sample_interval_s)
+            self.usage = LiveUsageSession()
             self.registry = MetricsRegistry()
 
     def tracer_for(self, track: str):
@@ -144,12 +139,9 @@ async def _run(
     enforce_timeout_s: Optional[float] = None,
     observe: bool = False,
     metrics_port: Optional[int] = None,
-    sample_interval_s: float = 0.05,
-    enforce_changed_only: bool = False,
-    rule_change_tolerance: float = 0.0,
 ) -> LiveRunResult:
     policy = policy or default_policy(n_stages)
-    obs = _Obs(observe, metrics_port, sample_interval_s)
+    obs = _Obs(observe, metrics_port)
     controller = LiveGlobalController(
         policy,
         expected_stages=n_stages,
@@ -158,8 +150,6 @@ async def _run(
         span_tracer=obs.tracer_for("global-ctrl"),
         usage_meter=obs.meter_for("global-ctrl"),
         metrics=obs.registry,
-        enforce_changed_only=enforce_changed_only,
-        rule_change_tolerance=rule_change_tolerance,
     )
     await controller.start()
     await obs.start()
@@ -203,9 +193,6 @@ def run_live_flat(
     enforce_timeout_s: Optional[float] = None,
     observe: bool = False,
     metrics_port: Optional[int] = None,
-    sample_interval_s: float = 0.05,
-    enforce_changed_only: bool = False,
-    rule_change_tolerance: float = 0.0,
 ) -> LiveRunResult:
     """Run a flat control plane over real localhost TCP sockets."""
     if n_stages < 1 or n_cycles < 1:
@@ -219,9 +206,6 @@ def run_live_flat(
             enforce_timeout_s,
             observe=observe,
             metrics_port=metrics_port,
-            sample_interval_s=sample_interval_s,
-            enforce_changed_only=enforce_changed_only,
-            rule_change_tolerance=rule_change_tolerance,
         )
     )
 
@@ -289,7 +273,7 @@ class LiveHierPlane:
         self.enforce_changed_only = enforce_changed_only
         self.rule_change_tolerance = rule_change_tolerance
         self.initial_epoch = initial_epoch
-        self._obs = obs if obs is not None else _Obs(False, None, 0.05)
+        self._obs = obs if obs is not None else _Obs(False, None)
         #: Stage reconnect-backoff overrides (tests shrink the delays).
         self._stage_backoff = dict(stage_backoff or {})
         #: Guard instances shared across controller generations: a plane
@@ -600,19 +584,14 @@ async def _run_hier(
     enforce_timeout_s: Optional[float] = None,
     observe: bool = False,
     metrics_port: Optional[int] = None,
-    sample_interval_s: float = 0.05,
-    enforce_changed_only: bool = False,
-    rule_change_tolerance: float = 0.0,
 ) -> LiveRunResult:
-    obs = _Obs(observe, metrics_port, sample_interval_s)
+    obs = _Obs(observe, metrics_port)
     plane = LiveHierPlane(
         n_stages,
         n_aggregators,
         policy,
         collect_timeout_s=collect_timeout_s,
         enforce_timeout_s=enforce_timeout_s,
-        enforce_changed_only=enforce_changed_only,
-        rule_change_tolerance=rule_change_tolerance,
         obs=obs,
     )
     await plane.start()
@@ -644,9 +623,6 @@ def run_live_hierarchical(
     enforce_timeout_s: Optional[float] = None,
     observe: bool = False,
     metrics_port: Optional[int] = None,
-    sample_interval_s: float = 0.05,
-    enforce_changed_only: bool = False,
-    rule_change_tolerance: float = 0.0,
 ) -> LiveRunResult:
     """Run the hierarchical design over real localhost TCP sockets."""
     if n_stages < 1 or n_cycles < 1:
@@ -663,8 +639,5 @@ def run_live_hierarchical(
             enforce_timeout_s,
             observe=observe,
             metrics_port=metrics_port,
-            sample_interval_s=sample_interval_s,
-            enforce_changed_only=enforce_changed_only,
-            rule_change_tolerance=rule_change_tolerance,
         )
     )

@@ -25,12 +25,10 @@ late rules from the previous home.
 from __future__ import annotations
 
 import asyncio
-import random
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.guard.backoff import full_jitter
-from repro.guard.breaker import CircuitBreaker
 from repro.live import pump
 from repro.live.codec import frame_packer
 from repro.live.protocol import FrameLink, encode
@@ -46,29 +44,13 @@ class LiveVirtualStage:
     reconnect:
         Retry dropped connections (with re-registration) instead of
         exiting on the first EOF.
-    backoff_base_s / backoff_factor / backoff_max_s / backoff_jitter:
+    backoff_base_s / backoff_factor / backoff_max_s:
         Backoff between reconnect attempts, with *full jitter*: the
         ``k``-th consecutive failure computes the exponential ceiling
         ``min(max, base * factor**(k-1))`` and sleeps a uniform draw
-        from ``[ceiling * (1 - jitter), ceiling]``. The default
-        ``jitter=1.0`` decorrelates a mass-evicted fleet completely
-        (the earlier multiplicative-jitter schedule kept every stage's
-        retries within the same few-percent window — a thundering herd
-        at each rung); ``jitter=0`` recovers the deterministic schedule.
-    backoff_seed:
-        Seed for this client's private backoff RNG (salted with the
-        stage id, so a fleet built from one seed still decorrelates).
-        ``None`` uses the process-global RNG.
-    breaker_failures / breaker_reset_s:
-        When ``breaker_failures`` is set, each controller address gets a
-        circuit breaker: after that many consecutive failed attempts
-        *on one address* the breaker opens and the stage skips that
-        address (rotating past it without a connect attempt) until
-        ``breaker_reset_s`` has elapsed, at which point one half-open
-        probe connect is allowed. Off (``None``) by default.
-    max_retries:
-        Give up after this many consecutive failed attempts
-        (``None`` = retry forever until :meth:`stop`).
+        below it from the module RNG, which decorrelates a mass-evicted
+        fleet (a schedule every stage computes alike is a thundering
+        herd at each rung). Retries go on until :meth:`stop`.
     alternates:
         Extra ``(host, port)`` controller addresses to rotate through
         when the current home fails (dead aggregator, dead primary). A
@@ -86,12 +68,10 @@ class LiveVirtualStage:
     __slots__ = (
         "addresses", "_addr_index", "controller_timeout_s", "stage_id", "job_id",
         "demand", "reconnect", "backoff_base_s", "backoff_factor", "backoff_max_s",
-        "backoff_jitter", "_rng", "breaker_failures", "breaker_reset_s", "breakers",
-        "breaker_skips", "max_retries", "applied_epoch", "applied_limit",
-        "applied_metadata_limit", "requests_served",
+        "applied_epoch", "applied_limit", "applied_metadata_limit", "requests_served",
         "rules_applied", "rules_ignored_stale", "connects", "reconnects",
         "registrations_rejected", "consecutive_failures", "failovers",
-        "rehomes_received", "silence_timeouts", "gave_up", "_stop", "_paused",
+        "rehomes_received", "silence_timeouts", "_stop", "_paused",
         "_backlog", "_link", "_registered", "_ended", "_watchdog", "_heard_at",
         "_registered_addr", "_last_silent", "_pack_metrics", "_pack_ack", "__dict__",
     )
@@ -107,11 +87,6 @@ class LiveVirtualStage:
         backoff_base_s: float = 0.05,
         backoff_factor: float = 2.0,
         backoff_max_s: float = 2.0,
-        backoff_jitter: float = 1.0,
-        backoff_seed: Optional[int] = None,
-        breaker_failures: Optional[int] = None,
-        breaker_reset_s: Optional[float] = None,
-        max_retries: Optional[int] = None,
         alternates: Optional[Sequence[Tuple[str, int]]] = None,
         controller_timeout_s: Optional[float] = None,
     ) -> None:
@@ -119,8 +94,6 @@ class LiveVirtualStage:
             raise ValueError("backoff delays must be positive")
         if backoff_factor < 1.0:
             raise ValueError(f"backoff_factor must be >= 1: {backoff_factor}")
-        if backoff_jitter < 0:
-            raise ValueError(f"negative backoff_jitter: {backoff_jitter}")
         if controller_timeout_s is not None and controller_timeout_s <= 0:
             raise ValueError(
                 f"controller_timeout_s must be positive: {controller_timeout_s}"
@@ -137,27 +110,6 @@ class LiveVirtualStage:
         self.backoff_base_s = backoff_base_s
         self.backoff_factor = backoff_factor
         self.backoff_max_s = backoff_max_s
-        self.backoff_jitter = backoff_jitter
-        # Private RNG so two stages with the same *policy* (seed) still
-        # draw distinct retry instants — the salt is the stage id.
-        # Unseeded stages share the process-global RNG: a Mersenne state
-        # per stage is 2.5 KB nobody asked for.
-        self._rng: Optional[random.Random] = (
-            random.Random(f"{backoff_seed}:{stage_id}")
-            if backoff_seed is not None
-            else None
-        )
-        if breaker_failures is not None and breaker_failures < 1:
-            raise ValueError(f"breaker_failures must be >= 1: {breaker_failures}")
-        self.breaker_failures = breaker_failures
-        self.breaker_reset_s = (
-            float(breaker_reset_s) if breaker_reset_s is not None else backoff_max_s
-        )
-        #: Per-address circuit breakers (populated lazily; empty when off).
-        self.breakers: Dict[Tuple[str, int], CircuitBreaker] = {}
-        #: Connect attempts skipped because an address's breaker was open.
-        self.breaker_skips = 0
-        self.max_retries = max_retries
         self.applied_epoch = -1
         self.applied_limit: Optional[float] = None
         #: Metadata-axis limit from the newest applied rule; ``inf``
@@ -183,7 +135,6 @@ class LiveVirtualStage:
         self.rehomes_received = 0
         #: Homes declared silent via ``controller_timeout_s``.
         self.silence_timeouts = 0
-        self.gave_up = False
         self._stop = asyncio.Event()
         self._paused = False
         #: Frames that arrived while paused, served on :meth:`resume`.
@@ -226,23 +177,8 @@ class LiveVirtualStage:
     def _backoff_delay(self, attempt: int) -> float:
         """Full-jitter delay before retry ``attempt`` (testable, no I/O)."""
         return full_jitter(
-            attempt,
-            self.backoff_base_s,
-            self.backoff_factor,
-            self.backoff_max_s,
-            jitter=self.backoff_jitter,
-            rng=self._rng,
+            attempt, self.backoff_base_s, self.backoff_factor, self.backoff_max_s
         )
-
-    def _breaker_for(self, addr: Tuple[str, int]) -> Optional[CircuitBreaker]:
-        """This address's breaker, created lazily (None when breakers off)."""
-        if self.breaker_failures is None:
-            return None
-        breaker = self.breakers.get(addr)
-        if breaker is None:
-            breaker = CircuitBreaker(self.breaker_failures, self.breaker_reset_s)
-            self.breakers[addr] = breaker
-        return breaker
 
     # -- fault-injection hooks (see repro.live.faults) -----------------------
     def kill(self) -> None:
@@ -271,23 +207,10 @@ class LiveVirtualStage:
         """Connect, register, and serve; reconnects with backoff if enabled."""
         while not self._stop.is_set():
             self._last_silent = False
-            breaker = self._breaker_for(self.addresses[self._addr_index])
-            if breaker is not None and not breaker.allow():
-                # Open breaker: skip the connect entirely and take the
-                # failure path (rotate + backoff) — a dead peer gets one
-                # half-open probe per reset window, not a hot loop.
-                self.breaker_skips += 1
+            try:
+                registered = await self._serve_once()
+            except (ConnectionError, OSError):
                 registered = False
-            else:
-                try:
-                    registered = await self._serve_once()
-                except (ConnectionError, OSError):
-                    registered = False
-                if breaker is not None:
-                    if registered:
-                        breaker.record_success()
-                    else:
-                        breaker.record_failure()
             if not self.reconnect or self._stop.is_set():
                 return
             if registered:
@@ -303,9 +226,6 @@ class LiveVirtualStage:
                 self.consecutive_failures += 1
                 attempt = self.consecutive_failures
                 self._rotate_address()
-            if self.max_retries is not None and attempt > self.max_retries:
-                self.gave_up = True
-                return
             delay = self._backoff_delay(attempt)
             try:
                 await asyncio.wait_for(self._stop.wait(), timeout=delay)

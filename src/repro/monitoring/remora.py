@@ -20,12 +20,11 @@ aggregator controller").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.simnet.engine import Environment
-from repro.simnet.monitor import HostSampler, ResourceSeries
 from repro.simnet.node import SimHost
 
 __all__ = ["ControllerUsage", "RemoraReport", "RemoraSession"]
@@ -52,6 +51,17 @@ class ControllerUsage:
             "received_mb_s": self.received_mb_s,
         }
 
+    @classmethod
+    def mean(cls, rows: Sequence["ControllerUsage"], name: str) -> "ControllerUsage":
+        """Column-wise mean of ``rows``, labelled ``name``."""
+        return cls(
+            name=name,
+            cpu_percent=float(np.mean([r.cpu_percent for r in rows])),
+            memory_gb=float(np.mean([r.memory_gb for r in rows])),
+            transmitted_mb_s=float(np.mean([r.transmitted_mb_s for r in rows])),
+            received_mb_s=float(np.mean([r.received_mb_s for r in rows])),
+        )
+
 
 @dataclass
 class RemoraReport:
@@ -64,14 +74,7 @@ class RemoraReport:
         averages)."""
         if not host_names:
             raise ValueError("no hosts to average")
-        rows = [self.per_host[h] for h in host_names]
-        return ControllerUsage(
-            name=label,
-            cpu_percent=float(np.mean([r.cpu_percent for r in rows])),
-            memory_gb=float(np.mean([r.memory_gb for r in rows])),
-            transmitted_mb_s=float(np.mean([r.transmitted_mb_s for r in rows])),
-            received_mb_s=float(np.mean([r.received_mb_s for r in rows])),
-        )
+        return ControllerUsage.mean([self.per_host[h] for h in host_names], label)
 
     def global_usage(self) -> ControllerUsage:
         """The global controller's row (host named ``global-ctrl``).
@@ -111,7 +114,7 @@ class RemoraReport:
             if usage is None:
                 raise KeyError("no aggregator hosts monitored")
         else:
-            usage = self.usage(role)
+            usage = self.per_host[role]
         return [
             usage.name,
             f"{usage.cpu_percent:.1f}",
@@ -124,21 +127,15 @@ class RemoraReport:
 class RemoraSession:
     """Monitors a set of controller hosts for the duration of a run."""
 
-    def __init__(
-        self,
-        env: Environment,
-        hosts: Mapping[str, SimHost],
-        interval_s: float = 1.0,
-    ) -> None:
+    def __init__(self, env: Environment, hosts: Mapping[str, SimHost]) -> None:
         self.env = env
         self.hosts = dict(hosts)
-        self.sampler = HostSampler(env, list(self.hosts.values()), interval=interval_s)
         self._started_at: Optional[float] = None
         self._stopped_at: Optional[float] = None
         self._baseline: Dict[str, tuple] = {}
 
     def start(self) -> None:
-        """Record counter baselines and begin periodic sampling."""
+        """Record each host's counter baselines."""
         self._started_at = self.env.now
         for name, host in self.hosts.items():
             self._baseline[name] = (
@@ -146,19 +143,15 @@ class RemoraSession:
                 host.nic.tx_bytes,
                 host.nic.rx_bytes,
             )
-        self.sampler.start()
 
     def stop(self) -> None:
         self._stopped_at = self.env.now
-        self.sampler.stop()
 
     def report(self) -> RemoraReport:
         """Whole-run average usage per monitored host.
 
         Averages are computed from counter deltas over the full measured
-        window (REMORA's ≥5-minute runs amount to the same thing); the
-        periodic samples remain available via ``self.sampler.series`` for
-        time-series inspection.
+        window (REMORA's ≥5-minute runs amount to the same thing).
         """
         if self._started_at is None:
             raise RuntimeError("session never started")

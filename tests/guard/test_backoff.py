@@ -23,11 +23,6 @@ class TestFullJitter:
         assert delay <= ceiling + 1e-12
         assert delay >= ceiling * _FLOOR_FRACTION - 1e-12
 
-    def test_zero_jitter_is_deterministic_schedule(self):
-        d1 = full_jitter(4, 0.05, 2.0, 10.0, jitter=0.0, rng=random.Random(1))
-        d2 = full_jitter(4, 0.05, 2.0, 10.0, jitter=0.0, rng=random.Random(2))
-        assert d1 == d2 == 0.05 * 2.0 ** 3
-
     def test_huge_attempt_does_not_overflow(self):
         delay = full_jitter(10_000, 0.05, 2.0, 5.0, rng=random.Random(0))
         assert 0 < delay <= 5.0

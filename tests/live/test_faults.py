@@ -420,8 +420,6 @@ class TestRegistration:
             LiveVirtualStage("h", 1, "s", "j", backoff_base_s=0.0)
         with pytest.raises(ValueError):
             LiveVirtualStage("h", 1, "s", "j", backoff_factor=0.5)
-        with pytest.raises(ValueError):
-            LiveVirtualStage("h", 1, "s", "j", backoff_jitter=-0.1)
 
 
 class TestMalformedTrunkFrames:

@@ -496,8 +496,8 @@ class TestTeardown:
 
     @pytest.mark.parametrize("listening", [False, True], ids=["alone", "beside-a-listener"])
     def test_a_refused_connect_raises_and_leaves_no_descriptor(self, listening):
-        """``ConnectionRefusedError`` is what the reconnect loop and the
-        breakers count; the dial's socket and registration go with it,
+        """``ConnectionRefusedError`` is what the reconnect loop
+        counts; the dial's socket and registration go with it,
         and a pump it created for itself goes too."""
 
         async def scenario():

@@ -27,14 +27,35 @@ async def _wait_until(predicate, timeout_s=5.0):
 
 class TestChangedOnlySuppression:
     def test_constant_demand_ships_one_rule_per_stage(self):
-        from repro.live.harness import run_live_flat
+        async def scenario():
+            controller = LiveGlobalController(
+                default_policy(8), expected_stages=8, enforce_changed_only=True
+            )
+            await controller.start()
+            stages = [
+                LiveVirtualStage(
+                    controller.host,
+                    controller.port,
+                    stage_id=f"stage-{i}",
+                    job_id=f"job-{i}",
+                )
+                for i in range(8)
+            ]
+            tasks = [asyncio.create_task(s.run()) for s in stages]
+            try:
+                await controller.wait_for_stages()
+                cycles = await controller.run_cycles(5)
+                return sum(s.rules_applied for s in stages), cycles
+            finally:
+                await controller.shutdown()
+                for t in tasks:
+                    t.cancel()
+                await asyncio.gather(*tasks, return_exceptions=True)
 
-        result = run_live_flat(
-            n_stages=8, n_cycles=5, enforce_changed_only=True
-        )
+        rules_applied, cycles = asyncio.run(scenario())
         # One applied rule per stage (cycle 1); later cycles suppressed.
-        assert result.rules_applied_total == 8
-        assert result.degraded_cycles == 0
+        assert rules_applied == 8
+        assert sum(1 for c in cycles if c.degraded) == 0
 
     def test_negative_tolerance_rejected(self):
         with pytest.raises(ValueError):

@@ -19,7 +19,7 @@ def usage(name, cpu=1.0, mem=0.5, tx=2.0, rx=1.0):
 class TestRemoraSession:
     def test_whole_window_averages(self, env):
         host = SimHost(env, "global-ctrl", cores=10)
-        session = RemoraSession(env, {"global-ctrl": host}, interval_s=0.5)
+        session = RemoraSession(env, {"global-ctrl": host})
         session.start()
         env.call_at(0.5, lambda: host.charge(5.0))
         env.call_at(0.5, lambda: host.nic.record_tx(10_000_000))
@@ -95,6 +95,19 @@ class TestRemoraReport:
     def test_no_global_raises(self):
         with pytest.raises(KeyError):
             RemoraReport({"other": usage("other")}).global_usage()
+
+    def test_table_row_for_a_host_name(self):
+        report = RemoraReport(
+            {
+                "aggregator-00": usage("aggregator-00", cpu=2.0),
+                "global-ctrl": usage("global-ctrl", cpu=10.0),
+            }
+        )
+        assert report.table_row("aggregator-00") == [
+            "aggregator-00", "2.0", "0.500", "2.000", "1.000"
+        ]
+        with pytest.raises(KeyError):
+            report.table_row("aggregator-07")
 
     def test_average_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -67,7 +67,7 @@ def test_table_lists_exactly_the_uncalled_function(census, toy):
     )
     assert [status for _, status in statuses["toy"]] == [0]
     assert census.never_executed(funcs, runs) == [("toy.mod", "uncalled")]
-    table = census.render(funcs, runs, {})
+    table = census.render(funcs, runs, {}, census.options(str(toy), "toy"))
     rows = [line for line in table.splitlines() if line.startswith("| `toy.mod:")]
     assert rows == ["| `toy.mod:uncalled` | 2 | UNDECIDED |"]
 
@@ -94,10 +94,70 @@ def test_verdicts_survive_a_rewrite(census, toy, tmp_path):
         ("toy.mod", "in_child"): "kept: fault path; `tests/x.py::z`",
     }
     table = tmp_path / "CENSUS.md"
-    table.write_text(census.render(funcs, runs, verdicts))
+    opts = census.options(str(toy), "toy")
+    table.write_text(census.render(funcs, runs, verdicts, opts))
     assert census.read_verdicts(str(table)) == verdicts
     # A kept row whose function this run executed stays, marked.
     runs["toy"].add(("toy.mod", "in_child"))
     assert "| `toy.mod:in_child` | 2 | kept: fault path; `tests/x.py::z` *(ran)* |" in (
-        census.render(funcs, runs, verdicts)
+        census.render(funcs, runs, verdicts, opts)
     )
+
+
+def test_options_count_what_a_caller_may_set(census, toy):
+    (toy / "toy" / "opts.py").write_text(
+        textwrap.dedent(
+            """
+            import dataclasses
+            from dataclasses import dataclass, field
+            from typing import ClassVar
+
+
+            def public(a, b=1, *, c=2, d):
+                return a
+
+
+            def _private(a=1):
+                return a
+
+
+            class Thing:
+                def __init__(self, x, y=0):
+                    self.x = x
+
+                def method(self, z=None):
+                    return z
+
+                def _hidden(self, w=3):
+                    return w
+
+
+            class _Hidden:
+                def __init__(self, v=1):
+                    self.v = v
+
+
+            @dataclass
+            class Config:
+                n: int
+                size: int = 4
+                tags: list = field(default_factory=list)
+                cache: dict = field(default_factory=dict, init=False)
+                KIND: ClassVar[str] = "x"
+
+
+            @dataclasses.dataclass(frozen=True)
+            class Frozen:
+                a: float = 1.0
+            """
+        )
+    )
+    opts = census.options(str(toy), "toy")
+    # b, c; y; z; size, tags; a.
+    assert opts == {"toy": 0, "toy.mod": 0, "toy.opts": 7}
+    funcs = census.functions(str(toy), "toy")
+    table = census.render(funcs, {"toy": set()}, {}, opts)
+    assert "7 options:" in table
+    assert [r for r in table.splitlines() if r.startswith("| `toy.opts` |")] == [
+        "| `toy.opts` | 6 | 12 | — | 6 | 7 |"
+    ]
