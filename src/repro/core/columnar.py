@@ -1,10 +1,11 @@
 """Columnar per-stage controller state — the one layout under every controller.
 
-The sim :class:`~repro.core.controller.GlobalController` and both live
-controllers keep what they believe about each stage in a
-:class:`StageColumns`: one ``float64`` ndarray per metric plus a
-stage-id ↔ row registry. Replies are written once, into rows; every
-compute phase gathers with a fancy index over rows.
+The sim :class:`~repro.core.controller.GlobalController` (so also each
+coordinated peer, which is one) and both live controllers keep what they
+believe about each stage in a :class:`StageColumns`: one ``float64``
+ndarray per metric plus a stage-id ↔ row registry. Replies are written
+once, into rows; every compute phase gathers with a fancy index over
+rows.
 
 ====================  =====================================================
 column                meaning
@@ -24,16 +25,17 @@ compute path over these columns — reads them per job vector.
 A row is *live*, *reserved* or *dead*:
 
 * ``register`` appends a live row at the tail, so live-row order equals
-  registration order — the order of ``StageRegistry.stage_ids`` and of a
-  live controller's session dict.
+  registration order — the order of a live controller's session dict
+  (and of ``StageRegistry.stage_ids``, the property tests' oracle).
 * ``reserve`` takes a live row out of the live set but keeps it in the
   gather (:meth:`gather_rows`: live rows, then reserved rows in
   departure order) and keeps its id resolvable: a flat stage evicted
   with a grace period and a hierarchical orphan are both a stage that is
   gone from the tree yet still enforcing its last rule, so its share
-  stays allocated. Registering a reserved id again releases the
-  reservation: the stage gets a fresh tail row that carries the old
-  row's state over.
+  stays allocated; a coordinated peer holds the other peers' part of
+  each job in one, which is allocated but never sent a rule. Registering
+  a reserved id again releases the reservation: the stage gets a fresh
+  tail row that carries the old row's state over.
 * ``evict`` (and :meth:`release_expired`, for reservations whose epoch
   has passed) tombstones the row: it leaves the registry at once, never
   moves another row, and its values stay readable for the rest of the
@@ -351,6 +353,11 @@ class StageColumns:
     def ewma_active(self) -> np.ndarray:
         """Smoothed total demand over live rows (cached; do not mutate)."""
         return self._gather("ewma")
+
+    def seen_active(self) -> np.ndarray:
+        """Whether each live row has had a report taken (cached; do not
+        mutate)."""
+        return self._gather("_seen")
 
     # -- observations -----------------------------------------------------------
     def observe(self, stage_id: str, data_iops: float, metadata_iops: float) -> bool:

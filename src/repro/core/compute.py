@@ -1,11 +1,14 @@
 """The controller compute phase over :class:`StageColumns`, and its oracle.
 
-Every compute phase in this repo — the simulated controllers', both live
-controllers', the partition-parallel engine's — is the same four steps:
-gather per-stage demand into vectors, reduce to per-job demand, run an
+Every compute phase in this repo is the same four steps: gather
+per-stage demand into vectors, reduce to per-job demand, run an
 allocation brain over jobs (weights and floors are per job), split the
 grants back to stages. This module is the one place a brain is called
-for a control cycle.
+for a control cycle: :class:`ColumnarCompute` for the simulated
+``GlobalController`` (and the coordinated peers, which are one), both
+live controllers and the partition-parallel engine, and
+:func:`partition_allocations` for an aggregator running its partition
+against a budget under decision offload.
 
 * :class:`ColumnarCompute` is the one production implementation: demand
   lives in flat ``float64`` columns, the gather is a fancy index over the
@@ -38,6 +41,7 @@ from repro.core.metrics import MetricsWindow
 __all__ = [
     "ColumnarCompute",
     "ScalarComputeState",
+    "partition_allocations",
     "scalar_allocations",
     "split_to_stages",
 ]
@@ -77,6 +81,27 @@ def _allocate_jobs(
     result = algorithm.allocate(job_demand, weights, capacity, guarantees)
     return split_to_stages(
         stage_demand, job_demand, result.allocations, job_index, n_jobs
+    )
+
+
+def partition_allocations(
+    stage_demand: np.ndarray,
+    stage_jobs: Sequence[str],
+    budget: float,
+    policy,
+    algorithm,
+) -> np.ndarray:
+    """One axis of an offloaded partition (paper §VI): reduce to the
+    partition's jobs (in order of first occurrence), run the brain with
+    job weights against ``budget``, split back to stages. Floors are
+    cluster-wide, so they stay out."""
+    job_pos: Dict[str, int] = {}
+    job_index = np.array(
+        [job_pos.setdefault(job, len(job_pos)) for job in stage_jobs], dtype=np.intp
+    )
+    return _allocate_jobs(
+        stage_demand, job_index, len(job_pos), budget, algorithm,
+        policy.weights(list(job_pos)), None,
     )
 
 

@@ -162,13 +162,18 @@ class _DeployedPlane:
         return endpoints
 
     def _global_controller(
-        self, host_name: str, service: str, system_slots: int = 8, **kwargs
+        self,
+        host_name: str,
+        service: str,
+        system_slots: int = 8,
+        cls: type = GlobalController,
+        **kwargs,
     ) -> GlobalController:
-        """A global controller on a node of its own, configured from
-        :attr:`config` (``kwargs`` add to that)."""
+        """A global controller (or a ``cls`` of one) on a node of its own,
+        configured from :attr:`config` (``kwargs`` add to that)."""
         config = self.config
         host = self._controller_host(host_name, system_slots)
-        return GlobalController(
+        return cls(
             self.env,
             host,
             self.cluster.network.attach(host, service),
@@ -375,7 +380,7 @@ class CoordinatedFlatControlPlane(_DeployedPlane):
 
     Each cycle every peer collects its partition, exchanges per-job demand
     summaries with all other peers, runs the control algorithm over the
-    *global* demand vector, and enforces rules on its own partition. The
+    *global* job totals, and enforces rules on its own partition. The
     plane's cycle latency is the slowest peer's (they rendezvous on the
     summary exchange).
     """
@@ -409,20 +414,15 @@ class CoordinatedFlatControlPlane(_DeployedPlane):
         partitions = partition_stages(stage_ids, n_controllers)
 
         for k, owned in enumerate(partitions):
-            host = plane._controller_host(
-                f"peer-ctrl-{k:02d}", system_slots=max(8, n_controllers)
-            )
-            endpoint = cluster.network.attach(host, f"peer-{k:02d}")
-            peer = PeerController(
-                env,
-                host,
-                endpoint,
-                peer_id=f"peer-{k:02d}",
-                policy=config.policy,
-                algorithm=config.algorithm,
-                costs=config.costs,
+            peer = plane._global_controller(
+                f"peer-ctrl-{k:02d}",
+                f"peer-{k:02d}",
+                system_slots=max(8, n_controllers),
+                cls=PeerController,
+                name=f"peer-{k:02d}",
                 span_tracer=plane._tracer_for(f"peer-ctrl-{k:02d}"),
             )
+            endpoint = peer.endpoint
             for stage_id in owned:
                 stage, ep = by_id[stage_id]
                 conn = cluster.network.connect(endpoint, ep)
@@ -438,8 +438,8 @@ class CoordinatedFlatControlPlane(_DeployedPlane):
             for j in range(i + 1, len(plane.peers)):
                 a, b = plane.peers[i], plane.peers[j]
                 conn = cluster.network.connect(a.endpoint, b.endpoint)
-                a.add_peer(b.peer_id, conn)
-                b.add_peer(a.peer_id, conn)
+                a.add_peer(b.name, conn)
+                b.add_peer(a.name, conn)
         return plane
 
     def run_stress(self, n_cycles: int) -> None:

@@ -11,7 +11,8 @@ These are the actors of the paper's two control-plane designs:
   per-slot demand arrays and ships them upstream as one row-form report,
   and turns a rule batch's limit vectors into per-stage rule messages.
   With ``decision_offload`` (paper §VI) it instead receives a capacity
-  *budget* and runs PSFA locally over its partition.
+  *budget* (one per axis under a differentiated policy) and runs the
+  brain locally over its partition's jobs.
 
 Both controllers charge every protocol step to their host through the
 :class:`~repro.core.costs.CostModel`, so cycle latency, phase breakdown,
@@ -54,12 +55,13 @@ agg_collect_req    epoch                                       global → agg
 agg_metrics_reply  (epoch, AggregatedMetrics)                  agg → global
 rule_batch         (epoch, data limits, metadata limits)       global → agg
 batch_ack          epoch                                       agg → global
-budget_grant       (epoch, budget_iops)                        global → agg
+budget_grant       (epoch, data budget, metadata budget)       global → agg
 budget_ack         epoch                                       agg → global
 =================  ==========================================  ===========
 
 A rule batch's vectors are read-only ``float64`` arrays, one entry per
-slot of the aggregator's order (metadata ``inf``: unlimited).
+slot of the aggregator's order (metadata ``inf``: unlimited). A budget
+grant's metadata budget is ``None`` under an undifferentiated policy.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ import numpy as np
 from repro.core.algorithms.base import ControlAlgorithm
 from repro.core.algorithms.psfa import PSFA
 from repro.core.columnar import StageColumns
-from repro.core.compute import ColumnarCompute
+from repro.core.compute import ColumnarCompute, partition_allocations
 from repro.core.costs import CostModel, FRONTERA_COST_MODEL
 from repro.core.cycle import ControlCycle
 from repro.core.metrics import AggregatedMetrics, StageMetrics
@@ -712,6 +714,7 @@ class GlobalController(_Fan):
             self.columns, ledger.aligned_rows(self.columns), answered_only=True
         )
         reported_stages = offered - refused.size
+        extra_compute_s = yield from self._exchange(epoch)
         t_collect = self.env.now - started
 
         # ---- compute ----
@@ -731,16 +734,18 @@ class GlobalController(_Fan):
             if metadata_limits is not None:
                 # Differentiated QoS runs the algorithm once per class.
                 per_stage_cost *= 2
-            # Into slots now, while the live rows are the ones computed on
-            # (a slot without a live row gets no rule).
+            # Into slots now, while the rows are the ones computed on (a
+            # slot without a live row, and a row without a slot, get no rule).
             limits = ledger.gather(
-                grant_by_row(self.columns.active_rows(), stage_limits, metadata_limits),
+                grant_by_row(self.columns.gather_rows(), stage_limits, metadata_limits),
                 ledger.aligned_rows(self.columns),
             )
             if metadata_limits is None:
                 limits[1] = _INF
             limits.flags.writeable = False
-            yield self._execute(cm.compute_fixed_s + n * per_stage_cost)
+            yield self._execute(
+                cm.compute_fixed_s + n * per_stage_cost + extra_compute_s
+            )
         t_compute = self.env.now - compute_started
 
         # ---- enforce ----
@@ -786,19 +791,29 @@ class GlobalController(_Fan):
         if self.tracer.enabled:
             self.cycles[-1].emit_spans(self.tracer)
 
+    def _exchange(self, epoch: int) -> Generator:
+        """The end of the collect phase, once the columns took the
+        replies: where a subclass learns demand from elsewhere (a
+        coordinated peer's summary exchange). Returns the compute
+        seconds that adds; here none, and no simulated event."""
+        return 0.0
+        yield  # makes this a generator
+
     # -- compute ---------------------------------------------------------------
     def _compute_allocations(self):
         """Run the control algorithm; returns per-stage IOPS limits.
 
-        Returns ``(limits, metadata_limits)`` in ``columns.active_ids()``
-        order: with an undifferentiated policy the first vector bounds
-        *total* IOPS and the second is ``None``; with
-        ``policy.metadata_capacity_iops`` set, the algorithm runs once
-        per operation class against its own budget (the MDS and the OSS
-        pool are separate bottlenecks).
+        Returns ``(limits, metadata_limits)`` in ``columns.gather_rows()``
+        order — the live rows, then any reserved ones (demand that is
+        allocated but gets no rule here): with an undifferentiated
+        policy the first vector bounds *total* IOPS and the second is
+        ``None``; with ``policy.metadata_capacity_iops`` set, the
+        algorithm runs once per operation class against its own budget
+        (the MDS and the OSS pool are separate bottlenecks).
         """
         return self._compute.allocations(
-            self.policy, self.algorithm, self.metadata_algorithm
+            self.policy, self.algorithm, self.metadata_algorithm,
+            rows=self.columns.gather_rows(),
         )
 
     # -- enforce helpers --------------------------------------------------------
@@ -886,31 +901,25 @@ class GlobalController(_Fan):
         epoch: int,
         deadline: Optional[float],
     ) -> Generator:
-        """Ship per-aggregator budgets; aggregators run PSFA locally (§VI)."""
+        """Ship per-aggregator budgets; aggregators run the brain locally
+        (§VI). A differentiated policy splits each axis's budget over that
+        axis's demand; otherwise total demand shares one budget."""
         cm = self.costs
-        # Budget split: water-fill capacity over per-partition total demand.
-        from repro.core.algorithms.psfa import weighted_waterfill
-
-        rows = self.ledger.aligned_rows(self.columns)
-        demand = np.where(rows >= 0, self.columns.ewma[rows], 0.0).tolist()
-        span_of = self.ledger.span_of
-        part_demand = np.array(
-            [sum(demand[slice(*span_of[ch])]) for ch in agg_children]
-        )
-        weights = np.ones(len(agg_children))
-        budgets = weighted_waterfill(
-            part_demand, weights, self.policy.allocatable_iops
-        )
-        leftover = self.policy.allocatable_iops - budgets.sum()
-        if leftover > 0 and len(agg_children):
-            budgets = budgets + leftover / len(agg_children)
-        budget_of = {
-            ch.child_id: float(b) for ch, b in zip(agg_children, budgets)
-        }
+        policy = self.policy
+        cols = self.columns
+        if policy.differentiated:
+            data = self._budgets(agg_children, cols.data, policy.allocatable_iops)
+            meta = self._budgets(
+                agg_children, cols.meta, policy.allocatable_metadata_iops
+            )
+        else:
+            data = self._budgets(agg_children, cols.ewma, policy.allocatable_iops)
+            meta = [None] * len(agg_children)
+        budget_of = dict(zip([ch.child_id for ch in agg_children], zip(data, meta)))
         sent = yield from self._send_all(
             agg_children,
             "budget_grant",
-            lambda live: [(epoch, budget_of[ch.child_id]) for ch in live],
+            lambda live: [(epoch, *budget_of[ch.child_id]) for ch in live],
             cm.agg_request_bytes,
             cm.tx_request_s,
         )
@@ -920,6 +929,25 @@ class GlobalController(_Fan):
             {"budget_ack": cm.rx_agg_ack_s},
             deadline=deadline,
         )
+
+    def _budgets(
+        self, agg_children: List[ChildChannel], column: np.ndarray, capacity: float
+    ) -> List[float]:
+        """Water-fill ``capacity`` over each partition's demand in
+        ``column``; what is left over is spread evenly."""
+        from repro.core.algorithms.psfa import weighted_waterfill
+
+        rows = self.ledger.aligned_rows(self.columns)
+        demand = np.where(rows >= 0, column[rows], 0.0).tolist()
+        span_of = self.ledger.span_of
+        part_demand = np.array(
+            [sum(demand[slice(*span_of[ch])]) for ch in agg_children]
+        )
+        budgets = weighted_waterfill(part_demand, np.ones(len(agg_children)), capacity)
+        leftover = capacity - budgets.sum()
+        if leftover > 0 and len(agg_children):
+            budgets = budgets + leftover / len(agg_children)
+        return budgets.tolist()
 
     # -- reporting ----------------------------------------------------------------
     def stats(self, warmup: int = 1):
@@ -1123,33 +1151,43 @@ class AggregatorController(_Fan):
 
     # -- decision offload (§VI) ------------------------------------------------
     def _offloaded_cycle(self, payload, uplink: Connection) -> Generator:
-        """Run PSFA locally over the partition against a granted budget."""
-        epoch, budget = payload
-        cm = self.costs
+        """Run the brain locally over the partition's jobs against the
+        granted budget(s)."""
         if self.policy is None:
             raise RuntimeError(
                 f"{self.agg_id}: decision offload requires a local policy copy"
             )
+        epoch, budget, meta_budget = payload
+        cm = self.costs
         deadline = self._deadline()
         ledger = self._relayout()
         # Stages without a known demand get no rule.
         known = ledger.known()
         slots = np.flatnonzero(known)
-        demands = (np.frombuffer(ledger.data) + np.frombuffer(ledger.meta))[slots]
-        weights = self.policy.weights(
-            [self.stage_jobs[ledger.ids[i]] for i in slots.tolist()]
-        )
+        data, meta = np.frombuffer(ledger.data), np.frombuffer(ledger.meta)
+        if meta_budget is None:
+            axes = [((data + meta)[slots], budget)]
+        else:
+            axes = [(data[slots], budget), (meta[slots], meta_budget)]
+        jobs = [self.stage_jobs[ledger.ids[i]] for i in slots.tolist()]
         yield self._execute(
-            cm.compute_fixed_s + slots.size * cm.psfa_per_stage_s
+            cm.compute_fixed_s + len(axes) * slots.size * cm.psfa_per_stage_s
         )
-        limit = np.zeros(len(ledger))
-        if slots.size and budget > 0:
-            limit[slots] = self.algorithm.allocate(demands, weights, budget).allocations
+        limits = np.zeros((len(axes), len(ledger)))
+        for limit, (demand, axis_budget) in zip(limits, axes):
+            if slots.size and axis_budget > 0:
+                limit[slots] = partition_allocations(
+                    demand, jobs, axis_budget, self.policy, self.algorithm
+                )
         span_of = ledger.span_of
         targets = [ch for ch in self._stages if known[span_of[ch][0]]]
         if targets:
             sent = yield from self._send_rules(
-                targets, epoch, limit.tolist(), None, cm.rule_build_s + cm.tx_rule_s
+                targets,
+                epoch,
+                limits[0].tolist(),
+                limits[1].tolist() if meta_budget is not None else None,
+                cm.rule_build_s + cm.tx_rule_s,
             )
             yield from self._await_replies(
                 sent,

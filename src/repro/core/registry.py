@@ -5,9 +5,12 @@ bringing data-plane stages with them (paper §I, "static and uncoordinated
 control" critique). The registry is a controller-side membership table:
 which stages exist, which job each belongs to, and which controller
 partition owns it, with the stable orderings the vectorized algorithms
-rely on. The coordinated-flat peers keep one; the global controllers'
-membership is their :class:`~repro.core.columnar.StageColumns`, which
-follows the same ordering rules.
+rely on. No controller keeps one any more — every simulated controller's
+membership (the coordinated peers' too) is its
+:class:`~repro.core.columnar.StageColumns`, which follows the same
+ordering rules. :class:`StageRegistry` stays as the independent oracle
+the property tests check the columns' job order against;
+:func:`partition_stages` is what every plane partitions with.
 """
 
 from __future__ import annotations

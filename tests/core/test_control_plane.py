@@ -144,7 +144,7 @@ class TestCoordinatedFlat:
         plane = CoordinatedFlatControlPlane.build(
             ControlPlaneConfig(n_stages=10), n_controllers=2
         )
-        owned = [set(p.registry.stage_ids) for p in plane.peers]
+        owned = [set(p.columns.active_ids()) for p in plane.peers]
         assert len(owned[0] | owned[1]) == 10
         assert not (owned[0] & owned[1])
 

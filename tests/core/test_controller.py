@@ -294,7 +294,31 @@ class TestRefusedSample:
         state["bad"] = True
         plane.run_stress(n_cycles=1)
         for peer in plane.peers:
-            own = peer.registry.stage_ids
-            assert peer.latest_demand == {sid: 1200.0 for sid in own}
+            own = peer.columns.active_ids()
+            assert {
+                sid: (m.data_iops, m.metadata_iops)
+                for sid, m in peer.latest_metrics.items()
+            } == {sid: (1000.0, 200.0) for sid in own}
+            refused = "stage-00003" in own
+            assert [c.n_missing for c in peer.cycles] == [0, 0, int(refused)]
         assert all(stage.applied_rule.epoch == 3 for stage in plane.stages)
+
+    def test_coordinated_plane_counts_a_degraded_peer(self):
+        """``merge_peer_cycles`` sums the peers' ``n_missing``: one refused
+        sample behind one peer shows in the plane's stats."""
+        state = {"bad": False}
+        config = ControlPlaneConfig(
+            n_stages=12,
+            source_factory=lambda sid: (
+                _Switch(state, (-5.0, 1.0)) if sid == "stage-00003" else ConstantSource()
+            ),
+        )
+        plane = CoordinatedFlatControlPlane.build(config, n_controllers=3)
+        plane.run_stress(n_cycles=2)
+        state["bad"] = True
+        plane.run_stress(n_cycles=1)
+        stats = plane.stats(warmup=0)
+        assert [c.n_missing for c in stats.cycles] == [0, 0, 1]
+        assert stats.missing_total == 1
+        assert stats.degraded_cycles == 1
 

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import hashlib
 import json
 
 import pytest
@@ -117,6 +118,34 @@ class TestCoordinated:
             "--cycles", "4", "--json",
         )
         assert json.loads(out)["design"] == "coordinated-flat"
+
+
+class TestTimingGoldens:
+    """The ``--json`` payloads of a coordinated and an offloaded run, by
+    sha256. Simulated timings come from message counts and the cost
+    model, not from the grants, so moving where a plane computes must not
+    move a byte of them."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["coordinated", "--nodes", "400", "--controllers", "4",
+                 "--cycles", "5", "--json"],
+                "5fbdbb1824f541f55fe4ccc7666aa4895841eb8ff182646428cde3f3d1f85e00",
+            ),
+            (
+                ["hier", "--nodes", "400", "--aggregators", "4", "--cycles", "3",
+                 "--offload", "--json"],
+                "80ed8966e125ed9f9dc4bb334fc2c42bfd98fae795320ef37d08e9c798cc11b3",
+            ),
+        ],
+        ids=["coordinated", "hier-offload"],
+    )
+    def test_json_payload_is_pinned(self, capsys, argv, digest):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestReproduce:
