@@ -4,22 +4,23 @@ Every compute phase in this repo is the same four steps: gather
 per-stage demand into vectors, reduce to per-job demand, run an
 allocation brain over jobs (weights and floors are per job), split the
 grants back to stages. This module is the one place a brain is called
-for a control cycle: :class:`ColumnarCompute` for the simulated
-``GlobalController`` (and the coordinated peers, which are one), both
-live controllers and the partition-parallel engine, and
-:func:`partition_allocations` for an aggregator running its partition
-against a budget under decision offload.
+for a control cycle: :class:`GlobalCompute`, the compute half every
+global controller (DES, coordinated peer, both live ones, the
+partition-parallel parent) shares, and :func:`partition_allocations`
+for an aggregator running its partition against a budget under decision
+offload.
 
-* :class:`ColumnarCompute` is the one production implementation: demand
-  lives in flat ``float64`` columns, the gather is a fancy index over the
-  live rows (the DES) or over the rows the caller names (the live planes:
-  live rows plus the *reserved* ones — evicted stages inside their grace,
-  orphans — whose share must stay allocated), the job index (in
-  :meth:`StageColumns.job_view`'s order) and the QoS weight / guarantee
-  vectors are cached and rebuilt only when membership or policy changes.
-  An optional :class:`~repro.guard.trust.DemandClamp` trims each row's
-  report to what the stage is believed to use *before* the job reduce and
-  is shown the grants after it.
+* :class:`ColumnarCompute`, under :class:`GlobalCompute`, is the one
+  production implementation: demand lives in flat ``float64`` columns,
+  the gather is a fancy index over the live rows or over the rows the
+  caller names (live rows plus the *reserved* ones — evicted stages
+  inside their grace, orphans — whose share must stay allocated), the
+  job index (in :meth:`StageColumns.job_view`'s order) and the QoS
+  weight / guarantee vectors are cached and rebuilt only when
+  membership or policy changes. An optional
+  :class:`~repro.guard.trust.DemandClamp` trims each row's report to
+  what the stage is believed to use *before* the job reduce and is shown
+  the grants after it.
 * :class:`ScalarComputeState` + :func:`scalar_allocations` are the
   retained reference: one ``MetricsWindow`` dict entry and one
   ``latest`` tuple per stage, list-comprehension gathers, the per-stage
@@ -31,15 +32,20 @@ against a budget under decision offload.
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.algorithms.psfa import PSFA
 from repro.core.columnar import StageColumns
+from repro.core.cycle import ControlCycle
 from repro.core.metrics import MetricsWindow
+from repro.core.slots import SlotLedger, grant_by_row
 
 __all__ = [
     "ColumnarCompute",
+    "GlobalCompute",
     "ScalarComputeState",
     "partition_allocations",
     "scalar_allocations",
@@ -308,3 +314,100 @@ class ColumnarCompute:
                 rows, reported, limits if meta_limits is None else limits + meta_limits
             )
         return limits, meta_limits
+
+
+class GlobalCompute:
+    """A global controller's compute half, free of I/O and clocks: one
+    row per stage in :attr:`columns` (``alpha`` smooths reported demand;
+    1, the paper's, takes each report as is) and the one
+    :class:`ColumnarCompute` over them, the policy, the brain and its
+    metadata-axis twin, the optional demand clamp, changed-only
+    enforcement and the rules it withheld, the epoch, the cycle records.
+    A cycle: :meth:`begin_cycle`, replies landed in the columns,
+    :meth:`allocate`, :meth:`partition_batch` per partition, a record
+    appended to :attr:`cycles`."""
+
+    def __init__(
+        self, policy, algorithm, *, alpha: float, enforce_changed_only: bool,
+        rule_change_tolerance: float, initial_epoch: int, demand_clamp,
+    ) -> None:
+        if rule_change_tolerance < 0:
+            raise ValueError(
+                f"negative rule change tolerance: {rule_change_tolerance}"
+            )
+        if initial_epoch < 0:
+            raise ValueError(f"initial_epoch must be >= 0: {initial_epoch}")
+        self.policy = policy
+        self.algorithm = algorithm or PSFA()
+        # A stateful brain (PID) must not alternate the two axes through
+        # one instance: the metadata axis runs on a twin.
+        self.metadata_algorithm = copy.deepcopy(self.algorithm)
+        self.columns = StageColumns(alpha=alpha)
+        self._compute = ColumnarCompute(self.columns)
+        #: Trims each report to a multiple of the stage's observed usage;
+        #: share one across controller generations (trust survives them).
+        self.demand_clamp = demand_clamp
+        if demand_clamp is not None:
+            demand_clamp.attach(self.columns)
+        #: Ship only rules that moved by more than ``rule_change_tolerance``.
+        self.enforce_changed_only = enforce_changed_only
+        self.rule_change_tolerance = rule_change_tolerance
+        self.rules_suppressed = 0
+        self.epoch = initial_epoch
+        self.cycles: List[ControlCycle] = []
+
+    def begin_cycle(self) -> int:
+        """The next epoch. Cycle start is the one safe point to drop and
+        renumber rows: expired reservations go, the columns compact."""
+        self.epoch += 1
+        self.columns.release_expired(self.epoch)
+        self.columns.maybe_compact()
+        return self.epoch
+
+    def register_row(self, stage_id: str, job_id: str) -> int:
+        """A live row for a joining stage (a reserved id's moves into it)."""
+        row = self.columns.register(stage_id, job_id)
+        if self.demand_clamp is not None:
+            self.demand_clamp.inherit(stage_id, row)
+        return row
+
+    def allocate(self) -> Tuple[np.ndarray, bool, np.ndarray]:
+        """The brain over ``columns.gather_rows()``: live rows, at
+        last-known demand where no report landed, then reserved ones,
+        whose share stays allocated. Returns ``(limits, differentiated,
+        grant)``: one limit per gathered row (*total* IOPS unless the
+        policy differentiates, then data IOPS, the brain run per class),
+        whether there are metadata limits, and the limits by column row
+        (:func:`~repro.core.slots.grant_by_row`)."""
+        rows = self.columns.gather_rows()
+        limits, meta_limits = self._compute.allocations(
+            self.policy, self.algorithm, self.metadata_algorithm,
+            rows=rows, clamp=self.demand_clamp,
+        )
+        return limits, meta_limits is not None, grant_by_row(rows, limits, meta_limits)
+
+    def partition_batch(
+        self, grant: np.ndarray, ledger: SlotLedger, rows: np.ndarray,
+        force_changed_only: bool,
+    ) -> Tuple[np.ndarray, np.ndarray, int]:
+        """One partition's rules out of ``grant``: ``(batch, ship, withheld)``.
+
+        ``rows`` is the column row behind each slot of ``ledger``'s order
+        (-1: not ours); ``batch`` is ``(2, n slots)``, data over metadata,
+        ``NaN`` for no rule — a slot that is not ours, or a stage whose
+        row is newer than the grant, waits for the next cycle. Under
+        changed-only enforcement (configured, or forced by the caller)
+        the ledger's verdict withholds a limit that did not move: ``NaN``
+        in the batch, counted into ``rules_suppressed``. ``ship`` is what
+        to record in the ledger *if the batch goes out*.
+        """
+        batch = ledger.gather(grant, rows)
+        if not (force_changed_only or self.enforce_changed_only):
+            return batch, ~np.isnan(batch[0]), 0
+        ship, withheld = ledger.ship(batch, self.rule_change_tolerance)
+        if withheld:
+            self._suppressed(withheld)
+        return np.where(ship, batch, np.nan), ship, withheld
+
+    def _suppressed(self, withheld: int) -> None:
+        self.rules_suppressed += withheld

@@ -66,7 +66,6 @@ grant's metadata budget is ``None`` under an undifferentiated policy.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from itertools import chain
 from typing import (
@@ -86,14 +85,13 @@ import numpy as np
 
 from repro.core.algorithms.base import ControlAlgorithm
 from repro.core.algorithms.psfa import PSFA
-from repro.core.columnar import StageColumns
-from repro.core.compute import ColumnarCompute, partition_allocations
+from repro.core.compute import GlobalCompute, partition_allocations
 from repro.core.costs import CostModel, FRONTERA_COST_MODEL
 from repro.core.cycle import ControlCycle
 from repro.core.metrics import AggregatedMetrics, StageMetrics
 from repro.core.policies import QoSPolicy
 from repro.core.rules import EnforcementRule
-from repro.core.slots import SlotLedger, grant_by_row
+from repro.core.slots import SlotLedger
 from repro.obs.spans import NullSpanTracer
 from repro.simnet.engine import Environment, Process
 from repro.simnet.node import SimHost
@@ -498,8 +496,10 @@ class _Fan:
         )
 
 
-class GlobalController(_Fan):
-    """The top-level controller executing the control algorithm.
+class GlobalController(_Fan, GlobalCompute):
+    """The top-level controller executing the control algorithm: a fan
+    over DES channels plus the compute half every global controller
+    shares (:class:`~repro.core.compute.GlobalCompute`).
 
     Children are registered with :meth:`add_stage` (flat design) or
     :meth:`add_aggregator` (hierarchical design); mixing kinds is allowed
@@ -518,6 +518,11 @@ class GlobalController(_Fan):
     decision_offload:
         Hierarchical only: ship per-aggregator budgets instead of rule
         batches, moving PSFA execution down to the aggregators (§VI).
+    enforce_changed_only, rule_change_tolerance:
+        Stage rules ship only when they moved (less enforce traffic,
+        stages hold older but equivalent epochs); batches ship whole.
+    metrics_alpha:
+        EWMA smoothing of reported demand (1: the paper's, none).
     """
 
     def __init__(
@@ -537,37 +542,15 @@ class GlobalController(_Fan):
         span_tracer=None,
     ) -> None:
         super().__init__(env, host, endpoint, costs, name)
+        GlobalCompute.__init__(
+            self, policy, algorithm, alpha=metrics_alpha,
+            enforce_changed_only=enforce_changed_only,
+            rule_change_tolerance=rule_change_tolerance,
+            initial_epoch=0, demand_clamp=None,
+        )
         self.tracer = span_tracer if span_tracer is not None else NullSpanTracer()
-        self.policy = policy
-        self.algorithm = algorithm or PSFA()
-        # Stateful brains (e.g. the PID controller) carry loop state
-        # between cycles; running data and metadata through one instance
-        # would interleave two control loops.  Each axis gets its own
-        # twin, matching the live planes.
-        self.metadata_algorithm = copy.deepcopy(self.algorithm)
         self.collect_timeout_s = collect_timeout_s
         self.decision_offload = decision_offload
-        #: When set, the enforce phase ships only rules whose limits moved
-        #: by more than ``rule_change_tolerance`` (relative) since the last
-        #: pushed rule — cutting enforce traffic for steady workloads at
-        #: the cost of stages holding older epochs (they are equivalent).
-        self.enforce_changed_only = enforce_changed_only
-        if rule_change_tolerance < 0:
-            raise ValueError(
-                f"negative rule change tolerance: {rule_change_tolerance}"
-            )
-        self.rule_change_tolerance = rule_change_tolerance
-        self.rules_suppressed = 0
-        #: Membership and per-stage demand, one row per registered stage
-        #: (registration order is every component's stage ordering).
-        #: ``metrics_alpha`` is the EWMA smoothing over reported demand:
-        #: alpha=1 (paper) reacts to each report instantly; lower values
-        #: damp bursty demand before it reaches the allocator, trading
-        #: reactivity for rule churn.
-        self.columns = StageColumns(alpha=metrics_alpha)
-        self._compute = ColumnarCompute(self.columns)
-        self.cycles: List[ControlCycle] = []
-        self.epoch = 0
         self.collect_timeouts = 0
         self._proc: Optional[Process] = None
         self._owed = set()
@@ -576,7 +559,7 @@ class GlobalController(_Fan):
     # -- membership -----------------------------------------------------------
     def add_stage(self, stage_id: str, job_id: str, channel: ChildChannel) -> None:
         """Register a directly managed stage (flat design)."""
-        self.columns.register(stage_id, job_id)
+        self.register_row(stage_id, job_id)
         self._add_child(channel)
         self.host.allocate(self.costs.flat_per_stage_mem)
 
@@ -691,13 +674,10 @@ class GlobalController(_Fan):
 
     # -- one cycle --------------------------------------------------------------
     def _cycle(self) -> Generator:
-        self.epoch += 1
-        epoch = self.epoch
+        epoch = self.begin_cycle()
         cm = self.costs
-        # Cycle start is the one safe point to renumber rows and to move
-        # the order: no row or slot snapshot is live, and the generation
-        # bump invalidates caches.
-        self.columns.maybe_compact()
+        # Cycle start is also the one safe point to move the order: no
+        # slot snapshot is live.
         ledger = self._relayout()
         lost_before = self.lost_replies
         started = self.env.now
@@ -730,17 +710,20 @@ class GlobalController(_Fan):
             per_stage_cost = (
                 cm.psfa_per_stage_hier_s if agg_children else cm.psfa_per_stage_s
             )
-            stage_limits, metadata_limits = self._compute_allocations()
-            if metadata_limits is not None:
+            _, differentiated, grant = self._compute_allocations()
+            if differentiated:
                 # Differentiated QoS runs the algorithm once per class.
                 per_stage_cost *= 2
             # Into slots now, while the rows are the ones computed on (a
-            # slot without a live row, and a row without a slot, get no rule).
-            limits = ledger.gather(
-                grant_by_row(self.columns.gather_rows(), stage_limits, metadata_limits),
-                ledger.aligned_rows(self.columns),
-            )
-            if metadata_limits is None:
+            # slot without a live row, and a row without a slot, get no
+            # rule). Batches to aggregators ship whole; stage rules by
+            # the changed-only verdict.
+            rows = ledger.aligned_rows(self.columns)
+            if agg_children:
+                limits, ship, withheld = ledger.gather(grant, rows), None, 0
+            else:
+                limits, ship, withheld = self.partition_batch(grant, ledger, rows, False)
+            if not differentiated:
                 limits[1] = _INF
             limits.flags.writeable = False
             yield self._execute(
@@ -756,7 +739,7 @@ class GlobalController(_Fan):
         else:
             if stage_children:
                 yield from self._enforce_stages(
-                    stage_children, limits, epoch, enforce_deadline
+                    stage_children, limits, ship, withheld, epoch, enforce_deadline
                 )
             if agg_children:
                 yield from self._enforce_batches(
@@ -801,44 +784,31 @@ class GlobalController(_Fan):
 
     # -- compute ---------------------------------------------------------------
     def _compute_allocations(self):
-        """Run the control algorithm; returns per-stage IOPS limits.
-
-        Returns ``(limits, metadata_limits)`` in ``columns.gather_rows()``
-        order — the live rows, then any reserved ones (demand that is
-        allocated but gets no rule here): with an undifferentiated
-        policy the first vector bounds *total* IOPS and the second is
-        ``None``; with ``policy.metadata_capacity_iops`` set, the
-        algorithm runs once per operation class against its own budget
-        (the MDS and the OSS pool are separate bottlenecks).
-        """
-        return self._compute.allocations(
-            self.policy, self.algorithm, self.metadata_algorithm,
-            rows=self.columns.gather_rows(),
-        )
+        """:meth:`~repro.core.compute.GlobalCompute.allocate`, under a name
+        of the DES controller's own (the simulated compute is timed by it)."""
+        return self.allocate()
 
     # -- enforce helpers --------------------------------------------------------
     def _enforce_stages(
         self,
         stage_children: List[ChildChannel],
         limits: np.ndarray,
+        ship: np.ndarray,
+        withheld: int,
         epoch: int,
         deadline: Optional[float],
     ) -> Generator:
+        """Rules to the stage children (changed-only: those ``ship`` names)."""
         cm = self.costs
         ledger = self.ledger
-        span_of = ledger.span_of
         targets = stage_children
         if self.enforce_changed_only:
-            slots = [span_of[ch][0] for ch in stage_children]
-            ship, withheld = ledger.ship(
-                limits[:, slots], self.rule_change_tolerance, slots
-            )
-            targets = [ch for ch, go in zip(stage_children, ship.tolist()) if go]
-            self.rules_suppressed += withheld
-            # Rule-building effort for suppressed rules is still paid (the
-            # diff needs the candidate values), without the wire costs.
-            if withheld:
-                yield self._execute(withheld * cm.rule_build_s)
+            span_of, ship = ledger.span_of, ship.tolist()
+            targets = [ch for ch in stage_children if ship[span_of[ch][0]]]
+        # Rule-building effort for suppressed rules is still paid (the
+        # diff needs the candidate values), without the wire costs.
+        if withheld:
+            yield self._execute(withheld * cm.rule_build_s)
 
         data, meta = limits.tolist()
         shipped: List[int] = []

@@ -211,13 +211,11 @@ class SlotLedger:
         n_rows = grant.shape[1] - 1
         return grant[:, np.where(rows < n_rows, rows, -1)]
 
-    def ship(
-        self, limits: np.ndarray, tolerance: float, slots=slice(None)
-    ) -> Tuple[np.ndarray, int]:
-        """Changed-only enforcement: which of ``slots`` get their rule out
-        of ``limits`` (the slots' ``(2, n)``) — :func:`changed_limits`
-        against the last one shipped — and how many rules are withheld."""
-        changed = changed_limits(self.shipped[:, slots], limits, tolerance)
+    def ship(self, limits: np.ndarray, tolerance: float) -> Tuple[np.ndarray, int]:
+        """Changed-only enforcement: which slots get their rule out of
+        ``limits`` (``(2, n)``) — :func:`changed_limits` against the last
+        one shipped — and how many rules are withheld."""
+        changed = changed_limits(self.shipped, limits, tolerance)
         n_rules = int(np.count_nonzero(~np.isnan(limits[0])))
         return changed, n_rules - int(np.count_nonzero(changed))
 

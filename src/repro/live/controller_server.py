@@ -1,20 +1,16 @@
 """Live global controller: an asyncio TCP server running control cycles.
 
-The same collect → compute → enforce loop as the simulated
-:class:`~repro.core.controller.GlobalController`, timed with the wall
-clock and computing through the *same*
-:class:`~repro.core.compute.ColumnarCompute` — per-job demand, weights
-and floors, the brain over jobs, grants split back to stages — over the
-collected demand. The two designs differ only in who talks to the
-stages. The flat controller does: it is a
+The simulated :class:`~repro.core.controller.GlobalController`'s
+collect → compute → enforce loop, timed with the wall clock, on the
+*same* compute half (:class:`~repro.core.compute.GlobalCompute`): both
+live controllers run one cycle, ``_LiveControllerBase._cycle``, and
+differ only in who talks to the stages — its ``_membership`` /
+``_collect`` / ``_enforce`` steps. The flat controller does: it is a
 :class:`~repro.live.fan.StageFan`, its one local partition. The
 hierarchical one talks to aggregators, each a fan of its own behind a
-trunk. Either way a cycle scatters every partition's demand vectors into
-the columns through its aligned rows (one ``observe_rows`` per
-partition), computes once over the live and reserved rows
-(``_compute_grant``) and gathers every partition's limits back out
-through the same rows (``_grant_batch``, which is also where changed-only
-enforcement withholds what did not move).
+trunk. Either way every partition's demand is scattered into the columns
+through its aligned rows, the compute runs once, and every partition's
+rules are gathered back out through the same rows.
 
 Failure semantics match the simulated plane (paper §VI dependability):
 
@@ -41,20 +37,17 @@ latency histograms.
 from __future__ import annotations
 
 import asyncio
-import copy
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.core.algorithms.base import ControlAlgorithm
-from repro.core.algorithms.psfa import PSFA
-from repro.core.columnar import StageColumns
-from repro.core.compute import ColumnarCompute
+from repro.core.compute import GlobalCompute
 from repro.core.cycle import ControlCycle
 from repro.core.failover import StandbyRule
 from repro.core.policies import QoSPolicy
-from repro.core.slots import SlotLedger, grant_by_row
+from repro.core.slots import SlotLedger
 from repro.live.codec import pack_rows
 from repro.live.fan import StageFan
 from repro.live.protocol import FrameLink, hello_error
@@ -68,92 +61,40 @@ from repro.live.sessions import (
 __all__ = ["LiveGlobalController", "LiveHierGlobalController"]
 
 
-class _LiveControllerBase(SessionHost):
-    """What both designs share on top of hosting sessions: the columns,
-    the one compute, the grant helper, cycle records and the standby's
-    heartbeat intake."""
+class _LiveControllerBase(SessionHost, GlobalCompute):
+    """What both designs share on top of hosting sessions: the compute
+    half, the one cycle and the standby's heartbeat intake. A design
+    brings the cycle's transport steps: ``_membership`` (before the epoch
+    moves), ``_collect`` and ``_enforce``."""
 
     #: Role label used on metric series ("global" | "hier-global").
     _role = "global"
+    #: Whether ``last_allocations`` (and ``n_stages``) list reserved rows.
+    _lists_reserved = False
 
     def __init__(
-        self,
-        expected: int,
-        policy: QoSPolicy,
-        algorithm: Optional[ControlAlgorithm],
-        host: str,
-        port: int,
-        collect_timeout_s: Optional[float],
-        enforce_timeout_s: Optional[float],
-        enforce_changed_only: bool,
-        rule_change_tolerance: float,
-        initial_epoch: int,
-        span_tracer=None,
-        usage_meter=None,
-        metrics=None,
-        degradation=None,
-        demand_clamp=None,
-        session_outbox_bytes: Optional[int] = None,
+        self, expected: int, policy: QoSPolicy,
+        algorithm: Optional[ControlAlgorithm], enforce_changed_only: bool,
+        rule_change_tolerance: float, initial_epoch: int, degradation,
+        demand_clamp, *host_config,
     ) -> None:
-        if initial_epoch < 0:
-            raise ValueError(f"initial_epoch must be >= 0: {initial_epoch}")
-        if rule_change_tolerance < 0:
-            raise ValueError(
-                f"negative rule change tolerance: {rule_change_tolerance}"
-            )
-        super().__init__(
-            expected,
-            host,
-            port,
-            collect_timeout_s,
-            enforce_timeout_s,
-            span_tracer,
-            usage_meter,
-            metrics,
-            session_outbox_bytes,
-            self._role,
+        """``host_config`` is the session host's, up to its role. A
+        controller booted from a durable store starts above its last
+        durable epoch, so stage-side fencing discards pre-crash rules."""
+        GlobalCompute.__init__(
+            self, policy, algorithm, alpha=1.0,
+            enforce_changed_only=enforce_changed_only,
+            rule_change_tolerance=rule_change_tolerance,
+            initial_epoch=initial_epoch, demand_clamp=demand_clamp,
         )
-        self.policy = policy
-        self.algorithm = algorithm or PSFA()
-        #: Separate algorithm instance for the metadata axis when the
-        #: policy differentiates: a stateful brain (PID) must not have
-        #: its loop state corrupted by alternating axes through one
-        #: instance. Stateless brains don't care; PADLL-style brains are
-        #: driven through ``allocate_axes`` instead.
-        self.metadata_algorithm = copy.deepcopy(self.algorithm)
-        #: Ship only rules whose limit moved by more than
-        #: ``rule_change_tolerance`` (relative) since the last one sent —
-        #: the live counterpart of the sim's changed-only enforce ablation.
-        #: Suppressed stages keep enforcing their cached rule-epoch (flat:
-        #: no frame at all; hier: the entry is left out of the
-        #: ``rule_batch``, which still goes out — its ack paces the phase).
-        self.enforce_changed_only = enforce_changed_only
-        self.rule_change_tolerance = rule_change_tolerance
-        self.rules_suppressed = 0
-        #: Per-stage demand store (flat float64 columns, one row per
-        #: stage): replies are written into rows, compute gathers with a
-        #: fancy index, and a stage that left the tree but still enforces
-        #: its last rule keeps a *reserved* row.
-        self.columns = StageColumns()
-        self._compute = ColumnarCompute(self.columns)
+        super().__init__(expected, *host_config, self._role)
+        metrics = self.metrics
         #: Optional :class:`repro.guard.DegradationLadder` — fed each
         #: cycle's degraded flag; its multipliers tighten the collect
         #: deadline and (at the top rung) force changed-only enforcement.
         #: Share ONE instance across controller generations (restarts) so
         #: the ladder's streaks survive the processes it protects.
         self.degradation = degradation
-        #: Optional :class:`repro.guard.DemandClamp` — caps each reported
-        #: demand at a multiple of that stage's observed usage before
-        #: the brain runs ("no false allocation" against demand liars).
-        #: Also share one instance across generations.
-        self.demand_clamp = demand_clamp
-        if demand_clamp is not None:
-            demand_clamp.attach(self.columns)
-        self.cycles: List[ControlCycle] = []
-        # Boot-from-store resume floor: a controller restored from a
-        # durable store starts above its last durable epoch so stage-side
-        # fencing accepts its rules and discards any pre-crash stragglers.
-        self.epoch = initial_epoch
         # (stage ids, data limits) of the newest compute phase, in step.
         self._last_grants: tuple = ((), ())
         #: Standby side (see repro.live.failover): the takeover rule a
@@ -246,20 +187,12 @@ class _LiveControllerBase(SessionHost):
         probe); built on demand so the cycle itself pays nothing for it."""
         return dict(zip(*self._last_grants))
 
-    def _effective_collect_timeout(self) -> Optional[float]:
-        """Collect deadline after the degradation ladder's tightening."""
-        timeout = self.collect_timeout_s
-        if timeout is not None and self.degradation is not None:
-            timeout *= self.degradation.collect_timeout_multiplier
-        return timeout
+    def _suppressed(self, withheld: int) -> None:
+        super()._suppressed(withheld)
+        if self.metrics is not None:
+            self._m_suppressed.inc(withheld)
 
-    def _effective_changed_only(self) -> bool:
-        """Changed-only enforcement, forced at the ladder's top rung."""
-        if self.degradation is not None and self.degradation.force_changed_only:
-            return True
-        return self.enforce_changed_only
-
-    # -- control loop (shared halves) ---------------------------------------
+    # -- the control loop -----------------------------------------------------
     async def run_cycles(self, n_cycles: int) -> List[ControlCycle]:
         """Run ``n_cycles`` back-to-back cycles; returns their records."""
         if n_cycles < 1:
@@ -268,55 +201,52 @@ class _LiveControllerBase(SessionHost):
             await self._cycle()
         return self.cycles
 
-    def _register_row(self, stage_id: str, job_id: str) -> None:
-        """Give a stage that joined the tree its (live) row."""
-        row = self.columns.register(stage_id, job_id)
-        if self.demand_clamp is not None:
-            self.demand_clamp.inherit(stage_id, row)
+    async def _cycle(self) -> None:
+        self._membership()
+        epoch = self.begin_cycle()
+        started = time.perf_counter()
 
-    def _compute_grant(self, rows: np.ndarray) -> Tuple[np.ndarray, bool, np.ndarray]:
-        """The compute phase over ``rows`` (the live rows and the
-        reserved ones — departed stages still out there enforcing their
-        last rule hold their share, at last-known demand).
+        # ---- collect (partial on deadline, dead children evicted; the
+        # degradation ladder tightens the deadline) ----
+        ladder = self.degradation
+        timeout = self.collect_timeout_s
+        if timeout is not None and ladder is not None:
+            timeout *= ladder.collect_timeout_multiplier
+        missing, timed_out = await self._collect(epoch, timeout)
+        t_collect = time.perf_counter() - started
 
-        Returns ``(data limits per entry of rows, whether there are
-        metadata limits, grant)``. ``grant`` is the limits by column
-        row, ``(2, n)``: data over metadata, ``NaN`` where there is none
-        — and one spare ``NaN`` column at the end, so that row -1 (a slot
-        that is not ours) reads "no rule".
-        """
-        limits, meta_limits = self._compute.allocations(
-            self.policy, self.algorithm, self.metadata_algorithm,
-            rows=rows, clamp=self.demand_clamp,
+        # ---- compute (a reserved row — a stage out of the tree still
+        # enforcing its last rule — keeps its share, so the others are
+        # never over-allocated) ----
+        compute_started = time.perf_counter()
+        with self._cpu():
+            limits, differentiated, grant = self.allocate()
+            stage_ids = self.columns.active_ids()
+            if self._lists_reserved:
+                stage_ids += tuple(self.columns.reserved)
+            self._last_grants = (stage_ids, limits.tolist())
+        t_compute = time.perf_counter() - compute_started
+
+        # ---- enforce (the ladder's top rung forces changed-only) ----
+        enforce_started = time.perf_counter()
+        forced = ladder is not None and ladder.force_changed_only
+        n_missing, phase_timed_out = await self._enforce(
+            epoch, grant, differentiated, forced, missing
         )
-        return limits, meta_limits is not None, grant_by_row(rows, limits, meta_limits)
+        t_enforce = time.perf_counter() - enforce_started
 
-    def _grant_batch(
-        self, grant: np.ndarray, ledger: SlotLedger, rows: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """One partition's rules out of ``grant``: ``(batch, ship)``.
-
-        ``rows`` is the column row behind each slot of ``ledger``'s
-        order (-1: not ours); ``batch`` is ``(2, n slots)``, data over
-        metadata limits, ``NaN`` for none. One gather through the rows; a
-        stage that got its row since compute has no limit yet and, like a
-        slot that is not ours, waits for the next cycle's rules. Under
-        changed-only enforcement the ledger's verdict withholds a limit
-        that did not move — ``NaN`` in the batch, its stage keeps
-        enforcing its cached rule — and the count goes into
-        ``rules_suppressed`` and the metric. ``ship`` is what the caller
-        records in the ledger *if the batch goes out* (a batch that died
-        with its socket must re-ship).
-        """
-        batch = ledger.gather(grant, rows)
-        if not self._effective_changed_only():
-            return batch, ~np.isnan(batch[0])
-        ship, withheld = ledger.ship(batch, self.rule_change_tolerance)
-        if withheld:
-            self.rules_suppressed += withheld
-            if self.metrics is not None:
-                self._m_suppressed.inc(withheld)
-        return np.where(ship, batch, np.nan), ship
+        self._record_cycle(
+            ControlCycle(
+                epoch=epoch,
+                started_at=started,
+                collect_s=t_collect,
+                compute_s=t_compute,
+                enforce_s=t_enforce,
+                n_stages=len(stage_ids),
+                n_missing=n_missing,
+                timed_out=timed_out or phase_timed_out,
+            )
+        )
 
     @property
     def stale_messages(self) -> int:
@@ -407,22 +337,10 @@ class LiveGlobalController(_LiveControllerBase, StageFan):
                 f"evicted_grace_cycles must be >= 0: {evicted_grace_cycles}"
             )
         super().__init__(
-            expected_stages,
-            policy,
-            algorithm,
-            host,
-            port,
-            collect_timeout_s,
-            enforce_timeout_s,
-            enforce_changed_only,
-            rule_change_tolerance,
-            initial_epoch,
-            span_tracer=span_tracer,
-            usage_meter=usage_meter,
-            metrics=metrics,
-            degradation=degradation,
-            demand_clamp=demand_clamp,
-            session_outbox_bytes=session_outbox_bytes,
+            expected_stages, policy, algorithm, enforce_changed_only,
+            rule_change_tolerance, initial_epoch, degradation, demand_clamp,
+            host, port, collect_timeout_s, enforce_timeout_s, span_tracer,
+            usage_meter, metrics, session_outbox_bytes,
         )
         self.expected_stages = expected_stages
         self.evicted_grace_cycles = evicted_grace_cycles
@@ -435,7 +353,7 @@ class LiveGlobalController(_LiveControllerBase, StageFan):
         super()._welcome(session)
         # Always a new tail row — the position the session just took in
         # the (insertion-ordered) session dict.
-        self._register_row(session.stage_id, session.job_id)
+        self.register_row(session.stage_id, session.job_id)
 
     def _on_evicted(self, session: StageSession) -> None:
         if self.evicted_grace_cycles > 0:
@@ -445,74 +363,48 @@ class LiveGlobalController(_LiveControllerBase, StageFan):
         else:
             self.columns.evict(session.stage_id)
 
-    # -- control loop -----------------------------------------------------------
-    async def _cycle(self) -> None:
-        self.epoch += 1
-        epoch = self.epoch
-        columns = self.columns
-        # Cycle start is the one safe point to drop and renumber rows, and
-        # to move the order. The gather is frozen here (live rows in
-        # registration order, reservations after them): mid-cycle
-        # evictions only tombstone or reserve rows, values stay readable,
-        # so compute sees exactly this stage set at last-known demand.
-        columns.release_expired(epoch)
-        columns.maybe_compact()
-        rows = columns.gather_rows()
-        stage_ids = columns.active_ids()
+    # -- the cycle's transport steps --------------------------------------------
+    def _membership(self) -> None:
         if self.order_stale:
             self.reorder()
-        ledger = self.ledger
-        started = time.perf_counter()
 
-        # ---- collect (partial on deadline, dead sockets evicted): one
-        # scatter of the slots' demand arrays through the aligned rows ----
-        absent, timed_out = await self.collect(
-            epoch, self._effective_collect_timeout()
-        )
-        #: Slots without fresh metrics or without an ack, this cycle.
+    async def _collect(
+        self, epoch: int, timeout_s: Optional[float]
+    ) -> Tuple[Set[int], bool]:
+        """Collect into the slots, then one scatter through the aligned
+        rows. Returns the slots without fresh metrics (absent, or their
+        report refused: they ride at last-known demand) and whether the
+        phase timed out."""
+        absent, timed_out = await self.collect(epoch, timeout_s)
         missing = {s.row for s in absent}
+        ledger = self.ledger
         with self._cpu():
-            # Refused reports: their stages ride at last-known demand.
             _, refused = ledger.observe(
-                columns, ledger.aligned_rows(columns, self._seated)
+                self.columns, ledger.aligned_rows(self.columns, self._seated)
             )
             missing.update(refused.tolist())
-        t_collect = time.perf_counter() - started
+        return missing, timed_out
 
-        # ---- compute ----
-        compute_started = time.perf_counter()
+    async def _enforce(
+        self, epoch: int, grant: np.ndarray, differentiated: bool,
+        forced: bool, missing: Set[int],
+    ) -> Tuple[int, bool]:
+        """Rules to the slots (a withheld one: no frame, the stage keeps
+        its cached rule). ``n_missing`` counts a slot missing in collect
+        or without an ack once."""
+        ledger = self.ledger
         with self._cpu():
-            limits, differentiated, grant = self._compute_grant(rows)
-            # Reservations sit past the live rows and get no rule.
-            self._last_grants = (stage_ids, limits[: len(stage_ids)].tolist())
-        t_compute = time.perf_counter() - compute_started
-
-        # ---- enforce ----
-        enforce_started = time.perf_counter()
-        with self._cpu():
-            batch, ship = self._grant_batch(
-                grant, ledger, ledger.aligned_rows(columns, self._seated)
+            batch, ship, _ = self.partition_batch(
+                grant, ledger, ledger.aligned_rows(self.columns, self._seated),
+                forced,
             )
-        absent, phase_timed_out, _ = await self.distribute(
+        absent, timed_out, _ = await self.distribute(
             epoch, batch[0], batch[1] if differentiated else None,
             self.enforce_timeout_s,
         )
         ledger.record(ship, batch, epoch)
         missing.update(s.row for s in absent)
-        t_enforce = time.perf_counter() - enforce_started
-
-        self._record_cycle(
-            ControlCycle(
-                epoch=epoch,
-                started_at=started,
-                collect_s=t_collect,
-                compute_s=t_compute,
-                enforce_s=t_enforce,
-                n_stages=len(stage_ids),
-                n_missing=len(missing),
-                timed_out=timed_out or phase_timed_out,
-            )
-        )
+        return len(missing), timed_out
 
 
 def _order_error(message: dict) -> Optional[str]:
@@ -599,6 +491,7 @@ class LiveHierGlobalController(_LiveControllerBase):
     _register_kind = "register_aggregator"
 
     _role = "hier-global"
+    _lists_reserved = True
 
     def __init__(
         self,
@@ -629,22 +522,10 @@ class LiveHierGlobalController(_LiveControllerBase):
                 f"dead_after_missed must be >= 1: {dead_after_missed}"
             )
         super().__init__(
-            expected_aggregators,
-            policy,
-            algorithm,
-            host,
-            port,
-            collect_timeout_s,
-            enforce_timeout_s,
-            enforce_changed_only,
-            rule_change_tolerance,
-            initial_epoch,
-            span_tracer=span_tracer,
-            usage_meter=usage_meter,
-            metrics=metrics,
-            degradation=degradation,
-            demand_clamp=demand_clamp,
-            session_outbox_bytes=session_outbox_bytes,
+            expected_aggregators, policy, algorithm, enforce_changed_only,
+            rule_change_tolerance, initial_epoch, degradation, demand_clamp,
+            host, port, collect_timeout_s, enforce_timeout_s, span_tracer,
+            usage_meter, metrics, session_outbox_bytes,
         )
         self.expected_aggregators = expected_aggregators
         self.dead_after_missed = dead_after_missed
@@ -656,6 +537,8 @@ class LiveHierGlobalController(_LiveControllerBase):
         #: Aggregators declared dead via the missed-epoch health check.
         self.aggregators_declared_dead = 0
         self._topology_dirty = False
+        #: This cycle's aggregators, in slot order.
+        self._order: List[_AggregatorSession] = []
         if metrics is not None:
             self._m_rehomes = metrics.counter(
                 "repro_stage_rehomes_total",
@@ -735,7 +618,7 @@ class LiveHierGlobalController(_LiveControllerBase):
         if was_orphan or stage_id not in self.columns:
             # First sight, or an orphan coming home (its reservation is
             # released into the new row, demand and trust included).
-            self._register_row(stage_id, job_id)
+            self.register_row(stage_id, job_id)
         self._home[stage_id] = session
         if was_orphan or prior is not None:
             self.rehomes += 1
@@ -830,29 +713,31 @@ class LiveHierGlobalController(_LiveControllerBase):
         session.abort()
         self._evict(session)
 
-    async def _cycle(self) -> None:
-        # Membership first: orders announced since the last cycle move
-        # orphans onto their new homes, and a changed tree is re-broadcast
-        # so every stage's alternate list stays current.
+    # -- the cycle's transport steps --------------------------------------------
+    def _membership(self) -> None:
+        """Orders announced since the last cycle move orphans onto their
+        new homes, a changed tree is re-broadcast so every stage's
+        alternate list stays current, and the cycle's aggregators are
+        laid out in id order."""
         for session in list(self.sessions.values()):
             if session.oob:
                 self._apply_partitions(session)
         if self._topology_dirty:
             self._broadcast_topology()
-        self.epoch += 1
-        epoch = self.epoch
-        columns = self.columns
-        # Cycle start is the one safe point to renumber rows.
-        columns.maybe_compact()
-        sessions: List[_AggregatorSession] = [
-            self.sessions[a] for a in sorted(self.sessions)
-        ]
-        for slot, session in enumerate(sessions):
+        self._order = [self.sessions[a] for a in sorted(self.sessions)]
+        for slot, session in enumerate(self._order):
             session.row = slot
-        started = time.perf_counter()
-        n_missing = 0
 
-        # ---- collect (via aggregators) ----
+    async def _collect(
+        self, epoch: int, timeout_s: Optional[float]
+    ) -> Tuple[int, bool]:
+        """Collect via the aggregators, then their health. Returns the
+        stages without fresh metrics — those an answering aggregator could
+        not report, every homed stage of a silent one, every orphan — and
+        whether the phase timed out."""
+        sessions = self._order
+        columns = self.columns
+
         def feed_request(s: _AggregatorSession) -> None:
             s.feed({"kind": "agg_collect_req", "epoch": epoch})
 
@@ -877,47 +762,39 @@ class LiveHierGlobalController(_LiveControllerBase):
 
         absent, timed_out = await self._phase(
             sessions, feed_request, "agg_metrics_reply", epoch, on_agg_reply,
-            self._effective_collect_timeout(), span="collect",
+            timeout_s, span="collect",
         )
         # Health: consecutive silent epochs mark a connected-but-dead
-        # aggregator (stall, partition) for declaration.
+        # aggregator (stall, partition) for declaration. Every stage still
+        # homed on a silent one is missing; a dead one's are orphans by
+        # now (one evicted this very cycle included), counted as such.
+        n_missing = 0
         for s in sessions:
-            if s in absent:
-                s.missed_epochs += 1
-            else:
+            if s not in absent:
                 s.missed_epochs = 0
                 n_missing += s.last_missing
-        if self.dead_after_missed is not None:
-            for s in sessions:
-                if (
-                    s.missed_epochs >= self.dead_after_missed
-                    and self.sessions.get(s.aggregator_id) is s
-                ):
-                    self._declare_dead(s)
-        t_collect = time.perf_counter() - started
+                continue
+            s.missed_epochs += 1
+            if (
+                self.dead_after_missed is not None
+                and s.missed_epochs >= self.dead_after_missed
+                and self.sessions.get(s.aggregator_id) is s
+            ):
+                self._declare_dead(s)
+            n_missing += int(np.count_nonzero(self._partition_rows(s) >= 0))
+        return n_missing + len(columns.reserved), timed_out
 
-        # ---- compute (over every homed stage, last-known for absent;
-        # orphans keep their reserved share so survivors are never
-        # over-allocated while a dead aggregator's stages still enforce
-        # their last rules) ----
-        compute_started = time.perf_counter()
-        with self._cpu():
-            # A homed stage is a live row, an orphan a reserved one.
-            stage_ids = columns.active_ids() + tuple(columns.reserved)
-            limits, differentiated, grant = self._compute_grant(
-                columns.gather_rows()
-            )
-            self._last_grants = (stage_ids, limits.tolist())
-        # Orphans are out there without fresh metrics (an aggregator
-        # evicted this very cycle just turned its stages into orphans).
-        n_missing += len(columns.reserved)
-        t_compute = time.perf_counter() - compute_started
-
-        # ---- enforce (rule batches) ----
-        enforce_started = time.perf_counter()
+    async def _enforce(
+        self, epoch: int, grant: np.ndarray, differentiated: bool,
+        forced: bool, n_missing: int,
+    ) -> Tuple[int, bool]:
+        """One rule batch per aggregator (a withheld rule is left out; the
+        batch still goes out, its ack paces the phase)."""
 
         def feed_batch(s: _AggregatorSession) -> None:
-            batch, ship = self._grant_batch(grant, s.ledger, self._partition_rows(s))
+            batch, ship, _ = self.partition_batch(
+                grant, s.ledger, self._partition_rows(s), forced
+            )
             # Sheddable like flat-plane rules: the next epoch's batch
             # supersedes this one, and the missing batch_ack resolves
             # through the enforce deadline.
@@ -930,21 +807,8 @@ class LiveHierGlobalController(_LiveControllerBase):
             )
             s.ledger.record(ship, batch, epoch)
 
-        _, phase_timed_out = await self._phase(
-            [s for s in sessions if s.connected], feed_batch,
+        _, timed_out = await self._phase(
+            [s for s in self._order if s.connected], feed_batch,
             "batch_ack", epoch, None, self.enforce_timeout_s, span="enforce",
         )
-        t_enforce = time.perf_counter() - enforce_started
-
-        self._record_cycle(
-            ControlCycle(
-                epoch=epoch,
-                started_at=started,
-                collect_s=t_collect,
-                compute_s=t_compute,
-                enforce_s=t_enforce,
-                n_stages=len(stage_ids),
-                n_missing=n_missing,
-                timed_out=timed_out or phase_timed_out,
-            )
-        )
+        return n_missing, timed_out

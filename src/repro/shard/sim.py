@@ -21,19 +21,18 @@ the global controller's own serial costs, charged from the same
 :class:`~repro.core.controller.GlobalController` charges:
 
 * collect = fan-out tx + slowest subtree's collect + per-reply rx,
-* compute = PSFA over the union of demand vectors (real numpy work,
-  charged at the hier per-stage rate),
+* compute = the global controller's own compute half over the union of
+  demand vectors (charged at the hier per-stage rate, once per axis),
 * enforce = rule build + batch tx + slowest subtree's distribute + acks.
 
 Cross-process state travels as **rows**, the DES trunk's own form:
 stage ids cross the pipe once, in each worker's ``ready`` message (every
 subtree's partition order and job ids), and the parent registers them in
-one :class:`~repro.core.columnar.StageColumns` union store; per cycle a
-worker replies with ``(data, meta, answered)`` vectors per subtree, which
-the parent scatters with one ``observe_rows`` through that subtree's
-rows, and enforce ships each worker a single ``float64`` limit vector
-aligned to its canonical stage order instead of pickling a stage→limit
-dict to every worker.
+its compute half's columns; per cycle a worker replies with ``(data,
+meta, answered)`` vectors per subtree, which the parent scatters with one
+``observe_rows`` through that subtree's rows, and enforce ships each
+worker one ``(2, n)`` limit array aligned to its canonical stage order
+instead of pickling a stage→limit dict to every worker.
 
 Taking the *maximum* subtree time at each barrier is the conservative
 synchronisation rule: the composed clock never runs ahead of any
@@ -44,13 +43,11 @@ from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.algorithms.psfa import PSFA
-from repro.core.columnar import StageColumns
-from repro.core.compute import ColumnarCompute
+from repro.core.compute import GlobalCompute
 from repro.core.control_plane import (
     ControlPlaneConfig,
     HierarchicalControlPlane,
@@ -60,6 +57,7 @@ from repro.core.costs import CostModel, FRONTERA_COST_MODEL
 from repro.core.cycle import ControlCycle, CycleStats
 from repro.core.policies import QoSPolicy
 from repro.core.registry import partition_stages
+from repro.core.slots import SlotLedger
 
 __all__ = ["PartitionedSimResult", "run_partitioned_hier"]
 
@@ -195,16 +193,14 @@ class _SubtreeSim:
                 barrier_t: float) -> float:
         """Ship per-aggregator rule batches, await acks; time it.
 
-        ``limits`` is one flat vector aligned to this worker's canonical
-        stage order — the concatenation of its subtrees' partitions in
-        spec order, which is exactly the order ``agg.stage_ids`` yields.
+        ``limits`` is ``(2, n)``, data over metadata, aligned to this
+        worker's canonical stage order — its subtrees' partitions in spec
+        order, which is exactly the order ``agg.stage_ids`` yields.
         """
         cm = self.spec.costs
         self._advance_to(barrier_t)
         started = self.env.now
         limits.flags.writeable = False
-        unlimited = np.full(limits.size, np.inf)
-        unlimited.flags.writeable = False
 
         def drive():
             sent = 0
@@ -216,7 +212,7 @@ class _SubtreeSim:
                 trunk.send(
                     self.driver,
                     "rule_batch",
-                    (epoch, limits[part], unlimited[part]),
+                    (epoch, limits[0, part], limits[1, part]),
                     cm.rule_batch_header_bytes + n * cm.rule_batch_entry_bytes,
                 )
                 sent += 1
@@ -249,31 +245,6 @@ def _run_sim_worker(spec: _SubtreeSpec, conn) -> None:
             return
 
 
-def _run_single_process(
-    n_stages: int,
-    n_aggregators: int,
-    n_cycles: int,
-    costs: CostModel,
-    policy: Optional[QoSPolicy],
-    stages_per_host: int,
-) -> PartitionedSimResult:
-    """workers=1: today's engine, verbatim — the golden-trace anchor."""
-    config = ControlPlaneConfig(
-        n_stages=n_stages,
-        stages_per_host=stages_per_host,
-        policy=policy,
-        costs=costs,
-    )
-    plane = HierarchicalControlPlane.build(config, n_aggregators)
-    plane.env.run(plane.global_controller.run_cycles(n_cycles))
-    return PartitionedSimResult(
-        n_stages=n_stages,
-        n_aggregators=n_aggregators,
-        workers=1,
-        cycles=list(plane.global_controller.cycles),
-    )
-
-
 def run_partitioned_hier(
     n_stages: int,
     n_aggregators: int,
@@ -300,9 +271,17 @@ def run_partitioned_hier(
     if not 1 <= workers <= n_aggregators:
         raise ValueError("workers must be in [1, n_aggregators]")
     policy = policy or default_policy(n_stages)
-    if workers == 1:
-        return _run_single_process(
-            n_stages, n_aggregators, n_cycles, costs, policy, stages_per_host
+    if workers == 1:  # today's engine, verbatim: the golden-trace anchor
+        plane = HierarchicalControlPlane.build(
+            ControlPlaneConfig(
+                n_stages=n_stages, stages_per_host=stages_per_host,
+                policy=policy, costs=costs,
+            ),
+            n_aggregators,
+        )
+        plane.env.run(plane.global_controller.run_cycles(n_cycles))
+        return PartitionedSimResult(
+            n_stages, n_aggregators, 1, list(plane.global_controller.cycles)
         )
 
     stage_ids = [f"stage-{i:05d}" for i in range(n_stages)]
@@ -338,11 +317,13 @@ def run_partitioned_hier(
             child_conn.close()
             pipes.append(parent_conn)
             procs.append(proc)
-        #: Union of every partition's believed state, columnar, laid out
-        #: in the workers' canonical order (their ``ready`` messages);
-        #: replies scatter into it through each subtree's rows, enforce
-        #: gathers per-worker limit vectors back out of it.
-        columns = StageColumns()
+        # The global controller's compute half, its columns laid out in
+        # the workers' canonical order (their ``ready`` messages).
+        core = GlobalCompute(
+            policy, None, alpha=1.0, enforce_changed_only=False,
+            rule_change_tolerance=0.0, initial_epoch=0, demand_clamp=None,
+        )
+        columns = core.columns
         subtree_rows: List[List[np.ndarray]] = []
         for conn in pipes:
             ready = conn.recv()
@@ -354,14 +335,12 @@ def run_partitioned_hier(
                 rows.append(columns.rows_for(sids))
             subtree_rows.append(rows)
 
-        algorithm = PSFA()
         cm = costs
         mean_part = n_stages / n_aggregators
-        compute = ColumnarCompute(columns)
         worker_rows = [np.concatenate(rows) for rows in subtree_rows]
-        cycles: List[ControlCycle] = []
         now = 0.0
-        for epoch in range(1, n_cycles + 1):
+        for _ in range(n_cycles):
+            epoch = core.begin_cycle()
             started = now
             # ---- collect: serial fan-out, parallel subtrees, serial rx ----
             tx_s = n_aggregators * cm.tx_request_s
@@ -382,11 +361,12 @@ def run_partitioned_hier(
             collect_s = tx_s + slowest + rx_s
             now = started + collect_s
 
-            # ---- compute: PSFA over the union, charged at hier rates ----
-            n_live = columns.n_active
-            limits, _ = compute.allocations(policy, algorithm)
-            columns.usage[columns.active_rows()] = limits
-            compute_s = cm.compute_fixed_s + n_live * cm.psfa_per_stage_hier_s
+            # ---- compute: the brain over the union, at hier rates ----
+            _, differentiated, grant = core.allocate()
+            per_stage_s = cm.psfa_per_stage_hier_s
+            if differentiated:
+                per_stage_s *= 2
+            compute_s = cm.compute_fixed_s + columns.n_active * per_stage_s
             now += compute_s
 
             # ---- enforce: rule build + batch tx, parallel subtrees, acks ----
@@ -395,7 +375,10 @@ def run_partitioned_hier(
                 + n_aggregators * cm.tx_batch_s
             )
             for conn, rows in zip(pipes, worker_rows):
-                conn.send(("enforce", epoch, columns.usage[rows], now + build_tx_s))
+                limits = SlotLedger.gather(grant, rows)
+                if not differentiated:
+                    limits[1] = np.inf
+                conn.send(("enforce", epoch, limits, now + build_tx_s))
             slowest = 0.0
             for conn in pipes:
                 kind, elapsed = conn.recv()
@@ -404,7 +387,7 @@ def run_partitioned_hier(
             enforce_s = build_tx_s + slowest + n_aggregators * cm.rx_agg_ack_s
             now += enforce_s
 
-            cycles.append(
+            core.cycles.append(
                 ControlCycle(
                     epoch=epoch,
                     started_at=started,
@@ -430,5 +413,5 @@ def run_partitioned_hier(
         n_stages=n_stages,
         n_aggregators=n_aggregators,
         workers=workers,
-        cycles=cycles,
+        cycles=core.cycles,
     )

@@ -76,9 +76,23 @@ class TestLiveCluster:
         assert result.rules_applied_total == 40
 
     def test_latency_scales_with_stage_count(self):
-        small = run_live_flat(n_stages=5, n_cycles=8).stats().mean_ms
-        large = run_live_flat(n_stages=60, n_cycles=8).stats().mean_ms
-        assert large > small
+        """What a cycle's latency is made of grows with the stage count:
+        one collect and one enforce round trip per stage, counted from
+        the per-session RPC spans a traced run records. Wall-clock means
+        are not compared: at 5 and 60 stages they differ by less than
+        another process's load moves them. Margin: 60 stages must make
+        at least 10x the round trips per cycle of 5 (every stage
+        answering, it is exactly 12x)."""
+
+        def round_trips_per_cycle(n_stages):
+            result = run_live_flat(n_stages=n_stages, n_cycles=4, observe=True)
+            rpcs = [s for s in result.spans if s.name in ("collect_rpc", "enforce_rpc")]
+            return len(rpcs) / len(result.cycles)
+
+        small = round_trips_per_cycle(5)
+        large = round_trips_per_cycle(60)
+        assert small == 2 * 5
+        assert large >= 10 * small
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -572,6 +572,31 @@ class TestFailureSemantics:
         assert [c.n_missing for c in ctrl.cycles] == [0, 2]
         assert ctrl.cycles[-1].timed_out and ctrl.columns.reports_rejected == 1
 
+    def test_a_silent_aggregator_misses_every_stage_homed_on_it(self):
+        """An aggregator that misses the collect deadline, alive and
+        connected, leaves each of its stages without fresh metrics: it
+        counts them all, as a paused stage counts on the flat plane."""
+
+        async def scenario():
+            plane = LiveHierPlane(6, 2, collect_timeout_s=0.3)
+            await plane.start()
+            try:
+                await plane.wait_for_stages(timeout_s=10.0)
+                ctrl = plane.controller
+                await plane.run_cycles(2)
+                plane.aggregators[0].pause()
+                try:
+                    await asyncio.wait_for(plane.run_cycles(1), timeout=10.0)
+                finally:
+                    plane.aggregators[0].resume()
+            finally:
+                await plane.stop()
+            return ctrl
+
+        ctrl = asyncio.run(scenario())
+        assert [c.n_missing for c in ctrl.cycles] == [0, 0, 3]
+        assert ctrl.cycles[-1].timed_out and ctrl.orphans == {}
+
     def test_fresh_session_is_shipped_and_a_survivor_keeps_its_record(self):
         """Changed-only across a reorder: a stage back on a fresh socket
         — and a newcomer sorting into the middle of the order — is sent a

@@ -171,6 +171,32 @@ class TestEvictedGrace:
         assert allocations == {f"s-{i}": 800.0 for i in range(3)}
         assert reserved == {} and "s-3" not in ctrl.columns
 
+    def test_without_a_grace_the_share_goes_back_in_the_evicting_cycle(self):
+        """The compute runs over the rows as collect left them, as on the
+        DES and the hier plane: a stage evicted in this cycle's collect,
+        with no grace, holds no share of this cycle's compute."""
+
+        async def scenario():
+            ctrl, stages, tasks = await _flat(
+                QoSPolicy(pfs_capacity_iops=2400.0),
+                [(1000.0, 200.0)] * 4,
+                collect_timeout_s=0.5,
+            )
+            grants = []
+            try:
+                await ctrl.run_cycles(2)
+                kill_stage(stages[3], restart=False)
+                for _ in range(3):
+                    await asyncio.wait_for(ctrl.run_cycles(1), timeout=10.0)
+                    grants.append((ctrl.evictions, dict(ctrl.last_allocations)))
+            finally:
+                await _teardown(ctrl, tasks)
+            return grants
+
+        grants = asyncio.run(scenario())
+        evicted_in = next(i for i, (n, _) in enumerate(grants) if n == 1)
+        assert grants[evicted_in][1] == {f"s-{i}": 800.0 for i in range(3)}
+
     def test_reservation_ends_when_the_stage_registers_again(self):
         async def scenario():
             ctrl, stages, tasks = await self._contended()

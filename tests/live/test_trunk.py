@@ -4,9 +4,9 @@
 owns its partition's order and announces it under a generation number
 only when membership changes. These tests move membership under a
 running plane and check that no value ever lands in another stage's row,
-pin the slot ledger's changed-only verdict under the grant helper to
-``diff_rules``, the per-rule reference, and count — host-independently
-— what the trunk puts on the wire per cycle.
+pin the slot ledger's changed-only verdict under the controller's
+partition batch to ``diff_rules``, the per-rule reference, and count —
+host-independently — what the trunk puts on the wire per cycle.
 
 CI runs this file once more under the derandomized ``ci`` hypothesis
 profile (``tests/conftest.py``).
@@ -204,16 +204,16 @@ def _controller(tolerance, metrics=None):
 
 
 def _partition_rules(ctrl, shipped, limits):
-    """One partition through the controller's grant helper: a ledger
-    whose slot ``i`` reads column row ``i`` and last shipped
-    ``shipped[:, i]``; ``limits`` is the compute's grant by row.
-    Returns ``(batch, ship)``."""
+    """One partition through the controller's batch: a ledger whose slot
+    ``i`` reads column row ``i`` and last shipped ``shipped[:, i]``;
+    ``limits`` is the compute's grant by row. Returns ``(batch, ship)``."""
     n = limits.shape[1]
     ledger = SlotLedger()
     ledger.relayout([(f"s{i}", (f"s{i}",)) for i in range(n)])
     ledger.shipped = shipped
     grant = np.concatenate([limits, np.full((2, 1), np.nan)], axis=1)
-    return ctrl._grant_batch(grant, ledger, np.arange(n))
+    batch, ship, _ = ctrl.partition_batch(grant, ledger, np.arange(n), False)
+    return batch, ship
 
 
 _limit = st.one_of(
@@ -238,7 +238,7 @@ class TestChangedOnlyIsOneMask:
     def test_vector_verdicts_and_counts_match_the_per_rule_loop(
         self, rows, differentiated, tolerance
     ):
-        """The grant helper ships exactly the rules ``diff_rules`` — the
+        """The partition batch ships exactly the rules ``diff_rules`` — the
         per-rule reference — ships, under tolerance 0 and > 0, a first
         ship, a metadata limit appearing and disappearing, and a row
         without a rule; it withholds the rest (``NaN`` in the batch) and

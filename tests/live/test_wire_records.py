@@ -87,17 +87,26 @@ def row_frames(draw):
 
 
 def _plain(delivered):
-    """``[(message, nbytes)]`` with every record's vectors as bytes, so
-    that two deliveries compare with ``==`` (arrays do not, nor NaNs)."""
+    """``[(message, nbytes)]`` with every record's vectors and floats as
+    bytes, so that two deliveries compare with ``==`` (arrays do not,
+    nor NaNs)."""
     return [
         (
-            tuple(f.tobytes() if isinstance(f, np.ndarray) else f for f in message)
+            tuple(_bits(f) for f in message)
             if message.__class__ is tuple
             else message,
             nbytes,
         )
         for message, nbytes in delivered
     ]
+
+
+def _bits(field):
+    if isinstance(field, np.ndarray):
+        return field.tobytes()
+    if isinstance(field, float):
+        return struct.pack("<d", field)
+    return field
 
 
 class _Transport:

@@ -19,6 +19,7 @@ import json
 
 import pytest
 
+from repro.core.policies import QoSPolicy
 from repro.shard import run_partitioned_hier
 
 N_STAGES = 40
@@ -108,14 +109,19 @@ class TestPartitionedComposition:
         # A symmetric partition (stages divide evenly over aggregators,
         # identical constant demand) must compose identical phase
         # timings: max over equal subtree times == any subtree time.
-        single = run_partitioned_hier(20, 2, 3, workers=1)
-        double = run_partitioned_hier(20, 2, 3, workers=2)
-        assert len(double.cycles) == len(single.cycles) == 3
-        for a, b in zip(single.cycles, double.cycles):
-            assert a.epoch == b.epoch
-            assert b.collect_s == pytest.approx(a.collect_s, rel=1e-9)
-            assert b.compute_s == pytest.approx(a.compute_s, rel=1e-9)
-            assert b.enforce_s == pytest.approx(a.enforce_s, rel=1e-9)
+        # Differentiated, the brain runs once per axis on both sides.
+        for policy in (
+            None,
+            QoSPolicy(pfs_capacity_iops=18000.0, metadata_capacity_iops=2000.0),
+        ):
+            single = run_partitioned_hier(20, 2, 3, workers=1, policy=policy)
+            double = run_partitioned_hier(20, 2, 3, workers=2, policy=policy)
+            assert len(double.cycles) == len(single.cycles) == 3
+            for a, b in zip(single.cycles, double.cycles):
+                assert a.epoch == b.epoch
+                assert b.collect_s == pytest.approx(a.collect_s, rel=1e-9)
+                assert b.compute_s == pytest.approx(a.compute_s, rel=1e-9)
+                assert b.enforce_s == pytest.approx(a.enforce_s, rel=1e-9)
 
     def test_result_records_partitioning(self):
         result = run_partitioned_hier(8, 2, 2, workers=2)
