@@ -119,7 +119,6 @@ async def run_hier() -> None:
         default_policy(HIER_STAGES),
         expected_aggregators=HIER_AGGREGATORS,
         collect_timeout_s=0.5,
-        dead_after_missed=2,
     )
     await ctrl.start()
     stage_ids = [f"stage-{i:03d}" for i in range(HIER_STAGES)]

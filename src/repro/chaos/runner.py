@@ -89,8 +89,6 @@ def run_chaos_sim(
     n_stages: int = 12,
     n_aggregators: int = 3,
     n_cycles: int = 14,
-    rehome_bound_cycles: int = 3,
-    schedule: Optional[ChaosSchedule] = None,
 ) -> ChaosReport:
     """Run a seeded chaos schedule against the simulated plane.
 
@@ -100,13 +98,12 @@ def run_chaos_sim(
     :func:`~repro.core.failover.attach_standby`) and may kill the
     primary mid-run.
     """
-    if schedule is None:
-        schedule = generate_schedule(
-            seed, design, n_cycles, n_stages, n_aggregators if design == "hier" else 0
-        )
+    schedule = generate_schedule(
+        seed, design, n_cycles, n_stages, n_aggregators if design == "hier" else 0
+    )
     report = _new_report(schedule, "sim")
     if design == "hier":
-        _sim_hier(schedule, report, rehome_bound_cycles)
+        _sim_hier(schedule, report)
     else:
         _sim_flat_standby(schedule, report)
     return report
@@ -124,7 +121,7 @@ def _blackhole_stage(stage):
 
 
 def _sim_hier(
-    schedule: ChaosSchedule, report: ChaosReport, rehome_bound_cycles: int
+    schedule: ChaosSchedule, report: ChaosReport
 ) -> None:
     from repro.core.control_plane import ControlPlaneConfig, HierarchicalControlPlane
 
@@ -132,7 +129,7 @@ def _sim_hier(
     plane = HierarchicalControlPlane.build(config, schedule.n_aggregators)
     env = plane.env
     controller = plane.global_controller
-    checker = InvariantChecker(config.policy.allocatable_iops, rehome_bound_cycles)
+    checker = InvariantChecker(config.policy.allocatable_iops)
     # Pending recoveries, keyed by the cycle index that restores them,
     # and per stage the first cycle its faults (its own, its
     # aggregator's) no longer cover.
@@ -251,6 +248,8 @@ def _missed_takeover(checker, report, schedule: ChaosSchedule) -> None:
 # ---------------------------------------------------------------------------
 
 _LIVE_BACKOFF = dict(backoff_base_s=0.02, backoff_factor=1.5, backoff_max_s=0.1)
+#: How long a restarted plane may take to re-home every stage.
+_RECOVER_S = 15.0
 
 
 class _Faults:
@@ -336,8 +335,6 @@ def run_chaos_live(
     n_aggregators: int = 3,
     n_cycles: int = 12,
     cycle_period_s: float = 0.1,
-    rehome_bound_cycles: int = 3,
-    schedule: Optional[ChaosSchedule] = None,
 ) -> ChaosReport:
     """Run a seeded chaos schedule against the live asyncio plane.
 
@@ -348,10 +345,9 @@ def run_chaos_live(
     actions) alongside stage faults; the takeover's gap is checked in the
     cycle the standby's first cycle ran.
     """
-    if schedule is None:
-        schedule = generate_schedule(
-            seed, design, n_cycles, n_stages, n_aggregators if design == "hier" else 0
-        )
+    schedule = generate_schedule(
+        seed, design, n_cycles, n_stages, n_aggregators if design == "hier" else 0
+    )
     report = _new_report(schedule, "live")
     from repro.live.harness import LiveFlatPair, LiveHierPlane
 
@@ -361,7 +357,6 @@ def run_chaos_live(
             schedule.n_stages,
             schedule.n_aggregators,
             collect_timeout_s=0.5,
-            dead_after_missed=2,
             stage_backoff=_LIVE_BACKOFF,
         )
     else:
@@ -382,7 +377,7 @@ def run_chaos_live(
             if plane.failover is not None and not report.takeovers:
                 _record_takeover(checker, report, cycle, plane.failover, bound_s)
 
-    checker = InvariantChecker(plane.policy.allocatable_iops, rehome_bound_cycles)
+    checker = InvariantChecker(plane.policy.allocatable_iops)
     faults = _Faults()
 
     async def inject(cycle: int, actions: List[FaultAction]) -> None:
@@ -413,10 +408,7 @@ def run_chaos_restart(
     n_aggregators: int = 3,
     n_cycles: int = 14,
     cycle_period_s: float = 0.05,
-    rehome_bound_cycles: int = 3,
     store_dir: Optional[str] = None,
-    recover_timeout_s: float = 15.0,
-    schedule: Optional[ChaosSchedule] = None,
 ) -> ChaosReport:
     """Kill the *whole* live plane mid-schedule and restart from store.
 
@@ -434,8 +426,7 @@ def run_chaos_restart(
     from repro.live.harness import LiveHierPlane
     from repro.store.durable import DurableStore
 
-    if schedule is None:
-        schedule = generate_restart_schedule(seed, n_cycles, n_stages, n_aggregators)
+    schedule = generate_restart_schedule(seed, n_cycles, n_stages, n_aggregators)
     report = _new_report(schedule, "live")
     if store_dir is None:
         store_dir = tempfile.mkdtemp(prefix="repro-chaos-store-")
@@ -448,7 +439,7 @@ def run_chaos_restart(
         initial_epoch=store.resume_epoch(),
         stage_backoff=_LIVE_BACKOFF,
     )
-    checker = InvariantChecker(plane.policy.allocatable_iops, rehome_bound_cycles)
+    checker = InvariantChecker(plane.policy.allocatable_iops)
     resume_floor = 0
 
     async def inject(cycle: int, actions: List[FaultAction]) -> None:
@@ -465,14 +456,14 @@ def run_chaos_restart(
             await plane.plane_restart(initial_epoch=store.resume_epoch())
             report.restarts += 1
             try:
-                await plane.wait_for_stages(timeout_s=recover_timeout_s)
+                await plane.wait_for_stages(timeout_s=_RECOVER_S)
             except asyncio.TimeoutError:
                 checker.violations.append(
                     Violation(
                         cycle,
                         "rehome",
                         f"only {plane.registered_stages}/{schedule.n_stages} stages "
-                        f"re-homed within {recover_timeout_s}s of restart",
+                        f"re-homed within {_RECOVER_S}s of restart",
                     )
                 )
 
@@ -552,7 +543,6 @@ def run_chaos_overload(
     healthz_p99_bound_s: float = 1.0,
     share_fraction: float = 0.9,
     store_dir: Optional[str] = None,
-    schedule: Optional[ChaosSchedule] = None,
 ) -> ChaosReport:
     """Overload the full service stack and check it degrades, not dies.
 
@@ -577,8 +567,7 @@ def run_chaos_overload(
     from repro.service.http import HttpServer
     from repro.service.server import ControlService
 
-    if schedule is None:
-        schedule = generate_overload_schedule(seed, n_cycles, n_stages, n_aggregators)
+    schedule = generate_overload_schedule(seed, n_cycles, n_stages, n_aggregators)
     report = _new_report(schedule, "live")
     if store_dir is None:
         store_dir = tempfile.mkdtemp(prefix="repro-chaos-overload-")

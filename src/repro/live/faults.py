@@ -10,8 +10,8 @@ simulated actors:
   after backoff.
 * :func:`stall_stage` — freeze the stage's reply loop for a window
   without closing the socket (GC pause, overloaded node, network
-  partition with a live TCP session). Only a ``collect_timeout_s``
-  lets cycles make progress past a stalled stage.
+  partition with a live TCP session). The collect phase's deadline
+  leaves it behind at last-known demand.
 * :func:`flaky_socket` — wrap the stage's current connection so it
   aborts after N more frames are written, exercising mid-phase
   connection loss (enforce-time and collect-time eviction paths).
@@ -20,9 +20,10 @@ simulated actors:
   controller orphans the partition and the stages re-home to surviving
   aggregators via their alternate-address rotation.
 * :func:`stall_aggregator` — freeze an aggregator's upstream frame
-  handling for a window without closing any socket; the global
-  controller's ``dead_after_missed`` health check declares it dead, and
-  the stages' ``controller_timeout_s`` silence watchdogs rotate away.
+  handling for a window without closing any socket; two missed collects
+  and the global controller declares it dead (the aggregator re-dials
+  once it resumes), and the stages' ``controller_timeout_s`` silence
+  watchdogs rotate away.
 * :class:`LiveFaultLog` — wall-clock record of injected events, for
   assertions, mirroring :class:`repro.core.failures.FailureLog`.
 
@@ -111,8 +112,8 @@ async def stall_stage(
     """Freeze ``stage``'s reply loop for ``duration_s`` seconds.
 
     The socket stays open, so the controller sees silence rather than
-    EOF: without a phase timeout the cycle blocks; with one, the stage
-    goes missing and rides at last-known demand. On resume, the stage
+    EOF: at the phase deadline the stage goes missing and rides at
+    last-known demand. On resume, the stage
     serves its backlog — late replies are drained as stale by epoch
     checks on the controller side.
     """
@@ -155,11 +156,12 @@ async def stall_aggregator(
     """Freeze ``aggregator``'s frame handling for ``duration_s`` seconds.
 
     All sockets stay open, so both neighbours see silence rather than
-    EOF: the global controller needs ``collect_timeout_s`` (to degrade
-    past it) and ``dead_after_missed`` (to declare it dead); the stages
-    need ``controller_timeout_s`` to rotate away from it. On resume the
-    backlog is served — late replies are drained as stale upstream, and
-    late rules are fenced by the stages' epoch checks.
+    EOF: the global controller degrades past it at each collect deadline
+    and declares it dead after two (cutting its trunk); the stages need
+    ``controller_timeout_s`` to rotate away from it. On resume a backlog
+    for a trunk still up is served — late replies are drained as stale
+    upstream, late rules fenced by the stages' epoch checks — and a cut
+    trunk is re-dialled, the stages still connected re-joining with it.
     """
     if duration_s <= 0:
         raise ValueError(f"duration must be positive: {duration_s}")

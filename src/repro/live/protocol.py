@@ -352,21 +352,18 @@ class FrameLink(asyncio.BufferedProtocol):
             raise ConnectionResetError("connection lost")
         self.transport.write(data)
 
-    async def drain(self, timeout_s: Optional[float] = None) -> None:
+    async def drain(self, timeout_s: float) -> None:
         """Wait out ``pause_writing``, for at most ``timeout_s`` (the
         caller re-checks :attr:`paused`); raises if the link dies first."""
         if self.paused and not self.lost:
             loop = asyncio.get_running_loop()
             waiter = loop.create_future()
             self._drain_waiters.append(waiter)
-            if timeout_s is None:
+            timer = loop.call_later(timeout_s, self._wake_drainers)
+            try:
                 await waiter
-            else:
-                timer = loop.call_later(timeout_s, self._wake_drainers)
-                try:
-                    await waiter
-                finally:
-                    timer.cancel()
+            finally:
+                timer.cancel()
         if self.lost:
             raise ConnectionResetError("connection lost")
 

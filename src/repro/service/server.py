@@ -75,8 +75,8 @@ class ControlService:
         n_aggregators: int = 3,
         policy: Optional[QoSPolicy] = None,
         cycle_period_s: float = 0.05,
-        collect_timeout_s: Optional[float] = 1.0,
-        enforce_timeout_s: Optional[float] = 1.0,
+        collect_timeout_s: Optional[float] = None,
+        enforce_timeout_s: Optional[float] = None,
         metrics: Optional[MetricsRegistry] = None,
         stage_backoff: Optional[Dict[str, float]] = None,
         degradation: Optional[DegradationLadder] = None,

@@ -64,9 +64,7 @@ class TestTierStop:
             seed=0, design="hier", n_cycles=10, n_stages=9, n_aggregators=3
         )
         report = _new_report(schedule, "live")
-        plane = LiveHierPlane(
-            9, 3, collect_timeout_s=0.5, dead_after_missed=2, stage_backoff=_LIVE_BACKOFF
-        )
+        plane = LiveHierPlane(9, 3, collect_timeout_s=0.5, stage_backoff=_LIVE_BACKOFF)
         checker = InvariantChecker(plane.policy.allocatable_iops)
 
         async def inject(cycle, actions):
@@ -94,3 +92,46 @@ class TestTierStop:
         assert report.cycles_completed == 10
         assert 1 <= report.cycles_degraded <= 2
         assert plane.evictions == 0
+
+    def test_a_long_stop_of_the_tier_recovers(self):
+        """SIGSTOP the tier before cycle 3 and SIGCONT it before cycle 8:
+        the controller declares all three aggregators dead at cycle 4 and
+        cycles degraded without them. Once the tier runs again each
+        aggregator finds its trunk cut, re-dials and re-registers with
+        the stages it kept, so every stage holds the current epoch again
+        within two cycles and the tree ends at three aggregators."""
+        schedule = ChaosSchedule(
+            seed=0, design="hier", n_cycles=20, n_stages=9, n_aggregators=3
+        )
+        report = _new_report(schedule, "live")
+        plane = LiveHierPlane(9, 3, collect_timeout_s=0.5, stage_backoff=_LIVE_BACKOFF)
+        # Orphaned from the declaration at cycle 4 until the tier runs
+        # again at cycle 8: nobody can re-home them before.
+        checker = InvariantChecker(plane.policy.allocatable_iops, rehome_bound_cycles=5)
+
+        async def inject(cycle, actions):
+            if cycle == 3:
+                os.kill(plane._tier.pid, signal.SIGSTOP)
+            elif cycle == 8:
+                os.kill(plane._tier.pid, signal.SIGCONT)
+
+        def check(cycle):
+            epochs = {sid: row["applied_epoch"] for sid, row in plane.probe().items()}
+            stopped = epochs.keys() if 3 <= cycle < 8 else ()
+            checker.check_caught_up(cycle, epochs, plane.epoch, stopped)
+
+        async def run():
+            try:
+                await plane.start()
+                await _drive(schedule, report, checker, plane, inject, 0.1, check=check)
+                return len(plane.controller.sessions), plane.probe()
+            finally:
+                if plane._tier is not None:
+                    os.kill(plane._tier.pid, signal.SIGCONT)
+                await plane.stop()
+
+        n_aggregators, probed = asyncio.run(run())
+        assert not checker.violations, checker.violations
+        assert report.cycles_completed == 20
+        assert n_aggregators == 3
+        assert {row["applied_epoch"] for row in probed.values()} == {20}

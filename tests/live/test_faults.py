@@ -340,6 +340,9 @@ class TestRegistration:
                 "aggregator_id": "agg-0",
                 "stage_ids": ["a"],
                 "job_ids": ["j"],
+                "generation": 0,
+                "host": "127.0.0.1",
+                "port": 5001,
             }
             message.update(fields)
             return message
@@ -383,6 +386,66 @@ class TestRegistration:
         assert ok["kind"] == "registered"
         assert duplicate["kind"] == "register_error"
         assert rejected == len(bad_hellos) + 1
+        assert loop_errors == []
+
+    def test_hier_hello_without_a_usable_address_is_refused(self):
+        """An aggregator's address goes out in every topology broadcast,
+        where a stage refuses a whole ``rehome`` list over one entry that
+        is no address: one such registration used to leave every stage
+        of the tree without alternates. A hello's ``host`` must be a
+        non-empty string and its ``port`` an integer (not a bool) in
+        0-65535, its ``generation`` a ``uint32``."""
+
+        def hello(**fields):
+            message = {
+                "kind": "register_aggregator", "aggregator_id": "rogue",
+                "stage_ids": [], "job_ids": [], "generation": 0,
+                "host": "127.0.0.1", "port": 5001,
+            }
+            message.update(fields)
+            return {k: v for k, v in message.items() if v is not None}
+
+        bad_hellos = [
+            hello(port=70000),
+            hello(port=-1),
+            hello(port=True),
+            hello(port=5001.0),
+            hello(host=""),
+            hello(host=5),
+            hello(host=None),
+            hello(port=None),
+            hello(generation=-1),
+            hello(generation=2**32),
+            hello(generation=True),
+            hello(generation=None),
+        ]
+
+        async def scenario():
+            loop_errors = _catch_loop_errors()
+            ctrl = LiveHierGlobalController(default_policy(4), expected_aggregators=2)
+            await ctrl.start()
+            try:
+                replies = [await _send_hello(ctrl, bad) for bad in bad_hellos]
+                reader, writer = await asyncio.open_connection(ctrl.host, ctrl.port)
+                await write_message(writer, hello(aggregator_id="good", generation=3))
+                ok = await read_message(reader)
+                topology = await read_message(reader)
+                session = ctrl.sessions["good"]
+                writer.close()
+            finally:
+                await ctrl.shutdown()
+            return replies, ok, topology, session, loop_errors
+
+        replies, ok, topology, session, loop_errors = asyncio.run(scenario())
+        _assert_all_rejected(bad_hellos, replies)
+        assert ok["kind"] == "registered"
+        assert topology == {
+            "kind": "topology",
+            "aggregators": [
+                {"aggregator_id": "good", "host": "127.0.0.1", "port": 5001}
+            ],
+        }
+        assert session.generation == 3
         assert loop_errors == []
 
     def test_aggregator_malformed_register_rejected(self):
@@ -475,6 +538,7 @@ class TestMalformedTrunkFrames:
                 await write_message(writer, {
                     "kind": "register_aggregator", "aggregator_id": "agg-0",
                     "stage_ids": ["a", "b"], "job_ids": ["j", "j"],
+                    "generation": 0, "host": "127.0.0.1", "port": 5001,
                 })
                 try:
                     while True:

@@ -141,11 +141,11 @@ class TestFramePump:
         async def scenario():
             session = _session()
             waiter = asyncio.ensure_future(
-                gather_replies([session], "rule_ack", 1, lambda s, m: None, None)
+                gather_replies([session], "rule_ack", 1, lambda s, m: None, 30.0)
             )
             await asyncio.sleep(0)
             session.link.data_received(struct.pack(">I", MAX_FRAME + 1) + b"x" * 64)
-            # No deadline was armed: only the kill can have resolved it.
+            # The deadline is far off: only the kill can have resolved it.
             return session, await asyncio.wait_for(waiter, timeout=1.0)
 
         session, (missing, timed_out) = asyncio.run(scenario())
@@ -199,7 +199,7 @@ class TestFlushAccounting:
             assert session.tx_bytes == 0
             assert meter.tx_bytes == 0
             assert session.pending_frames == 2
-            await session.flush()
+            await session.flush(30.0)
             return session, meter
 
         session, meter = asyncio.run(scenario())
@@ -214,7 +214,7 @@ class TestFlushAccounting:
             for i in range(3):
                 session.feed({"kind": "batch_ack", "epoch": i})
             with pytest.raises(SessionClosed):
-                await session.flush()
+                await session.flush(30.0)
             return session, meter
 
         session, meter = asyncio.run(scenario())
@@ -230,7 +230,7 @@ class TestFlushAccounting:
             session = _session(fail_write=True)
             session.feed({"kind": "agg_collect_req", "epoch": 1})
             with pytest.raises(SessionClosed):
-                await session.flush()
+                await session.flush(30.0)
             with pytest.raises(SessionClosed):
                 session.feed({"kind": "agg_collect_req", "epoch": 2})
 
@@ -242,7 +242,7 @@ class TestFlushAccounting:
             session.feed({"kind": "agg_collect_req", "epoch": 1})
             session.link.connection_lost(ConnectionResetError())
             with pytest.raises(SessionClosed):
-                await session.flush()
+                await session.flush(30.0)
             return session
 
         session = asyncio.run(scenario())
@@ -253,10 +253,10 @@ class TestFlushAccounting:
         async def scenario():
             session = _session()
             session.feed({"kind": "agg_collect_req", "epoch": 1})
-            await asyncio.wait_for(session.flush(), timeout=1.0)  # never waits
+            await asyncio.wait_for(session.flush(30.0), timeout=1.0)  # never waits
             session.link.pause_writing()
             session.feed({"kind": "agg_collect_req", "epoch": 2})
-            flush = asyncio.ensure_future(session.flush())
+            flush = asyncio.ensure_future(session.flush(30.0))
             await asyncio.sleep(0.01)
             written_while_paused = bytes(session.link.transport.written)
             assert not flush.done()
@@ -315,7 +315,7 @@ class TestFlushAccounting:
             session = _session()
             session.link.pause_writing()
             session.feed({"kind": "agg_collect_req", "epoch": 1})
-            flush = asyncio.ensure_future(session.flush())
+            flush = asyncio.ensure_future(session.flush(30.0))
             await asyncio.sleep(0)
             session.link.connection_lost(None)
             with pytest.raises(SessionClosed):
@@ -360,7 +360,7 @@ class TestGatherPhaseErrors:
                 raise SessionClosed("peer gone")
 
             waiter = asyncio.ensure_future(
-                gather_replies([dead], "rule_ack", 1, on_reply, None)
+                gather_replies([dead], "rule_ack", 1, on_reply, 30.0)
             )
             await asyncio.sleep(0)
             _deliver(dead, _reply(1))
@@ -409,7 +409,7 @@ class TestGatherPhaseErrors:
             # Epoch 1's reply lands after its deadline...
             _deliver(session, _reply(1))
             waiter = asyncio.ensure_future(
-                gather_replies([session], "rule_ack", 2, on_reply, None)
+                gather_replies([session], "rule_ack", 2, on_reply, 30.0)
             )
             await asyncio.sleep(0.01)
             # ...and does not satisfy epoch 2, which is still waiting.
@@ -430,7 +430,7 @@ class TestGatherPhaseErrors:
         async def scenario():
             a, b = _session(peer_id="a"), _session(peer_id="b")
             waiter = asyncio.ensure_future(
-                gather_replies([a, b], "rule_ack", 3, lambda s, m: None, None)
+                gather_replies([a, b], "rule_ack", 3, lambda s, m: None, 30.0)
             )
             await asyncio.sleep(0)
             _deliver(b, _metrics(3, "b"))
@@ -447,7 +447,7 @@ class TestGatherPhaseErrors:
         async def scenario():
             alive, dying = _session(peer_id="alive"), _session(peer_id="dying")
             waiter = asyncio.ensure_future(
-                gather_replies([alive, dying], "rule_ack", 1, lambda s, m: None, None)
+                gather_replies([alive, dying], "rule_ack", 1, lambda s, m: None, 30.0)
             )
             await asyncio.sleep(0)
             _deliver(alive, _reply(1))
@@ -464,7 +464,7 @@ class TestGatherPhaseErrors:
             dead = _session()
             dead.link.connection_lost(None)
             return await asyncio.wait_for(
-                gather_replies([dead], "rule_ack", 1, lambda s, m: None, None),
+                gather_replies([dead], "rule_ack", 1, lambda s, m: None, 30.0),
                 timeout=1.0,
             )
 
@@ -483,7 +483,7 @@ class TestGatherPhaseErrors:
             result = await asyncio.wait_for(
                 gather_replies(
                     [session], "rule_ack", 1,
-                    lambda s, m: answered.append(m[1]), None,
+                    lambda s, m: answered.append(m[1]), 30.0,
                 ),
                 timeout=1.0,
             )
@@ -501,7 +501,7 @@ class TestGatherPhaseErrors:
             update = {"kind": "partition", "generation": 1, "stage_ids": []}
             _deliver(session, encode(update))
             waiter = asyncio.ensure_future(
-                gather_replies([session], "rule_ack", 1, lambda s, m: None, None)
+                gather_replies([session], "rule_ack", 1, lambda s, m: None, 30.0)
             )
             await asyncio.sleep(0)
             _deliver(session, encode(update))
