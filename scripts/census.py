@@ -13,13 +13,12 @@ of the package that any of them enters:
 
 The hook rides in generated ``sitecustomize`` / ``usercustomize``
 modules, so every Python process of a family is counted: subprocesses
-(``repro serve`` under the service smoke) and forked children alike. A
-forked child — the live hierarchy's aggregator tier, the partitioned
-DES's workers — leaves through ``os._exit``, which skips ``atexit``, and
-the service smoke ends its first ``repro serve`` with ``SIGKILL``. So
-nothing waits for exit: each function is appended to the process's
-record the first time the process enters it, and a fork hook starts the
-child's own record file.
+(``repro serve`` under the service smoke) and forked children alike. The
+one forked child, the live hierarchy's aggregator tier, leaves through
+``os._exit``, which skips ``atexit``, and the service smoke ends its
+first ``repro serve`` with ``SIGKILL``. So nothing waits for exit: each
+function is appended to the process's record the first time the process
+enters it, and a fork hook starts the child's own record file.
 
 The result is compared with ``CENSUS.md``. Every function no family runs
 needs a row there whose verdict starts with ``kept:`` and gives the
@@ -76,8 +75,6 @@ FAMILIES: Dict[str, List[List[str]]] = {
          "--cycles", "3", "--trace-out", "{tmp}/hier.json", "--json"],
         [PY, "-m", "repro", "hier", "--nodes", "400", "--aggregators", "4",
          "--cycles", "3", "--offload", "--levels", "3"],
-        [PY, "-m", "repro", "hier", "--nodes", "400", "--aggregators", "4",
-         "--cycles", "3", "--workers", "2"],
         [PY, "-m", "repro", "coordinated", "--nodes", "200",
          "--controllers", "2", "--cycles", "3", "--trace-out",
          "{tmp}/coord.json"],

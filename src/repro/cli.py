@@ -6,7 +6,6 @@ Usage (installed as ``python -m repro``):
 
     python -m repro flat --nodes 2500
     python -m repro hier --nodes 10000 --aggregators 4
-    python -m repro hier --nodes 10000 --aggregators 4 --workers 2
     python -m repro coordinated --nodes 1000 --controllers 4
     python -m repro reproduce fig4            # paper-vs-measured tables
     python -m repro plan --nodes 9408 --target-ms 100
@@ -105,12 +104,6 @@ def _cmd_flat(args) -> int:
 def _cmd_hier(args) -> int:
     from repro.harness.experiment import run_hierarchical_experiment
 
-    problem = _workers_problem(args)
-    if problem is not None:
-        print(problem, file=sys.stderr)
-        return 2
-    if args.workers > 1:
-        return _cmd_hier_partitioned(args)
     result = run_hierarchical_experiment(
         args.nodes,
         args.aggregators,
@@ -139,62 +132,6 @@ def _cmd_coordinated(args) -> int:
     if args.trace_out:
         _write_trace(args.trace_out, result.spans, "sim")
     _emit(_result_payload(result), _result_text(result), args.json)
-    return 0
-
-
-def _workers_problem(args) -> Optional[str]:
-    """Why ``hier --workers`` cannot run as asked, or ``None``."""
-    if args.workers < 1:
-        return "--workers must be at least 1"
-    if args.workers == 1:
-        return None
-    if args.workers > args.aggregators:
-        return "--workers cannot exceed --aggregators"
-    unsupported = [
-        flag
-        for flag, given in (
-            ("--levels 3", args.levels == 3),
-            ("--offload", args.offload),
-            ("--repeats", args.repeats != 1),
-            ("--trace-out", args.trace_out is not None),
-        )
-        if given
-    ]
-    if unsupported:
-        return f"--workers > 1 does not support {', '.join(unsupported)}"
-    return None
-
-
-def _cmd_hier_partitioned(args) -> int:
-    """``hier --workers N>1``: the partition-parallel DES path."""
-    from repro.shard import run_partitioned_hier
-
-    result = run_partitioned_hier(
-        args.nodes, args.aggregators, args.cycles, workers=args.workers
-    )
-    stats = result.stats()
-    payload = {
-        "design": "hier-partitioned",
-        "stages": result.n_stages,
-        "aggregators": result.n_aggregators,
-        "workers": result.workers,
-        "cycles": stats.n_cycles,
-        "mean_ms": stats.mean_ms,
-        **{f"{k}_ms": v for k, v in stats.breakdown().as_dict().items()},
-    }
-    rows = [
-        [k, f"{v:.3f}" if isinstance(v, float) else v]
-        for k, v in payload.items()
-    ]
-    text = format_table(
-        ["metric", "value"],
-        rows,
-        title=(
-            f"Partition-parallel hierarchical sim, "
-            f"{result.workers} worker processes"
-        ),
-    )
-    _emit(payload, text, args.json)
     return 0
 
 
@@ -666,9 +603,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--offload", action="store_true",
                    help="run PSFA at the aggregators (decision offloading)")
     p.add_argument("--levels", type=int, choices=(2, 3), default=2)
-    p.add_argument("--workers", type=int, default=1,
-                   help="simulate with N worker processes (partition-"
-                        "parallel DES; 1 = today's single-process engine)")
     common(p, trace=True)
     p.set_defaults(func=_cmd_hier)
 

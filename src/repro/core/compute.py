@@ -5,10 +5,9 @@ per-stage demand into vectors, reduce to per-job demand, run an
 allocation brain over jobs (weights and floors are per job), split the
 grants back to stages. This module is the one place a brain is called
 for a control cycle: :class:`GlobalCompute`, the compute half every
-global controller (DES, coordinated peer, both live ones, the
-partition-parallel parent) shares, and :func:`partition_allocations`
-for an aggregator running its partition against a budget under decision
-offload.
+global controller (DES, coordinated peer, both live ones) shares, and
+:func:`partition_allocations` for an aggregator running its partition
+against a budget under decision offload.
 
 * :class:`ColumnarCompute`, under :class:`GlobalCompute`, is the one
   production implementation: demand lives in flat ``float64`` columns,

@@ -987,10 +987,6 @@ class AggregatorController(_Fan):
         return self.ledger.ids
 
     @property
-    def n_stages(self) -> int:
-        return sum(ch.n_stages for ch in self.children)
-
-    @property
     def latest_reports(self) -> Dict[str, StageMetrics]:
         """Last-known report per slot with a known demand."""
         ledger, jobs = self.ledger, self.stage_jobs

@@ -1,9 +1,9 @@
 """The global controller's compute half, stepped by hand.
 
-``GlobalCompute`` is what the DES controller, both live controllers and
-the partition-parallel parent share: cycle start, the one grant, the
-per-partition batch and its changed-only verdict. No socket, no
-simulator: these tests drive it directly.
+``GlobalCompute`` is what the DES controller and both live controllers
+share: cycle start, the one grant, the per-partition batch and its
+changed-only verdict. No socket, no simulator: these tests drive it
+directly.
 """
 
 import numpy as np

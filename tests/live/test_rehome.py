@@ -301,8 +301,15 @@ class TestReconnectRegressions:
             await rule(writer_b, reader_b, 6, 700.0)
             task.cancel()
             await asyncio.gather(task, return_exceptions=True)
-            srv_a.close()
-            srv_b.close()
+            # Close what this test opened rather than leave it to the
+            # garbage collector, which would close it inside some later
+            # test's descriptor count.
+            for w in (writer, writer_b):
+                w.close()
+                await w.wait_closed()
+            for srv in (srv_a, srv_b):
+                srv.close()
+                await srv.wait_closed()
             return stage, stale_after_rehome
 
         stage, stale_after_rehome = asyncio.run(scenario())

@@ -3,10 +3,12 @@
 A ``LiveHierPlane`` forks one child for its aggregators. What a fork
 must not do: leave a process or a descriptor behind, keep a socket the
 parent closed alive, outlive the parent, or take a Ctrl-C meant for the
-parent's shutdown. The process-boundary cases drive the plane through a
-small adapter, which the subprocess cases import. What the tier must
-also keep: the counters and fault hooks the plane's callers read and
-pull through ``plane.aggregators``.
+parent's shutdown. It must be a fork, not a spawned interpreter: nothing
+re-imports the caller's ``__main__``, and a start costs a fork. The
+process-boundary cases drive the plane through a small adapter, which
+the subprocess cases import. What the tier must also keep: the counters
+and fault hooks the plane's callers read and pull through
+``plane.aggregators``.
 """
 
 import asyncio
@@ -413,3 +415,50 @@ class TestCountersAcrossTheBoundary:
         assert waited < 0.5
         assert alive
         assert not cycle.degraded
+
+
+def test_runs_from_a_script_without_a_main_guard(tmp_path):
+    """The tier is forked, not spawned: nothing re-imports the caller's
+    ``__main__``, so a script with no ``if __name__ == "__main__"``
+    guard starts, cycles and stops a hierarchical plane."""
+    script = tmp_path / "unguarded.py"
+    script.write_text(textwrap.dedent("""\
+        import asyncio
+        from repro.live.harness import LiveHierPlane
+
+        async def two_cycles():
+            plane = LiveHierPlane(4, 2)
+            await plane.start()
+            try:
+                return len(await plane.run_cycles(2))
+            finally:
+                await plane.stop()
+
+        print(asyncio.run(two_cycles()))
+    """))
+    proc = subprocess.run(
+        [sys.executable, str(script)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=dict(os.environ, PYTHONPATH=_SRC),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["2"]
+
+
+def test_start_is_a_fork_not_an_interpreter():
+    """A spawned, re-importing interpreter per aggregator subtree took
+    1.3–1.7 s to start 48 stages × 4 on a 2-core host; the best of three
+    forked ``LiveHierPlane(48, 4)`` starts is under 0.25 s."""
+
+    async def timed_start():
+        plane = LiveHierPlane(48, 4)
+        began = time.perf_counter()
+        try:
+            await plane.start()
+            return time.perf_counter() - began
+        finally:
+            await plane.stop()
+
+    assert min(asyncio.run(timed_start()) for _ in range(3)) <= 0.25

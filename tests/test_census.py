@@ -40,8 +40,8 @@ def toy(tmp_path):
             """
         )
     )
-    # The child leaves through os._exit, as the aggregator tier and the
-    # partitioned DES's workers do: no atexit, no interpreter teardown.
+    # The child leaves through os._exit, as the aggregator tier does: no
+    # atexit, no interpreter teardown.
     (tmp_path / "drive.py").write_text(
         textwrap.dedent(
             """

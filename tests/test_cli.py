@@ -71,44 +71,6 @@ class TestHier:
         )
         assert json.loads(out)["design"] == "hierarchical-offload"
 
-    def test_hier_workers_flag_runs_partitioned_sim(self, capsys):
-        code, out = run_cli(
-            capsys,
-            "hier", "--nodes", "20", "--aggregators", "2", "--cycles", "3",
-            "--workers", "2", "--json",
-        )
-        payload = json.loads(out)
-        assert code == 0
-        assert payload["design"] == "hier-partitioned"
-        assert payload["workers"] == 2
-        assert payload["mean_ms"] > 0
-
-    @pytest.mark.parametrize(
-        "flags",
-        [
-            ["--workers", "2", "--levels", "3"],
-            ["--workers", "2", "--offload"],
-            ["--workers", "2", "--repeats", "2"],
-            ["--workers", "2", "--trace-out", "t.json"],
-            ["--workers", "0"],
-            ["--workers", "-1"],
-            ["--workers", "3"],
-        ],
-        ids=["levels", "offload", "repeats", "trace-out", "zero", "negative",
-             "above-aggregators"],
-    )
-    def test_workers_rejects_what_it_cannot_run(
-        self, capsys, tmp_path, monkeypatch, flags
-    ):
-        monkeypatch.chdir(tmp_path)
-        code = main(["hier", "--nodes", "20", "--aggregators", "2",
-                     "--cycles", "2", *flags])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert len(captured.err.splitlines()) == 1
-        assert not (tmp_path / "t.json").exists()
-
 
 class TestCoordinated:
     def test_runs(self, capsys):
