@@ -354,6 +354,10 @@ class _Fan:
                 for msg in relevant:
                     on_message(msg)
             received += len(relevant)
+            # Landed: what nobody kept (parked in ``deferred``, held by
+            # ``on_message``) goes back to the engine's message pool.
+            relevant = msg = None
+            env.recycle(batch)
         return received
 
     def _forget(self, connection: Connection) -> None:

@@ -23,6 +23,9 @@ lands every reply in its slot, and :meth:`StageFan.distribute` turns
 one limit per slot into ``rule`` frames and gathers the acks. Both
 report which sessions produced nothing — partial collect / enforce,
 paper §VI dependability — and never raise for a dead or silent stage.
+A stage absent from an epoch's collect is still written that epoch's
+rule, but its ack is not waited for: one silent stage costs a cycle one
+deadline, not one per phase.
 """
 
 from __future__ import annotations
@@ -34,7 +37,13 @@ import numpy as np
 
 from repro.core.slots import SlotLedger
 from repro.live.protocol import FrameLink, hello_error
-from repro.live.sessions import SessionHost, StageSession, collect_request, phase_deadline_s
+from repro.live.sessions import (
+    SessionClosed,
+    SessionHost,
+    StageSession,
+    collect_request,
+    phase_deadline_s,
+)
 
 __all__ = ["StageFan"]
 
@@ -52,6 +61,8 @@ class StageFan(SessionHost):
         #: land in ``ledger.data`` / ``ledger.meta``) and shipped record.
         self.ledger = SlotLedger()
         self._ordered_at = self.membership
+        #: ``(epoch, sessions absent from that epoch's collect)``.
+        self._missed: Tuple[int, frozenset] = (-1, frozenset())
 
     # -- registration ---------------------------------------------------------
     def _hello_error(self, hello: dict) -> Optional[str]:
@@ -102,7 +113,8 @@ class StageFan(SessionHost):
     ) -> Tuple[List[StageSession], bool]:
         """Ask every slot's stage for its demand; replies land in
         the ledger's ``data`` / ``meta``. Returns ``(absent, timed_out)``
-        — an absent stage's slot keeps its last-known demand."""
+        — an absent stage's slot keeps its last-known demand, and
+        :meth:`distribute` at ``epoch`` does not wait for its ack."""
         data, meta = self.ledger.data, self.ledger.meta
 
         def on_reply(s: StageSession, reply: tuple) -> None:
@@ -110,10 +122,12 @@ class StageFan(SessionHost):
             data[row] = reply[2]
             meta[row] = reply[3]
 
-        return await self._phase(
+        absent, timed_out = await self._phase(
             self.ledger.children, collect_request(epoch),
             "metrics_reply", epoch, on_reply, timeout_s, span="collect",
         )
+        self._missed = (epoch, frozenset(absent))
+        return absent, timed_out
 
     async def distribute(
         self,
@@ -130,9 +144,15 @@ class StageFan(SessionHost):
         or whose session is gone gets no frame and is not waited for.
         Rules are written through: the next epoch supersedes one a
         stalled stage never reads, and its missing ack resolves through
-        the deadline.
+        the deadline. A stage absent from this epoch's collect is written
+        its rule — it learns its limit if it comes back — but is absent
+        here too without being waited for.
         """
+        missed_epoch, missed = self._missed
+        if missed_epoch != epoch:
+            missed = ()
         targets: List[StageSession] = []
+        unawaited: List[StageSession] = []
         for session, limit, meta in zip(
             self.ledger.children,
             limits.tolist(),
@@ -144,9 +164,14 @@ class StageFan(SessionHost):
                 and session.connected
             ):
                 session.rule = (epoch, limit, meta)
-                targets.append(session)
+                (unawaited if session in missed else targets).append(session)
+        for session in unawaited:
+            try:
+                session.send_rule()
+            except SessionClosed:
+                self._evict(session)
         absent, timed_out = await self._phase(
             targets, StageSession.send_rule,
             "rule_ack", epoch, None, timeout_s, span="enforce",
         )
-        return absent, timed_out, len(targets)
+        return unawaited + absent, timed_out, len(unawaited) + len(targets)

@@ -35,7 +35,9 @@ bucket behind it. A processed :class:`Timeout` whose only remaining
 reference is the loop itself (checked via ``sys.getrefcount``) is
 recycled into a free-list and handed back by :meth:`Environment.timeout`
 instead of a fresh allocation; a recycled event joins the back of its
-bucket like a new one, so ordering is unaffected. The golden-trace test
+bucket like a new one, so ordering is unaffected. Delivered
+:class:`Message`\\ s are recycled by the same rule into a second
+free-list (see below). The golden-trace test
 in ``tests/simnet/test_engine.py`` pins the loop to a delivery trace
 captured on the original one-event-per-call kernel.
 
@@ -48,6 +50,16 @@ up — no callback list, no closure, no second object. It counts as one
 processed event. Messages are nearly every event of a control cycle, so
 one object per send is what keeps the cyclic collector from running
 every few hundred messages.
+
+Nor is it a fresh object per send, once a simulation is warm. A
+delivered message that nothing references any more goes back to
+``Environment._message_pool``, and the transport's sends take from it
+before they allocate. The loop applies the timeout pool's refcount rule
+right after delivery — a reactive handler that did not keep the message
+frees it there — and :meth:`Environment.recycle` applies it to a batch a
+process drained from an inbox, once it has read it. A message that is
+still held anywhere (a caller of ``send``, a deferred list, a handler's
+log) is never reused, so recycling cannot alias a live message.
 """
 
 from __future__ import annotations
@@ -80,6 +92,10 @@ URGENT = 0
 #: this the simulation is churning more concurrent timers than the pool
 #: helps with, and retired events are left to the garbage collector.
 _TIMEOUT_POOL_CAP = 4096
+#: Upper bound on the per-environment :class:`Message` free-list: above
+#: the most messages a 10,000-stage, 4-aggregator cycle has in flight at
+#: once, so such a cycle allocates none once warm.
+_MESSAGE_POOL_CAP = 16384
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
@@ -259,10 +275,16 @@ class Message:
 
     Re-exported as ``repro.simnet.transport.Message``;
     :meth:`~repro.simnet.transport.Connection.send` fills the slots in
-    directly instead of calling the constructor. Treat it as immutable.
-    Dispatch calls ``target._deliver(message, via)``: ``target`` is the
-    receiving endpoint, ``via`` the connection. Nothing can wait on a
-    message, so it carries no callbacks, value or state flags.
+    directly instead of calling the constructor. Dispatch calls
+    ``target._deliver(message, via)``: ``target`` is the receiving
+    endpoint, ``via`` the connection. Nothing can wait on a message, so
+    it carries no callbacks, value or state flags.
+
+    A message is immutable while anyone holds it. Once delivered and
+    referenced by nothing, the engine drops its ``payload``, ``target``
+    and ``via`` and keeps the object for a later send to fill in again
+    (:meth:`Environment.recycle`): keep a message, not just its fields,
+    for as long as you read it.
     """
 
     __slots__ = (
@@ -442,6 +464,9 @@ class Environment:
         #: Number of events processed so far (for tests and stats).
         self.processed_events = 0
         self._timeout_pool: list = []
+        #: Delivered messages nothing references, for the transport's
+        #: sends to fill in again (see :meth:`recycle`).
+        self._message_pool: list = []
 
     # -- clock ------------------------------------------------------------
     @property
@@ -488,6 +513,26 @@ class Environment:
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         """Event firing when the first member fires."""
         return AnyOf(self, events)
+
+    def recycle(self, messages: list) -> None:
+        """Empty ``messages``, returning each delivered :class:`Message`
+        in it that nothing else references to the message pool.
+
+        The rule :meth:`run` applies after a delivery, for a batch a
+        process drained from an inbox: call it once the batch has been
+        read and every other list of its messages dropped, and whatever
+        was kept (parked for a later phase, logged) stays untouched.
+        """
+        pool = self._message_pool
+        room = _MESSAGE_POOL_CAP - len(pool)
+        getrefcount = sys.getrefcount
+        for msg in messages:
+            # 3: ``messages``, this loop's name and getrefcount's argument.
+            if room > 0 and getrefcount(msg) == 3 and msg.__class__ is Message:
+                msg.payload = msg.target = msg.via = None
+                pool.append(msg)
+                room -= 1
+        messages.clear()
 
     # -- scheduling ---------------------------------------------------------
     def _schedule(self, event: Event, delay: float, priority: int = NORMAL) -> None:
@@ -560,6 +605,7 @@ class Environment:
         getrefcount = sys.getrefcount
         pool = self._timeout_pool
         message = Message
+        message_pool = self._message_pool
         processed = self.processed_events
         limit = (
             float("inf") if max_events is None else processed + max_events
@@ -595,6 +641,14 @@ class Environment:
                 processed += 1
                 if event.__class__ is message:
                     event.target._deliver(event, event.via)
+                    if (
+                        getrefcount(event) == 2
+                        and len(message_pool) < _MESSAGE_POOL_CAP
+                    ):
+                        # Delivered, and neither kept by a handler nor
+                        # queued in an inbox: the timeout pool's rule.
+                        event.payload = event.target = event.via = None
+                        message_pool.append(event)
                 else:
                     callbacks = event.callbacks
                     event.callbacks = None

@@ -167,7 +167,8 @@ class Connection:
 
         The per-message hot path, in one frame: NIC counters, the link
         formula, the optional NIC serialisation, the FIFO floor, and the
-        message pushed as its own queue entry. The key's time is
+        message — a recycled one when the engine's pool has one, every
+        slot written — pushed as its own queue entry. The key's time is
         ``now + (when - now)``, as ``call_at`` computes it, so event
         timestamps stay bit-identical.
         """
@@ -219,7 +220,8 @@ class Connection:
             when = floor[to]
         floor[to] = when
         self._seq = seq = self._seq + 1
-        message = _new(Message)
+        pool = env._message_pool
+        message = pool.pop() if pool else _new(Message)
         message.kind = kind
         message.payload = payload
         message.size_bytes = size_bytes
@@ -320,6 +322,8 @@ class Network:
         env = self.env
         push = env._push
         buckets = env._buckets
+        pool = env._message_pool
+        pop = pool.pop
         last = None
         now = env._now
         link = self.link
@@ -356,7 +360,7 @@ class Network:
                 when = floor[to]
             floor[to] = when
             connection._seq = seq = connection._seq + 1
-            message = _new(Message)
+            message = pop() if pool else _new(Message)
             message.kind = kind
             message.payload = payload
             message.size_bytes = size

@@ -8,7 +8,9 @@ independently:
 * event counts per cycle, equal to the value recorded at the parent
   commit (a delivery is one event, as the event-plus-closure it
   replaced was), and heap entries per cycle (one per simulated instant
-  with anything due, not one per event);
+  with anything due, not one per event), at 1,000 × 4 and 10,000 × 4;
+* messages constructed per warm cycle: delivered ones are recycled, so
+  a few per hierarchical cycle and none per flat one;
 * what a hierarchical cycle constructs: no per-stage record at either
   level — a rule is ``(epoch, data_limit, metadata_limit)``, one per
   stage an aggregator ships to;
@@ -30,6 +32,7 @@ from hypothesis import strategies as st
 
 from repro.core import controller as controller_mod
 from repro.simnet import engine as engine_mod
+from repro.simnet import transport as transport_mod
 from repro.core.control_plane import (
     ControlPlaneConfig,
     FlatControlPlane,
@@ -69,6 +72,58 @@ class TestEventCounts:
         # simulated instant (and priority) that has anything due; the
         # parent pushed one per event.
         assert counts == [(4276, 172)] * 3
+
+    def test_events_at_the_papers_largest_point(self, monkeypatch):
+        # 10,000 stages behind 4 aggregators (Fig. 5's last point).
+        plane = HierarchicalControlPlane.build(
+            ControlPlaneConfig(n_stages=10_000), n_aggregators=4
+        )
+        env, ctrl = plane.env, plane.global_controller
+        env.run(ctrl.run_cycles(1))
+        pushes = []
+        real_push = engine_mod._heappush
+
+        def counting_push(heap, entry):
+            pushes.append(entry)
+            real_push(heap, entry)
+
+        monkeypatch.setattr(engine_mod, "_heappush", counting_push)
+        before = env.processed_events
+        env.run(ctrl.run_cycles(1))
+        assert (env.processed_events - before, len(pushes)) == (41428, 1068)
+
+    @staticmethod
+    def _messages_made(plane, monkeypatch, n_cycles=3):
+        """Messages each cycle constructs after two warm-up cycles,
+        counted where the transport makes one (its ``_new``)."""
+        env, ctrl = plane.env, plane.global_controller
+        env.run(ctrl.run_cycles(2))
+        made = [0]
+        real_new = transport_mod._new
+
+        def counting_new(cls):
+            made[0] += cls is Message
+            return real_new(cls)
+
+        monkeypatch.setattr(transport_mod, "_new", counting_new)
+        counts = []
+        for _ in range(n_cycles):
+            made[0] = 0
+            env.run(ctrl.run_cycles(1))
+            counts.append(made[0])
+        return counts
+
+    def test_a_warm_hier_cycle_recycles_its_messages(self, monkeypatch):
+        plane = HierarchicalControlPlane.build(
+            ControlPlaneConfig(n_stages=1000), n_aggregators=4
+        )
+        # Allocating one per send would be 4,016: the few left are first
+        # messages of a blocking receive, which the wake-up event holds.
+        assert max(self._messages_made(plane, monkeypatch)) <= 16
+
+    def test_a_warm_flat_cycle_constructs_no_message(self, monkeypatch):
+        plane = FlatControlPlane.build(ControlPlaneConfig(n_stages=500))
+        assert self._messages_made(plane, monkeypatch) == [0, 0, 0]
 
     def test_a_message_in_flight_is_one_delivery(self):
         env = Environment()

@@ -100,7 +100,7 @@ async def _timed_cycle(run_cycles):
 
 class TestPausedStageOnADefaultPlane:
     """One stage stops answering on a plane built with default
-    arguments: each cycle it stays silent ends at the derived deadlines,
+    arguments: each cycle it stays silent ends at one derived deadline,
     degraded by that one stage, and the first cycle after it resumes is
     clean. On the hier plane its aggregator answers inside the
     controller's deadline, flagging the one stage — it is never itself
@@ -113,8 +113,9 @@ class TestPausedStageOnADefaultPlane:
         assert all(not c.degraded for c in before)
         for cycle, elapsed in paused:
             assert cycle.n_missing == 1
-            # Collect and enforce each wait the stage's deadline out.
-            assert elapsed < 2 * stage_deadline_s + 1.0
+            # Collect waits the stage's deadline out; enforce writes it
+            # its rule but does not wait for the ack.
+            assert elapsed < stage_deadline_s + 0.5
         assert not after.degraded
 
     @classmethod

@@ -20,9 +20,11 @@ from repro.simnet.engine import (
     Environment,
     Event,
     Interrupt,
+    Message,
     SimulationError,
     Timeout,
 )
+from repro.simnet import engine as engine_mod
 from repro.simnet.node import SimHost
 from repro.simnet.transport import Network
 
@@ -677,6 +679,126 @@ class TestQueueOrder:
         env.run()
         assert fired == ["urgent"] + [1.0] * 5
         assert env._queue == [] and env._buckets == {}
+
+
+def _fields(message):
+    return tuple(getattr(message, name) for name in Message.__slots__)
+
+
+class TestMessageRecycling:
+    """Delivered messages are reused only when nothing references them."""
+
+    @staticmethod
+    def _pair(env):
+        net = Network(env)
+        a = net.attach(SimHost(env, "a"), "a")
+        b = net.attach(SimHost(env, "b"), "b")
+        return net, a, b, net.connect(a, b)
+
+    def test_a_held_message_is_never_reused(self):
+        env = Environment()
+        net, a, b, conn = self._pair(env)
+        seen = []
+        b.set_handler(lambda message, via: seen.append(message.seq))
+        for i in range(5):
+            conn.send(a, "warm", i)
+        env.run()
+        assert len(env._message_pool) == 5
+        held = conn.send(a, "ping", (1, "x"), size_bytes=100)
+        fields = _fields(held)
+        env.run()
+        assert seen[-1] == held.seq
+        assert _fields(held) == fields
+        assert (held.payload, held.target, held.via) == ((1, "x"), b, conn)
+        for i in range(50):
+            assert conn.send(a, "later", i) is not held
+            env.run()
+        assert _fields(held) == fields
+        assert all(m is not held for m in env._message_pool)
+
+    def test_messages_a_handler_keeps_stay_unchanged(self):
+        env = Environment()
+        net, a, b, conn = self._pair(env)
+        kept = []
+
+        def keep_and_reply(message, via):
+            kept.append(message)
+            via.send(b, "ack", message.payload)
+
+        b.set_handler(keep_and_reply)
+        a.set_handler(lambda message, via: None)  # frees every ack
+        for i in range(10):
+            conn.send(a, "ping", (i,))
+            env.run()
+        before = [_fields(m) for m in kept]
+        for i in range(100):
+            conn.send(a, "more", (10 + i,))
+            env.run()
+        assert [_fields(m) for m in kept[:10]] == before
+        assert len({id(m) for m in kept}) == 110
+        # The acks went round the pool: a warm send allocates nothing.
+        assert len(env._message_pool) == 1
+
+    def test_a_burst_past_the_cap_leaves_the_pool_at_its_cap(self):
+        env = Environment()
+        net, a, b, conn = self._pair(env)
+        b.set_handler(lambda message, via: None)
+        n = engine_mod._MESSAGE_POOL_CAP + 100
+        for _ in range(2):
+            net.send_many([(conn, a)] * n, "burst", [None] * n, 8)
+            env.run()
+            assert len(env._message_pool) == engine_mod._MESSAGE_POOL_CAP
+
+    def test_recycle_skips_what_is_still_held(self):
+        env = Environment()
+        net, a, b, conn = self._pair(env)
+        for i in range(4):
+            conn.send(a, "queued", i)
+        env.run()
+        # No handler: the inbox holds them, so delivery frees none.
+        assert env._message_pool == []
+        batch = b.inbox.drain()
+        kept = batch[1]
+        env.recycle(batch)
+        assert batch == [] and len(env._message_pool) == 3
+        assert kept not in env._message_pool
+        assert (kept.kind, kept.payload, kept.via) == ("queued", 1, conn)
+        assert all(m.payload is None for m in env._message_pool)
+
+    def test_deferred_peer_summaries_are_not_recycled(self):
+        from repro.core.controller import _Fan
+        from repro.core.costs import CostModel
+
+        env = Environment()
+        net, peer, ctrl_ep, conn = self._pair(env)
+        fan = _Fan(env, ctrl_ep.host, ctrl_ep, CostModel(), "ctrl")
+        fan.defer_kinds = {"peer_summary"}
+        summary = (2, {"job": (5.0, 1.0)})
+        got = []
+
+        def driver():
+            got.append((yield from fan._await_replies(1, 1, {"reply": 1e-6})))
+            got.append(
+                (
+                    yield from fan._await_replies(
+                        1, 2, {"peer_summary": 1e-6},
+                        lambda m: got.append((m.kind, m.payload)),
+                    )
+                )
+            )
+
+        # Queued before the phase starts, so it drains them as one batch:
+        # a stale reply, the next epoch's summary, the reply.
+        conn.send(peer, "reply", (0, "stale"))
+        conn.send(peer, "peer_summary", summary)
+        conn.send(peer, "reply", (1, "fresh"))
+        env.run()
+        env.run(env.process(driver()))
+        assert got == [1, ("peer_summary", summary), 1]
+        assert fan.stale_messages == 1
+        # The stale reply and the landed one went back to the pool; the
+        # parked summary was read intact a phase later.
+        assert len(env._message_pool) == 2
 
 
 class TestGoldenTrace:
