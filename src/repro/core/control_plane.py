@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.core.algorithms.base import ControlAlgorithm
 from repro.core.algorithms.psfa import PSFA
@@ -137,11 +137,10 @@ class _DeployedPlane:
         )
 
     # -- construction helpers ------------------------------------------------
-    def _build_stages(self) -> List[Endpoint]:
+    def _build_stages(self) -> None:
         """Create stage hosts and bind one virtual stage per endpoint."""
         cfg = self.config
         n_hosts = math.ceil(cfg.n_stages / cfg.stages_per_host)
-        endpoints: List[Endpoint] = []
         for h in range(n_hosts):
             host = self.cluster.add_host(name=f"stagehost-{h:04d}")
             self.stage_hosts.append(host)
@@ -155,11 +154,20 @@ class _DeployedPlane:
                 source=cfg.source_factory(stage_id),
                 costs=cfg.costs,
             )
-            endpoint = self.cluster.network.attach(host, stage_id)
-            stage.bind(endpoint)
+            stage.bind(self.cluster.network.attach(host, stage_id))
             self.stages.append(stage)
-            endpoints.append(endpoint)
-        return endpoints
+
+    def _connect_stages(self, controller, stages: Iterable[VirtualStage]) -> None:
+        """Connect ``controller`` to each of ``stages`` in order, one
+        connection and one channel per stage."""
+        network, endpoint = self.cluster.network, controller.endpoint
+        for stage in stages:
+            conn = network.connect(endpoint, stage.endpoint)
+            controller.add_stage(
+                stage.stage_id,
+                stage.job_id,
+                ChildChannel(stage.stage_id, "stage", conn, endpoint),
+            )
 
     def _global_controller(
         self,
@@ -238,7 +246,7 @@ class FlatControlPlane(_DeployedPlane):
             max_connections_per_host=config.max_connections_per_host,
         )
         plane = cls(env, cluster, config)
-        stage_endpoints = plane._build_stages()
+        plane._build_stages()
 
         # No control-channel links in the flat design: the stage-facing
         # connection limit applies in full (this is Observation #2).
@@ -251,16 +259,9 @@ class FlatControlPlane(_DeployedPlane):
             metrics_alpha=config.metrics_alpha,
             span_tracer=plane._tracer_for("global-ctrl"),
         )
-        ctrl_endpoint = controller.endpoint
         # One connection per stage: this is where the 2,500-connection
         # NIC limit bites (ConnectionLimitExceeded beyond it).
-        for i, (stage, ep) in enumerate(zip(plane.stages, stage_endpoints)):
-            conn = cluster.network.connect(ctrl_endpoint, ep)
-            controller.add_stage(
-                stage.stage_id,
-                stage.job_id,
-                ChildChannel(stage.stage_id, "stage", conn, ctrl_endpoint),
-            )
+        plane._connect_stages(controller, plane.stages)
         plane.global_controller = controller
         return plane
 
@@ -296,10 +297,9 @@ class HierarchicalControlPlane(_DeployedPlane):
             max_connections_per_host=config.max_connections_per_host,
         )
         plane = cls(env, cluster, config)
-        stage_endpoints = plane._build_stages()
-        by_id = {ep.name.split("/")[-1]: (st, ep) for st, ep in zip(plane.stages, stage_endpoints)}
-        stage_ids = [s.stage_id for s in plane.stages]
+        plane._build_stages()
         stage_jobs = {s.stage_id: s.job_id for s in plane.stages}
+        network = cluster.network
 
         controller = plane._global_controller(
             "global-ctrl",
@@ -310,19 +310,13 @@ class HierarchicalControlPlane(_DeployedPlane):
             metrics_alpha=config.metrics_alpha,
             span_tracer=plane._tracer_for("global-ctrl"),
         )
-        ctrl_endpoint = controller.endpoint
 
-        partitions = partition_stages(stage_ids, n_aggregators)
-
-        def build_aggregator(
-            agg_id: str, owned: Sequence[str], level: int
-        ) -> AggregatorController:
+        def aggregator(agg_id: str) -> AggregatorController:
             host = plane._controller_host(agg_id)
-            endpoint = cluster.network.attach(host, agg_id)
-            agg = AggregatorController(
+            return AggregatorController(
                 env,
                 host,
-                endpoint,
+                network.attach(host, agg_id),
                 agg_id,
                 costs=config.costs,
                 policy=config.policy if decision_offload else None,
@@ -330,47 +324,34 @@ class HierarchicalControlPlane(_DeployedPlane):
                 span_tracer=plane._tracer_for(agg_id),
                 collect_timeout_s=config.collect_timeout_s,
             )
-            if level >= 3 and len(owned) >= fanout:
-                sub_parts = partition_stages(list(owned), fanout)
-                for j, sub_owned in enumerate(sub_parts):
-                    sub = build_aggregator(f"{agg_id}.{j}", sub_owned, level - 1)
-                    conn = cluster.network.connect(endpoint, sub.endpoint)
-                    agg.add_child_aggregator(
-                        ChildChannel(
-                            sub.agg_id,
-                            "aggregator",
-                            conn,
-                            endpoint,
-                            stage_ids=tuple(sub_owned),
-                        ),
-                        stage_jobs,
-                    )
+
+        def uplink(
+            parent: Endpoint, agg: AggregatorController, part: Sequence[VirtualStage]
+        ) -> ChildChannel:
+            return ChildChannel(
+                agg.agg_id,
+                "aggregator",
+                network.connect(parent, agg.endpoint),
+                parent,
+                stage_ids=tuple(s.stage_id for s in part),
+            )
+
+        # Each partition is a contiguous run of plane.stages; at three
+        # levels its aggregator owns ``fanout`` sub-aggregators instead.
+        for a, part in enumerate(partition_stages(plane.stages, n_aggregators)):
+            agg = aggregator(f"aggregator-{a:02d}")
+            if levels == 3 and len(part) >= fanout:
+                for j, sub_part in enumerate(partition_stages(part, fanout)):
+                    sub = aggregator(f"{agg.agg_id}.{j}")
+                    plane._connect_stages(sub, sub_part)
+                    sub.start()
+                    plane.aggregators.append(sub)
+                    agg.add_child_aggregator(uplink(agg.endpoint, sub, sub_part), stage_jobs)
             else:
-                for stage_id in owned:
-                    stage, ep = by_id[stage_id]
-                    conn = cluster.network.connect(endpoint, ep)
-                    agg.add_stage(
-                        stage_id,
-                        stage.job_id,
-                        ChildChannel(stage_id, "stage", conn, endpoint),
-                    )
+                plane._connect_stages(agg, part)
             agg.start()
             plane.aggregators.append(agg)
-            return agg
-
-        for a, owned in enumerate(partitions):
-            agg = build_aggregator(f"aggregator-{a:02d}", owned, levels)
-            conn = cluster.network.connect(ctrl_endpoint, agg.endpoint)
-            controller.add_aggregator(
-                ChildChannel(
-                    agg.agg_id,
-                    "aggregator",
-                    conn,
-                    ctrl_endpoint,
-                    stage_ids=tuple(owned),
-                ),
-                stage_jobs,
-            )
+            controller.add_aggregator(uplink(controller.endpoint, agg, part), stage_jobs)
         plane.global_controller = controller
         return plane
 
@@ -408,12 +389,10 @@ class CoordinatedFlatControlPlane(_DeployedPlane):
             max_connections_per_host=config.max_connections_per_host,
         )
         plane = cls(env, cluster, config)
-        stage_endpoints = plane._build_stages()
-        stage_ids = [s.stage_id for s in plane.stages]
-        by_id = dict(zip(stage_ids, zip(plane.stages, stage_endpoints)))
-        partitions = partition_stages(stage_ids, n_controllers)
+        plane._build_stages()
+        partitions = partition_stages(plane.stages, n_controllers)
 
-        for k, owned in enumerate(partitions):
+        for k, part in enumerate(partitions):
             peer = plane._global_controller(
                 f"peer-ctrl-{k:02d}",
                 f"peer-{k:02d}",
@@ -422,15 +401,7 @@ class CoordinatedFlatControlPlane(_DeployedPlane):
                 name=f"peer-{k:02d}",
                 span_tracer=plane._tracer_for(f"peer-ctrl-{k:02d}"),
             )
-            endpoint = peer.endpoint
-            for stage_id in owned:
-                stage, ep = by_id[stage_id]
-                conn = cluster.network.connect(endpoint, ep)
-                peer.add_stage(
-                    stage_id,
-                    stage.job_id,
-                    ChildChannel(stage_id, "stage", conn, endpoint),
-                )
+            plane._connect_stages(peer, part)
             plane.peers.append(peer)
 
         # Full mesh between peers for the summary exchange.

@@ -107,7 +107,7 @@ def _chunks(seq: List, size: int) -> Iterable[List]:
         yield seq[i : i + size]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class ChildChannel:
     """A controller's link to one child (stage or sub-controller); one
     object per link, so it is its own identity (a slot ledger's key)."""
@@ -1023,8 +1023,8 @@ class AggregatorController(_Fan):
                     msg = self._deferred.pop(0)
                 else:
                     msg = yield self.endpoint.recv()
-                conn = self.endpoint.connections.get(msg.sender)
-                if conn is None:
+                conn = msg.via
+                if conn.closed:  # closed after delivery: nothing to answer on
                     self.stale_messages += 1
                     continue
                 if msg.kind == "agg_collect_req":

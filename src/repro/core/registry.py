@@ -16,7 +16,7 @@ the property tests check the columns' job order against;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 __all__ = ["RegistryError", "StageRecord", "StageRegistry", "partition_stages"]
 
@@ -103,11 +103,15 @@ class StageRegistry:
         return self.get(stage_id).job_id
 
 
+_T = TypeVar("_T")
+
+
 def partition_stages(
-    stage_ids: Sequence[str],
+    stage_ids: Sequence[_T],
     n_partitions: int,
-) -> List[List[str]]:
-    """Split stages into ``n_partitions`` disjoint, contiguous subsets.
+) -> List[List[_T]]:
+    """Split stages (ids, or the stages themselves) into
+    ``n_partitions`` disjoint, contiguous subsets.
 
     Mirrors the paper's setup: each aggregator owns a disjoint set of
     stages, sized as evenly as possible (e.g. 4 aggregators x 2,500 stages
@@ -122,7 +126,7 @@ def partition_stages(
         )
     n = len(stage_ids)
     base, extra = divmod(n, n_partitions)
-    partitions: List[List[str]] = []
+    partitions: List[List[_T]] = []
     start = 0
     for i in range(n_partitions):
         size = base + (1 if i < extra else 0)

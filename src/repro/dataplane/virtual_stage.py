@@ -5,7 +5,10 @@ to run real applications" (paper §III-C): it answers every metric request
 with current data/metadata IOPS readings and acknowledges every
 enforcement rule. Fifty of them run per physical compute node in the
 study; here each is a reactive endpoint handler, so 10,000 stages cost
-only their message traffic.
+only their message traffic and a handful of small objects each: the
+stage (slotted, no instance dict), its metric source, its endpoint —
+which never builds an inbox, because a handler serves it — and one
+connection and channel per controller link.
 
 The IOPS values come from a :class:`MetricSource`, which the workload
 generators in :mod:`repro.jobs.workloads` implement; the stress workload
@@ -59,6 +62,12 @@ class VirtualStage:
     kept as those three scalars (``applied_epoch`` is ``-1`` before the
     first rule), not as a record that would live for a whole cycle.
     """
+
+    __slots__ = (
+        "env", "stage_id", "job_id", "source", "costs", "endpoint",
+        "applied_epoch", "applied_data_limit", "applied_metadata_limit",
+        "requests_served", "rules_applied", "rules_ignored_stale",
+    )
 
     def __init__(
         self,

@@ -65,13 +65,21 @@ class SimHost:
         self.name = name
         self.cores = int(cores)
         self.memory_capacity = int(memory_bytes)
-        self.cpu = Resource(env, capacity=self.cores)
+        self._cpu: Optional[Resource] = None
         self.nic = NICCounters()
         self.busy_seconds = 0.0
         self.resident_bytes = 0
         self._peak_resident = 0
 
     # -- CPU ---------------------------------------------------------------
+    @property
+    def cpu(self) -> Resource:
+        """The cores :meth:`execute` queues on, built on first use (a
+        stage host only calls :meth:`charge`, so it never builds them)."""
+        if self._cpu is None:
+            self._cpu = Resource(self.env, capacity=self.cores)
+        return self._cpu
+
     def execute(self, seconds: float, cores: int = 1) -> Event:
         """Run ``seconds`` of work on ``cores`` core(s), serialized.
 

@@ -20,6 +20,11 @@ Model
   (for reactive actors such as virtual stages) or enqueues into its inbox
   (for process-style actors such as controllers). A message whose connection
   closes while it is in flight is dropped at delivery.
+* An endpoint builds its inbox when a process first receives from it, so
+  a handler endpoint (every virtual stage) never holds one. It keeps no
+  registry of its connections either: a delivered message names the
+  connection it came over (``message.via``), and the answer goes back
+  on that.
 
 Every byte is counted on both NICs, which is where the MB/s columns of
 Tables II–IV come from.
@@ -84,17 +89,26 @@ class Endpoint:
     """A named attachment point for a service on a host.
 
     Reactive actors register a ``handler(message, connection)`` callback;
-    process-style actors ``yield endpoint.recv()`` (or per-connection
-    ``connection.recv(endpoint)``).
+    process-style actors ``yield endpoint.recv()``. The inbox those
+    receive from is built on first use, so a handler endpoint (a virtual
+    stage) holds its name, host and handler and nothing else.
     """
+
+    __slots__ = ("env", "host", "name", "handler", "_inbox")
 
     def __init__(self, env: Environment, host: SimHost, name: str) -> None:
         self.env = env
         self.host = host
         self.name = name
-        self.inbox: Store = Store(env)
         self.handler: Optional[Callable[[Message, "Connection"], None]] = None
-        self.connections: Dict[str, "Connection"] = {}
+        self._inbox: Optional[Store] = None
+
+    @property
+    def inbox(self) -> Store:
+        """The queue :meth:`recv` reads, built on first use."""
+        if self._inbox is None:
+            self._inbox = Store(self.env)
+        return self._inbox
 
     def set_handler(self, handler: Callable[[Message, "Connection"], None]) -> None:
         """Deliver future messages by callback instead of the inbox."""
@@ -115,7 +129,9 @@ class Endpoint:
             return
         # Store.put without its dispatch call: a waiting getter means an
         # empty inbox, so the message goes straight to the oldest getter.
-        inbox = self.inbox
+        inbox = self._inbox
+        if inbox is None:
+            inbox = self.inbox
         if len(inbox.items) >= inbox.capacity:
             raise SimulationError(f"Store overflow (capacity={inbox.capacity})")
         if inbox._getters:
@@ -127,7 +143,9 @@ class Endpoint:
 class Connection:
     """A persistent bidirectional channel between two endpoints."""
 
-    __slots__ = ("network", "a", "b", "closed", "_seq", "_floor", "_hops")
+    __slots__ = (
+        "network", "a", "b", "closed", "_seq", "_floor_a", "_floor_b", "_hops"
+    )
 
     def __init__(self, network: "Network", a: Endpoint, b: Endpoint) -> None:
         self.network = network
@@ -135,9 +153,10 @@ class Connection:
         self.b = b
         self.closed = False
         self._seq = 0
-        # Per-direction FIFO guard (to a, to b): jitter may not reorder a
-        # flow.
-        self._floor = [0.0, 0.0]
+        # Per-direction FIFO guard (latest delivery time to a, to b):
+        # jitter may not reorder a flow.
+        self._floor_a = 0.0
+        self._floor_b = 0.0
         # Topologies are static for a connection's lifetime, so the hop
         # count is resolved once here instead of per message.
         self._hops = network.hop_resolver(a.host, b.host)
@@ -177,9 +196,9 @@ class Connection:
         if self.closed:
             raise SimulationError("send() on a closed connection")
         if sender is self.a:
-            recipient, to = self.b, 1
+            recipient, to_b = self.b, True
         elif sender is self.b:
-            recipient, to = self.a, 0
+            recipient, to_b = self.a, False
         else:
             raise SimulationError(f"{sender!r} is not part of {self!r}")
         if size_bytes.__class__ is not int:
@@ -215,10 +234,14 @@ class Connection:
                 departure + delay, rx_free.get(recipient.host.name, 0.0) + wire_time
             )
             rx_free[recipient.host.name] = when
-        floor = self._floor
-        if when < floor[to]:
-            when = floor[to]
-        floor[to] = when
+        if to_b:
+            if when < self._floor_b:
+                when = self._floor_b
+            self._floor_b = when
+        else:
+            if when < self._floor_a:
+                when = self._floor_a
+            self._floor_a = when
         self._seq = seq = self._seq + 1
         pool = env._message_pool
         message = pool.pop() if pool else _new(Message)
@@ -336,9 +359,9 @@ class Network:
         rx_free = self._nic_rx_free
         for (connection, sender), payload, size in zip(links, payloads, sizes):
             if sender is connection.a:
-                recipient, to = connection.b, 1
+                recipient, to_b = connection.b, True
             else:
-                recipient, to = connection.a, 0
+                recipient, to_b = connection.a, False
             nic = sender.host.nic
             nic.tx_bytes += size
             nic.tx_messages += 1
@@ -355,10 +378,14 @@ class Network:
                     departure + delay, rx_free.get(recipient.host.name, 0.0) + wire_time
                 )
                 rx_free[recipient.host.name] = when
-            floor = connection._floor
-            if when < floor[to]:
-                when = floor[to]
-            floor[to] = when
+            if to_b:
+                if when < connection._floor_b:
+                    when = connection._floor_b
+                connection._floor_b = when
+            else:
+                if when < connection._floor_a:
+                    when = connection._floor_a
+                connection._floor_a = when
             connection._seq = seq = connection._seq + 1
             message = pop() if pool else _new(Message)
             message.kind = kind
@@ -431,14 +458,9 @@ class Network:
             except ConnectionLimitExceeded:
                 pool_a.release()
                 raise
-        connection = Connection(self, a, b)
-        a.connections[b.name] = connection
-        b.connections[a.name] = connection
-        return connection
+        return Connection(self, a, b)
 
     def _release(self, connection: Connection) -> None:
         self.pool_of(connection.a.host).release()
         if connection.b.host is not connection.a.host:
             self.pool_of(connection.b.host).release()
-        connection.a.connections.pop(connection.b.name, None)
-        connection.b.connections.pop(connection.a.name, None)

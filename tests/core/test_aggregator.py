@@ -139,3 +139,43 @@ class TestSubAggregatorRouting:
         )
         plane.run_stress(n_cycles=1)
         assert len(plane.global_controller.latest_metrics) == 16
+
+
+class TestUplinkRouting:
+    """An aggregator answers on the connection a request came over."""
+
+    @staticmethod
+    def _standalone():
+        from repro.core.controller import AggregatorController
+        from repro.simnet.engine import Environment
+        from repro.simnet.node import SimHost
+        from repro.simnet.transport import Network
+
+        env = Environment()
+        net = Network(env)
+        ep = net.attach(SimHost(env, "agg"), "agg")
+        agg = AggregatorController(env, ep.host, ep, "agg-0")
+        up = net.attach(SimHost(env, "global"), "global")
+        return env, net, agg, up
+
+    def test_a_request_is_answered_on_its_own_link(self):
+        env, net, agg, up = self._standalone()
+        link = net.connect(up, agg.endpoint)
+        agg.start()
+        link.send(up, "agg_collect_req", 1, 48)
+        env.run()
+        assert (agg.cycles_served, agg.stale_messages) == (1, 0)
+        (reply,) = up.inbox.items
+        assert (reply.kind, reply.via) == ("agg_metrics_reply", link)
+
+    def test_a_request_from_a_closed_link_is_stale_not_served_on_its_successor(self):
+        env, net, agg, up = self._standalone()
+        old = net.connect(up, agg.endpoint)
+        old.send(up, "agg_collect_req", 1, 48)
+        env.run()  # delivered: it waits in the (not yet serving) inbox
+        old.close()
+        net.connect(up, agg.endpoint)  # the same peer, a new link
+        agg.start()
+        env.run()
+        assert (agg.cycles_served, agg.stale_messages) == (0, 1)
+        assert up.host.nic.rx_messages == 0

@@ -1,0 +1,139 @@
+"""A simulated stage holds only its state: what a DES build allocates.
+
+A 10,000-stage plane is mostly its stages, so what one stage costs is
+what the plane costs. The cost is counted here as objects the cyclic
+collector tracks, which does not depend on the host: a stage is its
+``VirtualStage``, its metric source, its endpoint and bound handler, and
+one connection and one channel to its controller. Before stages were
+slotted a build made 12.3 per stage — an inbox no stage reads and its
+two lists, a per-endpoint connection registry, a two-list FIFO floor per
+connection, instance dicts, and a ``(stage, endpoint)`` index that a
+self-recursive builder kept alive as 1,012 objects of cyclic garbage.
+"""
+
+import gc
+
+import pytest
+
+from repro.core.control_plane import (
+    ControlPlaneConfig,
+    CoordinatedFlatControlPlane,
+    FlatControlPlane,
+    HierarchicalControlPlane,
+)
+from repro.core.controller import ChildChannel
+from repro.dataplane.virtual_stage import VirtualStage
+from repro.simnet.engine import Environment
+from repro.simnet.node import SimHost
+from repro.simnet.transport import Connection, Endpoint, Network
+
+N_STAGES = 1000
+
+BUILDS = {
+    "hier": lambda: HierarchicalControlPlane.build(
+        ControlPlaneConfig(n_stages=N_STAGES), n_aggregators=4
+    ),
+    "hier-3-levels": lambda: HierarchicalControlPlane.build(
+        ControlPlaneConfig(n_stages=N_STAGES), n_aggregators=4, levels=3
+    ),
+    "flat": lambda: FlatControlPlane.build(ControlPlaneConfig(n_stages=N_STAGES)),
+    "coordinated": lambda: CoordinatedFlatControlPlane.build(
+        ControlPlaneConfig(n_stages=N_STAGES), n_controllers=4
+    ),
+}
+
+
+def _counted_build(build):
+    """``(plane, tracked objects the build made, objects a collection
+    right after it frees)``, the collector held off during the build."""
+    build()  # first-use caches belong to the process, not to a plane
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        plane = build()
+        made = len(gc.get_objects()) - before
+        freed = gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+    return plane, made, freed
+
+
+@pytest.mark.parametrize("design", sorted(BUILDS))
+class TestBuildFootprint:
+    def test_at_most_six_and_a_half_tracked_objects_per_stage(self, design):
+        # Five per stage and its link, the default ConstantSource, and
+        # the hosts and controllers spread over the stages.
+        _, made, _ = _counted_build(BUILDS[design])
+        assert made / N_STAGES <= 6.5
+
+    def test_a_build_leaves_no_cyclic_garbage(self, design):
+        _, _, freed = _counted_build(BUILDS[design])
+        assert freed == 0
+
+
+class TestStageLayout:
+    def test_stage_objects_have_no_instance_dict(self):
+        plane = BUILDS["hier"]()
+        stage = plane.stages[0]
+        channel = plane.aggregators[0].children[0]
+        for obj, cls in (
+            (stage, VirtualStage),
+            (stage.endpoint, Endpoint),
+            (channel, ChildChannel),
+            (channel.connection, Connection),
+        ):
+            assert type(obj) is cls
+            assert not hasattr(obj, "__dict__"), cls.__name__
+
+    def test_a_stage_endpoint_never_builds_an_inbox(self):
+        plane = HierarchicalControlPlane.build(
+            ControlPlaneConfig(n_stages=40), n_aggregators=2
+        )
+        plane.run_stress(n_cycles=2)
+        assert [s.endpoint._inbox for s in plane.stages] == [None] * 40
+        assert plane.stages[0].requests_served == 2
+        # The controllers receive from theirs.
+        assert plane.global_controller.endpoint._inbox is not None
+        assert all(a.endpoint._inbox is not None for a in plane.aggregators)
+
+
+class TestLazyInbox:
+    @staticmethod
+    def _pair():
+        env = Environment()
+        net = Network(env)
+        a = net.attach(SimHost(env, "a"), "svc")
+        b = net.attach(SimHost(env, "b"), "svc")
+        return env, a, b, net.connect(a, b)
+
+    def test_recv_on_a_fresh_endpoint_builds_its_inbox_and_receives(self):
+        env, a, b, conn = self._pair()
+        assert b._inbox is None
+        got = []
+
+        def receiver():
+            msg = yield b.recv()
+            got.append((msg.kind, msg.payload, msg.via is conn))
+
+        env.process(receiver())
+        conn.send(a, "hello", 42, 8)
+        env.run()
+        assert got == [("hello", 42, True)]
+        assert b._inbox is not None
+
+    def test_a_message_before_any_receive_waits_in_a_new_inbox(self):
+        env, a, b, conn = self._pair()
+        conn.send(a, "early", 1, 8)
+        env.run()
+        assert [m.kind for m in b.inbox.items] == ["early"]
+        got = []
+
+        def receiver():
+            got.append((yield b.recv()).payload)
+
+        env.process(receiver())
+        env.run()
+        assert got == [1]

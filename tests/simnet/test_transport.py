@@ -264,7 +264,7 @@ class TestFusedSendArithmetic:
         ]
         return (
             queued,
-            [(c._seq, [f.hex() for f in c._floor]) for c in conns],
+            [(c._seq, [f.hex() for f in (c._floor_a, c._floor_b)]) for c in conns],
             nics,
             (net.messages_sent, net.bytes_sent),
             dict(net._nic_tx_free),
