@@ -14,8 +14,9 @@ of the package that any of them enters:
 The hook rides in generated ``sitecustomize`` / ``usercustomize``
 modules, so every Python process of a family is counted: subprocesses
 (``repro serve`` under the service smoke) and forked children alike. The
-one forked child, the live hierarchy's aggregator tier, leaves through
-``os._exit``, which skips ``atexit``, and the service smoke ends its
+forked children, the live planes' tiers (the hierarchy's aggregators,
+the flat controller), leave through ``os._exit``, which skips
+``atexit``, and the service smoke ends its
 first ``repro serve`` with ``SIGKILL``. So nothing waits for exit: each
 function is appended to the process's record the first time the process
 enters it, and a fork hook starts the child's own record file.
@@ -88,6 +89,8 @@ FAMILIES: Dict[str, List[List[str]]] = {
          "--metrics-port", "0", "--json"],
         [PY, "-m", "repro", "live", "--stages", "20", "--cycles", "5",
          "--collect-timeout", "1.0"],
+        [PY, "-m", "repro", "live", "--stages", "8", "--aggregators", "0",
+         "--cycles", "5", "--obs-out", "{tmp}/live-flat-trace.json", "--json"],
         [PY, "-m", "repro", "chaos", "--plane", "live", "--design", "hier",
          "--seed", "7", "--report-out", "{tmp}/chaos-hier.json"],
         [PY, "-m", "repro", "chaos", "--plane", "live", "--design", "flat",

@@ -31,13 +31,25 @@ children plus per-session RPC spans; pass ``usage_meter`` to charge
 framed bytes and synchronous CPU sections to this controller's Tables
 II–IV row; pass ``metrics`` (a registry) for Prometheus counters and
 latency histograms.
+
+The flat controller runs in a process of its own, as the paper's sits
+alone on its node (Table II): :class:`LiveGlobalController` forks a
+:mod:`repro.live.tier` child that runs an
+:class:`InProcessGlobalController`, the class a caller builds directly
+when it needs the controller in its own process (the hot-standby pair).
 """
 
 from __future__ import annotations
 
 import asyncio
+import base64
+import inspect
 import time
-from typing import Dict, List, Optional, Set, Tuple
+from array import array
+from collections.abc import Mapping
+from dataclasses import astuple
+from types import SimpleNamespace
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -57,8 +69,13 @@ from repro.live.sessions import (
     StageSession,
     phase_deadline_s,
 )
+from repro.live.tier import CALL_TIMEOUT_S, SessionCounters, Tier, TierMember
 
-__all__ = ["LiveGlobalController", "LiveHierGlobalController"]
+__all__ = [
+    "InProcessGlobalController",
+    "LiveGlobalController",
+    "LiveHierGlobalController",
+]
 
 #: Consecutive collect epochs an aggregator may miss before it is
 #: declared dead (its trunk cut, its stages orphaned until it re-joins).
@@ -286,14 +303,15 @@ class _LiveControllerBase(SessionHost, GlobalCompute):
         return {stage_id: job_of(stage_id) for stage_id in self.columns.reserved}
 
 
-class LiveGlobalController(_LiveControllerBase, StageFan):
-    """Flat-design controller over real TCP connections: a
-    :class:`~repro.live.fan.StageFan` (its one, local partition) plus the
-    compute phase.
+class InProcessGlobalController(_LiveControllerBase, StageFan):
+    """Flat-design controller over real TCP connections, in the caller's
+    process: a :class:`~repro.live.fan.StageFan` (its one, local
+    partition) plus the compute phase. :class:`LiveGlobalController` runs
+    one in a child process of its own.
 
     Usage::
 
-        ctrl = LiveGlobalController(policy, expected_stages=50)
+        ctrl = InProcessGlobalController(policy, expected_stages=50)
         await ctrl.start()                 # begins listening; port assigned
         ... stages connect ...
         await ctrl.wait_for_stages()
@@ -407,6 +425,179 @@ class LiveGlobalController(_LiveControllerBase, StageFan):
         ledger.record(ship, batch, epoch)
         missing.update(s.row for s in absent)
         return len(missing), timed_out
+
+
+class _TierController(TierMember, InProcessGlobalController):
+    """The flat controller as its tier runs it."""
+
+    _ids_shipped: Optional[tuple] = None
+
+    def __init__(self, tier, *args, **kwargs) -> None:
+        super().__init__(tier, *args, **kwargs)
+        self._stopped = asyncio.Event()
+        self._cycling = asyncio.Lock()  # a call its caller gave up on runs out first
+
+    async def run(self) -> None:
+        await self._stopped.wait()
+
+    def stop(self) -> None:
+        """:meth:`shutdown`, then :meth:`run` returns."""
+        self._close_sessions({"kind": "shutdown"})
+        self._server.close()
+        self._stopped.set()
+
+    async def cycles_reply(self, n_cycles: int) -> dict:
+        """Run ``n_cycles``; answer with their records, the counters and the
+        grants (ids only when changed, limits as one packed vector)."""
+        async with self._cycling:
+            first = len(self.cycles)
+            await self.run_cycles(n_cycles)
+        ids, limits = self._last_grants
+        reply = {
+            "cycles": [astuple(c) for c in self.cycles[first:]],
+            "limits": base64.b64encode(array("d", limits).tobytes()).decode("ascii"),
+            "counts": [
+                self.evictions, self.outbox_frames_shed,
+                self.rules_suppressed, self.stale_messages,
+            ],
+        }
+        if ids != self._ids_shipped:
+            self._ids_shipped = reply["ids"] = ids
+        return reply
+
+
+class _TierSessions(Mapping):
+    """The forked controller's stage sessions: ``len()`` is the count the
+    tier pushes (no call), the counters come from one call on first use."""
+
+    def __init__(self, tier: Optional[Tier]) -> None:
+        self._tier = tier
+        self._read: Optional[Dict[str, SessionCounters]] = None
+
+    def _rows(self) -> Dict[str, SessionCounters]:
+        if self._read is None:
+            reply = self._tier.call("stats") if self._tier is not None else None
+            rows = reply["stats"]["sessions"] if reply is not None else {}
+            self._read = {peer: SessionCounters(*row) for peer, row in rows.items()}
+        return self._read
+
+    def __len__(self) -> int:
+        return self._tier.registered if self._tier is not None else 0
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._rows())
+
+    def __getitem__(self, stage_id: str) -> SessionCounters:
+        return self._rows()[stage_id]
+
+
+class LiveGlobalController:
+    """The flat controller as a process of its own: built and used as
+    :class:`InProcessGlobalController` is, but :meth:`start` forks a
+    :mod:`repro.live.tier` child that runs one, on its own loop and core.
+    Cycle records and counters come with each ``run_cycles`` answer;
+    spans, metrics and usage (CPU and memory from the child's ``/proc``)
+    when the child exits."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        arguments = inspect.signature(InProcessGlobalController).bind(*args, **kwargs)
+        self._arguments = arguments.arguments
+        # Refuses what the child's would; only its settings are kept (a
+        # clamp is the child's to attach).
+        probe = InProcessGlobalController(**dict(self._arguments, demand_clamp=None))
+        self.host = probe.host
+        self.port = probe.port
+        self.expected_stages = probe.expected_stages
+        self._timeouts = (probe.collect_timeout_s, probe.enforce_timeout_s)
+        tracer = probe.tracer if probe.tracer.enabled else None
+        self._track = tracer.track if tracer is not None else None
+        meter = probe.meter
+        self._obs = SimpleNamespace(
+            tracer=tracer, usage=meter and meter.session, registry=probe.metrics
+        )
+        self._meter = meter.name if self._obs.usage is not None else None
+        self._tier: Optional[Tier] = None
+        #: Every cycle's record, as the child shipped it.
+        self.cycles: List[ControlCycle] = []
+        self.evictions = 0
+        self.outbox_frames_shed = 0
+        self.rules_suppressed = 0
+        self.stale_messages = 0
+        self._ids: tuple = ()
+        self._limits = array("d")
+
+    @property
+    def pid(self) -> Optional[int]:
+        """The child's pid while it runs."""
+        return self._tier.pid if self._tier is not None else None
+
+    async def start(self) -> None:
+        """Fork the controller; return once it listens (``host`` / ``port``)."""
+        if self._tier is not None:
+            raise RuntimeError("already started")
+        arguments, track, meter = self._arguments, self._track, self._meter
+
+        async def build(tier) -> List[_TierController]:
+            ctrl = _TierController(tier, **dict(
+                arguments, span_tracer=tier.tracer_for(track),
+                usage_meter=tier.meter_for(meter), metrics=tier.registry,
+            ))
+            await ctrl.start()
+            return [ctrl]
+
+        tier = Tier(self._obs)
+        [(self.host, self.port)] = await tier.fork([meter] if meter else [], build)
+        self._tier = tier
+
+    async def wait_for_stages(self, timeout_s: float = 30.0) -> None:
+        """Block until every expected stage has registered."""
+        if self._tier is None:
+            raise RuntimeError("start() first")
+        await self._tier.wait_members(self.expected_stages, timeout_s)
+
+    @property
+    def sessions(self) -> _TierSessions:
+        """Registered stage id -> that session's counters."""
+        return _TierSessions(self._tier)
+
+    async def run_cycles(self, n_cycles: int) -> List[ControlCycle]:
+        """Run ``n_cycles`` back-to-back cycles in the child; returns every
+        record so far. Raises ``RuntimeError`` if the child is gone."""
+        if n_cycles < 1:
+            raise ValueError(f"n_cycles must be >= 1: {n_cycles}")
+        if self._tier is None:
+            raise RuntimeError("start() first")
+        # The most the cycles may take: each phase waits at most its
+        # deadline twice (paused sends, then replies).
+        derived = phase_deadline_s(max(self.expected_stages, self._tier.registered))
+        phase_s = max(t or derived for t in self._timeouts)
+        reply = await self._tier.acall(
+            "run_cycles", CALL_TIMEOUT_S + 4 * n_cycles * phase_s, n=n_cycles
+        )
+        self.cycles.extend(ControlCycle(*row) for row in reply["cycles"])
+        if "ids" in reply:
+            self._ids = tuple(reply["ids"])
+        self._limits = array("d", base64.b64decode(reply["limits"]))
+        (
+            self.evictions, self.outbox_frames_shed,
+            self.rules_suppressed, self.stale_messages,
+        ) = reply["counts"]
+        return self.cycles
+
+    @property
+    def last_allocations(self) -> Dict[str, float]:
+        """Last computed data allocation per stage id, built on read."""
+        return dict(zip(self._ids, self._limits))
+
+    async def shutdown(self) -> None:
+        """Tell the stages to stop, close the listener, reap the child."""
+        tier, self._tier = self._tier, None
+        if tier is None:
+            return
+        await tier.stop(grace_s=2.0)
+        if tier.last_stats:
+            final = tier.last_stats[0]
+            self.evictions, self.outbox_frames_shed = final["evictions"], final["shed"]
 
 
 def _order_error(message: dict) -> Optional[str]:

@@ -20,7 +20,7 @@ from typing import Optional
 
 from repro.core.failover import FailoverEvent, StandbyRule
 from repro.live import pump
-from repro.live.controller_server import LiveGlobalController
+from repro.live.controller_server import InProcessGlobalController
 from repro.live.protocol import FrameLink, encode
 from repro.obs.spans import NullSpanTracer
 
@@ -31,15 +31,15 @@ STAGE_TIMEOUT_S = 10.0
 
 
 class LiveHotStandby:
-    """Couples a primary and a standby :class:`LiveGlobalController`, both
+    """Couples a primary and a standby :class:`InProcessGlobalController`, both
     listening before :meth:`start`. The standby accepts registrations and
     heartbeats but runs no cycles until it takes over. The clock is
     ``time.perf_counter``, the controllers' cycle clock."""
 
     def __init__(
         self,
-        primary: LiveGlobalController,
-        standby: LiveGlobalController,
+        primary: InProcessGlobalController,
+        standby: InProcessGlobalController,
         heartbeat_interval_s: float = 0.05,
         missed_heartbeats: int = 3,
         span_tracer=None,
@@ -92,7 +92,7 @@ class LiveHotStandby:
         self.primary.kill()
 
     @property
-    def active_controller(self) -> LiveGlobalController:
+    def active_controller(self) -> InProcessGlobalController:
         """Whoever is currently (or was last) driving control cycles."""
         return self.standby if self.standby.cycles else self.primary
 

@@ -3,11 +3,10 @@
 Spins up a :class:`~repro.live.controller_server.LiveGlobalController` and
 ``n_stages`` :class:`~repro.live.stage_client.LiveVirtualStage` clients
 over localhost TCP, runs the stress workload, and returns wall-clock
-cycle statistics. The flat plane runs in one asyncio loop, and so does
-:class:`LiveFlatPair`, the flat plane with a hot standby;
-:class:`LiveHierPlane` keeps the global controller and the stages on this
-process's loop and forks its aggregators into one child with a loop of
-its own (:mod:`repro.live.tier`).
+cycle statistics. Every live plane keeps its stages on this process's
+loop and forks what faces them — the flat controller, or every
+aggregator of :class:`LiveHierPlane` — into a child (:mod:`repro.live.
+tier`); :class:`LiveFlatPair` keeps both of its controllers here.
 
 ``collect_timeout_s`` / ``enforce_timeout_s`` override the controllers'
 phase deadlines, which are otherwise derived from the plane's size
@@ -21,7 +20,8 @@ cycle is recorded as wall-clock spans (Chrome-trace exportable), the run
 is sampled REMORA-style from ``/proc`` with per-controller attribution
 (:class:`~repro.obs.procfs.LiveUsageSession`), and control-plane metrics
 accumulate in a :class:`~repro.obs.metrics.MetricsRegistry` — optionally
-scrapeable over HTTP while the run cycles (``metrics_port``).
+scrapeable over HTTP while the run cycles (``metrics_port``; a forked
+child's arrive when it exits).
 """
 
 from __future__ import annotations
@@ -34,7 +34,11 @@ from repro.core.control_plane import default_policy
 from repro.core.cycle import ControlCycle, CycleStats
 from repro.core.policies import QoSPolicy
 from repro.core.registry import partition_stages
-from repro.live.controller_server import LiveGlobalController, LiveHierGlobalController
+from repro.live.controller_server import (
+    InProcessGlobalController,
+    LiveGlobalController,
+    LiveHierGlobalController,
+)
 from repro.live.failover import LiveHotStandby
 from repro.live.stage_client import LiveVirtualStage
 from repro.live.tier import AggregatorHandle, AggregatorTier, _probe
@@ -339,12 +343,9 @@ class LiveHierPlane:
 
     async def wait_for_stages(self, timeout_s: float = 30.0) -> None:
         """Wait until every stage is registered somewhere in the tree."""
-
-        async def _poll() -> None:
-            while self.registered_stages < self.n_stages:
-                await asyncio.sleep(0.01)
-
-        await asyncio.wait_for(_poll(), timeout=timeout_s)
+        if self._tier is None:
+            raise RuntimeError("start() first")
+        await self._tier.wait_members(self.n_stages, timeout_s)
 
     @property
     def registered_stages(self) -> int:
@@ -479,9 +480,10 @@ class LiveHierPlane:
 
 class LiveFlatPair(LiveHotStandby):
     """The flat live plane with a hot standby: two
-    :class:`LiveGlobalController`\\ s under the standby rule, ``n_stages``
-    stages homed on the primary with the standby as alternate, and
-    :attr:`controller` whoever holds control, as on any other plane."""
+    :class:`InProcessGlobalController`\\ s under the standby rule,
+    ``n_stages`` stages homed on the primary with the standby as
+    alternate, and :attr:`controller` whoever holds control. Both stay in
+    this process: the takeover rule reads and writes their epochs."""
 
     def __init__(
         self,
@@ -498,7 +500,7 @@ class LiveFlatPair(LiveHotStandby):
         self.n_stages = n_stages
         self.policy = default_policy(n_stages)
         primary, standby = (
-            LiveGlobalController(
+            InProcessGlobalController(
                 self.policy,
                 expected_stages=n_stages,
                 collect_timeout_s=collect_timeout_s,
@@ -534,7 +536,7 @@ class LiveFlatPair(LiveHotStandby):
         await super().start()
 
     @property
-    def controller(self) -> LiveGlobalController:
+    def controller(self) -> InProcessGlobalController:
         return self.active_controller
 
     def probe(self) -> Dict[str, dict]:

@@ -1,51 +1,51 @@
-"""The live plane's aggregator tier: part of the plane in one child process.
+"""The live planes' tier: what faces the stages, in one forked child.
 
-The paper's case for the hierarchy is offload — aggregators on their own
-nodes take the stage fan-out off the global controller's CPU (Table IV,
-Fig. 6). :class:`~repro.live.harness.LiveHierPlane` gets the same split
-on one host: at :meth:`AggregatorTier.start` it forks one child that
-runs all of the plane's :class:`~repro.live.aggregator_server.
-LiveAggregator` servers on its own event loop, while the global
-controller and the stage fleet stay in the parent. Stages reach their
-aggregator, and aggregators the global controller, over the same TCP
-sockets as before; nothing on the trunk or the stage legs changes.
+In the paper the controllers run on nodes of their own, apart from the
+stages (Tables II and IV). A :class:`Tier` forks one child that runs, on
+a loop of its own, every aggregator of a
+:class:`~repro.live.harness.LiveHierPlane` (:class:`AggregatorTier`) or
+the flat controller (:class:`~repro.live.controller_server.
+LiveGlobalController`), while the stage fleet — which the benchmark and
+the chaos checks read every cycle — stays in the parent. Every wire is
+the TCP it was in one process.
 
 The parent holds the tier through one **control channel**, a socketpair
 carrying JSON frames on a :class:`~repro.live.protocol.FrameLink` at both
-ends, and through one :class:`AggregatorHandle` per aggregator (id,
-address, the ``kill`` / ``pause`` / ``resume`` fault hooks, counters):
+ends (and, on the hierarchy, one :class:`AggregatorHandle` per
+aggregator: id, address, the ``kill`` / ``pause`` / ``resume`` fault
+hooks, counters):
 
 * the tier *pushes* ``tier_ready`` (the bound addresses), ``members`` (how
-  many stages are registered tree-wide, once per loop pass that changed
-  it — what the parent's ``registered_stages`` reads) and, on its way
-  out, ``tier_bye`` (final counters and observability);
+  many stages are registered on its servers, once per loop pass that
+  changed it — what ``registered`` reads) and, on its way out,
+  ``tier_bye`` (final counters and observability);
 * the parent *calls* (``tier_call`` → ``tier_reply``, matched by
-  ``seq``): a fault hook, a counter read, or ``bye`` — the same last
-  words, asked for just before a SIGKILL. A call blocks the parent until
-  the tier answers — the tier never waits on the parent, so it always
-  can — which makes a hook take effect before the parent's next trunk
-  frame, as it did in one process;
-* to stop, the parent *tells* ``tier_stop`` (no reply): every
-  aggregator's dial loop ends, and with its last stage socket the tier.
+  ``seq``): a fault hook, a counter read, ``run_cycles``, or ``bye`` —
+  the same last words, asked for just before a SIGKILL. :meth:`Tier.call`
+  blocks the parent until the tier answers — the tier never waits on the
+  parent, so it always can — which makes a hook take effect before the
+  parent's next trunk frame. :meth:`Tier.acall` waits on the parent's
+  loop instead: while the flat controller cycles, the parent must go on
+  serving the stages it cycles;
+* to stop, the parent *tells* ``tier_stop`` (no reply): every server
+  stops — an aggregator's dial loop ends, the flat controller tells its
+  stages to stop — and with its last stage socket the tier exits.
 
 **Fork, not spawn.** A fresh interpreter spends about a quarter of a
-second importing the live plane on every start, and a plane restart
-starts the tier again. The price of ``fork`` is hygiene in the child:
-every inherited descriptor except stderr and the channel gets
-``/dev/null`` duplicated over it (so a stale socket object the child
-inherited can neither keep a parent socket alive — a closed listener's
-port, a closed connection's EOF — nor, when collected, close a tier
-descriptor that reused its number); SIGINT is ignored (an operator's
-Ctrl-C reaches the whole process group, and shutdown is the parent's to
-run); the child freezes what it inherited out of the collector's way,
-runs a loop of its own, exits on channel EOF (the parent is gone) and
-leaves through ``os._exit`` on every path, so it never unwinds into the
-parent's stack, ``atexit`` hooks or buffered output.
+second importing the live plane on every start. The price of ``fork`` is
+hygiene in the child: every inherited descriptor except stderr and the
+channel gets ``/dev/null`` duplicated over it (a stale socket object can
+then neither keep a parent socket alive nor, when collected, close a
+tier descriptor that reused its number); SIGINT is ignored (shutdown is
+the parent's to run); the child freezes what it inherited out of the
+collector's way, runs a loop of its own, exits on channel EOF (the
+parent is gone) and leaves through ``os._exit`` on every path.
 
 Observability crosses the channel as data: with the parent observing,
-the tier keeps its own span list, counters and usage meters and ships
-them in its last words, where they merge into the parent's tracer,
-registry and usage session; the tier's CPU and memory come from its own
+the tier keeps its own span list, metrics registry and usage meters and
+ships them in its last words, where they merge into the parent's tracer,
+registry (counters and histograms add, gauges take the tier's value)
+and usage session; the tier's CPU and memory come from its own
 ``/proc/<pid>`` (:meth:`repro.obs.procfs.LiveUsageSession.attach`).
 """
 
@@ -65,6 +65,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Sequenc
 from repro.live import pump
 from repro.live.aggregator_server import LiveAggregator
 from repro.live.protocol import FrameLink, encode
+from repro.monitoring.histogram import LatencyHistogram
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.procfs import ComponentUsageMeter
 from repro.obs.spans import SpanRecord, SpanTracer
@@ -72,7 +73,7 @@ from repro.obs.spans import SpanRecord, SpanTracer
 if TYPE_CHECKING:
     from repro.live.stage_client import LiveVirtualStage
 
-__all__ = ["AggregatorHandle", "AggregatorTier", "SessionCounters"]
+__all__ = ["AggregatorHandle", "AggregatorTier", "SessionCounters", "Tier", "TierMember"]
 
 #: How long a call waits for the tier's answer before declaring it hung.
 CALL_TIMEOUT_S = 10.0
@@ -83,7 +84,7 @@ _UNOBSERVED = SimpleNamespace(tracer=None, usage=None, registry=None)
 
 
 class SessionCounters(NamedTuple):
-    """One stage session of a tier aggregator, as last read."""
+    """One stage session of a tier server, as last read."""
 
     tx_bytes: int
     rx_bytes: int
@@ -147,7 +148,7 @@ class AggregatorHandle:
         return self._stats()["shed"]
 
 
-class AggregatorTier:
+class Tier:
     """Parent side of the tier: fork it, call it, reap it.
 
     ``obs`` is the plane's observability bundle (``tracer``, ``usage``,
@@ -160,47 +161,29 @@ class AggregatorTier:
         #: The tier's exit status as ``subprocess`` reports one (negative:
         #: killed by that signal), once reaped.
         self.returncode: Optional[int] = None
-        #: Stages registered on any tier aggregator, as last pushed.
+        #: Stages registered on any tier server, as last pushed.
         self.registered = 0
-        self.handles: List[AggregatorHandle] = []
+        self.last_stats: List[Dict[str, Any]] = []
         self._sock: Optional[socket.socket] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._link = FrameLink(self._on_frame)
         self._seq = 0
         self._replies: Dict[int, dict] = {}
+        self._waiting: Dict[int, asyncio.Future] = {}
+        self._members_moved = asyncio.Event()
         self._ready: Optional[asyncio.Future] = None
         self._exited: Optional[asyncio.Future] = None
 
     # -- lifecycle -------------------------------------------------------------
-    async def start(
-        self,
-        specs: Sequence[Tuple[str, int, int]],
-        global_host: str,
-        global_port: int,
-        collect_timeout_s: Optional[float],
-        enforce_timeout_s: Optional[float],
-        session_outbox_bytes: Optional[int],
-    ) -> None:
-        """Fork the tier with one aggregator per ``(id, expected_stages,
-        port)`` and return once every aggregator is listening
-        (``handles``)."""
+    async def fork(self, names: Sequence[str], build) -> List[List]:
+        """Fork the tier, where ``await build(tier)`` makes its servers,
+        and return each server's listening address. ``names`` are the
+        usage rows the tier's process is charged to."""
         loop = asyncio.get_running_loop()
-        obs = self._obs
-        plan = _Plan(
-            specs,
-            global_host,
-            global_port,
-            collect_timeout_s,
-            enforce_timeout_s,
-            session_outbox_bytes,
-            trace=obs.tracer is not None,
-            metrics=obs.registry is not None,
-            usage=obs.usage is not None,
-        )
         parent_end, child_end = socket.socketpair()
         pid = os.fork()
         if pid == 0:  # pragma: no cover - the child never returns
-            _child_main(child_end, plan)
+            _child_main(child_end, build, self._obs)
         child_end.close()
         self.pid = pid
         self._loop = loop
@@ -211,8 +194,8 @@ class AggregatorTier:
         self._ready = loop.create_future()
         self._exited = loop.create_future()
         loop.add_reader(parent_end.fileno(), self._readable)
-        if obs.usage is not None:
-            obs.usage.attach(pid, [agg_id for agg_id, _, _ in specs])
+        if self._obs.usage is not None:
+            self._obs.usage.attach(pid, names)
         try:
             addresses = await asyncio.wait_for(
                 asyncio.shield(self._ready), CALL_TIMEOUT_S
@@ -220,14 +203,11 @@ class AggregatorTier:
         except BaseException:
             self.kill()
             raise
-        self.handles = [
-            AggregatorHandle(self, i, agg_id, host, port)
-            for i, ((agg_id, _, _), (host, port)) in enumerate(zip(specs, addresses))
-        ]
+        return addresses
 
-    async def stop(self, grace_s: float = 2.0) -> None:
-        """End every aggregator's dial loop, re-dialling or not (each tells
-        its stages to stop); kill the tier if still there after ``grace_s``."""
+    async def stop(self, grace_s: float) -> None:
+        """Stop every server (each tells its stages to stop, or ends its
+        dial loop); kill the tier if still there after ``grace_s``."""
         if self._sock is not None:
             with contextlib.suppress(OSError):  # told: a hung tier costs the grace
                 self._sock.send(encode({"kind": "tier_stop"}))
@@ -257,18 +237,33 @@ class AggregatorTier:
         self.pid = None
         self._close()
 
+    async def wait_members(self, n: int, timeout_s: float) -> None:
+        """Wait until the tier has pushed at least ``n`` registered stages."""
+
+        async def reached() -> None:
+            while self.registered < n:
+                if self._sock is None:
+                    raise RuntimeError("tier exited")
+                self._members_moved.clear()
+                await self._members_moved.wait()
+
+        await asyncio.wait_for(reached(), timeout_s)
+
     # -- calls -------------------------------------------------------------------
+    def _frame(self, op: str, fields: Dict[str, Any]) -> Tuple[int, bytes]:
+        self._seq += 1
+        return self._seq, encode({"kind": "tier_call", "seq": self._seq, "op": op, **fields})
+
     def call(self, op: str, **fields) -> Optional[dict]:
         """Ask the tier to run ``op`` and wait for its reply (``None``
         once the tier is gone)."""
         sock = self._sock
         if sock is None:
             return None
-        self._seq += 1
-        seq = self._seq
+        seq, frame = self._frame(op, fields)
         try:
             sock.settimeout(CALL_TIMEOUT_S)
-            sock.sendall(encode({"kind": "tier_call", "seq": seq, "op": op, **fields}))
+            sock.sendall(frame)
             while seq not in self._replies:
                 data = sock.recv(65536)
                 if not data:
@@ -276,7 +271,7 @@ class AggregatorTier:
                     return None
                 self._link.data_received(data)
         except socket.timeout:
-            raise RuntimeError(f"aggregator tier did not answer {op!r}") from None
+            raise RuntimeError(f"tier did not answer {op!r}") from None
         except OSError:
             self._on_eof()
             return None
@@ -284,6 +279,33 @@ class AggregatorTier:
             if self._sock is sock:
                 sock.setblocking(False)
         return self._replies.pop(seq)
+
+    async def acall(self, op: str, timeout_s: float, **fields) -> dict:
+        """:meth:`call`, awaited on this loop, which goes on serving the rest;
+        ``RuntimeError`` if the tier exits, fails ``op`` or is silent
+        for ``timeout_s``."""
+        sock = self._sock
+        if sock is None:
+            raise RuntimeError("tier exited")
+        seq, frame = self._frame(op, fields)
+        answered = self._waiting[seq] = self._loop.create_future()
+        try:
+            try:
+                sock.settimeout(CALL_TIMEOUT_S)
+                sock.sendall(frame)
+            except OSError:
+                self._on_eof()
+            finally:
+                if self._sock is sock:
+                    sock.setblocking(False)
+            reply = await asyncio.wait_for(answered, timeout_s)
+        except asyncio.TimeoutError:
+            raise RuntimeError(f"tier did not answer {op!r}") from None
+        finally:
+            self._waiting.pop(seq, None)
+        if "error" in reply:
+            raise RuntimeError(f"tier failed {op!r}: {reply['error']}")
+        return reply
 
     def _readable(self) -> None:
         try:
@@ -304,14 +326,19 @@ class AggregatorTier:
         self._close()
 
     def _close(self) -> None:
-        """Let go of our end of the channel."""
+        """Let go of our end of the channel; whoever waits learns why."""
         sock, self._sock = self._sock, None
         if sock is not None:
             self._loop.remove_reader(sock.fileno())
             sock.close()
+        gone = RuntimeError("tier exited")
         if not self._ready.done():
-            self._ready.set_exception(RuntimeError("aggregator tier exited"))
+            self._ready.set_exception(gone)
             self._ready.exception()  # retrieved: an unawaited one is not an error
+        for answered in self._waiting.values():
+            if not answered.done():
+                answered.set_exception(gone)
+        self._members_moved.set()
 
     def _detach_usage(self) -> None:
         if self._obs.usage is not None:
@@ -322,8 +349,13 @@ class AggregatorTier:
         kind = message["kind"]
         if kind == "members":
             self.registered = message["n"]
+            self._members_moved.set()
         elif kind == "tier_reply":
-            self._replies[message["seq"]] = message
+            answered = self._waiting.pop(message["seq"], None)
+            if answered is None:
+                self._replies[message["seq"]] = message
+            elif not answered.done():
+                answered.set_result(message)
         elif kind == "tier_ready":
             if not self._ready.done():
                 self._ready.set_result(message["addresses"])
@@ -332,19 +364,23 @@ class AggregatorTier:
             self._detach_usage()  # read its /proc while it is still there
 
     def _take_leave(self, message: dict) -> None:
-        """Keep the tier's final counters on the handles; merge what it
-        observed into the parent's bundle."""
-        for handle, stats in zip(self.handles, message["stats"]):
-            handle._last = stats
+        """Keep the tier's final counters; merge what it observed into
+        the parent's bundle."""
+        self.last_stats = message["stats"]
         self._merge_obs(message["obs"])
 
     def _merge_obs(self, shipped: dict) -> None:
         obs = self._obs
         if obs.tracer is not None:
             obs.tracer.spans.extend(SpanRecord(*row) for row in shipped.get("spans", ()))
-        if obs.registry is not None:
+        registry = obs.registry
+        if registry is not None:
             for name, help_text, labels, value in shipped.get("counters", ()):
-                obs.registry.counter(name, help_text, **labels).inc(value)
+                registry.counter(name, help_text, **labels).inc(value)
+            for name, help_text, labels, value in shipped.get("gauges", ()):
+                registry.gauge(name, help_text, **labels).set(value)
+            for name, help_text, labels, state in shipped.get("histograms", ()):
+                registry.histogram(name, help_text, **labels).histogram.absorb(state)
         if obs.usage is not None:
             for name, (tx, rx, cpu_s) in shipped.get("meters", {}).items():
                 meter = obs.usage.meter(name)
@@ -353,32 +389,94 @@ class AggregatorTier:
                 meter.cpu_seconds += cpu_s
 
 
+class AggregatorTier(Tier):
+    """The hierarchy's tier: every aggregator of the plane, one
+    :class:`AggregatorHandle` each (:attr:`handles`)."""
+
+    def __init__(self, obs) -> None:
+        super().__init__(obs)
+        self.handles: List[AggregatorHandle] = []
+
+    async def start(
+        self,
+        specs: Sequence[Tuple[str, int, int]],
+        global_host: str,
+        global_port: int,
+        collect_timeout_s: Optional[float],
+        enforce_timeout_s: Optional[float],
+        session_outbox_bytes: Optional[int],
+    ) -> None:
+        """Fork the tier with one aggregator per ``(id, expected_stages,
+        port)`` and return once every aggregator is listening
+        (``handles``)."""
+
+        async def build(tier: _Tier) -> List[_TierAggregator]:
+            aggregators = []
+            for agg_id, expected, port in specs:
+                agg = _TierAggregator(
+                    tier,
+                    agg_id,
+                    global_host,
+                    global_port,
+                    expected_stages=expected,
+                    port=port,
+                    collect_timeout_s=collect_timeout_s,
+                    enforce_timeout_s=enforce_timeout_s,
+                    span_tracer=tier.tracer_for(agg_id),
+                    usage_meter=tier.meter_for(agg_id),
+                    metrics=tier.registry,
+                    session_outbox_bytes=session_outbox_bytes,
+                )
+                await agg.start()
+                aggregators.append(agg)
+            return aggregators
+
+        addresses = await self.fork([agg_id for agg_id, _, _ in specs], build)
+        self.handles = [
+            AggregatorHandle(self, i, agg_id, host, port)
+            for i, ((agg_id, _, _), (host, port)) in enumerate(zip(specs, addresses))
+        ]
+
+    def _take_leave(self, message: dict) -> None:
+        """The handles keep the tier's final counters."""
+        super()._take_leave(message)
+        for handle, stats in zip(self.handles, self.last_stats):
+            handle._last = stats
+
+
 # ---------------------------------------------------------------------------
 # The child
 # ---------------------------------------------------------------------------
 
 
-class _Plan(NamedTuple):
-    """Everything the child needs, handed over in the forked memory."""
+class TierMember:
+    """Mixed into a session host the tier runs: tells the tier whenever
+    the host's membership moves, so the parent's count stays current."""
 
-    specs: Sequence[Tuple[str, int, int]]
-    global_host: str
-    global_port: int
-    collect_timeout_s: Optional[float]
-    enforce_timeout_s: Optional[float]
-    session_outbox_bytes: Optional[int]
-    trace: bool
-    metrics: bool
-    usage: bool
+    def __init__(self, tier: "_Tier", *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._tier = tier
+
+    def _welcome(self, session) -> None:
+        super()._welcome(session)
+        self._tier.members_changed()
+
+    def _on_evicted(self, session) -> None:
+        super()._on_evicted(session)
+        self._tier.members_changed()
+
+    def _close_sessions(self, farewell: Optional[dict] = None) -> None:
+        super()._close_sessions(farewell)
+        self._tier.members_changed()
 
 
-def _child_main(sock: socket.socket, plan: _Plan) -> None:
+def _child_main(sock: socket.socket, build, obs) -> None:
     """The forked child's whole life; leaves only through ``os._exit``."""
     code = 1
     try:
         _hygiene(keep=(2, sock.fileno()))
         loop = asyncio.new_event_loop()
-        code = loop.run_until_complete(_Tier(sock, plan).serve())
+        code = loop.run_until_complete(_Tier(sock, build, obs).serve())
     except BaseException:
         with contextlib.suppress(BaseException):
             traceback.print_exc()
@@ -405,75 +503,53 @@ def _hygiene(keep: Tuple[int, ...]) -> None:
     gc.freeze()
 
 
-class _TierAggregator(LiveAggregator):
+class _TierAggregator(TierMember, LiveAggregator):
     """A :class:`LiveAggregator` that tells its tier when membership moves."""
-
-    def __init__(self, tier: "_Tier", *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._tier = tier
-
-    def _welcome(self, session) -> None:
-        super()._welcome(session)
-        self._tier.members_changed()
-
-    def _on_evicted(self, session) -> None:
-        super()._on_evicted(session)
-        self._tier.members_changed()
-
-    def _close_sessions(self, farewell: Optional[dict] = None) -> None:
-        super()._close_sessions(farewell)
-        self._tier.members_changed()
 
 
 class _Tier:
-    """The child's side: its aggregators and its end of the channel."""
+    """The child's side: its servers — session hosts with ``run()``,
+    ``stop()`` and, on flat, ``cycles_reply(n)`` — and its end of the
+    channel. The handles it observes through are ``None`` for whatever
+    the parent's bundle (``obs``) does not observe."""
 
-    def __init__(self, sock: socket.socket, plan: _Plan) -> None:
+    def __init__(self, sock: socket.socket, build, obs) -> None:
         self._sock = sock
-        self._plan = plan
+        self._build = build
         self._link = FrameLink(self._on_frame, self._on_lost)
         self._tracer = (
-            SpanTracer(track="aggregator-tier", clock_domain="wall") if plan.trace else None
+            SpanTracer(track="tier", clock_domain="wall") if obs.tracer is not None else None
         )
-        self._registry = MetricsRegistry() if plan.metrics else None
+        #: The registry every server counts into (``None``: not observed).
+        self.registry = MetricsRegistry() if obs.registry is not None else None
+        self._metered = obs.usage is not None
         self._meters: Dict[str, ComponentUsageMeter] = {}
-        self.aggregators: List[_TierAggregator] = []
+        self.servers: List[Any] = []
         self._members_pushed = 0
         self._members_due = False
+        self._answering: set = set()
+
+    def tracer_for(self, track: str) -> Optional[SpanTracer]:
+        return self._tracer.for_track(track) if self._tracer is not None else None
+
+    def meter_for(self, name: str) -> Optional[ComponentUsageMeter]:
+        if not self._metered:
+            return None
+        meter = self._meters[name] = ComponentUsageMeter(name)
+        return meter
 
     async def serve(self) -> int:
         loop = asyncio.get_running_loop()
-        plan = self._plan
         await loop.connect_accepted_socket(lambda: self._link, self._sock)
-        for agg_id, expected, port in plan.specs:
-            if plan.usage:
-                self._meters[agg_id] = ComponentUsageMeter(agg_id)
-            agg = _TierAggregator(
-                self,
-                agg_id,
-                plan.global_host,
-                plan.global_port,
-                expected_stages=expected,
-                port=port,
-                collect_timeout_s=plan.collect_timeout_s,
-                enforce_timeout_s=plan.enforce_timeout_s,
-                span_tracer=(
-                    self._tracer.for_track(agg_id) if self._tracer is not None else None
-                ),
-                usage_meter=self._meters.get(agg_id),
-                metrics=self._registry,
-                session_outbox_bytes=plan.session_outbox_bytes,
-            )
-            await agg.start()
-            self.aggregators.append(agg)
+        self.servers = await self._build(self)
         self._send(
             {
                 "kind": "tier_ready",
-                "addresses": [[a.host, a.port] for a in self.aggregators],
+                "addresses": [[s.host, s.port] for s in self.servers],
             }
         )
         await asyncio.gather(
-            *(loop.create_task(a.run()) for a in self.aggregators),
+            *(loop.create_task(s.run()) for s in self.servers),
             return_exceptions=True,
         )
         # Shut-down stage sockets finish flushing; the pump
@@ -500,7 +576,7 @@ class _Tier:
 
     def _push_members(self) -> None:
         self._members_due = False
-        n = sum(len(a.sessions) for a in self.aggregators)
+        n = sum(len(s.sessions) for s in self.servers)
         if n != self._members_pushed and not (self._link.lost or self._link.closing):
             self._members_pushed = n
             self._send({"kind": "members", "n": n})
@@ -508,8 +584,8 @@ class _Tier:
     def _on_frame(self, message, nbytes: int) -> None:
         kind = None if message.__class__ is tuple else message["kind"]
         if kind == "tier_stop":
-            for agg in self.aggregators:
-                agg.stop()
+            for server in self.servers:
+                server.stop()
         if kind != "tier_call":
             return
         op = message.get("op")
@@ -517,16 +593,33 @@ class _Tier:
         if op == "bye":
             reply.update(self._last_words())
         else:
-            agg = self.aggregators[message["index"]]
+            server = self.servers[message.get("index", 0)]
+            if op == "run_cycles":
+                task = asyncio.get_running_loop().create_task(
+                    self._answer(reply, server.cycles_reply(message["n"]))
+                )
+                self._answering.add(task)
+                task.add_done_callback(self._answering.discard)
+                return
             if op == "stats":
-                reply["stats"] = _stats(agg)
+                reply["stats"] = _stats(server)
             elif op in ("kill", "pause", "resume"):  # the fault hooks
-                getattr(agg, op)()
+                getattr(server, op)()
         self._send(reply)
+
+    async def _answer(self, reply: Dict[str, Any], work) -> None:
+        """Send ``reply`` once ``work`` is done, with what it returned or
+        why it failed."""
+        try:
+            reply.update(await work)
+        except Exception as exc:
+            reply["error"] = repr(exc)
+        if not (self._link.lost or self._link.closing):
+            self._send(reply)
 
     def _last_words(self) -> dict:
         return {
-            "stats": [_stats(a) for a in self.aggregators],
+            "stats": [_stats(s) for s in self.servers],
             "obs": self._drain_obs(),
         }
 
@@ -539,13 +632,27 @@ class _Tier:
                 [s.track, s.name, s.start_s, s.dur_s, s.parent, s.args] for s in spans
             ]
             spans.clear()
-        if self._registry is not None:
+        registry = self.registry
+        if registry is not None:
             counters = []
-            for name, help_text, labels, counter in self._registry.counters():
+            for name, help_text, labels, counter in registry.series("counter"):
                 if counter.value:
                     counters.append([name, help_text, labels, counter.value])
                     counter.value = 0.0
             shipped["counters"] = counters
+            shipped["gauges"] = [
+                [name, help_text, labels, gauge.value]
+                for name, help_text, labels, gauge in registry.series("gauge")
+            ]
+            histograms = []
+            for name, help_text, labels, metric in registry.series("histogram"):
+                hist = metric.histogram
+                if hist.total:
+                    histograms.append([name, help_text, labels, hist.state()])
+                    metric.histogram = LatencyHistogram(
+                        hist.min_value_s, hist.max_value_s, hist.buckets_per_decade
+                    )
+            shipped["histograms"] = histograms
         if self._meters:
             shipped["meters"] = {
                 name: [m.tx_bytes, m.rx_bytes, m.cpu_seconds]
@@ -557,14 +664,14 @@ class _Tier:
         return shipped
 
 
-def _stats(agg: LiveAggregator) -> Dict[str, Any]:
+def _stats(server) -> Dict[str, Any]:
     return {
         "sessions": {
             peer: [s.tx_bytes, s.rx_bytes, s.stale_messages, s.outbox.pending_bytes]
-            for peer, s in agg.sessions.items()
+            for peer, s in server.sessions.items()
         },
-        "evictions": agg.evictions,
-        "shed": agg.outbox_frames_shed,
+        "evictions": server.evictions,
+        "shed": server.outbox_frames_shed,
     }
 
 

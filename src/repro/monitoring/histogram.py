@@ -69,6 +69,23 @@ class LatencyHistogram:
             return
         self._counts[self._bucket_of(value_s)] += 1
 
+    def state(self) -> list:
+        """Everything recorded, as plain data (what :meth:`absorb` adds)."""
+        return [list(self._counts), self.total, self.underflow, self.overflow, self._sum]
+
+    def absorb(self, state: list) -> None:
+        """Add another histogram's :meth:`state` into this one; both must
+        have the same buckets."""
+        counts, total, underflow, overflow, sum_s = state
+        if len(counts) != self._n_buckets:
+            raise ValueError(f"{len(counts)} buckets, not {self._n_buckets}")
+        for i, count in enumerate(counts):
+            self._counts[i] += count
+        self.total += total
+        self.underflow += underflow
+        self.overflow += overflow
+        self._sum += sum_s
+
     # -- queries --------------------------------------------------------------
     def _bucket_upper(self, idx: int) -> float:
         return self.min_value_s * 10 ** ((idx + 1) / self.buckets_per_decade)

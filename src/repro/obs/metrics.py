@@ -18,7 +18,7 @@ here); metric families are created on first use::
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.monitoring.histogram import LatencyHistogram
 
@@ -126,13 +126,14 @@ class MetricsRegistry:
             series[key] = HistogramMetric(histogram)
         return series[key]  # type: ignore[return-value]
 
-    def counters(self) -> List[Tuple[str, str, Dict[str, str], Counter]]:
-        """Every counter as ``(name, help, labels, counter)`` — what one
+    def series(self, kind: str) -> List[Tuple[str, str, Dict[str, str], Any]]:
+        """Every series of ``kind`` (``"counter"``, ``"gauge"``,
+        ``"histogram"``) as ``(name, help, labels, metric)`` — what one
         process ships to merge into another's registry."""
         return [
             (name, help_text, dict(key), metric)
-            for name, (kind, help_text, series) in self._families.items()
-            if kind == "counter"
+            for name, (family_kind, help_text, series) in self._families.items()
+            if family_kind == kind
             for key, metric in series.items()
         ]
 

@@ -237,6 +237,10 @@ class ComponentUsageMeter:
     attributed seconds are this component's own work.
     """
 
+    #: The :class:`LiveUsageSession` this meter reports in, if any: a
+    #: controller that runs in a process of its own attaches it there.
+    session: Optional["LiveUsageSession"] = None
+
     def __init__(self, name: str) -> None:
         self.name = name
         self.cpu_seconds = 0.0
@@ -315,7 +319,8 @@ class LiveUsageSession:
     def meter(self, name: str) -> ComponentUsageMeter:
         """The (singleton) meter for a named controller."""
         if name not in self.meters:
-            self.meters[name] = ComponentUsageMeter(name)
+            meter = self.meters[name] = ComponentUsageMeter(name)
+            meter.session = self
         return self.meters[name]
 
     def attach(self, pid: int, names: Sequence[str]) -> None:

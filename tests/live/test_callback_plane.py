@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.control_plane import default_policy
 from repro.live.aggregator_server import LiveAggregator
-from repro.live.controller_server import LiveGlobalController
+from repro.live.controller_server import InProcessGlobalController, LiveGlobalController
 from repro.live.harness import LiveHierPlane
 from repro.live.protocol import accept_backlog
 from repro.live.sessions import StageSession
@@ -48,7 +48,8 @@ class TestNoTaskPerSessionPerPhase:
         n = 200
 
         async def scenario():
-            ctrl = LiveGlobalController(default_policy(n), expected_stages=n)
+            # In-process: the controller's tasks are counted on this loop.
+            ctrl = InProcessGlobalController(default_policy(n), expected_stages=n)
             await ctrl.start()
             stages = [
                 LiveVirtualStage(ctrl.host, ctrl.port, f"s-{i:03d}", f"j-{i:03d}")

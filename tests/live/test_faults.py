@@ -15,7 +15,11 @@ from repro.core.control_plane import default_policy
 from repro.core.failover import StandbyRule
 from repro.live.aggregator_server import LiveAggregator
 from repro.live.codec import pack_rows
-from repro.live.controller_server import LiveGlobalController, LiveHierGlobalController
+from repro.live.controller_server import (
+    InProcessGlobalController,
+    LiveGlobalController,
+    LiveHierGlobalController,
+)
 from repro.live.faults import (
     LiveFaultLog,
     flaky_socket,
@@ -30,9 +34,10 @@ from repro.live.stage_client import LiveVirtualStage
 _BACKOFF = dict(backoff_base_s=0.02, backoff_factor=1.5, backoff_max_s=0.1)
 
 
-async def _cluster(n_stages, **ctrl_kwargs):
-    """Controller + registered stages + their serve tasks."""
-    ctrl = LiveGlobalController(
+async def _cluster(n_stages, cls=LiveGlobalController, **ctrl_kwargs):
+    """Controller + registered stages + their serve tasks. A case that
+    reads the controller's internals builds it in-process (``cls``)."""
+    ctrl = cls(
         default_policy(n_stages), expected_stages=n_stages, **ctrl_kwargs
     )
     await ctrl.start()
@@ -189,7 +194,9 @@ class TestKillAndEviction:
 class TestStallAndStaleDrain:
     def test_stalled_stage_rides_at_last_known_demand(self):
         async def scenario():
-            ctrl, stages, tasks = await _cluster(4, collect_timeout_s=0.15)
+            ctrl, stages, tasks = await _cluster(
+                4, InProcessGlobalController, collect_timeout_s=0.15
+            )
             try:
                 await ctrl.run_cycles(2)
                 stages[2].pause()
@@ -239,7 +246,7 @@ class TestStallAndStaleDrain:
 class TestRegistration:
     def test_duplicate_stage_id_rejected(self):
         async def scenario():
-            ctrl, stages, tasks = await _cluster(3)
+            ctrl, stages, tasks = await _cluster(3, InProcessGlobalController)
             try:
                 reader, writer = await asyncio.open_connection(ctrl.host, ctrl.port)
                 await write_message(
@@ -304,7 +311,7 @@ class TestRegistration:
 
         async def scenario():
             loop_errors = _catch_loop_errors()
-            ctrl, stages, tasks = await _cluster(2)
+            ctrl, stages, tasks = await _cluster(2, InProcessGlobalController)
             try:
                 replies = [await _send_hello(ctrl, hello) for hello in bad_hellos]
                 # A heartbeat stream with a garbage beat in it, to a

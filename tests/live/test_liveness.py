@@ -17,7 +17,11 @@ import pytest
 from repro.cli import main
 from repro.core.control_plane import default_policy
 from repro.live.aggregator_server import LiveAggregator
-from repro.live.controller_server import LiveGlobalController, LiveHierGlobalController
+from repro.live.controller_server import (
+    InProcessGlobalController,
+    LiveGlobalController,
+    LiveHierGlobalController,
+)
 from repro.live.harness import LiveHierPlane
 from repro.live.sessions import phase_deadline_s
 from repro.live.stage_client import LiveVirtualStage
@@ -45,7 +49,7 @@ class TestDeadlineRule:
         controller waits that out plus its tree's own, so the answer is
         never what its deadline cuts off."""
         ctrl = LiveHierGlobalController(default_policy(n), n_aggregators)
-        flat = LiveGlobalController(default_policy(n), n)
+        flat = InProcessGlobalController(default_policy(n), n)
         ids = [f"s-{i}" for i in range(n)]
         ctrl._home = dict.fromkeys(ids)
         flat.ledger.relayout([(sid, (sid,)) for sid in ids])
@@ -65,9 +69,9 @@ class TestDeadlineRule:
             assert agg._deadlines()[0] + 1.0 <= ctrl_s
 
     def test_a_configured_deadline_overrides_the_rule(self):
-        ctrl = LiveGlobalController(default_policy(4), 4, collect_timeout_s=0.3)
+        ctrl = InProcessGlobalController(default_policy(4), 4, collect_timeout_s=0.3)
         assert ctrl._deadlines() == (0.3, 0.3)
-        ctrl = LiveGlobalController(default_policy(4), 4, enforce_timeout_s=0.2)
+        ctrl = InProcessGlobalController(default_policy(4), 4, enforce_timeout_s=0.2)
         assert ctrl._deadlines() == (1.0, 0.2)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf], ids=repr)

@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.algorithms import PADLLThrottler
 from repro.core.policies import QoSPolicy
-from repro.live.controller_server import LiveGlobalController
+from repro.live.controller_server import InProcessGlobalController, LiveGlobalController
 from repro.live.stage_client import LiveVirtualStage
 
 
@@ -31,8 +31,9 @@ async def _teardown(ctrl, tasks):
     await asyncio.gather(*tasks, return_exceptions=True)
 
 
-async def _differentiated_cluster(n=2, **ctrl_kwargs):
-    ctrl = LiveGlobalController(
+async def _differentiated_cluster(n=2, cls=LiveGlobalController, **ctrl_kwargs):
+    """A case that reads the controller's internals builds it in-process."""
+    ctrl = cls(
         _policy(n), expected_stages=n, **ctrl_kwargs
     )
     await ctrl.start()
@@ -143,7 +144,7 @@ class TestDegradedCyclePerAxisFallback:
 
         async def scenario():
             ctrl, stages, tasks = await _differentiated_cluster(
-                collect_timeout_s=0.2,
+                cls=InProcessGlobalController, collect_timeout_s=0.2,
             )
             try:
                 await ctrl.run_cycles(2)

@@ -31,6 +31,7 @@ from repro.core.compute import ColumnarCompute
 from repro.core.policies import QoSPolicy
 from repro.live.aggregator_server import LiveAggregator
 from repro.live.controller_server import (
+    InProcessGlobalController,
     LiveGlobalController,
     LiveHierGlobalController,
 )
@@ -52,10 +53,13 @@ async def _until(condition, timeout_s=10.0):
     raise AssertionError("condition not reached")
 
 
-async def _flat(policy, spec, **ctrl_kwargs):
+async def _flat(policy, spec, cls=LiveGlobalController, **ctrl_kwargs):
     """Flat controller + one stage per ``(stage id, job id, demand)``,
-    registered one after the other (row and job order are ``spec``'s)."""
-    ctrl = LiveGlobalController(policy, expected_stages=len(spec), **ctrl_kwargs)
+    registered one after the other (row and job order are ``spec``'s). A
+    case that reads or drives the controller's internals — or mutates an
+    object it shares with the controller, such as its policy — builds it
+    in-process (``cls``)."""
+    ctrl = cls(policy, expected_stages=len(spec), **ctrl_kwargs)
     await ctrl.start()
     stages, tasks = {}, []
     for stage_id, job_id, demand in spec:
@@ -216,7 +220,7 @@ class TestDifferentialReplay:
         async def scenario():
             spec = [(s, j, trace[0][i]) for i, (s, j) in enumerate(zip(_IDS, _JOBS))]
             ctrl, stages, tasks = await _flat(
-                _policy(differentiated), spec,
+                _policy(differentiated), spec, InProcessGlobalController,
                 collect_timeout_s=0.5, evicted_grace_cycles=3,
             )
             seen = []
@@ -403,6 +407,7 @@ def _flat_wire(n_stages, cycles=3):
         ctrl, _, tasks = await _flat(
             QoSPolicy(pfs_capacity_iops=1000.0 * n_stages),
             [(f"s-{i:03d}", f"j-{i:03d}", (1000.0, 200.0)) for i in range(n_stages)],
+            InProcessGlobalController,
         )
         cols = ctrl.columns
 
@@ -486,6 +491,7 @@ class TestMechanismCounts:
         ctrl, stages, tasks = await _flat(
             policy,
             [(f"s-{i}", f"j-{i}", d) for i, d in enumerate(demands)],
+            InProcessGlobalController,
             collect_timeout_s=0.5, evicted_grace_cycles=2,
             enforce_changed_only=True, rule_change_tolerance=tolerance,
             metrics=registry,
@@ -549,7 +555,7 @@ class TestFailureSemantics:
         async def scenario():
             spec = [(f"s-{i}", f"j-{i}", (500.0, 50.0)) for i in range(4)]
             ctrl, stages, tasks = await _flat(
-                QoSPolicy(pfs_capacity_iops=1200.0), spec,
+                QoSPolicy(pfs_capacity_iops=1200.0), spec, InProcessGlobalController,
                 collect_timeout_s=0.2, enforce_timeout_s=0.2,
             )
             try:
@@ -606,7 +612,7 @@ class TestFailureSemantics:
         async def scenario():
             spec = [(f"s-{i}0", f"j-{i}", (100.0, 10.0)) for i in range(4)]
             ctrl, stages, tasks = await _flat(
-                QoSPolicy(pfs_capacity_iops=1e6), spec,
+                QoSPolicy(pfs_capacity_iops=1e6), spec, InProcessGlobalController,
                 collect_timeout_s=0.5, evicted_grace_cycles=4,
                 enforce_changed_only=True,
             )
@@ -638,12 +644,12 @@ class TestFailureSemantics:
         """Registration is the fan's, for both of its owners: a hello
         that arrives on a connection accepted before ``kill()`` is aborted
         — no session, no ``registered`` from the dead."""
-        assert issubclass(LiveGlobalController, StageFan)
+        assert issubclass(InProcessGlobalController, StageFan)
         assert issubclass(LiveAggregator, StageFan)
-        assert LiveGlobalController._on_hello is LiveAggregator._on_hello
+        assert InProcessGlobalController._on_hello is LiveAggregator._on_hello
 
         async def scenario():
-            ctrl = LiveGlobalController(
+            ctrl = InProcessGlobalController(
                 QoSPolicy(pfs_capacity_iops=1000.0), expected_stages=1
             )
             await ctrl.start()
@@ -718,7 +724,8 @@ class TestFanTracing:
 
         async def scenario():
             ctrl, _, tasks = await _flat(
-                QoSPolicy(pfs_capacity_iops=1000.0), [("s-0", "j-0", (10.0, 1.0))]
+                QoSPolicy(pfs_capacity_iops=1000.0), [("s-0", "j-0", (10.0, 1.0))],
+                InProcessGlobalController,
             )
             calls = []
             ctrl._stamped = lambda *args: calls.append(args)

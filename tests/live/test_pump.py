@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from repro.core.control_plane import default_policy
 from repro.live import pump
 from repro.live.codec import frame_packer
-from repro.live.controller_server import LiveGlobalController
+from repro.live.controller_server import InProcessGlobalController, LiveGlobalController
 from repro.live.harness import LiveHierPlane
 from repro.live.protocol import FrameLink
 from repro.live.sessions import Session, gather_replies
@@ -331,8 +331,10 @@ class TestMechanism:
     """One descriptor under asyncio, one ``Handle`` per burst."""
 
     @staticmethod
-    async def _flat(n):
-        ctrl = LiveGlobalController(default_policy(n), expected_stages=n)
+    async def _flat(n, cls=LiveGlobalController):
+        """A case that counts what the controller's own half costs this
+        loop builds it in-process (``cls``)."""
+        ctrl = cls(default_policy(n), expected_stages=n)
         await ctrl.start()
         stages = [
             LiveVirtualStage(ctrl.host, ctrl.port, f"s-{i:03d}", f"j-{i:03d}")
@@ -367,7 +369,7 @@ class TestMechanism:
         n = 200
 
         async def scenario():
-            ctrl = LiveGlobalController(default_policy(n), expected_stages=n)
+            ctrl = InProcessGlobalController(default_policy(n), expected_stages=n)
             await ctrl.start()
             selector = asyncio.get_running_loop()._selector
             calls = {"register": 0, "unregister": 0}
@@ -403,7 +405,7 @@ class TestMechanism:
             return run(handle)
 
         async def scenario():
-            ctrl, tasks = await self._flat(n)
+            ctrl, tasks = await self._flat(n, InProcessGlobalController)
             try:
                 await ctrl.run_cycles(2)
                 monkeypatch.setattr(asyncio.events.Handle, "_run", counting)

@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.policies import QoSPolicy
 from repro.guard import DemandClamp
-from repro.live.controller_server import LiveGlobalController
+from repro.live.controller_server import InProcessGlobalController, LiveGlobalController
 from repro.live.faults import kill_stage
 from repro.live.harness import LiveHierPlane
 from repro.live.stage_client import LiveVirtualStage
@@ -18,9 +18,11 @@ from repro.live.stage_client import LiveVirtualStage
 _BACKOFF = dict(backoff_base_s=0.02, backoff_factor=1.5, backoff_max_s=0.1)
 
 
-async def _flat(policy, demands, **ctrl_kwargs):
-    """Flat controller + one registered stage per ``(data, meta)`` demand."""
-    ctrl = LiveGlobalController(policy, expected_stages=len(demands), **ctrl_kwargs)
+async def _flat(policy, demands, cls=LiveGlobalController, **ctrl_kwargs):
+    """Flat controller + one registered stage per ``(data, meta)`` demand.
+    A case that reads the controller's columns builds it in-process
+    (``cls``)."""
+    ctrl = cls(policy, expected_stages=len(demands), **ctrl_kwargs)
     await ctrl.start()
     stages = [
         LiveVirtualStage(
@@ -64,7 +66,7 @@ class TestRejectedReports:
         policy = QoSPolicy(pfs_capacity_iops=1500.0)
 
         async def scenario(demands):
-            ctrl, _, tasks = await _flat(policy, demands)
+            ctrl, _, tasks = await _flat(policy, demands, InProcessGlobalController)
             try:
                 await asyncio.wait_for(ctrl.run_cycles(3), timeout=10.0)
             finally:
@@ -87,6 +89,7 @@ class TestRejectedReports:
             ctrl, stages, tasks = await _flat(
                 QoSPolicy(pfs_capacity_iops=1500.0),
                 [(1000.0, 200.0), (400.0, 100.0), (700.0, 0.0)],
+                InProcessGlobalController,
             )
             try:
                 await ctrl.run_cycles(1)
@@ -136,6 +139,7 @@ class TestEvictedGrace:
         return await _flat(
             QoSPolicy(pfs_capacity_iops=2400.0),
             [(1000.0, 200.0)] * 4,
+            InProcessGlobalController,
             collect_timeout_s=0.5,
             evicted_grace_cycles=self.GRACE,
         )
@@ -234,6 +238,7 @@ class TestTrustLifetime:
             ctrl, _, tasks = await _flat(
                 QoSPolicy(pfs_capacity_iops=1e6),
                 [(1000.0, 200.0)] * 2,
+                InProcessGlobalController,
                 collect_timeout_s=0.5,
                 evicted_grace_cycles=grace,
                 demand_clamp=clamp,
@@ -277,6 +282,7 @@ class TestTrustLifetime:
             ctrl, stages, tasks = await _flat(
                 QoSPolicy(pfs_capacity_iops=1e6),
                 [(1000.0, 200.0)] * 2,
+                InProcessGlobalController,
                 collect_timeout_s=0.5,
                 evicted_grace_cycles=2,
                 demand_clamp=clamp,

@@ -1,19 +1,22 @@
-"""The aggregator tier's process boundary (:mod:`repro.live.tier`).
+"""The tier's process boundary (:mod:`repro.live.tier`).
 
-A ``LiveHierPlane`` forks one child for its aggregators. What a fork
-must not do: leave a process or a descriptor behind, keep a socket the
-parent closed alive, outlive the parent, or take a Ctrl-C meant for the
-parent's shutdown. It must be a fork, not a spawned interpreter: nothing
-re-imports the caller's ``__main__``, and a start costs a fork. The
-process-boundary cases drive the plane through a small adapter, which
-the subprocess cases import. What the tier must also keep: the counters
-and fault hooks the plane's callers read and pull through
-``plane.aggregators``.
+A ``LiveHierPlane`` forks one child for its aggregators, and a
+``LiveGlobalController`` one for itself. What a fork must not do: leave
+a process or a descriptor behind, keep a socket the parent closed alive,
+outlive the parent, or take a Ctrl-C meant for the parent's shutdown. It
+must be a fork, not a spawned interpreter: nothing re-imports the
+caller's ``__main__``, and a start costs a fork. The process-boundary
+cases drive a plane through a small adapter, which the subprocess cases
+import. What the tier must also keep: the counters and fault hooks the
+plane's callers read and pull through ``plane.aggregators``, and — for
+the flat controller — the very grants and cycle records the in-process
+controller computes.
 """
 
 import asyncio
 import json
 import os
+import random
 import signal
 import socket
 import subprocess
@@ -22,9 +25,15 @@ import textwrap
 import time
 from pathlib import Path
 
+import pytest
+
 import repro
+from repro.core.control_plane import default_policy
+from repro.live.controller_server import InProcessGlobalController, LiveGlobalController
 from repro.live.faults import kill_aggregator, kill_stage
 from repro.live.harness import LiveHierPlane
+from repro.live.stage_client import LiveVirtualStage
+from repro.live.tier import CALL_TIMEOUT_S
 
 _BACKOFF = dict(backoff_base_s=0.02, backoff_factor=1.5, backoff_max_s=0.1)
 _SRC = str(Path(repro.__file__).resolve().parents[1])
@@ -108,18 +117,86 @@ class HierPlane:
         await self.plane.stop()
 
 
+class FlatPlane:
+    """``LiveGlobalController`` as the process-boundary cases drive it:
+    the controller forked, its stages in this process."""
+
+    def __init__(self, n_stages, stage_backoff=None):
+        self.n_stages = n_stages
+        self.ctrl = None
+        self.stages = []
+        self._tasks = []
+        self._port = 0
+        self._backoff = stage_backoff or {}
+
+    async def _boot(self):
+        self.ctrl = LiveGlobalController(
+            default_policy(self.n_stages), self.n_stages, port=self._port
+        )
+        await self.ctrl.start()
+        self._port = self.ctrl.port
+
+    async def start(self):
+        await self._boot()
+        self.stages = [
+            LiveVirtualStage(
+                self.ctrl.host, self._port, f"stage-{i:05d}", f"job-{i:05d}",
+                **self._backoff,
+            )
+            for i in range(self.n_stages)
+        ]
+        self._tasks = [asyncio.create_task(s.run()) for s in self.stages]
+        await self.ready()
+
+    async def ready(self):
+        await self.ctrl.wait_for_stages()
+
+    def tiers(self):
+        tier = self.ctrl._tier if self.ctrl is not None else None
+        return [tier] if tier is not None else []
+
+    async def run_cycles(self, n):
+        return await self.ctrl.run_cycles(n)
+
+    async def kill(self):
+        """``kill -9`` on the controller; returns the tiers it killed."""
+        tiers = self.tiers()
+        os.kill(self.ctrl.pid, signal.SIGKILL)
+        await self.ctrl.shutdown()  # reaps
+        return tiers
+
+    async def restart(self):
+        """A new controller on the same port; the stages re-dial it."""
+        await self.kill()
+        await self._boot()
+
+    async def stop(self):
+        for stage in self.stages:
+            stage.stop()
+        await self.ctrl.shutdown()
+        for task in self._tasks:
+            task.cancel()
+        await asyncio.gather(*self._tasks, return_exceptions=True)
+
+
+def _left_nothing(scenario):
+    """Run ``scenario`` on a fresh loop; no child process and no
+    descriptor may outlive it."""
+    children, fds = _children(), _fds()
+    loop = asyncio.new_event_loop()
+    try:
+        inside = loop.run_until_complete(scenario())
+        loop.run_until_complete(asyncio.sleep(0.05))  # deferred closes
+    finally:
+        loop.close()
+    assert _children() == children
+    assert _fds() == fds
+    return inside
+
+
 class TestNothingLeftBehind:
     def _check(self, scenario):
-        children, fds = _children(), _fds()
-        loop = asyncio.new_event_loop()
-        try:
-            inside = loop.run_until_complete(scenario())
-            loop.run_until_complete(asyncio.sleep(0.05))  # deferred closes
-        finally:
-            loop.close()
-        assert _children() == children
-        assert _fds() == fds
-        return inside
+        return _left_nothing(scenario)
 
     def test_stop(self):
         async def scenario():
@@ -462,3 +539,157 @@ def test_start_is_a_fork_not_an_interpreter():
             await plane.stop()
 
     assert min(asyncio.run(timed_start()) for _ in range(3)) <= 0.25
+
+
+class TestFlatController:
+    """The flat controller's fork: the tier's flat plan."""
+
+    def test_start_is_a_fork_not_an_interpreter(self):
+        """The child runs this process's command line (a spawned
+        interpreter would not), is our child, and a start costs a fork:
+        the best of three is under 0.25 s."""
+
+        async def timed_start():
+            ctrl = LiveGlobalController(default_policy(48), 48)
+            began = time.perf_counter()
+            await ctrl.start()
+            took = time.perf_counter() - began
+            try:
+                with open(f"/proc/{ctrl.pid}/cmdline", "rb") as fh:
+                    cmdline = fh.read()
+                with open(f"/proc/{ctrl.pid}/stat") as fh:
+                    ppid = int(fh.read().rsplit(")", 1)[1].split()[1])
+            finally:
+                await ctrl.shutdown()
+            return took, cmdline, ppid
+
+        runs = [asyncio.run(timed_start()) for _ in range(3)]
+        with open("/proc/self/cmdline", "rb") as fh:
+            ours = fh.read()
+        assert all(cmdline == ours and ppid == os.getpid() for _, cmdline, ppid in runs)
+        assert min(took for took, _, _ in runs) <= 0.25
+
+    def test_the_parent_holds_only_the_stage_ends(self):
+        """Every stage connection has two ends: the stage's, here, and the
+        controller's session, in the child with its listener. This
+        process gains one descriptor a stage plus the channel and its
+        pump's epoll."""
+        n = 40
+
+        async def scenario():
+            before = _fds()
+            plane = FlatPlane(n)
+            await plane.start()
+            try:
+                parent = _fds() - before
+                child = len(os.listdir(f"/proc/{plane.ctrl.pid}/fd"))
+            finally:
+                await plane.stop()
+            return parent, child
+
+        parent, child = asyncio.run(scenario())
+        assert n <= parent <= n + 2
+        assert child >= n + 1
+
+    def test_the_fork_grants_what_the_in_process_controller_grants(self):
+        """Same seeded demands, five cycles: identical grants by stage id
+        and identical cycle records, field for field."""
+        n, cycles = 12, 5
+        rng = random.Random(5)
+        trace = [
+            [(rng.uniform(200.0, 3200.0), rng.uniform(10.0, 300.0)) for _ in range(n)]
+            for _ in range(cycles)
+        ]
+
+        async def replay(cls):
+            ctrl = cls(default_policy(n), n, collect_timeout_s=2.0)
+            await ctrl.start()
+            stages = [
+                LiveVirtualStage(ctrl.host, ctrl.port, f"s-{i:02d}", f"j-{i % 5}",
+                                 demand=trace[0][i])
+                for i in range(n)
+            ]
+            tasks = [asyncio.create_task(s.run()) for s in stages]
+            seen = []
+            try:
+                await ctrl.wait_for_stages()
+                for row in trace:
+                    for stage, demand in zip(stages, row):
+                        stage.demand = demand
+                    c = (await ctrl.run_cycles(1))[-1]
+                    seen.append(
+                        (dict(ctrl.last_allocations),
+                         (c.epoch, c.n_stages, c.n_missing, c.timed_out))
+                    )
+            finally:
+                await ctrl.shutdown()
+                for task in tasks:
+                    task.cancel()
+                await asyncio.gather(*tasks, return_exceptions=True)
+            return seen
+
+        local = asyncio.run(replay(InProcessGlobalController))
+        forked = asyncio.run(replay(LiveGlobalController))
+        assert forked == local
+        assert [record for _, record in forked] == [
+            (epoch, n, 0, False) for epoch in range(1, cycles + 1)
+        ]
+
+    def test_a_killed_child_fails_the_cycle_instead_of_hanging(self):
+        """SIGKILL the controller's process: the next ``run_cycles``
+        raises within a call's timeout, and ``shutdown`` still reaps it."""
+
+        async def scenario():
+            plane = FlatPlane(8)
+            await plane.start()
+            try:
+                await plane.run_cycles(1)
+                tier = plane.tiers()[0]
+                pid = plane.ctrl.pid
+                os.kill(pid, signal.SIGKILL)
+                started = time.monotonic()
+                with pytest.raises(RuntimeError):
+                    await asyncio.wait_for(plane.run_cycles(1), CALL_TIMEOUT_S)
+                took = time.monotonic() - started
+            finally:
+                await plane.stop()
+            return took, tier.returncode, pid
+
+        took, returncode, pid = _left_nothing(scenario)
+        assert took < CALL_TIMEOUT_S
+        assert returncode == -signal.SIGKILL
+        assert not _running(pid)
+
+
+class TestFlatNothingLeftBehind:
+    def test_stop(self):
+        async def scenario():
+            plane = FlatPlane(40)
+            await plane.start()
+            await plane.run_cycles(2)
+            tiers = plane.tiers()
+            await plane.stop()
+            return [tier.pid for tier in tiers], [tier.returncode for tier in tiers]
+
+        pids, returncodes = _left_nothing(scenario)
+        assert pids == [None] and returncodes == [0]
+
+    def test_fifty_restarts(self):
+        async def scenario():
+            plane = FlatPlane(40, stage_backoff=_BACKOFF)
+            await plane.start()
+            most = 0
+            try:
+                for _ in range(50):
+                    await plane.restart()
+                    most = max(most, len(_children()))
+                await plane.ready()
+                cycle = (await plane.run_cycles(1))[-1]
+                tiers = len(plane.tiers())
+            finally:
+                await plane.stop()
+            return most, tiers, cycle.n_missing
+
+        most, tiers, missing = _left_nothing(scenario)
+        assert most == len(_children()) + tiers  # no child outlives its restart
+        assert missing == 0

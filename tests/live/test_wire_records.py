@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from repro.core.policies import QoSPolicy
 from repro.live import protocol, sessions
 from repro.live.codec import BINARY_KINDS, decode_at, frame_packer, pack_rows
-from repro.live.controller_server import LiveGlobalController
+from repro.live.controller_server import InProcessGlobalController
 from repro.live.protocol import (
     MAX_FRAME,
     RECV_BUFFER_SIZE,
@@ -355,7 +355,7 @@ class TestMechanism:
             return wrapper
 
         async def scenario():
-            ctrl = LiveGlobalController(_differentiated(n), expected_stages=n)
+            ctrl = InProcessGlobalController(_differentiated(n), expected_stages=n)
             await ctrl.start()
             stages = [
                 LiveVirtualStage(ctrl.host, ctrl.port, f"s-{i:03d}", f"j-{i:03d}")
@@ -430,13 +430,13 @@ _FAULT_SCRIPT = """
     import asyncio, resource, sys
     sys.path.insert(0, {src!r})
     from repro.core.control_plane import default_policy
-    from repro.live.controller_server import LiveGlobalController
+    from repro.live.controller_server import InProcessGlobalController
     from repro.live.stage_client import LiveVirtualStage
 
     N, CYCLES = 200, 10
 
     async def main():
-        ctrl = LiveGlobalController(default_policy(N), expected_stages=N)
+        ctrl = InProcessGlobalController(default_policy(N), expected_stages=N)
         await ctrl.start()
         stages = [
             LiveVirtualStage(ctrl.host, ctrl.port, f"s-{{i:03d}}", f"j-{{i:03d}}")
