@@ -71,11 +71,7 @@ from repro.live.sessions import (
 )
 from repro.live.tier import CALL_TIMEOUT_S, SessionCounters, Tier, TierMember
 
-__all__ = [
-    "InProcessGlobalController",
-    "LiveGlobalController",
-    "LiveHierGlobalController",
-]
+__all__ = ["InProcessGlobalController", "LiveGlobalController", "LiveHierGlobalController"]
 
 #: Consecutive collect epochs an aggregator may miss before it is
 #: declared dead (its trunk cut, its stages orphaned until it re-joins).
@@ -430,7 +426,9 @@ class InProcessGlobalController(_LiveControllerBase, StageFan):
 class _TierController(TierMember, InProcessGlobalController):
     """The flat controller as its tier runs it."""
 
-    _ids_shipped: Optional[tuple] = None
+    #: The stage ids of the last grants answered, and their generation.
+    _ids: tuple = ()
+    _ids_gen = 0
 
     def __init__(self, tier, *args, **kwargs) -> None:
         super().__init__(tier, *args, **kwargs)
@@ -439,16 +437,16 @@ class _TierController(TierMember, InProcessGlobalController):
 
     async def run(self) -> None:
         await self._stopped.wait()
+        await self.shutdown()
 
     def stop(self) -> None:
-        """:meth:`shutdown`, then :meth:`run` returns."""
-        self._close_sessions({"kind": "shutdown"})
-        self._server.close()
+        """Have :meth:`run` shut the controller down and return."""
         self._stopped.set()
 
-    async def cycles_reply(self, n_cycles: int) -> dict:
+    async def cycles_reply(self, n_cycles: int, ids_gen: int) -> dict:
         """Run ``n_cycles``; answer with their records, the counters and the
-        grants (ids only when changed, limits as one packed vector)."""
+        grants: limits as one packed vector, and the stage ids they go
+        to whenever the caller's (generation ``ids_gen``) are not these."""
         async with self._cycling:
             first = len(self.cycles)
             await self.run_cycles(n_cycles)
@@ -461,8 +459,10 @@ class _TierController(TierMember, InProcessGlobalController):
                 self.rules_suppressed, self.stale_messages,
             ],
         }
-        if ids != self._ids_shipped:
-            self._ids_shipped = reply["ids"] = ids
+        if ids != self._ids:
+            self._ids, self._ids_gen = ids, self._ids_gen + 1
+        if ids_gen != self._ids_gen:
+            reply["ids"], reply["ids_gen"] = ids, self._ids_gen
         return reply
 
 
@@ -495,25 +495,32 @@ class LiveGlobalController:
     """The flat controller as a process of its own: built and used as
     :class:`InProcessGlobalController` is, but :meth:`start` forks a
     :mod:`repro.live.tier` child that runs one, on its own loop and core.
-    Cycle records and counters come with each ``run_cycles`` answer;
-    spans, metrics and usage (CPU and memory from the child's ``/proc``)
+    Cycle records, counters and metrics come with each ``run_cycles``
+    answer; spans and usage (CPU and memory from the child's ``/proc``)
     when the child exits."""
 
     def __init__(self, *args, **kwargs) -> None:
-        arguments = inspect.signature(InProcessGlobalController).bind(*args, **kwargs)
-        self._arguments = arguments.arguments
-        # Refuses what the child's would; only its settings are kept (a
-        # clamp is the child's to attach).
-        probe = InProcessGlobalController(**dict(self._arguments, demand_clamp=None))
+        arguments = self._arguments = (
+            inspect.signature(InProcessGlobalController).bind(*args, **kwargs).arguments
+        )
+        # The arguments are checked in three constructors (compute,
+        # session host, controller): building one here — without the
+        # observability and clamp the child's attaches, so it registers
+        # nothing — refuses what the child's would, and keeps its settings.
+        probe = InProcessGlobalController(**dict(
+            arguments, span_tracer=None, usage_meter=None, metrics=None, demand_clamp=None
+        ))
         self.host = probe.host
         self.port = probe.port
         self.expected_stages = probe.expected_stages
         self._timeouts = (probe.collect_timeout_s, probe.enforce_timeout_s)
-        tracer = probe.tracer if probe.tracer.enabled else None
+        tracer = arguments.get("span_tracer")
+        if tracer is not None and not tracer.enabled:
+            tracer = None
         self._track = tracer.track if tracer is not None else None
-        meter = probe.meter
+        meter = arguments.get("usage_meter")
         self._obs = SimpleNamespace(
-            tracer=tracer, usage=meter and meter.session, registry=probe.metrics
+            tracer=tracer, usage=meter and meter.session, registry=arguments.get("metrics")
         )
         self._meter = meter.name if self._obs.usage is not None else None
         self._tier: Optional[Tier] = None
@@ -524,6 +531,7 @@ class LiveGlobalController:
         self.rules_suppressed = 0
         self.stale_messages = 0
         self._ids: tuple = ()
+        self._ids_gen = 0
         self._limits = array("d")
 
     @property
@@ -572,11 +580,12 @@ class LiveGlobalController:
         derived = phase_deadline_s(max(self.expected_stages, self._tier.registered))
         phase_s = max(t or derived for t in self._timeouts)
         reply = await self._tier.acall(
-            "run_cycles", CALL_TIMEOUT_S + 4 * n_cycles * phase_s, n=n_cycles
+            "run_cycles", CALL_TIMEOUT_S + 4 * n_cycles * phase_s,
+            n=n_cycles, ids_gen=self._ids_gen,
         )
         self.cycles.extend(ControlCycle(*row) for row in reply["cycles"])
         if "ids" in reply:
-            self._ids = tuple(reply["ids"])
+            self._ids, self._ids_gen = tuple(reply["ids"]), reply["ids_gen"]
         self._limits = array("d", base64.b64decode(reply["limits"]))
         (
             self.evictions, self.outbox_frames_shed,

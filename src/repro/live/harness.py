@@ -20,8 +20,9 @@ cycle is recorded as wall-clock spans (Chrome-trace exportable), the run
 is sampled REMORA-style from ``/proc`` with per-controller attribution
 (:class:`~repro.obs.procfs.LiveUsageSession`), and control-plane metrics
 accumulate in a :class:`~repro.obs.metrics.MetricsRegistry` — optionally
-scrapeable over HTTP while the run cycles (``metrics_port``; a forked
-child's arrive when it exits).
+scrapeable over HTTP while the run cycles (``metrics_port``; the flat
+controller's arrive with each cycle it answers, the aggregator tier's
+when it exits).
 """
 
 from __future__ import annotations
@@ -175,7 +176,10 @@ def run_live_flat(
         stage_tasks = [asyncio.create_task(s.run()) for s in stages]
         try:
             await controller.wait_for_stages()
-            cycles = await controller.run_cycles(n_cycles)
+            # One answer a cycle: each brings the child's metrics, so
+            # what a scrape reads stays current while the run cycles.
+            for _ in range(n_cycles):
+                cycles = await controller.run_cycles(1)
         finally:
             await controller.shutdown()
             await obs.stop()

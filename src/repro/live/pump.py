@@ -21,11 +21,16 @@ registration burst of N stages costs the selector no ``register`` /
 
 Rules the drain keeps (asyncio's transports gave them for free):
 
-* **One poll per callback.** The drain never loops until the sockets run
-  dry: whatever became ready meanwhile makes the epoll readable again
-  (level-triggered) and is served on the loop's next iteration, after
-  the timers (phase deadlines), the REST door and the heartbeat streams
-  that share the loop have had their turn.
+* **One round of the links per callback.** The drain never loops until
+  the sockets run dry: whatever became ready meanwhile makes the epoll
+  readable again (level-triggered) and is served on the loop's next
+  iteration, after the timers (phase deadlines), the REST door and the
+  heartbeat streams that share the loop have had their turn. Except in
+  a *trickle* — another process's burst (a forked controller's fan-out)
+  arriving a frame per wake-up: a drain woken again within ``TRICKLE_S``
+  of the last, for under an eighth of its links, polls on (yielding the
+  CPU between empty polls, to a writer that may share it) until the
+  burst is quiet for ``TRICKLE_S`` or one round of the links is served.
 * **Exception isolation.** An exception escaping one link's callback
   goes to ``loop.call_exception_handler`` and loses *that* link; the
   rest of the batch is still served.
@@ -73,8 +78,10 @@ from __future__ import annotations
 import asyncio
 import errno
 import functools
+import os
 import select
 import socket
+import time
 import weakref
 from typing import Callable, Optional, Tuple
 
@@ -91,6 +98,8 @@ LOW_WATER = 16 * 1024
 #: How long a listener stops accepting after ``accept`` ran out of
 #: descriptors or memory, instead of spinning on a level-triggered fd.
 ACCEPT_RETRY_S = 1.0
+#: The quiet that ends a trickle (see the module docstring's rules).
+TRICKLE_S = 50e-6
 
 _IN = select.EPOLLIN
 _OUT = select.EPOLLOUT
@@ -116,7 +125,9 @@ def _pump_for(loop: asyncio.AbstractEventLoop) -> "_Pump":
 class _Pump:
     """One loop's epoll, the links, listeners and dials registered with it."""
 
-    __slots__ = ("loop", "_ep", "_links", "_listeners", "_connecting", "__weakref__")
+    __slots__ = (
+        "loop", "_ep", "_links", "_listeners", "_connecting", "_drained_at", "__weakref__"
+    )
 
     def __init__(self, loop: asyncio.AbstractEventLoop) -> None:
         self.loop = loop
@@ -124,6 +135,7 @@ class _Pump:
         self._links: dict = {}  # fd -> _Transport
         self._listeners: dict = {}  # fd -> _Listener
         self._connecting: dict = {}  # fd -> future, resolved on EPOLLOUT
+        self._drained_at = 0.0  # when the last drain returned
         loop.add_reader(self._ep.fileno(), self._drain)
 
     def attach(
@@ -174,10 +186,32 @@ class _Pump:
                 del _pumps[self.loop]
 
     def _drain(self) -> None:
-        """The loop's one callback per burst: poll once, serve the batch."""
+        """The loop's one callback per burst: poll once, serve the batch —
+        and, in a trickle, go on polling until it goes quiet."""
+        now = time.monotonic
+        woken = now()
+        registered = len(self._links) + len(self._listeners) + len(self._connecting)
+        events = self._ep.poll(0, registered)
+        self._serve(events)
+        if woken - self._drained_at < TRICKLE_S and 8 * len(events) < registered:
+            budget = registered - len(events)
+            quiet_at = now() + TRICKLE_S
+            while budget > 0 and not self._ep.closed:  # its last link may be gone
+                events = self._ep.poll(0, budget)
+                if events:
+                    self._serve(events)
+                    budget -= len(events)
+                    quiet_at = now() + TRICKLE_S
+                elif now() < quiet_at:
+                    os.sched_yield()
+                else:
+                    break
+        self._drained_at = now()
+
+    def _serve(self, events) -> None:
+        """Serve one poll's batch."""
         links = self._links
-        registered = len(links) + len(self._listeners) + len(self._connecting)
-        for fd, mask in self._ep.poll(0, registered):
+        for fd, mask in events:
             transport = links.get(fd)
             if transport is None:
                 # A listener, a dial with its verdict in — or a link lost

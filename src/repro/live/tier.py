@@ -45,7 +45,9 @@ Observability crosses the channel as data: with the parent observing,
 the tier keeps its own span list, metrics registry and usage meters and
 ships them in its last words, where they merge into the parent's tracer,
 registry (counters and histograms add, gauges take the tier's value)
-and usage session; the tier's CPU and memory come from its own
+and usage session; the metrics also ride with every awaited answer, so
+the parent's registry (and a scrape of it) is current while the flat
+controller cycles. The tier's CPU and memory come from its own
 ``/proc/<pid>`` (:meth:`repro.obs.procfs.LiveUsageSession.attach`).
 """
 
@@ -59,7 +61,6 @@ import signal
 import socket
 import sys
 import traceback
-from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.live import pump
@@ -79,8 +80,6 @@ __all__ = ["AggregatorHandle", "AggregatorTier", "SessionCounters", "Tier", "Tie
 CALL_TIMEOUT_S = 10.0
 #: How long the tier waits for its stage sockets to flush before exiting.
 _FLUSH_S = 1.0
-#: The observability bundle of a plane that observes nothing.
-_UNOBSERVED = SimpleNamespace(tracer=None, usage=None, registry=None)
 
 
 class SessionCounters(NamedTuple):
@@ -152,11 +151,11 @@ class Tier:
     """Parent side of the tier: fork it, call it, reap it.
 
     ``obs`` is the plane's observability bundle (``tracer``, ``usage``,
-    ``registry``; each may be ``None``, as all are when it is omitted).
+    ``registry``; each may be ``None``).
     """
 
-    def __init__(self, obs=None) -> None:
-        self._obs = obs if obs is not None else _UNOBSERVED
+    def __init__(self, obs) -> None:
+        self._obs = obs
         self.pid: Optional[int] = None
         #: The tier's exit status as ``subprocess`` reports one (negative:
         #: killed by that signal), once reaped.
@@ -168,6 +167,9 @@ class Tier:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._link = FrameLink(self._on_frame)
         self._seq = 0
+        #: The seq a blocking :meth:`call` waits for; a reply nobody waits
+        #: for (its caller timed out) is dropped.
+        self._calling: Optional[int] = None
         self._replies: Dict[int, dict] = {}
         self._waiting: Dict[int, asyncio.Future] = {}
         self._members_moved = asyncio.Event()
@@ -261,6 +263,7 @@ class Tier:
         if sock is None:
             return None
         seq, frame = self._frame(op, fields)
+        self._calling = seq
         try:
             sock.settimeout(CALL_TIMEOUT_S)
             sock.sendall(frame)
@@ -276,6 +279,7 @@ class Tier:
             self._on_eof()
             return None
         finally:
+            self._calling = None
             if self._sock is sock:
                 sock.setblocking(False)
         return self._replies.pop(seq)
@@ -283,7 +287,8 @@ class Tier:
     async def acall(self, op: str, timeout_s: float, **fields) -> dict:
         """:meth:`call`, awaited on this loop, which goes on serving the rest;
         ``RuntimeError`` if the tier exits, fails ``op`` or is silent
-        for ``timeout_s``."""
+        for ``timeout_s``. What the tier observed while ``op`` ran comes
+        with the reply and joins the parent's bundle here."""
         sock = self._sock
         if sock is None:
             raise RuntimeError("tier exited")
@@ -303,6 +308,8 @@ class Tier:
             raise RuntimeError(f"tier did not answer {op!r}") from None
         finally:
             self._waiting.pop(seq, None)
+        if "obs" in reply:
+            self._merge_obs(reply.pop("obs"))
         if "error" in reply:
             raise RuntimeError(f"tier failed {op!r}: {reply['error']}")
         return reply
@@ -351,11 +358,14 @@ class Tier:
             self.registered = message["n"]
             self._members_moved.set()
         elif kind == "tier_reply":
-            answered = self._waiting.pop(message["seq"], None)
-            if answered is None:
-                self._replies[message["seq"]] = message
-            elif not answered.done():
-                answered.set_result(message)
+            seq = message["seq"]
+            answered = self._waiting.pop(seq, None)
+            if answered is not None:
+                if not answered.done():
+                    answered.set_result(message)
+            elif seq == self._calling:
+                self._replies[seq] = message
+            # else: the answer to a call its caller gave up on
         elif kind == "tier_ready":
             if not self._ready.done():
                 self._ready.set_result(message["addresses"])
@@ -509,7 +519,7 @@ class _TierAggregator(TierMember, LiveAggregator):
 
 class _Tier:
     """The child's side: its servers — session hosts with ``run()``,
-    ``stop()`` and, on flat, ``cycles_reply(n)`` — and its end of the
+    ``stop()`` and, on flat, ``cycles_reply(n, ids_gen)`` — and its end of the
     channel. The handles it observes through are ``None`` for whatever
     the parent's bundle (``obs``) does not observe."""
 
@@ -596,7 +606,9 @@ class _Tier:
             server = self.servers[message.get("index", 0)]
             if op == "run_cycles":
                 task = asyncio.get_running_loop().create_task(
-                    self._answer(reply, server.cycles_reply(message["n"]))
+                    self._answer(
+                        reply, server.cycles_reply(message["n"], message["ids_gen"])
+                    )
                 )
                 self._answering.add(task)
                 task.add_done_callback(self._answering.discard)
@@ -609,11 +621,14 @@ class _Tier:
 
     async def _answer(self, reply: Dict[str, Any], work) -> None:
         """Send ``reply`` once ``work`` is done, with what it returned or
-        why it failed."""
+        why it failed, and the metrics observed meanwhile (so a parent's
+        registry is as current as its last answer)."""
         try:
             reply.update(await work)
         except Exception as exc:
             reply["error"] = repr(exc)
+        if self.registry is not None:
+            reply["obs"] = self._drain_metrics()
         if not (self._link.lost or self._link.closing):
             self._send(reply)
 
@@ -632,27 +647,8 @@ class _Tier:
                 [s.track, s.name, s.start_s, s.dur_s, s.parent, s.args] for s in spans
             ]
             spans.clear()
-        registry = self.registry
-        if registry is not None:
-            counters = []
-            for name, help_text, labels, counter in registry.series("counter"):
-                if counter.value:
-                    counters.append([name, help_text, labels, counter.value])
-                    counter.value = 0.0
-            shipped["counters"] = counters
-            shipped["gauges"] = [
-                [name, help_text, labels, gauge.value]
-                for name, help_text, labels, gauge in registry.series("gauge")
-            ]
-            histograms = []
-            for name, help_text, labels, metric in registry.series("histogram"):
-                hist = metric.histogram
-                if hist.total:
-                    histograms.append([name, help_text, labels, hist.state()])
-                    metric.histogram = LatencyHistogram(
-                        hist.min_value_s, hist.max_value_s, hist.buckets_per_decade
-                    )
-            shipped["histograms"] = histograms
+        if self.registry is not None:
+            shipped.update(self._drain_metrics())
         if self._meters:
             shipped["meters"] = {
                 name: [m.tx_bytes, m.rx_bytes, m.cpu_seconds]
@@ -662,6 +658,31 @@ class _Tier:
                 m.tx_bytes = m.rx_bytes = 0
                 m.cpu_seconds = 0.0
         return shipped
+
+    def _drain_metrics(self) -> dict:
+        """The registry's counts since the last drain and its gauges."""
+        registry = self.registry
+        counters = []
+        for name, help_text, labels, counter in registry.series("counter"):
+            if counter.value:
+                counters.append([name, help_text, labels, counter.value])
+                counter.value = 0.0
+        histograms = []
+        for name, help_text, labels, metric in registry.series("histogram"):
+            hist = metric.histogram
+            if hist.total:
+                histograms.append([name, help_text, labels, hist.state()])
+                metric.histogram = LatencyHistogram(
+                    hist.min_value_s, hist.max_value_s, hist.buckets_per_decade
+                )
+        return {
+            "counters": counters,
+            "gauges": [
+                [name, help_text, labels, gauge.value]
+                for name, help_text, labels, gauge in registry.series("gauge")
+            ],
+            "histograms": histograms,
+        }
 
 
 def _stats(server) -> Dict[str, Any]:

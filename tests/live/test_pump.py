@@ -331,10 +331,8 @@ class TestMechanism:
     """One descriptor under asyncio, one ``Handle`` per burst."""
 
     @staticmethod
-    async def _flat(n, cls=LiveGlobalController):
-        """A case that counts what the controller's own half costs this
-        loop builds it in-process (``cls``)."""
-        ctrl = cls(default_policy(n), expected_stages=n)
+    async def _flat(n):
+        ctrl = LiveGlobalController(default_policy(n), expected_stages=n)
         await ctrl.start()
         stages = [
             LiveVirtualStage(ctrl.host, ctrl.port, f"s-{i:03d}", f"j-{i:03d}")
@@ -369,6 +367,9 @@ class TestMechanism:
         n = 200
 
         async def scenario():
+            # In-process: the listener puts this loop's pump in place
+            # before the count starts (a forked controller's stages would
+            # add the pump's one reader with their first dial).
             ctrl = InProcessGlobalController(default_policy(n), expected_stages=n)
             await ctrl.start()
             selector = asyncio.get_running_loop()._selector
@@ -405,7 +406,7 @@ class TestMechanism:
             return run(handle)
 
         async def scenario():
-            ctrl, tasks = await self._flat(n, InProcessGlobalController)
+            ctrl, tasks = await self._flat(n)
             try:
                 await ctrl.run_cycles(2)
                 monkeypatch.setattr(asyncio.events.Handle, "_run", counting)

@@ -29,11 +29,13 @@ import pytest
 
 import repro
 from repro.core.control_plane import default_policy
+from repro.live import controller_server
 from repro.live.controller_server import InProcessGlobalController, LiveGlobalController
 from repro.live.faults import kill_aggregator, kill_stage
 from repro.live.harness import LiveHierPlane
 from repro.live.stage_client import LiveVirtualStage
 from repro.live.tier import CALL_TIMEOUT_S
+from repro.obs.metrics import MetricsRegistry
 
 _BACKOFF = dict(backoff_base_s=0.02, backoff_factor=1.5, backoff_max_s=0.1)
 _SRC = str(Path(repro.__file__).resolve().parents[1])
@@ -659,6 +661,84 @@ class TestFlatController:
         assert took < CALL_TIMEOUT_S
         assert returncode == -signal.SIGKILL
         assert not _running(pid)
+
+
+    def test_an_answer_given_up_on_leaves_no_stale_grants(self, monkeypatch):
+        """A ``run_cycles`` that timed out across a membership change (the
+        cycle it asked for evicts a stage): its late answer is dropped,
+        not kept, and the next answer carries the new stage ids, so every
+        grant goes to a stage still registered."""
+        monkeypatch.setattr(controller_server, "CALL_TIMEOUT_S", 0.0)
+        n = 4
+
+        async def scenario():
+            ctrl = LiveGlobalController(default_policy(n), n, collect_timeout_s=0.05)
+            await ctrl.start()
+            stages = [
+                LiveVirtualStage(ctrl.host, ctrl.port, f"s-{i}", f"j-{i}") for i in range(n)
+            ]
+            tasks = [asyncio.create_task(s.run()) for s in stages]
+            try:
+                await ctrl.wait_for_stages()
+                await ctrl.run_cycles(1)
+                before = set(ctrl.last_allocations)
+                stages[0].stop()  # the first row leaves: every later id moves
+                await asyncio.sleep(0.1)  # its EOF reaches the child
+                os.kill(ctrl.pid, signal.SIGSTOP)
+                try:
+                    with pytest.raises(RuntimeError):
+                        await ctrl.run_cycles(1)  # times out: 4 phases of 0.05 s
+                finally:
+                    os.kill(ctrl.pid, signal.SIGCONT)
+                cycle = (await ctrl.run_cycles(1))[-1]
+                return before, dict(ctrl.last_allocations), cycle, dict(ctrl._tier._replies)
+            finally:
+                await ctrl.shutdown()
+                for task in tasks:
+                    task.cancel()
+                await asyncio.gather(*tasks, return_exceptions=True)
+
+        before, after, cycle, kept = _left_nothing(scenario)
+        assert before == {f"s-{i}" for i in range(n)}
+        assert set(after) == {f"s-{i}" for i in range(1, n)}
+        assert (cycle.n_stages, cycle.n_missing) == (n - 1, 0)
+        assert kept == {}
+
+
+    def test_the_registry_is_current_with_every_answer(self):
+        """The child's metrics ride with each ``run_cycles`` answer: while
+        it still runs, the caller's registry has counted every cycle."""
+        n = 6
+
+        async def scenario():
+            registry = MetricsRegistry()
+            ctrl = LiveGlobalController(default_policy(n), n, metrics=registry)
+            await ctrl.start()
+            stages = [
+                LiveVirtualStage(ctrl.host, ctrl.port, f"s-{i}", f"j-{i}") for i in range(n)
+            ]
+            tasks = [asyncio.create_task(s.run()) for s in stages]
+            counted = []
+            try:
+                await ctrl.wait_for_stages()
+                for _ in range(3):
+                    await ctrl.run_cycles(1)
+                    counted.append((
+                        sum(c.value for name, _, _, c in registry.series("counter")
+                            if name == "repro_cycles_total"),
+                        sum(h.histogram.total for name, _, _, h in registry.series("histogram")
+                            if name == "repro_cycle_seconds"),
+                        [g.value for name, _, _, g in registry.series("gauge")
+                         if name == "repro_sessions"],
+                    ))
+            finally:
+                await ctrl.shutdown()
+                for task in tasks:
+                    task.cancel()
+                await asyncio.gather(*tasks, return_exceptions=True)
+            return counted
+
+        assert _left_nothing(scenario) == [(k, k, [n]) for k in (1, 2, 3)]
 
 
 class TestFlatNothingLeftBehind:
