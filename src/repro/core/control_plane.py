@@ -33,7 +33,7 @@ from repro.core.costs import CostModel, FRONTERA_COST_MODEL
 from repro.core.cycle import CycleStats
 from repro.core.policies import QoSPolicy
 from repro.core.registry import partition_stages
-from repro.dataplane.virtual_stage import ConstantSource, MetricSource, VirtualStage
+from repro.dataplane.virtual_stage import STRESS_SOURCE, MetricSource, VirtualStage
 from repro.monitoring.remora import RemoraReport, RemoraSession
 from repro.obs.spans import SpanRecord, SpanTracer, sim_clock
 from repro.simnet.engine import Environment
@@ -65,7 +65,9 @@ class ControlPlaneConfig:
 
     ``job_of(i)`` maps stage index to job id; the default gives each stage
     its own job, matching the paper's one-stage-per-node stress setup.
-    ``source_factory(stage_id)`` builds each stage's metric source.
+    ``source_factory(stage_id)`` builds each stage's metric source; the
+    default hands every stage the one shared
+    :data:`~repro.dataplane.virtual_stage.STRESS_SOURCE`.
     """
 
     n_stages: int
@@ -84,7 +86,7 @@ class ControlPlaneConfig:
     trace_spans: bool = False
     job_of: Callable[[int], str] = field(default=lambda i: f"job-{i:05d}")
     source_factory: Callable[[str], MetricSource] = field(
-        default=lambda stage_id: ConstantSource()
+        default=lambda stage_id: STRESS_SOURCE
     )
     stage_cls: type = VirtualStage
 
@@ -138,7 +140,7 @@ class _DeployedPlane:
 
     # -- construction helpers ------------------------------------------------
     def _build_stages(self) -> None:
-        """Create stage hosts and bind one virtual stage per endpoint."""
+        """Create stage hosts and attach one virtual stage per stage id."""
         cfg = self.config
         n_hosts = math.ceil(cfg.n_stages / cfg.stages_per_host)
         for h in range(n_hosts):
@@ -154,7 +156,7 @@ class _DeployedPlane:
                 source=cfg.source_factory(stage_id),
                 costs=cfg.costs,
             )
-            stage.bind(self.cluster.network.attach(host, stage_id))
+            stage.attach(self.cluster.network, host, stage_id)
             self.stages.append(stage)
 
     def _connect_stages(self, controller, stages: Iterable[VirtualStage]) -> None:

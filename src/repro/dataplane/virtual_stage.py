@@ -4,11 +4,12 @@ A virtual stage "mimics the behavior of a regular stage without the need
 to run real applications" (paper §III-C): it answers every metric request
 with current data/metadata IOPS readings and acknowledges every
 enforcement rule. Fifty of them run per physical compute node in the
-study; here each is a reactive endpoint handler, so 10,000 stages cost
-only their message traffic and a handful of small objects each: the
-stage (slotted, no instance dict), its metric source, its endpoint —
-which never builds an inbox, because a handler serves it — and one
-connection and channel per controller link.
+study; here each is a simulated :class:`~repro.simnet.transport.Endpoint`
+of its own that answers in its ``_deliver``, so 10,000 stages cost only
+their message traffic and three small objects each: the stage (slotted,
+no instance dict, no inbox) and one connection and channel per
+controller link. Default stages share one metric source,
+:data:`STRESS_SOURCE`.
 
 The IOPS values come from a :class:`MetricSource`, which the workload
 generators in :mod:`repro.jobs.workloads` implement; the stress workload
@@ -25,7 +26,7 @@ from repro.core.costs import CostModel, FRONTERA_COST_MODEL
 from repro.core.rules import EnforcementRule
 from repro.simnet.engine import Environment
 from repro.simnet.node import SimHost
-from repro.simnet.transport import Connection, Endpoint, Message
+from repro.simnet.transport import Connection, Endpoint, Message, Network
 
 __all__ = ["MetricSource", "VirtualStage"]
 
@@ -51,20 +52,29 @@ class ConstantSource:
         return (self.data_iops, self.metadata_iops)
 
 
-class VirtualStage:
+#: The source every stage built without one reports from. It holds no
+#: per-stage state and nothing mutates it, so one serves a whole plane.
+STRESS_SOURCE = ConstantSource()
+
+
+class VirtualStage(Endpoint):
     """A lightweight stage: replies to metric requests, acks rules.
 
-    Attach to an endpoint with :meth:`bind`; the stage then serves all
-    controllers connected to that endpoint. A ``rule`` carries ``(epoch,
-    data_limit, metadata_limit)``; stale rules (an epoch not newer than
-    the applied one) are ignored but still acknowledged, so a recovering
-    controller cannot roll a stage's limit backwards. The applied rule is
-    kept as those three scalars (``applied_epoch`` is ``-1`` before the
-    first rule), not as a record that would live for a whole cycle.
+    The stage is its own endpoint: :meth:`attach` registers it on a
+    network, and it then serves every controller connected to it
+    (``stage.endpoint`` is the stage). A handler set on it with
+    :meth:`~repro.simnet.transport.Endpoint.set_handler` takes every
+    message in its place, until it is set back to ``None``. A ``rule``
+    carries ``(epoch, data_limit, metadata_limit)``; stale rules (an
+    epoch not newer than the applied one) are ignored but still
+    acknowledged, so a recovering controller cannot roll a stage's limit
+    backwards. The applied rule is kept as those three scalars
+    (``applied_epoch`` is ``-1`` before the first rule), not as a record
+    that would live for a whole cycle.
     """
 
     __slots__ = (
-        "env", "stage_id", "job_id", "source", "costs", "endpoint",
+        "stage_id", "job_id", "source", "costs",
         "applied_epoch", "applied_data_limit", "applied_metadata_limit",
         "requests_served", "rules_applied", "rules_ignored_stale",
     )
@@ -77,12 +87,12 @@ class VirtualStage:
         source: Optional[MetricSource] = None,
         costs: CostModel = FRONTERA_COST_MODEL,
     ) -> None:
-        self.env = env
+        # Host and name are set when the stage is attached.
+        super().__init__(env, None, stage_id)
         self.stage_id = stage_id
         self.job_id = job_id
-        self.source = source or ConstantSource()
+        self.source = source or STRESS_SOURCE
         self.costs = costs
-        self.endpoint: Optional[Endpoint] = None
         self.applied_epoch = -1
         self.applied_data_limit = float("inf")
         self.applied_metadata_limit = float("inf")
@@ -90,15 +100,30 @@ class VirtualStage:
         self.rules_applied = 0
         self.rules_ignored_stale = 0
 
-    def bind(self, endpoint: Endpoint) -> None:
-        """Serve requests arriving at ``endpoint``."""
-        self.endpoint = endpoint
-        endpoint.set_handler(self._on_message)
+    def attach(self, network: Network, host: SimHost, service: str) -> None:
+        """Serve requests as ``service`` on ``host``, registered on
+        ``network`` as :meth:`Network.attach` names an endpoint."""
+        self.host = host
+        self.name = f"{host.name}/{service}"
+        network.register(self)
+
+    @property
+    def endpoint(self) -> "VirtualStage":
+        """The endpoint controllers connect to: the stage itself."""
+        return self
 
     # -- message handling -------------------------------------------------------
-    def _on_message(self, message: Message, connection: Connection) -> None:
+    def _deliver(self, message: Message, connection: Connection) -> None:
+        if connection.closed:
+            return  # closed while in flight: lost with the connection
+        host = self.host
+        nic = host.nic
+        nic.rx_bytes += message.size_bytes
+        nic.rx_messages += 1
+        if self.handler is not None:
+            self.handler(message, connection)
+            return
         cm = self.costs
-        host = self.endpoint.host
         host.charge(cm.stage_cpu_per_msg_s)
         if message.kind == "collect_req":
             # The live wire's record shape: the receiver knows the sender,
@@ -107,7 +132,7 @@ class VirtualStage:
             data_iops, metadata_iops = self.source.sample(self.stage_id, self.env.now)
             self.requests_served += 1
             connection.send(
-                self.endpoint,
+                self,
                 "metrics_reply",
                 (message.payload, data_iops, metadata_iops),
                 cm.metrics_reply_bytes,
@@ -124,7 +149,7 @@ class VirtualStage:
             else:
                 self.rules_ignored_stale += 1
             connection.send(
-                self.endpoint,
+                self,
                 "rule_ack",
                 epoch,
                 cm.ack_bytes,

@@ -110,9 +110,8 @@ class JobScheduler:
             source=self.source_factory(stage_id),
             costs=self.controller.costs,
         )
-        endpoint = self.cluster.network.attach(self.stage_host, stage_id)
-        stage.bind(endpoint)
-        conn = self.cluster.network.connect(self.controller_endpoint, endpoint)
+        stage.attach(self.cluster.network, self.stage_host, stage_id)
+        conn = self.cluster.network.connect(self.controller_endpoint, stage)
         self.controller.add_stage(
             stage_id,
             job_id,

@@ -443,16 +443,17 @@ class _TierController(TierMember, InProcessGlobalController):
         """Have :meth:`run` shut the controller down and return."""
         self._stopped.set()
 
-    async def cycles_reply(self, n_cycles: int, ids_gen: int) -> dict:
-        """Run ``n_cycles``; answer with their records, the counters and the
-        grants: limits as one packed vector, and the stage ids they go
-        to whenever the caller's (generation ``ids_gen``) are not these."""
+    async def cycles_reply(self, n_cycles: int, have: int, ids_gen: int) -> dict:
+        """Run ``n_cycles``; answer with every record past the caller's
+        first ``have`` (those of a call it gave up on too), the counters
+        and the grants: limits as one packed vector, and the stage ids
+        they go to whenever the caller's (generation ``ids_gen``) are not
+        these."""
         async with self._cycling:
-            first = len(self.cycles)
             await self.run_cycles(n_cycles)
         ids, limits = self._last_grants
         reply = {
-            "cycles": [astuple(c) for c in self.cycles[first:]],
+            "cycles": [astuple(c) for c in self.cycles[have:]],
             "limits": base64.b64encode(array("d", limits).tobytes()).decode("ascii"),
             "counts": [
                 self.evictions, self.outbox_frames_shed,
@@ -581,7 +582,7 @@ class LiveGlobalController:
         phase_s = max(t or derived for t in self._timeouts)
         reply = await self._tier.acall(
             "run_cycles", CALL_TIMEOUT_S + 4 * n_cycles * phase_s,
-            n=n_cycles, ids_gen=self._ids_gen,
+            n=n_cycles, have=len(self.cycles), ids_gen=self._ids_gen,
         )
         self.cycles.extend(ControlCycle(*row) for row in reply["cycles"])
         if "ids" in reply:

@@ -365,7 +365,10 @@ class Tier:
                     answered.set_result(message)
             elif seq == self._calling:
                 self._replies[seq] = message
-            # else: the answer to a call its caller gave up on
+            elif "obs" in message:
+                # The answer to a call its caller gave up on: what the
+                # tier observed meanwhile is drained, and ships only here.
+                self._merge_obs(message["obs"])
         elif kind == "tier_ready":
             if not self._ready.done():
                 self._ready.set_result(message["addresses"])
@@ -519,9 +522,9 @@ class _TierAggregator(TierMember, LiveAggregator):
 
 class _Tier:
     """The child's side: its servers — session hosts with ``run()``,
-    ``stop()`` and, on flat, ``cycles_reply(n, ids_gen)`` — and its end of the
-    channel. The handles it observes through are ``None`` for whatever
-    the parent's bundle (``obs``) does not observe."""
+    ``stop()`` and, on flat, ``cycles_reply(n, have, ids_gen)`` — and its
+    end of the channel. The handles it observes through are ``None`` for
+    whatever the parent's bundle (``obs``) does not observe."""
 
     def __init__(self, sock: socket.socket, build, obs) -> None:
         self._sock = sock
@@ -607,7 +610,10 @@ class _Tier:
             if op == "run_cycles":
                 task = asyncio.get_running_loop().create_task(
                     self._answer(
-                        reply, server.cycles_reply(message["n"], message["ids_gen"])
+                        reply,
+                        server.cycles_reply(
+                            message["n"], message["have"], message["ids_gen"]
+                        ),
                     )
                 )
                 self._answering.add(task)

@@ -102,6 +102,10 @@ class Resource:
             self.users.remove(request)
         except ValueError:
             raise SimulationError("release() of a request that holds no slot")
+        # A grant's value is the request itself, so that ``yield req``
+        # returns it; dropping that self-reference here lets a released
+        # request free by reference counting, not by the collector.
+        request._value = None
         self._grant_next()
 
     def _withdraw(self, request: Request) -> None:

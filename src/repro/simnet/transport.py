@@ -10,21 +10,26 @@ oversubscribe — the benches assert this behaviour.
 Model
 -----
 * A :class:`~repro.simnet.node.SimHost` exposes named :class:`Endpoint`\\ s
-  (e.g. ``"controller"``, ``"stage-42"``).
+  (e.g. ``"controller"``, ``"stage-42"``). A virtual stage *is* an
+  endpoint, a subclass that :meth:`Network.register` files under its
+  ``host/stage-id`` name, so a stage needs no attachment object apart
+  from itself.
 * :meth:`Network.connect` opens a persistent, bidirectional
   :class:`Connection` between two endpoints, consuming one slot in each
   host's :class:`ConnectionPool` (like a TCP/RDMA QP pair).
 * :meth:`Connection.send` delivers a :class:`Message` after the link's
   transfer time (:meth:`Network.send_many` sends a fan-out burst the same
-  way, in one call); delivery invokes the destination endpoint's handler
-  (for reactive actors such as virtual stages) or enqueues into its inbox
-  (for process-style actors such as controllers). A message whose connection
-  closes while it is in flight is dropped at delivery.
+  way, in one call); delivery calls the destination's ``_deliver``. A
+  plain endpoint invokes its handler when one is set, or enqueues into
+  its inbox (for process-style actors such as controllers); a virtual
+  stage overrides ``_deliver`` and answers in place, unless a handler
+  set on it (a fault injector's black hole) takes the message first. A
+  message whose connection closes while it is in flight is dropped at
+  delivery.
 * An endpoint builds its inbox when a process first receives from it, so
-  a handler endpoint (every virtual stage) never holds one. It keeps no
-  registry of its connections either: a delivered message names the
-  connection it came over (``message.via``), and the answer goes back
-  on that.
+  a virtual stage never holds one. It keeps no registry of its
+  connections either: a delivered message names the connection it came
+  over (``message.via``), and the answer goes back on that.
 
 Every byte is counted on both NICs, which is where the MB/s columns of
 Tables II–IV come from.
@@ -90,8 +95,9 @@ class Endpoint:
 
     Reactive actors register a ``handler(message, connection)`` callback;
     process-style actors ``yield endpoint.recv()``. The inbox those
-    receive from is built on first use, so a handler endpoint (a virtual
-    stage) holds its name, host and handler and nothing else.
+    receive from is built on first use, so a handler endpoint holds its
+    name, host and handler and nothing else. Subclasses (a virtual
+    stage) may override :meth:`_deliver` to serve messages themselves.
     """
 
     __slots__ = ("env", "host", "name", "handler", "_inbox")
@@ -434,10 +440,14 @@ class Network:
 
     def attach(self, host: SimHost, service: str) -> Endpoint:
         """Create a uniquely named endpoint for ``service`` on ``host``."""
-        name = f"{host.name}/{service}"
+        return self.register(Endpoint(self.env, host, f"{host.name}/{service}"))
+
+    def register(self, endpoint: Endpoint) -> Endpoint:
+        """Attach ``endpoint`` — built elsewhere, as a virtual stage is —
+        under its name, which must be unique."""
+        name = endpoint.name
         if name in self._endpoints:
             raise SimulationError(f"endpoint {name!r} already attached")
-        endpoint = Endpoint(self.env, host, name)
         self._endpoints[name] = endpoint
         return endpoint
 

@@ -280,9 +280,8 @@ class TestReAddedStage:
             source=plane.config.source_factory(departed.stage_id),
             costs=ctrl.costs,
         )
-        endpoint = net.attach(plane.stage_hosts[0], departed.stage_id + "-again")
-        stage.bind(endpoint)
-        conn = net.connect(ctrl.endpoint, endpoint)
+        stage.attach(net, plane.stage_hosts[0], departed.stage_id + "-again")
+        conn = net.connect(ctrl.endpoint, stage)
         ctrl.add_stage(
             stage.stage_id,
             stage.job_id,

@@ -3,12 +3,18 @@
 A 10,000-stage plane is mostly its stages, so what one stage costs is
 what the plane costs. The cost is counted here as objects the cyclic
 collector tracks, which does not depend on the host: a stage is its
-``VirtualStage``, its metric source, its endpoint and bound handler, and
-one connection and one channel to its controller. Before stages were
-slotted a build made 12.3 per stage — an inbox no stage reads and its
-two lists, a per-endpoint connection registry, a two-list FIFO floor per
-connection, instance dicts, and a ``(stage, endpoint)`` index that a
-self-recursive builder kept alive as 1,012 objects of cyclic garbage.
+``VirtualStage`` — which is its own endpoint, so there is no separate
+``Endpoint`` and no bound-method handler — and one connection and one
+channel to its controller. Default stages share one metric source.
+Before stages were slotted a build made 12.3 per stage: an inbox no
+stage reads and its two lists, a per-endpoint connection registry, a
+two-list FIFO floor per connection, instance dicts, and a ``(stage,
+endpoint)`` index that a self-recursive builder kept alive as 1,012
+objects of cyclic garbage. Slotted, it made 6.1-6.4, until the endpoint,
+its handler and the per-stage source went.
+
+A DES cycle leaves no garbage either: a granted CPU request, whose value
+is the request itself, drops that self-reference on release.
 """
 
 import gc
@@ -22,7 +28,7 @@ from repro.core.control_plane import (
     HierarchicalControlPlane,
 )
 from repro.core.controller import ChildChannel
-from repro.dataplane.virtual_stage import VirtualStage
+from repro.dataplane.virtual_stage import STRESS_SOURCE, VirtualStage
 from repro.simnet.engine import Environment
 from repro.simnet.node import SimHost
 from repro.simnet.transport import Connection, Endpoint, Network
@@ -63,11 +69,11 @@ def _counted_build(build):
 
 @pytest.mark.parametrize("design", sorted(BUILDS))
 class TestBuildFootprint:
-    def test_at_most_six_and_a_half_tracked_objects_per_stage(self, design):
-        # Five per stage and its link, the default ConstantSource, and
-        # the hosts and controllers spread over the stages.
+    def test_at_most_three_and_a_half_tracked_objects_per_stage(self, design):
+        # Three per stage and its link, and the hosts and controllers
+        # spread over the stages.
         _, made, _ = _counted_build(BUILDS[design])
-        assert made / N_STAGES <= 6.5
+        assert made / N_STAGES <= 3.5
 
     def test_a_build_leaves_no_cyclic_garbage(self, design):
         _, _, freed = _counted_build(BUILDS[design])
@@ -81,12 +87,25 @@ class TestStageLayout:
         channel = plane.aggregators[0].children[0]
         for obj, cls in (
             (stage, VirtualStage),
-            (stage.endpoint, Endpoint),
             (channel, ChildChannel),
             (channel.connection, Connection),
         ):
             assert type(obj) is cls
             assert not hasattr(obj, "__dict__"), cls.__name__
+
+    def test_a_stage_is_its_own_endpoint_with_no_bound_handler(self):
+        plane = BUILDS["hier"]()
+        for stage in plane.stages:
+            assert stage.endpoint is stage
+            assert isinstance(stage, Endpoint)
+            assert stage.handler is None
+        channel = plane.aggregators[0].children[0]
+        assert channel.connection.peer_of(channel.endpoint) is plane.stages[0]
+        assert not any(type(o) is Endpoint for o in gc.get_referents(*plane.stages))
+
+    def test_default_stages_share_one_source(self):
+        plane = BUILDS["flat"]()
+        assert {id(s.source) for s in plane.stages} == {id(STRESS_SOURCE)}
 
     def test_a_stage_endpoint_never_builds_an_inbox(self):
         plane = HierarchicalControlPlane.build(
@@ -137,3 +156,46 @@ class TestLazyInbox:
         env.process(receiver())
         env.run()
         assert got == [1]
+
+
+class TestCycleGarbage:
+    def test_warm_cycles_leave_no_cyclic_garbage(self):
+        plane = HierarchicalControlPlane.build(
+            ControlPlaneConfig(n_stages=N_STAGES), n_aggregators=4
+        )
+        plane.run_stress(n_cycles=2)
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            plane.run_stress(n_cycles=3)
+            freed = gc.collect()
+        finally:
+            if enabled:
+                gc.enable()
+        assert freed == 0
+        assert plane.global_controller.cycles[-1].epoch == 5
+
+    def test_a_granted_request_still_yields_itself_and_leaves_no_garbage(self):
+        env = Environment()
+        cpu = SimHost(env, "h", cores=1).cpu
+        got = []
+
+        def worker():
+            req = cpu.request()
+            got.append((yield req) is req)
+            cpu.release(req)
+
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            env.process(worker())
+            env.process(worker())  # queued behind the first, then granted
+            env.run()
+            freed = gc.collect()
+        finally:
+            if enabled:
+                gc.enable()
+        assert got == [True, True]
+        assert freed == 0

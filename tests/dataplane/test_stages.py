@@ -32,13 +32,12 @@ def env():
 
 
 def wire_stage(env, stage):
-    """Bind a stage and a controller-side endpoint on a 2-host cluster."""
+    """Attach a stage and a controller-side endpoint on a 2-host cluster."""
     cluster = build_cluster(env, 2)
     net = cluster.network
-    stage_ep = net.attach(cluster.host(0), stage.stage_id)
+    stage.attach(net, cluster.host(0), stage.stage_id)
     ctrl_ep = net.attach(cluster.host(1), "ctrl")
-    conn = net.connect(ctrl_ep, stage_ep)
-    stage.bind(stage_ep)
+    conn = net.connect(ctrl_ep, stage)
     return ctrl_ep, conn
 
 

@@ -667,12 +667,17 @@ class TestFlatController:
         """A ``run_cycles`` that timed out across a membership change (the
         cycle it asked for evicts a stage): its late answer is dropped,
         not kept, and the next answer carries the new stage ids, so every
-        grant goes to a stage still registered."""
+        grant goes to a stage still registered — and the records of the
+        cycle given up on, so the caller's epochs have no gap; its metrics
+        reach the caller's registry all the same."""
         monkeypatch.setattr(controller_server, "CALL_TIMEOUT_S", 0.0)
         n = 4
+        registry = MetricsRegistry()
 
         async def scenario():
-            ctrl = LiveGlobalController(default_policy(n), n, collect_timeout_s=0.05)
+            ctrl = LiveGlobalController(
+                default_policy(n), n, collect_timeout_s=0.05, metrics=registry
+            )
             await ctrl.start()
             stages = [
                 LiveVirtualStage(ctrl.host, ctrl.port, f"s-{i}", f"j-{i}") for i in range(n)
@@ -690,19 +695,28 @@ class TestFlatController:
                         await ctrl.run_cycles(1)  # times out: 4 phases of 0.05 s
                 finally:
                     os.kill(ctrl.pid, signal.SIGCONT)
-                cycle = (await ctrl.run_cycles(1))[-1]
-                return before, dict(ctrl.last_allocations), cycle, dict(ctrl._tier._replies)
+                cycles = await ctrl.run_cycles(1)
+                counted = sum(
+                    c.value for name, _, _, c in registry.series("counter")
+                    if name == "repro_cycles_total"
+                )
+                return (
+                    before, dict(ctrl.last_allocations), cycles,
+                    dict(ctrl._tier._replies), counted,
+                )
             finally:
                 await ctrl.shutdown()
                 for task in tasks:
                     task.cancel()
                 await asyncio.gather(*tasks, return_exceptions=True)
 
-        before, after, cycle, kept = _left_nothing(scenario)
+        before, after, cycles, kept, counted = _left_nothing(scenario)
         assert before == {f"s-{i}" for i in range(n)}
         assert set(after) == {f"s-{i}" for i in range(1, n)}
-        assert (cycle.n_stages, cycle.n_missing) == (n - 1, 0)
+        assert (cycles[-1].n_stages, cycles[-1].n_missing) == (n - 1, 0)
         assert kept == {}
+        assert [c.epoch for c in cycles] == [1, 2, 3]
+        assert counted == 3
 
 
     def test_the_registry_is_current_with_every_answer(self):

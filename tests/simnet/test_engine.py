@@ -827,6 +827,7 @@ class TestGoldenTrace:
             ControlPlaneConfig,
             HierarchicalControlPlane,
         )
+        from repro.dataplane.virtual_stage import VirtualStage
         from repro.simnet.transport import Endpoint
 
         class DeterministicSource:
@@ -847,26 +848,33 @@ class TestGoldenTrace:
             cfg, TestGoldenTrace.N_AGGREGATORS, env=env
         )
         trace = []
-        original = Endpoint._deliver
+        # Every delivery: to a controller's endpoint, and to a stage (an
+        # endpoint that serves its own).
+        originals = {cls: cls.__dict__["_deliver"] for cls in (Endpoint, VirtualStage)}
 
-        def spy(self, message, connection):
-            trace.append(
-                [
-                    f"{self.env.now:.9f}",
-                    message.kind,
-                    message.sender,
-                    message.recipient,
-                    message.size_bytes,
-                ]
-            )
-            return original(self, message, connection)
+        def spying_on(original):
+            def spy(self, message, connection):
+                trace.append(
+                    [
+                        f"{self.env.now:.9f}",
+                        message.kind,
+                        message.sender,
+                        message.recipient,
+                        message.size_bytes,
+                    ]
+                )
+                return original(self, message, connection)
 
-        Endpoint._deliver = spy
+            return spy
+
+        for cls, original in originals.items():
+            cls._deliver = spying_on(original)
         try:
             proc = plane.global_controller.run_cycles(TestGoldenTrace.N_CYCLES)
             env.run(until=proc)
         finally:
-            Endpoint._deliver = original
+            for cls, original in originals.items():
+                cls._deliver = original
         cycles = [
             [c.epoch, f"{c.started_at:.9f}", f"{c.collect_s:.9f}",
              f"{c.compute_s:.9f}", f"{c.enforce_s:.9f}"]
