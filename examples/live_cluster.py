@@ -12,7 +12,7 @@ Run:  python examples/live_cluster.py
 """
 
 from repro.harness.report import format_table
-from repro.live import run_live_flat
+from repro.live import run_live
 
 NODE_COUNTS = (10, 25, 50, 100)
 CYCLES = 25
@@ -21,7 +21,7 @@ CYCLES = 25
 def main() -> None:
     rows = []
     for n in NODE_COUNTS:
-        result = run_live_flat(n_stages=n, n_cycles=CYCLES)
+        result = run_live(n_stages=n, n_cycles=CYCLES)
         stats = result.stats(warmup=5)
         bd = stats.breakdown()
         rows.append(

@@ -14,8 +14,8 @@
 Every live leg runs through one per-cycle driver (:func:`_drive`):
 inject the cycle's actions, run one cycle, pause, read what every stage
 enforces (the plane's ``probe()``), check. Every live fault goes through one
-dispatch (:class:`_Faults`, over :mod:`repro.live.faults`): stage faults on
-in-process stages, aggregator faults through the plane's
+dispatch (:class:`_Faults`), which calls the targets' own hooks: stage faults
+on in-process stages, aggregator faults on the plane's
 :class:`~repro.live.tier.AggregatorHandle`\\ s. No leg raises on a violation:
 each returns a :class:`~repro.chaos.invariants.ChaosReport`, so CI can upload
 it before failing the step. Sim faults last a fixed number of *cycles*, live
@@ -28,7 +28,7 @@ import asyncio
 import contextlib
 from dataclasses import replace
 from typing import (
-    Awaitable, Callable, Coroutine, Dict, Iterable, List, Optional, Tuple
+    Awaitable, Callable, Dict, Iterable, List, Optional, Tuple
 )
 
 from repro.chaos.invariants import ChaosReport, InvariantChecker, Violation
@@ -39,7 +39,6 @@ from repro.chaos.schedule import (
     generate_restart_schedule,
     generate_schedule,
 )
-from repro.live.faults import kill_aggregator, kill_stage, stall_aggregator, stall_stage
 
 __all__ = [
     "run_chaos_sim",
@@ -75,7 +74,7 @@ def _check_applied(checker: InvariantChecker, cycle: int, rows: Iterable[Row]) -
 
 
 def _probed_rows(probed: Dict[str, dict]) -> List[Row]:
-    """Rows from a probe (:func:`repro.live.tier._probe`'s shape)."""
+    """Rows from a plane's ``probe()``."""
     return [(sid, r["applied_limit"], r["applied_epoch"]) for sid, r in probed.items()]
 
 
@@ -253,7 +252,7 @@ _RECOVER_S = 15.0
 
 
 class _Faults:
-    """The live legs' one fault dispatch, through :mod:`repro.live.faults`.
+    """The live legs' one fault dispatch, over the targets' own hooks.
 
     Stage faults act on in-process stages, a primary kill on a plane's
     hot-standby pair; aggregator faults on a plane's
@@ -271,21 +270,31 @@ class _Faults:
         """Inject ``action`` on its stage or aggregator of ``plane``."""
         kind, target = action.kind, action.target
         if kind == "kill_stage":
-            kill_stage(plane.stages[target])
+            plane.stages[target].kill()
         elif kind == "stall_stage":
-            self._stall(stall_stage(plane.stages[target], action.duration_s))
+            self._stall(plane.stages[target], action.duration_s)
         elif kind == "kill_primary":
             plane.kill_primary()
         elif target in self.down:
             pass
         elif kind == "stall_aggregator":
-            self._stall(stall_aggregator(plane.aggregators[target], action.duration_s))
+            self._stall(plane.aggregators[target], action.duration_s)
         elif kind == "kill_aggregator":
             self.down.add(target)
-            kill_aggregator(plane.aggregators[target])
+            plane.aggregators[target].kill()
 
-    def _stall(self, stall: Coroutine) -> None:
-        self._stalls.append(asyncio.create_task(stall))
+    def _stall(self, target, seconds: float) -> None:
+        """Pause ``target`` (a stage or an aggregator handle) for
+        ``seconds``; it resumes even if the stall is cancelled."""
+
+        async def stall() -> None:
+            target.pause()
+            try:
+                await asyncio.sleep(seconds)
+            finally:
+                target.resume()
+
+        self._stalls.append(asyncio.create_task(stall()))
 
     async def stop(self) -> None:
         for task in self._stalls:

@@ -303,28 +303,18 @@ def _deadline(text: str) -> float:
 
 
 def _cmd_live(args) -> int:
-    from repro.live import run_live_flat, run_live_hierarchical
+    from repro.live import run_live
 
     observe = bool(args.obs_out) or args.metrics_port is not None
-    if args.aggregators:
-        result = run_live_hierarchical(
-            n_stages=args.stages,
-            n_aggregators=args.aggregators,
-            n_cycles=args.cycles,
-            collect_timeout_s=args.collect_timeout,
-            enforce_timeout_s=args.enforce_timeout,
-            observe=observe,
-            metrics_port=args.metrics_port,
-        )
-    else:
-        result = run_live_flat(
-            n_stages=args.stages,
-            n_cycles=args.cycles,
-            collect_timeout_s=args.collect_timeout,
-            enforce_timeout_s=args.enforce_timeout,
-            observe=observe,
-            metrics_port=args.metrics_port,
-        )
+    result = run_live(
+        n_stages=args.stages,
+        n_aggregators=args.aggregators,
+        n_cycles=args.cycles,
+        collect_timeout_s=args.collect_timeout,
+        enforce_timeout_s=args.enforce_timeout,
+        observe=observe,
+        metrics_port=args.metrics_port,
+    )
     if args.obs_out:
         _write_trace(args.obs_out, result.spans, "wall")
     stats = result.stats()

@@ -123,7 +123,7 @@ class LiveAggregator(StageFan):
     def _send_up(self, message: dict) -> None:
         self._write_up(encode(message))
 
-    # -- fault-injection hooks (see repro.live.faults) -----------------------
+    # -- fault-injection hooks -------------------------------------------------
     def kill(self) -> None:
         """Die abruptly: abort every socket, stop listening (process kill).
 

@@ -3,9 +3,11 @@
 Whoever talks to stages — the flat controller directly, an aggregator on
 behalf of the hierarchical one (the aggregator layer of the paper's
 Fig. 6) — is a :class:`StageFan`: the flat
-:class:`~repro.live.controller_server.LiveGlobalController` is a fan plus
-the compute phase, a :class:`~repro.live.aggregator_server.LiveAggregator`
-a fan plus an uplink. It is the only class in :mod:`repro.live` that
+:class:`~repro.live.controller_server.InProcessGlobalController` (what a
+:class:`~repro.live.controller_server.LiveGlobalController` runs in its
+forked child) is a fan plus the compute phase, a
+:class:`~repro.live.aggregator_server.LiveAggregator` a fan plus an
+uplink. It is the only class in :mod:`repro.live` that
 accepts a ``register`` hello.
 
 On top of :class:`~repro.live.sessions.SessionHost` (listener,

@@ -1,12 +1,21 @@
-"""One-call live cluster runner.
+"""The live planes, and one call that runs one.
 
-Spins up a :class:`~repro.live.controller_server.LiveGlobalController` and
-``n_stages`` :class:`~repro.live.stage_client.LiveVirtualStage` clients
-over localhost TCP, runs the stress workload, and returns wall-clock
-cycle statistics. Every live plane keeps its stages on this process's
-loop and forks what faces them — the flat controller, or every
-aggregator of :class:`LiveHierPlane` — into a child (:mod:`repro.live.
-tier`); :class:`LiveFlatPair` keeps both of its controllers here.
+Every live plane is a stage fleet — ``n_stages``
+:class:`~repro.live.stage_client.LiveVirtualStage` clients on this
+process's loop, built and torn down in one place (:class:`_StageFleet`)
+— plus what faces it over localhost TCP:
+
+* :class:`LiveFlatPlane` — one :class:`~repro.live.controller_server.
+  LiveGlobalController`, forked into a child (:mod:`repro.live.tier`);
+* :class:`LiveFlatPair` — a primary and a hot standby
+  :class:`~repro.live.controller_server.InProcessGlobalController`, both
+  in this process (the takeover rule reads and writes their epochs);
+* :class:`LiveHierPlane` — a :class:`~repro.live.controller_server.
+  LiveHierGlobalController` in this process and every aggregator in one
+  forked child.
+
+:func:`run_live` runs the flat plane (``n_aggregators=0``) or the
+hierarchy for some cycles and returns wall-clock cycle statistics.
 
 ``collect_timeout_s`` / ``enforce_timeout_s`` override the controllers'
 phase deadlines, which are otherwise derived from the plane's size
@@ -29,7 +38,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.control_plane import default_policy
 from repro.core.cycle import ControlCycle, CycleStats
@@ -42,7 +51,7 @@ from repro.live.controller_server import (
 )
 from repro.live.failover import LiveHotStandby
 from repro.live.stage_client import LiveVirtualStage
-from repro.live.tier import AggregatorHandle, AggregatorTier, _probe
+from repro.live.tier import AggregatorHandle, AggregatorTier
 from repro.monitoring.remora import RemoraReport
 from repro.obs.metrics import MetricsRegistry, MetricsServer
 from repro.obs.procfs import LiveUsageSession
@@ -50,10 +59,10 @@ from repro.obs.spans import SpanRecord, SpanTracer
 
 __all__ = [
     "LiveFlatPair",
+    "LiveFlatPlane",
     "LiveHierPlane",
     "LiveRunResult",
-    "run_live_flat",
-    "run_live_hierarchical",
+    "run_live",
 ]
 
 
@@ -138,23 +147,102 @@ class _Obs:
         return result
 
 
-def run_live_flat(
-    n_stages: int = 50,
-    n_cycles: int = 20,
-    policy: Optional[QoSPolicy] = None,
-    collect_timeout_s: Optional[float] = None,
-    enforce_timeout_s: Optional[float] = None,
-    observe: bool = False,
-    metrics_port: Optional[int] = None,
-) -> LiveRunResult:
-    """Run a flat control plane over real localhost TCP sockets."""
-    if n_stages < 1 or n_cycles < 1:
-        raise ValueError("n_stages and n_cycles must be >= 1")
+class _StageFleet:
+    """The stage clients every live plane serves, and their lifecycle.
 
-    async def run() -> LiveRunResult:
-        obs = _Obs(observe, metrics_port)
-        controller = LiveGlobalController(
-            policy or default_policy(n_stages),
+    Stage ``i`` is ``stage-%05d`` of job ``job-%05d``. The stages are
+    split into contiguous runs, one per listener the plane homes them on
+    (:func:`~repro.core.registry.partition_stages`), so :attr:`stages`
+    is in id order on every design. Each stage runs as its own
+    ``asyncio.create_task(stage.run())``: the benchmark's arrival pacing
+    recognises that coroutine. A plane adds ``start``, ``run_cycles``
+    and ``_stop_control`` (what :meth:`stop` takes down between the
+    stages and their tasks).
+    """
+
+    def __init__(self, n_stages: int, stage_backoff: Optional[Dict[str, float]]) -> None:
+        if n_stages < 1:
+            raise ValueError(f"n_stages must be >= 1: {n_stages}")
+        self.n_stages = n_stages
+        #: Stage reconnect-backoff overrides (tests shrink the delays).
+        self._stage_backoff = dict(stage_backoff or {})
+        self.stages: List[LiveVirtualStage] = []
+        self._stage_tasks: List[asyncio.Task] = []
+
+    def _launch(self, homes: List[Tuple[str, int]], alternates=None) -> None:
+        """Build every stage, homed on ``homes`` in contiguous runs, and
+        start each one."""
+        ids = [f"stage-{i:05d}" for i in range(self.n_stages)]
+        for (host, port), owned in zip(homes, partition_stages(ids, len(homes))):
+            for stage_id in owned:
+                stage = LiveVirtualStage(
+                    host,
+                    port,
+                    stage_id=stage_id,
+                    job_id=stage_id.replace("stage", "job"),
+                    alternates=alternates,
+                    **self._stage_backoff,
+                )
+                self.stages.append(stage)
+                self._stage_tasks.append(asyncio.create_task(stage.run()))
+
+    async def stop(self) -> None:
+        """Graceful teardown: the stages, the plane's controllers, then
+        the stage tasks."""
+        for stage in self.stages:
+            stage.stop()
+        await self._stop_control()
+        for task in self._stage_tasks:
+            task.cancel()
+        await asyncio.gather(*self._stage_tasks, return_exceptions=True)
+        self._stage_tasks = []
+
+    def probe(self) -> Dict[str, Dict[str, Any]]:
+        """Each stage's enforcement state, by stage id."""
+        return {
+            s.stage_id: {
+                "applied_epoch": s.applied_epoch,
+                "applied_limit": s.applied_limit,
+                "rules_applied": s.rules_applied,
+                "rules_stale": s.rules_ignored_stale,
+            }
+            for s in self.stages
+        }
+
+    @property
+    def rules_applied_total(self) -> int:
+        """Rules accepted by stage-side fencing, across all generations."""
+        return sum(s.rules_applied for s in self.stages)
+
+    @property
+    def rules_stale_total(self) -> int:
+        """Rules discarded as stale by stage-side fencing."""
+        return sum(s.rules_ignored_stale for s in self.stages)
+
+    @property
+    def reconnects(self) -> int:
+        """Successful stage re-registrations (re-homes included)."""
+        return sum(s.reconnects for s in self.stages)
+
+
+class LiveFlatPlane(_StageFleet):
+    """The flat live plane: one :class:`LiveGlobalController`, forked at
+    :meth:`start`, and its ``n_stages`` stages in this process."""
+
+    def __init__(
+        self,
+        n_stages: int,
+        policy: Optional[QoSPolicy] = None,
+        collect_timeout_s: Optional[float] = None,
+        enforce_timeout_s: Optional[float] = None,
+        obs: Optional[_Obs] = None,
+        stage_backoff: Optional[Dict[str, float]] = None,
+    ) -> None:
+        super().__init__(n_stages, stage_backoff)
+        obs = obs if obs is not None else _Obs(False, None)
+        self.policy = policy or default_policy(n_stages)
+        self.controller = LiveGlobalController(
+            self.policy,
             expected_stages=n_stages,
             collect_timeout_s=collect_timeout_s,
             enforce_timeout_s=enforce_timeout_s,
@@ -162,45 +250,25 @@ def run_live_flat(
             usage_meter=obs.meter_for("global-ctrl"),
             metrics=obs.registry,
         )
-        await controller.start()
-        await obs.start()
-        stages = [
-            LiveVirtualStage(
-                controller.host,
-                controller.port,
-                stage_id=f"stage-{i:05d}",
-                job_id=f"job-{i:05d}",
-            )
-            for i in range(n_stages)
-        ]
-        stage_tasks = [asyncio.create_task(s.run()) for s in stages]
-        try:
-            await controller.wait_for_stages()
-            # One answer a cycle: each brings the child's metrics, so
-            # what a scrape reads stays current while the run cycles.
-            for _ in range(n_cycles):
-                cycles = await controller.run_cycles(1)
-        finally:
-            await controller.shutdown()
-            await obs.stop()
-            for task in stage_tasks:
-                task.cancel()
-            await asyncio.gather(*stage_tasks, return_exceptions=True)
-        return obs.finish(
-            LiveRunResult(
-                n_stages=n_stages,
-                cycles=list(cycles),
-                rules_applied_total=sum(s.rules_applied for s in stages),
-                rules_stale_total=sum(s.rules_ignored_stale for s in stages),
-                evictions=controller.evictions,
-                reconnects=sum(s.reconnects for s in stages),
-            )
-        )
 
-    return asyncio.run(run())
+    async def start(self) -> None:
+        """Fork the controller, home every stage on it, wait for them."""
+        await self.controller.start()
+        self._launch([(self.controller.host, self.controller.port)])
+        await self.controller.wait_for_stages()
+
+    async def run_cycles(self, n_cycles: int) -> List[ControlCycle]:
+        return await self.controller.run_cycles(n_cycles)
+
+    @property
+    def evictions(self) -> int:
+        return self.controller.evictions
+
+    async def _stop_control(self) -> None:
+        await self.controller.shutdown()
 
 
-class LiveHierPlane:
+class LiveHierPlane(_StageFleet):
     """A restartable hierarchical live plane (controller + aggs + stages).
 
     Owns the whole process tree the hierarchical harness used to build
@@ -210,9 +278,8 @@ class LiveHierPlane:
     forked child, the aggregator tier (:mod:`repro.live.tier`) — the
     offload of the paper's Table IV, on the host's second core.
     :attr:`aggregators` holds one
-    :class:`~repro.live.tier.AggregatorHandle` per aggregator. Unlike the
-    one-shot ``run_live_hierarchical`` wrapper, the plane persists across
-    control runs and supports **full-plane restart**:
+    :class:`~repro.live.tier.AggregatorHandle` per aggregator. The plane
+    persists across control runs and supports **full-plane restart**:
 
     * :meth:`kill_plane` aborts every controller socket without a
       goodbye and SIGKILLs the tier — ``kill -9`` on the whole control
@@ -249,11 +316,9 @@ class LiveHierPlane:
         demand_clamp=None,
         session_outbox_bytes: Optional[int] = None,
     ) -> None:
-        if n_stages < 1:
-            raise ValueError(f"n_stages must be >= 1: {n_stages}")
+        super().__init__(n_stages, stage_backoff)
         if not 1 <= n_aggregators <= n_stages:
             raise ValueError("n_aggregators must be in [1, n_stages]")
-        self.n_stages = n_stages
         self.n_aggregators = n_aggregators
         self.policy = policy or default_policy(n_stages)
         self.collect_timeout_s = collect_timeout_s
@@ -262,20 +327,15 @@ class LiveHierPlane:
         self.rule_change_tolerance = rule_change_tolerance
         self.initial_epoch = initial_epoch
         self._obs = obs if obs is not None else _Obs(False, None)
-        #: Stage reconnect-backoff overrides (tests shrink the delays).
-        self._stage_backoff = dict(stage_backoff or {})
         #: Guard instances shared across controller generations: a plane
         #: restart must not reset the degradation ladder's streaks or the
         #: clamp's earned trust (see repro.guard).
         self.degradation = degradation
         self.demand_clamp = demand_clamp
         self.session_outbox_bytes = session_outbox_bytes
-        stage_ids = [f"stage-{i:05d}" for i in range(n_stages)]
-        self._partitions = partition_stages(stage_ids, n_aggregators)
+        self._partitions = partition_stages(range(n_stages), n_aggregators)
         self.controller: Optional[LiveHierGlobalController] = None
         self.aggregators: List[AggregatorHandle] = []
-        self.stages: List[LiveVirtualStage] = []
-        self._stage_tasks: List[asyncio.Task] = []
         self._tier: Optional[AggregatorTier] = None
         #: Ports pinned at first start and reused by every restart.
         self._ctrl_port = 0
@@ -332,17 +392,7 @@ class LiveHierPlane:
         self.aggregators = self._tier.handles
         self._agg_ports = [agg.port for agg in self.aggregators]
         if not restarting:
-            for agg, owned in zip(self.aggregators, self._partitions):
-                for stage_id in owned:
-                    stage = LiveVirtualStage(
-                        agg.host,
-                        agg.port,
-                        stage_id=stage_id,
-                        job_id=stage_id.replace("stage", "job"),
-                        **self._stage_backoff,
-                    )
-                    self.stages.append(stage)
-                    self._stage_tasks.append(asyncio.create_task(stage.run()))
+            self._launch([(agg.host, agg.port) for agg in self.aggregators])
         await self.controller.wait_for_aggregators()
 
     async def wait_for_stages(self, timeout_s: float = 30.0) -> None:
@@ -407,82 +457,42 @@ class LiveHierPlane:
         self._evictions_past += sum(a.evictions for a in self.aggregators)
         self.aggregators = []
 
-    async def kill_plane(self, hard: bool = True) -> None:
+    async def kill_plane(self) -> None:
         """Abort the controller and SIGKILL the aggregator tier.
 
         No shutdown frames: stages see EOF exactly as they would if the
         plane's processes died, and keep enforcing their last rules while
-        their reconnect loops probe the (dead) ports. ``hard=False``
-        flushes and closes the controller's child links instead of
-        aborting them; the aggregators are killed either way, so their
-        stages are released (never told to stop) and re-home against the
-        pinned ports.
+        their reconnect loops probe the (dead) ports.
         """
         if self.controller is None:
             return
         self._evictions_past += self.controller.evictions
-        if hard:
-            self.controller.kill()
-        else:
-            self.controller._close_sessions()
-            self.controller._server.close()
+        self.controller.kill()
         await self._retire_tier()
         self.controller = None
 
-    async def plane_restart(
-        self, initial_epoch: Optional[int] = None, hard: bool = True
-    ) -> None:
-        """Stop everything (ports kept free) and restart the plane.
+    async def plane_restart(self, initial_epoch: Optional[int] = None) -> None:
+        """Kill the plane (ports kept free) and restart it.
 
         ``initial_epoch`` is the resume floor — pass a durable store's
         ``resume_epoch()`` to restore the crash-restart invariant, or
         leave ``None`` to keep the current floor (useful in tests that
-        deliberately resume too low). ``hard=False`` flushes child links
-        and closes them cleanly instead of aborting sockets — but never
-        sends ``shutdown`` frames, which would take the surviving stages
-        down with the plane instead of releasing them to re-home.
+        deliberately resume too low).
         """
-        await self.kill_plane(hard=hard)
+        await self.kill_plane()
         await self.start(initial_epoch=initial_epoch)
         self.restarts += 1
 
-    async def stop(self) -> None:
-        """Graceful teardown: stages, controller, then the tier."""
-        for stage in self.stages:
-            stage.stop()
+    async def _stop_control(self) -> None:
+        """The controller, then the tier."""
         if self.controller is not None:
             self._evictions_past += self.controller.evictions
             await self.controller.shutdown()
             self.controller = None
         await self._retire_tier(grace_s=2.0)
-        for task in self._stage_tasks:
-            task.cancel()
-        await asyncio.gather(*self._stage_tasks, return_exceptions=True)
-        self._stage_tasks = []
-
-    def probe(self) -> Dict[str, dict]:
-        """Each stage's applied epoch/limit, by stage id (the stages run
-        in this process)."""
-        return _probe(self.stages)
-
-    # -- result plumbing -----------------------------------------------------
-    @property
-    def rules_applied_total(self) -> int:
-        """Rules accepted by stage-side fencing, across all generations."""
-        return sum(s.rules_applied for s in self.stages)
-
-    @property
-    def rules_stale_total(self) -> int:
-        """Rules discarded as stale by stage-side fencing."""
-        return sum(s.rules_ignored_stale for s in self.stages)
-
-    @property
-    def reconnects(self) -> int:
-        """Successful stage re-registrations (re-homes included)."""
-        return sum(s.reconnects for s in self.stages)
 
 
-class LiveFlatPair(LiveHotStandby):
+class LiveFlatPair(_StageFleet, LiveHotStandby):
     """The flat live plane with a hot standby: two
     :class:`InProcessGlobalController`\\ s under the standby rule,
     ``n_stages`` stages homed on the primary with the standby as
@@ -501,7 +511,7 @@ class LiveFlatPair(LiveHotStandby):
         span_tracer=None,
         metrics=None,
     ) -> None:
-        self.n_stages = n_stages
+        _StageFleet.__init__(self, n_stages, stage_backoff)
         self.policy = default_policy(n_stages)
         primary, standby = (
             InProcessGlobalController(
@@ -512,30 +522,16 @@ class LiveFlatPair(LiveHotStandby):
             )
             for _ in range(2)
         )
-        super().__init__(
-            primary, standby, heartbeat_interval_s, missed_heartbeats, span_tracer, metrics
+        LiveHotStandby.__init__(
+            self, primary, standby, heartbeat_interval_s, missed_heartbeats, span_tracer, metrics
         )
-        self._stage_backoff = stage_backoff
-        self.stages: List[LiveVirtualStage] = []
-        self._stage_tasks: List[asyncio.Task] = []
 
     async def start(self) -> None:
         """Listen, home every stage on the primary, start the heartbeats."""
         primary, standby = self.primary, self.standby
         await primary.start()
         await standby.start()
-        self.stages = [
-            LiveVirtualStage(
-                primary.host,
-                primary.port,
-                stage_id=f"stage-{i:05d}",
-                job_id=f"job-{i:05d}",
-                alternates=[(standby.host, standby.port)],
-                **self._stage_backoff,
-            )
-            for i in range(self.n_stages)
-        ]
-        self._stage_tasks = [asyncio.create_task(s.run()) for s in self.stages]
+        self._launch([(primary.host, primary.port)], alternates=[(standby.host, standby.port)])
         await primary.wait_for_stages()
         await super().start()
 
@@ -543,48 +539,44 @@ class LiveFlatPair(LiveHotStandby):
     def controller(self) -> InProcessGlobalController:
         return self.active_controller
 
-    def probe(self) -> Dict[str, dict]:
-        """Each stage's applied epoch/limit, by stage id."""
-        return _probe(self.stages)
-
-    async def stop(self) -> None:
-        """Stop the standby's watch, both controllers, then the stages."""
-        await super().stop()
+    async def _stop_control(self) -> None:
+        """The standby's watch, then both controllers."""
+        await LiveHotStandby.stop(self)
         for controller in (self.primary, self.standby):
             await controller.shutdown()
-        for task in self._stage_tasks:
-            task.cancel()
-        await asyncio.gather(*self._stage_tasks, return_exceptions=True)
 
 
-def run_live_hierarchical(
-    n_stages: int = 40,
-    n_aggregators: int = 4,
-    n_cycles: int = 10,
+def run_live(
+    n_stages: int = 50,
+    n_aggregators: int = 0,
+    n_cycles: int = 20,
     policy: Optional[QoSPolicy] = None,
     collect_timeout_s: Optional[float] = None,
     enforce_timeout_s: Optional[float] = None,
     observe: bool = False,
     metrics_port: Optional[int] = None,
 ) -> LiveRunResult:
-    """Run the hierarchical design over real localhost TCP sockets."""
+    """Run a live plane over real localhost TCP sockets: flat
+    (:class:`LiveFlatPlane`) with ``n_aggregators=0``, else hierarchical
+    (:class:`LiveHierPlane`)."""
     if n_cycles < 1:
         raise ValueError(f"n_cycles must be >= 1: {n_cycles}")
     obs = _Obs(observe, metrics_port)
-    plane = LiveHierPlane(
-        n_stages,
-        n_aggregators,
-        policy,
-        collect_timeout_s=collect_timeout_s,
-        enforce_timeout_s=enforce_timeout_s,
-        obs=obs,
-    )
+    timeouts = dict(collect_timeout_s=collect_timeout_s, enforce_timeout_s=enforce_timeout_s)
+    if n_aggregators:
+        plane = LiveHierPlane(n_stages, n_aggregators, policy, obs=obs, **timeouts)
+    else:
+        plane = LiveFlatPlane(n_stages, policy, obs=obs, **timeouts)
 
     async def run() -> List[ControlCycle]:
-        await plane.start()
-        await obs.start()
         try:
-            return await plane.run_cycles(n_cycles)
+            await plane.start()
+            await obs.start()
+            # One cycle a call: each answer of a forked controller brings
+            # its metrics, so what a scrape reads stays current.
+            for _ in range(n_cycles):
+                cycles = await plane.run_cycles(1)
+            return list(cycles)
         finally:
             await plane.stop()
             await obs.stop()
@@ -593,7 +585,7 @@ def run_live_hierarchical(
     return obs.finish(
         LiveRunResult(
             n_stages=n_stages,
-            cycles=list(cycles),
+            cycles=cycles,
             rules_applied_total=plane.rules_applied_total,
             rules_stale_total=plane.rules_stale_total,
             evictions=plane.evictions,

@@ -217,7 +217,7 @@ class FrameLink(asyncio.BufferedProtocol):
     the entry point for tests and fake transports.
 
     :meth:`write` and :meth:`abort` are the only ways bytes leave or the
-    socket dies on purpose: the seams :mod:`repro.live.faults` wraps.
+    socket dies on purpose: the seams the fault hooks use.
     :meth:`write` never blocks (the transport buffers); while that buffer
     is past its high-water mark :attr:`paused` is true, and a sender with
     more to write awaits :meth:`drain` first — then, and only then.

@@ -93,8 +93,8 @@ class _Dialer:
         #: previous home (i.e. completed re-homes / failovers).
         self.failovers = 0
         self._stop = asyncio.Event()
-        #: The current connection; its ``write``/``abort`` are the seams
-        #: :mod:`repro.live.faults` wraps.
+        #: The current connection; :meth:`kill` aborts it, and its
+        #: ``write`` is the seam :mod:`repro.live.faults` wraps.
         self._link: Optional[FrameLink] = None
         self._registered = False
         self._ended: Optional[asyncio.Future] = None
@@ -303,7 +303,7 @@ class LiveVirtualStage(_Dialer):
         self._pack_metrics = frame_packer("metrics_reply", stage_id, job_id)
         self._pack_ack = frame_packer("rule_ack", stage_id)
 
-    # -- fault-injection hooks (see repro.live.faults) -----------------------
+    # -- fault-injection hooks -------------------------------------------------
     def pause(self) -> None:
         """Freeze request handling (stall): socket open, no replies."""
         self._paused = True

@@ -61,7 +61,7 @@ import signal
 import socket
 import sys
 import traceback
-from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.live import pump
 from repro.live.aggregator_server import LiveAggregator
@@ -70,9 +70,6 @@ from repro.monitoring.histogram import LatencyHistogram
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.procfs import ComponentUsageMeter
 from repro.obs.spans import SpanRecord, SpanTracer
-
-if TYPE_CHECKING:
-    from repro.live.stage_client import LiveVirtualStage
 
 __all__ = ["AggregatorHandle", "AggregatorTier", "SessionCounters", "Tier", "TierMember"]
 
@@ -108,7 +105,7 @@ class AggregatorHandle:
         self.port = port
         self._last: Dict[str, Any] = {"sessions": {}, "evictions": 0, "shed": 0}
 
-    # -- fault hooks (see repro.live.faults) -----------------------------------
+    # -- fault hooks -------------------------------------------------------------
     def kill(self) -> None:
         """Kill this aggregator in the tier (its sockets abort, its
         listener closes); done when this returns."""
@@ -701,15 +698,3 @@ def _stats(server) -> Dict[str, Any]:
         "shed": server.outbox_frames_shed,
     }
 
-
-def _probe(stages: Sequence[LiveVirtualStage]) -> Dict[str, Dict[str, Any]]:
-    """Each stage's enforcement state, by stage id."""
-    return {
-        s.stage_id: {
-            "applied_epoch": s.applied_epoch,
-            "applied_limit": s.applied_limit,
-            "rules_applied": s.rules_applied,
-            "rules_stale": s.rules_ignored_stale,
-        }
-        for s in stages
-    }

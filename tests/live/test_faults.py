@@ -20,13 +20,8 @@ from repro.live.controller_server import (
     LiveGlobalController,
     LiveHierGlobalController,
 )
-from repro.live.faults import (
-    LiveFaultLog,
-    flaky_socket,
-    kill_stage,
-    stall_stage,
-)
-from repro.live.harness import run_live_flat, run_live_hierarchical
+from repro.live.faults import flaky_socket
+from repro.live.harness import run_live
 from tests.live.raw_peer import read_message, write_message
 from repro.live.stage_client import LiveVirtualStage
 
@@ -102,7 +97,8 @@ class TestKillAndEviction:
             ctrl, stages, tasks = await _cluster(6, collect_timeout_s=0.5)
             try:
                 await ctrl.run_cycles(2)
-                kill_stage(stages[1], restart=False)
+                stages[1].reconnect = False
+                stages[1].kill()
                 cycles = await asyncio.wait_for(ctrl.run_cycles(3), timeout=10.0)
             finally:
                 await _teardown(ctrl, tasks)
@@ -124,7 +120,8 @@ class TestKillAndEviction:
             ctrl, stages, tasks = await _cluster(4)  # no timeouts at all
             try:
                 await ctrl.run_cycles(1)
-                kill_stage(stages[0], restart=False)
+                stages[0].reconnect = False
+                stages[0].kill()
                 cycles = await asyncio.wait_for(ctrl.run_cycles(2), timeout=10.0)
             finally:
                 await _teardown(ctrl, tasks)
@@ -146,8 +143,8 @@ class TestKillAndEviction:
             ctrl, stages, tasks = await _cluster(8, collect_timeout_s=0.3)
             try:
                 await ctrl.run_cycles(2)
-                kill_stage(stages[1])  # restart=True: reconnect loop armed
-                kill_stage(stages[5])
+                stages[1].kill()  # the reconnect loop stays armed
+                stages[5].kill()
                 await asyncio.wait_for(ctrl.run_cycles(2), timeout=10.0)
                 recovered = None
                 for _ in range(60):
@@ -176,16 +173,15 @@ class TestKillAndEviction:
             ctrl, stages, tasks = await _cluster(3, collect_timeout_s=0.3)
             try:
                 await ctrl.run_cycles(1)
-                log = flaky_socket(stages[1], fail_after_writes=1)
+                flaky_socket(stages[1], fail_after_writes=1)
                 await asyncio.wait_for(ctrl.run_cycles(2), timeout=10.0)
                 await asyncio.sleep(0.2)  # let the reconnect land
                 await asyncio.wait_for(ctrl.run_cycles(1), timeout=10.0)
             finally:
                 await _teardown(ctrl, tasks)
-            return ctrl, stages, log
+            return ctrl, stages
 
-        ctrl, stages, log = asyncio.run(scenario())
-        assert log.events[0].action == "flaky"
+        ctrl, stages = asyncio.run(scenario())
         assert ctrl.evictions >= 1
         assert stages[1].reconnects >= 1
         assert sum(c.n_missing for c in ctrl.cycles) >= 1
@@ -222,23 +218,32 @@ class TestStallAndStaleDrain:
         assert ctrl.cycles[-1].n_missing == 0
         assert len(ctrl.cycles) == 5
 
-    def test_stall_stage_helper_records_and_recovers(self):
+    def test_timed_stall_degrades_then_recovers(self):
+        """A stage paused for 0.25 s under the forked controller costs one
+        deadline, then answers again once resumed."""
+
+        async def stall(stage, seconds):
+            stage.pause()
+            try:
+                await asyncio.sleep(seconds)
+            finally:
+                stage.resume()
+
         async def scenario():
             ctrl, stages, tasks = await _cluster(3, collect_timeout_s=0.1)
             try:
                 await ctrl.run_cycles(1)
-                fault = asyncio.create_task(stall_stage(stages[0], 0.25))
+                fault = asyncio.create_task(stall(stages[0], 0.25))
                 await asyncio.sleep(0.02)
                 await asyncio.wait_for(ctrl.run_cycles(1), timeout=10.0)
-                log = await fault
+                await fault
                 await asyncio.sleep(0.05)
                 await asyncio.wait_for(ctrl.run_cycles(1), timeout=10.0)
             finally:
                 await _teardown(ctrl, tasks)
-            return ctrl, log
+            return ctrl
 
-        ctrl, log = asyncio.run(scenario())
-        assert [e.action for e in log.events] == ["stall", "resume"]
+        ctrl = asyncio.run(scenario())
         assert any(c.timed_out for c in ctrl.cycles)
         assert ctrl.cycles[-1].n_missing == 0
 
@@ -649,7 +654,7 @@ class TestShutdownPath:
 
 class TestHarnessThreading:
     def test_flat_run_with_timeouts_is_healthy(self):
-        result = run_live_flat(n_stages=8, n_cycles=4, collect_timeout_s=5.0)
+        result = run_live(n_stages=8, n_cycles=4, collect_timeout_s=5.0)
         assert result.degraded_cycles == 0
         assert result.missing_total == 0
         assert result.evictions == 0
@@ -657,7 +662,7 @@ class TestHarnessThreading:
         assert result.stats().summary()["degraded_cycles"] == 0.0
 
     def test_hier_run_with_timeouts_is_healthy(self):
-        result = run_live_hierarchical(
+        result = run_live(
             n_stages=8, n_aggregators=2, n_cycles=4, collect_timeout_s=5.0
         )
         assert result.degraded_cycles == 0

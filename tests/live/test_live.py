@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.policies import QoSPolicy
 from repro.live.codec import frame_packer
-from repro.live.harness import run_live_flat
+from repro.live.harness import run_live
 from repro.live.protocol import MAX_FRAME, ProtocolError, decode_body, encode
 
 
@@ -56,7 +56,7 @@ class TestProtocol:
 
 class TestLiveCluster:
     def test_end_to_end_cycles(self):
-        result = run_live_flat(n_stages=20, n_cycles=8)
+        result = run_live(n_stages=20, n_cycles=8)
         stats = result.stats(warmup=2)
         assert stats.n_cycles == 6
         assert stats.mean_ms > 0
@@ -64,7 +64,7 @@ class TestLiveCluster:
         assert bd.collect_ms > 0 and bd.compute_ms > 0 and bd.enforce_ms > 0
 
     def test_every_stage_gets_every_rule(self):
-        result = run_live_flat(n_stages=10, n_cycles=5)
+        result = run_live(n_stages=10, n_cycles=5)
         assert result.rules_applied_total == 50
         assert result.rules_stale_total == 0
 
@@ -72,7 +72,7 @@ class TestLiveCluster:
         # Capacity below total demand: every stage's limit must reflect a
         # real PSFA split of 600 IOPS over 10 identical stages.
         policy = QoSPolicy(pfs_capacity_iops=600.0)
-        result = run_live_flat(n_stages=10, n_cycles=4, policy=policy)
+        result = run_live(n_stages=10, n_cycles=4, policy=policy)
         assert result.rules_applied_total == 40
 
     def test_latency_scales_with_stage_count(self):
@@ -85,7 +85,7 @@ class TestLiveCluster:
         answering, it is exactly 12x)."""
 
         def round_trips_per_cycle(n_stages):
-            result = run_live_flat(n_stages=n_stages, n_cycles=4, observe=True)
+            result = run_live(n_stages=n_stages, n_cycles=4, observe=True)
             rpcs = [s for s in result.spans if s.name in ("collect_rpc", "enforce_rpc")]
             return len(rpcs) / len(result.cycles)
 
@@ -96,6 +96,6 @@ class TestLiveCluster:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            run_live_flat(n_stages=0)
+            run_live(n_stages=0)
         with pytest.raises(ValueError):
-            run_live_flat(n_stages=1, n_cycles=0)
+            run_live(n_stages=1, n_cycles=0)

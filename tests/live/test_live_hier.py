@@ -3,12 +3,12 @@
 import pytest
 
 from repro.core.policies import QoSPolicy
-from repro.live import run_live_hierarchical
+from repro.live import run_live
 
 
 class TestLiveHierarchical:
     def test_end_to_end_cycles(self):
-        result = run_live_hierarchical(n_stages=16, n_aggregators=2, n_cycles=6)
+        result = run_live(n_stages=16, n_aggregators=2, n_cycles=6)
         stats = result.stats(warmup=1)
         assert stats.n_cycles == 5
         assert stats.mean_ms > 0
@@ -16,17 +16,17 @@ class TestLiveHierarchical:
         assert bd.collect_ms > 0 and bd.compute_ms > 0 and bd.enforce_ms > 0
 
     def test_rules_traverse_the_hierarchy(self):
-        result = run_live_hierarchical(n_stages=12, n_aggregators=3, n_cycles=5)
+        result = run_live(n_stages=12, n_aggregators=3, n_cycles=5)
         assert result.rules_applied_total == 12 * 5
         assert result.rules_stale_total == 0
 
     def test_single_aggregator_works(self):
-        result = run_live_hierarchical(n_stages=6, n_aggregators=1, n_cycles=4)
+        result = run_live(n_stages=6, n_aggregators=1, n_cycles=4)
         assert result.rules_applied_total == 6 * 4
 
     def test_psfa_budget_respected_across_partitions(self):
         policy = QoSPolicy(pfs_capacity_iops=480.0)
-        result = run_live_hierarchical(
+        result = run_live(
             n_stages=8, n_aggregators=2, n_cycles=4, policy=policy
         )
         # All rules applied; PSFA's equal split over 8 identical stages
@@ -35,8 +35,8 @@ class TestLiveHierarchical:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            run_live_hierarchical(n_stages=0)
+            run_live(n_stages=0, n_aggregators=4)
         with pytest.raises(ValueError):
-            run_live_hierarchical(n_stages=4, n_aggregators=5)
+            run_live(n_stages=4, n_aggregators=5)
         with pytest.raises(ValueError):
-            run_live_hierarchical(n_stages=4, n_aggregators=0)
+            run_live(n_stages=4, n_aggregators=-1)

@@ -2,18 +2,18 @@
 
 import pytest
 
-from repro.live.harness import run_live_flat, run_live_hierarchical
+from repro.live.harness import run_live
 from repro.obs.chrome_trace import export_chrome_trace, validate_chrome_trace
 
 
 @pytest.fixture(scope="module")
 def flat_result():
-    return run_live_flat(n_stages=6, n_cycles=5, observe=True, metrics_port=0)
+    return run_live(n_stages=6, n_cycles=5, observe=True, metrics_port=0)
 
 
 @pytest.fixture(scope="module")
 def hier_result():
-    return run_live_hierarchical(
+    return run_live(
         n_stages=8, n_aggregators=2, n_cycles=5, observe=True
     )
 
@@ -56,7 +56,7 @@ class TestFlatObservability:
         assert 'repro_phase_seconds_count{phase="collect",role="global"} 5' in text
 
     def test_unobserved_run_carries_nothing(self):
-        result = run_live_flat(n_stages=3, n_cycles=2)
+        result = run_live(n_stages=3, n_cycles=2)
         assert result.spans == []
         assert result.usage_report is None
         assert result.metrics_text is None

@@ -36,7 +36,6 @@ from repro.live.controller_server import (
     LiveHierGlobalController,
 )
 from repro.live.fan import StageFan
-from repro.live.faults import kill_aggregator, kill_stage
 from repro.live.harness import LiveHierPlane
 from repro.live.stage_client import LiveVirtualStage
 from repro.obs.metrics import MetricsRegistry
@@ -229,7 +228,8 @@ class TestDifferentialReplay:
                     for stage_id, demand in zip(_IDS, row):
                         stages[stage_id].demand = demand
                     if epoch == 5:
-                        kill_stage(stages["s-5"], restart=False)
+                        stages["s-5"].reconnect = False
+                        stages["s-5"].kill()
                         await asyncio.sleep(0.05)
                     if epoch == 7:  # a new process, back within the grace
                         stages["s-5"] = LiveVirtualStage(
@@ -269,7 +269,7 @@ class TestDifferentialReplay:
                     for stage_id, demand in zip(_IDS, row):
                         stages[stage_id].demand = demand
                     if epoch == 5:
-                        kill_aggregator(aggs[1])
+                        aggs[1].kill()
                         await asyncio.sleep(0.05)
                     if epoch == 7:  # the orphans have found the survivor
                         await _until(lambda: len(aggs[0].sessions) == 8)
@@ -509,7 +509,7 @@ class TestMechanismCounts:
             await cycle(2)
             stages["s-4"].demand = (60.0, 5.0)  # a satisfied stage: +18 %
             await cycle(2)
-            kill_stage(stages["s-1"])  # back on a fresh session
+            stages["s-1"].kill()  # back on a fresh session
             await asyncio.sleep(0.05)
             await cycle(1)  # the cycle that trips over it
             await _until(lambda: "s-1" in ctrl.sessions)
@@ -518,7 +518,8 @@ class TestMechanismCounts:
             await cycle(2)
             policy.metadata_capacity_iops = None  # ... and disappears
             await cycle(2)
-            kill_stage(stages["s-3"], restart=False)  # share held two cycles
+            stages["s-3"].reconnect = False
+            stages["s-3"].kill()  # share held two cycles
             await asyncio.sleep(0.05)
             await cycle(5)
         finally:
@@ -618,7 +619,7 @@ class TestFailureSemantics:
             )
             try:
                 await ctrl.run_cycles(2)
-                kill_stage(stages["s-10"])
+                stages["s-10"].kill()
                 await asyncio.sleep(0.05)
                 await ctrl.run_cycles(1)  # trips over it
                 await _until(lambda: "s-10" in ctrl.sessions)

@@ -11,7 +11,6 @@ import pytest
 from repro.core.policies import QoSPolicy
 from repro.guard import DemandClamp
 from repro.live.controller_server import InProcessGlobalController, LiveGlobalController
-from repro.live.faults import kill_stage
 from repro.live.harness import LiveHierPlane
 from repro.live.stage_client import LiveVirtualStage
 
@@ -150,7 +149,8 @@ class TestEvictedGrace:
             grants = []
             try:
                 await ctrl.run_cycles(2)
-                kill_stage(stages[3], restart=False)
+                stages[3].reconnect = False
+                stages[3].kill()
                 for _ in range(self.GRACE + 3):
                     await asyncio.wait_for(ctrl.run_cycles(1), timeout=10.0)
                     grants.append(
@@ -189,7 +189,8 @@ class TestEvictedGrace:
             grants = []
             try:
                 await ctrl.run_cycles(2)
-                kill_stage(stages[3], restart=False)
+                stages[3].reconnect = False
+                stages[3].kill()
                 for _ in range(3):
                     await asyncio.wait_for(ctrl.run_cycles(1), timeout=10.0)
                     grants.append((ctrl.evictions, dict(ctrl.last_allocations)))
@@ -206,7 +207,7 @@ class TestEvictedGrace:
             ctrl, stages, tasks = await self._contended()
             try:
                 await ctrl.run_cycles(2)
-                kill_stage(stages[3])  # comes back through its reconnect loop
+                stages[3].kill()  # comes back through its reconnect loop
                 await asyncio.wait_for(ctrl.run_cycles(1), timeout=10.0)
                 assert ctrl.evictions == 1
                 await _registered(ctrl, "s-3")
@@ -291,13 +292,13 @@ class TestTrustLifetime:
             try:
                 await ctrl.run_cycles(3)
                 earned = cols.trust[cols.row_of("s-1")]
-                kill_stage(stages[1])
+                stages[1].kill()
                 await asyncio.wait_for(ctrl.run_cycles(1), timeout=10.0)
                 await _registered(ctrl, "s-1")
                 kept = cols.trust[cols.row_of("s-1")]
                 # ...whereas with no grace the row, and the trust, go at once.
                 ctrl.evicted_grace_cycles = 0
-                kill_stage(stages[0])
+                stages[0].kill()
                 await asyncio.wait_for(ctrl.run_cycles(1), timeout=10.0)
                 await _registered(ctrl, "s-0")
                 dropped = cols.trust[cols.row_of("s-0")]

@@ -31,7 +31,6 @@ import repro
 from repro.core.control_plane import default_policy
 from repro.live import controller_server
 from repro.live.controller_server import InProcessGlobalController, LiveGlobalController
-from repro.live.faults import kill_aggregator, kill_stage
 from repro.live.harness import LiveHierPlane
 from repro.live.stage_client import LiveVirtualStage
 from repro.live.tier import CALL_TIMEOUT_S
@@ -416,7 +415,8 @@ class TestCountersAcrossTheBoundary:
             await plane.start()
             await plane.wait_for_stages(timeout_s=15)
             try:
-                kill_stage(plane.stages[0], restart=False)
+                plane.stages[0].reconnect = False
+                plane.stages[0].kill()
                 await plane.run_cycles(2)
                 counts = [plane.evictions]
                 await plane.plane_restart()
@@ -446,7 +446,7 @@ class TestCountersAcrossTheBoundary:
                 registered = plane.registered_stages
                 await plane.run_cycles(2)
                 sessions = [agg.sessions for agg in plane.aggregators]
-                kill_aggregator(plane.aggregators[0])
+                plane.aggregators[0].kill()
                 deadline = time.monotonic() + 15
                 survivor = plane.aggregators[1]
                 while len(survivor.sessions) < 8 and time.monotonic() < deadline:

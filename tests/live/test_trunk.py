@@ -25,7 +25,6 @@ from repro.core.slots import SlotLedger
 from repro.live.aggregator_server import LiveAggregator
 from repro.live.codec import BINARY_MAGIC
 from repro.live.controller_server import LiveHierGlobalController
-from repro.live.faults import kill_stage
 from repro.live.harness import LiveHierPlane
 from repro.live.stage_client import LiveVirtualStage
 from repro.obs.metrics import MetricsRegistry
@@ -91,8 +90,9 @@ class TestMembership:
                 # socket is evicted by the phase that trips over it, so
                 # the two kills surface inside the next collect — still
                 # laid out for generation 0, both stages flagged.)
-                kill_stage(stages["s-30"], restart=False)
-                kill_stage(stages["s-20"])  # comes back
+                stages["s-30"].reconnect = False
+                stages["s-30"].kill()
+                stages["s-20"].kill()  # comes back
                 await ctrl.run_cycles(1)
                 tripped = ctrl.cycles[-1]
                 stages["s-15"] = _stage(aggs[0], "s-15")
