@@ -36,14 +36,10 @@ HIER_AGGREGATORS = 3
 
 
 async def run() -> None:
-    plane = LiveFlatPlane(
-        N_STAGES,
-        collect_timeout_s=COLLECT_TIMEOUT_S,
-        stage_backoff=dict(backoff_base_s=0.05, backoff_max_s=0.5),
-    )
+    plane = LiveFlatPlane(N_STAGES, collect_timeout_s=COLLECT_TIMEOUT_S)
     ctrl, stages = plane.controller, plane.stages
-    await plane.start()
     try:
+        await plane.start()
         await plane.run_cycles(5)  # healthy baseline
 
         for i in KILL:
@@ -97,9 +93,9 @@ async def run_hier() -> None:
         collect_timeout_s=0.5,
         stage_backoff=dict(backoff_base_s=0.02, backoff_max_s=0.1),
     )
-    await plane.start()
-    ctrl, stages = plane.controller, plane.stages
     try:
+        await plane.start()
+        ctrl, stages = plane.controller, plane.stages
         await plane.wait_for_stages()
         for _ in range(3):  # healthy baseline
             await plane.run_cycles(1)

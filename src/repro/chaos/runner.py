@@ -284,17 +284,9 @@ class _Faults:
             plane.aggregators[target].kill()
 
     def _stall(self, target, seconds: float) -> None:
-        """Pause ``target`` (a stage or an aggregator handle) for
-        ``seconds``; it resumes even if the stall is cancelled."""
+        from repro.live.faults import stall
 
-        async def stall() -> None:
-            target.pause()
-            try:
-                await asyncio.sleep(seconds)
-            finally:
-                target.resume()
-
-        self._stalls.append(asyncio.create_task(stall()))
+        self._stalls.append(asyncio.create_task(stall(target, seconds)))
 
     async def stop(self) -> None:
         for task in self._stalls:

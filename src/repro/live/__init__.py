@@ -14,7 +14,8 @@ The live plane carries the same failure semantics as the simulated one
 (paper §VI): phase deadlines with partial collect, dead-session
 eviction, stage reconnect with backoff, and fault hooks on the stages
 and the aggregators' handles themselves (``kill`` / ``pause`` /
-``resume``; :mod:`repro.live.faults` adds a flaky socket). On top of
+``resume``; :mod:`repro.live.faults` adds a timed stall and a flaky
+socket). On top of
 that ride the control-tree fault-tolerance mechanisms: aggregator
 failover with stage re-homing (topology/``rehome`` frames,
 alternate-address rotation in the stage client, and the adopting

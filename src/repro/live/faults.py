@@ -1,15 +1,17 @@
-"""Live fault injection: a socket that fails after N writes.
+"""Live fault injection: a timed stall, and a socket that fails after N
+writes.
 
-The live counterpart of :mod:`repro.core.failures`. Kills and stalls
-need no wrapper: they are the targets' own hooks —
+The live counterpart of :mod:`repro.core.failures`. Kills need no
+wrapper: they are the targets' own hooks —
 :meth:`~repro.live.stage_client.LiveVirtualStage.kill` (abort the
 stage's socket; with ``reconnect`` on, its dial loop re-registers after
-backoff), ``pause`` / ``resume`` (freeze replies, socket open, so the
-collect deadline leaves it behind at last-known demand), and an
-:class:`~repro.live.tier.AggregatorHandle`'s ``kill`` / ``pause`` /
-``resume``, which have taken effect in the aggregator tier when they
-return. What is injected here:
+backoff) and an :class:`~repro.live.tier.AggregatorHandle`'s ``kill``,
+which has taken effect in the aggregator tier when it returns. What is
+injected here:
 
+* :func:`stall` — ``pause`` a stage or an aggregator handle (replies
+  frozen, socket open, so the collect deadline leaves it behind at
+  last-known demand) for some seconds, then ``resume`` it;
 * :func:`flaky_socket` — wrap the stage's current connection so it
   aborts after N more frames are written, exercising mid-phase
   connection loss (enforce-time and collect-time eviction paths).
@@ -17,9 +19,21 @@ return. What is injected here:
 
 from __future__ import annotations
 
+import asyncio
+
 from repro.live.stage_client import LiveVirtualStage
 
-__all__ = ["FlakySocket", "flaky_socket"]
+__all__ = ["FlakySocket", "flaky_socket", "stall"]
+
+
+async def stall(target, seconds: float) -> None:
+    """Pause ``target`` (a stage or an aggregator handle) for
+    ``seconds``; it resumes even if the stall is cancelled."""
+    target.pause()
+    try:
+        await asyncio.sleep(seconds)
+    finally:
+        target.resume()
 
 
 class FlakySocket:

@@ -31,7 +31,8 @@ is sampled REMORA-style from ``/proc`` with per-controller attribution
 accumulate in a :class:`~repro.obs.metrics.MetricsRegistry` — optionally
 scrapeable over HTTP while the run cycles (``metrics_port``; the flat
 controller's arrive with each cycle it answers, the aggregator tier's
-when it exits).
+when it exits). The flat plane opens that window at its fork, before its
+stages dial in; the hierarchy once its aggregators have registered.
 """
 
 from __future__ import annotations
@@ -151,29 +152,35 @@ class _StageFleet:
     """The stage clients every live plane serves, and their lifecycle.
 
     Stage ``i`` is ``stage-%05d`` of job ``job-%05d``. The stages are
-    split into contiguous runs, one per listener the plane homes them on
-    (:func:`~repro.core.registry.partition_stages`), so :attr:`stages`
-    is in id order on every design. Each stage runs as its own
+    split once into ``n_homes`` contiguous runs (:attr:`partitions`, by
+    :func:`~repro.core.registry.partition_stages`), one per listener the
+    plane homes them on, so :attr:`stages` is in id order on every
+    design. Each stage runs as its own
     ``asyncio.create_task(stage.run())``: the benchmark's arrival pacing
     recognises that coroutine. A plane adds ``start``, ``run_cycles``
     and ``_stop_control`` (what :meth:`stop` takes down between the
     stages and their tasks).
     """
 
-    def __init__(self, n_stages: int, stage_backoff: Optional[Dict[str, float]]) -> None:
+    def __init__(
+        self, n_stages: int, n_homes: int, stage_backoff: Optional[Dict[str, float]]
+    ) -> None:
         if n_stages < 1:
             raise ValueError(f"n_stages must be >= 1: {n_stages}")
         self.n_stages = n_stages
+        #: The stage ids each home owns, in home order.
+        self.partitions = partition_stages(
+            [f"stage-{i:05d}" for i in range(n_stages)], n_homes
+        )
         #: Stage reconnect-backoff overrides (tests shrink the delays).
         self._stage_backoff = dict(stage_backoff or {})
         self.stages: List[LiveVirtualStage] = []
         self._stage_tasks: List[asyncio.Task] = []
 
     def _launch(self, homes: List[Tuple[str, int]], alternates=None) -> None:
-        """Build every stage, homed on ``homes`` in contiguous runs, and
+        """Build every stage, homed on ``homes`` (one per partition), and
         start each one."""
-        ids = [f"stage-{i:05d}" for i in range(self.n_stages)]
-        for (host, port), owned in zip(homes, partition_stages(ids, len(homes))):
+        for (host, port), owned in zip(homes, self.partitions, strict=True):
             for stage_id in owned:
                 stage = LiveVirtualStage(
                     host,
@@ -236,10 +243,9 @@ class LiveFlatPlane(_StageFleet):
         collect_timeout_s: Optional[float] = None,
         enforce_timeout_s: Optional[float] = None,
         obs: Optional[_Obs] = None,
-        stage_backoff: Optional[Dict[str, float]] = None,
     ) -> None:
-        super().__init__(n_stages, stage_backoff)
-        obs = obs if obs is not None else _Obs(False, None)
+        super().__init__(n_stages, 1, None)
+        obs = self._obs = obs if obs is not None else _Obs(False, None)
         self.policy = policy or default_policy(n_stages)
         self.controller = LiveGlobalController(
             self.policy,
@@ -252,8 +258,14 @@ class LiveFlatPlane(_StageFleet):
         )
 
     async def start(self) -> None:
-        """Fork the controller, home every stage on it, wait for them."""
+        """Fork the controller, home every stage on it, wait for them.
+
+        The observation window (usage sampling, ``/metrics``) opens
+        between the fork and the stages' dials, so the controller's
+        registration work is part of what it is charged.
+        """
         await self.controller.start()
+        await self._obs.start()
         self._launch([(self.controller.host, self.controller.port)])
         await self.controller.wait_for_stages()
 
@@ -316,9 +328,9 @@ class LiveHierPlane(_StageFleet):
         demand_clamp=None,
         session_outbox_bytes: Optional[int] = None,
     ) -> None:
-        super().__init__(n_stages, stage_backoff)
         if not 1 <= n_aggregators <= n_stages:
             raise ValueError("n_aggregators must be in [1, n_stages]")
+        super().__init__(n_stages, n_aggregators, stage_backoff)
         self.n_aggregators = n_aggregators
         self.policy = policy or default_policy(n_stages)
         self.collect_timeout_s = collect_timeout_s
@@ -333,7 +345,6 @@ class LiveHierPlane(_StageFleet):
         self.degradation = degradation
         self.demand_clamp = demand_clamp
         self.session_outbox_bytes = session_outbox_bytes
-        self._partitions = partition_stages(range(n_stages), n_aggregators)
         self.controller: Optional[LiveHierGlobalController] = None
         self.aggregators: List[AggregatorHandle] = []
         self._tier: Optional[AggregatorTier] = None
@@ -378,7 +389,7 @@ class LiveHierPlane(_StageFleet):
         # deadlock registration.
         specs = [
             (f"aggregator-{a:02d}", 0 if restarting else len(owned), self._agg_ports[a])
-            for a, owned in enumerate(self._partitions)
+            for a, owned in enumerate(self.partitions)
         ]
         self._tier = AggregatorTier(obs)
         await self._tier.start(
@@ -511,7 +522,7 @@ class LiveFlatPair(_StageFleet, LiveHotStandby):
         span_tracer=None,
         metrics=None,
     ) -> None:
-        _StageFleet.__init__(self, n_stages, stage_backoff)
+        _StageFleet.__init__(self, n_stages, 1, stage_backoff)
         self.policy = default_policy(n_stages)
         primary, standby = (
             InProcessGlobalController(
@@ -571,7 +582,8 @@ def run_live(
     async def run() -> List[ControlCycle]:
         try:
             await plane.start()
-            await obs.start()
+            if n_aggregators:  # the flat plane opens it at its fork
+                await obs.start()
             # One cycle a call: each answer of a forked controller brings
             # its metrics, so what a scrape reads stays current.
             for _ in range(n_cycles):

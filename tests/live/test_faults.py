@@ -20,7 +20,7 @@ from repro.live.controller_server import (
     LiveGlobalController,
     LiveHierGlobalController,
 )
-from repro.live.faults import flaky_socket
+from repro.live.faults import flaky_socket, stall
 from repro.live.harness import run_live
 from tests.live.raw_peer import read_message, write_message
 from repro.live.stage_client import LiveVirtualStage
@@ -221,13 +221,6 @@ class TestStallAndStaleDrain:
     def test_timed_stall_degrades_then_recovers(self):
         """A stage paused for 0.25 s under the forked controller costs one
         deadline, then answers again once resumed."""
-
-        async def stall(stage, seconds):
-            stage.pause()
-            try:
-                await asyncio.sleep(seconds)
-            finally:
-                stage.resume()
 
         async def scenario():
             ctrl, stages, tasks = await _cluster(3, collect_timeout_s=0.1)

@@ -17,6 +17,7 @@ from repro.core.registry import partition_stages
 from repro.live.aggregator_server import LiveAggregator
 from repro.live.codec import frame_packer, pack_rows
 from repro.live.controller_server import LiveHierGlobalController
+from repro.live.faults import stall
 from tests.live.raw_peer import read_message, write_message
 from repro.live.stage_client import LiveVirtualStage
 
@@ -65,15 +66,6 @@ async def _teardown(ctrl, tasks):
     for t in tasks:
         t.cancel()
     await asyncio.gather(*tasks, return_exceptions=True)
-
-
-async def _stall(target, seconds):
-    """Pause ``target`` for ``seconds``; it resumes even if cancelled."""
-    target.pause()
-    try:
-        await asyncio.sleep(seconds)
-    finally:
-        target.resume()
 
 
 async def _paced(ctrl, n, period_s=0.1):
@@ -203,7 +195,7 @@ class TestAggregatorStall:
             )
             try:
                 await _paced(ctrl, 2)
-                fault = asyncio.create_task(_stall(aggs[0], 2.5))
+                fault = asyncio.create_task(stall(aggs[0], 2.5))
                 await _paced(ctrl, 8)
                 fault.cancel()
                 await asyncio.gather(fault, return_exceptions=True)
