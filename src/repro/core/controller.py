@@ -25,7 +25,7 @@ Both controllers lay their children out in *slots* in a
 too: a stage child holds one slot, an aggregator child the span of its
 partition — its channel's ``stage_ids``, which is the aggregator's own
 order. Per-slot state follows its channel across a relayout, so a stage
-re-added under a departed one's id starts with nothing shipped to it.
+added between cycles starts with nothing shipped to it.
 What the controllers' base, :class:`_Fan`, keeps beside it is the DES
 routing and plumbing: a reply lands in the slots
 of its sender's endpoint name, so the trunk carries no stage ids — an
@@ -131,8 +131,8 @@ class ChildChannel:
 class _Fan:
     """A controller over children laid out in slots: the slot ledger, the
     endpoint-name spans replies are routed by, the phase-start point where
-    membership changes take effect, and the plumbing — chunked charging,
-    sending and reply collection."""
+    children added between cycles take effect, and the plumbing — chunked
+    charging, sending and reply collection."""
 
     def __init__(
         self,
@@ -157,17 +157,9 @@ class _Fan:
         #: a later :meth:`_await_replies` asks for them.
         self.defer_kinds: set = set()
         self._deferred: List = []
-        #: Connections that owe the running phase a reply, where a child
-        #: can leave mid-phase (``None``: nobody can; see :meth:`_forget`).
-        self._owed: Optional[set] = None
-        #: Replies the running phase stopped waiting for, and the total.
-        self._lost = 0
-        self.lost_replies = 0
-        #: The inbox get :meth:`_await_replies` is blocked on, if any.
-        self._recv_ev = None
         self.children: List[ChildChannel] = []
-        #: The layout the current cycle runs on; children added or
-        #: removed since are laid out at the next phase start.
+        #: The layout the current cycle runs on; children added since
+        #: are laid out at the next phase start.
         self.ledger = SlotLedger()
         self._order_stale = False
         #: A child's endpoint name — what a reply's ``sender`` says — to
@@ -198,34 +190,21 @@ class _Fan:
         Chunking (``costs.send_chunk``) models event-loop batching: the CPU
         burst for a chunk completes before its messages hit the wire, so
         early recipients respond while later sends are still serializing.
-        Channels whose connection closed mid-cycle (membership churn) are
-        skipped, also when it closed during the chunk's burst; returns the
-        number of messages actually sent. Each chunk is one
+        Returns the number of messages sent. Each chunk is one
         :meth:`~repro.simnet.transport.Network.send_many` burst:
-        ``payloads(live)`` gives its live channels' payloads, in order,
-        and ``size_bytes`` is every message's size or, callable, gives
-        one per live channel.
+        ``payloads(chunk)`` gives its channels' payloads, in order, and
+        ``size_bytes`` is every message's size or, callable, gives one
+        per channel of the chunk.
         """
-        sent = 0
-        owed = self._owed
         for chunk in _chunks(channels, self.costs.send_chunk):
-            live = [ch for ch in chunk if not ch.connection.closed]
-            if not live:
-                continue
-            yield self._execute(len(live) * per_item_cost)
-            live = [ch for ch in live if not ch.connection.closed]
-            if not live:
-                continue
-            live[0].connection.network.send_many(
-                [(ch.connection, ch.endpoint) for ch in live],
+            yield self._execute(len(chunk) * per_item_cost)
+            chunk[0].connection.network.send_many(
+                [(ch.connection, ch.endpoint) for ch in chunk],
                 kind,
-                payloads(live),
-                size_bytes(live) if callable(size_bytes) else size_bytes,
+                payloads(chunk),
+                size_bytes(chunk) if callable(size_bytes) else size_bytes,
             )
-            sent += len(live)
-            if owed is not None:
-                owed.update([ch.connection for ch in live])
-        return sent
+        return len(channels)
 
     def _await_replies(
         self,
@@ -242,37 +221,13 @@ class _Fan:
         barrier is ``received``, not one wake-up event per child. A batch
         whose messages are already queued is consumed inline, without a
         recv event round-trip, and the phase deadline is one reusable
-        Timeout rather than one per wake-up. A child removed mid-phase
-        (:meth:`_forget`) is counted off instead of waited for. Returns
-        the number received or counted off (short on timeout).
-        ``on_message`` sees each message received (``None``: arrival
-        alone counts).
+        Timeout rather than one per wake-up. Returns the number received
+        (short on timeout). ``on_message`` sees each message received
+        (``None``: arrival alone counts).
         """
-        try:
-            received = yield from self._receive(
-                expected, epoch, kind_costs, on_message, deadline
-            )
-        finally:
-            lost, self._lost, self._recv_ev = self._lost, 0, None
-            self.lost_replies += lost
-            if self._owed:
-                self._owed.clear()
-        return received + lost
-
-    def _receive(
-        self,
-        expected: int,
-        epoch: int,
-        kind_costs: Mapping[str, float],
-        on_message: Optional[Callable[[object], None]],
-        deadline: Optional[float],
-    ) -> Generator:
-        """The receive loop of :meth:`_await_replies`; returns the number
-        received."""
         received = 0
         env = self.env
         inbox = self.endpoint.inbox
-        owed = self._owed
 
         # Consume matching messages parked by earlier phases first.
         if self._deferred:
@@ -288,8 +243,6 @@ class _Fan:
                 self._deferred = [
                     m for m in self._deferred if id(m) not in ready_set
                 ]
-                if owed:
-                    owed.difference_update([m.via for m in ready])
                 yield self._execute(sum(kind_costs[m.kind] for m in ready))
                 if on_message is not None:
                     for msg in ready:
@@ -301,7 +254,7 @@ class _Fan:
         get_cost = kind_costs.get
         deadline_ev = None
 
-        while received + self._lost < expected:
+        while received < expected:
             if inbox.items:
                 # Ready work: drain without a recv event round-trip. The
                 # deadline check mirrors the blocking path (a phase past
@@ -311,7 +264,7 @@ class _Fan:
                     break
                 batch = inbox.drain()
             else:
-                recv_ev = self._recv_ev = self.endpoint.recv()
+                recv_ev = self.endpoint.recv()
                 if deadline is None:
                     first = yield recv_ev
                 else:
@@ -326,9 +279,7 @@ class _Fan:
                         recv_ev.cancel()
                         break
                     first = recv_ev.value
-                self._recv_ev = None
-                # None: woken by a removal, not by a message.
-                batch = [] if first is None else [first]
+                batch = [first]
                 batch.extend(inbox.drain())
             charge = 0.0
             relevant = []
@@ -346,8 +297,6 @@ class _Fan:
                     stale += 1
             if stale:
                 self.stale_messages += stale
-            if owed:
-                owed.difference_update([m.via for m in relevant])
             if charge:
                 yield self._execute(charge)
             if on_message is not None:
@@ -359,25 +308,6 @@ class _Fan:
             relevant = msg = None
             env.recycle(batch)
         return received
-
-    def _forget(self, connection: Connection) -> None:
-        """Close a departing child's connection; if it owes the running
-        phase a reply, the phase counts it off instead of waiting (what
-        it sent but was not read yet is discarded, like what is still in
-        flight)."""
-        connection.close()
-        owed = self._owed
-        if owed is None or connection not in owed:
-            return
-        owed.discard(connection)
-        self._lost += 1
-        inbox = self.endpoint.inbox
-        inbox.items = [m for m in inbox.items if m.via is not connection]
-        self._deferred = [m for m in self._deferred if m.via is not connection]
-        wake = self._recv_ev
-        if wake is not None and not wake.triggered:
-            wake.cancel()
-            wake.succeed(None)
 
     def _add_child(self, channel: ChildChannel) -> None:
         self.children.append(channel)
@@ -432,7 +362,7 @@ class _Fan:
             expected += yield from self._send_all(
                 self._stages,
                 "collect_req",
-                lambda live: [epoch] * len(live),
+                lambda chunk: [epoch] * len(chunk),
                 cm.request_bytes,
                 cm.tx_request_s,
             )
@@ -444,7 +374,7 @@ class _Fan:
             expected += yield from self._send_all(
                 aggregators,
                 "agg_collect_req",
-                lambda live: [epoch] * len(live),
+                lambda chunk: [epoch] * len(chunk),
                 cm.agg_request_bytes,
                 cm.tx_request_s,
             )
@@ -478,8 +408,8 @@ class _Fan:
             raise ValueError(f"negative epoch: {epoch}")
         span_of = self.ledger.span_of
 
-        def payloads(live: List[ChildChannel]) -> List[Tuple[int, float, float]]:
-            slots = [span_of[ch][0] for ch in live]
+        def payloads(chunk: List[ChildChannel]) -> List[Tuple[int, float, float]]:
+            slots = [span_of[ch][0] for ch in chunk]
             out = []
             for slot in slots:
                 limit = data[slot]
@@ -557,7 +487,6 @@ class GlobalController(_Fan, GlobalCompute):
         self.decision_offload = decision_offload
         self.collect_timeouts = 0
         self._proc: Optional[Process] = None
-        self._owed = set()
         host.allocate(costs.global_fixed_mem)
 
     # -- membership -----------------------------------------------------------
@@ -585,25 +514,6 @@ class GlobalController(_Fan, GlobalCompute):
         )
         self._add_child(channel)
         self.host.allocate(self.costs.per_agg_mem_at_global)
-
-    def remove_stage(self, stage_id: str) -> None:
-        """Deregister a departed stage (flat design churn).
-
-        The stage's connection is closed, releasing its slot in both
-        hosts' connection pools. Safe to call between cycles; a removal
-        racing an in-flight cycle only wastes that cycle's rule for the
-        departed stage: messages still in flight on the connection are
-        dropped, and a phase waiting on its reply counts it missing
-        instead.
-        """
-        if not self.columns.evict(stage_id):
-            raise KeyError(f"unknown stage id: {stage_id!r}")
-        for ch in self.children:
-            if ch.child_id == stage_id:
-                self._forget(ch.connection)
-        self.children = [c for c in self.children if c.child_id != stage_id]
-        self._order_stale = True
-        self.host.free(self.costs.flat_per_stage_mem)
 
     @property
     def n_stages(self) -> int:
@@ -683,7 +593,6 @@ class GlobalController(_Fan, GlobalCompute):
         # Cycle start is also the one safe point to move the order: no
         # slot snapshot is live.
         ledger = self._relayout()
-        lost_before = self.lost_replies
         started = self.env.now
 
         # ---- collect ----
@@ -765,13 +674,10 @@ class GlobalController(_Fan, GlobalCompute):
                 compute_s=t_compute,
                 enforce_s=t_enforce,
                 n_stages=n,
-                # Registered stages without a fresh report this epoch —
-                # they rode at last-known demand — plus children removed
-                # while a phase waited on them (same semantics as the
+                # Registered stages without a fresh report this epoch:
+                # they rode at last-known demand (same semantics as the
                 # live controllers' degraded-cycle accounting).
-                n_missing=max(0, n - reported_stages)
-                + self.lost_replies
-                - lost_before,
+                n_missing=max(0, n - reported_stages),
                 timed_out=got < expected,
             )
         )
@@ -844,9 +750,9 @@ class GlobalController(_Fan, GlobalCompute):
         total_stages = sum(ch.n_stages for ch in agg_children)
         yield self._execute(total_stages * cm.rule_build_hier_s)
 
-        def payloads(live: List[ChildChannel]) -> List[Tuple]:
+        def payloads(chunk: List[ChildChannel]) -> List[Tuple]:
             out = []
-            for ch in live:
+            for ch in chunk:
                 span = slice(*ledger.span_of[ch])
                 ledger.record(span, limits, epoch)
                 out.append((epoch, limits[0, span], limits[1, span]))
@@ -856,9 +762,9 @@ class GlobalController(_Fan, GlobalCompute):
             agg_children,
             "rule_batch",
             payloads,
-            lambda live: [
+            lambda chunk: [
                 cm.rule_batch_header_bytes + ch.n_stages * cm.rule_batch_entry_bytes
-                for ch in live
+                for ch in chunk
             ],
             cm.tx_batch_s,
         )
@@ -893,7 +799,7 @@ class GlobalController(_Fan, GlobalCompute):
         sent = yield from self._send_all(
             agg_children,
             "budget_grant",
-            lambda live: [(epoch, *budget_of[ch.child_id]) for ch in live],
+            lambda chunk: [(epoch, *budget_of[ch.child_id]) for ch in chunk],
             cm.agg_request_bytes,
             cm.tx_request_s,
         )
@@ -1024,9 +930,6 @@ class AggregatorController(_Fan):
                 else:
                     msg = yield self.endpoint.recv()
                 conn = msg.via
-                if conn.closed:  # closed after delivery: nothing to answer on
-                    self.stale_messages += 1
-                    continue
                 if msg.kind == "agg_collect_req":
                     yield from self._collect(msg.payload, conn)
                 elif msg.kind == "rule_batch":

@@ -114,8 +114,6 @@ class VirtualStage(Endpoint):
 
     # -- message handling -------------------------------------------------------
     def _deliver(self, message: Message, connection: Connection) -> None:
-        if connection.closed:
-            return  # closed while in flight: lost with the connection
         host = self.host
         nic = host.nic
         nic.rx_bytes += message.size_bytes

@@ -10,13 +10,10 @@ Supplies both sides of the study's workload story:
   synthetic facility-scale trace (the trace-replay example);
 * **Job processes** (:mod:`repro.jobs.job`) — generator-based jobs that
   issue real (simulated) I/O through a data-plane stage, whose token
-  buckets enforce the controller's limits (the QoS enforcement example);
-* **Churn** (:mod:`repro.jobs.scheduler`) — Poisson job arrivals and
-  departures that register/deregister stages on a running control plane.
+  buckets enforce the controller's limits (the QoS enforcement example).
 """
 
 from repro.jobs.job import Job, JobPhase, run_job
-from repro.jobs.scheduler import ChurnEvent, JobScheduler
 from repro.jobs.traces import TracePoint, TraceSource, generate_facility_trace
 from repro.jobs.workloads import (
     BurstySource,
@@ -30,11 +27,9 @@ from repro.jobs.workloads import (
 __all__ = [
     "BurstySource",
     "CheckpointSource",
-    "ChurnEvent",
     "DLTrainingSource",
     "Job",
     "JobPhase",
-    "JobScheduler",
     "PoissonSource",
     "StressSource",
     "TracePoint",

@@ -4,7 +4,7 @@ Mirrors :class:`repro.dataplane.virtual_stage.VirtualStage` over real
 sockets: register with the controller, then answer ``collect_req`` with
 metrics and ``rule`` with an ack, applying the epoch staleness check.
 
-Dependability: when ``reconnect`` is enabled (the default) a stage whose
+Dependability: while ``reconnect`` is on (it starts on) a stage whose
 connection drops — killed socket, controller eviction, restart — retries
 with exponential backoff plus jitter and *re-registers*, so it is picked
 up again by the controller's next cycle. A rejected registration (e.g.
@@ -64,7 +64,7 @@ class _Dialer:
     )
 
     def __init__(
-        self, host: str, port: int, alternates=None, reconnect: bool = True,
+        self, host: str, port: int, alternates=None,
         backoff_base_s: float = 0.05, backoff_factor: float = 2.0,
         backoff_max_s: float = 2.0,
     ) -> None:
@@ -76,7 +76,8 @@ class _Dialer:
             (h, int(p)) for h, p in (alternates or [])
         ]
         self._addr_index = 0
-        self.reconnect = reconnect
+        #: Re-dial after a session ends; off, :meth:`run` returns instead.
+        self.reconnect = True
         self.backoff_base_s = backoff_base_s
         self.backoff_factor = backoff_factor
         self.backoff_max_s = backoff_max_s
@@ -223,9 +224,6 @@ class LiveVirtualStage(_Dialer):
 
     Parameters
     ----------
-    reconnect:
-        Retry dropped connections (with re-registration) instead of
-        exiting on the first EOF.
     backoff_base_s / backoff_factor / backoff_max_s:
         Full-jitter backoff between reconnect attempts (see
         :class:`_Dialer`).
@@ -260,7 +258,6 @@ class LiveVirtualStage(_Dialer):
         stage_id: str,
         job_id: str,
         demand: Tuple[float, float] = (1000.0, 200.0),
-        reconnect: bool = True,
         backoff_base_s: float = 0.05,
         backoff_factor: float = 2.0,
         backoff_max_s: float = 2.0,
@@ -272,8 +269,7 @@ class LiveVirtualStage(_Dialer):
                 f"controller_timeout_s must be positive and finite: {controller_timeout_s}"
             )
         super().__init__(
-            host, port, alternates, reconnect, backoff_base_s, backoff_factor,
-            backoff_max_s,
+            host, port, alternates, backoff_base_s, backoff_factor, backoff_max_s
         )
         self.controller_timeout_s = controller_timeout_s
         self.stage_id = stage_id

@@ -230,9 +230,7 @@ async def run_serve(
     max_cycles: Optional[int] = None,
     ready_file: Optional[str] = None,
     admission_rate: float = 200.0,
-    admission_burst: Optional[float] = None,
     max_connections: int = 256,
-    session_outbox_bytes: int = 256 * 1024,
 ) -> Dict:
     """Serve the REST API over a live plane until signalled (or a cap).
 
@@ -259,11 +257,9 @@ async def run_serve(
         stage_backoff=dict(backoff_base_s=0.02, backoff_factor=1.5, backoff_max_s=0.2),
         degradation=degradation,
         demand_clamp=demand_clamp,
-        session_outbox_bytes=session_outbox_bytes,
+        session_outbox_bytes=256 * 1024,
     )
-    gate = AdmissionGate(
-        rate=admission_rate, burst=admission_burst, metrics=metrics
-    )
+    gate = AdmissionGate(rate=admission_rate, metrics=metrics)
     api = ServiceApi(service, gate=gate, metrics=metrics)
     http = HttpServer(
         api.handle,

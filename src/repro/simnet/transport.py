@@ -23,9 +23,7 @@ Model
   plain endpoint invokes its handler when one is set, or enqueues into
   its inbox (for process-style actors such as controllers); a virtual
   stage overrides ``_deliver`` and answers in place, unless a handler
-  set on it (a fault injector's black hole) takes the message first. A
-  message whose connection closes while it is in flight is dropped at
-  delivery.
+  set on it (a fault injector's black hole) takes the message first.
 * An endpoint builds its inbox when a process first receives from it, so
   a virtual stage never holds one. It keeps no registry of its
   connections either: a delivered message names the connection it came
@@ -125,8 +123,6 @@ class Endpoint:
         return self.inbox.get()
 
     def _deliver(self, message: Message, connection: "Connection") -> None:
-        if connection.closed:
-            return  # closed while in flight: lost with the connection
         nic = self.host.nic
         nic.rx_bytes += message.size_bytes
         nic.rx_messages += 1
@@ -149,15 +145,12 @@ class Endpoint:
 class Connection:
     """A persistent bidirectional channel between two endpoints."""
 
-    __slots__ = (
-        "network", "a", "b", "closed", "_seq", "_floor_a", "_floor_b", "_hops"
-    )
+    __slots__ = ("network", "a", "b", "_seq", "_floor_a", "_floor_b", "_hops")
 
     def __init__(self, network: "Network", a: Endpoint, b: Endpoint) -> None:
         self.network = network
         self.a = a
         self.b = b
-        self.closed = False
         self._seq = 0
         # Per-direction FIFO guard (latest delivery time to a, to b):
         # jitter may not reorder a flow.
@@ -199,8 +192,6 @@ class Connection:
         """
         if not 0.0 <= extra_delay < _INF:
             raise ValueError(f"extra_delay must be finite and >= 0: {extra_delay!r}")
-        if self.closed:
-            raise SimulationError("send() on a closed connection")
         if sender is self.a:
             recipient, to_b = self.b, True
         elif sender is self.b:
@@ -262,13 +253,6 @@ class Connection:
         message.via = self
         env._push(now + (when - now), NORMAL, message)
         return message
-
-    def close(self) -> None:
-        """Release the connection slots on both hosts."""
-        if self.closed:
-            return
-        self.closed = True
-        self.network._release(self)
 
 
 class Network:
@@ -344,8 +328,6 @@ class Network:
         if sizes and min(sizes) < 0:
             raise ValueError(f"negative message size: {min(sizes)}")
         for connection, sender in links:
-            if connection.closed:
-                raise SimulationError("send() on a closed connection")
             if sender is not connection.a and sender is not connection.b:
                 raise SimulationError(f"{sender!r} is not part of {connection!r}")
         env = self.env
@@ -469,8 +451,3 @@ class Network:
                 pool_a.release()
                 raise
         return Connection(self, a, b)
-
-    def _release(self, connection: Connection) -> None:
-        self.pool_of(connection.a.host).release()
-        if connection.b.host is not connection.a.host:
-            self.pool_of(connection.b.host).release()

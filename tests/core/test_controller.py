@@ -195,28 +195,6 @@ class TestHierarchicalCycle:
             plane.aggregators[0].start()
 
 
-class TestChurn:
-    def test_remove_stage_shrinks_cycle(self):
-        plane = flat_plane(n=10)
-        plane.run_stress(n_cycles=2)
-        ctrl = plane.global_controller
-        ctrl.remove_stage("stage-00003")
-        proc = ctrl.run_cycles(1)
-        plane.env.run(proc)
-        assert ctrl.cycles[-1].n_stages == 9
-        assert "stage-00003" not in ctrl.latest_rules or (
-            ctrl.latest_rules["stage-00003"].epoch <= 2
-        )
-
-    def test_removed_stage_connection_released(self):
-        plane = flat_plane(n=5)
-        net = plane.cluster.network
-        ctrl_host = plane.controller_hosts["global-ctrl"]
-        before = net.pool_of(ctrl_host).open_connections
-        plane.global_controller.remove_stage("stage-00000")
-        assert net.pool_of(ctrl_host).open_connections == before - 1
-
-
 class _Switch:
     """Constant demand until ``state["bad"]`` is set, then ``bad``."""
 

@@ -71,22 +71,6 @@ class TestSendAll:
         # chunk 1 (peers 0,1) departs after 2 ms; chunk 2 after 4 ms.
         assert arrivals["peer-2/peer-2"] - arrivals["peer-1/peer-1"] > 1e-3
 
-    def test_closed_channels_skipped(self):
-        env = Environment()
-        base, net = make_base(env)
-        channels, endpoints = make_stage_endpoints(env, net, base, 3)
-        channels[1].connection.close()
-
-        def driver():
-            sent = yield from base._send_all(
-                channels, "ping", lambda live: [1] * len(live), 16, 1e-6
-            )
-            return sent
-
-        proc = env.process(driver())
-        env.run(proc)
-        assert proc.value == 2
-
 
 class TestAwaitReplies:
     def _deliver(self, base, kind, payload, size=8):

@@ -257,12 +257,12 @@ class TestEnforceChangedOnly:
             )
 
 
-class TestReAddedStage:
-    """A stage re-added under a departed stage's id is a new child: it
-    inherits nothing the departed one was shipped."""
+class TestAddedStage:
+    """A stage added between cycles is a new child: it starts with nothing
+    shipped to it, so changed-only ships it its first rule at once."""
 
     @staticmethod
-    def _readd(enforce_changed_only):
+    def _add(enforce_changed_only):
         from repro.core.controller import ChildChannel
         from repro.dataplane.virtual_stage import VirtualStage
 
@@ -271,16 +271,15 @@ class TestReAddedStage:
         )
         ctrl, net = plane.global_controller, plane.cluster.network
         plane.env.run(ctrl.run_cycles(2))
-        departed = plane.stages[1]
-        ctrl.remove_stage(departed.stage_id)
+        stage_id = "stage-00004"
         stage = VirtualStage(
             plane.env,
-            departed.stage_id,
-            departed.job_id,
-            source=plane.config.source_factory(departed.stage_id),
+            stage_id,
+            "job-00004",
+            source=plane.config.source_factory(stage_id),
             costs=ctrl.costs,
         )
-        stage.attach(net, plane.stage_hosts[0], departed.stage_id + "-again")
+        stage.attach(net, plane.stage_hosts[0], stage_id)
         conn = net.connect(ctrl.endpoint, stage)
         ctrl.add_stage(
             stage.stage_id,
@@ -291,13 +290,12 @@ class TestReAddedStage:
         return ctrl, stage
 
     def test_changed_only_ships_the_newcomer_its_first_rule(self):
-        ctrl, stage = self._readd(enforce_changed_only=True)
+        ctrl, stage = self._add(enforce_changed_only=True)
         assert stage.rules_applied == 1
         assert stage.applied_rule.epoch == 3
-        # The view reports the newcomer's rule, not the departed one's.
         assert ctrl.latest_rules[stage.stage_id].epoch == 3
 
     def test_without_changed_only_the_newcomer_gets_every_rule(self):
-        ctrl, stage = self._readd(enforce_changed_only=False)
+        ctrl, stage = self._add(enforce_changed_only=False)
         assert stage.rules_applied == 3
         assert ctrl.latest_rules[stage.stage_id].epoch == 5

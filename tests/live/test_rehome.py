@@ -350,10 +350,9 @@ class TestMalformedControllerFrames:
                 "agg-0", "127.0.0.1", port, expected_stages=3, enforce_timeout_s=2.0
             )
             await agg.start()
-            stages = [
-                LiveVirtualStage(agg.host, agg.port, f"s-{i}", "j", reconnect=False)
-                for i in range(3)
-            ]
+            stages = [LiveVirtualStage(agg.host, agg.port, f"s-{i}", "j") for i in range(3)]
+            for stage in stages:
+                stage.reconnect = False
             tasks = [asyncio.create_task(s.run()) for s in stages]
             run = asyncio.create_task(agg.run())
             reader, writer, hello = await asyncio.wait_for(trunks.get(), timeout=5.0)

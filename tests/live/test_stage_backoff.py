@@ -15,10 +15,9 @@ from repro.live.stage_client import LiveVirtualStage
 
 
 def make_stage(stage_id, **kw):
-    kw.setdefault("reconnect", False)
-    return LiveVirtualStage(
-        "127.0.0.1", 1, stage_id=stage_id, job_id="job", **kw
-    )
+    stage = LiveVirtualStage("127.0.0.1", 1, stage_id=stage_id, job_id="job", **kw)
+    stage.reconnect = False
+    return stage
 
 
 class TestFullJitterBackoff:

@@ -249,9 +249,9 @@ class TestTrustLifetime:
             try:
                 for i in range(rounds):
                     visitor = LiveVirtualStage(
-                        ctrl.host, ctrl.port, stage_id=f"v-{i}", job_id="visitors",
-                        reconnect=False,
+                        ctrl.host, ctrl.port, stage_id=f"v-{i}", job_id="visitors"
                     )
+                    visitor.reconnect = False
                     task = asyncio.create_task(visitor.run())
                     await _registered(ctrl, f"v-{i}")
                     await asyncio.wait_for(ctrl.run_cycles(1), timeout=10.0)

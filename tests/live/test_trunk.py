@@ -172,9 +172,9 @@ class TestMembership:
                 # reports another demand; aggregator 0 still lists (and
                 # still serves) the first.
                 twin = LiveVirtualStage(
-                    aggs[1].host, aggs[1].port, "s-20", "job-s-20",
-                    demand=(7.0, 3.0), reconnect=False,
+                    aggs[1].host, aggs[1].port, "s-20", "job-s-20", demand=(7.0, 3.0)
                 )
+                twin.reconnect = False
                 tasks.append(asyncio.create_task(twin.run()))
                 await _until(lambda: "s-20" in aggs[1].sessions)
                 await ctrl.run_cycles(2)

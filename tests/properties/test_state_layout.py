@@ -4,13 +4,12 @@
 it, so the properties that a fallback used to make unreachable are
 pinned here against oracles that share no code with the columns:
 
-1. the sim ``GlobalController``, churned the way that used to push it
-   off the columnar path (a multi-stage job's *first* stage leaves, a
-   later one stays, the stage comes back), ships rules bit-equal to
-   ``scalar_allocations`` fed the same history in the order a
-   ``StageRegistry`` mirroring the churn gives — the registry's job
-   order is the rule the golden traces were produced under, and the
-   columns have to arrive at it on their own;
+1. the sim ``GlobalController``, with stages joining between cycles (a
+   joiner may open a job no built stage runs, or join one that runs
+   already), ships rules bit-equal to ``scalar_allocations`` fed the
+   same history in the order a ``StageRegistry`` mirroring the joins
+   gives — the registry's job order is the rule the golden traces were
+   produced under, and the columns have to arrive at it on their own;
 2. the vector ``DemandClamp`` equals a per-stage scalar fold of the same
    reports and grants, bit for bit, counters included.
 """
@@ -29,6 +28,7 @@ from repro.core.control_plane import ControlPlaneConfig, FlatControlPlane
 from repro.core.controller import ChildChannel
 from repro.core.policies import QoSPolicy
 from repro.core.registry import StageRecord, StageRegistry
+from repro.dataplane.virtual_stage import VirtualStage
 from repro.guard import DemandClamp
 
 DEMAND = st.one_of(st.just(0.0), st.floats(0.0, 1e5, allow_nan=False))
@@ -41,7 +41,7 @@ _LEVELS = (0.0, 1234.5678, 0.1 * 7919, 2e4 / 3)
 
 
 # ---------------------------------------------------------------------------
-# 1. Sim controller vs the scalar oracle, under partial-job churn.
+# 1. Sim controller vs the scalar oracle, with stages joining.
 # ---------------------------------------------------------------------------
 
 
@@ -56,16 +56,19 @@ class _SetSource:
 
 
 @st.composite
-def churn_history(draw):
-    """Stage→job layout, then cycles of demand with churn in between.
+def join_history(draw):
+    """Stage→job layout, how many of its stages the plane is built with,
+    then cycles of demand with joins in between.
 
-    Jobs are interleaved so that a job's first stage leaving changes
-    which job is seen first among the stages that remain.
+    Jobs are interleaved, so a joiner may be the first stage of its job
+    (its job goes last in the job order) or one more stage of a job the
+    plane runs already.
     """
     n_jobs = draw(st.integers(2, 4))
     jobs = draw(
         st.lists(st.integers(0, n_jobs - 1), min_size=n_jobs + 1, max_size=9)
     )
+    n_built = draw(st.integers(1, len(jobs) - 1))
     cycles = draw(st.integers(2, 5))
     steps = []
     for _ in range(cycles):
@@ -80,14 +83,10 @@ def churn_history(draw):
             )
             for job in jobs
         ]
-        churn = draw(
-            st.lists(
-                st.tuples(st.sampled_from(("leave", "return")), st.integers(0, 8)),
-                max_size=3,
-            )
-        )
-        steps.append((demands, churn))
-    return jobs, steps
+        # Which of the stages not yet joined join after this cycle.
+        joins = draw(st.lists(st.integers(0, 8), max_size=3))
+        steps.append((demands, joins))
+    return jobs, n_built, steps
 
 
 def _policy(kind):
@@ -105,7 +104,7 @@ def _policy(kind):
 def _replay(history, kind, alpha):
     """Drive a flat sim plane through ``history``; after every cycle
     compare the rules it shipped with the oracle's allocations."""
-    jobs, steps = history
+    jobs, n_built, steps = history
     policy, algorithm = _policy(kind)
     sources = {}
 
@@ -115,7 +114,7 @@ def _replay(history, kind, alpha):
 
     plane = FlatControlPlane.build(
         ControlPlaneConfig(
-            n_stages=len(jobs),
+            n_stages=n_built,
             policy=policy,
             algorithm=algorithm,
             metrics_alpha=alpha,
@@ -124,7 +123,20 @@ def _replay(history, kind, alpha):
         )
     )
     ctrl = plane.global_controller
-    stage_of = {s.stage_id: s for s in plane.stages}
+    net = plane.cluster.network
+    stages = list(plane.stages)
+    for i in range(n_built, len(jobs)):
+        stage_id = f"stage-{i:05d}"
+        stage = VirtualStage(
+            plane.env,
+            stage_id,
+            f"job-{jobs[i]}",
+            source=source_factory(stage_id),
+            costs=ctrl.costs,
+        )
+        stage.attach(net, plane.stage_hosts[0], stage_id)
+        stages.append(stage)
+    waiting = stages[n_built:]
     registry = StageRegistry()
     for stage in plane.stages:
         registry.register(StageRecord(stage.stage_id, stage.job_id, "host"))
@@ -132,9 +144,8 @@ def _replay(history, kind, alpha):
     # Its own brain instances, like the controller's per-axis twins.
     oracle_algorithm = copy.deepcopy(algorithm)
     oracle_meta_algorithm = copy.deepcopy(algorithm)
-    gone = []
-    for demands, churn in steps:
-        for stage, reading in zip(plane.stages, demands):
+    for demands, joins in steps:
+        for stage, reading in zip(stages, demands):
             sources[stage.stage_id].reading = reading
         plane.env.run(ctrl.run_cycles(1))
         ids = registry.stage_ids
@@ -155,44 +166,33 @@ def _replay(history, kind, alpha):
         if want_meta is not None:
             assert np.array_equal([r.metadata_iops_limit for r in rules], want_meta)
 
-        for op, pick in churn:
-            if op == "leave":
-                # The first stage of a job that keeps a later one.
-                multi = [
-                    j for j in registry.job_ids if len(registry.stages_of(j)) > 1
-                ]
-                if not multi or len(registry) <= 2:
-                    continue
-                stage_id = registry.stages_of(multi[pick % len(multi)])[0]
-                ctrl.remove_stage(stage_id)
-                registry.deregister(stage_id)
-                oracle.forget(stage_id)
-                gone.append(stage_id)
-            elif gone:
-                stage = stage_of[gone.pop(pick % len(gone))]
-                conn = plane.cluster.network.connect(ctrl.endpoint, stage.endpoint)
-                ctrl.add_stage(
-                    stage.stage_id,
-                    stage.job_id,
-                    ChildChannel(stage.stage_id, "stage", conn, ctrl.endpoint),
-                )
-                registry.register(StageRecord(stage.stage_id, stage.job_id, "host"))
+        for pick in joins:
+            if not waiting:
+                break
+            stage = waiting.pop(pick % len(waiting))
+            conn = net.connect(ctrl.endpoint, stage.endpoint)
+            ctrl.add_stage(
+                stage.stage_id,
+                stage.job_id,
+                ChildChannel(stage.stage_id, "stage", conn, ctrl.endpoint),
+            )
+            registry.register(StageRecord(stage.stage_id, stage.job_id, "host"))
         assert ctrl.columns.active_ids() == tuple(registry.stage_ids)
         assert ctrl.columns.job_view()[0] == registry.job_ids
 
 
 class TestSimControllerMatchesOracle:
-    @given(churn_history(), st.sampled_from((1.0, 0.35)))
+    @given(join_history(), st.sampled_from((1.0, 0.35)))
     @settings(max_examples=60, deadline=None)
     def test_undifferentiated_rules_byte_identical(self, history, alpha):
         _replay(history, "undifferentiated", alpha)
 
-    @given(churn_history(), st.sampled_from((1.0, 0.35)))
+    @given(join_history(), st.sampled_from((1.0, 0.35)))
     @settings(max_examples=60, deadline=None)
     def test_differentiated_rules_byte_identical(self, history, alpha):
         _replay(history, "differentiated", alpha)
 
-    @given(churn_history(), st.sampled_from((1.0, 0.35)))
+    @given(join_history(), st.sampled_from((1.0, 0.35)))
     @settings(max_examples=60, deadline=None)
     def test_padll_coupled_rules_byte_identical(self, history, alpha):
         _replay(history, "padll", alpha)

@@ -117,16 +117,6 @@ class TestDelivery:
         with pytest.raises(ValueError):
             conn.send(a, "bad", size_bytes=-1)
 
-    def test_closed_in_flight_is_dropped_at_delivery(self, env, cluster):
-        net, a, b, conn = _pair(cluster)
-        got = []
-        b.set_handler(lambda m, c: got.append(m))
-        conn.send(a, "late", size_bytes=100)
-        conn.close()
-        env.run()
-        assert got == [] and b.host.nic.rx_messages == 0
-        assert env.processed_events == 1
-
 
 class TestNonFinite:
     """NaN passes every ``< 0`` check; infinity is no delay either."""
@@ -331,18 +321,17 @@ class TestFusedSendArithmetic:
     @pytest.mark.parametrize(
         "spoil",
         [
-            lambda eps, conns, links: conns[4].close(),
             lambda eps, conns, links: links.append((conns[0], eps[1])),
             lambda eps, conns, links: links.append((conns[0], eps[5])),
         ],
-        ids=["closed-link", "foreign-sender", "sender-on-another-link"],
+        ids=["foreign-sender", "sender-on-another-link"],
     )
     def test_send_many_raises_as_send_and_sends_nothing(self, spoil):
         env, net, eps, conns = self._twin(1e9, "normal")
         links = [(c, c.a) for c in conns]
         spoil(eps, conns, links)
         bad_conn, bad_sender = next(
-            (c, s) for c, s in links if c.closed or s not in (c.a, c.b)
+            (c, s) for c, s in links if s not in (c.a, c.b)
         )
         with pytest.raises(SimulationError) as expected:
             bad_conn.send(bad_sender, "m", None, 10)
@@ -377,23 +366,6 @@ class TestConnectionManagement:
         net, a, b, conn = _pair(cluster)
         assert net.pool_of(a.host).open_connections == 1
         assert net.pool_of(b.host).open_connections == 1
-
-    def test_close_releases_slots(self, env, cluster):
-        net, a, b, conn = _pair(cluster)
-        conn.close()
-        assert net.pool_of(a.host).open_connections == 0
-        assert net.pool_of(b.host).open_connections == 0
-
-    def test_send_on_closed_raises(self, env, cluster):
-        net, a, b, conn = _pair(cluster)
-        conn.close()
-        with pytest.raises(SimulationError):
-            conn.send(a, "late")
-
-    def test_double_close_is_noop(self, env, cluster):
-        net, a, b, conn = _pair(cluster)
-        conn.close()
-        conn.close()
 
     def test_connection_limit_enforced(self, env):
         cluster = build_cluster(env, 5, max_connections_per_host=3)
