@@ -3,19 +3,24 @@
 One end writes a 14 B frame to each of N loopback connections and waits
 for N 54 B echoes, then a 43 B frame and N 27 B echoes — the sizes of
 ``collect_req`` / ``metrics_reply`` / ``rule`` / ``rule_ack`` (138 B per
-stage-cycle). The same two bare protocols run twice, in one process:
+stage-cycle). The same two bare protocols run three times:
 
 * on asyncio's selector transports (``loop.create_server`` /
-  ``loop.create_connection``) — where the live plane's sockets used to
-  sit: one loop ``Handle`` per readable socket;
-* on ``repro.live.pump``'s ``listen`` / ``connect`` — where they sit
-  now: one loop ``Handle`` per burst. None of ``FrameLink``,
-  ``sessions`` or the controllers is involved.
+  ``loop.create_connection``), both ends in one process — where the
+  live plane's sockets used to sit: one loop ``Handle`` per readable
+  socket;
+* on ``repro.live.pump``'s ``listen`` / ``connect``, both ends in one
+  process — where they sit now: one loop ``Handle`` per burst;
+* on the pump, with the accepting (controller) end in a forked child
+  and the echo (stage) ends in this process, as ``LiveGlobalController``
+  splits ``flat-2500``. The child is reaped before the line prints.
 
-The second line is the floor under ``bench_e2e``'s ``cycle_p50_ms`` on
+None of ``FrameLink``, ``sessions`` or the controllers is involved. The
+third line is the floor under ``bench_e2e``'s ``cycle_p50_ms`` on
 ``flat-2500`` (what reads above it is the repository's own per-frame
-Python); the difference between the lines is asyncio's per-event
-transport path, which the pump removed.
+Python); the second is the floor of the one-process layout, and the
+difference between the first two is asyncio's per-event transport path,
+which the pump removed.
 
 Both ends are ``BufferedProtocol``s reading into one shared buffer, like
 ``repro.live.protocol.FrameLink``: a plain ``Protocol`` makes the
@@ -95,8 +100,13 @@ async def on_pump(stages: int):
 
 async def floor(connect, stages: int, cycles: int) -> float:
     """p50 seconds per two-phase cycle over ``connect``'s connections."""
+    return await measure(await connect(stages), stages, cycles)
+
+
+async def measure(server, stages: int, cycles: int) -> float:
+    """p50 seconds per two-phase cycle once ``server`` has accepted
+    ``stages`` connections; closes them all."""
     loop = asyncio.get_running_loop()
-    server = await connect(stages)
     while len(clients) < stages:
         await asyncio.sleep(0.01)
     samples = []
@@ -114,6 +124,50 @@ async def floor(connect, stages: int, cycles: int) -> float:
     clients.clear()
     await asyncio.sleep(0.1)
     return statistics.median(samples[len(samples) // 4 :])
+
+
+async def controller_child(stages: int, cycles: int, out: int) -> None:
+    """The forked child: listen, tell the parent the port, measure, and
+    write the p50 (``%.9f``) to ``out``."""
+    listener = pump.listen(Counter, HOST, 0, 4096)
+    os.write(out, b"%8d" % listener.sockets[0].getsockname()[1])
+    os.write(out, b"%.9f" % await measure(listener, stages, cycles))
+
+
+async def echo_fleet(stages: int, port: int, result: int) -> float:
+    """This process's side: ``stages`` echo ends until the child's p50."""
+    loop = asyncio.get_running_loop()
+    echoes = [Echo() for _ in range(stages)]
+    for echo in echoes:
+        await pump.connect(echo, HOST, port)
+    done = loop.create_future()
+    loop.add_reader(result, lambda: done.done() or done.set_result(None))
+    await done
+    loop.remove_reader(result)
+    for echo in echoes:  # the child has aborted its ends already
+        echo.transport.abort()
+    return float(os.read(result, 64))
+
+
+def forked(stages: int, cycles: int) -> float:
+    """The pump floor with the controller end in a forked child."""
+    result, out = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - the child never returns
+        code = 1
+        try:
+            os.close(result)
+            asyncio.run(controller_child(stages, cycles, out))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(out)
+    try:
+        port = int(os.read(result, 8))
+        return asyncio.run(echo_fleet(stages, port, result))
+    finally:
+        os.close(result)
+        os.waitpid(pid, 0)
 
 
 if __name__ == "__main__":
@@ -135,4 +189,6 @@ if __name__ == "__main__":
           "p50 per two-phase cycle")
     for name, connect in (("asyncio transports", on_asyncio), ("repro.live.pump", on_pump)):
         p50 = asyncio.run(floor(connect, args.stages, args.cycles))
-        print(f"  {name:<20}{p50 * 1e3:6.1f} ms")
+        print(f"  {name:<28}{p50 * 1e3:6.1f} ms")
+    p50 = forked(args.stages, args.cycles)
+    print(f"  {'repro.live.pump, forked':<28}{p50 * 1e3:6.1f} ms")

@@ -915,9 +915,14 @@ class AggregatorController(_Fan):
         return self._proc
 
     def stop(self) -> None:
-        """Crash/stop the aggregator (failure injection)."""
+        """Crash/stop the aggregator (failure injection, teardown).
+
+        Between runs the serve loop ends at once, so a plane dropped after
+        its aggregators stop is freed by reference counting; inside a run
+        the stop is queued at the current instant (``Process.stop``).
+        """
         if self._proc is not None and self._proc.is_alive:
-            self._proc.interrupt("stop")
+            self._proc.stop("stop")
         self._proc = None
 
     def _serve(self) -> Generator:

@@ -183,7 +183,12 @@ def run_hierarchical_experiment(
             levels=levels,
         )
         plane.run_stress(n_cycles=cycles)
-        return plane.global_controller.cycles, plane.resource_report(), plane.spans
+        result = plane.global_controller.cycles, plane.resource_report(), plane.spans
+        # Stopped between runs, the plane is freed as soon as it is dropped
+        # instead of waiting for the cyclic collector.
+        for agg in plane.aggregators:
+            agg.stop()
+        return result
 
     design = "hierarchical-offload" if decision_offload else "hierarchical"
     if levels == 3:

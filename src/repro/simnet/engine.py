@@ -15,8 +15,9 @@ A small, deterministic, SimPy-flavoured event loop. The design goals are:
 
 The public surface mirrors a stripped-down SimPy: ``Environment.process``,
 ``Environment.timeout``, ``Environment.event``, ``Environment.run``,
-``Process.interrupt``. This is the substrate the whole reproduction runs
-on, so it is tested exhaustively (see ``tests/simnet/test_engine.py``).
+``Process.interrupt`` (``Process.stop`` runs one at once between runs).
+This is the substrate the whole reproduction runs on, so it is tested
+exhaustively (see ``tests/simnet/test_engine.py``).
 
 Dispatch
 --------
@@ -65,6 +66,7 @@ log) is never reused, so recycling cannot alias a live message.
 from __future__ import annotations
 
 import heapq
+import inspect
 import sys
 from collections import deque
 from itertools import count
@@ -342,12 +344,13 @@ class Process(Event):
             raise SimulationError(f"process target must be a generator: {generator!r}")
         super().__init__(env)
         self._generator = generator
-        self._waiting_on: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
-        # Kick off the process at the current simulated instant.
+        # Kick off the process at the current simulated instant. Until
+        # then the process waits on its bootstrap (:meth:`stop` runs it).
         bootstrap = Event(env)
         bootstrap.callbacks.append(self._resume)
         bootstrap.succeed(priority=URGENT)
+        self._waiting_on: Optional[Event] = bootstrap
 
     @property
     def is_alive(self) -> bool:
@@ -368,6 +371,39 @@ class Process(Event):
         trigger._value = Interrupt(cause)
         trigger._ok = False
         self.env._schedule(trigger, delay=0.0, priority=URGENT)
+
+    def stop(self, cause: Any) -> None:
+        """:meth:`interrupt` the process, at once if the environment is idle.
+
+        Inside :meth:`Environment.run` this is :meth:`interrupt`: the
+        interrupt is queued at the current instant. Between runs it does
+        now what the next run would do first: start the generator if it
+        never started, then throw the :class:`Interrupt` into it (or, if
+        the process's wake-up is already queued, queue it behind). Nothing
+        queued holds the process or its generator afterwards, so an actor
+        whose process is stopped and which is then dropped is freed by
+        reference counting. Every simulated delivery and timestamp is the
+        same; the run processes one event fewer, the interrupt's trigger.
+        """
+        if self.env._running:
+            self.interrupt(cause)
+            return
+        if self.triggered:
+            raise SimulationError(f"cannot interrupt finished process {self.name!r}")
+        if inspect.getgeneratorstate(self._generator) == inspect.GEN_CREATED:
+            bootstrap = self._waiting_on
+            self._detach()
+            self._resume(bootstrap)
+        if self._waiting_on is None:
+            # It yielded an event that had already fired, so its wake-up
+            # is queued: the interrupt must follow it, as in a run.
+            if not self.triggered:
+                self.interrupt(cause)
+            return
+        trigger = Event(self.env)
+        trigger._value = Interrupt(cause)
+        trigger._ok = False
+        self._resume_interrupt(trigger)
 
     # -- internal resumption ----------------------------------------------
     def _detach(self) -> None:
@@ -467,6 +503,8 @@ class Environment:
         #: Delivered messages nothing references, for the transport's
         #: sends to fill in again (see :meth:`recycle`).
         self._message_pool: list = []
+        #: True while :meth:`run` dispatches (:meth:`Process.stop`).
+        self._running = False
 
     # -- clock ------------------------------------------------------------
     @property
@@ -622,6 +660,7 @@ class Environment:
                         f"run(until={horizon}) is not at or after now ({self._now})"
                     )
         now = self._now
+        self._running = True
         try:
             while True:
                 if not queue or (sentinel is not None and sentinel._processed):
@@ -683,6 +722,7 @@ class Environment:
                         "immortal process"
                     )
         finally:
+            self._running = False
             self.processed_events = processed
         if sentinel is not None:
             if not sentinel._processed:

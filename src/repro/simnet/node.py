@@ -120,12 +120,6 @@ class SimHost:
             )
         self._peak_resident = max(self._peak_resident, self.resident_bytes)
 
-    def free(self, nbytes: int) -> None:
-        """Shrink resident memory."""
-        if nbytes < 0:
-            raise ValueError(f"negative free: {nbytes}")
-        self.resident_bytes = max(0, self.resident_bytes - int(nbytes))
-
     @property
     def peak_resident_bytes(self) -> int:
         """High-water mark of resident memory."""

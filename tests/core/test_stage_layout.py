@@ -29,6 +29,7 @@ from repro.core.control_plane import (
 )
 from repro.core.controller import ChildChannel
 from repro.dataplane.virtual_stage import STRESS_SOURCE, VirtualStage
+from repro.harness.experiment import run_hierarchical_experiment
 from repro.simnet.engine import Environment
 from repro.simnet.node import SimHost
 from repro.simnet.transport import Connection, Endpoint, Network
@@ -199,3 +200,72 @@ class TestCycleGarbage:
                 gc.enable()
         assert got == [True, True]
         assert freed == 0
+
+
+def _stages_alive_after(drop):
+    """``VirtualStage``\\ s still alive once ``drop()`` returns, the
+    collector held off throughout."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        drop()
+        return sum(type(o) is VirtualStage for o in gc.get_objects())
+    finally:
+        if enabled:
+            gc.enable()
+
+
+HIER_BUILDS = {
+    "hier": {},
+    "hier-3-levels": {"levels": 3},
+    "hier-offload": {"decision_offload": True},
+}
+
+
+class TestStoppedPlaneFrees:
+    """A stopped aggregator's serve loop ends at once between runs, so a
+    dropped hierarchy is freed by reference counting, not left as one
+    cycle (aggregator → environment → queued interrupt → process →
+    suspended generator → aggregator) for the collector."""
+
+    @pytest.mark.parametrize("cycles", [0, 2], ids=["never-run", "run"])
+    @pytest.mark.parametrize("design", sorted(HIER_BUILDS))
+    def test_a_stopped_dropped_plane_leaves_no_stage_alive(self, design, cycles):
+        def drop():
+            plane = HierarchicalControlPlane.build(
+                ControlPlaneConfig(n_stages=N_STAGES),
+                n_aggregators=4,
+                **HIER_BUILDS[design],
+            )
+            if cycles:
+                plane.run_stress(n_cycles=cycles)
+            for agg in plane.aggregators:
+                agg.stop()
+
+        assert _stages_alive_after(drop) == 0
+
+    def test_an_experiment_frees_every_plane_it_builds(self):
+        results = []
+        alive = _stages_alive_after(
+            lambda: results.append(
+                run_hierarchical_experiment(N_STAGES, 4, repeats=2)
+            )
+        )
+        assert alive == 0
+        assert results[0].repetitions == 2
+
+    def test_a_stopped_aggregator_restarts_and_serves_the_next_cycle(self):
+        plane = HierarchicalControlPlane.build(
+            ControlPlaneConfig(n_stages=40, collect_timeout_s=0.5), n_aggregators=2
+        )
+        plane.run_stress(n_cycles=1)
+        agg = plane.aggregators[0]
+        old = agg._proc
+        agg.stop()
+        assert not old.is_alive
+        assert agg.start().is_alive
+        plane.run_stress(n_cycles=1)
+        cycle = plane.global_controller.cycles[-1]
+        assert (cycle.epoch, cycle.n_missing, cycle.degraded) == (2, 0, False)
+        assert agg.cycles_served == 2

@@ -372,6 +372,107 @@ class TestInterrupt:
         assert p.value == pytest.approx(1.5)
 
 
+class TestStop:
+    """``Process.stop``: an interrupt, run at once between runs."""
+
+    @staticmethod
+    def _server(env, log):
+        def server():
+            try:
+                while True:
+                    yield env.timeout(100.0)
+                    log.append(env.now)
+            except Interrupt as i:
+                log.append(("stopped", i.cause, env.now))
+                return "done"
+
+        return server()
+
+    def test_an_idle_stop_ends_a_parked_process_at_once(self):
+        env = Environment()
+        log = []
+        p = env.process(self._server(env, log))
+        env.run(until=150.0)
+        p.stop("kill")
+        assert not p.is_alive
+        assert log == [100.0, ("stopped", "kill", 150.0)]
+        env.run()  # the abandoned timeout still fires, into no one
+        assert p.value == "done" and log[-1] == ("stopped", "kill", 150.0)
+
+    def test_an_idle_stop_runs_a_process_that_never_started_first(self):
+        env = Environment()
+        log = []
+        started = []
+
+        def body():
+            started.append(env.now)
+            yield from self._server(env, log)
+
+        p = env.process(body())
+        p.stop("kill")
+        assert started == [0.0] and log == [("stopped", "kill", 0.0)]
+        env.run()  # the queued start runs nothing a second time
+        assert p.value is None and started == [0.0]
+
+    def test_an_idle_stop_behind_a_queued_wake_up_is_queued(self):
+        env = Environment()
+        fired = env.event()
+        fired.succeed()
+        env.run()
+        log = []
+
+        def body():
+            try:
+                yield fired  # already processed: the wake-up is queued
+                log.append("woke")
+                yield env.timeout(1.0)
+            except Interrupt:
+                log.append("stopped")
+
+        p = env.process(body())
+        p.stop("kill")
+        assert p.is_alive and log == []
+        env.run()
+        assert log == ["woke", "stopped"] and not p.is_alive
+
+    def test_an_idle_stop_processes_one_event_fewer_than_an_interrupt(self):
+        counts = []
+        for stop in (True, False):
+            env = Environment()
+            p = env.process(self._server(env, []))
+            env.run(until=150.0)
+            if stop:
+                p.stop("kill")
+            else:
+                p.interrupt("kill")
+            env.run()
+            counts.append(env.processed_events)
+        assert counts[0] == counts[1] - 1
+
+    def test_a_stop_inside_a_run_is_queued(self):
+        env = Environment()
+        log = []
+        p = env.process(self._server(env, log))
+        seen = []
+
+        def killer():
+            yield env.timeout(150.0)
+            p.stop("kill")
+            seen.append(p.is_alive)
+
+        env.process(killer())
+        env.run()
+        assert seen == [True]
+        assert log == [100.0, ("stopped", "kill", 150.0)]
+
+    def test_stopping_a_finished_process_is_an_error(self):
+        env = Environment()
+        p = env.process(self._server(env, []))
+        p.stop("kill")
+        with pytest.raises(SimulationError):
+            p.stop("kill")
+
+
 class TestConditions:
     def test_all_of_waits_for_all(self):
         env = Environment()
